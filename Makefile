@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-gate bench-serve-json check fmt fuzz lint docs-check schemes-smoke serve-smoke fleet-smoke telemetry-smoke hetero-smoke
+.PHONY: all build vet test race bench bench-json bench-gate bench-serve-json bench-selftest check fmt fuzz lint docs-check schemes-smoke serve-smoke fleet-smoke telemetry-smoke hetero-smoke
 
 all: check
 
@@ -43,6 +43,13 @@ bench-gate:
 		-benchtime $(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchjson -gate $(GATEPCT) -baseline BENCH_sim.json \
 			-only BenchmarkGraphOptimize,BenchmarkSimulateReuse,BenchmarkDeltaSim
+
+# The planner benchmark (bench/, BENCHMARK.json) is a module of its own, so
+# `go test ./...` at the root never runs its tests — among them
+# TestBenchmarkJSONMatchesHarness, which keeps BENCHMARK.json and the harness
+# tables equal. Under a second.
+bench-selftest:
+	cd bench && $(GO) test ./...
 
 # Service-layer latency artifact: the mariod request path (cache hit, fresh
 # run, traced run, /metrics scrape) against an instant run stub, so the
@@ -127,7 +134,7 @@ schemes-smoke:
 	$(GO) run ./cmd/experiments -fast -run zerobubble >/dev/null
 	$(GO) test -run 'TestGoldenDocs|TestZeroBubbleFast' ./internal/experiments
 
-check: vet build race fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
+check: vet build race bench-selftest fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
 
 fmt:
 	gofmt -l -w .

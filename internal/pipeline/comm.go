@@ -25,7 +25,10 @@ package pipeline
 func InsertComm(s *Schedule) {
 	S := s.NumStages()
 	for d, list := range s.Lists {
-		out := make([]Instr, 0, len(list)*2+2)
+		// An interior device gains a receive and a send around every compute
+		// instruction, plus the two cool-down collectives: sized for that, the
+		// list is allocated once instead of regrowing on every such device.
+		out := make([]Instr, 0, len(list)*3+2)
 		for _, in := range list {
 			switch in.Kind {
 			case Forward, CkptForward:

@@ -19,6 +19,28 @@ func fuzzScheme(sel uint8) pipeline.Scheme {
 	return schemes[int(sel)%len(schemes)]
 }
 
+// fuzzSeeds is the checked-in FuzzSchemeBuild corpus; TestShapeMatchesBuild
+// replays its (devices, micros, chunks) triples against every scheme.
+var fuzzSeeds = []struct{ sel, devices, micros, chunks uint8 }{
+	{0, 4, 8, 2},
+	{1, 4, 4, 2},
+	{2, 6, 12, 1},
+	{3, 4, 8, 3},
+	{3, 1, 1, 1},
+	{4, 4, 8, 0},
+	{5, 4, 8, 0},
+	{5, 2, 2, 0},
+}
+
+// fuzzConfig folds fuzz bytes into the configuration range under test.
+func fuzzConfig(devices, micros, chunks uint8) Config {
+	return Config{
+		Devices: int(devices)%12 + 1,
+		Micros:  int(micros)%24 + 1,
+		Chunks:  int(chunks) % 5, // 0 exercises the Chunks default
+	}
+}
+
 // FuzzSchemeBuild drives Build across the whole (scheme, devices, micros,
 // chunks) input space. Constraint rejections are fine; any successfully
 // built schedule must uphold the generator's invariants:
@@ -30,22 +52,19 @@ func fuzzScheme(sel uint8) pipeline.Scheme {
 //   - compute work is conserved: exactly Micros forwards per global stage,
 //     plus Micros fused backwards (fused-backward schemes) or Micros
 //     BackwardInput/BackwardWeight pairs (split-backward schemes), and zero
-//     checkpoint kinds.
+//     checkpoint kinds,
+//   - ShapeOf agrees with Build: it rejects exactly the configurations Build
+//     rejects and predicts every device's instruction multiset.
 func FuzzSchemeBuild(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(8), uint8(2))
-	f.Add(uint8(1), uint8(4), uint8(4), uint8(2))
-	f.Add(uint8(2), uint8(6), uint8(12), uint8(1))
-	f.Add(uint8(3), uint8(4), uint8(8), uint8(3))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(1))
-	f.Add(uint8(4), uint8(4), uint8(8), uint8(0))
-	f.Add(uint8(5), uint8(4), uint8(8), uint8(0))
-	f.Add(uint8(5), uint8(2), uint8(2), uint8(0))
+	for _, c := range fuzzSeeds {
+		f.Add(c.sel, c.devices, c.micros, c.chunks)
+	}
 	f.Fuzz(func(t *testing.T, sel, devices, micros, chunks uint8) {
-		d := int(devices)%12 + 1
-		n := int(micros)%24 + 1
-		v := int(chunks) % 5 // 0 exercises the Chunks default
 		s := fuzzScheme(sel)
-		sched, err := Build(s, Config{Devices: d, Micros: n, Chunks: v})
+		cfg := fuzzConfig(devices, micros, chunks)
+		d, n, v := cfg.Devices, cfg.Micros, cfg.Chunks
+		sched, err := Build(s, cfg)
+		checkShapeMatchesBuild(t, s, cfg, sched, err)
 		if err != nil {
 			return // constraint rejection is a valid outcome
 		}

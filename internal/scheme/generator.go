@@ -7,25 +7,80 @@ import (
 )
 
 // generator composes one scheme family from orthogonal ingredients: an
-// optional structural check over the configuration and a builder that emits
-// the compute skeleton. Builders either run a closed-form emitter whose exact
-// shape is pinned by tests (GPipe, 1F1B, Interleave) or compose a depGraph —
-// placement + unit families + dependency rules — and hand it to the greedy
-// list scheduler (Chimera, ZB-H1, DualPipe-D; BuildCustom follows the same
-// path outside the registry). Build looks schemes up here, so adding a scheme
-// is one registry entry plus its ingredients.
+// optional structural check over the configuration, a layout that picks the
+// placement and the partition each micro-batch rides, and an order that emits
+// the per-device compute lists. Orders either run a closed-form emitter whose
+// exact shape is pinned by tests (GPipe, 1F1B, Interleave) or compose a
+// depGraph — unit families + dependency rules over the layout — and hand it
+// to the greedy list scheduler (Chimera, ZB-H1, DualPipe-D; BuildCustom
+// follows the same path outside the registry). Build runs all three; ShapeOf
+// stops after the layout, which already fixes every device's instruction
+// multiset. Adding a scheme is one registry entry plus its ingredients.
 type generator struct {
 	check func(Config) error // scheme-specific structural constraints (nil: none)
-	build func(Config) *pipeline.Schedule
+	// layout returns the placement and parts[m], the partition micro-batch m
+	// rides (ignored on interleaved placements, where the partition follows
+	// the stage).
+	layout func(Config) (pipeline.Placement, []int)
+	order  func(cfg Config, pl pipeline.Placement, parts []int) [][]pipeline.Instr
 }
 
 var generators = map[pipeline.Scheme]generator{
-	pipeline.SchemeGPipe:      {build: buildGPipe},
-	pipeline.Scheme1F1B:       {build: build1F1B},
-	pipeline.SchemeChimera:    {check: checkChimera, build: buildChimera},
-	pipeline.SchemeInterleave: {check: checkInterleave, build: buildInterleave},
-	pipeline.SchemeZBH1:       {build: buildZBH1},
-	pipeline.SchemeDualPipeD:  {check: checkDualPipeD, build: buildDualPipeD},
+	pipeline.SchemeGPipe:      {layout: layoutLinear, order: orderGPipe},
+	pipeline.Scheme1F1B:       {layout: layoutLinear, order: order1F1B},
+	pipeline.SchemeChimera:    {check: checkChimera, layout: layoutChimera, order: orderGreedy(false)},
+	pipeline.SchemeInterleave: {check: checkInterleave, layout: layoutInterleave, order: orderInterleave},
+	pipeline.SchemeZBH1:       {layout: layoutLinear, order: orderGreedy(true)},
+	pipeline.SchemeDualPipeD:  {check: checkDualPipeD, layout: layoutDualPipeD, order: orderGreedy(true)},
+}
+
+// lookup resolves a scheme through the registry and runs its generic and
+// scheme-specific structural checks, returning the generator and the
+// defaulted configuration.
+func lookup(s pipeline.Scheme, cfg Config) (generator, Config, error) {
+	cfg = cfg.withDefaults()
+	g, ok := generators[s]
+	if !ok {
+		return g, cfg, fmt.Errorf("scheme: unsupported scheme %q", s)
+	}
+	if err := cfg.check(s); err != nil {
+		return g, cfg, err
+	}
+	if g.check != nil {
+		if err := g.check(cfg); err != nil {
+			return g, cfg, err
+		}
+	}
+	return g, cfg, nil
+}
+
+// layoutLinear is the single-partition layout of GPipe, 1F1B and ZB-H1:
+// stage s on device s, every micro-batch on partition 0.
+func layoutLinear(cfg Config) (pipeline.Placement, []int) {
+	return pipeline.NewLinearPlacement(cfg.Devices), make([]int, cfg.Micros)
+}
+
+// orderGreedy returns the list-scheduler order shared by the depGraph
+// schemes: virtual-pipeline dependencies plus 1F1B injection windows over the
+// layout, with fused or split backward units. Over the linear layout the
+// split order is ZB-H1 (Qi et al., Zero Bubble Pipeline Parallelism): every
+// backward becomes an input-gradient half (BI, which alone sits on the
+// cross-stage critical path) and a weight-gradient half (WG, no cross-device
+// dependents) that the scheduler sinks into what were 1F1B's warm-up and
+// drain bubbles, while the injection window keeps stage s's in-flight
+// micro-batches at S-s — activation memory stays at 1F1B's level and only the
+// weight-gradient stashes are held longer.
+func orderGreedy(split bool) func(Config, pipeline.Placement, []int) [][]pipeline.Instr {
+	return func(_ Config, pl pipeline.Placement, parts []int) [][]pipeline.Instr {
+		micros := make([]microAssign, len(parts))
+		for m, p := range parts {
+			micros[m] = microAssign{micro: m, part: p}
+		}
+		if split {
+			return greedyScheduleSplit(pl, micros, unitTimes{})
+		}
+		return greedySchedule(pl, micros, 1, 2)
+	}
 }
 
 // schemeOrder fixes the deterministic catalogue order of the registry:

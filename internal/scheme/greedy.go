@@ -326,29 +326,16 @@ func (q *readyQueue) better(a, b int, devFree []float64) bool {
 	return ua.stage < ub.stage
 }
 
-// buildChimera constructs the bidirectional "X"-shape schedule: micro-batches
-// are split between the up pipeline (part 0, stage s on device s) and the
-// down pipeline (part 1, stage s on device D-1-s) in alternating blocks of
-// D/2 per wave, then the two streams are merged per device by the greedy
-// scheduler.
-func buildChimera(cfg Config) *pipeline.Schedule {
-	d, n := cfg.Devices, cfg.Micros
-	pl := pipeline.NewBidirPlacement(d)
-	half := d / 2
-	micros := make([]microAssign, n)
-	for m := 0; m < n; m++ {
+// layoutChimera is the bidirectional "X"-shape layout: micro-batches are
+// split between the up pipeline (part 0, stage s on device s) and the down
+// pipeline (part 1, stage s on device D-1-s) in alternating blocks of D/2 per
+// wave; the greedy scheduler then merges the two streams per device.
+func layoutChimera(cfg Config) (pipeline.Placement, []int) {
+	half := cfg.Devices / 2
+	parts := make([]int, cfg.Micros)
+	for m := range parts {
 		// Waves of D micro-batches: the first D/2 flow up, the next D/2 down.
-		if (m/half)%2 == 0 {
-			micros[m] = microAssign{micro: m, part: 0}
-		} else {
-			micros[m] = microAssign{micro: m, part: 1}
-		}
+		parts[m] = (m / half) % 2
 	}
-	lists := greedySchedule(pl, micros, 1, 2)
-	return &pipeline.Schedule{
-		Scheme:    pipeline.SchemeChimera,
-		Placement: pl,
-		Micros:    n,
-		Lists:     lists,
-	}
+	return pipeline.NewBidirPlacement(cfg.Devices), parts
 }

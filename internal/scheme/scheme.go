@@ -46,23 +46,20 @@ func (c Config) check(s pipeline.Scheme) error {
 // Build expands the named scheme into a validated schedule with explicit
 // communication instructions. The scheme is resolved through the generator
 // registry; its generic and scheme-specific structural checks run first, the
-// registered builder emits the compute skeleton, and the result is completed
-// with communication instructions and validated.
+// registered layout and order emit the compute skeleton, and the result is
+// completed with communication instructions and validated.
 func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
-	cfg = cfg.withDefaults()
-	g, ok := generators[s]
-	if !ok {
-		return nil, fmt.Errorf("scheme: unsupported scheme %q", s)
-	}
-	if err := cfg.check(s); err != nil {
+	g, cfg, err := lookup(s, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if g.check != nil {
-		if err := g.check(cfg); err != nil {
-			return nil, err
-		}
+	pl, parts := g.layout(cfg)
+	sched := &pipeline.Schedule{
+		Scheme:    s,
+		Placement: pl,
+		Micros:    cfg.Micros,
+		Lists:     g.order(cfg, pl, parts),
 	}
-	sched := g.build(cfg)
 	pipeline.InsertComm(sched)
 	if err := pipeline.Validate(sched); err != nil {
 		return nil, fmt.Errorf("scheme: generated %s schedule is invalid: %w", s, err)
@@ -70,17 +67,11 @@ func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
 	return sched, nil
 }
 
-// buildGPipe emits all forwards followed by all backwards in reverse
+// orderGPipe emits all forwards followed by all backwards in reverse
 // micro-batch order (GPipe's fill-drain schedule).
-func buildGPipe(cfg Config) *pipeline.Schedule {
-	d := cfg.Devices
-	sched := &pipeline.Schedule{
-		Scheme:    pipeline.SchemeGPipe,
-		Placement: pipeline.NewLinearPlacement(d),
-		Micros:    cfg.Micros,
-		Lists:     make([][]pipeline.Instr, d),
-	}
-	for dev := 0; dev < d; dev++ {
+func orderGPipe(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
+	lists := make([][]pipeline.Instr, cfg.Devices)
+	for dev := range lists {
 		list := make([]pipeline.Instr, 0, 2*cfg.Micros)
 		for m := 0; m < cfg.Micros; m++ {
 			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: m, Stage: dev})
@@ -88,24 +79,19 @@ func buildGPipe(cfg Config) *pipeline.Schedule {
 		for m := cfg.Micros - 1; m >= 0; m-- {
 			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: m, Stage: dev})
 		}
-		sched.Lists[dev] = list
+		lists[dev] = list
 	}
-	return sched
+	return lists
 }
 
-// build1F1B emits the one-forward-one-backward schedule of DAPPLE /
+// order1F1B emits the one-forward-one-backward schedule of DAPPLE /
 // PipeDream-Flush: device d runs D-1-d warm-up forwards, then alternates
 // forward and backward in the steady phase, then drains the remaining
 // backwards.
-func build1F1B(cfg Config) *pipeline.Schedule {
+func order1F1B(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
 	d := cfg.Devices
 	n := cfg.Micros
-	sched := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pipeline.NewLinearPlacement(d),
-		Micros:    n,
-		Lists:     make([][]pipeline.Instr, d),
-	}
+	lists := make([][]pipeline.Instr, d)
 	for dev := 0; dev < d; dev++ {
 		warmup := d - 1 - dev
 		if warmup > n {
@@ -124,24 +110,25 @@ func build1F1B(cfg Config) *pipeline.Schedule {
 		for m := n - warmup; m < n; m++ {
 			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: m, Stage: dev})
 		}
-		sched.Lists[dev] = list
+		lists[dev] = list
 	}
-	return sched
+	return lists
 }
 
-// buildInterleave emits Megatron-LM's interleaved 1F1B schedule with
-// cfg.Chunks model chunks per device. A device processes micro-batches in
-// groups of D per chunk; forwards walk the chunks in ascending order and
-// backwards in descending order, interleaved 1F1B-style after a warm-up of
-// (D-1-d)*2 + (V-1)*D forward units.
-func buildInterleave(cfg Config) *pipeline.Schedule {
+// layoutInterleave is Megatron-LM's interleaved placement with cfg.Chunks
+// model chunks per device; a micro-batch visits every chunk, so the per-micro
+// partition is unused.
+func layoutInterleave(cfg Config) (pipeline.Placement, []int) {
+	return pipeline.NewInterleavedPlacement(cfg.Devices, cfg.Chunks), make([]int, cfg.Micros)
+}
+
+// orderInterleave emits Megatron-LM's interleaved 1F1B schedule. A device
+// processes micro-batches in groups of D per chunk; forwards walk the chunks
+// in ascending order and backwards in descending order, interleaved 1F1B-style
+// after a warm-up of (D-1-d)*2 + (V-1)*D forward units.
+func orderInterleave(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
 	d, v, n := cfg.Devices, cfg.Chunks, cfg.Micros
-	sched := &pipeline.Schedule{
-		Scheme:    pipeline.SchemeInterleave,
-		Placement: pipeline.NewInterleavedPlacement(d, v),
-		Micros:    n,
-		Lists:     make([][]pipeline.Instr, d),
-	}
+	lists := make([][]pipeline.Instr, d)
 	total := n * v
 	group := d * v
 	// fwUnit maps the k-th forward unit executed by a device to its
@@ -178,7 +165,7 @@ func buildInterleave(cfg Config) *pipeline.Schedule {
 		for k := total - warmup; k < total; k++ {
 			emitB(k)
 		}
-		sched.Lists[dev] = list
+		lists[dev] = list
 	}
-	return sched
+	return lists
 }

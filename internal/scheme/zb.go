@@ -6,58 +6,20 @@ import (
 	"mario/internal/pipeline"
 )
 
-// buildZBH1 constructs the ZB-H1 zero-bubble schedule ("Z"-shape) of Qi et
-// al., Zero Bubble Pipeline Parallelism: the 1F1B dependency structure with
-// every backward split into its input-gradient half (BI, which alone sits on
-// the cross-stage critical path) and weight-gradient half (WG, which has no
-// cross-device dependents). The list scheduler sinks the deferred WG units
-// into what were 1F1B's warm-up and drain bubbles, shrinking the bubble
-// while the 1F1B injection window keeps stage s's in-flight micro-batch
-// bound at S-s — activation memory stays at 1F1B's level and only the
-// weight-gradient stashes are held longer.
-func buildZBH1(cfg Config) *pipeline.Schedule {
-	d, n := cfg.Devices, cfg.Micros
-	pl := pipeline.NewLinearPlacement(d)
-	micros := make([]microAssign, n)
-	for m := 0; m < n; m++ {
-		micros[m] = microAssign{micro: m}
+// layoutDualPipeD is the bidirectional split-backward "D"-shape layout in the
+// style of DeepSeek's DualPipe: micro-batches are cut in half, the first half
+// flows up the pipeline (part 0, entering at device 0) while the second half
+// flows down (part 1, entering at device D-1); the split-backward list
+// scheduler lets deferred weight-gradient units fill the gaps where the two
+// streams interleave. Each device holds two stages' weights (one per
+// direction), like Chimera; unlike Chimera's alternating waves the two
+// streams are injected simultaneously from both ends.
+func layoutDualPipeD(cfg Config) (pipeline.Placement, []int) {
+	parts := make([]int, cfg.Micros)
+	for m := cfg.Micros / 2; m < cfg.Micros; m++ {
+		parts[m] = 1
 	}
-	lists := greedyScheduleSplit(pl, micros, unitTimes{})
-	return &pipeline.Schedule{
-		Scheme:    pipeline.SchemeZBH1,
-		Placement: pl,
-		Micros:    n,
-		Lists:     lists,
-	}
-}
-
-// buildDualPipeD constructs the bidirectional split-backward "D"-shape
-// schedule in the style of DeepSeek's DualPipe: micro-batches are cut in
-// half, the first half flows up the pipeline (part 0, entering at device 0)
-// while the second half flows down (part 1, entering at device D-1), and
-// every backward is split so deferred weight-gradient units fill the gaps
-// where the two streams interleave. Each device holds two stages' weights
-// (one per direction), like Chimera; unlike Chimera's alternating waves the
-// two streams are injected simultaneously from both ends.
-func buildDualPipeD(cfg Config) *pipeline.Schedule {
-	d, n := cfg.Devices, cfg.Micros
-	pl := pipeline.NewBidirPlacement(d)
-	half := n / 2
-	micros := make([]microAssign, n)
-	for m := 0; m < n; m++ {
-		part := 0
-		if m >= half {
-			part = 1
-		}
-		micros[m] = microAssign{micro: m, part: part}
-	}
-	lists := greedyScheduleSplit(pl, micros, unitTimes{})
-	return &pipeline.Schedule{
-		Scheme:    pipeline.SchemeDualPipeD,
-		Placement: pl,
-		Micros:    n,
-		Lists:     lists,
-	}
+	return pipeline.NewBidirPlacement(cfg.Devices), parts
 }
 
 // checkDualPipeD rejects configurations the bidirectional placement cannot

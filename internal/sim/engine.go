@@ -1202,8 +1202,11 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 					// snapshot's (same instruction, trusted entry) delivers a
 					// snapshot-identical arrival; track the last one that did
 					// not, so receivers' convergence thresholds can relax once
-					// this device resolves.
-					if !(i < hz && i < len(oldL) && oldL[i] == list[i] && clock == base[i]) {
+					// this device resolves. The clock compare goes first: it
+					// is one instruction, and the field-by-field Instr equality
+					// then only runs for sends that landed on the snapshot's
+					// clock.
+					if !(i < hz && i < len(oldL) && clock == base[i] && oldL[i] == list[i]) {
 						m.lastDiffSend[d] = i
 					}
 				}

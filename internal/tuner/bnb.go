@@ -8,6 +8,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
+	"mario/internal/scheme"
 	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
@@ -15,9 +16,10 @@ import (
 // This file implements the branch-and-bound search strategy (the default):
 // instead of walking the grid in canonical order and pruning only against the
 // canonical best-so-far, it probes every point cheaply first — structural
-// checks, memoized schedule build, a tightened admissible throughput upper
-// bound, and an admissible memory lower bound — and then expands the feasible
-// points in best-first order (highest bound first, provably-OOM points last).
+// checks, the scheme's order-free shape, an admissible throughput upper bound
+// and an admissible memory lower bound, no schedule built — and then expands
+// the feasible points in best-first order (highest bound first, provably-OOM
+// points last), building and simulating only those.
 // The best candidates surface early, so the bound prune fires on most of the
 // remaining grid, and points whose memory lower bound already exceeds the
 // device budget are skipped entirely once any positive-throughput incumbent
@@ -38,8 +40,8 @@ type bnbNode struct {
 	// idx is the point's canonical grid index (its enumerate position).
 	idx int
 	p   gridPoint
-	// ub is the admissible throughput upper bound from bnbBound; the true
-	// simulated throughput of the point can never exceed it.
+	// ub is the admissible throughput upper bound from throughputBound; the
+	// true simulated throughput of the point can never exceed it.
 	ub float64
 	// memLB is the admissible per-device memory lower bound from
 	// memLowerBound; the true simulated peak can never be below it.
@@ -66,187 +68,181 @@ const (
 )
 
 // probePoint runs the cheap prefix of evalPoint — the structural feasibility
-// checks, the memoized schedule build and the estimator fit — and computes
-// the branch-and-bound bounds. It reports ok=false for structurally
-// infeasible points (the same set evalPoint rejects: indivisible batch,
-// scheme constraints, too few layers). It records no telemetry; the caller
-// synthesizes the canonical spans.
+// checks, the scheme's order-free shape and the estimator fit — and computes
+// the branch-and-bound bounds from them. No schedule is built: both bounds
+// need only the per-device instruction multiset and the placement. It reports
+// ok=false for structurally infeasible points (the same set evalPoint
+// rejects). It records no telemetry; the caller synthesizes the canonical
+// spans.
 func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 	nd = bnbNode{p: p, ub: math.Inf(1)}
-	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
+	_, sh, est, _, ok := t.pointShape(space, p)
+	if !ok {
 		return nd, false
 	}
-	micros := space.GlobalBatch / (p.mbs * p.dp)
-	if micros < 1 {
-		return nd, false
-	}
-	stages := p.pp
-	if p.scheme == pipeline.SchemeInterleave {
-		stages = p.pp * space.Chunks
-	}
-	if t.Prof.Model.Layers < stages {
-		return nd, false
-	}
-	sched, err := t.buildFor(space, p, micros)
-	if err != nil {
-		return nd, false
-	}
-	est, _, err := t.estimatorFor(space, p, sched, stages)
-	if err != nil {
-		return nd, false
-	}
-	nd.ub = t.bnbBound(sched, est, p)
-	nd.memLB = memLowerBound(sched, est)
+	nd.ub = t.throughputBound(sh, est, p)
+	nd.memLB = memLowerBound(sh.Placement, est)
 	nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
 	return nd, true
 }
 
-// bnbBound returns an admissible throughput upper bound for the point,
-// tighter than upperBound: the makespan lower bound is the maximum of
-//
-//   - the busiest device's serial occupancy over the built list, where every
-//     instruction contributes at least its launch overhead and compute
-//     instructions their full latency (forwards, backwards — split-base
-//     schemes their B/W halves at the simulator's exact durations — the
-//     cool-down all-reduce and optimizer step). Every transformation the tuner may
-//     apply afterwards only adds device work (checkpointing inserts
-//     recomputes; split backward splits one backward into two halves whose
-//     durations sum to more than the original; prepose only reorders; no
-//     pass ever deletes a communication, all-reduce or optimizer
-//     instruction), and
-//
-//   - the single-micro dependency chain: one micro-batch must traverse every
-//     stage's forward, then every stage's backward (only the input-gradient
-//     fraction when the split-backward pass may defer the weight half), plus
-//     one launch-overhead + transfer latency per device-crossing stage
-//     boundary in each direction (the simulator's eager sends deliver no
-//     earlier than send start + overhead + transfer), plus the cool-down
-//     launch overheads and optimizer step that follow the final backward on
-//     its device. Multi-part placements take the cheapest part's crossing
-//     count, which lower-bounds whichever part the micro actually rides.
-func (t *Tuner) bnbBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPoint) float64 {
-	lo := est.LaunchOverhead
-	var lb float64
-	var stagesBuf []int
-	for d, list := range sched.Lists {
-		// Per-rank compute scaling, bit-exact with the simulator: SlowOf is
-		// exactly 1 on homogeneous estimators, and the scaled terms below use
-		// the same expressions as sim.ComputeBase and the simulator's
-		// all-reduce duration, so the bound stays admissible on heterogeneous
-		// clusters without any slack.
-		slow := est.SlowOf(d)
-		var busy float64
-		for _, in := range list {
-			switch in.Kind {
-			case pipeline.Forward, pipeline.CkptForward:
-				busy += lo + est.FwTime[in.Stage]*slow
-			case pipeline.Backward:
-				busy += lo + est.BwTime[in.Stage]*slow
-			case pipeline.BackwardInput:
-				busy += lo + est.BwTime[in.Stage]*est.BwSplitRatio*slow
-			case pipeline.BackwardWeight:
-				busy += lo + est.BwTime[in.Stage]*(1-est.BwSplitRatio)*slow
-			case pipeline.SendAct, pipeline.RecvAct, pipeline.SendGrad, pipeline.RecvGrad:
-				busy += lo
-			case pipeline.AllReduce:
-				stagesBuf = appendPlacementStages(stagesBuf[:0], sched.Placement, d)
-				busy += lo + est.AllReduceTime(p.dp, stagesBuf)*slow
-			case pipeline.OptimizerStep:
-				busy += lo + est.OptTime*slow
-			}
-		}
-		if busy > lb {
-			lb = busy
-		}
-	}
-	if chain := t.chainBound(sched, est, p); chain > lb {
-		lb = chain
-	}
-	if lb <= 0 {
-		return math.Inf(1)
-	}
-	samples := float64(sched.Micros * p.mbs * p.dp)
-	return samples / lb * t.dpEff(p.dp)
-}
+// boundSlack is the relative margin throughputBound shades its makespan lower
+// bound by. The bound is mathematically exact on un-bubbled schedules (a
+// single micro-batch is nothing but the head + busy + tail chain), but it sums
+// the same durations in a different order than the simulator's clock, so the
+// two can disagree in the last bits. Float64 addition is off by at most 2⁻⁵³
+// relative per operation; a device list of a million instructions accumulates
+// less than 1.2e-10, so 1e-9 keeps the bound admissible at the float level —
+// which the canonical tie-break needs — at no measurable loss of pruning.
+const boundSlack = 1e-9
 
-// chainBound is the single-micro dependency-chain half of bnbBound.
-func (t *Tuner) chainBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPoint) float64 {
+// throughputBound is the one admissible throughput upper bound every search
+// driver prunes with: samples per iteration over a lower bound on the
+// simulated makespan, times the DP efficiency. It needs the point's shape
+// (per-device instruction multiset + placement), never the schedule's order.
+//
+// The makespan bound is the fill/drain-aware serial bound, per device d:
+//
+//	head(d) + busy(d) + tail(d)
+//
+// busy is the device's serial occupancy: every instruction holds the device at
+// least its launch overhead, compute instructions their full simulated
+// duration (per-rank slowdown included, split-base schemes at their B/W
+// halves' prices).
+//
+// head is the pipeline fill: a forward of stage s cannot start before one
+// micro-batch ran the forwards of stages 0..s-1 along its partition, each
+// device-crossing boundary adding launch overhead + transfer (the simulator's
+// eager sends deliver no earlier than send start + overhead + transfer).
+// Nothing on d completes before the smallest such time over d's resident
+// stages: its first instruction is a forward (which starts no earlier) or a
+// receive (which completes no earlier — so one receive's launch overhead, and
+// only one, may overlap the head and is taken back out of busy).
+//
+// tail is the pipeline drain. Let Y be the last backward of d's list. Every
+// forward, receive and other backward of d precedes Y, and so does every send
+// but Y's own gradient send (activation sends by deadlock-freedom, gradient
+// sends because no pass separates one from its backward). Y's gradient must
+// still descend to stage 0 — one backward per stage plus overhead + transfer
+// per crossing — and stage 0's device then runs its cool-down (all-reduce and
+// optimizer step, which close every list). d does not know which resident
+// stage Y belongs to, so the device term takes the shortest descent; each
+// resident (part, stage) cell additionally contributes the same sum over its
+// own instructions only, whose fill and descent are known exactly. With one
+// micro-batch the last stage's cell term is the whole dependency chain; with
+// head and tail dropped the device term is the busiest device's occupancy.
+//
+// When the backward's weight-gradient half can leave the critical path —
+// split-base schemes always, otherwise when the split-backward pass may
+// rewrite the checkpointed candidate — only the input-gradient half is
+// charged on the descent and before Y; the weight halves then count in the
+// variant of the device term that ends with d's own cool-down.
+//
+// The bound is admissible under every pass the tuner applies afterwards:
+// checkpointing adds work (recomputes; a reverted pair costs what the plain
+// pair did), prepose only reorders a device's list, split backward turns one
+// backward into two halves whose durations sum to at least the original, and
+// no pass deletes a communication, all-reduce or optimizer instruction.
+func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint) float64 {
+	pl := sh.Placement
+	S, D := pl.NumStages(), pl.NumDevices()
 	lo := est.LaunchOverhead
-	S := sched.NumStages()
-	// The chain only needs the input-gradient half of each backward when the
-	// weight half can be deferred off the critical path: on split-base
-	// schemes (ZB-H1, DualPipe-D) always, otherwise when the split-backward
-	// pass may rewrite the (checkpointed) candidate. Using the full backward
-	// there would overestimate the lower bound and make the prune
-	// inadmissible.
+	split := sh.Scheme.SplitsBackward()
+	// r is the fraction of a backward that must precede the gradient send.
 	r := 1.0
-	if p.scheme.SplitsBackward() || (t.SplitBackward && p.ckpt) {
-		r = est.BwSplitRatio
-		if r < 0 {
-			r = 0
-		}
-		if r > 1 {
-			r = 1
-		}
-	}
-	pl := sched.Placement
-	// Per-stage compute scaling: the micro rides some part, so the cheapest
-	// part's slowdown lower-bounds whichever rank actually runs the stage
-	// (exactly 1 on homogeneous estimators, keeping the legacy bound
-	// bit-identical).
-	minSlow := func(st int) float64 {
-		mn := est.SlowOf(stageDevice(pl, 0, st))
-		for part := 1; part < pl.NumParts(); part++ {
-			if s := est.SlowOf(stageDevice(pl, part, st)); s < mn {
-				mn = s
-			}
-		}
-		return mn
-	}
-	var chain float64
-	for st := 0; st < S; st++ {
-		sl := minSlow(st)
-		chain += (lo + est.FwTime[st]*sl) + (lo + r*est.BwTime[st]*sl)
+	if split || (t.SplitBackward && p.ckpt) {
+		r = math.Min(math.Max(est.BwSplitRatio, 0), 1)
 	}
 	actHop := lo + est.CommTime(est.ActP2PBytes)
 	gradHop := lo + est.CommTime(est.GradP2PBytes)
-	minComm := math.Inf(1)
-	for part := 0; part < pl.NumParts(); part++ {
-		crossings := 0
-		for st := 0; st+1 < S; st++ {
-			if stageDevice(pl, part, st) != stageDevice(pl, part, st+1) {
-				crossings++
+
+	// cool[d] is device d's cool-down at the simulator's exact prices.
+	cool := make([]float64, D)
+	var stagesBuf []int
+	for d := range cool {
+		slow := est.SlowOf(d)
+		stagesBuf = appendPlacementStages(stagesBuf[:0], pl, d)
+		cool[d] = (lo + est.AllReduceTime(p.dp, stagesBuf)*slow) + (lo + est.OptTime*slow)
+	}
+	// fill[part*S+st] is the earliest start of a forward at (part, st);
+	// drain[part*S+st] the least time from a backward's completion there to
+	// the end of the iteration.
+	fill := make([]float64, len(sh.PartMicros)*S)
+	drain := make([]float64, len(fill))
+	for part, n := range sh.PartMicros {
+		if n == 0 {
+			continue
+		}
+		f, dr := fill[part*S:(part+1)*S], drain[part*S:(part+1)*S]
+		dev := scheme.PartDevice(pl, part, 0)
+		dr[0] = cool[dev]
+		for st := 1; st < S; st++ {
+			slow := est.SlowOf(dev)
+			f[st] = f[st-1] + (lo + est.FwTime[st-1]*slow)
+			dr[st] = dr[st-1] + (lo + est.BwTime[st-1]*r*slow)
+			if next := scheme.PartDevice(pl, part, st); next != dev {
+				f[st] += actHop
+				dr[st] += gradHop
+				dev = next
 			}
 		}
-		if c := float64(crossings) * (actHop + gradHop); c < minComm {
-			minComm = c
-		}
 	}
-	if !math.IsInf(minComm, 1) {
-		chain += minComm
-	}
-	// After the chain's final backward, its device still runs the cool-down
-	// AllReduce (payload lower-bounded at zero) and OptimizerStep. The
-	// optimizer runs on whichever rank finishes the chain, so the fastest
-	// rank's slowdown keeps the term admissible.
-	optSlow := est.SlowOf(0)
-	for d := 1; d < len(sched.Lists); d++ {
-		if s := est.SlowOf(d); s < optSlow {
-			optSlow = s
-		}
-	}
-	chain += 2*lo + est.OptTime*optSlow
-	return chain
-}
 
-// stageDevice resolves the device owning a stage along one partition's
-// chain, resolving interleaved chunk ids from the stage (a micro-batch
-// changes partition at chunk boundaries there).
-func stageDevice(pl pipeline.Placement, part, st int) int {
-	if ip, ok := pl.(pipeline.InterleavedPlacement); ok {
-		return pl.Device(ip.PartOfStage(st), st)
+	var lb float64
+	var groups []scheme.Group
+	for d := 0; d < D; d++ {
+		groups = sh.AppendGroups(groups[:0], d)
+		slow := est.SlowOf(d)
+		all := cool[d] // everything d runs
+		pre := 0.0     // what d runs no later than its last backward
+		head, tail := math.Inf(1), math.Inf(1)
+		sendsGrad := false
+		for _, g := range groups {
+			n := float64(g.Micros)
+			fw := lo + est.FwTime[g.Stage]*slow
+			bw := lo + est.BwTime[g.Stage]*slow
+			if split {
+				bw = (lo + est.BwTime[g.Stage]*est.BwSplitRatio*slow) + (lo + est.BwTime[g.Stage]*(1-est.BwSplitRatio)*slow)
+			}
+			anchor := lo + est.BwTime[g.Stage]*r*slow
+			var comm float64
+			if g.PrevCross {
+				comm += 2 * lo // RecvAct + SendGrad
+			}
+			if g.NextCross {
+				comm += 2 * lo // SendAct + RecvGrad
+			}
+			all += n * (fw + bw + comm)
+			cellPre := n * (fw + anchor + comm)
+			pre += cellPre
+			i := g.Part*S + g.Stage
+			cell := fill[i] + cellPre + drain[i]
+			if g.PrevCross {
+				// The cell's first receive overlaps its fill, and its last
+				// backward's own gradient send follows it.
+				cell -= 2 * lo
+				sendsGrad = true
+			}
+			lb = math.Max(lb, cell)
+			head = math.Min(head, fill[i])
+			tail = math.Min(tail, drain[i])
+		}
+		if len(groups) == 0 {
+			lb = math.Max(lb, all)
+			continue
+		}
+		if sendsGrad {
+			pre -= lo
+		}
+		head = math.Max(head-lo, 0)
+		lb = math.Max(lb, head+math.Max(all, pre+tail))
 	}
-	return pl.Device(part, st)
+	lb -= lb * boundSlack
+	if lb <= 0 {
+		return math.Inf(1)
+	}
+	samples := float64(sh.Micros * p.mbs * p.dp)
+	return samples / lb * t.dpEff(p.dp)
 }
 
 // appendPlacementStages appends the distinct stages whose weights the device
@@ -270,11 +266,11 @@ func appendPlacementStages(out []int, pl pipeline.Placement, dev int) []int {
 // simulation starts at the static level, nothing releases below it before
 // the first forward, and no graph pass removes every forward from a device,
 // so the true simulated peak can never be below the bound.
-func memLowerBound(sched *pipeline.Schedule, est *cost.Estimator) float64 {
+func memLowerBound(pl pipeline.Placement, est *cost.Estimator) float64 {
 	var worst float64
 	var stagesBuf []int
-	for d := range sched.Lists {
-		stagesBuf = appendPlacementStages(stagesBuf[:0], sched.Placement, d)
+	for d := 0; d < pl.NumDevices(); d++ {
+		stagesBuf = appendPlacementStages(stagesBuf[:0], pl, d)
 		static := est.FrameworkMem
 		first := math.Inf(1)
 		for _, st := range stagesBuf {
@@ -461,7 +457,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			// (e.g. a bound tie from an earlier canonical index): evaluate
 			// inline so the result stays exact.
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, nd.idx, nd.p, nil, nil, tracer)
+			forced := t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, nil, tracer)
 			sp = forced.span
 			if forced.err != nil {
 				sp.Discard()
@@ -504,6 +500,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			sp.SetStr("result", "explored")
 		}
 		sp.SetFloat("throughput", c.Throughput)
+		sp.SetFloat("ub", nd.ub)
 		if improved {
 			sp.SetBool("improved", true)
 		}
@@ -525,7 +522,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			}
 			pr := pointResult{feasible: true, skipped: true}
 			if decide(nd) == exploreNode {
-				pr = t.evalTraced(ctx, space, nd.idx, nd.p, mb, eng, tracer)
+				pr = t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
 			}
 			if err := merge(nd, pr); err != nil {
 				searchErr = err
@@ -568,7 +565,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 						close(ready[j])
 						continue
 					}
-					results[j] = t.evalTraced(ctx, space, nd.idx, nd.p, mb, eng, tracer)
+					results[j] = t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
 					close(ready[j])
 				}
 				t.Metrics.AddSims(eng.Sims)

@@ -13,7 +13,7 @@ import (
 
 // This file implements the fleet search strategy: the branch-and-bound
 // expansion of bnb.go distributed across a planning fleet. The coordinator
-// runs the cheap probe pass once (structural checks, memoized builds,
+// runs the cheap probe pass once (structural checks, scheme shapes,
 // admissible bounds), sorts the feasible nodes best-first exactly like
 // searchBnB, and then dispatches waves of shard batches through a
 // ShardDispatcher — an HTTP fan-out in production (internal/serve), an
@@ -65,7 +65,7 @@ const (
 type ShardPoint struct {
 	// Idx is the canonical grid index (the point's enumerate position).
 	Idx int `json:"idx"`
-	// UB is the admissible throughput upper bound (bnbBound); zero with
+	// UB is the admissible throughput upper bound (throughputBound); zero with
 	// Unbounded set when the bound is infinite.
 	UB float64 `json:"ub"`
 	// Unbounded marks points whose throughput bound is +Inf.
@@ -189,7 +189,8 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardSkipped})
 			continue
 		}
-		pr := t.evalPoint(ctx, space, grid[sp.Idx], nil, eng, telemetry.Span{})
+		nd := bnbNode{idx: sp.Idx, p: grid[sp.Idx], ub: sp.ub()}
+		pr := t.evalPoint(ctx, space, nd.p, &nd, nil, eng, telemetry.Span{})
 		if pr.err != nil {
 			return nil, pr.err
 		}
@@ -319,7 +320,7 @@ func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint
 			// A worker skip the incumbent cannot justify, or a missing
 			// outcome: evaluate locally so the result stays exact.
 			fl.Forced++
-			pr := t.evalPoint(ctx, space, nd.p, nil, eng, telemetry.Span{})
+			pr := t.evalPoint(ctx, space, nd.p, &nd, nil, eng, telemetry.Span{})
 			if pr.err != nil {
 				return pr.err
 			}
@@ -357,6 +358,7 @@ func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint
 			ps.SetStr("result", "oom")
 		}
 		ps.SetFloat("throughput", c.Throughput)
+		ps.SetFloat("ub", nd.ub)
 		if improved {
 			ps.SetBool("improved", true)
 		}

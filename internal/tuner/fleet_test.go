@@ -236,9 +236,61 @@ func TestFleetWorkerFailure(t *testing.T) {
 	}
 }
 
+// batchLocalSkips derives, from first principles, how many points a fleet
+// without incumbent broadcast must skip: it replays the dispatch geometry
+// (sorted nodes in waves of shards×chunk, position j of a wave to shard
+// j mod shards) over the probe pass's bounds and the exhaustive walk's
+// throughputs, and counts the points a batch's own running incumbent dooms —
+// bound strictly below it, or provably OOM once it is positive. Nothing else
+// may skip a point when no incumbent is shipped.
+func batchLocalSkips(t *testing.T, mk func() *Tuner, sp Space, shards, chunk int) int {
+	t.Helper()
+	tn := mk()
+	full := sp
+	full.NoPrune = true
+	_, trace, err := tn.Search(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thr := make(map[gridPoint]float64, len(trace))
+	for _, c := range trace {
+		thr[pointOf(c)] = c.Throughput
+	}
+	spd := sp.withDefaults()
+	var stats SearchStats
+	nodes, err := tn.probeAll(context.Background(), spd, enumerate(spd), nil, telemetry.Span{}, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skips := 0
+	stride := shards * chunk
+	for start := 0; start < len(nodes); start += stride {
+		end := min(start+stride, len(nodes))
+		for s := 0; s < shards; s++ {
+			inc, hasInc := 0.0, false
+			for j := start + s; j < end; j += shards {
+				nd := nodes[j]
+				if hasInc && ((nd.doomed && inc > 0) || nd.ub < inc) {
+					skips++
+					continue
+				}
+				v, ok := thr[nd.p]
+				if !ok {
+					t.Fatalf("probed node %s missing from the exhaustive trace", pointKey(nd.idx, nd.p))
+				}
+				if !hasInc || v > inc {
+					inc, hasInc = v, true
+				}
+			}
+		}
+	}
+	return skips
+}
+
 // TestFleetNoShareByteIdentity: disabling incumbent broadcast (the
 // benchmarking control) costs work, never correctness — the merged outputs
-// are still byte-identical to the single-node search.
+// are still byte-identical to the single-node search, and the only points a
+// worker skips are the ones its own batch's incumbent dooms.
 func TestFleetNoShareByteIdentity(t *testing.T) {
 	sp := detSpace(1)
 	base := runSpace(t, sp, nil)
@@ -246,8 +298,8 @@ func TestFleetNoShareByteIdentity(t *testing.T) {
 	h.noShare = true
 	got, fl := runFleet(t, sp, h, nil)
 	compareRuns(t, "no-share", got, base)
-	if fl.RemoteSkipped != 0 {
-		t.Errorf("no-share fleet still skipped %d points remotely", fl.RemoteSkipped)
+	if want := batchLocalSkips(t, newTuner, sp, 4, 2); fl.RemoteSkipped != want {
+		t.Errorf("no-share fleet skipped %d points remotely, batch-local incumbents account for %d", fl.RemoteSkipped, want)
 	}
 }
 
@@ -374,6 +426,15 @@ func TestFleetIncumbentSharingReduces(t *testing.T) {
 	if want := baseTn.Stats.Explored + baseTn.Stats.BoundPruned + baseTn.Stats.MemPruned; evals(solo)+solo.RemoteSkipped != want {
 		t.Errorf("no-share fleet accounted for %d points (%d evaluated + %d batch-local skips), want %d",
 			evals(solo)+solo.RemoteSkipped, evals(solo), solo.RemoteSkipped, want)
+	}
+	if want := batchLocalSkips(t, mk, space, 2, DefaultShardChunk); solo.RemoteSkipped != want {
+		t.Errorf("no-share fleet skipped %d points remotely, batch-local incumbents account for %d", solo.RemoteSkipped, want)
+	}
+	// With the broadcast, a worker starts every batch from the merged
+	// incumbent, so it skips at least what its batch alone would have.
+	if shared.RemoteSkipped < solo.RemoteSkipped {
+		t.Errorf("incumbent sharing skipped %d points remotely, fewer than the %d batch-local skips without it",
+			shared.RemoteSkipped, solo.RemoteSkipped)
 	}
 }
 

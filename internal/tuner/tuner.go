@@ -351,7 +351,8 @@ type pointResult struct {
 	// cand is nil when the point is structurally infeasible or when the
 	// worker skipped the simulation.
 	cand *Candidate
-	// ub is the admissible throughput upper bound; +Inf when unknown.
+	// ub is the admissible throughput upper bound (throughputBound); +Inf
+	// when the search runs without one (Space.NoPrune).
 	ub float64
 	// feasible marks points that passed the structural checks.
 	feasible bool
@@ -520,7 +521,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			// A stale cancellation from a memo entry another (cancelled)
 			// search computed: our own context is live, so re-evaluate.
 			sp.Discard()
-			pr = t.evalTraced(ctx, space, i, p, nil, nil, tracer)
+			pr = t.evalTraced(ctx, space, i, p, nil, nil, nil, tracer)
 			sp = pr.span
 			if pr.err != nil {
 				sp.Discard()
@@ -546,10 +547,10 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			if m := t.Metrics; m != nil {
 				m.PointsBoundPruned.Inc()
 			}
-			// The sequential search skips the expensive phases at the bound
-			// check, so a speculative full evaluation keeps only the
-			// build/bound prefix in the canonical trace.
-			sp.RetainChildren(telemetry.PhaseBuild, telemetry.PhaseBound)
+			// The sequential search stops at the bound check, before it
+			// builds anything, so a speculative full evaluation keeps only
+			// the bound span in the canonical trace.
+			sp.RetainChildren(telemetry.PhaseBound)
 			sp.SetStr("result", "bound_pruned")
 			sp.AttachTo(search)
 			return nil
@@ -561,7 +562,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			// best-so-far); evaluate inline as insurance so the result
 			// stays exact even if that invariant is ever broken.
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, i, p, nil, nil, tracer)
+			forced := t.evalTraced(ctx, space, i, p, nil, nil, nil, tracer)
 			sp = forced.span
 			if forced.err != nil {
 				sp.Discard()
@@ -620,7 +621,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 				searchErr = err
 				break
 			}
-			if err := merge(i, p, t.evalTraced(ctx, space, i, p, mb, eng, tracer)); err != nil {
+			if err := merge(i, p, t.evalTraced(ctx, space, i, p, nil, mb, eng, tracer)); err != nil {
 				searchErr = err
 				break
 			}
@@ -657,7 +658,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 						close(ready[i])
 						continue
 					}
-					results[i] = t.evalTraced(ctx, space, i, points[i], mb, eng, tracer)
+					results[i] = t.evalTraced(ctx, space, i, points[i], nil, mb, eng, tracer)
 					close(ready[i])
 				}
 				t.Metrics.AddSims(eng.Sims)
@@ -691,9 +692,9 @@ func pointKey(i int, p gridPoint) string {
 	return s
 }
 
-// buildFor memoizes (and freezes) the base schedule of a grid point; both
-// the full evaluation and the branch-and-bound probe go through it, so a
-// point is built at most once per Tuner regardless of strategy.
+// buildFor memoizes (and freezes) the base schedule of a grid point; the
+// full evaluation and the co-opt assignment both go through it, so a point is
+// built at most once per Tuner regardless of strategy.
 func (t *Tuner) buildFor(space Space, p gridPoint, micros int) (*pipeline.Schedule, error) {
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
 	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
@@ -709,21 +710,28 @@ func (t *Tuner) buildFor(space Space, p gridPoint, micros int) (*pipeline.Schedu
 	})
 }
 
-// assignmentFor computes a grid point's partitioning/placement assignment.
-// Legacy axis-free points (pmode "") get nil; ModeUniform gets the even split
-// with identity placement carrying the per-rank speeds; ModeCoOpt runs the
-// place.CoOptimize fixpoint over the per-layer cost model (an estimator fit
-// with one stage per layer, so the embedding and LM-head extras land on the
-// first and last layer). The result is a pure function of the point and the
-// space, so probe and evaluation agree and re-computation is race-free.
-func (t *Tuner) assignmentFor(space Space, p gridPoint, sched *pipeline.Schedule) (*place.Assignment, error) {
+// assignmentFor computes a grid point's partitioning/placement assignment
+// over the scheme's placement pl. Legacy axis-free points (pmode "") get nil;
+// ModeUniform gets the even split with identity placement carrying the
+// per-rank speeds; ModeCoOpt runs the place.CoOptimize fixpoint over the
+// per-layer cost model (an estimator fit with one stage per layer, so the
+// embedding and LM-head extras land on the first and last layer). Co-opt is
+// the one mode that needs the built schedule — its memory cap reads the
+// warm-up depth off the list scheduler's order — so it alone goes through the
+// build memo here; every other mode is a function of the placement. The
+// result is a pure function of the point and the space, so probe and
+// evaluation agree and re-computation is race-free.
+func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, micros int) (*place.Assignment, error) {
 	if p.pmode == "" {
 		return nil, nil
 	}
-	pl := sched.Placement
 	rankSpeed := place.RankSpeeds(space.DeviceSpeeds, pl.NumDevices(), p.dp)
 	if p.pmode == place.ModeUniform {
 		return place.Uniform(t.Prof.Model.Layers, pl, rankSpeed), nil
+	}
+	sched, err := t.buildFor(space, p, micros)
+	if err != nil {
+		return nil, err
 	}
 	layers := t.Prof.Model.Layers
 	perLayer := make([]int, layers)
@@ -784,13 +792,13 @@ func inFlightPerStage(sched *pipeline.Schedule) []int {
 // points get the partitioned estimator steered by the assignment's layer
 // split, with the per-rank speeds attached so the simulator (and the bounds)
 // scale compute on slow ranks.
-func (t *Tuner) estimatorFor(space Space, p gridPoint, sched *pipeline.Schedule, stages int) (*cost.Estimator, *place.Assignment, error) {
-	asg, err := t.assignmentFor(space, p, sched)
+func (t *Tuner) estimatorFor(space Space, p gridPoint, pl pipeline.Placement, micros int) (*cost.Estimator, *place.Assignment, error) {
+	asg, err := t.assignmentFor(space, p, pl, micros)
 	if err != nil {
 		return nil, nil, err
 	}
 	if asg == nil {
-		est, err := t.Prof.EstimatorFor(stages, p.mbs, space.TP)
+		est, err := t.Prof.EstimatorFor(pl.NumStages(), p.mbs, space.TP)
 		return est, nil, err
 	}
 	est, err := t.Prof.EstimatorForPartition(asg.LayersPerStage, p.mbs, space.TP)
@@ -801,12 +809,37 @@ func (t *Tuner) estimatorFor(space Space, p gridPoint, sched *pipeline.Schedule,
 	return est, asg, nil
 }
 
+// pointShape is the structural prefix every consumer of a grid point starts
+// with: the micro-batch count, the scheme's order-free shape and the
+// estimator (plus assignment) the point is scored with. ok is false for
+// structurally impossible points — indivisible batch, scheme constraints
+// (odd Chimera, indivisible Interleave, …), too few layers, estimator limits.
+// No schedule is built unless the placement mode needs one (assignmentFor).
+func (t *Tuner) pointShape(space Space, p gridPoint) (micros int, sh scheme.Shape, est *cost.Estimator, asg *place.Assignment, ok bool) {
+	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
+		return 0, sh, nil, nil, false
+	}
+	micros = space.GlobalBatch / (p.mbs * p.dp)
+	if micros < 1 {
+		return 0, sh, nil, nil, false
+	}
+	sh, err := scheme.ShapeOf(p.scheme, scheme.Config{Devices: p.pp, Micros: micros, Chunks: space.Chunks})
+	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
+		return 0, sh, nil, nil, false
+	}
+	est, asg, err = t.estimatorFor(space, p, sh.Placement, micros)
+	if err != nil {
+		return 0, sh, nil, nil, false
+	}
+	return micros, sh, est, asg, true
+}
+
 // evalTraced wraps evalPoint with a detached point span that the canonical
 // merge loop later attaches (in canonical order) or discards. i is the
 // point's canonical grid index.
-func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint, mb *mergedBest, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
+func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint, nd *bnbNode, mb *mergedBest, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
 	sp := tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
-	pr := t.evalPoint(ctx, space, p, mb, eng, sp)
+	pr := t.evalPoint(ctx, space, p, nd, mb, eng, sp)
 	sp.End()
 	pr.span = sp
 	return pr
@@ -818,11 +851,15 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 // — unless the bound already loses against the merged best — a fully
 // simulated candidate (zero-throughput for OOM points).
 //
-// mb may be nil to force a full evaluation. When set, the worker skips the
-// simulation if ub ≤ the merged best: the merged best only grows and is
-// always the best over a canonical prefix that the merger has not yet
-// extended past this point, so the merger's own prune check is then
-// guaranteed to discard the point too.
+// nd is the point's probed node when the caller already bounded it (the
+// branch-and-bound and fleet strategies): its bound is reported as is and the
+// point is always evaluated, because the caller decided to expand it. With a
+// nil nd (the grid walk) evalPoint bounds the point itself, before building
+// anything, and — when mb is set — skips the build and the simulation if
+// ub ≤ the merged best: the merged best only grows and is always the best
+// over a canonical prefix that the merger has not yet extended past this
+// point, so the merger's own prune check is then guaranteed to discard the
+// point too. A nil mb forces the full evaluation.
 //
 // eng is the caller's reusable simulation engine (one per worker goroutine);
 // nil falls back to the package-level Simulate.
@@ -832,45 +869,26 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 // infeasibility.
 //
 // sp is the point's telemetry span (the zero Span when tracing is off):
-// evalPoint records build/bound/graph/sim child spans under it, tagging the
+// evalPoint records bound/build/graph/sim child spans under it, tagging the
 // memoized phases with their memo keys so Snapshot can normalize hit/miss
 // attribution into canonical order.
-func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, mb *mergedBest, eng *sim.Simulator, sp telemetry.Span) pointResult {
+func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnbNode, mb *mergedBest, eng *sim.Simulator, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
 	infeasible := pointResult{ub: math.Inf(1)}
-	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
-		return infeasible
-	}
-	micros := space.GlobalBatch / (p.mbs * p.dp)
-	if micros < 1 {
-		return infeasible
-	}
-	stages := p.pp
-	if p.scheme == pipeline.SchemeInterleave {
-		stages = p.pp * space.Chunks
-	}
-	if t.Prof.Model.Layers < stages {
-		return infeasible
-	}
-	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
-	bs := sp.Child(telemetry.PhaseBuild, "")
-	bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
-	sched, err := t.buildFor(space, p, micros)
-	bs.End()
-	if err != nil {
-		return infeasible // scheme constraint (odd Chimera, indivisible Interleave, …)
-	}
-	est, asg, err := t.estimatorFor(space, p, sched, stages)
-	if err != nil {
+	micros, sh, est, asg, ok := t.pointShape(space, p)
+	if !ok {
 		return infeasible
 	}
 
 	out := pointResult{feasible: true, ub: math.Inf(1)}
-	if !space.NoPrune {
+	switch {
+	case nd != nil:
+		out.ub = nd.ub
+	case !space.NoPrune:
 		bnd := sp.Child(telemetry.PhaseBound, "")
-		out.ub = t.upperBound(sched, est, p)
+		out.ub = t.throughputBound(sh, est, p)
 		bnd.SetFloat("ub", out.ub)
 		bnd.End()
 		if mb != nil {
@@ -879,6 +897,15 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, mb *mer
 				return out
 			}
 		}
+	}
+
+	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
+	bs := sp.Child(telemetry.PhaseBuild, "")
+	bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
+	sched, err := t.buildFor(space, p, micros)
+	bs.End()
+	if err != nil {
+		return infeasible
 	}
 
 	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta}
@@ -954,51 +981,6 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, mb *mer
 	}
 	out.cand = cand
 	return out
-}
-
-// upperBound returns an admissible estimate of the point's throughput: the
-// samples per iteration divided by a lower bound on the makespan, times the
-// DP efficiency. The makespan bound is the busiest device's serial
-// forward+backward compute time in the freshly built schedule; split-base
-// schemes (ZB-H1, DualPipe-D) contribute their BackwardInput and
-// BackwardWeight halves at exactly the simulator's durations. Every
-// transformation the tuner may later apply — checkpoint passes (which add
-// recomputes), prepose (which reorders), split backward (which splits one
-// backward into two whose durations sum to at least the original) — only
-// adds or reorders device work, and the simulator never finishes a device
-// before its serial compute sum, so the true simulated throughput of this
-// point can never exceed the bound.
-func (t *Tuner) upperBound(sched *pipeline.Schedule, est *cost.Estimator, p gridPoint) float64 {
-	var lb float64
-	for d, list := range sched.Lists {
-		// Per-rank compute scaling: SlowOf is exactly 1 on homogeneous
-		// estimators (bit-exact multiplication), and on heterogeneous ones
-		// the scaled terms match the simulator's durations bit-for-bit
-		// (sim.ComputeBase uses the same expressions), keeping the bound
-		// admissible.
-		slow := est.SlowOf(d)
-		var busy float64
-		for _, in := range list {
-			switch in.Kind {
-			case pipeline.Forward, pipeline.CkptForward:
-				busy += est.LaunchOverhead + est.FwTime[in.Stage]*slow
-			case pipeline.Backward:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*slow
-			case pipeline.BackwardInput:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*est.BwSplitRatio*slow
-			case pipeline.BackwardWeight:
-				busy += est.LaunchOverhead + est.BwTime[in.Stage]*(1-est.BwSplitRatio)*slow
-			}
-		}
-		if busy > lb {
-			lb = busy
-		}
-	}
-	if lb <= 0 {
-		return math.Inf(1)
-	}
-	samples := float64(sched.Micros * p.mbs * p.dp)
-	return samples / lb * t.dpEff(p.dp)
 }
 
 // Rank returns the trace sorted by descending throughput (stable on labels
