@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-gate bench-serve-json bench-selftest check fmt fuzz lint docs-check schemes-smoke serve-smoke fleet-smoke telemetry-smoke hetero-smoke
+.PHONY: all build vet test race bench bench-json bench-gate bench-gate-allocs bench-serve-json bench-selftest check fmt fuzz lint docs-check schemes-smoke serve-smoke fleet-smoke telemetry-smoke hetero-smoke
 
 all: check
 
@@ -26,12 +26,35 @@ bench:
 # BENCHTIME iterations to average out noise; the full grid search is seconds
 # per op, so it runs once.
 BENCHTIME ?= 100x
-BENCH_MICRO = BenchmarkGraphOptimize$$|BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChimera|BenchmarkDeltaSim|BenchmarkTelemetry
+BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChimera|BenchmarkDeltaSim|BenchmarkTelemetry
+# The deterministic rows: single-threaded benchmarks (-cpu 1 also pins the
+# searches' Workers = GOMAXPROCS default to the sequential walk) run with the
+# collector off, so their B/op and allocs/op repeat from run to run and
+# machine to machine. (Every collection empties the sync.Pools — simulator
+# engines, encoder buffers — and refilling them is allocation that depends on
+# when the collector happened to run: ±5 % on a search. A run peaks under
+# 1 GB without it.) bench-json records these rows and bench-gate-allocs gates
+# them with the same two invocations — iteration counts included, since the
+# first iteration's one-time allocations are part of the average.
+BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec
+BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
+bench-det = { GOGC=off $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
+	      GOGC=off $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; }
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_MICRO)' \
 		-benchtime $(BENCHTIME) -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkTunerSearch' -benchtime 1x -benchmem . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTunerSearch$$' -benchtime 1x -benchmem . ; \
+	  $(bench-det) ; } \
 		| $(GO) run ./cmd/benchjson > BENCH_sim.json
+
+# The gating half of the ledger: B/op and allocs/op of the deterministic rows
+# may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent.
+# Unlike ns/op this does not depend on the runner, so CI enforces it; after a
+# deliberate change regenerate the baseline with `make bench-json`.
+ALLOCPCT ?= 5
+bench-gate-allocs:
+	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
+		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkTunerSearchBnB
 
 # Regression gate over the committed artifact: re-runs the hot-path
 # microbenchmarks and fails if any ns/op regressed by more than GATEPCT
@@ -52,8 +75,9 @@ bench-selftest:
 	cd bench && $(GO) test ./...
 
 # Service-layer latency artifact: the mariod request path (cache hit, fresh
-# run, traced run, /metrics scrape) against an instant run stub, so the
-# numbers isolate serve/telemetry overhead from tuner work, plus the loadgen
+# run, traced run, /metrics scrape) against a run stub that instantly returns
+# a real LLaMA2-3B/4 plan's bytes, so the numbers isolate serve/telemetry
+# overhead — moving the body included — from tuner work, plus the loadgen
 # bursts (single member and routed 3-member fleet) whose p50/p99/req-s land
 # under "extra".
 bench-serve-json:
@@ -134,7 +158,7 @@ schemes-smoke:
 	$(GO) run ./cmd/experiments -fast -run zerobubble >/dev/null
 	$(GO) test -run 'TestGoldenDocs|TestZeroBubbleFast' ./internal/experiments
 
-check: vet build race bench-selftest fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
+check: vet build race bench-selftest bench-gate-allocs fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
 
 fmt:
 	gofmt -l -w .

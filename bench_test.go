@@ -6,6 +6,7 @@
 package mario_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -641,6 +642,45 @@ func BenchmarkOptimizeAPI(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPlanCodec prices the plan JSON codec on the GPT3-1.6B, 8-device,
+// Auto plan (the planner benchmark's serve-cold request): what the planning
+// service pays once per fresh plan to encode it and every client pays to
+// decode it, with the body size alongside since both scale with it.
+func BenchmarkPlanCodec(b *testing.B) {
+	plan, err := mario.Optimize(mario.Config{
+		PipelineScheme:  "Auto",
+		GlobalBatchSize: 64,
+		NumDevices:      8,
+		MemoryPerDevice: "40G",
+		Workers:         1,
+	}, mario.Model("GPT3-1.6B"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := json.Marshal(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(plan); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "bytes")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mario.LoadPlan(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "bytes")
+	})
 }
 
 // BenchmarkTelemetryOff prices the disabled-telemetry fast path: the exact

@@ -20,6 +20,11 @@
 // comma-separated prefixes. Benchmarks present on only one side are reported
 // but never fail the gate, so adding or retiring a benchmark does not require
 // a lockstep baseline update.
+//
+// -gate-mem PCT is the deterministic sibling: it compares B/op and allocs/op
+// instead. A single-threaded benchmark allocates the same objects run after
+// run on any machine, so — unlike ns/op, which CI runner noise keeps
+// non-gating — a small threshold on these columns is a gate CI can enforce.
 package main
 
 import (
@@ -44,8 +49,9 @@ type result struct {
 }
 
 func main() {
-	gate := flag.Float64("gate", 0, "fail if any ns/op regresses by more than this percent vs -baseline (0 = convert to JSON)")
-	baseline := flag.String("baseline", "", "baseline JSON artifact to gate against (required with -gate)")
+	gate := flag.Float64("gate", 0, "fail if any ns/op regresses by more than this percent vs -baseline (0 = off)")
+	gateMem := flag.Float64("gate-mem", 0, "fail if any B/op or allocs/op regresses by more than this percent vs -baseline (0 = off)")
+	baseline := flag.String("baseline", "", "baseline JSON artifact to gate against (required with -gate and -gate-mem)")
 	only := flag.String("only", "", "comma-separated benchmark name prefixes to gate (default: all)")
 	flag.Parse()
 
@@ -55,15 +61,25 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *gate > 0 {
+	if *gate > 0 || *gateMem > 0 {
 		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate requires -baseline")
+			fmt.Fprintln(os.Stderr, "benchjson: -gate and -gate-mem require -baseline")
 			os.Exit(2)
 		}
-		regressed, err := gateAgainst(os.Stdout, results, *baseline, *gate, splitPrefixes(*only))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
+		regressed := false
+		for _, g := range []struct {
+			pct     float64
+			metrics []metric
+		}{{*gate, timeMetrics}, {*gateMem, memMetrics}} {
+			if g.pct <= 0 {
+				continue
+			}
+			r, err := gateAgainst(os.Stdout, results, *baseline, g.pct, splitPrefixes(*only), g.metrics)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+				os.Exit(2)
+			}
+			regressed = regressed || r
 		}
 		if regressed {
 			os.Exit(1)
@@ -92,10 +108,26 @@ func parseBench(r io.Reader) ([]result, error) {
 	return results, sc.Err()
 }
 
-// gateAgainst compares ns/op for every benchmark present in both the current
-// run and the baseline artifact, prints one line per comparison, and reports
-// whether any selected benchmark regressed by more than pct percent.
-func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, prefixes []string) (bool, error) {
+// metric is one gated column of a benchmark result.
+type metric struct {
+	unit string
+	get  func(result) *float64
+}
+
+var (
+	timeMetrics = []metric{{"ns/op", func(r result) *float64 { return r.NsPerOp }}}
+	memMetrics  = []metric{
+		{"B/op", func(r result) *float64 { return r.BytesPerOp }},
+		{"allocs/op", func(r result) *float64 { return r.AllocsPerOp }},
+	}
+)
+
+// gateAgainst compares the given metrics for every benchmark present in both
+// the current run and the baseline artifact, prints one line per comparison,
+// and reports whether any selected benchmark regressed by more than pct
+// percent on any of them (a metric that was zero regresses by becoming
+// non-zero).
+func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, prefixes []string, metrics []metric) (bool, error) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return false, err
@@ -104,35 +136,43 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return false, fmt.Errorf("parsing %s: %w", baselinePath, err)
 	}
-	baseNs := make(map[string]float64, len(base))
+	baseBy := make(map[string]result, len(base))
 	for _, b := range base {
-		if b.NsPerOp != nil {
-			baseNs[b.Name] = *b.NsPerOp
-		}
+		baseBy[b.Name] = b
 	}
 
 	regressed := false
 	compared := 0
 	for _, c := range cur {
-		if c.NsPerOp == nil || !matchesPrefix(c.Name, prefixes) {
+		if !matchesPrefix(c.Name, prefixes) {
 			continue
 		}
-		old, ok := baseNs[c.Name]
-		if !ok {
-			fmt.Fprintf(w, "NEW    %-55s %12.0f ns/op (not in baseline)\n", c.Name, *c.NsPerOp)
-			continue
+		b, inBase := baseBy[c.Name]
+		delete(baseBy, c.Name)
+		for _, m := range metrics {
+			now := m.get(c)
+			if now == nil {
+				continue
+			}
+			old := m.get(b)
+			if !inBase || old == nil {
+				fmt.Fprintf(w, "NEW    %-55s %12.0f %s (not in baseline)\n", c.Name, *now, m.unit)
+				continue
+			}
+			compared++
+			verdict := "ok    "
+			if *now > *old*(1+pct/100) {
+				verdict = "WORSE "
+				regressed = true
+			}
+			delta := 0.0
+			if *old != 0 {
+				delta = 100 * (*now - *old) / *old
+			}
+			fmt.Fprintf(w, "%s %-55s %12.0f -> %12.0f %s (%+.1f%%)\n", verdict, c.Name, *old, *now, m.unit, delta)
 		}
-		delete(baseNs, c.Name)
-		compared++
-		delta := 100 * (*c.NsPerOp - old) / old
-		verdict := "ok    "
-		if delta > pct {
-			verdict = "SLOWER"
-			regressed = true
-		}
-		fmt.Fprintf(w, "%s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", verdict, c.Name, old, *c.NsPerOp, delta)
 	}
-	for name := range baseNs {
+	for name := range baseBy {
 		if matchesPrefix(name, prefixes) {
 			fmt.Fprintf(w, "GONE   %-55s (in baseline, not in this run)\n", name)
 		}
@@ -140,7 +180,11 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 	if compared == 0 {
 		return false, fmt.Errorf("no benchmarks matched the gate selection")
 	}
-	fmt.Fprintf(w, "benchjson: gated %d benchmarks at +%.0f%% ns/op\n", compared, pct)
+	units := make([]string, len(metrics))
+	for i, m := range metrics {
+		units[i] = m.unit
+	}
+	fmt.Fprintf(w, "benchjson: gated %d comparisons at +%.0f%% %s\n", compared, pct, strings.Join(units, ", "))
 	return regressed, nil
 }
 

@@ -68,7 +68,7 @@ func TestGateAgainst(t *testing.T) {
 	t.Run("within threshold passes", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1100 ns/op\nBenchmarkB 100 1900 ns/op\n")
-		regressed, err := gateAgainst(&out, cur, base, 15, nil)
+		regressed, err := gateAgainst(&out, cur, base, 15, nil, timeMetrics)
 		if err != nil || regressed {
 			t.Fatalf("regressed=%v err=%v\n%s", regressed, err, out.String())
 		}
@@ -80,12 +80,12 @@ func TestGateAgainst(t *testing.T) {
 	t.Run("regression fails", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1200 ns/op\n")
-		regressed, err := gateAgainst(&out, cur, base, 15, nil)
+		regressed, err := gateAgainst(&out, cur, base, 15, nil, timeMetrics)
 		if err != nil || !regressed {
 			t.Fatalf("regressed=%v err=%v\n%s", regressed, err, out.String())
 		}
-		if !strings.Contains(out.String(), "SLOWER BenchmarkA") {
-			t.Errorf("missing SLOWER verdict:\n%s", out.String())
+		if !strings.Contains(out.String(), "WORSE  BenchmarkA") {
+			t.Errorf("missing WORSE verdict:\n%s", out.String())
 		}
 	})
 
@@ -93,7 +93,7 @@ func TestGateAgainst(t *testing.T) {
 		var out strings.Builder
 		// BenchmarkA regresses hugely but is filtered out; only B is gated.
 		cur := curResults(t, "BenchmarkA 100 9000 ns/op\nBenchmarkB 100 2000 ns/op\n")
-		regressed, err := gateAgainst(&out, cur, base, 15, []string{"BenchmarkB"})
+		regressed, err := gateAgainst(&out, cur, base, 15, []string{"BenchmarkB"}, timeMetrics)
 		if err != nil || regressed {
 			t.Fatalf("regressed=%v err=%v\n%s", regressed, err, out.String())
 		}
@@ -102,7 +102,7 @@ func TestGateAgainst(t *testing.T) {
 	t.Run("new benchmark never fails the gate", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkNew 100 99999 ns/op\nBenchmarkA 100 1000 ns/op\n")
-		regressed, err := gateAgainst(&out, cur, base, 15, nil)
+		regressed, err := gateAgainst(&out, cur, base, 15, nil, timeMetrics)
 		if err != nil || regressed {
 			t.Fatalf("regressed=%v err=%v\n%s", regressed, err, out.String())
 		}
@@ -114,7 +114,7 @@ func TestGateAgainst(t *testing.T) {
 	t.Run("empty selection is an error", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1000 ns/op\n")
-		if _, err := gateAgainst(&out, cur, base, 15, []string{"BenchmarkZ"}); err == nil || !strings.Contains(err.Error(), "no benchmarks matched") {
+		if _, err := gateAgainst(&out, cur, base, 15, []string{"BenchmarkZ"}, timeMetrics); err == nil || !strings.Contains(err.Error(), "no benchmarks matched") {
 			t.Fatalf("err = %v, want no-match error", err)
 		}
 	})
@@ -122,12 +122,50 @@ func TestGateAgainst(t *testing.T) {
 	t.Run("unreadable baseline", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1000 ns/op\n")
-		if _, err := gateAgainst(&out, cur, filepath.Join(t.TempDir(), "missing.json"), 15, nil); err == nil {
+		if _, err := gateAgainst(&out, cur, filepath.Join(t.TempDir(), "missing.json"), 15, nil, timeMetrics); err == nil {
 			t.Fatal("want error for missing baseline")
 		}
 		bad := writeBaseline(t, "{not json")
-		if _, err := gateAgainst(&out, cur, bad, 15, nil); err == nil || !strings.Contains(err.Error(), "parsing") {
+		if _, err := gateAgainst(&out, cur, bad, 15, nil, timeMetrics); err == nil || !strings.Contains(err.Error(), "parsing") {
 			t.Fatalf("err = %v, want parsing error", err)
 		}
 	})
+}
+
+// TestGateMem covers the deterministic gate: B/op and allocs/op are compared
+// (ns/op is not), either column failing fails the gate, and a zero baseline
+// regresses by becoming non-zero.
+func TestGateMem(t *testing.T) {
+	base := writeBaseline(t, `[
+  {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
+  {"name": "BenchmarkZero", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0},
+  {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10}
+]`)
+	for _, tc := range []struct {
+		name, bench string
+		regressed   bool
+		want        string
+	}{
+		{"within threshold, ns/op ignored", "BenchmarkA 1 9000 ns/op 1040 B/op 105 allocs/op\n", false, "ok     BenchmarkA"},
+		{"bytes regress", "BenchmarkA 1 1000 ns/op 1060 B/op 100 allocs/op\n", true, "WORSE  BenchmarkA"},
+		{"allocs regress", "BenchmarkA 1 1000 ns/op 900 B/op 106 allocs/op\n", true, "106 allocs/op"},
+		{"zero stays zero", "BenchmarkZero 1 10 ns/op 0 B/op 0 allocs/op\n", false, "ok     BenchmarkZero"},
+		{"zero becomes non-zero", "BenchmarkZero 1 10 ns/op 16 B/op 1 allocs/op\n", true, "WORSE  BenchmarkZero"},
+		{"column missing from baseline is new", "BenchmarkNoMem 1 10 ns/op 8 B/op 1 allocs/op\nBenchmarkA 1 1 ns/op 1000 B/op 100 allocs/op\n", false, "NEW    BenchmarkNoMem"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			regressed, err := gateAgainst(&out, curResults(t, tc.bench), base, 5, nil, memMetrics)
+			if err != nil || regressed != tc.regressed {
+				t.Fatalf("regressed=%v err=%v, want regressed=%v\n%s", regressed, err, tc.regressed, out.String())
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, out.String())
+			}
+		})
+	}
+	var out strings.Builder
+	if _, err := gateAgainst(&out, curResults(t, "BenchmarkA 1 1000 ns/op\n"), base, 5, nil, memMetrics); err == nil {
+		t.Error("a run without -benchmem columns gated nothing and still passed")
+	}
 }

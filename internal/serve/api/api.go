@@ -334,8 +334,12 @@ const RoutedHeader = "X-Mario-Routed"
 // 400, and the coordinator's local fallback keeps the search exact while a
 // mixed-version fleet rolls. Version 2 added the partitioning/placement
 // workload fields (device_speeds, placement), which change the enumerated
-// grid — a version-1 worker would index a different point list.
-const ShardProtoVersion = 2
+// grid — a version-1 worker would index a different point list. Version 3
+// dropped the per-instruction timeline from outcome candidates (the search
+// scores points without one and re-simulates only the winner): a version-2
+// worker would still ship timelines, and merging those beside local slim
+// candidates would break the fleet ≡ local byte-identity of the plan.
+const ShardProtoVersion = 3
 
 // ShardRequest is the body of POST /v1/shard: one coordinator-probed batch
 // of grid points for the worker to evaluate against the given workload.

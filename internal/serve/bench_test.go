@@ -4,20 +4,44 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"mario"
 	"mario/internal/serve/loadgen"
 	"mario/internal/telemetry"
 )
 
+// benchPlan is the body every bench stub answers with: the real plan of
+// testRequest(16) (LLaMA2-3B, 4 devices), computed once. A placeholder body
+// of a few bytes would price the request path without the one cost that
+// scales — moving the plan — which is most of what a cache hit does.
+var benchPlan = sync.OnceValue(func() []byte {
+	req := testRequest(16)
+	model, err := req.Validate()
+	if err != nil {
+		panic(err)
+	}
+	plan, err := mario.Optimize(req.Config(1), model)
+	if err != nil {
+		panic(err)
+	}
+	data, err := json.Marshal(plan)
+	if err != nil {
+		panic(err)
+	}
+	return data
+})
+
 // benchServer builds a server whose run stub returns instantly with a
-// small traced span tree — the service-layer overhead (HTTP, singleflight,
-// cache, metrics, flight recorder) is the thing under test, not the tuner.
+// small traced span tree and a real plan's bytes — the service-layer
+// overhead (HTTP, singleflight, cache, metrics, flight recorder, moving the
+// body) is the thing under test, not the tuner.
 func benchServer() (*Server, *httptest.Server) {
+	plan := benchPlan()
 	s := New(Options{Workers: 2, QueueDepth: 64})
 	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 		root := tracer.Root(telemetry.PhaseOptimize, "")
@@ -27,7 +51,7 @@ func benchServer() (*Server, *httptest.Server) {
 		p.End()
 		search.End()
 		root.End()
-		return []byte(fmt.Sprintf(`{"gbs":%d}`, req.GlobalBatch)), nil
+		return plan, nil
 	}
 	return s, httptest.NewServer(s.Handler())
 }
@@ -132,6 +156,7 @@ func BenchmarkServeLoadgenBurst(b *testing.B) {
 // extra peer hop on top of the single-member path.
 func BenchmarkServeLoadgenFleet(b *testing.B) {
 	const members = 3
+	plan := benchPlan()
 	handlers := make([]http.Handler, members)
 	urls := make([]string, members)
 	var tss []*httptest.Server
@@ -152,7 +177,7 @@ func BenchmarkServeLoadgenFleet(b *testing.B) {
 		}
 		s := New(Options{Self: urls[i], Fleet: peers, Workers: 2, QueueDepth: 64})
 		s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
-			return []byte(fmt.Sprintf(`{"gbs":%d}`, req.GlobalBatch)), nil
+			return plan, nil
 		}
 		handlers[i] = s.Handler()
 		defer s.Close()

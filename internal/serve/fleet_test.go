@@ -279,11 +279,15 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetDeadPeerFallback points the coordinator at one healthy worker
-// and one unroutable address: the plan must still be byte-identical (the
-// tuner evaluates lost batches locally) and the dispatch-error series must
-// record the damage.
-func TestFleetDeadPeerFallback(t *testing.T) {
+// TestFleetLostPeerFallback points the coordinator at one healthy worker and
+// one member it cannot use — an unroutable address, or a member still on
+// shard protocol 2, which refuses the coordinator's batches with 400 the way
+// handleShard refuses any mismatched version (its answers would carry
+// per-candidate timelines that no longer belong in a plan). Either way the
+// plan must still be byte-identical to the in-process Optimize (the tuner
+// evaluates lost batches locally) and the dispatch-error series must record
+// the damage.
+func TestFleetLostPeerFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real tuner searches over loopback HTTP")
 	}
@@ -298,29 +302,52 @@ func TestFleetDeadPeerFallback(t *testing.T) {
 	}
 	want, _ := json.Marshal(direct)
 
-	w := New(Options{})
-	defer w.Close()
-	ws := httptest.NewServer(w.Handler())
-	defer ws.Close()
-	co := New(Options{Fleet: []string{ws.URL, "http://127.0.0.1:9"}}) // port 9: discard, never listening
-	defer co.Close()
-	cs := httptest.NewServer(co.Handler())
-	defer cs.Close()
+	proto2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sr api.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+			errorJSON(w, http.StatusBadRequest, err)
+			return
+		}
+		if sr.Proto == 2 {
+			t.Error("coordinator dispatched a protocol-2 batch")
+		}
+		errorJSON(w, http.StatusBadRequest, fmt.Errorf("serve: shard protocol %d, want 2", sr.Proto))
+	}))
+	defer proto2.Close()
 
-	resp, err := client.New(cs.URL).Plan(context.Background(), req)
-	if err != nil {
-		t.Fatalf("plan with dead peer: %v", err)
-	}
-	if !bytes.Equal(resp.Plan, want) {
-		t.Fatal("dead-peer fleet plan not byte-identical to direct Optimize")
-	}
-	var buf bytes.Buffer
-	co.Registry().WriteProm(&buf)
-	if promValue(t, buf.String(), `mario_serve_shard_dispatch_total{result="error"}`) == 0 {
-		t.Error("dead peer produced no dispatch errors")
-	}
-	if promValue(t, buf.String(), "mario_search_fleet_fallbacks_total") == 0 {
-		t.Error("no fleet fallbacks recorded")
+	for _, tc := range []struct{ name, lost string }{
+		{"dead", "http://127.0.0.1:9"}, // port 9: discard, never listening
+		{"proto2", proto2.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New(Options{})
+			defer w.Close()
+			ws := httptest.NewServer(w.Handler())
+			defer ws.Close()
+			co := New(Options{Fleet: []string{ws.URL, tc.lost}})
+			defer co.Close()
+			cs := httptest.NewServer(co.Handler())
+			defer cs.Close()
+
+			resp, err := client.New(cs.URL).Plan(context.Background(), req)
+			if err != nil {
+				t.Fatalf("plan with lost peer: %v", err)
+			}
+			if !bytes.Equal(resp.Plan, want) {
+				t.Fatal("lost-peer fleet plan not byte-identical to direct Optimize")
+			}
+			var buf bytes.Buffer
+			co.Registry().WriteProm(&buf)
+			if promValue(t, buf.String(), `mario_serve_shard_dispatch_total{result="error"}`) == 0 {
+				t.Error("lost peer produced no dispatch errors")
+			}
+			if promValue(t, buf.String(), `mario_serve_shard_dispatch_total{result="ok"}`) == 0 {
+				t.Error("healthy worker served no batch")
+			}
+			if promValue(t, buf.String(), "mario_search_fleet_fallbacks_total") == 0 {
+				t.Error("no fleet fallbacks recorded")
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenTrace builds one representative search trace on a fake clock: a
 // root optimize span, a search with three points (explored with graph
-// rounds + sim, memo-hit, bound-pruned with trimmed children), and a
-// robustness ensemble. Every export format renders from this one tree so
+// rounds + sim, memo-hit, bound-pruned with trimmed children) and the
+// winner's closing sim, and a robustness ensemble. Every export format renders from this one tree so
 // the goldens stay mutually consistent.
 func goldenTrace() *Trace {
 	tr := New("deadbeefdeadbeefdeadbeefdeadbeef")
@@ -69,6 +69,8 @@ func goldenTrace() *Trace {
 	p2.RetainChildren(PhaseBuild, PhaseBound)
 	p2.AttachTo(search)
 
+	// The winner's closing re-simulation, directly under the search.
+	search.Child(PhaseSim, "").End()
 	search.End()
 
 	rb := root.Child(PhaseRobust, "")
@@ -97,7 +99,7 @@ func goldenRegistry() *Registry {
 	m.BuildMisses.Add(3)
 	m.GraphHits.Inc()
 	m.GraphMisses.Inc()
-	m.AddSims(6)
+	m.AddSims(7)
 	m.AddGraphRounds(2)
 	m.AddRobustRuns(2)
 	m.SearchSeconds.Observe(0.042)

@@ -353,7 +353,7 @@ func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, t
 // the node. Prune spans are always synthesized at merge time (a speculative
 // worker evaluation that lost the race is discarded wholesale), so the
 // canonical telemetry never depends on scheduling.
-func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	pruneInfeasible := func(idx int, p gridPoint) {
 		t.pruneInfeasible(idx, p, tracer, search, stats)
 	}
@@ -457,7 +457,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			// (e.g. a bound tie from an earlier canonical index): evaluate
 			// inline so the result stays exact.
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, nil, tracer)
+			forced := t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
 			sp = forced.span
 			if forced.err != nil {
 				sp.Discard()
@@ -513,8 +513,6 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 
 	var searchErr error
 	if space.Workers <= 1 || len(nodes) <= 1 {
-		eng := &sim.Simulator{}
-		sims0 := eng.Sims
 		for _, nd := range nodes {
 			if err := ctx.Err(); err != nil {
 				searchErr = err
@@ -529,7 +527,6 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 				break
 			}
 		}
-		t.Metrics.AddSims(eng.Sims - sims0)
 	} else {
 		workers := space.Workers
 		if workers > len(nodes) {
@@ -550,7 +547,7 @@ func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine: a Simulator is not goroutine-safe
+				eng := &sim.Simulator{} // per-worker engine
 				for j := range jobs {
 					if err := ctx.Err(); err != nil {
 						results[j] = pointResult{err: err}

@@ -100,9 +100,10 @@ type ShardOutcome struct {
 	Idx int `json:"idx"`
 	// Status is ShardExplored, ShardSkipped or ShardInfeasible.
 	Status string `json:"status"`
-	// Cand is the simulated candidate (ShardExplored only). It round-trips
-	// byte-stably through the plan JSON codec, so a merged remote candidate
-	// marshals identically to a locally computed one.
+	// Cand is the simulated candidate (ShardExplored only) — schedule and
+	// result totals, no timeline, like every candidate a search scores. It
+	// round-trips byte-stably through the plan JSON codec, so a merged remote
+	// candidate marshals identically to a locally computed one.
 	Cand *Candidate `json:"cand,omitempty"`
 }
 
@@ -216,7 +217,7 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 // classification the local strategies use. Dispatch failures degrade to a
 // local evaluation of the lost batch, so the result never depends on
 // fleet health — only the FleetStats do.
-func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	d := t.Sharder
 	shards := d.Shards()
 	if shards < 1 {
@@ -243,12 +244,7 @@ func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint
 	}
 	var ents []traceEnt
 	var fl FleetStats
-	eng := &sim.Simulator{} // local engine for fallback and forced evaluations
-	sims0 := eng.Sims
-	defer func() {
-		t.Metrics.AddSims(eng.Sims - sims0)
-		t.publishFleet(fl)
-	}()
+	defer func() { t.publishFleet(fl) }()
 
 	// decide duplicates searchBnB's classification (it closes over this
 	// search's incumbent).

@@ -52,8 +52,9 @@ func TestTraceWorkerIndependence(t *testing.T) {
 }
 
 // TestTraceShape spot-checks the canonical structure: one optimize root,
-// one search child, one point span per grid point with result attributes,
-// and memo tags on the build spans.
+// one search child, one point span per grid point with result attributes
+// followed by the winner's one closing sim span, and memo tags on the build
+// spans.
 func TestTraceShape(t *testing.T) {
 	_, _, tr := searchTrace(t, 1)
 	if len(tr.Roots) != 1 {
@@ -69,11 +70,14 @@ func TestTraceShape(t *testing.T) {
 	search := root.Children[0]
 	space := detSpace(1).withDefaults()
 	points := enumerate(space)
-	if len(search.Children) != len(points) {
-		t.Fatalf("search has %d point spans, want %d (one per grid point)", len(search.Children), len(points))
+	if len(search.Children) != len(points)+1 {
+		t.Fatalf("search has %d children, want %d (one per grid point + the closing sim)", len(search.Children), len(points)+1)
+	}
+	if last := search.Children[len(points)]; last.Phase != telemetry.PhaseSim || len(last.Children) != 0 {
+		t.Fatalf("last search child is %q with %d children, want a leaf sim span", last.Phase, len(last.Children))
 	}
 	memoFirst := 0
-	for _, pt := range search.Children {
+	for _, pt := range search.Children[:len(points)] {
 		if pt.Phase != telemetry.PhasePoint {
 			t.Fatalf("search child phase = %q, want point", pt.Phase)
 		}

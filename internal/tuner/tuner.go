@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,8 +170,12 @@ type Candidate struct {
 	Throughput float64
 	// OOM reports the memory penalty.
 	OOM bool
-	// Result and Schedule hold the winning simulation artifacts (nil for
-	// infeasible candidates).
+	// Result and Schedule are the simulation result the candidate was scored
+	// with and the schedule it ran (nil for infeasible candidates). The result
+	// keeps its totals — makespan, per-device peak memory and compute-busy
+	// time, throughput, OOM verdict — but no per-instruction Timeline: only a
+	// search's winner carries one. Resimulate rebuilds any candidate's
+	// timeline from the schedule.
 	Result   *sim.Result
 	Schedule *pipeline.Schedule
 	// PlaceMode records which placement-axis value produced the candidate;
@@ -272,7 +277,8 @@ type Tuner struct {
 	Progress func(c Candidate, best Candidate)
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
-	// child per grid point with build/bound/graph/sim children. Workers
+	// child per grid point with build/bound/graph/sim children, then one
+	// PhaseSim child for the winner's closing re-simulation. Workers
 	// record spans speculatively, but the canonical merge loop attaches
 	// them (and trims speculative work) in canonical grid order, so the
 	// canonical trace exports are byte-identical for every Space.Workers
@@ -460,8 +466,15 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if m := t.Metrics; m != nil {
 		m.Searches.Inc()
 	}
+	// eng is the search goroutine's simulation engine: the sequential walks,
+	// the merge loops' inline re-evaluations and the winner's closing
+	// re-simulation all run on it, so the last of these finds it warm
+	// (parallel workers hold one engine each; a Simulator is not
+	// goroutine-safe).
+	eng := &sim.Simulator{}
 	defer func() {
 		search.End()
+		t.Metrics.AddSims(eng.Sims)
 		if m := t.Metrics; m != nil {
 			m.SearchSeconds.ObserveDuration(time.Since(searchStart))
 			m.BuildHits.Add(t.builds.hits.Load() - buildH0)
@@ -476,11 +489,11 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	var searchErr error
 	switch {
 	case fleet:
-		best, trace, searchErr = t.searchFleet(ctx, space, points, tracer, search, &stats)
+		best, trace, searchErr = t.searchFleet(ctx, space, points, eng, tracer, search, &stats)
 	case bnb:
-		best, trace, searchErr = t.searchBnB(ctx, space, points, tracer, search, &stats)
+		best, trace, searchErr = t.searchBnB(ctx, space, points, eng, tracer, search, &stats)
 	default:
-		best, trace, searchErr = t.searchGrid(ctx, space, points, tracer, search, &stats)
+		best, trace, searchErr = t.searchGrid(ctx, space, points, eng, tracer, search, &stats)
 	}
 	t.publishStats(stats)
 	if searchErr != nil {
@@ -489,7 +502,55 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if best == nil {
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
 	}
+	// Every point was scored without a timeline; the winner alone gets one,
+	// from a single closing re-simulation of the schedule it already carries.
+	ss := search.Child(telemetry.PhaseSim, "")
+	res, err := Resimulate(eng, t.Prof, best, space.TP, space.DeviceMem)
+	ss.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	best.Result = res
 	return best, trace, nil
+}
+
+// Resimulate re-derives a candidate's simulation result, per-instruction
+// timeline included, from what the candidate itself records: the estimator is
+// resolved from the schedule's stage count, the micro-batch size and the
+// placement assignment, and the schedule is simulated once under the
+// candidate's DP degree and the plan's memory limit. The search scores every
+// grid point without a timeline and calls this once for the winner; a plan's
+// trace candidates (fresh or decoded) get theirs the same way, on demand.
+//
+// The simulator is deterministic, so the result must reproduce the stored one
+// bit for bit; a candidate whose stored Total, PeakMem, ComputeBusy,
+// SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
+// the one the plan was tuned with — is refused. c.Result is not modified.
+//
+// eng is the engine to run on (the search passes its warm one); nil uses a
+// fresh engine.
+func Resimulate(eng *sim.Simulator, prof *profile.Profiler, c *Candidate, tp int, memLimit float64) (*sim.Result, error) {
+	if prof == nil || c == nil || c.Schedule == nil || c.Result == nil {
+		return nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
+	}
+	est, err := assignedEstimator(prof, c.Place, c.Schedule.NumStages(), c.MicroBatch, tp)
+	if err != nil {
+		return nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
+	}
+	if eng == nil {
+		eng = &sim.Simulator{}
+	}
+	res, err := eng.Simulate(c.Schedule, est, sim.Options{DP: c.DP, MemLimit: memLimit})
+	if err != nil {
+		return nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
+	}
+	was := c.Result
+	if res.Total != was.Total || res.SamplesPerSec != was.SamplesPerSec || res.OOM != was.OOM ||
+		!slices.Equal(res.PeakMem, was.PeakMem) || !slices.Equal(res.ComputeBusy, was.ComputeBusy) {
+		return nil, fmt.Errorf("tuner: re-simulating %s: result differs from the stored one (makespan %v vs %v)",
+			c.Label(), res.Total, was.Total)
+	}
+	return res, nil
 }
 
 // searchGrid is the canonical-order grid walk: every point is evaluated (or
@@ -497,7 +558,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 // It runs when Space.NoPrune or Space.NoBnB disables the branch-and-bound
 // strategy, and it is the reference the bnb path is differentially tested
 // against.
-func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	var trace []Candidate
 	var best *Candidate
 	mb := &mergedBest{}
@@ -521,7 +582,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			// A stale cancellation from a memo entry another (cancelled)
 			// search computed: our own context is live, so re-evaluate.
 			sp.Discard()
-			pr = t.evalTraced(ctx, space, i, p, nil, nil, nil, tracer)
+			pr = t.evalTraced(ctx, space, i, p, nil, nil, eng, tracer)
 			sp = pr.span
 			if pr.err != nil {
 				sp.Discard()
@@ -562,7 +623,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			// best-so-far); evaluate inline as insurance so the result
 			// stays exact even if that invariant is ever broken.
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, i, p, nil, nil, nil, tracer)
+			forced := t.evalTraced(ctx, space, i, p, nil, nil, eng, tracer)
 			sp = forced.span
 			if forced.err != nil {
 				sp.Discard()
@@ -614,8 +675,6 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 
 	var searchErr error
 	if space.Workers <= 1 || len(points) <= 1 {
-		eng := &sim.Simulator{}
-		sims0 := eng.Sims
 		for i, p := range points {
 			if err := ctx.Err(); err != nil {
 				searchErr = err
@@ -626,7 +685,6 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 				break
 			}
 		}
-		t.Metrics.AddSims(eng.Sims - sims0)
 	} else {
 		workers := space.Workers
 		if workers > len(points) {
@@ -647,7 +705,7 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine: a Simulator is not goroutine-safe
+				eng := &sim.Simulator{} // per-worker engine
 				for i := range jobs {
 					if err := ctx.Err(); err != nil {
 						// Cancelled: publish the abort instead of evaluating
@@ -797,16 +855,27 @@ func (t *Tuner) estimatorFor(space Space, p gridPoint, pl pipeline.Placement, mi
 	if err != nil {
 		return nil, nil, err
 	}
-	if asg == nil {
-		est, err := t.Prof.EstimatorFor(pl.NumStages(), p.mbs, space.TP)
-		return est, nil, err
-	}
-	est, err := t.Prof.EstimatorForPartition(asg.LayersPerStage, p.mbs, space.TP)
+	est, err := assignedEstimator(t.Prof, asg, pl.NumStages(), p.mbs, space.TP)
 	if err != nil {
 		return nil, nil, err
 	}
-	est.DeviceSpeed = asg.RankSpeed
 	return est, asg, nil
+}
+
+// assignedEstimator is the estimator a (stage count, micro-batch size, TP)
+// configuration is simulated with under a placement assignment: nil keeps the
+// uniform-split estimator, otherwise the stage costs follow the assignment's
+// layer split and the per-rank speeds ride along.
+func assignedEstimator(prof *profile.Profiler, asg *place.Assignment, stages, mbs, tp int) (*cost.Estimator, error) {
+	if asg == nil {
+		return prof.EstimatorFor(stages, mbs, tp)
+	}
+	est, err := prof.EstimatorForPartition(asg.LayersPerStage, mbs, tp)
+	if err != nil {
+		return nil, err
+	}
+	est.DeviceSpeed = asg.RankSpeed
+	return est, nil
 }
 
 // pointShape is the structural prefix every consumer of a grid point starts
@@ -861,8 +930,12 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 // point, so the merger's own prune check is then guaranteed to discard the
 // point too. A nil mb forces the full evaluation.
 //
-// eng is the caller's reusable simulation engine (one per worker goroutine);
-// nil falls back to the package-level Simulate.
+// eng is the caller's reusable simulation engine (one per goroutine).
+//
+// Points are scored without a timeline — the merge reads totals, peaks and
+// the schedule only, and graph.OptimizeContext/SplitBackward skip their
+// closing re-simulation under the same option; SearchContext re-simulates the
+// winner once with the timeline on (Resimulate).
 //
 // ctx bounds the slow part of the evaluation (the graph-tuner run); a
 // cancelled context comes back as pointResult.err, never as a fake
@@ -908,7 +981,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnb
 		return infeasible
 	}
 
-	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta}
+	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta, NoTimeline: true}
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
 		PlaceMode: p.pmode, Place: asg}
 	var res *sim.Result
@@ -958,14 +1031,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnb
 		cand.Schedule, res = gv.sched.Clone(), gv.res
 	} else {
 		ss := sp.Child(telemetry.PhaseSim, "")
-		var r *sim.Result
-		var err error
-		if eng != nil {
-			r, err = eng.Simulate(sched, est, simOpts)
-		} else {
-			r, err = sim.Simulate(sched, est, simOpts)
-			t.Metrics.AddSims(1) // ephemeral engine: its counter dies with it
-		}
+		r, err := eng.Simulate(sched, est, simOpts)
 		ss.End()
 		if err != nil {
 			return infeasible

@@ -31,6 +31,7 @@ import (
 	"mario/internal/pipeline"
 	"mario/internal/place"
 	"mario/internal/profile"
+	"mario/internal/sim"
 	"mario/internal/telemetry"
 	"mario/internal/tuner"
 	"mario/internal/viz"
@@ -159,9 +160,11 @@ func Models() map[string]ModelConfig {
 // Plan is the optimized schedule returned by Optimize — the paper's
 // "schedule" object, ready for Run.
 type Plan struct {
-	// Best is the winning configuration.
+	// Best is the winning configuration; its Result carries the simulated
+	// per-instruction Timeline that Drift and Visualize read.
 	Best tuner.Candidate
-	// Trace is the full tuning trace in search order (Fig. 11's curve).
+	// Trace is the full tuning trace in search order (Fig. 11's curve). Trace
+	// results hold totals only (Timeline is nil); Resimulate rebuilds one.
 	Trace []tuner.Candidate
 	// Profiler retains the fitted estimators for re-simulation.
 	Profiler *profile.Profiler
@@ -537,6 +540,20 @@ func Drift(p *Plan, rep *RunReport) (*DriftReport, error) {
 	dr := obs.ComputeDrift(rep.Events, p.Best.Result, rep.PeakMem)
 	dr.FaultPlan = rep.FaultPlan
 	return dr, nil
+}
+
+// Resimulate rebuilds the full simulation result — per-instruction timeline
+// included — of one of the plan's candidates (a Trace entry, or Best). The
+// search scores candidates without recording timelines and plans carry one
+// for Best only; this is the same deterministic re-simulation that produced
+// Best's, so it works alike on fresh and decoded plans and reproduces the
+// candidate's stored totals bit for bit (a candidate that does not is
+// refused). c.Result is left untouched.
+func Resimulate(p *Plan, c *tuner.Candidate) (*sim.Result, error) {
+	if p == nil {
+		return nil, fmt.Errorf("mario: no plan")
+	}
+	return tuner.Resimulate(nil, p.Profiler, c, p.tp, p.memLimit)
 }
 
 // Visualize writes the plan's simulated timeline as an ASCII Gantt chart —

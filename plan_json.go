@@ -52,9 +52,14 @@ type planJSON struct {
 	TP          int               `json:"tp"`
 }
 
-// MarshalJSON implements json.Marshaler. The full tuning trace is included
-// (schedules and simulation results and all), so a decoded plan supports the
-// same post-hoc analysis — Rank, Robustness, drift — as the original.
+// MarshalJSON implements json.Marshaler. The full tuning trace is included:
+// every candidate's schedule and its simulation result's totals (makespan,
+// per-device peak memory and compute-busy time, throughput, OOM verdict),
+// which is what Rank and Robustness read. Per-instruction timelines are not —
+// the search records one for Best only, and Best's is encoded, so Drift and
+// Visualize of a decoded plan need no extra work; Resimulate rebuilds any
+// trace candidate's from its schedule. A decoded plan therefore supports the
+// same post-hoc analysis as the original, at a fifth of the bytes.
 func (p *Plan) MarshalJSON() ([]byte, error) {
 	if p.Profiler == nil {
 		return nil, fmt.Errorf("mario: plan has no profiler; only plans built by Optimize are serialisable")
