@@ -6,6 +6,19 @@ GO ?= go
 
 all: check
 
+# go-test-named runs the named tests — $(1) go test flags, $(2) the names
+# joined by |, $(3) the packages — and fails when any of the names ran no test:
+# `go test -run <no match>` exits 0, so a renamed test would silently turn the
+# gate that selects it into a no-op. Every target that selects tests by name
+# goes through it.
+define go-test-named
+out=$$($(GO) test $(1) -v -run '$(2)' $(3) 2>&1) || { echo "$$out"; exit 1; }; \
+for name in $$(echo '$(2)' | tr '|' ' '); do \
+	echo "$$out" | grep -q "^=== RUN   $$name" || { echo "FAIL: no test named $$name ran in $(3)"; exit 1; }; \
+done; \
+echo "$$out" | grep '^ok'
+endef
+
 build:
 	$(GO) build ./...
 
@@ -121,8 +134,8 @@ fleet-smoke:
 # export golden files, and a traced cmd/mario search writing all three trace
 # artifacts to a scratch dir.
 telemetry-smoke:
-	$(GO) test -race -run 'TestTraceWorkerIndependence|TestSelfTimeTelescopes' ./internal/tuner
-	$(GO) test -run 'TestGoldenExports' ./internal/telemetry
+	$(call go-test-named,-race,TestTraceWorkerIndependence|TestSelfTimeTelescopes,./internal/tuner)
+	$(call go-test-named,,TestGoldenExports,./internal/telemetry)
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 \
 		-search-trace "$$tmp/trace.json" -search-spans "$$tmp/spans.jsonl" \
@@ -135,8 +148,8 @@ telemetry-smoke:
 # over the placement axis under the race detector, and one CLI run through
 # -device-speeds/-placement.
 hetero-smoke:
-	$(GO) test -race -run 'TestHeteroCoOptBeatsUniform|TestHeteroAutoExploresBothModes' .
-	$(GO) test -race -run 'TestHeteroDeterministicAcrossWorkers|TestHeteroBnBMatchesGridArgmax|TestAllOnesSpeedsAreLegacy' ./internal/tuner
+	$(call go-test-named,-race,TestHeteroCoOptBeatsUniform|TestHeteroAutoExploresBothModes,.)
+	$(call go-test-named,-race,TestHeteroDeterministicAcrossWorkers|TestHeteroBnBMatchesGridArgmax|TestAllOnesSpeedsAreLegacy,./internal/tuner)
 	$(GO) run ./cmd/mario -model GPT3-13B -devices 8 -gbs 32 -mem 72G -scheme V \
 		-device-speeds 3=0.8 -placement coopt -run 1 >/dev/null
 
@@ -146,7 +159,7 @@ hetero-smoke:
 # their output against the documented blocks).
 docs-check:
 	$(GO) run ./cmd/docscheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs
-	$(GO) test -run TestGoldenDocs ./internal/experiments
+	$(call go-test-named,,TestGoldenDocs,./internal/experiments)
 
 # Scheme-family smoke: every registered generator (incl. the split-backward
 # ZB-H1 and DualPipe-D) builds and validates on the demo grid, the list
@@ -154,9 +167,9 @@ docs-check:
 # comparison runs end to end, and the docs/SCHEMES.md diagrams match the
 # renderer byte-for-byte.
 schemes-smoke:
-	$(GO) test -race -run 'TestAllSchemesValidate|TestSplitSchemesValidate|TestSchemeBuildDeterministic' ./internal/scheme
+	$(call go-test-named,-race,TestAllSchemesValidate|TestSplitSchemesValidate|TestSchemeBuildDeterministic,./internal/scheme)
 	$(GO) run ./cmd/experiments -fast -run zerobubble >/dev/null
-	$(GO) test -run 'TestGoldenDocs|TestZeroBubbleFast' ./internal/experiments
+	$(call go-test-named,,TestGoldenDocs|TestZeroBubbleFast,./internal/experiments)
 
 check: vet build race bench-selftest bench-gate-allocs fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
 

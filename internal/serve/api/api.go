@@ -61,11 +61,11 @@ type PlanRequest struct {
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
 	MaxPP int `json:"max_pp,omitempty"`
-	// NoPrune disables the upper-bound prune so the trace holds the full
-	// Fig. 11 curve. It changes the trace, hence it is fingerprinted.
+	// NoPrune disables the bound and memory prunes so the trace holds the
+	// full Fig. 11 curve. It changes the trace, hence it is fingerprinted.
 	NoPrune bool `json:"no_prune,omitempty"`
-	// NoBnB replaces the branch-and-bound search with the canonical-order
-	// grid walk. The best plan is identical, but the trace and search stats
+	// NoBnB expands the grid in canonical order instead of best-first by
+	// bound. The best plan is identical, but the trace and search stats
 	// differ, hence it is fingerprinted.
 	NoBnB bool `json:"no_bnb,omitempty"`
 	// Machine overrides the emulated hardware imperfections; nil uses

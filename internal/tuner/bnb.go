@@ -4,34 +4,34 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
-	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
 
-// This file implements the branch-and-bound search strategy (the default):
-// instead of walking the grid in canonical order and pruning only against the
-// canonical best-so-far, it probes every point cheaply first — structural
-// checks, the scheme's order-free shape, an admissible throughput upper bound
-// and an admissible memory lower bound, no schedule built — and then expands
-// the feasible points in best-first order (highest bound first, provably-OOM
-// points last), building and simulating only those.
-// The best candidates surface early, so the bound prune fires on most of the
-// remaining grid, and points whose memory lower bound already exceeds the
-// device budget are skipped entirely once any positive-throughput incumbent
-// exists (their simulated throughput is provably zero under Equation 1's OOM
-// penalty).
+// This file is the probe pass of the search driver (Tuner.search): every
+// grid point is checked structurally and bounded cheaply — the scheme's
+// order-free shape, an admissible throughput upper bound and an admissible
+// memory lower bound, no schedule built — and the feasible points are handed
+// to the merge loop as nodes, in the order they are to be expanded.
 //
-// The strategy is exact: it returns the byte-identical best candidate the
-// grid walk returns, with the same canonical tie-break (highest throughput,
+// Best-first (the default) expands the highest bound first and provably-OOM
+// points last: the best candidates surface early, so the bound prune fires on
+// most of the remaining grid, and points whose memory lower bound already
+// exceeds the device budget are skipped entirely once any positive-throughput
+// incumbent exists (their simulated throughput is provably zero under
+// Equation 1's OOM penalty). Space.NoBnB keeps the canonical grid order
+// instead, with the same bounds and the same prune rule; Space.NoPrune makes
+// every bound vacuous, so nothing is pruned.
+//
+// Every order is exact: the search returns the best candidate the exhaustive
+// walk returns, with the same canonical tie-break (highest throughput,
 // earliest grid index among ties). The equivalence is pinned by differential
-// tests against searchGrid with Space.NoPrune. Only the exploration order —
-// and with it the subset of points that get simulated, the trace contents and
-// the ordering-variant stats counters — differs; the ordering-invariant
+// tests against an independent exhaustive argmax. Only the exploration order
+// — and with it the subset of points that get simulated, the trace contents
+// and the ordering-variant stats counters — differs; the ordering-invariant
 // digest (SearchStats.invariant) is preserved.
 
 // bnbNode is one probed, structurally feasible grid point awaiting
@@ -60,29 +60,36 @@ func (n bnbNode) effUB() float64 {
 	return n.ub
 }
 
-// Merge-time outcomes of a bnb node.
-const (
-	exploreNode = iota
-	memPruneNode
-	boundPruneNode
-)
+// dominatedBy reports whether an incumbent throughput already rules the node
+// out: its bound is strictly below it, or the node is provably OOM while the
+// incumbent is positive. This is the one skip rule of every concurrent outcome
+// source (pool workers, fleet workers). It is strictly more conservative than
+// the merge loop's decide — no tie-break, so a bound tie is evaluated — which
+// is why a skip against any incumbent the merge has reached or will reach
+// before the node is always confirmed.
+func (n bnbNode) dominatedBy(incumbent float64) bool {
+	return n.ub < incumbent || (n.doomed && incumbent > 0)
+}
 
 // probePoint runs the cheap prefix of evalPoint — the structural feasibility
 // checks, the scheme's order-free shape and the estimator fit — and computes
-// the branch-and-bound bounds from them. No schedule is built: both bounds
-// need only the per-device instruction multiset and the placement. It reports
-// ok=false for structurally infeasible points (the same set evalPoint
-// rejects). It records no telemetry; the caller synthesizes the canonical
-// spans.
+// the bounds from them. No schedule is built: both bounds need only the
+// per-device instruction multiset and the placement. Under Space.NoPrune the
+// node keeps the vacuous bounds (ub = +Inf, not doomed), which no incumbent
+// prunes. It reports ok=false for structurally infeasible points (the same
+// set evalPoint rejects). It records no telemetry; the caller synthesizes the
+// canonical spans.
 func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 	nd = bnbNode{p: p, ub: math.Inf(1)}
 	_, sh, est, _, ok := t.pointShape(space, p)
 	if !ok {
 		return nd, false
 	}
-	nd.ub = t.throughputBound(sh, est, p)
-	nd.memLB = memLowerBound(sh.Placement, est)
-	nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
+	if !space.NoPrune {
+		nd.ub = t.throughputBound(sh, est, p)
+		nd.memLB = memLowerBound(sh.Placement, est)
+		nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
+	}
 	return nd, true
 }
 
@@ -96,8 +103,8 @@ func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 // which the canonical tie-break needs — at no measurable loss of pruning.
 const boundSlack = 1e-9
 
-// throughputBound is the one admissible throughput upper bound every search
-// driver prunes with: samples per iteration over a lower bound on the
+// throughputBound is the one admissible throughput upper bound the search
+// prunes with: samples per iteration over a lower bound on the
 // simulated makespan, times the DP efficiency. It needs the point's shape
 // (per-device instruction multiset + placement), never the schedule's order.
 //
@@ -293,29 +300,26 @@ func memLowerBound(pl pipeline.Placement, est *cost.Estimator) float64 {
 	return worst
 }
 
-// pruneInfeasible records one structurally infeasible grid point: the
-// stats/metrics counters plus the canonical prune span. Every search
-// strategy (grid merge insurance, bnb probe and merge, fleet merge) funnels
-// structural prunes through it so the telemetry is strategy-independent.
+// pruneInfeasible records one structurally infeasible grid point: the stats
+// counter plus the canonical prune span. The probe pass and the merge loop
+// (for a point whose full evaluation fails after its probe passed) both go
+// through it.
 func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) {
 	stats.Pruned++
 	t.publishStats(*stats)
-	if m := t.Metrics; m != nil {
-		m.PointsPruned.Inc()
-	}
-	ps := tracer.Detached(telemetry.PhasePoint, pointKey(idx, p))
+	ps := pointSpan(tracer, idx, p)
 	ps.SetStr("result", "infeasible")
 	ps.End()
 	ps.AttachTo(search)
 }
 
-// probeAll runs the branch-and-bound probe pass: every grid point is probed
-// sequentially in canonical order (attaching the structural-prune spans
-// exactly as the grid walk would), and the feasible nodes come back sorted
-// best-first — descending bound, canonical index among ties, provably-OOM
-// points last. Both the local bnb strategy and the fleet coordinator start
-// here, which is what keeps their probe telemetry and expansion order
-// identical.
+// probeAll is the probe pass: every grid point is probed sequentially in
+// canonical order (attaching the structural-prune spans as it goes), and the
+// feasible nodes come back in expansion order — best-first by default
+// (descending bound, canonical index among ties, provably-OOM points last),
+// canonical grid order under Space.NoBnB or Space.NoPrune. It runs on the
+// search goroutine whatever the outcome source, which is what keeps the probe
+// telemetry and the expansion order identical across sources.
 func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
 	nodes := make([]bnbNode, 0, len(points))
 	for i, p := range points {
@@ -330,260 +334,14 @@ func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, t
 		nd.idx = i
 		nodes = append(nodes, nd)
 	}
-	sort.Slice(nodes, func(a, b int) bool {
-		ua, ub := nodes[a].effUB(), nodes[b].effUB()
-		if ua != ub {
-			return ua > ub
-		}
-		return nodes[a].idx < nodes[b].idx
-	})
+	if !space.NoBnB && !space.NoPrune {
+		sort.Slice(nodes, func(a, b int) bool {
+			ua, ub := nodes[a].effUB(), nodes[b].effUB()
+			if ua != ub {
+				return ua > ub
+			}
+			return nodes[a].idx < nodes[b].idx
+		})
+	}
 	return nodes, nil
-}
-
-// searchBnB is the branch-and-bound strategy. Phase 1 and 2 are probeAll:
-// probe every point in canonical order, sort the feasible nodes best-first.
-// Phase 3 expands the sorted nodes through the worker pool and
-// merges results in sorted order, pruning against the incumbent with the
-// canonical tie-break, so the returned best candidate is byte-identical to
-// the grid walk's for every worker count.
-//
-// Worker-side skips are sound for the same reason as in the grid walk:
-// mergedBest only grows and never exceeds the merge loop's incumbent, so any
-// bound or doom the worker observed still holds when the merge loop decides
-// the node. Prune spans are always synthesized at merge time (a speculative
-// worker evaluation that lost the race is discarded wholesale), so the
-// canonical telemetry never depends on scheduling.
-func (t *Tuner) searchBnB(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	pruneInfeasible := func(idx int, p gridPoint) {
-		t.pruneInfeasible(idx, p, tracer, search, stats)
-	}
-
-	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var best *Candidate
-	bestIdx := -1
-	mb := &mergedBest{}
-	type traceEnt struct {
-		idx int
-		c   Candidate
-	}
-	var ents []traceEnt
-
-	// decide classifies a node against the incumbent. Runs on the merge
-	// goroutine only.
-	decide := func(nd bnbNode) int {
-		if best == nil {
-			return exploreNode
-		}
-		if nd.doomed && best.Throughput > 0 {
-			return memPruneNode
-		}
-		// A node whose bound cannot beat the incumbent — or can at most tie
-		// it from a later canonical index, losing the tie-break — never
-		// changes the result.
-		if nd.ub < best.Throughput || (nd.ub == best.Throughput && nd.idx > bestIdx) {
-			return boundPruneNode
-		}
-		return exploreNode
-	}
-
-	synthPrune := func(nd bnbNode, result string) telemetry.Span {
-		ps := tracer.Detached(telemetry.PhasePoint, pointKey(nd.idx, nd.p))
-		ps.SetStr("result", result)
-		return ps
-	}
-
-	merge := func(nd bnbNode, pr pointResult) error {
-		sp := pr.span
-		// Workers that skipped every remaining node (the incumbent already
-		// dominates them) never observe a cancellation, so the merge loop
-		// checks it directly: a cancelled search must abort, not complete.
-		if cerr := ctx.Err(); cerr != nil {
-			sp.Discard()
-			return cerr
-		}
-		if pr.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				sp.Discard()
-				return cerr
-			}
-			// Stale cancellation from a memo entry another (cancelled) search
-			// computed: drop it and fall through as a skip; the explore path
-			// below re-evaluates under our live context.
-			sp.Discard()
-			sp = telemetry.Span{}
-			pr = pointResult{feasible: true, skipped: true}
-		}
-		if !pr.feasible {
-			// The probe's structural prefix passed but the full evaluation
-			// still failed (a graph-pass error): the grid walk counts that as
-			// a structural prune, so the bnb path does too.
-			sp.Discard()
-			pruneInfeasible(nd.idx, nd.p)
-			return nil
-		}
-		switch decide(nd) {
-		case memPruneNode:
-			sp.Discard()
-			stats.MemPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsMemPruned.Inc()
-			}
-			ps := synthPrune(nd, "memory_pruned")
-			ps.SetFloat("mem_lb", nd.memLB)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		case boundPruneNode:
-			sp.Discard()
-			stats.BoundPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsBoundPruned.Inc()
-			}
-			ps := synthPrune(nd, "bound_pruned")
-			ps.SetFloat("ub", nd.ub)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		}
-		c := pr.cand
-		if c == nil {
-			// The worker skipped but the incumbent cannot justify the prune
-			// (e.g. a bound tie from an earlier canonical index): evaluate
-			// inline so the result stays exact.
-			sp.Discard()
-			forced := t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
-			sp = forced.span
-			if forced.err != nil {
-				sp.Discard()
-				return forced.err
-			}
-			c = forced.cand
-			if c == nil {
-				sp.Discard()
-				pruneInfeasible(nd.idx, nd.p)
-				return nil
-			}
-		}
-		stats.Explored++
-		if c.OOM {
-			stats.OOMRejected++
-		}
-		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
-		improved := best == nil || c.Throughput > best.Throughput ||
-			(c.Throughput == best.Throughput && nd.idx < bestIdx)
-		if improved {
-			cc := *c
-			best = &cc
-			bestIdx = nd.idx
-			stats.Improved++
-			mb.store(best.Throughput)
-		}
-		t.publishStats(*stats)
-		if m := t.Metrics; m != nil {
-			m.PointsExplored.Inc()
-			if c.OOM {
-				m.PointsOOM.Inc()
-			}
-			if improved {
-				m.PointsImproved.Inc()
-			}
-		}
-		if c.OOM {
-			sp.SetStr("result", "oom")
-		} else {
-			sp.SetStr("result", "explored")
-		}
-		sp.SetFloat("throughput", c.Throughput)
-		sp.SetFloat("ub", nd.ub)
-		if improved {
-			sp.SetBool("improved", true)
-		}
-		sp.AttachTo(search)
-		if t.Progress != nil {
-			t.Progress(*c, *best)
-		}
-		return nil
-	}
-
-	var searchErr error
-	if space.Workers <= 1 || len(nodes) <= 1 {
-		for _, nd := range nodes {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				break
-			}
-			pr := pointResult{feasible: true, skipped: true}
-			if decide(nd) == exploreNode {
-				pr = t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
-			}
-			if err := merge(nd, pr); err != nil {
-				searchErr = err
-				break
-			}
-		}
-	} else {
-		workers := space.Workers
-		if workers > len(nodes) {
-			workers = len(nodes)
-		}
-		results := make([]pointResult, len(nodes))
-		ready := make([]chan struct{}, len(nodes))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		jobs := make(chan int, len(nodes))
-		for i := range nodes {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine
-				for j := range jobs {
-					if err := ctx.Err(); err != nil {
-						results[j] = pointResult{err: err}
-						close(ready[j])
-						continue
-					}
-					nd := nodes[j]
-					if v, ok := mb.load(); ok && (nd.ub < v || (nd.doomed && v > 0)) {
-						// mergedBest only grows, so the merge loop's own
-						// decide() is guaranteed to confirm this skip.
-						results[j] = pointResult{feasible: true, skipped: true}
-						close(ready[j])
-						continue
-					}
-					results[j] = t.evalTraced(ctx, space, nd.idx, nd.p, &nd, nil, eng, tracer)
-					close(ready[j])
-				}
-				t.Metrics.AddSims(eng.Sims)
-			}()
-		}
-		for j := range nodes {
-			<-ready[j]
-			if searchErr == nil {
-				searchErr = merge(nodes[j], results[j])
-			}
-		}
-		wg.Wait()
-	}
-
-	sort.Slice(ents, func(a, b int) bool { return ents[a].idx < ents[b].idx })
-	var trace []Candidate
-	if len(ents) > 0 {
-		trace = make([]Candidate, len(ents))
-		for i := range ents {
-			trace[i] = ents[i].c
-		}
-	}
-	return best, trace, searchErr
 }

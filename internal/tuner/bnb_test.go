@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -10,6 +11,8 @@ import (
 	"mario/internal/pipeline"
 	"mario/internal/place"
 	"mario/internal/profile"
+	"mario/internal/sim"
+	"mario/internal/telemetry"
 )
 
 // pointOf reconstructs the canonical grid coordinate of a traced candidate.
@@ -55,10 +58,10 @@ func runSpace(t *testing.T, sp Space, mut func(*Tuner)) searchRun {
 	return run
 }
 
-// stratOut is the strategy-independent outcome of a Search: the error text,
-// the best candidate rendered byte-exactly, and the ordering-invariant stats
+// stratOut is the order-independent outcome of a Search: the error text, the
+// best candidate rendered byte-exactly, and the ordering-invariant stats
 // digest. Traces and ordering-variant counters legitimately differ between
-// the grid walk and branch-and-bound, so they are excluded.
+// expansion orders, so they are excluded.
 type stratOut struct {
 	err      string
 	best     string
@@ -66,11 +69,7 @@ type stratOut struct {
 	feasible int
 }
 
-func runStrategy(sp Space, mut func(*Tuner)) stratOut {
-	tn := newTuner()
-	if mut != nil {
-		mut(tn)
-	}
+func runStrategy(tn *Tuner, sp Space) stratOut {
 	best, _, err := tn.Search(sp)
 	out := stratOut{}
 	out.pruned, out.feasible = tn.Stats.invariant()
@@ -82,12 +81,69 @@ func runStrategy(sp Space, mut func(*Tuner)) stratOut {
 	return out
 }
 
+// exhaustiveArgmax is the dumb oracle every expansion order is checked
+// against: evaluate every grid point and keep the highest throughput, the
+// lowest canonical index among ties. No probe, no bound, no incumbent
+// decision, no driver — it shares only the point evaluation with the search.
+func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
+	t.Helper()
+	sp = sp.withDefaults()
+	eng := &sim.Simulator{}
+	var best *Candidate
+	var out stratOut
+	for _, p := range enumerate(sp) {
+		pr := tn.evalPoint(context.Background(), sp, p, eng, telemetry.Span{})
+		if pr.err != nil {
+			t.Fatalf("oracle evaluation of %s: %v", pointKey(0, p), pr.err)
+		}
+		if pr.cand == nil {
+			out.pruned++
+			continue
+		}
+		out.feasible++
+		if best == nil || pr.cand.Throughput > best.Throughput {
+			best = pr.cand
+		}
+	}
+	if best == nil {
+		out.err = "tuner: no feasible configuration in the search space"
+		return out
+	}
+	out.best = candString(*best)
+	return out
+}
+
+// searchOrders are the expansion orders of the one driver.
+var searchOrders = []struct {
+	name string
+	set  func(*Space)
+}{
+	{"best-first", func(*Space) {}},
+	{"NoBnB", func(sp *Space) { sp.NoBnB = true }},
+	{"NoPrune", func(sp *Space) { sp.NoPrune = true }},
+}
+
+// checkOrdersAgainstOracle runs the space in every expansion order, each on a
+// fresh tuner from mk, and demands the oracle's outcome from all of them: the
+// byte-identical best candidate (or the identical error) and the same
+// structural-prune / feasible partition of the grid.
+func checkOrdersAgainstOracle(t *testing.T, sp Space, mk func() *Tuner) {
+	t.Helper()
+	oracle := exhaustiveArgmax(t, mk(), sp)
+	for _, o := range searchOrders {
+		osp := sp
+		o.set(&osp)
+		if got := runStrategy(mk(), osp); got != oracle {
+			t.Errorf("%s search differs from the exhaustive argmax (space %+v):\n   got: %+v\noracle: %+v", o.name, sp, got, oracle)
+		}
+	}
+}
+
 // TestBnBMatchesGridArgmax is the headline equivalence contract: on the same
-// space, the branch-and-bound search (the default), the canonical grid walk
-// (NoBnB) and the exhaustive walk (NoPrune) return the byte-identical best
-// candidate and partition the grid into the same structural-prune / feasible
-// sets, while branch-and-bound simulates no more points than the exhaustive
-// walk.
+// space, the best-first search (the default), the canonical-order search
+// (NoBnB) and the unpruned one (NoPrune) all return the exhaustive argmax,
+// byte for byte, and partition the grid into the same structural-prune /
+// feasible sets.
 func TestBnBMatchesGridArgmax(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -121,47 +177,11 @@ func TestBnBMatchesGridArgmax(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := func(tn *Tuner) { tn.SplitBackward = tc.split }
-
-			bnbSp := tc.sp
-			bnb := runStrategy(bnbSp, mut)
-
-			gridSp := tc.sp
-			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, mut)
-
-			fullSp := tc.sp
-			fullSp.NoPrune = true
-			fullTn := newTuner()
-			mut(fullTn)
-			fullBest, _, err := fullTn.Search(fullSp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full := stratOut{best: candString(*fullBest)}
-			full.pruned, full.feasible = fullTn.Stats.invariant()
-
-			if bnb.err != "" || grid.err != "" {
-				t.Fatalf("unexpected errors: bnb=%q grid=%q", bnb.err, grid.err)
-			}
-			if bnb.best != grid.best {
-				t.Errorf("bnb best differs from grid best:\n bnb: %s\ngrid: %s", bnb.best, grid.best)
-			}
-			if bnb.best != full.best {
-				t.Errorf("bnb best differs from exhaustive best:\n bnb: %s\nfull: %s", bnb.best, full.best)
-			}
-			for _, o := range []struct {
-				name string
-				out  stratOut
-			}{{"grid", grid}, {"full", full}} {
-				if bnb.pruned != o.out.pruned || bnb.feasible != o.out.feasible {
-					t.Errorf("invariant digest differs bnb=(%d,%d) %s=(%d,%d)",
-						bnb.pruned, bnb.feasible, o.name, o.out.pruned, o.out.feasible)
-				}
-			}
-			if exhaustive := fullTn.Stats.Explored; bnb.feasible != exhaustive {
-				t.Errorf("bnb accounts for %d feasible points, exhaustive explored %d", bnb.feasible, exhaustive)
-			}
+			checkOrdersAgainstOracle(t, tc.sp, func() *Tuner {
+				tn := newTuner()
+				tn.SplitBackward = tc.split
+				return tn
+			})
 		})
 	}
 }
@@ -249,7 +269,7 @@ func TestBnBMemoryPruneDeterministic(t *testing.T) {
 
 	gridSp := sp
 	gridSp.NoBnB = true
-	grid := runStrategy(gridSp, nil)
+	grid := runStrategy(newTuner(), gridSp)
 	if grid.err != "" {
 		t.Fatal(grid.err)
 	}
@@ -314,7 +334,7 @@ func TestBnBBoundAdmissible(t *testing.T) {
 			if len(trace) == 0 {
 				t.Fatal("exhaustive search produced an empty trace")
 			}
-			spd := sp.withDefaults()
+			spd := tc.sp.withDefaults() // the bounds a pruning search computes
 			for _, c := range trace {
 				nd, ok := tn.probePoint(spd, pointOf(c))
 				if !ok {
@@ -462,10 +482,10 @@ func TestBnBEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bnb := runStrategy(tc.sp, nil)
+			bnb := runStrategy(newTuner(), tc.sp)
 			gridSp := tc.sp
 			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, nil)
+			grid := runStrategy(newTuner(), gridSp)
 			if bnb.err != grid.err {
 				t.Fatalf("error parity broken: bnb=%q grid=%q", bnb.err, grid.err)
 			}
@@ -531,11 +551,11 @@ func TestBnBExplorationEfficiency(t *testing.T) {
 	}
 }
 
-// FuzzBnBArgmaxEquivalence drives the branch-and-bound search and the
-// exhaustive grid walk over randomized small spaces and demands the
+// FuzzBnBArgmaxEquivalence drives the search, in every expansion order, and
+// the exhaustive argmax oracle over randomized small spaces and demands the
 // byte-identical best plan, matching error text, and an equal
 // ordering-invariant stats digest — the differential fuzzer for the search
-// strategy, mirroring FuzzDeltaSimEquivalence for the simulator.
+// driver, mirroring FuzzDeltaSimEquivalence for the simulator.
 func FuzzBnBArgmaxEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint16(32), uint8(3), uint8(1), uint8(0), false)
 	f.Add(uint8(1), uint16(16), uint8(5), uint8(15), uint8(3), true)
@@ -579,33 +599,8 @@ func FuzzBnBArgmaxEquivalence(f *testing.F) {
 			Model: cost.LLaMA2_3B, HW: cost.A100_40G,
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4,
 		}
-		run := func(noPrune bool) (best string, pruned, feasible int, err error) {
-			tn := &Tuner{Prof: prof, MaxRounds: 2, SplitBackward: split}
-			s := sp
-			s.NoPrune = noPrune
-			b, _, err := tn.Search(s)
-			pruned, feasible = tn.Stats.invariant()
-			if err != nil {
-				return "", pruned, feasible, err
-			}
-			return candString(*b), pruned, feasible, nil
-		}
-		bBest, bP, bF, bErr := run(false)
-		gBest, gP, gF, gErr := run(true)
-		switch {
-		case (bErr == nil) != (gErr == nil):
-			t.Fatalf("error parity broken: bnb=%v grid=%v (space %+v)", bErr, gErr, sp)
-		case bErr != nil:
-			if bErr.Error() != gErr.Error() {
-				t.Fatalf("error text differs: bnb=%q grid=%q", bErr, gErr)
-			}
-			return
-		}
-		if bBest != gBest {
-			t.Fatalf("argmax differs (space %+v):\n bnb: %s\nfull: %s", sp, bBest, gBest)
-		}
-		if bP != gP || bF != gF {
-			t.Fatalf("invariant digest differs: bnb=(%d,%d) full=(%d,%d)", bP, bF, gP, gF)
-		}
+		checkOrdersAgainstOracle(t, sp, func() *Tuner {
+			return &Tuner{Prof: prof, MaxRounds: 2, SplitBackward: split}
+		})
 	})
 }

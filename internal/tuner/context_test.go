@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mario/internal/cost"
+	"mario/internal/telemetry"
 )
 
 func testSpace(workers int) Space {
@@ -67,7 +68,10 @@ func TestSearchContextPreCancelled(t *testing.T) {
 
 // Cancelling mid-search from a Progress callback aborts promptly and a
 // subsequent SearchContext on the same Tuner (shared memo caches) still
-// completes correctly — a cancelled compute must not poison the memo.
+// completes correctly — a cancelled compute must not poison the memo. Local
+// or fleet, the registry series of the cancelled search equal the snapshots
+// it published: what a search merged before it stopped is accounted for once,
+// in both places.
 func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 	ref := newTuner()
 	refBest, refTrace, err := ref.Search(testSpace(1))
@@ -75,31 +79,43 @@ func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tn := newTuner()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	seen := 0
-	tn.Progress = func(c Candidate, best Candidate) {
-		seen++
-		if seen == 2 {
-			cancel()
+	for _, fleet := range []bool{false, true} {
+		tn := newTuner()
+		if fleet {
+			tn.Sharder = newHarness(testSpace(4), newTuner, 2, 2, 2)
 		}
-	}
-	_, _, err = tn.SearchContext(ctx, testSpace(4))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-flight cancel: err = %v, want context.Canceled", err)
-	}
+		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		seen := 0
+		tn.Progress = func(c Candidate, best Candidate) {
+			seen++
+			if seen == 2 {
+				cancel()
+			}
+		}
+		_, _, err = tn.SearchContext(ctx, testSpace(4))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fleet=%v: mid-flight cancel: err = %v, want context.Canceled", fleet, err)
+		}
+		if fleet && tn.FleetSnapshot().Waves == 0 {
+			t.Errorf("cancelled fleet search published no fleet counters")
+		}
+		checkRegistryMatchesSnapshots(t, tn)
 
-	tn.Progress = nil
-	best, trace, err := tn.SearchContext(context.Background(), testSpace(4))
-	if err != nil {
-		t.Fatalf("retry after cancel: %v", err)
-	}
-	if best.Label() != refBest.Label() || best.Throughput != refBest.Throughput {
-		t.Errorf("retry best %s (%v) != reference %s (%v)", best.Label(), best.Throughput, refBest.Label(), refBest.Throughput)
-	}
-	if len(trace) != len(refTrace) {
-		t.Errorf("retry trace length %d != %d", len(trace), len(refTrace))
+		tn.Progress = nil
+		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+		best, trace, err := tn.SearchContext(context.Background(), testSpace(4))
+		if err != nil {
+			t.Fatalf("fleet=%v: retry after cancel: %v", fleet, err)
+		}
+		if best.Label() != refBest.Label() || best.Throughput != refBest.Throughput {
+			t.Errorf("fleet=%v: retry best %s (%v) != reference %s (%v)", fleet, best.Label(), best.Throughput, refBest.Label(), refBest.Throughput)
+		}
+		if len(trace) != len(refTrace) {
+			t.Errorf("fleet=%v: retry trace length %d != %d", fleet, len(trace), len(refTrace))
+		}
+		checkRegistryMatchesSnapshots(t, tn)
 	}
 }
 

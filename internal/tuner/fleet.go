@@ -4,37 +4,31 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
 
-// This file implements the fleet search strategy: the branch-and-bound
-// expansion of bnb.go distributed across a planning fleet. The coordinator
-// runs the cheap probe pass once (structural checks, scheme shapes,
-// admissible bounds), sorts the feasible nodes best-first exactly like
-// searchBnB, and then dispatches waves of shard batches through a
+// This file is the fleet outcome source of the search driver (Tuner.search)
+// and the worker half of its protocol. The coordinator runs the probe pass and
+// the merge loop exactly as a local search does; only the evaluation of the
+// ordered nodes moves out, in waves of shard batches through a
 // ShardDispatcher — an HTTP fan-out in production (internal/serve), an
-// in-process evaluator in tests. Between waves the coordinator broadcasts
-// the global incumbent throughput so workers skip shard points the
-// incumbent already dooms.
+// in-process evaluator in tests. Each wave ships the merged incumbent
+// throughput so workers skip shard points it already dooms.
 //
-// The strategy preserves every determinism contract of the local search:
-// the merge loop consumes outcomes in the same sorted order searchBnB
-// uses and re-applies the same decide() classification against the
-// canonical incumbent, so the best candidate, the trace, the SearchStats
-// and the synthesized span tree are byte-identical for every fleet shape
-// (workers × shards, including 1×1) and the marshaled plan is
-// byte-identical to a single-node run. Worker-side incumbent skips are
-// exact for the same reason worker skips are exact in searchBnB: a
-// broadcast incumbent is the true throughput of a candidate whose bound
-// sorts it strictly before every node it prunes, so the merge loop's own
-// incumbent always confirms the skip; the unreachable disagreement case
-// falls back to a local evaluation.
+// Because the merge loop re-decides every node against its own incumbent, the
+// best candidate, the trace, the SearchStats and the span tree are
+// byte-identical for every fleet shape (workers × shards, including 1×1) and
+// the marshaled plan is byte-identical to a single-node run. Worker-side
+// skips are exact for the reason pool-worker skips are: a shipped or
+// batch-local incumbent is the true throughput of a candidate that is merged
+// before every node it rules out (bnbNode.dominatedBy), so the merge loop's
+// incumbent always confirms the skip; the unreachable disagreement case falls
+// back to a local evaluation.
 
-// DefaultShardChunk is the number of sorted nodes a shard receives per
+// DefaultShardChunk is the number of ordered nodes a shard receives per
 // dispatch wave when the dispatcher does not choose its own batch size.
 // Small enough that the incumbent refreshes while the search is still
 // exploring high-bound nodes, large enough to amortize a dispatch
@@ -52,7 +46,7 @@ const (
 	ShardSkipped = "skipped"
 	// ShardInfeasible marks a point whose full evaluation failed even
 	// though the coordinator's probe passed (a graph-pass error); the
-	// merge counts it as a structural prune, as the local strategies do.
+	// merge counts it as a structural prune, as it does for a local one.
 	ShardInfeasible = "infeasible"
 )
 
@@ -116,7 +110,7 @@ type ShardDispatcher interface {
 	// Shards is the number of partitions per wave (usually the worker
 	// count); values < 1 mean 1.
 	Shards() int
-	// ChunkSize is the number of sorted nodes per shard per wave; values
+	// ChunkSize is the number of ordered nodes per shard per wave; values
 	// < 1 mean DefaultShardChunk.
 	ChunkSize() int
 	// Dispatch evaluates one shard's batch, in the given order, pruning
@@ -164,12 +158,12 @@ func (t *Tuner) publishFleet(f FleetStats) {
 }
 
 // EvalShard is the worker half of the fleet protocol: it evaluates one
-// dispatched batch in order, skipping points the incumbent dooms and
-// advancing a batch-local incumbent as it explores. It touches neither
-// SearchStats nor spans — outcome accounting is the coordinator's job, so
-// worker results are position-independent. The skip predicate is strictly
-// conservative (strict <, positive incumbent for doomed points), which is
-// what guarantees the coordinator's merge loop confirms every skip.
+// dispatched batch in order, skipping points the incumbent dooms
+// (bnbNode.dominatedBy) and advancing a batch-local incumbent as it explores.
+// It touches neither SearchStats nor spans — outcome accounting is the
+// coordinator's job, so worker results are position-independent. Simulations
+// run before an early return (cancellation, a bad index) still count in
+// mario_search_sims.
 func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint, incumbent float64, hasIncumbent bool) ([]ShardOutcome, error) {
 	space = space.withDefaults()
 	if space.Devices <= 0 || space.GlobalBatch <= 0 {
@@ -177,6 +171,7 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 	}
 	grid := enumerate(space)
 	eng := &sim.Simulator{}
+	defer func() { t.Metrics.AddSims(eng.Sims) }()
 	out := make([]ShardOutcome, 0, len(points))
 	inc, hasInc := incumbent, hasIncumbent
 	for _, sp := range points {
@@ -186,16 +181,15 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 		if sp.Idx < 0 || sp.Idx >= len(grid) {
 			return nil, fmt.Errorf("tuner: shard point index %d outside grid of %d points", sp.Idx, len(grid))
 		}
-		if hasInc && ((sp.Doomed && inc > 0) || sp.ub() < inc) {
+		if hasInc && (bnbNode{ub: sp.ub(), doomed: sp.Doomed}).dominatedBy(inc) {
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardSkipped})
 			continue
 		}
-		nd := bnbNode{idx: sp.Idx, p: grid[sp.Idx], ub: sp.ub()}
-		pr := t.evalPoint(ctx, space, nd.p, &nd, nil, eng, telemetry.Span{})
+		pr := t.evalPoint(ctx, space, grid[sp.Idx], eng, telemetry.Span{})
 		if pr.err != nil {
 			return nil, pr.err
 		}
-		if !pr.feasible || pr.cand == nil {
+		if pr.cand == nil {
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardInfeasible})
 			continue
 		}
@@ -204,189 +198,43 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 			inc, hasInc = pr.cand.Throughput, true
 		}
 	}
-	t.Metrics.AddSims(eng.Sims)
 	return out, nil
 }
 
-// searchFleet is the coordinator strategy. Phase 1 and 2 are searchBnB's:
-// probe every point in canonical order, sort feasible nodes best-first.
-// Phase 3 walks the sorted nodes in waves of Shards×ChunkSize: within a
-// wave, sorted position j belongs to shard j mod Shards, every non-empty
-// shard batch is dispatched concurrently with the current incumbent, and
-// the outcomes are merged back in sorted order with the same decide()
-// classification the local strategies use. Dispatch failures degrade to a
-// local evaluation of the lost batch, so the result never depends on
-// fleet health — only the FleetStats do.
-func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+// shardSource is the fleet outcome source. The ordered nodes are walked in
+// waves of Shards×ChunkSize: when the merge loop asks for the first node of a
+// wave, position k of the wave is assigned to shard k mod Shards, every
+// non-empty shard batch is dispatched concurrently with the merged incumbent,
+// and the outcomes are held until the merge loop has asked for each. A batch
+// whose dispatch fails is evaluated here with the same incumbent (EvalShard),
+// so the search result never depends on fleet health — only fl does.
+//
+// Note: no fleet-shape attribute lands on any span — the span tree is
+// byte-identical for every workers×shards shape, and the shape lives in
+// FleetStats and the mario_search_fleet_* series instead.
+func (t *Tuner) shardSource(ctx context.Context, space Space, nodes []bnbNode, mb *mergedBest, fl *FleetStats) func(j int) pointResult {
 	d := t.Sharder
-	shards := d.Shards()
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(d.Shards(), 1)
 	chunk := d.ChunkSize()
 	if chunk < 1 {
 		chunk = DefaultShardChunk
 	}
-	// Note: no fleet-shape attribute on the search span — the span tree is
-	// byte-identical for every workers×shards shape, and the shape lives in
-	// FleetStats and the mario_search_fleet_* series instead.
-
-	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var best *Candidate
-	bestIdx := -1
-	type traceEnt struct {
-		idx int
-		c   Candidate
-	}
-	var ents []traceEnt
-	var fl FleetStats
-	defer func() { t.publishFleet(fl) }()
-
-	// decide duplicates searchBnB's classification (it closes over this
-	// search's incumbent).
-	decide := func(nd bnbNode) int {
-		if best == nil {
-			return exploreNode
-		}
-		if nd.doomed && best.Throughput > 0 {
-			return memPruneNode
-		}
-		if nd.ub < best.Throughput || (nd.ub == best.Throughput && nd.idx > bestIdx) {
-			return boundPruneNode
-		}
-		return exploreNode
-	}
-
-	synth := func(nd bnbNode, result string) telemetry.Span {
-		ps := tracer.Detached(telemetry.PhasePoint, pointKey(nd.idx, nd.p))
-		ps.SetStr("result", result)
-		return ps
-	}
-
-	// merge folds one node's outcome into the search state, in sorted
-	// order. Decisions replay decide() against the canonical incumbent —
-	// never against worker-time state — which is what makes the result
-	// independent of the fleet shape. Explored points get a synthesized
-	// span built purely from the outcome, so the span tree is fleet-shape
-	// independent too (fleet point spans carry no build/sim children; the
-	// per-phase telemetry lives on the workers).
-	merge := func(nd bnbNode, oc ShardOutcome, ok bool) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		switch decide(nd) {
-		case memPruneNode:
-			stats.MemPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsMemPruned.Inc()
-			}
-			ps := synth(nd, "memory_pruned")
-			ps.SetFloat("mem_lb", nd.memLB)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		case boundPruneNode:
-			stats.BoundPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsBoundPruned.Inc()
-			}
-			ps := synth(nd, "bound_pruned")
-			ps.SetFloat("ub", nd.ub)
-			ps.End()
-			ps.AttachTo(search)
-			return nil
-		}
-		var c *Candidate
-		switch {
-		case ok && oc.Status == ShardExplored && oc.Cand != nil:
-			c = oc.Cand
-		case ok && oc.Status == ShardInfeasible:
-			// The probe passed but the full evaluation failed (a graph-pass
-			// error): the local strategies count that as a structural prune,
-			// so the fleet does too.
-			t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
-			return nil
-		default:
-			// A worker skip the incumbent cannot justify, or a missing
-			// outcome: evaluate locally so the result stays exact.
-			fl.Forced++
-			pr := t.evalPoint(ctx, space, nd.p, &nd, nil, eng, telemetry.Span{})
-			if pr.err != nil {
-				return pr.err
-			}
-			if !pr.feasible || pr.cand == nil {
-				t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
-				return nil
-			}
-			c = pr.cand
-		}
-		stats.Explored++
-		if c.OOM {
-			stats.OOMRejected++
-		}
-		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
-		improved := best == nil || c.Throughput > best.Throughput ||
-			(c.Throughput == best.Throughput && nd.idx < bestIdx)
-		if improved {
-			cc := *c
-			best = &cc
-			bestIdx = nd.idx
-			stats.Improved++
-		}
-		t.publishStats(*stats)
-		if m := t.Metrics; m != nil {
-			m.PointsExplored.Inc()
-			if c.OOM {
-				m.PointsOOM.Inc()
-			}
-			if improved {
-				m.PointsImproved.Inc()
-			}
-		}
-		ps := synth(nd, "explored")
-		if c.OOM {
-			ps.SetStr("result", "oom")
-		}
-		ps.SetFloat("throughput", c.Throughput)
-		ps.SetFloat("ub", nd.ub)
-		if improved {
-			ps.SetBool("improved", true)
-		}
-		ps.End()
-		ps.AttachTo(search)
-		if t.Progress != nil {
-			t.Progress(*c, *best)
-		}
-		return nil
-	}
-
 	stride := shards * chunk
-	for start := 0; start < len(nodes); start += stride {
-		end := start + stride
-		if end > len(nodes) {
-			end = len(nodes)
+	var wave map[int]ShardOutcome // the current wave's outcomes by grid index
+
+	dispatch := func(batch []bnbNode) {
+		wave = make(map[int]ShardOutcome, len(batch))
+		if ctx.Err() != nil {
+			return // the merge loop aborts on the first node it asks for
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		inc, hasInc := 0.0, false
-		if best != nil {
-			inc, hasInc = best.Throughput, true
-		}
+		inc, hasInc := mb.load()
 		fl.Waves++
 		if hasInc {
 			fl.Broadcasts++
 		}
 		batches := make([][]ShardPoint, shards)
-		for j := start; j < end; j++ {
-			s := (j - start) % shards
-			batches[s] = append(batches[s], shardPointOf(nodes[j]))
+		for k, nd := range batch {
+			batches[k%shards] = append(batches[k%shards], shardPointOf(nd))
 		}
 		results := make([][]ShardOutcome, shards)
 		errs := make([]error, shards)
@@ -403,25 +251,16 @@ func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint
 			}(s)
 		}
 		wg.Wait()
-		byIdx := make(map[int]ShardOutcome, end-start)
 		for s := range batches {
-			if len(batches[s]) == 0 {
-				continue
-			}
 			ocs := results[s]
-			if errs[s] != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, nil, cerr
-				}
+			if errs[s] != nil && ctx.Err() == nil {
 				// The shard is lost (worker down, wire error): evaluate the
-				// batch locally with the same incumbent, so the merged result
-				// is the one a healthy fleet would have produced.
+				// batch here with the same incumbent, so the merged result is
+				// the one a healthy fleet would have produced. Should that
+				// fail too, its outcomes stay missing and the merge loop
+				// evaluates — and reports on — the nodes it needs.
 				fl.Fallbacks++
-				var ferr error
-				ocs, ferr = t.EvalShard(ctx, space, batches[s], inc, hasInc)
-				if ferr != nil {
-					return nil, nil, ferr
-				}
+				ocs, _ = t.EvalShard(ctx, space, batches[s], inc, hasInc)
 			}
 			for _, oc := range ocs {
 				switch oc.Status {
@@ -432,36 +271,24 @@ func (t *Tuner) searchFleet(ctx context.Context, space Space, points []gridPoint
 				case ShardInfeasible:
 					fl.RemoteInfeasible++
 				}
-				byIdx[oc.Idx] = oc
+				wave[oc.Idx] = oc
 			}
 		}
-		t.publishFleet(fl)
-		for j := start; j < end; j++ {
-			oc, ok := byIdx[nodes[j].idx]
-			if err := merge(nodes[j], oc, ok); err != nil {
-				return nil, nil, err
-			}
-		}
+		t.publishFleet(*fl)
 	}
 
-	if m := t.Metrics; m != nil {
-		m.FleetWaves.Add(int64(fl.Waves))
-		m.FleetBroadcasts.Add(int64(fl.Broadcasts))
-		m.FleetDispatched.Add(int64(fl.Dispatched))
-		m.FleetFallbacks.Add(int64(fl.Fallbacks))
-		m.FleetRemoteExplored.Add(int64(fl.RemoteExplored))
-		m.FleetRemoteSkipped.Add(int64(fl.RemoteSkipped))
-		m.FleetRemoteInfeasible.Add(int64(fl.RemoteInfeasible))
-		m.FleetForced.Add(int64(fl.Forced))
-	}
-
-	sort.Slice(ents, func(a, b int) bool { return ents[a].idx < ents[b].idx })
-	var trace []Candidate
-	if len(ents) > 0 {
-		trace = make([]Candidate, len(ents))
-		for i := range ents {
-			trace[i] = ents[i].c
+	return func(j int) pointResult {
+		if j%stride == 0 {
+			dispatch(nodes[j:min(j+stride, len(nodes))])
 		}
+		switch oc := wave[nodes[j].idx]; {
+		case oc.Status == ShardExplored && oc.Cand != nil:
+			return pointResult{cand: oc.Cand}
+		case oc.Status == ShardInfeasible:
+			return pointResult{failed: true}
+		}
+		// Skipped, or no outcome at all: nothing to merge unless the merge
+		// loop's decision is to explore, and then it evaluates the node itself.
+		return pointResult{}
 	}
-	return best, trace, nil
 }

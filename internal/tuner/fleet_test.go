@@ -164,6 +164,73 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
+// TestSearchOrderSourceMatrix pins the driver's two independent choices
+// against each other: for every expansion order, every outcome source —
+// inline, the worker pool, and a fleet that is 1×1, 3×2 or always failing
+// (so every batch falls back to the coordinator) — emits the byte-identical
+// best candidate, trace, SearchStats and Progress sequence; across orders the
+// best candidate and the invariant digest agree; and a sharder is used
+// whatever the order.
+func TestSearchOrderSourceMatrix(t *testing.T) {
+	fleets := []struct {
+		name            string
+		workers, shards int
+		chunk           int
+		down            bool
+	}{
+		{name: "1x1", workers: 1, shards: 1, chunk: 3},
+		{name: "3x2", workers: 3, shards: 2, chunk: 4},
+		{name: "down", workers: 1, shards: 2, chunk: 3, down: true},
+	}
+	for _, space := range []struct {
+		name string
+		sp   Space
+	}{{"detSpace", detSpace(1)}, {"memPressure", memPressureSpace(t)}} {
+		t.Run(space.name, func(t *testing.T) {
+			var first searchRun
+			for i, o := range searchOrders {
+				sp := space.sp
+				o.set(&sp)
+				base := runSpace(t, sp, nil) // Workers 1, no sharder
+				if i == 0 {
+					first = base
+				}
+				if base.best != first.best {
+					t.Errorf("%s: best differs from %s\n got: %s\nwant: %s", o.name, searchOrders[0].name, base.best, first.best)
+				}
+				gp, gf := base.stats.invariant()
+				if wp, wf := first.stats.invariant(); gp != wp || gf != wf {
+					t.Errorf("%s: invariant digest (%d,%d), want (%d,%d)", o.name, gp, gf, wp, wf)
+				}
+				for _, w := range []int{1, 4} {
+					spw := sp
+					spw.Workers = w
+					if w > 1 {
+						compareRuns(t, fmt.Sprintf("%s/workers=%d", o.name, w), runSpace(t, spw, nil), base)
+					}
+					for _, f := range fleets {
+						name := fmt.Sprintf("%s/workers=%d/%s", o.name, w, f.name)
+						h := newHarness(spw, newTuner, f.workers, f.shards, f.chunk)
+						if f.down {
+							for s := 0; s < f.shards; s++ {
+								h.failures[s] = math.MaxInt
+							}
+						}
+						got, fl := runFleet(t, spw, h, nil)
+						compareRuns(t, name, got, base)
+						if fl.Dispatched == 0 {
+							t.Errorf("%s: the sharder was not used: %+v", name, fl)
+						}
+						if f.down != (fl.Fallbacks == fl.Dispatched) || fl.Forced != 0 {
+							t.Errorf("%s: fallbacks/forced do not match the fleet's health: %+v", name, fl)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestFleetSpanTreeShapeIndependent: the synthesized span tree (canonical
 // JSONL and Chrome exports, tree rendering) is byte-identical for every
 // fleet shape, because point spans are built purely from merge outcomes.
@@ -224,7 +291,11 @@ func TestFleetWorkerFailure(t *testing.T) {
 			for s, n := range tc.failures {
 				h.failures[s] = n
 			}
-			got, fl := runFleet(t, sp, h, nil)
+			var tn *Tuner
+			got, fl := runFleet(t, sp, h, func(c *Tuner) {
+				tn = c
+				c.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+			})
 			compareRuns(t, tc.name, got, base)
 			if fl.Fallbacks == 0 {
 				t.Errorf("no fallbacks recorded despite injected failures: %+v", fl)
@@ -232,7 +303,40 @@ func TestFleetWorkerFailure(t *testing.T) {
 			if fl.Forced != 0 {
 				t.Errorf("fallback path forced local re-evaluations: %+v", fl)
 			}
+			checkRegistryMatchesSnapshots(t, tn)
 		})
+	}
+}
+
+// checkRegistryMatchesSnapshots demands that the registry series of a tuner
+// whose Metrics saw exactly one search equal that search's SearchStats and
+// FleetStats — completed or not.
+func checkRegistryMatchesSnapshots(t *testing.T, tn *Tuner) {
+	t.Helper()
+	m, st, fl := tn.Metrics, tn.StatsSnapshot(), tn.FleetSnapshot()
+	for _, c := range []struct {
+		name string
+		got  int64
+		want int
+	}{
+		{"points explored", m.PointsExplored.Value(), st.Explored},
+		{"points oom", m.PointsOOM.Value(), st.OOMRejected},
+		{"points infeasible", m.PointsPruned.Value(), st.Pruned},
+		{"points bound_pruned", m.PointsBoundPruned.Value(), st.BoundPruned},
+		{"points memory_pruned", m.PointsMemPruned.Value(), st.MemPruned},
+		{"improved", m.PointsImproved.Value(), st.Improved},
+		{"fleet waves", m.FleetWaves.Value(), fl.Waves},
+		{"fleet broadcasts", m.FleetBroadcasts.Value(), fl.Broadcasts},
+		{"fleet shards", m.FleetDispatched.Value(), fl.Dispatched},
+		{"fleet fallbacks", m.FleetFallbacks.Value(), fl.Fallbacks},
+		{"fleet explored", m.FleetRemoteExplored.Value(), fl.RemoteExplored},
+		{"fleet skipped", m.FleetRemoteSkipped.Value(), fl.RemoteSkipped},
+		{"fleet infeasible", m.FleetRemoteInfeasible.Value(), fl.RemoteInfeasible},
+		{"fleet forced", m.FleetForced.Value(), fl.Forced},
+	} {
+		if c.got != int64(c.want) {
+			t.Errorf("registry series %q = %d, snapshot says %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -454,6 +558,14 @@ func TestEvalShardValidation(t *testing.T) {
 	cancel()
 	if _, err := tn.EvalShard(ctx, sp, []ShardPoint{{Idx: 0}}, 0, false); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	// A batch that fails midway still accounts for the simulations it ran.
+	tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+	if _, err := tn.EvalShard(context.Background(), sp, []ShardPoint{{Idx: 0, Unbounded: true}, {Idx: 1 << 20}}, 0, false); err == nil {
+		t.Error("batch with an out-of-grid index accepted")
+	}
+	if tn.Metrics.Sims.Value() == 0 {
+		t.Error("a failed batch dropped its simulations from the sims counter")
 	}
 }
 

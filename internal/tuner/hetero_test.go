@@ -112,10 +112,10 @@ func TestHeteroDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestHeteroBnBMatchesGridArgmax extends the strategy-equivalence contract
-// over the placement axis: branch-and-bound, the canonical grid walk and the
-// exhaustive walk agree on the best candidate and on the structural
-// prune/feasible partition of the heterogeneous grid.
+// TestHeteroBnBMatchesGridArgmax extends the order-equivalence contract over
+// the placement axis: the best-first, canonical-order and unpruned searches
+// all return the exhaustive argmax and the same structural prune/feasible
+// partition of the heterogeneous grid.
 func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 	cases := []struct {
 		name string
@@ -144,33 +144,7 @@ func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bnb := runStrategy(tc.sp, nil)
-
-			gridSp := tc.sp
-			gridSp.NoBnB = true
-			grid := runStrategy(gridSp, nil)
-
-			fullSp := tc.sp
-			fullSp.NoPrune = true
-			full := runStrategy(fullSp, nil)
-
-			if bnb.err != "" || grid.err != "" || full.err != "" {
-				t.Fatalf("unexpected errors: bnb=%q grid=%q full=%q", bnb.err, grid.err, full.err)
-			}
-			if bnb.best != grid.best {
-				t.Errorf("bnb best differs from grid best:\n bnb: %s\ngrid: %s", bnb.best, grid.best)
-			}
-			if bnb.best != full.best {
-				t.Errorf("bnb best differs from exhaustive best:\n bnb: %s\nfull: %s", bnb.best, full.best)
-			}
-			if bnb.pruned != grid.pruned || bnb.feasible != grid.feasible {
-				t.Errorf("invariant digest differs bnb=(%d,%d) grid=(%d,%d)",
-					bnb.pruned, bnb.feasible, grid.pruned, grid.feasible)
-			}
-			if bnb.pruned != full.pruned || bnb.feasible != full.feasible {
-				t.Errorf("invariant digest differs bnb=(%d,%d) full=(%d,%d)",
-					bnb.pruned, bnb.feasible, full.pruned, full.feasible)
-			}
+			checkOrdersAgainstOracle(t, tc.sp, newTuner)
 		})
 	}
 }

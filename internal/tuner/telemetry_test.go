@@ -176,3 +176,25 @@ func TestSearchMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedOffPruneAllocatesNothing: with tracing off, probing and pruning a
+// structurally infeasible grid point allocates nothing — in particular no span
+// key is formatted for the span that is never made.
+func TestTracedOffPruneAllocatesNothing(t *testing.T) {
+	tn := newTuner()
+	sp := detSpace(1).withDefaults()
+	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
+	var stats SearchStats
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := tn.probePoint(sp, p); ok {
+			t.Fatal("fixture point is feasible")
+		}
+		tn.pruneInfeasible(7, p, nil, telemetry.Span{}, &stats)
+	})
+	if allocs != 0 {
+		t.Errorf("traced-off probe + prune allocates %.0f objects per point, want 0", allocs)
+	}
+	if stats.Pruned == 0 {
+		t.Error("prune was not counted")
+	}
+}

@@ -6,14 +6,17 @@
 // memory score zero (the paper's OOM penalty), and a data-parallel
 // efficiency coefficient models DP scaling.
 //
-// The search fans grid points out to a bounded worker pool (Space.Workers)
-// and merges the results back in canonical iteration order, so the best
-// candidate, the trace and the SearchStats are identical for every worker
-// count. Two layers keep the grid cheap: a memoization layer shares built
-// schedules and graph-pass output across grid points (and across Search
-// calls on the same Tuner), and an admissible upper-bound prune skips the
-// simulation of points whose best-case throughput cannot beat the best
-// already merged.
+// There is one search driver (Tuner.search): it probes every grid point
+// cheaply, orders the feasible ones (best-first by admissible bound, or in
+// canonical grid order), and merges their outcomes in that order — pruning
+// against the incumbent, keeping the stats, the spans and the trace. Where an
+// outcome comes from is an orthogonal choice: an inline evaluation, a bounded
+// pool of speculative workers (Space.Workers) or a planning fleet
+// (Tuner.Sharder). Every decision is taken by the merge against its own
+// incumbent, never by a source, so the best candidate, the trace and the
+// SearchStats are identical for every order-preserving source. A memoization
+// layer shares built schedules and graph-pass output across grid points (and
+// across Search calls on the same Tuner).
 package tuner
 
 import (
@@ -66,16 +69,17 @@ type Space struct {
 	// 0 means GOMAXPROCS, 1 evaluates inline with no goroutines. Results
 	// are identical for every worker count.
 	Workers int
-	// NoPrune disables the admissible upper-bound prune so every
-	// structurally feasible point is simulated — the trace then contains
-	// the full Fig. 11 curve. Benchmarks also use it to compare equal
-	// amounts of work across worker counts. NoPrune implies NoBnB.
+	// NoPrune gives every point an infinite throughput bound and no memory
+	// verdict, so nothing is pruned: every structurally feasible point is
+	// simulated, in canonical grid order, and the trace contains the full
+	// Fig. 11 curve. Benchmarks also use it to compare equal amounts of work
+	// across worker counts.
 	NoPrune bool
-	// NoBnB falls back to the canonical-order grid walk instead of the
-	// branch-and-bound search (best-first expansion with throughput upper
-	// bounds and memory-feasibility lower bounds). Both strategies return
-	// the same best candidate; branch-and-bound typically simulates far
-	// fewer points.
+	// NoBnB expands the points in canonical grid order — the order the
+	// paper's sequential search walks — instead of best-first by bound. The
+	// same bounds prune against the same incumbent rule either way and the
+	// best candidate is identical; best-first finds a strong incumbent early
+	// and typically simulates far fewer points.
 	NoBnB bool
 	// DeviceSpeeds declares the relative compute speed of each physical
 	// device (1 = nominal); nil or all-ones means a homogeneous cluster and
@@ -224,21 +228,19 @@ type SearchStats struct {
 	// MemPruned counts feasible grid points whose admissible memory lower
 	// bound already exceeds Space.DeviceMem while the incumbent throughput
 	// is positive: their simulated throughput is provably zero (Equation
-	// 1's OOM penalty), so the branch-and-bound search skips their
-	// simulation. Always zero on the grid path (Space.NoPrune or
-	// Space.NoBnB).
+	// 1's OOM penalty), so their simulation is skipped. Zero when
+	// Space.NoPrune is set.
 	MemPruned int
-	// Improved counts how many times the best-so-far advanced. On the
-	// branch-and-bound path candidates arrive in bound order rather than
-	// grid order, so the count differs from the grid walk's (the final
-	// best does not).
+	// Improved counts how many times the best-so-far advanced. It depends on
+	// the expansion order (best-first or Space.NoBnB's canonical order); the
+	// final best does not.
 	Improved int
 }
 
 // invariant reports the expansion-order-invariant digest of the stats: the
 // structural-prune count and the total number of feasible points, which every
-// search strategy (grid, branch-and-bound) partitions the same way between
-// explored and pruned. Equivalence tests compare this across strategies.
+// expansion order partitions between explored and pruned. Equivalence tests
+// compare this across orders.
 func (s SearchStats) invariant() (pruned, feasible int) {
 	return s.Pruned, s.Explored + s.BoundPruned + s.MemPruned
 }
@@ -272,30 +274,31 @@ type Tuner struct {
 	NoDelta bool
 	// Progress, when non-nil, is invoked after every explored candidate
 	// with that candidate and the best found so far (Fig. 11's curve,
-	// streamed). It runs on the merging goroutine in canonical grid order,
+	// streamed). It runs on the merging goroutine in expansion order,
 	// regardless of Space.Workers.
 	Progress func(c Candidate, best Candidate)
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
-	// child per grid point with build/bound/graph/sim children, then one
-	// PhaseSim child for the winner's closing re-simulation. Workers
-	// record spans speculatively, but the canonical merge loop attaches
-	// them (and trims speculative work) in canonical grid order, so the
-	// canonical trace exports are byte-identical for every Space.Workers
-	// value. The zero Span disables tracing at zero cost.
+	// child per grid point (build and graph or sim children when the point
+	// was evaluated in this process, none when it was pruned or evaluated by
+	// a fleet worker), then one PhaseSim child for the winner's closing
+	// re-simulation. Workers record spans speculatively, but only the merge
+	// loop attaches them — a speculative evaluation the merge prunes is
+	// dropped whole — so the canonical trace exports are byte-identical for
+	// every Space.Workers value. The zero Span disables tracing at zero cost.
 	Span telemetry.Span
 	// Metrics, when non-nil, receives the search counters as registry
-	// series. The grid-outcome counters are incremented from the canonical
-	// merge loop (so their totals match SearchStats exactly); memoization
-	// and simulation counts are folded in as deltas and — like CacheStats —
-	// are not deterministic under Workers > 1.
+	// series when a search ends, completed or not: the grid-outcome and
+	// fleet counters are the deltas of SearchStats and FleetStats (so the
+	// registry and the snapshots always agree); memoization and simulation
+	// counts are folded in as deltas too and — like CacheStats — are not
+	// deterministic under Workers > 1.
 	Metrics *telemetry.SearchMetrics
-	// Sharder, when non-nil, distributes the branch-and-bound expansion
-	// across a planning fleet (see fleet.go): the probe pass runs locally,
-	// the sorted nodes are dispatched in shard waves, and the merge replays
-	// the canonical decisions, so the plan is byte-identical to a local
-	// search. Ignored when Space.NoPrune or Space.NoBnB selects the grid
-	// walk (those strategies ship no bounds to prune against).
+	// Sharder, when non-nil, makes a planning fleet the source of point
+	// evaluations (see fleet.go): the probe pass and every decision stay
+	// local, the ordered nodes are dispatched in shard waves, and the merge
+	// is the one every search runs, so the plan is byte-identical to a local
+	// search — in either expansion order, with or without pruning.
 	Sharder ShardDispatcher
 
 	// Stats describes the most recent Search call. It is updated as
@@ -351,34 +354,31 @@ type gridPoint struct {
 	pmode  place.Mode
 }
 
-// pointResult is a worker's (possibly speculative) evaluation of one grid
-// point.
+// pointResult is what an outcome source reports for one probed node: a
+// (possibly speculative) evaluation, or none.
 type pointResult struct {
-	// cand is nil when the point is structurally infeasible or when the
-	// worker skipped the simulation.
+	// cand is the simulated candidate; nil when the source did not evaluate
+	// the node (the zero pointResult) or its evaluation failed.
 	cand *Candidate
-	// ub is the admissible throughput upper bound (throughputBound); +Inf
-	// when the search runs without one (Space.NoPrune).
-	ub float64
-	// feasible marks points that passed the structural checks.
-	feasible bool
-	// skipped marks feasible points whose simulation the worker skipped
-	// because ub could not beat the merged best at the time.
-	skipped bool
+	// failed marks a full evaluation that failed although the probe passed (a
+	// graph-pass or simulator error): the merge counts that as a structural
+	// prune.
+	failed bool
 	// err carries a context cancellation observed while evaluating the
-	// point; the merge loop converts it into an aborted Search. Ordinary
-	// evaluation failures (scheme constraints, estimator limits) are never
-	// reported here — they stay structural infeasibilities.
+	// point. Ordinary evaluation failures (scheme constraints, estimator
+	// limits) are never reported here — they stay structural
+	// infeasibilities.
 	err error
-	// span is the detached point span the evaluation recorded into; the
-	// merge loop attaches or discards it in canonical order.
+	// span is the detached point span a local evaluation recorded into; the
+	// merge loop attaches or discards it.
 	span telemetry.Span
 }
 
 // mergedBest publishes the throughput of the best candidate merged so far to
-// the workers. It only ever grows, and it always reflects a canonical prefix
-// of the grid — the two properties that make worker-side skipping exact (see
-// evalPoint).
+// the concurrent outcome sources (pool workers, shard waves). It only ever
+// grows and never exceeds the merge loop's incumbent, so a node it dominates
+// (bnbNode.dominatedBy) is one the merge loop's own decision is guaranteed to
+// prune — which is what makes source-side skipping exact.
 type mergedBest struct {
 	bits atomic.Uint64
 	set  atomic.Bool
@@ -420,11 +420,12 @@ func enumerate(space Space) []gridPoint {
 	return points
 }
 
-// Search enumerates the space and returns the best candidate plus the full
-// evaluation trace in canonical iteration order (the throughput curve of
-// Fig. 11). Grid points are evaluated by Space.Workers goroutines, but the
-// merge — best tracking, trace order, stats, Progress callbacks — happens in
-// canonical order, so the output is identical for every worker count.
+// Search enumerates the space and returns the best candidate plus the
+// evaluation trace in canonical grid order (the throughput curve of Fig. 11).
+// Whatever evaluates the points — this goroutine, Space.Workers goroutines, a
+// fleet — the merge (best tracking, stats, Progress callbacks) is the one loop
+// of Tuner.search, so the output is identical for every worker count and
+// fleet shape.
 //
 // Search never aborts early; use SearchContext to bound or cancel a search.
 func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
@@ -432,11 +433,11 @@ func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
 }
 
 // SearchContext is Search with cancellation: when ctx is cancelled or its
-// deadline passes, the worker pool stops evaluating grid points, the merge
+// deadline passes, the outcome sources stop evaluating grid points, the merge
 // loop unwinds, and the call returns ctx's error with no candidate and no
 // trace. A completed SearchContext is byte-identical to Search for every
 // worker count; a cancelled one publishes whatever Stats had accumulated at
-// the abort point (they describe a canonical prefix of the grid).
+// the abort point (they describe a prefix of the expansion order).
 func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []Candidate, error) {
 	space = space.withDefaults()
 	if space.Devices <= 0 || space.GlobalBatch <= 0 {
@@ -444,60 +445,68 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	}
 	points := enumerate(space)
 	var stats SearchStats
+	var fl FleetStats
 	t.publishStats(stats)
-	t.publishFleet(FleetStats{})
+	t.publishFleet(fl)
 
 	tracer := t.Span.Tracer()
 	search := t.Span.Child(telemetry.PhaseSearch, "")
 	search.SetInt("points", int64(len(points)))
-	bnb := !space.NoPrune && !space.NoBnB
-	fleet := bnb && t.Sharder != nil
 	switch {
-	case fleet:
-		search.SetStr("strategy", "fleet")
-	case bnb:
-		search.SetStr("strategy", "bnb")
-	default:
+	case space.NoPrune || space.NoBnB:
 		search.SetStr("strategy", "grid")
+	case t.Sharder != nil:
+		search.SetStr("strategy", "fleet")
+	default:
+		search.SetStr("strategy", "bnb")
 	}
 	searchStart := time.Now()
-	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
-	graphH0, graphM0 := t.graphs.hits.Load(), t.graphs.misses.Load()
 	if m := t.Metrics; m != nil {
 		m.Searches.Inc()
 	}
-	// eng is the search goroutine's simulation engine: the sequential walks,
-	// the merge loops' inline re-evaluations and the winner's closing
-	// re-simulation all run on it, so the last of these finds it warm
-	// (parallel workers hold one engine each; a Simulator is not
-	// goroutine-safe).
+	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
+	graphH0, graphM0 := t.graphs.hits.Load(), t.graphs.misses.Load()
+	// eng is the search goroutine's simulation engine: the inline
+	// evaluations, the merge loop's forced re-evaluations and the winner's
+	// closing re-simulation all run on it, so the last of these finds it warm
+	// (pool workers hold one engine each; a Simulator is not goroutine-safe).
 	eng := &sim.Simulator{}
+	// The one exit: whatever the search merged before it completed, failed or
+	// was cancelled is published here, to the snapshots and to the registry
+	// alike, so the two can never disagree.
 	defer func() {
 		search.End()
-		t.Metrics.AddSims(eng.Sims)
-		if m := t.Metrics; m != nil {
-			m.SearchSeconds.ObserveDuration(time.Since(searchStart))
-			m.BuildHits.Add(t.builds.hits.Load() - buildH0)
-			m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
-			m.GraphHits.Add(t.graphs.hits.Load() - graphH0)
-			m.GraphMisses.Add(t.graphs.misses.Load() - graphM0)
+		t.publishStats(stats)
+		t.publishFleet(fl)
+		m := t.Metrics
+		if m == nil {
+			return
 		}
+		m.SearchSeconds.ObserveDuration(time.Since(searchStart))
+		m.AddSims(eng.Sims)
+		m.PointsExplored.Add(int64(stats.Explored))
+		m.PointsOOM.Add(int64(stats.OOMRejected))
+		m.PointsPruned.Add(int64(stats.Pruned))
+		m.PointsBoundPruned.Add(int64(stats.BoundPruned))
+		m.PointsMemPruned.Add(int64(stats.MemPruned))
+		m.PointsImproved.Add(int64(stats.Improved))
+		m.BuildHits.Add(t.builds.hits.Load() - buildH0)
+		m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
+		m.GraphHits.Add(t.graphs.hits.Load() - graphH0)
+		m.GraphMisses.Add(t.graphs.misses.Load() - graphM0)
+		m.FleetWaves.Add(int64(fl.Waves))
+		m.FleetBroadcasts.Add(int64(fl.Broadcasts))
+		m.FleetDispatched.Add(int64(fl.Dispatched))
+		m.FleetFallbacks.Add(int64(fl.Fallbacks))
+		m.FleetRemoteExplored.Add(int64(fl.RemoteExplored))
+		m.FleetRemoteSkipped.Add(int64(fl.RemoteSkipped))
+		m.FleetRemoteInfeasible.Add(int64(fl.RemoteInfeasible))
+		m.FleetForced.Add(int64(fl.Forced))
 	}()
 
-	var best *Candidate
-	var trace []Candidate
-	var searchErr error
-	switch {
-	case fleet:
-		best, trace, searchErr = t.searchFleet(ctx, space, points, eng, tracer, search, &stats)
-	case bnb:
-		best, trace, searchErr = t.searchBnB(ctx, space, points, eng, tracer, search, &stats)
-	default:
-		best, trace, searchErr = t.searchGrid(ctx, space, points, eng, tracer, search, &stats)
-	}
-	t.publishStats(stats)
-	if searchErr != nil {
-		return nil, nil, searchErr
+	best, trace, err := t.search(ctx, space, points, eng, tracer, search, &stats, &fl)
+	if err != nil {
+		return nil, nil, err
 	}
 	if best == nil {
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
@@ -553,116 +562,164 @@ func Resimulate(eng *sim.Simulator, prof *profile.Profiler, c *Candidate, tp int
 	return res, nil
 }
 
-// searchGrid is the canonical-order grid walk: every point is evaluated (or
-// worker-skipped and confirmed pruned at merge time) in enumeration order.
-// It runs when Space.NoPrune or Space.NoBnB disables the branch-and-bound
-// strategy, and it is the reference the bnb path is differentially tested
-// against.
-func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	var trace []Candidate
-	var best *Candidate
-	mb := &mergedBest{}
+// Merge-time verdicts on a probed node.
+const (
+	exploreNode = iota
+	memPruneNode
+	boundPruneNode
+)
 
-	// merge folds one point's result into the search state, in canonical
-	// order. The prune decision is made here, against the canonical
-	// best-so-far, never against worker-time state: a worker that skipped
-	// its simulation did so against an older (smaller or equal) best, so
-	// every worker skip is confirmed by this check. The point's span is
-	// attached here too — in canonical order, with speculative children a
-	// sequential search would not have recorded trimmed away — which is
-	// what makes the canonical trace worker-count independent. A non-nil
-	// return aborts the search (cancellation only).
-	merge := func(i int, p gridPoint, pr pointResult) error {
-		sp := pr.span
-		if pr.err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				sp.Discard()
-				return cerr
+// search is the one search driver. The probe pass (probeAll) bounds every
+// grid point and orders the feasible nodes; an outcome source, chosen from
+// what the Tuner and the Space already say, evaluates them; and the loop below
+// merges the outcomes in node order. The merge owns every decision: a node is
+// explored or pruned by decide against the merge's own incumbent, never
+// because of what a source did or when it did it — a source may only save
+// work by not evaluating a node the incumbent provably dooms — so the best
+// candidate, the trace, the stats, the spans and the Progress sequence are
+// the same for every source.
+//
+// The sources: an inline evaluation of exactly the nodes decide explores
+// (Workers ≤ 1: never speculates), the speculative worker pool (poolSource,
+// Workers > 1) and ShardDispatcher waves (shardSource, Tuner.Sharder).
+func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats, fl *FleetStats) (*Candidate, []Candidate, error) {
+	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	var best *Candidate
+	bestIdx := -1
+	mb := &mergedBest{}
+	type traceEnt struct {
+		idx int
+		c   Candidate
+	}
+	var ents []traceEnt
+
+	// decide classifies a node against the incumbent.
+	decide := func(nd bnbNode) int {
+		if best == nil {
+			return exploreNode
+		}
+		if nd.doomed && best.Throughput > 0 {
+			return memPruneNode
+		}
+		// A node whose bound cannot beat the incumbent — or can at most tie
+		// it from a later canonical index, losing the tie-break — never
+		// changes the result.
+		if nd.ub < best.Throughput || (nd.ub == best.Throughput && nd.idx > bestIdx) {
+			return boundPruneNode
+		}
+		return exploreNode
+	}
+
+	var next func(j int) pointResult
+	switch {
+	case t.Sharder != nil:
+		next = t.shardSource(ctx, space, nodes, mb, fl)
+	case space.Workers > 1 && len(nodes) > 1:
+		var wait func()
+		next, wait = t.poolSource(ctx, space, nodes, mb, tracer)
+		defer wait()
+	default:
+		next = func(j int) pointResult {
+			if decide(nodes[j]) != exploreNode {
+				return pointResult{}
 			}
-			// A stale cancellation from a memo entry another (cancelled)
-			// search computed: our own context is live, so re-evaluate.
+			return t.evalTraced(ctx, space, nodes[j], eng, tracer)
+		}
+	}
+
+	for j, nd := range nodes {
+		pr := next(j)
+		sp := pr.span
+		// Checked here and not left to the sources: one that skipped every
+		// remaining node never observes a cancellation, and a cancelled
+		// search must abort, not complete.
+		if err := ctx.Err(); err != nil {
 			sp.Discard()
-			pr = t.evalTraced(ctx, space, i, p, nil, nil, eng, tracer)
+			return nil, nil, err
+		}
+		if verdict := decide(nd); verdict != exploreNode {
+			// A speculative evaluation the incumbent overtook is dropped whole
+			// and the prune span synthesized, so the canonical telemetry never
+			// depends on scheduling.
+			sp.Discard()
+			ps := pointSpan(tracer, nd.idx, nd.p)
+			if verdict == memPruneNode {
+				stats.MemPruned++
+				ps.SetStr("result", "memory_pruned")
+				ps.SetFloat("mem_lb", nd.memLB)
+			} else {
+				stats.BoundPruned++
+				ps.SetStr("result", "bound_pruned")
+				ps.SetFloat("ub", nd.ub)
+			}
+			t.publishStats(*stats)
+			ps.End()
+			ps.AttachTo(search)
+			continue
+		}
+		if pr.cand == nil && !pr.failed {
+			// The node must be explored and the source has no evaluation of
+			// it: a skip the incumbent cannot justify (sources only skip nodes
+			// mergedBest dominates, so this is insurance — and a protocol
+			// violation when a fleet does it), an outcome a dispatcher lost,
+			// or a stale cancellation from a memo entry another (cancelled)
+			// search computed, while our own context is live. Evaluate it here
+			// so the result stays exact.
+			sp.Discard()
+			if t.Sharder != nil {
+				fl.Forced++
+			}
+			pr = t.evalTraced(ctx, space, nd, eng, tracer)
 			sp = pr.span
 			if pr.err != nil {
 				sp.Discard()
-				return pr.err
+				return nil, nil, pr.err
 			}
-		}
-		prune := func() {
-			stats.Pruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsPruned.Inc()
-			}
-			sp.SetStr("result", "infeasible")
-			sp.AttachTo(search)
-		}
-		if !pr.feasible {
-			prune()
-			return nil
-		}
-		if best != nil && pr.ub <= best.Throughput {
-			stats.BoundPruned++
-			t.publishStats(*stats)
-			if m := t.Metrics; m != nil {
-				m.PointsBoundPruned.Inc()
-			}
-			// The sequential search stops at the bound check, before it
-			// builds anything, so a speculative full evaluation keeps only
-			// the bound span in the canonical trace.
-			sp.RetainChildren(telemetry.PhaseBound)
-			sp.SetStr("result", "bound_pruned")
-			sp.AttachTo(search)
-			return nil
 		}
 		c := pr.cand
 		if c == nil {
-			// A worker skip that the canonical best cannot justify is
-			// impossible (mergedBest never exceeds the canonical
-			// best-so-far); evaluate inline as insurance so the result
-			// stays exact even if that invariant is ever broken.
+			// The probe's structural prefix passed but the full evaluation
+			// failed: a structural prune after all.
 			sp.Discard()
-			forced := t.evalTraced(ctx, space, i, p, nil, nil, eng, tracer)
-			sp = forced.span
-			if forced.err != nil {
-				sp.Discard()
-				return forced.err
-			}
-			c = forced.cand
-			if c == nil {
-				prune()
-				return nil
-			}
+			t.pruneInfeasible(nd.idx, nd.p, tracer, search, stats)
+			continue
 		}
 		stats.Explored++
 		if c.OOM {
 			stats.OOMRejected++
 		}
-		trace = append(trace, *c)
-		improved := best == nil || c.Throughput > best.Throughput
+		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
+		improved := best == nil || c.Throughput > best.Throughput ||
+			(c.Throughput == best.Throughput && nd.idx < bestIdx)
 		if improved {
 			cc := *c
-			best = &cc
+			best, bestIdx = &cc, nd.idx
 			stats.Improved++
 			mb.store(best.Throughput)
 		}
 		t.publishStats(*stats)
-		if m := t.Metrics; m != nil {
-			m.PointsExplored.Inc()
+		if !sp.Live() {
+			// Evaluated by a fleet worker: the per-phase telemetry stayed
+			// there, so the point span is built from the outcome alone.
+			sp = pointSpan(tracer, nd.idx, nd.p)
+			sp.End()
+			// Parent parity (fleet spans of OOM points carry both results);
+			// dropped with the next commit's span changes.
+			sp.SetStr("result", "explored")
 			if c.OOM {
-				m.PointsOOM.Inc()
+				sp.SetStr("result", "oom")
 			}
-			if improved {
-				m.PointsImproved.Inc()
-			}
-		}
-		if c.OOM {
+		} else if c.OOM {
 			sp.SetStr("result", "oom")
 		} else {
 			sp.SetStr("result", "explored")
 		}
 		sp.SetFloat("throughput", c.Throughput)
+		sp.SetFloat("ub", nd.ub)
 		if improved {
 			sp.SetBool("improved", true)
 		}
@@ -670,68 +727,63 @@ func (t *Tuner) searchGrid(ctx context.Context, space Space, points []gridPoint,
 		if t.Progress != nil {
 			t.Progress(*c, *best)
 		}
-		return nil
 	}
 
-	var searchErr error
-	if space.Workers <= 1 || len(points) <= 1 {
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				break
-			}
-			if err := merge(i, p, t.evalTraced(ctx, space, i, p, nil, mb, eng, tracer)); err != nil {
-				searchErr = err
-				break
-			}
+	// The trace is reported in canonical grid order whatever order the nodes
+	// were expanded in.
+	sort.Slice(ents, func(a, b int) bool { return ents[a].idx < ents[b].idx })
+	var trace []Candidate
+	if len(ents) > 0 {
+		trace = make([]Candidate, len(ents))
+		for i := range ents {
+			trace[i] = ents[i].c
 		}
-	} else {
-		workers := space.Workers
-		if workers > len(points) {
-			workers = len(points)
-		}
-		results := make([]pointResult, len(points))
-		ready := make([]chan struct{}, len(points))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		jobs := make(chan int, len(points))
-		for i := range points {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng := &sim.Simulator{} // per-worker engine
-				for i := range jobs {
-					if err := ctx.Err(); err != nil {
-						// Cancelled: publish the abort instead of evaluating
-						// so the merge loop can unwind. Every dequeued job
-						// still closes its ready channel — the merger must
-						// never block on a skipped point.
-						results[i] = pointResult{err: err}
-						close(ready[i])
-						continue
-					}
-					results[i] = t.evalTraced(ctx, space, i, points[i], nil, mb, eng, tracer)
-					close(ready[i])
+	}
+	return best, trace, nil
+}
+
+// poolSource is the speculative outcome source: min(Space.Workers, nodes)
+// goroutines evaluate the nodes in order, each skipping a node the merged
+// best already dominates, and next(j) blocks until node j's result is in.
+// The merge loop discards whatever speculation its own decision does not
+// confirm. wait returns once every worker has exited; they stop evaluating
+// when ctx is cancelled.
+func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
+	results := make([]pointResult, len(nodes))
+	ready := make([]chan struct{}, len(nodes))
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	jobs := make(chan int, len(nodes))
+	for i := range nodes {
+		jobs <- i
+	}
+	close(jobs)
+	var wg sync.WaitGroup
+	for w := min(space.Workers, len(nodes)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := &sim.Simulator{} // per-worker engine
+			for j := range jobs {
+				nd := nodes[j]
+				// A cancelled worker skips too: the merge loop checks ctx
+				// itself, and it must never block on a node — every dequeued
+				// job closes its ready channel.
+				if v, ok := mb.load(); ctx.Err() != nil || (ok && nd.dominatedBy(v)) {
+					results[j] = pointResult{}
+				} else {
+					results[j] = t.evalTraced(ctx, space, nd, eng, tracer)
 				}
-				t.Metrics.AddSims(eng.Sims)
-			}()
-		}
-		for i := range points {
-			<-ready[i]
-			if searchErr == nil {
-				searchErr = merge(i, points[i], results[i])
+				close(ready[j])
 			}
-		}
-		wg.Wait()
+			t.Metrics.AddSims(eng.Sims)
+		}()
 	}
-
-	return best, trace, searchErr
+	return func(j int) pointResult {
+		<-ready[j]
+		return results[j]
+	}, wg.Wait
 }
 
 // pointKey renders a grid point's canonical span key: the zero-padded
@@ -750,9 +802,19 @@ func pointKey(i int, p gridPoint) string {
 	return s
 }
 
+// pointSpan starts the detached span of grid point i — the one place point
+// spans are made. With tracing off it returns the zero Span without
+// formatting the key.
+func pointSpan(tracer *telemetry.Tracer, i int, p gridPoint) telemetry.Span {
+	if tracer == nil {
+		return telemetry.Span{}
+	}
+	return tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
+}
+
 // buildFor memoizes (and freezes) the base schedule of a grid point; the
 // full evaluation and the co-opt assignment both go through it, so a point is
-// built at most once per Tuner regardless of strategy.
+// built at most once per Tuner.
 func (t *Tuner) buildFor(space Space, p gridPoint, micros int) (*pipeline.Schedule, error) {
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
 	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
@@ -903,32 +965,22 @@ func (t *Tuner) pointShape(space Space, p gridPoint) (micros int, sh scheme.Shap
 	return micros, sh, est, asg, true
 }
 
-// evalTraced wraps evalPoint with a detached point span that the canonical
-// merge loop later attaches (in canonical order) or discards. i is the
-// point's canonical grid index.
-func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint, nd *bnbNode, mb *mergedBest, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
-	sp := tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
-	pr := t.evalPoint(ctx, space, p, nd, mb, eng, sp)
+// evalTraced wraps evalPoint with a detached point span that the merge loop
+// later attaches or discards.
+func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
+	sp := pointSpan(tracer, nd.idx, nd.p)
+	pr := t.evalPoint(ctx, space, nd.p, eng, sp)
 	sp.End()
 	pr.span = sp
 	return pr
 }
 
-// evalPoint scores a single grid point. Structurally impossible points
-// (indivisible batch, scheme constraints, too few layers) come back
-// infeasible; feasible points carry an admissible throughput upper bound and
-// — unless the bound already loses against the merged best — a fully
-// simulated candidate (zero-throughput for OOM points).
-//
-// nd is the point's probed node when the caller already bounded it (the
-// branch-and-bound and fleet strategies): its bound is reported as is and the
-// point is always evaluated, because the caller decided to expand it. With a
-// nil nd (the grid walk) evalPoint bounds the point itself, before building
-// anything, and — when mb is set — skips the build and the simulation if
-// ub ≤ the merged best: the merged best only grows and is always the best
-// over a canonical prefix that the merger has not yet extended past this
-// point, so the merger's own prune check is then guaranteed to discard the
-// point too. A nil mb forces the full evaluation.
+// evalPoint scores a single grid point the probe pass found structurally
+// feasible: it builds (or recalls) the schedule, runs the graph passes or the
+// direct simulation, and returns the candidate — zero-throughput for OOM
+// points. It takes no bound and makes no prune decision; whoever calls it has
+// decided to evaluate the point. A point whose evaluation still fails (a
+// graph-pass or simulator error) comes back infeasible.
 //
 // eng is the caller's reusable simulation engine (one per goroutine).
 //
@@ -942,39 +994,24 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, i int, p gridPoint,
 // infeasibility.
 //
 // sp is the point's telemetry span (the zero Span when tracing is off):
-// evalPoint records bound/build/graph/sim child spans under it, tagging the
-// memoized phases with their memo keys so Snapshot can normalize hit/miss
-// attribution into canonical order.
-func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnbNode, mb *mergedBest, eng *sim.Simulator, sp telemetry.Span) pointResult {
+// evalPoint records build/graph/sim child spans under it, tagging the
+// memoized phases with their memo keys — formatted only when the span is
+// live — so Snapshot can normalize hit/miss attribution into canonical order.
+func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *sim.Simulator, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
-	infeasible := pointResult{ub: math.Inf(1)}
-	micros, sh, est, asg, ok := t.pointShape(space, p)
+	infeasible := pointResult{failed: true}
+	micros, _, est, asg, ok := t.pointShape(space, p)
 	if !ok {
 		return infeasible
 	}
 
-	out := pointResult{feasible: true, ub: math.Inf(1)}
-	switch {
-	case nd != nil:
-		out.ub = nd.ub
-	case !space.NoPrune:
-		bnd := sp.Child(telemetry.PhaseBound, "")
-		out.ub = t.throughputBound(sh, est, p)
-		bnd.SetFloat("ub", out.ub)
-		bnd.End()
-		if mb != nil {
-			if bb, ok := mb.load(); ok && out.ub <= bb {
-				out.skipped = true
-				return out
-			}
-		}
-	}
-
 	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
 	bs := sp.Child(telemetry.PhaseBuild, "")
-	bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
+	if bs.Live() {
+		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
+	}
 	sched, err := t.buildFor(space, p, micros)
 	bs.End()
 	if err != nil {
@@ -993,14 +1030,16 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnb
 		gk := graphKey{bk: bk, mbs: p.mbs, dp: p.dp, tp: space.TP,
 			memLimit: space.DeviceMem, maxRounds: maxRounds, split: t.SplitBackward,
 			place: asg.Key()}
-		memoTag := fmt.Sprintf("%s|pp%d|u%d|c%d|mbs%d|dp%d|tp%d|mem%g|r%d|split%t",
-			p.scheme.Shape(), p.pp, micros, space.Chunks, p.mbs, p.dp, space.TP,
-			space.DeviceMem, maxRounds, t.SplitBackward)
-		if pk := asg.Key(); pk != "" {
-			memoTag += "|pl" + pk
-		}
 		gs := sp.Child(telemetry.PhaseGraph, "")
-		gs.Memo(memoTag)
+		if gs.Live() {
+			memoTag := fmt.Sprintf("%s|pp%d|u%d|c%d|mbs%d|dp%d|tp%d|mem%g|r%d|split%t",
+				p.scheme.Shape(), p.pp, micros, space.Chunks, p.mbs, p.dp, space.TP,
+				space.DeviceMem, maxRounds, t.SplitBackward)
+			if gk.place != "" {
+				memoTag += "|pl" + gk.place
+			}
+			gs.Memo(memoTag)
+		}
 		gv, err := t.graphs.do(gk, func() (graphVal, error) {
 			// The round spans land under this point's graph span; if a
 			// canonically earlier point shares the memo key, Snapshot moves
@@ -1045,8 +1084,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, nd *bnb
 	} else {
 		cand.Throughput = res.SamplesPerSec * t.dpEff(p.dp)
 	}
-	out.cand = cand
-	return out
+	return pointResult{cand: cand}
 }
 
 // Rank returns the trace sorted by descending throughput (stable on labels

@@ -103,13 +103,14 @@ type Config struct {
 	// loop inline (the default — the outer Workers already parallelise the
 	// search). The plan is identical for every value.
 	GraphWorkers int
-	// NoPrune disables the tuner's admissible upper-bound prune so every
-	// feasible configuration is simulated and appears in the trace.
+	// NoPrune disables the tuner's bound and memory prunes so every feasible
+	// configuration is simulated, in canonical grid order, and appears in
+	// the trace.
 	NoPrune bool
-	// NoBnB falls back to the canonical-order grid walk instead of the
-	// branch-and-bound search. Both strategies return the byte-identical
-	// best plan; branch-and-bound typically simulates far fewer grid points,
-	// so the trace and the search stats differ. Implied by NoPrune.
+	// NoBnB expands the grid in canonical order instead of best-first by
+	// bound. The prunes and the best plan are the same either way; best-first
+	// typically simulates far fewer grid points, so the trace and the search
+	// stats differ.
 	NoBnB bool
 	// NoDelta disables delta re-simulation inside the graph passes: every
 	// candidate re-sim runs the full fixpoint instead of recomputing only
@@ -125,12 +126,11 @@ type Config struct {
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
 	// memoization, simulator executions) as registry series.
 	Metrics *telemetry.SearchMetrics
-	// Sharder, when non-nil, distributes the branch-and-bound expansion
-	// across a planning fleet (tuner.ShardDispatcher): the probe pass runs
-	// locally and the sorted grid points are dispatched in shard waves with
+	// Sharder, when non-nil, has a planning fleet evaluate the grid points
+	// (tuner.ShardDispatcher): the probe pass and every prune decision stay
+	// local and the ordered grid points are dispatched in shard waves with
 	// incumbent-bound sharing. The plan is byte-identical to a local search
-	// for every fleet shape. Ignored when NoPrune/NoBnB selects the grid
-	// walk.
+	// for every fleet shape, under NoBnB and NoPrune too.
 	Sharder tuner.ShardDispatcher
 }
 
