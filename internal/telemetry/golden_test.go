@@ -13,10 +13,11 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenTrace builds one representative search trace on a fake clock: a
-// root optimize span, a search with three points (explored with graph
-// rounds + sim, memo-hit, bound-pruned with trimmed children) and the
-// winner's closing sim, and a robustness ensemble. Every export format renders from this one tree so
-// the goldens stay mutually consistent.
+// root optimize span, a search with its probe pass, three points (explored
+// with graph rounds + sim, memo-hit, bound-pruned after a speculative
+// evaluation) and the winner's closing sim, and a robustness ensemble. Every
+// export format renders from this one tree so the goldens stay mutually
+// consistent.
 func goldenTrace() *Trace {
 	tr := New("deadbeefdeadbeefdeadbeefdeadbeef")
 	tr.Clock = fakeClock(time.Millisecond)
@@ -25,6 +26,11 @@ func goldenTrace() *Trace {
 	root.SetStr("model", "demo")
 	search := root.Child(PhaseSearch, "")
 	search.SetInt("points", 3)
+
+	// The probe pass: every point bounded and ordered before any is evaluated.
+	probe := search.Child(PhaseBound, "")
+	probe.SetInt("nodes", 3)
+	probe.End()
 
 	// Point 0: fully evaluated, with graph rounds and a simulation.
 	p0 := tr.Detached(PhasePoint, "0000 X-4-2(mario)")
@@ -57,17 +63,19 @@ func goldenTrace() *Trace {
 	p1.End()
 	p1.AttachTo(search)
 
-	// Point 2: rejected by the admissible bound; speculative children
-	// beyond build/bound are trimmed.
+	// Point 2: rejected by the admissible bound. A worker evaluated it
+	// speculatively; the merge drops that evaluation whole and synthesizes
+	// the prune span.
 	p2 := tr.Detached(PhasePoint, "0002 X-8-1(base)")
 	p2.Child(PhaseBuild, "").End()
-	bd := p2.Child(PhaseBound, "")
-	bd.SetStr("decision", "pruned")
-	bd.End()
 	p2.Child(PhaseSim, "").End()
 	p2.End()
-	p2.RetainChildren(PhaseBuild, PhaseBound)
-	p2.AttachTo(search)
+	p2.Discard()
+	s2 := tr.Detached(PhasePoint, "0002 X-8-1(base)")
+	s2.SetStr("result", "bound_pruned")
+	s2.SetFloat("ub", 11.5)
+	s2.End()
+	s2.AttachTo(search)
 
 	// The winner's closing re-simulation, directly under the search.
 	search.Child(PhaseSim, "").End()

@@ -42,11 +42,13 @@ type Phase string
 
 // The span phases, from the request root down to the innermost simulator
 // work. PhaseOptimize is the root of a plan request; PhaseSearch covers one
-// tuner grid search; PhasePoint one grid point; PhaseBuild / PhaseBound /
-// PhaseGraph / PhaseSim its sub-steps (schedule build, bound-prune decision,
-// graph-tuner run, direct simulation); PhaseRound one simulator-guided
-// prepose round inside a graph run; PhaseRobust a robustness re-scoring,
-// with PhaseCandidate / PhaseFault children per (schedule, fault plan) run.
+// tuner grid search; PhaseBound its probe pass (every grid point checked,
+// bounded and ordered before any is evaluated); PhasePoint one grid point;
+// PhaseBuild / PhaseGraph / PhaseSim its sub-steps (schedule build,
+// graph-tuner run, direct simulation) — PhaseSim directly under the search is
+// the winner's closing re-simulation; PhaseRound one simulator-guided prepose
+// round inside a graph run; PhaseRobust a robustness re-scoring, with
+// PhaseCandidate / PhaseFault children per (schedule, fault plan) run.
 const (
 	PhaseOptimize  Phase = "optimize"
 	PhaseSearch    Phase = "search"
@@ -62,8 +64,9 @@ const (
 )
 
 // phaseRank fixes the canonical sibling order: spans under one parent sort
-// by (rank, key). The rank follows the sequential search's program order —
-// build, bound decision, then graph or direct simulation.
+// by (rank, key). Under a point the rank follows the evaluation's program
+// order — build, then graph or direct simulation; under a search the point
+// spans come first, then the probe pass, then the closing simulation.
 func phaseRank(p Phase) int {
 	switch p {
 	case PhaseOptimize:
@@ -281,35 +284,6 @@ func (s Span) Discard() {
 	t := s.t
 	t.mu.Lock()
 	t.spans[s.idx-1].discard = true
-	t.mu.Unlock()
-}
-
-// RetainChildren discards every direct child whose phase is not in keep
-// (with its subtree). The canonical merge uses it to trim a speculative
-// full evaluation down to the prefix the sequential search would have
-// recorded (build + bound for a bound-pruned point). Safe on the zero Span.
-func (s Span) RetainChildren(keep ...Phase) {
-	if !s.Live() {
-		return
-	}
-	t := s.t
-	t.mu.Lock()
-	me := s.idx - 1
-	for i := range t.spans {
-		if t.spans[i].parent != me {
-			continue
-		}
-		kept := false
-		for _, p := range keep {
-			if t.spans[i].phase == p {
-				kept = true
-				break
-			}
-		}
-		if !kept {
-			t.spans[i].discard = true
-		}
-	}
 	t.mu.Unlock()
 }
 

@@ -31,7 +31,6 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	child.End()
 	child.AttachTo(sp)
 	child.Discard()
-	child.RetainChildren(PhaseBuild)
 	if sp.Live() || child.Live() {
 		t.Error("zero spans report Live")
 	}
@@ -54,25 +53,29 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	m.AddRobustRuns(1)
 }
 
-// TestSnapshotDiscardAndRetain checks the pruning semantics Snapshot
-// applies: discarded subtrees vanish, RetainChildren keeps only the listed
-// phases, and detached spans that were never attached are dropped.
-func TestSnapshotDiscardAndRetain(t *testing.T) {
+// TestSnapshotDiscard checks the pruning semantics Snapshot applies:
+// discarded subtrees vanish — a speculative evaluation the merge replaces with
+// a synthesized span of the same key leaves only the latter — and detached
+// spans that were never attached are dropped.
+func TestSnapshotDiscard(t *testing.T) {
 	tr := New("fp")
 	tr.Clock = fakeClock(time.Millisecond)
 	root := tr.Root(PhaseOptimize, "")
 	search := root.Child(PhaseSearch, "")
 
-	// A point whose speculative graph/sim work is trimmed by a bound prune.
+	// A point whose speculative build/graph work lost to a bound prune: the
+	// evaluation is dropped whole and the prune span synthesized.
 	p1 := tr.Detached(PhasePoint, "0001")
-	b1 := p1.Child(PhaseBuild, "")
-	b1.End()
+	p1.Child(PhaseBuild, "").End()
 	g1 := p1.Child(PhaseGraph, "")
 	g1.Child(PhaseRound, "01").End()
 	g1.End()
 	p1.End()
-	p1.RetainChildren(PhaseBuild, PhaseBound)
-	p1.AttachTo(search)
+	p1.Discard()
+	s1 := tr.Detached(PhasePoint, "0001")
+	s1.SetStr("result", "bound_pruned")
+	s1.End()
+	s1.AttachTo(search)
 
 	// A point discarded wholesale (stale speculative evaluation).
 	p2 := tr.Detached(PhasePoint, "0002")
@@ -89,7 +92,7 @@ func TestSnapshotDiscardAndRetain(t *testing.T) {
 
 	snap := tr.Snapshot()
 	tree := snap.Tree()
-	want := "optimize\n  search\n    point[0001]\n      build\n"
+	want := "optimize\n  search\n    point[0001] result=bound_pruned\n"
 	if tree != want {
 		t.Errorf("tree:\n%s\nwant:\n%s", tree, want)
 	}

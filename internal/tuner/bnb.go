@@ -319,8 +319,12 @@ func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, 
 // (descending bound, canonical index among ties, provably-OOM points last),
 // canonical grid order under Space.NoBnB or Space.NoPrune. It runs on the
 // search goroutine whatever the outcome source, which is what keeps the probe
-// telemetry and the expansion order identical across sources.
+// telemetry and the expansion order identical across sources. The whole pass
+// is one PhaseBound span under the search — what bounding and ordering the
+// grid cost, as opposed to evaluating it.
 func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
+	bound := search.Child(telemetry.PhaseBound, "")
+	defer bound.End()
 	nodes := make([]bnbNode, 0, len(points))
 	for i, p := range points {
 		if err := ctx.Err(); err != nil {
@@ -343,5 +347,6 @@ func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, t
 			return nodes[a].idx < nodes[b].idx
 		})
 	}
+	bound.SetInt("nodes", int64(len(nodes)))
 	return nodes, nil
 }

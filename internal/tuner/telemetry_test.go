@@ -53,8 +53,8 @@ func TestTraceWorkerIndependence(t *testing.T) {
 
 // TestTraceShape spot-checks the canonical structure: one optimize root,
 // one search child, one point span per grid point with result attributes
-// followed by the winner's one closing sim span, and memo tags on the build
-// spans.
+// followed by the probe pass's one bound span and the winner's one closing
+// sim span, and memo tags on the build spans.
 func TestTraceShape(t *testing.T) {
 	_, _, tr := searchTrace(t, 1)
 	if len(tr.Roots) != 1 {
@@ -70,10 +70,13 @@ func TestTraceShape(t *testing.T) {
 	search := root.Children[0]
 	space := detSpace(1).withDefaults()
 	points := enumerate(space)
-	if len(search.Children) != len(points)+1 {
-		t.Fatalf("search has %d children, want %d (one per grid point + the closing sim)", len(search.Children), len(points)+1)
+	if len(search.Children) != len(points)+2 {
+		t.Fatalf("search has %d children, want %d (one per grid point + the probe pass + the closing sim)", len(search.Children), len(points)+2)
 	}
-	if last := search.Children[len(points)]; last.Phase != telemetry.PhaseSim || len(last.Children) != 0 {
+	if probe := search.Children[len(points)]; probe.Phase != telemetry.PhaseBound || len(probe.Children) != 0 {
+		t.Fatalf("search child after the points is %q with %d children, want a leaf bound span", probe.Phase, len(probe.Children))
+	}
+	if last := search.Children[len(points)+1]; last.Phase != telemetry.PhaseSim || len(last.Children) != 0 {
 		t.Fatalf("last search child is %q with %d children, want a leaf sim span", last.Phase, len(last.Children))
 	}
 	memoFirst := 0

@@ -281,8 +281,8 @@ type Tuner struct {
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
 	// child per grid point (build and graph or sim children when the point
 	// was evaluated in this process, none when it was pruned or evaluated by
-	// a fleet worker), then one PhaseSim child for the winner's closing
-	// re-simulation. Workers record spans speculatively, but only the merge
+	// a fleet worker), one PhaseBound child for the probe pass, then one
+	// PhaseSim child for the winner's closing re-simulation. Workers record spans speculatively, but only the merge
 	// loop attaches them — a speculative evaluation the merge prunes is
 	// dropped whole — so the canonical trace exports are byte-identical for
 	// every Space.Workers value. The zero Span disables tracing at zero cost.
@@ -707,13 +707,8 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 			// there, so the point span is built from the outcome alone.
 			sp = pointSpan(tracer, nd.idx, nd.p)
 			sp.End()
-			// Parent parity (fleet spans of OOM points carry both results);
-			// dropped with the next commit's span changes.
-			sp.SetStr("result", "explored")
-			if c.OOM {
-				sp.SetStr("result", "oom")
-			}
-		} else if c.OOM {
+		}
+		if c.OOM {
 			sp.SetStr("result", "oom")
 		} else {
 			sp.SetStr("result", "explored")

@@ -91,8 +91,8 @@ type Config struct {
 	Hardware *cost.Hardware
 	// Progress, when non-nil, is invoked after every tuner candidate with
 	// the number of candidates explored so far and the best configuration
-	// found (its Label and estimated throughput). Callbacks arrive in
-	// canonical grid order regardless of Workers.
+	// found (its Label and estimated throughput). Callbacks arrive in the
+	// search's expansion order, the same sequence for every Workers value.
 	Progress func(explored int, bestLabel string, bestThroughput float64)
 	// Workers bounds the number of concurrent tuner evaluations; 0 means
 	// GOMAXPROCS, 1 searches sequentially. The chosen plan, trace and
