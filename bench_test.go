@@ -171,17 +171,19 @@ func BenchmarkSimulateChimera(b *testing.B) {
 }
 
 // BenchmarkGraphOptimize measures the full four-pass tuner on a 8-device,
-// 32-micro 1F1B pipeline.
+// 32-micro 1F1B pipeline, on one engine bundle across iterations — the way a
+// search runs it, one bundle per goroutine for all its grid points.
 func BenchmarkGraphOptimize(b *testing.B) {
 	s, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: 8, Micros: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
 	est := cost.Uniform(8, 1, 2, 0.25)
+	eng := graph.NewEngines(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := graph.Optimize(s, graph.Options{Estimator: est}); err != nil {
+		if _, _, err := graph.Optimize(s, graph.Options{Estimator: est, Engines: eng}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,63 +228,6 @@ func BenchmarkSimulateReuse(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Simulate(s, est, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDeltaSim measures dirty-cone delta re-simulation against a full
-// engine re-run on the tuner's inner-loop shape: one local edit per iteration
-// against a warm engine. "delta" is the default path (replay only the dirty
-// cone, splice the untouched suffix); "full" disables it via Options.NoDelta.
-// Bit-exact equivalence of the two paths is pinned by internal/sim/difftest.
-func BenchmarkDeltaSim(b *testing.B) {
-	s, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: 8, Micros: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := cost.Uniform(8, 1, 2, 0.25)
-	// Swap the last adjacent compute pair on the last device: a localized
-	// late edit whose dirty cone stays small, the shape the graph tuner's
-	// prepose candidates produce. (An edit at the head of device 0 dirties
-	// nearly the whole pipeline and degenerates into a full replay.)
-	edit := s.Clone()
-	list := edit.MutableList(len(edit.Lists) - 1)
-	swapped := false
-	for i := len(list) - 2; i >= 0; i-- {
-		if list[i].Kind.IsCompute() && list[i+1].Kind.IsCompute() {
-			list[i], list[i+1] = list[i+1], list[i]
-			swapped = true
-			break
-		}
-	}
-	if !swapped {
-		b.Fatal("no adjacent compute pair to swap")
-	}
-	for _, tc := range []struct {
-		name string
-		opt  sim.Options
-	}{
-		{"delta", sim.Options{NoTimeline: true}},
-		{"full", sim.Options{NoTimeline: true, NoDelta: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			eng := &sim.Simulator{}
-			for _, warm := range []*pipeline.Schedule{s, edit} {
-				if _, err := eng.Simulate(warm, est, tc.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cur := s
-				if i%2 == 0 {
-					cur = edit
-				}
-				if _, err := eng.Simulate(cur, est, tc.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

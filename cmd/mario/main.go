@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mario -model GPT3-13B -devices 32 -gbs 128 -mem 40G [-scheme Auto]
-//	      [-tp 1] [-workers 0] [-no-prune] [-no-bnb] [-no-delta]
+//	      [-tp 1] [-workers 0] [-no-prune] [-no-bnb]
 //	      [-run 3] [-viz] [-svg out.svg]
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
@@ -60,7 +60,6 @@ func main() {
 		gWorkers  = flag.Int("graph-workers", 0, "concurrent prepose-candidate simulations inside each graph-tuner call (0/1 = inline; results are identical)")
 		noPrune   = flag.Bool("no-prune", false, "disable the tuner's upper-bound prune (simulate every feasible configuration)")
 		noBnB     = flag.Bool("no-bnb", false, "use the canonical-order grid walk instead of branch-and-bound search (same best plan, more points simulated)")
-		noDelta   = flag.Bool("no-delta", false, "disable delta re-simulation in the graph passes (same plan, full fixpoint per candidate)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
 		runIters  = flag.Int("run", 0, "execute the winning schedule for N iterations on the emulated cluster")
 		showViz   = flag.Bool("viz", false, "print the winning schedule's timeline as ASCII")
@@ -171,7 +170,6 @@ func main() {
 			SplitBackward: *split,
 			NoPrune:       *noPrune,
 			NoBnB:         *noBnB,
-			NoDelta:       *noDelta,
 			Workers:       *workers,
 			DeviceSpeeds:  deviceSpeeds,
 			Placement:     *placementArg,
@@ -189,7 +187,6 @@ func main() {
 			GraphWorkers:    *gWorkers,
 			NoPrune:         *noPrune,
 			NoBnB:           *noBnB,
-			NoDelta:         *noDelta,
 			DeviceSpeeds:    deviceSpeeds,
 			Placement:       *placementArg,
 		}

@@ -65,7 +65,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 5*time.Minute, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 15*time.Minute, "ceiling for request-supplied deadlines")
 		tunerWorkers = flag.Int("tuner-workers", 0, "cap on per-run tuner parallelism (0 = uncapped)")
-		noDelta      = flag.Bool("no-delta", false, "force full-fixpoint re-simulation on every run (plans are identical; escape hatch)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight plans")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener with pprof + /debug/flight + /metrics (keep loopback-only)")
 		flightRing   = flag.Int("flight-ring", 64, "recent request traces the flight recorder keeps")
@@ -97,7 +96,6 @@ func main() {
 		DefaultTimeout:   *timeout,
 		MaxTimeout:       *maxTimeout,
 		TunerWorkers:     *tunerWorkers,
-		NoDelta:          *noDelta,
 		FlightRing:       *flightRing,
 		FlightSlow:       *flightSlow,
 		MaxBodyBytes:     *maxBody,
@@ -349,7 +347,7 @@ func runSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	// The second concurrent stream either shared the first one's flight
 	// (singleflight collapse) or — small tuner runs finish in milliseconds
-	// with the delta engine and branch-and-bound — arrived after completion
+	// with reusable engines and branch-and-bound — arrived after completion
 	// and was answered from the cache. Both are correct, so the expected hit
 	// count derives from the observed responses: the explicit repeat request
 	// plus any concurrent stream that reported cached.

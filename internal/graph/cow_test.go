@@ -9,6 +9,7 @@ import (
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
+	"mario/internal/telemetry"
 )
 
 // TestPassesDoNotLeakIntoParent: under copy-on-write Clone, every mutating
@@ -82,82 +83,50 @@ func TestOptimizeInputUnmodified(t *testing.T) {
 	}
 }
 
-// TestListPoolSafety pins the candidate-buffer recycling contract: endRound
-// must never recycle a list that is part of the current schedule, and after
-// it recycles a retired list no engine may still key a cache entry on that
-// buffer (Simulator.Holds must be false), so the next getList can hand the
-// buffer out without aliasing a cached identity. Re-simulating the current
-// schedule afterwards must still agree bit-for-bit with a fresh simulation.
-func TestListPoolSafety(t *testing.T) {
+// TestEnginesSizedByOwner: the width of the per-device scan belongs to whoever
+// made the bundle, so no run can inherit another's. A Workers: 0 run that
+// follows a Workers: 4 run evaluates inline — on a bundle of its own and on
+// one the caller passes alike — and a caller-owned bundle is left for its
+// owner to report.
+func TestEnginesSizedByOwner(t *testing.T) {
 	s := build1f1b(t, 4, 8)
-	ApplyCheckpoint(s)
 	e := cost.Uniform(4, 1, 2, 0.25)
-	opts := sim.Options{NoTimeline: true}
-	eng := newEngines(2)
+	opts := Options{Estimator: e, Sim: sim.Options{NoTimeline: true}}
 
-	// Candidate on device 0, simulated on both engines so both cache it.
-	c := s.Clone()
-	if !preposeList(eng, c, 0) {
-		t.Fatal("no group to prepose on device 0")
-	}
-	cl := c.Lists[0]
-	for _, m := range []*sim.Simulator{eng.main, eng.pool[0]} {
-		if _, err := m.Simulate(c, e, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !eng.main.Holds(0, cl) || !eng.pool[0].Holds(0, cl) {
-		t.Fatal("engines should cache the candidate list before endRound")
-	}
-
-	// The candidate lost: cur stays s, so endRound must recycle its list and
-	// evict it from every engine.
-	eng.endRound(s)
-	if len(eng.free) != 1 || len(eng.tracked) != 0 {
-		t.Fatalf("after losing round: free=%d tracked=%d, want 1 and 0", len(eng.free), len(eng.tracked))
-	}
-	if eng.main.Holds(0, cl) || eng.pool[0].Holds(0, cl) {
-		t.Error("engines still hold the recycled list")
-	}
-	buf := eng.getList(len(cl))
-	if len(cl) == 0 || &buf[:1][0] != &cl[:1][0] {
-		t.Error("getList did not hand back the recycled buffer")
-	}
-	// Reuse is the hazard the Holds protocol guards against: overwrite the
-	// recycled buffer with unrelated content. Every cache class that keys on
-	// it by identity — the active entry, the depth-2 revert snapshot, the
-	// delta snapshot, and the pinned base fixpoint — must already have
-	// dropped it, or the bit-for-bit re-simulations below read this garbage.
-	buf = buf[:cap(buf)]
-	for i := range buf {
-		buf[i] = pipeline.Instr{Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro}
-	}
-
-	// A winning candidate's list is part of cur and must stay out of the pool.
-	w := s.Clone()
-	if !preposeList(eng, w, 1) {
-		t.Fatal("no group to prepose on device 1")
-	}
-	wl := w.Lists[1]
-	eng.endRound(w)
-	if len(eng.free) != 0 || len(eng.tracked) != 1 || !sameList(eng.tracked[0].list, wl) {
-		t.Fatalf("winning list was not kept tracked (free=%d tracked=%d)", len(eng.free), len(eng.tracked))
-	}
-
-	// Cache integrity after the evictions: engine re-simulation of the winner
-	// agrees bit-for-bit with a fresh one-shot simulation.
-	want, err := sim.Simulate(w, e, opts)
+	opts.Workers = 4
+	want, _, err := Optimize(s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range []*sim.Simulator{eng.main, eng.pool[0]} {
-		got, err := m.Simulate(w, e, opts)
-		if err != nil {
-			t.Fatalf("engine %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("engine %d: post-eviction result differs from fresh simulation (%.17g vs %.17g)", i, got.Total, want.Total)
-		}
+	if eng, _ := opts.engines(); len(eng.scan) != 3 {
+		t.Fatalf("Workers: 4 run got %d scan engines, want 3", len(eng.scan))
+	}
+	opts.Workers = 0
+	if eng, _ := opts.engines(); len(eng.scan) != 0 {
+		t.Fatalf("Workers: 0 run after a Workers: 4 run got %d scan engines, want none", len(eng.scan))
+	}
+
+	reg := telemetry.NewRegistry()
+	opts.Metrics = telemetry.NewSearchMetrics(reg)
+	opts.Engines = NewEngines(0)
+	opts.Workers = 4 // the bundle's width wins
+	got, _, err := Optimize(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Error("caller-owned bundle changed the optimized schedule")
+	}
+	eng := opts.Engines
+	if len(eng.scan) != 0 || eng.Sims() == 0 || eng.Sims() != eng.Main.Sims {
+		t.Errorf("inline bundle: %d scan engines, %d sims of which %d on Main", len(eng.scan), eng.Sims(), eng.Main.Sims)
+	}
+	if n := opts.Metrics.Sims.Value(); n != 0 {
+		t.Errorf("run reported %d sims of a bundle it does not own", n)
+	}
+	// Every simulation classifies every device exactly once.
+	if r := eng.Rebuilds(); r.Unchanged+r.Swap+r.Full != eng.Sims()*int64(s.NumDevices()) {
+		t.Errorf("rebuild counters %+v do not add up to %d sims × %d devices", r, eng.Sims(), s.NumDevices())
 	}
 }
 

@@ -198,15 +198,35 @@ type Options struct {
 	// Workers bounds the goroutines simulating prepose candidates
 	// concurrently; 0 or 1 evaluates inline. The winner is selected in
 	// canonical device order, so the optimized schedule is byte-identical
-	// for every worker count.
+	// for every worker count. A bundle passed in Engines was sized by its
+	// creator and runs at that width.
 	Workers int
+	// Engines is the simulator bundle the run evaluates on. The caller that
+	// passes one owns it — a search reuses one bundle per goroutine across
+	// all its runs and reports its counts itself; nil makes the run create
+	// (and report to Metrics) a bundle of its own. Results are identical
+	// either way.
+	Engines *Engines
 	// Span, when live, parents the run's telemetry: OptimizeContext records
 	// one PhaseRound child per simulator-guided prepose round, with
 	// deterministic attributes (moves, improvement, makespan). The zero
 	// Span disables tracing at zero cost.
 	Span telemetry.Span
-	// Metrics, when non-nil, receives round and simulation counts.
+	// Metrics, when non-nil, receives the round count — and the simulation
+	// counts of a bundle the run created itself.
 	Metrics *telemetry.SearchMetrics
+}
+
+// engines returns the bundle a run evaluates on, every cached list identity
+// dropped, and the function the run defers: it reports a bundle made for this
+// call and does nothing for one the caller owns.
+func (o Options) engines() (*Engines, func()) {
+	if eng := o.Engines; eng != nil {
+		eng.invalidate()
+		return eng, func() {}
+	}
+	eng := NewEngines(o.Workers)
+	return eng, func() { eng.Report(o.Metrics) }
 }
 
 // Optimize applies the full pass pipeline — apply-checkpoint once, then
@@ -234,15 +254,14 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	// versa; they are cheap, so run them to a (two-round) fixpoint before
 	// the guided pass.
 	OverlapRecompute(cur)
-	eng := acquireEngines(opt.Workers)
-	defer eng.release()
-	defer func() { opt.Metrics.AddSims(eng.sims()) }()
+	eng, done := opt.engines()
+	defer done()
 	// Candidate acceptance only compares makespans and peaks, so the inner
 	// loop always runs without timeline recording; the caller-visible result
 	// is re-derived with the requested options at the end.
 	inner := opt
 	inner.Sim.NoTimeline = true
-	best, err := eng.main.Simulate(cur, opt.Estimator, inner.Sim)
+	best, err := eng.Main.Simulate(cur, opt.Estimator, inner.Sim)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: simulating checkpointed schedule: %w", err)
 	}
@@ -287,27 +306,12 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			break
 		}
 		cur, best = next, nextRes
-		// Re-base the main engine's delta snapshot onto the accepted
-		// schedule (candidate probes left it keyed on the previous base), so
-		// the next round's probes diff against it. When the winner was the
-		// main engine's own last probe — the common case — Commit adopts its
-		// already-computed clocks for free; otherwise one adopting delta sim
-		// re-derives them.
-		if !eng.main.Commit(cur) {
-			if _, err := eng.main.Simulate(cur, opt.Estimator, inner.Sim); err != nil {
-				return nil, nil, fmt.Errorf("graph: re-basing accepted schedule: %w", err)
-			}
-		}
-		// Recycle list buffers of candidates this round retired; lists an
-		// engine still keys on stay out of the pool until pushed out of its
-		// depth-2 cache by later rebuilds.
-		eng.endRound(cur)
 	}
 	if err := pipeline.Validate(cur); err != nil {
 		return nil, nil, fmt.Errorf("graph: optimized schedule invalid: %w", err)
 	}
 	if !opt.Sim.NoTimeline {
-		best, err = eng.main.Simulate(cur, opt.Estimator, opt.Sim)
+		best, err = eng.Main.Simulate(cur, opt.Estimator, opt.Sim)
 		if err != nil {
 			return nil, nil, fmt.Errorf("graph: simulating optimized schedule: %w", err)
 		}

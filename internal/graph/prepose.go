@@ -8,34 +8,76 @@ import (
 
 	"mario/internal/pipeline"
 	"mario/internal/sim"
+	"mario/internal/telemetry"
 )
 
-// engines bundles the reusable Simulators an Optimize run evaluates its
-// candidates on: main is used by the sequential driver, pool by the
-// prepose-round worker goroutines. Reusing the engines across rounds is what
-// makes candidate evaluation allocation-free — each candidate shares all but
-// one list with the current schedule, so only that device's metadata is
-// rebuilt.
-type engines struct {
-	main *sim.Simulator
-	pool []*sim.Simulator
-
-	// Candidate-list buffer pool. Lists built for losing candidates are
-	// recycled once no engine still caches their identity (Simulator.Holds)
-	// and they are not part of the current schedule; tracked remembers which
-	// device each created list was set on, since an engine only ever caches a
-	// list under that device's slot.
-	free    [][]pipeline.Instr
-	tracked []trackedList
-
-	// sims0 is the simsTotal() baseline taken at acquire time; sims()
-	// subtracts it so pooled reuse never double-counts telemetry.
-	sims0 int64
-
+// Engines bundles the reusable state an Optimize or SplitBackward run
+// evaluates its candidates on: Main is the driver goroutine's simulator, scan
+// the extra simulators the per-device prepose scan fans out to, feas the
+// feasibility pre-screen's scratch. Reusing the simulators across rounds is
+// what keeps candidate evaluation cheap — each candidate shares all but a few
+// lists with the current schedule, so only those devices' metadata is rebuilt.
+//
+// A bundle belongs to whoever created it, for as long as they like: a search
+// makes one per goroutine and passes it to every run through Options.Engines,
+// running its own direct simulations on Main in between. The owner reads Sims
+// and Rebuilds when it is done. Like the simulators in it, a bundle serves one
+// run at a time.
+type Engines struct {
+	Main *sim.Simulator
+	scan []*sim.Simulator
 	feas feasScratch
 }
 
-// feasScratch is the reusable state of engines.feasible. Candidates are
+// NewEngines returns a bundle whose per-device prepose scan runs on workers
+// goroutines; 0 or 1 evaluates inline, on Main alone.
+func NewEngines(workers int) *Engines {
+	e := &Engines{Main: &sim.Simulator{}}
+	for i := 1; i < workers; i++ {
+		e.scan = append(e.scan, &sim.Simulator{})
+	}
+	return e
+}
+
+// invalidate drops the list identities every simulator of the bundle keys on.
+// Runs call it when they start: the previous run's result lists belong to its
+// caller now.
+func (e *Engines) invalidate() {
+	e.Main.Invalidate()
+	for _, m := range e.scan {
+		m.Invalidate()
+	}
+}
+
+// Sims sums the Simulate calls issued on the bundle's simulators.
+func (e *Engines) Sims() int64 {
+	n := e.Main.Sims
+	for _, m := range e.scan {
+		n += m.Sims
+	}
+	return n
+}
+
+// Rebuilds sums what the bundle's simulators did with their per-device caches.
+func (e *Engines) Rebuilds() sim.Rebuilds {
+	r := e.Main.Rebuilds
+	for _, m := range e.scan {
+		r.Unchanged += m.Rebuilds.Unchanged
+		r.Swap += m.Rebuilds.Swap
+		r.Full += m.Rebuilds.Full
+	}
+	return r
+}
+
+// Report adds the bundle's simulation and rebuild counts to the registry;
+// whoever created the bundle calls it once, when done with it.
+func (e *Engines) Report(m *telemetry.SearchMetrics) {
+	r := e.Rebuilds()
+	m.AddSims(e.Sims())
+	m.AddSimRebuilds(r.Unchanged, r.Swap, r.Full)
+}
+
+// feasScratch is the reusable state of Engines.feasible. Candidates are
 // constructed and screened on the driver goroutine before any worker fan-out,
 // so one scratch per bundle suffices.
 type feasScratch struct {
@@ -103,7 +145,7 @@ func commKindIdx(k pipeline.Kind) int {
 // The prepose driver screens candidates with it before paying for a
 // simulation: illegal candidates are skipped either way, so the optimization
 // result is unchanged.
-func (e *engines) feasible(s *pipeline.Schedule) bool {
+func (e *Engines) feasible(s *pipeline.Schedule) bool {
 	D := s.NumDevices()
 	nl := 2 * D * D
 	nParts := s.Placement.NumParts()
@@ -238,141 +280,6 @@ func growBools(s []bool, n int) []bool {
 		return s[:n]
 	}
 	return make([]bool, n)
-}
-
-type trackedList struct {
-	dev  int
-	list []pipeline.Instr
-}
-
-func newEngines(workers int) *engines {
-	e := &engines{main: &sim.Simulator{}}
-	for i := 1; i < workers; i++ {
-		e.pool = append(e.pool, &sim.Simulator{})
-	}
-	return e
-}
-
-// engPool recycles engine bundles across Optimize calls so a tuner sweeping
-// hundreds of grid points reuses warm simulator buffers instead of
-// reallocating them per point. Identity caches are dropped on release
-// (Simulator.Invalidate) because the previous run's result schedule owns
-// lists the engines still key on; only capacity survives.
-var engPool = sync.Pool{New: func() any { return newEngines(1) }}
-
-// acquireEngines returns a bundle sized for the requested worker count, with
-// per-run counters rebased so sims() reports this run's simulations only.
-func acquireEngines(workers int) *engines {
-	e := engPool.Get().(*engines)
-	for len(e.pool) < workers-1 {
-		e.pool = append(e.pool, &sim.Simulator{})
-	}
-	if len(e.pool) > workers-1 && workers >= 1 {
-		for i := workers - 1; i < len(e.pool); i++ {
-			e.pool[i] = nil
-		}
-		e.pool = e.pool[:workers-1]
-	}
-	e.sims0 = e.simsTotal()
-	return e
-}
-
-// release returns the bundle to the pool. Result lists escape to the caller,
-// so tracked entries are dropped without recycling their buffers (free-list
-// buffers never appear in a result and stay pooled), and every engine
-// forgets its cached identities.
-func (e *engines) release() {
-	for i := range e.tracked {
-		e.tracked[i] = trackedList{}
-	}
-	e.tracked = e.tracked[:0]
-	// The main engine re-keys its caches onto owned copies: a pooled bundle
-	// often sees a near-identical schedule next (tuner grid neighbours), so
-	// its warm metadata and delta snapshot keep paying off. Worker engines
-	// only ever simulate scan candidates whose buffers are recycled below —
-	// their identities are worthless and are dropped outright.
-	e.main.Detach()
-	for _, m := range e.pool {
-		m.Invalidate()
-	}
-	engPool.Put(e)
-}
-
-// getList returns an empty instruction list with capacity for at least n
-// entries, reusing a recycled candidate buffer when one fits.
-func (e *engines) getList(n int) []pipeline.Instr {
-	for i := len(e.free) - 1; i >= 0; i-- {
-		if cap(e.free[i]) >= n {
-			l := e.free[i][:0]
-			e.free[i] = e.free[len(e.free)-1]
-			e.free[len(e.free)-1] = nil
-			e.free = e.free[:len(e.free)-1]
-			return l
-		}
-	}
-	return make([]pipeline.Instr, 0, n)
-}
-
-func (e *engines) track(dev int, list []pipeline.Instr) {
-	e.tracked = append(e.tracked, trackedList{dev: dev, list: list})
-}
-
-// endRound recycles candidate-list buffers the finished round retired: every
-// tracked list that is not part of cur returns to the free pool, after
-// evicting any engine cache entry still keyed on it (such entries are stale —
-// future candidates derive from cur, so a retired identity can never match
-// again). Lists in cur stay tracked and are re-checked after later rounds.
-func (e *engines) endRound(cur *pipeline.Schedule) {
-	kept := e.tracked[:0]
-	for _, t := range e.tracked {
-		if sameList(cur.Lists[t.dev], t.list) {
-			kept = append(kept, t)
-			continue
-		}
-		if e.cached(t.dev, t.list) {
-			e.main.Forget(t.dev, t.list)
-			for _, m := range e.pool {
-				m.Forget(t.dev, t.list)
-			}
-		}
-		e.free = append(e.free, t.list)
-	}
-	for i := len(kept); i < len(e.tracked); i++ {
-		e.tracked[i] = trackedList{}
-	}
-	e.tracked = kept
-}
-
-func (e *engines) cached(dev int, list []pipeline.Instr) bool {
-	if e.main.Holds(dev, list) {
-		return true
-	}
-	for _, m := range e.pool {
-		if m.Holds(dev, list) {
-			return true
-		}
-	}
-	return false
-}
-
-func sameList(a, b []pipeline.Instr) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
-// simsTotal sums the lifetime Simulate-call counters across the bundle's
-// engines (monotone across pooled reuse).
-func (e *engines) simsTotal() int64 {
-	n := e.main.Sims
-	for _, m := range e.pool {
-		n += m.Sims
-	}
-	return n
-}
-
-// sims reports the Simulate calls issued since this bundle was acquired; the
-// driver folds the total into the telemetry registry.
-func (e *engines) sims() int64 {
-	return e.simsTotal() - e.sims0
 }
 
 // A forward group is the contiguous [RecvAct?, CkptForward, SendAct?] run of
@@ -547,16 +454,16 @@ func preposeDevice(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
 		return nil, false
 	}
 	c := s.Clone()
-	preposeList(nil, c, d)
+	preposeList(c, d)
 	return c, true
 }
 
 // preposeList rewrites device d of c in place, moving its next steady-phase
 // forward group to the leading bubble region. The caller owns c (a private
-// clone of the candidate base); when eng is non-nil the rewritten list is
-// drawn from and tracked by the engines' buffer pool. Returns false when the
-// device has no group to move.
-func preposeList(eng *engines, c *pipeline.Schedule, d int) bool {
+// clone of the candidate base); the rewritten list is a fresh allocation, as
+// the simulators' identity-keyed caches require. Returns false when the device
+// has no group to move.
+func preposeList(c *pipeline.Schedule, d int) bool {
 	list := c.Lists[d]
 	b := findBoundary(list)
 	if b < 0 {
@@ -569,12 +476,7 @@ func preposeList(eng *engines, c *pipeline.Schedule, d int) bool {
 	cfw := list[g.cfwIdx]
 	moveSA := g.saIdx >= 0 && consumerPreposed(c, cfw.Micro, cfw.Part, cfw.Stage)
 
-	var nl []pipeline.Instr
-	if eng != nil {
-		nl = eng.getList(len(list))
-	} else {
-		nl = make([]pipeline.Instr, 0, len(list))
-	}
+	nl := make([]pipeline.Instr, 0, len(list))
 	var movedArr [3]pipeline.Instr
 	moved := movedArr[:0]
 	for i := g.start; i < g.end; i++ {
@@ -600,9 +502,6 @@ func preposeList(eng *engines, c *pipeline.Schedule, d int) bool {
 		nl = append(nl, list[i])
 	}
 	c.SetList(d, nl)
-	if eng != nil {
-		eng.track(d, nl)
-	}
 	return true
 }
 
@@ -667,21 +566,15 @@ func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (*sim.R
 // number of group moves this round may perform (negative = unlimited); the
 // round reports how many it used.
 //
-// The per-device candidates are simulated concurrently when the engines carry
-// a worker pool. The winner is still chosen by scanning the results in
+// The per-device candidates are simulated concurrently when the bundle carries
+// scan simulators. The winner is still chosen by scanning the results in
 // ascending device order with a strict-improvement comparison — exactly the
 // sequential selection — so the outcome is byte-identical for every worker
 // count (the determinism-first contract the outer tuner grid established).
 //
 // ctx is checked before each candidate simulation (including by the worker
 // goroutines); a cancelled round returns ctx's error.
-func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, budget int, eng *engines) (*pipeline.Schedule, *sim.Result, int, error) {
-	// Candidate evaluations are throwaway probes: each diffs against the
-	// engine's accepted baseline instead of re-keying the delta snapshot on
-	// every try-then-revert mutation (opt is a by-value copy; the caller's
-	// options are unchanged). OptimizeContext re-bases the baseline when a
-	// round's winner is accepted.
-	opt.Sim.Probe = true
+func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, budget int, eng *Engines) (*pipeline.Schedule, *sim.Result, int, error) {
 	type cand struct {
 		s     *pipeline.Schedule
 		r     *sim.Result
@@ -696,16 +589,13 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		}
 	}
 
-	// The buffered-send promotion candidate goes first so the composite —
-	// the usual winner — is the main engine's most recent probe when the
-	// round ends, letting OptimizeContext adopt its clocks with Commit
-	// instead of an extra re-basing simulation. (Order only matters on exact
-	// makespan ties: the earlier candidate wins them.)
+	// Candidate order matters on exact makespan ties only: the earlier
+	// candidate wins them. The buffered-send promotion goes first.
 	if c, ok := promoteBufferedSends(cur); ok {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		r, err := simCandidate(eng.main, c, opt)
+		r, err := simCandidate(eng.Main, c, opt)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -728,7 +618,7 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 			}
 			comp = cur.Clone()
 		}
-		if preposeList(eng, comp, d) {
+		if preposeList(comp, d) {
 			moves++
 		}
 	}
@@ -736,7 +626,7 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		r, err := simCandidate(eng.main, comp, opt)
+		r, err := simCandidate(eng.Main, comp, opt)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -754,13 +644,13 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 				continue
 			}
 			c := cur.Clone()
-			preposeList(eng, c, d)
+			preposeList(c, d)
 			cands[d] = c
 			jobs = append(jobs, d)
 		}
 		results := make([]*sim.Result, D)
 		errs := make([]error, D)
-		if w := min(len(eng.pool), len(jobs)-1); w > 0 {
+		if w := min(len(eng.scan), len(jobs)-1); w > 0 {
 			var next atomic.Int64
 			run := func(e *sim.Simulator) {
 				for {
@@ -782,9 +672,9 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 				go func(e *sim.Simulator) {
 					defer wg.Done()
 					run(e)
-				}(eng.pool[i])
+				}(eng.scan[i])
 			}
-			run(eng.main)
+			run(eng.Main)
 			wg.Wait()
 		} else {
 			for _, d := range jobs {
@@ -792,7 +682,7 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 					errs[d] = err
 					break
 				}
-				results[d], errs[d] = simCandidate(eng.main, cands[d], opt)
+				results[d], errs[d] = simCandidate(eng.Main, cands[d], opt)
 			}
 		}
 		for d := 0; d < D; d++ {

@@ -24,8 +24,9 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: SplitBackward requires an estimator")
 	}
-	eng := &sim.Simulator{}
-	defer func() { opt.Metrics.AddSims(eng.Sims) }()
+	bundle, done := opt.engines()
+	defer done()
+	eng := bundle.Main
 	// As in Optimize, candidate acceptance needs no timeline; the returned
 	// result is re-derived with the caller's options at the end.
 	innerSim := opt.Sim
@@ -37,9 +38,9 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 	}
 	// Reject the plain split if it regressed (possible when extra launch
 	// overheads outweigh the unblocking benefit).
-	if base, err := sim.Simulate(s, opt.Estimator, innerSim); err == nil && base.Total < best.Total {
+	if base, err := eng.Simulate(s, opt.Estimator, innerSim); err == nil && base.Total < best.Total {
 		if !opt.Sim.NoTimeline {
-			if base, err = sim.Simulate(s, opt.Estimator, opt.Sim); err != nil {
+			if base, err = eng.Simulate(s, opt.Estimator, opt.Sim); err != nil {
 				return nil, nil, fmt.Errorf("graph: simulating unsplit schedule: %w", err)
 			}
 		}

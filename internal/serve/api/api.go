@@ -84,10 +84,6 @@ type PlanRequest struct {
 	// lower case, with "auto" normalized to empty).
 	Placement string `json:"placement,omitempty"`
 
-	// NoDelta disables delta re-simulation inside the graph passes. Not
-	// fingerprinted: the plan is bit-identical either way (it is a speed
-	// control, like Workers).
-	NoDelta bool `json:"no_delta,omitempty"`
 	// Workers is a per-request hint for tuner parallelism, capped by the
 	// server; 0 uses the server default. Not fingerprinted: the plan is
 	// identical for every worker count.
@@ -244,7 +240,6 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 		MaxPP:           r.MaxPP,
 		NoPrune:         r.NoPrune,
 		NoBnB:           r.NoBnB,
-		NoDelta:         r.NoDelta,
 		Workers:         workers,
 		DeviceSpeeds:    r.DeviceSpeeds,
 		Placement:       r.Placement,

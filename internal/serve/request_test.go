@@ -47,9 +47,9 @@ func TestRequestValidateErrors(t *testing.T) {
 
 // TestFingerprintStrategyFields pins which of the search-strategy knobs are
 // part of the workload identity. NoPrune and NoBnB change the trace and the
-// search stats, so they must produce distinct cache entries; NoDelta, Workers
-// and TimeoutSec are speed controls with bit-identical plans, so they must
-// share one.
+// search stats, so they must produce distinct cache entries; Workers and
+// TimeoutSec are speed controls with bit-identical plans, so they must share
+// one.
 func TestFingerprintStrategyFields(t *testing.T) {
 	fp := func(mut func(*PlanRequest)) string {
 		r := PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
@@ -73,7 +73,6 @@ func TestFingerprintStrategyFields(t *testing.T) {
 		}
 	}
 	for name, mut := range map[string]func(*PlanRequest){
-		"no_delta":    func(r *PlanRequest) { r.NoDelta = true },
 		"workers":     func(r *PlanRequest) { r.Workers = 7 },
 		"timeout_sec": func(r *PlanRequest) { r.TimeoutSec = 3 },
 	} {
@@ -94,14 +93,14 @@ func TestFingerprintStrategyFields(t *testing.T) {
 func TestRequestConfigPlumbing(t *testing.T) {
 	r := PlanRequest{
 		Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64,
-		NoPrune: true, NoBnB: true, NoDelta: true,
+		NoPrune: true, NoBnB: true,
 	}
 	if _, err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	conf := r.Config(3)
-	if !conf.NoPrune || !conf.NoBnB || !conf.NoDelta {
-		t.Errorf("config dropped a strategy knob: NoPrune=%v NoBnB=%v NoDelta=%v", conf.NoPrune, conf.NoBnB, conf.NoDelta)
+	if !conf.NoPrune || !conf.NoBnB {
+		t.Errorf("config dropped a strategy knob: NoPrune=%v NoBnB=%v", conf.NoPrune, conf.NoBnB)
 	}
 	if conf.Workers != 3 {
 		t.Errorf("config.Workers = %d, want the resolved value 3", conf.Workers)

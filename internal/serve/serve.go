@@ -32,11 +32,6 @@ type Options struct {
 	// TunerWorkers caps the per-run tuner parallelism (mario.Config.Workers)
 	// a request may ask for; 0 leaves requests uncapped (0 = GOMAXPROCS).
 	TunerWorkers int
-	// NoDelta forces full-fixpoint re-simulation (mario.Config.NoDelta) on
-	// every run, regardless of what requests ask. Plans are bit-identical
-	// either way, so the cache is unaffected; this is the server-wide
-	// escape hatch.
-	NoDelta bool
 	// Registry receives the server's metric series (and the search
 	// metrics of every tuner run); nil allocates a private registry.
 	// /metrics renders everything registered on it.
@@ -359,9 +354,6 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, tracer *telemetr
 		workers = s.opts.TunerWorkers
 	}
 	conf := req.Config(workers)
-	if s.opts.NoDelta {
-		conf.NoDelta = true
-	}
 	// A configured fleet turns this run into a coordinator search: probe
 	// locally, dispatch shard waves to the peers. The tuner guarantees the
 	// plan bytes are identical to a local run (and falls back locally on

@@ -49,7 +49,7 @@ func (b *blockingRun) run(ctx context.Context, req PlanRequest, tracer *telemetr
 	return b.result(req)
 }
 
-func postPlan(t *testing.T, url string, req PlanRequest) (*http.Response, []byte) {
+func postPlan(t *testing.T, url string, req any) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -336,14 +336,17 @@ func TestValidationErrors(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := []PlanRequest{
-		{}, // no model
-		{Model: "NoSuchModel", Devices: 4, GlobalBatch: 16},
-		{Model: "LLaMA2-3B", Devices: 0, GlobalBatch: 16}, // devices
-		{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Scheme: "bogus"},
-		{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "12X"},
-		{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: []int{0}},
-		{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, TimeoutSec: -1},
+	cases := []any{
+		PlanRequest{}, // no model
+		PlanRequest{Model: "NoSuchModel", Devices: 4, GlobalBatch: 16},
+		PlanRequest{Model: "LLaMA2-3B", Devices: 0, GlobalBatch: 16}, // devices
+		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Scheme: "bogus"},
+		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "12X"},
+		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: []int{0}},
+		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, TimeoutSec: -1},
+		// A field the schema no longer has (the retired delta switch) is an
+		// unknown field like any other.
+		json.RawMessage(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_delta":true}`),
 	}
 	for i, req := range cases {
 		resp, body := postPlan(t, ts.URL, req)

@@ -1,17 +1,15 @@
 // Package difftest is the differential harness behind the simulator's
-// equivalence guarantees: delta re-simulation on a reused engine must be
-// byte-identical to a full propagation on a fresh engine — same makespan
-// bits, same peaks, same timeline spans, same error — for every reachable
-// engine state. The harness generates seeded random workloads (schedule,
-// estimator, options), drives a long-lived "delta" engine through randomized
-// single-device mutations, probe runs, commits, reverts, and cache
-// maintenance (Detach, Invalidate, Forget), and after every step checks the
-// reused engine's answer against a fresh full simulation of the same
-// schedule, failing on the first diverging byte of a canonical encoding.
-//
-// The tuner's branch-and-bound tests reuse the same canonical-encoding
-// helpers (Canon sections, Compare) to prove bnb-vs-grid equivalence, so
-// both halves of the search stack share one notion of "identical".
+// equivalence guarantee: every result is a pure function of (schedule,
+// estimator, options), so a reused engine — whatever its identity-keyed
+// caches hold — must be byte-identical to a fresh one: same makespan bits,
+// same peaks, same timeline spans, same error. The harness generates seeded
+// random workloads (schedule, estimator, options), drives a long-lived engine
+// through randomized single-device mutations, reverts, estimator rebinds and
+// Invalidate calls, and after every step checks the reused engine's answer
+// against a fresh engine's on the same schedule, failing on the first
+// diverging byte of a canonical encoding — and, in eager mode, checks both
+// against Reference, a naive simulator that shares no code with the engine.
+// Only tests import this package.
 package difftest
 
 import (
@@ -139,8 +137,8 @@ func NewWorkload(seed int64) (*Workload, error) {
 		opt.MemLimit = lo + rng.Float64()*(hi-lo+1)
 	}
 	if rng.Intn(8) == 0 {
-		// Rendezvous disables delta eligibility; keep a slice of coverage on
-		// the reused engine's full-path fallback.
+		// Rendezvous is out of the reference simulator's reach; keep a slice
+		// of reused-versus-fresh coverage on it.
 		opt.Rendezvous = true
 	}
 
@@ -164,8 +162,8 @@ func (w *Workload) seed(s int64) {
 // Mutate applies one random single-device mutation under a fresh list
 // identity and reports a description of it. Mutations may produce schedules
 // that deadlock or mismatch — the differential property covers error results
-// too — but always change exactly one device, which is the shape the delta
-// engine's dirty-cone analysis is built for.
+// too — and always change exactly one device, the copy-on-write candidate
+// shape the engine's per-device cache is built for.
 func (w *Workload) Mutate() string {
 	rng := w.rng
 	d := rng.Intn(w.S.NumDevices())
@@ -234,14 +232,14 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Harness drives a long-lived delta engine against fresh-full references.
+// Harness drives a long-lived engine against fresh-engine and naive references.
 type Harness struct {
 	W *Workload
-	// Delta is the engine under test: reused across steps so it exercises
-	// the delta path, probe mode, Commit, snapshot reverts, and the rebuild
-	// plans.
-	Delta sim.Simulator
-	steps int
+	// Reused is the engine under test: it lives across steps, so every call
+	// meets whatever the previous ones left in its per-device caches
+	// (unchanged entries, depth-2 snapshots, full rebuilds).
+	Reused sim.Simulator
+	steps  int
 }
 
 // NewHarness builds a harness over a fresh workload for the seed.
@@ -253,10 +251,10 @@ func NewHarness(seed int64) (*Harness, error) {
 	return &Harness{W: w}, nil
 }
 
-// Step advances the harness once: maybe mutate the workload, maybe exercise
-// an engine-maintenance entry point, run the delta engine (randomly in probe
-// mode, sometimes committing the probe), run a fresh full reference, and
-// compare byte-for-byte. A non-nil error is a disproof of the equivalence.
+// Step advances the harness once: maybe mutate or revert a device, maybe
+// rebind the estimator (an equal copy under a new pointer, which resets every
+// cache) or call Invalidate, then check reused engine ≡ fresh engine ≡
+// reference, byte for byte. A non-nil error is a disproof of the equivalence.
 func (h *Harness) Step() error {
 	w := h.W
 	rng := w.rng
@@ -267,42 +265,25 @@ func (h *Harness) Step() error {
 	}
 	switch rng.Intn(12) {
 	case 0:
-		h.Delta.Detach()
+		est := *w.Est
+		w.Est = &est
 	case 1:
-		h.Delta.Invalidate()
-	case 2:
-		d := rng.Intn(w.S.NumDevices())
-		if h.Delta.Holds(d, w.S.Lists[d]) {
-			h.Delta.Forget(d, w.S.Lists[d])
-		}
+		h.Reused.Invalidate()
 	}
 
 	opt := w.Opt
 	opt.NoTimeline = rng.Intn(3) == 0
-	probe := rng.Intn(3) == 0
-
-	dOpt := opt
-	dOpt.Probe = probe
-	runs0 := h.Delta.DeltaStats().Runs
-	dRes, dErr := h.Delta.Simulate(w.S, w.Est, dOpt)
-	if dErr == nil && probe && rng.Intn(2) == 0 {
-		// Commit must adopt a successful probe the engine answered via the
-		// delta path; on a full-path probe (fresh engine, rendezvous) it is
-		// allowed to refuse and the caller re-simulates, so only the delta
-		// case is a hard requirement.
-		wasDelta := h.Delta.DeltaStats().Runs > runs0
-		if !h.Delta.Commit(w.S) && wasDelta {
-			return fmt.Errorf("step %d (%s): Commit refused a successful delta probe of the same schedule", h.steps, w.desc)
-		}
+	got, gotErr := h.Reused.Simulate(w.S, w.Est, opt)
+	fresh, freshErr := sim.Simulate(w.S, w.Est, opt)
+	if err := Compare(got, gotErr, fresh, freshErr); err != nil {
+		return fmt.Errorf("step %d (%s): reused vs fresh engine: %w", h.steps, w.desc, err)
 	}
-
-	fOpt := opt
-	fOpt.NoDelta = true
-	ref := &sim.Simulator{}
-	fRes, fErr := ref.Simulate(w.S, w.Est, fOpt)
-
-	if err := Compare(dRes, dErr, fRes, fErr); err != nil {
-		return fmt.Errorf("step %d (%s, probe=%t): %w", h.steps, w.desc, probe, err)
+	if opt.Rendezvous {
+		return nil
+	}
+	ref, refErr := Reference(w.S, w.Est, opt)
+	if err := compareTiming(fresh, freshErr, ref, refErr); err != nil {
+		return fmt.Errorf("step %d (%s): engine vs reference: %w", h.steps, w.desc, err)
 	}
 	return nil
 }
@@ -317,25 +298,53 @@ func (h *Harness) Run(n int) error {
 	return nil
 }
 
+// compareTiming checks an engine outcome against the reference simulator's:
+// the same error class, and bit-equal Total and spans (the engine's timeline
+// is absent under NoTimeline; the makespan is compared either way).
+func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) error {
+	if aErr != nil || refErr != nil {
+		return Compare(a, aErr, ref, refErr)
+	}
+	if math.Float64bits(a.Total) != math.Float64bits(ref.Total) {
+		return fmt.Errorf("makespan %v, reference %v", a.Total, ref.Total)
+	}
+	if a.Timeline == nil {
+		return nil
+	}
+	for d := range ref.Timeline {
+		if len(a.Timeline[d]) != len(ref.Timeline[d]) {
+			return fmt.Errorf("device %d: %d spans, reference %d", d, len(a.Timeline[d]), len(ref.Timeline[d]))
+		}
+		for i, want := range ref.Timeline[d] {
+			if got := a.Timeline[d][i]; got.Instr != want.Instr ||
+				math.Float64bits(got.Start) != math.Float64bits(want.Start) ||
+				math.Float64bits(got.End) != math.Float64bits(want.End) {
+				return fmt.Errorf("device %d span %d: %+v, reference %+v", d, i, got, want)
+			}
+		}
+	}
+	return nil
+}
+
 // Compare checks two (result, error) pairs for byte-identical agreement:
 // the errors must match sentinel-for-sentinel, and the results must encode
 // to identical bytes. The returned error names the first diverging byte and
 // the canonical section it falls in.
 func Compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 	if (aErr == nil) != (bErr == nil) {
-		return fmt.Errorf("error mismatch: delta=%v full=%v", aErr, bErr)
+		return fmt.Errorf("error mismatch: %v vs %v", aErr, bErr)
 	}
 	if aErr != nil {
 		for _, sentinel := range []error{sim.ErrDeadlock, sim.ErrCommMismatch} {
 			if errors.Is(aErr, sentinel) != errors.Is(bErr, sentinel) {
-				return fmt.Errorf("error class mismatch: delta=%v full=%v", aErr, bErr)
+				return fmt.Errorf("error class mismatch: %v vs %v", aErr, bErr)
 			}
 		}
 		return nil
 	}
 	ca, cb := Canon(a), Canon(b)
 	if off, section := Diff(ca, cb); off >= 0 {
-		return fmt.Errorf("results diverge at byte %d (%s): delta=%s full=%s",
+		return fmt.Errorf("results diverge at byte %d (%s): %s vs %s",
 			off, section, hexAround(ca, off), hexAround(cb, off))
 	}
 	return nil

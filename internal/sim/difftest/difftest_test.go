@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"mario/internal/cost"
+	"mario/internal/graph"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
 )
 
-// TestDeltaVsFullRandomized is the harness's bread and butter: many seeds,
-// many steps each, every step differentially checked. Run under -race it
-// also covers the engine's scratch reuse across probe/adopt interleavings.
-func TestDeltaVsFullRandomized(t *testing.T) {
+// TestEngineReuseVsFreshRandomized is the harness's bread and butter: many
+// seeds, many steps each, every step checked against a fresh engine and the
+// naive reference.
+func TestEngineReuseVsFreshRandomized(t *testing.T) {
 	steps := 40
 	seeds := 24
 	if testing.Short() {
@@ -29,10 +30,10 @@ func TestDeltaVsFullRandomized(t *testing.T) {
 	}
 }
 
-// TestDeltaVsFullEdgeSchedules pins the equivalence on the shapes the random
-// generator visits rarely: single device, one micro-batch, two-device
+// TestEngineReuseVsFreshEdgeSchedules pins the equivalence on the shapes the
+// random generator visits rarely: single device, one micro-batch, two-device
 // minimum pipelines, and a rendezvous workload.
-func TestDeltaVsFullEdgeSchedules(t *testing.T) {
+func TestEngineReuseVsFreshEdgeSchedules(t *testing.T) {
 	cases := []struct {
 		name    string
 		scheme  pipeline.Scheme
@@ -67,6 +68,43 @@ func TestDeltaVsFullEdgeSchedules(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReferenceMatchesEngine holds the engine to the naive reference on valid
+// schedules — every scheme, plain, checkpointed and graph-optimized, on
+// homogeneous and heterogeneous ranks — where the randomized harness, whose
+// mutations pile up, spends most of its steps on error outcomes.
+func TestReferenceMatchesEngine(t *testing.T) {
+	for _, sch := range []pipeline.Scheme{pipeline.SchemeGPipe, pipeline.Scheme1F1B, pipeline.SchemeChimera,
+		pipeline.SchemeInterleave, pipeline.SchemeZBH1, pipeline.SchemeDualPipeD} {
+		base, err := scheme.Build(sch, scheme.Config{Devices: 4, Micros: 8, Chunks: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", sch, err)
+		}
+		est := cost.Uniform(base.NumStages(), 5, 9, 1)
+		est.LaunchOverhead, est.LinkLatency = 0.07, 0.3
+		slow := *est
+		slow.DeviceSpeed = []float64{1, 0.8, 1, 1.25}
+		ckpt := base.Clone()
+		graph.ApplyCheckpoint(ckpt)
+		tuned, _, err := graph.Optimize(base, graph.Options{Estimator: est})
+		if err != nil {
+			t.Fatalf("%s: %v", sch, err)
+		}
+		for name, s := range map[string]*pipeline.Schedule{"plain": base, "ckpt": ckpt, "tuned": tuned} {
+			for _, e := range []*cost.Estimator{est, &slow} {
+				opt := sim.Options{DP: 2}
+				got, gotErr := sim.Simulate(s, e, opt)
+				ref, refErr := Reference(s, e, opt)
+				if gotErr != nil || refErr != nil {
+					t.Fatalf("%s/%s: engine err %v, reference err %v", sch, name, gotErr, refErr)
+				}
+				if err := compareTiming(got, nil, ref, nil); err != nil {
+					t.Errorf("%s/%s: %v", sch, name, err)
+				}
+			}
+		}
 	}
 }
 
@@ -120,10 +158,10 @@ func TestCanonDetectsDivergence(t *testing.T) {
 	}
 }
 
-// FuzzDeltaSimEquivalence lets the fuzzer drive the workload seed and step
-// count; any counterexample is a schedule+mutation sequence on which delta
-// re-simulation diverges from a full run.
-func FuzzDeltaSimEquivalence(f *testing.F) {
+// FuzzEngineReuseEquivalence lets the fuzzer drive the workload seed and step
+// count; any counterexample is a schedule+mutation sequence on which a reused
+// engine, a fresh engine and the reference simulator do not all agree.
+func FuzzEngineReuseEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(12))
 	f.Add(int64(42), uint8(30))
 	f.Add(int64(-7), uint8(5))

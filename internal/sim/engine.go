@@ -77,10 +77,6 @@ type devState struct {
 	prevPeers  []int32
 	prevPeak   float64
 	prevBusy   float64
-
-	// own is the engine-owned copy buffer Detach re-keys list onto when the
-	// caller reclaims the simulated schedule's storage.
-	own []pipeline.Instr
 }
 
 // swapPrev exchanges the active cached metadata with the snapshot.
@@ -95,9 +91,19 @@ func (ds *devState) swapPrev() {
 	ds.busy, ds.prevBusy = ds.prevBusy, ds.busy
 }
 
+// Rebuilds counts, per device and per Simulate call, what refresh did with the
+// device's cached metadata.
+type Rebuilds struct {
+	// Unchanged: the list identity matched the active cache entry.
+	// Swap: it matched the depth-2 revert snapshot (a buffer swap).
+	// Full: the metadata and the memory walk were re-derived from the list.
+	Unchanged, Swap, Full int64
+}
+
 // Simulator is a reusable simulation engine. Its results are bit-identical to
-// the package-level Simulate, but it caches — across calls — everything that
-// survives a schedule edit:
+// the package-level Simulate — every result is a pure function of (schedule,
+// estimator, options) — but it caches, across calls, everything that survives
+// a schedule edit:
 //
 //   - per-device instruction metadata (durations, communication matches,
 //     link ids), keyed on the identity of each device's instruction list, so
@@ -110,20 +116,28 @@ func (ds *devState) swapPrev() {
 //     scratch), so steady-state re-simulation performs O(1) heap
 //     allocations per call regardless of schedule size.
 //
+// The timing propagation itself is never cached: every call runs one full
+// event-driven pass over all instructions.
+//
 // The zero value is ready to use. A Simulator is not safe for concurrent use;
 // give each worker goroutine its own.
 //
 // Caching contract: metadata is keyed on list identity, so instruction lists
-// must not be edited in place between calls that hand them to the same
-// Simulator. Schedules mutated through pipeline.Schedule's copy-on-write API
-// (Clone + MutableList/SetList) always satisfy this, because every edit lands
-// in a freshly copied list. The *cost.Estimator must likewise not be mutated
-// between calls that pass the same pointer.
+// must not be edited in place while an engine keys on them (until they fall
+// out of its depth-2 cache, the engine is rebound, or Invalidate is called).
+// Schedules mutated through pipeline.Schedule's copy-on-write API (Clone +
+// MutableList/SetList) always satisfy this, because every edit lands in a
+// freshly copied list. The engine holds the references it keys on, so the
+// allocator can never hand a cached address to a different list. The
+// *cost.Estimator must likewise not be mutated between calls that pass the
+// same pointer.
 type Simulator struct {
-	// Sims counts Simulate calls on this engine. It is a plain field — a
-	// Simulator is single-goroutine by contract — that the graph and tuner
-	// layers read to fold simulation counts into the telemetry registry.
-	Sims int64
+	// Sims counts Simulate calls on this engine and Rebuilds what refresh did
+	// per device across them. They are plain fields — a Simulator is
+	// single-goroutine by contract — that the graph and tuner layers read to
+	// fold into the telemetry registry.
+	Sims     int64
+	Rebuilds Rebuilds
 
 	// cache key of the bound (schedule family, estimator, options) tuple.
 	est       *cost.Estimator
@@ -173,61 +187,16 @@ type Simulator struct {
 	rdvWaiters [][]int32
 	waitIdx    []int32
 
+	// changed[d] marks the devices whose list identity differs from the
+	// previous call's; changedIDs lists them.
 	changed    []bool
 	changedIDs []int32
-	// plan[d] is the rebuild strategy refresh chose for device d this call;
-	// moved[d] marks devices whose instruction positions inside
-	// [winLo[d], winHi[d]) may have changed, so only matches pointing into
-	// that range need re-resolution.
-	plan         []int8
-	moved        []bool
-	winLo, winHi []int32
-
-	// last is the delta-simulation snapshot of the previous successful run;
-	// restart/coneStack are the dirty-cone scratch (see delta.go).
-	last fixpoint
-	// base is a pinned copy of the first adopting run's fixpoint after a
-	// Detach (or engine reset): an optimization run's search walks away from
-	// its starting schedule, but the NEXT run over the same inputs starts
-	// from that same content again — restoring base turns its baseline
-	// simulation into a pure splice. basePinned marks base as holding this
-	// run's starting fixpoint; baseUse arms the one-shot restore.
-	base       fixpoint
-	basePinned bool
-	baseUse    bool
-	restart    []int
-	coneStack  []int32
-	// convIdx[d] is the replay index from which device d may converge back
-	// onto the snapshot timings (maxInt outside delta replays); convSuf,
-	// resolved and lastDiffSend are its inputs — see propagateDelta.
-	convIdx []int
-	convSuf []int
-	// resolved[d] reports that every send of device d has a determined
-	// arrival this run (the device finished or spliced); lastDiffSend[d] is
-	// the last send index whose replayed completion differed bitwise from
-	// the snapshot, -1 when none did.
-	resolved     []bool
-	lastDiffSend []int
-	// outT[d] is runDevice's completion-clock write target: the snapshot
-	// arrays for runs that adopt their fixpoint, the probeT scratch for
-	// probe runs. inDelta gates the per-send snapshot comparison.
-	outT    [][]float64
-	probeT  [][]float64
-	inDelta bool
-	// wrote[d] bounds the probeT entries the last delta run actually wrote
-	// for device d ([restart, wrote)); a spliced device stops early and the
-	// rest stays snapshot data. probeOK marks that the engine's most recent
-	// call was a successful probe delta run, making Commit applicable.
-	wrote   []int
-	probeOK bool
-	stats   DeltaStats
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation,
 // reusing every cache and buffer that is still valid from the previous call.
 func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {
 	m.Sims++
-	m.probeOK = false
 	if e.Stages != s.NumStages() {
 		return nil, fmt.Errorf("sim: estimator built for %d stages, schedule has %d", e.Stages, s.NumStages())
 	}
@@ -236,16 +205,10 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 		dp = 1
 	}
 	m.bind(s, e, dp, opt.Rendezvous)
-	if err := m.refresh(s, e, dp); err != nil {
+	if err := m.refresh(s, e); err != nil {
 		// The caches are partially updated; force a full rebuild next call.
 		m.est = nil
 		return nil, err
-	}
-	if m.baseUse {
-		m.baseUse = false
-		if m.base.valid {
-			m.restoreBase()
-		}
 	}
 
 	D := len(m.devs)
@@ -261,28 +224,8 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 			res.Timeline[d] = make([]Span, 0, len(m.devs[d].list))
 		}
 	}
-	if m.deltaEligible(opt) {
-		// The replay-and-splice path never records spans inline (spliced
-		// instructions are not executed); run it span-free and synthesize the
-		// timeline from the completion clocks afterwards.
-		dopt := opt
-		dopt.NoTimeline = true
-		if err := m.propagateDelta(e, dopt, res); err != nil {
-			return nil, err
-		}
-		if !opt.NoTimeline {
-			m.synthTimeline(res)
-		}
-	} else {
-		m.stats.Full++
-		m.ensureEndT()
-		m.outT = m.last.endT
-		m.inDelta = false
-		if err := m.propagate(e, opt, res); err != nil {
-			m.last.valid = false
-			return nil, err
-		}
-		m.saveFixpoint(opt)
+	if err := m.propagate(e, opt, res); err != nil {
+		return nil, err
 	}
 	for d := range m.devs {
 		res.PeakMem[d] = m.devs[d].peak
@@ -299,72 +242,16 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 	if res.Total > 0 {
 		res.SamplesPerSec = float64(s.Micros*e.MicroBatch*dp) / res.Total
 	}
-	if !opt.Probe && m.last.valid && !m.basePinned {
-		m.pinBase()
-	}
 	return res, nil
 }
 
-// Invalidate drops every cached list identity and the delta snapshot while
-// keeping the engine's buffers for capacity reuse. Callers that pool warm
-// engines across independent optimization runs must call it before an engine
-// changes hands: cached identities may alias memory the previous run's
-// caller now owns (and may mutate), so the next Simulate must rebuild from
-// the actual schedule contents.
+// Invalidate drops every cached list identity while keeping the engine's
+// buffers for capacity reuse. An engine that outlives one optimization run
+// must be invalidated before the next: the previous run's result lists now
+// belong to its caller (who may mutate them), so the next Simulate must
+// rebuild from the actual schedule contents.
 func (m *Simulator) Invalidate() {
 	m.est = nil // bind treats a nil estimator as "rebuild everything"
-	m.last.valid = false
-	m.probeOK = false
-	m.base.valid = false
-	m.basePinned = false
-	m.baseUse = false
-}
-
-// Detach re-keys every cached list onto an engine-owned copy so a pooled
-// engine survives its caller reclaiming — and later mutating — the result
-// schedule's lists. It is the cheap alternative to Invalidate when the next
-// run is likely a near-identical schedule (a tuner sweeping neighbouring
-// grid points, a benchmark loop): contents are copied verbatim, the next
-// Simulate sees every device as identity-changed and diffs by value against
-// the copies, so warm metadata, cached memory walks and the delta snapshot
-// keep paying off instead of being rebuilt from scratch. The depth-2 revert
-// snapshot is dropped — its lists may alias recycled candidate buffers the
-// caller's pools are free to overwrite.
-func (m *Simulator) Detach() {
-	m.probeOK = false
-	for d := range m.devs {
-		ds := &m.devs[d]
-		ds.prevList = nil
-		if ds.list == nil {
-			continue
-		}
-		old := ds.list
-		ds.own = append(ds.own[:0], old...)
-		ds.list = ds.own
-		if d < len(m.last.lists) {
-			if sameIdent(m.last.lists[d], old) {
-				m.last.lists[d] = ds.own
-			} else {
-				// The snapshot ran on some other identity we no longer
-				// retain; forget the device so it replays from scratch.
-				m.last.lists[d] = nil
-			}
-		}
-		if d < len(m.base.lists) && sameIdent(m.base.lists[d], old) {
-			m.base.lists[d] = ds.own
-		}
-	}
-	// Arm the one-shot base restore: the next caller's first simulation is
-	// usually the same starting content this run began from. Unpin so that
-	// first adopting run re-pins base onto its fresh identities.
-	m.baseUse = m.base.valid && m.basePinned
-	m.basePinned = false
-}
-
-// sameIdent reports whether two slices share identity: same length and same
-// backing array start.
-func sameIdent(a, b []pipeline.Instr) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // bind checks the coarse cache key (estimator, placement, micro count, DP,
@@ -377,10 +264,6 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 		return
 	}
 	m.est, m.placement, m.micros, m.dp, m.rdv = e, s.Placement, s.Micros, dp, rdv
-	m.last.valid = false
-	m.base.valid = false
-	m.basePinned = false
-	m.baseUse = false
 	m.nParts, m.nStages = s.Placement.NumParts(), s.Placement.NumStages()
 	if cap(m.devs) >= D {
 		m.devs = m.devs[:D]
@@ -439,81 +322,29 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 }
 
 // refresh re-derives the per-device metadata for every list whose identity
-// changed since the previous call, leaving unchanged devices untouched.
-// Rebuild plans refresh assigns to changed devices. A permutation window
-// (planRekey, planWindow) preserves the communication key multiset exactly —
-// Buffered is not part of the key — so those devices keep their registry
-// entries and skip the stale-key drop; only moved indices re-register.
-const (
-	planNone   int8 = iota // identity unchanged
-	planSwap               // depth-2 snapshot restore (buffer swap)
-	planRekey              // content-identical list under a new identity
-	planWindow             // permutation window rebuild
-	planFull               // full metadata rebuild
-)
-
-func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator, dp int) error {
+// changed since the previous call — by a buffer swap when the list is the
+// depth-2 snapshot's, by a full rebuild otherwise — leaving unchanged devices
+// untouched.
+func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator) error {
 	D := len(m.devs)
 	m.changedIDs = m.changedIDs[:0]
-	if cap(m.plan) >= D {
-		m.plan = m.plan[:D]
-		m.moved = m.moved[:D]
-		m.winLo = m.winLo[:D]
-		m.winHi = m.winHi[:D]
-	} else {
-		m.plan = make([]int8, D)
-		m.moved = make([]bool, D)
-		m.winLo = make([]int32, D)
-		m.winHi = make([]int32, D)
-	}
 	for d := 0; d < D; d++ {
 		list := s.Lists[d]
 		ds := &m.devs[d]
-		if len(ds.list) == len(list) && (len(list) == 0 || &ds.list[0] == &list[0]) {
-			m.changed[d] = false
-			m.plan[d] = planNone
-			m.moved[d] = false
-			continue
+		m.changed[d] = !sameIdent(ds.list, list)
+		if m.changed[d] {
+			m.changedIDs = append(m.changedIDs, int32(d))
+		} else {
+			m.Rebuilds.Unchanged++
 		}
-		m.changed[d] = true
-		m.changedIDs = append(m.changedIDs, int32(d))
-		if len(ds.prevList) == len(list) && (len(list) == 0 || &ds.prevList[0] == &list[0]) {
-			m.plan[d] = planSwap
-			m.moved[d] = true
-			m.winLo[d], m.winHi[d] = 0, int32(len(list))
-			continue
-		}
-		if old := ds.list; old != nil && !m.rdv && len(old) == len(list) {
-			if lo, hi, flips, nFlips, ok := permWindow(old, list); ok &&
-				suffixFlipFree(list, hi, &flips, nFlips) &&
-				windowPairingPreserved(old, list, lo, hi) {
-				if lo == len(list) {
-					m.plan[d] = planRekey
-					m.moved[d] = false
-				} else {
-					m.plan[d] = planWindow
-					m.moved[d] = true
-					m.winLo[d], m.winHi[d] = int32(lo), int32(hi)
-				}
-				continue
-			}
-		}
-		m.plan[d] = planFull
-		m.moved[d] = true
-		m.winLo[d], m.winHi[d] = 0, int32(len(list))
 	}
 	if len(m.changedIDs) == 0 {
 		return nil
 	}
-	// Drop the stale communication keys of every device whose key set may
-	// change, before any re-registration, so a key that moved between
-	// devices resolves to its new location. Permutation-window devices
-	// (planRekey/planWindow) keep the exact key multiset and skip the drop;
-	// their moved indices re-register during the rebuild.
+	// Drop the stale communication keys of every changed device before any
+	// re-registration, so a key that moved between devices resolves to its
+	// new location.
 	for _, d := range m.changedIDs {
-		if p := m.plan[d]; p == planRekey || p == planWindow {
-			continue
-		}
 		ds := &m.devs[d]
 		for _, ci := range ds.comm {
 			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
@@ -522,30 +353,26 @@ func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator, dp int) err
 		}
 	}
 	for _, d := range m.changedIDs {
-		m.rebuildDevice(s, e, dp, int(d))
+		m.rebuildDevice(s, e, int(d))
 	}
-	// Resolve communication matches. A match needs (re-)resolution when its
-	// own metadata was rebuilt from scratch (planSwap restores two-
-	// generations-old matches, planFull starts unresolved) or when it points
-	// into a moved index range of a peer; matchDev is placement-determined
-	// and never changes for an unchanged list, and positions outside a
-	// peer's window are untouched by its rebuild. The scan runs device-major
-	// in list order — the same order the from-scratch precompute discovered
-	// unmatched instructions in, so the first error is byte-identical.
+	// Resolve communication matches. A changed device re-resolves all of its
+	// own (a swap restores two-generations-old matches, a full rebuild starts
+	// unresolved); an unchanged one only those pointing into a changed peer —
+	// matchDev is placement-determined and never changes for an unchanged
+	// list. The scan runs device-major in list order — the same order a
+	// from-scratch precompute discovers unmatched instructions in, so the
+	// first error is byte-identical.
 	for d := 0; d < D; d++ {
 		ds := &m.devs[d]
-		if !m.changed[d] && !anyChanged(m.moved, ds.peers) {
-			// No match of this device can point into a moved list region:
-			// peers is a superset of the devices its matches resolve to.
+		if !m.changed[d] && !anyChanged(m.changed, ds.peers) {
+			// No match of this device can point into a changed list: peers is
+			// a superset of the devices its matches resolve to.
 			continue
 		}
-		ownFresh := m.plan[d] == planSwap || m.plan[d] == planFull
 		for _, ci := range ds.comm {
 			mt := &ds.metas[ci]
-			if !ownFresh && mt.matchDev >= 0 {
-				if p := mt.matchDev; !m.moved[p] || mt.matchIdx < m.winLo[p] || mt.matchIdx >= m.winHi[p] {
-					continue
-				}
+			if !m.changed[d] && mt.matchDev >= 0 && !m.changed[mt.matchDev] {
+				continue
 			}
 			in := ds.list[ci]
 			var loc commLoc
@@ -560,6 +387,12 @@ func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator, dp int) err
 		}
 	}
 	return nil
+}
+
+// sameIdent reports whether two lists share identity: same length and same
+// backing array start.
+func sameIdent(a, b []pipeline.Instr) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // anyChanged reports whether any listed device's list changed this refresh.
@@ -580,78 +413,6 @@ func addPeer(peers *[]int32, p int32) {
 		}
 	}
 	*peers = append(*peers, p)
-}
-
-// Holds reports whether the engine's per-device cache still references list
-// as device dev's active or snapshot entry. Buffer pools recycling dead
-// candidate lists must check this: reusing a buffer the engine still keys on
-// would alias new content at a cached identity and poison the cache.
-func (m *Simulator) Holds(dev int, list []pipeline.Instr) bool {
-	if len(list) == 0 || dev < 0 || dev >= len(m.devs) {
-		return false
-	}
-	ds := &m.devs[dev]
-	if (len(ds.list) == len(list) && &ds.list[0] == &list[0]) ||
-		(len(ds.prevList) == len(list) && &ds.prevList[0] == &list[0]) {
-		return true
-	}
-	// The delta snapshot also keys on list identity (the value diff reads the
-	// old contents), so it pins buffers the same way the metadata cache does.
-	if dev < len(m.last.lists) {
-		if old := m.last.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			return true
-		}
-	}
-	// So does the pinned base fixpoint: restoreBase re-installs its lists as
-	// the next delta run's diff targets, which firstDiff then reads by value.
-	if dev < len(m.base.lists) {
-		if old := m.base.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			return true
-		}
-	}
-	return false
-}
-
-// Forget drops any cache entry keying device dev on the given list identity,
-// making it safe to recycle the list's buffer. Only the identity keys are
-// cleared — the metadata buffers stay for capacity reuse — so the next
-// Simulate falls back to a full rebuild for entries dropped this way.
-func (m *Simulator) Forget(dev int, list []pipeline.Instr) {
-	if len(list) == 0 || dev < 0 || dev >= len(m.devs) {
-		return
-	}
-	ds := &m.devs[dev]
-	if len(ds.list) == len(list) && &ds.list[0] == &list[0] {
-		// The active entry owns this device's registrations in the comm
-		// index; retract them now, since the next refresh's stale-key drop
-		// walks the (cleared) list.
-		for _, ci := range ds.comm {
-			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
-				m.idx[slot] = commLoc{}
-			}
-		}
-		ds.list = nil
-		ds.comm = ds.comm[:0]
-	}
-	if len(ds.prevList) == len(list) && &ds.prevList[0] == &list[0] {
-		// Snapshot entries hold no comm-index registrations.
-		ds.prevList = nil
-	}
-	if dev < len(m.last.lists) {
-		if old := m.last.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			// Only this device's delta entry dies: a nil snapshot list makes
-			// the next delta run replay the device from scratch, which is
-			// handled by the ordinary dirty-cone machinery.
-			m.last.lists[dev] = nil
-		}
-	}
-	if dev < len(m.base.lists) {
-		if old := m.base.lists[dev]; len(old) == len(list) && &old[0] == &list[0] {
-			// Same per-device semantics for the pinned base: a restore
-			// installs a nil entry and the device replays from scratch.
-			m.base.lists[dev] = nil
-		}
-	}
 }
 
 // commSlot returns the flat m.idx slot of a communication key, or -1 when its
@@ -683,68 +444,51 @@ func (m *Simulator) peerOf(s *pipeline.Schedule, d int, in pipeline.Instr) int {
 	return p
 }
 
-// rebuildDevice recomputes device d's cached metadata, memory peak, and busy
-// total from its current list. Communication matches are left unresolved;
+// rebuildDevice brings device d's cached metadata, memory peak, and busy total
+// in line with its current list. Communication matches are left unresolved;
 // refresh resolves them after all changed devices re-registered their keys.
-func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, dp int, d int) {
+func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int) {
 	list := s.Lists[d]
 	ds := &m.devs[d]
-	switch m.plan[d] {
-	case planSwap:
+	if sameIdent(ds.prevList, list) {
 		// The snapshot of the second-to-last list restores with a buffer
 		// swap plus key re-registration (refresh's delete phase dropped this
 		// device's keys); durations, peak and busy are all still valid.
-		m.stats.SwapRebuilds++
+		m.Rebuilds.Swap++
 		ds.swapPrev()
 		for _, ci := range ds.comm {
 			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
 				m.idx[slot] = commLoc{dev1: int32(d) + 1, idx: ci}
 			}
 		}
-		if m.rdv {
-			ds.posted = growF64(ds.posted, len(list))
-			ds.done = growF64(ds.done, len(list))
-		}
-		return
-	case planRekey:
-		// Content-identical list under a new identity: every cached
-		// artifact — including the registry entries refresh left in place —
-		// still applies verbatim.
-		m.stats.WindowRebuilds++
-		ds.list = list
-		return
-	case planWindow:
-		m.stats.WindowRebuilds++
-		m.rebuildWindowed(s, e, d, list, int(m.winLo[d]), int(m.winHi[d]))
-		return
-	}
-	m.stats.FullRebuilds++
-	ds.swapPrev() // retire the outgoing metadata into the snapshot slot
-	ds.list = list
-	if cap(ds.metas) >= len(list) {
-		ds.metas = ds.metas[:len(list)]
 	} else {
-		ds.metas = make([]meta, len(list))
-	}
-	ds.comm = ds.comm[:0]
-	ds.peers = ds.peers[:0]
-	busy := 0.0
-	for i, in := range list {
-		if m.fillMeta(s, e, ds, d, i, in) {
-			ds.comm = append(ds.comm, int32(i))
+		m.Rebuilds.Full++
+		ds.swapPrev() // retire the outgoing metadata into the snapshot slot
+		ds.list = list
+		if cap(ds.metas) >= len(list) {
+			ds.metas = ds.metas[:len(list)]
+		} else {
+			ds.metas = make([]meta, len(list))
 		}
-		if mt := &ds.metas[i]; mt.compute {
-			busy += mt.dur
+		ds.comm = ds.comm[:0]
+		ds.peers = ds.peers[:0]
+		busy := 0.0
+		for i, in := range list {
+			if m.fillMeta(s, e, ds, d, i, in) {
+				ds.comm = append(ds.comm, int32(i))
+			}
+			if mt := &ds.metas[i]; mt.compute {
+				busy += mt.dur
+			}
 		}
-	}
-	ds.busy = busy
+		ds.busy = busy
 
-	m.mem.rebind(e, s.Micros, s.NumStages(), ds.static, list)
-	for _, in := range list {
-		m.mem.Step(in)
+		m.mem.rebind(e, s.Micros, s.NumStages(), ds.static, list)
+		for _, in := range list {
+			m.mem.Step(in)
+		}
+		ds.peak = m.mem.Peak()
 	}
-	ds.peak = m.mem.Peak()
-
 	if m.rdv {
 		ds.posted = growF64(ds.posted, len(list))
 		ds.done = growF64(ds.done, len(list))
@@ -754,8 +498,7 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, dp in
 // fillMeta derives device d's metadata for instruction i — duration or comm
 // latency, class, link id — registers communication keys in the comm index,
 // and reports whether the instruction is a communication (the caller indexes
-// it in ds.comm). Shared by the full and windowed rebuild paths so both
-// derive bit-identical metadata.
+// it in ds.comm).
 func (m *Simulator) fillMeta(s *pipeline.Schedule, e *cost.Estimator, ds *devState, d, i int, in pipeline.Instr) bool {
 	mt := &ds.metas[i]
 	*mt = meta{matchDev: -1, matchIdx: -1}
@@ -837,248 +580,6 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 	return 0
 }
 
-// permWindow diffs two equal-length lists and reports the window [lo, hi)
-// outside which they are element-identical, provided the window contents are
-// a permutation of each other up to Buffered-flag flips on otherwise
-// identical instructions. flips returns the (micro, stage) cells whose
-// SendAct changed its Buffered flag — the caller must verify no suffix
-// CkptForward reads the flipped staging-buffer bitmap. Only windows up to 32
-// instructions with at most 8 flips qualify; larger or structural edits fall
-// back to the full rebuild. lo == hi == len means element-identical lists.
-func permWindow(old, list []pipeline.Instr) (lo, hi int, flips [8][2]int32, nFlips int, ok bool) {
-	n := len(list)
-	for lo < n && old[lo] == list[lo] {
-		lo++
-	}
-	if lo == n {
-		return n, n, flips, 0, true
-	}
-	hi = n
-	for hi > lo && old[hi-1] == list[hi-1] {
-		hi--
-	}
-	if hi-lo > 32 {
-		return 0, 0, flips, 0, false
-	}
-	var used [32]bool
-	nf := 0
-	for i := lo; i < hi; i++ {
-		// Prefer an exact unused match; interchangeable entries make the
-		// greedy choice safe.
-		found := false
-		for j := lo; j < hi; j++ {
-			if !used[j-lo] && old[j] == list[i] {
-				used[j-lo] = true
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		// Otherwise pair with an old entry differing only in the Buffered
-		// flag (every other field must agree).
-		for j := lo; j < hi; j++ {
-			if used[j-lo] {
-				continue
-			}
-			o := old[j]
-			if o.Buffered != list[i].Buffered {
-				o.Buffered = list[i].Buffered
-				if o == list[i] {
-					if nf == len(flips) {
-						return 0, 0, flips, 0, false
-					}
-					flips[nf] = [2]int32{int32(o.Micro), int32(o.Stage)}
-					nf++
-					used[j-lo] = true
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
-			return 0, 0, flips, 0, false
-		}
-	}
-	return lo, hi, flips, nf, true
-}
-
-// suffixFlipFree reports whether the suffix [hi, len) is unaffected by the
-// Buffered flips permWindow found. A flip changes the list-wide staging
-// bitmap for its (micro, stage) cell, which alters the memory delta of that
-// cell's CkptForward; if such a CkptForward sits in the suffix, the cached
-// suffix levels no longer apply and the splice would be unsound. A schedule
-// always places the CkptForward before its SendAct — which is inside the
-// window — so the scan only rejects malformed lists.
-func suffixFlipFree(list []pipeline.Instr, hi int, flips *[8][2]int32, nFlips int) bool {
-	if nFlips == 0 {
-		return true
-	}
-	for _, in := range list[hi:] {
-		if in.Kind != pipeline.CkptForward {
-			continue
-		}
-		for _, f := range flips[:nFlips] {
-			if int32(in.Micro) == f[0] && int32(in.Stage) == f[1] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// pairedConsumers returns the instruction kinds whose memory effect depends
-// on state the given producer kind wrote for its (micro, stage) cell: a
-// CkptForward sets the checkpoint bit the cell's Backward or BackwardInput
-// consumes (the stash is subtracted only while the bit is set), and a
-// BackwardInput records the weight-gradient stash its BackwardWeight
-// releases. nil means the kind produces no such state.
-func pairedConsumers(k pipeline.Kind) []pipeline.Kind {
-	switch k {
-	case pipeline.CkptForward:
-		return ckptConsumerKinds
-	case pipeline.BackwardInput:
-		return wgradConsumerKinds
-	}
-	return nil
-}
-
-var (
-	ckptConsumerKinds  = []pipeline.Kind{pipeline.Backward, pipeline.BackwardInput}
-	wgradConsumerKinds = []pipeline.Kind{pipeline.BackwardWeight}
-)
-
-// windowPairingPreserved reports whether the permutation window [lo, hi)
-// keeps every stateful producer (CkptForward, BackwardInput) in its order
-// relative to the consumer instructions of its (micro, stage) cell — a
-// window that moves a consumer across its cell's producer changes the
-// residual level after the window and invalidates the spliced suffix peaks.
-// Pairs with one endpoint outside the window cannot flip, since prefix and
-// suffix positions are identical in both lists. Cells with duplicate
-// same-kind entries inside the window are rejected conservatively.
-func windowPairingPreserved(old, list []pipeline.Instr, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		in := list[i]
-		consumers := pairedConsumers(in.Kind)
-		if consumers == nil {
-			continue
-		}
-		oi := -1
-		for j := lo; j < hi; j++ {
-			if k := list[j]; j != i && k.Kind == in.Kind && k.Micro == in.Micro && k.Stage == in.Stage {
-				return false
-			}
-			if o := old[j]; o.Kind == in.Kind && o.Micro == in.Micro && o.Stage == in.Stage {
-				oi = j
-			}
-		}
-		if oi < 0 {
-			return false
-		}
-		for j := lo; j < hi; j++ {
-			b := list[j]
-			if !kindIn(b.Kind, consumers) || b.Micro != in.Micro || b.Stage != in.Stage {
-				continue
-			}
-			oj := -1
-			for k := lo; k < hi; k++ {
-				if o := old[k]; o.Kind == b.Kind && o.Micro == b.Micro && o.Stage == b.Stage {
-					if oj >= 0 {
-						return false
-					}
-					oj = k
-				}
-			}
-			if oj < 0 || (oi < oj) != (i < j) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// kindIn reports whether k is one of the given kinds.
-func kindIn(k pipeline.Kind, kinds []pipeline.Kind) bool {
-	for _, c := range kinds {
-		if k == c {
-			return true
-		}
-	}
-	return false
-}
-
-// rebuildWindowed rebuilds device d's metadata when the new list differs from
-// the cached one only by a permutation window [lo, hi): metadata outside the
-// window is copied from the retiring entry (positions and content match),
-// window metadata is re-derived. Durations and peer sets are multiset
-// properties and carry over; the busy total and the memory walk are
-// recomputed in the new list order, since float addition is order-sensitive.
-// The resulting cache entry is bit-identical to a full rebuild's; matches are
-// re-resolved by refresh like on any other changed device.
-func (m *Simulator) rebuildWindowed(s *pipeline.Schedule, e *cost.Estimator, d int, list []pipeline.Instr, lo, hi int) {
-	ds := &m.devs[d]
-	ds.swapPrev() // the outgoing entry becomes the revert snapshot
-	ds.list = list
-	n := len(list)
-	if cap(ds.metas) >= n {
-		ds.metas = ds.metas[:n]
-	} else {
-		ds.metas = make([]meta, n)
-	}
-	copy(ds.metas[:lo], ds.prevMetas[:lo])
-	copy(ds.metas[hi:], ds.prevMetas[hi:])
-	// Rebuild the comm index list: outside the window the indices are
-	// unchanged; inside it the window fill discovers them in list order.
-	ds.comm = ds.comm[:0]
-	for _, ci := range ds.prevComm {
-		if int(ci) >= lo {
-			break
-		}
-		ds.comm = append(ds.comm, ci)
-	}
-	for i := lo; i < hi; i++ {
-		if m.fillMeta(s, e, ds, d, i, list[i]) {
-			ds.comm = append(ds.comm, int32(i))
-		}
-	}
-	for _, ci := range ds.prevComm {
-		if int(ci) >= hi {
-			ds.comm = append(ds.comm, ci)
-		}
-	}
-	// Keys outside the window were never dropped (refresh skips the stale-
-	// key scan for permutation windows) and their indices are unchanged;
-	// fillMeta re-registered the moved window keys above.
-	ds.peers = append(ds.peers[:0], ds.prevPeers...)
-	// The busy total is a sum over the same durations, but float addition is
-	// order-sensitive and the full rebuild accumulates in list order — re-sum
-	// in the new order so the cached value stays bit-identical to a full
-	// rebuild's.
-	busy := 0.0
-	for i := range ds.metas {
-		if mt := &ds.metas[i]; mt.compute {
-			busy += mt.dur
-		}
-	}
-	ds.busy = busy
-
-	// Memory: walk the full list. In exact arithmetic the level after a
-	// permutation window is unchanged (per-instruction memory deltas depend
-	// on content and on bitmap state determined by the multiset of earlier
-	// instructions) and the suffix peak could splice from a cached
-	// suffix-maximum array, but the level is a float accumulator: permuting
-	// the window perturbs the low mantissa bits entering the suffix, and a
-	// cached suffix maximum embeds the old bits. Re-walk the suffix so the
-	// peak stays bit-identical to a full rebuild's — the same reason busy
-	// re-sums above.
-	m.mem.rebind(e, s.Micros, s.NumStages(), ds.static, list)
-	for _, in := range list {
-		m.mem.Step(in)
-	}
-	ds.peak = m.mem.Peak()
-}
-
 // propagate runs the event-driven earliest-start-time propagation: each
 // device advances until it blocks on a dependency, registers itself as a
 // waiter, and is re-enqueued exactly when the dependency is satisfied —
@@ -1128,11 +629,9 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 	}
 	m.inQueue = growBool(m.inQueue, D)
 	m.queue = m.queue[:0]
-	m.convIdx = growInt(m.convIdx, D)
 	for d := 0; d < D; d++ {
 		m.inQueue[d] = true
 		m.queue = append(m.queue, int32(d))
-		m.convIdx[d] = noConverge
 	}
 
 	for head := 0; head < len(m.queue); head++ {
@@ -1162,18 +661,8 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 	ds := &m.devs[d]
 	list := ds.list
 	metas := ds.metas
-	base := m.last.endT[d] // snapshot completion clocks (reads)
-	out := m.outT[d]       // completion clocks feeding the next delta run
 	i := m.pc[d]
 	clock := m.clock[d]
-	// Snapshot comparison state for the per-send convergence tracking; only
-	// consulted during delta replays.
-	var oldL []pipeline.Instr
-	hz := 0
-	if m.inDelta {
-		oldL = m.last.lists[d]
-		hz = m.last.horizon[d]
-	}
 	for i < len(list) {
 		mt := &metas[i]
 		start := clock
@@ -1197,19 +686,6 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 				clock = t
 			} else {
 				clock = start + e.LaunchOverhead
-				if m.inDelta {
-					// A replayed send whose completion bit-equals the
-					// snapshot's (same instruction, trusted entry) delivers a
-					// snapshot-identical arrival; track the last one that did
-					// not, so receivers' convergence thresholds can relax once
-					// this device resolves. The clock compare goes first: it
-					// is one instruction, and the field-by-field Instr equality
-					// then only runs for sends that landed on the snapshot's
-					// clock.
-					if !(i < hz && i < len(oldL) && clock == base[i] && oldL[i] == list[i]) {
-						m.lastDiffSend[d] = i
-					}
-				}
 				m.fifos[mt.link] = append(m.fifos[mt.link], fifoMsg{
 					dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm,
 				})
@@ -1253,15 +729,6 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 		if !opt.NoTimeline {
 			res.Timeline[d] = append(res.Timeline[d], Span{Instr: list[i], Start: start, End: clock})
 		}
-		if i >= m.convIdx[d] && clock == base[i] {
-			// The replayed clock re-converged onto the snapshot and every
-			// remaining input of this device is snapshot-identical: the rest
-			// of the suffix would replay bit-identically, so splice it.
-			clock = m.spliceSuffix(d, i)
-			i = len(list)
-			break
-		}
-		out[i] = clock
 		i++
 	}
 blocked:

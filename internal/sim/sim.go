@@ -48,23 +48,6 @@ type Options struct {
 	// NoTimeline skips recording per-instruction spans (saves allocation
 	// in search loops that only need totals).
 	NoTimeline bool
-	// NoDelta disables delta re-simulation on a reused Simulator, forcing
-	// every call to re-propagate the full timeline. Delta simulation is
-	// bit-identical to the full run by construction (see delta.go), so this
-	// exists as an escape hatch and for the differential tests that prove
-	// the equivalence. It never affects results, only speed.
-	NoDelta bool
-	// Probe marks the run as a throwaway candidate evaluation: a delta
-	// replay diffs against the engine's snapshot as usual but writes its
-	// completion clocks to scratch, leaving the snapshot fixpoint (and its
-	// trustworthy horizon) untouched — a probe that deadlocks or
-	// mismatches costs nothing on later runs, and every probe diffs
-	// against the same accepted baseline instead of the previous
-	// candidate. Search loops that evaluate many try-then-revert
-	// mutations of one accepted schedule set it; runs that establish a
-	// new accepted state leave it unset so the fixpoint follows. Like
-	// NoDelta it never affects results, only speed.
-	Probe bool
 }
 
 // Span records the simulated execution interval of one instruction.

@@ -105,9 +105,8 @@ func goldenRegistry() *Registry {
 	m.PointsMemPruned.Inc()
 	m.PointsImproved.Inc()
 	m.BuildMisses.Add(3)
-	m.GraphHits.Inc()
-	m.GraphMisses.Inc()
 	m.AddSims(7)
+	m.AddSimRebuilds(9, 4, 15)
 	m.AddGraphRounds(2)
 	m.AddRobustRuns(2)
 	m.SearchSeconds.Observe(0.042)

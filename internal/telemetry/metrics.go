@@ -18,12 +18,16 @@ type SearchMetrics struct {
 	// branch-and-bound memory lower bound respectively; PointsImproved
 	// counts evaluations that improved the incumbent.
 	PointsExplored, PointsOOM, PointsPruned, PointsBoundPruned, PointsMemPruned, PointsImproved *Counter
-	// BuildHits/BuildMisses and GraphHits/GraphMisses count the schedule
-	// and graph-result memo caches.
-	BuildHits, BuildMisses, GraphHits, GraphMisses *Counter
+	// BuildHits/BuildMisses count the schedule-build memo cache.
+	BuildHits, BuildMisses *Counter
 	// Sims counts simulator executions across every engine (direct
-	// evaluations, graph inner loops and robustness runs).
+	// evaluations and graph inner loops).
 	Sims *Counter
+	// RebuildsUnchanged, RebuildsSwap and RebuildsFull count, per device and
+	// per simulator execution, what the engine did with its identity-keyed
+	// metadata cache: list unchanged, depth-2 snapshot swapped back in, or
+	// metadata and memory walk re-derived.
+	RebuildsUnchanged, RebuildsSwap, RebuildsFull *Counter
 	// GraphRounds counts simulator-guided prepose rounds across graph
 	// runs.
 	GraphRounds *Counter
@@ -47,11 +51,21 @@ type SearchMetrics struct {
 	FleetRemoteExplored, FleetRemoteSkipped, FleetRemoteInfeasible, FleetForced *Counter
 }
 
-// AddSims records n simulator executions. Safe on nil (the graph and
-// robustness layers call it with whatever Tracer.Metrics returned).
+// AddSims records n simulator executions. Safe on nil (the graph layer calls
+// it with whatever Tracer.Metrics returned).
 func (m *SearchMetrics) AddSims(n int64) {
 	if m != nil {
 		m.Sims.Add(n)
+	}
+}
+
+// AddSimRebuilds records what those executions did with their per-device
+// caches. Safe on nil.
+func (m *SearchMetrics) AddSimRebuilds(unchanged, swap, full int64) {
+	if m != nil {
+		m.RebuildsUnchanged.Add(unchanged)
+		m.RebuildsSwap.Add(swap)
+		m.RebuildsFull.Add(full)
 	}
 }
 
@@ -81,9 +95,10 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		PointsImproved:    r.Counter("mario_search_improved_total", "Evaluations that improved the incumbent."),
 		BuildHits:         r.LabeledCounter("mario_search_build_memo_total", "Schedule-build memo lookups.", "result", "hit"),
 		BuildMisses:       r.LabeledCounter("mario_search_build_memo_total", "Schedule-build memo lookups.", "result", "miss"),
-		GraphHits:         r.LabeledCounter("mario_search_graph_memo_total", "Graph-result memo lookups.", "result", "hit"),
-		GraphMisses:       r.LabeledCounter("mario_search_graph_memo_total", "Graph-result memo lookups.", "result", "miss"),
 		Sims:              r.Counter("mario_search_sims_total", "Simulator executions across all engines."),
+		RebuildsUnchanged: r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "unchanged"),
+		RebuildsSwap:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "swap"),
+		RebuildsFull:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "full"),
 		GraphRounds:       r.Counter("mario_search_graph_rounds_total", "Simulator-guided prepose rounds."),
 		RobustRuns:        r.Counter("mario_search_robust_runs_total", "Robustness ensemble simulations."),
 		Searches:          r.Counter("mario_search_runs_total", "Tuner grid searches started."),

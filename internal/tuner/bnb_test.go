@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"mario/internal/cost"
+	"mario/internal/graph"
 	"mario/internal/pipeline"
 	"mario/internal/place"
 	"mario/internal/profile"
-	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
 
@@ -88,7 +88,7 @@ func runStrategy(tn *Tuner, sp Space) stratOut {
 func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	t.Helper()
 	sp = sp.withDefaults()
-	eng := &sim.Simulator{}
+	eng := graph.NewEngines(tn.GraphWorkers)
 	var best *Candidate
 	var out stratOut
 	for _, p := range enumerate(sp) {
@@ -555,7 +555,7 @@ func TestBnBExplorationEfficiency(t *testing.T) {
 // the exhaustive argmax oracle over randomized small spaces and demands the
 // byte-identical best plan, matching error text, and an equal
 // ordering-invariant stats digest — the differential fuzzer for the search
-// driver, mirroring FuzzDeltaSimEquivalence for the simulator.
+// driver, mirroring FuzzEngineReuseEquivalence for the simulator.
 func FuzzBnBArgmaxEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint16(32), uint8(3), uint8(1), uint8(0), false)
 	f.Add(uint8(1), uint16(16), uint8(5), uint8(15), uint8(3), true)

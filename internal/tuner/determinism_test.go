@@ -11,6 +11,7 @@ import (
 	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/profile"
+	"mario/internal/telemetry"
 )
 
 // detSpace is a grid large enough to exercise every scheme, both checkpoint
@@ -246,10 +247,12 @@ func TestStatsSnapshotRaceSafe(t *testing.T) {
 }
 
 // TestCacheSharing: the schedule-build cache is shared between the
-// checkpointed and plain variants of a grid point and across Search calls,
-// and cache contents never leak between unrelated keys.
+// checkpointed and plain variants of a grid point and across Search calls.
+// Graph-pass output is not cached — within a search no two points share its
+// inputs — so a repeat search on the same Tuner runs its prepose rounds again.
 func TestCacheSharing(t *testing.T) {
 	tn := newTuner()
+	tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	sp := Space{
 		Devices:      8,
 		GlobalBatch:  32,
@@ -263,19 +266,23 @@ func TestCacheSharing(t *testing.T) {
 	if _, _, err := tn.Search(sp); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := tn.CacheStats()
-	// ckpt ∈ {false, true} share one build: 1 miss + 1 hit on the build
-	// cache, 1 miss on the graph cache.
-	if hits < 1 || misses < 1 {
+	// ckpt ∈ {false, true} share one build: 1 miss + 1 hit.
+	if hits, misses := tn.CacheStats(); hits != 1 || misses != 1 {
 		t.Errorf("expected build-cache sharing, got hits=%d misses=%d", hits, misses)
 	}
-	// A second identical search is served from both caches.
-	_, missesBefore := tn.CacheStats()
+	rounds := tn.Metrics.GraphRounds.Value()
+	if rounds == 0 {
+		t.Fatal("the checkpointed point ran no prepose round")
+	}
+	// A second identical search is served from the build cache and re-runs
+	// the graph passes.
 	if _, _, err := tn.Search(sp); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter := tn.CacheStats()
-	if missesAfter != missesBefore {
-		t.Errorf("repeat search recomputed %d cached entries", missesAfter-missesBefore)
+	if hits, misses := tn.CacheStats(); hits != 3 || misses != 1 {
+		t.Errorf("repeat search: build cache hits=%d misses=%d, want 3 and 1", hits, misses)
+	}
+	if got := tn.Metrics.GraphRounds.Value(); got != 2*rounds {
+		t.Errorf("repeat search ran %d prepose rounds, want the first search's %d again", got-rounds, rounds)
 	}
 }

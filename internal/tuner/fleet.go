@@ -6,7 +6,7 @@ import (
 	"math"
 	"sync"
 
-	"mario/internal/sim"
+	"mario/internal/graph"
 	"mario/internal/telemetry"
 )
 
@@ -170,8 +170,8 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 		return nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
 	}
 	grid := enumerate(space)
-	eng := &sim.Simulator{}
-	defer func() { t.Metrics.AddSims(eng.Sims) }()
+	eng := graph.NewEngines(t.GraphWorkers)
+	defer eng.Report(t.Metrics)
 	out := make([]ShardOutcome, 0, len(points))
 	inc, hasInc := incumbent, hasIncumbent
 	for _, sp := range points {

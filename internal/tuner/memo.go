@@ -1,13 +1,10 @@
 package tuner
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"mario/internal/pipeline"
-	"mario/internal/sim"
 )
 
 // memo is a concurrency-safe, compute-once cache: the first caller of a key
@@ -31,9 +28,6 @@ type memoEntry[V any] struct {
 // do returns the cached value for k, computing it with f exactly once per
 // key. Errors are cached too: a key that failed once fails the same way for
 // every later caller, which keeps parallel and sequential searches identical.
-// The one exception is context cancellation — a compute aborted by a
-// cancelled SearchContext is evicted immediately so the key is retried by
-// the next caller instead of poisoning every later search on the same Tuner.
 func (c *memo[K, V]) do(k K, f func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -52,15 +46,6 @@ func (c *memo[K, V]) do(k K, f func() (V, error)) (V, error) {
 	})
 	if computed {
 		c.misses.Add(1)
-		if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			c.mu.Lock()
-			// Only evict our own entry: a concurrent caller may already have
-			// replaced it with a fresh (retrying) one.
-			if cur, ok := c.m[k]; ok && cur == e {
-				delete(c.m, k)
-			}
-			c.mu.Unlock()
-		}
 	} else {
 		c.hits.Add(1)
 	}
@@ -86,43 +71,11 @@ type buildKey struct {
 	chunks  int
 }
 
-// graphKey identifies one graph-tuner run. The ISSUE-level identity is
-// (scheme, pp, micros, chunks, ckpt); the remaining fields are guards for
-// everything else that can steer the simulator-guided passes — the estimator
-// inputs (mbs, tp), the acceptance-simulation options (dp, memLimit) and the
-// tuner knobs (maxRounds, split) — so a cache hit is provably equivalent to
-// recomputing.
-type graphKey struct {
-	bk        buildKey
-	mbs       int
-	dp        int
-	tp        int
-	memLimit  float64
-	maxRounds int
-	split     bool
-	// place is the canonical Assignment.Key() of the point's partitioning/
-	// placement assignment ("" for legacy axis-free points): assignments
-	// steer the estimator the graph passes simulate with, and memos persist
-	// across Search calls on the same Tuner, so the identity must be in the
-	// key.
-	place string
-}
-
-// graphVal is the cached outcome of graph.Optimize (plus the optional
-// split-backward refinement): the optimized schedule and its simulation.
-type graphVal struct {
-	sched *pipeline.Schedule
-	res   *sim.Result
-}
-
-// CacheStats reports the cumulative memoization hit/miss counters across the
-// tuner's schedule-build and graph-pass caches. The counters are race-safe
-// but — unlike SearchStats — not deterministic under Workers > 1: which of
-// two concurrent grid points computes a shared key and which one hits is a
-// scheduling accident. They are therefore reported separately and never
-// compared in determinism tests.
+// CacheStats reports the cumulative hit/miss counters of the tuner's
+// schedule-build cache. The counters are race-safe but — unlike SearchStats —
+// not deterministic under Workers > 1: which of two concurrent grid points
+// computes a shared key and which one hits is a scheduling accident. They are
+// therefore reported separately and never compared in determinism tests.
 func (t *Tuner) CacheStats() (hits, misses int64) {
-	hits = t.builds.hits.Load() + t.graphs.hits.Load()
-	misses = t.builds.misses.Load() + t.graphs.misses.Load()
-	return hits, misses
+	return t.builds.hits.Load(), t.builds.misses.Load()
 }

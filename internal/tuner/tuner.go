@@ -15,8 +15,8 @@
 // (Tuner.Sharder). Every decision is taken by the merge against its own
 // incumbent, never by a source, so the best candidate, the trace and the
 // SearchStats are identical for every order-preserving source. A memoization
-// layer shares built schedules and graph-pass output across grid points (and
-// across Search calls on the same Tuner).
+// layer shares built schedules across grid points (and across Search calls on
+// the same Tuner).
 package tuner
 
 import (
@@ -265,13 +265,6 @@ type Tuner struct {
 	// transformation on each checkpointed candidate, keeping it when the
 	// simulator confirms an improvement within the memory budget.
 	SplitBackward bool
-	// NoDelta disables delta re-simulation inside the graph-pass candidate
-	// loop (sim.Options.NoDelta): every accepted-candidate re-sim runs the
-	// full fixpoint instead of recomputing only the dirty cone. Results are
-	// bit-identical either way — internal/sim/difftest pins that — so the
-	// flag is an escape hatch and a benchmarking control, and it
-	// deliberately does not enter the memo keys.
-	NoDelta bool
 	// Progress, when non-nil, is invoked after every explored candidate
 	// with that candidate and the best found so far (Fig. 11's curve,
 	// streamed). It runs on the merging goroutine in expansion order,
@@ -312,7 +305,6 @@ type Tuner struct {
 
 	statsMu sync.Mutex
 	builds  memo[buildKey, *pipeline.Schedule]
-	graphs  memo[graphKey, graphVal]
 }
 
 // StatsSnapshot returns a consistent copy of Stats. It is the race-safe way
@@ -465,12 +457,11 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		m.Searches.Inc()
 	}
 	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
-	graphH0, graphM0 := t.graphs.hits.Load(), t.graphs.misses.Load()
-	// eng is the search goroutine's simulation engine: the inline
-	// evaluations, the merge loop's forced re-evaluations and the winner's
-	// closing re-simulation all run on it, so the last of these finds it warm
-	// (pool workers hold one engine each; a Simulator is not goroutine-safe).
-	eng := &sim.Simulator{}
+	// eng is the search goroutine's engine bundle: the inline evaluations, the
+	// merge loop's forced re-evaluations and the winner's closing
+	// re-simulation all run on it, so the last of these finds it warm (pool
+	// workers hold one bundle each; a bundle is not goroutine-safe).
+	eng := graph.NewEngines(t.GraphWorkers)
 	// The one exit: whatever the search merged before it completed, failed or
 	// was cancelled is published here, to the snapshots and to the registry
 	// alike, so the two can never disagree.
@@ -483,7 +474,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 			return
 		}
 		m.SearchSeconds.ObserveDuration(time.Since(searchStart))
-		m.AddSims(eng.Sims)
+		eng.Report(m)
 		m.PointsExplored.Add(int64(stats.Explored))
 		m.PointsOOM.Add(int64(stats.OOMRejected))
 		m.PointsPruned.Add(int64(stats.Pruned))
@@ -492,8 +483,6 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		m.PointsImproved.Add(int64(stats.Improved))
 		m.BuildHits.Add(t.builds.hits.Load() - buildH0)
 		m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
-		m.GraphHits.Add(t.graphs.hits.Load() - graphH0)
-		m.GraphMisses.Add(t.graphs.misses.Load() - graphM0)
 		m.FleetWaves.Add(int64(fl.Waves))
 		m.FleetBroadcasts.Add(int64(fl.Broadcasts))
 		m.FleetDispatched.Add(int64(fl.Dispatched))
@@ -514,7 +503,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	// Every point was scored without a timeline; the winner alone gets one,
 	// from a single closing re-simulation of the schedule it already carries.
 	ss := search.Child(telemetry.PhaseSim, "")
-	res, err := Resimulate(eng, t.Prof, best, space.TP, space.DeviceMem)
+	res, err := Resimulate(eng.Main, t.Prof, best, space.TP, space.DeviceMem)
 	ss.End()
 	if err != nil {
 		return nil, nil, err
@@ -582,7 +571,7 @@ const (
 // The sources: an inline evaluation of exactly the nodes decide explores
 // (Workers ≤ 1: never speculates), the speculative worker pool (poolSource,
 // Workers > 1) and ShardDispatcher waves (shardSource, Tuner.Sharder).
-func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *sim.Simulator, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats, fl *FleetStats) (*Candidate, []Candidate, error) {
+func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats, fl *FleetStats) (*Candidate, []Candidate, error) {
 	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
 	if err != nil {
 		return nil, nil, err
@@ -665,10 +654,8 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 			// The node must be explored and the source has no evaluation of
 			// it: a skip the incumbent cannot justify (sources only skip nodes
 			// mergedBest dominates, so this is insurance — and a protocol
-			// violation when a fleet does it), an outcome a dispatcher lost,
-			// or a stale cancellation from a memo entry another (cancelled)
-			// search computed, while our own context is live. Evaluate it here
-			// so the result stays exact.
+			// violation when a fleet does it) or an outcome a dispatcher lost.
+			// Evaluate it here so the result stays exact.
 			sp.Discard()
 			if t.Sharder != nil {
 				fl.Forced++
@@ -759,7 +746,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := &sim.Simulator{} // per-worker engine
+			eng := graph.NewEngines(t.GraphWorkers) // per-worker bundle
 			for j := range jobs {
 				nd := nodes[j]
 				// A cancelled worker skips too: the merge loop checks ctx
@@ -772,7 +759,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb
 				}
 				close(ready[j])
 			}
-			t.Metrics.AddSims(eng.Sims)
+			eng.Report(t.Metrics)
 		}()
 	}
 	return func(j int) pointResult {
@@ -962,7 +949,7 @@ func (t *Tuner) pointShape(space Space, p gridPoint) (micros int, sh scheme.Shap
 
 // evalTraced wraps evalPoint with a detached point span that the merge loop
 // later attaches or discards.
-func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *sim.Simulator, tracer *telemetry.Tracer) pointResult {
+func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *graph.Engines, tracer *telemetry.Tracer) pointResult {
 	sp := pointSpan(tracer, nd.idx, nd.p)
 	pr := t.evalPoint(ctx, space, nd.p, eng, sp)
 	sp.End()
@@ -977,7 +964,8 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *si
 // decided to evaluate the point. A point whose evaluation still fails (a
 // graph-pass or simulator error) comes back infeasible.
 //
-// eng is the caller's reusable simulation engine (one per goroutine).
+// eng is the caller's reusable engine bundle (one per goroutine): the graph
+// passes run on it and the direct simulation on its main engine.
 //
 // Points are scored without a timeline — the merge reads totals, peaks and
 // the schedule only, and graph.OptimizeContext/SplitBackward skip their
@@ -990,9 +978,9 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *si
 //
 // sp is the point's telemetry span (the zero Span when tracing is off):
 // evalPoint records build/graph/sim child spans under it, tagging the
-// memoized phases with their memo keys — formatted only when the span is
-// live — so Snapshot can normalize hit/miss attribution into canonical order.
-func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *sim.Simulator, sp telemetry.Span) pointResult {
+// memoized build with its memo key — formatted only when the span is live —
+// so Snapshot can normalize hit/miss attribution into canonical order.
+func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *graph.Engines, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
@@ -1002,7 +990,6 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 		return infeasible
 	}
 
-	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
 	bs := sp.Child(telemetry.PhaseBuild, "")
 	if bs.Live() {
 		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
@@ -1013,7 +1000,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 		return infeasible
 	}
 
-	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoDelta: t.NoDelta, NoTimeline: true}
+	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoTimeline: true}
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
 		PlaceMode: p.pmode, Place: asg}
 	var res *sim.Result
@@ -1022,39 +1009,16 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 		if maxRounds <= 0 {
 			maxRounds = 8
 		}
-		gk := graphKey{bk: bk, mbs: p.mbs, dp: p.dp, tp: space.TP,
-			memLimit: space.DeviceMem, maxRounds: maxRounds, split: t.SplitBackward,
-			place: asg.Key()}
 		gs := sp.Child(telemetry.PhaseGraph, "")
-		if gs.Live() {
-			memoTag := fmt.Sprintf("%s|pp%d|u%d|c%d|mbs%d|dp%d|tp%d|mem%g|r%d|split%t",
-				p.scheme.Shape(), p.pp, micros, space.Chunks, p.mbs, p.dp, space.TP,
-				space.DeviceMem, maxRounds, t.SplitBackward)
-			if gk.place != "" {
-				memoTag += "|pl" + gk.place
+		gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: maxRounds,
+			Engines: eng, Span: gs, Metrics: t.Metrics}
+		opt, r, err := graph.OptimizeContext(ctx, sched, gopts)
+		if err == nil && t.SplitBackward {
+			if split, sr, err := graph.SplitBackward(opt, gopts); err == nil &&
+				sr.Total < r.Total && !(simOpts.MemLimit > 0 && sr.OOM) {
+				opt, r = split, sr
 			}
-			gs.Memo(memoTag)
 		}
-		gv, err := t.graphs.do(gk, func() (graphVal, error) {
-			// The round spans land under this point's graph span; if a
-			// canonically earlier point shares the memo key, Snapshot moves
-			// them there (the sequential attribution).
-			gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: maxRounds,
-				Workers: t.GraphWorkers, Span: gs, Metrics: t.Metrics}
-			opt, r, err := graph.OptimizeContext(ctx, sched, gopts)
-			if err != nil {
-				return graphVal{}, err
-			}
-			if t.SplitBackward {
-				if split, sr, err := graph.SplitBackward(opt, gopts); err == nil &&
-					sr.Total < r.Total && !(simOpts.MemLimit > 0 && sr.OOM) {
-					opt, r = split, sr
-				}
-			}
-			// Frozen for the same reason as the build memo above.
-			opt.Freeze()
-			return graphVal{sched: opt, res: r}, nil
-		})
 		gs.End()
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -1062,10 +1026,10 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *si
 			}
 			return infeasible
 		}
-		cand.Schedule, res = gv.sched.Clone(), gv.res
+		cand.Schedule, res = opt, r
 	} else {
 		ss := sp.Child(telemetry.PhaseSim, "")
-		r, err := eng.Simulate(sched, est, simOpts)
+		r, err := eng.Main.Simulate(sched, est, simOpts)
 		ss.End()
 		if err != nil {
 			return infeasible

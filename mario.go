@@ -112,11 +112,6 @@ type Config struct {
 	// typically simulates far fewer grid points, so the trace and the search
 	// stats differ.
 	NoBnB bool
-	// NoDelta disables delta re-simulation inside the graph passes: every
-	// candidate re-sim runs the full fixpoint instead of recomputing only
-	// the dirty cone. The plan is bit-identical either way; this is an
-	// escape hatch and a benchmarking control.
-	NoDelta bool
 	// Tracer, when non-nil, records the search's own telemetry: a
 	// PhaseOptimize root span with the tuner grid, graph-pass, simulator
 	// and robustness work nested under it (see internal/telemetry). The
@@ -307,8 +302,7 @@ func searchSetup(conf Config, model ModelConfig) (*tuner.Tuner, tuner.Space, flo
 	}
 
 	prof := &profile.Profiler{Model: model, HW: hw, Spec: spec, Devices: 4, Iters: 10}
-	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward, GraphWorkers: conf.GraphWorkers,
-		NoDelta: conf.NoDelta}
+	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward, GraphWorkers: conf.GraphWorkers}
 	space = tuner.Space{
 		Devices:      conf.NumDevices,
 		GlobalBatch:  conf.GlobalBatchSize,
