@@ -103,13 +103,18 @@ bench-serve-json:
 		| $(GO) run ./cmd/benchjson > BENCH_serve.json
 
 # Short fuzz smoke: each target gets FUZZTIME of coverage-guided input
-# generation on top of its checked-in seeds.
+# generation on top of its checked-in seeds. This list is the only one: CI's
+# fuzz step runs `make fuzz`. FuzzPlanDecode's inputs are 20–40 KB plan bodies:
+# at the default -fuzzminimizetime (60 s per newly interesting input) a run
+# spends its whole budget minimizing the first one it finds (7 execs a minute,
+# against 5,000 a second with the minimizer capped).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSchemeBuild -fuzztime $(FUZZTIME) ./internal/scheme
 	$(GO) test -run '^$$' -fuzz FuzzGraphPassInvariants -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseEquivalence -fuzztime $(FUZZTIME) ./internal/sim/difftest
 	$(GO) test -run '^$$' -fuzz FuzzBnBArgmaxEquivalence -fuzztime $(FUZZTIME) ./internal/tuner
+	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Doc-comment lint for the packages whose contracts must live in the source:
 # internal/sim (engine identity/caching rules), internal/pipeline (COW

@@ -77,15 +77,39 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("pipeline: decoding schedule: %w", err)
 	}
+	// The bytes may be anyone's: the declared shape is checked against what
+	// the body actually holds before anything is sized from it. The placement
+	// constructors panic on shapes no generator produces, and Validate sizes
+	// its scratch by micros × stages — of which a valid schedule has at least
+	// one forward each, so a body declaring more cells than it has
+	// instructions is refused here, not allocated for.
+	devices, chunks, instrs := in.Placement.Devices, 1, 0
+	for _, list := range in.Lists {
+		instrs += len(list)
+	}
+	if devices <= 0 || devices != len(in.Lists) {
+		return fmt.Errorf("pipeline: placement declares %d devices, schedule has %d lists", devices, len(in.Lists))
+	}
 	switch in.Placement.Type {
 	case "linear":
-		s.Placement = NewLinearPlacement(in.Placement.Devices)
+		s.Placement = NewLinearPlacement(devices)
 	case "bidir":
-		s.Placement = NewBidirPlacement(in.Placement.Devices)
+		if devices%2 != 0 {
+			return fmt.Errorf("pipeline: bidirectional placement needs an even device count, got %d", devices)
+		}
+		s.Placement = NewBidirPlacement(devices)
 	case "interleaved":
-		s.Placement = NewInterleavedPlacement(in.Placement.Devices, in.Placement.Chunks)
+		chunks = in.Placement.Chunks
+		if chunks <= 0 || chunks > instrs {
+			return fmt.Errorf("pipeline: interleaved placement declares %d chunks for %d instructions", chunks, instrs)
+		}
+		s.Placement = NewInterleavedPlacement(devices, chunks)
 	default:
 		return fmt.Errorf("pipeline: unknown placement type %q", in.Placement.Type)
+	}
+	if in.Micros < 0 || in.Micros > instrs/(devices*chunks) {
+		return fmt.Errorf("pipeline: schedule declares %d micro-batches × %d stages, more cells than its %d instructions",
+			in.Micros, devices*chunks, instrs)
 	}
 	s.Scheme = Scheme(in.Scheme)
 	s.Micros = in.Micros

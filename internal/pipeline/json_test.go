@@ -120,4 +120,23 @@ func TestJSONRejectsCorrupted(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{`), &got); err == nil {
 		t.Error("syntactic garbage accepted")
 	}
+	// A declared shape the body cannot back is an error before anything is
+	// sized from it — never a constructor panic or a scratch allocation.
+	for name, edit := range map[string][2]string{
+		"no devices":           {`"devices":2`, `"devices":0`},
+		"devices ≠ lists":      {`"devices":2`, `"devices":1073741824`},
+		"odd bidirectional":    {`"type":"linear","devices":2`, `"type":"bidir","devices":3`},
+		"chunkless interleave": {`"type":"linear"`, `"type":"interleaved"`},
+		"a billion chunks":     {`"type":"linear"`, `"type":"interleaved","chunks":1073741824`},
+		"a billion micros":     {`"micros":1`, `"micros":1073741824`},
+		"negative micros":      {`"micros":1`, `"micros":-1`},
+	} {
+		bad := strings.Replace(string(data), edit[0], edit[1], 1)
+		if bad == string(data) {
+			t.Fatalf("%s: %q not found in %s", name, edit[0], data)
+		}
+		if err := json.Unmarshal([]byte(bad), &got); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

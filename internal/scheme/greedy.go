@@ -70,9 +70,11 @@ type depGraph struct {
 	index map[pipeline.Key]int
 }
 
-// newDepGraph starts an empty dependency graph over the given placement.
-func newDepGraph(pl pipeline.Placement, times unitTimes) *depGraph {
-	return &depGraph{pl: pl, times: times.withDefaults(), index: make(map[pipeline.Key]int)}
+// newDepGraph starts an empty dependency graph over the given placement,
+// sized for the units its caller is about to add.
+func newDepGraph(pl pipeline.Placement, times unitTimes, units int) *depGraph {
+	return &depGraph{pl: pl, times: times.withDefaults(),
+		units: make([]unit, 0, units), index: make(map[pipeline.Key]int, units)}
 }
 
 // addUnit registers one compute unit at its placement-assigned device.
@@ -223,7 +225,7 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 // greedy merge reproduces its bidirectional bubble-overlap structure) and
 // BuildCustom's user-defined pipelines (§5.2, "Visualization").
 func greedySchedule(pl pipeline.Placement, micros []microAssign, fwTime, bwTime float64) [][]pipeline.Instr {
-	g := newDepGraph(pl, unitTimes{fw: fwTime, bw: bwTime})
+	g := newDepGraph(pl, unitTimes{fw: fwTime, bw: bwTime}, 2*len(micros)*pl.NumStages())
 	for _, ma := range micros {
 		g.addMicroUnits(ma, false)
 	}
@@ -237,7 +239,7 @@ func greedySchedule(pl pipeline.Placement, micros []microAssign, fwTime, bwTime 
 // fills device idle gaps with deferred weight-gradient units (Zero Bubble's
 // central scheduling move).
 func greedyScheduleSplit(pl pipeline.Placement, micros []microAssign, times unitTimes) [][]pipeline.Instr {
-	g := newDepGraph(pl, times)
+	g := newDepGraph(pl, times, 3*len(micros)*pl.NumStages())
 	for _, ma := range micros {
 		g.addMicroUnits(ma, true)
 	}

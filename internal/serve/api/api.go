@@ -333,8 +333,13 @@ const RoutedHeader = "X-Mario-Routed"
 // dropped the per-instruction timeline from outcome candidates (the search
 // scores points without one and re-simulates only the winner): a version-2
 // worker would still ship timelines, and merging those beside local slim
-// candidates would break the fleet ≡ local byte-identity of the plan.
-const ShardProtoVersion = 3
+// candidates would break the fleet ≡ local byte-identity of the plan. Version 4
+// dropped the schedule too: an outcome candidate is coordinates, placement
+// assignment and result totals, the coordinator rebuilds the one schedule it
+// keeps (the winner's) itself, and a version-3 worker's schedules would land in
+// the trace of a plan that must carry none. The coordinator checks the version
+// and the fingerprint a response echoes; a mismatch is a dispatch error.
+const ShardProtoVersion = 4
 
 // ShardRequest is the body of POST /v1/shard: one coordinator-probed batch
 // of grid points for the worker to evaluate against the given workload.
@@ -356,8 +361,9 @@ type ShardRequest struct {
 type ShardResponse struct {
 	// Proto echoes the shard protocol version.
 	Proto int `json:"proto"`
-	// Fingerprint is the workload fingerprint the worker resolved — a
-	// cross-check that both sides enumerated the same grid.
+	// Fingerprint is the workload fingerprint the worker resolved. The
+	// coordinator refuses a response whose fingerprint is not its own: the
+	// worker enumerated another grid, so its indices name other points.
 	Fingerprint string `json:"fingerprint"`
 	// Outcomes mirror Points order, keyed by Idx.
 	Outcomes []tuner.ShardOutcome `json:"outcomes"`

@@ -8,10 +8,12 @@ import (
 // planCache is a bounded LRU mapping workload fingerprints to marshaled plan
 // JSON. It stores bytes, not *mario.Plan: responses serve the stored bytes
 // verbatim, which is what makes a cache hit byte-identical to the Optimize
-// run that populated it.
+// run that populated it. The bound is in entries; what they weigh is tracked
+// in bytes and reported, so the memory the bound amounts to is a number.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
+	bytes int64      // total len(data) over the entries
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 }
@@ -48,8 +50,11 @@ func (c *planCache) get(fp string) ([]byte, bool) {
 func (c *planCache) add(fp string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += int64(len(data))
 	if el, ok := c.items[fp]; ok {
-		el.Value.(*cacheEntry).data = data
+		e := el.Value.(*cacheEntry)
+		c.bytes -= int64(len(e.data))
+		e.data = data
 		c.order.MoveToFront(el)
 		return
 	}
@@ -57,13 +62,15 @@ func (c *planCache) add(fp string, data []byte) {
 	for c.order.Len() > c.cap {
 		back := c.order.Back()
 		c.order.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).fp)
+		e := back.Value.(*cacheEntry)
+		c.bytes -= int64(len(e.data))
+		delete(c.items, e.fp)
 	}
 }
 
-// len returns the number of cached plans.
-func (c *planCache) len() int {
+// size returns the number of cached plans and the bytes they hold.
+func (c *planCache) size() (plans int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.order.Len(), c.bytes
 }

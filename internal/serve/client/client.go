@@ -204,7 +204,7 @@ func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // plan records carry the full trace
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // a plan record is one line: the winner's schedule and timeline plus the trace totals
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -265,6 +265,7 @@ type fleetDispatcher struct {
 	s        *Server
 	fs       *fleetState
 	workload PlanRequest
+	fp       string // the workload's fingerprint, which every response must echo
 }
 
 func (d *fleetDispatcher) Shards() int    { return d.fs.shards }
@@ -278,6 +279,16 @@ func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tune
 		req.Incumbent = &inc
 	}
 	resp, err := d.fs.clients[peer].Shard(ctx, req)
+	// A worker that answers in another protocol version, or for a workload it
+	// fingerprints differently (it enumerated another grid, so its indices
+	// name other points), has not answered this batch: a dispatch error, which
+	// the tuner recovers from by evaluating the batch itself.
+	if err == nil && resp.Proto != api.ShardProtoVersion {
+		err = fmt.Errorf("serve: %s answered in shard protocol %d, want %d", peer, resp.Proto, api.ShardProtoVersion)
+	}
+	if err == nil && resp.Fingerprint != d.fp {
+		err = fmt.Errorf("serve: %s answered for workload %.12s, want %.12s", peer, resp.Fingerprint, d.fp)
+	}
 	if err != nil {
 		d.s.sm.shardDispatchErr.Inc()
 		return nil, err
@@ -288,9 +299,9 @@ func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tune
 
 // sharderFor returns the dispatcher for one coordinator search, or nil
 // when the server has no fleet to dispatch to.
-func (s *Server) sharderFor(req PlanRequest) tuner.ShardDispatcher {
+func (s *Server) sharderFor(req PlanRequest, model mario.ModelConfig) tuner.ShardDispatcher {
 	if s.fleet == nil || len(s.fleet.peers) == 0 {
 		return nil
 	}
-	return &fleetDispatcher{s: s, fs: s.fleet, workload: req}
+	return &fleetDispatcher{s: s, fs: s.fleet, workload: req, fp: req.Fingerprint(model)}
 }

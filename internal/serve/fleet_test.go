@@ -73,8 +73,8 @@ func smallWorkload() PlanRequest {
 }
 
 // TestShardEndpoint exercises the worker half of the shard protocol over
-// real HTTP: a valid batch returns explored outcomes with candidates, a
-// protocol-version mismatch is refused with 400, and a draining member
+// real HTTP: a valid batch returns explored outcomes with candidates (totals
+// only — no schedule, no timeline), a protocol-version mismatch is refused with 400, and a draining member
 // answers 503.
 func TestShardEndpoint(t *testing.T) {
 	if testing.Short() {
@@ -105,6 +105,8 @@ func TestShardEndpoint(t *testing.T) {
 	for i, oc := range resp.Outcomes {
 		if oc.Status != tuner.ShardExplored || oc.Cand == nil {
 			t.Errorf("outcome %d = %+v, want explored with candidate", i, oc)
+		} else if oc.Cand.Schedule != nil || oc.Cand.Result == nil || oc.Cand.Result.Timeline != nil {
+			t.Errorf("outcome %d: want result totals and neither a schedule nor a timeline on the wire", i)
 		}
 	}
 
@@ -280,13 +282,15 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 }
 
 // TestFleetLostPeerFallback points the coordinator at one healthy worker and
-// one member it cannot use — an unroutable address, or a member still on
-// shard protocol 2, which refuses the coordinator's batches with 400 the way
+// one member it cannot use: an unroutable address; a member still on shard
+// protocol 2 or 3, which refuses the coordinator's batches with 400 the way
 // handleShard refuses any mismatched version (its answers would carry
-// per-candidate timelines that no longer belong in a plan). Either way the
-// plan must still be byte-identical to the in-process Optimize (the tuner
-// evaluates lost batches locally) and the dispatch-error series must record
-// the damage.
+// per-candidate timelines or schedules that no longer belong in a plan); or a
+// member that answers 200 but not to the question asked — in another protocol
+// version, or for a workload it fingerprints differently, so its indices name
+// another grid's points. Every one of these is a dispatch error: the plan must
+// still be byte-identical to the in-process Optimize (the tuner evaluates lost
+// batches locally) and the dispatch-error series must record the damage.
 func TestFleetLostPeerFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real tuner searches over loopback HTTP")
@@ -302,22 +306,45 @@ func TestFleetLostPeerFallback(t *testing.T) {
 	}
 	want, _ := json.Marshal(direct)
 
-	proto2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sr api.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			errorJSON(w, http.StatusBadRequest, err)
-			return
-		}
-		if sr.Proto == 2 {
-			t.Error("coordinator dispatched a protocol-2 batch")
-		}
-		errorJSON(w, http.StatusBadRequest, fmt.Errorf("serve: shard protocol %d, want 2", sr.Proto))
-	}))
-	defer proto2.Close()
+	// stub is a member that decodes the batch and answers it with reply.
+	stub := func(reply func(w http.ResponseWriter, sr api.ShardRequest)) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var sr api.ShardRequest
+			if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+				errorJSON(w, http.StatusBadRequest, err)
+				return
+			}
+			if sr.Proto != api.ShardProtoVersion {
+				t.Errorf("coordinator dispatched a protocol-%d batch", sr.Proto)
+			}
+			reply(w, sr)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	refuses := func(proto int) string {
+		return stub(func(w http.ResponseWriter, sr api.ShardRequest) {
+			errorJSON(w, http.StatusBadRequest, fmt.Errorf("serve: shard protocol %d, want %d", sr.Proto, proto))
+		})
+	}
+	// answers claims every point skipped: trusted, that costs forced local
+	// evaluations and no fallback, so a fallback shows the answer was refused.
+	answers := func(proto int, fingerprint string) string {
+		return stub(func(w http.ResponseWriter, sr api.ShardRequest) {
+			resp := ShardResponse{Proto: proto, Fingerprint: fingerprint}
+			for _, p := range sr.Points {
+				resp.Outcomes = append(resp.Outcomes, tuner.ShardOutcome{Idx: p.Idx, Status: tuner.ShardSkipped})
+			}
+			writeJSON(w, resp)
+		})
+	}
 
 	for _, tc := range []struct{ name, lost string }{
 		{"dead", "http://127.0.0.1:9"}, // port 9: discard, never listening
-		{"proto2", proto2.URL},
+		{"proto2", refuses(2)},
+		{"proto3", refuses(3)},
+		{"answers-proto3", answers(3, req.Fingerprint(model))},
+		{"other-fingerprint", answers(api.ShardProtoVersion, "another workload")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := New(Options{})

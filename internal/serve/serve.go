@@ -358,7 +358,7 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, tracer *telemetr
 	// locally, dispatch shard waves to the peers. The tuner guarantees the
 	// plan bytes are identical to a local run (and falls back locally on
 	// any dispatch failure), so nothing downstream can tell.
-	conf.Sharder = s.sharderFor(req)
+	conf.Sharder = s.sharderFor(req, model)
 	conf.Tracer = tracer
 	conf.Progress = func(n int, best string, throughput float64) {
 		progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
@@ -596,12 +596,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
+	plans, _ := s.cache.size()
 	h := Health{
 		OK:          !draining,
 		Draining:    draining,
 		InFlight:    s.sm.inFlight.Value(),
 		Queued:      len(s.jobs),
-		CachedPlans: s.cache.len(),
+		CachedPlans: plans,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if draining {
@@ -614,7 +615,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Scrape-time gauges: refreshed here so the registry render is the
 	// whole exposition.
 	s.sm.queueDepth.Set(int64(len(s.jobs)))
-	s.sm.cachedPlans.Set(int64(s.cache.len()))
+	plans, bytes := s.cache.size()
+	s.sm.cachedPlans.Set(int64(plans))
+	s.sm.cachedPlanBytes.Set(bytes)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WriteProm(w)
 }

@@ -452,3 +452,39 @@ func TestTraceAndFlightRecorder(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedPlanBytesGauge: the plan cache is bounded in entries, so what the
+// bound amounts to in memory is reported — mario_serve_cached_plan_bytes is the
+// sum of the cached bodies after inserts, a refresh and an eviction.
+func TestCachedPlanBytesGauge(t *testing.T) {
+	s := New(Options{CacheSize: 2})
+	defer s.Close()
+	scrape := func() (plans, bytes float64) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return promValue(t, rec.Body.String(), "mario_serve_cached_plans"),
+			promValue(t, rec.Body.String(), "mario_serve_cached_plan_bytes")
+	}
+	body := func(n int) []byte { return make([]byte, n) }
+	for _, step := range []struct {
+		name         string
+		fp           string
+		data         []byte
+		plans, bytes float64
+	}{
+		{"empty", "", nil, 0, 0},
+		{"insert a", "a", body(100), 1, 100},
+		{"insert b", "b", body(30), 2, 130},
+		{"refresh a with a smaller body", "a", body(60), 2, 90},
+		{"insert c, evicting b", "c", body(7), 2, 67},
+		{"insert d, evicting a", "d", body(1000), 2, 1007},
+	} {
+		if step.fp != "" {
+			s.cache.add(step.fp, step.data)
+		}
+		if plans, bytes := scrape(); plans != step.plans || bytes != step.bytes {
+			t.Errorf("%s: %v plans holding %v bytes, want %v and %v", step.name, plans, bytes, step.plans, step.bytes)
+		}
+	}
+}

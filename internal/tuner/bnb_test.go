@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -14,11 +13,6 @@ import (
 	"mario/internal/profile"
 	"mario/internal/telemetry"
 )
-
-// pointOf reconstructs the canonical grid coordinate of a traced candidate.
-func pointOf(c Candidate) gridPoint {
-	return gridPoint{scheme: c.Scheme, ckpt: c.Ckpt, pp: c.PP, dp: c.DP, mbs: c.MicroBatch, pmode: c.PlaceMode}
-}
 
 // maxPeak returns the worst per-device simulated peak of a candidate.
 func maxPeak(c Candidate) float64 {
@@ -41,21 +35,7 @@ func runSpace(t *testing.T, sp Space, mut func(*Tuner)) searchRun {
 	if mut != nil {
 		mut(tn)
 	}
-	var run searchRun
-	tn.Progress = func(c Candidate, best Candidate) {
-		run.progress = append(run.progress, fmt.Sprintf("%s|%016x -> %s|%016x",
-			c.Label(), math.Float64bits(c.Throughput), best.Label(), math.Float64bits(best.Throughput)))
-	}
-	best, trace, err := tn.Search(sp)
-	if err != nil {
-		t.Fatalf("Search(%+v): %v", sp, err)
-	}
-	run.best = candString(*best)
-	for _, c := range trace {
-		run.trace = append(run.trace, candString(c))
-	}
-	run.stats = tn.Stats
-	return run
+	return capture(t, tn, sp)
 }
 
 // stratOut is the order-independent outcome of a Search: the error text, the

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -37,7 +38,7 @@ type searchRun struct {
 
 // candString renders a candidate byte-exactly: label, the raw float bits of
 // the throughput, the OOM flag, the simulated makespan and per-device peaks,
-// and the full schedule text.
+// and the full schedule text when the candidate carries its schedule.
 func candString(c Candidate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s micros=%d thpt=%016x oom=%v", c.Label(), c.Micros, math.Float64bits(c.Throughput), c.OOM)
@@ -54,6 +55,54 @@ func candString(c Candidate) string {
 	return b.String()
 }
 
+// capture runs sp on tn and renders everything the search emits. Best carries
+// its schedule; a trace entry carries none, so its schedule text is the one
+// Resimulate rebuilds from the entry's coordinates (on a fresh Tuner, which
+// leaves tn's memo and metrics alone) — and that must be the text of the
+// schedule the search scored, which Progress saw for every candidate this
+// process evaluated. The runs a determinism test compares therefore still
+// cover every explored schedule, whoever evaluated it.
+func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
+	t.Helper()
+	var run searchRun
+	scored := map[gridPoint]string{}
+	tn.Progress = func(c Candidate, best Candidate) {
+		run.progress = append(run.progress, fmt.Sprintf("%s|%016x -> %s|%016x",
+			c.Label(), math.Float64bits(c.Throughput), best.Label(), math.Float64bits(best.Throughput)))
+		if c.Schedule != nil {
+			scored[pointOf(c)] = c.Schedule.String()
+		}
+	}
+	best, trace, err := tn.Search(sp)
+	if err != nil {
+		t.Fatalf("Search(%+v): %v", sp, err)
+	}
+	if best.Schedule == nil || best.Result.Timeline == nil {
+		t.Fatalf("best %s carries no schedule or no timeline", best.Label())
+	}
+	run.best = candString(*best)
+	rebuilder, rc := &Tuner{Prof: tn.Prof}, tn.recipe(sp.withDefaults())
+	for _, c := range trace {
+		if c.Schedule != nil || c.Result.Timeline != nil {
+			t.Errorf("trace entry %s carries a schedule or a timeline", c.Label())
+		}
+		sched, res, err := rebuilder.Resimulate(context.Background(), nil, &c, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Timeline) != sched.NumDevices() {
+			t.Errorf("%s: rebuilt timeline covers %d of %d devices", c.Label(), len(res.Timeline), sched.NumDevices())
+		}
+		if was, ok := scored[pointOf(c)]; ok && was != sched.String() {
+			t.Errorf("%s: rebuilt schedule differs from the one the search scored", c.Label())
+		}
+		c.Schedule = sched
+		run.trace = append(run.trace, candString(c))
+	}
+	run.stats = tn.Stats
+	return run
+}
+
 func runSearch(t *testing.T, workers int) searchRun {
 	return runSearchGW(t, workers, 0)
 }
@@ -61,7 +110,7 @@ func runSearch(t *testing.T, workers int) searchRun {
 // runSearchGW additionally sets the graph tuner's inner worker count.
 func runSearchGW(t *testing.T, workers, graphWorkers int) searchRun {
 	t.Helper()
-	tn := &Tuner{
+	return capture(t, &Tuner{
 		Prof: &profile.Profiler{
 			Model:   cost.LLaMA2_3B,
 			HW:      cost.A100_40G,
@@ -71,22 +120,7 @@ func runSearchGW(t *testing.T, workers, graphWorkers int) searchRun {
 		},
 		MaxRounds:    2,
 		GraphWorkers: graphWorkers,
-	}
-	var run searchRun
-	tn.Progress = func(c Candidate, best Candidate) {
-		run.progress = append(run.progress, fmt.Sprintf("%s|%016x -> %s|%016x",
-			c.Label(), math.Float64bits(c.Throughput), best.Label(), math.Float64bits(best.Throughput)))
-	}
-	best, trace, err := tn.Search(detSpace(workers))
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	run.best = candString(*best)
-	for _, c := range trace {
-		run.trace = append(run.trace, candString(c))
-	}
-	run.stats = tn.Stats
-	return run
+	}, detSpace(workers))
 }
 
 // TestSearchDeterministicAcrossWorkers is the PR's core guarantee: the best

@@ -80,6 +80,11 @@ func shardPointOf(nd bnbNode) ShardPoint {
 	return sp
 }
 
+// pointOf maps a candidate back to the grid point its coordinates name.
+func pointOf(c Candidate) gridPoint {
+	return gridPoint{scheme: c.Scheme, ckpt: c.Ckpt, pp: c.PP, dp: c.DP, mbs: c.MicroBatch, pmode: c.PlaceMode}
+}
+
 // ub returns the node-side view of the bound (+Inf when Unbounded).
 func (p ShardPoint) ub() float64 {
 	if p.Unbounded {
@@ -94,10 +99,13 @@ type ShardOutcome struct {
 	Idx int `json:"idx"`
 	// Status is ShardExplored, ShardSkipped or ShardInfeasible.
 	Status string `json:"status"`
-	// Cand is the simulated candidate (ShardExplored only) — schedule and
-	// result totals, no timeline, like every candidate a search scores. It
-	// round-trips byte-stably through the plan JSON codec, so a merged remote
-	// candidate marshals identically to a locally computed one.
+	// Cand is the simulated candidate (ShardExplored only): coordinates,
+	// placement assignment and result totals — no timeline and no schedule,
+	// which is what a search's trace keeps of any candidate. It round-trips
+	// byte-stably through the plan JSON codec, so a merged remote candidate
+	// marshals identically to a locally computed one; should it win, the
+	// coordinator's closing Resimulate rebuilds its schedule and refuses the
+	// outcome unless its totals are reproduced bit for bit.
 	Cand *Candidate `json:"cand,omitempty"`
 }
 
@@ -161,9 +169,10 @@ func (t *Tuner) publishFleet(f FleetStats) {
 // dispatched batch in order, skipping points the incumbent dooms
 // (bnbNode.dominatedBy) and advancing a batch-local incumbent as it explores.
 // It touches neither SearchStats nor spans — outcome accounting is the
-// coordinator's job, so worker results are position-independent. Simulations
-// run before an early return (cancellation, a bad index) still count in
-// mario_search_sims.
+// coordinator's job, so worker results are position-independent — and it
+// returns candidates without their schedules: the coordinator keeps none but
+// its winner's, and rebuilds that one itself. Simulations run before an early
+// return (cancellation, a bad index) still count in mario_search_sims.
 func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint, incumbent float64, hasIncumbent bool) ([]ShardOutcome, error) {
 	space = space.withDefaults()
 	if space.Devices <= 0 || space.GlobalBatch <= 0 {
@@ -193,6 +202,7 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 			out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardInfeasible})
 			continue
 		}
+		pr.cand.Schedule = nil
 		out = append(out, ShardOutcome{Idx: sp.Idx, Status: ShardExplored, Cand: pr.cand})
 		if !hasInc || pr.cand.Throughput > inc {
 			inc, hasInc = pr.cand.Throughput, true
@@ -207,7 +217,11 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 // non-empty shard batch is dispatched concurrently with the merged incumbent,
 // and the outcomes are held until the merge loop has asked for each. A batch
 // whose dispatch fails is evaluated here with the same incumbent (EvalShard),
-// so the search result never depends on fleet health — only fl does.
+// so the search result never depends on fleet health — only fl does. Nor does
+// it depend on a worker answering about the right point: an explored outcome
+// whose candidate does not carry the coordinates of the node its index names
+// is dropped like a lost one, and the merge loop evaluates the node itself if
+// it needs it (FleetStats.Forced).
 //
 // Note: no fleet-shape attribute lands on any span — the span tree is
 // byte-identical for every workers×shards shape, and the shape lives in
@@ -281,8 +295,10 @@ func (t *Tuner) shardSource(ctx context.Context, space Space, nodes []bnbNode, m
 		if j%stride == 0 {
 			dispatch(nodes[j:min(j+stride, len(nodes))])
 		}
+		p := nodes[j].p
 		switch oc := wave[nodes[j].idx]; {
-		case oc.Status == ShardExplored && oc.Cand != nil:
+		case oc.Status == ShardExplored && oc.Cand != nil &&
+			pointOf(*oc.Cand) == p && oc.Cand.Micros == space.GlobalBatch/(p.mbs*p.dp):
 			return pointResult{cand: oc.Cand}
 		case oc.Status == ShardInfeasible:
 			return pointResult{failed: true}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,27 +63,14 @@ func (h *fleetHarness) Dispatch(ctx context.Context, shard int, pts []ShardPoint
 
 // runFleet mirrors runSpace but routes the search through a dispatcher and
 // also returns the settled fleet counters.
-func runFleet(t *testing.T, sp Space, h *fleetHarness, mut func(*Tuner)) (searchRun, FleetStats) {
+func runFleet(t *testing.T, sp Space, h ShardDispatcher, mut func(*Tuner)) (searchRun, FleetStats) {
 	t.Helper()
 	tn := newTuner()
 	tn.Sharder = h
 	if mut != nil {
 		mut(tn)
 	}
-	var run searchRun
-	tn.Progress = func(c Candidate, best Candidate) {
-		run.progress = append(run.progress, fmt.Sprintf("%s|%016x -> %s|%016x",
-			c.Label(), math.Float64bits(c.Throughput), best.Label(), math.Float64bits(best.Throughput)))
-	}
-	best, trace, err := tn.Search(sp)
-	if err != nil {
-		t.Fatalf("fleet Search(%+v): %v", sp, err)
-	}
-	run.best = candString(*best)
-	for _, c := range trace {
-		run.trace = append(run.trace, candString(c))
-	}
-	run.stats = tn.Stats
+	run := capture(t, tn, sp)
 	return run, tn.FleetSnapshot()
 }
 
@@ -415,25 +403,9 @@ func TestFleetProtocolViolationForced(t *testing.T) {
 	sp := detSpace(1)
 	base := runSpace(t, sp, nil)
 	h := newHarness(sp, newTuner, 1, 2, 3)
-	viol := &skipAllDispatcher{h}
-	tn := newTuner()
-	tn.Sharder = viol
-	var run searchRun
-	tn.Progress = func(c Candidate, best Candidate) {
-		run.progress = append(run.progress, fmt.Sprintf("%s|%016x -> %s|%016x",
-			c.Label(), math.Float64bits(c.Throughput), best.Label(), math.Float64bits(best.Throughput)))
-	}
-	best, trace, err := tn.Search(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.best = candString(*best)
-	for _, c := range trace {
-		run.trace = append(run.trace, candString(c))
-	}
-	run.stats = tn.Stats
+	run, fl := runFleet(t, sp, &skipAllDispatcher{h}, nil)
 	compareRuns(t, "skip-all", run, base)
-	if fl := tn.FleetSnapshot(); fl.Forced == 0 {
+	if fl.Forced == 0 {
 		t.Errorf("protocol violation went unnoticed: %+v", fl)
 	}
 }
@@ -448,6 +420,70 @@ func (d *skipAllDispatcher) Dispatch(ctx context.Context, shard int, pts []Shard
 		out[i] = ShardOutcome{Idx: p.Idx, Status: ShardSkipped}
 	}
 	return out, nil
+}
+
+// TestFleetMisattributedOutcomeForced: a dispatcher whose outcomes carry the
+// candidates of other points than their indices name (here: the first two
+// explored outcomes of the first batch, swapped) must not get either candidate
+// merged under the wrong grid index. The source drops an outcome that does not
+// describe its node, the merge evaluates the two nodes itself — NoPrune makes
+// it need both — and the search still emits the baseline bytes.
+func TestFleetMisattributedOutcomeForced(t *testing.T) {
+	sp := detSpace(1)
+	sp.NoPrune = true
+	base := runSpace(t, sp, nil)
+	got, fl := runFleet(t, sp, &swapDispatcher{fleetHarness: newHarness(sp, newTuner, 1, 1, 4)}, nil)
+	compareRuns(t, "swapped", got, base)
+	if fl.Forced != 2 {
+		t.Errorf("forced %d local evaluations, want the 2 swapped nodes: %+v", fl.Forced, fl)
+	}
+}
+
+// swapDispatcher answers its first batch with the candidates of the first two
+// explored outcomes exchanged.
+type swapDispatcher struct {
+	*fleetHarness
+	swapped bool // one shard, so Dispatch is never concurrent
+}
+
+func (d *swapDispatcher) Dispatch(ctx context.Context, shard int, pts []ShardPoint, inc float64, hasInc bool) ([]ShardOutcome, error) {
+	out, err := d.fleetHarness.Dispatch(ctx, shard, pts, inc, hasInc)
+	if err == nil && !d.swapped && len(out) >= 2 && out[0].Cand != nil && out[1].Cand != nil {
+		out[0].Cand, out[1].Cand = out[1].Cand, out[0].Cand
+		d.swapped = true
+	}
+	return out, err
+}
+
+// TestFleetDisagreeingWinnerFails: the coordinator keeps no schedule but its
+// winner's and rebuilds that one itself, so a worker whose winning candidate
+// the coordinator cannot reproduce — here every worker reports half the
+// makespan and twice the throughput — fails the search loudly instead of
+// putting its numbers into a plan.
+func TestFleetDisagreeingWinnerFails(t *testing.T) {
+	sp := detSpace(1)
+	tn := newTuner()
+	tn.Sharder = &boastingDispatcher{newHarness(sp, newTuner, 1, 1, 4)}
+	best, _, err := tn.Search(sp)
+	if err == nil || !strings.Contains(err.Error(), "differs from the stored one") {
+		t.Fatalf("search with a disagreeing worker returned %v, %v; want a re-simulation refusal", best, err)
+	}
+}
+
+// boastingDispatcher reports every explored candidate at twice its speed.
+type boastingDispatcher struct{ *fleetHarness }
+
+func (d *boastingDispatcher) Dispatch(ctx context.Context, shard int, pts []ShardPoint, inc float64, hasInc bool) ([]ShardOutcome, error) {
+	out, err := d.fleetHarness.Dispatch(ctx, shard, pts, inc, hasInc)
+	for _, oc := range out {
+		if oc.Cand != nil {
+			res := *oc.Cand.Result
+			res.Total /= 2
+			res.SamplesPerSec *= 2
+			oc.Cand.Result, oc.Cand.Throughput = &res, oc.Cand.Throughput*2
+		}
+	}
+	return out, err
 }
 
 // TestFleetIncumbentSharingReduces pins the perf acceptance criterion on

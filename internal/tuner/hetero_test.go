@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -175,9 +176,13 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 			t.Errorf("candidate %s has mode but no assignment", c.Label())
 			continue
 		}
-		if len(c.Place.LayersPerStage) != c.Schedule.NumStages() {
+		sched, _, err := tn.Resimulate(context.Background(), nil, &c, tn.recipe(sp.withDefaults()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Place.LayersPerStage) != sched.NumStages() {
 			t.Errorf("%s: %d partition entries for %d stages",
-				c.Label(), len(c.Place.LayersPerStage), c.Schedule.NumStages())
+				c.Label(), len(c.Place.LayersPerStage), sched.NumStages())
 		}
 		total := 0
 		for _, n := range c.Place.LayersPerStage {

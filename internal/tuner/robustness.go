@@ -85,9 +85,11 @@ type RobustnessOpts struct {
 	TopK int
 	// Iters is the measured iteration count per run; 0 means 2.
 	Iters int
-	// TP is the tensor-parallel degree the schedules were tuned for; 0
-	// means 1.
-	TP int
+	// Recipe is the recipe of the search the trace came from. Its TP (0
+	// means 1) sizes the emulated machines; the rest is what rebuilds the
+	// schedule of a selected candidate that does not carry one — every entry
+	// of a search trace. Candidates that carry their schedule need only TP.
+	Recipe Recipe
 	// Ensemble is the fault-plan ensemble; nil uses fault.DefaultEnsemble
 	// with Seed.
 	Ensemble []fault.Plan
@@ -133,15 +135,26 @@ func RobustnessContext(ctx context.Context, prof *profile.Profiler, trace []Cand
 	if iters <= 0 {
 		iters = 2
 	}
-	tp := opts.TP
-	if tp <= 0 {
-		tp = 1
-	}
+	tp := opts.Recipe.withDefaults().TP
 
+	// A candidate that carries its schedule is re-scored as it is; one selected
+	// from a search trace gets the schedule the search scored, rebuilt and
+	// checked against its stored totals by Resimulate.
 	var cands []Candidate
+	rebuilder := &Tuner{Prof: prof}
 	for _, c := range Rank(trace) {
-		if c.Schedule == nil || c.OOM || c.Throughput <= 0 {
+		if c.OOM || c.Throughput <= 0 {
 			continue
+		}
+		if c.Schedule == nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			sched, _, err := rebuilder.Resimulate(ctx, nil, &c, opts.Recipe)
+			if err != nil {
+				return nil, err
+			}
+			c.Schedule = sched
 		}
 		cands = append(cands, c)
 		if len(cands) >= topK {

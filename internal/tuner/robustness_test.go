@@ -9,11 +9,12 @@ import (
 	"mario/internal/fault"
 )
 
-// searchSmall runs a tiny search and returns (tuner, trace).
-func searchSmall(t *testing.T) (*Tuner, []Candidate) {
+// searchSmall runs a tiny search and returns the tuner, the trace and the
+// recipe Robustness rebuilds the trace's schedules with.
+func searchSmall(t *testing.T) (*Tuner, []Candidate, Recipe) {
 	t.Helper()
 	tn := newTuner()
-	_, trace, err := tn.Search(Space{
+	sp := Space{
 		Devices:      4,
 		GlobalBatch:  16,
 		MicroBatches: []int{2},
@@ -21,16 +22,17 @@ func searchSmall(t *testing.T) (*Tuner, []Candidate) {
 		DeviceMem:    0,
 		NoPrune:      true, // keep every candidate in the trace
 		Workers:      1,
-	})
+	}
+	_, trace, err := tn.Search(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tn, trace
+	return tn, trace, tn.recipe(sp.withDefaults())
 }
 
 func TestRobustnessReScoresTopK(t *testing.T) {
-	tn, trace := searchSmall(t)
-	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: 3, Iters: 2, Seed: 5})
+	tn, trace, rc := searchSmall(t)
+	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: 3, Iters: 2, Seed: 5, Recipe: rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +85,10 @@ func TestRobustnessReScoresTopK(t *testing.T) {
 }
 
 func TestRobustnessGainSurvivalPairs(t *testing.T) {
-	tn, trace := searchSmall(t)
+	tn, trace, rc := searchSmall(t)
 	// The trace contains base and mario variants of the same V-4-2 point, so
 	// with TopK covering the whole trace the pairing must appear.
-	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: len(trace), Iters: 2, Seed: 5})
+	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: len(trace), Iters: 2, Seed: 5, Recipe: rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +106,8 @@ func TestRobustnessGainSurvivalPairs(t *testing.T) {
 }
 
 func TestRobustnessDeterministic(t *testing.T) {
-	tn, trace := searchSmall(t)
-	opts := RobustnessOpts{TopK: 2, Iters: 2, Seed: 9}
+	tn, trace, rc := searchSmall(t)
+	opts := RobustnessOpts{TopK: 2, Iters: 2, Seed: 9, Recipe: rc}
 	a, err := Robustness(tn.Prof, trace, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +125,12 @@ func TestRobustnessDeterministic(t *testing.T) {
 }
 
 func TestRobustnessCustomEnsembleAndFailure(t *testing.T) {
-	tn, trace := searchSmall(t)
+	tn, trace, rc := searchSmall(t)
 	ensemble := []fault.Plan{
 		{Name: "doomed", Seed: 1, MaxRetries: 1,
 			Links: []fault.LinkFault{{From: -1, To: -1, DropProb: 0.999999999}}},
 	}
-	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: 1, Iters: 1, Ensemble: ensemble})
+	rep, err := Robustness(tn.Prof, trace, RobustnessOpts{TopK: 1, Iters: 1, Ensemble: ensemble, Recipe: rc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,14 +174,19 @@ type Candidate struct {
 	Throughput float64
 	// OOM reports the memory penalty.
 	OOM bool
-	// Result and Schedule are the simulation result the candidate was scored
-	// with and the schedule it ran (nil for infeasible candidates). The result
-	// keeps its totals — makespan, per-device peak memory and compute-busy
-	// time, throughput, OOM verdict — but no per-instruction Timeline: only a
-	// search's winner carries one. Resimulate rebuilds any candidate's
-	// timeline from the schedule.
-	Result   *sim.Result
-	Schedule *pipeline.Schedule
+	// Result is the simulation result the candidate was scored with: its
+	// totals — makespan, per-device peak memory and compute-busy time,
+	// throughput, OOM verdict — and, for a search's winner only, the
+	// per-instruction Timeline.
+	Result *sim.Result
+	// Schedule is the schedule the candidate ran. A search's winner carries it
+	// and nothing else does — not a trace entry, not a fleet worker's outcome,
+	// in a fresh plan exactly as in a decoded one (version-1 and -2 plan
+	// bodies keep the trace schedules they decoded): a candidate's schedule is
+	// a pure function of its coordinates and the search's Recipe, and
+	// Resimulate rebuilds it on demand. Progress sees the schedule of every
+	// candidate this process evaluated.
+	Schedule *pipeline.Schedule `json:",omitempty"`
 	// PlaceMode records which placement-axis value produced the candidate;
 	// empty for legacy axis-free points. The omitempty tags keep the plan
 	// JSON of axis-free candidates byte-identical to the version-1 body.
@@ -500,55 +505,154 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if best == nil {
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
 	}
-	// Every point was scored without a timeline; the winner alone gets one,
-	// from a single closing re-simulation of the schedule it already carries.
+	// Every point was scored without a timeline and only the incumbent kept its
+	// schedule; the winner gets both from the one closing Resimulate, which
+	// rebuilds the schedule first when the winner arrived from a fleet worker —
+	// on this engine bundle, under this span and nothing below it, so the span
+	// exports do not depend on who evaluated the winner.
 	ss := search.Child(telemetry.PhaseSim, "")
-	res, err := Resimulate(eng.Main, t.Prof, best, space.TP, space.DeviceMem)
+	sched, res, err := t.Resimulate(ctx, eng, best, t.recipe(space))
 	ss.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	best.Result = res
+	best.Schedule, best.Result = sched, res
 	return best, trace, nil
 }
 
-// Resimulate re-derives a candidate's simulation result, per-instruction
-// timeline included, from what the candidate itself records: the estimator is
-// resolved from the schedule's stage count, the micro-batch size and the
-// placement assignment, and the schedule is simulated once under the
-// candidate's DP degree and the plan's memory limit. The search scores every
-// grid point without a timeline and calls this once for the winner; a plan's
-// trace candidates (fresh or decoded) get theirs the same way, on demand.
-//
-// The simulator is deterministic, so the result must reproduce the stored one
-// bit for bit; a candidate whose stored Total, PeakMem, ComputeBusy,
-// SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
-// the one the plan was tuned with — is refused. c.Result is not modified.
-//
-// eng is the engine to run on (the search passes its warm one); nil uses a
-// fresh engine.
-func Resimulate(eng *sim.Simulator, prof *profile.Profiler, c *Candidate, tp int, memLimit float64) (*sim.Result, error) {
-	if prof == nil || c == nil || c.Schedule == nil || c.Result == nil {
-		return nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
+// Recipe is what a search knows and a candidate does not record: together
+// with the candidate's own coordinates (Scheme, Ckpt, PP, DP, MicroBatch,
+// Micros, Place) and the profiler it determines the candidate's schedule and
+// its score, so a plan carries the recipe once and the schedule of its winner
+// only, and Resimulate rebuilds any other.
+type Recipe struct {
+	// Devices and GlobalBatch are the device count and the global batch size
+	// the search divided: a candidate's PP·DP and MicroBatch·Micros·DP must
+	// reproduce them, or it is not a candidate of this search.
+	Devices, GlobalBatch int
+	// TP is the tensor-parallel degree (0 means 1) and MemLimit the per-device
+	// memory budget in bytes (0 disables the OOM verdict).
+	TP       int
+	MemLimit float64
+	// SplitBackward says the search tried the split-backward transformation on
+	// every checkpointed candidate (Tuner.SplitBackward).
+	SplitBackward bool
+	// MaxRounds bounds the prepose rounds (Tuner.MaxRounds; 0 means 8) and
+	// Chunks is the Interleave chunk count (Space.Chunks; 0 means 2).
+	MaxRounds, Chunks int
+}
+
+func (rc Recipe) withDefaults() Recipe {
+	if rc.TP <= 0 {
+		rc.TP = 1
 	}
-	est, err := assignedEstimator(prof, c.Place, c.Schedule.NumStages(), c.MicroBatch, tp)
+	if rc.MaxRounds <= 0 {
+		rc.MaxRounds = 8
+	}
+	if rc.Chunks <= 0 {
+		rc.Chunks = 2
+	}
+	return rc
+}
+
+// recipe is the Recipe of a search of space (defaults applied) on this Tuner.
+func (t *Tuner) recipe(space Space) Recipe {
+	return Recipe{Devices: space.Devices, GlobalBatch: space.GlobalBatch, TP: space.TP, MemLimit: space.DeviceMem,
+		SplitBackward: t.SplitBackward, MaxRounds: t.MaxRounds, Chunks: space.Chunks}.withDefaults()
+}
+
+// admits checks that c's coordinates are ones a search with this recipe
+// enumerates: PP·DP is its device count and MicroBatch·Micros·DP its global
+// batch (by division, so huge coordinates cannot overflow into agreement).
+// Resimulate runs it before anything is sized from the coordinates — they may
+// come from untrusted bytes.
+func (rc Recipe) admits(c *Candidate) error {
+	if c.PP < 1 || c.DP < 1 || c.MicroBatch < 1 || c.Micros < 1 {
+		return fmt.Errorf("pp %d, dp %d, micro-batch %d and micro-batch count %d must be positive", c.PP, c.DP, c.MicroBatch, c.Micros)
+	}
+	if rc.Devices%c.PP != 0 || rc.Devices/c.PP != c.DP {
+		return fmt.Errorf("pp %d × dp %d is not the plan's %d devices", c.PP, c.DP, rc.Devices)
+	}
+	if perReplica := rc.GlobalBatch / c.DP; rc.GlobalBatch%c.DP != 0 || perReplica%c.MicroBatch != 0 || perReplica/c.MicroBatch != c.Micros {
+		return fmt.Errorf("micro-batch %d × %d micro-batches × dp %d is not the plan's global batch %d", c.MicroBatch, c.Micros, c.DP, rc.GlobalBatch)
+	}
+	return nil
+}
+
+// Resimulate re-derives a candidate's schedule and its full simulation result,
+// per-instruction timeline included, from what the candidate records and the
+// search's recipe. The schedule is the one the candidate carries, or — for
+// every candidate but a search's winner — the one materialize rebuilds from
+// its coordinates, exactly as the search built it. The estimator is resolved
+// from the stage count, the micro-batch size and the placement assignment, and
+// the schedule is simulated once under the candidate's DP degree and the
+// recipe's memory limit. The search scores every grid point without a timeline
+// and calls this once for the winner (its closing step: a winner that arrived
+// from a fleet worker is rebuilt and checked here); a plan's trace candidates,
+// fresh or decoded, are materialized the same way, on demand.
+//
+// Everything involved is deterministic, so the result must reproduce the
+// stored one bit for bit: a candidate whose coordinates are not the recipe's
+// (Recipe.admits), whose scheme is not registered, whose placement assignment
+// is not sized for its shape, or whose stored Total, PeakMem, ComputeBusy,
+// SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
+// the one the plan was tuned with, a fleet worker that computed something else
+// — is refused. c is not modified.
+//
+// eng is the engine bundle to run on (the search passes its warm one); nil
+// uses a fresh one. t contributes its profiler, build memo and metrics; the
+// knobs come from rc.
+func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate, rc Recipe) (*pipeline.Schedule, *sim.Result, error) {
+	if t.Prof == nil || c == nil || c.Result == nil {
+		return nil, nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
+	}
+	fail := func(err error) (*pipeline.Schedule, *sim.Result, error) {
+		return nil, nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
+	}
+	rc = rc.withDefaults()
+	if err := rc.admits(c); err != nil {
+		return fail(err)
+	}
+	sched := c.Schedule
+	var stages int
+	if sched != nil {
+		stages = sched.NumStages()
+	} else {
+		sh, err := scheme.ShapeOf(c.Scheme, scheme.Config{Devices: c.PP, Micros: c.Micros, Chunks: rc.Chunks})
+		if err != nil {
+			return fail(err)
+		}
+		stages = sh.Placement.NumStages()
+	}
+	if a := c.Place; a != nil && (len(a.LayersPerStage) != stages || len(a.DeviceOf) != c.PP ||
+		(a.RankSpeed != nil && len(a.RankSpeed) != c.PP)) {
+		return fail(fmt.Errorf("placement assignment (%d stages, %d ranks, %d speeds) is not sized for %d stages on %d ranks",
+			len(a.LayersPerStage), len(a.DeviceOf), len(a.RankSpeed), stages, c.PP))
+	}
+	est, err := assignedEstimator(t.Prof, c.Place, stages, c.MicroBatch, rc.TP)
 	if err != nil {
-		return nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
+		return fail(err)
 	}
 	if eng == nil {
-		eng = &sim.Simulator{}
+		eng = graph.NewEngines(t.GraphWorkers)
 	}
-	res, err := eng.Simulate(c.Schedule, est, sim.Options{DP: c.DP, MemLimit: memLimit})
+	if sched == nil {
+		rebuilt := *c
+		if err := t.materialize(ctx, rc, &rebuilt, est, eng, telemetry.Span{}); err != nil {
+			return fail(err)
+		}
+		sched = rebuilt.Schedule
+	}
+	res, err := eng.Main.Simulate(sched, est, sim.Options{DP: c.DP, MemLimit: rc.MemLimit})
 	if err != nil {
-		return nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
+		return fail(err)
 	}
 	was := c.Result
 	if res.Total != was.Total || res.SamplesPerSec != was.SamplesPerSec || res.OOM != was.OOM ||
 		!slices.Equal(res.PeakMem, was.PeakMem) || !slices.Equal(res.ComputeBusy, was.ComputeBusy) {
-		return nil, fmt.Errorf("tuner: re-simulating %s: result differs from the stored one (makespan %v vs %v)",
-			c.Label(), res.Total, was.Total)
+		return fail(fmt.Errorf("result differs from the stored one (makespan %v vs %v)", res.Total, was.Total))
 	}
-	return res, nil
+	return sched, res, nil
 }
 
 // Merge-time verdicts on a probed node.
@@ -679,7 +783,11 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 		if c.OOM {
 			stats.OOMRejected++
 		}
-		ents = append(ents, traceEnt{idx: nd.idx, c: *c})
+		// The trace keeps the candidate's coordinates and totals, not its
+		// schedule: only the incumbent holds one.
+		ent := *c
+		ent.Schedule = nil
+		ents = append(ents, traceEnt{idx: nd.idx, c: ent})
 		improved := best == nil || c.Throughput > best.Throughput ||
 			(c.Throughput == best.Throughput && nd.idx < bestIdx)
 		if improved {
@@ -794,13 +902,13 @@ func pointSpan(tracer *telemetry.Tracer, i int, p gridPoint) telemetry.Span {
 	return tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
 }
 
-// buildFor memoizes (and freezes) the base schedule of a grid point; the
-// full evaluation and the co-opt assignment both go through it, so a point is
-// built at most once per Tuner.
-func (t *Tuner) buildFor(space Space, p gridPoint, micros int) (*pipeline.Schedule, error) {
-	bk := buildKey{scheme: p.scheme, devices: p.pp, micros: micros, chunks: space.Chunks}
+// buildFor memoizes (and freezes) the base schedule of a (scheme, depth,
+// micro-batch count, chunk count) shape; materialize and the co-opt assignment
+// both go through it, so a shape is built at most once per Tuner.
+func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros, chunks int) (*pipeline.Schedule, error) {
+	bk := buildKey{scheme: sch, devices: pp, micros: micros, chunks: chunks}
 	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
-		s, err := scheme.Build(p.scheme, scheme.Config{Devices: p.pp, Micros: micros, Chunks: space.Chunks})
+		s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros, Chunks: chunks})
 		if err != nil {
 			return nil, err
 		}
@@ -831,7 +939,7 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, m
 	if p.pmode == place.ModeUniform {
 		return place.Uniform(t.Prof.Model.Layers, pl, rankSpeed), nil
 	}
-	sched, err := t.buildFor(space, p, micros)
+	sched, err := t.buildFor(p.scheme, p.pp, micros, space.Chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -958,92 +1066,95 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *gr
 }
 
 // evalPoint scores a single grid point the probe pass found structurally
-// feasible: it builds (or recalls) the schedule, runs the graph passes or the
-// direct simulation, and returns the candidate — zero-throughput for OOM
-// points. It takes no bound and makes no prune decision; whoever calls it has
-// decided to evaluate the point. A point whose evaluation still fails (a
-// graph-pass or simulator error) comes back infeasible.
+// feasible: it resolves the point's shape, estimator and assignment and hands
+// the coordinates to materialize, returning the candidate — zero-throughput
+// for OOM points. It takes no bound and makes no prune decision; whoever calls
+// it has decided to evaluate the point. A point whose evaluation still fails
+// (a build, graph-pass or simulator error) comes back infeasible.
 //
-// eng is the caller's reusable engine bundle (one per goroutine): the graph
-// passes run on it and the direct simulation on its main engine.
-//
-// Points are scored without a timeline — the merge reads totals, peaks and
-// the schedule only, and graph.OptimizeContext/SplitBackward skip their
-// closing re-simulation under the same option; SearchContext re-simulates the
-// winner once with the timeline on (Resimulate).
-//
-// ctx bounds the slow part of the evaluation (the graph-tuner run); a
-// cancelled context comes back as pointResult.err, never as a fake
-// infeasibility.
-//
-// sp is the point's telemetry span (the zero Span when tracing is off):
-// evalPoint records build/graph/sim child spans under it, tagging the
-// memoized build with its memo key — formatted only when the span is live —
-// so Snapshot can normalize hit/miss attribution into canonical order.
+// eng is the caller's reusable engine bundle (one per goroutine). ctx bounds
+// the slow part of the evaluation (the graph-tuner run); a cancelled context
+// comes back as pointResult.err, never as a fake infeasibility. sp is the
+// point's telemetry span (the zero Span when tracing is off).
 func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *graph.Engines, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
-	infeasible := pointResult{failed: true}
 	micros, _, est, asg, ok := t.pointShape(space, p)
 	if !ok {
-		return infeasible
+		return pointResult{failed: true}
 	}
-
-	bs := sp.Child(telemetry.PhaseBuild, "")
-	if bs.Live() {
-		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", p.scheme.Shape(), p.pp, micros, space.Chunks))
-	}
-	sched, err := t.buildFor(space, p, micros)
-	bs.End()
-	if err != nil {
-		return infeasible
-	}
-
-	simOpts := sim.Options{DP: p.dp, MemLimit: space.DeviceMem, NoTimeline: true}
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
 		PlaceMode: p.pmode, Place: asg}
-	var res *sim.Result
-	if p.ckpt {
-		maxRounds := t.MaxRounds
-		if maxRounds <= 0 {
-			maxRounds = 8
+	if err := t.materialize(ctx, t.recipe(space), cand, est, eng, sp); err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return pointResult{err: err}
 		}
-		gs := sp.Child(telemetry.PhaseGraph, "")
-		gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: maxRounds,
-			Engines: eng, Span: gs, Metrics: t.Metrics}
-		opt, r, err := graph.OptimizeContext(ctx, sched, gopts)
-		if err == nil && t.SplitBackward {
-			if split, sr, err := graph.SplitBackward(opt, gopts); err == nil &&
-				sr.Total < r.Total && !(simOpts.MemLimit > 0 && sr.OOM) {
-				opt, r = split, sr
-			}
-		}
-		gs.End()
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return pointResult{err: err}
-			}
-			return infeasible
-		}
-		cand.Schedule, res = opt, r
-	} else {
-		ss := sp.Child(telemetry.PhaseSim, "")
-		r, err := eng.Main.Simulate(sched, est, simOpts)
-		ss.End()
-		if err != nil {
-			return infeasible
-		}
-		cand.Schedule, res = sched.Clone(), r
+		return pointResult{failed: true}
 	}
-	cand.Result = res
-	if res.OOM {
+	if cand.Result.OOM {
 		cand.OOM = true
 		cand.Throughput = 0 // Equation 1's memory penalty
 	} else {
-		cand.Throughput = res.SamplesPerSec * t.dpEff(p.dp)
+		cand.Throughput = cand.Result.SamplesPerSec * t.dpEff(p.dp)
 	}
 	return pointResult{cand: cand}
+}
+
+// materialize is the one path from a candidate's coordinates and a recipe to
+// its scored schedule: the memoized scheme build, then either the checkpoint
+// passes and prepose rounds — plus the split-backward attempt when the recipe
+// says the search made it — or the plain schedule, scored on eng. It fills
+// c.Schedule and c.Result. evalPoint calls it for every grid point a search
+// explores and Resimulate for every candidate that does not carry its
+// schedule, so a rebuilt schedule is the scored one by construction. rc has
+// its defaults applied; est is the estimator of c's shape and assignment.
+//
+// The score carries no timeline — the merge reads totals, peaks and the
+// schedule only, and graph.OptimizeContext/SplitBackward skip their closing
+// re-simulation under the same option; Resimulate simulates once more with
+// the timeline on.
+//
+// Under a live sp it records build/graph/sim child spans, tagging the memoized
+// build with its memo key — formatted only when the span is live — so Snapshot
+// can normalize hit/miss attribution into canonical order.
+func (t *Tuner) materialize(ctx context.Context, rc Recipe, c *Candidate, est *cost.Estimator, eng *graph.Engines, sp telemetry.Span) error {
+	bs := sp.Child(telemetry.PhaseBuild, "")
+	if bs.Live() {
+		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", c.Scheme.Shape(), c.PP, c.Micros, rc.Chunks))
+	}
+	sched, err := t.buildFor(c.Scheme, c.PP, c.Micros, rc.Chunks)
+	bs.End()
+	if err != nil {
+		return err
+	}
+	simOpts := sim.Options{DP: c.DP, MemLimit: rc.MemLimit, NoTimeline: true}
+	if !c.Ckpt {
+		ss := sp.Child(telemetry.PhaseSim, "")
+		res, err := eng.Main.Simulate(sched, est, simOpts)
+		ss.End()
+		if err != nil {
+			return err
+		}
+		c.Schedule, c.Result = sched.Clone(), res
+		return nil
+	}
+	gs := sp.Child(telemetry.PhaseGraph, "")
+	defer gs.End()
+	gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: rc.MaxRounds,
+		Engines: eng, Span: gs, Metrics: t.Metrics}
+	opt, res, err := graph.OptimizeContext(ctx, sched, gopts)
+	if err != nil {
+		return err
+	}
+	if rc.SplitBackward {
+		if split, sr, err := graph.SplitBackward(opt, gopts); err == nil &&
+			sr.Total < res.Total && !(rc.MemLimit > 0 && sr.OOM) {
+			opt, res = split, sr
+		}
+	}
+	c.Schedule, c.Result = opt, res
+	return nil
 }
 
 // Rank returns the trace sorted by descending throughput (stable on labels

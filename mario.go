@@ -155,11 +155,16 @@ func Models() map[string]ModelConfig {
 // Plan is the optimized schedule returned by Optimize — the paper's
 // "schedule" object, ready for Run.
 type Plan struct {
-	// Best is the winning configuration; its Result carries the simulated
+	// Best is the winning configuration: the one candidate that carries its
+	// Schedule (what Run executes) and, in its Result, the simulated
 	// per-instruction Timeline that Drift and Visualize read.
 	Best tuner.Candidate
-	// Trace is the full tuning trace in search order (Fig. 11's curve). Trace
-	// results hold totals only (Timeline is nil); Resimulate rebuilds one.
+	// Trace is the full tuning trace in canonical grid order (Fig. 11's
+	// curve): every explored candidate's coordinates, placement assignment and
+	// result totals. Trace entries carry no Schedule and no Timeline — both
+	// are pure functions of the entry's coordinates and the plan's recipe, and
+	// Resimulate rebuilds them. (A plan decoded from a version-1 or -2 body
+	// keeps the trace schedules and timelines that body carried.)
 	Trace []tuner.Candidate
 	// Profiler retains the fitted estimators for re-simulation.
 	Profiler *profile.Profiler
@@ -167,8 +172,22 @@ type Plan struct {
 	// pruned while producing the plan.
 	SearchStats tuner.SearchStats
 
-	memLimit float64
-	tp       int
+	// recipe is what, with a candidate's coordinates and the profiler,
+	// determines the candidate's schedule (see tuner.Recipe).
+	recipe tuner.Recipe
+}
+
+// planRecipe is the recipe of the search that chose best. The device count and
+// the global batch are read off best's own coordinates, so a fresh plan and a
+// decoded one hold trace candidates to the same identities.
+func planRecipe(best *tuner.Candidate, tp int, memLimit float64, splitBackward bool) tuner.Recipe {
+	return tuner.Recipe{
+		Devices:       best.PP * best.DP,
+		GlobalBatch:   best.MicroBatch * best.Micros * best.DP,
+		TP:            tp,
+		MemLimit:      memLimit,
+		SplitBackward: splitBackward,
+	}
 }
 
 // ParseMemory converts "40G", "512M", "1T" or a plain byte count to bytes.
@@ -242,7 +261,8 @@ func OptimizeContext(ctx context.Context, conf Config, model ModelConfig) (*Plan
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Best: *best, Trace: trace, Profiler: tn.Prof, SearchStats: tn.Stats, memLimit: memLimit, tp: tp}, nil
+	return &Plan{Best: *best, Trace: trace, Profiler: tn.Prof, SearchStats: tn.Stats,
+		recipe: planRecipe(best, tp, memLimit, conf.SplitBackward)}, nil
 }
 
 // searchSetup resolves a Config + model pair into a ready Tuner and its
@@ -454,10 +474,7 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 		return nil, fmt.Errorf("mario: plan has no schedule")
 	}
 	stages := p.Best.Schedule.NumStages()
-	tp := p.tp
-	if tp <= 0 {
-		tp = 1
-	}
+	tp := max(p.recipe.TP, 1)
 	// Plans tuned with a partitioning/placement assignment run on a machine
 	// that mirrors it: the truth estimator carries the same layer split and
 	// the emulator applies the same per-rank speed factors the simulator
@@ -537,17 +554,21 @@ func Drift(p *Plan, rep *RunReport) (*DriftReport, error) {
 }
 
 // Resimulate rebuilds the full simulation result — per-instruction timeline
-// included — of one of the plan's candidates (a Trace entry, or Best). The
-// search scores candidates without recording timelines and plans carry one
-// for Best only; this is the same deterministic re-simulation that produced
-// Best's, so it works alike on fresh and decoded plans and reproduces the
-// candidate's stored totals bit for bit (a candidate that does not is
-// refused). c.Result is left untouched.
+// included — of one of the plan's candidates (a Trace entry, or Best). Plans
+// carry a schedule and a timeline for Best only; a trace entry's schedule is
+// first rebuilt from its coordinates by the code path the search scored it
+// with, then simulated once with the timeline on — alike on fresh and decoded
+// plans. The candidate's stored totals must be reproduced bit for bit: a
+// candidate that is not one of this plan's search (edited coordinates, a
+// placement assignment of the wrong size) is refused before anything is built
+// from it, and one whose totals do not come back is refused after. c is left
+// untouched.
 func Resimulate(p *Plan, c *tuner.Candidate) (*sim.Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("mario: no plan")
 	}
-	return tuner.Resimulate(nil, p.Profiler, c, p.tp, p.memLimit)
+	_, res, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.recipe)
+	return res, err
 }
 
 // Visualize writes the plan's simulated timeline as an ASCII Gantt chart —

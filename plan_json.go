@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"mario/internal/cost"
 	"mario/internal/profile"
@@ -25,7 +26,12 @@ import (
 // Version 2 added the partitioning/placement fields (Candidate.PlaceMode,
 // Candidate.Place); their omitempty encoding keeps an axis-free version-2
 // body identical to a version-1 body, so version-1 plans decode unchanged.
-const planVersion = 2
+// Version 3 writes trace candidates without their schedules — Best is byte for
+// byte what version 2 wrote — and records split_backward, the one input of
+// the schedule recipe (tuner.Recipe) the body did not already carry. Version-1
+// and -2 bodies still load and keep the trace schedules they carry; every save
+// writes version 3.
+const planVersion = 3
 
 // minPlanVersion is the oldest wire format UnmarshalJSON still accepts.
 const minPlanVersion = 1
@@ -50,24 +56,33 @@ type planJSON struct {
 	Profiler    profilerJSON      `json:"profiler"`
 	MemLimit    float64           `json:"mem_limit"`
 	TP          int               `json:"tp"`
+	// SplitBackward records Config.SplitBackward: with tp and mem_limit it is
+	// what rebuilds a trace candidate's schedule from its coordinates.
+	SplitBackward bool `json:"split_backward,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler. The full tuning trace is included:
-// every candidate's schedule and its simulation result's totals (makespan,
-// per-device peak memory and compute-busy time, throughput, OOM verdict),
-// which is what Rank and Robustness read. Per-instruction timelines are not —
-// the search records one for Best only, and Best's is encoded, so Drift and
-// Visualize of a decoded plan need no extra work; Resimulate rebuilds any
-// trace candidate's from its schedule. A decoded plan therefore supports the
-// same post-hoc analysis as the original, at a fifth of the bytes.
+// MarshalJSON implements json.Marshaler. Best is written whole: schedule,
+// result totals and per-instruction timeline, so Run, Drift and Visualize of a
+// decoded plan need no extra work. The tuning trace is written as what Rank
+// and Fig. 11 read — every candidate's coordinates, placement assignment and
+// result totals (makespan, per-device peak memory and compute-busy time,
+// throughput, OOM verdict) — and never with a schedule: a fresh search's trace
+// holds none, and the ones a version-1 or -2 body brought along are dropped on
+// save. Resimulate rebuilds any trace candidate's schedule and timeline from
+// its coordinates and the recipe fields (tp, mem_limit, split_backward), so a
+// decoded plan supports the same post-hoc analysis as the original.
 func (p *Plan) MarshalJSON() ([]byte, error) {
 	if p.Profiler == nil {
 		return nil, fmt.Errorf("mario: plan has no profiler; only plans built by Optimize are serialisable")
 	}
+	trace := slices.Clone(p.Trace)
+	for i := range trace {
+		trace[i].Schedule = nil
+	}
 	return json.Marshal(planJSON{
 		Version:     planVersion,
 		Best:        p.Best,
-		Trace:       p.Trace,
+		Trace:       trace,
 		SearchStats: p.SearchStats,
 		Profiler: profilerJSON{
 			Model:   p.Profiler.Model,
@@ -76,8 +91,9 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 			Devices: p.Profiler.Devices,
 			Iters:   p.Profiler.Iters,
 		},
-		MemLimit: p.memLimit,
-		TP:       p.tp,
+		MemLimit:      p.recipe.MemLimit,
+		TP:            p.recipe.TP,
+		SplitBackward: p.recipe.SplitBackward,
 	})
 }
 
@@ -105,8 +121,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		Devices: in.Profiler.Devices,
 		Iters:   in.Profiler.Iters,
 	}
-	p.memLimit = in.MemLimit
-	p.tp = in.TP
+	p.recipe = planRecipe(&p.Best, in.TP, in.MemLimit, in.SplitBackward)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -101,40 +102,57 @@ func TestPlanJSONDecodedPlanRuns(t *testing.T) {
 	}
 }
 
-// A version-1 plan (written before the partitioning/placement fields
-// existed) must still decode: an axis-free version-2 body is byte-identical
-// to a version-1 body apart from the version field itself, so rewriting the
-// version yields a faithful legacy artifact.
-func TestPlanJSONLegacyV1Decode(t *testing.T) {
-	plan := smallPlan(t)
-	good, err := json.Marshal(plan)
+// legacyV1Body is a version-1 plan body: a version-1 writer (before the
+// partitioning/placement fields existed) put schedules and per-instruction
+// timelines on every trace candidate, which is what testdata/plan_6bfc195.json
+// carries, and an axis-free version-2 body is byte-identical to a version-1
+// body apart from the version field itself — so rewriting that field yields a
+// faithful legacy artifact.
+func legacyV1Body(t testing.TB) []byte {
+	t.Helper()
+	v2, err := os.ReadFile("testdata/plan_6bfc195.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Best.Place != nil || plan.Best.PlaceMode != "" {
-		t.Fatal("homogeneous plan unexpectedly carries a placement assignment")
-	}
-	if bytes.Contains(good, []byte(`"Place"`)) || bytes.Contains(good, []byte(`"PlaceMode"`)) {
+	if bytes.Contains(v2, []byte(`"Place"`)) || bytes.Contains(v2, []byte(`"PlaceMode"`)) {
 		t.Fatal("axis-free plan JSON must omit the placement fields")
 	}
-	legacy := bytes.Replace(good, []byte(`"version":2`), []byte(`"version":1`), 1)
-	if bytes.Equal(legacy, good) {
+	v1 := bytes.Replace(v2, []byte(`"version":2`), []byte(`"version":1`), 1)
+	if bytes.Equal(v1, v2) {
 		t.Fatal("version field not found in plan JSON")
 	}
+	return v1
+}
+
+// A version-1 plan must still decode, to the plan the version-2 body it
+// differs from by one byte decodes to.
+func TestPlanJSONLegacyV1Decode(t *testing.T) {
+	legacy := legacyV1Body(t)
 	decoded, err := mario.LoadPlan(legacy)
 	if err != nil {
 		t.Fatalf("legacy v1 plan rejected: %v", err)
 	}
-	if decoded.Best.Label() != plan.Best.Label() || decoded.Best.Throughput != plan.Best.Throughput {
+	v2, err := mario.LoadPlan(bytes.Replace(legacy, []byte(`"version":1`), []byte(`"version":2`), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Best.Label() != v2.Best.Label() || decoded.Best.Throughput != v2.Best.Throughput {
 		t.Errorf("legacy decode changed best: %s (%v) vs %s (%v)",
-			decoded.Best.Label(), decoded.Best.Throughput, plan.Best.Label(), plan.Best.Throughput)
+			decoded.Best.Label(), decoded.Best.Throughput, v2.Best.Label(), v2.Best.Throughput)
+	}
+	if decoded.Trace[0].Schedule == nil {
+		t.Error("legacy decode dropped the trace schedules the body carries")
 	}
 	// Re-saving a legacy plan upgrades it to the current version.
 	resaved, err := json.Marshal(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved, good) {
+	want, err := json.Marshal(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved, want) || !bytes.HasPrefix(resaved, []byte(`{"version":3,`)) {
 		t.Error("re-saved legacy plan differs from the current-version encoding")
 	}
 }
@@ -199,7 +217,7 @@ func TestPlanJSONRejectsBadInput(t *testing.T) {
 	cases := map[string][]byte{
 		"not json":      []byte("{nope"),
 		"empty object":  []byte("{}"),
-		"wrong version": bytes.Replace(good, []byte(`"version":2`), []byte(`"version":99`), 1),
+		"wrong version": bytes.Replace(good, []byte(`"version":3`), []byte(`"version":99`), 1),
 		"bad schedule":  bytes.Replace(good, []byte(`"k":"BW"`), []byte(`"k":"??"`), 1),
 	}
 	for name, data := range cases {

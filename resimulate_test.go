@@ -2,37 +2,103 @@ package mario_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"mario"
+	"mario/internal/place"
+	"mario/internal/sim"
+	"mario/internal/tuner"
 )
 
+// inProcessFleet is a tuner.ShardDispatcher over in-process shard workers,
+// each a fresh mario.ShardWorker of the coordinator's workload — what a
+// mariod fleet is without the HTTP in between.
+type inProcessFleet struct {
+	workers []*mario.ShardWorker
+	shards  int
+}
+
+func newInProcessFleet(t *testing.T, conf mario.Config, model mario.ModelConfig, workers, shards int) *inProcessFleet {
+	t.Helper()
+	f := &inProcessFleet{shards: shards}
+	for i := 0; i < workers; i++ {
+		w, err := mario.NewShardWorker(conf, model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.workers = append(f.workers, w)
+	}
+	return f
+}
+
+func (f *inProcessFleet) Shards() int    { return f.shards }
+func (f *inProcessFleet) ChunkSize() int { return 3 }
+
+func (f *inProcessFleet) Dispatch(ctx context.Context, shard int, pts []tuner.ShardPoint, inc float64, hasInc bool) ([]tuner.ShardOutcome, error) {
+	var incumbent *float64
+	if hasInc {
+		incumbent = &inc
+	}
+	return f.workers[shard%len(f.workers)].EvalShard(ctx, pts, incumbent)
+}
+
+// sameTotals reports whether two simulation results agree bit for bit on
+// everything a candidate stores of one.
+func sameTotals(a, b *sim.Result) bool {
+	return a.Total == b.Total && a.SamplesPerSec == b.SamplesPerSec && a.OOM == b.OOM &&
+		slices.Equal(a.PeakMem, b.PeakMem) && slices.Equal(a.ComputeBusy, b.ComputeBusy)
+}
+
 // TestTraceTimelinesRecomputable pins what a plan keeps and what it can
-// rebuild: only Best carries a simulated timeline — in a fresh plan exactly as
-// in a decoded one — and Resimulate reproduces every trace candidate's stored
-// totals bit for bit and Best's stored timeline exactly, so nothing that was
+// rebuild: only Best carries a schedule and a simulated timeline — in a fresh
+// plan exactly as in a decoded one, whoever evaluated the candidates — and
+// Resimulate rebuilds every trace candidate's schedule as the search scored
+// it, reproduces its stored totals bit for bit with a timeline for every
+// device, and reproduces Best's stored timeline exactly, so nothing that was
 // dropped is lost.
 func TestTraceTimelinesRecomputable(t *testing.T) {
 	ckpt := true
+	auto8 := mario.Config{PipelineScheme: "Auto", NumDevices: 8, GlobalBatchSize: 64, MemoryPerDevice: "40G"}
 	for _, tc := range []struct {
 		name, model string
 		conf        mario.Config
+		fleet       bool // plan through a 3×2 in-process fleet
+		long        bool
 	}{
-		{"gpt1.6b-8-auto", "GPT3-1.6B", mario.Config{
-			PipelineScheme: "Auto", NumDevices: 8, GlobalBatchSize: 64, MemoryPerDevice: "40G"}},
-		{"hetero-8-coopt", "GPT3-13B", heteroConf("coopt")},
-		{"zbh1-16", "GPT3-13B", mario.Config{
+		{name: "gpt1.6b-8-auto", model: "GPT3-1.6B", conf: auto8},
+		{name: "gpt1.6b-8-auto-fleet-3x2", model: "GPT3-1.6B", conf: auto8, fleet: true},
+		{name: "hetero-8-coopt", model: "GPT3-13B", conf: heteroConf("coopt")},
+		{name: "zbh1-16", model: "GPT3-13B", conf: mario.Config{
 			PipelineScheme: "Z", NumDevices: 16, GlobalBatchSize: 64, MemoryPerDevice: "40G"}},
-		{"split-backward", "LLaMA2-3B", mario.Config{
+		{name: "split-backward", model: "LLaMA2-3B", conf: mario.Config{
 			PipelineScheme: "V", NumDevices: 4, GlobalBatchSize: 16, MemoryPerDevice: "40G",
 			MicroBatchSizes: []int{1, 2}, Checkpoint: &ckpt, SplitBackward: true}},
+		{name: "gpt13b-64-auto", model: "GPT3-13B", long: true, conf: mario.Config{
+			PipelineScheme: "Auto", NumDevices: 64, GlobalBatchSize: 256, MemoryPerDevice: "40G"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fresh, err := mario.Optimize(tc.conf, mario.Model(tc.model))
+			if tc.long && testing.Short() {
+				t.Skip("64-device search; skipped with -short")
+			}
+			model := mario.Model(tc.model)
+			// What the search scored, seen where it scored it: fleet workers
+			// ship no schedules, so the local search of the same space — whose
+			// plan the fleet's must equal byte for byte — is the witness.
+			scored, err := mario.ScoredSchedules(tc.conf, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conf := tc.conf
+			if tc.fleet {
+				conf.Sharder = newInProcessFleet(t, tc.conf, model, 3, 2)
+			}
+			fresh, err := mario.Optimize(conf, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,17 +110,20 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if again, err := json.Marshal(decoded); err != nil || !bytes.Equal(again, data) {
+				t.Errorf("decoded plan re-encodes differently (err %v)", err)
+			}
 			for kind, plan := range map[string]*mario.Plan{"fresh": fresh, "decoded": decoded} {
 				if len(plan.Trace) == 0 {
 					t.Fatalf("%s: empty trace", kind)
 				}
-				if plan.Best.Result.Timeline == nil {
-					t.Errorf("%s: Best carries no timeline", kind)
+				if plan.Best.Schedule == nil || plan.Best.Result.Timeline == nil {
+					t.Fatalf("%s: Best carries no schedule or no timeline", kind)
 				}
 				for i := range plan.Trace {
 					c := &plan.Trace[i]
-					if c.Result.Timeline != nil {
-						t.Errorf("%s: Trace[%d] %s carries a timeline", kind, i, c.Label())
+					if c.Schedule != nil || c.Result.Timeline != nil {
+						t.Errorf("%s: Trace[%d] %s carries a schedule or a timeline", kind, i, c.Label())
 					}
 					res, err := mario.Resimulate(plan, c)
 					if err != nil {
@@ -62,13 +131,21 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 						continue
 					}
 					was := c.Result
-					if res.Total != was.Total || res.SamplesPerSec != was.SamplesPerSec || res.OOM != was.OOM ||
-						!slices.Equal(res.PeakMem, was.PeakMem) || !slices.Equal(res.ComputeBusy, was.ComputeBusy) {
+					if !sameTotals(res, was) {
 						t.Errorf("%s: Trace[%d] %s: re-simulated totals differ from the stored ones", kind, i, c.Label())
 					}
-					if len(res.Timeline) != c.Schedule.NumDevices() {
+					if len(res.Timeline) != c.PP {
 						t.Errorf("%s: Trace[%d] %s: re-simulated timeline covers %d of %d devices",
-							kind, i, c.Label(), len(res.Timeline), c.Schedule.NumDevices())
+							kind, i, c.Label(), len(res.Timeline), c.PP)
+					}
+					if c.Schedule != nil || c.Result != was {
+						t.Errorf("%s: Trace[%d] %s: Resimulate modified the candidate", kind, i, c.Label())
+					}
+					rebuilt, err := mario.RebuiltSchedule(plan, c)
+					if err != nil {
+						t.Errorf("%s: Trace[%d] %s: %v", kind, i, c.Label(), err)
+					} else if rebuilt != scored[c.Label()] {
+						t.Errorf("%s: Trace[%d] %s: rebuilt schedule is not the one the search scored", kind, i, c.Label())
 					}
 				}
 				res, err := mario.Resimulate(plan, &plan.Best)
@@ -78,69 +155,80 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 				if !reflect.DeepEqual(res.Timeline, plan.Best.Result.Timeline) {
 					t.Errorf("%s: re-simulating Best does not reproduce its stored timeline", kind)
 				}
+				if plan.Best.Schedule.String() != scored[plan.Best.Label()] {
+					t.Errorf("%s: Best's schedule is not the one the search scored", kind)
+				}
 			}
 		})
 	}
 }
 
-// TestResimulateRefusesForeignCandidate: a candidate whose stored totals the
-// plan's own inputs do not reproduce is refused, not silently re-scored.
+// TestResimulateRefusesForeignCandidate: a candidate the plan's own inputs do
+// not reproduce is refused, not silently re-scored — one whose coordinates are
+// not a point of the plan's search before anything is built from them, one
+// whose stored totals do not come back after.
 func TestResimulateRefusesForeignCandidate(t *testing.T) {
 	plan := smallPlan(t)
-	c := plan.Trace[0]
-	res := *c.Result
-	res.Total *= 1.5
-	c.Result = &res
-	if _, err := mario.Resimulate(plan, &c); err == nil {
-		t.Error("candidate with a tampered makespan was re-simulated without complaint")
-	}
-	if _, err := mario.Resimulate(nil, &c); err == nil {
+	if _, err := mario.Resimulate(nil, &plan.Trace[0]); err == nil {
 		t.Error("nil plan accepted")
+	}
+	if _, err := mario.Resimulate(plan, &plan.Trace[0]); err != nil {
+		t.Fatalf("untouched candidate refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(c *tuner.Candidate)
+	}{
+		{"makespan", func(c *tuner.Candidate) {
+			res := *c.Result
+			res.Total *= 1.5
+			c.Result = &res
+		}},
+		{"pp", func(c *tuner.Candidate) { c.PP /= 2 }},
+		{"micros", func(c *tuner.Candidate) { c.Micros *= 2 }},
+		{"micro-batch", func(c *tuner.Candidate) { c.MicroBatch *= 2 }},
+		// A real point of the same space, with another point's totals.
+		{"another point", func(c *tuner.Candidate) { c.PP, c.DP, c.Micros = c.PP/2, c.DP*2, c.Micros/2 }},
+		{"unregistered scheme", func(c *tuner.Candidate) { c.Scheme = "Hanayo" }},
+		{"place of the wrong length", func(c *tuner.Candidate) {
+			c.Place = &place.Assignment{LayersPerStage: make([]int, c.PP), DeviceOf: make([]int, c.PP+1)}
+		}},
+		{"place splitting the wrong stage count", func(c *tuner.Candidate) {
+			c.Place = &place.Assignment{LayersPerStage: make([]int, c.PP+1), DeviceOf: make([]int, c.PP)}
+		}},
+	} {
+		c := plan.Trace[0]
+		tc.edit(&c)
+		if _, err := mario.Resimulate(plan, &c); err == nil {
+			t.Errorf("candidate with an edited %s was re-simulated without complaint", tc.name)
+		}
+	}
+
+	// Coordinates sized to exhaust memory are refused before anything is
+	// sized from them: the refusal costs microseconds, a build would not.
+	huge := plan.Trace[0]
+	huge.PP = 1 << 30
+	fastest := time.Hour
+	for try := 0; try < 5; try++ {
+		start := time.Now()
+		if _, err := mario.Resimulate(plan, &huge); err == nil {
+			t.Fatal("candidate with pp = 1<<30 accepted")
+		}
+		fastest = min(fastest, time.Since(start))
+	}
+	if fastest >= time.Millisecond {
+		t.Errorf("refusing pp = 1<<30 took %v: something was built first", fastest)
 	}
 }
 
-// A plan body written by the parent commit — per-instruction timelines on
-// every trace candidate — must keep loading: the wire format did not change,
-// only what a fresh search puts on it. testdata/plan_6bfc195.json is
-// json.Marshal(mario.Optimize(V, 4 devices, gbs 8, mbs 2, LLaMA2-3B)) at
-// commit 6bfc195.
+// Plan bodies written by earlier commits must keep loading, and every save
+// must write the current format. testdata/plan_6bfc195.json (version 2:
+// schedules and per-instruction timelines on every trace candidate) and
+// testdata/plan_30dd99b.json (version 2: trace schedules, no trace timelines)
+// are json.Marshal(mario.Optimize(V, 4 devices, gbs 8, mbs 2, LLaMA2-3B)) at
+// those commits.
 func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
-	body, err := os.ReadFile("testdata/plan_6bfc195.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := mario.LoadPlan(body)
-	if err != nil {
-		t.Fatalf("parent-commit plan rejected: %v", err)
-	}
-	withTimeline := 0
-	for _, c := range plan.Trace {
-		if c.Result != nil && c.Result.Timeline != nil {
-			withTimeline++
-		}
-	}
-	if withTimeline == 0 {
-		t.Fatal("testdata body carries no trace timelines; it does not exercise the old format")
-	}
-	rep, err := mario.RunWithOptions(plan, 2, mario.RunOptions{CollectEvents: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if _, err := mario.Drift(plan, rep); err != nil {
-		t.Errorf("drift: %v", err)
-	}
-	if _, err := mario.Resimulate(plan, &plan.Trace[0]); err != nil {
-		t.Errorf("resimulate: %v", err)
-	}
-	again, err := json.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, body) {
-		t.Error("re-saving the parent-commit body changed it")
-	}
-
-	// The same search today: same winner and result, trace timelines gone.
+	// The same search today: same winner and result, trace schedules gone.
 	fresh, err := mario.Optimize(mario.Config{
 		PipelineScheme: "V", GlobalBatchSize: 8, NumDevices: 4, MemoryPerDevice: "40G",
 		MicroBatchSizes: []int{2},
@@ -148,22 +236,91 @@ func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestThen, err := json.Marshal(plan.Best)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bestNow, err := json.Marshal(fresh.Best)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(bestNow, bestThen) {
-		t.Error("today's Best encodes differently from the parent commit's (label, schedule, result or timeline)")
 	}
 	now, err := json.Marshal(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(now) >= len(body) {
-		t.Errorf("fresh plan is %d bytes, the parent commit's was %d", len(now), len(body))
+
+	for _, tc := range []struct {
+		file           string
+		traceTimelines bool
+	}{
+		{"testdata/plan_6bfc195.json", true},
+		{"testdata/plan_30dd99b.json", false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			body, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := mario.LoadPlan(body)
+			if err != nil {
+				t.Fatalf("plan rejected: %v", err)
+			}
+			for i, c := range plan.Trace {
+				if c.Schedule == nil {
+					t.Fatalf("Trace[%d] lost the schedule the body carries", i)
+				}
+				if (c.Result.Timeline != nil) != tc.traceTimelines {
+					t.Fatalf("Trace[%d]: timeline present = %v, want %v: the body does not exercise its format",
+						i, c.Result.Timeline != nil, tc.traceTimelines)
+				}
+			}
+			rep, err := mario.RunWithOptions(plan, 2, mario.RunOptions{CollectEvents: true})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if _, err := mario.Drift(plan, rep); err != nil {
+				t.Errorf("drift: %v", err)
+			}
+			// Re-simulated from the schedule the entry carries, not a rebuild.
+			if _, err := mario.Resimulate(plan, &plan.Trace[0]); err != nil {
+				t.Errorf("resimulate: %v", err)
+			}
+
+			saved, err := json.Marshal(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(saved, []byte(`{"version":3,`)) {
+				t.Errorf("re-saving wrote %.16s…, want version 3", saved)
+			}
+			if len(saved) >= len(body) {
+				t.Errorf("re-saved plan is %d bytes, the body was %d", len(saved), len(body))
+			}
+			reloaded, err := mario.LoadPlan(saved)
+			if err != nil {
+				t.Fatalf("re-saved plan rejected: %v", err)
+			}
+			if again, err := json.Marshal(reloaded); err != nil || !bytes.Equal(again, saved) {
+				t.Errorf("version 3 → load → save is not a fixed point (err %v)", err)
+			}
+			for i := range reloaded.Trace {
+				if reloaded.Trace[i].Schedule != nil {
+					t.Errorf("re-saved Trace[%d] still carries a schedule", i)
+				}
+				if _, err := mario.Resimulate(reloaded, &reloaded.Trace[i]); err != nil {
+					t.Errorf("re-saved Trace[%d]: %v", i, err)
+				}
+			}
+
+			bestThen, err := json.Marshal(plan.Best)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bestNow, bestThen) {
+				t.Error("today's Best encodes differently from the body's (label, schedule, result or timeline)")
+			}
+			if len(now) >= len(body) {
+				t.Errorf("fresh plan is %d bytes, the body was %d", len(now), len(body))
+			}
+			if !tc.traceTimelines && !bytes.Equal(now, saved) {
+				t.Error("re-saving the parent commit's body does not give today's plan bytes")
+			}
+		})
 	}
 }
