@@ -14,9 +14,12 @@ type unit struct {
 
 	// dependency bookkeeping
 	waiting int     // unresolved predecessors
-	succs   []int   // indices of dependent units
 	ready   float64 // max finish time of resolved predecessors
 }
+
+// dep is one dependency edge between two units, by index: to may not start
+// before from has finished.
+type dep struct{ from, to int32 }
 
 // unitTimes weights the greedy scheduler's ordering decisions. Zero fields
 // default to the canonical unit times (forward 1, backward 2) with the
@@ -68,13 +71,22 @@ type depGraph struct {
 	times unitTimes
 	units []unit
 	index map[pipeline.Key]int
+	deps  []dep // in addDep order, which schedule() keeps per predecessor
 }
 
 // newDepGraph starts an empty dependency graph over the given placement,
-// sized for the units its caller is about to add.
-func newDepGraph(pl pipeline.Placement, times unitTimes, units int) *depGraph {
+// sized for what its caller is about to add: every micro-batch contributes,
+// per stage, a forward and a backward unit (three units when the backward is
+// split) and at most four edges (five when split) — forward→backward, the
+// two cross-stage chains, one injection window, and BI→W.
+func newDepGraph(pl pipeline.Placement, times unitTimes, micros int, split bool) *depGraph {
+	perStage := micros * pl.NumStages()
+	units, deps := 2*perStage, 4*perStage
+	if split {
+		units, deps = 3*perStage, 5*perStage
+	}
 	return &depGraph{pl: pl, times: times.withDefaults(),
-		units: make([]unit, 0, units), index: make(map[pipeline.Key]int, units)}
+		units: make([]unit, 0, units), index: make(map[pipeline.Key]int, units), deps: make([]dep, 0, deps)}
 }
 
 // addUnit registers one compute unit at its placement-assigned device.
@@ -88,8 +100,29 @@ func (g *depGraph) addUnit(k pipeline.Kind, micro, part, stage int) {
 // keyed by `from` has finished. Both units must already be registered.
 func (g *depGraph) addDep(from, to pipeline.Key) {
 	f, t := g.index[from], g.index[to]
-	g.units[f].succs = append(g.units[f].succs, t)
+	g.deps = append(g.deps, dep{int32(f), int32(t)})
 	g.units[t].waiting++
+}
+
+// successors lays the recorded edges out as one compressed-sparse-row array:
+// the successors of unit i are succ[off[i]:off[i+1]], in the order addDep
+// recorded them.
+func (g *depGraph) successors() (off, succ []int32) {
+	// Counted two slots up, the prefix sums leave unit i's start in off[i+1];
+	// filling advances it to unit i's end, which is unit i+1's start.
+	off = make([]int32, len(g.units)+2)
+	for _, d := range g.deps {
+		off[d.from+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	succ = make([]int32, len(g.deps))
+	for _, d := range g.deps {
+		succ[off[d.from+1]] = d.to
+		off[d.from+1]++
+	}
+	return off[:len(g.units)+1], succ
 }
 
 // bwAnchor is the kind that anchors a micro-batch's backward at a stage: the
@@ -184,10 +217,11 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 	units := g.units
 	devFree := make([]float64, g.pl.NumDevices())
 	lists := make([][]pipeline.Instr, g.pl.NumDevices())
-	rq := &readyQueue{units: units}
+	off, succ := g.successors()
+	rq := &readyQueue{units: units, idx: make([]int32, 0, len(units))}
 	for i := range units {
 		if units[i].waiting == 0 {
-			rq.idx = append(rq.idx, i)
+			rq.idx = append(rq.idx, int32(i))
 		}
 	}
 	for rq.Len() > 0 {
@@ -200,7 +234,7 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 		finish := start + g.times.dur(u.kind)
 		devFree[u.dev] = finish
 		lists[u.dev] = append(lists[u.dev], pipeline.Instr{Kind: u.kind, Micro: u.micro, Part: u.part, Stage: u.stage})
-		for _, si := range u.succs {
+		for _, si := range succ[off[i]:off[i+1]] {
 			s := &units[si]
 			arrive := finish
 			if s.dev != u.dev {
@@ -225,7 +259,7 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 // greedy merge reproduces its bidirectional bubble-overlap structure) and
 // BuildCustom's user-defined pipelines (§5.2, "Visualization").
 func greedySchedule(pl pipeline.Placement, micros []microAssign, fwTime, bwTime float64) [][]pipeline.Instr {
-	g := newDepGraph(pl, unitTimes{fw: fwTime, bw: bwTime}, 2*len(micros)*pl.NumStages())
+	g := newDepGraph(pl, unitTimes{fw: fwTime, bw: bwTime}, len(micros), false)
 	for _, ma := range micros {
 		g.addMicroUnits(ma, false)
 	}
@@ -239,7 +273,7 @@ func greedySchedule(pl pipeline.Placement, micros []microAssign, fwTime, bwTime 
 // fills device idle gaps with deferred weight-gradient units (Zero Bubble's
 // central scheduling move).
 func greedyScheduleSplit(pl pipeline.Placement, micros []microAssign, times unitTimes) [][]pipeline.Instr {
-	g := newDepGraph(pl, times, 3*len(micros)*pl.NumStages())
+	g := newDepGraph(pl, times, len(micros), true)
 	for _, ma := range micros {
 		g.addMicroUnits(ma, true)
 	}
@@ -269,7 +303,7 @@ func (ma microAssign) partAt(pl pipeline.Placement, stage int) int {
 // the critical path), and then lower micro ids for determinism.
 type readyQueue struct {
 	units []unit
-	idx   []int
+	idx   []int32
 }
 
 // Len returns the number of schedulable units.
@@ -278,10 +312,10 @@ func (q *readyQueue) Len() int { return len(q.idx) }
 // popBest removes and returns the best schedulable unit: minimal effective
 // start time max(ready, devFree), then backward-anchor before Forward before
 // BackwardWeight, then lowest micro, part and stage ids.
-func (q *readyQueue) popBest(devFree []float64) int {
-	best := -1
-	for pos, i := range q.idx {
-		if best == -1 || q.better(i, q.idx[best], devFree) {
+func (q *readyQueue) popBest(devFree []float64) int32 {
+	best := 0
+	for pos := 1; pos < len(q.idx); pos++ {
+		if better(&q.units[q.idx[pos]], &q.units[q.idx[best]], devFree) {
 			best = pos
 		}
 	}
@@ -304,8 +338,9 @@ func kindRank(k pipeline.Kind) int {
 	return 1
 }
 
-func (q *readyQueue) better(a, b int, devFree []float64) bool {
-	ua, ub := q.units[a], q.units[b]
+// better is the ready queue's strict total order: whether ua is scheduled
+// before ub given when each one's device falls free.
+func better(ua, ub *unit, devFree []float64) bool {
 	ea, eb := ua.ready, ub.ready
 	if devFree[ua.dev] > ea {
 		ea = devFree[ua.dev]
