@@ -10,7 +10,10 @@
 // i.e. a name (with an optional -GOMAXPROCS suffix), an iteration count, and
 // then value/unit pairs. Unrecognised units (custom b.ReportMetric metrics,
 // MB/s, ...) are preserved under "extra". Non-benchmark lines are ignored, so
-// the full `go test` output can be piped through unfiltered.
+// the full `go test` output can be piped through unfiltered. Repeated rows of
+// one benchmark (`go test -count N`) fold into the one with the smallest
+// ns/op: the repeat the machine disturbed least, which is what makes a time
+// worth comparing across runs.
 //
 // With -gate PCT the command becomes a regression check instead of a
 // converter: stdin is still bench text, but the parsed ns/op values are
@@ -96,13 +99,28 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark results\n", len(results))
 }
 
+// parseBench reads bench text into one result per benchmark, in order of
+// first appearance; of a benchmark's repeated rows the fastest is kept whole.
 func parseBench(r io.Reader) ([]result, error) {
 	results := []result{}
+	type key struct {
+		name  string
+		procs int
+	}
+	at := map[key]int{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
+		r, ok := parseLine(sc.Text())
+		if !ok {
+			continue
+		}
+		k := key{r.Name, r.Procs}
+		if i, seen := at[k]; !seen {
+			at[k] = len(results)
 			results = append(results, r)
+		} else if r.NsPerOp != nil && (results[i].NsPerOp == nil || *r.NsPerOp < *results[i].NsPerOp) {
+			results[i] = r
 		}
 	}
 	return results, sc.Err()

@@ -111,6 +111,25 @@ func TestGateAgainst(t *testing.T) {
 		}
 	})
 
+	// go test -count N repeats every row; the gate judges the fastest repeat
+	// of each benchmark, once, and a repeat is never reported as NEW.
+	t.Run("repeated rows fold to the fastest", func(t *testing.T) {
+		var out strings.Builder
+		cur := curResults(t, "BenchmarkA 100 1300 ns/op\nBenchmarkB 100 2600 ns/op\n"+
+			"BenchmarkA 100 1100 ns/op\nBenchmarkB 100 2500 ns/op\nBenchmarkA 100 1250 ns/op\n")
+		if len(cur) != 2 || cur[0].Name != "BenchmarkA" || *cur[0].NsPerOp != 1100 || *cur[1].NsPerOp != 2500 {
+			t.Fatalf("folded rows = %+v, want A at 1100 then B at 2500", cur)
+		}
+		regressed, err := gateAgainst(&out, cur, base, 15, nil, timeMetrics)
+		if err != nil || !regressed {
+			t.Fatalf("regressed=%v err=%v, want B's fastest repeat (2500 against 2000) to fail\n%s", regressed, err, out.String())
+		}
+		if got := out.String(); strings.Count(got, "BenchmarkA") != 1 || !strings.Contains(got, "ok     BenchmarkA") ||
+			!strings.Contains(got, "WORSE  BenchmarkB") || strings.Contains(got, "NEW") {
+			t.Errorf("want one ok line for A (1100), one WORSE line for B and no NEW:\n%s", got)
+		}
+	})
+
 	t.Run("empty selection is an error", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1000 ns/op\n")

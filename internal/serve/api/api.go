@@ -283,12 +283,16 @@ type PlanResponse struct {
 	Peer string `json:"peer,omitempty"`
 	// Plan is the plan JSON (mario.LoadPlan decodes it). Byte-identical to
 	// json.Marshal of the mario.Optimize result for the same inputs,
-	// whether cached, shared, fresh or peer-answered.
+	// whether cached, shared, fresh or peer-answered: the server stores
+	// those bytes once and writes them into every response as they are,
+	// without encoding them again.
 	Plan json.RawMessage `json:"plan"`
 	// Trace is the canonical search trace ({"fingerprint":..,"spans":[..]}),
 	// present when the request asked for ?trace=1 and a tuner run answered
-	// it (cache hits carry no trace — the original run's trace lives in the
-	// flight recorder). Byte-identical across worker counts.
+	// it, on this member or on the owner the request was routed to (cache
+	// hits carry no trace — the original run's trace lives in the flight
+	// recorder of the member that ran it). Byte-identical across worker
+	// counts.
 	Trace json.RawMessage `json:"trace,omitempty"`
 }
 

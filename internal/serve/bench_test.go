@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mario"
-	"mario/internal/serve/loadgen"
 	"mario/internal/telemetry"
 )
 
@@ -112,94 +111,6 @@ func BenchmarkServePlanTraced(b *testing.B) {
 		body, _ := json.Marshal(testRequest(8 + 8*i))
 		benchPost(b, ts.URL+"/v1/plan?trace=1", body)
 	}
-}
-
-// reportLoadgen folds a load-run's quantiles into the benchmark output;
-// benchjson preserves the custom units under "extra" in BENCH_serve.json.
-func reportLoadgen(b *testing.B, res *loadgen.Result) {
-	b.Helper()
-	if res.Errors > 0 || res.Rej429 > 0 || res.Rej503 > 0 {
-		b.Fatalf("load run degraded: %+v", res)
-	}
-	b.ReportMetric(float64(res.P50.Nanoseconds()), "p50-ns")
-	b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
-	b.ReportMetric(res.ReqPerSec, "req/s")
-	b.ReportMetric(float64(res.Cached)/float64(res.Total), "cache-rate")
-}
-
-// BenchmarkServeLoadgenBurst measures the request path under concurrent
-// mixed load on one member: 4 workload fingerprints cycled by 16 in-flight
-// clients, so after the first misses the run is the cache-hit steady state.
-// p50/p99/req-s land in BENCH_serve.json via the custom metrics.
-func BenchmarkServeLoadgenBurst(b *testing.B) {
-	s, ts := benchServer()
-	defer ts.Close()
-	defer s.Close()
-	base := testRequest(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := loadgen.Run(context.Background(), loadgen.Options{
-		Targets:     []string{ts.URL},
-		Workloads:   loadgen.MixedWorkloads(base, 4),
-		Requests:    b.N,
-		Concurrency: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportLoadgen(b, res)
-}
-
-// BenchmarkServeLoadgenFleet is the burst against a routed three-member
-// loopback fleet: requests spray across all members and consistent-hash
-// routing forwards each workload to its owner, so the numbers price the
-// extra peer hop on top of the single-member path.
-func BenchmarkServeLoadgenFleet(b *testing.B) {
-	const members = 3
-	plan := benchPlan()
-	handlers := make([]http.Handler, members)
-	urls := make([]string, members)
-	var tss []*httptest.Server
-	for i := range handlers {
-		i := i
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			handlers[i].ServeHTTP(w, r)
-		}))
-		tss = append(tss, ts)
-		urls[i] = ts.URL
-	}
-	for i := range handlers {
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		s := New(Options{Self: urls[i], Fleet: peers, Workers: 2, QueueDepth: 64})
-		s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
-			return plan, nil
-		}
-		handlers[i] = s.Handler()
-		defer s.Close()
-	}
-	defer func() {
-		for _, ts := range tss {
-			ts.Close()
-		}
-	}()
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := loadgen.Run(context.Background(), loadgen.Options{
-		Targets:     urls,
-		Workloads:   loadgen.MixedWorkloads(testRequest(16), 4),
-		Requests:    b.N,
-		Concurrency: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Peer)/float64(res.Total), "peer-rate")
-	reportLoadgen(b, res)
 }
 
 // BenchmarkServeMetricsScrape prices one /metrics render of the full

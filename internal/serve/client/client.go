@@ -129,13 +129,15 @@ func (c *Client) postJSON(ctx context.Context, url string, body []byte, hdr ...s
 	}
 }
 
-func (c *Client) post(ctx context.Context, path string, req api.PlanRequest, hdr ...string) (*http.Response, error) {
+// post sends one plan request to path; trace asks for the run's search
+// trace (?trace=1) on this call.
+func (c *Client) post(ctx context.Context, path string, req api.PlanRequest, trace bool, hdr ...string) (*http.Response, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
 	url := c.BaseURL + path
-	if c.Trace {
+	if trace {
 		url += "?trace=1"
 	}
 	return c.postJSON(ctx, url, body, hdr...)
@@ -144,9 +146,12 @@ func (c *Client) post(ctx context.Context, path string, req api.PlanRequest, hdr
 // PlanRouted is Plan with the fleet routing guard set: the receiving
 // member answers locally instead of consulting its hash ring again. Fleet
 // members use it to forward a request to the workload's owner exactly
-// once.
-func (c *Client) PlanRouted(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
-	resp, err := c.post(ctx, "/v1/plan", req, api.RoutedHeader, "1")
+// once. trace forwards the caller's ?trace=1 with this one call — a fleet
+// member's client serves every request it routes, so the client-wide Trace
+// field cannot carry it. The response is what the owner sent: the caller
+// checks that it answers the request (fingerprint, a plan) before relaying it.
+func (c *Client) PlanRouted(ctx context.Context, req api.PlanRequest, trace bool) (*api.PlanResponse, error) {
+	resp, err := c.post(ctx, "/v1/plan", req, trace, api.RoutedHeader, "1")
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +187,7 @@ func (c *Client) Shard(ctx context.Context, req api.ShardRequest) (*api.ShardRes
 // Decode (or mario.LoadPlan) to turn the response's Plan bytes into a
 // *mario.Plan.
 func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
-	resp, err := c.post(ctx, "/v1/plan", req)
+	resp, err := c.post(ctx, "/v1/plan", req, c.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +203,7 @@ func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanRespon
 // non-nil) for every progress record, and returns the terminal plan
 // response.
 func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress func(api.ProgressEvent)) (*api.PlanResponse, error) {
-	resp, err := c.post(ctx, "/v1/plan/stream", req)
+	resp, err := c.post(ctx, "/v1/plan/stream", req, c.Trace)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,229 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"mario/internal/telemetry"
+)
+
+// encoded is what the /v1/plan endpoint wrote before writePlanResponse
+// existed, and what every client was built against.
+func encoded(t *testing.T, resp PlanResponse) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatalf("encoding %+v: %v", resp, err)
+	}
+	return buf.Bytes()
+}
+
+// TestWritePlanResponseMatchesEncoder pins the writer to the encoder it
+// replaced: for every shape of answer the body is the bytes
+// json.NewEncoder(w).Encode(resp) writes, and the declared length is the
+// body's.
+func TestWritePlanResponseMatchesEncoder(t *testing.T) {
+	// Plan and trace bytes are encoding/json output, as in production: the
+	// encoder would rewrite anything else (a raw '<', a space).
+	plan, err := json.Marshal(map[string]any{"version": 3, "note": "a < b & c", "best": map[string]any{"scheme": "V"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := json.RawMessage(`{"fingerprint":"f00d","spans":[]}`)
+	for _, tc := range []struct {
+		name string
+		resp PlanResponse
+	}{
+		{"fresh", PlanResponse{Fingerprint: "f00d", Plan: plan}},
+		{"cached", PlanResponse{Fingerprint: "f00d", Cached: true, Plan: plan}},
+		{"shared", PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan}},
+		{"fresh traced", PlanResponse{Fingerprint: "f00d", Plan: plan, Trace: trace}},
+		{"shared traced", PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan, Trace: trace}},
+		{"peer hit", PlanResponse{Fingerprint: "f00d", Cached: true, Peer: "http://10.0.0.2:8437", Plan: plan}},
+		{"peer fresh traced", PlanResponse{Fingerprint: "f00d", Peer: "http://10.0.0.2:8437", Plan: plan, Trace: trace}},
+		{"nil plan", PlanResponse{Fingerprint: "f00d"}},
+		{"nil plan traced", PlanResponse{Fingerprint: "f00d", Trace: trace}},
+		{"strings the encoder escapes", PlanResponse{
+			Fingerprint: "</script>&\u2028\u2029\x00\b\f\n\r\t\x7f\\",
+			Cached:      true,
+			Peer:        "http://h/?a=<&>\" \xff\xc0end",
+			Plan:        plan,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			writePlanResponse(rec, tc.resp)
+			want := encoded(t, tc.resp)
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("writer and encoder disagree:\n got %s\nwant %s", got, want)
+			}
+			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
+				t.Errorf("Content-Length %q for a %d-byte body", got, len(want))
+			}
+			if got := rec.Header().Get("Content-Type"); got != "application/json" {
+				t.Errorf("Content-Type %q", got)
+			}
+		})
+	}
+}
+
+// TestPlanAnswersMatchEncoderEndToEnd captures every kind of /v1/plan answer
+// over HTTP from servers running the real optimize, and requires each body to
+// be what the encoder writes for the response it decodes to. The unit table
+// above feeds the writer hand-made plan bytes; this pins the assumption it
+// rests on — json.Marshal(plan) and the marshalled trace pass through the
+// encoder's compaction unchanged.
+func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real tuner searches over loopback HTTP")
+	}
+	post := func(url string, req PlanRequest) []byte {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("post %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %s: status %d, read error %v: %s", url, resp.StatusCode, err, raw)
+		}
+		if resp.ContentLength != int64(len(raw)) {
+			t.Errorf("post %s: Content-Length %d for a %d-byte body", url, resp.ContentLength, len(raw))
+		}
+		return raw
+	}
+	// check decodes one captured body, requires it to be the kind of answer the
+	// case is about, and compares it with the encoder's bytes.
+	check := func(name string, raw []byte, cached, shared bool, peer string, traced bool) {
+		t.Helper()
+		var pr PlanResponse
+		if err := json.Unmarshal(raw, &pr); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pr.Cached != cached || pr.Shared != shared || pr.Peer != peer || (len(pr.Trace) > 0) != traced || len(pr.Plan) < 1000 {
+			t.Fatalf("%s: cached=%v shared=%v peer=%q trace=%d bytes plan=%d bytes — not the answer this case is about",
+				name, pr.Cached, pr.Shared, pr.Peer, len(pr.Trace), len(pr.Plan))
+		}
+		if want := encoded(t, pr); !bytes.Equal(raw, want) {
+			t.Errorf("%s: body differs from the encoder's (%d vs %d bytes)", name, len(raw), len(want))
+		}
+	}
+
+	aURL, bURL, _, _, cleanup := fleetPair(t)
+	defer cleanup()
+	reqs, _ := workloadsOwnedBy(t, newHashRing([]string{aURL, bURL}), bURL, 2)
+	check("fresh traced", post(bURL+"/v1/plan?trace=1", reqs[0]), false, false, "", true)
+	check("hit", post(bURL+"/v1/plan", reqs[0]), true, false, "", false)
+	check("peer-forwarded hit", post(aURL+"/v1/plan", reqs[0]), true, false, bURL, false)
+	check("peer-forwarded fresh traced", post(aURL+"/v1/plan?trace=1", reqs[1]), false, false, bURL, true)
+
+	// A shared flight: hold the real run until a second identical request has
+	// joined it.
+	s := New(Options{})
+	defer s.Close()
+	run, gate := s.run, make(chan struct{})
+	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+		<-gate
+		return run(ctx, req, tracer, progress)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	bodies := make(chan []byte, 2)
+	for i := 0; i < 2; i++ {
+		go func() { bodies <- post(ts.URL+"/v1/plan", testRequest(16)) }()
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.sm.flightsShared.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never joined the flight")
+		}
+	}
+	close(gate)
+	first, second := <-bodies, <-bodies
+	if bytes.Contains(first, []byte(`"shared":true`)) {
+		first, second = second, first
+	}
+	check("fresh", first, false, false, "", false)
+	check("shared", second, false, true, "", false)
+}
+
+// discard is a ResponseWriter that keeps nothing, so a measurement over it
+// counts the handler's allocations and not a recorder's growing buffer.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header         { return d.h }
+func (d discard) Write(p []byte) (int, error) { return len(p), nil }
+func (d discard) WriteHeader(int)             {}
+
+// rewindBody is a request body that can be read again, so one request serves
+// every measured run.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// planHitCost is what one warm /v1/plan request costs the handler when the
+// cached plan is size bytes: its allocation count, and the fastest of the
+// measured runs (the one the machine disturbed least).
+func planHitCost(t *testing.T, size int) (allocs float64, fastest time.Duration) {
+	t.Helper()
+	plan := []byte(`{"pad":"` + strings.Repeat("x", size-len(`{"pad":""}`)) + `"}`)
+	s := New(Options{})
+	defer s.Close()
+	s.run = func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
+		return plan, nil
+	}
+	h := s.Handler()
+	reqBody, _ := json.Marshal(testRequest(16))
+	body := rewindBody{bytes.NewReader(reqBody)}
+	r := httptest.NewRequest(http.MethodPost, "/v1/plan", body)
+	w := discard{http.Header{}}
+	h.ServeHTTP(w, r) // the miss that fills the cache
+	fastest = time.Hour
+	allocs = testing.AllocsPerRun(200, func() {
+		body.Seek(0, io.SeekStart)
+		start := time.Now()
+		h.ServeHTTP(w, r)
+		if d := time.Since(start); d < fastest {
+			fastest = d
+		}
+	})
+	if hits := s.sm.cacheHits.Value(); hits < 200 {
+		t.Fatalf("%d cache hits: the measured requests were not hits", hits)
+	}
+	return allocs, fastest
+}
+
+// TestPlanHitCostIndependentOfPlanSize: a cache hit costs the same whatever
+// the plan weighs, because the handler never walks the stored bytes. The
+// encoder path it replaced pooled its buffer, so its allocation count did not
+// grow with the plan either — this harness counts 20 per hit on the parent
+// commit (72c00d0), the ceiling here — but its time did: there a hit on 1 MB
+// takes 5.7 ms and a hit on 1 KB 10 µs.
+func TestPlanHitCostIndependentOfPlanSize(t *testing.T) {
+	const parentAllocs = 20
+	small, smallTime := planHitCost(t, 1<<10)
+	for _, size := range []int{35 << 10, 1 << 20} {
+		allocs, fastest := planHitCost(t, size)
+		if allocs != small && !raceEnabled {
+			t.Errorf("a hit on a %d-byte plan allocates %v times, on a 1 KB plan %v times", size, allocs, small)
+		}
+		if fastest > 10*smallTime {
+			t.Errorf("a hit on a %d-byte plan takes %v, on a 1 KB plan %v", size, fastest, smallTime)
+		}
+	}
+	if small > parentAllocs && !raceEnabled {
+		t.Errorf("a hit allocates %v times, above the encoder path's %d", small, parentAllocs)
+	}
+}

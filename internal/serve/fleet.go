@@ -230,10 +230,14 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeToPeer forwards a blocking plan request to the workload's
-// consistent-hash owner when that owner is another member. It returns the
-// owner's response (with Peer stamped) and true when routing happened; any
-// peer failure falls back to local computation — routing is an
-// optimization, never a correctness dependency.
+// consistent-hash owner when that owner is another member, carrying the
+// request's ?trace=1 along. It returns the owner's answer — under this
+// member's own fingerprint for the request, with Peer stamped — and true when
+// routing happened. Routing is an optimization, never a correctness
+// dependency: a peer failure falls back to local computation, and so does a
+// 200 that does not answer this request — one for another fingerprint (the
+// owner's ring or request canonicalization disagrees with ours) or one
+// without a plan.
 func (s *Server) routeToPeer(r *http.Request, fp string, req PlanRequest) (*PlanResponse, bool) {
 	fs := s.fleet
 	if fs == nil || fs.ring == nil || r.Header.Get(api.RoutedHeader) != "" {
@@ -247,13 +251,13 @@ func (s *Server) routeToPeer(r *http.Request, fp string, req PlanRequest) (*Plan
 	if !ok {
 		return nil, false
 	}
-	resp, err := cl.PlanRouted(r.Context(), req)
-	if err != nil {
+	resp, err := cl.PlanRouted(r.Context(), req, wantTrace(r))
+	if err != nil || resp.Fingerprint != fp || len(resp.Plan) == 0 || string(resp.Plan) == "null" {
 		s.sm.peerRoutedErr.Inc()
 		return nil, false // compute locally instead
 	}
 	s.sm.peerRoutedOK.Inc()
-	resp.Peer = owner
+	resp.Fingerprint, resp.Peer = fp, owner
 	return resp, true
 }
 

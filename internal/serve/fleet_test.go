@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -378,43 +379,64 @@ func TestFleetLostPeerFallback(t *testing.T) {
 	}
 }
 
-// stubFleetPair boots two routing members A and B whose run functions are
-// replaced with stubs returning distinct bytes, so tests observe which
-// member computed a plan without running the tuner.
-func stubFleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func()) {
+// fleetPair boots two routing members A and B, each the other's only peer.
+func fleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func()) {
 	t.Helper()
 	var ah, bh http.Handler
 	as := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ah.ServeHTTP(w, r) }))
 	bs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { bh.ServeHTTP(w, r) }))
 	a = New(Options{Self: as.URL, Fleet: []string{bs.URL}})
 	b = New(Options{Self: bs.URL, Fleet: []string{as.URL}})
-	stub := func(name string) func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
-		return func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
-			return []byte(`{"from":"` + name + `"}`), nil
-		}
-	}
-	a.run, b.run = stub("a"), stub("b")
 	ah, bh = a.Handler(), b.Handler()
 	return as.URL, bs.URL, a, b, func() { as.Close(); bs.Close(); a.Close(); b.Close() }
 }
 
-// workloadOwnedBy searches batch sizes until the workload's fingerprint
-// lands on the wanted ring member.
-func workloadOwnedBy(t *testing.T, ring *hashRing, owner string) (PlanRequest, string) {
+// stubRun is a run function that answers at once with bytes naming the
+// member, under a one-span trace, so tests observe which member computed a
+// plan without running the tuner.
+func stubRun(name string) func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
+	return func(_ context.Context, _ PlanRequest, tracer *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
+		tracer.Root(telemetry.PhaseOptimize, name).End()
+		return []byte(`{"from":"` + name + `"}`), nil
+	}
+}
+
+// stubFleetPair is fleetPair with both members' run functions replaced by
+// stubRun("a") and stubRun("b").
+func stubFleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func()) {
 	t.Helper()
-	for gb := 1; gb <= 512; gb++ {
-		req := PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: gb, MicroBatches: []int{1}}
+	aURL, bURL, a, b, cleanup = fleetPair(t)
+	a.run, b.run = stubRun("a"), stubRun("b")
+	return aURL, bURL, a, b, cleanup
+}
+
+// workloadsOwnedBy searches batch sizes for n workloads whose fingerprints
+// land on the wanted ring member. They are small enough for the tests that run
+// the real tuner on them.
+func workloadsOwnedBy(t *testing.T, ring *hashRing, owner string, n int) (reqs []PlanRequest, fps []string) {
+	t.Helper()
+	for gbs := 8; gbs <= 1024 && len(reqs) < n; gbs += 8 {
+		req := testRequest(gbs)
 		model, err := req.Validate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := req.Fingerprint(model)
-		if ring.owner(fp) == owner {
-			return req, fp
+		if fp := req.Fingerprint(model); ring.owner(fp) == owner {
+			reqs, fps = append(reqs, req), append(fps, fp)
 		}
 	}
-	t.Fatal("no workload hashed onto the wanted member")
-	return PlanRequest{}, ""
+	if len(reqs) < n {
+		t.Fatalf("only %d of %d workloads hashed onto the wanted member", len(reqs), n)
+	}
+	return reqs, fps
+}
+
+// workloadOwnedBy is one workload, and its fingerprint, owned by the wanted
+// ring member.
+func workloadOwnedBy(t *testing.T, ring *hashRing, owner string) (PlanRequest, string) {
+	t.Helper()
+	reqs, fps := workloadsOwnedBy(t, ring, owner, 1)
+	return reqs[0], fps[0]
 }
 
 // TestFleetPeerRouting pins the consistent-hash router: a request owned by
@@ -451,7 +473,7 @@ func TestFleetPeerRouting(t *testing.T) {
 
 	// The loop guard: a pre-routed request for b's workload must be
 	// answered by a itself, not forwarded again.
-	resp, err = ca.PlanRouted(ctx, reqB)
+	resp, err = ca.PlanRouted(ctx, reqB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,42 +488,111 @@ func TestFleetPeerRouting(t *testing.T) {
 	}
 }
 
-// TestFleetPeerRoutingFallback kills the owner and requires the router to
-// compute locally instead of failing the request.
-func TestFleetPeerRoutingFallback(t *testing.T) {
-	aURL, bURL, a, _, cleanup := stubFleetPair(t)
-	ring := newHashRing([]string{aURL, bURL})
-	reqB, _ := workloadOwnedBy(t, ring, bURL)
+// TestFleetPeerRoutingTrace: ?trace=1 travels with the forwarded call. A fresh
+// traced request sent to the member that does not own the workload comes back
+// with the trace of the run the owner made for it — the bytes the owner's
+// flight recorder holds under that fingerprint — and a repeat, answered from
+// the owner's cache, carries none.
+func TestFleetPeerRoutingTrace(t *testing.T) {
+	aURL, bURL, _, b, cleanup := stubFleetPair(t)
+	defer cleanup()
+	reqB, fp := workloadOwnedBy(t, newHashRing([]string{aURL, bURL}), bURL)
+	ca := client.New(aURL)
+	ca.Trace = true
+	ctx := context.Background()
 
-	// Tear down only b's listener; a stays up.
-	cleanupA := cleanup
-	_ = cleanupA
-	// Rebuild: simpler to just point a at a dead peer.
-	cleanup()
-	var ah http.Handler
-	as := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ah.ServeHTTP(w, r) }))
-	defer as.Close()
-	a = New(Options{Self: as.URL, Fleet: []string{bURL}}) // bURL no longer listening
-	defer a.Close()
-	a.run = func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
-		return []byte(`{"from":"a"}`), nil
-	}
-	ah = a.Handler()
-
-	// a's ring still contains bURL; reqB may hash to either member of the
-	// rebuilt pair, so force a b-owned workload against the fresh ring.
-	ring = newHashRing([]string{as.URL, bURL})
-	reqB, _ = workloadOwnedBy(t, ring, bURL)
-	resp, err := client.New(as.URL).Plan(context.Background(), reqB)
+	fresh, err := ca.Plan(ctx, reqB)
 	if err != nil {
-		t.Fatalf("plan with dead owner: %v", err)
+		t.Fatalf("traced routed plan: %v", err)
 	}
-	if resp.Peer != "" || string(resp.Plan) != `{"from":"a"}` {
-		t.Fatalf("dead-owner request: peer=%q plan=%s, want local compute", resp.Peer, resp.Plan)
+	if fresh.Peer != bURL || fresh.Cached {
+		t.Fatalf("peer=%q cached=%v, want a fresh answer from %s", fresh.Peer, fresh.Cached, bURL)
 	}
-	var buf bytes.Buffer
-	a.Registry().WriteProm(&buf)
-	if !strings.Contains(buf.String(), `mario_serve_peer_routed_total{result="error"} 1`) {
-		t.Error("routing failure not counted")
+	var want []byte
+	for _, rec := range b.FlightRecorder().Recent() {
+		if rec.Fingerprint == fp {
+			want, _ = json.Marshal(rec.Trace)
+		}
+	}
+	if want == nil {
+		t.Fatal("the owner's flight recorder holds no run for the fingerprint")
+	}
+	if !bytes.Equal(fresh.Trace, want) {
+		t.Fatalf("forwarded trace %s, the owner recorded %s", fresh.Trace, want)
+	}
+
+	hit, err := ca.Plan(ctx, reqB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Peer != bURL || !hit.Cached || len(hit.Trace) != 0 {
+		t.Fatalf("repeat: peer=%q cached=%v trace=%d bytes, want a peer cache hit without a trace", hit.Peer, hit.Cached, len(hit.Trace))
+	}
+}
+
+// TestFleetPeerRoutingFallback: routing is an optimization, so an owner that
+// cannot be reached — or that answers 200 with something that is not this
+// request's plan — costs one counted routing error and a local computation,
+// never a failed or a wrong response.
+func TestFleetPeerRoutingFallback(t *testing.T) {
+	// answers is an owner that replies 200 with body(fp) to a routed request
+	// for the workload fingerprinted fp.
+	answers := func(body func(fp string) string) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req PlanRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("forwarded request: %v", err)
+			}
+			model, err := req.Validate()
+			if err != nil || r.Header.Get(api.RoutedHeader) == "" {
+				t.Errorf("forwarded request: validate error %v, routed header %q", err, r.Header.Get(api.RoutedHeader))
+			}
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body(req.Fingerprint(model)))
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	dead := httptest.NewServer(nil)
+	dead.Close() // its address no longer listens
+
+	for _, tc := range []struct{ name, owner string }{
+		{"owner dead", dead.URL},
+		{"owner answers for another fingerprint", answers(func(string) string {
+			return `{"fingerprint":"another workload","cached":true,"plan":{"from":"b"}}`
+		})},
+		{"owner answers plan null", answers(func(fp string) string {
+			return `{"fingerprint":"` + fp + `","cached":true,"plan":null}`
+		})},
+		{"owner answers without a plan", answers(func(fp string) string {
+			return `{"fingerprint":"` + fp + `","cached":true}`
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ah http.Handler
+			as := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ah.ServeHTTP(w, r) }))
+			defer as.Close()
+			a := New(Options{Self: as.URL, Fleet: []string{tc.owner}})
+			defer a.Close()
+			a.run = stubRun("a")
+			ah = a.Handler()
+
+			req, fp := workloadOwnedBy(t, newHashRing([]string{as.URL, tc.owner}), tc.owner)
+			resp, err := client.New(as.URL).Plan(context.Background(), req)
+			if err != nil {
+				t.Fatalf("plan: %v", err)
+			}
+			if resp.Peer != "" || resp.Fingerprint != fp || string(resp.Plan) != `{"from":"a"}` {
+				t.Fatalf("peer=%q fingerprint=%.12s plan=%s, want a's own plan for %.12s", resp.Peer, resp.Fingerprint, resp.Plan, fp)
+			}
+			var buf bytes.Buffer
+			a.Registry().WriteProm(&buf)
+			if got := promValue(t, buf.String(), `mario_serve_peer_routed_total{result="error"}`); got != 1 {
+				t.Errorf("%v routing errors counted, want 1", got)
+			}
+			if got := promValue(t, buf.String(), `mario_serve_peer_routed_total{result="ok"}`); got != 0 {
+				t.Errorf("%v routed answers counted as ok, want 0", got)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -135,6 +136,11 @@ type Server struct {
 
 	// run computes one flight's plan bytes, recording its spans on tracer;
 	// tests replace it to make admission and drain behaviour deterministic.
+	// What it returns is cached and served as is — writePlanResponse puts the
+	// bytes into the response without scanning them — so it must be one JSON
+	// value exactly as encoding/json writes it: optimize returns
+	// json.Marshal(plan), compact and HTML-escaped, which is also what keeps
+	// the response byte-equal to the encoder's.
 	run func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error)
 }
 
@@ -443,7 +449,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if resp, ok := s.routeToPeer(r, fp, req); ok {
 		s.sm.requests.Inc()
 		s.sm.latency.ObserveDuration(time.Since(start))
-		writeJSON(w, *resp)
+		writePlanResponse(w, *resp)
 		return
 	}
 	s.sm.requests.Inc()
@@ -462,7 +468,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if data != nil {
 		s.sm.cacheHits.Inc()
 		s.sm.completed.Inc()
-		writeJSON(w, PlanResponse{Fingerprint: fp, Cached: true, Plan: data})
+		writePlanResponse(w, PlanResponse{Fingerprint: fp, Cached: true, Plan: data})
 		return
 	}
 	s.sm.cacheMisses.Inc()
@@ -490,7 +496,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if wantTrace(r) {
 		resp.Trace = f.trace
 	}
-	writeJSON(w, resp)
+	writePlanResponse(w, resp)
 }
 
 // streamRecord is one NDJSON line of the streaming endpoint. Type is
@@ -636,7 +642,76 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string][]string{"models": names})
 }
 
+// writeJSON encodes v as the response body: /v1/shard and /v1/models.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// writePlanResponse writes a /v1/plan answer — cache hit, fresh or shared
+// flight, or an owner's answer being relayed — byte for byte as
+// json.NewEncoder(w).Encode(resp) would, at a cost that does not depend on
+// what the plan weighs. The encoder treats a RawMessage as untrusted: it
+// re-validates and re-compacts every byte of the plan on every response.
+// Here the envelope fields are written around resp.Plan and resp.Trace, which
+// go out as they are stored. That is sound because of where they come from,
+// not because they are checked again: Server.run and runFlight produce them
+// with json.Marshal, and client.PlanRouted takes them out of a body
+// json.Decoder has validated.
+func writePlanResponse(w http.ResponseWriter, resp PlanResponse) {
+	buf := headPool.Get().(*[256]byte)
+	defer headPool.Put(buf)
+	head := appendJSONString(append(buf[:0], `{"fingerprint":`...), resp.Fingerprint)
+	head = strconv.AppendBool(append(head, `,"cached":`...), resp.Cached)
+	if resp.Shared {
+		head = append(head, `,"shared":true`...)
+	}
+	if resp.Peer != "" {
+		head = appendJSONString(append(head, `,"peer":`...), resp.Peer)
+	}
+	head = append(head, `,"plan":`...)
+	plan := resp.Plan
+	if len(plan) == 0 {
+		plan = nullJSON
+	}
+	size := len(head) + len(plan) + len(planTail)
+	if len(resp.Trace) > 0 {
+		size += len(traceKey) + len(resp.Trace)
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.Write(head)
+	w.Write(plan)
+	if len(resp.Trace) > 0 {
+		w.Write(traceKey)
+		w.Write(resp.Trace)
+	}
+	w.Write(planTail)
+}
+
+// What every plan response shares: its Content-Type value (one slice for all
+// responses — net/http reads header values and never writes into them), a
+// pool of head buffers, as the encoder pooled its own, and the constant
+// pieces after the head — the spelling of a plan it does not have, the key of
+// the optional trace, and the end.
+var (
+	jsonContentType = []string{"application/json"}
+	headPool        = sync.Pool{New: func() any { return new([256]byte) }}
+	nullJSON        = []byte("null")
+	traceKey        = []byte(`,"trace":`)
+	planTail        = []byte("}\n")
+)
+
+// appendJSONString appends s to dst as the JSON string encoding/json writes
+// for it. A string of printable ASCII with nothing encoding/json escapes —
+// every fingerprint, any sane peer URL — is itself between quotes; anything
+// else is quoted by encoding/json.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
