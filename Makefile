@@ -79,8 +79,9 @@ bench-gate-allocs:
 		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkTunerSearchBnB
 
 # Regression gate over the committed artifacts: re-runs the hot-path
-# microbenchmarks and the service's cache hit, BENCHCOUNT times each and each
-# the way its row was recorded (BenchmarkGraphOptimize is a bench-det row), and
+# microbenchmarks and the service's cache hit (as the server pays for it, and
+# as a client that reads the answer does), BENCHCOUNT times each and each the
+# way its row was recorded (BenchmarkGraphOptimize is a bench-det row), and
 # fails if the fastest repeat of any is more than GATEPCT percent slower than
 # the committed BENCH_sim.json / BENCH_serve.json row. CI runs this
 # non-gatingly (runner noise); run it locally before regenerating a baseline.
@@ -92,10 +93,10 @@ bench-gate:
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) . ; } \
 		| $(GO) run ./cmd/benchjson -gate $(GATEPCT) -baseline BENCH_sim.json \
 			-only BenchmarkGraphOptimize,BenchmarkSimulateReuse
-	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkServePlanCacheHit$$|BenchmarkClientPlanHit$$' \
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./internal/serve \
 		| $(GO) run ./cmd/benchjson -gate $(GATEPCT) -baseline BENCH_serve.json \
-			-only BenchmarkServePlanCacheHit
+			-only BenchmarkServePlanCacheHit,BenchmarkClientPlanHit
 
 # The planner benchmark (bench/, BENCHMARK.json) is a module of its own, so
 # `go test ./...` at the root never runs its tests — among them
@@ -107,11 +108,13 @@ bench-selftest:
 # Service-layer latency artifact: the mariod request path (cache hit, fresh
 # run, traced run, /metrics scrape) against a run stub that instantly returns
 # a real LLaMA2-3B/4 plan's bytes, so the numbers isolate serve/telemetry
-# overhead — moving the body included — from tuner work. Latency under
-# concurrent load and through a routed fleet is the planner benchmark's
-# serve-hot workload (bench/), not a row here.
+# overhead — moving the body included — from tuner work. The BenchmarkServe*
+# rows post with net/http and discard the answer unread; what a caller pays to
+# read it is BenchmarkClientPlanHit (client.Plan) and, through the peer hop,
+# BenchmarkServePlanPeerHit. Latency under concurrent load and through a routed
+# fleet is the planner benchmark's serve-hot workload (bench/), not a row here.
 bench-serve-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./internal/serve \
+	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkClientPlanHit' -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./internal/serve \
 		| $(GO) run ./cmd/benchjson > BENCH_serve.json
 
 # Short fuzz smoke: each target gets FUZZTIME of coverage-guided input
@@ -119,7 +122,10 @@ bench-serve-json:
 # fuzz step runs `make fuzz`. FuzzPlanDecode's inputs are 20–40 KB plan bodies:
 # at the default -fuzzminimizetime (60 s per newly interesting input) a run
 # spends its whole budget minimizing the first one it finds (7 execs a minute,
-# against 5,000 a second with the minimizer capped).
+# against 5,000 a second with the minimizer capped). The two service fuzzers
+# stall on it the same way (FuzzPlanResponseRead's seeds include bodies nested
+# 10,000 deep; FuzzPlanRequestCanonical ran 48 k executions a minute with the
+# default and 489 k capped).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSchemeBuild -fuzztime $(FUZZTIME) ./internal/scheme
@@ -127,6 +133,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineReuseEquivalence -fuzztime $(FUZZTIME) ./internal/sim/difftest
 	$(GO) test -run '^$$' -fuzz FuzzBnBArgmaxEquivalence -fuzztime $(FUZZTIME) ./internal/tuner
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzPlanResponseRead -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/api
+	$(GO) test -run '^$$' -fuzz FuzzPlanRequestCanonical -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 
 # Doc-comment lint for the packages whose contracts must live in the source:
 # internal/sim (engine identity/caching rules), internal/pipeline (COW

@@ -54,9 +54,12 @@ type PlanRequest struct {
 	Checkpoint *bool `json:"checkpoint,omitempty"`
 	// SplitBackward additionally tries the ZB-H1 split-backward pass.
 	SplitBackward bool `json:"split_backward,omitempty"`
-	// MicroBatches restricts the candidate micro-batch sizes; nil means
-	// powers of two. Order matters (it is the grid iteration order), so it
-	// is fingerprinted as given.
+	// MicroBatches restricts the candidate micro-batch sizes; absent means
+	// powers of two, and so does an empty list — the schema's omitempty
+	// drops one whenever a request is encoded again (a member forwarding it
+	// to its owner does), so Validate makes it nil and the two are one
+	// workload under one fingerprint. Order matters (it is the grid
+	// iteration order), so a non-empty list is fingerprinted as given.
 	MicroBatches []int `json:"micro_batches,omitempty"`
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
@@ -95,8 +98,12 @@ type PlanRequest struct {
 
 // Validate checks the request and canonicalizes the fields the fingerprint
 // depends on: the scheme is resolved to its canonical name, the memory spec
-// to bytes, and the model reference to a concrete configuration. It returns
-// the resolved model.
+// to bytes, the model reference to a concrete configuration, and every
+// spelling of a default to the absent field (an empty micro_batches, all-
+// nominal device_speeds, placement "auto"). What it leaves survives
+// json.Marshal → decode → Validate with the same fingerprint, which is what
+// the peer hop relies on (FuzzPlanRequestCanonical). It returns the resolved
+// model.
 func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
 	var model cost.ModelConfig
 	switch {
@@ -137,6 +144,9 @@ func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
 		if m <= 0 {
 			return model, fmt.Errorf("serve: micro_batches entries must be positive (got %d)", m)
 		}
+	}
+	if len(r.MicroBatches) == 0 {
+		r.MicroBatches = nil // omitempty cannot send an empty list, so it is the absent one
 	}
 	if len(r.DeviceSpeeds) != 0 && len(r.DeviceSpeeds) != r.Devices {
 		return model, fmt.Errorf("serve: %d device_speeds entries for %d devices", len(r.DeviceSpeeds), r.Devices)
@@ -285,7 +295,8 @@ type PlanResponse struct {
 	// json.Marshal of the mario.Optimize result for the same inputs,
 	// whether cached, shared, fresh or peer-answered: the server stores
 	// those bytes once and writes them into every response as they are,
-	// without encoding them again.
+	// without encoding them again. In a response ParsePlanResponse read,
+	// Plan and Trace are slices of the body that was read, not copies.
 	Plan json.RawMessage `json:"plan"`
 	// Trace is the canonical search trace ({"fingerprint":..,"spans":[..]}),
 	// present when the request asked for ?trace=1 and a tuner run answered

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mario"
+	"mario/internal/serve/client"
 	"mario/internal/telemetry"
 )
 
@@ -40,19 +41,21 @@ var benchPlan = sync.OnceValue(func() []byte {
 // overhead (HTTP, singleflight, cache, metrics, flight recorder, moving the
 // body) is the thing under test, not the tuner.
 func benchServer() (*Server, *httptest.Server) {
-	plan := benchPlan()
 	s := New(Options{Workers: 2, QueueDepth: 64})
-	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
-		root := tracer.Root(telemetry.PhaseOptimize, "")
-		search := root.Child(telemetry.PhaseSearch, "")
-		p := search.Child(telemetry.PhasePoint, "0000")
-		p.Child(telemetry.PhaseSim, "").End()
-		p.End()
-		search.End()
-		root.End()
-		return plan, nil
-	}
+	s.run = benchRun
 	return s, httptest.NewServer(s.Handler())
+}
+
+// benchRun is the bench servers' run stub.
+func benchRun(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	root := tracer.Root(telemetry.PhaseOptimize, "")
+	search := root.Child(telemetry.PhaseSearch, "")
+	p := search.Child(telemetry.PhasePoint, "0000")
+	p.Child(telemetry.PhaseSim, "").End()
+	p.End()
+	search.End()
+	root.End()
+	return benchPlan(), nil
 }
 
 func benchPost(b *testing.B, url string, body []byte) {
@@ -81,6 +84,55 @@ func BenchmarkServePlanCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/plan", body)
+	}
+}
+
+// BenchmarkClientPlanHit is the cache hit as a caller pays for it:
+// client.Plan, so the request is encoded and the answer is read into a
+// PlanResponse — BenchmarkServePlanCacheHit discards the body unread, which
+// is how the client's read once sat outside this ledger at 60 % of a
+// serve-hot process.
+func BenchmarkClientPlanHit(b *testing.B) {
+	s, ts := benchServer()
+	defer ts.Close()
+	defer s.Close()
+	cl, req := client.New(ts.URL), testRequest(16)
+	benchClientPlan(b, cl, req, "") // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchClientPlan(b, cl, req, "")
+	}
+}
+
+// BenchmarkServePlanPeerHit is the hit that takes the peer hop, two thirds of
+// serve-hot's requests: the request goes to the member that does not own the
+// workload, which fingerprints it, forwards it, reads the owner's answer and
+// writes it into its own, which the client reads.
+func BenchmarkServePlanPeerHit(b *testing.B) {
+	aURL, bURL, a, owner, cleanup := fleetPair(b)
+	defer cleanup()
+	a.run, owner.run = benchRun, benchRun
+	req, _ := workloadOwnedBy(b, newHashRing([]string{aURL, bURL}), bURL)
+	cl := client.New(aURL)
+	benchClientPlan(b, cl, req, bURL) // warm the owner's cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchClientPlan(b, cl, req, bURL)
+	}
+}
+
+// benchClientPlan is one client.Plan that must come back from peer ("" for the
+// member asked) with the bench plan.
+func benchClientPlan(b *testing.B, cl *client.Client, req PlanRequest, peer string) {
+	b.Helper()
+	resp, err := cl.Plan(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if resp.Peer != peer || len(resp.Plan) != len(benchPlan()) {
+		b.Fatalf("answered by %q with %d plan bytes, want %q and %d", resp.Peer, len(resp.Plan), peer, len(benchPlan()))
 	}
 }
 

@@ -47,11 +47,14 @@ func New(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
+// defaultHTTPClient serves every Client without an HTTPClient of its own.
+var defaultHTTPClient = &http.Client{}
+
 func (c *Client) http() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{}
+	return defaultHTTPClient
 }
 
 // apiError decodes the service's {"error": ...} body into a Go error.
@@ -143,24 +146,33 @@ func (c *Client) post(ctx context.Context, path string, req api.PlanRequest, tra
 	return c.postJSON(ctx, url, body, hdr...)
 }
 
+// plan posts req to /v1/plan and reads the answer with the one envelope
+// reader: the body into one buffer of the declared length, then one pass over
+// it (api.ReadPlanResponse).
+func (c *Client) plan(ctx context.Context, req api.PlanRequest, trace bool, hdr ...string) (*api.PlanResponse, error) {
+	resp, err := c.post(ctx, "/v1/plan", req, trace, hdr...)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	pr, err := api.ReadPlanResponse(resp)
+	if err != nil {
+		return nil, fmt.Errorf("client: decoding response: %w", err)
+	}
+	return pr, nil
+}
+
 // PlanRouted is Plan with the fleet routing guard set: the receiving
 // member answers locally instead of consulting its hash ring again. Fleet
 // members use it to forward a request to the workload's owner exactly
 // once. trace forwards the caller's ?trace=1 with this one call — a fleet
 // member's client serves every request it routes, so the client-wide Trace
-// field cannot carry it. The response is what the owner sent: the caller
-// checks that it answers the request (fingerprint, a plan) before relaying it.
+// field cannot carry it. The response is what the owner sent, its JSON
+// grammar checked end to end by the read (Plan and Trace are slices of the
+// body that was read, not copies): the caller checks that it answers the
+// request (fingerprint, a plan) before relaying it.
 func (c *Client) PlanRouted(ctx context.Context, req api.PlanRequest, trace bool) (*api.PlanResponse, error) {
-	resp, err := c.post(ctx, "/v1/plan", req, trace, api.RoutedHeader, "1")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var pr api.PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("client: decoding response: %w", err)
-	}
-	return &pr, nil
+	return c.plan(ctx, req, trace, api.RoutedHeader, "1")
 }
 
 // Shard dispatches one fleet shard batch (POST /v1/shard) and returns the
@@ -185,18 +197,11 @@ func (c *Client) Shard(ctx context.Context, req api.ShardRequest) (*api.ShardRes
 
 // Plan submits a blocking plan request and returns the raw response. Use
 // Decode (or mario.LoadPlan) to turn the response's Plan bytes into a
-// *mario.Plan.
+// *mario.Plan. The answer must be one JSON value and nothing after it: a 200
+// with anything but white space behind the envelope, or with fewer bytes than
+// its Content-Length declares, is a decoding error.
 func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
-	resp, err := c.post(ctx, "/v1/plan", req, c.Trace)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var pr api.PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("client: decoding response: %w", err)
-	}
-	return &pr, nil
+	return c.plan(ctx, req, c.Trace)
 }
 
 // PlanStream submits a streaming plan request, invoking onProgress (when

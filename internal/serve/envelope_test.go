@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -26,11 +28,17 @@ func encoded(t *testing.T, resp PlanResponse) []byte {
 	return buf.Bytes()
 }
 
-// TestWritePlanResponseMatchesEncoder pins the writer to the encoder it
-// replaced: for every shape of answer the body is the bytes
-// json.NewEncoder(w).Encode(resp) writes, and the declared length is the
-// body's.
-func TestWritePlanResponseMatchesEncoder(t *testing.T) {
+// envelopeShape is one shape of /v1/plan answer.
+type envelopeShape struct {
+	name string
+	resp PlanResponse
+}
+
+// envelopeShapes are the answers the service writes, and one it never should
+// (strings full of what JSON escapes), for the tests that pin the writer to
+// the encoder and the reader to the writer.
+func envelopeShapes(t *testing.T) []envelopeShape {
+	t.Helper()
 	// Plan and trace bytes are encoding/json output, as in production: the
 	// encoder would rewrite anything else (a raw '<', a space).
 	plan, err := json.Marshal(map[string]any{"version": 3, "note": "a < b & c", "best": map[string]any{"scheme": "V"}})
@@ -38,10 +46,7 @@ func TestWritePlanResponseMatchesEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := json.RawMessage(`{"fingerprint":"f00d","spans":[]}`)
-	for _, tc := range []struct {
-		name string
-		resp PlanResponse
-	}{
+	return []envelopeShape{
 		{"fresh", PlanResponse{Fingerprint: "f00d", Plan: plan}},
 		{"cached", PlanResponse{Fingerprint: "f00d", Cached: true, Plan: plan}},
 		{"shared", PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan}},
@@ -57,7 +62,15 @@ func TestWritePlanResponseMatchesEncoder(t *testing.T) {
 			Peer:        "http://h/?a=<&>\" \xff\xc0end",
 			Plan:        plan,
 		}},
-	} {
+	}
+}
+
+// TestWritePlanResponseMatchesEncoder pins the writer to the encoder it
+// replaced: for every shape of answer the body is the bytes
+// json.NewEncoder(w).Encode(resp) writes, and the declared length is the
+// body's.
+func TestWritePlanResponseMatchesEncoder(t *testing.T) {
+	for _, tc := range envelopeShapes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
 			writePlanResponse(rec, tc.resp)
@@ -72,6 +85,76 @@ func TestWritePlanResponseMatchesEncoder(t *testing.T) {
 				t.Errorf("Content-Type %q", got)
 			}
 		})
+	}
+}
+
+// TestReadPlanResponseRoundTrip pins the reader to the writer: what
+// writePlanResponse wrote, api.ParsePlanResponse reads back field for field (a
+// plan the writer did not have comes back as the null it wrote, and a byte
+// that is not UTF-8 as the U+FFFD the encoder made of it), with Plan and Trace
+// inside the buffer that was read — no copy — and no spare capacity reaching
+// into the bytes behind them.
+func TestReadPlanResponseRoundTrip(t *testing.T) {
+	for _, tc := range envelopeShapes(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			writePlanResponse(rec, tc.resp)
+			body := rec.Body.Bytes()
+			pr, err := api.ParsePlanResponse(body)
+			if err != nil {
+				t.Fatalf("reading %s: %v", body, err)
+			}
+			want := tc.resp
+			want.Peer = string([]rune(want.Peer)) // each byte that is not UTF-8 is one U+FFFD
+			if want.Plan == nil {
+				want.Plan = json.RawMessage("null")
+			}
+			if !reflect.DeepEqual(*pr, want) {
+				t.Fatalf("read back %+v, wrote %+v", *pr, want)
+			}
+			for _, raw := range []json.RawMessage{pr.Plan, pr.Trace} {
+				if raw == nil {
+					continue
+				}
+				if &raw[0] != &body[bytes.Index(body, raw)] {
+					t.Errorf("%s was copied out of the body", raw)
+				}
+				if cap(raw) != len(raw) {
+					t.Errorf("%d bytes of capacity behind the %d of %s", cap(raw)-len(raw), len(raw), raw)
+				}
+			}
+		})
+	}
+}
+
+// TestPlanReadCostIndependentOfPlanSize: reading an answer allocates the
+// PlanResponse and its short strings — nothing per plan byte, whatever the
+// plan weighs.
+func TestPlanReadCostIndependentOfPlanSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	reads := func(size int) float64 {
+		rec := httptest.NewRecorder()
+		writePlanResponse(rec, PlanResponse{
+			Fingerprint: strings.Repeat("f00d", 16), Cached: true, Peer: "http://10.0.0.2:8437",
+			Plan: []byte(`{"pad":"` + strings.Repeat("x", size) + `"}`),
+		})
+		body := rec.Body.Bytes()
+		return testing.AllocsPerRun(100, func() {
+			if _, err := api.ParsePlanResponse(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := reads(1 << 10)
+	for _, size := range []int{35 << 10, 1 << 20} {
+		if allocs := reads(size); allocs != small {
+			t.Errorf("reading a %d-byte plan allocates %v times, a 1 KB plan %v times", size, allocs, small)
+		}
+	}
+	if small > 4 {
+		t.Errorf("a read allocates %v times, want the response and its two strings", small)
 	}
 }
 

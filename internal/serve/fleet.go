@@ -233,11 +233,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // consistent-hash owner when that owner is another member, carrying the
 // request's ?trace=1 along. It returns the owner's answer — under this
 // member's own fingerprint for the request, with Peer stamped — and true when
-// routing happened. Routing is an optimization, never a correctness
-// dependency: a peer failure falls back to local computation, and so does a
-// 200 that does not answer this request — one for another fingerprint (the
-// owner's ring or request canonicalization disagrees with ours) or one
-// without a plan.
+// routing happened. The answer's plan and trace are slices of the one buffer
+// the owner's body was read into, and go into this member's answer as they
+// are: the read (api.ParsePlanResponse, through client.PlanRouted) has checked
+// the body's JSON grammar end to end. Routing is an optimization, never a
+// correctness dependency: a peer failure falls back to local computation, and
+// so does a 200 that does not answer this request — one for another
+// fingerprint (the owner's ring or request canonicalization disagrees with
+// ours), one without a plan, or one that is not exactly one JSON value
+// (truncated, or with anything but white space behind it).
 func (s *Server) routeToPeer(r *http.Request, fp string, req PlanRequest) (*PlanResponse, bool) {
 	fs := s.fleet
 	if fs == nil || fs.ring == nil || r.Header.Get(api.RoutedHeader) != "" {

@@ -380,7 +380,7 @@ func TestFleetLostPeerFallback(t *testing.T) {
 }
 
 // fleetPair boots two routing members A and B, each the other's only peer.
-func fleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func()) {
+func fleetPair(t testing.TB) (aURL, bURL string, a, b *Server, cleanup func()) {
 	t.Helper()
 	var ah, bh http.Handler
 	as := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ah.ServeHTTP(w, r) }))
@@ -413,7 +413,7 @@ func stubFleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func(
 // workloadsOwnedBy searches batch sizes for n workloads whose fingerprints
 // land on the wanted ring member. They are small enough for the tests that run
 // the real tuner on them.
-func workloadsOwnedBy(t *testing.T, ring *hashRing, owner string, n int) (reqs []PlanRequest, fps []string) {
+func workloadsOwnedBy(t testing.TB, ring *hashRing, owner string, n int) (reqs []PlanRequest, fps []string) {
 	t.Helper()
 	for gbs := 8; gbs <= 1024 && len(reqs) < n; gbs += 8 {
 		req := testRequest(gbs)
@@ -433,7 +433,7 @@ func workloadsOwnedBy(t *testing.T, ring *hashRing, owner string, n int) (reqs [
 
 // workloadOwnedBy is one workload, and its fingerprint, owned by the wanted
 // ring member.
-func workloadOwnedBy(t *testing.T, ring *hashRing, owner string) (PlanRequest, string) {
+func workloadOwnedBy(t testing.TB, ring *hashRing, owner string) (PlanRequest, string) {
 	t.Helper()
 	reqs, fps := workloadsOwnedBy(t, ring, owner, 1)
 	return reqs[0], fps[0]
@@ -532,8 +532,8 @@ func TestFleetPeerRoutingTrace(t *testing.T) {
 
 // TestFleetPeerRoutingFallback: routing is an optimization, so an owner that
 // cannot be reached — or that answers 200 with something that is not this
-// request's plan — costs one counted routing error and a local computation,
-// never a failed or a wrong response.
+// request's plan, or not one JSON value and nothing else — costs one counted
+// routing error and a local computation, never a failed or a wrong response.
 func TestFleetPeerRoutingFallback(t *testing.T) {
 	// answers is an owner that replies 200 with body(fp) to a routed request
 	// for the workload fingerprinted fp.
@@ -566,6 +566,9 @@ func TestFleetPeerRoutingFallback(t *testing.T) {
 		})},
 		{"owner answers without a plan", answers(func(fp string) string {
 			return `{"fingerprint":"` + fp + `","cached":true}`
+		})},
+		{"owner answers with bytes behind the envelope", answers(func(fp string) string {
+			return `{"fingerprint":"` + fp + `","cached":true,"plan":{"from":"b"}}{"plan":{"from":"c"}}`
 		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -156,12 +156,7 @@ func fire(ctx context.Context, hc *http.Client, target string, body []byte) samp
 	defer resp.Body.Close()
 	s := sample{status: resp.StatusCode}
 	if resp.StatusCode == http.StatusOK {
-		var pr struct {
-			Cached bool   `json:"cached"`
-			Shared bool   `json:"shared"`
-			Peer   string `json:"peer"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&pr) == nil {
+		if pr, err := api.ReadPlanResponse(resp); err == nil {
 			s.cached, s.shared, s.peer = pr.Cached, pr.Shared, pr.Peer != ""
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -140,7 +141,8 @@ type Server struct {
 	// bytes into the response without scanning them — so it must be one JSON
 	// value exactly as encoding/json writes it: optimize returns
 	// json.Marshal(plan), compact and HTML-escaped, which is also what keeps
-	// the response byte-equal to the encoder's.
+	// the response byte-equal to the encoder's. (The other source of served
+	// bytes, a peer's answer, is checked by the read: api.ParsePlanResponse.)
 	run func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error)
 }
 
@@ -398,11 +400,21 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PlanRequ
 	return req, req.Fingerprint(model), nil
 }
 
-// decodeInto strictly decodes a JSON body bounded to max bytes.
+// decodeInto strictly decodes a JSON body bounded to max bytes: one value of
+// v's schema, no field it does not have, and nothing but white space after it
+// — Decode alone stops at the end of the first value, so a second object or
+// plain garbage behind a valid request would be answered as if it were not
+// there.
 func decodeInto(w http.ResponseWriter, r *http.Request, max int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, max))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("serve: decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value after the request")
+		}
 		return fmt.Errorf("serve: decoding request: %w", err)
 	}
 	return nil
@@ -656,8 +668,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Here the envelope fields are written around resp.Plan and resp.Trace, which
 // go out as they are stored. That is sound because of where they come from,
 // not because they are checked again: Server.run and runFlight produce them
-// with json.Marshal, and client.PlanRouted takes them out of a body
-// json.Decoder has validated.
+// with json.Marshal, and client.PlanRouted takes them out of a body whose
+// whole grammar api.ParsePlanResponse has checked.
 func writePlanResponse(w http.ResponseWriter, resp PlanResponse) {
 	buf := headPool.Get().(*[256]byte)
 	defer headPool.Put(buf)

@@ -8,11 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
-
 	"testing"
 	"time"
 
+	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -352,6 +353,39 @@ func TestValidationErrors(t *testing.T) {
 		resp, body := postPlan(t, ts.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d (%s), want 400", i, resp.StatusCode, body)
+		}
+	}
+
+	// Strict covers the whole body: one value, then white space only. The
+	// decoder stops where the first value ends, so a request with a second
+	// object or plain garbage behind it used to be answered 200.
+	s.run = stubRun("a")
+	plan := `{"model":"LLaMA2-3B","devices":4,"global_batch":16}`
+	shard := fmt.Sprintf(`{"proto":%d,"workload":%s,"points":[]}`, api.ShardProtoVersion, plan)
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/plan", plan + " \t\r\n", http.StatusOK},
+		{"/v1/plan", plan + `{"no_delta":true}`, http.StatusBadRequest},
+		{"/v1/plan", plan + " this is not json", http.StatusBadRequest},
+		{"/v1/plan/stream", plan + `{"no_delta":true}`, http.StatusBadRequest},
+		{"/v1/plan/stream", plan + " this is not json", http.StatusBadRequest},
+		{"/v1/shard", shard + "\n", http.StatusOK},
+		{"/v1/shard", shard + `{"no_delta":true}`, http.StatusBadRequest},
+		{"/v1/shard", shard + " this is not json", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("post %s: %v", tc.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %q: status %d (%s), want %d", tc.path, tc.body, resp.StatusCode, body, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !bytes.Contains(body, []byte("serve: decoding request")) {
+			t.Errorf("%s %q: refused with %s, want a decoding error", tc.path, tc.body, body)
 		}
 	}
 }
