@@ -45,23 +45,19 @@ BENCHTIME ?= 100x
 BENCHCOUNT ?= 5
 BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChimera|BenchmarkTelemetry
 # The deterministic rows: single-threaded benchmarks (-cpu 1 also pins the
-# searches' Workers = GOMAXPROCS default to the sequential walk) run with the
-# collector off, so their B/op and allocs/op repeat exactly from run to run
-# and machine to machine. The simulator engines are owned by the search that
-# uses them and no longer move these rows, but pipeline.valPool still does:
-# every collection empties it, and the next Validate of a large schedule
-# refills megabytes of scratch — with the collector on BenchmarkTunerSearchBnB/bnb
-# reads 153.8, 155.0 or 161.0 MB/op depending on when collections fell (the
-# other gated rows and every allocs/op stay within 0.2 %; encoding/json's
-# encoder pool accounts for 4 allocs of BenchmarkPlanCodec). A run peaks under
-# 1 GB without the collector. bench-json records these rows and
-# bench-gate-allocs gates them with the same two invocations — iteration
-# counts included, since the first iteration's one-time allocations are part
-# of the average.
+# searches' Workers = GOMAXPROCS default to the sequential walk), run with the
+# collector on like everything else. Their B/op and allocs/op repeat from run
+# to run because nothing under a search is pooled any more: the simulator
+# engines are owned by the search that uses them and pipeline.Validate
+# allocates its one index per call (BenchmarkTunerSearchBnB/bnb repeats to
+# five digits; encoding/json's encoder pool accounts for 4 allocs of
+# BenchmarkPlanCodec). bench-json records these rows and bench-gate-allocs
+# gates them with the same two invocations — iteration counts included, since
+# the first iteration's one-time allocations are part of the average.
 BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec
 BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
-bench-det = { GOGC=off $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
-	      GOGC=off $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; }
+bench-det = { $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
+	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; }
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_MICRO)' \
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) . ; \
@@ -89,7 +85,7 @@ GATEPCT ?= 15
 bench-gate:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSimulateReuse' \
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) . ; \
-	  GOGC=off $(GO) test -run '^$$' -cpu 1 -bench 'BenchmarkGraphOptimize$$' \
+	  $(GO) test -run '^$$' -cpu 1 -bench 'BenchmarkGraphOptimize$$' \
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) . ; } \
 		| $(GO) run ./cmd/benchjson -gate $(GATEPCT) -baseline BENCH_sim.json \
 			-only BenchmarkGraphOptimize,BenchmarkSimulateReuse

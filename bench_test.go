@@ -179,7 +179,7 @@ func BenchmarkGraphOptimize(b *testing.B) {
 		b.Fatal(err)
 	}
 	est := cost.Uniform(8, 1, 2, 0.25)
-	eng := graph.NewEngines(1)
+	eng := graph.NewEngines()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,7 +57,6 @@ func main() {
 		schemeStr = flag.String("scheme", "Auto", "pipeline scheme: Auto, V/1F1B, X/Chimera, W/Interleave, GPipe, Z/ZB-H1, D/DualPipe-D")
 		tp        = flag.Int("tp", 1, "tensor-parallel degree (held constant)")
 		workers   = flag.Int("workers", 0, "concurrent tuner evaluations (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		gWorkers  = flag.Int("graph-workers", 0, "concurrent prepose-candidate simulations inside each graph-tuner call (0/1 = inline; results are identical)")
 		noPrune   = flag.Bool("no-prune", false, "disable the tuner's upper-bound prune (simulate every feasible configuration)")
 		noBnB     = flag.Bool("no-bnb", false, "use the canonical-order grid walk instead of branch-and-bound search (same best plan, more points simulated)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
@@ -111,7 +110,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mario: %v\n", err)
 		os.Exit(2)
 	}
-	if _, err := place.ParseMode(*placementArg); err != nil {
+	// The workload is described once, as the request mariod would be sent:
+	// validated here (a bad flag exits 2 whichever way the plan is made), sent
+	// as it is with -remote, translated into the in-process Config without, and
+	// fingerprinted for the tracer — so span IDs agree between local traces and
+	// the planning service.
+	req := serve.PlanRequest{
+		Model:         *modelName,
+		Scheme:        *schemeStr,
+		GlobalBatch:   *gbs,
+		Devices:       *devices,
+		Memory:        *mem,
+		TP:            *tp,
+		SplitBackward: *split,
+		NoPrune:       *noPrune,
+		NoBnB:         *noBnB,
+		Workers:       *workers,
+		DeviceSpeeds:  deviceSpeeds,
+		Placement:     *placementArg,
+	}
+	if _, err := req.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "mario: %v\n", err)
 		os.Exit(2)
 	}
@@ -160,59 +178,12 @@ func main() {
 
 	var plan *mario.Plan
 	if *remoteAddr != "" {
-		req := serve.PlanRequest{
-			Model:         *modelName,
-			Scheme:        *schemeStr,
-			GlobalBatch:   *gbs,
-			Devices:       *devices,
-			Memory:        *mem,
-			TP:            *tp,
-			SplitBackward: *split,
-			NoPrune:       *noPrune,
-			NoBnB:         *noBnB,
-			Workers:       *workers,
-			DeviceSpeeds:  deviceSpeeds,
-			Placement:     *placementArg,
-		}
 		plan, err = remotePlan(*remoteAddr, req, *showStats)
 	} else {
-		conf := mario.Config{
-			PipelineScheme:  *schemeStr,
-			GlobalBatchSize: *gbs,
-			NumDevices:      *devices,
-			MemoryPerDevice: *mem,
-			TP:              *tp,
-			SplitBackward:   *split,
-			Workers:         *workers,
-			GraphWorkers:    *gWorkers,
-			NoPrune:         *noPrune,
-			NoBnB:           *noBnB,
-			DeviceSpeeds:    deviceSpeeds,
-			Placement:       *placementArg,
-		}
+		conf := req.Config(*workers)
 		var tracer *telemetry.Tracer
 		if wantSearchTrace {
-			// Fingerprint the search the same way mariod would, so span IDs
-			// agree between local traces and the planning service.
-			req := serve.PlanRequest{
-				Model:         *modelName,
-				Scheme:        *schemeStr,
-				GlobalBatch:   *gbs,
-				Devices:       *devices,
-				Memory:        *mem,
-				TP:            *tp,
-				SplitBackward: *split,
-				NoPrune:       *noPrune,
-				NoBnB:         *noBnB,
-				DeviceSpeeds:  deviceSpeeds,
-				Placement:     *placementArg,
-			}
-			reqModel, verr := req.Validate()
-			if verr != nil {
-				fmt.Fprintf(os.Stderr, "mario: %v\n", verr)
-				os.Exit(2)
-			}
-			tracer = telemetry.New(req.Fingerprint(reqModel))
+			tracer = telemetry.New(req.Fingerprint(model))
 			conf.Tracer = tracer
 		}
 		if *showStats {

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 
 	"mario/internal/cost"
@@ -83,33 +83,21 @@ func TestOptimizeInputUnmodified(t *testing.T) {
 	}
 }
 
-// TestEnginesSizedByOwner: the width of the per-device scan belongs to whoever
-// made the bundle, so no run can inherit another's. A Workers: 0 run that
-// follows a Workers: 4 run evaluates inline — on a bundle of its own and on
-// one the caller passes alike — and a caller-owned bundle is left for its
-// owner to report.
-func TestEnginesSizedByOwner(t *testing.T) {
+// TestEnginesOwnedByCaller: a bundle the caller passes gives the same schedule
+// as one the run makes for itself, and is left for its owner to report — the
+// run adds none of its simulations to the registry.
+func TestEnginesOwnedByCaller(t *testing.T) {
 	s := build1f1b(t, 4, 8)
 	e := cost.Uniform(4, 1, 2, 0.25)
 	opts := Options{Estimator: e, Sim: sim.Options{NoTimeline: true}}
-
-	opts.Workers = 4
 	want, _, err := Optimize(s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng, _ := opts.engines(); len(eng.scan) != 3 {
-		t.Fatalf("Workers: 4 run got %d scan engines, want 3", len(eng.scan))
-	}
-	opts.Workers = 0
-	if eng, _ := opts.engines(); len(eng.scan) != 0 {
-		t.Fatalf("Workers: 0 run after a Workers: 4 run got %d scan engines, want none", len(eng.scan))
-	}
 
 	reg := telemetry.NewRegistry()
 	opts.Metrics = telemetry.NewSearchMetrics(reg)
-	opts.Engines = NewEngines(0)
-	opts.Workers = 4 // the bundle's width wins
+	opts.Engines = NewEngines()
 	got, _, err := Optimize(s, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -117,23 +105,25 @@ func TestEnginesSizedByOwner(t *testing.T) {
 	if got.String() != want.String() {
 		t.Error("caller-owned bundle changed the optimized schedule")
 	}
-	eng := opts.Engines
-	if len(eng.scan) != 0 || eng.Sims() == 0 || eng.Sims() != eng.Main.Sims {
-		t.Errorf("inline bundle: %d scan engines, %d sims of which %d on Main", len(eng.scan), eng.Sims(), eng.Main.Sims)
+	eng := opts.Engines.Main
+	if eng.Sims == 0 {
+		t.Error("the run simulated nothing on the bundle it was given")
 	}
 	if n := opts.Metrics.Sims.Value(); n != 0 {
 		t.Errorf("run reported %d sims of a bundle it does not own", n)
 	}
 	// Every simulation classifies every device exactly once.
-	if r := eng.Rebuilds(); r.Unchanged+r.Swap+r.Full != eng.Sims()*int64(s.NumDevices()) {
-		t.Errorf("rebuild counters %+v do not add up to %d sims × %d devices", r, eng.Sims(), s.NumDevices())
+	if r := eng.Rebuilds; r.Unchanged+r.Swap+r.Full != eng.Sims*int64(s.NumDevices()) {
+		t.Errorf("rebuild counters %+v do not add up to %d sims × %d devices", r, eng.Sims, s.NumDevices())
 	}
 }
 
-// TestOptimizeWorkerDeterminism: the parallel prepose sweep must return a
-// byte-identical schedule and a bit-identical simulation result for every
-// worker count. Run under -race this also proves the candidate fan-out and
-// the copy-on-write share marks are data-race free.
+// TestOptimizeWorkerDeterminism: goroutines that optimize one frozen base
+// schedule at once — what a search's pool workers do with a memoized build —
+// each return the schedule and the bit-identical result the sequential run
+// returns. Run under -race this also proves that the base's resolved placement
+// view (filled when it was built, never on first use) and its copy-on-write
+// share marks are read-only once it is shared.
 func TestOptimizeWorkerDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -151,30 +141,36 @@ func TestOptimizeWorkerDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.Freeze()
 			e := cost.Uniform(tc.stages, 1, 2, 0.25)
 			opts := Options{Estimator: e, Sim: sim.Options{NoTimeline: true}}
-
-			type out struct {
-				sched string
-				res   *sim.Result
+			base, baseRes, err := Optimize(s, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var base *out
-			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				opts.Workers = w
-				optSched, res, err := Optimize(s, opts)
-				if err != nil {
-					t.Fatalf("Workers=%d: %v", w, err)
+
+			const workers = 4
+			scheds := make([]*pipeline.Schedule, workers)
+			results := make([]*sim.Result, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					scheds[w], results[w], errs[w] = Optimize(s, opts)
+				}(w)
+			}
+			wg.Wait()
+			for w := 0; w < workers; w++ {
+				if errs[w] != nil {
+					t.Fatalf("worker %d: %v", w, errs[w])
 				}
-				cur := &out{sched: optSched.String(), res: res}
-				if base == nil {
-					base = cur
-					continue
+				if scheds[w].String() != base.String() {
+					t.Errorf("worker %d: schedule differs from the sequential run", w)
 				}
-				if cur.sched != base.sched {
-					t.Errorf("Workers=%d: schedule differs from Workers=1", w)
-				}
-				if !reflect.DeepEqual(cur.res, base.res) {
-					t.Errorf("Workers=%d: result differs from Workers=1 (%.17g vs %.17g)", w, cur.res.Total, base.res.Total)
+				if !reflect.DeepEqual(results[w], baseRes) {
+					t.Errorf("worker %d: result differs from the sequential run (%.17g vs %.17g)", w, results[w].Total, baseRes.Total)
 				}
 			}
 		})

@@ -1,10 +1,13 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 
+	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
+	"mario/internal/sim"
 )
 
 // countKinds tallies the per-kind instruction counts of a schedule.
@@ -29,6 +32,12 @@ func countKinds(s *pipeline.Schedule) map[pipeline.Kind]int {
 //   - no duplicate (device, micro, part) FW/BW pairs: each compute identity
 //     (kind, micro, part, stage) appears at most once;
 //   - the rewritten schedule still passes pipeline.Validate.
+//
+// It then runs the whole Optimize — the simulator-guided prepose rounds
+// included — and SplitBackward on top of it, under FIFO and under rendezvous
+// links, and requires pipeline.Validate of both results. The passes do not
+// validate what they return and a search validates only its winner, so this is
+// the net under every explored point.
 func FuzzGraphPassInvariants(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(8), uint8(2))
 	f.Add(uint8(1), uint8(4), uint8(6), uint8(2))
@@ -107,6 +116,28 @@ func FuzzGraphPassInvariants(f *testing.F) {
 
 		if err := pipeline.Validate(c); err != nil {
 			t.Fatalf("%s d=%d n=%d v=%d: rewritten schedule invalid: %v", s, d, n, v, err)
+		}
+
+		for _, rdv := range []bool{false, true} {
+			opts := Options{Estimator: cost.Uniform(sched.NumStages(), 1, 2, 0.25),
+				Sim: sim.Options{Rendezvous: rdv, NoTimeline: true}}
+			opt, _, err := Optimize(sched, opts)
+			if rdv && errors.Is(err, sim.ErrDeadlock) {
+				continue // the checkpointed base itself cannot run on blocking sends
+			}
+			if err != nil {
+				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: Optimize: %v", s, d, n, v, rdv, err)
+			}
+			if err := pipeline.Validate(opt); err != nil {
+				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: optimized schedule invalid: %v", s, d, n, v, rdv, err)
+			}
+			split, _, err := SplitBackward(opt, opts)
+			if err != nil {
+				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: SplitBackward: %v", s, d, n, v, rdv, err)
+			}
+			if err := pipeline.Validate(split); err != nil {
+				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: split schedule invalid: %v", s, d, n, v, rdv, err)
+			}
 		}
 	})
 }

@@ -195,12 +195,6 @@ type Options struct {
 	MaxPrepose int
 	// MaxRounds bounds the iterative pass applications; zero means 16.
 	MaxRounds int
-	// Workers bounds the goroutines simulating prepose candidates
-	// concurrently; 0 or 1 evaluates inline. The winner is selected in
-	// canonical device order, so the optimized schedule is byte-identical
-	// for every worker count. A bundle passed in Engines was sized by its
-	// creator and runs at that width.
-	Workers int
 	// Engines is the simulator bundle the run evaluates on. The caller that
 	// passes one owns it — a search reuses one bundle per goroutine across
 	// all its runs and reports its counts itself; nil makes the run create
@@ -218,14 +212,15 @@ type Options struct {
 }
 
 // engines returns the bundle a run evaluates on, every cached list identity
-// dropped, and the function the run defers: it reports a bundle made for this
-// call and does nothing for one the caller owns.
+// dropped — the previous run's result lists belong to its caller now — and the
+// function the run defers: it reports a bundle made for this call and does
+// nothing for one the caller owns.
 func (o Options) engines() (*Engines, func()) {
 	if eng := o.Engines; eng != nil {
-		eng.invalidate()
+		eng.Main.Invalidate()
 		return eng, func() {}
 	}
-	eng := NewEngines(o.Workers)
+	eng := NewEngines()
 	return eng, func() { eng.Report(o.Metrics) }
 }
 
@@ -241,7 +236,12 @@ func Optimize(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Resul
 // always run, but the simulator-guided prepose rounds — the expensive part —
 // check ctx between rounds and between candidate simulations, and a
 // cancelled context aborts the call with ctx's error. A completed
-// OptimizeContext is byte-identical to Optimize for every worker count.
+// OptimizeContext is byte-identical to Optimize.
+//
+// The result is not re-validated: every pass keeps a valid schedule valid
+// (FuzzGraphPassInvariants holds them to that), and whoever lets a schedule
+// leave the program — a search's winner, a plan, a saved file — validates
+// it there.
 func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Result, error) {
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: Optimize requires an estimator")
@@ -306,9 +306,6 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			break
 		}
 		cur, best = next, nextRes
-	}
-	if err := pipeline.Validate(cur); err != nil {
-		return nil, nil, fmt.Errorf("graph: optimized schedule invalid: %w", err)
 	}
 	if !opt.Sim.NoTimeline {
 		best, err = eng.Main.Simulate(cur, opt.Estimator, opt.Sim)

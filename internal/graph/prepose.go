@@ -3,8 +3,6 @@ package graph
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"mario/internal/pipeline"
 	"mario/internal/sim"
@@ -12,74 +10,36 @@ import (
 )
 
 // Engines bundles the reusable state an Optimize or SplitBackward run
-// evaluates its candidates on: Main is the driver goroutine's simulator, scan
-// the extra simulators the per-device prepose scan fans out to, feas the
-// feasibility pre-screen's scratch. Reusing the simulators across rounds is
-// what keeps candidate evaluation cheap — each candidate shares all but a few
-// lists with the current schedule, so only those devices' metadata is rebuilt.
+// evaluates its candidates on: Main is the simulator, feas the feasibility
+// pre-screen's scratch. Reusing the simulator across rounds is what keeps
+// candidate evaluation cheap — each candidate shares all but a few lists with
+// the current schedule, so only those devices' metadata is rebuilt.
 //
 // A bundle belongs to whoever created it, for as long as they like: a search
 // makes one per goroutine and passes it to every run through Options.Engines,
-// running its own direct simulations on Main in between. The owner reads Sims
-// and Rebuilds when it is done. Like the simulators in it, a bundle serves one
-// run at a time.
+// running its own direct simulations on Main in between. The owner reads
+// Main.Sims and Main.Rebuilds when it is done. Like the simulator in it, a
+// bundle serves one run at a time.
 type Engines struct {
 	Main *sim.Simulator
-	scan []*sim.Simulator
 	feas feasScratch
 }
 
-// NewEngines returns a bundle whose per-device prepose scan runs on workers
-// goroutines; 0 or 1 evaluates inline, on Main alone.
-func NewEngines(workers int) *Engines {
-	e := &Engines{Main: &sim.Simulator{}}
-	for i := 1; i < workers; i++ {
-		e.scan = append(e.scan, &sim.Simulator{})
-	}
-	return e
-}
-
-// invalidate drops the list identities every simulator of the bundle keys on.
-// Runs call it when they start: the previous run's result lists belong to its
-// caller now.
-func (e *Engines) invalidate() {
-	e.Main.Invalidate()
-	for _, m := range e.scan {
-		m.Invalidate()
-	}
-}
-
-// Sims sums the Simulate calls issued on the bundle's simulators.
-func (e *Engines) Sims() int64 {
-	n := e.Main.Sims
-	for _, m := range e.scan {
-		n += m.Sims
-	}
-	return n
-}
-
-// Rebuilds sums what the bundle's simulators did with their per-device caches.
-func (e *Engines) Rebuilds() sim.Rebuilds {
-	r := e.Main.Rebuilds
-	for _, m := range e.scan {
-		r.Unchanged += m.Rebuilds.Unchanged
-		r.Swap += m.Rebuilds.Swap
-		r.Full += m.Rebuilds.Full
-	}
-	return r
+// NewEngines returns an empty bundle.
+func NewEngines() *Engines {
+	return &Engines{Main: &sim.Simulator{}}
 }
 
 // Report adds the bundle's simulation and rebuild counts to the registry;
 // whoever created the bundle calls it once, when done with it.
 func (e *Engines) Report(m *telemetry.SearchMetrics) {
-	r := e.Rebuilds()
-	m.AddSims(e.Sims())
+	r := e.Main.Rebuilds
+	m.AddSims(e.Main.Sims)
 	m.AddSimRebuilds(r.Unchanged, r.Swap, r.Full)
 }
 
-// feasScratch is the reusable state of Engines.feasible. Candidates are
-// constructed and screened on the driver goroutine before any worker fan-out,
-// so one scratch per bundle suffices.
+// feasScratch is the reusable state of Engines.feasible, per FIFO link of the
+// placement's resolved view and per device.
 type feasScratch struct {
 	sendKeys [][]pipeline.Key // per link: keys of its sends, in push order
 	recvOrd  []int32          // per link: receives popped so far
@@ -88,51 +48,6 @@ type feasScratch struct {
 	pc       []int32          // per device: next instruction index
 	queue    []int32
 	inQueue  []bool
-	// Placement-peer cache: PeerDevice is placement-determined and
-	// device-independent for communication kinds, so (kind, part, stage)
-	// fully keys the answer across all the candidates of one run.
-	placement pipeline.Placement
-	peerTab   []int32
-}
-
-// linkFor resolves the flat link id of a communication instruction through
-// the scratch's peer cache (same layout as linkOf, minus the repeated
-// placement walks).
-func (f *feasScratch) linkFor(s *pipeline.Schedule, D, d int, in pipeline.Instr, nParts, nStages int) int {
-	if in.Part < 0 || in.Part >= nParts || in.Stage < 0 || in.Stage >= nStages {
-		return linkOf(s, D, d, in)
-	}
-	ci := (commKindIdx(in.Kind)*nParts+in.Part)*nStages + in.Stage
-	peer := f.peerTab[ci]
-	if peer == -2 {
-		peer = int32(s.PeerDevice(d, in))
-		f.peerTab[ci] = peer
-	}
-	if peer < 0 || int(peer) >= D {
-		return -1
-	}
-	ch := 0
-	if in.Kind == pipeline.SendGrad || in.Kind == pipeline.RecvGrad {
-		ch = 1
-	}
-	if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
-		return (d*D+int(peer))*2 + ch
-	}
-	return (int(peer)*D+d)*2 + ch
-}
-
-// commKindIdx maps the four communication kinds to 0..3 for flat tables.
-func commKindIdx(k pipeline.Kind) int {
-	switch k {
-	case pipeline.SendAct:
-		return 0
-	case pipeline.RecvAct:
-		return 1
-	case pipeline.SendGrad:
-		return 2
-	default:
-		return 3
-	}
 }
 
 // feasible reports whether every instruction of the schedule can execute
@@ -147,9 +62,10 @@ func commKindIdx(k pipeline.Kind) int {
 // result is unchanged.
 func (e *Engines) feasible(s *pipeline.Schedule) bool {
 	D := s.NumDevices()
-	nl := 2 * D * D
-	nParts := s.Placement.NumParts()
-	nStages := s.Placement.NumStages()
+	// The links are the resolved view's — the ones the simulator's FIFOs run
+	// on — so the two cannot disagree about which messages share a queue.
+	res := s.Resolved()
+	nl := res.NumLinks()
 	f := &e.feas
 	f.sendKeys = growOuter(f.sendKeys, nl)
 	f.recvOrd = growI32(f.recvOrd, nl)
@@ -157,13 +73,6 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 	f.recvWait = growI32(f.recvWait, nl)
 	f.pc = growI32(f.pc, D)
 	f.inQueue = growBools(f.inQueue, D)
-	if f.placement != s.Placement || len(f.peerTab) != 4*nParts*nStages {
-		f.placement = s.Placement
-		f.peerTab = growI32(f.peerTab, 4*nParts*nStages)
-		for i := range f.peerTab {
-			f.peerTab[i] = -2
-		}
-	}
 	for l := 0; l < nl; l++ {
 		f.sendKeys[l] = f.sendKeys[l][:0]
 		f.recvOrd[l] = 0
@@ -176,7 +85,7 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 			if in.Kind != pipeline.SendAct && in.Kind != pipeline.SendGrad {
 				continue
 			}
-			l := f.linkFor(s, D, d, in, nParts, nStages)
+			l := res.Link(in)
 			if l < 0 {
 				return false // dangling peer; Simulate would reject it too
 			}
@@ -203,7 +112,7 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 			in := list[i]
 			switch in.Kind {
 			case pipeline.SendAct, pipeline.SendGrad:
-				l := f.linkFor(s, D, d, in, nParts, nStages)
+				l := res.Link(in)
 				f.sentByPC[l]++
 				if w := f.recvWait[l]; w >= 0 {
 					f.recvWait[l] = -1
@@ -213,7 +122,7 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 					}
 				}
 			case pipeline.RecvAct, pipeline.RecvGrad:
-				l := f.linkFor(s, D, d, in, nParts, nStages)
+				l := res.Link(in)
 				if l < 0 {
 					return false
 				}
@@ -239,24 +148,6 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 		}
 	}
 	return done == D
-}
-
-// linkOf returns the flat id of the FIFO link a communication instruction of
-// device d uses — (sender, receiver, channel) like the simulator's — or -1
-// when the placement peer falls outside the device range.
-func linkOf(s *pipeline.Schedule, D, d int, in pipeline.Instr) int {
-	peer := s.PeerDevice(d, in)
-	if peer < 0 || peer >= D {
-		return -1
-	}
-	ch := 0
-	if in.Kind == pipeline.SendGrad || in.Kind == pipeline.RecvGrad {
-		ch = 1
-	}
-	if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
-		return (d*D+peer)*2 + ch
-	}
-	return (peer*D+d)*2 + ch
 }
 
 func growOuter(s [][]pipeline.Key, n int) [][]pipeline.Key {
@@ -566,14 +457,8 @@ func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (*sim.R
 // number of group moves this round may perform (negative = unlimited); the
 // round reports how many it used.
 //
-// The per-device candidates are simulated concurrently when the bundle carries
-// scan simulators. The winner is still chosen by scanning the results in
-// ascending device order with a strict-improvement comparison — exactly the
-// sequential selection — so the outcome is byte-identical for every worker
-// count (the determinism-first contract the outer tuner grid established).
-//
-// ctx is checked before each candidate simulation (including by the worker
-// goroutines); a cancelled round returns ctx's error.
+// ctx is checked before each candidate simulation; a cancelled round returns
+// ctx's error.
 func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, budget int, eng *Engines) (*pipeline.Schedule, *sim.Result, int, error) {
 	type cand struct {
 		s     *pipeline.Schedule
@@ -633,63 +518,20 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		consider(comp, r, moves)
 	}
 	if winner == nil && (budget < 0 || budget >= 1) {
-		D := cur.NumDevices()
-		// Build every candidate on this goroutine — candidate construction
-		// Clones cur, and concurrent first Clones of the same schedule would
-		// race on its share marks — then fan the simulations out.
-		cands := make([]*pipeline.Schedule, D)
-		jobs := make([]int, 0, D)
-		for d := 0; d < D; d++ {
+		for d := 0; d < cur.NumDevices(); d++ {
 			if !canPrepose(cur.Lists[d]) || preposeReorders(cur, d) || preposeBlocked(cur, d) {
 				continue
 			}
+			if err := ctx.Err(); err != nil {
+				return nil, nil, 0, err
+			}
 			c := cur.Clone()
 			preposeList(c, d)
-			cands[d] = c
-			jobs = append(jobs, d)
-		}
-		results := make([]*sim.Result, D)
-		errs := make([]error, D)
-		if w := min(len(eng.scan), len(jobs)-1); w > 0 {
-			var next atomic.Int64
-			run := func(e *sim.Simulator) {
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(jobs) {
-						return
-					}
-					d := jobs[j]
-					if err := ctx.Err(); err != nil {
-						errs[d] = err
-						continue
-					}
-					results[d], errs[d] = simCandidate(e, cands[d], opt)
-				}
+			r, err := simCandidate(eng.Main, c, opt)
+			if err != nil {
+				return nil, nil, 0, err
 			}
-			var wg sync.WaitGroup
-			for i := 0; i < w; i++ {
-				wg.Add(1)
-				go func(e *sim.Simulator) {
-					defer wg.Done()
-					run(e)
-				}(eng.scan[i])
-			}
-			run(eng.Main)
-			wg.Wait()
-		} else {
-			for _, d := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[d] = err
-					break
-				}
-				results[d], errs[d] = simCandidate(eng.Main, cands[d], opt)
-			}
-		}
-		for d := 0; d < D; d++ {
-			if errs[d] != nil {
-				return nil, nil, 0, errs[d]
-			}
-			consider(cands[d], results[d], 1)
+			consider(c, r, 1)
 		}
 	}
 	if winner == nil {

@@ -69,9 +69,6 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 			cur, best = cand, r
 		}
 	}
-	if err := pipeline.Validate(cur); err != nil {
-		return nil, nil, fmt.Errorf("graph: split schedule invalid: %w", err)
-	}
 	if !opt.Sim.NoTimeline {
 		best, err = eng.Simulate(cur, opt.Estimator, opt.Sim)
 		if err != nil {

@@ -24,6 +24,7 @@ package pipeline
 // interleaved schedules.
 func InsertComm(s *Schedule) {
 	S := s.NumStages()
+	r := s.Resolved()
 	for d, list := range s.Lists {
 		// An interior device gains a receive and a send around every compute
 		// instruction, plus the two cool-down collectives: sized for that, the
@@ -32,22 +33,22 @@ func InsertComm(s *Schedule) {
 		for _, in := range list {
 			switch in.Kind {
 			case Forward, CkptForward:
-				if in.Stage > 0 && crossesDevice(s, in.Part, in.Stage-1, in.Stage, d) {
+				if in.Stage > 0 && crossesDevice(r, in.Part, in.Stage-1, in.Stage) {
 					out = append(out, Instr{Kind: RecvAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 				out = append(out, in)
-				if in.Stage < S-1 && crossesDevice(s, in.Part, in.Stage, in.Stage+1, d) {
+				if in.Stage < S-1 && crossesDevice(r, in.Part, in.Stage, in.Stage+1) {
 					out = append(out, Instr{Kind: SendAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 			case Backward, BackwardInput:
 				// The input-gradient half anchors the gradient transfers when
 				// the backward is split; the weight-gradient half has no
 				// cross-device dependents and passes through unchanged.
-				if in.Stage < S-1 && crossesDevice(s, in.Part, in.Stage, in.Stage+1, d) {
+				if in.Stage < S-1 && crossesDevice(r, in.Part, in.Stage, in.Stage+1) {
 					out = append(out, Instr{Kind: RecvGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 				out = append(out, in)
-				if in.Stage > 0 && crossesDevice(s, in.Part, in.Stage-1, in.Stage, d) {
+				if in.Stage > 0 && crossesDevice(r, in.Part, in.Stage-1, in.Stage) {
 					out = append(out, Instr{Kind: SendGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 			default:
@@ -63,46 +64,38 @@ func InsertComm(s *Schedule) {
 }
 
 // crossesDevice reports whether the boundary between loStage and hiStage
-// (hiStage = loStage+1) is a cross-device edge as seen from device d holding
-// one of its endpoints. part is the partition id of the endpoint on d.
-func crossesDevice(s *Schedule, part, loStage, hiStage, d int) bool {
-	other := hiStage
-	if s.deviceOfStage(part, loStage) == d {
-		// d holds the low endpoint.
-		return s.deviceOfStage(partOfStage(s, part, other), other) != d
-	}
-	return s.deviceOfStage(partOfStage(s, part, loStage), loStage) != d
-}
-
-// deviceOfStage resolves the device owning (part, stage) through the
-// placement, resolving interleaved chunk ids from the stage when needed.
-func (s *Schedule) deviceOfStage(part, stage int) int {
-	return s.Placement.Device(part, stage)
+// (hiStage = loStage+1) is a cross-device edge for a micro-batch whose
+// instruction at either end carries partition id part.
+func crossesDevice(r *Resolved, part, loStage, hiStage int) bool {
+	return r.Device(r.PartAt(part, loStage), loStage) != r.Device(r.PartAt(part, hiStage), hiStage)
 }
 
 // partOfStage returns the partition id the scheme assigns to the given
 // stage, given that a neighbouring instruction carries partition id part.
 // For interleaved placements the part is a function of the stage; for all
 // other placements a micro-batch keeps its partition across stages.
-func partOfStage(s *Schedule, part, stage int) int {
-	if ip, ok := s.Placement.(InterleavedPlacement); ok {
+func partOfStage(pl Placement, part, stage int) int {
+	if ip, ok := pl.(InterleavedPlacement); ok {
 		return ip.PartOfStage(stage)
 	}
 	return part
 }
 
 // PeerDevice returns, for a communication instruction on device d, the
-// device on the other end of the transfer.
-func (s *Schedule) PeerDevice(d int, in Instr) int {
+// device on the other end of the transfer. Together with MatchKey it is the
+// definition the resolved view (Resolved.Peer, Resolved.Link) is filled from.
+func (s *Schedule) PeerDevice(d int, in Instr) int { return peerDevice(s.Placement, d, in) }
+
+func peerDevice(pl Placement, d int, in Instr) int {
 	switch in.Kind {
 	case SendAct: // producer at in.Stage, consumer at in.Stage+1
-		return s.deviceOfStage(partOfStage(s, in.Part, in.Stage+1), in.Stage+1)
+		return pl.Device(partOfStage(pl, in.Part, in.Stage+1), in.Stage+1)
 	case RecvAct: // consumer at in.Stage, producer at in.Stage-1
-		return s.deviceOfStage(partOfStage(s, in.Part, in.Stage-1), in.Stage-1)
+		return pl.Device(partOfStage(pl, in.Part, in.Stage-1), in.Stage-1)
 	case SendGrad: // producer at in.Stage, consumer at in.Stage-1
-		return s.deviceOfStage(partOfStage(s, in.Part, in.Stage-1), in.Stage-1)
+		return pl.Device(partOfStage(pl, in.Part, in.Stage-1), in.Stage-1)
 	case RecvGrad: // consumer at in.Stage, producer at in.Stage+1
-		return s.deviceOfStage(partOfStage(s, in.Part, in.Stage+1), in.Stage+1)
+		return pl.Device(partOfStage(pl, in.Part, in.Stage+1), in.Stage+1)
 	}
 	return d
 }
@@ -110,16 +103,18 @@ func (s *Schedule) PeerDevice(d int, in Instr) int {
 // MatchKey returns the key of the instruction on the other side of a
 // communication pair: SA(m,s) ↔ RA(m,s+1) and SG(m,s) ↔ RG(m,s-1).
 // It panics for non-communication instructions.
-func (s *Schedule) MatchKey(in Instr) Key {
+func (s *Schedule) MatchKey(in Instr) Key { return matchKey(s.Placement, in) }
+
+func matchKey(pl Placement, in Instr) Key {
 	switch in.Kind {
 	case SendAct:
-		return Key{Kind: RecvAct, Micro: in.Micro, Part: partOfStage(s, in.Part, in.Stage+1), Stage: in.Stage + 1}
+		return Key{Kind: RecvAct, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage+1), Stage: in.Stage + 1}
 	case RecvAct:
-		return Key{Kind: SendAct, Micro: in.Micro, Part: partOfStage(s, in.Part, in.Stage-1), Stage: in.Stage - 1}
+		return Key{Kind: SendAct, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage-1), Stage: in.Stage - 1}
 	case SendGrad:
-		return Key{Kind: RecvGrad, Micro: in.Micro, Part: partOfStage(s, in.Part, in.Stage-1), Stage: in.Stage - 1}
+		return Key{Kind: RecvGrad, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage-1), Stage: in.Stage - 1}
 	case RecvGrad:
-		return Key{Kind: SendGrad, Micro: in.Micro, Part: partOfStage(s, in.Part, in.Stage+1), Stage: in.Stage + 1}
+		return Key{Kind: SendGrad, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage+1), Stage: in.Stage + 1}
 	}
 	panic("pipeline: MatchKey on non-communication instruction " + in.String())
 }

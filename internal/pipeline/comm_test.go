@@ -3,7 +3,6 @@ package pipeline
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // buildSkeleton1F1B makes a tiny compute-only schedule for InsertComm tests.
@@ -101,28 +100,6 @@ func TestMatchKeyPanicsOnCompute(t *testing.T) {
 		}
 	}()
 	s.MatchKey(Instr{Kind: Forward})
-}
-
-// TestPackUniqueness: distinct keys in realistic ranges pack to distinct
-// integers.
-func TestPackUniqueness(t *testing.T) {
-	f := func(m1, m2 uint16, s1, s2 uint8, k1, k2 uint8) bool {
-		a := Key{Kind: Kind(k1 % uint8(numKinds)), Micro: int(m1), Part: int(s1 % 4), Stage: int(s2)}
-		b := Key{Kind: Kind(k2 % uint8(numKinds)), Micro: int(m2), Part: int(s2 % 4), Stage: int(s1)}
-		if a == b {
-			return a.Pack() == b.Pack()
-		}
-		return a.Pack() != b.Pack()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	// NoMicro packs distinctly from micro 0.
-	a := Key{Kind: AllReduce, Micro: NoMicro}
-	b := Key{Kind: AllReduce, Micro: 0}
-	if a.Pack() == b.Pack() {
-		t.Error("NoMicro collides with micro 0")
-	}
 }
 
 // TestScheduleString renders device rows.

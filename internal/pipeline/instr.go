@@ -155,14 +155,3 @@ type Key struct {
 func (in Instr) Key() Key {
 	return Key{Kind: in.Kind, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
 }
-
-// Pack encodes the key into a single integer so hot paths can index
-// instructions without hashing a struct. Micro is offset by one so NoMicro
-// packs cleanly; fields beyond the generous bit budgets (16M micros, 255
-// parts, 64K stages) would alias, far outside any realistic schedule.
-func (k Key) Pack() uint64 {
-	return uint64(k.Kind)<<56 |
-		(uint64(uint32(k.Micro+1))&0xFFFFFF)<<32 |
-		uint64(uint8(k.Part))<<16 |
-		uint64(uint16(k.Stage))
-}

@@ -79,10 +79,11 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	}
 	// The bytes may be anyone's: the declared shape is checked against what
 	// the body actually holds before anything is sized from it. The placement
-	// constructors panic on shapes no generator produces, and Validate sizes
-	// its scratch by micros × stages — of which a valid schedule has at least
-	// one forward each, so a body declaring more cells than it has
-	// instructions is refused here, not allocated for.
+	// constructors panic on shapes no generator produces, and the resolved view
+	// and Validate's index are sized by stages and by micros × stages — of which
+	// a valid schedule has at least one forward each, so a body declaring more
+	// stages or more cells than it has instructions is refused here, not
+	// allocated for.
 	devices, chunks, instrs := in.Placement.Devices, 1, 0
 	for _, list := range in.Lists {
 		instrs += len(list)
@@ -90,20 +91,21 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	if devices <= 0 || devices != len(in.Lists) {
 		return fmt.Errorf("pipeline: placement declares %d devices, schedule has %d lists", devices, len(in.Lists))
 	}
+	var pl Placement
 	switch in.Placement.Type {
 	case "linear":
-		s.Placement = NewLinearPlacement(devices)
+		pl = NewLinearPlacement(devices)
 	case "bidir":
 		if devices%2 != 0 {
 			return fmt.Errorf("pipeline: bidirectional placement needs an even device count, got %d", devices)
 		}
-		s.Placement = NewBidirPlacement(devices)
+		pl = NewBidirPlacement(devices)
 	case "interleaved":
 		chunks = in.Placement.Chunks
-		if chunks <= 0 || chunks > instrs {
-			return fmt.Errorf("pipeline: interleaved placement declares %d chunks for %d instructions", chunks, instrs)
+		if chunks <= 0 || chunks > instrs/devices {
+			return fmt.Errorf("pipeline: interleaved placement declares %d chunks × %d devices for %d instructions", chunks, devices, instrs)
 		}
-		s.Placement = NewInterleavedPlacement(devices, chunks)
+		pl = NewInterleavedPlacement(devices, chunks)
 	default:
 		return fmt.Errorf("pipeline: unknown placement type %q", in.Placement.Type)
 	}
@@ -111,20 +113,19 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("pipeline: schedule declares %d micro-batches × %d stages, more cells than its %d instructions",
 			in.Micros, devices*chunks, instrs)
 	}
-	s.Scheme = Scheme(in.Scheme)
-	s.Micros = in.Micros
-	s.Checkpointed = in.Checkpointed
-	s.Lists = make([][]Instr, len(in.Lists))
+	lists := make([][]Instr, len(in.Lists))
 	for d, list := range in.Lists {
-		s.Lists[d] = make([]Instr, len(list))
+		lists[d] = make([]Instr, len(list))
 		for i, ij := range list {
 			k, ok := kindByName[ij.Kind]
 			if !ok {
 				return fmt.Errorf("pipeline: unknown instruction kind %q", ij.Kind)
 			}
-			s.Lists[d][i] = Instr{Kind: k, Micro: ij.Micro, Part: ij.Part, Stage: ij.Stage, Buffered: ij.Buf}
+			lists[d][i] = Instr{Kind: k, Micro: ij.Micro, Part: ij.Part, Stage: ij.Stage, Buffered: ij.Buf}
 		}
 	}
+	*s = *NewSchedule(Scheme(in.Scheme), Resolve(pl, in.Micros), lists)
+	s.Checkpointed = in.Checkpointed
 	if err := Validate(s); err != nil {
 		return fmt.Errorf("pipeline: decoded schedule invalid: %w", err)
 	}

@@ -82,11 +82,34 @@ type Schedule struct {
 	// Checkpointed records whether the apply-checkpoint pass has run.
 	Checkpointed bool
 
+	// res is the resolved view of Placement and Micros, filled where the
+	// schedule is constructed and shared by its clones; see Resolved.
+	res *Resolved
+
 	// shared, when non-nil, marks Lists[d] as aliased with at least one
 	// other schedule (set by Clone on both the child and the receiver).
 	// MutableList copies such a list before returning it; nil means this
 	// schedule solely owns every list and may edit them in place.
 	shared []bool
+}
+
+// NewSchedule returns a schedule over r's placement and micro-batch count that
+// carries r as its resolved view. Every schedule the program builds or decodes
+// is made here, so the view exists before the schedule can be frozen and shared
+// between goroutines.
+func NewSchedule(scheme Scheme, r *Resolved, lists [][]Instr) *Schedule {
+	return &Schedule{Scheme: scheme, Placement: r.pl, Micros: r.micros, Lists: lists, res: r}
+}
+
+// Resolved returns the resolved view of the schedule's placement. A schedule
+// assembled field by field (tests do) has none, and one whose Placement or
+// Micros was reassigned has a stale one: both get a fresh resolution, which is
+// not stored — Resolved never writes to the schedule.
+func (s *Schedule) Resolved() *Resolved {
+	if s.res.Resolves(s.Placement, s.Micros) {
+		return s.res
+	}
+	return Resolve(s.Placement, s.Micros)
 }
 
 // NumDevices returns the device count.

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrInvalidSchedule wraps all validation failures so callers can test with
@@ -14,186 +13,30 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalidSchedule, fmt.Sprintf(format, args...))
 }
 
-// valScratch is the reusable lookup state behind Validate. Keys are dense in
-// (kind, part, micro+1, stage) — micro is offset by one so NoMicro packs at
-// zero — so position and device lookups are flat-array reads instead of map
-// operations on this per-candidate hot path. Entries are valid only when
-// their generation tag matches the current pass, which makes clearing between
-// devices (and between pooled uses) a single counter increment. Coordinates
-// outside the schedule's box fall back to a tiny overflow map with identical
-// semantics.
-type valScratch struct {
-	parts, micros, stages int
-	val                   []int32
-	gen                   []uint32
-	cur                   uint32
-	overflow              map[uint64]int32
-
-	// cov is the per-(micro, stage) coverage counter array, kept here so the
-	// hot per-candidate path does not reallocate it every call.
-	cov []covCell
-	// comm collects the coordinates of communication instructions during the
-	// main walk, so the final matching phase only revisits those instead of
-	// re-scanning every list.
-	comm []commPos
-	// devTab and peerTab cache the placement's Device and PeerDevice answers
-	// per (part, stage) and (comm kind, part, stage) — placement walks are
-	// interface calls, and every instruction of every device needs one.
-	devTab  []int32
-	peerTab []int32
+// validator is the lookup state of one Validate call: one dense index over
+// the schedule's key box (Resolved.Slot), holding for every key 1 + the global
+// position of the instruction registered under it — the instructions of
+// earlier devices counted first — and zero for none. Positions only grow from
+// device to device, so while device d is walked an entry at or below starts[d]
+// belongs to an earlier device and reads as absent: the per-device order
+// checks need no clearing between devices, and once every device is walked the
+// same index answers the global questions (coverage, communication matching).
+type validator struct {
+	s   *Schedule
+	r   *Resolved
+	pos []int32
+	// starts[d] is the number of instructions on the devices before d.
+	starts []int32
 }
 
-type covCell struct{ fw, bw, bi, wg, rc int32 }
-
-// commPos addresses one communication instruction: device and list index.
-type commPos struct{ d, i int32 }
-
-var valPool = sync.Pool{New: func() any { return new(valScratch) }}
-
-// reset sizes the scratch for a schedule's coordinate box and invalidates
-// every entry.
-func (v *valScratch) reset(parts, micros, stages int) {
-	v.parts, v.micros, v.stages = parts, micros, stages
-	n := int(numKinds) * parts * (micros + 1) * stages
-	if cap(v.val) < n {
-		v.val = make([]int32, n)
-		v.gen = make([]uint32, n)
-		v.cur = 0
+// at looks up, among the instructions of the device whose instructions start
+// at global position base, the one of kind k at in's (micro, part, stage),
+// returning its list index.
+func (v *validator) at(base int32, k Kind, in Instr) (int32, bool) {
+	if slot := v.r.Slot(Key{Kind: k, Micro: in.Micro, Part: in.Part, Stage: in.Stage}); slot >= 0 && v.pos[slot] > base {
+		return v.pos[slot] - base - 1, true
 	}
-	v.val = v.val[:n]
-	v.gen = v.gen[:n]
-	np := parts * stages
-	if cap(v.devTab) < np {
-		v.devTab = make([]int32, np)
-	}
-	v.devTab = v.devTab[:np]
-	for i := range v.devTab {
-		v.devTab[i] = -2
-	}
-	if cap(v.peerTab) < 4*np {
-		v.peerTab = make([]int32, 4*np)
-	}
-	v.peerTab = v.peerTab[:4*np]
-	for i := range v.peerTab {
-		v.peerTab[i] = -2
-	}
-	v.bump()
-}
-
-// deviceOf is Placement.Device through the scratch's (part, stage) cache;
-// coordinates outside the box fall back to the direct call.
-func (v *valScratch) deviceOf(s *Schedule, part, stage int) int {
-	if part < 0 || part >= v.parts || stage < 0 || stage >= v.stages {
-		return s.Placement.Device(part, stage)
-	}
-	c := part*v.stages + stage
-	d := v.devTab[c]
-	if d == -2 {
-		d = int32(s.Placement.Device(part, stage))
-		v.devTab[c] = d
-	}
-	return int(d)
-}
-
-// peerOf is PeerDevice through the scratch's (kind, part, stage) cache —
-// valid because a communication instruction's peer is placement-determined
-// and independent of the device it sits on.
-func (v *valScratch) peerOf(s *Schedule, d int, in Instr) int {
-	if in.Part < 0 || in.Part >= v.parts || in.Stage < 0 || in.Stage >= v.stages {
-		return s.PeerDevice(d, in)
-	}
-	var k int
-	switch in.Kind {
-	case SendAct:
-		k = 0
-	case RecvAct:
-		k = 1
-	case SendGrad:
-		k = 2
-	default:
-		k = 3
-	}
-	c := (k*v.parts+in.Part)*v.stages + in.Stage
-	p := v.peerTab[c]
-	if p == -2 {
-		p = int32(s.PeerDevice(d, in))
-		v.peerTab[c] = p
-	}
-	return int(p)
-}
-
-// bump starts a new pass: all previous entries become invalid.
-func (v *valScratch) bump() {
-	v.cur++
-	if v.cur == 0 { // generation counter wrapped: hard-clear the tags
-		for i := range v.gen {
-			v.gen[i] = 0
-		}
-		v.cur = 1
-	}
-	if len(v.overflow) > 0 {
-		clear(v.overflow)
-	}
-}
-
-// slot returns the dense index of a key, or -1 when a coordinate falls
-// outside the schedule's box (the caller then uses the overflow map).
-func (v *valScratch) slot(k Key) int {
-	m := k.Micro + 1
-	if int(k.Kind) >= int(numKinds) || m < 0 || m > v.micros ||
-		k.Part < 0 || k.Part >= v.parts || k.Stage < 0 || k.Stage >= v.stages {
-		return -1
-	}
-	return ((int(k.Kind)*v.parts+k.Part)*(v.micros+1)+m)*v.stages + k.Stage
-}
-
-// put records key → value for the current pass and reports whether the key
-// was already present.
-func (v *valScratch) put(k Key, val int32) (dup bool) {
-	if s := v.slot(k); s >= 0 {
-		if v.gen[s] == v.cur {
-			return true
-		}
-		v.gen[s] = v.cur
-		v.val[s] = val
-		return false
-	}
-	if v.overflow == nil {
-		v.overflow = make(map[uint64]int32)
-	}
-	p := k.Pack()
-	if _, dup := v.overflow[p]; dup {
-		return true
-	}
-	v.overflow[p] = val
-	return false
-}
-
-// set records key → value for the current pass, overwriting any earlier
-// entry (the comm index keeps the last registration, like the map it
-// replaced).
-func (v *valScratch) set(k Key, val int32) {
-	if s := v.slot(k); s >= 0 {
-		v.gen[s] = v.cur
-		v.val[s] = val
-		return
-	}
-	if v.overflow == nil {
-		v.overflow = make(map[uint64]int32)
-	}
-	v.overflow[k.Pack()] = val
-}
-
-// get looks up a key recorded in the current pass.
-func (v *valScratch) get(k Key) (int32, bool) {
-	if s := v.slot(k); s >= 0 {
-		if v.gen[s] != v.cur {
-			return 0, false
-		}
-		return v.val[s], true
-	}
-	val, ok := v.overflow[k.Pack()]
-	return val, ok
+	return 0, false
 }
 
 // Validate checks the structural invariants every executable schedule must
@@ -216,40 +59,25 @@ func Validate(s *Schedule) error {
 	if len(s.Lists) != s.NumDevices() {
 		return invalidf("have %d lists for %d devices", len(s.Lists), s.NumDevices())
 	}
-	v := valPool.Get().(*valScratch)
-	defer valPool.Put(v)
-	v.reset(s.Placement.NumParts(), s.Micros, s.NumStages())
-	if err := validateDevices(s, v); err != nil {
+	r := s.Resolved()
+	v := validator{s: s, r: r, pos: make([]int32, r.Slots()), starts: make([]int32, len(s.Lists)+1)}
+	if err := v.devices(); err != nil {
 		return err
 	}
-	if err := validateCoverageCounts(s, v); err != nil {
+	if err := v.coverage(); err != nil {
 		return err
 	}
-	return validateCommMatching(s, v)
+	return v.commMatching()
 }
 
-// validateDevices runs the per-device work in two fused walks per list: the
-// first records key positions while checking ranges, placement, and
-// duplicates and accumulating the coverage counters and the comm-instruction
-// index; the second checks intra-device ordering against the recorded
-// positions. Fusing the walks keeps Validate at two passes over each list —
-// it sits on graph.Optimize's per-call path, so list walks dominate its cost.
-func validateDevices(s *Schedule, pos *valScratch) error {
-	S := s.NumStages()
-	n := s.Micros * S
-	if cap(pos.cov) < n {
-		pos.cov = make([]covCell, n)
-	}
-	seen := pos.cov[:n]
-	for i := range seen {
-		seen[i] = covCell{}
-	}
-	pos.comm = pos.comm[:0]
+// devices runs the per-device work in two walks per list: the first registers
+// key positions while checking ranges, placement and duplicates; the second
+// checks intra-device ordering against the registered positions.
+func (v *validator) devices() error {
+	s, S := v.s, v.s.NumStages()
 	for d, list := range s.Lists {
-		// pos maps each key to its list index for intra-device order checks;
-		// starting a new generation invalidates the previous device's
-		// entries without touching memory.
-		pos.bump()
+		base := v.starts[d]
+		v.starts[d+1] = base + int32(len(list))
 		for i, in := range list {
 			if in.Micro != NoMicro {
 				if in.Micro < 0 || in.Micro >= s.Micros {
@@ -258,62 +86,54 @@ func validateDevices(s *Schedule, pos *valScratch) error {
 				if in.Stage < 0 || in.Stage >= S {
 					return invalidf("dev%d: %s has stage out of range [0,%d)", d, in, S)
 				}
-				if got := pos.deviceOf(s, in.Part, in.Stage); got != d {
+			}
+			slot := v.r.Slot(in.Key())
+			if slot < 0 {
+				return invalidf("dev%d: %s names a partition or stage the placement does not have", d, in)
+			}
+			if in.Micro != NoMicro {
+				if got := v.r.Device(in.Part, in.Stage); got != d {
 					return invalidf("dev%d: %s belongs on dev%d per placement", d, in, got)
 				}
-				switch in.Kind {
-				case Forward, CkptForward:
-					seen[in.Micro*S+in.Stage].fw++
-				case Backward:
-					seen[in.Micro*S+in.Stage].bw++
-				case BackwardInput:
-					seen[in.Micro*S+in.Stage].bi++
-				case BackwardWeight:
-					seen[in.Micro*S+in.Stage].wg++
-				case Recompute:
-					seen[in.Micro*S+in.Stage].rc++
-				}
 			}
-			if pos.put(in.Key(), int32(i)) {
+			if v.pos[slot] > base {
 				return invalidf("dev%d: duplicate instruction %s", d, in)
 			}
-			if in.Kind.IsComm() {
-				pos.comm = append(pos.comm, commPos{d: int32(d), i: int32(i)})
-			}
+			v.pos[slot] = base + int32(i) + 1
 		}
 		for i32, in := range list {
 			i := int32(i32)
 			switch in.Kind {
 			case SendAct:
 				if !in.Buffered {
-					if j, ok := findForward(pos, in.Micro, in.Part, in.Stage); !ok || j > i {
+					if j, ok := v.forward(base, in); !ok || j > i {
 						return invalidf("dev%d: %s not preceded by its forward", d, in)
 					}
 				} else {
 					// A buffered SA reads a staging buffer written by a
 					// preposed CFW; the CFW must still precede it.
-					if j, ok := pos.get(Key{Kind: CkptForward, Micro: in.Micro, Part: in.Part, Stage: in.Stage}); !ok || j > i {
+					if j, ok := v.at(base, CkptForward, in); !ok || j > i {
 						return invalidf("dev%d: buffered %s not preceded by its CFW", d, in)
 					}
 				}
 			case RecvAct:
-				if j, ok := findForward(pos, in.Micro, in.Part, in.Stage); !ok || j < i {
+				if j, ok := v.forward(base, in); !ok || j < i {
 					return invalidf("dev%d: %s not followed by its forward", d, in)
 				}
 			case RecvGrad:
-				if j, ok := findBackwardAnchor(pos, in.Micro, in.Part, in.Stage); !ok || j < i {
+				if j, ok := v.backwardAnchor(base, in); !ok || j < i {
 					return invalidf("dev%d: %s not followed by its backward", d, in)
 				}
 			case SendGrad:
-				if j, ok := findBackwardAnchor(pos, in.Micro, in.Part, in.Stage); !ok || j > i {
+				if j, ok := v.backwardAnchor(base, in); !ok || j > i {
 					return invalidf("dev%d: %s not preceded by its backward", d, in)
 				}
 			case BackwardWeight:
-				if j, ok := pos.get(Key{Kind: BackwardInput, Micro: in.Micro, Part: in.Part, Stage: in.Stage}); !ok || j > i {
+				if j, ok := v.at(base, BackwardInput, in); !ok || j > i {
 					return invalidf("dev%d: %s not preceded by its input-gradient half", d, in)
 				}
 			case Backward, BackwardInput:
-				j, ok := findForward(pos, in.Micro, in.Part, in.Stage)
+				j, ok := v.forward(base, in)
 				if !ok || j > i {
 					return invalidf("dev%d: %s not preceded by its forward", d, in)
 				}
@@ -321,7 +141,7 @@ func validateDevices(s *Schedule, pos *valScratch) error {
 				// backward (after remove-redundancy the forward is reverted
 				// to a plain FW, so this stays an iff).
 				ckpt := list[j].Kind == CkptForward
-				r, hasRC := pos.get(Key{Kind: Recompute, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
+				r, hasRC := v.at(base, Recompute, in)
 				if ckpt && (!hasRC || r < j || r > i) {
 					return invalidf("dev%d: %s checkpointed but recompute missing or misplaced", d, in)
 				}
@@ -334,63 +154,83 @@ func validateDevices(s *Schedule, pos *valScratch) error {
 	return nil
 }
 
-// findForward locates the Forward or CkptForward for (m, part, stage).
-func findForward(pos *valScratch, m, part, stage int) (int32, bool) {
-	if j, ok := pos.get(Key{Kind: Forward, Micro: m, Part: part, Stage: stage}); ok {
+// forward locates, on the device starting at base, the Forward or CkptForward
+// of in's (micro, part, stage).
+func (v *validator) forward(base int32, in Instr) (int32, bool) {
+	if j, ok := v.at(base, Forward, in); ok {
 		return j, true
 	}
-	return pos.get(Key{Kind: CkptForward, Micro: m, Part: part, Stage: stage})
+	return v.at(base, CkptForward, in)
 }
 
-// findBackwardAnchor locates the Backward, or its input-gradient half when
-// split, for (m, part, stage) — the instruction gradient communication
+// backwardAnchor locates the Backward, or its input-gradient half when split,
+// of in's (micro, part, stage) — the instruction gradient communication
 // anchors to.
-func findBackwardAnchor(pos *valScratch, m, part, stage int) (int32, bool) {
-	if j, ok := pos.get(Key{Kind: Backward, Micro: m, Part: part, Stage: stage}); ok {
+func (v *validator) backwardAnchor(base int32, in Instr) (int32, bool) {
+	if j, ok := v.at(base, Backward, in); ok {
 		return j, true
 	}
-	return pos.get(Key{Kind: BackwardInput, Micro: m, Part: part, Stage: stage})
+	return v.at(base, BackwardInput, in)
 }
 
-// validateCoverageCounts checks the counters accumulated by validateDevices:
-// exactly one forward and one (whole or split) backward per (micro, stage),
-// at most one recompute.
-func validateCoverageCounts(s *Schedule, v *valScratch) error {
-	S := s.NumStages()
-	for i, c := range v.cov[:s.Micros*S] {
-		m, st := i/S, i%S
-		if c.fw != 1 {
-			return invalidf("micro %d stage %d: %d forward instructions, want 1", m, st, c.fw)
+// count returns how many instructions of the kind the schedule holds for
+// (micro, stage), over every partition. The placement check pins a key to one
+// device and the duplicate check to one position there, so a registered key is
+// exactly one instruction.
+func (v *validator) count(k Kind, m, st int) (n int) {
+	for row := 0; row < v.r.rows; row++ {
+		if v.pos[v.r.Slot(Key{Kind: k, Micro: m, Part: v.r.partOfRow(row, st), Stage: st})] != 0 {
+			n++
 		}
-		whole := c.bw == 1 && c.bi == 0 && c.wg == 0
-		split := c.bw == 0 && c.bi == 1 && c.wg == 1
-		if !whole && !split {
-			return invalidf("micro %d stage %d: backward counts BW=%d BI=%d WG=%d, want one BW or one BI+WG pair",
-				m, st, c.bw, c.bi, c.wg)
-		}
-		if c.rc > 1 {
-			return invalidf("micro %d stage %d: %d recomputes, want at most 1", m, st, c.rc)
+	}
+	return n
+}
+
+// coverage reads the finished index: exactly one forward and one (whole or
+// split) backward per (micro, stage), at most one recompute.
+func (v *validator) coverage() error {
+	for m := 0; m < v.s.Micros; m++ {
+		for st := 0; st < v.r.stages; st++ {
+			if fw := v.count(Forward, m, st) + v.count(CkptForward, m, st); fw != 1 {
+				return invalidf("micro %d stage %d: %d forward instructions, want 1", m, st, fw)
+			}
+			bw, bi, wg := v.count(Backward, m, st), v.count(BackwardInput, m, st), v.count(BackwardWeight, m, st)
+			whole := bw == 1 && bi == 0 && wg == 0
+			split := bw == 0 && bi == 1 && wg == 1
+			if !whole && !split {
+				return invalidf("micro %d stage %d: backward counts BW=%d BI=%d WG=%d, want one BW or one BI+WG pair",
+					m, st, bw, bi, wg)
+			}
+			if rc := v.count(Recompute, m, st); rc > 1 {
+				return invalidf("micro %d stage %d: %d recomputes, want at most 1", m, st, rc)
+			}
 		}
 	}
 	return nil
 }
 
-func validateCommMatching(s *Schedule, idx *valScratch) error {
-	// A dense index of the communication instructions, valued by device,
-	// visiting only the coordinates validateDevices collected.
-	idx.bump()
-	for _, c := range idx.comm {
-		idx.set(s.Lists[c.d][c.i].Key(), c.d)
-	}
-	for _, c := range idx.comm {
-		d, in := int(c.d), s.Lists[c.d][c.i]
-		mk := s.MatchKey(in)
-		dev, ok := idx.get(mk)
-		if !ok {
-			return invalidf("dev%d: %s has no matching %s", d, in, mk.Kind)
-		}
-		if peer := idx.peerOf(s, d, in); int(dev) != peer {
-			return invalidf("dev%d: %s matches on dev%d, want dev%d", d, in, dev, peer)
+// commMatching checks that every communication instruction's counterpart
+// exists and sits on the device the placement puts the other end on.
+func (v *validator) commMatching() error {
+	for d, list := range v.s.Lists {
+		for _, in := range list {
+			if !in.Kind.IsComm() {
+				continue
+			}
+			mk := matchKey(v.s.Placement, in)
+			slot := v.r.Slot(mk)
+			if slot < 0 || v.pos[slot] == 0 {
+				return invalidf("dev%d: %s has no matching %s", d, in, mk.Kind)
+			}
+			at := v.pos[slot] - 1
+			peer := v.r.Peer(d, in)
+			if peer < 0 || peer >= len(v.s.Lists) || at < v.starts[peer] || at >= v.starts[peer+1] {
+				dev := 0
+				for v.starts[dev+1] <= at {
+					dev++
+				}
+				return invalidf("dev%d: %s matches on dev%d, want dev%d", d, in, dev, peer)
+			}
 		}
 	}
 	return nil

@@ -38,13 +38,6 @@ func BuildCustom(cfg CustomConfig) (*pipeline.Schedule, error) {
 	if len(cfg.Parts) == 0 {
 		return nil, fmt.Errorf("scheme: custom config needs at least one micro-batch")
 	}
-	fw, bw := cfg.FwTime, cfg.BwTime
-	if fw <= 0 {
-		fw = 1
-	}
-	if bw <= 0 {
-		bw = 2
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "Custom"
@@ -56,12 +49,8 @@ func BuildCustom(cfg CustomConfig) (*pipeline.Schedule, error) {
 		}
 		micros[m] = microAssign{micro: m, part: p}
 	}
-	s := &pipeline.Schedule{
-		Scheme:    name,
-		Placement: cfg.Placement,
-		Micros:    len(cfg.Parts),
-		Lists:     greedySchedule(cfg.Placement, micros, fw, bw),
-	}
+	r := pipeline.Resolve(cfg.Placement, len(cfg.Parts))
+	s := pipeline.NewSchedule(name, r, greedySchedule(r, micros, unitTimes{fw: cfg.FwTime, bw: cfg.BwTime}, false))
 	pipeline.InsertComm(s)
 	if err := pipeline.Validate(s); err != nil {
 		return nil, fmt.Errorf("scheme: custom schedule invalid: %w", err)

@@ -22,7 +22,7 @@ type generator struct {
 	// rides (ignored on interleaved placements, where the partition follows
 	// the stage).
 	layout func(Config) (pipeline.Placement, []int)
-	order  func(cfg Config, pl pipeline.Placement, parts []int) [][]pipeline.Instr
+	order  func(cfg Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr
 }
 
 var generators = map[pipeline.Scheme]generator{
@@ -70,16 +70,13 @@ func layoutLinear(cfg Config) (pipeline.Placement, []int) {
 // drain bubbles, while the injection window keeps stage s's in-flight
 // micro-batches at S-s — activation memory stays at 1F1B's level and only the
 // weight-gradient stashes are held longer.
-func orderGreedy(split bool) func(Config, pipeline.Placement, []int) [][]pipeline.Instr {
-	return func(_ Config, pl pipeline.Placement, parts []int) [][]pipeline.Instr {
+func orderGreedy(split bool) func(Config, *pipeline.Resolved, []int) [][]pipeline.Instr {
+	return func(_ Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr {
 		micros := make([]microAssign, len(parts))
 		for m, p := range parts {
 			micros[m] = microAssign{micro: m, part: p}
 		}
-		if split {
-			return greedyScheduleSplit(pl, micros, unitTimes{})
-		}
-		return greedySchedule(pl, micros, 1, 2)
+		return greedySchedule(r, micros, unitTimes{}, split)
 	}
 }
 

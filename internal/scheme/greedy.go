@@ -67,10 +67,12 @@ func (t unitTimes) dur(k pipeline.Kind) float64 {
 // all compose their schedules this way; the closed-form emitters (GPipe,
 // 1F1B, Interleave) bypass it because their exact shapes are pinned by tests.
 type depGraph struct {
-	pl    pipeline.Placement
+	r     *pipeline.Resolved
 	times unitTimes
 	units []unit
-	index map[pipeline.Key]int
+	// index maps a unit's key, by its slot in the placement's key box, to its
+	// position in units.
+	index []int32
 	deps  []dep // in addDep order, which schedule() keeps per predecessor
 }
 
@@ -79,28 +81,28 @@ type depGraph struct {
 // per stage, a forward and a backward unit (three units when the backward is
 // split) and at most four edges (five when split) — forward→backward, the
 // two cross-stage chains, one injection window, and BI→W.
-func newDepGraph(pl pipeline.Placement, times unitTimes, micros int, split bool) *depGraph {
-	perStage := micros * pl.NumStages()
+func newDepGraph(r *pipeline.Resolved, times unitTimes, micros int, split bool) *depGraph {
+	perStage := micros * r.Placement().NumStages()
 	units, deps := 2*perStage, 4*perStage
 	if split {
 		units, deps = 3*perStage, 5*perStage
 	}
-	return &depGraph{pl: pl, times: times.withDefaults(),
-		units: make([]unit, 0, units), index: make(map[pipeline.Key]int, units), deps: make([]dep, 0, deps)}
+	return &depGraph{r: r, times: times.withDefaults(),
+		units: make([]unit, 0, units), index: make([]int32, r.Slots()), deps: make([]dep, 0, deps)}
 }
 
 // addUnit registers one compute unit at its placement-assigned device.
 func (g *depGraph) addUnit(k pipeline.Kind, micro, part, stage int) {
-	u := unit{kind: k, micro: micro, part: part, stage: stage, dev: g.pl.Device(part, stage)}
-	g.index[pipeline.Key{Kind: k, Micro: micro, Part: part, Stage: stage}] = len(g.units)
+	u := unit{kind: k, micro: micro, part: part, stage: stage, dev: g.r.Device(part, stage)}
+	g.index[g.r.Slot(pipeline.Key{Kind: k, Micro: micro, Part: part, Stage: stage})] = int32(len(g.units))
 	g.units = append(g.units, u)
 }
 
 // addDep records that the unit keyed by `to` may not start before the unit
 // keyed by `from` has finished. Both units must already be registered.
 func (g *depGraph) addDep(from, to pipeline.Key) {
-	f, t := g.index[from], g.index[to]
-	g.deps = append(g.deps, dep{int32(f), int32(t)})
+	f, t := g.index[g.r.Slot(from)], g.index[g.r.Slot(to)]
+	g.deps = append(g.deps, dep{f, t})
 	g.units[t].waiting++
 }
 
@@ -143,10 +145,10 @@ func bwAnchor(split bool) pipeline.Kind {
 // cross-stage critical path), and the weight-gradient half depends only on
 // its BI, which frees the scheduler to sink it into pipeline bubbles.
 func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
-	S := g.pl.NumStages()
+	S := g.r.Placement().NumStages()
 	anchor := bwAnchor(split)
 	for s := 0; s < S; s++ {
-		part := ma.partAt(g.pl, s)
+		part := g.r.PartAt(ma.part, s)
 		g.addUnit(pipeline.Forward, ma.micro, part, s)
 		g.addUnit(anchor, ma.micro, part, s)
 		if split {
@@ -154,7 +156,7 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 		}
 	}
 	for s := 0; s < S; s++ {
-		part := ma.partAt(g.pl, s)
+		part := g.r.PartAt(ma.part, s)
 		fw := pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: part, Stage: s}
 		bw := pipeline.Key{Kind: anchor, Micro: ma.micro, Part: part, Stage: s}
 		g.addDep(fw, bw)
@@ -162,9 +164,9 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 			g.addDep(bw, pipeline.Key{Kind: pipeline.BackwardWeight, Micro: ma.micro, Part: part, Stage: s})
 		}
 		if s > 0 {
-			prev := pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: ma.partAt(g.pl, s-1), Stage: s - 1}
+			prev := pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: g.r.PartAt(ma.part, s-1), Stage: s - 1}
 			g.addDep(prev, fw)
-			prevBW := pipeline.Key{Kind: anchor, Micro: ma.micro, Part: ma.partAt(g.pl, s-1), Stage: s - 1}
+			prevBW := pipeline.Key{Kind: anchor, Micro: ma.micro, Part: g.r.PartAt(ma.part, s-1), Stage: s - 1}
 			g.addDep(bw, prevBW)
 		}
 	}
@@ -181,7 +183,7 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 // activations than 1F1B (the deferred W units retain only weight-gradient
 // stashes).
 func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
-	S := g.pl.NumStages()
+	S := g.r.Placement().NumStages()
 	anchor := bwAnchor(split)
 	byPart := map[int][]microAssign{}
 	for _, ma := range micros {
@@ -190,14 +192,14 @@ func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
 	for _, seq := range byPart {
 		for k, ma := range seq {
 			for s := 0; s < S; s++ {
-				part := ma.partAt(g.pl, s)
+				part := g.r.PartAt(ma.part, s)
 				w := S - s
 				if k-w < 0 {
 					continue
 				}
 				prev := seq[k-w]
 				g.addDep(
-					pipeline.Key{Kind: anchor, Micro: prev.micro, Part: prev.partAt(g.pl, s), Stage: s},
+					pipeline.Key{Kind: anchor, Micro: prev.micro, Part: g.r.PartAt(prev.part, s), Stage: s},
 					pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: part, Stage: s},
 				)
 			}
@@ -215,8 +217,9 @@ func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
 func (g *depGraph) schedule() [][]pipeline.Instr {
 	const commEps = 1e-3
 	units := g.units
-	devFree := make([]float64, g.pl.NumDevices())
-	lists := make([][]pipeline.Instr, g.pl.NumDevices())
+	D := g.r.Placement().NumDevices()
+	devFree := make([]float64, D)
+	lists := make([][]pipeline.Instr, D)
 	off, succ := g.successors()
 	rq := &readyQueue{units: units, idx: make([]int32, 0, len(units))}
 	for i := range units {
@@ -252,48 +255,30 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 	return lists
 }
 
-// greedySchedule performs deterministic earliest-start list scheduling of
-// fused forward/backward units onto devices. It is the convenience entry for
-// fused-backward shapes: Chimera's two mirrored 1F1B pipelines (the paper
-// picks its Chimera schedule from the released chimera_pipeline_rank.py; the
-// greedy merge reproduces its bidirectional bubble-overlap structure) and
-// BuildCustom's user-defined pipelines (§5.2, "Visualization").
-func greedySchedule(pl pipeline.Placement, micros []microAssign, fwTime, bwTime float64) [][]pipeline.Instr {
-	g := newDepGraph(pl, unitTimes{fw: fwTime, bw: bwTime}, len(micros), false)
+// greedySchedule composes the dependency graph every list-scheduled shape
+// shares — per-micro-batch units, virtual-pipeline chains, 1F1B injection
+// windows — and runs the scheduler over it. Fused (split=false) it is Chimera's
+// two mirrored 1F1B pipelines (the paper picks its Chimera schedule from the
+// released chimera_pipeline_rank.py; the greedy merge reproduces its
+// bidirectional bubble-overlap structure) and BuildCustom's user-defined
+// pipelines (§5.2, "Visualization"). Split, every backward is emitted as a
+// BackwardInput/BackwardWeight pair, the injection windows anchor on the
+// input-gradient half, and the scheduler fills device idle gaps with deferred
+// weight-gradient units (Zero Bubble's central scheduling move).
+func greedySchedule(r *pipeline.Resolved, micros []microAssign, times unitTimes, split bool) [][]pipeline.Instr {
+	g := newDepGraph(r, times, len(micros), split)
 	for _, ma := range micros {
-		g.addMicroUnits(ma, false)
+		g.addMicroUnits(ma, split)
 	}
-	g.addInjectionWindows(micros, false)
-	return g.schedule()
-}
-
-// greedyScheduleSplit is the split-backward variant of greedySchedule: every
-// micro-batch's backward is emitted as a BackwardInput/BackwardWeight pair,
-// the injection windows anchor on the input-gradient half, and the scheduler
-// fills device idle gaps with deferred weight-gradient units (Zero Bubble's
-// central scheduling move).
-func greedyScheduleSplit(pl pipeline.Placement, micros []microAssign, times unitTimes) [][]pipeline.Instr {
-	g := newDepGraph(pl, times, len(micros), true)
-	for _, ma := range micros {
-		g.addMicroUnits(ma, true)
-	}
-	g.addInjectionWindows(micros, true)
+	g.addInjectionWindows(micros, split)
 	return g.schedule()
 }
 
 // microAssign assigns a micro-batch to a partition (pipeline direction or
-// chunk sequence).
+// chunk sequence); Resolved.PartAt says which partition it rides at a stage.
 type microAssign struct {
 	micro int
 	part  int // fixed partition for bidirectional schemes
-}
-
-// partAt resolves the partition id the micro-batch uses at the given stage.
-func (ma microAssign) partAt(pl pipeline.Placement, stage int) int {
-	if ip, ok := pl.(pipeline.InterleavedPlacement); ok {
-		return ip.PartOfStage(stage)
-	}
-	return ma.part
 }
 
 // readyQueue holds the indices of schedulable units. popBest selects the

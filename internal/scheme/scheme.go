@@ -54,12 +54,8 @@ func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
 		return nil, err
 	}
 	pl, parts := g.layout(cfg)
-	sched := &pipeline.Schedule{
-		Scheme:    s,
-		Placement: pl,
-		Micros:    cfg.Micros,
-		Lists:     g.order(cfg, pl, parts),
-	}
+	r := pipeline.Resolve(pl, cfg.Micros)
+	sched := pipeline.NewSchedule(s, r, g.order(cfg, r, parts))
 	pipeline.InsertComm(sched)
 	if err := pipeline.Validate(sched); err != nil {
 		return nil, fmt.Errorf("scheme: generated %s schedule is invalid: %w", s, err)
@@ -69,7 +65,7 @@ func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
 
 // orderGPipe emits all forwards followed by all backwards in reverse
 // micro-batch order (GPipe's fill-drain schedule).
-func orderGPipe(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
+func orderGPipe(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	lists := make([][]pipeline.Instr, cfg.Devices)
 	for dev := range lists {
 		list := make([]pipeline.Instr, 0, 2*cfg.Micros)
@@ -88,7 +84,7 @@ func orderGPipe(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
 // PipeDream-Flush: device d runs D-1-d warm-up forwards, then alternates
 // forward and backward in the steady phase, then drains the remaining
 // backwards.
-func order1F1B(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
+func order1F1B(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	d := cfg.Devices
 	n := cfg.Micros
 	lists := make([][]pipeline.Instr, d)
@@ -126,7 +122,7 @@ func layoutInterleave(cfg Config) (pipeline.Placement, []int) {
 // processes micro-batches in groups of D per chunk; forwards walk the chunks
 // in ascending order and backwards in descending order, interleaved 1F1B-style
 // after a warm-up of (D-1-d)*2 + (V-1)*D forward units.
-func orderInterleave(cfg Config, _ pipeline.Placement, _ []int) [][]pipeline.Instr {
+func orderInterleave(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	d, v, n := cfg.Devices, cfg.Chunks, cfg.Micros
 	lists := make([][]pipeline.Instr, d)
 	total := n * v

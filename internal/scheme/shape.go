@@ -14,6 +14,9 @@ import (
 type Shape struct {
 	Scheme    pipeline.Scheme
 	Placement pipeline.Placement
+	// Resolved is the placement's resolved view: which device holds a cell,
+	// which stages a device holds. The bounds read the placement through it.
+	Resolved *pipeline.Resolved
 	// Micros is the number of micro-batches N in one iteration.
 	Micros int
 	// PartMicros[p] is the number of micro-batches riding partition p. On
@@ -47,8 +50,9 @@ func ShapeOf(s pipeline.Scheme, cfg Config) (Shape, error) {
 		return Shape{}, err
 	}
 	pl, parts := g.layout(cfg)
-	sh := Shape{Scheme: s, Placement: pl, Micros: cfg.Micros, PartMicros: make([]int, pl.NumParts())}
-	if _, ok := pl.(pipeline.InterleavedPlacement); ok {
+	sh := Shape{Scheme: s, Placement: pl, Resolved: pipeline.Resolve(pl, cfg.Micros), Micros: cfg.Micros,
+		PartMicros: make([]int, pl.NumParts())}
+	if sh.Resolved.PartFollowsStage() {
 		for p := range sh.PartMicros {
 			sh.PartMicros[p] = cfg.Micros
 		}
@@ -60,31 +64,20 @@ func ShapeOf(s pipeline.Scheme, cfg Config) (Shape, error) {
 	return sh, nil
 }
 
-// PartDevice resolves the device owning a stage along one partition's chain;
-// on interleaved placements the partition follows the stage (a micro-batch
-// changes chunk at chunk boundaries), so part is ignored there.
-func PartDevice(pl pipeline.Placement, part, stage int) int {
-	if ip, ok := pl.(pipeline.InterleavedPlacement); ok {
-		return pl.Device(ip.PartOfStage(stage), stage)
-	}
-	return pl.Device(part, stage)
-}
-
 // AppendGroups appends the cells resident on device dev in ascending (stage,
 // part) order, skipping partitions no micro-batch rides.
 func (sh Shape) AppendGroups(out []Group, dev int) []Group {
-	pl := sh.Placement
-	S := pl.NumStages()
-	ip, interleaved := pl.(pipeline.InterleavedPlacement)
-	for st := 0; st < S; st++ {
+	r := sh.Resolved
+	S := sh.Placement.NumStages()
+	for _, st := range r.Stages(dev) {
 		for p, n := range sh.PartMicros {
-			if n == 0 || pl.Device(p, st) != dev || (interleaved && ip.PartOfStage(st) != p) {
+			if n == 0 || r.Device(p, st) != dev || r.PartAt(p, st) != p {
 				continue
 			}
 			out = append(out, Group{
 				Part: p, Stage: st, Micros: n,
-				PrevCross: st > 0 && PartDevice(pl, p, st-1) != dev,
-				NextCross: st < S-1 && PartDevice(pl, p, st+1) != dev,
+				PrevCross: st > 0 && r.Device(p, st-1) != dev,
+				NextCross: st < S-1 && r.Device(p, st+1) != dev,
 			})
 		}
 	}

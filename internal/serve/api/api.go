@@ -47,7 +47,9 @@ type PlanRequest struct {
 	// Memory is the per-device budget ("40G", "512M", bytes); empty keeps
 	// the hardware default.
 	Memory string `json:"memory,omitempty"`
-	// TP is the fixed tensor-parallel degree; 0 means 1.
+	// TP is the fixed tensor-parallel degree; absent means 1, and Validate
+	// makes a spelled-out 1 absent — the search resolves both to the same
+	// space, so they are one workload under one fingerprint.
 	TP int `json:"tp,omitempty"`
 	// Checkpoint forces Mario's checkpointing on or off; nil lets the
 	// tuner decide.
@@ -99,8 +101,8 @@ type PlanRequest struct {
 // Validate checks the request and canonicalizes the fields the fingerprint
 // depends on: the scheme is resolved to its canonical name, the memory spec
 // to bytes, the model reference to a concrete configuration, and every
-// spelling of a default to the absent field (an empty micro_batches, all-
-// nominal device_speeds, placement "auto"). What it leaves survives
+// spelling of a default to the absent field (tp 1, an empty micro_batches,
+// all-nominal device_speeds, placement "auto"). What it leaves survives
 // json.Marshal → decode → Validate with the same fingerprint, which is what
 // the peer hop relies on (FuzzPlanRequestCanonical). It returns the resolved
 // model.
@@ -139,6 +141,12 @@ func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
 		if _, err := mario.ParseMemory(r.Memory); err != nil {
 			return model, err
 		}
+	}
+	if r.TP < 0 {
+		return model, fmt.Errorf("serve: tp must not be negative (got %d)", r.TP)
+	}
+	if r.TP == 1 {
+		r.TP = 0 // the search resolves an absent degree to 1
 	}
 	for _, m := range r.MicroBatches {
 		if m <= 0 {

@@ -33,6 +33,7 @@ func TestRequestValidateErrors(t *testing.T) {
 		{"negative global batch", func(r *PlanRequest) { r.GlobalBatch = -1 }, "must be positive"},
 		{"bad scheme", func(r *PlanRequest) { r.Scheme = "zigzag" }, "unknown scheme"},
 		{"bad memory", func(r *PlanRequest) { r.Memory = "lots" }, "invalid memory spec"},
+		{"negative tp", func(r *PlanRequest) { r.TP = -1 }, "tp must not be negative"},
 		{"zero micro batch", func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, "micro_batches entries must be positive"},
 		{"negative timeout", func(r *PlanRequest) { r.TimeoutSec = -1 }, "timeout_sec must not be negative"},
 	}
@@ -138,6 +139,12 @@ func TestEmptyMicroBatchesIsAbsent(t *testing.T) {
 	if got := fingerprint(emptyBody); got != fp {
 		t.Errorf("an empty micro_batches fingerprints as %.12s, an absent one as %.12s", got, fp)
 	}
+	// tp 1 is the same class: the search resolves an absent degree to 1, so the
+	// spelled-out default (what cmd/mario -remote sent) was a second fingerprint
+	// — a second search and a second cache entry — for byte-identical plans.
+	if got := fingerprint(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":1}`); got != fp {
+		t.Errorf("tp 1 fingerprints as %.12s, an absent tp as %.12s", got, fp)
+	}
 	if !strings.HasPrefix(fp, "4dda982b5617") {
 		t.Errorf("the absent-field fingerprint moved: %.12s, pinned 4dda982b5617", fp)
 	}
@@ -202,6 +209,8 @@ func FuzzPlanRequestCanonical(f *testing.F) {
 	for _, seed := range []string{
 		`{"model":"LLaMA2-3B","devices":4,"global_batch":16}`,
 		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"micro_batches":[]}`, // used to fingerprint apart from the line above
+		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":1}`,             // used to fingerprint apart from the first line too
+		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":-1}`,
 		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"device_speeds":[],"placement":"AUTO","scheme":" auto "}`,
 		`{"model":"GPT3-1.6B","scheme":"v","global_batch":64,"devices":8,"memory":"40G","tp":2,"checkpoint":false,"split_backward":true,` +
 			`"micro_batches":[2,1],"min_pp":2,"max_pp":8,"no_prune":true,"no_bnb":true,"device_speeds":[1,1,1,0.8,1,1,1,1],"placement":"CoOpt","workers":3,"timeout_sec":1.5}`,

@@ -29,7 +29,7 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 		return nil, fmt.Errorf("difftest: the reference simulator models eager sends only")
 	}
 	dp := max(opt.DP, 1)
-	linkOf := func(d int, in pipeline.Instr) link {
+	linkAt := func(d int, in pipeline.Instr) link {
 		l := link{from: d, to: s.PeerDevice(d, in)}
 		if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
 			l.from, l.to = l.to, l.from
@@ -56,7 +56,7 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 			if !in.Kind.IsComm() {
 				continue
 			}
-			l := linkOf(d, in)
+			l := linkAt(d, in)
 			if isSend(in.Kind) {
 				ord[d][i] = len(sends[l])
 				sends[l] = append(sends[l], node{d, i})
@@ -93,7 +93,7 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 		}
 		t := start + refDur(s, e, n.d, dp, in)
 		if in.Kind.IsComm() {
-			l, k := linkOf(n.d, in), ord[n.d][n.i]
+			l, k := linkAt(n.d, in), ord[n.d][n.i]
 			comm := e.CommTime(e.ActP2PBytes)
 			if l.ch == 1 {
 				comm = e.CommTime(e.GradP2PBytes)

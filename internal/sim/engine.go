@@ -22,20 +22,6 @@ type commLoc struct {
 	dev1, idx int32
 }
 
-// commKindIdx maps the four communication kinds onto 0..3 for the flat index.
-func commKindIdx(k pipeline.Kind) int {
-	switch k {
-	case pipeline.SendAct:
-		return 0
-	case pipeline.RecvAct:
-		return 1
-	case pipeline.SendGrad:
-		return 2
-	default: // RecvGrad; callers only pass communication kinds
-		return 3
-	}
-}
-
 // devState is the Simulator's cached per-device view of a schedule.
 type devState struct {
 	// list is the instruction list the cached metadata was built from. It
@@ -140,37 +126,28 @@ type Simulator struct {
 	Rebuilds Rebuilds
 
 	// cache key of the bound (schedule family, estimator, options) tuple.
-	est       *cost.Estimator
-	placement pipeline.Placement
-	micros    int
-	dp        int
-	rdv       bool
-
-	nParts  int
+	// res, the bound schedule family's resolved placement, stands for the
+	// placement and the micro-batch count; it also supplies the resident
+	// stages, the link ids and the communication slots idx is laid out by.
+	est     *cost.Estimator
+	res     *pipeline.Resolved
+	dp      int
+	rdv     bool
 	nStages int
 
 	devs []devState
-	// idx locates communication instructions by their dense
-	// (kind, part, micro, stage) coordinate — see commSlot. Entries store
-	// device+1 so the zero value means "absent" and reset is a memclr.
+	// idx locates communication instructions by Resolved.CommSlot. Entries
+	// store device+1 so the zero value means "absent" and reset is a memclr.
 	idx []commLoc
-	// linkLookup maps the dense (from, to, channel) coordinate to a compact
-	// link id + 1 (zero = unassigned); nLinks counts assigned ids so the
-	// propagation scratch is sized and reset by actual links, not D².
-	linkLookup []int32
-	nLinks     int
 
 	mem MemSim // reusable memory-walk scratch
 
 	// durTab caches per-(kind, stage) compute durations and actComm/gradComm
 	// the two p2p transfer latencies, all derived from the bound estimator;
 	// rebuildDevice fills metas from these instead of re-deriving per
-	// instruction. peerTab lazily caches the placement-determined peer
-	// device of each (comm kind, part, stage) coordinate (-2 = not yet
-	// derived).
+	// instruction.
 	durTab            []float64
 	actComm, gradComm float64
-	peerTab           []int32
 
 	// propagation scratch, reset (not reallocated) every run.
 	clock    []float64
@@ -259,12 +236,11 @@ func (m *Simulator) Invalidate() {
 // are handled separately by refresh.
 func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bool) {
 	D := s.NumDevices()
-	if m.est == e && m.placement == s.Placement && m.micros == s.Micros &&
+	if m.est == e && m.res.Resolves(s.Placement, s.Micros) &&
 		m.dp == dp && m.rdv == rdv && len(m.devs) == D {
 		return
 	}
-	m.est, m.placement, m.micros, m.dp, m.rdv = e, s.Placement, s.Micros, dp, rdv
-	m.nParts, m.nStages = s.Placement.NumParts(), s.Placement.NumStages()
+	m.est, m.res, m.dp, m.rdv, m.nStages = e, s.Resolved(), dp, rdv, s.NumStages()
 	if cap(m.devs) >= D {
 		m.devs = m.devs[:D]
 	} else {
@@ -276,7 +252,7 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 		ds.prevList = nil // snapshots carry the old estimator's durations
 		ds.comm = ds.comm[:0]
 		ds.peers = ds.peers[:0]
-		ds.stages = appendDeviceStages(ds.stages[:0], s.Placement, d)
+		ds.stages = m.res.Stages(d)
 		// Multiplying by the homogeneous slowdown 1 is bit-exact, so the
 		// scale is applied unconditionally.
 		ds.slow = e.SlowOf(d)
@@ -298,22 +274,11 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 		m.durTab[int(pipeline.OptimizerStep)*m.nStages+st] = e.LaunchOverhead + e.OptTime
 	}
 	m.actComm, m.gradComm = e.CommTime(e.ActP2PBytes), e.CommTime(e.GradP2PBytes)
-	nCoord := 4 * m.nParts * m.nStages
-	m.peerTab = growInt32(m.peerTab, nCoord)
-	for i := 0; i < nCoord; i++ {
-		m.peerTab[i] = -2 // not yet derived
-	}
-	if need := 4 * m.nParts * m.micros * m.nStages; len(m.idx) == need {
+	if need := m.res.CommSlots(); len(m.idx) == need {
 		clear(m.idx)
 	} else {
 		m.idx = make([]commLoc, need)
 	}
-	if need := 2 * D * D; len(m.linkLookup) == need {
-		clear(m.linkLookup)
-	} else {
-		m.linkLookup = make([]int32, need)
-	}
-	m.nLinks = 0
 	if cap(m.changed) >= D {
 		m.changed = m.changed[:D]
 	} else {
@@ -347,7 +312,7 @@ func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator) error {
 	for _, d := range m.changedIDs {
 		ds := &m.devs[d]
 		for _, ci := range ds.comm {
-			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
+			if slot := m.res.CommSlot(ds.list[ci].Key()); slot >= 0 {
 				m.idx[slot] = commLoc{}
 			}
 		}
@@ -376,7 +341,7 @@ func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator) error {
 			}
 			in := ds.list[ci]
 			var loc commLoc
-			if slot := m.commSlot(s.MatchKey(in)); slot >= 0 {
+			if slot := m.res.CommSlot(s.MatchKey(in)); slot >= 0 {
 				loc = m.idx[slot]
 			}
 			if loc.dev1 == 0 {
@@ -415,35 +380,6 @@ func addPeer(peers *[]int32, p int32) {
 	*peers = append(*peers, p)
 }
 
-// commSlot returns the flat m.idx slot of a communication key, or -1 when its
-// coordinates fall outside the schedule's (part, micro, stage) space — such
-// keys are simply never found, the behaviour a hash index gave them.
-func (m *Simulator) commSlot(k pipeline.Key) int {
-	if k.Micro < 0 || k.Micro >= m.micros ||
-		k.Part < 0 || k.Part >= m.nParts ||
-		k.Stage < 0 || k.Stage >= m.nStages {
-		return -1
-	}
-	return ((commKindIdx(k.Kind)*m.nParts+k.Part)*m.micros+k.Micro)*m.nStages + k.Stage
-}
-
-// peerOf resolves the placement peer of a communication instruction through
-// the lazy (kind, part, stage) cache; PeerDevice is placement-determined and
-// device-independent for communication kinds, so the coordinate fully keys
-// the answer.
-func (m *Simulator) peerOf(s *pipeline.Schedule, d int, in pipeline.Instr) int {
-	if in.Part < 0 || in.Part >= m.nParts || in.Stage < 0 || in.Stage >= m.nStages {
-		return s.PeerDevice(d, in)
-	}
-	ci := (commKindIdx(in.Kind)*m.nParts+in.Part)*m.nStages + in.Stage
-	if p := m.peerTab[ci]; p != -2 {
-		return int(p)
-	}
-	p := s.PeerDevice(d, in)
-	m.peerTab[ci] = int32(p)
-	return p
-}
-
 // rebuildDevice brings device d's cached metadata, memory peak, and busy total
 // in line with its current list. Communication matches are left unresolved;
 // refresh resolves them after all changed devices re-registered their keys.
@@ -457,7 +393,7 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int
 		m.Rebuilds.Swap++
 		ds.swapPrev()
 		for _, ci := range ds.comm {
-			if slot := m.commSlot(ds.list[ci].Key()); slot >= 0 {
+			if slot := m.res.CommSlot(ds.list[ci].Key()); slot >= 0 {
 				m.idx[slot] = commLoc{dev1: int32(d) + 1, idx: ci}
 			}
 		}
@@ -474,7 +410,7 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int
 		ds.peers = ds.peers[:0]
 		busy := 0.0
 		for i, in := range list {
-			if m.fillMeta(s, e, ds, d, i, in) {
+			if m.fillMeta(e, ds, d, i, in) {
 				ds.comm = append(ds.comm, int32(i))
 			}
 			if mt := &ds.metas[i]; mt.compute {
@@ -499,7 +435,7 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int
 // latency, class, link id — registers communication keys in the comm index,
 // and reports whether the instruction is a communication (the caller indexes
 // it in ds.comm).
-func (m *Simulator) fillMeta(s *pipeline.Schedule, e *cost.Estimator, ds *devState, d, i int, in pipeline.Instr) bool {
+func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipeline.Instr) bool {
 	mt := &ds.metas[i]
 	*mt = meta{matchDev: -1, matchIdx: -1}
 	switch in.Kind {
@@ -526,28 +462,16 @@ func (m *Simulator) fillMeta(s *pipeline.Schedule, e *cost.Estimator, ds *devSta
 		if in.Kind == pipeline.SendGrad || in.Kind == pipeline.RecvGrad {
 			mt.comm = m.gradComm
 		}
-		peer := m.peerOf(s, d, in)
-		var from, to int
+		mt.class = classRecv
 		if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
 			mt.class = classSend
-			from, to = d, peer
-		} else {
-			mt.class = classRecv
-			from, to = peer, d
 		}
-		// An out-of-range peer means the match is missing; refresh
-		// reports that before propagation can touch the dummy link.
-		if D := len(m.devs); peer >= 0 && peer < D {
-			ls := (from*D+to)*2 + channelOf(in.Kind)
-			id := m.linkLookup[ls] - 1
-			if id < 0 {
-				id = int32(m.nLinks)
-				m.nLinks++
-				m.linkLookup[ls] = id + 1
-			}
-			mt.link = id
+		// A transfer with no other end has no link and no match either;
+		// refresh reports that before propagation can touch the dummy link.
+		if l := m.res.Link(in); l >= 0 {
+			mt.link = int32(l)
 		}
-		if slot := m.commSlot(in.Key()); slot >= 0 {
+		if slot := m.res.CommSlot(in.Key()); slot >= 0 {
 			m.idx[slot] = commLoc{dev1: int32(d) + 1, idx: int32(i)}
 		}
 		return true
@@ -594,7 +518,7 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 		m.clock[d] = 0
 		m.pc[d] = 0
 	}
-	nLinks := m.nLinks
+	nLinks := m.res.NumLinks()
 	if cap(m.fifos) >= nLinks {
 		m.fifos = m.fifos[:nLinks]
 	} else {

@@ -53,7 +53,7 @@ type MemSim struct {
 func NewMemSim(s *pipeline.Schedule, e *cost.Estimator, d int) *MemSim {
 	m := &MemSim{}
 	static := e.FrameworkMem
-	for _, st := range deviceStages(s, d) {
+	for _, st := range s.Resolved().Stages(d) {
 		static += e.WeightBytes[st]
 	}
 	m.rebind(e, s.Micros, s.NumStages(), static, s.Lists[d])

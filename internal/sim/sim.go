@@ -136,38 +136,9 @@ func Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, er
 	return eng.Simulate(s, e, opt)
 }
 
-// channelOf maps a communication kind to its link channel: activations and
-// gradients travel on independent tagged channels.
-func channelOf(k pipeline.Kind) int {
-	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
-		return 1
-	}
-	return 0
-}
-
 func max64(a, b float64) float64 {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// deviceStages returns the distinct stages whose weights device dev holds
-// (two for Chimera devices, one per chunk for interleaved devices).
-func deviceStages(s *pipeline.Schedule, dev int) []int {
-	return appendDeviceStages(nil, s.Placement, dev)
-}
-
-// appendDeviceStages is the append-style form of deviceStages; the Simulator
-// uses it to fill its per-device cache without allocating.
-func appendDeviceStages(out []int, pl pipeline.Placement, dev int) []int {
-	for st := 0; st < pl.NumStages(); st++ {
-		for p := 0; p < pl.NumParts(); p++ {
-			if pl.Device(p, st) == dev {
-				out = append(out, st)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -87,7 +87,7 @@ func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
 	}
 	if !space.NoPrune {
 		nd.ub = t.throughputBound(sh, est, p)
-		nd.memLB = memLowerBound(sh.Placement, est)
+		nd.memLB = memLowerBound(sh.Resolved, est)
 		nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
 	}
 	return nd, true
@@ -151,8 +151,8 @@ const boundSlack = 1e-9
 // backward into two halves whose durations sum to at least the original, and
 // no pass deletes a communication, all-reduce or optimizer instruction.
 func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint) float64 {
-	pl := sh.Placement
-	S, D := pl.NumStages(), pl.NumDevices()
+	res := sh.Resolved
+	S, D := sh.Placement.NumStages(), sh.Placement.NumDevices()
 	lo := est.LaunchOverhead
 	split := sh.Scheme.SplitsBackward()
 	// r is the fraction of a backward that must precede the gradient send.
@@ -165,11 +165,9 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 
 	// cool[d] is device d's cool-down at the simulator's exact prices.
 	cool := make([]float64, D)
-	var stagesBuf []int
 	for d := range cool {
 		slow := est.SlowOf(d)
-		stagesBuf = appendPlacementStages(stagesBuf[:0], pl, d)
-		cool[d] = (lo + est.AllReduceTime(p.dp, stagesBuf)*slow) + (lo + est.OptTime*slow)
+		cool[d] = (lo + est.AllReduceTime(p.dp, res.Stages(d))*slow) + (lo + est.OptTime*slow)
 	}
 	// fill[part*S+st] is the earliest start of a forward at (part, st);
 	// drain[part*S+st] the least time from a backward's completion there to
@@ -181,13 +179,13 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 			continue
 		}
 		f, dr := fill[part*S:(part+1)*S], drain[part*S:(part+1)*S]
-		dev := scheme.PartDevice(pl, part, 0)
+		dev := res.Device(part, 0)
 		dr[0] = cool[dev]
 		for st := 1; st < S; st++ {
 			slow := est.SlowOf(dev)
 			f[st] = f[st-1] + (lo + est.FwTime[st-1]*slow)
 			dr[st] = dr[st-1] + (lo + est.BwTime[st-1]*r*slow)
-			if next := scheme.PartDevice(pl, part, st); next != dev {
+			if next := res.Device(part, st); next != dev {
 				f[st] += actHop
 				dr[st] += gradHop
 				dev = next
@@ -252,20 +250,6 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 	return samples / lb * t.dpEff(p.dp)
 }
 
-// appendPlacementStages appends the distinct stages whose weights the device
-// holds (the sim package's deviceStages, replicated for bound computation).
-func appendPlacementStages(out []int, pl pipeline.Placement, dev int) []int {
-	for st := 0; st < pl.NumStages(); st++ {
-		for p := 0; p < pl.NumParts(); p++ {
-			if pl.Device(p, st) == dev {
-				out = append(out, st)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // memLowerBound returns an admissible lower bound on the worst device's peak
 // memory: static memory (framework + owned training state) plus the
 // smallest allocation the device's first forward-like instruction can make
@@ -273,14 +257,12 @@ func appendPlacementStages(out []int, pl pipeline.Placement, dev int) []int {
 // simulation starts at the static level, nothing releases below it before
 // the first forward, and no graph pass removes every forward from a device,
 // so the true simulated peak can never be below the bound.
-func memLowerBound(pl pipeline.Placement, est *cost.Estimator) float64 {
+func memLowerBound(res *pipeline.Resolved, est *cost.Estimator) float64 {
 	var worst float64
-	var stagesBuf []int
-	for d := 0; d < pl.NumDevices(); d++ {
-		stagesBuf = appendPlacementStages(stagesBuf[:0], pl, d)
+	for d := 0; d < res.Placement().NumDevices(); d++ {
 		static := est.FrameworkMem
 		first := math.Inf(1)
-		for _, st := range stagesBuf {
+		for _, st := range res.Stages(d) {
 			static += est.WeightBytes[st]
 			a := est.ActFull[st]
 			if est.ActStash[st] < a {

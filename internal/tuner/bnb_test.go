@@ -68,7 +68,7 @@ func runStrategy(tn *Tuner, sp Space) stratOut {
 func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	t.Helper()
 	sp = sp.withDefaults()
-	eng := graph.NewEngines(tn.GraphWorkers)
+	eng := graph.NewEngines()
 	var best *Candidate
 	var out stratOut
 	for _, p := range enumerate(sp) {

@@ -104,11 +104,6 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 }
 
 func runSearch(t *testing.T, workers int) searchRun {
-	return runSearchGW(t, workers, 0)
-}
-
-// runSearchGW additionally sets the graph tuner's inner worker count.
-func runSearchGW(t *testing.T, workers, graphWorkers int) searchRun {
 	t.Helper()
 	return capture(t, &Tuner{
 		Prof: &profile.Profiler{
@@ -118,8 +113,7 @@ func runSearchGW(t *testing.T, workers, graphWorkers int) searchRun {
 			Devices: 4,
 			Iters:   4,
 		},
-		MaxRounds:    2,
-		GraphWorkers: graphWorkers,
+		MaxRounds: 2,
 	}, detSpace(workers))
 }
 
@@ -160,39 +154,6 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("workers=%d: progress[%d] = %q, want %q", w, i, got.progress[i], base.progress[i])
 				break
 			}
-		}
-	}
-}
-
-// TestSearchDeterministicAcrossGraphWorkers: the graph tuner's inner
-// prepose-candidate worker pool must be equally invisible — a Search that
-// simulates candidates on 4 goroutines per Optimize call emits exactly the
-// bytes of the inline one.
-func TestSearchDeterministicAcrossGraphWorkers(t *testing.T) {
-	base := runSearchGW(t, 2, 0)
-	got := runSearchGW(t, 2, 4)
-	if got.stats != base.stats {
-		t.Errorf("graphWorkers=4: stats %+v, want %+v", got.stats, base.stats)
-	}
-	if got.best != base.best {
-		t.Errorf("graphWorkers=4: best differs\n got: %s\nwant: %s", got.best, base.best)
-	}
-	if len(got.trace) != len(base.trace) {
-		t.Fatalf("graphWorkers=4: trace length %d, want %d", len(got.trace), len(base.trace))
-	}
-	for i := range got.trace {
-		if got.trace[i] != base.trace[i] {
-			t.Errorf("graphWorkers=4: trace[%d] differs\n got: %s\nwant: %s", i, got.trace[i], base.trace[i])
-			break
-		}
-	}
-	if len(got.progress) != len(base.progress) {
-		t.Fatalf("graphWorkers=4: %d progress callbacks, want %d", len(got.progress), len(base.progress))
-	}
-	for i := range got.progress {
-		if got.progress[i] != base.progress[i] {
-			t.Errorf("graphWorkers=4: progress[%d] = %q, want %q", i, got.progress[i], base.progress[i])
-			break
 		}
 	}
 }

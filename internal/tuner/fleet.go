@@ -179,7 +179,7 @@ func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint,
 		return nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
 	}
 	grid := enumerate(space)
-	eng := graph.NewEngines(t.GraphWorkers)
+	eng := graph.NewEngines()
 	defer eng.Report(t.Metrics)
 	out := make([]ShardOutcome, 0, len(points))
 	inc, hasInc := incumbent, hasIncumbent

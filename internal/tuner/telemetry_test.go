@@ -197,13 +197,13 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 		tn.SplitBackward = true
 		return tn
 	}
-	eng := graph.NewEngines(0)
+	eng := graph.NewEngines()
 	var devSims int64 // Σ over simulations of the simulated schedule's device count
 	ref, full := mk(), sp.withDefaults()
 	for _, p := range enumerate(full) {
-		before := eng.Sims()
+		before := eng.Main.Sims
 		if pr := ref.evalPoint(context.Background(), full, p, eng, telemetry.Span{}); pr.cand != nil {
-			devSims += (eng.Sims() - before) * int64(pr.cand.Schedule.NumDevices())
+			devSims += (eng.Main.Sims - before) * int64(pr.cand.Schedule.NumDevices())
 		}
 	}
 	for _, w := range []int{1, 4} {
@@ -215,7 +215,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.Sims.Value(), eng.Sims()+1; got != want {
+		if got, want := m.Sims.Value(), eng.Main.Sims+1; got != want {
 			t.Errorf("workers=%d: mario_search_sims_total = %d, the evaluations ran %d", w, got, want)
 		}
 		rebuilds := m.RebuildsUnchanged.Value() + m.RebuildsSwap.Value() + m.RebuildsFull.Value()

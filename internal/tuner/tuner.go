@@ -260,12 +260,6 @@ type Tuner struct {
 	DPEfficiency float64
 	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
 	MaxRounds int
-	// GraphWorkers bounds the goroutines graph.Optimize may use to simulate
-	// prepose candidates concurrently (graph.Options.Workers); 0 or 1 keeps
-	// the inner loop inline, which is the right choice while Space.Workers
-	// already saturates the cores. The optimized schedules are identical for
-	// every value.
-	GraphWorkers int
 	// SplitBackward additionally tries the ZB-H1-style split-backward
 	// transformation on each checkpointed candidate, keeping it when the
 	// simulator confirms an improvement within the memory budget.
@@ -466,7 +460,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	// merge loop's forced re-evaluations and the winner's closing
 	// re-simulation all run on it, so the last of these finds it warm (pool
 	// workers hold one bundle each; a bundle is not goroutine-safe).
-	eng := graph.NewEngines(t.GraphWorkers)
+	eng := graph.NewEngines()
 	// The one exit: whatever the search merged before it completed, failed or
 	// was cancelled is published here, to the snapshots and to the registry
 	// alike, so the two can never disagree.
@@ -515,6 +509,11 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	ss.End()
 	if err != nil {
 		return nil, nil, err
+	}
+	// The graph passes do not re-validate the points they explore; the one
+	// schedule the search hands out is validated here.
+	if err := pipeline.Validate(sched); err != nil {
+		return nil, nil, fmt.Errorf("tuner: winner %s: %w", best.Label(), err)
 	}
 	best.Schedule, best.Result = sched, res
 	return best, trace, nil
@@ -634,7 +633,7 @@ func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate
 		return fail(err)
 	}
 	if eng == nil {
-		eng = graph.NewEngines(t.GraphWorkers)
+		eng = graph.NewEngines()
 	}
 	if sched == nil {
 		rebuilt := *c
@@ -854,7 +853,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := graph.NewEngines(t.GraphWorkers) // per-worker bundle
+			eng := graph.NewEngines() // per-worker bundle
 			for j := range jobs {
 				nd := nodes[j]
 				// A cancelled worker skips too: the merge loop checks ctx

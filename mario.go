@@ -98,11 +98,6 @@ type Config struct {
 	// GOMAXPROCS, 1 searches sequentially. The chosen plan, trace and
 	// search stats are identical for every value.
 	Workers int
-	// GraphWorkers bounds the goroutines each graph-tuner invocation uses
-	// to simulate prepose candidates concurrently; 0 or 1 keeps that inner
-	// loop inline (the default — the outer Workers already parallelise the
-	// search). The plan is identical for every value.
-	GraphWorkers int
 	// NoPrune disables the tuner's bound and memory prunes so every feasible
 	// configuration is simulated, in canonical grid order, and appears in
 	// the trace.
@@ -116,7 +111,7 @@ type Config struct {
 	// PhaseOptimize root span with the tuner grid, graph-pass, simulator
 	// and robustness work nested under it (see internal/telemetry). The
 	// canonical exports of the resulting trace are byte-identical for
-	// every Workers/GraphWorkers value; a nil Tracer costs nothing.
+	// every Workers value; a nil Tracer costs nothing.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
 	// memoization, simulator executions) as registry series.
@@ -322,7 +317,7 @@ func searchSetup(conf Config, model ModelConfig) (*tuner.Tuner, tuner.Space, flo
 	}
 
 	prof := &profile.Profiler{Model: model, HW: hw, Spec: spec, Devices: 4, Iters: 10}
-	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward, GraphWorkers: conf.GraphWorkers}
+	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward}
 	space = tuner.Space{
 		Devices:      conf.NumDevices,
 		GlobalBatch:  conf.GlobalBatchSize,

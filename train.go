@@ -75,7 +75,7 @@ func Checkpoint(s *Schedule) (*Schedule, error) {
 	}
 	e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
 	opt, _, err := graph.Optimize(s, graph.Options{Estimator: e})
-	return opt, err
+	return validated(opt, err)
 }
 
 // SplitBackward applies the ZB-H1-style extension (the paper's §8 future
@@ -90,7 +90,19 @@ func SplitBackward(s *Schedule) (*Schedule, error) {
 	}
 	e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
 	opt, _, err := graph.SplitBackward(s, graph.Options{Estimator: e})
-	return opt, err
+	return validated(opt, err)
+}
+
+// validated is where a schedule the graph passes rewrote leaves the library:
+// the passes themselves do not re-validate what they return.
+func validated(s *Schedule, err error) (*Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := pipeline.Validate(s); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Render simulates the schedule under the idealised uniform cost model
