@@ -183,9 +183,26 @@ hetero-smoke:
 # snippets in EXPERIMENTS.md and docs/SCHEMES.md (TestGoldenDocs re-runs the
 # fast-mode experiments and the scheme-catalogue renderer and byte-compares
 # their output against the documented blocks).
+#
+# docs/TUNING.md is "every knob", checked both ways: a flag that `-h` of
+# cmd/mario, cmd/mariod or cmd/loadgen prints needs a `-name mention there, and
+# a `-name in a knob column (the first cell of a table row) has to be a flag of
+# some cmd/ binary or of `go test` — a row for a flag that is gone fails.
+flags-of = $(GO) run ./cmd/$(1) -h 2>&1 | sed -n 's/^  -\([a-z][a-z0-9-]*\).*/\1/p'
 docs-check:
 	$(GO) run ./cmd/docscheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs
 	$(call go-test-named,,TestGoldenDocs,./internal/experiments)
+	@fail=0; known=" race cpu short bench benchtime benchmem count fuzz fuzztime "; \
+	for c in $$(ls cmd); do \
+		flags=$$($(call flags-of,$$c)); known="$$known$$(echo $$flags) "; \
+		case $$c in mario|mariod|loadgen) for f in $$flags; do \
+			grep -q -- "\`-$$f[^a-z0-9-]" docs/TUNING.md || { echo "docs/TUNING.md: no \`-$$f mention for the cmd/$$c flag"; fail=1; }; \
+		done;; esac; \
+	done; \
+	for f in $$(awk -F'|' '/^\|/ {print $$2}' docs/TUNING.md | grep -o '`-[a-z][a-z0-9-]*' | cut -c3- | sort -u); do \
+		case "$$known" in *" $$f "*) ;; *) echo "docs/TUNING.md: knob \`-$$f names no flag of a cmd/ binary or of go test"; fail=1;; esac; \
+	done; \
+	[ $$fail = 0 ] && echo "docs-check: docs/TUNING.md and the cmd/ flag sets agree"
 
 # Scheme-family smoke: every registered generator (incl. the split-backward
 # ZB-H1 and DualPipe-D) builds and validates on the demo grid, the list

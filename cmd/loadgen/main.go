@@ -22,8 +22,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -76,12 +74,21 @@ func main() {
 		if len(urls) > 0 {
 			fatal("-targets and -loopback are mutually exclusive")
 		}
-		var stop func()
-		urls, stop, err = bootLoopback(*loopback, *workers, *queue)
+		members, err := loadgen.BootLoopback(*loopback, serve.Options{Workers: *workers, QueueDepth: *queue, TunerWorkers: *workers})
 		if err != nil {
 			fatal("booting loopback fleet: %v", err)
 		}
-		defer stop()
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			for _, m := range members {
+				m.HTTP.Shutdown(ctx)
+				m.Server.Close()
+			}
+		}()
+		for _, m := range members {
+			urls = append(urls, m.URL)
+		}
 		fmt.Fprintf(os.Stderr, "loadgen: loopback fleet up: %s\n", strings.Join(urls, " "))
 	}
 	if len(urls) == 0 {
@@ -104,51 +111,6 @@ func main() {
 		return
 	}
 	fmt.Print(res.Summary())
-}
-
-// bootLoopback starts n fleet members on ephemeral loopback ports, each
-// configured with Self and the others as Fleet, so consistent-hash routing
-// and shard dispatch are live. It returns their base URLs and a stopper.
-func bootLoopback(n, workers, queue int) ([]string, func(), error) {
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		listeners[i] = l
-		urls[i] = "http://" + l.Addr().String()
-	}
-	var stops []func()
-	for i, l := range listeners {
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		s := serve.New(serve.Options{
-			Self:         urls[i],
-			Fleet:        peers,
-			Workers:      workers,
-			QueueDepth:   queue,
-			TunerWorkers: workers,
-		})
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(l)
-		stops = append(stops, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			hs.Shutdown(ctx)
-			s.Close()
-		})
-	}
-	return urls, func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}, nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -94,11 +94,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	models := mario.Models()
-	model, ok := models[*modelName]
+	model, ok := mario.LookupModel(*modelName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mario: unknown model %q; available:", *modelName)
-		for name := range models {
+		for name := range mario.Models() {
 			fmt.Fprintf(os.Stderr, " %s", name)
 		}
 		fmt.Fprintln(os.Stderr)
@@ -110,11 +109,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mario: %v\n", err)
 		os.Exit(2)
 	}
-	// The workload is described once, as the request mariod would be sent:
-	// validated here (a bad flag exits 2 whichever way the plan is made), sent
-	// as it is with -remote, translated into the in-process Config without, and
-	// fingerprinted for the tracer — so span IDs agree between local traces and
-	// the planning service.
+	// The workload is described once, as the request mariod would be sent, and
+	// resolved here (a bad flag exits 2 whichever way the plan is made): the
+	// request goes out as it is with -remote, its resolution is searched in
+	// process without, and the tracer is keyed by the resolution's fingerprint
+	// — so span IDs agree between local traces and the planning service.
 	req := serve.PlanRequest{
 		Model:         *modelName,
 		Scheme:        *schemeStr,
@@ -129,7 +128,8 @@ func main() {
 		DeviceSpeeds:  deviceSpeeds,
 		Placement:     *placementArg,
 	}
-	if _, err := req.Validate(); err != nil {
+	wl, err := req.Resolve()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mario: %v\n", err)
 		os.Exit(2)
 	}
@@ -180,10 +180,10 @@ func main() {
 	if *remoteAddr != "" {
 		plan, err = remotePlan(*remoteAddr, req, *showStats)
 	} else {
-		conf := req.Config(*workers)
+		conf := mario.Config{Workers: *workers} // the run's half; wl is the workload's
 		var tracer *telemetry.Tracer
 		if wantSearchTrace {
-			tracer = telemetry.New(req.Fingerprint(model))
+			tracer = telemetry.New(wl.Fingerprint())
 			conf.Tracer = tracer
 		}
 		if *showStats {
@@ -191,7 +191,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "\rtuner: explored %4d  best %-18s %10.2f samples/s", explored, bestLabel, bestThroughput)
 			}
 		}
-		plan, err = mario.Optimize(conf, model)
+		plan, err = wl.Optimize(context.Background(), conf)
 		if conf.Progress != nil {
 			fmt.Fprintln(os.Stderr)
 		}

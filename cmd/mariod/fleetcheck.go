@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -18,57 +16,17 @@ import (
 	"mario/internal/serve/loadgen"
 )
 
-// fleetMember is one loopback fleet member booted by the fleet selfcheck:
-// a full server (coordinator + shard worker + router) on an ephemeral port.
-type fleetMember struct {
-	url  string
-	s    *serve.Server
-	hs   *http.Server
-	done chan error
-}
-
-// bootFleet starts n full-mesh fleet members on loopback: each knows its
-// own URL (Self) and the others (Fleet), so consistent-hash routing and
-// shard dispatch are live between all of them.
-func bootFleet(n int, base serve.Options) ([]*fleetMember, error) {
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = l
-		urls[i] = "http://" + l.Addr().String()
-	}
-	members := make([]*fleetMember, n)
-	for i, l := range listeners {
-		opts := base
-		opts.Self = urls[i]
-		for j, u := range urls {
-			if j != i {
-				opts.Fleet = append(opts.Fleet, u)
-			}
-		}
-		s := serve.New(opts)
-		m := &fleetMember{url: urls[i], s: s, hs: &http.Server{Handler: s.Handler()}, done: make(chan error, 1)}
-		go func(l net.Listener) { m.done <- m.hs.Serve(l) }(l)
-		members[i] = m
-	}
-	return members, nil
-}
-
 // drainFleet walks every member through the real shutdown path: drain the
 // planning service, then stop the HTTP listener.
-func drainFleet(members []*fleetMember, budget time.Duration) error {
+func drainFleet(members []*loadgen.Member, budget time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	for _, m := range members {
-		if err := m.s.Drain(ctx); err != nil {
-			return fmt.Errorf("draining %s: %w", m.url, err)
+		if err := m.Server.Drain(ctx); err != nil {
+			return fmt.Errorf("draining %s: %w", m.URL, err)
 		}
-		if err := m.hs.Shutdown(ctx); err != nil {
-			return fmt.Errorf("stopping %s: %w", m.url, err)
+		if err := m.HTTP.Shutdown(ctx); err != nil {
+			return fmt.Errorf("stopping %s: %w", m.URL, err)
 		}
 	}
 	return nil
@@ -97,7 +55,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	const members = 3 // one request entrypoint + two peers; every member plays all roles
 
-	fleet, err := bootFleet(members, opts)
+	fleet, err := loadgen.BootLoopback(members, opts)
 	if err != nil {
 		return fail("boot: %v", err)
 	}
@@ -106,8 +64,8 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	clients := make([]*client.Client, members)
 	urls := make([]string, members)
 	for i, m := range fleet {
-		clients[i] = client.New(m.url)
-		urls[i] = m.url
+		clients[i] = client.New(m.URL)
+		urls[i] = m.URL
 		if err := clients[i].WaitReady(ctx, 10*time.Second); err != nil {
 			return fail("member %d not ready: %v", i, err)
 		}
@@ -151,7 +109,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	owner := fresh.Peer // "" means member 0 owned it
 	if owner == "" {
-		owner = fleet[0].url
+		owner = fleet[0].URL
 	}
 
 	// Repeat the workload via every member: byte-identical everywhere, and
@@ -169,7 +127,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		if !resp.Cached {
 			return fail("repeat via member %d missed every cache", i)
 		}
-		if fleet[i].url != owner {
+		if fleet[i].URL != owner {
 			if resp.Peer != owner {
 				return fail("member %d answered the owner's workload itself (peer=%q, owner=%s)", i, resp.Peer, owner)
 			}
@@ -184,7 +142,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	// dispatched to peers, fleet waves recorded, and some peer served them.
 	ownerMetrics := ""
 	for i, m := range fleet {
-		if m.url == owner {
+		if m.URL == owner {
 			ownerMetrics, err = clients[i].Metrics(ctx)
 			if err != nil {
 				return fail("owner metrics: %v", err)
@@ -201,7 +159,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	served := 0
 	for i, m := range fleet {
-		if m.url == owner {
+		if m.URL == owner {
 			continue
 		}
 		mtx, err := clients[i].Metrics(ctx)

@@ -8,8 +8,9 @@
 //
 //	mariod [-addr :8347] [-cache 64] [-workers 2] [-queue 16]
 //	       [-timeout 5m] [-max-timeout 15m] [-tuner-workers 0]
-//	       [-drain-timeout 30s] [-debug-addr ""] [-flight-ring 64]
-//	       [-fleet url1,url2] [-self url] [-shards 0] [-shard-chunk 0]
+//	       [-drain-timeout 30s] [-debug-addr ""] [-max-body 0]
+//	       [-fleet url1,url2] [-self url]
+//	       [-fleet-retries 2] [-fleet-backoff 50ms]
 //	       [-selfcheck] [-fleet-selfcheck]
 //
 // Endpoints: POST /v1/plan (?trace=1 embeds the search trace),
@@ -67,17 +68,11 @@ func main() {
 		tunerWorkers = flag.Int("tuner-workers", 0, "cap on per-run tuner parallelism (0 = uncapped)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight plans")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener with pprof + /debug/flight + /metrics (keep loopback-only)")
-		flightRing   = flag.Int("flight-ring", 64, "recent request traces the flight recorder keeps")
-		flightSlow   = flag.Int("flight-slow", 8, "slowest-requests log size")
 		maxBody      = flag.Int64("max-body", 0, "request-body byte limit, 413 beyond it (0 = 1 MiB default)")
 		fleetList    = flag.String("fleet", "", "comma-separated base URLs of the other fleet members")
 		self         = flag.String("self", "", "this member's base URL as peers reach it (enables plan routing)")
-		shards       = flag.Int("shards", 0, "shards per search wave (0 = one per fleet peer)")
-		shardChunk   = flag.Int("shard-chunk", 0, "grid points per shard batch (0 = tuner default)")
 		fleetRetries = flag.Int("fleet-retries", 2, "retries for fleet-internal requests (shard dispatch, routing)")
 		fleetBackoff = flag.Duration("fleet-backoff", 50*time.Millisecond, "base backoff between fleet-internal retries")
-		noShare      = flag.Bool("no-share-incumbent", false, "do not ship the global incumbent with shard batches (workers skip less; plans identical)")
-		workerCache  = flag.Int("worker-cache", 0, "shard-worker cache size, workloads memoized for /v1/shard (0 = default)")
 		selfcheck    = flag.Bool("selfcheck", false, "start on loopback, exercise the service end to end, then shut down")
 		fleetCheck   = flag.Bool("fleet-selfcheck", false, "boot a loopback 3-member fleet, prove byte-identity + peer caching + a loadgen burst, then drain")
 	)
@@ -90,23 +85,17 @@ func main() {
 		}
 	}
 	opts := serve.Options{
-		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		TunerWorkers:     *tunerWorkers,
-		FlightRing:       *flightRing,
-		FlightSlow:       *flightSlow,
-		MaxBodyBytes:     *maxBody,
-		Fleet:            fleet,
-		Self:             *self,
-		Shards:           *shards,
-		ShardChunk:       *shardChunk,
-		FleetRetries:     *fleetRetries,
-		FleetBackoff:     *fleetBackoff,
-		NoShareIncumbent: *noShare,
-		WorkerCache:      *workerCache,
+		CacheSize:      *cacheSize,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		TunerWorkers:   *tunerWorkers,
+		MaxBodyBytes:   *maxBody,
+		Fleet:          fleet,
+		Self:           *self,
+		FleetRetries:   *fleetRetries,
+		FleetBackoff:   *fleetBackoff,
 	}
 
 	if *selfcheck {

@@ -15,12 +15,15 @@ import (
 // the text of every schedule the search scored — as the tuner's Progress
 // callback sees them, before the merge drops all but the winner's.
 func ScoredSchedules(conf Config, model ModelConfig) (map[string]string, error) {
-	tn, space, _, _, err := searchSetup(conf, model)
+	w, err := Resolve(conf, model)
 	if err != nil {
 		return nil, err
 	}
+	tn := w.tuner()
 	scored := map[string]string{}
 	tn.Progress = func(c, _ tuner.Candidate) { scored[c.Label()] = c.Schedule.String() }
+	space := w.Space
+	space.Workers = conf.Workers
 	_, _, err = tn.SearchContext(context.Background(), space)
 	return scored, err
 }

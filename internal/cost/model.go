@@ -9,7 +9,10 @@
 // y = a·n + b estimators against an emulator driven by these costs.
 package cost
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ModelConfig describes a transformer language model (Table 4 of the paper).
 type ModelConfig struct {
@@ -124,6 +127,36 @@ type Hardware struct {
 	// BackwardRatio is T_bw / T_fw for a transformer block. The paper cites
 	// about 1.6 for a real transformer layer and uses 2 in illustrations.
 	BackwardRatio float64
+}
+
+// Validate reports whether the description is one the estimators can divide
+// by and the simulator can budget against: every field finite; FLOPS,
+// MemBytes, LinkBandwidth and BackwardRatio positive; the latencies, the
+// launch overhead and FrameworkMem not negative.
+func (h Hardware) Validate() error {
+	for _, f := range []struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"FLOPS", h.FLOPS, true},
+		{"MemBytes", h.MemBytes, true},
+		{"LinkBandwidth", h.LinkBandwidth, true},
+		{"BackwardRatio", h.BackwardRatio, true},
+		{"LinkLatency", h.LinkLatency, false},
+		{"LaunchOverhead", h.LaunchOverhead, false},
+		{"FrameworkMem", h.FrameworkMem, false},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("cost: hardware %s must be finite (got %g)", f.name, f.v)
+		case f.positive && f.v <= 0:
+			return fmt.Errorf("cost: hardware %s must be positive (got %g)", f.name, f.v)
+		case f.v < 0:
+			return fmt.Errorf("cost: hardware %s must not be negative (got %g)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // A100_40G is the paper's GPU, with effective (not peak) throughput.

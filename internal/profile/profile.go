@@ -17,6 +17,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -35,6 +36,33 @@ type MachineSpec struct {
 	MemSlack      float64
 	Hetero        float64
 	Seed          uint64
+}
+
+// Validate reports whether the emulator's arithmetic is defined for the spec.
+// Every field is finite and none is negative. Noise and Hetero stay below 1:
+// cluster scales a duration by 1 + x·u with u in [−1, 1], and that factor has
+// to stay positive. MemSlack 0 keeps meaning 1 (no slack), as cluster reads it.
+func (m MachineSpec) Validate() error {
+	for _, f := range []struct {
+		name     string
+		v        float64
+		belowOne bool
+	}{
+		{"Noise", m.Noise, true},
+		{"Hetero", m.Hetero, true},
+		{"ExtraOverhead", m.ExtraOverhead, false},
+		{"MemSlack", m.MemSlack, false},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("profile: machine %s must be finite (got %g)", f.name, f.v)
+		case f.v < 0:
+			return fmt.Errorf("profile: machine %s must not be negative (got %g)", f.name, f.v)
+		case f.belowOne && f.v >= 1:
+			return fmt.Errorf("profile: machine %s must be below 1 (got %g)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // DefaultMachine models a realistic software stack: ±4% jitter, 180 µs of

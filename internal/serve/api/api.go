@@ -11,27 +11,22 @@
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"mario"
 	"mario/internal/cost"
-	"mario/internal/pipeline"
-	"mario/internal/place"
 	"mario/internal/profile"
 	"mario/internal/tuner"
 )
 
 // PlanRequest is the body of POST /v1/plan and /v1/plan/stream: a JSON
-// mirror of mario.Config plus a model reference. Fields that steer the plan
-// (model, cluster shape, search space, machine spec, tuner knobs) enter the
-// workload fingerprint; resource hints (Workers, TimeoutSec) do not — by the
-// tuner's determinism contract they cannot change the result, only how fast
-// or how long the server is willing to chase it.
+// spelling of mario.Config plus a model reference. What the request resolves
+// to (Resolve) is the workload, and the workload's hash its fingerprint;
+// Workers and TimeoutSec are not part of it — by the tuner's determinism
+// contract they cannot change the result, only how fast or how long the server
+// is willing to chase it.
 type PlanRequest struct {
 	// Model names a built-in preset (GPT3-13B, LLaMA2-3B, …). Exactly one
 	// of Model and ModelConfig must be set.
@@ -45,205 +40,101 @@ type PlanRequest struct {
 	GlobalBatch int `json:"global_batch"`
 	Devices     int `json:"devices"`
 	// Memory is the per-device budget ("40G", "512M", bytes); empty keeps
-	// the hardware default.
+	// the hardware's.
 	Memory string `json:"memory,omitempty"`
-	// TP is the fixed tensor-parallel degree; absent means 1, and Validate
-	// makes a spelled-out 1 absent — the search resolves both to the same
-	// space, so they are one workload under one fingerprint.
+	// TP is the fixed tensor-parallel degree; absent means 1.
 	TP int `json:"tp,omitempty"`
 	// Checkpoint forces Mario's checkpointing on or off; nil lets the
 	// tuner decide.
 	Checkpoint *bool `json:"checkpoint,omitempty"`
 	// SplitBackward additionally tries the ZB-H1 split-backward pass.
 	SplitBackward bool `json:"split_backward,omitempty"`
-	// MicroBatches restricts the candidate micro-batch sizes; absent means
-	// powers of two, and so does an empty list — the schema's omitempty
-	// drops one whenever a request is encoded again (a member forwarding it
-	// to its owner does), so Validate makes it nil and the two are one
-	// workload under one fingerprint. Order matters (it is the grid
-	// iteration order), so a non-empty list is fingerprinted as given.
+	// MicroBatches restricts the candidate micro-batch sizes; absent or
+	// empty means powers of two up to 32. Order matters: it is the grid
+	// iteration order.
 	MicroBatches []int `json:"micro_batches,omitempty"`
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
 	MaxPP int `json:"max_pp,omitempty"`
 	// NoPrune disables the bound and memory prunes so the trace holds the
-	// full Fig. 11 curve. It changes the trace, hence it is fingerprinted.
+	// full Fig. 11 curve. It changes the trace, so it is part of the workload.
 	NoPrune bool `json:"no_prune,omitempty"`
 	// NoBnB expands the grid in canonical order instead of best-first by
 	// bound. The best plan is identical, but the trace and search stats
-	// differ, hence it is fingerprinted.
+	// differ, so it is part of the workload.
 	NoBnB bool `json:"no_bnb,omitempty"`
-	// Machine overrides the emulated hardware imperfections; nil uses
+	// Machine overrides the emulated hardware imperfections; nil or {} uses
 	// profile.DefaultMachine.
 	Machine *profile.MachineSpec `json:"machine,omitempty"`
 	// Hardware overrides the device description; nil uses A100-40G.
 	Hardware *cost.Hardware `json:"hardware,omitempty"`
 	// DeviceSpeeds declares per-device relative compute speeds (1 = nominal);
-	// empty means homogeneous. When set it must hold exactly Devices positive
-	// entries. Heterogeneous speeds open the tuner's partitioning/placement
-	// axis, so the field is fingerprinted (all-nominal lists canonicalize to
-	// nil first).
+	// empty or all-nominal means homogeneous. When set it must hold exactly
+	// Devices positive entries. Heterogeneous speeds open the tuner's
+	// partitioning/placement axis.
 	DeviceSpeeds []float64 `json:"device_speeds,omitempty"`
 	// Placement selects the partitioning/placement search mode ("auto",
-	// "uniform", "coopt"); empty means auto. Fingerprinted (canonicalized to
-	// lower case, with "auto" normalized to empty).
+	// "uniform", "coopt"); empty means auto.
 	Placement string `json:"placement,omitempty"`
 
 	// Workers is a per-request hint for tuner parallelism, capped by the
-	// server; 0 uses the server default. Not fingerprinted: the plan is
-	// identical for every worker count.
+	// server; 0 uses the server default. The plan is identical for every
+	// worker count.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutSec overrides the server's default per-request deadline,
-	// capped by the server's maximum. Not fingerprinted.
+	// capped by the server's maximum.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
-// Validate checks the request and canonicalizes the fields the fingerprint
-// depends on: the scheme is resolved to its canonical name, the memory spec
-// to bytes, the model reference to a concrete configuration, and every
-// spelling of a default to the absent field (tp 1, an empty micro_batches,
-// all-nominal device_speeds, placement "auto"). What it leaves survives
-// json.Marshal → decode → Validate with the same fingerprint, which is what
-// the peer hop relies on (FuzzPlanRequestCanonical). It returns the resolved
-// model.
-func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
+// Resolve is the request's one check: the model reference is looked up,
+// mario.Resolve validates and resolves everything that steers the plan, and
+// timeout_sec — the one field with a range that is the service's own — is
+// checked here. The request is not modified: forwarded to another member as it
+// was sent, it resolves there to the same workload.
+func (r *PlanRequest) Resolve() (*mario.Workload, error) {
 	var model cost.ModelConfig
 	switch {
 	case r.Model != "" && r.ModelConfig != nil:
-		return model, fmt.Errorf("serve: set model or model_config, not both")
+		return nil, fmt.Errorf("serve: set model or model_config, not both")
 	case r.ModelConfig != nil:
 		model = *r.ModelConfig
 	case r.Model != "":
-		m, ok := mario.Models()[r.Model]
-		if !ok {
-			return model, fmt.Errorf("serve: unknown model %q", r.Model)
+		var ok bool
+		if model, ok = mario.LookupModel(r.Model); !ok {
+			return nil, fmt.Errorf("serve: unknown model %q", r.Model)
 		}
-		model = m
 	default:
-		return model, fmt.Errorf("serve: model or model_config is required")
-	}
-	if err := model.Validate(); err != nil {
-		return model, err
-	}
-	if r.Devices <= 0 || r.GlobalBatch <= 0 {
-		return model, fmt.Errorf("serve: devices (%d) and global_batch (%d) must be positive", r.Devices, r.GlobalBatch)
-	}
-	if name := strings.TrimSpace(r.Scheme); name == "" || strings.EqualFold(name, "auto") {
-		r.Scheme = "Auto"
-	} else {
-		s, err := pipeline.ParseScheme(name)
-		if err != nil {
-			return model, err
-		}
-		r.Scheme = string(s)
-	}
-	if r.Memory != "" {
-		if _, err := mario.ParseMemory(r.Memory); err != nil {
-			return model, err
-		}
-	}
-	if r.TP < 0 {
-		return model, fmt.Errorf("serve: tp must not be negative (got %d)", r.TP)
-	}
-	if r.TP == 1 {
-		r.TP = 0 // the search resolves an absent degree to 1
-	}
-	for _, m := range r.MicroBatches {
-		if m <= 0 {
-			return model, fmt.Errorf("serve: micro_batches entries must be positive (got %d)", m)
-		}
-	}
-	if len(r.MicroBatches) == 0 {
-		r.MicroBatches = nil // omitempty cannot send an empty list, so it is the absent one
-	}
-	if len(r.DeviceSpeeds) != 0 && len(r.DeviceSpeeds) != r.Devices {
-		return model, fmt.Errorf("serve: %d device_speeds entries for %d devices", len(r.DeviceSpeeds), r.Devices)
-	}
-	for d, v := range r.DeviceSpeeds {
-		if v <= 0 {
-			return model, fmt.Errorf("serve: device_speeds[%d] = %g must be positive", d, v)
-		}
-	}
-	if place.Homogeneous(r.DeviceSpeeds) {
-		r.DeviceSpeeds = nil // all-nominal speeds are the homogeneous workload
-	}
-	pmode, err := place.ParseMode(r.Placement)
-	if err != nil {
-		return model, err
-	}
-	if pmode == place.ModeAuto {
-		r.Placement = "" // the default mode fingerprints like an absent field
-	} else {
-		r.Placement = string(pmode)
+		return nil, fmt.Errorf("serve: model or model_config is required")
 	}
 	if r.TimeoutSec < 0 {
-		return model, fmt.Errorf("serve: timeout_sec must not be negative")
+		return nil, fmt.Errorf("serve: timeout_sec must not be negative")
 	}
-	return model, nil
+	return mario.Resolve(r.Config(0), model)
 }
 
-// fingerprintKey is the canonical identity of a planning workload. Field
-// order is fixed and every field is either a value or a canonicalized
-// pointer, so encoding/json renders identical requests to identical bytes.
-type fingerprintKey struct {
-	Model        cost.ModelConfig     `json:"model"`
-	Scheme       string               `json:"scheme"`
-	GlobalBatch  int                  `json:"global_batch"`
-	Devices      int                  `json:"devices"`
-	MemoryBytes  float64              `json:"memory_bytes"`
-	TP           int                  `json:"tp"`
-	Checkpoint   *bool                `json:"checkpoint"`
-	Split        bool                 `json:"split"`
-	MicroBatches []int                `json:"micro_batches"`
-	MinPP        int                  `json:"min_pp"`
-	MaxPP        int                  `json:"max_pp"`
-	NoPrune      bool                 `json:"no_prune"`
-	NoBnB        bool                 `json:"no_bnb"`
-	Machine      *profile.MachineSpec `json:"machine"`
-	Hardware     *cost.Hardware       `json:"hardware"`
-	DeviceSpeeds []float64            `json:"device_speeds"`
-	Placement    string               `json:"placement"`
-}
-
-// Fingerprint returns the workload fingerprint: a hex SHA-256 over the
-// canonical JSON of every plan-steering field. Call Validate first — the
-// fingerprint assumes canonicalized scheme and memory fields.
-func (r *PlanRequest) Fingerprint(model cost.ModelConfig) string {
-	memBytes := 0.0
-	if r.Memory != "" {
-		memBytes, _ = mario.ParseMemory(r.Memory) // validated already
-	}
-	key := fingerprintKey{
-		Model:        model,
-		Scheme:       r.Scheme,
-		GlobalBatch:  r.GlobalBatch,
-		Devices:      r.Devices,
-		MemoryBytes:  memBytes,
-		TP:           r.TP,
-		Checkpoint:   r.Checkpoint,
-		Split:        r.SplitBackward,
-		MicroBatches: r.MicroBatches,
-		MinPP:        r.MinPP,
-		MaxPP:        r.MaxPP,
-		NoPrune:      r.NoPrune,
-		NoBnB:        r.NoBnB,
-		Machine:      r.Machine,
-		Hardware:     r.Hardware,
-		DeviceSpeeds: r.DeviceSpeeds,
-		Placement:    r.Placement,
-	}
-	data, err := json.Marshal(key)
+// Validate is Resolve for callers that want the model and build the
+// mario.Config themselves (Config).
+func (r *PlanRequest) Validate() (cost.ModelConfig, error) {
+	w, err := r.Resolve()
 	if err != nil {
-		// Unreachable: every field is a plain value. Fail closed with a
-		// never-matching fingerprint rather than panicking a server.
+		return cost.ModelConfig{}, err
+	}
+	return w.Model, nil
+}
+
+// Fingerprint is the fingerprint of the workload the request resolves to with
+// the given model (mario.Workload.Fingerprint). A request that does not
+// resolve gets a fingerprint that matches nothing.
+func (r *PlanRequest) Fingerprint(model cost.ModelConfig) string {
+	w, err := mario.Resolve(r.Config(0), model)
+	if err != nil {
 		return fmt.Sprintf("unfingerprintable:%v", err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return w.Fingerprint()
 }
 
-// Config translates the request into a mario.Config. workers is the resolved
-// tuner parallelism (the server caps the request's hint).
+// Config spells the request as a mario.Config. workers is the resolved tuner
+// parallelism (the server caps the request's hint).
 func (r *PlanRequest) Config(workers int) mario.Config {
 	conf := mario.Config{
 		PipelineScheme:  r.Scheme,
@@ -261,12 +152,10 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 		Workers:         workers,
 		DeviceSpeeds:    r.DeviceSpeeds,
 		Placement:       r.Placement,
+		Hardware:        r.Hardware,
 	}
 	if r.Machine != nil {
 		conf.Machine = *r.Machine
-	}
-	if r.Hardware != nil {
-		conf.Hardware = r.Hardware
 	}
 	return conf
 }
@@ -360,9 +249,13 @@ const RoutedHeader = "X-Mario-Routed"
 // dropped the schedule too: an outcome candidate is coordinates, placement
 // assignment and result totals, the coordinator rebuilds the one schedule it
 // keeps (the winner's) itself, and a version-3 worker's schedules would land in
-// the trace of a plan that must carry none. The coordinator checks the version
-// and the fingerprint a response echoes; a mismatch is a dispatch error.
-const ShardProtoVersion = 4
+// the trace of a plan that must carry none. Version 5 changed what a fingerprint
+// is — the hash of the resolved workload (mario.Workload) instead of the hash
+// of the request's canonicalized spelling — and the fingerprint is what the two
+// sides compare: a version-4 worker would name every workload differently. The
+// coordinator checks the version and the fingerprint a response echoes; a
+// mismatch is a dispatch error.
+const ShardProtoVersion = 5
 
 // ShardRequest is the body of POST /v1/shard: one coordinator-probed batch
 // of grid points for the worker to evaluate against the given workload.
@@ -370,8 +263,8 @@ type ShardRequest struct {
 	// Proto is the shard protocol version (ShardProtoVersion).
 	Proto int `json:"proto"`
 	// Workload identifies the search the points index into. The worker
-	// validates and fingerprints it exactly like a plan request, so the
-	// enumerated grid is the coordinator's bit for bit.
+	// resolves it exactly like a plan request, so the enumerated grid is the
+	// coordinator's bit for bit.
 	Workload PlanRequest `json:"workload"`
 	// Points are the probed grid points, in dispatch order.
 	Points []tuner.ShardPoint `json:"points"`

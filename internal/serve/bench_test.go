@@ -47,7 +47,7 @@ func benchServer() (*Server, *httptest.Server) {
 }
 
 // benchRun is the bench servers' run stub.
-func benchRun(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+func benchRun(ctx context.Context, req PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 	root := tracer.Root(telemetry.PhaseOptimize, "")
 	search := root.Child(telemetry.PhaseSearch, "")
 	p := search.Child(telemetry.PhasePoint, "0000")

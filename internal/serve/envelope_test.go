@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mario"
 	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
@@ -218,9 +219,9 @@ func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	run, gate := s.run, make(chan struct{})
-	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 		<-gate
-		return run(ctx, req, tracer, progress)
+		return run(ctx, req, wl, tracer, progress)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -264,7 +265,7 @@ func planHitCost(t *testing.T, size int) (allocs float64, fastest time.Duration)
 	plan := []byte(`{"pad":"` + strings.Repeat("x", size-len(`{"pad":""}`)) + `"}`)
 	s := New(Options{})
 	defer s.Close()
-	s.run = func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
+	s.run = func(context.Context, PlanRequest, *mario.Workload, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
 		return plan, nil
 	}
 	h := s.Handler()

@@ -12,6 +12,7 @@ import (
 	"mario"
 	"mario/internal/serve/api"
 	"mario/internal/serve/client"
+	"mario/internal/telemetry"
 	"mario/internal/tuner"
 )
 
@@ -96,19 +97,10 @@ type fleetState struct {
 	peers   []string // other members, sorted
 	clients map[string]*client.Client
 	ring    *hashRing // nil unless Self is set
-	shards  int
-	chunk   int
-	noShare bool
 
 	mu      sync.Mutex
-	workers map[string]*workerEntry // fingerprint → shard worker (LRU)
-	order   []string                // LRU order, oldest first
-	cap     int
-}
-
-type workerEntry struct {
-	fp string
-	w  *mario.ShardWorker
+	workers map[string]*mario.ShardWorker // fingerprint → shard worker (LRU, workerCache entries)
+	order   []string                      // LRU order, oldest first
 }
 
 // newFleetState builds the fleet side of a server. It is always non-nil:
@@ -119,11 +111,7 @@ func newFleetState(opts Options) *fleetState {
 	fs := &fleetState{
 		self:    opts.Self,
 		clients: map[string]*client.Client{},
-		workers: map[string]*workerEntry{},
-		cap:     opts.WorkerCache,
-		shards:  opts.Shards,
-		chunk:   opts.ShardChunk,
-		noShare: opts.NoShareIncumbent,
+		workers: map[string]*mario.ShardWorker{},
 	}
 	seen := map[string]bool{opts.Self: true, "": true}
 	for _, p := range opts.Fleet {
@@ -138,46 +126,37 @@ func newFleetState(opts Options) *fleetState {
 		fs.clients[p] = cl
 	}
 	sort.Strings(fs.peers)
-	if fs.shards <= 0 {
-		fs.shards = len(fs.peers)
-	}
 	if opts.Self != "" && len(fs.peers) > 0 {
 		fs.ring = newHashRing(append([]string{opts.Self}, fs.peers...))
 	}
 	return fs
 }
 
-// workerFor returns the memoized shard worker for a validated workload,
+// workerFor returns the memoized shard worker for a resolved workload,
 // creating (and LRU-evicting) under the lock. metrics receives the worker
 // tuner's simulation counts.
-func (fs *fleetState) workerFor(fp string, req PlanRequest, workers int, s *Server) (*mario.ShardWorker, error) {
+func (fs *fleetState) workerFor(wl *mario.Workload, metrics *telemetry.SearchMetrics) *mario.ShardWorker {
+	fp := wl.Fingerprint()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if e, ok := fs.workers[fp]; ok {
+	if w, ok := fs.workers[fp]; ok {
 		for i, o := range fs.order {
 			if o == fp {
 				fs.order = append(append(fs.order[:i:i], fs.order[i+1:]...), fp)
 				break
 			}
 		}
-		return e.w, nil
+		return w
 	}
-	model, err := req.Validate()
-	if err != nil {
-		return nil, err
-	}
-	w, err := mario.NewShardWorker(req.Config(workers), model, s.search)
-	if err != nil {
-		return nil, err
-	}
-	fs.workers[fp] = &workerEntry{fp: fp, w: w}
+	w := mario.NewShardWorker(wl, metrics)
+	fs.workers[fp] = w
 	fs.order = append(fs.order, fp)
-	for len(fs.order) > fs.cap {
+	for len(fs.order) > workerCache {
 		old := fs.order[0]
 		fs.order = fs.order[1:]
 		delete(fs.workers, old)
 	}
-	return w, nil
+	return w
 }
 
 // handleShard answers one coordinator-dispatched shard batch. Draining
@@ -202,21 +181,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sm.shardRequests.Inc()
-	model, err := req.Workload.Validate()
+	wl, err := req.Workload.Resolve()
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	fp := req.Workload.Fingerprint(model)
-	workers := req.Workload.Workers
-	if s.opts.TunerWorkers > 0 && (workers <= 0 || workers > s.opts.TunerWorkers) {
-		workers = s.opts.TunerWorkers
-	}
-	sw, err := s.fleet.workerFor(fp, req.Workload, workers, s)
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, err)
-		return
-	}
+	sw := s.fleet.workerFor(wl, s.search)
 	ctx, cancel := context.WithTimeout(r.Context(), req.Workload.Timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout))
 	defer cancel()
 	outcomes, err := sw.EvalShard(ctx, req.Points, req.Incumbent)
@@ -226,7 +196,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sm.shardPoints.Add(int64(len(outcomes)))
-	writeJSON(w, ShardResponse{Proto: api.ShardProtoVersion, Fingerprint: fp, Outcomes: outcomes})
+	writeJSON(w, ShardResponse{Proto: api.ShardProtoVersion, Fingerprint: wl.Fingerprint(), Outcomes: outcomes})
 }
 
 // routeToPeer forwards a blocking plan request to the workload's
@@ -239,10 +209,11 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // the body's JSON grammar end to end. Routing is an optimization, never a
 // correctness dependency: a peer failure falls back to local computation, and
 // so does a 200 that does not answer this request — one for another
-// fingerprint (the owner's ring or request canonicalization disagrees with
-// ours), one without a plan, or one that is not exactly one JSON value
-// (truncated, or with anything but white space behind it).
-func (s *Server) routeToPeer(r *http.Request, fp string, req PlanRequest) (*PlanResponse, bool) {
+// fingerprint (the owner resolves workloads differently: another build), one
+// without a plan, or one that is not exactly one JSON value (truncated, or with
+// anything but white space behind it). req goes out as it came in: the owner
+// resolves whatever spelling arrives to the workload fp names.
+func (s *Server) routeToPeer(r *http.Request, req PlanRequest, fp string) (*PlanResponse, bool) {
 	fs := s.fleet
 	if fs == nil || fs.ring == nil || r.Header.Get(api.RoutedHeader) != "" {
 		return nil, false
@@ -276,13 +247,16 @@ type fleetDispatcher struct {
 	fp       string // the workload's fingerprint, which every response must echo
 }
 
-func (d *fleetDispatcher) Shards() int    { return d.fs.shards }
-func (d *fleetDispatcher) ChunkSize() int { return d.fs.chunk }
+// One shard per peer and the tuner's default chunk: nothing has asked for
+// another geometry (the tuner's determinism tests vary both on their own
+// dispatchers).
+func (d *fleetDispatcher) Shards() int    { return len(d.fs.peers) }
+func (d *fleetDispatcher) ChunkSize() int { return tuner.DefaultShardChunk }
 
 func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tuner.ShardPoint, incumbent float64, hasIncumbent bool) ([]tuner.ShardOutcome, error) {
 	peer := d.fs.peers[shard%len(d.fs.peers)]
 	req := api.ShardRequest{Proto: api.ShardProtoVersion, Workload: d.workload, Points: points}
-	if hasIncumbent && !d.fs.noShare {
+	if hasIncumbent {
 		inc := incumbent
 		req.Incumbent = &inc
 	}
@@ -307,9 +281,9 @@ func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tune
 
 // sharderFor returns the dispatcher for one coordinator search, or nil
 // when the server has no fleet to dispatch to.
-func (s *Server) sharderFor(req PlanRequest, model mario.ModelConfig) tuner.ShardDispatcher {
+func (s *Server) sharderFor(req PlanRequest, wl *mario.Workload) tuner.ShardDispatcher {
 	if s.fleet == nil || len(s.fleet.peers) == 0 {
 		return nil
 	}
-	return &fleetDispatcher{s: s, fs: s.fleet, workload: req, fp: req.Fingerprint(model)}
+	return &fleetDispatcher{s: s, fs: s.fleet, workload: req, fp: wl.Fingerprint()}
 }

@@ -394,8 +394,8 @@ func fleetPair(t testing.TB) (aURL, bURL string, a, b *Server, cleanup func()) {
 // stubRun is a run function that answers at once with bytes naming the
 // member, under a one-span trace, so tests observe which member computed a
 // plan without running the tuner.
-func stubRun(name string) func(context.Context, PlanRequest, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
-	return func(_ context.Context, _ PlanRequest, tracer *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
+func stubRun(name string) func(context.Context, PlanRequest, *mario.Workload, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
+	return func(_ context.Context, _ PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
 		tracer.Root(telemetry.PhaseOptimize, name).End()
 		return []byte(`{"from":"` + name + `"}`), nil
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"sync"
+
+	"mario"
 )
 
 // flight is one in-progress tuner run that any number of identical requests
@@ -11,8 +13,8 @@ import (
 // waiter abandons (deadline, disconnect), the flight's context is cancelled
 // so the tuner stops burning a worker on a result nobody wants.
 type flight struct {
-	fp  string
-	req PlanRequest
+	req PlanRequest     // as it was sent: its workers hint, and what a fleet's shard workers are sent
+	wl  *mario.Workload // what req resolved to: what is searched, and under whose fingerprint the plan is kept
 
 	// ctx governs the tuner run; cancel is called when the last waiter
 	// leaves or the server shuts down hard.
@@ -36,9 +38,9 @@ type flight struct {
 	trace []byte
 }
 
-func newFlight(fp string, req PlanRequest) *flight {
+func newFlight(req PlanRequest, wl *mario.Workload) *flight {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &flight{fp: fp, req: req, ctx: ctx, cancel: cancel, waiters: 1, done: make(chan struct{})}
+	return &flight{req: req, wl: wl, ctx: ctx, cancel: cancel, waiters: 1, done: make(chan struct{})}
 }
 
 // subscribe registers a progress channel. The channel is buffered; broadcast

@@ -1,7 +1,7 @@
 // Package loadgen drives synthetic request load against a mariod planning
 // fleet and reports latency quantiles and outcome rates. It is the engine
-// behind cmd/loadgen, the BenchmarkServeLoadgen* service benchmarks and the
-// fleet selfcheck's burst phase.
+// behind cmd/loadgen and the fleet selfcheck's burst phase, and boots the
+// loopback fleet both of them run against (BootLoopback).
 //
 // The generator speaks raw HTTP rather than the service client so that
 // admission pushback (429 from a full queue, 503 from a draining member)
@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mario/internal/serve"
 	"mario/internal/serve/api"
 )
 
@@ -227,4 +229,48 @@ func MixedWorkloads(base api.PlanRequest, n int) []api.PlanRequest {
 		ws[i] = w
 	}
 	return ws
+}
+
+// Member is one member of a loopback fleet BootLoopback started: a full
+// server (coordinator + shard worker + router) behind its own HTTP listener.
+type Member struct {
+	URL    string
+	Server *serve.Server
+	HTTP   *http.Server
+}
+
+// BootLoopback starts n full-mesh fleet members on ephemeral loopback ports:
+// each gets base with its own URL as Self and the others as Fleet, so
+// consistent-hash routing and shard dispatch are live between all of them.
+// Stopping them is the caller's: Server.Drain or Close, and HTTP.Shutdown.
+func BootLoopback(n int, base serve.Options) ([]*Member, error) {
+	listeners := make([]net.Listener, n)
+	urls := make([]string, n)
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, open := range listeners[:i] {
+				open.Close()
+			}
+			return nil, err
+		}
+		listeners[i] = l
+		urls[i] = "http://" + l.Addr().String()
+	}
+	members := make([]*Member, n)
+	for i, l := range listeners {
+		opts := base
+		opts.Self = urls[i]
+		opts.Fleet = nil
+		for j, u := range urls {
+			if j != i {
+				opts.Fleet = append(opts.Fleet, u)
+			}
+		}
+		s := serve.New(opts)
+		m := &Member{URL: urls[i], Server: s, HTTP: &http.Server{Handler: s.Handler()}}
+		go m.HTTP.Serve(l) // returns when the caller shuts m.HTTP down
+		members[i] = m
+	}
+	return members, nil
 }

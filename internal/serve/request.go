@@ -1,9 +1,10 @@
 // Package serve turns the mario optimizer into a resident planning service:
-// an HTTP/JSON daemon that canonicalizes Optimize requests into workload
-// fingerprints, answers repeats from an LRU plan cache, collapses concurrent
-// identical requests onto one tuner run (singleflight), bounds concurrent
-// tuner work with a worker pool plus admission control, streams tuner
-// progress as newline-delimited JSON, and drains gracefully on shutdown.
+// an HTTP/JSON daemon that resolves Optimize requests into workloads (a
+// workload's hash is its fingerprint), answers repeats from an LRU plan
+// cache, collapses concurrent identical requests onto one tuner run
+// (singleflight), bounds concurrent tuner work with a worker pool plus
+// admission control, streams tuner progress as newline-delimited JSON, and
+// drains gracefully on shutdown.
 // Configured with fleet peers, a server also acts as a distributed-planning
 // member: it routes plan requests to each workload's consistent-hash owner,
 // answers shard batches other coordinators dispatch, and distributes its own

@@ -2,41 +2,101 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"mario"
+	"mario/internal/cost"
+	"mario/internal/profile"
+	"mario/internal/serve/api"
+	"mario/internal/telemetry"
 )
 
-// TestRequestValidateErrors pins the error message of every PlanRequest
-// reject path, so HTTP clients get a diagnosable 400 body rather than a
-// generic failure.
+// TestRequestValidateErrors is the one table of reject paths: every way a
+// workload can be wrong, with the message an HTTP client reads in the 400 body.
+// All but the service's own checks (the model reference, timeout_sec) are
+// mario.Resolve's, so each case is also held to the library's door —
+// mario.Optimize of the same Config returns the same error, where it used to
+// search, or panic — and to the service's: a 400, and nothing searched.
 func TestRequestValidateErrors(t *testing.T) {
 	valid := func() PlanRequest {
 		return PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
+	}
+	hardware := func(mut func(*cost.Hardware)) func(*PlanRequest) {
+		return func(r *PlanRequest) {
+			hw := cost.A100_40G
+			mut(&hw)
+			r.Hardware = &hw
+		}
+	}
+	machine := func(mut func(*profile.MachineSpec)) func(*PlanRequest) {
+		return func(r *PlanRequest) {
+			m := profile.DefaultMachine
+			mut(&m)
+			r.Machine = &m
+		}
 	}
 	cases := []struct {
 		name    string
 		mut     func(*PlanRequest)
 		wantErr string
+		// serviceOnly: the check is the request's own, not the resolver's.
+		// libraryOnly: the value has no JSON spelling (a non-finite number).
+		serviceOnly, libraryOnly bool
 	}{
-		{"model and model_config", func(r *PlanRequest) {
-			m := mario.Models()["LLaMA2-3B"]
+		{name: "model and model_config", mut: func(r *PlanRequest) {
+			m := mario.Model("LLaMA2-3B")
 			r.ModelConfig = &m
-		}, "model or model_config, not both"},
-		{"unknown model", func(r *PlanRequest) { r.Model = "GPT9-999T" }, `unknown model "GPT9-999T"`},
-		{"missing model", func(r *PlanRequest) { r.Model = "" }, "model or model_config is required"},
-		{"zero devices", func(r *PlanRequest) { r.Devices = 0 }, "must be positive"},
-		{"negative global batch", func(r *PlanRequest) { r.GlobalBatch = -1 }, "must be positive"},
-		{"bad scheme", func(r *PlanRequest) { r.Scheme = "zigzag" }, "unknown scheme"},
-		{"bad memory", func(r *PlanRequest) { r.Memory = "lots" }, "invalid memory spec"},
-		{"negative tp", func(r *PlanRequest) { r.TP = -1 }, "tp must not be negative"},
-		{"zero micro batch", func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, "micro_batches entries must be positive"},
-		{"negative timeout", func(r *PlanRequest) { r.TimeoutSec = -1 }, "timeout_sec must not be negative"},
+		}, wantErr: "model or model_config, not both", serviceOnly: true},
+		{name: "unknown model", mut: func(r *PlanRequest) { r.Model = "GPT9-999T" }, wantErr: `unknown model "GPT9-999T"`, serviceOnly: true},
+		{name: "missing model", mut: func(r *PlanRequest) { r.Model = "" }, wantErr: "model or model_config is required", serviceOnly: true},
+		{name: "negative timeout", mut: func(r *PlanRequest) { r.TimeoutSec = -1 }, wantErr: "timeout_sec must not be negative", serviceOnly: true},
+		{name: "bad model_config", mut: func(r *PlanRequest) {
+			r.Model, r.ModelConfig = "", &cost.ModelConfig{Name: "tiny", Hidden: 64, Layers: 0, Heads: 4, SeqLen: 128, Vocab: 1000}
+		}, wantErr: "layer count must be positive"},
+		{name: "zero devices", mut: func(r *PlanRequest) { r.Devices = 0 }, wantErr: "must be positive"},
+		{name: "negative global batch", mut: func(r *PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
+		{name: "bad scheme", mut: func(r *PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
+		{name: "bad memory", mut: func(r *PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},
+		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "hardware MemBytes must be finite"},
+		{name: "negative tp", mut: func(r *PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},
+		{name: "zero micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
+		{name: "speeds of another cluster", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
+		{name: "negative speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
+		{name: "NaN speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, math.NaN(), 1, 1, 1, 1, 1} }, wantErr: "device 2 speed NaN must be positive", libraryOnly: true},
+		{name: "bad placement", mut: func(r *PlanRequest) { r.Placement = "sideways" }, wantErr: "unknown placement mode"},
+		{name: "empty hardware", mut: func(r *PlanRequest) { r.Hardware = &cost.Hardware{} }, wantErr: "hardware FLOPS must be positive"},
+		{name: "negative FLOPS", mut: hardware(func(h *cost.Hardware) { h.FLOPS = -140e12 }), wantErr: "hardware FLOPS must be positive"},
+		{name: "zero link bandwidth", mut: hardware(func(h *cost.Hardware) { h.LinkBandwidth = 0 }), wantErr: "hardware LinkBandwidth must be positive"},
+		{name: "zero backward ratio", mut: hardware(func(h *cost.Hardware) { h.BackwardRatio = 0 }), wantErr: "hardware BackwardRatio must be positive"},
+		{name: "zero hardware memory", mut: hardware(func(h *cost.Hardware) { h.MemBytes = 0 }), wantErr: "hardware MemBytes must be positive"},
+		{name: "negative link latency", mut: hardware(func(h *cost.Hardware) { h.LinkLatency = -1e-6 }), wantErr: "hardware LinkLatency must not be negative"},
+		{name: "negative launch overhead", mut: hardware(func(h *cost.Hardware) { h.LaunchOverhead = -1e-6 }), wantErr: "hardware LaunchOverhead must not be negative"},
+		{name: "negative framework memory", mut: hardware(func(h *cost.Hardware) { h.FrameworkMem = -1 }), wantErr: "hardware FrameworkMem must not be negative"},
+		{name: "infinite FLOPS", mut: hardware(func(h *cost.Hardware) { h.FLOPS = math.Inf(1) }), wantErr: "hardware FLOPS must be finite", libraryOnly: true},
+		{name: "noise of the whole duration", mut: machine(func(m *profile.MachineSpec) { m.Noise = 1 }), wantErr: "machine Noise must be below 1"},
+		{name: "hetero above one", mut: machine(func(m *profile.MachineSpec) { m.Hetero = 1.5 }), wantErr: "machine Hetero must be below 1"},
+		{name: "negative noise", mut: machine(func(m *profile.MachineSpec) { m.Noise = -0.1 }), wantErr: "machine Noise must not be negative"},
+		{name: "negative overhead", mut: machine(func(m *profile.MachineSpec) { m.ExtraOverhead = -1e-6 }), wantErr: "machine ExtraOverhead must not be negative"},
+		{name: "negative memory slack", mut: machine(func(m *profile.MachineSpec) { m.MemSlack = -1 }), wantErr: "machine MemSlack must not be negative"},
+		{name: "NaN memory slack", mut: machine(func(m *profile.MachineSpec) { m.MemSlack = math.NaN() }), wantErr: "machine MemSlack must be finite", libraryOnly: true},
 	}
+
+	s := New(Options{})
+	defer s.Close()
+	s.run = func(_ context.Context, req PlanRequest, _ *mario.Workload, _ *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
+		t.Errorf("a search ran for %+v", req)
+		return nil, errors.New("unreachable")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := valid()
@@ -46,51 +106,159 @@ func TestRequestValidateErrors(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Validate() error = %q, want it to contain %q", err, tc.wantErr)
 			}
+			if !tc.serviceOnly {
+				model := mario.Model("LLaMA2-3B")
+				if r.ModelConfig != nil {
+					model = *r.ModelConfig
+				}
+				if plan, err := mario.Optimize(r.Config(1), model); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("mario.Optimize = %v, %v; want an error containing %q", plan, err, tc.wantErr)
+				}
+			}
+			if !tc.libraryOnly {
+				body, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, path := range []string{"/v1/plan", "/v1/plan/stream"} {
+					resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var answer struct{ Error string }
+					err = json.NewDecoder(resp.Body).Decode(&answer)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(answer.Error, tc.wantErr) {
+						t.Errorf("%s answered %d %q (%v), want 400 with %q", path, resp.StatusCode, answer.Error, err, tc.wantErr)
+					}
+				}
+				shard, err := json.Marshal(ShardRequest{Proto: api.ShardProtoVersion, Workload: r})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(shard))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("/v1/shard answered %d, want 400", resp.StatusCode)
+				}
+			}
 		})
 	}
 }
 
-// TestFingerprintStrategyFields pins which of the search-strategy knobs are
-// part of the workload identity. NoPrune and NoBnB change the trace and the
-// search stats, so they must produce distinct cache entries; Workers and
-// TimeoutSec are speed controls with bit-identical plans, so they must share
-// one.
-func TestFingerprintStrategyFields(t *testing.T) {
-	fp := func(mut func(*PlanRequest)) string {
-		r := PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
-		if mut != nil {
-			mut(&r)
-		}
-		model, err := r.Validate()
+// bareBody is the workload the spelling tests respell: nothing but what is
+// required.
+const bareBody = `{"model":"LLaMA2-3B","devices":4,"global_batch":16}`
+
+// respelled is bareBody with one more field.
+func respelled(field string) string {
+	return strings.TrimSuffix(bareBody, "}") + "," + field + "}"
+}
+
+// resolveBody decodes a request body the way the server does and resolves it.
+func resolveBody(t *testing.T, body string) (PlanRequest, *mario.Workload) {
+	t.Helper()
+	var r PlanRequest
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	wl, err := r.Resolve()
+	if err != nil {
+		t.Fatalf("%s: %v", body, err)
+	}
+	return r, wl
+}
+
+// TestEquivalentSpellingsOneWorkload: a default written out is the default.
+// Each of these bodies used to be a workload of its own — a fingerprint, a
+// search and a cache entry apart from the bare request — for a plan that is the
+// bare request's byte for byte; "micro_batches":[] and "tp":1 were found and
+// closed one at a time, each with a branch in Validate. The fingerprint is now
+// the hash of what the request resolves to, so the class is closed by
+// construction; this test keeps the members that were measured. The last two
+// are the request's run hints, which have no place in a Workload to get into.
+func TestEquivalentSpellingsOneWorkload(t *testing.T) {
+	a100, err := json.Marshal(cost.A100_40G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaultMachine, err := json.Marshal(profile.DefaultMachine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spellings := []string{
+		`"machine":{}`,
+		`"machine":` + string(defaultMachine),
+		`"min_pp":-3`,
+		`"min_pp":4`,
+		`"max_pp":4`,
+		`"max_pp":100`,
+		`"memory":"40G"`, // what the quick-start curl lines send
+		`"hardware":` + string(a100),
+		`"micro_batches":[1,2,4,8,16,32]`,
+		// On a homogeneous cluster the uniform split is the one point auto
+		// explores (tuner.placementModes); Space.WithDefaults says so.
+		`"placement":"uniform"`,
+		`"tp":1`,
+		`"micro_batches":[]`,
+		`"device_speeds":[1,1,1,1]`,
+		`"scheme":" auto "`,
+		`"workers":7`,
+		`"timeout_sec":3`,
+	}
+	bareReq, bare := resolveBody(t, bareBody)
+	// The one pinned fingerprint value. PR 21 pinned 4dda982b5617 here, the
+	// hash of the request's canonical spelling; it was re-taken once, when the
+	// fingerprint became the hash of the resolved workload (shard protocol 5).
+	// It moves when the resolution of this request moves — a new default, a
+	// new field the search reads — and then every cached plan and every ring
+	// owner moves with it: bump api.ShardProtoVersion.
+	if fp := bare.Fingerprint(); !strings.HasPrefix(fp, pinnedBareFingerprint) {
+		t.Errorf("the bare request's fingerprint moved: %.12s, pinned %s", fp, pinnedBareFingerprint)
+	}
+	var want []byte
+	if !testing.Short() {
+		plan, err := mario.Optimize(bareReq.Config(1), bare.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Fingerprint(model)
-	}
-	base := fp(nil)
-
-	for name, mut := range map[string]func(*PlanRequest){
-		"no_prune": func(r *PlanRequest) { r.NoPrune = true },
-		"no_bnb":   func(r *PlanRequest) { r.NoBnB = true },
-	} {
-		if fp(mut) == base {
-			t.Errorf("%s: fingerprint unchanged, want a distinct cache identity", name)
+		if want, err = json.Marshal(plan); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for name, mut := range map[string]func(*PlanRequest){
-		"workers":     func(r *PlanRequest) { r.Workers = 7 },
-		"timeout_sec": func(r *PlanRequest) { r.TimeoutSec = 3 },
-	} {
-		if fp(mut) != base {
-			t.Errorf("%s: fingerprint changed, but the plan is bit-identical — cache would split", name)
+	for _, field := range spellings {
+		req, wl := resolveBody(t, respelled(field))
+		if wl.Fingerprint() != bare.Fingerprint() {
+			t.Errorf("%s fingerprints as %.12s, the bare request as %.12s", field, wl.Fingerprint(), bare.Fingerprint())
+		}
+		if testing.Short() {
+			continue
+		}
+		plan, err := mario.Optimize(req.Config(1), wl.Model)
+		if err != nil {
+			t.Fatalf("%s: %v", field, err)
+		}
+		if got, err := json.Marshal(plan); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s plans %d bytes (error %v), the bare request %d: one fingerprint for two plans", field, len(got), err, len(want))
 		}
 	}
-
-	// Scheme canonicalization: the "auto" spellings share one identity.
-	if fp(func(r *PlanRequest) { r.Scheme = "auto" }) != base || fp(func(r *PlanRequest) { r.Scheme = "Auto" }) != base {
-		t.Error("auto-scheme spellings produce distinct fingerprints")
+	// And the converse, for one field of each kind: what changes the search
+	// changes the fingerprint.
+	for _, field := range []string{`"tp":2`, `"micro_batches":[1,2]`, `"min_pp":2`, `"memory":"80G"`, `"scheme":"V"`,
+		`"placement":"coopt"`, `"device_speeds":[1,1,0.8,1]`, `"no_prune":true`, `"no_bnb":true`, `"split_backward":true`,
+		`"checkpoint":true`, `"machine":{"Noise":0.1}`} {
+		if _, wl := resolveBody(t, respelled(field)); wl.Fingerprint() == bare.Fingerprint() {
+			t.Errorf("%s shares the bare request's fingerprint", field)
+		}
 	}
 }
+
+const pinnedBareFingerprint = "294d162734b3"
 
 // TestRequestConfigPlumbing: every strategy knob on the wire reaches the
 // optimizer config — a silently dropped field would make the daemon ignore
@@ -112,42 +280,19 @@ func TestRequestConfigPlumbing(t *testing.T) {
 	}
 }
 
-// TestEmptyMicroBatchesIsAbsent: "micro_batches":[] is the absent field — the
-// schema's omitempty says so, since no encoder of a PlanRequest can send an
-// empty list. It used to be a workload of its own: fingerprinted as [] where
-// the absent field is null, dropped when a member re-encoded the request for
-// its owner — which then planned the other workload, answered under the other
-// fingerprint and was refused, one discarded search and one routing error per
-// request — and finally answered 500 by the asked member, because the tuner
-// takes its default micro-batch sizes only for nil.
+// TestEmptyMicroBatchesIsAbsent: "micro_batches":[] is the absent field, on a
+// standalone server and through the peer hop. It used to be a workload of its
+// own: fingerprinted as [] where the absent field is null, dropped when a
+// member re-encoded the request for its owner — which then planned the other
+// workload, answered under the other fingerprint and was refused, one
+// discarded search and one routing error per request — and finally answered
+// 500 by the asked member, because the tuner takes its default micro-batch
+// sizes only for nil.
 func TestEmptyMicroBatchesIsAbsent(t *testing.T) {
-	const absentBody = `{"model":"LLaMA2-3B","devices":4,"global_batch":16}`
-	const emptyBody = `{"model":"LLaMA2-3B","devices":4,"global_batch":16,"micro_batches":[]}`
-	fingerprint := func(body string) string {
-		t.Helper()
-		var r PlanRequest
-		if err := json.Unmarshal([]byte(body), &r); err != nil {
-			t.Fatal(err)
-		}
-		model, err := r.Validate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Fingerprint(model)
-	}
-	fp := fingerprint(absentBody)
-	if got := fingerprint(emptyBody); got != fp {
-		t.Errorf("an empty micro_batches fingerprints as %.12s, an absent one as %.12s", got, fp)
-	}
-	// tp 1 is the same class: the search resolves an absent degree to 1, so the
-	// spelled-out default (what cmd/mario -remote sent) was a second fingerprint
-	// — a second search and a second cache entry — for byte-identical plans.
-	if got := fingerprint(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":1}`); got != fp {
-		t.Errorf("tp 1 fingerprints as %.12s, an absent tp as %.12s", got, fp)
-	}
-	if !strings.HasPrefix(fp, "4dda982b5617") {
-		t.Errorf("the absent-field fingerprint moved: %.12s, pinned 4dda982b5617", fp)
-	}
+	const absentBody = bareBody
+	emptyBody := respelled(`"micro_batches":[]`)
+	_, wl := resolveBody(t, absentBody)
+	fp := wl.Fingerprint() // the empty list's too: TestEquivalentSpellingsOneWorkload
 	post := func(url, body string) (int, PlanResponse) {
 		t.Helper()
 		resp, err := http.Post(url+"/v1/plan", "application/json", strings.NewReader(body))
@@ -199,46 +344,97 @@ func TestEmptyMicroBatchesIsAbsent(t *testing.T) {
 	})
 }
 
-// FuzzPlanRequestCanonical: arbitrary bytes through the server's strict decode,
-// Validate and Fingerprint never panic, and a request that validates is in
-// canonical form — encoded again, as a member forwarding it to its owner
-// encodes it, it decodes and validates to the same fingerprint. The peer hop
-// relies on exactly that: an owner that fingerprints the forwarded request
-// differently plans another workload and is refused.
+// respell writes a resolved workload back as a Config — every default spelled
+// out. Only tests need the inverse: nothing in the program re-reads a
+// resolution as a request.
+func respell(w *mario.Workload) mario.Config {
+	conf := mario.Config{
+		PipelineScheme:  "Auto",
+		GlobalBatchSize: w.Space.GlobalBatch,
+		NumDevices:      w.Space.Devices,
+		TP:              w.Space.TP,
+		SplitBackward:   w.SplitBackward,
+		MicroBatchSizes: w.Space.MicroBatches,
+		MinPP:           w.Space.MinPP,
+		MaxPP:           w.Space.MaxPP,
+		Machine:         w.Machine,
+		DeviceSpeeds:    w.Space.DeviceSpeeds,
+		Placement:       string(w.Space.Placement),
+		Hardware:        &w.Hardware,
+		NoPrune:         w.Space.NoPrune,
+		NoBnB:           w.Space.NoBnB,
+	}
+	if len(w.Space.Schemes) == 1 {
+		conf.PipelineScheme = string(w.Space.Schemes[0])
+	}
+	if len(w.Space.Checkpoint) == 1 {
+		conf.Checkpoint = &w.Space.Checkpoint[0]
+	}
+	return conf
+}
+
+// FuzzPlanRequestCanonical: arbitrary bytes through the server's strict decode
+// and Resolve never panic, and a request that resolves keeps its identity
+// through the peer hop — encoded again, as a member forwarding it to its owner
+// encodes it, it decodes and resolves to the same fingerprint, without any
+// canonical form having been written into it. The peer hop relies on exactly
+// that: an owner that fingerprints the forwarded request differently plans
+// another workload and is refused. Resolve is also idempotent: the resolution,
+// spelled back as a Config, resolves to itself.
 func FuzzPlanRequestCanonical(f *testing.F) {
+	a100, _ := json.Marshal(cost.A100_40G)
+	defaultMachine, _ := json.Marshal(profile.DefaultMachine)
 	for _, seed := range []string{
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16}`,
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"micro_batches":[]}`, // used to fingerprint apart from the line above
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":1}`,             // used to fingerprint apart from the first line too
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"tp":-1}`,
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"device_speeds":[],"placement":"AUTO","scheme":" auto "}`,
+		bareBody,
+		respelled(`"micro_batches":[]`), // used to fingerprint apart from the line above
+		respelled(`"tp":1`),             // and so did every line down to the blank one
+		respelled(`"machine":{}`),
+		respelled(`"machine":` + string(defaultMachine)),
+		respelled(`"min_pp":-3`),
+		respelled(`"min_pp":4,"max_pp":4`),
+		respelled(`"max_pp":100`),
+		respelled(`"memory":"40G"`),
+		respelled(`"hardware":` + string(a100)),
+		respelled(`"micro_batches":[1,2,4,8,16,32]`),
+		respelled(`"placement":"uniform"`),
+		respelled(`"device_speeds":[],"placement":"AUTO","scheme":" auto "`),
+
+		respelled(`"tp":-1`),
+		respelled(`"hardware":{}`),
+		respelled(`"hardware":{"FLOPS":-1}`),
+		respelled(`"machine":{"Noise":1}`),
+		respelled(`"memory":"inf"`),
 		`{"model":"GPT3-1.6B","scheme":"v","global_batch":64,"devices":8,"memory":"40G","tp":2,"checkpoint":false,"split_backward":true,` +
 			`"micro_batches":[2,1],"min_pp":2,"max_pp":8,"no_prune":true,"no_bnb":true,"device_speeds":[1,1,1,0.8,1,1,1,1],"placement":"CoOpt","workers":3,"timeout_sec":1.5}`,
 		`{"model_config":{"Name":"tiny","Hidden":64,"Layers":4,"Heads":4,"SeqLen":128,"Vocab":1000},"devices":2,"global_batch":8,` +
 			`"machine":{"Noise":0.04,"ExtraOverhead":0.00018,"MemSlack":1.06,"Hetero":0.05,"Seed":7},"device_speeds":[1,1]}`,
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16}{"no_delta":true}`,
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16} this is not json`,
-		`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_delta":true}`,
+		bareBody + `{"no_delta":true}`,
+		bareBody + ` this is not json`,
+		respelled(`"no_delta":true`),
 		`null`, `[]`, ``,
 	} {
 		f.Add([]byte(seed))
 	}
 	s := New(Options{})
 	f.Cleanup(s.Close)
-	decode := func(body []byte) (PlanRequest, string, error) {
+	decode := func(body []byte) (PlanRequest, *mario.Workload, error) {
 		return s.decodeRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, fp, err := decode(body)
+		req, wl, err := decode(body)
 		if err != nil {
 			return
 		}
+		fp := wl.Fingerprint()
 		forwarded, err := json.Marshal(req)
 		if err != nil {
-			t.Fatalf("a validated request does not encode: %v", err)
+			t.Fatalf("a resolved request does not encode: %v", err)
 		}
-		if _, again, err := decode(forwarded); err != nil || again != fp {
-			t.Fatalf("%s validated to %.12s; forwarded as %s it gives %.12s, error %v", body, fp, forwarded, again, err)
+		if _, again, err := decode(forwarded); err != nil || again.Fingerprint() != fp {
+			t.Fatalf("%s resolved to %.12s; forwarded as %s it gives %v, error %v", body, fp, forwarded, again, err)
+		}
+		if again, err := mario.Resolve(respell(wl), wl.Model); err != nil || again.Fingerprint() != fp {
+			t.Fatalf("%s resolved to %.12s; the resolution, respelled, gives %v, error %v", body, fp, again, err)
 		}
 	})
 }

@@ -38,10 +38,6 @@ type Options struct {
 	// metrics of every tuner run); nil allocates a private registry.
 	// /metrics renders everything registered on it.
 	Registry *telemetry.Registry
-	// FlightRing is how many recent request traces the flight recorder
-	// keeps; 0 means 64. FlightSlow is the slow-log size; 0 means 8.
-	FlightRing int
-	FlightSlow int
 	// MaxBodyBytes bounds request bodies on the plan, stream and shard
 	// endpoints (oversized bodies get 413); 0 means 1 MiB.
 	MaxBodyBytes int64
@@ -56,26 +52,22 @@ type Options struct {
 	// routing (it places this member on the hash ring); optional for shard
 	// dispatch.
 	Self string
-	// Shards is the number of shard partitions per dispatch wave; 0 means
-	// one per fleet member.
-	Shards int
-	// ShardChunk is the number of sorted grid points per shard per wave; 0
-	// means tuner.DefaultShardChunk.
-	ShardChunk int
 	// FleetRetries and FleetBackoff configure the shard clients' bounded
 	// retry (client.Client Retries/Backoff); zero means no retries — the
 	// coordinator's local fallback already keeps results exact.
 	FleetRetries int
 	FleetBackoff time.Duration
-	// NoShareIncumbent stops the coordinator from broadcasting its
-	// incumbent to workers. Results are identical; workers just simulate
-	// points the incumbent would have skipped. It exists as the
-	// benchmarking control for the incumbent-sharing win.
-	NoShareIncumbent bool
-	// WorkerCache bounds the per-workload shard-worker cache (memoized
-	// tuners serving /v1/shard); 0 means 8.
-	WorkerCache int
 }
+
+// What no deployment, test or benchmark sets differently: the flight
+// recorder keeps the last flightRing request traces and the flightSlow slowest,
+// and a member memoizes shard workers (tuners serving /v1/shard) for
+// workerCache workloads.
+const (
+	flightRing  = 64
+	flightSlow  = 8
+	workerCache = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
@@ -96,17 +88,8 @@ func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = telemetry.NewRegistry()
 	}
-	if o.FlightRing <= 0 {
-		o.FlightRing = 64
-	}
-	if o.FlightSlow <= 0 {
-		o.FlightSlow = 8
-	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.WorkerCache <= 0 {
-		o.WorkerCache = 8
 	}
 	return o
 }
@@ -143,7 +126,7 @@ type Server struct {
 	// json.Marshal(plan), compact and HTML-escaped, which is also what keeps
 	// the response byte-equal to the encoder's. (The other source of served
 	// bytes, a peer's answer, is checked by the read: api.ParsePlanResponse.)
-	run func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error)
+	run func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error)
 }
 
 // New builds a Server and starts its worker pool.
@@ -154,7 +137,7 @@ func New(opts Options) *Server {
 		reg:       opts.Registry,
 		sm:        newServerMetrics(opts.Registry),
 		search:    telemetry.NewSearchMetrics(opts.Registry),
-		flightRec: telemetry.NewFlightRecorder(opts.FlightRing, opts.FlightSlow),
+		flightRec: telemetry.NewFlightRecorder(flightRing, flightSlow),
 		cache:     newPlanCache(opts.CacheSize),
 		flights:   make(map[string]*flight),
 		jobs:      make(chan *flight, opts.QueueDepth),
@@ -245,11 +228,12 @@ var (
 	errDraining = errors.New("serve: server is draining")
 )
 
-// admit resolves one validated request under the server mutex: a cache hit
+// admit places one resolved request under the server mutex: a cache hit
 // returns the stored bytes; an identical in-progress flight is joined; and
 // otherwise a new flight is created and enqueued — unless the queue is full
 // or the server is draining.
-func (s *Server) admit(fp string, req PlanRequest) (data []byte, f *flight, created bool, err error) {
+func (s *Server) admit(req PlanRequest, wl *mario.Workload) (data []byte, f *flight, created bool, err error) {
+	fp := wl.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.cache.get(fp); ok {
@@ -262,7 +246,7 @@ func (s *Server) admit(fp string, req PlanRequest) (data []byte, f *flight, crea
 		f.waiters++
 		return nil, f, false, nil
 	}
-	f = newFlight(fp, req)
+	f = newFlight(req, wl)
 	select {
 	case s.jobs <- f:
 		s.flights[fp] = f
@@ -318,23 +302,24 @@ func (s *Server) runFlight(f *flight) {
 		return
 	}
 	s.sm.tunerRuns.Inc()
-	tracer := telemetry.New(f.fp).WithMetrics(s.search)
+	fp := f.wl.Fingerprint()
+	tracer := telemetry.New(fp).WithMetrics(s.search)
 	start := time.Now()
-	data, err := s.run(f.ctx, f.req, tracer, f.broadcast)
+	data, err := s.run(f.ctx, f.req, f.wl, tracer, f.broadcast)
 	elapsed := time.Since(start)
 	tr := tracer.Snapshot()
 	if raw, merr := json.Marshal(tr); merr == nil {
 		f.trace = raw
 	}
 	s.flightRec.Record(telemetry.FlightRecord{
-		Fingerprint: f.fp,
+		Fingerprint: fp,
 		Outcome:     flightOutcome(err),
 		Start:       start,
 		Elapsed:     elapsed,
 		Trace:       tr,
 	})
 	if err == nil {
-		s.cache.add(f.fp, data)
+		s.cache.add(fp, data)
 	}
 	s.removeFlight(f)
 	f.finish(data, err)
@@ -342,36 +327,32 @@ func (s *Server) runFlight(f *flight) {
 
 func (s *Server) removeFlight(f *flight) {
 	s.mu.Lock()
-	if cur, ok := s.flights[f.fp]; ok && cur == f {
-		delete(s.flights, f.fp)
+	if fp := f.wl.Fingerprint(); s.flights[fp] == f {
+		delete(s.flights, fp)
 	}
 	s.mu.Unlock()
 }
 
-// optimize is the production run function: it resolves the request into a
-// mario.Config, executes OptimizeContext with the flight's tracer and
-// progress forwarding, and marshals the plan with the deterministic Plan
-// codec.
-func (s *Server) optimize(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
-	model, err := req.Validate()
-	if err != nil {
-		return nil, err
-	}
+// optimize is the production run function: it searches the flight's resolved
+// workload with the flight's tracer and progress forwarding, and marshals the
+// plan with the deterministic Plan codec.
+func (s *Server) optimize(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 	workers := req.Workers
 	if s.opts.TunerWorkers > 0 && (workers <= 0 || workers > s.opts.TunerWorkers) {
 		workers = s.opts.TunerWorkers
 	}
-	conf := req.Config(workers)
-	// A configured fleet turns this run into a coordinator search: probe
-	// locally, dispatch shard waves to the peers. The tuner guarantees the
-	// plan bytes are identical to a local run (and falls back locally on
-	// any dispatch failure), so nothing downstream can tell.
-	conf.Sharder = s.sharderFor(req, model)
-	conf.Tracer = tracer
-	conf.Progress = func(n int, best string, throughput float64) {
-		progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
-	}
-	plan, err := mario.OptimizeContext(ctx, conf, model)
+	plan, err := wl.Optimize(ctx, mario.Config{
+		Workers: workers,
+		// A configured fleet turns this run into a coordinator search: probe
+		// locally, dispatch shard waves to the peers. The tuner guarantees the
+		// plan bytes are identical to a local run (and falls back locally on
+		// any dispatch failure), so nothing downstream can tell.
+		Sharder: s.sharderFor(req, wl),
+		Tracer:  tracer,
+		Progress: func(n int, best string, throughput float64) {
+			progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -385,19 +366,18 @@ func errorJSON(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// decodeRequest parses and validates the request body. The body is bounded
-// by Options.MaxBodyBytes: an oversized request surfaces as
-// *http.MaxBytesError, which the handlers map to 413.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PlanRequest, string, error) {
+// decodeRequest parses the request body and resolves it, once: everything
+// behind the handler works on the workload it returns. The request is kept as
+// it was sent — for its run hints (workers, timeout_sec) and to forward to
+// another member. The body is bounded by Options.MaxBodyBytes: an oversized
+// request surfaces as *http.MaxBytesError, which the handlers map to 413.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PlanRequest, *mario.Workload, error) {
 	var req PlanRequest
 	if err := decodeInto(w, r, s.opts.MaxBodyBytes, &req); err != nil {
-		return req, "", err
+		return req, nil, err
 	}
-	model, err := req.Validate()
-	if err != nil {
-		return req, "", err
-	}
-	return req, req.Fingerprint(model), nil
+	wl, err := req.Resolve()
+	return req, wl, err
 }
 
 // decodeInto strictly decodes a JSON body bounded to max bytes: one value of
@@ -453,12 +433,13 @@ func admissionStatus(err error) int {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, fp, err := s.decodeRequest(w, r)
+	req, wl, err := s.decodeRequest(w, r)
 	if err != nil {
 		errorJSON(w, decodeStatus(err), err)
 		return
 	}
-	if resp, ok := s.routeToPeer(r, fp, req); ok {
+	fp := wl.Fingerprint()
+	if resp, ok := s.routeToPeer(r, req, fp); ok {
 		s.sm.requests.Inc()
 		s.sm.latency.ObserveDuration(time.Since(start))
 		writePlanResponse(w, *resp)
@@ -471,7 +452,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.sm.latency.ObserveDuration(time.Since(start))
 	}()
 
-	data, f, created, err := s.admit(fp, req)
+	data, f, created, err := s.admit(req, wl)
 	if err != nil {
 		s.sm.rejected.Inc()
 		errorJSON(w, admissionStatus(err), err)
@@ -531,11 +512,12 @@ type streamRecord struct {
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, fp, err := s.decodeRequest(w, r)
+	req, wl, err := s.decodeRequest(w, r)
 	if err != nil {
 		errorJSON(w, decodeStatus(err), err)
 		return
 	}
+	fp := wl.Fingerprint()
 	s.sm.requests.Inc()
 	s.sm.inFlight.Add(1)
 	defer func() {
@@ -543,7 +525,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.sm.latency.ObserveDuration(time.Since(start))
 	}()
 
-	data, f, created, err := s.admit(fp, req)
+	data, f, created, err := s.admit(req, wl)
 	if err != nil {
 		s.sm.rejected.Inc()
 		errorJSON(w, admissionStatus(err), err)
@@ -646,8 +628,9 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, len(mario.Models()))
-	for name := range mario.Models() {
+	models := mario.Models()
+	names := make([]string, 0, len(models))
+	for name := range models {
 		names = append(names, name)
 	}
 	sort.Strings(names)

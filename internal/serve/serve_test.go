@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mario"
 	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
@@ -40,7 +41,7 @@ func newBlockingRun() *blockingRun {
 	}
 }
 
-func (b *blockingRun) run(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+func (b *blockingRun) run(ctx context.Context, req PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 	b.started <- fmt.Sprintf("gbs=%d", req.GlobalBatch)
 	select {
 	case <-b.release:
@@ -290,7 +291,7 @@ func TestAbandonCancelsFlight(t *testing.T) {
 // terminal plan record.
 func TestStreamEndpoint(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
-	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 		for i := 1; i <= 3; i++ {
 			progress(ProgressEvent{Explored: i, Best: "1F1B", BestThroughput: float64(i)})
 		}
@@ -396,7 +397,7 @@ func TestValidationErrors(t *testing.T) {
 // search series together).
 func TestTraceAndFlightRecorder(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
-	s.run = func(ctx context.Context, req PlanRequest, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
 		root := tracer.Root(telemetry.PhaseOptimize, "")
 		search := root.Child(telemetry.PhaseSearch, "")
 		search.End()

@@ -67,7 +67,7 @@ func runStrategy(tn *Tuner, sp Space) stratOut {
 // decision, no driver — it shares only the point evaluation with the search.
 func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	t.Helper()
-	sp = sp.withDefaults()
+	sp = sp.WithDefaults()
 	eng := graph.NewEngines()
 	var best *Candidate
 	var out stratOut
@@ -180,7 +180,7 @@ func memPressureSpace(t *testing.T) Space {
 		MicroBatches: []int{1, 2},
 		Workers:      1,
 	}
-	spd := sp.withDefaults()
+	spd := sp.WithDefaults()
 	probe := newTuner()
 	nd4, ok := probe.probePoint(spd, gridPoint{scheme: pipeline.Scheme1F1B, pp: 4, dp: 2, mbs: 1})
 	if !ok {
@@ -314,7 +314,7 @@ func TestBnBBoundAdmissible(t *testing.T) {
 			if len(trace) == 0 {
 				t.Fatal("exhaustive search produced an empty trace")
 			}
-			spd := tc.sp.withDefaults() // the bounds a pruning search computes
+			spd := tc.sp.WithDefaults() // the bounds a pruning search computes
 			for _, c := range trace {
 				nd, ok := tn.probePoint(spd, pointOf(c))
 				if !ok {
@@ -365,7 +365,7 @@ func TestBnBPrunedNodesCannotWin(t *testing.T) {
 		t.Fatalf("argmax differs:\n bnb: %s\nfull: %s", candString(*bnbBest), candString(*fullBest))
 	}
 	idx := make(map[gridPoint]int)
-	for i, p := range enumerate(sp.withDefaults()) {
+	for i, p := range enumerate(sp.WithDefaults()) {
 		idx[p] = i
 	}
 	explored := make(map[gridPoint]bool, len(bnbTrace))

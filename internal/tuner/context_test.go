@@ -129,7 +129,7 @@ func TestRobustnessContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RobustnessContext(ctx, tn.Prof, trace, RobustnessOpts{TopK: 2, Iters: 1, Recipe: tn.recipe(testSpace(1).withDefaults())})
+	rep, err := RobustnessContext(ctx, tn.Prof, trace, RobustnessOpts{TopK: 2, Iters: 1, Recipe: tn.recipe(testSpace(1).WithDefaults())})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -81,7 +81,7 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 		t.Fatalf("best %s carries no schedule or no timeline", best.Label())
 	}
 	run.best = candString(*best)
-	rebuilder, rc := &Tuner{Prof: tn.Prof}, tn.recipe(sp.withDefaults())
+	rebuilder, rc := &Tuner{Prof: tn.Prof}, tn.recipe(sp.WithDefaults())
 	for _, c := range trace {
 		if c.Schedule != nil || c.Result.Timeline != nil {
 			t.Errorf("trace entry %s carries a schedule or a timeline", c.Label())

@@ -174,11 +174,10 @@ func (t *Tuner) publishFleet(f FleetStats) {
 // its winner's, and rebuilds that one itself. Simulations run before an early
 // return (cancellation, a bad index) still count in mario_search_sims.
 func (t *Tuner) EvalShard(ctx context.Context, space Space, points []ShardPoint, incumbent float64, hasIncumbent bool) ([]ShardOutcome, error) {
-	space = space.withDefaults()
-	if space.Devices <= 0 || space.GlobalBatch <= 0 {
-		return nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
+	space, grid, err := gridOf(space)
+	if err != nil {
+		return nil, err
 	}
-	grid := enumerate(space)
 	eng := graph.NewEngines()
 	defer eng.Report(t.Metrics)
 	out := make([]ShardOutcome, 0, len(points))

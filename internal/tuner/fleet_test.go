@@ -348,7 +348,7 @@ func batchLocalSkips(t *testing.T, mk func() *Tuner, sp Space, shards, chunk int
 	for _, c := range trace {
 		thr[pointOf(c)] = c.Throughput
 	}
-	spd := sp.withDefaults()
+	spd := sp.WithDefaults()
 	var stats SearchStats
 	nodes, err := tn.probeAll(context.Background(), spd, enumerate(spd), nil, telemetry.Span{}, &stats)
 	if err != nil {

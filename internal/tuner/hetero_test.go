@@ -23,22 +23,22 @@ func heteroSpace(workers int) Space {
 // keep the legacy empty mode (byte-identical searches), heterogeneous auto
 // explores uniform and co-opt, and forced modes collapse to one point each.
 func TestPlacementModes(t *testing.T) {
-	homog := detSpace(1).withDefaults()
+	homog := detSpace(1).WithDefaults()
 	if got := placementModes(homog); !reflect.DeepEqual(got, []place.Mode{""}) {
 		t.Errorf("homogeneous auto modes = %v, want [\"\"]", got)
 	}
 	homogCo := detSpace(1)
 	homogCo.Placement = place.ModeCoOpt
-	if got := placementModes(homogCo.withDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeCoOpt}) {
+	if got := placementModes(homogCo.WithDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeCoOpt}) {
 		t.Errorf("homogeneous coopt modes = %v", got)
 	}
-	het := heteroSpace(1).withDefaults()
+	het := heteroSpace(1).WithDefaults()
 	if got := placementModes(het); !reflect.DeepEqual(got, []place.Mode{place.ModeUniform, place.ModeCoOpt}) {
 		t.Errorf("heterogeneous auto modes = %v", got)
 	}
 	hetUni := heteroSpace(1)
 	hetUni.Placement = place.ModeUniform
-	if got := placementModes(hetUni.withDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeUniform}) {
+	if got := placementModes(hetUni.WithDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeUniform}) {
 		t.Errorf("heterogeneous uniform modes = %v", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 			t.Errorf("candidate %s has mode but no assignment", c.Label())
 			continue
 		}
-		sched, _, err := tn.Resimulate(context.Background(), nil, &c, tn.recipe(sp.withDefaults()))
+		sched, _, err := tn.Resimulate(context.Background(), nil, &c, tn.recipe(sp.WithDefaults()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func searchSmall(t *testing.T) (*Tuner, []Candidate, Recipe) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tn, trace, tn.recipe(sp.withDefaults())
+	return tn, trace, tn.recipe(sp.WithDefaults())
 }
 
 func TestRobustnessReScoresTopK(t *testing.T) {

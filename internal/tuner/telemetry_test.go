@@ -71,7 +71,7 @@ func TestTraceShape(t *testing.T) {
 		t.Fatalf("optimize root should have exactly one search child, got %+v", root.Children)
 	}
 	search := root.Children[0]
-	space := detSpace(1).withDefaults()
+	space := detSpace(1).WithDefaults()
 	points := enumerate(space)
 	if len(search.Children) != len(points)+2 {
 		t.Fatalf("search has %d children, want %d (one per grid point + the probe pass + the closing sim)", len(search.Children), len(points)+2)
@@ -199,7 +199,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 	}
 	eng := graph.NewEngines()
 	var devSims int64 // Σ over simulations of the simulated schedule's device count
-	ref, full := mk(), sp.withDefaults()
+	ref, full := mk(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
 		before := eng.Main.Sims
 		if pr := ref.evalPoint(context.Background(), full, p, eng, telemetry.Span{}); pr.cand != nil {
@@ -233,7 +233,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 // key is formatted for the span that is never made.
 func TestTracedOffPruneAllocatesNothing(t *testing.T) {
 	tn := newTuner()
-	sp := detSpace(1).withDefaults()
+	sp := detSpace(1).WithDefaults()
 	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
 	var stats SearchStats
 	allocs := testing.AllocsPerRun(100, func() {

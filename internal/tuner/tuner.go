@@ -98,12 +98,27 @@ type Space struct {
 	Placement place.Mode
 }
 
-func (s Space) withDefaults() Space {
+// The default axes. WithDefaults hands out these slices themselves — a resolved
+// Space is read, never written (enumerate ranges over its axes) — so resolving
+// a request allocates none of them.
+var (
+	defaultSchemes      = []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave}
+	defaultCheckpoint   = []bool{false, true}
+	defaultMicroBatches = []int{1, 2, 4, 8, 16, 32}
+)
+
+// WithDefaults resolves every spelling of a default to the default: the space
+// it returns is the one the search walks, and two spaces that enumerate the
+// same grid under the same budget come back equal — which is what lets
+// mario.Resolve hash the result as a workload's identity. It is idempotent,
+// and it leaves Workers alone: how many goroutines evaluate the grid is the
+// running search's business (SearchContext), not the space's.
+func (s Space) WithDefaults() Space {
 	if s.Schemes == nil {
-		s.Schemes = []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave}
+		s.Schemes = defaultSchemes
 	}
 	if s.Checkpoint == nil {
-		s.Checkpoint = []bool{false, true}
+		s.Checkpoint = defaultCheckpoint
 	}
 	if s.MinPP <= 0 {
 		s.MinPP = 4
@@ -115,7 +130,7 @@ func (s Space) withDefaults() Space {
 		s.MaxPP = s.Devices
 	}
 	if s.MicroBatches == nil {
-		s.MicroBatches = []int{1, 2, 4, 8, 16, 32}
+		s.MicroBatches = defaultMicroBatches
 	}
 	if s.TP <= 0 {
 		s.TP = 1
@@ -123,16 +138,15 @@ func (s Space) withDefaults() Space {
 	if s.Chunks <= 0 {
 		s.Chunks = 2
 	}
-	if s.Workers <= 0 {
-		s.Workers = runtime.GOMAXPROCS(0)
-	}
 	if place.Homogeneous(s.DeviceSpeeds) {
 		// All-nominal speed lists normalize to nil so a "1,1,…,1" spec is
 		// byte-identical to no spec at all (on workers and coordinators
-		// alike — withDefaults runs on both sides of the fleet protocol).
+		// alike — WithDefaults runs on both sides of the fleet protocol).
 		s.DeviceSpeeds = nil
 	}
-	if s.Placement == "" {
+	if s.Placement == "" || (s.Placement == place.ModeUniform && s.DeviceSpeeds == nil) {
+		// On a homogeneous cluster the uniform split is what auto explores
+		// (placementModes gives both the one axis-free point).
 		s.Placement = place.ModeAuto
 	}
 	return s
@@ -411,6 +425,17 @@ func enumerate(space Space) []gridPoint {
 	return points
 }
 
+// gridOf resolves space's defaults and enumerates its grid. The check is the
+// tuner's own door — internal/experiments and the tests search Spaces built
+// by hand; a mario.Config's were checked by mario.Resolve before it gets here.
+func gridOf(space Space) (Space, []gridPoint, error) {
+	space = space.WithDefaults()
+	if space.Devices <= 0 || space.GlobalBatch <= 0 {
+		return space, nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
+	}
+	return space, enumerate(space), nil
+}
+
 // Search enumerates the space and returns the best candidate plus the
 // evaluation trace in canonical grid order (the throughput curve of Fig. 11).
 // Whatever evaluates the points — this goroutine, Space.Workers goroutines, a
@@ -430,11 +455,13 @@ func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
 // worker count; a cancelled one publishes whatever Stats had accumulated at
 // the abort point (they describe a prefix of the expansion order).
 func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []Candidate, error) {
-	space = space.withDefaults()
-	if space.Devices <= 0 || space.GlobalBatch <= 0 {
-		return nil, nil, fmt.Errorf("tuner: devices (%d) and global batch (%d) must be positive", space.Devices, space.GlobalBatch)
+	space, points, err := gridOf(space)
+	if err != nil {
+		return nil, nil, err
 	}
-	points := enumerate(space)
+	if space.Workers <= 0 {
+		space.Workers = runtime.GOMAXPROCS(0)
+	}
 	var stats SearchStats
 	var fl FleetStats
 	t.publishStats(stats)

@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"mario/internal/cost"
@@ -133,8 +132,8 @@ func TestSpaceWithDefaults(t *testing.T) {
 				if s.TP != 1 || s.Chunks != 2 {
 					t.Errorf("TP = %d, Chunks = %d", s.TP, s.Chunks)
 				}
-				if s.Workers != runtime.GOMAXPROCS(0) {
-					t.Errorf("Workers = %d, want GOMAXPROCS = %d", s.Workers, runtime.GOMAXPROCS(0))
+				if s.Workers != 0 {
+					t.Errorf("Workers = %d: the pool size is the running search's default, not the space's", s.Workers)
 				}
 			},
 		},
@@ -186,7 +185,7 @@ func TestSpaceWithDefaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.want(t, tc.in.withDefaults())
+			tc.want(t, tc.in.WithDefaults())
 		})
 	}
 }

@@ -28,8 +28,6 @@ import (
 	"mario/internal/cost"
 	"mario/internal/fault"
 	"mario/internal/obs"
-	"mario/internal/pipeline"
-	"mario/internal/place"
 	"mario/internal/profile"
 	"mario/internal/sim"
 	"mario/internal/telemetry"
@@ -129,16 +127,23 @@ type ModelConfig = cost.ModelConfig
 
 // Model returns a named preset (Table 4): "GPT3-1.6B", "GPT3-13B",
 // "LLaMA2-3B", "LLaMA2-13B". It panics on unknown names (a deliberate
-// fail-fast for a fixed catalogue; use Models for lookup).
+// fail-fast for a fixed catalogue; use LookupModel to ask).
 func Model(name string) ModelConfig {
-	m, ok := cost.Models[name]
+	m, ok := LookupModel(name)
 	if !ok {
 		panic(fmt.Sprintf("mario: unknown model %q", name))
 	}
 	return m
 }
 
-// Models lists the built-in model presets by name.
+// LookupModel returns the named preset and whether there is one, without
+// copying the catalogue.
+func LookupModel(name string) (ModelConfig, bool) {
+	m, ok := cost.Models[name]
+	return m, ok
+}
+
+// Models lists the built-in model presets by name (a copy the caller owns).
 func Models() map[string]ModelConfig {
 	out := make(map[string]ModelConfig, len(cost.Models))
 	for k, v := range cost.Models {
@@ -230,138 +235,63 @@ func Optimize(conf Config, model ModelConfig) (*Plan, error) {
 // plan byte-identical to Optimize for the same inputs and any worker count —
 // the property the planning service's cache relies on.
 func OptimizeContext(ctx context.Context, conf Config, model ModelConfig) (*Plan, error) {
-	tn, space, memLimit, tp, err := searchSetup(conf, model)
+	w, err := Resolve(conf, model)
 	if err != nil {
 		return nil, err
 	}
-	root := conf.Tracer.Root(telemetry.PhaseOptimize, "")
-	root.SetInt("devices", int64(conf.NumDevices))
-	root.SetInt("global_batch", int64(conf.GlobalBatchSize))
+	return w.Optimize(ctx, conf)
+}
+
+// Optimize runs the search of w. run carries what belongs to one run of a
+// search and not to the workload — Workers, Progress, Tracer, Metrics, Sharder;
+// its other fields were resolved into w and are not read again.
+func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
+	root := run.Tracer.Root(telemetry.PhaseOptimize, "")
+	root.SetInt("devices", int64(w.Space.Devices))
+	root.SetInt("global_batch", int64(w.Space.GlobalBatch))
 	defer root.End()
-	metrics := conf.Metrics
-	if metrics == nil {
-		metrics = conf.Tracer.Metrics()
-	}
+	tn := w.tuner()
 	tn.Span = root
-	tn.Metrics = metrics
-	tn.Sharder = conf.Sharder
-	if cb := conf.Progress; cb != nil {
+	tn.Metrics = run.Metrics
+	if tn.Metrics == nil {
+		tn.Metrics = run.Tracer.Metrics()
+	}
+	tn.Sharder = run.Sharder
+	if cb := run.Progress; cb != nil {
 		explored := 0
 		tn.Progress = func(_ tuner.Candidate, best tuner.Candidate) {
 			explored++
 			cb(explored, best.Label(), best.Throughput)
 		}
 	}
+	space := w.Space
+	space.Workers = run.Workers
 	best, trace, err := tn.SearchContext(ctx, space)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{Best: *best, Trace: trace, Profiler: tn.Prof, SearchStats: tn.Stats,
-		recipe: planRecipe(best, tp, memLimit, conf.SplitBackward)}, nil
-}
-
-// searchSetup resolves a Config + model pair into a ready Tuner and its
-// search Space — the shared front half of OptimizeContext and the fleet
-// worker path (NewShardWorker), which must construct the byte-identical
-// search a coordinator probes in order to evaluate shards of it.
-func searchSetup(conf Config, model ModelConfig) (*tuner.Tuner, tuner.Space, float64, int, error) {
-	var space tuner.Space
-	if err := model.Validate(); err != nil {
-		return nil, space, 0, 0, err
-	}
-	if conf.NumDevices <= 0 || conf.GlobalBatchSize <= 0 {
-		return nil, space, 0, 0, fmt.Errorf("mario: NumDevices (%d) and GlobalBatchSize (%d) must be positive",
-			conf.NumDevices, conf.GlobalBatchSize)
-	}
-	hw := cost.A100_40G
-	if conf.Hardware != nil {
-		hw = *conf.Hardware
-	}
-	memLimit := hw.MemBytes
-	if conf.MemoryPerDevice != "" {
-		v, err := ParseMemory(conf.MemoryPerDevice)
-		if err != nil {
-			return nil, space, 0, 0, err
-		}
-		memLimit = v
-		hw.MemBytes = v
-	}
-	spec := conf.Machine
-	if spec == (profile.MachineSpec{}) {
-		spec = profile.DefaultMachine
-	}
-
-	var schemes []pipeline.Scheme
-	if name := strings.TrimSpace(conf.PipelineScheme); name != "" && !strings.EqualFold(name, "auto") {
-		s, err := pipeline.ParseScheme(name)
-		if err != nil {
-			return nil, space, 0, 0, err
-		}
-		schemes = []pipeline.Scheme{s}
-	}
-	var ckpt []bool
-	if conf.Checkpoint != nil {
-		ckpt = []bool{*conf.Checkpoint}
-	}
-	if len(conf.DeviceSpeeds) != 0 && len(conf.DeviceSpeeds) != conf.NumDevices {
-		return nil, space, 0, 0, fmt.Errorf("mario: %d device speeds for %d devices", len(conf.DeviceSpeeds), conf.NumDevices)
-	}
-	for d, v := range conf.DeviceSpeeds {
-		if v <= 0 {
-			return nil, space, 0, 0, fmt.Errorf("mario: device %d speed %g must be positive", d, v)
-		}
-	}
-	pmode, err := place.ParseMode(conf.Placement)
-	if err != nil {
-		return nil, space, 0, 0, err
-	}
-
-	prof := &profile.Profiler{Model: model, HW: hw, Spec: spec, Devices: 4, Iters: 10}
-	tn := &tuner.Tuner{Prof: prof, SplitBackward: conf.SplitBackward}
-	space = tuner.Space{
-		Devices:      conf.NumDevices,
-		GlobalBatch:  conf.GlobalBatchSize,
-		Schemes:      schemes,
-		Checkpoint:   ckpt,
-		MicroBatches: conf.MicroBatchSizes,
-		MinPP:        conf.MinPP,
-		MaxPP:        conf.MaxPP,
-		TP:           conf.TP,
-		DeviceMem:    memLimit,
-		Workers:      conf.Workers,
-		NoPrune:      conf.NoPrune,
-		NoBnB:        conf.NoBnB,
-		DeviceSpeeds: conf.DeviceSpeeds,
-		Placement:    pmode,
-	}
-	tp := conf.TP
-	if tp <= 0 {
-		tp = 1
-	}
-	return tn, space, memLimit, tp, nil
+		recipe: planRecipe(best, w.Space.TP, w.Space.DeviceMem, w.SplitBackward)}, nil
 }
 
 // ShardWorker is the worker half of the distributed planning fleet: it
-// holds the profiler-backed tuner for one workload (one Config + model
-// pair) and evaluates shard batches a coordinator dispatches. Schedule
-// builds and graph-pass results are memoized on the worker across calls,
-// so evaluating many shards of the same workload shares work exactly like
-// a local search does. Methods are safe for concurrent use.
+// holds the profiler-backed tuner for one workload and evaluates shard
+// batches a coordinator dispatches. Schedule builds and graph-pass results
+// are memoized on the worker across calls, so evaluating many shards of the
+// same workload shares work exactly like a local search does. Methods are
+// safe for concurrent use.
 type ShardWorker struct {
 	tn    *tuner.Tuner
 	space tuner.Space
 }
 
-// NewShardWorker resolves the workload like OptimizeContext does and
-// returns the reusable worker. Metrics, when non-nil, receives the
-// worker's simulation counts.
-func NewShardWorker(conf Config, model ModelConfig, metrics *telemetry.SearchMetrics) (*ShardWorker, error) {
-	tn, space, _, _, err := searchSetup(conf, model)
-	if err != nil {
-		return nil, err
-	}
+// NewShardWorker returns the reusable worker for w — the tuner and the space
+// a coordinator's Optimize of the same workload probes, bit for bit. Metrics,
+// when non-nil, receives the worker's simulation counts.
+func NewShardWorker(w *Workload, metrics *telemetry.SearchMetrics) *ShardWorker {
+	tn := w.tuner()
 	tn.Metrics = metrics
-	return &ShardWorker{tn: tn, space: space}, nil
+	return &ShardWorker{tn: tn, space: w.Space}
 }
 
 // EvalShard evaluates one dispatched shard batch in order, skipping points

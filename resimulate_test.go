@@ -26,13 +26,13 @@ type inProcessFleet struct {
 
 func newInProcessFleet(t *testing.T, conf mario.Config, model mario.ModelConfig, workers, shards int) *inProcessFleet {
 	t.Helper()
+	wl, err := mario.Resolve(conf, model)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &inProcessFleet{shards: shards}
 	for i := 0; i < workers; i++ {
-		w, err := mario.NewShardWorker(conf, model, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.workers = append(f.workers, w)
+		f.workers = append(f.workers, mario.NewShardWorker(wl, nil))
 	}
 	return f
 }

@@ -1,0 +1,144 @@
+package mario
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
+
+	"mario/internal/cost"
+	"mario/internal/pipeline"
+	"mario/internal/place"
+	"mario/internal/profile"
+	"mario/internal/tuner"
+)
+
+// Workload is a Config and a model resolved: everything the search reads, with
+// every default applied, and nothing else. Two requests that resolve to equal
+// Workloads are one search with one plan, however they were spelled — an absent
+// field and its default written out, "Auto" and " auto ", a memory budget given
+// as "40G" or as the hardware's MemBytes — and what belongs to a run rather
+// than to the workload (Workers, Progress, Tracer, Metrics, Sharder, a
+// service's timeout) has no field here to get into. Resolve is the only way to
+// make one; treat it as read-only (its slices may be the Config's, or shared
+// defaults).
+type Workload struct {
+	Model ModelConfig
+	// Hardware is the device description with the memory budget folded in:
+	// MemBytes is the budget.
+	Hardware cost.Hardware
+	// Machine is the emulated machine the profiler probes; never the zero
+	// value, which Resolve reads as profile.DefaultMachine.
+	Machine profile.MachineSpec
+	// Space is the search space as the tuner walks it (tuner.Space.WithDefaults
+	// applied). Workers is zero: the pool size comes with the run.
+	Space tuner.Space
+	// SplitBackward is Config.SplitBackward.
+	SplitBackward bool
+
+	fingerprint string
+}
+
+// Fingerprint is the workload's identity: the hex SHA-256 of json.Marshal of
+// the exported fields above. A field that reaches the search is in the hash
+// because it is in the value, and every spelling of a default is the default
+// because the value holds the resolution, not the spelling.
+func (w *Workload) Fingerprint() string { return w.fingerprint }
+
+// Resolve validates a Config and a model and applies every default, once: it
+// is the one check in front of the search, for the library (Optimize,
+// NewShardWorker) and for the planning service alike. An error names the field
+// that is wrong; nothing is searched, or built, from a workload that does not
+// resolve.
+func Resolve(conf Config, model ModelConfig) (*Workload, error) {
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	if conf.NumDevices <= 0 || conf.GlobalBatchSize <= 0 {
+		return nil, fmt.Errorf("mario: devices (%d) and global batch (%d) must be positive", conf.NumDevices, conf.GlobalBatchSize)
+	}
+	if conf.TP < 0 {
+		return nil, fmt.Errorf("mario: tp must not be negative (got %d)", conf.TP)
+	}
+	for _, m := range conf.MicroBatchSizes {
+		if m <= 0 {
+			return nil, fmt.Errorf("mario: micro-batch sizes must be positive (got %d)", m)
+		}
+	}
+	if len(conf.DeviceSpeeds) != 0 && len(conf.DeviceSpeeds) != conf.NumDevices {
+		return nil, fmt.Errorf("mario: %d device speeds for %d devices", len(conf.DeviceSpeeds), conf.NumDevices)
+	}
+	for d, v := range conf.DeviceSpeeds {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mario: device %d speed %g must be positive and finite", d, v)
+		}
+	}
+	w := &Workload{Model: model, Hardware: cost.A100_40G, Machine: conf.Machine, SplitBackward: conf.SplitBackward}
+	if conf.Hardware != nil {
+		w.Hardware = *conf.Hardware
+	}
+	if conf.MemoryPerDevice != "" {
+		v, err := ParseMemory(conf.MemoryPerDevice)
+		if err != nil {
+			return nil, err
+		}
+		w.Hardware.MemBytes = v
+	}
+	if err := w.Hardware.Validate(); err != nil {
+		return nil, err
+	}
+	if w.Machine == (profile.MachineSpec{}) {
+		w.Machine = profile.DefaultMachine
+	}
+	if err := w.Machine.Validate(); err != nil {
+		return nil, err
+	}
+	pmode, err := place.ParseMode(conf.Placement)
+	if err != nil {
+		return nil, err
+	}
+	space := tuner.Space{
+		Devices:      conf.NumDevices,
+		GlobalBatch:  conf.GlobalBatchSize,
+		MicroBatches: conf.MicroBatchSizes,
+		MinPP:        conf.MinPP,
+		MaxPP:        conf.MaxPP,
+		TP:           conf.TP,
+		DeviceMem:    w.Hardware.MemBytes,
+		NoPrune:      conf.NoPrune,
+		NoBnB:        conf.NoBnB,
+		DeviceSpeeds: conf.DeviceSpeeds,
+		Placement:    pmode,
+	}
+	if name := strings.TrimSpace(conf.PipelineScheme); name != "" && !strings.EqualFold(name, "auto") {
+		s, err := pipeline.ParseScheme(name)
+		if err != nil {
+			return nil, err
+		}
+		space.Schemes = []pipeline.Scheme{s}
+	}
+	if conf.Checkpoint != nil {
+		space.Checkpoint = []bool{*conf.Checkpoint}
+	}
+	if len(space.MicroBatches) == 0 {
+		space.MicroBatches = nil // an empty list restricts nothing: the default sizes
+	}
+	w.Space = space.WithDefaults()
+
+	data, err := json.Marshal(w)
+	if err != nil {
+		// Every field is a plain value and every float was checked finite.
+		return nil, fmt.Errorf("mario: fingerprinting the workload: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	w.fingerprint = hex.EncodeToString(sum[:])
+	return w, nil
+}
+
+// tuner is the profiler-backed tuner that searches w.
+func (w *Workload) tuner() *tuner.Tuner {
+	prof := &profile.Profiler{Model: w.Model, HW: w.Hardware, Spec: w.Machine, Devices: 4, Iters: 10}
+	return &tuner.Tuner{Prof: prof, SplitBackward: w.SplitBackward}
+}

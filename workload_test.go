@@ -1,0 +1,82 @@
+package mario_test
+
+import (
+	"reflect"
+	"testing"
+
+	"mario"
+	"mario/internal/cost"
+	"mario/internal/profile"
+	"mario/internal/telemetry"
+)
+
+// TestFingerprintCoversConfig walks mario.Config by reflection: every field is
+// either the workload's — set to a valid value that is not its default, it
+// moves Resolve(...).Fingerprint(), because it reaches the search — or a run's,
+// named in runOnly, and then it must not (the plan is bit-identical for every
+// worker count, tracer and fleet: a fingerprint that moved would split the
+// cache). A field added to Config without a line in one of the two tables
+// fails: whether it is part of a workload's identity is decided, not
+// inherited. NoPrune and NoBnB are the workload's — they change the trace and
+// the search stats — which TestFingerprintStrategyFields used to pin by name.
+func TestFingerprintCoversConfig(t *testing.T) {
+	base := func() mario.Config { return mario.Config{NumDevices: 8, GlobalBatchSize: 64} }
+	model := mario.Model("LLaMA2-3B")
+	on := true
+	h100 := cost.H100_80G
+	workload := map[string]func(*mario.Config){
+		"PipelineScheme":  func(c *mario.Config) { c.PipelineScheme = "V" },
+		"GlobalBatchSize": func(c *mario.Config) { c.GlobalBatchSize = 128 },
+		"NumDevices":      func(c *mario.Config) { c.NumDevices = 16 },
+		"MemoryPerDevice": func(c *mario.Config) { c.MemoryPerDevice = "80G" },
+		"TP":              func(c *mario.Config) { c.TP = 2 },
+		"Checkpoint":      func(c *mario.Config) { c.Checkpoint = &on },
+		"SplitBackward":   func(c *mario.Config) { c.SplitBackward = true },
+		"MicroBatchSizes": func(c *mario.Config) { c.MicroBatchSizes = []int{1, 2} },
+		"MinPP":           func(c *mario.Config) { c.MinPP = 2 },
+		"MaxPP":           func(c *mario.Config) { c.MaxPP = 4 },
+		"Machine":         func(c *mario.Config) { c.Machine = profile.MachineSpec{Noise: 0.1, MemSlack: 1.2, Seed: 7} },
+		"DeviceSpeeds":    func(c *mario.Config) { c.DeviceSpeeds = []float64{1, 1, 1, 0.8, 1, 1, 1, 1} },
+		"Placement":       func(c *mario.Config) { c.Placement = "coopt" },
+		"Hardware":        func(c *mario.Config) { c.Hardware = &h100 },
+		"NoPrune":         func(c *mario.Config) { c.NoPrune = true },
+		"NoBnB":           func(c *mario.Config) { c.NoBnB = true },
+	}
+	runOnly := map[string]func(*mario.Config){
+		"Progress": func(c *mario.Config) { c.Progress = func(int, string, float64) {} },
+		"Workers":  func(c *mario.Config) { c.Workers = 7 },
+		"Tracer":   func(c *mario.Config) { c.Tracer = telemetry.New("another-fingerprint") },
+		"Metrics":  func(c *mario.Config) { c.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry()) },
+		"Sharder":  func(c *mario.Config) { c.Sharder = newInProcessFleet(t, base(), model, 1, 1) },
+	}
+	fingerprint := func(set func(*mario.Config)) string {
+		t.Helper()
+		conf := base()
+		if set != nil {
+			set(&conf)
+		}
+		w, err := mario.Resolve(conf, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Fingerprint()
+	}
+	bare := fingerprint(nil)
+	typ := reflect.TypeOf(mario.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		setWorkload, isWorkload := workload[name]
+		setRun, isRun := runOnly[name]
+		switch {
+		case isWorkload == isRun:
+			t.Errorf("Config.%s: in both tables or in neither — say whether it is part of the workload's identity", name)
+		case isWorkload && fingerprint(setWorkload) == bare:
+			t.Errorf("Config.%s reaches the search but does not move the fingerprint", name)
+		case isRun && fingerprint(setRun) != bare:
+			t.Errorf("Config.%s moves the fingerprint, but the plan is bit-identical — the cache would split", name)
+		}
+	}
+	if n := len(workload) + len(runOnly); n != typ.NumField() {
+		t.Errorf("the tables name %d fields, Config has %d: a table line names a field that is gone", n, typ.NumField())
+	}
+}
