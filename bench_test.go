@@ -187,6 +187,7 @@ func BenchmarkGraphOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(eng.Main.Sims)/float64(b.N), "sims/op")
 }
 
 // BenchmarkSimulateReuse contrasts a fresh package-level Simulate (rebuilds
@@ -551,14 +552,16 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 	}
 	run := func(b *testing.B, space tuner.Space) {
 		var st tuner.SearchStats
+		m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tn := &tuner.Tuner{Prof: prof, MaxRounds: 1}
+			tn := &tuner.Tuner{Prof: prof, MaxRounds: 1, Metrics: m}
 			if _, _, err := tn.Search(space); err != nil {
 				b.Fatal(err)
 			}
 			st = tn.StatsSnapshot()
 		}
+		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
 		b.ReportMetric(float64(st.Explored), "explored")
 		b.ReportMetric(float64(st.BoundPruned), "bound-pruned")
 		b.ReportMetric(float64(st.MemPruned), "mem-pruned")

@@ -116,7 +116,9 @@ func PrintSearchTrace(w io.Writer, r *SearchTraceResult) {
 	fmt.Fprintf(w, "  build_memo hit=%d miss=%d  sim_rebuilds unchanged=%d swap=%d full=%d\n",
 		m.BuildHits.Value(), m.BuildMisses.Value(),
 		m.RebuildsUnchanged.Value(), m.RebuildsSwap.Value(), m.RebuildsFull.Value())
-	fmt.Fprintf(w, "  sims=%d graph_rounds=%d\n", m.Sims.Value(), m.GraphRounds.Value())
+	fmt.Fprintf(w, "  sims=%d graph_rounds=%d  scan_candidates filtered=%d illegal=%d simulated=%d\n",
+		m.Sims.Value(), m.GraphRounds.Value(),
+		m.ScanFiltered.Value(), m.ScanIllegal.Value(), m.ScanSimulated.Value())
 
 	// Why branch-and-bound simulates fewer points: the probe pass orders the
 	// grid best-first by an admissible throughput upper bound, so once the

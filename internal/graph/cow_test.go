@@ -24,7 +24,9 @@ func TestPassesDoNotLeakIntoParent(t *testing.T) {
 		"preposeDevice": func(s *pipeline.Schedule) {
 			ApplyCheckpoint(s)
 			for d := 0; d < s.NumDevices(); d++ {
-				if c, ok := preposeDevice(s, d); ok {
+				if p, ok := nextPrepose(s, d); ok {
+					c := s.Clone()
+					p.apply(c, d)
 					// The candidate's own edits must not reach s either.
 					cl := c.MutableList(d)
 					if len(cl) > 0 {

@@ -265,6 +265,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: simulating checkpointed schedule: %w", err)
 	}
+	eng.chain = eng.Main.CriticalChain(eng.chain[:0])
 	rounds := opt.MaxRounds
 	if rounds <= 0 {
 		rounds = 16
@@ -289,7 +290,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			return nil, nil, err
 		}
 		opt.Metrics.AddGraphRounds(1)
-		rs.SetBool("improved", nextRes != best && nextRes.Total < best.Total)
+		rs.SetBool("improved", nextRes != best)
 		rs.SetInt("moves", int64(moves))
 		rs.SetFloat("makespan", nextRes.Total)
 		rs.End()
@@ -301,9 +302,6 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			if budget < 0 {
 				budget = 0
 			}
-		}
-		if nextRes.Total >= best.Total {
-			break
 		}
 		cur, best = next, nextRes
 	}

@@ -18,11 +18,20 @@ import (
 // A bundle belongs to whoever created it, for as long as they like: a search
 // makes one per goroutine and passes it to every run through Options.Engines,
 // running its own direct simulations on Main in between. The owner reads
-// Main.Sims and Main.Rebuilds when it is done. Like the simulator in it, a
-// bundle serves one run at a time.
+// Main.Sims and Main.Rebuilds, or has Report publish them, when it is done.
+// Like the simulator in it, a bundle serves one run at a time.
 type Engines struct {
 	Main *sim.Simulator
 	feas feasScratch
+	// chain is the critical chain of the run's incumbent, walked off Main
+	// right after the simulation that produced it — the engine holds one run
+	// at a time, and a result's encoded form has no room for it. next is the
+	// chain of a round's winner so far; the round's end swaps it in.
+	chain, next []sim.Segment
+	// scan counts the per-device scan's single-device candidates by verdict:
+	// filtered left the incumbent's critical chain whole (offChain), illegal
+	// failed the untimed feasibility check, simulated paid for a propagation.
+	scan struct{ filtered, illegal, simulated int64 }
 }
 
 // NewEngines returns an empty bundle.
@@ -30,12 +39,13 @@ func NewEngines() *Engines {
 	return &Engines{Main: &sim.Simulator{}}
 }
 
-// Report adds the bundle's simulation and rebuild counts to the registry;
+// Report adds the bundle's simulation, rebuild and scan counts to the registry;
 // whoever created the bundle calls it once, when done with it.
 func (e *Engines) Report(m *telemetry.SearchMetrics) {
 	r := e.Main.Rebuilds
 	m.AddSims(e.Main.Sims)
 	m.AddSimRebuilds(r.Unchanged, r.Swap, r.Full)
+	m.AddScanCandidates(e.scan.filtered, e.scan.illegal, e.scan.simulated)
 }
 
 // feasScratch is the reusable state of Engines.feasible, per FIFO link of the
@@ -255,144 +265,82 @@ func canPrepose(list []pipeline.Instr) bool {
 	return ok
 }
 
-// preposeReorders reports whether moving device d's next steady-phase
-// forward group would reorder the device's sends or receives on some FIFO
-// link relative to same-link communication it crosses. A single-device
-// candidate with such a reorder is guaranteed to deadlock or comm-mismatch —
-// the peers' pop and push orders are unchanged, so the first affected pop
-// meets the wrong key — and the per-device scan skips simulating it. The
-// composite candidate must not use this test: it rewrites both endpoints of
-// a link, and matching reorders on the two sides can cancel out.
-func preposeReorders(s *pipeline.Schedule, d int) bool {
+// A prepose is pass 4's move on one device list: the forward group g leaves
+// the steady phase and lands immediately before list[b], the first
+// backward-like instruction. Its SendAct travels along when moveSA is set and
+// otherwise stays where it is, reading from the staging buffer.
+type prepose struct {
+	b      int
+	g      fwGroup
+	moveSA bool
+}
+
+// nextPrepose returns the move for device d's next steady-phase forward
+// group, false when the device has none.
+func nextPrepose(s *pipeline.Schedule, d int) (prepose, bool) {
 	list := s.Lists[d]
 	b := findBoundary(list)
 	if b < 0 {
-		return false
+		return prepose{}, false
 	}
 	g, ok := nextGroupAfter(list, b)
 	if !ok {
-		return false
+		return prepose{}, false
 	}
 	cfw := list[g.cfwIdx]
 	moveSA := g.saIdx >= 0 && consumerPreposed(s, cfw.Micro, cfw.Part, cfw.Stage)
-	hasRA := g.start < g.cfwIdx
-	for i := b; i < g.start; i++ {
-		in := list[i]
-		switch in.Kind {
-		case pipeline.RecvAct:
-			if hasRA && s.PeerDevice(d, in) == s.PeerDevice(d, list[g.start]) {
-				return true
-			}
-		case pipeline.SendAct:
-			if moveSA && s.PeerDevice(d, in) == s.PeerDevice(d, list[g.saIdx]) {
-				return true
-			}
-		}
-	}
-	return false
+	return prepose{b: b, g: g, moveSA: moveSA}, true
 }
 
-// preposeBlocked reports whether the single-device prepose candidate for
-// device d is guaranteed to deadlock on a two-device wait cycle: the moved
-// group's RecvAct blocks d at the insertion point, while the producing peer
-// sits behind a RecvGrad whose matching SendGrad on d is ordered after that
-// insertion point (every SendGrad follows its Backward, hence the boundary).
-// Neither device can advance, so the simulation is skipped. Cycles through
-// third devices are left for the simulator to detect.
-func preposeBlocked(s *pipeline.Schedule, d int) bool {
-	list := s.Lists[d]
-	b := findBoundary(list)
-	if b < 0 {
-		return false
+// movedEnd is the end of the instructions that travel: [g.start, movedEnd).
+func (p prepose) movedEnd() int {
+	if p.g.saIdx >= 0 && !p.moveSA {
+		return p.g.saIdx
 	}
-	g, ok := nextGroupAfter(list, b)
-	if !ok || g.start == g.cfwIdx {
-		return false // no RecvAct travels with the group
-	}
-	ra := list[g.start]
-	p := s.PeerDevice(d, ra)
-	match := s.MatchKey(ra)
-	for _, in := range s.Lists[p] {
-		if in.Key() == match {
-			return false // producer send reachable before any grad wait on d
-		}
-		if in.Kind != pipeline.RecvGrad || s.PeerDevice(p, in) != d {
-			continue
-		}
-		// The peer waits for a gradient from d. Its SendGrad on d follows
-		// d's first backward, i.e. lands after the moved group's insertion
-		// point — unless it was somehow already in the forward prefix.
-		sg := s.MatchKey(in)
-		early := false
-		for i := 0; i < b; i++ {
-			if list[i].Key() == sg {
-				early = true
-				break
-			}
-		}
-		if !early {
-			return true
-		}
-	}
-	return false
+	return p.g.end
 }
 
-// preposeDevice builds a candidate schedule with the next steady-phase
-// forward group of device d moved to the leading bubble region. It returns
-// false when the device has no group to prepose.
-func preposeDevice(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
-	if !canPrepose(s.Lists[d]) {
-		return nil, false
-	}
-	c := s.Clone()
-	preposeList(c, d)
-	return c, true
-}
-
-// preposeList rewrites device d of c in place, moving its next steady-phase
-// forward group to the leading bubble region. The caller owns c (a private
-// clone of the candidate base); the rewritten list is a fresh allocation, as
-// the simulators' identity-keyed caches require. Returns false when the device
-// has no group to move.
-func preposeList(c *pipeline.Schedule, d int) bool {
+// apply rewrites device d of c in place; p is nextPrepose(c, d). The caller
+// owns c (a private clone of the candidate base); the rewritten list is a
+// fresh allocation, as the simulators' identity-keyed caches require.
+func (p prepose) apply(c *pipeline.Schedule, d int) {
 	list := c.Lists[d]
-	b := findBoundary(list)
-	if b < 0 {
-		return false
-	}
-	g, ok := nextGroupAfter(list, b)
-	if !ok {
-		return false
-	}
-	cfw := list[g.cfwIdx]
-	moveSA := g.saIdx >= 0 && consumerPreposed(c, cfw.Micro, cfw.Part, cfw.Stage)
-
+	mEnd := p.movedEnd()
 	nl := make([]pipeline.Instr, 0, len(list))
-	var movedArr [3]pipeline.Instr
-	moved := movedArr[:0]
-	for i := g.start; i < g.end; i++ {
-		if i == g.saIdx && !moveSA {
-			continue
-		}
-		moved = append(moved, list[i])
-	}
-	for i := 0; i < len(list); i++ {
-		if i == b {
-			nl = append(nl, moved...)
-		}
-		if i >= g.start && i < g.end {
-			if i == g.saIdx && !moveSA {
-				// SendAct stays put, reading from the staging buffer
-				// (§5.1 pass 4 scenario 2).
-				sa := list[i]
-				sa.Buffered = true
-				nl = append(nl, sa)
-			}
-			continue
-		}
-		nl = append(nl, list[i])
+	nl = append(nl, list[:p.b]...)
+	nl = append(nl, list[p.g.start:mEnd]...)
+	nl = append(nl, list[p.b:p.g.start]...)
+	nl = append(nl, list[mEnd:]...)
+	if mEnd < p.g.end {
+		// The SendAct stays put, reading from the staging buffer (§5.1 pass 4
+		// scenario 2); every index from mEnd on is unchanged.
+		nl[mEnd].Buffered = true
 	}
 	c.SetList(d, nl)
+}
+
+// offChain reports whether the single-device candidate that applies p to
+// device d cannot finish before the incumbent, whose critical chain e holds.
+// The move reorders one window of one list — [p.b, g.start) slides behind the
+// moved [g.start, movedEnd) — so a chain segment [u, v] on d keeps every
+// instruction it had between its endpoints unless it enters the window's head
+// and leaves through the moved group, or enters ahead of the moved group and
+// leaves at or behind it. When no segment does, each one is a subset of the
+// candidate's list-order run between the same two instructions, communication
+// edges are matched by key and keep their latency, and the candidate's
+// makespan is at least the chain's length, the incumbent's Total: the strict
+// improvement test refuses it whether it is legal, OOM or neither (DESIGN §5).
+func (e *Engines) offChain(d int, p prepose) bool {
+	gs, mEnd := p.g.start, p.movedEnd()
+	for _, sg := range e.chain {
+		if int(sg.Dev) != d {
+			continue
+		}
+		u, v := int(sg.Lo), int(sg.Hi)
+		if u < p.b && gs <= v && v < mEnd || p.b <= u && u < gs && gs <= v {
+			return false
+		}
+	}
 	return true
 }
 
@@ -450,12 +398,18 @@ func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (*sim.R
 	return r, nil
 }
 
+// improveEps is how much smaller a candidate's makespan must be to count as
+// an improvement. offChain leans on it: a filtered candidate's makespan is at
+// least the incumbent's up to the re-association of one chain's worth of float
+// additions, orders of magnitude below this.
+const improveEps = 1e-12
+
 // preposeRound evaluates one greedy round of pass 4: preposing one group on
 // each single device, preposing one group on all devices at once (to enable
 // cascaded moves none of which helps alone), and promoting buffered sends.
-// The best strictly-improving, non-OOM candidate wins. budget bounds the
-// number of group moves this round may perform (negative = unlimited); the
-// round reports how many it used.
+// The best strictly-improving, non-OOM candidate wins, and its critical chain
+// becomes eng's. budget bounds the number of group moves this round may
+// perform (negative = unlimited); the round reports how many it used.
 //
 // ctx is checked before each candidate simulation; a cancelled round returns
 // ctx's error.
@@ -467,10 +421,12 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 	}
 	var winner *cand
 
-	const eps = 1e-12
+	// consider runs right after c's simulation, while the engine still holds
+	// that run.
 	consider := func(c *pipeline.Schedule, r *sim.Result, moves int) {
-		if r != nil && r.Total < best.Total-eps && (winner == nil || r.Total < winner.r.Total) {
+		if r != nil && r.Total < best.Total-improveEps && (winner == nil || r.Total < winner.r.Total) {
 			winner = &cand{s: c, r: r, moves: moves}
+			eng.next = eng.Main.CriticalChain(eng.next[:0])
 		}
 	}
 
@@ -503,7 +459,8 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 			}
 			comp = cur.Clone()
 		}
-		if preposeList(comp, d) {
+		if p, ok := nextPrepose(comp, d); ok {
+			p.apply(comp, d)
 			moves++
 		}
 	}
@@ -518,15 +475,31 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		consider(comp, r, moves)
 	}
 	if winner == nil && (budget < 0 || budget >= 1) {
+		// The per-device scan pays for a candidate in stages: nothing for one
+		// that leaves the incumbent's critical chain whole, a clone and the
+		// untimed feasibility pass for one that deadlocks or mispairs a pop,
+		// a simulation for the rest. Rendezvous links go unfiltered: a post
+		// binds both ends of a transfer, so a chain would have to follow
+		// edges the eager propagation does not record.
 		for d := 0; d < cur.NumDevices(); d++ {
-			if !canPrepose(cur.Lists[d]) || preposeReorders(cur, d) || preposeBlocked(cur, d) {
+			p, ok := nextPrepose(cur, d)
+			if !ok {
+				continue
+			}
+			if !opt.Sim.Rendezvous && eng.offChain(d, p) {
+				eng.scan.filtered++
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, nil, 0, err
 			}
 			c := cur.Clone()
-			preposeList(c, d)
+			p.apply(c, d)
+			if !eng.feasible(c) {
+				eng.scan.illegal++
+				continue
+			}
+			eng.scan.simulated++
 			r, err := simCandidate(eng.Main, c, opt)
 			if err != nil {
 				return nil, nil, 0, err
@@ -537,5 +510,6 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 	if winner == nil {
 		return cur, best, 0, nil
 	}
+	eng.chain, eng.next = eng.next, eng.chain
 	return winner.s, winner.r, winner.moves, nil
 }

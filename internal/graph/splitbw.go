@@ -51,8 +51,8 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 	// the iteration (just before AllReduce), accepted device by device when
 	// the simulator improves without OOM.
 	for d := 0; d < cur.NumDevices(); d++ {
-		cand := cur.Clone()
-		if !sinkWeightGrads(cand, d) {
+		cand, ok := sinkWeightGrads(cur, d)
+		if !ok {
 			continue
 		}
 		r, err := eng.Simulate(cand, opt.Estimator, innerSim)
@@ -65,7 +65,7 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 		if opt.Sim.MemLimit > 0 && r.OOM {
 			continue
 		}
-		if r.Total < best.Total-1e-12 {
+		if r.Total < best.Total-improveEps {
 			cur, best = cand, r
 		}
 	}
@@ -110,10 +110,11 @@ func splitAll(s *pipeline.Schedule) *pipeline.Schedule {
 	return c
 }
 
-// sinkWeightGrads moves all BackwardWeight instructions of device d to just
-// before its AllReduce (or the end of the list), preserving their relative
-// order. Returns false when the device has none to move.
-func sinkWeightGrads(s *pipeline.Schedule, d int) bool {
+// sinkWeightGrads returns a clone of s with all BackwardWeight instructions of
+// device d moved to just before its AllReduce (or the end of the list),
+// preserving their relative order. Returns false, and clones nothing, when the
+// device has none to move.
+func sinkWeightGrads(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
 	list := s.Lists[d]
 	var kept, sunk []pipeline.Instr
 	insertAt := -1
@@ -128,7 +129,7 @@ func sinkWeightGrads(s *pipeline.Schedule, d int) bool {
 		kept = append(kept, in)
 	}
 	if len(sunk) == 0 {
-		return false
+		return nil, false
 	}
 	if insertAt < 0 {
 		insertAt = len(kept)
@@ -137,6 +138,7 @@ func sinkWeightGrads(s *pipeline.Schedule, d int) bool {
 	out = append(out, kept[:insertAt]...)
 	out = append(out, sunk...)
 	out = append(out, kept[insertAt:]...)
-	s.SetList(d, out)
-	return true
+	c := s.Clone()
+	c.SetList(d, out)
+	return c, true
 }

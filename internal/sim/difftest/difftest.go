@@ -50,10 +50,20 @@ type Workload struct {
 // checkpoint passes, memory limit, and DP degree all derive from the seed.
 func NewWorkload(seed int64) (*Workload, error) {
 	rng := rand.New(rand.NewSource(seed))
-	w := &Workload{rng: rng}
-
 	devs := 2 + rng.Intn(3) // 2..4
 	micros := 3 + rng.Intn(6)
+	return newWorkload(rng, devs, micros)
+}
+
+// NewWorkloadShape is NewWorkload at a given size (a scheme that needs even
+// counts rounds them up): the engine's differential property is as visible on
+// four devices as on sixteen, a search's critical chains are not.
+func NewWorkloadShape(seed int64, devs, micros int) (*Workload, error) {
+	return newWorkload(rand.New(rand.NewSource(seed)), devs, micros)
+}
+
+func newWorkload(rng *rand.Rand, devs, micros int) (*Workload, error) {
+	w := &Workload{rng: rng}
 	var sch pipeline.Scheme
 	switch rng.Intn(5) {
 	case 0:

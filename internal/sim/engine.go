@@ -647,7 +647,11 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 						ErrCommMismatch, d, list[i], msg.dev, msg.idx)
 				}
 				m.fifoHead[mt.link] = h + 1
-				clock = max64(start+e.LaunchOverhead, msg.arrive)
+				clock = start + e.LaunchOverhead
+				mt.late = msg.arrive > clock
+				if mt.late {
+					clock = msg.arrive
+				}
 			}
 		}
 		if !opt.NoTimeline {
@@ -658,6 +662,45 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 blocked:
 	m.pc[d], m.clock[d] = i, clock
 	return nil
+}
+
+// Segment is one maximal list-order run of a critical chain: instructions
+// Lo..Hi of device Dev, each starting the moment its predecessor ends.
+type Segment struct{ Dev, Lo, Hi int32 }
+
+// CriticalChain appends to dst one longest dependency chain of the engine's
+// last run, walked back from the last instruction of the makespan device to
+// t = 0. A segment is entered at Lo by a communication edge — Lo is a receive
+// that waited for its message, and the next segment ends at the matched send —
+// or at index 0, and left at Hi by that send or at the list's end. Within a
+// segment every instruction costs its duration (a send or a receive the launch
+// overhead), an edge between segments the transfer latency, and the sum is the
+// run's Total. Ties go to list order. Only a successful eager run leaves a
+// chain behind: after an error the walk is meaningless, and under rendezvous
+// links, whose posts bind in both directions, dst comes back as it was.
+func (m *Simulator) CriticalChain(dst []Segment) []Segment {
+	if m.rdv || len(m.devs) == 0 {
+		return dst
+	}
+	d := 0
+	for o := range m.devs {
+		if m.clock[o] > m.clock[d] {
+			d = o
+		}
+	}
+	for i := len(m.devs[d].list) - 1; i >= 0; {
+		metas := m.devs[d].metas
+		hi := i
+		for i > 0 && !metas[i].late {
+			i--
+		}
+		dst = append(dst, Segment{Dev: int32(d), Lo: int32(i), Hi: int32(hi)})
+		if !metas[i].late {
+			break
+		}
+		d, i = int(metas[i].matchDev), int(metas[i].matchIdx)
+	}
+	return dst
 }
 
 // wakeRendezvous re-enqueues every device whose awaited post on d appeared

@@ -123,6 +123,11 @@ type meta struct {
 	link int32
 	// compute marks kinds counted into ComputeBusy.
 	compute bool
+	// late is run state, not metadata: the last eager run found this
+	// receive's message arriving after the device reached it, so its start
+	// was fixed by the matched send, not by list order. Every run rewrites
+	// it on every receive; CriticalChain reads it.
+	late bool
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation.

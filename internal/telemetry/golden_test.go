@@ -108,6 +108,7 @@ func goldenRegistry() *Registry {
 	m.AddSims(7)
 	m.AddSimRebuilds(9, 4, 15)
 	m.AddGraphRounds(2)
+	m.AddScanCandidates(5, 1, 2)
 	m.AddRobustRuns(2)
 	m.SearchSeconds.Observe(0.042)
 	return r

@@ -31,6 +31,11 @@ type SearchMetrics struct {
 	// GraphRounds counts simulator-guided prepose rounds across graph
 	// runs.
 	GraphRounds *Counter
+	// ScanFiltered, ScanIllegal and ScanSimulated count the single-device
+	// candidates of those rounds' per-device scans by verdict: refused by
+	// the critical-chain filter, refused by the untimed feasibility check,
+	// simulated.
+	ScanFiltered, ScanIllegal, ScanSimulated *Counter
 	// RobustRuns counts robustness ensemble simulations (healthy and
 	// faulted).
 	RobustRuns *Counter
@@ -69,6 +74,15 @@ func (m *SearchMetrics) AddSimRebuilds(unchanged, swap, full int64) {
 	}
 }
 
+// AddScanCandidates records per-device scan candidates by verdict. Safe on nil.
+func (m *SearchMetrics) AddScanCandidates(filtered, illegal, simulated int64) {
+	if m != nil {
+		m.ScanFiltered.Add(filtered)
+		m.ScanIllegal.Add(illegal)
+		m.ScanSimulated.Add(simulated)
+	}
+}
+
 // AddGraphRounds records n prepose rounds. Safe on nil.
 func (m *SearchMetrics) AddGraphRounds(n int64) {
 	if m != nil {
@@ -100,6 +114,9 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		RebuildsSwap:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "swap"),
 		RebuildsFull:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "full"),
 		GraphRounds:       r.Counter("mario_search_graph_rounds_total", "Simulator-guided prepose rounds."),
+		ScanFiltered:      r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "filtered"),
+		ScanIllegal:       r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "illegal"),
+		ScanSimulated:     r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "simulated"),
 		RobustRuns:        r.Counter("mario_search_robust_runs_total", "Robustness ensemble simulations."),
 		Searches:          r.Counter("mario_search_runs_total", "Tuner grid searches started."),
 		SearchSeconds:     r.Histogram("mario_search_seconds", "Per-search wall-clock.", LatencyBounds),
