@@ -66,9 +66,11 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # The gating half of the ledger: B/op and allocs/op of the deterministic rows
-# may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent.
-# Unlike ns/op this does not depend on the runner, so CI enforces it; after a
-# deliberate change regenerate the baseline with `make bench-json`.
+# may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent, and
+# the sims/op those rows report (BenchmarkGraphOptimize, BenchmarkTunerSearchBnB)
+# may not exceed it at all — it counts simulations, exactly. Unlike ns/op none of
+# this depends on the runner, so CI enforces it; after a deliberate change
+# regenerate the baseline with `make bench-json`.
 ALLOCPCT ?= 5
 bench-gate-allocs:
 	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
@@ -133,7 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestCanonical -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 
 # Doc-comment lint for the packages whose contracts must live in the source:
-# internal/sim (engine identity/caching rules), internal/pipeline (COW
+# internal/sim (what an engine reuses and what it re-derives), internal/pipeline (COW
 # schedule rules), internal/scheme (the generator registry contract) and the
 # planning service's public surface (internal/serve and its client).
 # Dependency-free (cmd/exportlint, go/ast).

@@ -28,6 +28,9 @@
 // instead. A single-threaded benchmark allocates the same objects run after
 // run on any machine, so — unlike ns/op, which CI runner noise keeps
 // non-gating — a small threshold on these columns is a gate CI can enforce.
+// It also gates the sims/op extra of the rows that report one: that is a
+// count of the simulations a search ran, exact on any machine, so it is held
+// to the baseline with no threshold — one more simulation fails.
 package main
 
 import (
@@ -126,25 +129,38 @@ func parseBench(r io.Reader) ([]result, error) {
 	return results, sc.Err()
 }
 
-// metric is one gated column of a benchmark result.
+// metric is one gated column of a benchmark result. An exact metric is a
+// count of work that may not grow at all, whatever the threshold.
 type metric struct {
-	unit string
-	get  func(result) *float64
+	unit  string
+	get   func(result) *float64
+	exact bool
 }
 
 var (
-	timeMetrics = []metric{{"ns/op", func(r result) *float64 { return r.NsPerOp }}}
+	timeMetrics = []metric{{unit: "ns/op", get: func(r result) *float64 { return r.NsPerOp }}}
 	memMetrics  = []metric{
-		{"B/op", func(r result) *float64 { return r.BytesPerOp }},
-		{"allocs/op", func(r result) *float64 { return r.AllocsPerOp }},
+		{unit: "B/op", get: func(r result) *float64 { return r.BytesPerOp }},
+		{unit: "allocs/op", get: func(r result) *float64 { return r.AllocsPerOp }},
+		{unit: "sims/op", get: extraMetric("sims/op"), exact: true},
 	}
 )
+
+// extraMetric reads one custom b.ReportMetric unit of a result.
+func extraMetric(unit string) func(result) *float64 {
+	return func(r result) *float64 {
+		if v, ok := r.Extra[unit]; ok {
+			return &v
+		}
+		return nil
+	}
+}
 
 // gateAgainst compares the given metrics for every benchmark present in both
 // the current run and the baseline artifact, prints one line per comparison,
 // and reports whether any selected benchmark regressed by more than pct
-// percent on any of them (a metric that was zero regresses by becoming
-// non-zero).
+// percent on any of them — on an exact metric, by any amount (a metric that
+// was zero regresses by becoming non-zero).
 func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, prefixes []string, metrics []metric) (bool, error) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -179,7 +195,11 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 			}
 			compared++
 			verdict := "ok    "
-			if *now > *old*(1+pct/100) {
+			limit := *old * (1 + pct/100)
+			if m.exact {
+				limit = *old
+			}
+			if *now > limit {
 				verdict = "WORSE "
 				regressed = true
 			}
@@ -201,6 +221,9 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 	units := make([]string, len(metrics))
 	for i, m := range metrics {
 		units[i] = m.unit
+		if m.exact {
+			units[i] += " (exact)"
+		}
 	}
 	fmt.Fprintf(w, "benchjson: gated %d comparisons at +%.0f%% %s\n", compared, pct, strings.Join(units, ", "))
 	return regressed, nil

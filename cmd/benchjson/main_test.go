@@ -152,13 +152,15 @@ func TestGateAgainst(t *testing.T) {
 }
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
-// (ns/op is not), either column failing fails the gate, and a zero baseline
-// regresses by becoming non-zero.
+// (ns/op is not), either column failing fails the gate, a zero baseline
+// regresses by becoming non-zero, and sims/op — an exact count — fails on one
+// more simulation however small a share of the baseline that is.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
   {"name": "BenchmarkZero", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0},
-  {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10}
+  {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10},
+  {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}}
 ]`)
 	for _, tc := range []struct {
 		name, bench string
@@ -171,6 +173,9 @@ func TestGateMem(t *testing.T) {
 		{"zero stays zero", "BenchmarkZero 1 10 ns/op 0 B/op 0 allocs/op\n", false, "ok     BenchmarkZero"},
 		{"zero becomes non-zero", "BenchmarkZero 1 10 ns/op 16 B/op 1 allocs/op\n", true, "WORSE  BenchmarkZero"},
 		{"column missing from baseline is new", "BenchmarkNoMem 1 10 ns/op 8 B/op 1 allocs/op\nBenchmarkA 1 1 ns/op 1000 B/op 100 allocs/op\n", false, "NEW    BenchmarkNoMem"},
+		{"sims stay", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 61 sims/op\n", false, "61 sims/op"},
+		{"fewer sims pass", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 43 sims/op\n", false, "43 sims/op (-29.5%)"},
+		{"one more sim fails", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 62 sims/op\n", true, "WORSE  BenchmarkSims"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

@@ -113,9 +113,7 @@ func PrintSearchTrace(w io.Writer, r *SearchTraceResult) {
 	fmt.Fprintf(w, "  explored=%d oom=%d infeasible=%d bound_pruned=%d mem_pruned=%d improved=%d\n",
 		m.PointsExplored.Value(), m.PointsOOM.Value(), m.PointsPruned.Value(),
 		m.PointsBoundPruned.Value(), m.PointsMemPruned.Value(), m.PointsImproved.Value())
-	fmt.Fprintf(w, "  build_memo hit=%d miss=%d  sim_rebuilds unchanged=%d swap=%d full=%d\n",
-		m.BuildHits.Value(), m.BuildMisses.Value(),
-		m.RebuildsUnchanged.Value(), m.RebuildsSwap.Value(), m.RebuildsFull.Value())
+	fmt.Fprintf(w, "  build_memo hit=%d miss=%d\n", m.BuildHits.Value(), m.BuildMisses.Value())
 	fmt.Fprintf(w, "  sims=%d graph_rounds=%d  scan_candidates filtered=%d illegal=%d simulated=%d\n",
 		m.Sims.Value(), m.GraphRounds.Value(),
 		m.ScanFiltered.Value(), m.ScanIllegal.Value(), m.ScanSimulated.Value())

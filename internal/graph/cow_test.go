@@ -114,10 +114,6 @@ func TestEnginesOwnedByCaller(t *testing.T) {
 	if n := opts.Metrics.Sims.Value(); n != 0 {
 		t.Errorf("run reported %d sims of a bundle it does not own", n)
 	}
-	// Every simulation classifies every device exactly once.
-	if r := eng.Rebuilds; r.Unchanged+r.Swap+r.Full != eng.Sims*int64(s.NumDevices()) {
-		t.Errorf("rebuild counters %+v do not add up to %d sims × %d devices", r, eng.Sims, s.NumDevices())
-	}
 }
 
 // TestOptimizeWorkerDeterminism: goroutines that optimize one frozen base

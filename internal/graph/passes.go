@@ -211,14 +211,12 @@ type Options struct {
 	Metrics *telemetry.SearchMetrics
 }
 
-// engines returns the bundle a run evaluates on, every cached list identity
-// dropped — the previous run's result lists belong to its caller now — and the
-// function the run defers: it reports a bundle made for this call and does
-// nothing for one the caller owns.
+// engines returns the bundle a run evaluates on and the function the run
+// defers: it reports a bundle made for this call and does nothing for one the
+// caller owns.
 func (o Options) engines() (*Engines, func()) {
-	if eng := o.Engines; eng != nil {
-		eng.Main.Invalidate()
-		return eng, func() {}
+	if o.Engines != nil {
+		return o.Engines, func() {}
 	}
 	eng := NewEngines()
 	return eng, func() { eng.Report(o.Metrics) }

@@ -11,15 +11,15 @@ import (
 
 // Engines bundles the reusable state an Optimize or SplitBackward run
 // evaluates its candidates on: Main is the simulator, feas the feasibility
-// pre-screen's scratch. Reusing the simulator across rounds is what keeps
-// candidate evaluation cheap — each candidate shares all but a few lists with
-// the current schedule, so only those devices' metadata is rebuilt.
+// pre-screen's scratch. Both are buffers, not caches — every simulation
+// derives its metadata from the candidate it is given — so reusing them
+// across rounds and runs saves allocations and nothing else.
 //
 // A bundle belongs to whoever created it, for as long as they like: a search
 // makes one per goroutine and passes it to every run through Options.Engines,
 // running its own direct simulations on Main in between. The owner reads
-// Main.Sims and Main.Rebuilds, or has Report publish them, when it is done.
-// Like the simulator in it, a bundle serves one run at a time.
+// Main.Sims, or has Report publish it, when it is done. Like the simulator in
+// it, a bundle serves one run at a time.
 type Engines struct {
 	Main *sim.Simulator
 	feas feasScratch
@@ -39,12 +39,10 @@ func NewEngines() *Engines {
 	return &Engines{Main: &sim.Simulator{}}
 }
 
-// Report adds the bundle's simulation, rebuild and scan counts to the registry;
+// Report adds the bundle's simulation and scan counts to the registry;
 // whoever created the bundle calls it once, when done with it.
 func (e *Engines) Report(m *telemetry.SearchMetrics) {
-	r := e.Main.Rebuilds
 	m.AddSims(e.Main.Sims)
-	m.AddSimRebuilds(r.Unchanged, r.Swap, r.Full)
 	m.AddScanCandidates(e.scan.filtered, e.scan.illegal, e.scan.simulated)
 }
 
@@ -300,9 +298,9 @@ func (p prepose) movedEnd() int {
 	return p.g.end
 }
 
-// apply rewrites device d of c in place; p is nextPrepose(c, d). The caller
-// owns c (a private clone of the candidate base); the rewritten list is a
-// fresh allocation, as the simulators' identity-keyed caches require.
+// apply rewrites device d of c; p is nextPrepose(c, d). The caller owns c (a
+// private clone of the candidate base), whose old list for d is still the
+// base's, so the rewritten list is a fresh allocation.
 func (p prepose) apply(c *pipeline.Schedule, d int) {
 	list := c.Lists[d]
 	mEnd := p.movedEnd()

@@ -1,15 +1,16 @@
 // Package difftest is the differential harness behind the simulator's
 // equivalence guarantee: every result is a pure function of (schedule,
-// estimator, options), so a reused engine — whatever its identity-keyed
-// caches hold — must be byte-identical to a fresh one: same makespan bits,
-// same peaks, same timeline spans, same error. The harness generates seeded
-// random workloads (schedule, estimator, options), drives a long-lived engine
-// through randomized single-device mutations, reverts, estimator rebinds and
-// Invalidate calls, and after every step checks the reused engine's answer
-// against a fresh engine's on the same schedule, failing on the first
-// diverging byte of a canonical encoding — and, in eager mode, checks both
-// against Reference, a naive simulator that shares no code with the engine.
-// Only tests import this package.
+// estimator, options), so a reused engine — whatever its retained buffers
+// hold — must be byte-identical to a fresh one: same makespan bits, same
+// peaks, same timeline spans, same error. The harness generates seeded random
+// workloads (schedule, estimator, options), drives a long-lived engine through
+// randomized single-device mutations (fresh lists, in-place edits, reverts)
+// and estimator changes (a copy under a new pointer, an edit in place), and
+// after every step checks the reused engine's answer against a fresh engine's
+// on the same schedule, failing on the first diverging byte of a canonical
+// encoding — and, in eager mode, checks both against Reference, a naive
+// simulator that shares no code with the engine. Only tests import this
+// package.
 package difftest
 
 import (
@@ -28,10 +29,8 @@ import (
 
 // Workload is one randomized simulation subject: a schedule, an estimator,
 // and the simulation options every check of this workload uses. Mutations
-// rewrite single devices under fresh list identities (the engine contract:
-// a cached list's backing array is immutable) and keep the retired lists so
-// a revert restores the exact previous identity — the depth-2 snapshot's
-// fast path.
+// rewrite single devices, either into a fresh list — keeping the retired one,
+// so a revert can restore it — or in place.
 type Workload struct {
 	S   *pipeline.Schedule
 	Est *cost.Estimator
@@ -169,11 +168,11 @@ func (w *Workload) seed(s int64) {
 	w.prev = make([][]pipeline.Instr, w.S.NumDevices())
 }
 
-// Mutate applies one random single-device mutation under a fresh list
-// identity and reports a description of it. Mutations may produce schedules
-// that deadlock or mismatch — the differential property covers error results
-// too — and always change exactly one device, the copy-on-write candidate
-// shape the engine's per-device cache is built for.
+// Mutate applies one random single-device mutation and reports a
+// description of it. Mutations may produce schedules that deadlock or
+// mismatch — the differential property covers error results too — and always
+// change exactly one device: the copy-on-write candidate shape a search sends,
+// plus an in-place edit of the list an engine saw last.
 func (w *Workload) Mutate() string {
 	rng := w.rng
 	d := rng.Intn(w.S.NumDevices())
@@ -184,17 +183,13 @@ func (w *Workload) Mutate() string {
 		return w.desc
 	}
 
-	kind := rng.Intn(4)
-	if kind == 3 && w.prev[d] == nil {
-		kind = rng.Intn(3)
+	kind := rng.Intn(5)
+	if kind == 4 && w.prev[d] == nil {
+		kind = rng.Intn(4)
 	}
 	switch kind {
 	case 0: // swap two nearby instructions
-		i := rng.Intn(n - 1)
-		j := i + 1 + rng.Intn(minInt(16, n-i-1))
-		if j >= n {
-			j = n - 1
-		}
+		i, j := nearPair(rng, n)
 		nl := append([]pipeline.Instr(nil), old...)
 		nl[i], nl[j] = nl[j], nl[i]
 		w.prev[d] = old
@@ -227,12 +222,23 @@ func (w *Workload) Mutate() string {
 		w.prev[d] = old
 		w.S.SetList(d, nl)
 		w.desc = fmt.Sprintf("dev%d: flip Buffered at %d", d, i)
-	default: // revert to the exact previous identity (depth-2 swap path)
+	case 3: // swap two nearby instructions in the list itself, no SetList
+		i, j := nearPair(rng, n)
+		list := w.S.MutableList(d)
+		list[i], list[j] = list[j], list[i]
+		w.desc = fmt.Sprintf("dev%d: swap %d<->%d in place", d, i, j)
+	default: // restore the list the last mutation replaced
 		w.S.SetList(d, w.prev[d])
 		w.prev[d] = nil
 		w.desc = fmt.Sprintf("dev%d: revert", d)
 	}
 	return w.desc
+}
+
+// nearPair picks list indexes i < j at most 16 apart in a list of n ≥ 2.
+func nearPair(rng *rand.Rand, n int) (int, int) {
+	i := rng.Intn(n - 1)
+	return i, i + 1 + rng.Intn(minInt(16, n-i-1))
 }
 
 func minInt(a, b int) int {
@@ -246,8 +252,7 @@ func minInt(a, b int) int {
 type Harness struct {
 	W *Workload
 	// Reused is the engine under test: it lives across steps, so every call
-	// meets whatever the previous ones left in its per-device caches
-	// (unchanged entries, depth-2 snapshots, full rebuilds).
+	// meets whatever the previous ones left in its buffers.
 	Reused sim.Simulator
 	steps  int
 }
@@ -262,9 +267,10 @@ func NewHarness(seed int64) (*Harness, error) {
 }
 
 // Step advances the harness once: maybe mutate or revert a device, maybe
-// rebind the estimator (an equal copy under a new pointer, which resets every
-// cache) or call Invalidate, then check reused engine ≡ fresh engine ≡
-// reference, byte for byte. A non-nil error is a disproof of the equivalence.
+// change the estimator (an equal copy under a new pointer, or one stage's
+// forward time scaled in place under the same one), then check reused engine ≡
+// fresh engine ≡ reference, byte for byte. A non-nil error is a disproof of
+// the equivalence.
 func (h *Harness) Step() error {
 	w := h.W
 	rng := w.rng
@@ -278,7 +284,8 @@ func (h *Harness) Step() error {
 		est := *w.Est
 		w.Est = &est
 	case 1:
-		h.Reused.Invalidate()
+		st := rng.Intn(len(w.Est.FwTime))
+		w.Est.FwTime[st] *= 0.5 + rng.Float64()
 	}
 
 	opt := w.Opt

@@ -22,13 +22,9 @@ type commLoc struct {
 	dev1, idx int32
 }
 
-// devState is the Simulator's cached per-device view of a schedule.
+// devState is the Simulator's per-device view of the schedule being
+// simulated, rebuilt by every call into buffers kept for the next.
 type devState struct {
-	// list is the instruction list the cached metadata was built from. It
-	// doubles as the cache key (identity of the backing array + length) and,
-	// because the engine retains the reference, guarantees the allocator
-	// cannot hand the same address to a different list while the cache entry
-	// is alive.
 	list  []pipeline.Instr
 	metas []meta
 	// comm indexes the communication instructions of list, in list order.
@@ -37,101 +33,36 @@ type devState struct {
 	// done[i] the completion time of rendezvous receive i. Only maintained in
 	// rendezvous mode — eager propagation never reads them.
 	posted, done []float64
-	// peers accumulates the distinct devices this device's communication
-	// matches resolve to — a conservative superset (entries are added on
-	// resolution, never removed), used to skip match re-resolution scans for
-	// devices with no match into a changed list.
-	peers []int32
-	// stages lists the distinct stages whose weights the device holds.
-	stages []int
+
 	arDur  float64 // AllReduce duration for this device's stage set
 	slow   float64 // compute slowdown multiplier (1 = nominal speed)
 	static float64 // framework + owned-weight bytes
-	peak   float64 // cached peak memory of list
-	busy   float64 // cached compute-busy total of list
-
-	// prev* snapshot the previous list's cached metadata. The graph tuner
-	// alternates every device between the current schedule's list and one
-	// candidate list, so keeping a depth-2 cache turns the revert back to the
-	// current list into a buffer swap instead of a rebuild (durations and the
-	// memory walk are recomputed only for genuinely new lists).
-	prevList   []pipeline.Instr
-	prevMetas  []meta
-	prevComm   []int32
-	prevPosted []float64
-	prevDone   []float64
-	prevPeers  []int32
-	prevPeak   float64
-	prevBusy   float64
+	peak   float64 // peak memory of list
+	busy   float64 // compute-busy total of list
 }
 
-// swapPrev exchanges the active cached metadata with the snapshot.
-func (ds *devState) swapPrev() {
-	ds.list, ds.prevList = ds.prevList, ds.list
-	ds.metas, ds.prevMetas = ds.prevMetas, ds.metas
-	ds.comm, ds.prevComm = ds.prevComm, ds.comm
-	ds.posted, ds.prevPosted = ds.prevPosted, ds.posted
-	ds.done, ds.prevDone = ds.prevDone, ds.done
-	ds.peers, ds.prevPeers = ds.prevPeers, ds.peers
-	ds.peak, ds.prevPeak = ds.prevPeak, ds.peak
-	ds.busy, ds.prevBusy = ds.prevBusy, ds.busy
-}
-
-// Rebuilds counts, per device and per Simulate call, what refresh did with the
-// device's cached metadata.
-type Rebuilds struct {
-	// Unchanged: the list identity matched the active cache entry.
-	// Swap: it matched the depth-2 revert snapshot (a buffer swap).
-	// Full: the metadata and the memory walk were re-derived from the list.
-	Unchanged, Swap, Full int64
-}
-
-// Simulator is a reusable simulation engine. Its results are bit-identical to
-// the package-level Simulate — every result is a pure function of (schedule,
-// estimator, options) — but it caches, across calls, everything that survives
-// a schedule edit:
-//
-//   - per-device instruction metadata (durations, communication matches,
-//     link ids), keyed on the identity of each device's instruction list, so
-//     re-simulating a schedule that shares most lists with a previous call
-//     (a copy-on-write Clone candidate) rebuilds metadata only for the
-//     devices that actually changed;
-//   - per-device peak memory and compute-busy totals, which are pure
-//     functions of one device's list;
-//   - all propagation working buffers (ready queue, FIFO links, rendezvous
-//     scratch), so steady-state re-simulation performs O(1) heap
-//     allocations per call regardless of schedule size.
-//
-// The timing propagation itself is never cached: every call runs one full
-// event-driven pass over all instructions.
+// Simulator is a reusable simulation engine: scratch, not a cache. Every
+// Simulate derives all of its metadata — durations, link ids, communication
+// matches, per-device peak memory and busy time — from its arguments, then runs
+// one full event-driven propagation, so its results are bit-identical to the
+// package-level Simulate whatever it simulated before, and a caller may edit a
+// list or an estimator in place between calls. What carries over is capacity:
+// the per-device metadata, the memory walk and the propagation buffers (ready
+// queue, FIFO links, rendezvous scratch) are reused when they are big enough,
+// so steady-state re-simulation performs O(1) heap allocations per call
+// regardless of schedule size.
 //
 // The zero value is ready to use. A Simulator is not safe for concurrent use;
 // give each worker goroutine its own.
-//
-// Caching contract: metadata is keyed on list identity, so instruction lists
-// must not be edited in place while an engine keys on them (until they fall
-// out of its depth-2 cache, the engine is rebound, or Invalidate is called).
-// Schedules mutated through pipeline.Schedule's copy-on-write API (Clone +
-// MutableList/SetList) always satisfy this, because every edit lands in a
-// freshly copied list. The engine holds the references it keys on, so the
-// allocator can never hand a cached address to a different list. The
-// *cost.Estimator must likewise not be mutated between calls that pass the
-// same pointer.
 type Simulator struct {
-	// Sims counts Simulate calls on this engine and Rebuilds what refresh did
-	// per device across them. They are plain fields — a Simulator is
-	// single-goroutine by contract — that the graph and tuner layers read to
-	// fold into the telemetry registry.
-	Sims     int64
-	Rebuilds Rebuilds
+	// Sims counts Simulate calls on this engine. It is a plain field — a
+	// Simulator is single-goroutine by contract — that the graph and tuner
+	// layers read to fold into the telemetry registry.
+	Sims int64
 
-	// cache key of the bound (schedule family, estimator, options) tuple.
-	// res, the bound schedule family's resolved placement, stands for the
-	// placement and the micro-batch count; it also supplies the resident
+	// res is the simulated schedule's resolved placement: the resident
 	// stages, the link ids and the communication slots idx is laid out by.
-	est     *cost.Estimator
 	res     *pipeline.Resolved
-	dp      int
 	rdv     bool
 	nStages int
 
@@ -142,8 +73,8 @@ type Simulator struct {
 
 	mem MemSim // reusable memory-walk scratch
 
-	// durTab caches per-(kind, stage) compute durations and actComm/gradComm
-	// the two p2p transfer latencies, all derived from the bound estimator;
+	// durTab holds per-(kind, stage) compute durations and actComm/gradComm
+	// the two p2p transfer latencies, all derived from the call's estimator;
 	// rebuildDevice fills metas from these instead of re-deriving per
 	// instruction.
 	durTab            []float64
@@ -163,15 +94,10 @@ type Simulator struct {
 	// waitIdx[w] is the peer instruction index waiter w is watching.
 	rdvWaiters [][]int32
 	waitIdx    []int32
-
-	// changed[d] marks the devices whose list identity differs from the
-	// previous call's; changedIDs lists them.
-	changed    []bool
-	changedIDs []int32
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation,
-// reusing every cache and buffer that is still valid from the previous call.
+// reusing the engine's buffers.
 func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {
 	m.Sims++
 	if e.Stages != s.NumStages() {
@@ -182,9 +108,10 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 		dp = 1
 	}
 	m.bind(s, e, dp, opt.Rendezvous)
-	if err := m.refresh(s, e); err != nil {
-		// The caches are partially updated; force a full rebuild next call.
-		m.est = nil
+	for d := range m.devs {
+		m.rebuildDevice(s, e, d)
+	}
+	if err := m.resolveMatches(s); err != nil {
 		return nil, err
 	}
 
@@ -222,48 +149,25 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 	return res, nil
 }
 
-// Invalidate drops every cached list identity while keeping the engine's
-// buffers for capacity reuse. An engine that outlives one optimization run
-// must be invalidated before the next: the previous run's result lists now
-// belong to its caller (who may mutate them), so the next Simulate must
-// rebuild from the actual schedule contents.
-func (m *Simulator) Invalidate() {
-	m.est = nil // bind treats a nil estimator as "rebuild everything"
-}
-
-// bind checks the coarse cache key (estimator, placement, micro count, DP,
-// rendezvous mode) and resets every cache when it changed. Per-list caches
-// are handled separately by refresh.
+// bind derives everything the call's arguments fix above the instruction
+// level: the placement view, the duration table, each device's slowdown,
+// all-reduce time and static memory, and an empty communication index.
 func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bool) {
-	D := s.NumDevices()
-	if m.est == e && m.res.Resolves(s.Placement, s.Micros) &&
-		m.dp == dp && m.rdv == rdv && len(m.devs) == D {
-		return
-	}
-	m.est, m.res, m.dp, m.rdv, m.nStages = e, s.Resolved(), dp, rdv, s.NumStages()
-	if cap(m.devs) >= D {
-		m.devs = m.devs[:D]
-	} else {
-		m.devs = make([]devState, D)
-	}
+	m.res, m.rdv, m.nStages = s.Resolved(), rdv, s.NumStages()
+	m.devs = grow(m.devs, s.NumDevices())
 	for d := range m.devs {
 		ds := &m.devs[d]
-		ds.list = nil
-		ds.prevList = nil // snapshots carry the old estimator's durations
-		ds.comm = ds.comm[:0]
-		ds.peers = ds.peers[:0]
-		ds.stages = m.res.Stages(d)
+		stages := m.res.Stages(d)
 		// Multiplying by the homogeneous slowdown 1 is bit-exact, so the
 		// scale is applied unconditionally.
 		ds.slow = e.SlowOf(d)
-		ds.arDur = e.LaunchOverhead + e.AllReduceTime(dp, ds.stages)*ds.slow
-		static := e.FrameworkMem
-		for _, st := range ds.stages {
-			static += e.WeightBytes[st]
+		ds.arDur = e.LaunchOverhead + e.AllReduceTime(dp, stages)*ds.slow
+		ds.static = e.FrameworkMem
+		for _, st := range stages {
+			ds.static += e.WeightBytes[st]
 		}
-		ds.static = static
 	}
-	m.durTab = growF64(m.durTab, int(pipeline.BackwardWeight+1)*m.nStages)
+	m.durTab = grow(m.durTab, int(pipeline.BackwardWeight+1)*m.nStages)
 	for st := 0; st < m.nStages; st++ {
 		m.durTab[int(pipeline.Forward)*m.nStages+st] = e.LaunchOverhead + e.FwTime[st]
 		m.durTab[int(pipeline.CkptForward)*m.nStages+st] = e.LaunchOverhead + e.FwTime[st]
@@ -274,71 +178,48 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bo
 		m.durTab[int(pipeline.OptimizerStep)*m.nStages+st] = e.LaunchOverhead + e.OptTime
 	}
 	m.actComm, m.gradComm = e.CommTime(e.ActP2PBytes), e.CommTime(e.GradP2PBytes)
-	if need := m.res.CommSlots(); len(m.idx) == need {
-		clear(m.idx)
-	} else {
-		m.idx = make([]commLoc, need)
+	m.idx = grow(m.idx, m.res.CommSlots())
+	clear(m.idx)
+}
+
+// rebuildDevice derives device d's metadata, memory peak and busy total from
+// its list and registers its communication keys. Matches are left unresolved:
+// resolveMatches runs once every device has registered.
+func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int) {
+	list := s.Lists[d]
+	ds := &m.devs[d]
+	ds.list = list
+	ds.metas = grow(ds.metas, len(list))
+	ds.comm = ds.comm[:0]
+	busy := 0.0
+	for i, in := range list {
+		if m.fillMeta(e, ds, d, i, in) {
+			ds.comm = append(ds.comm, int32(i))
+		}
+		if mt := &ds.metas[i]; mt.compute {
+			busy += mt.dur
+		}
 	}
-	if cap(m.changed) >= D {
-		m.changed = m.changed[:D]
-	} else {
-		m.changed = make([]bool, D)
+	ds.busy = busy
+
+	m.mem.rebind(e, s.Micros, m.nStages, ds.static, list)
+	for _, in := range list {
+		m.mem.Step(in)
+	}
+	ds.peak = m.mem.Peak()
+	if m.rdv {
+		ds.posted = grow(ds.posted, len(list))
+		ds.done = grow(ds.done, len(list))
 	}
 }
 
-// refresh re-derives the per-device metadata for every list whose identity
-// changed since the previous call — by a buffer swap when the list is the
-// depth-2 snapshot's, by a full rebuild otherwise — leaving unchanged devices
-// untouched.
-func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator) error {
-	D := len(m.devs)
-	m.changedIDs = m.changedIDs[:0]
-	for d := 0; d < D; d++ {
-		list := s.Lists[d]
-		ds := &m.devs[d]
-		m.changed[d] = !sameIdent(ds.list, list)
-		if m.changed[d] {
-			m.changedIDs = append(m.changedIDs, int32(d))
-		} else {
-			m.Rebuilds.Unchanged++
-		}
-	}
-	if len(m.changedIDs) == 0 {
-		return nil
-	}
-	// Drop the stale communication keys of every changed device before any
-	// re-registration, so a key that moved between devices resolves to its
-	// new location.
-	for _, d := range m.changedIDs {
+// resolveMatches points every communication instruction at its matched peer.
+// The scan runs device-major in list order, so the first unmatched
+// instruction it reports is the same on every call.
+func (m *Simulator) resolveMatches(s *pipeline.Schedule) error {
+	for d := range m.devs {
 		ds := &m.devs[d]
 		for _, ci := range ds.comm {
-			if slot := m.res.CommSlot(ds.list[ci].Key()); slot >= 0 {
-				m.idx[slot] = commLoc{}
-			}
-		}
-	}
-	for _, d := range m.changedIDs {
-		m.rebuildDevice(s, e, int(d))
-	}
-	// Resolve communication matches. A changed device re-resolves all of its
-	// own (a swap restores two-generations-old matches, a full rebuild starts
-	// unresolved); an unchanged one only those pointing into a changed peer —
-	// matchDev is placement-determined and never changes for an unchanged
-	// list. The scan runs device-major in list order — the same order a
-	// from-scratch precompute discovers unmatched instructions in, so the
-	// first error is byte-identical.
-	for d := 0; d < D; d++ {
-		ds := &m.devs[d]
-		if !m.changed[d] && !anyChanged(m.changed, ds.peers) {
-			// No match of this device can point into a changed list: peers is
-			// a superset of the devices its matches resolve to.
-			continue
-		}
-		for _, ci := range ds.comm {
-			mt := &ds.metas[ci]
-			if !m.changed[d] && mt.matchDev >= 0 && !m.changed[mt.matchDev] {
-				continue
-			}
 			in := ds.list[ci]
 			var loc commLoc
 			if slot := m.res.CommSlot(s.MatchKey(in)); slot >= 0 {
@@ -347,88 +228,11 @@ func (m *Simulator) refresh(s *pipeline.Schedule, e *cost.Estimator) error {
 			if loc.dev1 == 0 {
 				return fmt.Errorf("sim: %s on device %d has no matching instruction", in, d)
 			}
+			mt := &ds.metas[ci]
 			mt.matchDev, mt.matchIdx = loc.dev1-1, loc.idx
-			addPeer(&ds.peers, mt.matchDev)
 		}
 	}
 	return nil
-}
-
-// sameIdent reports whether two lists share identity: same length and same
-// backing array start.
-func sameIdent(a, b []pipeline.Instr) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// anyChanged reports whether any listed device's list changed this refresh.
-func anyChanged(changed []bool, devs []int32) bool {
-	for _, d := range devs {
-		if changed[d] {
-			return true
-		}
-	}
-	return false
-}
-
-// addPeer records device p in the (tiny, deduplicated) peer set.
-func addPeer(peers *[]int32, p int32) {
-	for _, q := range *peers {
-		if q == p {
-			return
-		}
-	}
-	*peers = append(*peers, p)
-}
-
-// rebuildDevice brings device d's cached metadata, memory peak, and busy total
-// in line with its current list. Communication matches are left unresolved;
-// refresh resolves them after all changed devices re-registered their keys.
-func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int) {
-	list := s.Lists[d]
-	ds := &m.devs[d]
-	if sameIdent(ds.prevList, list) {
-		// The snapshot of the second-to-last list restores with a buffer
-		// swap plus key re-registration (refresh's delete phase dropped this
-		// device's keys); durations, peak and busy are all still valid.
-		m.Rebuilds.Swap++
-		ds.swapPrev()
-		for _, ci := range ds.comm {
-			if slot := m.res.CommSlot(ds.list[ci].Key()); slot >= 0 {
-				m.idx[slot] = commLoc{dev1: int32(d) + 1, idx: ci}
-			}
-		}
-	} else {
-		m.Rebuilds.Full++
-		ds.swapPrev() // retire the outgoing metadata into the snapshot slot
-		ds.list = list
-		if cap(ds.metas) >= len(list) {
-			ds.metas = ds.metas[:len(list)]
-		} else {
-			ds.metas = make([]meta, len(list))
-		}
-		ds.comm = ds.comm[:0]
-		ds.peers = ds.peers[:0]
-		busy := 0.0
-		for i, in := range list {
-			if m.fillMeta(e, ds, d, i, in) {
-				ds.comm = append(ds.comm, int32(i))
-			}
-			if mt := &ds.metas[i]; mt.compute {
-				busy += mt.dur
-			}
-		}
-		ds.busy = busy
-
-		m.mem.rebind(e, s.Micros, s.NumStages(), ds.static, list)
-		for _, in := range list {
-			m.mem.Step(in)
-		}
-		ds.peak = m.mem.Peak()
-	}
-	if m.rdv {
-		ds.posted = growF64(ds.posted, len(list))
-		ds.done = growF64(ds.done, len(list))
-	}
 }
 
 // fillMeta derives device d's metadata for instruction i — duration or comm
@@ -467,7 +271,8 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 			mt.class = classSend
 		}
 		// A transfer with no other end has no link and no match either;
-		// refresh reports that before propagation can touch the dummy link.
+		// resolveMatches reports that before propagation can touch the dummy
+		// link.
 		if l := m.res.Link(in); l >= 0 {
 			mt.link = int32(l)
 		}
@@ -512,22 +317,14 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 // bit-identical to the round-robin result.
 func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error {
 	D := len(m.devs)
-	m.clock = growF64(m.clock, D)
-	m.pc = growInt(m.pc, D)
-	for d := 0; d < D; d++ {
-		m.clock[d] = 0
-		m.pc[d] = 0
-	}
+	m.clock = grow(m.clock, D)
+	m.pc = grow(m.pc, D)
+	clear(m.clock)
+	clear(m.pc)
 	nLinks := m.res.NumLinks()
-	if cap(m.fifos) >= nLinks {
-		m.fifos = m.fifos[:nLinks]
-	} else {
-		grown := make([][]fifoMsg, nLinks)
-		copy(grown, m.fifos) // keep the per-link buffers already allocated
-		m.fifos = grown
-	}
-	m.fifoHead = growInt(m.fifoHead, nLinks)
-	m.linkWait = growInt32(m.linkWait, nLinks)
+	m.fifos = grow(m.fifos, nLinks)
+	m.fifoHead = grow(m.fifoHead, nLinks)
+	m.linkWait = grow(m.linkWait, nLinks)
 	for l := 0; l < nLinks; l++ {
 		m.fifos[l] = m.fifos[l][:0]
 		m.fifoHead[l] = 0
@@ -539,19 +336,13 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 			fillNaN(ds.posted)
 			fillNaN(ds.done)
 		}
-		if cap(m.rdvWaiters) >= D {
-			m.rdvWaiters = m.rdvWaiters[:D]
-		} else {
-			grown := make([][]int32, D)
-			copy(grown, m.rdvWaiters)
-			m.rdvWaiters = grown
-		}
+		m.rdvWaiters = grow(m.rdvWaiters, D)
 		for d := 0; d < D; d++ {
 			m.rdvWaiters[d] = m.rdvWaiters[d][:0]
 		}
-		m.waitIdx = growInt32(m.waitIdx, D)
+		m.waitIdx = grow(m.waitIdx, D)
 	}
-	m.inQueue = growBool(m.inQueue, D)
+	m.inQueue = grow(m.inQueue, D)
 	m.queue = m.queue[:0]
 	for d := 0; d < D; d++ {
 		m.inQueue[d] = true
@@ -729,37 +520,15 @@ func (m *Simulator) enqueue(d int32) {
 	}
 }
 
-func growF64(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when its capacity is short;
+// a reallocation keeps the old elements, so nested buffers survive it.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) >= n {
-		s = s[:n]
-	} else {
-		s = make([]bool, n)
-	}
-	for i := range s {
-		s[i] = false
-	}
-	return s
+	grown := make([]T, n)
+	copy(grown, s[:cap(s)])
+	return grown
 }
 
 func fillNaN(s []float64) {

@@ -28,8 +28,8 @@ func assertSameOutcome(t *testing.T, name string, eng *Simulator, s *pipeline.Sc
 }
 
 // TestSimulatorMatchesSimulate runs one shared engine across the full
-// scheme × options matrix — interleaved, so every call hits a cache carrying
-// another schedule's state — and requires bit-identical output to a fresh
+// scheme × options matrix — interleaved, so every call meets buffers sized and
+// filled by another schedule — and requires bit-identical output to a fresh
 // package-level Simulate each time.
 func TestSimulatorMatchesSimulate(t *testing.T) {
 	type sc struct {
@@ -60,7 +60,7 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 
 	eng := &Simulator{}
 	// Two passes so the second visit of every (schedule, options) pair runs
-	// against a fully warm cache last touched by a different schedule.
+	// on warm buffers last touched by a different schedule.
 	for pass := 0; pass < 2; pass++ {
 		for _, tc := range scheds {
 			for _, o := range opts {
@@ -97,8 +97,8 @@ func TestSimulatorIncrementalEdits(t *testing.T) {
 			}
 		}
 		assertSameOutcome(t, fmt.Sprintf("child-%d", d), eng, c, e, opt)
-		// Re-simulating the parent right after exercises the cache-restore
-		// path for the edited device.
+		// Re-simulating the parent right after puts the edited device's
+		// list back.
 		assertSameOutcome(t, fmt.Sprintf("parent-after-%d", d), eng, parent, e, opt)
 	}
 }
@@ -194,8 +194,8 @@ func TestSimulatorSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSimulatorRebindsAcrossEstimators checks that swapping the estimator or
-// options invalidates the engine's caches rather than serving stale
-// durations.
+// options between calls is priced with the new ones, never with durations an
+// earlier call derived.
 func TestSimulatorRebindsAcrossEstimators(t *testing.T) {
 	s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 4})
 	e1 := cost.Uniform(4, 1, 2, 0.25)
@@ -213,9 +213,57 @@ func TestSimulatorRebindsAcrossEstimators(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1.Total == r2.Total {
-		t.Error("different estimators produced identical makespans; cache not invalidated?")
+		t.Error("different estimators produced identical makespans; stale durations?")
 	}
 	if math.IsNaN(r1.Total) || math.IsNaN(r2.Total) {
 		t.Error("NaN makespan")
 	}
+}
+
+// TestSimulatorSeesInPlaceEdits: nothing an engine keeps is compared against
+// an earlier call's arguments, so a list edited in place — no SetList, the same
+// backing array and length — and an estimator edited in place under the same
+// pointer are both simulated as what they now are.
+func TestSimulatorSeesInPlaceEdits(t *testing.T) {
+	s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
+	e := cost.Uniform(4, 1, 2, 0.25)
+	eng := &Simulator{}
+	opt := Options{}
+	assertSameOutcome(t, "before", eng, s, e, opt)
+	prev, err := eng.Simulate(s, e, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := func(name string) {
+		t.Helper()
+		now, err := Simulate(s, e, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if reflect.DeepEqual(now, prev) {
+			t.Fatalf("%s: the edit left the result as it was; it proves nothing", name)
+		}
+		assertSameOutcome(t, name, eng, s, e, opt)
+		prev = now
+	}
+
+	// The last stage runs each micro-batch's forward and backward back to
+	// back: a pair of compute instructions of different kinds to swap.
+	d := s.NumDevices() - 1
+	list := s.Lists[d]
+	first := &list[0]
+	swapped := false
+	for i := 0; i+1 < len(list) && !swapped; i++ {
+		if list[i].Kind.IsCompute() && list[i+1].Kind.IsCompute() && list[i].Kind != list[i+1].Kind {
+			list[i], list[i+1] = list[i+1], list[i]
+			swapped = true
+		}
+	}
+	if !swapped || &s.Lists[d][0] != first {
+		t.Fatal("fixture: no in-place swap of two compute instructions")
+	}
+	changed("list edited in place")
+
+	e.FwTime[1] *= 3
+	changed("estimator edited in place")
 }

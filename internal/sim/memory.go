@@ -62,7 +62,7 @@ func NewMemSim(s *pipeline.Schedule, e *cost.Estimator, d int) *MemSim {
 
 // rebind reinitialises the tracker in place for another device list, reusing
 // the bitmap storage; the Simulator's per-device memory walks go through it
-// so re-deriving a cached peak allocates nothing.
+// so the peak every call re-derives allocates nothing.
 func (m *MemSim) rebind(e *cost.Estimator, micros, stages int, static float64, list []pipeline.Instr) {
 	m.e = e
 	m.stages = stages

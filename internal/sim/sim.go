@@ -134,8 +134,8 @@ type meta struct {
 //
 // It delegates to a zero-value Simulator, so the package-level function and a
 // reused engine are the same code path; search loops that evaluate many
-// schedule candidates should hold a Simulator to amortise the metadata
-// precomputation and working buffers across calls.
+// schedule candidates should hold a Simulator to reuse its buffers across
+// calls.
 func Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {
 	var eng Simulator
 	return eng.Simulate(s, e, opt)

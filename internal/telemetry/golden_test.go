@@ -106,7 +106,6 @@ func goldenRegistry() *Registry {
 	m.PointsImproved.Inc()
 	m.BuildMisses.Add(3)
 	m.AddSims(7)
-	m.AddSimRebuilds(9, 4, 15)
 	m.AddGraphRounds(2)
 	m.AddScanCandidates(5, 1, 2)
 	m.AddRobustRuns(2)

@@ -23,11 +23,6 @@ type SearchMetrics struct {
 	// Sims counts simulator executions across every engine (direct
 	// evaluations and graph inner loops).
 	Sims *Counter
-	// RebuildsUnchanged, RebuildsSwap and RebuildsFull count, per device and
-	// per simulator execution, what the engine did with its identity-keyed
-	// metadata cache: list unchanged, depth-2 snapshot swapped back in, or
-	// metadata and memory walk re-derived.
-	RebuildsUnchanged, RebuildsSwap, RebuildsFull *Counter
 	// GraphRounds counts simulator-guided prepose rounds across graph
 	// runs.
 	GraphRounds *Counter
@@ -61,16 +56,6 @@ type SearchMetrics struct {
 func (m *SearchMetrics) AddSims(n int64) {
 	if m != nil {
 		m.Sims.Add(n)
-	}
-}
-
-// AddSimRebuilds records what those executions did with their per-device
-// caches. Safe on nil.
-func (m *SearchMetrics) AddSimRebuilds(unchanged, swap, full int64) {
-	if m != nil {
-		m.RebuildsUnchanged.Add(unchanged)
-		m.RebuildsSwap.Add(swap)
-		m.RebuildsFull.Add(full)
 	}
 }
 
@@ -110,9 +95,6 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		BuildHits:         r.LabeledCounter("mario_search_build_memo_total", "Schedule-build memo lookups.", "result", "hit"),
 		BuildMisses:       r.LabeledCounter("mario_search_build_memo_total", "Schedule-build memo lookups.", "result", "miss"),
 		Sims:              r.Counter("mario_search_sims_total", "Simulator executions across all engines."),
-		RebuildsUnchanged: r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "unchanged"),
-		RebuildsSwap:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "swap"),
-		RebuildsFull:      r.LabeledCounter("mario_search_sim_rebuilds_total", "Per-device simulator cache refreshes by kind.", "kind", "full"),
 		GraphRounds:       r.Counter("mario_search_graph_rounds_total", "Simulator-guided prepose rounds."),
 		ScanFiltered:      r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "filtered"),
 		ScanIllegal:       r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "illegal"),

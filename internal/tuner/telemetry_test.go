@@ -187,8 +187,7 @@ func TestSearchMetrics(t *testing.T) {
 // bundle whose creator reports it, the split-backward pass's base comparison
 // included. An unpruned search evaluates every feasible point exactly once,
 // so the registry must read what a replay of the same evaluations — plus the
-// winner's closing re-simulation — counts on a bundle the test owns, and the
-// rebuild kinds must add up to one per device per simulation.
+// winner's closing re-simulation — counts on a bundle the test owns.
 func TestSplitBackwardSimsCounted(t *testing.T) {
 	sp := Space{Devices: 4, GlobalBatch: 16, MicroBatches: []int{1, 2},
 		DeviceMem: cost.A100_40G.MemBytes, NoPrune: true}
@@ -198,32 +197,20 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 		return tn
 	}
 	eng := graph.NewEngines()
-	var devSims int64 // Σ over simulations of the simulated schedule's device count
 	ref, full := mk(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
-		before := eng.Main.Sims
-		if pr := ref.evalPoint(context.Background(), full, p, eng, telemetry.Span{}); pr.cand != nil {
-			devSims += (eng.Main.Sims - before) * int64(pr.cand.Schedule.NumDevices())
-		}
+		ref.evalPoint(context.Background(), full, p, eng, telemetry.Span{})
 	}
 	for _, w := range []int{1, 4} {
 		m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 		tn := mk()
 		tn.Metrics = m
 		sp.Workers = w
-		best, _, err := tn.Search(sp)
-		if err != nil {
+		if _, _, err := tn.Search(sp); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := m.Sims.Value(), eng.Main.Sims+1; got != want {
 			t.Errorf("workers=%d: mario_search_sims_total = %d, the evaluations ran %d", w, got, want)
-		}
-		rebuilds := m.RebuildsUnchanged.Value() + m.RebuildsSwap.Value() + m.RebuildsFull.Value()
-		if want := devSims + int64(best.Schedule.NumDevices()); rebuilds != want {
-			t.Errorf("workers=%d: rebuild kinds sum to %d, want %d (one per device per simulation)", w, rebuilds, want)
-		}
-		if m.RebuildsSwap.Value() == 0 || m.RebuildsFull.Value() == 0 {
-			t.Errorf("workers=%d: swap=%d full=%d rebuilds, want both live", w, m.RebuildsSwap.Value(), m.RebuildsFull.Value())
 		}
 	}
 }
