@@ -52,11 +52,16 @@ BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChim
 # allocates its one index per call (BenchmarkTunerSearchBnB/bnb repeats to
 # five digits; encoding/json's encoder pool accounts for 4 allocs of
 # BenchmarkPlanCodec). bench-json records these rows and bench-gate-allocs
-# gates them with the same two invocations — iteration counts included, since
-# the first iteration's one-time allocations are part of the average.
+# gates them with the same invocations — iteration counts included, since
+# the first iteration's one-time allocations are part of the average. The
+# list-scheduled builds at 64 × 128 (BENCH_DET_BUILD) get an invocation of
+# their own: a sub-benchmark level in BENCH_DET would filter BenchmarkPlanCodec's
+# rows too.
 BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec
+BENCH_DET_BUILD = BenchmarkScheduleBuild/64x128
 BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
 bench-det = { $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
+	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_BUILD)' -benchtime $(BENCHTIME) -benchmem . ; \
 	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; }
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_MICRO)' \
@@ -67,14 +72,15 @@ bench-json:
 
 # The gating half of the ledger: B/op and allocs/op of the deterministic rows
 # may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent, and
-# the sims/op those rows report (BenchmarkGraphOptimize, BenchmarkTunerSearchBnB)
-# may not exceed it at all — it counts simulations, exactly. Unlike ns/op none of
+# the counts those rows report — sims/op (BenchmarkGraphOptimize,
+# BenchmarkTunerSearchBnB: simulations) and units/op (BenchmarkScheduleBuild:
+# compute units list-scheduled) — may not exceed it at all. Unlike ns/op none of
 # this depends on the runner, so CI enforces it; after a deliberate change
 # regenerate the baseline with `make bench-json`.
 ALLOCPCT ?= 5
 bench-gate-allocs:
 	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
-		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkTunerSearchBnB
+		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkScheduleBuild,BenchmarkTunerSearchBnB
 
 # Regression gate over the committed artifacts: re-runs the hot-path
 # microbenchmarks and the service's cache hit (as the server pays for it, and

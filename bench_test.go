@@ -237,14 +237,40 @@ func BenchmarkSimulateReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleBuild measures schedule expansion for all schemes.
+// BenchmarkScheduleBuild measures schedule expansion: every scheme at 16
+// devices × 64 micro-batches, and the list-scheduled X, ZB-H1 and D at the
+// paper's largest scale, 64 × 128. The list-scheduled rows report units/op,
+// the compute units the list scheduler placed per build — an exact count. The
+// 64 × 128 rows are bench-det rows: single-threaded, allocations repeatable.
 func BenchmarkScheduleBuild(b *testing.B) {
-	for _, sch := range []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave, pipeline.SchemeGPipe} {
-		b.Run(string(sch), func(b *testing.B) {
+	for _, tc := range []struct {
+		scheme pipeline.Scheme
+		cfg    scheme.Config
+		listed bool // list-scheduled: report units/op
+	}{
+		{pipeline.Scheme1F1B, scheme.Config{Devices: 16, Micros: 64}, false},
+		{pipeline.SchemeChimera, scheme.Config{Devices: 16, Micros: 64}, true},
+		{pipeline.SchemeInterleave, scheme.Config{Devices: 16, Micros: 64}, false},
+		{pipeline.SchemeGPipe, scheme.Config{Devices: 16, Micros: 64}, false},
+		{pipeline.SchemeChimera, scheme.Config{Devices: 64, Micros: 128}, true},
+		{pipeline.SchemeZBH1, scheme.Config{Devices: 64, Micros: 128}, true},
+		{pipeline.SchemeDualPipeD, scheme.Config{Devices: 64, Micros: 128}, true},
+	} {
+		b.Run(fmt.Sprintf("%s-%dx%d", tc.scheme, tc.cfg.Devices, tc.cfg.Micros), func(b *testing.B) {
+			b.ReportAllocs()
+			var s *pipeline.Schedule
 			for i := 0; i < b.N; i++ {
-				if _, err := scheme.Build(sch, scheme.Config{Devices: 16, Micros: 64}); err != nil {
+				var err error
+				if s, err = scheme.Build(tc.scheme, tc.cfg); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if tc.listed {
+				units := 0
+				for _, k := range []pipeline.Kind{pipeline.Forward, pipeline.Backward, pipeline.BackwardInput, pipeline.BackwardWeight} {
+					units += s.CountKind(-1, k)
+				}
+				b.ReportMetric(float64(units), "units/op")
 			}
 		})
 	}

@@ -28,9 +28,10 @@
 // instead. A single-threaded benchmark allocates the same objects run after
 // run on any machine, so — unlike ns/op, which CI runner noise keeps
 // non-gating — a small threshold on these columns is a gate CI can enforce.
-// It also gates the sims/op extra of the rows that report one: that is a
-// count of the simulations a search ran, exact on any machine, so it is held
-// to the baseline with no threshold — one more simulation fails.
+// It also gates the count extras of the rows that report one — sims/op, the
+// simulations a search ran, and units/op, the compute units a schedule build
+// list-scheduled: exact on any machine, they are held to the baseline with no
+// threshold — one more simulation or unit fails.
 package main
 
 import (
@@ -143,6 +144,7 @@ var (
 		{unit: "B/op", get: func(r result) *float64 { return r.BytesPerOp }},
 		{unit: "allocs/op", get: func(r result) *float64 { return r.AllocsPerOp }},
 		{unit: "sims/op", get: extraMetric("sims/op"), exact: true},
+		{unit: "units/op", get: extraMetric("units/op"), exact: true},
 	}
 )
 

@@ -153,14 +153,16 @@ func TestGateAgainst(t *testing.T) {
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
 // (ns/op is not), either column failing fails the gate, a zero baseline
-// regresses by becoming non-zero, and sims/op — an exact count — fails on one
-// more simulation however small a share of the baseline that is.
+// regresses by becoming non-zero, and sims/op and units/op — exact counts —
+// fail on one more simulation or unit however small a share of the baseline
+// that is.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
   {"name": "BenchmarkZero", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0},
   {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10},
-  {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}}
+  {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}},
+  {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}}
 ]`)
 	for _, tc := range []struct {
 		name, bench string
@@ -176,6 +178,8 @@ func TestGateMem(t *testing.T) {
 		{"sims stay", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 61 sims/op\n", false, "61 sims/op"},
 		{"fewer sims pass", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 43 sims/op\n", false, "43 sims/op (-29.5%)"},
 		{"one more sim fails", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 62 sims/op\n", true, "WORSE  BenchmarkSims"},
+		{"units stay", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24576 units/op\n", false, "24576 units/op"},
+		{"one more unit fails", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24577 units/op\n", true, "WORSE  BenchmarkUnits"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

@@ -50,7 +50,7 @@ func BuildCustom(cfg CustomConfig) (*pipeline.Schedule, error) {
 		micros[m] = microAssign{micro: m, part: p}
 	}
 	r := pipeline.Resolve(cfg.Placement, len(cfg.Parts))
-	s := pipeline.NewSchedule(name, r, greedySchedule(r, micros, unitTimes{fw: cfg.FwTime, bw: cfg.BwTime}, false))
+	s := pipeline.NewSchedule(name, r, greedyGraph(r, micros, unitTimes{fw: cfg.FwTime, bw: cfg.BwTime}, false).schedule())
 	pipeline.InsertComm(s)
 	if err := pipeline.Validate(s); err != nil {
 		return nil, fmt.Errorf("scheme: custom schedule invalid: %w", err)

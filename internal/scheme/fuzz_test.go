@@ -54,7 +54,9 @@ func fuzzConfig(devices, micros, chunks uint8) Config {
 //     BackwardInput/BackwardWeight pairs (split-backward schemes), and zero
 //     checkpoint kinds,
 //   - ShapeOf agrees with Build: it rejects exactly the configurations Build
-//     rejects and predicts every device's instruction multiset.
+//     rejects and predicts every device's instruction multiset,
+//   - a list-scheduled scheme's schedule is the scan oracle's, byte for byte
+//     (checkBuildMatchesScan).
 func FuzzSchemeBuild(f *testing.F) {
 	for _, c := range fuzzSeeds {
 		f.Add(c.sel, c.devices, c.micros, c.chunks)
@@ -70,6 +72,9 @@ func FuzzSchemeBuild(f *testing.F) {
 		}
 		if err := pipeline.Validate(sched); err != nil {
 			t.Fatalf("%s d=%d n=%d v=%d: built schedule invalid: %v", s, d, n, v, err)
+		}
+		if listScheduled(s) {
+			checkBuildMatchesScan(t, s, cfg, sched)
 		}
 		seen := make(map[pipeline.Key]bool, sched.TotalInstrs())
 		for dev, list := range sched.Lists {

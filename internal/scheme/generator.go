@@ -76,7 +76,7 @@ func orderGreedy(split bool) func(Config, *pipeline.Resolved, []int) [][]pipelin
 		for m, p := range parts {
 			micros[m] = microAssign{micro: m, part: p}
 		}
-		return greedySchedule(r, micros, unitTimes{}, split)
+		return greedyGraph(r, micros, unitTimes{}, split).schedule()
 	}
 }
 

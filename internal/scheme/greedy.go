@@ -7,6 +7,7 @@ import (
 // unit is one compute instruction to be placed by the greedy list scheduler.
 type unit struct {
 	kind  pipeline.Kind // Forward, Backward, BackwardInput or BackwardWeight
+	rank  uint8         // kindRank(kind), the first key of the tail order
 	micro int
 	part  int
 	stage int
@@ -93,7 +94,7 @@ func newDepGraph(r *pipeline.Resolved, times unitTimes, micros int, split bool) 
 
 // addUnit registers one compute unit at its placement-assigned device.
 func (g *depGraph) addUnit(k pipeline.Kind, micro, part, stage int) {
-	u := unit{kind: k, micro: micro, part: part, stage: stage, dev: g.r.Device(part, stage)}
+	u := unit{kind: k, rank: kindRank(k), micro: micro, part: part, stage: stage, dev: g.r.Device(part, stage)}
 	g.index[g.r.Slot(pipeline.Key{Kind: k, Micro: micro, Part: part, Stage: stage})] = int32(len(g.units))
 	g.units = append(g.units, u)
 }
@@ -183,13 +184,26 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 // activations than 1F1B (the deferred W units retain only weight-gradient
 // stashes).
 func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
-	S := g.r.Placement().NumStages()
+	S, P := g.r.Placement().NumStages(), g.r.Placement().NumParts()
 	anchor := bwAnchor(split)
-	byPart := map[int][]microAssign{}
+	// A stable counting sort by partition (every part lies in [0, P):
+	// BuildCustom checks it, the registry layouts emit nothing else):
+	// partition p's micro-batches, in injection order, are
+	// byPart[at[p]:at[p+1]]. Counted two slots up, as in successors.
+	at := make([]int, P+2)
 	for _, ma := range micros {
-		byPart[ma.part] = append(byPart[ma.part], ma)
+		at[ma.part+2]++
 	}
-	for _, seq := range byPart {
+	for p := 2; p < len(at); p++ {
+		at[p] += at[p-1]
+	}
+	byPart := make([]microAssign, len(micros))
+	for _, ma := range micros {
+		byPart[at[ma.part+1]] = ma
+		at[ma.part+1]++
+	}
+	for p := 0; p < P; p++ {
+		seq := byPart[at[p]:at[p+1]]
 		for k, ma := range seq {
 			for s := 0; s < S; s++ {
 				part := g.r.PartAt(ma.part, s)
@@ -208,34 +222,40 @@ func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
 }
 
 // schedule runs deterministic earliest-start list scheduling of the graph's
-// units onto devices and returns the per-device instruction lists. Ordering
-// decisions use the graph's unit times plus a small communication epsilon so
-// that cross-device transfers break ties deterministically; the result
-// depends only on the dependency set and unit registration order, never on
-// map iteration order (ready times are maxima and the ready-queue order is a
-// strict total order over units).
+// units onto devices and returns the per-device instruction lists: each step
+// places the ready unit with the least effective start max(ready, the time its
+// device falls free), earlier tail first among equals. Ordering decisions use
+// the graph's unit times plus a small communication epsilon so that
+// cross-device transfers break ties deterministically. The result depends only
+// on the units, the dependency set and the unit times — never on registration,
+// edge or map iteration order: ready times are maxima, and the ready queue's
+// order is a strict total order because no two units of a graph share a tail
+// (DESIGN §12).
 func (g *depGraph) schedule() [][]pipeline.Instr {
 	const commEps = 1e-3
 	units := g.units
-	D := g.r.Placement().NumDevices()
-	devFree := make([]float64, D)
-	lists := make([][]pipeline.Instr, D)
+	// Every unit passes through its device's heaps and lands in its device's
+	// list, so the per-device unit counts size both.
+	perDev := make([]int, g.r.Placement().NumDevices())
+	for i := range units {
+		perDev[units[i].dev]++
+	}
+	q := newReadyQueue(units, perDev)
+	lists := make([][]pipeline.Instr, len(perDev))
+	backing := make([]pipeline.Instr, len(units))
+	for d, n := range perDev {
+		lists[d], backing = backing[:0:n], backing[n:]
+	}
 	off, succ := g.successors()
-	rq := &readyQueue{units: units, idx: make([]int32, 0, len(units))}
 	for i := range units {
 		if units[i].waiting == 0 {
-			rq.idx = append(rq.idx, int32(i))
+			q.push(int32(i))
 		}
 	}
-	for rq.Len() > 0 {
-		i := rq.popBest(devFree)
+	for i := q.pop(); i >= 0; i = q.pop() {
 		u := &units[i]
-		start := u.ready
-		if devFree[u.dev] > start {
-			start = devFree[u.dev]
-		}
-		finish := start + g.times.dur(u.kind)
-		devFree[u.dev] = finish
+		finish := max(u.ready, q.devs[u.dev].free) + g.times.dur(u.kind)
+		q.occupy(u.dev, finish)
 		lists[u.dev] = append(lists[u.dev], pipeline.Instr{Kind: u.kind, Micro: u.micro, Part: u.part, Stage: u.stage})
 		for _, si := range succ[off[i]:off[i+1]] {
 			s := &units[si]
@@ -248,30 +268,30 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 			}
 			s.waiting--
 			if s.waiting == 0 {
-				rq.idx = append(rq.idx, si)
+				q.push(si)
 			}
 		}
 	}
 	return lists
 }
 
-// greedySchedule composes the dependency graph every list-scheduled shape
+// greedyGraph composes the dependency graph every list-scheduled shape
 // shares — per-micro-batch units, virtual-pipeline chains, 1F1B injection
-// windows — and runs the scheduler over it. Fused (split=false) it is Chimera's
-// two mirrored 1F1B pipelines (the paper picks its Chimera schedule from the
-// released chimera_pipeline_rank.py; the greedy merge reproduces its
+// windows — for the scheduler to run over. Fused (split=false) it is
+// Chimera's two mirrored 1F1B pipelines (the paper picks its Chimera schedule
+// from the released chimera_pipeline_rank.py; the greedy merge reproduces its
 // bidirectional bubble-overlap structure) and BuildCustom's user-defined
 // pipelines (§5.2, "Visualization"). Split, every backward is emitted as a
 // BackwardInput/BackwardWeight pair, the injection windows anchor on the
 // input-gradient half, and the scheduler fills device idle gaps with deferred
 // weight-gradient units (Zero Bubble's central scheduling move).
-func greedySchedule(r *pipeline.Resolved, micros []microAssign, times unitTimes, split bool) [][]pipeline.Instr {
+func greedyGraph(r *pipeline.Resolved, micros []microAssign, times unitTimes, split bool) *depGraph {
 	g := newDepGraph(r, times, len(micros), split)
 	for _, ma := range micros {
 		g.addMicroUnits(ma, split)
 	}
 	g.addInjectionWindows(micros, split)
-	return g.schedule()
+	return g
 }
 
 // microAssign assigns a micro-batch to a partition (pipeline direction or
@@ -281,39 +301,10 @@ type microAssign struct {
 	part  int // fixed partition for bidirectional schemes
 }
 
-// readyQueue holds the indices of schedulable units. popBest selects the
-// unit with the minimal effective start; among equals it prefers backward
-// anchors (BW/BI) over forwards (bounding activation memory), forwards over
-// deferred weight-gradient units (which exist to fill bubbles, not to delay
-// the critical path), and then lower micro ids for determinism.
-type readyQueue struct {
-	units []unit
-	idx   []int32
-}
-
-// Len returns the number of schedulable units.
-func (q *readyQueue) Len() int { return len(q.idx) }
-
-// popBest removes and returns the best schedulable unit: minimal effective
-// start time max(ready, devFree), then backward-anchor before Forward before
-// BackwardWeight, then lowest micro, part and stage ids.
-func (q *readyQueue) popBest(devFree []float64) int32 {
-	best := 0
-	for pos := 1; pos < len(q.idx); pos++ {
-		if better(&q.units[q.idx[pos]], &q.units[q.idx[best]], devFree) {
-			best = pos
-		}
-	}
-	i := q.idx[best]
-	q.idx[best] = q.idx[len(q.idx)-1]
-	q.idx = q.idx[:len(q.idx)-1]
-	return i
-}
-
 // kindRank orders unit kinds at equal effective start: backward anchors
 // first (they unblock downstream devices), then forwards, then deferred
 // weight-gradient work last.
-func kindRank(k pipeline.Kind) int {
+func kindRank(k pipeline.Kind) uint8 {
 	switch k {
 	case pipeline.Backward, pipeline.BackwardInput:
 		return 0
@@ -323,29 +314,210 @@ func kindRank(k pipeline.Kind) int {
 	return 1
 }
 
-// better is the ready queue's strict total order: whether ua is scheduled
-// before ub given when each one's device falls free.
-func better(ua, ub *unit, devFree []float64) bool {
-	ea, eb := ua.ready, ub.ready
-	if devFree[ua.dev] > ea {
-		ea = devFree[ua.dev]
+// before is the static tail of the ready queue's order: kindRank, then micro,
+// part and stage ids. It names exactly one unit of a graph (DESIGN §12), so
+// it never ties two distinct units.
+func (u *unit) before(v *unit) bool {
+	if u.rank != v.rank {
+		return u.rank < v.rank
 	}
-	if devFree[ub.dev] > eb {
-		eb = devFree[ub.dev]
+	if u.micro != v.micro {
+		return u.micro < v.micro
 	}
-	if ea != eb {
-		return ea < eb
+	if u.part != v.part {
+		return u.part < v.part
 	}
-	if ra, rb := kindRank(ua.kind), kindRank(ub.kind); ra != rb {
-		return ra < rb
+	return u.stage < v.stage
+}
+
+// readyQueue holds the schedulable units and yields them in the list
+// scheduler's order: least effective start max(ready, the time the unit's
+// device falls free), then the tail (before) — backward anchors over forwards
+// (bounding activation memory), forwards over deferred weight-gradient units
+// (which exist to fill bubbles, not to delay the critical path), then lower
+// micro, part and stage ids.
+//
+// The queue splits by device, exactly: a unit's ready time is final when it
+// enters, and a pop advances only its own device's free time, which only
+// grows. So a device's units that are ready by the time it falls free all tie
+// on effective start and are ordered by the tail alone (the now heap), the
+// rest by (ready, tail) (the later heap), and a unit moves from later to now
+// once, when its device's free time passes its ready time. A device's next
+// unit is its now top if it has one — every later unit starts strictly after
+// — and its later top otherwise; a tournament tree over the devices picks the
+// least of those, by the same order. Push, pop and occupy touch one device's
+// heaps and one leaf-to-root path of the tree. greedy_test.go holds the
+// oracle it must match: a linear scan over all schedulable units.
+type readyQueue struct {
+	units []unit
+	devs  []devQueue
+	// tree is the tournament: leaf leaves+d holds device d's next unit, every
+	// inner node the earlier of its two children's, so tree[1] holds the
+	// queue's next unit.
+	tree   []entry
+	leaves int
+}
+
+// devQueue is one device's share of the ready queue.
+type devQueue struct {
+	free  float64 // when the device falls free: the finish of its last unit
+	now   []int32 // units with ready ≤ free: a min-heap on the tail
+	later []int32 // units with ready > free: a min-heap on (ready, tail)
+}
+
+// entry is a tournament node: a unit (-1: none) and its effective start.
+type entry struct {
+	start float64
+	unit  int32
+}
+
+// newReadyQueue returns an empty queue over the units, with perDev[d] of them
+// on device d. A device's two heaps never hold more than its units between
+// them, so both are carved, at that capacity, from one allocation.
+func newReadyQueue(units []unit, perDev []int) *readyQueue {
+	leaves := 1
+	for leaves < len(perDev) {
+		leaves *= 2
 	}
-	if ua.micro != ub.micro {
-		return ua.micro < ub.micro
+	q := &readyQueue{units: units, devs: make([]devQueue, len(perDev)), tree: make([]entry, 2*leaves), leaves: leaves}
+	for i := range q.tree {
+		q.tree[i].unit = -1
 	}
-	if ua.part != ub.part {
-		return ua.part < ub.part
+	arena := make([]int32, 2*len(units))
+	for d, n := range perDev {
+		q.devs[d] = devQueue{now: arena[:0:n], later: arena[n : n : 2*n]}
+		arena = arena[2*n:]
 	}
-	return ua.stage < ub.stage
+	return q
+}
+
+// push adds a unit whose predecessors have all finished: its ready time is
+// final.
+func (q *readyQueue) push(i int32) {
+	d := q.units[i].dev
+	dq := &q.devs[d]
+	if q.units[i].ready <= dq.free {
+		dq.now = q.heapPush(dq.now, i, false)
+	} else {
+		dq.later = q.heapPush(dq.later, i, true)
+	}
+	q.fix(d)
+}
+
+// pop removes and returns the next unit, or -1 when none is schedulable. The
+// caller must then occupy the unit's device until the unit finishes.
+func (q *readyQueue) pop() int32 {
+	i := q.tree[1].unit
+	if i < 0 {
+		return -1
+	}
+	dq := &q.devs[q.units[i].dev]
+	if len(dq.now) > 0 {
+		dq.now, _ = q.heapPop(dq.now, false)
+	} else {
+		dq.later, _ = q.heapPop(dq.later, true)
+	}
+	return i
+}
+
+// occupy records that device d is busy until the given time and moves the
+// units ready by then from its later heap to its now heap.
+func (q *readyQueue) occupy(d int, until float64) {
+	dq := &q.devs[d]
+	dq.free = until
+	for len(dq.later) > 0 && q.units[dq.later[0]].ready <= until {
+		var i int32
+		dq.later, i = q.heapPop(dq.later, true)
+		dq.now = q.heapPush(dq.now, i, false)
+	}
+	q.fix(d)
+}
+
+// fix refreshes device d's leaf of the tournament and replays its path toward
+// the root as far as the nodes change: a node that holds what it held leaves
+// everything above it as it was.
+func (q *readyQueue) fix(d int) {
+	dq := &q.devs[d]
+	e := entry{unit: -1}
+	switch {
+	case len(dq.now) > 0:
+		e = entry{start: dq.free, unit: dq.now[0]}
+	case len(dq.later) > 0:
+		e = entry{start: q.units[dq.later[0]].ready, unit: dq.later[0]}
+	}
+	for n := q.leaves + d; q.tree[n] != e; {
+		q.tree[n] = e
+		if n == 1 {
+			return
+		}
+		n /= 2
+		e = q.winner(q.tree[2*n], q.tree[2*n+1])
+	}
+}
+
+// winner returns the earlier of two tournament entries: least effective
+// start, then the tail; an empty entry loses.
+func (q *readyQueue) winner(a, b entry) entry {
+	switch {
+	case a.unit < 0:
+		return b
+	case b.unit < 0:
+		return a
+	case a.start != b.start:
+		if a.start < b.start {
+			return a
+		}
+		return b
+	case q.units[a.unit].before(&q.units[b.unit]):
+		return a
+	}
+	return b
+}
+
+// less orders a device heap: by ready time first in a later heap (byReady),
+// then by the tail.
+func (q *readyQueue) less(a, b int32, byReady bool) bool {
+	ua, ub := &q.units[a], &q.units[b]
+	if byReady && ua.ready != ub.ready {
+		return ua.ready < ub.ready
+	}
+	return ua.before(ub)
+}
+
+// heapPush adds unit i to the binary min-heap h, within h's capacity.
+func (q *readyQueue) heapPush(h []int32, i int32, byReady bool) []int32 {
+	h = append(h, i)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !q.less(h[c], h[p], byReady) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+	return h
+}
+
+// heapPop removes the least unit of the non-empty binary min-heap h.
+func (q *readyQueue) heapPop(h []int32, byReady bool) ([]int32, int32) {
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.less(h[c+1], h[c], byReady) {
+			c++
+		}
+		if !q.less(h[c], h[p], byReady) {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	return h, top
 }
 
 // layoutChimera is the bidirectional "X"-shape layout: micro-batches are
