@@ -139,6 +139,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzPlanResponseRead -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/api
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestCanonical -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseMemory -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzParseSpeeds -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/place
 
 # Doc-comment lint for the packages whose contracts must live in the source:
 # internal/sim (what an engine reuses and what it re-derives), internal/pipeline (COW
@@ -155,11 +158,11 @@ lint:
 serve-smoke:
 	$(GO) run ./cmd/mariod -selfcheck
 
-# Fleet smoke: boots a loopback three-member mesh (every member is
-# coordinator + shard worker + router), proves the distributed search
-# byte-identical to an in-process Optimize, proves peer-routed cache hits
-# from every member, pushes a loadgen burst through (no errors, no 429/503),
-# and drains. Exits non-zero on any failure.
+# Fleet smoke: boots a loopback three-member routing mesh, proves the routed
+# plan byte-identical to an in-process Optimize, proves peer-routed cache hits
+# from every member (and a routed-ok count on every non-owner), pushes a
+# loadgen burst through (no errors, no 429/503), and drains. Exits non-zero on
+# any failure.
 fleet-smoke:
 	$(GO) run ./cmd/mariod -fleet-selfcheck
 

@@ -44,7 +44,7 @@ func fleetMetric(metrics, series string) (float64, bool) {
 }
 
 // runFleetSelfcheck is the -fleet-selfcheck body: boot a loopback fleet of
-// three full-mesh members, prove the distributed search byte-identical to a
+// three full-mesh members, prove the routed plan byte-identical to a
 // single-process mario.Optimize, prove peer routing answers repeats from
 // the owner's cache, push a loadgen burst through the fleet, and drain.
 // Returns the process exit code.
@@ -53,7 +53,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		fmt.Fprintf(os.Stderr, "mariod fleet-selfcheck: FAIL: "+format+"\n", args...)
 		return 1
 	}
-	const members = 3 // one request entrypoint + two peers; every member plays all roles
+	const members = 3 // one request entrypoint + two peers; every member owns a share of the ring
 
 	fleet, err := loadgen.BootLoopback(members, opts)
 	if err != nil {
@@ -95,8 +95,8 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 
 	// Fresh run through member 0. Routing may forward it to the workload's
-	// owner; either way the distributed search must reproduce the direct
-	// plan byte for byte.
+	// owner; either way the plan must reproduce the direct one byte for
+	// byte.
 	fresh, err := clients[0].Plan(ctx, req)
 	if err != nil {
 		return fail("fresh plan: %v", err)
@@ -138,26 +138,8 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		return fail("peer cache hits = %d, want %d", peerHits, members-1)
 	}
 
-	// The owner's search must have actually used the fleet: shard batches
-	// dispatched to peers, fleet waves recorded, and some peer served them.
-	ownerMetrics := ""
-	for i, m := range fleet {
-		if m.URL == owner {
-			ownerMetrics, err = clients[i].Metrics(ctx)
-			if err != nil {
-				return fail("owner metrics: %v", err)
-			}
-		}
-	}
-	for _, series := range []string{
-		`mario_serve_shard_dispatch_total{result="ok"}`,
-		"mario_search_fleet_waves_total",
-	} {
-		if v, ok := fleetMetric(ownerMetrics, series); !ok || v == 0 {
-			return fail("owner series %s = %v (present=%v), want > 0", series, v, ok)
-		}
-	}
-	served := 0
+	// Every non-owner must have reached the owner over the routing hop, and
+	// the owner's counter says so on the non-owner's own /metrics.
 	for i, m := range fleet {
 		if m.URL == owner {
 			continue
@@ -166,14 +148,11 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		if err != nil {
 			return fail("member %d metrics: %v", i, err)
 		}
-		if v, _ := fleetMetric(mtx, "mario_serve_shard_requests_total"); v > 0 {
-			served++
+		if v, ok := fleetMetric(mtx, `mario_serve_peer_routed_total{result="ok"}`); !ok || v == 0 {
+			return fail("member %d routed nothing to the owner (%v, present=%v)", i, v, ok)
 		}
 	}
-	if served == 0 {
-		return fail("no peer served a shard batch")
-	}
-	fmt.Fprintf(os.Stderr, "mariod fleet-selfcheck: fleet plan byte-identical, %d peer cache hits, shards served by %d peers\n", peerHits, served)
+	fmt.Fprintf(os.Stderr, "mariod fleet-selfcheck: routed plan byte-identical, %d peer cache hits\n", peerHits)
 
 	// Loadgen burst across all members: a mixed-fingerprint load must come
 	// back clean — no errors, no pushback at this depth — and mostly cached.

@@ -14,15 +14,14 @@
 //	       [-selfcheck] [-fleet-selfcheck]
 //
 // Endpoints: POST /v1/plan (?trace=1 embeds the search trace),
-// POST /v1/plan/stream, POST /v1/shard (fleet shard batches),
-// GET /v1/models, GET /healthz, GET /metrics, GET /debug/flight.
+// POST /v1/plan/stream, GET /v1/models, GET /healthz, GET /metrics,
+// GET /debug/flight.
 //
-// -fleet lists the other members of a planning fleet: branch-and-bound
-// searches dispatch shard batches to them over /v1/shard, and with -self
-// set (this member's URL as peers see it) blocking plan requests are
-// routed to each workload's consistent-hash owner so the fleet computes
-// every plan once. The merged plan is byte-identical to a single-node run
-// for any fleet size. See DESIGN.md §11 and docs/TUNING.md for the knobs.
+// -fleet lists the other members of a planning fleet and -self this
+// member's URL as peers see it; together they route blocking plan requests
+// to each workload's consistent-hash owner, so the fleet computes every plan
+// once and answers repeats from the owner's cache. -fleet without -self is a
+// usage error (exit 2). See DESIGN.md §11 and docs/TUNING.md for the knobs.
 //
 // -debug-addr starts a second listener with the net/http/pprof profiling
 // endpoints plus /debug/flight and /metrics — keep it loopback-only in
@@ -71,8 +70,8 @@ func main() {
 		maxBody      = flag.Int64("max-body", 0, "request-body byte limit, 413 beyond it (0 = 1 MiB default)")
 		fleetList    = flag.String("fleet", "", "comma-separated base URLs of the other fleet members")
 		self         = flag.String("self", "", "this member's base URL as peers reach it (enables plan routing)")
-		fleetRetries = flag.Int("fleet-retries", 2, "retries for fleet-internal requests (shard dispatch, routing)")
-		fleetBackoff = flag.Duration("fleet-backoff", 50*time.Millisecond, "base backoff between fleet-internal retries")
+		fleetRetries = flag.Int("fleet-retries", 2, "retries for a routed request to its owner")
+		fleetBackoff = flag.Duration("fleet-backoff", 50*time.Millisecond, "base backoff between routing retries")
 		selfcheck    = flag.Bool("selfcheck", false, "start on loopback, exercise the service end to end, then shut down")
 		fleetCheck   = flag.Bool("fleet-selfcheck", false, "boot a loopback 3-member fleet, prove byte-identity + peer caching + a loadgen burst, then drain")
 	)
@@ -83,6 +82,10 @@ func main() {
 		if u = strings.TrimSpace(u); u != "" {
 			fleet = append(fleet, u)
 		}
+	}
+	if len(fleet) > 0 && *self == "" {
+		fmt.Fprintln(os.Stderr, "mariod: -fleet routes plan requests only together with -self (this member's URL as peers reach it)")
+		os.Exit(2)
 	}
 	opts := serve.Options{
 		CacheSize:      *cacheSize,

@@ -176,7 +176,7 @@ func (p *Plan) Validate(devices int) error {
 		if st.Device < 0 || st.Device >= devices {
 			return fmt.Errorf("fault: stall %d: device %d out of range [0,%d)", i, st.Device, devices)
 		}
-		if st.Duration < 0 || st.At < 0 {
+		if st.Duration < 0 || st.At < 0 || st.Wall < 0 {
 			return fmt.Errorf("fault: stall %d: negative time", i)
 		}
 	}

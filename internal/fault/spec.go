@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -121,7 +122,7 @@ func (p *Plan) addSlow(kv map[string]string) error {
 		case "dev":
 			sl.Device, err = parseDev(v)
 		case "factor":
-			sl.Factor, err = strconv.ParseFloat(v, 64)
+			sl.Factor, err = parseFloat(v)
 		case "from":
 			sl.Start, err = parseSeconds(v)
 		case "to":
@@ -151,9 +152,9 @@ func (p *Plan) addLink(kv map[string]string) error {
 		case "latency":
 			lf.ExtraLatency, err = parseSeconds(v)
 		case "bw":
-			lf.BandwidthFactor, err = strconv.ParseFloat(v, 64)
+			lf.BandwidthFactor, err = parseFloat(v)
 		case "drop":
-			lf.DropProb, err = strconv.ParseFloat(v, 64)
+			lf.DropProb, err = parseFloat(v)
 		case "from-t":
 			lf.Start, err = parseSeconds(v)
 		case "to-t":
@@ -219,9 +220,19 @@ func parseDev(v string) (int, error) {
 	return strconv.Atoi(v)
 }
 
-// parseSeconds accepts a float (seconds) or a Go duration string.
+// parseFloat is strconv.ParseFloat refusing NaN and ±Inf, which no fault
+// parameter can mean.
+func parseFloat(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not a finite number", v)
+	}
+	return f, err
+}
+
+// parseSeconds accepts a finite float (seconds) or a Go duration string.
 func parseSeconds(v string) (float64, error) {
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
+	if f, err := parseFloat(v); err == nil {
 		return f, nil
 	}
 	d, err := time.ParseDuration(v)

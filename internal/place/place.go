@@ -23,6 +23,7 @@ package place
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,12 +63,17 @@ func ParseMode(s string) (Mode, error) {
 // ParseSpeeds parses a per-device speed specification against a known device
 // count. Two forms are accepted: a full comma-separated list with one entry
 // per device ("1,0.8,1,1"), or a sparse list of dev=speed overrides on a
-// nominal-1 baseline ("2=0.8" or "1=0.9,3=0.75"). Speeds must be positive;
-// sparse indices must be in range. An empty spec returns nil (homogeneous).
+// nominal-1 baseline ("2=0.8" or "1=0.9,3=0.75"). Speeds must be finite and
+// positive; sparse indices must be in range. An empty spec, or one whose every
+// speed is nominal, returns nil (homogeneous); any other accepted spec returns
+// exactly devices entries.
 func ParseSpeeds(spec string, devices int) ([]float64, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
+	}
+	if devices < 1 {
+		return nil, fmt.Errorf("place: speeds for %d devices", devices)
 	}
 	fields := strings.Split(spec, ",")
 	sparse := strings.Contains(fields[0], "=")
@@ -93,8 +99,8 @@ func ParseSpeeds(spec string, devices int) ([]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("place: speed entry %q: bad speed: %v", f, err)
 			}
-			if s <= 0 {
-				return nil, fmt.Errorf("place: speed entry %q: speed must be positive", f)
+			if !(s > 0) || math.IsInf(s, 1) {
+				return nil, fmt.Errorf("place: speed entry %q: speed must be positive and finite", f)
 			}
 			out[d] = s
 		}
@@ -107,8 +113,8 @@ func ParseSpeeds(spec string, devices int) ([]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("place: speed entry %q: %v", f, err)
 			}
-			if s <= 0 {
-				return nil, fmt.Errorf("place: speed entry %q: speed must be positive", f)
+			if !(s > 0) || math.IsInf(s, 1) {
+				return nil, fmt.Errorf("place: speed entry %q: speed must be positive and finite", f)
 			}
 			out[i] = s
 		}

@@ -75,6 +75,39 @@ func TestParseSpeeds(t *testing.T) {
 	}
 }
 
+// FuzzParseSpeeds: ParseSpeeds never panics, and a spec it accepts is either
+// homogeneous (nil) or exactly devices finite, positive speeds, not all of
+// them nominal.
+func FuzzParseSpeeds(f *testing.F) {
+	for _, c := range []struct {
+		spec    string
+		devices int16
+	}{
+		{"", 4}, {"1,0.8,1,1", 4}, {" 1 , 0.8 , 1 , 1 ", 4}, {"1,1,1,1", 4}, {"1,0.8", 4}, {"1,x,1,1", 4},
+		{"1,0,1,1", 4}, {"2=0.8", 4}, {"1=0.9, 3=0.75", 4}, {"2=1", 4}, {"4=0.8", 4}, {"-1=0.8", 4},
+		{"2=fast", 4}, {"2=-0.5", 4}, {"1,NaN", 2}, {"0=inf", 1}, {"0.5", 0}, {"0=0.5", -3},
+	} {
+		f.Add(c.spec, c.devices)
+	}
+	f.Fuzz(func(t *testing.T, spec string, devices int16) {
+		got, err := ParseSpeeds(spec, int(devices))
+		if err != nil || got == nil {
+			return
+		}
+		if len(got) != int(devices) {
+			t.Fatalf("ParseSpeeds(%q, %d) returned %d entries", spec, devices, len(got))
+		}
+		for _, v := range got {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("ParseSpeeds(%q, %d) accepted speed %v", spec, devices, v)
+			}
+		}
+		if Homogeneous(got) {
+			t.Fatalf("ParseSpeeds(%q, %d) returned the nominal list %v instead of nil", spec, devices, got)
+		}
+	})
+}
+
 func TestHomogeneous(t *testing.T) {
 	if !Homogeneous(nil) || !Homogeneous([]float64{1, 1}) {
 		t.Error("nominal lists must report homogeneous")

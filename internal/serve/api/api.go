@@ -1,9 +1,9 @@
 // Package api holds the wire types of the mariod planning service: the
 // plan request/response bodies, the streaming progress record, the health
-// report and the fleet shard protocol. It exists so the server
-// (internal/serve) and the client (internal/serve/client) can share one
-// vocabulary without importing each other — the server dispatches shard
-// batches through the client when it coordinates a fleet.
+// report. It exists so the server (internal/serve) and the client
+// (internal/serve/client) can share one vocabulary without importing each
+// other — a fleet member forwards plan requests to their owner through the
+// client.
 //
 // Compatibility note: internal/serve re-exports these types under their
 // historical names (serve.PlanRequest = api.PlanRequest, …), so existing
@@ -18,7 +18,6 @@ import (
 	"mario"
 	"mario/internal/cost"
 	"mario/internal/profile"
-	"mario/internal/tuner"
 )
 
 // PlanRequest is the body of POST /v1/plan and /v1/plan/stream: a JSON
@@ -235,52 +234,3 @@ type Health struct {
 // routing again, so ring disagreement during membership changes cannot
 // bounce a request around the fleet.
 const RoutedHeader = "X-Mario-Routed"
-
-// ShardProtoVersion is the fleet shard protocol version. A coordinator and
-// its workers must agree exactly: a worker refuses a mismatched Proto with
-// 400, and the coordinator's local fallback keeps the search exact while a
-// mixed-version fleet rolls. Version 2 added the partitioning/placement
-// workload fields (device_speeds, placement), which change the enumerated
-// grid — a version-1 worker would index a different point list. Version 3
-// dropped the per-instruction timeline from outcome candidates (the search
-// scores points without one and re-simulates only the winner): a version-2
-// worker would still ship timelines, and merging those beside local slim
-// candidates would break the fleet ≡ local byte-identity of the plan. Version 4
-// dropped the schedule too: an outcome candidate is coordinates, placement
-// assignment and result totals, the coordinator rebuilds the one schedule it
-// keeps (the winner's) itself, and a version-3 worker's schedules would land in
-// the trace of a plan that must carry none. Version 5 changed what a fingerprint
-// is — the hash of the resolved workload (mario.Workload) instead of the hash
-// of the request's canonicalized spelling — and the fingerprint is what the two
-// sides compare: a version-4 worker would name every workload differently. The
-// coordinator checks the version and the fingerprint a response echoes; a
-// mismatch is a dispatch error.
-const ShardProtoVersion = 5
-
-// ShardRequest is the body of POST /v1/shard: one coordinator-probed batch
-// of grid points for the worker to evaluate against the given workload.
-type ShardRequest struct {
-	// Proto is the shard protocol version (ShardProtoVersion).
-	Proto int `json:"proto"`
-	// Workload identifies the search the points index into. The worker
-	// resolves it exactly like a plan request, so the enumerated grid is the
-	// coordinator's bit for bit.
-	Workload PlanRequest `json:"workload"`
-	// Points are the probed grid points, in dispatch order.
-	Points []tuner.ShardPoint `json:"points"`
-	// Incumbent is the coordinator's best throughput so far; nil means no
-	// incumbent yet (first wave).
-	Incumbent *float64 `json:"incumbent,omitempty"`
-}
-
-// ShardResponse is the worker's reply: one outcome per dispatched point.
-type ShardResponse struct {
-	// Proto echoes the shard protocol version.
-	Proto int `json:"proto"`
-	// Fingerprint is the workload fingerprint the worker resolved. The
-	// coordinator refuses a response whose fingerprint is not its own: the
-	// worker enumerated another grid, so its indices name other points.
-	Fingerprint string `json:"fingerprint"`
-	// Outcomes mirror Points order, keyed by Idx.
-	Outcomes []tuner.ShardOutcome `json:"outcomes"`
-}

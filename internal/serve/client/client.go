@@ -175,26 +175,6 @@ func (c *Client) PlanRouted(ctx context.Context, req api.PlanRequest, trace bool
 	return c.plan(ctx, req, trace, api.RoutedHeader, "1")
 }
 
-// Shard dispatches one fleet shard batch (POST /v1/shard) and returns the
-// worker's outcomes. Coordinators use it through the fleet dispatcher;
-// protocol-version mismatches surface as the server's 400 error.
-func (c *Client) Shard(ctx context.Context, req api.ShardRequest) (*api.ShardResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding shard request: %w", err)
-	}
-	resp, err := c.postJSON(ctx, c.BaseURL+"/v1/shard", body)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var sr api.ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("client: decoding shard response: %w", err)
-	}
-	return &sr, nil
-}
-
 // Plan submits a blocking plan request and returns the raw response. Use
 // Decode (or mario.LoadPlan) to turn the response's Plan bytes into a
 // *mario.Plan. The answer must be one JSON value and nothing after it: a 200

@@ -1,38 +1,23 @@
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 
-	"mario"
 	"mario/internal/serve/api"
 	"mario/internal/serve/client"
-	"mario/internal/telemetry"
-	"mario/internal/tuner"
 )
 
-// This file is the serve half of the distributed planning fleet. A server
-// configured with Options.Fleet plays three roles at once:
-//
-//   - Coordinator: its own branch-and-bound searches run the probe pass
-//     locally and dispatch waves of sorted grid points to the fleet over
-//     POST /v1/shard (fleetDispatcher, a tuner.ShardDispatcher over the
-//     service client). The merged plan is byte-identical to a single-node
-//     run for every fleet shape — the tuner's merge contract — so the plan
-//     cache and every downstream consumer are fleet-oblivious.
-//   - Worker: it answers /v1/shard batches from other coordinators,
-//     memoizing a ShardWorker per workload fingerprint so repeated shards
-//     of one search share schedule builds and graph results.
-//   - Router: with Self set, blocking plan requests are forwarded to the
-//     workload's consistent-hash owner, so a fleet computes each plan once
-//     and answers repeats from the owner's cache (peer cache hits).
-//     Streaming requests always run locally — proxying an NDJSON stream
-//     buys nothing over just computing, since the plan is deterministic.
+// This file is the routing half of a planning fleet. A server configured with
+// Options.Fleet and Options.Self forwards blocking plan requests to the
+// workload's consistent-hash owner, so a fleet computes each plan once and
+// answers repeats from the owner's cache (peer cache hits). Every member
+// searches its own workloads in-process; streaming requests always run
+// locally — proxying an NDJSON stream buys nothing over just computing, since
+// the plan is deterministic.
 
 // hashRing is a consistent-hash ring over the fleet members. Each member
 // gets ringVnodes virtual points; a fingerprint is owned by the first
@@ -90,28 +75,19 @@ func (r *hashRing) owner(fp string) string {
 }
 
 // fleetState is everything a fleet member holds beyond a standalone server:
-// the peer list and their clients, the routing ring, and the shard-worker
-// cache serving /v1/shard.
+// the peer list, their clients and the routing ring.
 type fleetState struct {
 	self    string
 	peers   []string // other members, sorted
 	clients map[string]*client.Client
 	ring    *hashRing // nil unless Self is set
-
-	mu      sync.Mutex
-	workers map[string]*mario.ShardWorker // fingerprint → shard worker (LRU, workerCache entries)
-	order   []string                      // LRU order, oldest first
 }
 
-// newFleetState builds the fleet side of a server. It is always non-nil:
-// even a server with no Fleet configured keeps the worker cache, because a
-// coordinator elsewhere may list it as a peer and dispatch shards to it;
-// only dispatch and routing require Fleet/Self.
+// newFleetState builds the fleet side of a server configured with a fleet.
 func newFleetState(opts Options) *fleetState {
 	fs := &fleetState{
 		self:    opts.Self,
 		clients: map[string]*client.Client{},
-		workers: map[string]*mario.ShardWorker{},
 	}
 	seen := map[string]bool{opts.Self: true, "": true}
 	for _, p := range opts.Fleet {
@@ -130,73 +106,6 @@ func newFleetState(opts Options) *fleetState {
 		fs.ring = newHashRing(append([]string{opts.Self}, fs.peers...))
 	}
 	return fs
-}
-
-// workerFor returns the memoized shard worker for a resolved workload,
-// creating (and LRU-evicting) under the lock. metrics receives the worker
-// tuner's simulation counts.
-func (fs *fleetState) workerFor(wl *mario.Workload, metrics *telemetry.SearchMetrics) *mario.ShardWorker {
-	fp := wl.Fingerprint()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if w, ok := fs.workers[fp]; ok {
-		for i, o := range fs.order {
-			if o == fp {
-				fs.order = append(append(fs.order[:i:i], fs.order[i+1:]...), fp)
-				break
-			}
-		}
-		return w
-	}
-	w := mario.NewShardWorker(wl, metrics)
-	fs.workers[fp] = w
-	fs.order = append(fs.order, fp)
-	for len(fs.order) > workerCache {
-		old := fs.order[0]
-		fs.order = fs.order[1:]
-		delete(fs.workers, old)
-	}
-	return w
-}
-
-// handleShard answers one coordinator-dispatched shard batch. Draining
-// members refuse with 503 (the coordinator falls back locally), and a
-// protocol-version mismatch is a 400 — never a silent best-effort answer.
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if err := decodeInto(w, r, s.opts.MaxBodyBytes, &req); err != nil {
-		errorJSON(w, decodeStatus(err), err)
-		return
-	}
-	if req.Proto != api.ShardProtoVersion {
-		errorJSON(w, http.StatusBadRequest,
-			fmt.Errorf("serve: shard protocol %d, want %d", req.Proto, api.ShardProtoVersion))
-		return
-	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		errorJSON(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	s.sm.shardRequests.Inc()
-	wl, err := req.Workload.Resolve()
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, err)
-		return
-	}
-	sw := s.fleet.workerFor(wl, s.search)
-	ctx, cancel := context.WithTimeout(r.Context(), req.Workload.Timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout))
-	defer cancel()
-	outcomes, err := sw.EvalShard(ctx, req.Points, req.Incumbent)
-	if err != nil {
-		s.sm.shardErrors.Inc()
-		errorJSON(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.sm.shardPoints.Add(int64(len(outcomes)))
-	writeJSON(w, ShardResponse{Proto: api.ShardProtoVersion, Fingerprint: wl.Fingerprint(), Outcomes: outcomes})
 }
 
 // routeToPeer forwards a blocking plan request to the workload's
@@ -234,56 +143,4 @@ func (s *Server) routeToPeer(r *http.Request, req PlanRequest, fp string) (*Plan
 	s.sm.peerRoutedOK.Inc()
 	resp.Fingerprint, resp.Peer = fp, owner
 	return resp, true
-}
-
-// fleetDispatcher adapts the fleet's /v1/shard protocol to the tuner's
-// ShardDispatcher interface for one coordinator search. Shard s of a wave
-// goes to peer s mod len(peers); the workload request travels with every
-// batch so workers resolve (and memoize) the right grid.
-type fleetDispatcher struct {
-	s        *Server
-	fs       *fleetState
-	workload PlanRequest
-	fp       string // the workload's fingerprint, which every response must echo
-}
-
-// One shard per peer and the tuner's default chunk: nothing has asked for
-// another geometry (the tuner's determinism tests vary both on their own
-// dispatchers).
-func (d *fleetDispatcher) Shards() int    { return len(d.fs.peers) }
-func (d *fleetDispatcher) ChunkSize() int { return tuner.DefaultShardChunk }
-
-func (d *fleetDispatcher) Dispatch(ctx context.Context, shard int, points []tuner.ShardPoint, incumbent float64, hasIncumbent bool) ([]tuner.ShardOutcome, error) {
-	peer := d.fs.peers[shard%len(d.fs.peers)]
-	req := api.ShardRequest{Proto: api.ShardProtoVersion, Workload: d.workload, Points: points}
-	if hasIncumbent {
-		inc := incumbent
-		req.Incumbent = &inc
-	}
-	resp, err := d.fs.clients[peer].Shard(ctx, req)
-	// A worker that answers in another protocol version, or for a workload it
-	// fingerprints differently (it enumerated another grid, so its indices
-	// name other points), has not answered this batch: a dispatch error, which
-	// the tuner recovers from by evaluating the batch itself.
-	if err == nil && resp.Proto != api.ShardProtoVersion {
-		err = fmt.Errorf("serve: %s answered in shard protocol %d, want %d", peer, resp.Proto, api.ShardProtoVersion)
-	}
-	if err == nil && resp.Fingerprint != d.fp {
-		err = fmt.Errorf("serve: %s answered for workload %.12s, want %.12s", peer, resp.Fingerprint, d.fp)
-	}
-	if err != nil {
-		d.s.sm.shardDispatchErr.Inc()
-		return nil, err
-	}
-	d.s.sm.shardDispatchOK.Inc()
-	return resp.Outcomes, nil
-}
-
-// sharderFor returns the dispatcher for one coordinator search, or nil
-// when the server has no fleet to dispatch to.
-func (s *Server) sharderFor(req PlanRequest, wl *mario.Workload) tuner.ShardDispatcher {
-	if s.fleet == nil || len(s.fleet.peers) == 0 {
-		return nil
-	}
-	return &fleetDispatcher{s: s, fs: s.fleet, workload: req, fp: wl.Fingerprint()}
 }

@@ -15,7 +15,6 @@ import (
 	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 	"mario/internal/telemetry"
-	"mario/internal/tuner"
 )
 
 // TestHashRing pins the router's determinism: the ring is a pure function
@@ -62,84 +61,28 @@ func promValue(t *testing.T, metrics, series string) float64 {
 	return 0
 }
 
-// smallWorkload is the cheap real-tuner request the fleet HTTP tests share.
-func smallWorkload() PlanRequest {
-	return PlanRequest{
-		Model:        "LLaMA2-3B",
-		Devices:      4,
-		GlobalBatch:  16,
-		Memory:       "40G",
-		MicroBatches: []int{1, 2},
-	}
-}
-
-// TestShardEndpoint exercises the worker half of the shard protocol over
-// real HTTP: a valid batch returns explored outcomes with candidates (totals
-// only — no schedule, no timeline), a protocol-version mismatch is refused with 400, and a draining member
-// answers 503.
-func TestShardEndpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real tuner evaluation")
-	}
+// TestShardEndpointGone: the sharded fleet search is gone, and so is its
+// endpoint. A coordinator of an older build that still dispatches shard
+// batches to this member gets a 404 or 405, a dispatch error it already
+// recovers from by evaluating the batch itself.
+func TestShardEndpointGone(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-
-	req := api.ShardRequest{
-		Proto:    api.ShardProtoVersion,
-		Workload: smallWorkload(),
-		Points:   []tuner.ShardPoint{{Idx: 0, Unbounded: true}, {Idx: 1, Unbounded: true}},
-	}
-	resp, err := cl.Shard(ctx, req)
+	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", strings.NewReader(`{"proto":5,"points":[]}`))
 	if err != nil {
-		t.Fatalf("shard: %v", err)
+		t.Fatal(err)
 	}
-	if resp.Proto != api.ShardProtoVersion || resp.Fingerprint == "" {
-		t.Fatalf("bad shard response header: %+v", resp)
-	}
-	if len(resp.Outcomes) != 2 {
-		t.Fatalf("got %d outcomes, want 2", len(resp.Outcomes))
-	}
-	for i, oc := range resp.Outcomes {
-		if oc.Status != tuner.ShardExplored || oc.Cand == nil {
-			t.Errorf("outcome %d = %+v, want explored with candidate", i, oc)
-		} else if oc.Cand.Schedule != nil || oc.Cand.Result == nil || oc.Cand.Result.Timeline != nil {
-			t.Errorf("outcome %d: want result totals and neither a schedule nor a timeline on the wire", i)
-		}
-	}
-
-	// Incumbent above every bound: the worker must skip, not simulate.
-	inc := 1e18
-	req.Points = []tuner.ShardPoint{{Idx: 0, UB: 1}}
-	req.Incumbent = &inc
-	resp, err = cl.Shard(ctx, req)
-	if err != nil {
-		t.Fatalf("shard with incumbent: %v", err)
-	}
-	if resp.Outcomes[0].Status != tuner.ShardSkipped {
-		t.Fatalf("outcome = %+v, want skipped", resp.Outcomes[0])
-	}
-
-	req.Proto = api.ShardProtoVersion + 1
-	if _, err := cl.Shard(ctx, req); err == nil || !strings.Contains(err.Error(), "shard protocol") {
-		t.Fatalf("proto mismatch error = %v, want shard protocol refusal", err)
-	}
-
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	req.Proto = api.ShardProtoVersion
-	if _, err := cl.Shard(ctx, req); err == nil || !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("draining shard error = %v, want draining refusal", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/shard answered %d, want 404 or 405", resp.StatusCode)
 	}
 }
 
 // TestBodyLimit413 is the request-size satellite: bodies over MaxBodyBytes
-// are refused with 413 on the plan, stream and shard endpoints, and the
-// error path still returns well-formed JSON.
+// are refused with 413 on the plan and stream endpoints, and the error path
+// still returns well-formed JSON.
 func TestBodyLimit413(t *testing.T) {
 	s := New(Options{MaxBodyBytes: 512})
 	defer s.Close()
@@ -151,7 +94,7 @@ func TestBodyLimit413(t *testing.T) {
 		big[i] = 1
 	}
 	body, _ := json.Marshal(PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: big})
-	for _, path := range []string{"/v1/plan", "/v1/plan/stream", "/v1/shard"} {
+	for _, path := range []string{"/v1/plan", "/v1/plan/stream"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -168,58 +111,20 @@ func TestBodyLimit413(t *testing.T) {
 			t.Errorf("%s: 413 body not an error JSON (decode err %v)", path, derr)
 		}
 	}
-
-	// A small body still works end to end (shard decode path).
-	small, _ := json.Marshal(api.ShardRequest{Proto: api.ShardProtoVersion + 9, Workload: smallWorkload()})
-	resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(small))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("small shard body: status %d, want 400 (proto mismatch)", resp.StatusCode)
-	}
 }
 
-// newFleet boots n worker servers plus one coordinator whose Fleet lists
-// them, all on loopback HTTP. extra mutates the coordinator options.
-func newFleet(t *testing.T, n int, extra func(*Options)) (*Server, *client.Client, []*Server, func()) {
-	t.Helper()
-	var workers []*Server
-	var urls []string
-	var closers []func()
-	for i := 0; i < n; i++ {
-		w := New(Options{})
-		ws := httptest.NewServer(w.Handler())
-		workers = append(workers, w)
-		urls = append(urls, ws.URL)
-		closers = append(closers, func() { ws.Close(); w.Close() })
-	}
-	opts := Options{Fleet: urls}
-	if extra != nil {
-		extra(&opts)
-	}
-	co := New(opts)
-	cs := httptest.NewServer(co.Handler())
-	closers = append(closers, func() { cs.Close(); co.Close() })
-	cleanup := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}
-	return co, client.New(cs.URL), workers, cleanup
-}
-
-// TestFleetEndToEndByteIdentity is the acceptance contract over real HTTP:
-// a coordinator that distributes its branch-and-bound search across two
-// loopback workers serves plan bytes identical to a direct mario.Optimize,
-// candidates and all surviving the shard wire format; the fleet series
-// prove remote work actually happened.
+// TestFleetEndToEndByteIdentity is the acceptance contract over real HTTP: a
+// request sent to the member that does not own its workload is answered by
+// the owner's real tuner run with plan bytes identical to a direct
+// mario.Optimize, and every repeat — routed or sent to the owner — is a cache
+// hit on the owner with the same bytes.
 func TestFleetEndToEndByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real tuner searches over loopback HTTP")
 	}
-	req := smallWorkload()
+	aURL, bURL, _, b, cleanup := fleetPair(t)
+	defer cleanup()
+	req, _ := workloadOwnedBy(t, newHashRing([]string{aURL, bURL}), bURL)
 	model, err := req.Validate()
 	if err != nil {
 		t.Fatal(err)
@@ -233,149 +138,31 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cl, workers, cleanup := newFleet(t, 2, nil)
-	defer cleanup()
 	ctx := context.Background()
-
-	fresh, err := cl.Plan(ctx, req)
+	ca, cb := client.New(aURL), client.New(bURL)
+	fresh, err := ca.Plan(ctx, req)
 	if err != nil {
-		t.Fatalf("fleet plan: %v", err)
+		t.Fatalf("routed plan: %v", err)
 	}
-	if fresh.Cached {
-		t.Fatal("first fleet request reported cached")
+	if fresh.Cached || fresh.Peer != bURL {
+		t.Fatalf("first request: cached=%v peer=%q, want a fresh answer from %s", fresh.Cached, fresh.Peer, bURL)
 	}
 	if !bytes.Equal(fresh.Plan, want) {
-		t.Fatalf("fleet plan differs from direct Optimize (%d vs %d bytes)", len(fresh.Plan), len(want))
+		t.Fatalf("routed plan differs from direct Optimize (%d vs %d bytes)", len(fresh.Plan), len(want))
 	}
-
-	hit, err := cl.Plan(ctx, req)
-	if err != nil {
-		t.Fatalf("cached fleet plan: %v", err)
-	}
-	if !hit.Cached || !bytes.Equal(hit.Plan, want) {
-		t.Fatal("fleet cache hit not byte-identical")
-	}
-
-	metrics, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for series, want := range map[string]bool{
-		`mario_serve_shard_dispatch_total{result="ok"}`:    true,
-		`mario_serve_shard_dispatch_total{result="error"}`: false,
-		"mario_search_fleet_waves_total":                   true,
-	} {
-		if got := promValue(t, metrics, series) > 0; got != want {
-			t.Errorf("coordinator series %s nonzero = %v, want %v", series, got, want)
+	for name, cl := range map[string]*client.Client{"routed": ca, "owner": cb} {
+		hit, err := cl.Plan(ctx, req)
+		if err != nil {
+			t.Fatalf("%s repeat: %v", name, err)
+		}
+		if !hit.Cached || !bytes.Equal(hit.Plan, want) {
+			t.Errorf("%s repeat: cached=%v, want a byte-identical cache hit", name, hit.Cached)
 		}
 	}
-	served := 0
-	for _, w := range workers {
-		var buf bytes.Buffer
-		w.Registry().WriteProm(&buf)
-		if promValue(t, buf.String(), "mario_serve_shard_requests_total") > 0 {
-			served++
-		}
-	}
-	if served == 0 {
-		t.Error("no worker served a shard batch")
-	}
-}
-
-// TestFleetLostPeerFallback points the coordinator at one healthy worker and
-// one member it cannot use: an unroutable address; a member still on shard
-// protocol 2 or 3, which refuses the coordinator's batches with 400 the way
-// handleShard refuses any mismatched version (its answers would carry
-// per-candidate timelines or schedules that no longer belong in a plan); or a
-// member that answers 200 but not to the question asked — in another protocol
-// version, or for a workload it fingerprints differently, so its indices name
-// another grid's points. Every one of these is a dispatch error: the plan must
-// still be byte-identical to the in-process Optimize (the tuner evaluates lost
-// batches locally) and the dispatch-error series must record the damage.
-func TestFleetLostPeerFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real tuner searches over loopback HTTP")
-	}
-	req := smallWorkload()
-	model, err := req.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := mario.Optimize(req.Config(0), model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(direct)
-
-	// stub is a member that decodes the batch and answers it with reply.
-	stub := func(reply func(w http.ResponseWriter, sr api.ShardRequest)) string {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var sr api.ShardRequest
-			if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-				errorJSON(w, http.StatusBadRequest, err)
-				return
-			}
-			if sr.Proto != api.ShardProtoVersion {
-				t.Errorf("coordinator dispatched a protocol-%d batch", sr.Proto)
-			}
-			reply(w, sr)
-		}))
-		t.Cleanup(srv.Close)
-		return srv.URL
-	}
-	refuses := func(proto int) string {
-		return stub(func(w http.ResponseWriter, sr api.ShardRequest) {
-			errorJSON(w, http.StatusBadRequest, fmt.Errorf("serve: shard protocol %d, want %d", sr.Proto, proto))
-		})
-	}
-	// answers claims every point skipped: trusted, that costs forced local
-	// evaluations and no fallback, so a fallback shows the answer was refused.
-	answers := func(proto int, fingerprint string) string {
-		return stub(func(w http.ResponseWriter, sr api.ShardRequest) {
-			resp := ShardResponse{Proto: proto, Fingerprint: fingerprint}
-			for _, p := range sr.Points {
-				resp.Outcomes = append(resp.Outcomes, tuner.ShardOutcome{Idx: p.Idx, Status: tuner.ShardSkipped})
-			}
-			writeJSON(w, resp)
-		})
-	}
-
-	for _, tc := range []struct{ name, lost string }{
-		{"dead", "http://127.0.0.1:9"}, // port 9: discard, never listening
-		{"proto2", refuses(2)},
-		{"proto3", refuses(3)},
-		{"answers-proto3", answers(3, req.Fingerprint(model))},
-		{"other-fingerprint", answers(api.ShardProtoVersion, "another workload")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := New(Options{})
-			defer w.Close()
-			ws := httptest.NewServer(w.Handler())
-			defer ws.Close()
-			co := New(Options{Fleet: []string{ws.URL, tc.lost}})
-			defer co.Close()
-			cs := httptest.NewServer(co.Handler())
-			defer cs.Close()
-
-			resp, err := client.New(cs.URL).Plan(context.Background(), req)
-			if err != nil {
-				t.Fatalf("plan with lost peer: %v", err)
-			}
-			if !bytes.Equal(resp.Plan, want) {
-				t.Fatal("lost-peer fleet plan not byte-identical to direct Optimize")
-			}
-			var buf bytes.Buffer
-			co.Registry().WriteProm(&buf)
-			if promValue(t, buf.String(), `mario_serve_shard_dispatch_total{result="error"}`) == 0 {
-				t.Error("lost peer produced no dispatch errors")
-			}
-			if promValue(t, buf.String(), `mario_serve_shard_dispatch_total{result="ok"}`) == 0 {
-				t.Error("healthy worker served no batch")
-			}
-			if promValue(t, buf.String(), "mario_search_fleet_fallbacks_total") == 0 {
-				t.Error("no fleet fallbacks recorded")
-			}
-		})
+	var buf bytes.Buffer
+	b.Registry().WriteProm(&buf)
+	if got := promValue(t, buf.String(), "mario_serve_tuner_runs_total"); got != 1 {
+		t.Errorf("the owner ran the tuner %v times, want 1", got)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // waiter abandons (deadline, disconnect), the flight's context is cancelled
 // so the tuner stops burning a worker on a result nobody wants.
 type flight struct {
-	req PlanRequest     // as it was sent: its workers hint, and what a fleet's shard workers are sent
+	req PlanRequest     // as it was sent: its workers hint
 	wl  *mario.Workload // what req resolved to: what is searched, and under whose fingerprint the plan is kept
 
 	// ctx governs the tuner run; cancel is called when the last waiter

@@ -35,14 +35,6 @@ type serverMetrics struct {
 	// to their consistent-hash owner, by outcome (an error falls back to
 	// local computation).
 	peerRoutedOK, peerRoutedErr *telemetry.Counter
-	// shardRequests counts /v1/shard batches served for other coordinators;
-	// shardErrors the ones that failed; shardPoints the point outcomes
-	// returned.
-	shardRequests, shardErrors, shardPoints *telemetry.Counter
-	// shardDispatchOK and shardDispatchErr count shard batches this server
-	// dispatched to its fleet as a coordinator, by outcome (an error is
-	// recovered by the tuner's local fallback).
-	shardDispatchOK, shardDispatchErr *telemetry.Counter
 }
 
 // newServerMetrics registers the mario_serve_* series on r.
@@ -64,12 +56,7 @@ func newServerMetrics(r *telemetry.Registry) *serverMetrics {
 		cacheCapacity:   r.Gauge("mario_serve_cache_capacity", "LRU cache capacity."),
 		latency:         r.Histogram("mario_serve_request_seconds", "End-to-end plan-request latency.", telemetry.LatencyBounds),
 
-		peerRoutedOK:     r.LabeledCounter("mario_serve_peer_routed_total", "Plan requests forwarded to their hash-ring owner.", "result", "ok"),
-		peerRoutedErr:    r.LabeledCounter("mario_serve_peer_routed_total", "Plan requests forwarded to their hash-ring owner.", "result", "error"),
-		shardRequests:    r.Counter("mario_serve_shard_requests_total", "Fleet shard batches served."),
-		shardErrors:      r.Counter("mario_serve_shard_errors_total", "Fleet shard batches that failed."),
-		shardPoints:      r.Counter("mario_serve_shard_points_total", "Shard point outcomes returned."),
-		shardDispatchOK:  r.LabeledCounter("mario_serve_shard_dispatch_total", "Shard batches dispatched to the fleet.", "result", "ok"),
-		shardDispatchErr: r.LabeledCounter("mario_serve_shard_dispatch_total", "Shard batches dispatched to the fleet.", "result", "error"),
+		peerRoutedOK:  r.LabeledCounter("mario_serve_peer_routed_total", "Plan requests forwarded to their hash-ring owner.", "result", "ok"),
+		peerRoutedErr: r.LabeledCounter("mario_serve_peer_routed_total", "Plan requests forwarded to their hash-ring owner.", "result", "error"),
 	}
 }

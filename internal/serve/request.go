@@ -5,10 +5,8 @@
 // (singleflight), bounds concurrent tuner work with a worker pool plus
 // admission control, streams tuner progress as newline-delimited JSON, and
 // drains gracefully on shutdown.
-// Configured with fleet peers, a server also acts as a distributed-planning
-// member: it routes plan requests to each workload's consistent-hash owner,
-// answers shard batches other coordinators dispatch, and distributes its own
-// branch-and-bound searches across the fleet (see fleet.go).
+// Configured with fleet peers and its own URL, a server also routes blocking
+// plan requests to each workload's consistent-hash owner (see fleet.go).
 //
 // The cache contract leans on the determinism the tuner already guarantees:
 // the same fingerprint always produces byte-identical plan JSON, so a cache
@@ -30,8 +28,4 @@ type (
 	ProgressEvent = api.ProgressEvent
 	// Health is the /healthz body.
 	Health = api.Health
-	// ShardRequest is one fleet shard batch (POST /v1/shard).
-	ShardRequest = api.ShardRequest
-	// ShardResponse is a worker's answer to one shard batch.
-	ShardResponse = api.ShardResponse
 )

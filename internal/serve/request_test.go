@@ -14,7 +14,6 @@ import (
 	"mario"
 	"mario/internal/cost"
 	"mario/internal/profile"
-	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -64,7 +63,7 @@ func TestRequestValidateErrors(t *testing.T) {
 		{name: "negative global batch", mut: func(r *PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
 		{name: "bad scheme", mut: func(r *PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
 		{name: "bad memory", mut: func(r *PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},
-		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "hardware MemBytes must be finite"},
+		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "not a finite byte count"},
 		{name: "negative tp", mut: func(r *PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},
 		{name: "zero micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
 		{name: "speeds of another cluster", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
@@ -131,18 +130,6 @@ func TestRequestValidateErrors(t *testing.T) {
 					if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(answer.Error, tc.wantErr) {
 						t.Errorf("%s answered %d %q (%v), want 400 with %q", path, resp.StatusCode, answer.Error, err, tc.wantErr)
 					}
-				}
-				shard, err := json.Marshal(ShardRequest{Proto: api.ShardProtoVersion, Workload: r})
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(shard))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusBadRequest {
-					t.Errorf("/v1/shard answered %d, want 400", resp.StatusCode)
 				}
 			}
 		})
@@ -214,10 +201,10 @@ func TestEquivalentSpellingsOneWorkload(t *testing.T) {
 	bareReq, bare := resolveBody(t, bareBody)
 	// The one pinned fingerprint value. PR 21 pinned 4dda982b5617 here, the
 	// hash of the request's canonical spelling; it was re-taken once, when the
-	// fingerprint became the hash of the resolved workload (shard protocol 5).
-	// It moves when the resolution of this request moves — a new default, a
-	// new field the search reads — and then every cached plan and every ring
-	// owner moves with it: bump api.ShardProtoVersion.
+	// fingerprint became the hash of the resolved workload. It moves when the
+	// resolution of this request moves — a new default, a new field the
+	// search reads — and then every cached plan and every ring owner moves
+	// with it.
 	if fp := bare.Fingerprint(); !strings.HasPrefix(fp, pinnedBareFingerprint) {
 		t.Errorf("the bare request's fingerprint moved: %.12s, pinned %s", fp, pinnedBareFingerprint)
 	}

@@ -38,35 +38,29 @@ type Options struct {
 	// metrics of every tuner run); nil allocates a private registry.
 	// /metrics renders everything registered on it.
 	Registry *telemetry.Registry
-	// MaxBodyBytes bounds request bodies on the plan, stream and shard
+	// MaxBodyBytes bounds request bodies on the plan and stream
 	// endpoints (oversized bodies get 413); 0 means 1 MiB.
 	MaxBodyBytes int64
 
-	// Fleet lists the base URLs of the other planning-fleet members. A
-	// non-empty fleet makes this server a coordinator: its branch-and-bound
-	// searches are dispatched across the members in shard waves, and (when
-	// Self is also set) plan requests are routed to each workload's
-	// consistent-hash owner.
+	// Fleet lists the base URLs of the other planning-fleet members. With
+	// Self also set, blocking plan requests are routed to each workload's
+	// consistent-hash owner; without Self, Fleet does nothing.
 	Fleet []string
-	// Self is this member's own advertised base URL. Required for peer
-	// routing (it places this member on the hash ring); optional for shard
-	// dispatch.
+	// Self is this member's own advertised base URL: it places this member
+	// on the hash ring.
 	Self string
-	// FleetRetries and FleetBackoff configure the shard clients' bounded
-	// retry (client.Client Retries/Backoff); zero means no retries — the
-	// coordinator's local fallback already keeps results exact.
+	// FleetRetries and FleetBackoff configure the routing clients' bounded
+	// retry (client.Client Retries/Backoff); zero means no retries — a
+	// routing failure already falls back to local computation.
 	FleetRetries int
 	FleetBackoff time.Duration
 }
 
 // What no deployment, test or benchmark sets differently: the flight
-// recorder keeps the last flightRing request traces and the flightSlow slowest,
-// and a member memoizes shard workers (tuners serving /v1/shard) for
-// workerCache workloads.
+// recorder keeps the last flightRing request traces and the flightSlow slowest.
 const (
-	flightRing  = 64
-	flightSlow  = 8
-	workerCache = 8
+	flightRing = 64
+	flightSlow = 8
 )
 
 func (o Options) withDefaults() Options {
@@ -109,7 +103,7 @@ type Server struct {
 	search    *telemetry.SearchMetrics
 	flightRec *telemetry.FlightRecorder
 	cache     *planCache
-	fleet     *fleetState // peer routing, shard dispatch and the shard-worker cache
+	fleet     *fleetState // peer routing; nil without Options.Fleet
 
 	mu       sync.Mutex
 	flights  map[string]*flight
@@ -143,7 +137,9 @@ func New(opts Options) *Server {
 		jobs:      make(chan *flight, opts.QueueDepth),
 	}
 	s.sm.cacheCapacity.Set(int64(opts.CacheSize))
-	s.fleet = newFleetState(opts)
+	if len(opts.Fleet) > 0 {
+		s.fleet = newFleetState(opts)
+	}
 	s.run = s.optimize
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -163,7 +159,6 @@ func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.flightRec
 //
 //	POST /v1/plan         blocking plan request → PlanResponse JSON
 //	POST /v1/plan/stream  same request, NDJSON progress stream + final plan
-//	POST /v1/shard        fleet shard batch → ShardResponse JSON
 //	GET  /v1/models       built-in model presets
 //	GET  /healthz         readiness (503 while draining)
 //	GET  /metrics         Prometheus text exposition
@@ -175,7 +170,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	mux.HandleFunc("POST /v1/plan/stream", s.handleStream)
-	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -343,11 +337,6 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, wl *mario.Worklo
 	}
 	plan, err := wl.Optimize(ctx, mario.Config{
 		Workers: workers,
-		// A configured fleet turns this run into a coordinator search: probe
-		// locally, dispatch shard waves to the peers. The tuner guarantees the
-		// plan bytes are identical to a local run (and falls back locally on
-		// any dispatch failure), so nothing downstream can tell.
-		Sharder: s.sharderFor(req, wl),
 		Tracer:  tracer,
 		Progress: func(n int, best string, throughput float64) {
 			progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
@@ -369,35 +358,27 @@ func errorJSON(w http.ResponseWriter, status int, err error) {
 // decodeRequest parses the request body and resolves it, once: everything
 // behind the handler works on the workload it returns. The request is kept as
 // it was sent — for its run hints (workers, timeout_sec) and to forward to
-// another member. The body is bounded by Options.MaxBodyBytes: an oversized
-// request surfaces as *http.MaxBytesError, which the handlers map to 413.
+// another member. The decode is strict: one PlanRequest value, no field it
+// does not have, and nothing but white space after it — Decode alone stops at
+// the end of the first value, so a second object or plain garbage behind a
+// valid request would be answered as if it were not there. The body is bounded
+// by Options.MaxBodyBytes: an oversized request surfaces as
+// *http.MaxBytesError, which the handlers map to 413.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PlanRequest, *mario.Workload, error) {
 	var req PlanRequest
-	if err := decodeInto(w, r, s.opts.MaxBodyBytes, &req); err != nil {
-		return req, nil, err
-	}
-	wl, err := req.Resolve()
-	return req, wl, err
-}
-
-// decodeInto strictly decodes a JSON body bounded to max bytes: one value of
-// v's schema, no field it does not have, and nothing but white space after it
-// — Decode alone stops at the end of the first value, so a second object or
-// plain garbage behind a valid request would be answered as if it were not
-// there.
-func decodeInto(w http.ResponseWriter, r *http.Request, max int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, max))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding request: %w", err)
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("serve: decoding request: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		if err == nil {
 			err = errors.New("a second JSON value after the request")
 		}
-		return fmt.Errorf("serve: decoding request: %w", err)
+		return req, nil, fmt.Errorf("serve: decoding request: %w", err)
 	}
-	return nil
+	wl, err := req.Resolve()
+	return req, wl, err
 }
 
 // decodeStatus maps a request-decoding failure to its HTTP status: 413 for
@@ -637,7 +618,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string][]string{"models": names})
 }
 
-// writeJSON encodes v as the response body: /v1/shard and /v1/models.
+// writeJSON encodes v as the response body: /v1/models.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mario"
-	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -362,7 +361,6 @@ func TestValidationErrors(t *testing.T) {
 	// object or plain garbage behind it used to be answered 200.
 	s.run = stubRun("a")
 	plan := `{"model":"LLaMA2-3B","devices":4,"global_batch":16}`
-	shard := fmt.Sprintf(`{"proto":%d,"workload":%s,"points":[]}`, api.ShardProtoVersion, plan)
 	for _, tc := range []struct {
 		path, body string
 		want       int
@@ -372,9 +370,6 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/plan", plan + " this is not json", http.StatusBadRequest},
 		{"/v1/plan/stream", plan + `{"no_delta":true}`, http.StatusBadRequest},
 		{"/v1/plan/stream", plan + " this is not json", http.StatusBadRequest},
-		{"/v1/shard", shard + "\n", http.StatusOK},
-		{"/v1/shard", shard + `{"no_delta":true}`, http.StatusBadRequest},
-		{"/v1/shard", shard + " this is not json", http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -38,17 +38,6 @@ type SearchMetrics struct {
 	Searches *Counter
 	// SearchSeconds is the per-search wall-clock histogram.
 	SearchSeconds *Histogram
-	// FleetWaves counts fleet dispatch rounds; FleetBroadcasts the waves
-	// that shipped a global incumbent to the workers.
-	FleetWaves, FleetBroadcasts *Counter
-	// FleetDispatched counts shard batches handed to the dispatcher and
-	// FleetFallbacks the batches the coordinator evaluated locally after a
-	// dispatch failure.
-	FleetDispatched, FleetFallbacks *Counter
-	// FleetRemoteExplored, FleetRemoteSkipped and FleetRemoteInfeasible
-	// count shard-point outcomes by status; FleetForced counts skipped
-	// outcomes the merge had to re-evaluate locally (protocol violations).
-	FleetRemoteExplored, FleetRemoteSkipped, FleetRemoteInfeasible, FleetForced *Counter
 }
 
 // AddSims records n simulator executions. Safe on nil (the graph layer calls
@@ -102,14 +91,5 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		RobustRuns:        r.Counter("mario_search_robust_runs_total", "Robustness ensemble simulations."),
 		Searches:          r.Counter("mario_search_runs_total", "Tuner grid searches started."),
 		SearchSeconds:     r.Histogram("mario_search_seconds", "Per-search wall-clock.", LatencyBounds),
-
-		FleetWaves:            r.Counter("mario_search_fleet_waves_total", "Fleet dispatch rounds."),
-		FleetBroadcasts:       r.Counter("mario_search_fleet_broadcasts_total", "Waves that shipped a global incumbent."),
-		FleetDispatched:       r.Counter("mario_search_fleet_shards_total", "Shard batches dispatched."),
-		FleetFallbacks:        r.Counter("mario_search_fleet_fallbacks_total", "Shard batches evaluated locally after a dispatch failure."),
-		FleetRemoteExplored:   r.LabeledCounter("mario_search_fleet_points_total", "Dispatched shard points by outcome.", "outcome", "explored"),
-		FleetRemoteSkipped:    r.LabeledCounter("mario_search_fleet_points_total", "Dispatched shard points by outcome.", "outcome", "skipped"),
-		FleetRemoteInfeasible: r.LabeledCounter("mario_search_fleet_points_total", "Dispatched shard points by outcome.", "outcome", "infeasible"),
-		FleetForced:           r.Counter("mario_search_fleet_forced_total", "Unconfirmed worker skips re-evaluated by the coordinator."),
 	}
 }

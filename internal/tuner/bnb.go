@@ -62,9 +62,9 @@ func (n bnbNode) effUB() float64 {
 
 // dominatedBy reports whether an incumbent throughput already rules the node
 // out: its bound is strictly below it, or the node is provably OOM while the
-// incumbent is positive. This is the one skip rule of every concurrent outcome
-// source (pool workers, fleet workers). It is strictly more conservative than
-// the merge loop's decide — no tie-break, so a bound tie is evaluated — which
+// incumbent is positive. This is the pool workers' one skip rule. It is
+// strictly more conservative than the merge loop's decide — no tie-break, so
+// a bound tie is evaluated — which
 // is why a skip against any incumbent the merge has reached or will reach
 // before the node is always confirmed.
 func (n bnbNode) dominatedBy(incumbent float64) bool {

@@ -68,8 +68,8 @@ func TestSearchContextPreCancelled(t *testing.T) {
 
 // Cancelling mid-search from a Progress callback aborts promptly and a
 // subsequent SearchContext on the same Tuner (shared memo caches) still
-// completes correctly — a cancelled compute must not poison the memo. Local
-// or fleet, the registry series of the cancelled search equal the snapshots
+// completes correctly — a cancelled compute must not poison the memo. Inline
+// or pooled, the registry series of the cancelled search equal the snapshot
 // it published: what a search merged before it stopped is accounted for once,
 // in both places.
 func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
@@ -79,11 +79,8 @@ func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, fleet := range []bool{false, true} {
+	for _, workers := range []int{1, 4} {
 		tn := newTuner()
-		if fleet {
-			tn.Sharder = newHarness(testSpace(4), newTuner, 2, 2, 2)
-		}
 		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -94,26 +91,23 @@ func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, err = tn.SearchContext(ctx, testSpace(4))
+		_, _, err = tn.SearchContext(ctx, testSpace(workers))
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("fleet=%v: mid-flight cancel: err = %v, want context.Canceled", fleet, err)
-		}
-		if fleet && tn.FleetSnapshot().Waves == 0 {
-			t.Errorf("cancelled fleet search published no fleet counters")
+			t.Fatalf("workers=%d: mid-flight cancel: err = %v, want context.Canceled", workers, err)
 		}
 		checkRegistryMatchesSnapshots(t, tn)
 
 		tn.Progress = nil
 		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
-		best, trace, err := tn.SearchContext(context.Background(), testSpace(4))
+		best, trace, err := tn.SearchContext(context.Background(), testSpace(workers))
 		if err != nil {
-			t.Fatalf("fleet=%v: retry after cancel: %v", fleet, err)
+			t.Fatalf("workers=%d: retry after cancel: %v", workers, err)
 		}
 		if best.Label() != refBest.Label() || best.Throughput != refBest.Throughput {
-			t.Errorf("fleet=%v: retry best %s (%v) != reference %s (%v)", fleet, best.Label(), best.Throughput, refBest.Label(), refBest.Throughput)
+			t.Errorf("workers=%d: retry best %s (%v) != reference %s (%v)", workers, best.Label(), best.Throughput, refBest.Label(), refBest.Throughput)
 		}
 		if len(trace) != len(refTrace) {
-			t.Errorf("fleet=%v: retry trace length %d != %d", fleet, len(trace), len(refTrace))
+			t.Errorf("workers=%d: retry trace length %d != %d", workers, len(trace), len(refTrace))
 		}
 		checkRegistryMatchesSnapshots(t, tn)
 	}

@@ -281,3 +281,135 @@ func TestCacheSharing(t *testing.T) {
 		t.Errorf("repeat search ran %d prepose rounds, want the first search's %d again", got-rounds, rounds)
 	}
 }
+
+// pointOf maps a candidate back to the grid point its coordinates name.
+func pointOf(c Candidate) gridPoint {
+	return gridPoint{scheme: c.Scheme, ckpt: c.Ckpt, pp: c.PP, dp: c.DP, mbs: c.MicroBatch, pmode: c.PlaceMode}
+}
+
+// compareRuns demands byte-identical outputs: stats, best, the full trace
+// in order and the Progress callback sequence.
+func compareRuns(t *testing.T, name string, got, want searchRun) {
+	t.Helper()
+	if got.stats != want.stats {
+		t.Errorf("%s: stats %+v, want %+v", name, got.stats, want.stats)
+	}
+	if got.best != want.best {
+		t.Errorf("%s: best differs\n got: %s\nwant: %s", name, got.best, want.best)
+	}
+	if len(got.trace) != len(want.trace) {
+		t.Fatalf("%s: trace length %d, want %d", name, len(got.trace), len(want.trace))
+	}
+	for i := range got.trace {
+		if got.trace[i] != want.trace[i] {
+			t.Errorf("%s: trace[%d] differs\n got: %s\nwant: %s", name, i, got.trace[i], want.trace[i])
+			break
+		}
+	}
+	if len(got.progress) != len(want.progress) {
+		t.Fatalf("%s: %d progress callbacks, want %d", name, len(got.progress), len(want.progress))
+	}
+	for i := range got.progress {
+		if got.progress[i] != want.progress[i] {
+			t.Errorf("%s: progress[%d] = %q, want %q", name, i, got.progress[i], want.progress[i])
+			break
+		}
+	}
+}
+
+// TestSearchOrderSourceMatrix pins the driver's two independent choices
+// against each other: for every expansion order, both outcome sources —
+// inline and the worker pool — emit the byte-identical best candidate, trace,
+// SearchStats and Progress sequence, and across orders the best candidate and
+// the invariant digest agree.
+func TestSearchOrderSourceMatrix(t *testing.T) {
+	for _, space := range []struct {
+		name string
+		sp   Space
+	}{{"detSpace", detSpace(1)}, {"memPressure", memPressureSpace(t)}} {
+		t.Run(space.name, func(t *testing.T) {
+			var first searchRun
+			for i, o := range searchOrders {
+				sp := space.sp
+				o.set(&sp)
+				base := runSpace(t, sp, nil) // Workers 1: inline
+				if i == 0 {
+					first = base
+				}
+				if base.best != first.best {
+					t.Errorf("%s: best differs from %s\n got: %s\nwant: %s", o.name, searchOrders[0].name, base.best, first.best)
+				}
+				gp, gf := base.stats.invariant()
+				if wp, wf := first.stats.invariant(); gp != wp || gf != wf {
+					t.Errorf("%s: invariant digest (%d,%d), want (%d,%d)", o.name, gp, gf, wp, wf)
+				}
+				for _, w := range []int{2, 4} {
+					spw := sp
+					spw.Workers = w
+					compareRuns(t, fmt.Sprintf("%s/workers=%d", o.name, w), runSpace(t, spw, nil), base)
+				}
+			}
+		})
+	}
+}
+
+// TestFleetSpanTreeShapeIndependent: the span tree (canonical JSONL and
+// Chrome exports, tree rendering) is byte-identical for every outcome
+// source, because the merge loop alone attaches point spans and synthesizes
+// the pruned ones.
+func TestFleetSpanTreeShapeIndependent(t *testing.T) {
+	trace := func(workers int) (string, string, string) {
+		t.Helper()
+		tn := newTuner()
+		tracer := telemetry.New("source-fingerprint")
+		tn.Span = tracer.Root(telemetry.PhaseOptimize, "")
+		if _, _, err := tn.Search(detSpace(workers)); err != nil {
+			t.Fatalf("Search(workers=%d): %v", workers, err)
+		}
+		tn.Span.End()
+		tr := tracer.Snapshot()
+		return string(tr.JSONL()), string(tr.ChromeTrace()), tr.Tree()
+	}
+	baseJSONL, baseChrome, baseTree := trace(1)
+	if baseJSONL == "" {
+		t.Fatal("inline search produced an empty JSONL trace")
+	}
+	for _, w := range []int{2, 4} {
+		jsonl, chrome, tree := trace(w)
+		if jsonl != baseJSONL {
+			t.Errorf("JSONL trace differs between inline and workers=%d:\n--- inline\n%s\n--- workers=%d\n%s",
+				w, baseJSONL, w, jsonl)
+		}
+		if chrome != baseChrome {
+			t.Errorf("canonical Chrome trace differs between inline and workers=%d", w)
+		}
+		if tree != baseTree {
+			t.Errorf("tree rendering differs between inline and workers=%d:\n--- inline\n%s\n--- workers=%d\n%s",
+				w, baseTree, w, tree)
+		}
+	}
+}
+
+// checkRegistryMatchesSnapshots demands that the registry series of a tuner
+// whose Metrics saw exactly one search equal that search's SearchStats —
+// completed or not.
+func checkRegistryMatchesSnapshots(t *testing.T, tn *Tuner) {
+	t.Helper()
+	m, st := tn.Metrics, tn.StatsSnapshot()
+	for _, c := range []struct {
+		name string
+		got  int64
+		want int
+	}{
+		{"points explored", m.PointsExplored.Value(), st.Explored},
+		{"points oom", m.PointsOOM.Value(), st.OOMRejected},
+		{"points infeasible", m.PointsPruned.Value(), st.Pruned},
+		{"points bound_pruned", m.PointsBoundPruned.Value(), st.BoundPruned},
+		{"points memory_pruned", m.PointsMemPruned.Value(), st.MemPruned},
+		{"improved", m.PointsImproved.Value(), st.Improved},
+	} {
+		if c.got != int64(c.want) {
+			t.Errorf("registry series %q = %d, snapshot says %d", c.name, c.got, c.want)
+		}
+	}
+}

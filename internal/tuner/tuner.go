@@ -10,13 +10,12 @@
 // cheaply, orders the feasible ones (best-first by admissible bound, or in
 // canonical grid order), and merges their outcomes in that order — pruning
 // against the incumbent, keeping the stats, the spans and the trace. Where an
-// outcome comes from is an orthogonal choice: an inline evaluation, a bounded
-// pool of speculative workers (Space.Workers) or a planning fleet
-// (Tuner.Sharder). Every decision is taken by the merge against its own
-// incumbent, never by a source, so the best candidate, the trace and the
-// SearchStats are identical for every order-preserving source. A memoization
-// layer shares built schedules across grid points (and across Search calls on
-// the same Tuner).
+// outcome comes from is an orthogonal choice: an inline evaluation or a
+// bounded pool of speculative workers (Space.Workers). Every decision is taken
+// by the merge against its own incumbent, never by a source, so the best
+// candidate, the trace and the SearchStats are identical for every worker
+// count. A memoization layer shares built schedules across grid points (and
+// across Search calls on the same Tuner).
 package tuner
 
 import (
@@ -140,8 +139,7 @@ func (s Space) WithDefaults() Space {
 	}
 	if place.Homogeneous(s.DeviceSpeeds) {
 		// All-nominal speed lists normalize to nil so a "1,1,…,1" spec is
-		// byte-identical to no spec at all (on workers and coordinators
-		// alike — WithDefaults runs on both sides of the fleet protocol).
+		// byte-identical to no spec at all.
 		s.DeviceSpeeds = nil
 	}
 	if s.Placement == "" || (s.Placement == place.ModeUniform && s.DeviceSpeeds == nil) {
@@ -194,9 +192,9 @@ type Candidate struct {
 	// per-instruction Timeline.
 	Result *sim.Result
 	// Schedule is the schedule the candidate ran. A search's winner carries it
-	// and nothing else does — not a trace entry, not a fleet worker's outcome,
-	// in a fresh plan exactly as in a decoded one (version-1 and -2 plan
-	// bodies keep the trace schedules they decoded): a candidate's schedule is
+	// and nothing else does — not a trace entry, in a fresh plan exactly as in
+	// a decoded one (version-1 and -2 plan bodies keep the trace schedules
+	// they decoded): a candidate's schedule is
 	// a pure function of its coordinates and the search's Recipe, and
 	// Resimulate rebuilds it on demand. Progress sees the schedule of every
 	// candidate this process evaluated.
@@ -286,35 +284,24 @@ type Tuner struct {
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
 	// child per grid point (build and graph or sim children when the point
-	// was evaluated in this process, none when it was pruned or evaluated by
-	// a fleet worker), one PhaseBound child for the probe pass, then one
-	// PhaseSim child for the winner's closing re-simulation. Workers record spans speculatively, but only the merge
+	// was evaluated, none when it was pruned), one PhaseBound child for the
+	// probe pass, then one PhaseSim child for the winner's closing
+	// re-simulation. Workers record spans speculatively, but only the merge
 	// loop attaches them — a speculative evaluation the merge prunes is
 	// dropped whole — so the canonical trace exports are byte-identical for
 	// every Space.Workers value. The zero Span disables tracing at zero cost.
 	Span telemetry.Span
 	// Metrics, when non-nil, receives the search counters as registry
-	// series when a search ends, completed or not: the grid-outcome and
-	// fleet counters are the deltas of SearchStats and FleetStats (so the
-	// registry and the snapshots always agree); memoization and simulation
-	// counts are folded in as deltas too and — like CacheStats — are not
-	// deterministic under Workers > 1.
+	// series when a search ends, completed or not: the grid-outcome counters
+	// are the deltas of SearchStats (so the registry and the snapshot always
+	// agree); memoization and simulation counts are folded in as deltas too
+	// and — like CacheStats — are not deterministic under Workers > 1.
 	Metrics *telemetry.SearchMetrics
-	// Sharder, when non-nil, makes a planning fleet the source of point
-	// evaluations (see fleet.go): the probe pass and every decision stay
-	// local, the ordered nodes are dispatched in shard waves, and the merge
-	// is the one every search runs, so the plan is byte-identical to a local
-	// search — in either expansion order, with or without pruning.
-	Sharder ShardDispatcher
 
 	// Stats describes the most recent Search call. It is updated as
 	// candidates merge; reading it from another goroutine while Search is
 	// running must go through StatsSnapshot.
 	Stats SearchStats
-	// Fleet describes how the most recent fleet search divided its work
-	// (all zero for local searches); read it through FleetSnapshot while a
-	// search is running. It is deliberately not part of the plan.
-	Fleet FleetStats
 
 	statsMu sync.Mutex
 	builds  memo[buildKey, *pipeline.Schedule]
@@ -380,10 +367,10 @@ type pointResult struct {
 }
 
 // mergedBest publishes the throughput of the best candidate merged so far to
-// the concurrent outcome sources (pool workers, shard waves). It only ever
-// grows and never exceeds the merge loop's incumbent, so a node it dominates
-// (bnbNode.dominatedBy) is one the merge loop's own decision is guaranteed to
-// prune — which is what makes source-side skipping exact.
+// the pool workers (poolSource). It only ever grows and never exceeds the
+// merge loop's incumbent, so a node it dominates (bnbNode.dominatedBy) is one
+// the merge loop's own decision is guaranteed to prune — which is what makes
+// a worker's skip exact.
 type mergedBest struct {
 	bits atomic.Uint64
 	set  atomic.Bool
@@ -438,10 +425,9 @@ func gridOf(space Space) (Space, []gridPoint, error) {
 
 // Search enumerates the space and returns the best candidate plus the
 // evaluation trace in canonical grid order (the throughput curve of Fig. 11).
-// Whatever evaluates the points — this goroutine, Space.Workers goroutines, a
-// fleet — the merge (best tracking, stats, Progress callbacks) is the one loop
-// of Tuner.search, so the output is identical for every worker count and
-// fleet shape.
+// Whatever evaluates the points — this goroutine or Space.Workers goroutines —
+// the merge (best tracking, stats, Progress callbacks) is the one loop of
+// Tuner.search, so the output is identical for every worker count.
 //
 // Search never aborts early; use SearchContext to bound or cancel a search.
 func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
@@ -463,19 +449,14 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		space.Workers = runtime.GOMAXPROCS(0)
 	}
 	var stats SearchStats
-	var fl FleetStats
 	t.publishStats(stats)
-	t.publishFleet(fl)
 
 	tracer := t.Span.Tracer()
 	search := t.Span.Child(telemetry.PhaseSearch, "")
 	search.SetInt("points", int64(len(points)))
-	switch {
-	case space.NoPrune || space.NoBnB:
+	if space.NoPrune || space.NoBnB {
 		search.SetStr("strategy", "grid")
-	case t.Sharder != nil:
-		search.SetStr("strategy", "fleet")
-	default:
+	} else {
 		search.SetStr("strategy", "bnb")
 	}
 	searchStart := time.Now()
@@ -494,7 +475,6 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	defer func() {
 		search.End()
 		t.publishStats(stats)
-		t.publishFleet(fl)
 		m := t.Metrics
 		if m == nil {
 			return
@@ -509,17 +489,9 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		m.PointsImproved.Add(int64(stats.Improved))
 		m.BuildHits.Add(t.builds.hits.Load() - buildH0)
 		m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
-		m.FleetWaves.Add(int64(fl.Waves))
-		m.FleetBroadcasts.Add(int64(fl.Broadcasts))
-		m.FleetDispatched.Add(int64(fl.Dispatched))
-		m.FleetFallbacks.Add(int64(fl.Fallbacks))
-		m.FleetRemoteExplored.Add(int64(fl.RemoteExplored))
-		m.FleetRemoteSkipped.Add(int64(fl.RemoteSkipped))
-		m.FleetRemoteInfeasible.Add(int64(fl.RemoteInfeasible))
-		m.FleetForced.Add(int64(fl.Forced))
 	}()
 
-	best, trace, err := t.search(ctx, space, points, eng, tracer, search, &stats, &fl)
+	best, trace, err := t.search(ctx, space, points, eng, tracer, search, &stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -527,8 +499,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
 	}
 	// Every point was scored without a timeline and only the incumbent kept its
-	// schedule; the winner gets both from the one closing Resimulate, which
-	// rebuilds the schedule first when the winner arrived from a fleet worker —
+	// schedule; the winner gets its timeline from the one closing Resimulate —
 	// on this engine bundle, under this span and nothing below it, so the span
 	// exports do not depend on who evaluated the winner.
 	ss := search.Child(telemetry.PhaseSim, "")
@@ -613,17 +584,16 @@ func (rc Recipe) admits(c *Candidate) error {
 // from the stage count, the micro-batch size and the placement assignment, and
 // the schedule is simulated once under the candidate's DP degree and the
 // recipe's memory limit. The search scores every grid point without a timeline
-// and calls this once for the winner (its closing step: a winner that arrived
-// from a fleet worker is rebuilt and checked here); a plan's trace candidates,
-// fresh or decoded, are materialized the same way, on demand.
+// and calls this once for the winner, which carries its schedule; a plan's
+// trace candidates, fresh or decoded, carry none and are rebuilt here, on
+// demand.
 //
 // Everything involved is deterministic, so the result must reproduce the
 // stored one bit for bit: a candidate whose coordinates are not the recipe's
 // (Recipe.admits), whose scheme is not registered, whose placement assignment
 // is not sized for its shape, or whose stored Total, PeakMem, ComputeBusy,
 // SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
-// the one the plan was tuned with, a fleet worker that computed something else
-// — is refused. c is not modified.
+// the one the plan was tuned with — is refused. c is not modified.
 //
 // eng is the engine bundle to run on (the search passes its warm one); nil
 // uses a fresh one. t contributes its profiler, build memo and metrics; the
@@ -699,9 +669,9 @@ const (
 // the same for every source.
 //
 // The sources: an inline evaluation of exactly the nodes decide explores
-// (Workers ≤ 1: never speculates), the speculative worker pool (poolSource,
-// Workers > 1) and ShardDispatcher waves (shardSource, Tuner.Sharder).
-func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats, fl *FleetStats) (*Candidate, []Candidate, error) {
+// (Workers ≤ 1: never speculates) and the speculative worker pool (poolSource,
+// Workers > 1).
+func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
 	if err != nil {
 		return nil, nil, err
@@ -734,14 +704,11 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 	}
 
 	var next func(j int) pointResult
-	switch {
-	case t.Sharder != nil:
-		next = t.shardSource(ctx, space, nodes, mb, fl)
-	case space.Workers > 1 && len(nodes) > 1:
+	if space.Workers > 1 && len(nodes) > 1 {
 		var wait func()
 		next, wait = t.poolSource(ctx, space, nodes, mb, tracer)
 		defer wait()
-	default:
+	} else {
 		next = func(j int) pointResult {
 			if decide(nodes[j]) != exploreNode {
 				return pointResult{}
@@ -781,15 +748,11 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 			continue
 		}
 		if pr.cand == nil && !pr.failed {
-			// The node must be explored and the source has no evaluation of
-			// it: a skip the incumbent cannot justify (sources only skip nodes
-			// mergedBest dominates, so this is insurance — and a protocol
-			// violation when a fleet does it) or an outcome a dispatcher lost.
-			// Evaluate it here so the result stays exact.
+			// The node must be explored and the pool skipped it: a skip the
+			// incumbent cannot justify (workers only skip nodes mergedBest
+			// dominates, so this is insurance). Evaluate it here so the
+			// result stays exact.
 			sp.Discard()
-			if t.Sharder != nil {
-				fl.Forced++
-			}
 			pr = t.evalTraced(ctx, space, nd, eng, tracer)
 			sp = pr.span
 			if pr.err != nil {
@@ -823,12 +786,6 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 			mb.store(best.Throughput)
 		}
 		t.publishStats(*stats)
-		if !sp.Live() {
-			// Evaluated by a fleet worker: the per-phase telemetry stayed
-			// there, so the point span is built from the outcome alone.
-			sp = pointSpan(tracer, nd.idx, nd.p)
-			sp.End()
-		}
 		if c.OOM {
 			sp.SetStr("result", "oom")
 		} else {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -114,12 +115,6 @@ type Config struct {
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
 	// memoization, simulator executions) as registry series.
 	Metrics *telemetry.SearchMetrics
-	// Sharder, when non-nil, has a planning fleet evaluate the grid points
-	// (tuner.ShardDispatcher): the probe pass and every prune decision stay
-	// local and the ordered grid points are dispatched in shard waves with
-	// incumbent-bound sharing. The plan is byte-identical to a local search
-	// for every fleet shape, under NoBnB and NoPrune too.
-	Sharder tuner.ShardDispatcher
 }
 
 // ModelConfig is the model_conf of Listing 1.
@@ -218,7 +213,11 @@ func ParseMemory(s string) (float64, error) {
 	if v <= 0 {
 		return 0, fmt.Errorf("mario: memory must be positive")
 	}
-	return v * mult, nil
+	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("mario: memory spec %q is not a finite byte count", s)
+	}
+	return v, nil
 }
 
 // Optimize searches Equation 1's space for the configuration with the best
@@ -243,7 +242,7 @@ func OptimizeContext(ctx context.Context, conf Config, model ModelConfig) (*Plan
 }
 
 // Optimize runs the search of w. run carries what belongs to one run of a
-// search and not to the workload — Workers, Progress, Tracer, Metrics, Sharder;
+// search and not to the workload — Workers, Progress, Tracer, Metrics;
 // its other fields were resolved into w and are not read again.
 func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 	root := run.Tracer.Root(telemetry.PhaseOptimize, "")
@@ -256,7 +255,6 @@ func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 	if tn.Metrics == nil {
 		tn.Metrics = run.Tracer.Metrics()
 	}
-	tn.Sharder = run.Sharder
 	if cb := run.Progress; cb != nil {
 		explored := 0
 		tn.Progress = func(_ tuner.Candidate, best tuner.Candidate) {
@@ -272,38 +270,6 @@ func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 	}
 	return &Plan{Best: *best, Trace: trace, Profiler: tn.Prof, SearchStats: tn.Stats,
 		recipe: planRecipe(best, w.Space.TP, w.Space.DeviceMem, w.SplitBackward)}, nil
-}
-
-// ShardWorker is the worker half of the distributed planning fleet: it
-// holds the profiler-backed tuner for one workload and evaluates shard
-// batches a coordinator dispatches. Schedule builds and graph-pass results
-// are memoized on the worker across calls, so evaluating many shards of the
-// same workload shares work exactly like a local search does. Methods are
-// safe for concurrent use.
-type ShardWorker struct {
-	tn    *tuner.Tuner
-	space tuner.Space
-}
-
-// NewShardWorker returns the reusable worker for w — the tuner and the space
-// a coordinator's Optimize of the same workload probes, bit for bit. Metrics,
-// when non-nil, receives the worker's simulation counts.
-func NewShardWorker(w *Workload, metrics *telemetry.SearchMetrics) *ShardWorker {
-	tn := w.tuner()
-	tn.Metrics = metrics
-	return &ShardWorker{tn: tn, space: w.Space}
-}
-
-// EvalShard evaluates one dispatched shard batch in order, skipping points
-// the incumbent dooms (nil means no incumbent yet). The outcomes are
-// exactly what a coordinator's local evaluation of the batch would
-// produce — the contract the fleet's byte-identity rests on.
-func (w *ShardWorker) EvalShard(ctx context.Context, points []tuner.ShardPoint, incumbent *float64) ([]tuner.ShardOutcome, error) {
-	inc, hasInc := 0.0, false
-	if incumbent != nil {
-		inc, hasInc = *incumbent, true
-	}
-	return w.tn.EvalShard(ctx, w.space, points, inc, hasInc)
 }
 
 // Sink receives one Event per executed instruction of a measured run; see

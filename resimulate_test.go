@@ -2,7 +2,6 @@ package mario_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -15,38 +14,6 @@ import (
 	"mario/internal/sim"
 	"mario/internal/tuner"
 )
-
-// inProcessFleet is a tuner.ShardDispatcher over in-process shard workers,
-// each a fresh mario.ShardWorker of the coordinator's workload — what a
-// mariod fleet is without the HTTP in between.
-type inProcessFleet struct {
-	workers []*mario.ShardWorker
-	shards  int
-}
-
-func newInProcessFleet(t *testing.T, conf mario.Config, model mario.ModelConfig, workers, shards int) *inProcessFleet {
-	t.Helper()
-	wl, err := mario.Resolve(conf, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &inProcessFleet{shards: shards}
-	for i := 0; i < workers; i++ {
-		f.workers = append(f.workers, mario.NewShardWorker(wl, nil))
-	}
-	return f
-}
-
-func (f *inProcessFleet) Shards() int    { return f.shards }
-func (f *inProcessFleet) ChunkSize() int { return 3 }
-
-func (f *inProcessFleet) Dispatch(ctx context.Context, shard int, pts []tuner.ShardPoint, inc float64, hasInc bool) ([]tuner.ShardOutcome, error) {
-	var incumbent *float64
-	if hasInc {
-		incumbent = &inc
-	}
-	return f.workers[shard%len(f.workers)].EvalShard(ctx, pts, incumbent)
-}
 
 // sameTotals reports whether two simulation results agree bit for bit on
 // everything a candidate stores of one.
@@ -65,14 +32,15 @@ func sameTotals(a, b *sim.Result) bool {
 func TestTraceTimelinesRecomputable(t *testing.T) {
 	ckpt := true
 	auto8 := mario.Config{PipelineScheme: "Auto", NumDevices: 8, GlobalBatchSize: 64, MemoryPerDevice: "40G"}
+	auto8w3 := auto8
+	auto8w3.Workers = 3
 	for _, tc := range []struct {
 		name, model string
 		conf        mario.Config
-		fleet       bool // plan through a 3×2 in-process fleet
 		long        bool
 	}{
 		{name: "gpt1.6b-8-auto", model: "GPT3-1.6B", conf: auto8},
-		{name: "gpt1.6b-8-auto-fleet-3x2", model: "GPT3-1.6B", conf: auto8, fleet: true},
+		{name: "gpt1.6b-8-auto-workers-3", model: "GPT3-1.6B", conf: auto8w3},
 		{name: "hetero-8-coopt", model: "GPT3-13B", conf: heteroConf("coopt")},
 		{name: "zbh1-16", model: "GPT3-13B", conf: mario.Config{
 			PipelineScheme: "Z", NumDevices: 16, GlobalBatchSize: 64, MemoryPerDevice: "40G"}},
@@ -87,18 +55,13 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 				t.Skip("64-device search; skipped with -short")
 			}
 			model := mario.Model(tc.model)
-			// What the search scored, seen where it scored it: fleet workers
-			// ship no schedules, so the local search of the same space — whose
-			// plan the fleet's must equal byte for byte — is the witness.
+			// What the search scored, seen where it scored it: the Progress
+			// callback of the same search is the witness.
 			scored, err := mario.ScoredSchedules(tc.conf, model)
 			if err != nil {
 				t.Fatal(err)
 			}
-			conf := tc.conf
-			if tc.fleet {
-				conf.Sharder = newInProcessFleet(t, tc.conf, model, 3, 2)
-			}
-			fresh, err := mario.Optimize(conf, model)
+			fresh, err := mario.Optimize(tc.conf, model)
 			if err != nil {
 				t.Fatal(err)
 			}

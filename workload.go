@@ -20,8 +20,8 @@ import (
 // Workloads are one search with one plan, however they were spelled — an absent
 // field and its default written out, "Auto" and " auto ", a memory budget given
 // as "40G" or as the hardware's MemBytes — and what belongs to a run rather
-// than to the workload (Workers, Progress, Tracer, Metrics, Sharder, a
-// service's timeout) has no field here to get into. Resolve is the only way to
+// than to the workload (Workers, Progress, Tracer, Metrics, a service's
+// timeout) has no field here to get into. Resolve is the only way to
 // make one; treat it as read-only (its slices may be the Config's, or shared
 // defaults).
 type Workload struct {
@@ -48,8 +48,8 @@ type Workload struct {
 func (w *Workload) Fingerprint() string { return w.fingerprint }
 
 // Resolve validates a Config and a model and applies every default, once: it
-// is the one check in front of the search, for the library (Optimize,
-// NewShardWorker) and for the planning service alike. An error names the field
+// is the one check in front of the search, for the library (Optimize)
+// and for the planning service alike. An error names the field
 // that is wrong; nothing is searched, or built, from a workload that does not
 // resolve.
 func Resolve(conf Config, model ModelConfig) (*Workload, error) {

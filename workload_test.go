@@ -14,7 +14,7 @@ import (
 // either the workload's — set to a valid value that is not its default, it
 // moves Resolve(...).Fingerprint(), because it reaches the search — or a run's,
 // named in runOnly, and then it must not (the plan is bit-identical for every
-// worker count, tracer and fleet: a fingerprint that moved would split the
+// worker count and tracer: a fingerprint that moved would split the
 // cache). A field added to Config without a line in one of the two tables
 // fails: whether it is part of a workload's identity is decided, not
 // inherited. NoPrune and NoBnB are the workload's — they change the trace and
@@ -47,7 +47,6 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		"Workers":  func(c *mario.Config) { c.Workers = 7 },
 		"Tracer":   func(c *mario.Config) { c.Tracer = telemetry.New("another-fingerprint") },
 		"Metrics":  func(c *mario.Config) { c.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry()) },
-		"Sharder":  func(c *mario.Config) { c.Sharder = newInProcessFleet(t, base(), model, 1, 1) },
 	}
 	fingerprint := func(set func(*mario.Config)) string {
 		t.Helper()
