@@ -144,12 +144,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpeeds -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/place
 
 # Doc-comment lint for the packages whose contracts must live in the source:
-# internal/sim (what an engine reuses and what it re-derives), internal/pipeline (COW
-# schedule rules), internal/scheme (the generator registry contract) and the
-# planning service's public surface (internal/serve and its client).
+# internal/sim (what an engine reuses and what it re-derives), internal/graph
+# (the passes' options and the prepose scan), internal/cluster (the emulator's
+# machine and its link model), internal/pipeline (COW schedule rules),
+# internal/scheme (the generator registry contract) and the planning service's
+# public surface (internal/serve and its client).
 # Dependency-free (cmd/exportlint, go/ast).
 lint:
-	$(GO) run ./cmd/exportlint ./internal/sim ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place
+	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place
 
 # End-to-end smoke of the mariod planning service: boots the daemon on a
 # loopback port, plans a small workload through the Go client (fresh run,

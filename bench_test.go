@@ -438,36 +438,6 @@ func BenchmarkAblationPasses(b *testing.B) {
 	b.ReportMetric(tSplit, "t-splitbw")
 }
 
-// BenchmarkAblationLinkSemantics compares eager FIFO links against fully
-// synchronous rendezvous sends on a fill-drain pipeline (the only schedule
-// shape that is deadlock-free under pure rendezvous).
-func BenchmarkAblationLinkSemantics(b *testing.B) {
-	s, err := scheme.Build(pipeline.SchemeGPipe, scheme.Config{Devices: 8, Micros: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	est, err := cost.Analytic(cost.AnalyticConfig{Model: cost.GPT3_1_6B, HW: cost.A100_40G, Stages: 8, MicroBatch: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		rdv  bool
-	}{{"eager", false}, {"rendezvous", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				r, err := sim.Simulate(s, est, sim.Options{Rendezvous: mode.rdv, NoTimeline: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = r.Total
-			}
-			b.ReportMetric(total, "makespan-s")
-		})
-	}
-}
-
 // BenchmarkTuning1024GPU reproduces the paper's large-cluster tuning check
 // (§6.7: "we have tested the tuning on 1024-GPU scenario and it only takes
 // 1060 ms per iteration with 240 configurations"): a 1024-device space with

@@ -82,9 +82,6 @@ type Machine struct {
 	SpeedFactors []float64
 	// Seed makes all jitter reproducible.
 	Seed uint64
-	// LinkBuffer is the channel capacity per link; 0 uses a generous
-	// default (eager sends). Set 1 for nearly-synchronous links.
-	LinkBuffer int
 	// DP is the data-parallel degree for the cool-down all-reduce.
 	DP int
 	// Watchdog is the wall-clock no-progress limit; 0 means 5s. The
@@ -212,10 +209,10 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 	if watchdog <= 0 {
 		watchdog = 5 * time.Second
 	}
-	bufCap := m.LinkBuffer
-	if bufCap <= 0 {
-		bufCap = 4 * s.Micros * s.NumStages()
-	}
+	// Links are eager, as the simulator's are: each channel holds four times
+	// the messages one iteration can put on it, so a send does not wait for
+	// its receive.
+	bufCap := 4 * s.Micros * s.NumStages()
 
 	D := s.NumDevices()
 	var inj *fault.Injector

@@ -72,17 +72,3 @@ func TestClusterRunsOptimizedCheckpointSchedule(t *testing.T) {
 		t.Errorf("cluster %v and simulator %v disagree on the optimized schedule", got.Total, predicted.Total)
 	}
 }
-
-// TestSmallLinkBuffer: a link buffer of one message still completes
-// fill-drain and 1F1B pipelines (sends may block, but consistently ordered
-// receives drain them).
-func TestSmallLinkBuffer(t *testing.T) {
-	for _, sch := range []pipeline.Scheme{pipeline.SchemeGPipe, pipeline.Scheme1F1B} {
-		s := buildSched(t, sch, scheme.Config{Devices: 4, Micros: 8})
-		e := cost.Uniform(4, 1, 2, 0.25)
-		m := &Machine{Truth: e, Seed: 2, LinkBuffer: 1}
-		if _, err := m.Run(s, 1); err != nil {
-			t.Errorf("%s with buffer 1: %v", sch, err)
-		}
-	}
-}

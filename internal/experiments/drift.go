@@ -41,7 +41,7 @@ func Drift(opt Opts) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mach, err := prof.NewMachine(model, devices, mbs, 1)
+	mach, err := prof.NewMachine(model, devices, mbs, 1, nil)
 	if err != nil {
 		return nil, err
 	}

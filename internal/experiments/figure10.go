@@ -67,7 +67,7 @@ func Figure10(opt Opts) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mach, err := prof.NewMachine(model, stages, c.mbs, 1)
+		mach, err := prof.NewMachine(model, stages, c.mbs, 1, nil)
 		if err != nil {
 			return nil, err
 		}

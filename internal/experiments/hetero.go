@@ -73,8 +73,7 @@ func Hetero(opt Opts) (*HeteroResult, error) {
 		if best.Place == nil {
 			return nil, fmt.Errorf("hetero %s: best candidate carries no assignment", mode)
 		}
-		mach, err := prof.NewMachinePartitioned(prof.Model, best.Schedule.NumStages(),
-			best.MicroBatch, 1, best.Place.LayersPerStage, best.Place.RankSpeed)
+		mach, err := prof.NewMachine(prof.Model, best.Schedule.NumStages(), best.MicroBatch, 1, best.Place)
 		if err != nil {
 			return nil, fmt.Errorf("hetero %s: %w", mode, err)
 		}

@@ -15,7 +15,7 @@ import (
 // refuses against the round's incumbent: a candidate that passes the
 // strict-improvement test after all is the error. It returns the schedule the
 // rounds end on (what Optimize returns for the same input) and how many
-// filtered candidates it simulated. opt.Sim must be eager.
+// filtered candidates it simulated.
 func ScanOracle(cur *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, error) {
 	opt.Sim.NoTimeline = true
 	eng := NewEngines()
@@ -44,7 +44,7 @@ func ScanOracle(cur *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, e
 					round, d, r.Total, best.Total, cur)
 			}
 		}
-		next, nextRes, _, err := preposeRound(context.Background(), cur, best, opt, -1, eng)
+		next, nextRes, _, err := preposeRound(context.Background(), cur, best, opt, eng)
 		if err != nil {
 			return nil, checked, err
 		}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -35,13 +34,12 @@ func countKinds(s *pipeline.Schedule) map[pipeline.Kind]int {
 //   - the rewritten schedule still passes pipeline.Validate.
 //
 // It then runs the whole Optimize — the simulator-guided prepose rounds
-// included — and SplitBackward on top of it, under FIFO and under rendezvous
-// links, and requires pipeline.Validate of both results. The passes do not
-// validate what they return and a search validates only its winner, so this is
-// the net under every explored point. Under FIFO links, on equal and on unequal
-// device speeds, ScanOracle replays the rounds with every candidate the
-// critical-chain filter refuses simulated anyway: none may improve, and the
-// replay must end on the schedule Optimize returned.
+// included — and SplitBackward on top of it, and requires pipeline.Validate of
+// both results. The passes do not validate what they return and a search
+// validates only its winner, so this is the net under every explored point. On
+// equal and on unequal device speeds, ScanOracle replays the rounds with every
+// candidate the critical-chain filter refuses simulated anyway: none may
+// improve, and the replay must end on the schedule Optimize returned.
 func FuzzGraphPassInvariants(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(8), uint8(2))
 	f.Add(uint8(1), uint8(4), uint8(6), uint8(2))
@@ -122,44 +120,37 @@ func FuzzGraphPassInvariants(f *testing.F) {
 			t.Fatalf("%s d=%d n=%d v=%d: rewritten schedule invalid: %v", s, d, n, v, err)
 		}
 
-		for _, rdv := range []bool{false, true} {
-			opts := Options{Estimator: cost.Uniform(sched.NumStages(), 1, 2, 0.25),
-				Sim: sim.Options{Rendezvous: rdv, NoTimeline: true}}
-			opt, _, err := Optimize(sched, opts)
-			if rdv && errors.Is(err, sim.ErrDeadlock) {
-				continue // the checkpointed base itself cannot run on blocking sends
-			}
-			if err != nil {
-				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: Optimize: %v", s, d, n, v, rdv, err)
-			}
-			if err := pipeline.Validate(opt); err != nil {
-				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: optimized schedule invalid: %v", s, d, n, v, rdv, err)
-			}
-			if !rdv {
-				hetero := opts
-				hetero.Estimator = cost.Uniform(sched.NumStages(), 1, 2, 0.25)
-				hetero.Estimator.DeviceSpeed = make([]float64, sched.NumDevices())
-				for i := range hetero.Estimator.DeviceSpeed {
-					hetero.Estimator.DeviceSpeed[i] = []float64{1, 0.8, 1.25}[i%3]
-				}
-				final, _, err := ScanOracle(c, opts)
-				if err == nil && final.String() != opt.String() {
-					err = fmt.Errorf("the replay ends on another schedule than Optimize")
-				}
-				if err == nil {
-					_, _, err = ScanOracle(c, hetero)
-				}
-				if err != nil {
-					t.Fatalf("%s d=%d n=%d v=%d: scan filter oracle: %v", s, d, n, v, err)
-				}
-			}
-			split, _, err := SplitBackward(opt, opts)
-			if err != nil {
-				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: SplitBackward: %v", s, d, n, v, rdv, err)
-			}
-			if err := pipeline.Validate(split); err != nil {
-				t.Fatalf("%s d=%d n=%d v=%d rendezvous=%v: split schedule invalid: %v", s, d, n, v, rdv, err)
-			}
+		opts := Options{Estimator: cost.Uniform(sched.NumStages(), 1, 2, 0.25),
+			Sim: sim.Options{NoTimeline: true}}
+		opt, _, err := Optimize(sched, opts)
+		if err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: Optimize: %v", s, d, n, v, err)
+		}
+		if err := pipeline.Validate(opt); err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: optimized schedule invalid: %v", s, d, n, v, err)
+		}
+		hetero := opts
+		hetero.Estimator = cost.Uniform(sched.NumStages(), 1, 2, 0.25)
+		hetero.Estimator.DeviceSpeed = make([]float64, sched.NumDevices())
+		for i := range hetero.Estimator.DeviceSpeed {
+			hetero.Estimator.DeviceSpeed[i] = []float64{1, 0.8, 1.25}[i%3]
+		}
+		final, _, err := ScanOracle(c, opts)
+		if err == nil && final.String() != opt.String() {
+			err = fmt.Errorf("the replay ends on another schedule than Optimize")
+		}
+		if err == nil {
+			_, _, err = ScanOracle(c, hetero)
+		}
+		if err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: scan filter oracle: %v", s, d, n, v, err)
+		}
+		split, _, err := SplitBackward(opt, opts)
+		if err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: SplitBackward: %v", s, d, n, v, err)
+		}
+		if err := pipeline.Validate(split); err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: split schedule invalid: %v", s, d, n, v, err)
 		}
 	})
 }

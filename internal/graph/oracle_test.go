@@ -15,8 +15,7 @@ import (
 // perturbed per-stage costs, memory limits between the device peaks, DP —
 // on equal and on unequal device speeds, and again after each of a few of the
 // harness's single-device mutations that leave the schedule executable, whose
-// critical chains no generator would produce. FIFO links only: rendezvous runs
-// are not filtered.
+// critical chains no generator would produce.
 func TestScanFilterOracle(t *testing.T) {
 	seeds := 96
 	if testing.Short() {
@@ -33,7 +32,6 @@ func TestScanFilterOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		w.Opt.Rendezvous = false
 		if seed%2 == 1 {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			w.Est.DeviceSpeed = make([]float64, w.S.NumDevices())

@@ -187,12 +187,8 @@ type Options struct {
 	// Estimator supplies per-instruction latencies and memory for the
 	// simulator; required by PreposeForward and Optimize.
 	Estimator *cost.Estimator
-	// Sim configures the acceptance simulations (memory limit, DP, link
-	// semantics).
+	// Sim configures the acceptance simulations (memory limit, DP).
 	Sim sim.Options
-	// MaxPrepose bounds the number of forward groups preposed per device;
-	// zero means no bound beyond the schedule length.
-	MaxPrepose int
 	// MaxRounds bounds the iterative pass applications; zero means 16.
 	MaxRounds int
 	// Engines is the simulator bundle the run evaluates on. The caller that
@@ -268,21 +264,12 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	if rounds <= 0 {
 		rounds = 16
 	}
-	// Total prepose budget across rounds: MaxPrepose extra forward groups
-	// per device, unlimited when zero.
-	budget := -1
-	if opt.MaxPrepose > 0 {
-		budget = opt.MaxPrepose * cur.NumDevices()
-	}
 	for r := 0; r < rounds; r++ {
-		if budget == 0 {
-			break
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		rs := opt.Span.Child(telemetry.PhaseRound, fmt.Sprintf("%02d", r+1))
-		next, nextRes, moves, err := preposeRound(ctx, cur, best, inner, budget, eng)
+		next, nextRes, moves, err := preposeRound(ctx, cur, best, inner, eng)
 		if err != nil {
 			rs.Discard()
 			return nil, nil, err
@@ -294,12 +281,6 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 		rs.End()
 		if nextRes == best {
 			break
-		}
-		if moves > 0 && budget > 0 {
-			budget -= moves
-			if budget < 0 {
-				budget = 0
-			}
 		}
 		cur, best = next, nextRes
 	}

@@ -75,12 +75,12 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 	res := s.Resolved()
 	nl := res.NumLinks()
 	f := &e.feas
-	f.sendKeys = growOuter(f.sendKeys, nl)
-	f.recvOrd = growI32(f.recvOrd, nl)
-	f.sentByPC = growI32(f.sentByPC, nl)
-	f.recvWait = growI32(f.recvWait, nl)
-	f.pc = growI32(f.pc, D)
-	f.inQueue = growBools(f.inQueue, D)
+	f.sendKeys = grow(f.sendKeys, nl)
+	f.recvOrd = grow(f.recvOrd, nl)
+	f.sentByPC = grow(f.sentByPC, nl)
+	f.recvWait = grow(f.recvWait, nl)
+	f.pc = grow(f.pc, D)
+	f.inQueue = grow(f.inQueue, D)
 	for l := 0; l < nl; l++ {
 		f.sendKeys[l] = f.sendKeys[l][:0]
 		f.recvOrd[l] = 0
@@ -158,27 +158,15 @@ func (e *Engines) feasible(s *pipeline.Schedule) bool {
 	return done == D
 }
 
-func growOuter(s [][]pipeline.Key, n int) [][]pipeline.Key {
+// grow returns s resized to n, reallocating only when its capacity is short;
+// a reallocation keeps the old elements, so nested buffers survive it.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	grown := make([][]pipeline.Key, n)
-	copy(grown, s)
+	grown := make([]T, n)
+	copy(grown, s[:cap(s)])
 	return grown
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
 }
 
 // A forward group is the contiguous [RecvAct?, CkptForward, SendAct?] run of
@@ -406,12 +394,11 @@ const improveEps = 1e-12
 // each single device, preposing one group on all devices at once (to enable
 // cascaded moves none of which helps alone), and promoting buffered sends.
 // The best strictly-improving, non-OOM candidate wins, and its critical chain
-// becomes eng's. budget bounds the number of group moves this round may
-// perform (negative = unlimited); the round reports how many it used.
+// becomes eng's. The round reports how many group moves its winner made.
 //
 // ctx is checked before each candidate simulation; a cancelled round returns
 // ctx's error.
-func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, budget int, eng *Engines) (*pipeline.Schedule, *sim.Result, int, error) {
+func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, eng *Engines) (*pipeline.Schedule, *sim.Result, int, error) {
 	type cand struct {
 		s     *pipeline.Schedule
 		r     *sim.Result
@@ -448,9 +435,6 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 	var comp *pipeline.Schedule
 	moves := 0
 	for d := 0; d < cur.NumDevices(); d++ {
-		if budget >= 0 && moves >= budget {
-			break
-		}
 		if comp == nil {
 			if !canPrepose(cur.Lists[d]) {
 				continue
@@ -472,19 +456,17 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		}
 		consider(comp, r, moves)
 	}
-	if winner == nil && (budget < 0 || budget >= 1) {
+	if winner == nil {
 		// The per-device scan pays for a candidate in stages: nothing for one
 		// that leaves the incumbent's critical chain whole, a clone and the
 		// untimed feasibility pass for one that deadlocks or mispairs a pop,
-		// a simulation for the rest. Rendezvous links go unfiltered: a post
-		// binds both ends of a transfer, so a chain would have to follow
-		// edges the eager propagation does not record.
+		// a simulation for the rest.
 		for d := 0; d < cur.NumDevices(); d++ {
 			p, ok := nextPrepose(cur, d)
 			if !ok {
 				continue
 			}
-			if !opt.Sim.Rendezvous && eng.offChain(d, p) {
+			if eng.offChain(d, p) {
 				eng.scan.filtered++
 				continue
 			}

@@ -156,60 +156,6 @@ func TestNaivelyMovedSendBreaksFIFO(t *testing.T) {
 	}
 }
 
-// leadingGroups counts forward groups in each device's leading bubble
-// region (before the first backward-like compute).
-func leadingGroups(s *pipeline.Schedule) int {
-	n := 0
-	for _, list := range s.Lists {
-		b := findBoundary(list)
-		if b < 0 {
-			continue
-		}
-		for _, in := range list[:b] {
-			if in.Kind == pipeline.CkptForward || in.Kind == pipeline.Forward {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// TestMaxPreposeBudget: the MaxPrepose bound stops the guided pass from
-// moving more forward groups than its budget allows, and bounding can only
-// cost (never gain) makespan.
-func TestMaxPreposeBudget(t *testing.T) {
-	s := build1f1b(t, 4, 8)
-	e := cost.Uniform(4, 1, 2, 0.25)
-
-	// Reference without any preposing: passes 1-3 only.
-	ref := s.Clone()
-	ApplyCheckpoint(ref)
-	OverlapRecompute(ref)
-	RemoveRedundancy(ref)
-	OverlapRecompute(ref)
-	base := leadingGroups(ref)
-
-	unbounded, ru, err := Optimize(s, Options{Estimator: e})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded, rb, err := Optimize(s, Options{Estimator: e, MaxPrepose: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := 1 * bounded.NumDevices()
-	if moved := leadingGroups(bounded) - base; moved > budget {
-		t.Errorf("bounded run moved %d groups, budget %d", moved, budget)
-	}
-	if leadingGroups(bounded) > leadingGroups(unbounded) {
-		t.Errorf("bounded (%d) preposed more than unbounded (%d)",
-			leadingGroups(bounded), leadingGroups(unbounded))
-	}
-	if rb.Total < ru.Total-1e-9 {
-		t.Errorf("bounded makespan %v beats unbounded %v", rb.Total, ru.Total)
-	}
-}
-
 // TestSplitBackwardRequiresEstimator covers the guard.
 func TestSplitBackwardRequiresEstimator(t *testing.T) {
 	s := build1f1b(t, 2, 2)

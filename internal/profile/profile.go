@@ -24,6 +24,7 @@ import (
 	"mario/internal/cluster"
 	"mario/internal/cost"
 	"mario/internal/pipeline"
+	"mario/internal/place"
 	"mario/internal/regress"
 	"mario/internal/scheme"
 )
@@ -104,30 +105,18 @@ type fit struct {
 
 // NewMachine builds the emulated hardware for a concrete training job: the
 // analytic cost model is the physical truth, and the spec's imperfections
-// are layered on top.
-func (p *Profiler) NewMachine(model cost.ModelConfig, stages, mbs, tp int) (*cluster.Machine, error) {
-	truth, err := cost.Analytic(cost.AnalyticConfig{Model: model, HW: p.HW, Stages: stages, MicroBatch: mbs, TP: tp})
-	if err != nil {
-		return nil, err
+// are layered on top. A non-nil assignment makes the machine mirror it: the
+// truth follows its layer→stage partition, and the machine applies its
+// per-rank speed factors to compute durations itself (the truth estimator
+// carries no DeviceSpeed — declared heterogeneity is a property of the
+// hardware, not of the cost model the planner feeds the simulator). A nil
+// assignment is the even split on a homogeneous cluster.
+func (p *Profiler) NewMachine(model cost.ModelConfig, stages, mbs, tp int, pa *place.Assignment) (*cluster.Machine, error) {
+	var part []int
+	var speeds []float64
+	if pa != nil {
+		part, speeds = pa.LayersPerStage, pa.RankSpeed
 	}
-	return &cluster.Machine{
-		Truth:         truth,
-		Noise:         p.Spec.Noise,
-		ExtraOverhead: p.Spec.ExtraOverhead,
-		MemSlack:      p.Spec.MemSlack,
-		Hetero:        p.Spec.Hetero,
-		Seed:          p.Spec.Seed,
-	}, nil
-}
-
-// NewMachinePartitioned builds the emulated hardware for a training job with
-// an explicit layer→stage partition and declared per-rank speed factors: the
-// analytic truth follows the partition, and the machine applies the speed
-// factors to compute durations itself (the truth estimator carries no
-// DeviceSpeed — declared heterogeneity is a property of the hardware, not of
-// the cost model the planner feeds the simulator). A nil partition keeps the
-// even split; nil speeds mean a homogeneous cluster.
-func (p *Profiler) NewMachinePartitioned(model cost.ModelConfig, stages, mbs, tp int, part []int, speeds []float64) (*cluster.Machine, error) {
 	truth, err := cost.Analytic(cost.AnalyticConfig{Model: model, HW: p.HW, Stages: stages, MicroBatch: mbs, TP: tp, Partition: part})
 	if err != nil {
 		return nil, err
@@ -236,7 +225,7 @@ func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 	var lastFirstExtra, lastLastExtra float64
 	for _, k := range ks {
 		model := p.Model.WithLayers(k * d)
-		mach, err := p.NewMachine(model, d, mbs, tp)
+		mach, err := p.NewMachine(model, d, mbs, tp, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func TestEstimatorEndToEndAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := p.NewMachine(p.Model, d, mbs, 1)
+	mach, err := p.NewMachine(p.Model, d, mbs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFrameworkMemRecovered(t *testing.T) {
 // kind then stage.
 func TestSortedKeysDeterministic(t *testing.T) {
 	p := newProfiler()
-	mach, err := p.NewMachine(p.Model, 4, 1, 1)
+	mach, err := p.NewMachine(p.Model, 4, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"mario"
@@ -160,16 +161,22 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 }
 
 // Timeout resolves the request's deadline against the server's default and
-// ceiling.
+// ceiling (none when max is not positive).
 func (r *PlanRequest) Timeout(def, max time.Duration) time.Duration {
+	ceil := max
+	if ceil <= 0 {
+		ceil = math.MaxInt64
+	}
 	d := def
 	if r.TimeoutSec > 0 {
+		// Compared in seconds: from about 9.2e9 s on, the nanosecond count
+		// overflows a Duration.
+		if r.TimeoutSec >= ceil.Seconds() {
+			return ceil
+		}
 		d = time.Duration(r.TimeoutSec * float64(time.Second))
 	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
+	return min(d, ceil)
 }
 
 // PlanResponse is the body of a successful POST /v1/plan (and the terminal

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mario"
 	"mario/internal/cost"
@@ -264,6 +265,33 @@ func TestRequestConfigPlumbing(t *testing.T) {
 	}
 	if conf.Workers != 3 {
 		t.Errorf("config.Workers = %d, want the resolved value 3", conf.Workers)
+	}
+}
+
+// TestRequestTimeout: timeout_sec resolves against the server's default and
+// ceiling. A request past the ceiling gets the ceiling, however large: from
+// about 9.2e9 s on, the nanoseconds used to overflow a Duration into a negative
+// deadline and an immediate 504.
+func TestRequestTimeout(t *testing.T) {
+	const def, ceil = 5 * time.Minute, 15 * time.Minute
+	for _, tc := range []struct {
+		sec  float64
+		max  time.Duration
+		want time.Duration
+	}{
+		{sec: 0, max: ceil, want: def},
+		{sec: 1.5, max: ceil, want: 1500 * time.Millisecond},
+		{sec: 900, max: ceil, want: ceil},
+		{sec: 1e10, max: ceil, want: ceil},
+		{sec: 1e300, max: ceil, want: ceil},
+		{sec: 0, max: time.Minute, want: time.Minute},
+		{sec: 3600, max: 0, want: time.Hour},
+		{sec: 1e300, max: 0, want: math.MaxInt64},
+	} {
+		r := PlanRequest{TimeoutSec: tc.sec}
+		if got := r.Timeout(def, tc.max); got != tc.want {
+			t.Errorf("timeout_sec %g, ceiling %v: deadline %v, want %v", tc.sec, tc.max, got, tc.want)
+		}
 	}
 }
 

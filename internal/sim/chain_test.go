@@ -105,15 +105,3 @@ func TestCriticalChainTight(t *testing.T) {
 		}
 	}
 }
-
-// TestCriticalChainRendezvous: a rendezvous run leaves no chain behind.
-func TestCriticalChainRendezvous(t *testing.T) {
-	s := build(t, pipeline.SchemeGPipe, scheme.Config{Devices: 4, Micros: 4})
-	var eng sim.Simulator
-	if _, err := eng.Simulate(s, cost.Uniform(s.NumStages(), 5, 9, 1), sim.Options{Rendezvous: true}); err != nil {
-		t.Fatal(err)
-	}
-	if chain := eng.CriticalChain(nil); len(chain) != 0 {
-		t.Fatalf("rendezvous run has a chain of %d segments", len(chain))
-	}
-}

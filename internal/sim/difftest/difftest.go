@@ -8,9 +8,8 @@
 // and estimator changes (a copy under a new pointer, an edit in place), and
 // after every step checks the reused engine's answer against a fresh engine's
 // on the same schedule, failing on the first diverging byte of a canonical
-// encoding — and, in eager mode, checks both against Reference, a naive
-// simulator that shares no code with the engine. Only tests import this
-// package.
+// encoding — and checks both against Reference, a naive simulator that shares
+// no code with the engine. Only tests import this package.
 package difftest
 
 import (
@@ -144,11 +143,6 @@ func newWorkload(rng *rand.Rand, devs, micros int) (*Workload, error) {
 			lo, hi = math.Min(lo, p), math.Max(hi, p)
 		}
 		opt.MemLimit = lo + rng.Float64()*(hi-lo+1)
-	}
-	if rng.Intn(8) == 0 {
-		// Rendezvous is out of the reference simulator's reach; keep a slice
-		// of reused-versus-fresh coverage on it.
-		opt.Rendezvous = true
 	}
 
 	w.S = s
@@ -294,9 +288,6 @@ func (h *Harness) Step() error {
 	fresh, freshErr := sim.Simulate(w.S, w.Est, opt)
 	if err := Compare(got, gotErr, fresh, freshErr); err != nil {
 		return fmt.Errorf("step %d (%s): reused vs fresh engine: %w", h.steps, w.desc, err)
-	}
-	if opt.Rendezvous {
-		return nil
 	}
 	ref, refErr := Reference(w.S, w.Est, opt)
 	if err := compareTiming(fresh, freshErr, ref, refErr); err != nil {

@@ -32,21 +32,20 @@ func TestEngineReuseVsFreshRandomized(t *testing.T) {
 
 // TestEngineReuseVsFreshEdgeSchedules pins the equivalence on the shapes the
 // random generator visits rarely: single device, one micro-batch, two-device
-// minimum pipelines, and a rendezvous workload.
+// minimum pipelines, and a fixed seed on a plain four-device 1F1B.
 func TestEngineReuseVsFreshEdgeSchedules(t *testing.T) {
 	cases := []struct {
 		name    string
 		scheme  pipeline.Scheme
 		devs    int
 		micros  int
-		rdv     bool
 		memLim  float64
 		mutates int
 	}{
 		{name: "single-device", scheme: pipeline.Scheme1F1B, devs: 1, micros: 4, mutates: 6},
 		{name: "one-micro", scheme: pipeline.Scheme1F1B, devs: 3, micros: 1, mutates: 6},
 		{name: "two-device", scheme: pipeline.Scheme1F1B, devs: 2, micros: 2, mutates: 8},
-		{name: "rendezvous", scheme: pipeline.Scheme1F1B, devs: 4, micros: 4, rdv: true, mutates: 6},
+		{name: "four-device", scheme: pipeline.Scheme1F1B, devs: 4, micros: 4, mutates: 6},
 		{name: "memlimited", scheme: pipeline.Scheme1F1B, devs: 4, micros: 6, memLim: 1, mutates: 10},
 	}
 	for _, tc := range cases {
@@ -58,7 +57,7 @@ func TestEngineReuseVsFreshEdgeSchedules(t *testing.T) {
 			w := &Workload{
 				S:   s,
 				Est: cost.Uniform(s.NumStages(), 5, 9, 1),
-				Opt: sim.Options{Rendezvous: tc.rdv, MemLimit: tc.memLim},
+				Opt: sim.Options{MemLimit: tc.memLim},
 			}
 			w.seed(7)
 			h := &Harness{W: w}

@@ -15,19 +15,16 @@ type node struct{ d, i int }
 // gradients travel on independent tagged channels).
 type link struct{ from, to, ch int }
 
-// Reference is the naive reference simulator for eager sends: explicit
-// dependency edges — list order on a device, and on every link the k-th send
-// feeding the k-th receive (FIFO order), which must be its matched partner —
-// resolved by one Kahn pass, with the arithmetic the paper's model states
-// (compute ends at start + dur, a send at start + overhead, a receive at
-// max(start + overhead, arrive)). It keeps no caches and reuses nothing, and
-// fills Total and Timeline only. The schedule's communication instructions
+// Reference is the naive reference simulator: explicit dependency edges — list
+// order on a device, and on every eager link the k-th send feeding the k-th
+// receive (FIFO order), which must be its matched partner — resolved by one
+// Kahn pass, with the arithmetic the paper's model states (compute ends at
+// start + dur, a send at start + overhead, a receive at max(start + overhead,
+// arrive)). It keeps no caches and reuses nothing, and fills Total and
+// Timeline only. The schedule's communication instructions
 // must all have a partner, which Validate guarantees and the harness's
 // mutations preserve.
 func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.Result, error) {
-	if opt.Rendezvous {
-		return nil, fmt.Errorf("difftest: the reference simulator models eager sends only")
-	}
 	dp := max(opt.DP, 1)
 	linkAt := func(d int, in pipeline.Instr) link {
 		l := link{from: d, to: s.PeerDevice(d, in)}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
@@ -29,10 +28,6 @@ type devState struct {
 	metas []meta
 	// comm indexes the communication instructions of list, in list order.
 	comm []int32
-	// posted[i] is the time the device reached instruction i (NaN before);
-	// done[i] the completion time of rendezvous receive i. Only maintained in
-	// rendezvous mode — eager propagation never reads them.
-	posted, done []float64
 
 	arDur  float64 // AllReduce duration for this device's stage set
 	slow   float64 // compute slowdown multiplier (1 = nominal speed)
@@ -48,9 +43,9 @@ type devState struct {
 // package-level Simulate whatever it simulated before, and a caller may edit a
 // list or an estimator in place between calls. What carries over is capacity:
 // the per-device metadata, the memory walk and the propagation buffers (ready
-// queue, FIFO links, rendezvous scratch) are reused when they are big enough,
-// so steady-state re-simulation performs O(1) heap allocations per call
-// regardless of schedule size.
+// queue, FIFO links) are reused when they are big enough, so steady-state
+// re-simulation performs O(1) heap allocations per call regardless of schedule
+// size.
 //
 // The zero value is ready to use. A Simulator is not safe for concurrent use;
 // give each worker goroutine its own.
@@ -63,7 +58,6 @@ type Simulator struct {
 	// res is the simulated schedule's resolved placement: the resident
 	// stages, the link ids and the communication slots idx is laid out by.
 	res     *pipeline.Resolved
-	rdv     bool
 	nStages int
 
 	devs []devState
@@ -90,10 +84,6 @@ type Simulator struct {
 	// linkWait[l] is the device blocked on link l's empty FIFO (-1 none);
 	// each link has exactly one receiver, so one slot suffices.
 	linkWait []int32
-	// rdvWaiters[d] lists devices blocked on a rendezvous peer post by d;
-	// waitIdx[w] is the peer instruction index waiter w is watching.
-	rdvWaiters [][]int32
-	waitIdx    []int32
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation,
@@ -107,7 +97,7 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 	if dp <= 0 {
 		dp = 1
 	}
-	m.bind(s, e, dp, opt.Rendezvous)
+	m.bind(s, e, dp)
 	for d := range m.devs {
 		m.rebuildDevice(s, e, d)
 	}
@@ -152,8 +142,8 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 // bind derives everything the call's arguments fix above the instruction
 // level: the placement view, the duration table, each device's slowdown,
 // all-reduce time and static memory, and an empty communication index.
-func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int, rdv bool) {
-	m.res, m.rdv, m.nStages = s.Resolved(), rdv, s.NumStages()
+func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
+	m.res, m.nStages = s.Resolved(), s.NumStages()
 	m.devs = grow(m.devs, s.NumDevices())
 	for d := range m.devs {
 		ds := &m.devs[d]
@@ -207,10 +197,6 @@ func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int
 		m.mem.Step(in)
 	}
 	ds.peak = m.mem.Peak()
-	if m.rdv {
-		ds.posted = grow(ds.posted, len(list))
-		ds.done = grow(ds.done, len(list))
-	}
 }
 
 // resolveMatches points every communication instruction at its matched peer.
@@ -330,18 +316,6 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 		m.fifoHead[l] = 0
 		m.linkWait[l] = -1
 	}
-	if opt.Rendezvous {
-		for d := range m.devs {
-			ds := &m.devs[d]
-			fillNaN(ds.posted)
-			fillNaN(ds.done)
-		}
-		m.rdvWaiters = grow(m.rdvWaiters, D)
-		for d := 0; d < D; d++ {
-			m.rdvWaiters[d] = m.rdvWaiters[d][:0]
-		}
-		m.waitIdx = grow(m.waitIdx, D)
-	}
 	m.inQueue = grow(m.inQueue, D)
 	m.queue = m.queue[:0]
 	for d := 0; d < D; d++ {
@@ -354,9 +328,6 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 		m.inQueue[d] = false
 		if err := m.runDevice(d, e, opt, res); err != nil {
 			return err
-		}
-		if opt.Rendezvous {
-			m.wakeRendezvous(d)
 		}
 	}
 
@@ -381,68 +352,36 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 	for i < len(list) {
 		mt := &metas[i]
 		start := clock
-		if opt.Rendezvous && math.IsNaN(ds.posted[i]) {
-			ds.posted[i] = start
-		}
 		switch mt.class {
 		case classCompute:
 			clock = start + mt.dur
 		case classSend:
-			if opt.Rendezvous {
-				peer := &m.devs[mt.matchDev]
-				peerPost := peer.posted[mt.matchIdx]
-				if math.IsNaN(peerPost) {
-					m.waitIdx[d] = mt.matchIdx
-					m.rdvWaiters[mt.matchDev] = append(m.rdvWaiters[mt.matchDev], int32(d))
-					goto blocked
-				}
-				t := max64(start, peerPost) + e.LaunchOverhead + mt.comm
-				peer.done[mt.matchIdx] = t
-				clock = t
-			} else {
-				clock = start + e.LaunchOverhead
-				m.fifos[mt.link] = append(m.fifos[mt.link], fifoMsg{
-					dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm,
-				})
-				if w := m.linkWait[mt.link]; w >= 0 {
-					m.linkWait[mt.link] = -1
-					m.enqueue(w)
-				}
+			clock = start + e.LaunchOverhead
+			m.fifos[mt.link] = append(m.fifos[mt.link], fifoMsg{
+				dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm,
+			})
+			if w := m.linkWait[mt.link]; w >= 0 {
+				m.linkWait[mt.link] = -1
+				m.enqueue(w)
 			}
 		case classRecv:
-			if opt.Rendezvous {
-				if t := ds.done[i]; !math.IsNaN(t) {
-					clock = t
-					break
-				}
-				peerPost := m.devs[mt.matchDev].posted[mt.matchIdx]
-				if math.IsNaN(peerPost) {
-					m.waitIdx[d] = mt.matchIdx
-					m.rdvWaiters[mt.matchDev] = append(m.rdvWaiters[mt.matchDev], int32(d))
-					goto blocked
-				}
-				t := max64(start, peerPost) + e.LaunchOverhead + mt.comm
-				ds.done[i] = t
-				clock = t
-			} else {
-				q := m.fifos[mt.link]
-				h := m.fifoHead[mt.link]
-				if h >= len(q) {
-					m.linkWait[mt.link] = int32(d)
-					goto blocked
-				}
-				msg := q[h]
-				if int(msg.dev) != d || int(msg.idx) != i {
-					m.pc[d], m.clock[d] = i, clock
-					return fmt.Errorf("%w: device %d expects %s but link head is for dev%d[%d]",
-						ErrCommMismatch, d, list[i], msg.dev, msg.idx)
-				}
-				m.fifoHead[mt.link] = h + 1
-				clock = start + e.LaunchOverhead
-				mt.late = msg.arrive > clock
-				if mt.late {
-					clock = msg.arrive
-				}
+			q := m.fifos[mt.link]
+			h := m.fifoHead[mt.link]
+			if h >= len(q) {
+				m.linkWait[mt.link] = int32(d)
+				goto blocked
+			}
+			msg := q[h]
+			if int(msg.dev) != d || int(msg.idx) != i {
+				m.pc[d], m.clock[d] = i, clock
+				return fmt.Errorf("%w: device %d expects %s but link head is for dev%d[%d]",
+					ErrCommMismatch, d, list[i], msg.dev, msg.idx)
+			}
+			m.fifoHead[mt.link] = h + 1
+			clock = start + e.LaunchOverhead
+			mt.late = msg.arrive > clock
+			if mt.late {
+				clock = msg.arrive
 			}
 		}
 		if !opt.NoTimeline {
@@ -466,11 +405,10 @@ type Segment struct{ Dev, Lo, Hi int32 }
 // or at index 0, and left at Hi by that send or at the list's end. Within a
 // segment every instruction costs its duration (a send or a receive the launch
 // overhead), an edge between segments the transfer latency, and the sum is the
-// run's Total. Ties go to list order. Only a successful eager run leaves a
-// chain behind: after an error the walk is meaningless, and under rendezvous
-// links, whose posts bind in both directions, dst comes back as it was.
+// run's Total. Ties go to list order. Only a successful run leaves a chain
+// behind: after an error the walk is meaningless.
 func (m *Simulator) CriticalChain(dst []Segment) []Segment {
-	if m.rdv || len(m.devs) == 0 {
+	if len(m.devs) == 0 {
 		return dst
 	}
 	d := 0
@@ -494,25 +432,6 @@ func (m *Simulator) CriticalChain(dst []Segment) []Segment {
 	return dst
 }
 
-// wakeRendezvous re-enqueues every device whose awaited post on d appeared
-// during d's last run segment.
-func (m *Simulator) wakeRendezvous(d int) {
-	ws := m.rdvWaiters[d]
-	if len(ws) == 0 {
-		return
-	}
-	posted := m.devs[d].posted
-	kept := ws[:0]
-	for _, w := range ws {
-		if math.IsNaN(posted[m.waitIdx[w]]) {
-			kept = append(kept, w)
-		} else {
-			m.enqueue(w)
-		}
-	}
-	m.rdvWaiters[d] = kept
-}
-
 func (m *Simulator) enqueue(d int32) {
 	if !m.inQueue[d] {
 		m.inQueue[d] = true
@@ -529,11 +448,4 @@ func grow[T any](s []T, n int) []T {
 	grown := make([]T, n)
 	copy(grown, s[:cap(s)])
 	return grown
-}
-
-func fillNaN(s []float64) {
-	nan := math.NaN()
-	for i := range s {
-		s[i] = nan
-	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -54,8 +55,6 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 		{"notimeline", Options{NoTimeline: true}},
 		{"dp4", Options{DP: 4}},
 		{"oom", Options{MemLimit: 1}}, // absurdly small: every device OOMs
-		{"rendezvous", Options{Rendezvous: true}},
-		{"rendezvous-notimeline", Options{Rendezvous: true, NoTimeline: true}},
 	}
 
 	eng := &Simulator{}
@@ -104,37 +103,40 @@ func TestSimulatorIncrementalEdits(t *testing.T) {
 }
 
 // TestSimulatorErrorPathsMatch pins the two hand-built failure modes — a
-// rendezvous cycle (deadlock) and an eager send/recv reorder (comm
-// mismatch) — and requires the engine to report byte-identical errors, then
-// to recover on the next valid schedule.
+// receive cycle (deadlock) and a send/recv reorder (comm mismatch) — and
+// requires the engine to report byte-identical errors, then to recover on the
+// next valid schedule.
 func TestSimulatorErrorPathsMatch(t *testing.T) {
 	e := cost.Uniform(2, 1, 2, 0.25)
 	eng := &Simulator{}
 
-	// Deadlock under rendezvous: dev0 sends before receiving, dev1 sends
-	// before receiving — a circular wait.
+	// Deadlock: each device receives before it sends what the other waits
+	// for — a circular wait no eager send can break.
 	dead := &pipeline.Schedule{
 		Scheme:    pipeline.Scheme1F1B,
 		Placement: pipeline.NewLinearPlacement(2),
 		Micros:    1,
 		Lists: [][]pipeline.Instr{
 			{
+				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
 				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
 				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
 				{Kind: pipeline.Backward, Micro: 0, Stage: 0},
 			},
 			{
-				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
 				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
 				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
 				{Kind: pipeline.Backward, Micro: 0, Stage: 1},
+				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
 			},
 		},
 	}
-	assertSameOutcome(t, "deadlock", eng, dead, e, Options{Rendezvous: true})
+	assertSameOutcome(t, "deadlock", eng, dead, e, Options{})
+	if _, err := eng.Simulate(dead, e, Options{}); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("receive cycle: err = %v, want ErrDeadlock", err)
+	}
 
-	// Comm mismatch under eager FIFOs: dev0 sends micro 0 then 1, dev1
+	// Comm mismatch: dev0 sends micro 0 then 1, dev1
 	// receives micro 1 then 0.
 	mism := &pipeline.Schedule{
 		Scheme:    pipeline.Scheme1F1B,

@@ -8,6 +8,11 @@
 // critical path. It also performs the device-level memory simulation and
 // flags out-of-memory configurations.
 //
+// Communication is eager, as NCCL-style tagged p2p is: a send completes into a
+// FIFO link per (sender, receiver, channel) after the launch overhead, and a
+// receive pops the link's head — which must be its matched send — ending at
+// max(start + overhead, arrival).
+//
 // The paper reports ~700 ms to simulate GPT3-13B (64 micro-batches, Chimera,
 // 32 GPUs); this implementation precomputes all cross-device matches into
 // flat arrays so the propagation loop runs allocation-free, and simulates
@@ -21,8 +26,9 @@ import (
 	"mario/internal/pipeline"
 )
 
-// ErrDeadlock is returned when rendezvous communication can make no
-// progress; the error text names a blocked instruction.
+// ErrDeadlock is returned when communication can make no progress — every
+// unfinished device waits on a receive whose send is never reached (an eager
+// receive cycle); the error text names a blocked instruction.
 var ErrDeadlock = errors.New("sim: communication deadlock")
 
 // ErrCommMismatch is returned when a receive pops a message other than the
@@ -36,12 +42,6 @@ type Options struct {
 	// DP is the data-parallel degree; it sizes the cool-down all-reduce.
 	// Zero means 1 (no data parallelism).
 	DP int
-	// Rendezvous makes sends block until the matching receive is posted
-	// (fully synchronous p2p). The default is eager sends through a FIFO
-	// link per device pair and channel, which matches NCCL-style tagged
-	// p2p: a send completes into the link buffer, and receives must pop
-	// messages in send order.
-	Rendezvous bool
 	// MemLimit is the per-device memory capacity in bytes; peaks above it
 	// mark the result OOM. Zero disables the check.
 	MemLimit float64
@@ -123,7 +123,7 @@ type meta struct {
 	link int32
 	// compute marks kinds counted into ComputeBusy.
 	compute bool
-	// late is run state, not metadata: the last eager run found this
+	// late is run state, not metadata: the last run found this
 	// receive's message arriving after the device reached it, so its start
 	// was fixed by the matched send, not by list order. Every run rewrites
 	// it on every receive; CriticalChain reads it.
@@ -139,11 +139,4 @@ type meta struct {
 func Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {
 	var eng Simulator
 	return eng.Simulate(s, e, opt)
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

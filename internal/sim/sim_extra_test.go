@@ -30,10 +30,10 @@ func simulate(t *testing.T, s *pipeline.Schedule, e *cost.Estimator, opt sim.Opt
 	return r
 }
 
-// TestRendezvousDeadlockDetected: a crossed schedule (receive posted before
-// the send it transitively depends on) is reported as sim.ErrDeadlock under
-// rendezvous semantics instead of looping forever.
-func TestRendezvousDeadlockDetected(t *testing.T) {
+// TestDeadlockDetected: a crossed schedule (receive posted before the send it
+// transitively depends on) is reported as sim.ErrDeadlock instead of looping
+// forever — the receive waits on a message whose producer is blocked behind it.
+func TestDeadlockDetected(t *testing.T) {
 	pl := pipeline.NewLinearPlacement(2)
 	s := &pipeline.Schedule{
 		Scheme:    pipeline.Scheme1F1B,
@@ -55,13 +55,8 @@ func TestRendezvousDeadlockDetected(t *testing.T) {
 		},
 	}
 	e := cost.Uniform(2, 1, 2, 0.25)
-	if _, err := sim.Simulate(s, e, sim.Options{Rendezvous: true}); !errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	// The same cross also deadlocks under eager FIFO semantics (the recv
-	// waits on a message whose producer is blocked behind it).
 	if _, err := sim.Simulate(s, e, sim.Options{}); !errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("eager err = %v, want ErrDeadlock", err)
+		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 }
 

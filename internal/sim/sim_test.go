@@ -53,17 +53,6 @@ func TestGPipeIdealMakespan(t *testing.T) {
 	}
 }
 
-// TestGPipeRendezvous runs GPipe under fully synchronous sends; the
-// fill-drain structure must not deadlock.
-func TestGPipeRendezvous(t *testing.T) {
-	s := build(t, pipeline.SchemeGPipe, scheme.Config{Devices: 4, Micros: 4})
-	e := cost.Uniform(4, 1, 2, 0.25)
-	r := simulate(t, s, e, Options{Rendezvous: true})
-	if r.Total <= 0 {
-		t.Fatalf("rendezvous GPipe produced non-positive makespan %v", r.Total)
-	}
-}
-
 // TestTimelineMonotonic checks that per-device spans are non-overlapping and
 // ordered on every scheme.
 func TestTimelineMonotonic(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"mario/internal/cluster"
 	"mario/internal/fault"
 	"mario/internal/place"
 	"mario/internal/profile"
@@ -200,14 +199,7 @@ func RobustnessContext(ctx context.Context, prof *profile.Profiler, trace []Cand
 		// re-scored on a machine that mirrors it: the emulator's truth
 		// estimator carries the same layer split and the machine applies the
 		// same per-rank speed factors the simulator scored with.
-		var mach *cluster.Machine
-		var err error
-		if c.Place != nil {
-			mach, err = prof.NewMachinePartitioned(prof.Model, c.Schedule.NumStages(), c.MicroBatch, tp,
-				c.Place.LayersPerStage, c.Place.RankSpeed)
-		} else {
-			mach, err = prof.NewMachine(prof.Model, c.Schedule.NumStages(), c.MicroBatch, tp)
-		}
+		mach, err := prof.NewMachine(prof.Model, c.Schedule.NumStages(), c.MicroBatch, tp, c.Place)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mario/internal/cluster"
 	"mario/internal/cost"
 	"mario/internal/fault"
 	"mario/internal/obs"
@@ -370,14 +369,7 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	// that mirrors it: the truth estimator carries the same layer split and
 	// the emulator applies the same per-rank speed factors the simulator
 	// scored with.
-	var mach *cluster.Machine
-	var err error
-	if pa := p.Best.Place; pa != nil {
-		mach, err = p.Profiler.NewMachinePartitioned(p.Profiler.Model, stages, p.Best.MicroBatch, tp,
-			pa.LayersPerStage, pa.RankSpeed)
-	} else {
-		mach, err = p.Profiler.NewMachine(p.Profiler.Model, stages, p.Best.MicroBatch, tp)
-	}
+	mach, err := p.Profiler.NewMachine(p.Profiler.Model, stages, p.Best.MicroBatch, tp, p.Best.Place)
 	if err != nil {
 		return nil, err
 	}
