@@ -291,31 +291,36 @@ func BenchmarkClusterRun(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRunObs compares the emulated execution with no sink, with
-// a recording sink, and with a JSONL sink. Run with -benchmem: the "nil"
-// case is the zero-cost-when-disabled guard — it must allocate no event
-// storage on top of BenchmarkClusterRun.
+// BenchmarkClusterRunObs compares the emulated execution without event
+// collection, with it, and with the collected events written out as JSONL.
+// Run with -benchmem: the "off" case is the zero-cost-when-disabled guard —
+// it must allocate no event storage on top of BenchmarkClusterRun.
 func BenchmarkClusterRunObs(b *testing.B) {
 	s, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: 8, Micros: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name string
-		sink func() obs.Sink
+		name           string
+		collect, jsonl bool
 	}{
-		{"nil", func() obs.Sink { return nil }},
-		{"recorder", func() obs.Sink { return &obs.Recorder{} }},
-		{"jsonl", func() obs.Sink { return obs.NewJSONL(io.Discard) }},
+		{"off", false, false},
+		{"collect", true, false},
+		{"jsonl", true, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			m := &cluster.Machine{Truth: cost.Uniform(8, 1, 2, 0.25), Noise: 0.05, Seed: 1}
+			m := &cluster.Machine{Truth: cost.Uniform(8, 1, 2, 0.25), Noise: 0.05, Seed: 1, CollectEvents: mode.collect}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Sink = mode.sink()
-				if _, err := m.Run(s, 1); err != nil {
+				rep, err := m.Run(s, 1)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if mode.jsonl {
+					if err := obs.WriteJSONL(io.Discard, rep.Events); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -334,19 +339,18 @@ func BenchmarkDriftReport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := &obs.Recorder{}
-	m := &cluster.Machine{Truth: est, Noise: 0.05, Seed: 1, Sink: rec}
+	m := &cluster.Machine{Truth: est, Noise: 0.05, Seed: 1, CollectEvents: true}
 	rep, err := m.Run(s, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := obs.Compute(rec.Events, rep.Total)
+		st := obs.Compute(rep.Events, rep.Total)
 		if st.Instrs == 0 {
 			b.Fatal("no instructions")
 		}
-		if r := obs.ComputeDrift(rec.Events, pred, rep.PeakMem); len(r.Kinds) == 0 {
+		if r := obs.ComputeDrift(rep.Events, pred, rep.PeakMem); len(r.Kinds) == 0 {
 			b.Fatal("empty drift report")
 		}
 	}
@@ -500,8 +504,7 @@ func BenchmarkTunerSearch(b *testing.B) {
 			if _, _, err := tn.Search(space); err != nil {
 				b.Fatal(err)
 			}
-			st := tn.StatsSnapshot()
-			explored, pruned = st.Explored, st.BoundPruned
+			explored, pruned = tn.Stats.Explored, tn.Stats.BoundPruned
 		}
 		b.ReportMetric(float64(explored), "explored")
 		b.ReportMetric(float64(pruned), "bound-pruned")
@@ -556,7 +559,7 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 			if _, _, err := tn.Search(space); err != nil {
 				b.Fatal(err)
 			}
-			st = tn.StatsSnapshot()
+			st = tn.Stats
 		}
 		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
 		b.ReportMetric(float64(st.Explored), "explored")
@@ -660,9 +663,9 @@ func BenchmarkTelemetryOff(b *testing.B) {
 // against a live Tracer and registry-backed metrics, so the per-span cost of
 // actually tracing is visible next to the off path.
 func BenchmarkTelemetryOn(b *testing.B) {
-	tr := telemetry.New("benchfingerprint").WithMetrics(telemetry.NewSearchMetrics(telemetry.NewRegistry()))
+	tr := telemetry.New("benchfingerprint")
 	root := tr.Root(telemetry.PhaseOptimize, "")
-	m := tr.Metrics()
+	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

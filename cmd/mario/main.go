@@ -323,11 +323,7 @@ func main() {
 		if *eventsPath != "" {
 			f, err := os.Create(*eventsPath)
 			if err == nil {
-				sink := obs.NewJSONL(f)
-				for _, e := range rep.Events {
-					sink.Emit(e)
-				}
-				err = sink.Flush()
+				err = obs.WriteJSONL(f, rep.Events)
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}

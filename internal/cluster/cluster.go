@@ -12,11 +12,11 @@
 // conservative parallel discrete-event simulation in which the channel
 // blocking itself enforces causality.
 //
-// A Machine can carry an obs.Sink: each device then records one obs.Event
-// per executed instruction (virtual start/end, p2p queue wait, modeled
-// memory) in a device-local slice and the stream is delivered after the run
-// in deterministic order. A nil sink allocates no events and perturbs
-// neither virtual time nor the jitter streams.
+// A Machine can collect events: each device then records one obs.Event per
+// executed instruction (virtual start/end, p2p queue wait, modeled memory) in
+// a device-local slice, and the report returns the stream in deterministic
+// order. A machine that does not collect allocates no events, and collecting
+// perturbs neither virtual time nor the jitter streams.
 package cluster
 
 import (
@@ -88,11 +88,11 @@ type Machine struct {
 	// watchdog re-arms whenever any device executes an instruction, so
 	// long runs do not trip it as long as they keep making progress.
 	Watchdog time.Duration
-	// Sink, when non-nil, receives one obs.Event per executed instruction
-	// after the run completes, device-major in execution order. The event
-	// stream is deterministic for a fixed seed and does not perturb the
-	// run: a nil sink allocates no events.
-	Sink obs.Sink
+	// CollectEvents makes the run fill Report.Events with one obs.Event per
+	// executed instruction, device-major in execution order. The event
+	// stream is deterministic for a fixed seed and does not perturb the run;
+	// without it no events are allocated.
+	CollectEvents bool
 	// Faults, when non-nil, degrades the run under the fault plan: compute
 	// slowdowns, link latency/bandwidth/drop faults with bounded retry, and
 	// whole-device stall windows — all in virtual time, so a faulted run is
@@ -139,6 +139,9 @@ type Report struct {
 	FaultDrops  int
 	FaultStall  float64
 	FaultSlowed int
+	// Events is the measured event stream, device-major in execution order;
+	// nil unless Machine.CollectEvents was set.
+	Events []obs.Event
 }
 
 type message struct {
@@ -271,7 +274,7 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 			devRNG := newRNG(m.Seed^0xDEC0DE, uint64(d))
 			r.devFactor = 1 + m.Hetero*devRNG.symmetric()
 			r.speedSlow = slowFactor(m.SpeedFactors, d)
-			if m.Sink != nil {
+			if m.CollectEvents {
 				r.events = make([]obs.Event, 0, len(s.Lists[d])*iters)
 				r.mem = sim.NewMemSim(s, m.Truth, d)
 			}
@@ -383,12 +386,8 @@ watchLoop:
 	if rep.IterTime > 0 {
 		rep.SamplesPerSec = float64(s.Micros*m.Truth.MicroBatch*dp) / rep.IterTime
 	}
-	if m.Sink != nil {
-		for d := 0; d < D; d++ {
-			for _, ev := range results[d].events {
-				m.Sink.Emit(ev)
-			}
-		}
+	for d := 0; d < D; d++ {
+		rep.Events = append(rep.Events, results[d].events...)
 	}
 	return rep, nil
 }
@@ -413,14 +412,14 @@ type devRunner struct {
 	clock     float64
 	// fj is the device's fault-injector view; nil on a healthy run.
 	fj *fault.DeviceInjector
-	// events and mem are nil when the machine has no sink attached; the
+	// events and mem are nil when the machine does not collect events; the
 	// recording path then allocates nothing.
 	events []obs.Event
 	mem    *sim.MemSim
 }
 
 // exec runs one instruction, advancing the device's virtual clock and, when
-// a sink is attached, recording the instruction's event.
+// the machine collects events, recording the instruction's event.
 func (r *devRunner) exec(in pipeline.Instr) error {
 	var stall float64
 	if r.fj != nil {

@@ -33,8 +33,7 @@ func TestSlowdownStretchesRun(t *testing.T) {
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
 	base := mustRun(t, &Machine{Truth: e, Seed: 7}, s, 1)
-	rec := &obs.Recorder{}
-	m := &Machine{Truth: e, Seed: 7, Sink: rec,
+	m := &Machine{Truth: e, Seed: 7, CollectEvents: true,
 		Faults: &fault.Plan{Slowdowns: []fault.Slowdown{{Device: 1, Factor: 2}}}}
 	slow := mustRun(t, m, s, 1)
 	if slow.Total <= base.Total {
@@ -44,7 +43,7 @@ func TestSlowdownStretchesRun(t *testing.T) {
 		t.Error("FaultSlowed counter is zero under a persistent slowdown")
 	}
 	marked := 0
-	for _, ev := range rec.Events {
+	for _, ev := range slow.Events {
 		if ev.FaultSlow != 0 {
 			if ev.Device != 1 {
 				t.Errorf("slowdown annotation on device %d, plan targets device 1", ev.Device)
@@ -150,19 +149,19 @@ func faultedTrace(t *testing.T, seed uint64) []byte {
 	t.Helper()
 	s := buildSched(t, pipeline.SchemeChimera, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
-	var buf bytes.Buffer
-	sink := obs.NewJSONL(&buf)
-	m := &Machine{Truth: e, Noise: 0.05, Seed: 11, Sink: sink,
+	m := &Machine{Truth: e, Noise: 0.05, Seed: 11, CollectEvents: true,
 		Faults: &fault.Plan{
 			Seed:      seed,
 			Slowdowns: []fault.Slowdown{{Device: 2, Factor: 1.4, Start: 0, End: 0.5}},
 			Links:     []fault.LinkFault{{From: -1, To: -1, Channel: fault.ChannelAct, DropProb: 0.05, ExtraLatency: 100e-6}},
 			Stalls:    []fault.Stall{{Device: 0, At: 0.01, Duration: 0.02}},
 		}}
-	if _, err := m.Run(s, 2); err != nil {
+	rep, err := m.Run(s, 2)
+	if err != nil {
 		t.Fatalf("faulted run: %v", err)
 	}
-	if err := sink.Flush(); err != nil {
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, rep.Events); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

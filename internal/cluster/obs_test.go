@@ -16,24 +16,27 @@ import (
 )
 
 // TestSinkDoesNotPerturbRun: the same machine produces byte-identical
-// reports with a recording sink and with none — observability must not touch
+// reports with and without event collection — observability must not touch
 // virtual time or the jitter streams.
 func TestSinkDoesNotPerturbRun(t *testing.T) {
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
 
 	plain := mustRun(t, &Machine{Truth: e, Noise: 0.05, ExtraOverhead: 0.01, Seed: 9}, s, 2)
-	rec := &obs.Recorder{}
-	observed := mustRun(t, &Machine{Truth: e, Noise: 0.05, ExtraOverhead: 0.01, Seed: 9, Sink: rec}, s, 2)
+	observed := mustRun(t, &Machine{Truth: e, Noise: 0.05, ExtraOverhead: 0.01, Seed: 9, CollectEvents: true}, s, 2)
+	if plain.Events != nil {
+		t.Fatalf("a run that did not collect returned %d events", len(plain.Events))
+	}
+	if len(observed.Events) == 0 {
+		t.Fatal("collecting run returned no events")
+	}
 
 	// WatchdogResets depends on wall-clock scheduling, not the virtual run;
-	// mask it before the exact comparison.
+	// mask it (and the collected events) before the exact comparison.
 	plain.WatchdogResets, observed.WatchdogResets = 0, 0
+	observed.Events = nil
 	if !reflect.DeepEqual(plain, observed) {
-		t.Errorf("attaching a sink changed the report:\nplain:    %+v\nobserved: %+v", plain, observed)
-	}
-	if len(rec.Events) == 0 {
-		t.Fatal("recorder saw no events")
+		t.Errorf("collecting events changed the report:\nplain:    %+v\nobserved: %+v", plain, observed)
 	}
 }
 
@@ -43,18 +46,17 @@ func TestEventStreamComplete(t *testing.T) {
 	const iters = 2
 	s := buildSched(t, pipeline.SchemeChimera, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
-	rec := &obs.Recorder{}
-	mustRun(t, &Machine{Truth: e, Noise: 0.02, Seed: 5, Sink: rec}, s, iters)
+	events := mustRun(t, &Machine{Truth: e, Noise: 0.02, Seed: 5, CollectEvents: true}, s, iters).Events
 
 	want := 0
 	for _, list := range s.Lists {
 		want += len(list) * iters
 	}
-	if len(rec.Events) != want {
-		t.Fatalf("got %d events, want %d", len(rec.Events), want)
+	if len(events) != want {
+		t.Fatalf("got %d events, want %d", len(events), want)
 	}
 	lastDev, lastEnd := 0, 0.0
-	for i, ev := range rec.Events {
+	for i, ev := range events {
 		if ev.Device < lastDev {
 			t.Fatalf("event %d: device order regressed (%d after %d)", i, ev.Device, lastDev)
 		}
@@ -83,9 +85,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
 	run := func() []obs.Event {
-		rec := &obs.Recorder{}
-		mustRun(t, &Machine{Truth: e, Noise: 0.05, Seed: 11, Sink: rec}, s, 2)
-		return rec.Events
+		return mustRun(t, &Machine{Truth: e, Noise: 0.05, Seed: 11, CollectEvents: true}, s, 2).Events
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -104,9 +104,8 @@ func TestMeasuredBubbleMatchesPredicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &obs.Recorder{}
-	rep := mustRun(t, &Machine{Truth: e, Seed: 42, Sink: rec}, s, 1)
-	st := obs.Compute(rec.Events, rep.Total)
+	rep := mustRun(t, &Machine{Truth: e, Seed: 42, CollectEvents: true}, s, 1)
+	st := obs.Compute(rep.Events, rep.Total)
 	for d := range st.Devices {
 		got, want := st.BubbleRatio(d), pred.BubbleRatio(d)
 		if math.Abs(got-want) > 1e-6 {
@@ -121,10 +120,9 @@ func TestMeasuredBubbleMatchesPredicted(t *testing.T) {
 func TestEventMemoryMatchesSim(t *testing.T) {
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
-	rec := &obs.Recorder{}
-	mustRun(t, &Machine{Truth: e, Seed: 1, Sink: rec}, s, 1)
+	rep := mustRun(t, &Machine{Truth: e, Seed: 1, CollectEvents: true}, s, 1)
 	want := sim.PeakMemory(s, e)
-	st := obs.Compute(rec.Events, 0)
+	st := obs.Compute(rep.Events, 0)
 	for d := range st.Devices {
 		if got := st.Devices[d].PeakMem; got > want[d]+1e-9 {
 			t.Errorf("dev%d: event memory peak %v exceeds predicted %v", d, got, want[d])

@@ -11,7 +11,7 @@ import (
 
 // DriftResult is the observability demo: one Mario-optimized GPT3-1.6B
 // schedule estimated by the simulator and measured on the emulated cluster
-// with an event recorder attached, then aligned instruction by instruction.
+// with event collection on, then aligned instruction by instruction.
 type DriftResult struct {
 	Config string
 	Stats  *obs.Stats
@@ -19,7 +19,7 @@ type DriftResult struct {
 }
 
 // Drift runs the measured-vs-predicted alignment on a checkpointed 1F1B
-// schedule: it records every executed instruction through an obs.Recorder,
+// schedule: it collects the event of every executed instruction,
 // derives the per-device stats digest, and reports where the cluster's
 // ground truth (jitter, launch overhead, p2p queueing) departs from the
 // simulator's prediction.
@@ -45,18 +45,17 @@ func Drift(opt Opts) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &obs.Recorder{}
-	mach.Sink = rec
+	mach.CollectEvents = true
 	meas, err := mach.Run(sched, iters)
 	if err != nil {
 		return nil, err
 	}
-	stats := obs.Compute(rec.Events, meas.Total)
+	stats := obs.Compute(meas.Events, meas.Total)
 	stats.WatchdogResets = meas.WatchdogResets
 	return &DriftResult{
 		Config: fmt.Sprintf("%s-mbs%d", shapeOf(pipeline.Scheme1F1B, vOvlp), mbs),
 		Stats:  stats,
-		Drift:  obs.ComputeDrift(rec.Events, pred, meas.PeakMem),
+		Drift:  obs.ComputeDrift(meas.Events, pred, meas.PeakMem),
 	}, nil
 }
 

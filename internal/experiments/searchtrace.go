@@ -37,14 +37,13 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 		devices, gbs = 4, 16
 		mbs = []int{1, 2}
 	}
-	tracer := telemetry.New("experiments/searchtrace").
-		WithMetrics(telemetry.NewSearchMetrics(telemetry.NewRegistry()))
+	tracer := telemetry.New("experiments/searchtrace")
 	root := tracer.Root(telemetry.PhaseOptimize, "")
 	tn := &tuner.Tuner{
 		Prof:      newProfiler(cost.GPT3_1_6B),
 		MaxRounds: 1,
 		Span:      root,
-		Metrics:   tracer.Metrics(),
+		Metrics:   telemetry.NewSearchMetrics(telemetry.NewRegistry()),
 	}
 	space := tuner.Space{
 		Devices:      devices,
@@ -76,9 +75,9 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 	return &SearchTraceResult{
 		Best:    best.Label(),
 		Trace:   tracer.Snapshot(),
-		Metrics: tracer.Metrics(),
-		BnB:     tn.StatsSnapshot(),
-		Grid:    gridTn.StatsSnapshot(),
+		Metrics: tn.Metrics,
+		BnB:     tn.Stats,
+		Grid:    gridTn.Stats,
 	}, nil
 }
 

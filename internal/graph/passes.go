@@ -20,31 +20,23 @@ import (
 // a Recompute is inserted immediately before the corresponding Backward, so
 // only one activation replica per stage is live at a time.
 func ApplyCheckpoint(s *pipeline.Schedule) {
-	ApplyCheckpointStages(s, func(int) bool { return true })
-}
-
-// ApplyCheckpointStages applies pass 1 selectively: only stages for which
-// keep returns true are checkpointed. This is the knob AdaPipe-style
-// selective recomputation turns (§8 related work); Mario itself uses the
-// all-stages form and lets remove-redundancy revert the useless cases.
-func ApplyCheckpointStages(s *pipeline.Schedule, keep func(stage int) bool) {
 	for d, list := range s.Lists {
 		// Count the Recompute insertions first so the rewritten list is
 		// allocated exactly once at its final size; this runs on Optimize's
 		// per-call path, where append regrowth is measurable GC pressure.
 		extra := 0
 		for _, in := range list {
-			if (in.Kind == pipeline.Backward || in.Kind == pipeline.BackwardInput) && keep(in.Stage) {
+			if in.Kind == pipeline.Backward || in.Kind == pipeline.BackwardInput {
 				extra++
 			}
 		}
 		out := make([]pipeline.Instr, 0, len(list)+extra)
 		for _, in := range list {
-			switch {
-			case in.Kind == pipeline.Forward && keep(in.Stage):
+			switch in.Kind {
+			case pipeline.Forward:
 				in.Kind = pipeline.CkptForward
 				out = append(out, in)
-			case (in.Kind == pipeline.Backward || in.Kind == pipeline.BackwardInput) && keep(in.Stage):
+			case pipeline.Backward, pipeline.BackwardInput:
 				// On split-backward schedules the recompute precedes the
 				// input-gradient half — the B/W boundary is a legal split
 				// point, and the deferred weight-gradient half reads only the

@@ -205,34 +205,3 @@ func TestOptimizeAllSchemes(t *testing.T) {
 		}
 	}
 }
-
-// TestApplyCheckpointStagesSelective: checkpointing only the first half of
-// the stages reduces memory there and leaves the rest untouched.
-func TestApplyCheckpointStagesSelective(t *testing.T) {
-	const d, n = 4, 8
-	s := build1f1b(t, d, n)
-	e := cost.Uniform(d, 1, 2, 0.125)
-	full := mustSim(t, s, e)
-
-	sel := s.Clone()
-	ApplyCheckpointStages(sel, func(stage int) bool { return stage < d/2 })
-	OverlapRecompute(sel)
-	if err := pipeline.Validate(sel); err != nil {
-		t.Fatalf("selective schedule invalid: %v", err)
-	}
-	res := mustSim(t, sel, e)
-	// Checkpointed early stages shrink dramatically.
-	if res.PeakMem[0] >= full.PeakMem[0]/2 {
-		t.Errorf("stage 0 peak %v not halved from %v", res.PeakMem[0], full.PeakMem[0])
-	}
-	// Untouched late stages keep their baseline footprint.
-	if res.PeakMem[d-1] != full.PeakMem[d-1] {
-		t.Errorf("stage %d peak changed: %v vs %v", d-1, res.PeakMem[d-1], full.PeakMem[d-1])
-	}
-	// No recomputes on unselected stages.
-	for dev := d / 2; dev < d; dev++ {
-		if got := sel.CountKind(dev, pipeline.Recompute); got != 0 {
-			t.Errorf("dev%d has %d recomputes despite not being selected", dev, got)
-		}
-	}
-}

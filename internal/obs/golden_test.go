@@ -25,11 +25,7 @@ func TestJSONLGolden(t *testing.T) {
 		{Device: 1, Iter: 1, Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro, Stage: -1, Peer: -1, Start: 4, End: 4.5},
 	}
 	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
-	for _, e := range events {
-		sink.Emit(e)
-	}
-	if err := sink.Flush(); err != nil {
+	if err := WriteJSONL(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 

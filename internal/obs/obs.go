@@ -1,16 +1,15 @@
 // Package obs is the observability layer of the emulated cluster and the
-// miniature trainer: a pluggable, zero-cost-when-disabled event stream of
+// miniature trainer: a zero-cost-when-disabled event stream of
 // per-instruction execution records, plus the derived artifacts the paper
 // motivates with its timeline figures — per-device utilization/bubble/stall
-// metrics (Fig. 5's measured counterpart), export sinks (Chrome trace,
-// JSONL), and a predicted-vs-measured drift report that extends the Fig. 10
+// metrics (Fig. 5's measured counterpart), the JSONL export, and a
+// predicted-vs-measured drift report that extends the Fig. 10
 // simulator-accuracy machinery down to instruction granularity.
 //
 // Producers (internal/cluster, internal/train) collect events in per-device
-// slices on the hot path — no locks, no clock perturbation — and deliver
-// them to the Sink after the run completes, in deterministic order
-// (device-major, execution order). A nil sink costs nothing: no events are
-// allocated at all.
+// slices on the hot path — no locks, no clock perturbation — and return them
+// with the run's report, in deterministic order (device-major, execution
+// order). A run that does not ask for events allocates none.
 package obs
 
 import (
@@ -110,75 +109,15 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// Sink consumes measured events. Producers call Emit from a single
-// goroutine, after the run completes, in deterministic order; sinks need no
-// internal locking.
-type Sink interface {
-	Emit(Event)
-}
-
-// Recorder is an in-memory sink that retains every event.
-type Recorder struct {
-	Events []Event
-}
-
-// Emit appends the event.
-func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
-
-// Reset drops the recorded events, keeping the backing array.
-func (r *Recorder) Reset() { r.Events = r.Events[:0] }
-
-// multiSink fans events out to several sinks.
-type multiSink []Sink
-
-func (m multiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// Multi returns a sink that forwards every event to all of the given sinks
-// (nil entries are skipped).
-func Multi(sinks ...Sink) Sink {
-	var out multiSink
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
+// WriteJSONL writes the events to w as JSONL: one JSON object per event,
+// newline-delimited, in slice order. It returns the first write error.
+func WriteJSONL(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			return err
 		}
 	}
-	if len(out) == 1 {
-		return out[0]
-	}
-	return out
-}
-
-// JSONL is a sink that writes one JSON object per event, newline-delimited.
-// Call Flush when the run is done; the first write error is sticky and is
-// reported there.
-type JSONL struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONL wraps w in a buffered JSONL event sink.
-func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriter(w)
-	return &JSONL{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// Emit writes the event as one JSON line.
-func (j *JSONL) Emit(e Event) {
-	if j.err != nil {
-		return
-	}
-	j.err = j.enc.Encode(e)
-}
-
-// Flush drains the buffer and returns the first error seen.
-func (j *JSONL) Flush() error {
-	if j.err != nil {
-		return j.err
-	}
-	return j.w.Flush()
+	return bw.Flush()
 }

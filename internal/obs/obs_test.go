@@ -16,43 +16,11 @@ func ev(dev, iter int, k pipeline.Kind, micro int, start, end float64) Event {
 	return Event{Device: dev, Iter: iter, Kind: k, Micro: micro, Peer: -1, Start: start, End: end}
 }
 
-func TestRecorder(t *testing.T) {
-	r := &Recorder{}
-	r.Emit(ev(0, 0, pipeline.Forward, 0, 0, 1))
-	r.Emit(ev(1, 0, pipeline.Backward, 0, 1, 3))
-	if len(r.Events) != 2 {
-		t.Fatalf("recorded %d events, want 2", len(r.Events))
-	}
-	if got := r.Events[1].Dur(); got != 2 {
-		t.Errorf("Dur = %v, want 2", got)
-	}
-	r.Reset()
-	if len(r.Events) != 0 {
-		t.Errorf("Reset left %d events", len(r.Events))
-	}
-}
-
-func TestMulti(t *testing.T) {
-	a, b := &Recorder{}, &Recorder{}
-	s := Multi(nil, a, nil, b)
-	s.Emit(ev(0, 0, pipeline.Forward, 0, 0, 1))
-	if len(a.Events) != 1 || len(b.Events) != 1 {
-		t.Fatalf("fan-out missed a sink: a=%d b=%d", len(a.Events), len(b.Events))
-	}
-	// A single non-nil sink is returned unwrapped.
-	if got := Multi(nil, a); got != Sink(a) {
-		t.Errorf("Multi with one sink should return it directly")
-	}
-}
-
 func TestJSONLRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJSONL(&buf)
 	in := Event{Device: 2, Iter: 1, Kind: pipeline.RecvAct, Micro: 3, Stage: 2,
 		Peer: 1, Start: 0.5, End: 0.75, Wait: 0.1, Bytes: 1024}
-	j.Emit(in)
-	j.Emit(ev(0, 0, pipeline.Forward, 0, 1, 2))
-	if err := j.Flush(); err != nil {
+	if err := WriteJSONL(&buf, []Event{in, ev(0, 0, pipeline.Forward, 0, 1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -76,12 +44,15 @@ func TestJSONLRoundtrip(t *testing.T) {
 }
 
 func TestJSONLStickyError(t *testing.T) {
-	j := NewJSONL(failWriter{})
-	for i := 0; i < 10000; i++ { // enough to overflow the bufio buffer
-		j.Emit(ev(0, 0, pipeline.Forward, i, 0, 1))
+	events := make([]Event, 10000) // enough to overflow the bufio buffer
+	for i := range events {
+		events[i] = ev(0, 0, pipeline.Forward, i, 0, 1)
 	}
-	if err := j.Flush(); err == nil {
-		t.Fatal("Flush should report the write error")
+	if err := WriteJSONL(failWriter{}, events); err == nil {
+		t.Fatal("WriteJSONL should report the write error")
+	}
+	if err := WriteJSONL(failWriter{}, events[:1]); err == nil {
+		t.Fatal("WriteJSONL should report a write error met at the final flush")
 	}
 }
 
@@ -107,6 +78,9 @@ func TestComputeStats(t *testing.T) {
 	}
 	st := Compute(events, 4)
 
+	if got := events[4].Dur(); got != 2 {
+		t.Errorf("Dur = %v, want 2", got)
+	}
 	if st.Instrs != 7 || st.Msgs != 3 {
 		t.Errorf("Instrs=%d Msgs=%d, want 7 and 3", st.Instrs, st.Msgs)
 	}

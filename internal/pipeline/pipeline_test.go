@@ -62,15 +62,19 @@ func TestParseScheme(t *testing.T) {
 	for in, want := range map[string]Scheme{
 		"V": Scheme1F1B, "1f1b": Scheme1F1B, "x": SchemeChimera,
 		"Chimera": SchemeChimera, "W": SchemeInterleave, "interleave": SchemeInterleave,
-		"gpipe": SchemeGPipe, " Hanayo ": SchemeHanayo,
+		"gpipe": SchemeGPipe, " ZB-H1 ": SchemeZBH1,
 	} {
 		got, err := ParseScheme(in)
 		if err != nil || got != want {
 			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Error("ParseScheme should reject unknown names")
+	// Hanayo is a scheme of the paper's related work with no generator here:
+	// a name that parsed would resolve and then find nothing to search.
+	for _, in := range []string{"bogus", " Hanayo "} {
+		if _, err := ParseScheme(in); err == nil {
+			t.Errorf("ParseScheme(%q) should reject an unknown name", in)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ const (
 	Scheme1F1B       Scheme = "1F1B"       // "V"
 	SchemeChimera    Scheme = "Chimera"    // "X"
 	SchemeInterleave Scheme = "Interleave" // "W"
-	SchemeHanayo     Scheme = "Hanayo"     // wave-like (extension)
 	SchemeZBH1       Scheme = "ZB-H1"      // "Z": zero-bubble handcrafted-1
 	SchemeDualPipeD  Scheme = "DualPipe-D" // "D": bidirectional split-backward
 )
@@ -58,8 +57,6 @@ func ParseScheme(name string) (Scheme, error) {
 		return SchemeChimera, nil
 	case "INTERLEAVE", "W":
 		return SchemeInterleave, nil
-	case "HANAYO":
-		return SchemeHanayo, nil
 	case "ZB-H1", "ZBH1", "Z":
 		return SchemeZBH1, nil
 	case "DUALPIPE-D", "DUALPIPED", "DUALPIPE", "D":

@@ -63,6 +63,7 @@ func TestRequestValidateErrors(t *testing.T) {
 		{name: "zero devices", mut: func(r *PlanRequest) { r.Devices = 0 }, wantErr: "must be positive"},
 		{name: "negative global batch", mut: func(r *PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
 		{name: "bad scheme", mut: func(r *PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
+		{name: "scheme without a generator", mut: func(r *PlanRequest) { r.Scheme = "hanayo" }, wantErr: "unknown scheme"},
 		{name: "bad memory", mut: func(r *PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},
 		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "not a finite byte count"},
 		{name: "negative tp", mut: func(r *PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},

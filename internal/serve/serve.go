@@ -297,7 +297,7 @@ func (s *Server) runFlight(f *flight) {
 	}
 	s.sm.tunerRuns.Inc()
 	fp := f.wl.Fingerprint()
-	tracer := telemetry.New(fp).WithMetrics(s.search)
+	tracer := telemetry.New(fp)
 	start := time.Now()
 	data, err := s.run(f.ctx, f.req, f.wl, tracer, f.broadcast)
 	elapsed := time.Since(start)
@@ -338,6 +338,7 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, wl *mario.Worklo
 	plan, err := wl.Optimize(ctx, mario.Config{
 		Workers: workers,
 		Tracer:  tracer,
+		Metrics: s.search,
 		Progress: func(n int, best string, throughput float64) {
 			progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
 		},

@@ -14,10 +14,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenTrace builds one representative search trace on a fake clock: a
 // root optimize span, a search with its probe pass, three points (explored
-// with graph rounds + sim, memo-hit, bound-pruned after a speculative
-// evaluation) and the winner's closing sim, and a robustness ensemble. Every
-// export format renders from this one tree so the goldens stay mutually
-// consistent.
+// with a memoized build, graph rounds + sim; a build-memo hit; bound-pruned
+// after a speculative evaluation) and the winner's closing sim. Every export
+// format renders from this one tree so the goldens stay mutually consistent.
 func goldenTrace() *Trace {
 	tr := New("deadbeefdeadbeefdeadbeefdeadbeef")
 	tr.Clock = fakeClock(time.Millisecond)
@@ -32,13 +31,14 @@ func goldenTrace() *Trace {
 	probe.SetInt("nodes", 3)
 	probe.End()
 
-	// Point 0: fully evaluated, with graph rounds and a simulation.
+	// Point 0: fully evaluated — the build that computes the memoized
+	// schedule, graph rounds and a simulation.
 	p0 := tr.Detached(PhasePoint, "0000 X-4-2(mario)")
 	b0 := p0.Child(PhaseBuild, "")
+	b0.Memo("X|pp4|u8|c2")
 	b0.SetInt("stages", 4)
 	b0.End()
 	g0 := p0.Child(PhaseGraph, "")
-	g0.Memo("g0")
 	r0 := g0.Child(PhaseRound, "01")
 	r0.Child(PhaseSim, "").End()
 	r0.End()
@@ -53,12 +53,11 @@ func goldenTrace() *Trace {
 	p0.End()
 	p0.AttachTo(search)
 
-	// Point 1: identical graph work resolved from the memo.
-	p1 := tr.Detached(PhasePoint, "0001 X-2-4(mario)")
-	p1.Child(PhaseBuild, "").End()
-	g1 := p1.Child(PhaseGraph, "")
-	g1.Memo("g0")
-	g1.End()
+	// Point 1: the same build resolved from the memo, then a simulation.
+	p1 := tr.Detached(PhasePoint, "0001 X-4-2(base)")
+	b1 := p1.Child(PhaseBuild, "")
+	b1.Memo("X|pp4|u8|c2")
+	b1.End()
 	p1.Child(PhaseSim, "").End()
 	p1.End()
 	p1.AttachTo(search)
@@ -80,15 +79,6 @@ func goldenTrace() *Trace {
 	// The winner's closing re-simulation, directly under the search.
 	search.Child(PhaseSim, "").End()
 	search.End()
-
-	rb := root.Child(PhaseRobust, "")
-	f0 := rb.Child(PhaseFault, "healthy")
-	f0.Child(PhaseSim, "").End()
-	f0.End()
-	f1 := rb.Child(PhaseFault, "straggler")
-	f1.Child(PhaseSim, "").End()
-	f1.End()
-	rb.End()
 	root.End()
 
 	return tr.Snapshot()
@@ -108,7 +98,6 @@ func goldenRegistry() *Registry {
 	m.AddSims(7)
 	m.AddGraphRounds(2)
 	m.AddScanCandidates(5, 1, 2)
-	m.AddRobustRuns(2)
 	m.SearchSeconds.Observe(0.042)
 	return r
 }

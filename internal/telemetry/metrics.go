@@ -2,11 +2,10 @@ package telemetry
 
 // SearchMetrics bundles the search-side series of a Registry: what the
 // tuner grid search, the graph tuner and the simulator engines did,
-// exposed as first-class Prometheus series instead of the ad-hoc
-// SearchStats/CacheStats structs the callers used to copy around. The
-// tuner increments the deterministic counters from its canonical merge
-// loop (so the totals match the sequential search bit for bit) and folds
-// memo and simulation counts in as post-search deltas.
+// exposed as first-class Prometheus series. The tuner adds the deterministic
+// counters of its canonical merge loop (so the totals match the sequential
+// search bit for bit) and folds memo and simulation counts in as post-search
+// deltas.
 //
 // A nil *SearchMetrics — or one built from a nil Registry — no-ops on
 // every field, so instrumented code updates unconditionally.
@@ -31,17 +30,13 @@ type SearchMetrics struct {
 	// the critical-chain filter, refused by the untimed feasibility check,
 	// simulated.
 	ScanFiltered, ScanIllegal, ScanSimulated *Counter
-	// RobustRuns counts robustness ensemble simulations (healthy and
-	// faulted).
-	RobustRuns *Counter
 	// Searches counts tuner grid searches started.
 	Searches *Counter
 	// SearchSeconds is the per-search wall-clock histogram.
 	SearchSeconds *Histogram
 }
 
-// AddSims records n simulator executions. Safe on nil (the graph layer calls
-// it with whatever Tracer.Metrics returned).
+// AddSims records n simulator executions. Safe on nil.
 func (m *SearchMetrics) AddSims(n int64) {
 	if m != nil {
 		m.Sims.Add(n)
@@ -64,13 +59,6 @@ func (m *SearchMetrics) AddGraphRounds(n int64) {
 	}
 }
 
-// AddRobustRuns records n robustness simulations. Safe on nil.
-func (m *SearchMetrics) AddRobustRuns(n int64) {
-	if m != nil {
-		m.RobustRuns.Add(n)
-	}
-}
-
 // NewSearchMetrics registers the search series on r and returns the
 // handles. Safe on a nil registry: every handle is nil and no-ops.
 func NewSearchMetrics(r *Registry) *SearchMetrics {
@@ -88,7 +76,6 @@ func NewSearchMetrics(r *Registry) *SearchMetrics {
 		ScanFiltered:      r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "filtered"),
 		ScanIllegal:       r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "illegal"),
 		ScanSimulated:     r.LabeledCounter("mario_search_scan_candidates_total", "Per-device prepose scan candidates by verdict.", "verdict", "simulated"),
-		RobustRuns:        r.Counter("mario_search_robust_runs_total", "Robustness ensemble simulations."),
 		Searches:          r.Counter("mario_search_runs_total", "Tuner grid searches started."),
 		SearchSeconds:     r.Histogram("mario_search_seconds", "Per-search wall-clock.", LatencyBounds),
 	}

@@ -1,19 +1,18 @@
 // Package telemetry is the observability layer of the planner's own inner
 // loop — the search-side counterpart of internal/obs, which instruments the
-// *execution* of a schedule. Where obs streams per-instruction events from
+// *execution* of a schedule. Where obs collects per-instruction events from
 // the emulated cluster, telemetry records what the tuner grid search, the
-// graph passes, the simulator engines and the robustness ensemble did while
-// *producing* a plan: a span tree per plan request, a metrics registry the
-// planning daemon renders at /metrics, and a flight recorder that keeps the
-// last N request traces for post-hoc debugging.
+// graph passes and the simulator engines did while *producing* a plan: a span
+// tree per plan request, a metrics registry the planning daemon renders at
+// /metrics, and a flight recorder that keeps the last N request traces for
+// post-hoc debugging.
 //
 // Three contracts shape the package:
 //
 //   - Near zero cost when off. Every Span method and every Tracer entry
-//     point is safe on the zero value / nil receiver and allocates nothing —
-//     the nil-sink fast path internal/obs established. Instrumented code
-//     threads a Span through unconditionally; an untraced run pays a nil
-//     check per call and nothing else.
+//     point is safe on the zero value / nil receiver and allocates nothing.
+//     Instrumented code threads a Span through unconditionally; an untraced
+//     run pays a nil check per call and nothing else.
 //
 //   - Deterministic canonical traces. Span identities derive from
 //     (fingerprint, canonical path, phase), never from wall-clock or
@@ -47,20 +46,16 @@ type Phase string
 // PhaseBuild / PhaseGraph / PhaseSim its sub-steps (schedule build,
 // graph-tuner run, direct simulation) — PhaseSim directly under the search is
 // the winner's closing re-simulation; PhaseRound one simulator-guided prepose
-// round inside a graph run; PhaseRobust a robustness re-scoring, with
-// PhaseCandidate / PhaseFault children per (schedule, fault plan) run.
+// round inside a graph run.
 const (
-	PhaseOptimize  Phase = "optimize"
-	PhaseSearch    Phase = "search"
-	PhasePoint     Phase = "point"
-	PhaseBuild     Phase = "build"
-	PhaseBound     Phase = "bound"
-	PhaseGraph     Phase = "graph"
-	PhaseSim       Phase = "sim"
-	PhaseRound     Phase = "round"
-	PhaseRobust    Phase = "robustness"
-	PhaseCandidate Phase = "candidate"
-	PhaseFault     Phase = "fault"
+	PhaseOptimize Phase = "optimize"
+	PhaseSearch   Phase = "search"
+	PhasePoint    Phase = "point"
+	PhaseBuild    Phase = "build"
+	PhaseBound    Phase = "bound"
+	PhaseGraph    Phase = "graph"
+	PhaseSim      Phase = "sim"
+	PhaseRound    Phase = "round"
 )
 
 // phaseRank fixes the canonical sibling order: spans under one parent sort
@@ -85,12 +80,6 @@ func phaseRank(p Phase) int {
 		return 6
 	case PhaseSim:
 		return 7
-	case PhaseRobust:
-		return 8
-	case PhaseCandidate:
-		return 9
-	case PhaseFault:
-		return 10
 	}
 	return 99
 }
@@ -129,7 +118,6 @@ type Tracer struct {
 	Clock func() time.Time
 
 	fingerprint string
-	metrics     *SearchMetrics
 
 	mu    sync.Mutex
 	spans []spanRec
@@ -140,24 +128,6 @@ type Tracer struct {
 // are derived from it).
 func New(fingerprint string) *Tracer {
 	return &Tracer{fingerprint: fingerprint}
-}
-
-// WithMetrics attaches a metrics sink: instrumented code found through a
-// Span's Tracer also feeds these counters. Returns t for chaining; safe on
-// nil (returns nil).
-func (t *Tracer) WithMetrics(m *SearchMetrics) *Tracer {
-	if t != nil {
-		t.metrics = m
-	}
-	return t
-}
-
-// Metrics returns the attached metrics sink, or nil. Safe on nil.
-func (t *Tracer) Metrics() *SearchMetrics {
-	if t == nil {
-		return nil
-	}
-	return t.metrics
 }
 
 // Fingerprint returns the request fingerprint the tracer was created with.
@@ -288,10 +258,12 @@ func (s Span) Discard() {
 }
 
 // Memo tags the span with a memoization key. Spans sharing a (phase, memo
-// key) describe the same memoized computation; canonical exports attribute
-// the computed subtree to the first span in canonical order (memo "first")
-// and mark the rest as "shared", regardless of which worker actually ran
-// the compute — the sequential-search semantics. Safe on the zero Span.
+// key) describe the same memoized computation; canonical exports tag the
+// first of them in canonical order memo "first" and the rest "shared",
+// regardless of which worker actually ran the compute — the
+// sequential-search semantics. A memo span has no children: the tags are
+// all Snapshot normalizes, so a subtree under one would depend on which
+// worker computed. Safe on the zero Span.
 func (s Span) Memo(key string) {
 	if !s.Live() {
 		return

@@ -50,7 +50,6 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	var m *SearchMetrics
 	m.AddSims(1)
 	m.AddGraphRounds(1)
-	m.AddRobustRuns(1)
 }
 
 // TestSnapshotDiscard checks the pruning semantics Snapshot applies:
@@ -95,64 +94,6 @@ func TestSnapshotDiscard(t *testing.T) {
 	want := "optimize\n  search\n    point[0001] result=bound_pruned\n"
 	if tree != want {
 		t.Errorf("tree:\n%s\nwant:\n%s", tree, want)
-	}
-}
-
-// TestSnapshotMemoDonation reproduces the parallel-scheduling accident memo
-// normalization exists for: the span that computed a memoized result (and
-// holds its child spans) is canonically later than another group member —
-// or even discarded — yet the canonical-first survivor must end up owning
-// the children, tagged memo=first.
-func TestSnapshotMemoDonation(t *testing.T) {
-	tr := New("fp")
-	tr.Clock = fakeClock(time.Millisecond)
-	root := tr.Root(PhaseOptimize, "")
-	search := root.Child(PhaseSearch, "")
-
-	// Worker A evaluates point 0002 first and runs the compute under its
-	// graph span; the span is later discarded (stale best).
-	pa := tr.Detached(PhasePoint, "0002")
-	ga := pa.Child(PhaseGraph, "")
-	ga.Memo("shared-key")
-	ga.Child(PhaseRound, "01").End()
-	ga.Child(PhaseRound, "02").End()
-	ga.End()
-	pa.End()
-	pa.Discard()
-
-	// Worker B's canonically-first point reuses the memo: bare span.
-	pb := tr.Detached(PhasePoint, "0001")
-	gb := pb.Child(PhaseGraph, "")
-	gb.Memo("shared-key")
-	gb.End()
-	pb.End()
-	pb.AttachTo(search)
-
-	// Worker A re-evaluates 0002 (fresh flight), also a memo hit.
-	pc := tr.Detached(PhasePoint, "0002")
-	gc := pc.Child(PhaseGraph, "")
-	gc.Memo("shared-key")
-	gc.End()
-	pc.End()
-	pc.AttachTo(search)
-
-	search.End()
-	root.End()
-
-	tree := tr.Snapshot().Tree()
-	want := strings.Join([]string{
-		"optimize",
-		"  search",
-		"    point[0001]",
-		"      graph memo=first",
-		"        round[01]",
-		"        round[02]",
-		"    point[0002]",
-		"      graph memo=shared",
-		"",
-	}, "\n")
-	if tree != want {
-		t.Errorf("memo donation tree:\n%s\nwant:\n%s", tree, want)
 	}
 }
 

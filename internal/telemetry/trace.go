@@ -76,25 +76,19 @@ type Trace struct {
 
 // Snapshot freezes the tracer's current spans into a canonical Trace:
 // discarded subtrees and still-detached spans are dropped, children are
-// sorted into canonical order, memoized spans are normalized (see below),
-// child intervals are clamped inside their parents so self times
-// telescope, and span IDs/paths are derived. Safe on nil (returns an
-// empty Trace). The tracer remains usable afterwards; Snapshot reads a
-// consistent view.
+// sorted into canonical order, memoized spans are tagged (see below), child
+// intervals are clamped inside their parents so self times telescope, and
+// span IDs/paths are derived. Safe on nil (returns an empty Trace). The
+// tracer remains usable afterwards; Snapshot reads a consistent view.
 //
-// Memo normalization is what makes parallel traces byte-identical to the
-// sequential one: spans sharing a (phase, memo key) describe one memoized
-// computation, but which span actually ran the compute — and so recorded
-// its child spans — is a scheduling accident under Workers > 1, and the
-// computing span may even sit in a subtree the canonical merge discarded.
-// Snapshot therefore moves the compute children of every group member
-// (surviving or discarded) under the group's canonically-first surviving
-// span, tags it memo "first", and tags the remaining survivors "shared"
-// with no children — exactly the tree the sequential search records,
+// The memo tags keep parallel traces byte-identical to the sequential one:
+// spans sharing a (phase, memo key) describe one memoized computation, and
+// which of them actually ran the compute is a scheduling accident under
+// Workers > 1. Snapshot tags the canonically-first surviving member "first"
+// and every later one "shared" — the tags the sequential search records,
 // since its canonical evaluation order makes the canonically-first
-// non-pruned span the computing one. (Timings of rescued children are
-// clamped into the adopting span like any others, so the measured view of
-// a parallel run compresses them; the sequential measured view is exact.)
+// non-pruned span the computing one. Memo spans have no children
+// (Span.Memo), so the tags are the whole normalization.
 func (t *Tracer) Snapshot() *Trace {
 	tr := &Trace{}
 	if t == nil {
@@ -106,6 +100,27 @@ func (t *Tracer) Snapshot() *Trace {
 	tr.Fingerprint = t.fingerprint
 	t.mu.Unlock()
 
+	// Propagate explicit drops (discarded or still-detached spans) down the
+	// tree. Parents usually have smaller arena indices than their children
+	// (alloc order), but AttachTo can adopt an earlier span under a later
+	// parent — so iterate to a fixed point (tree depth bounds the rounds; in
+	// practice 2).
+	dead := make([]bool, len(recs))
+	for i := range recs {
+		dead[i] = recs[i].discard || recs[i].detached
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range recs {
+			p := recs[i].parent
+			if !dead[i] && p >= 0 && dead[p] {
+				dead[i] = true
+				changed = true
+			}
+		}
+	}
+
+	// Canonical-order child lists and roots over the surviving spans.
 	canonLess := func(a, b int32) bool {
 		ra, rb := phaseRank(recs[a].phase), phaseRank(recs[b].phase)
 		if ra != rb {
@@ -116,132 +131,32 @@ func (t *Tracer) Snapshot() *Trace {
 		}
 		return a < b
 	}
-
-	// deadSet propagates explicit drops (discarded or still-detached spans)
-	// down the tree. Parents usually have smaller arena indices than their
-	// children (alloc order), but AttachTo can adopt an earlier span under a
-	// later parent — so iterate to a fixed point (tree depth bounds the
-	// rounds; in practice 2).
-	deadSet := func() []bool {
-		dead := make([]bool, len(recs))
-		for i := range recs {
-			dead[i] = recs[i].discard || recs[i].detached
-		}
-		for changed := true; changed; {
-			changed = false
-			for i := range recs {
-				p := recs[i].parent
-				if !dead[i] && p >= 0 && dead[p] {
-					dead[i] = true
-					changed = true
-				}
-			}
-		}
-		return dead
-	}
-	// childLists builds canonical-order child lists and roots over the
-	// surviving spans.
-	childLists := func(dead []bool) (children [][]int32, rootIdx []int32) {
-		children = make([][]int32, len(recs))
-		for i := range recs {
-			if dead[i] {
-				continue
-			}
-			if p := recs[i].parent; p >= 0 {
-				children[p] = append(children[p], int32(i))
-			} else {
-				rootIdx = append(rootIdx, int32(i))
-			}
-		}
-		sort.Slice(rootIdx, func(i, j int) bool { return canonLess(rootIdx[i], rootIdx[j]) })
-		for p := range children {
-			cs := children[p]
-			sort.Slice(cs, func(i, j int) bool { return canonLess(cs[i], cs[j]) })
-		}
-		return children, rootIdx
-	}
-
-	dead := deadSet()
-	children, rootIdx := childLists(dead)
-
-	// Canonical preorder position of every surviving span — the order memo
-	// normalization picks its receivers by.
-	order := make([]int, len(recs))
-	pos := 0
-	var number func(i int32)
-	number = func(i int32) {
-		order[i] = pos
-		pos++
-		for _, c := range children[i] {
-			number(c)
-		}
-	}
-	for _, r := range rootIdx {
-		number(r)
-	}
-
-	// Memo normalization: re-parent every group member's children onto the
-	// canonically-first surviving member. Children rescued out of discarded
-	// subtrees come back alive, so recompute liveness and child lists after.
-	groups := map[string][]int32{}
-	for i := range recs {
-		if recs[i].memoKey != "" {
-			gk := string(recs[i].phase) + "\x00" + recs[i].memoKey
-			groups[gk] = append(groups[gk], int32(i))
-		}
-	}
-	moved := false
-	for _, members := range groups {
-		recv := int32(-1)
-		for _, m := range members {
-			if dead[m] {
-				continue
-			}
-			if recv < 0 || order[m] < order[recv] {
-				recv = m
-			}
-		}
-		if recv < 0 {
-			continue // the whole group died with its subtrees
-		}
-		for _, m := range members {
-			if m == recv {
-				continue
-			}
-			for i := range recs {
-				if recs[i].parent == m {
-					recs[i].parent = recv
-					moved = true
-				}
-			}
-		}
-	}
-	if moved {
-		dead = deadSet()
-		children, rootIdx = childLists(dead)
-	}
-
-	// Build the surviving nodes.
-	nodes := make([]*Node, len(recs))
+	children := make([][]int32, len(recs))
+	var rootIdx []int32
 	for i := range recs {
 		if dead[i] {
 			continue
 		}
-		r := &recs[i]
-		nodes[i] = &Node{
-			Phase: r.phase, Key: r.key,
-			Attrs: r.attrs,
-			Start: r.start, End: r.end,
+		if p := recs[i].parent; p >= 0 {
+			children[p] = append(children[p], int32(i))
+		} else {
+			rootIdx = append(rootIdx, int32(i))
 		}
+	}
+	sort.Slice(rootIdx, func(i, j int) bool { return canonLess(rootIdx[i], rootIdx[j]) })
+	for p := range children {
+		cs := children[p]
+		sort.Slice(cs, func(i, j int) bool { return canonLess(cs[i], cs[j]) })
 	}
 
 	// Walk in canonical preorder: fix up end times (un-ended spans inherit
 	// the max end of their subtree), clamp children into parents, assign
-	// paths/IDs, normalize memo groups, and link children.
+	// paths/IDs, tag memo groups, and link children.
 	memoSeen := map[string]bool{}
 	var walk func(i int32, parentPath string, lo, hi time.Time) *Node
 	walk = func(i int32, parentPath string, lo, hi time.Time) *Node {
-		n := nodes[i]
+		r := &recs[i]
+		n := &Node{Phase: r.phase, Key: r.key, Attrs: r.attrs, Start: r.start, End: r.end}
 		seg := string(n.Phase)
 		if n.Key != "" {
 			seg += "[" + n.Key + "]"
@@ -276,24 +191,17 @@ func (t *Tracer) Snapshot() *Trace {
 			}
 		}
 
-		// Memo normalization: the canonical-first occurrence of a
-		// (phase, memo key) owns the computation; later ones are bare
-		// "shared" markers whatever worker actually ran the compute.
-		shared := false
-		if mk := recs[i].memoKey; mk != "" {
+		if mk := r.memoKey; mk != "" {
 			gk := string(n.Phase) + "\x00" + mk
 			if memoSeen[gk] {
 				n.Memo = "shared"
-				shared = true
 			} else {
 				memoSeen[gk] = true
 				n.Memo = "first"
 			}
 		}
-		if !shared {
-			for _, c := range children[i] {
-				n.Children = append(n.Children, walk(c, n.Path, n.Start, n.End))
-			}
+		for _, c := range children[i] {
+			n.Children = append(n.Children, walk(c, n.Path, n.Start, n.End))
 		}
 		return n
 	}
@@ -338,13 +246,13 @@ type jsonlSpan struct {
 	Attrs  []Attr `json:"attrs,omitempty"`
 }
 
-// WriteJSONL renders the canonical JSONL export: one span per line in
-// canonical preorder, no timings, byte-identical across worker counts.
-func (tr *Trace) WriteJSONL(w *bytes.Buffer) {
-	enc := json.NewEncoder(w)
+// records lists the canonical span records in canonical preorder — the one
+// walk both the JSONL export and MarshalJSON render.
+func (tr *Trace) records() []jsonlSpan {
+	spans := []jsonlSpan{}
 	var rec func(n *Node, parent string)
 	rec = func(n *Node, parent string) {
-		enc.Encode(jsonlSpan{
+		spans = append(spans, jsonlSpan{
 			ID: n.ID, Parent: parent, Phase: n.Phase, Key: n.Key,
 			Path: n.Path, Memo: n.Memo, Attrs: n.Attrs,
 		})
@@ -354,6 +262,16 @@ func (tr *Trace) WriteJSONL(w *bytes.Buffer) {
 	}
 	for _, r := range tr.Roots {
 		rec(r, "")
+	}
+	return spans
+}
+
+// WriteJSONL renders the canonical JSONL export: one span per line in
+// canonical preorder, no timings, byte-identical across worker counts.
+func (tr *Trace) WriteJSONL(w *bytes.Buffer) {
+	enc := json.NewEncoder(w)
+	for _, s := range tr.records() {
+		enc.Encode(s)
 	}
 }
 
@@ -370,24 +288,10 @@ func (tr *Trace) JSONL() []byte {
 // byte-identical across worker counts. This is the form the planning
 // service embeds in traced PlanResponses.
 func (tr *Trace) MarshalJSON() ([]byte, error) {
-	spans := []jsonlSpan{}
-	var rec func(n *Node, parent string)
-	rec = func(n *Node, parent string) {
-		spans = append(spans, jsonlSpan{
-			ID: n.ID, Parent: parent, Phase: n.Phase, Key: n.Key,
-			Path: n.Path, Memo: n.Memo, Attrs: n.Attrs,
-		})
-		for _, c := range n.Children {
-			rec(c, n.ID)
-		}
-	}
-	for _, r := range tr.Roots {
-		rec(r, "")
-	}
 	return json.Marshal(struct {
 		Fingerprint string      `json:"fingerprint"`
 		Spans       []jsonlSpan `json:"spans"`
-	}{tr.Fingerprint, spans})
+	}{tr.Fingerprint, tr.records()})
 }
 
 // chromeEvent is one Chrome trace-event (same shape internal/viz emits for

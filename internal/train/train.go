@@ -74,12 +74,12 @@ type Trainer struct {
 	// replicas is the weight-replica count of the placement seen.
 	replicas int
 
-	// Sink, when non-nil, receives one obs.Event per executed instruction
-	// after each RunIteration, device-major in execution order. Unlike the
-	// cluster emulator's virtual timestamps these are wall-clock seconds
-	// since iteration start, with live activation bytes as the memory
+	// CollectEvents makes each RunIteration fill Stats.Events with one
+	// obs.Event per executed instruction, device-major in execution order.
+	// Unlike the cluster emulator's virtual timestamps these are wall-clock
+	// seconds since iteration start, with live activation bytes as the memory
 	// figure — a trace of a real (miniature) training run.
-	Sink obs.Sink
+	CollectEvents bool
 }
 
 // New builds the trainer; the model stages materialise on the first
@@ -171,6 +171,9 @@ type Stats struct {
 	PeakActBytes []int64
 	// MicroLosses holds the per-micro losses in micro order.
 	MicroLosses []float64
+	// Events is the iteration's measured event stream, device-major in
+	// execution order; nil unless Trainer.CollectEvents was set.
+	Events []obs.Event
 }
 
 // input returns the synthetic input micro-batch m (seeded, so every schedule
@@ -258,8 +261,8 @@ type devState struct {
 
 	losses map[int]float64
 
-	// events collects the device's wall-clock trace when the trainer has a
-	// sink attached (nil otherwise); epoch anchors the timestamps.
+	// events collects the device's wall-clock trace when the trainer
+	// collects events (nil otherwise); epoch anchors the timestamps.
 	events []obs.Event
 	epoch  time.Time
 }
@@ -337,7 +340,7 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 	epoch := time.Now()
 	for d := 0; d < D; d++ {
 		states[d] = newDevState()
-		if t.Sink != nil {
+		if t.CollectEvents {
 			states[d].events = make([]obs.Event, 0, len(s.Lists[d]))
 			states[d].epoch = epoch
 		}
@@ -383,16 +386,10 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 		for m, l := range states[d].losses {
 			stats.MicroLosses[m] = l
 		}
+		stats.Events = append(stats.Events, states[d].events...)
 	}
 	for _, l := range stats.MicroLosses {
 		stats.Loss += l
-	}
-	if t.Sink != nil {
-		for d := 0; d < D; d++ {
-			for _, ev := range states[d].events {
-				t.Sink.Emit(ev)
-			}
-		}
 	}
 	return stats, nil
 }

@@ -129,6 +129,50 @@ func TestCheckpointReducesLiveMemory(t *testing.T) {
 	t.Logf("peak bytes base=%v mario=%v", base.PeakActBytes, mario.PeakActBytes)
 }
 
+// TestIterationEvents: with CollectEvents an iteration returns one event per
+// executed instruction, device-major in execution order, and leaves the
+// losses alone; without it, no events.
+func TestIterationEvents(t *testing.T) {
+	s := marioSchedule(t)
+	plain, err := newTrainer(t).RunIteration(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Events != nil {
+		t.Fatalf("an iteration that did not collect returned %d events", len(plain.Events))
+	}
+	tr := newTrainer(t)
+	tr.CollectEvents = true
+	st, err := tr.RunIteration(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range plain.MicroLosses {
+		if st.MicroLosses[m] != plain.MicroLosses[m] {
+			t.Fatalf("micro %d: collecting events changed the loss", m)
+		}
+	}
+	i := 0
+	for d, list := range s.Lists {
+		for _, in := range list {
+			if i >= len(st.Events) {
+				t.Fatalf("%d events, want %d", len(st.Events), i+1)
+			}
+			ev := st.Events[i]
+			if ev.Device != d || ev.Instr() != in {
+				t.Fatalf("event %d is %s on dev%d, want %s on dev%d", i, ev.Instr(), ev.Device, in, d)
+			}
+			if ev.End < ev.Start || ev.Kind.IsComm() != (ev.Peer >= 0) {
+				t.Fatalf("event %d: interval [%v, %v], peer %d", i, ev.Start, ev.End, ev.Peer)
+			}
+			i++
+		}
+	}
+	if i != len(st.Events) {
+		t.Fatalf("%d events, want %d", len(st.Events), i)
+	}
+}
+
 // TestMemoryImbalanceShape: under base 1F1B the peak decreases with device
 // index; under Mario it is balanced (max/min < 2.5).
 func TestMemoryImbalanceShape(t *testing.T) {

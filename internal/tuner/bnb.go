@@ -247,7 +247,7 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 		return math.Inf(1)
 	}
 	samples := float64(sh.Micros * p.mbs * p.dp)
-	return samples / lb * t.dpEff(p.dp)
+	return samples / lb * dpEff(dpEfficiency, p.dp)
 }
 
 // memLowerBound returns an admissible lower bound on the worst device's peak
@@ -288,7 +288,6 @@ func memLowerBound(res *pipeline.Resolved, est *cost.Estimator) float64 {
 // through it.
 func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) {
 	stats.Pruned++
-	t.publishStats(*stats)
 	ps := pointSpan(tracer, idx, p)
 	ps.SetStr("result", "infeasible")
 	ps.End()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"mario/internal/cost"
@@ -202,45 +201,6 @@ func TestSearchPruneEquivalence(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotRaceSafe reads the search counters from another goroutine
-// while a parallel Search is running; under -race this is the regression
-// test for the PR-1 Progress/Stats data race.
-func TestStatsSnapshotRaceSafe(t *testing.T) {
-	tn := newTuner()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var polls int
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				s := tn.StatsSnapshot()
-				if s.Explored < 0 {
-					t.Error("impossible snapshot")
-					return
-				}
-				polls++
-			}
-		}
-	}()
-	if _, _, err := tn.Search(detSpace(4)); err != nil {
-		t.Fatal(err)
-	}
-	close(done)
-	wg.Wait()
-	if polls == 0 {
-		t.Error("snapshot goroutine never ran")
-	}
-	final := tn.StatsSnapshot()
-	if final != tn.Stats {
-		t.Errorf("snapshot %+v differs from settled Stats %+v", final, tn.Stats)
-	}
-}
-
 // TestCacheSharing: the schedule-build cache is shared between the
 // checkpointed and plain variants of a grid point and across Search calls.
 // Graph-pass output is not cached — within a search no two points share its
@@ -262,7 +222,7 @@ func TestCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ckpt ∈ {false, true} share one build: 1 miss + 1 hit.
-	if hits, misses := tn.CacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := tn.Metrics.BuildHits.Value(), tn.Metrics.BuildMisses.Value(); hits != 1 || misses != 1 {
 		t.Errorf("expected build-cache sharing, got hits=%d misses=%d", hits, misses)
 	}
 	rounds := tn.Metrics.GraphRounds.Value()
@@ -274,7 +234,7 @@ func TestCacheSharing(t *testing.T) {
 	if _, _, err := tn.Search(sp); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := tn.CacheStats(); hits != 3 || misses != 1 {
+	if hits, misses := tn.Metrics.BuildHits.Value(), tn.Metrics.BuildMisses.Value(); hits != 3 || misses != 1 {
 		t.Errorf("repeat search: build cache hits=%d misses=%d, want 3 and 1", hits, misses)
 	}
 	if got := tn.Metrics.GraphRounds.Value(); got != 2*rounds {
@@ -390,12 +350,12 @@ func TestFleetSpanTreeShapeIndependent(t *testing.T) {
 	}
 }
 
-// checkRegistryMatchesSnapshots demands that the registry series of a tuner
+// checkRegistryMatchesStats demands that the registry series of a tuner
 // whose Metrics saw exactly one search equal that search's SearchStats —
 // completed or not.
-func checkRegistryMatchesSnapshots(t *testing.T, tn *Tuner) {
+func checkRegistryMatchesStats(t *testing.T, tn *Tuner) {
 	t.Helper()
-	m, st := tn.Metrics, tn.StatsSnapshot()
+	m, st := tn.Metrics, tn.Stats
 	for _, c := range []struct {
 		name string
 		got  int64
@@ -409,7 +369,7 @@ func checkRegistryMatchesSnapshots(t *testing.T, tn *Tuner) {
 		{"improved", m.PointsImproved.Value(), st.Improved},
 	} {
 		if c.got != int64(c.want) {
-			t.Errorf("registry series %q = %d, snapshot says %d", c.name, c.got, c.want)
+			t.Errorf("registry series %q = %d, Stats says %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -52,13 +52,6 @@ func (c *memo[K, V]) do(k K, f func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// len returns the number of cached keys.
-func (c *memo[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // buildKey identifies one scheme.Build output. mbs is deliberately absent:
 // schedule expansion depends only on the scheme, the pipeline depth, the
 // micro-batch count and the Interleave chunk count, so checkpointed and
@@ -69,13 +62,4 @@ type buildKey struct {
 	devices int
 	micros  int
 	chunks  int
-}
-
-// CacheStats reports the cumulative hit/miss counters of the tuner's
-// schedule-build cache. The counters are race-safe but — unlike SearchStats —
-// not deterministic under Workers > 1: which of two concurrent grid points
-// computes a shared key and which one hits is a scheduling accident. They are
-// therefore reported separately and never compared in determinism tests.
-func (t *Tuner) CacheStats() (hits, misses int64) {
-	return t.builds.hits.Load(), t.builds.misses.Load()
 }

@@ -173,12 +173,12 @@ func TestSearchMetrics(t *testing.T) {
 		if m.Sims.Value() == 0 {
 			t.Errorf("workers=%d: sims counter stayed zero", w)
 		}
-		hits, misses := tn.CacheStats()
+		hits, misses := tn.builds.hits.Load(), tn.builds.misses.Load()
 		if got := m.BuildHits.Value(); got != hits {
-			t.Errorf("workers=%d: memo hit metrics = %d, CacheStats hits = %d", w, got, hits)
+			t.Errorf("workers=%d: memo hit metrics = %d, build memo hits = %d", w, got, hits)
 		}
 		if got := m.BuildMisses.Value(); got != misses {
-			t.Errorf("workers=%d: memo miss metrics = %d, CacheStats misses = %d", w, got, misses)
+			t.Errorf("workers=%d: memo miss metrics = %d, build memo misses = %d", w, got, misses)
 		}
 	}
 }

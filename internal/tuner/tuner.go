@@ -4,7 +4,7 @@
 // simulator-estimated training throughput under the device-memory
 // constraint. Configurations that the simulator predicts to exceed device
 // memory score zero (the paper's OOM penalty), and a data-parallel
-// efficiency coefficient models DP scaling.
+// efficiency coefficient (0.97 per doubling) models DP scaling.
 //
 // There is one search driver (Tuner.search): it probes every grid point
 // cheaply, orders the feasible ones (best-first by admissible bound, or in
@@ -266,10 +266,6 @@ func (s SearchStats) invariant() (pruned, feasible int) {
 // the simulator as the performance model F.
 type Tuner struct {
 	Prof *profile.Profiler
-	// DPEfficiency is the per-doubling data-parallel scaling coefficient
-	// (0 < eff ≤ 1); values outside that range are clamped: ≤ 0 means the
-	// default 0.97, > 1 is capped at perfect scaling.
-	DPEfficiency float64
 	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
 	MaxRounds int
 	// SplitBackward additionally tries the ZB-H1-style split-backward
@@ -293,43 +289,27 @@ type Tuner struct {
 	Span telemetry.Span
 	// Metrics, when non-nil, receives the search counters as registry
 	// series when a search ends, completed or not: the grid-outcome counters
-	// are the deltas of SearchStats (so the registry and the snapshot always
-	// agree); memoization and simulation counts are folded in as deltas too
-	// and — like CacheStats — are not deterministic under Workers > 1.
+	// are the deltas of SearchStats (so the registry and Stats always agree);
+	// memoization and simulation counts are folded in as deltas too and are
+	// not deterministic under Workers > 1: which of two concurrent grid
+	// points computes a shared build and which one hits is a scheduling
+	// accident.
 	Metrics *telemetry.SearchMetrics
 
-	// Stats describes the most recent Search call. It is updated as
-	// candidates merge; reading it from another goroutine while Search is
-	// running must go through StatsSnapshot.
+	// Stats describes the most recent Search call. It is written once, when
+	// the search returns — completed, failed or cancelled — and is not read
+	// or written while a search runs.
 	Stats SearchStats
 
-	statsMu sync.Mutex
-	builds  memo[buildKey, *pipeline.Schedule]
+	builds memo[buildKey, *pipeline.Schedule]
 }
 
-// StatsSnapshot returns a consistent copy of Stats. It is the race-safe way
-// for Progress callbacks (or anything else observing a running Search from
-// another goroutine) to read the counters.
-func (t *Tuner) StatsSnapshot() SearchStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.Stats
-}
+// dpEfficiency is the per-doubling data-parallel scaling coefficient.
+const dpEfficiency = 0.97
 
-func (t *Tuner) publishStats(s SearchStats) {
-	t.statsMu.Lock()
-	t.Stats = s
-	t.statsMu.Unlock()
-}
-
-func (t *Tuner) dpEff(dp int) float64 {
-	eff := t.DPEfficiency
-	if eff <= 0 {
-		eff = 0.97
-	}
-	if eff > 1 {
-		eff = 1 // perfect scaling is the physical ceiling
-	}
+// dpEff is the data-parallel scaling factor of dp replicas at per-doubling
+// efficiency eff: eff^log2(dp), exactly 1 for a single replica.
+func dpEff(eff float64, dp int) float64 {
 	if dp <= 1 {
 		return 1
 	}
@@ -438,7 +418,7 @@ func (t *Tuner) Search(space Space) (*Candidate, []Candidate, error) {
 // deadline passes, the outcome sources stop evaluating grid points, the merge
 // loop unwinds, and the call returns ctx's error with no candidate and no
 // trace. A completed SearchContext is byte-identical to Search for every
-// worker count; a cancelled one publishes whatever Stats had accumulated at
+// worker count; a cancelled one leaves in Stats whatever had accumulated at
 // the abort point (they describe a prefix of the expansion order).
 func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []Candidate, error) {
 	space, points, err := gridOf(space)
@@ -449,7 +429,6 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		space.Workers = runtime.GOMAXPROCS(0)
 	}
 	var stats SearchStats
-	t.publishStats(stats)
 
 	tracer := t.Span.Tracer()
 	search := t.Span.Child(telemetry.PhaseSearch, "")
@@ -470,11 +449,11 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	// workers hold one bundle each; a bundle is not goroutine-safe).
 	eng := graph.NewEngines()
 	// The one exit: whatever the search merged before it completed, failed or
-	// was cancelled is published here, to the snapshots and to the registry
-	// alike, so the two can never disagree.
+	// was cancelled is published here, to Stats and to the registry alike, so
+	// the two can never disagree.
 	defer func() {
 		search.End()
-		t.publishStats(stats)
+		t.Stats = stats
 		m := t.Metrics
 		if m == nil {
 			return
@@ -742,7 +721,6 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 				ps.SetStr("result", "bound_pruned")
 				ps.SetFloat("ub", nd.ub)
 			}
-			t.publishStats(*stats)
 			ps.End()
 			ps.AttachTo(search)
 			continue
@@ -785,7 +763,6 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 			stats.Improved++
 			mb.store(best.Throughput)
 		}
-		t.publishStats(*stats)
 		if c.OOM {
 			sp.SetStr("result", "oom")
 		} else {
@@ -1079,7 +1056,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *gr
 		cand.OOM = true
 		cand.Throughput = 0 // Equation 1's memory penalty
 	} else {
-		cand.Throughput = cand.Result.SamplesPerSec * t.dpEff(p.dp)
+		cand.Throughput = cand.Result.SamplesPerSec * dpEff(dpEfficiency, p.dp)
 	}
 	return pointResult{cand: cand}
 }

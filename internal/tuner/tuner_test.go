@@ -93,15 +93,17 @@ func TestCheckpointExtendsFeasibility(t *testing.T) {
 }
 
 func TestDPEfficiency(t *testing.T) {
-	tn := &Tuner{DPEfficiency: 0.9}
-	if got := tn.dpEff(1); got != 1 {
-		t.Errorf("dpEff(1) = %v", got)
+	if got := dpEff(0.9, 1); got != 1 {
+		t.Errorf("dpEff(0.9, 1) = %v", got)
 	}
-	if got := tn.dpEff(2); got != 0.9 {
-		t.Errorf("dpEff(2) = %v", got)
+	if got := dpEff(0.9, 2); got != 0.9 {
+		t.Errorf("dpEff(0.9, 2) = %v", got)
 	}
-	if got, want := tn.dpEff(4), 0.81; got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("dpEff(4) = %v, want %v", got, want)
+	if got, want := dpEff(0.9, 4), 0.81; got < want-1e-9 || got > want+1e-9 {
+		t.Errorf("dpEff(0.9, 4) = %v, want %v", got, want)
+	}
+	if got := dpEff(dpEfficiency, 2); got != 0.97 {
+		t.Errorf("the search's per-doubling efficiency is %v, want the paper's 0.97", got)
 	}
 }
 
@@ -217,9 +219,8 @@ func TestSearchInfeasibleSpaces(t *testing.T) {
 	}
 }
 
-// TestDPEffEdgeCases pins the clamping of out-of-range efficiency
-// coefficients: non-positive values fall back to the paper's 0.97 and values
-// above 1 cap at perfect scaling.
+// TestDPEffEdgeCases pins the ends of the scaling curve: perfect efficiency
+// and a single replica scale perfectly, anything else applies per doubling.
 func TestDPEffEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -227,17 +228,13 @@ func TestDPEffEdgeCases(t *testing.T) {
 		dp   int
 		want float64
 	}{
-		{"zero defaults to 0.97", 0, 2, 0.97},
-		{"negative defaults to 0.97", -0.5, 2, 0.97},
-		{"above one clamps to perfect scaling", 1.5, 8, 1},
 		{"exactly one stays perfect", 1, 16, 1},
 		{"dp=1 is always perfect", 0.5, 1, 1},
 		{"in-range value applies per doubling", 0.9, 4, 0.81},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tn := &Tuner{DPEfficiency: tc.eff}
-			if got := tn.dpEff(tc.dp); math.Abs(got-tc.want) > 1e-9 {
+			if got := dpEff(tc.eff, tc.dp); math.Abs(got-tc.want) > 1e-9 {
 				t.Errorf("dpEff(%d) with eff=%v = %v, want %v", tc.dp, tc.eff, got, tc.want)
 			}
 		})

@@ -106,13 +106,14 @@ type Config struct {
 	// stats differ.
 	NoBnB bool
 	// Tracer, when non-nil, records the search's own telemetry: a
-	// PhaseOptimize root span with the tuner grid, graph-pass, simulator
-	// and robustness work nested under it (see internal/telemetry). The
-	// canonical exports of the resulting trace are byte-identical for
-	// every Workers value; a nil Tracer costs nothing.
+	// PhaseOptimize root span with the tuner grid, graph-pass and simulator
+	// work nested under it (see internal/telemetry). The canonical exports
+	// of the resulting trace are byte-identical for every Workers value; a
+	// nil Tracer costs nothing.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
-	// memoization, simulator executions) as registry series.
+	// memoization, simulator executions) as registry series. It is the one
+	// way a search reaches a registry; a Tracer carries no metrics.
 	Metrics *telemetry.SearchMetrics
 }
 
@@ -251,9 +252,6 @@ func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 	tn := w.tuner()
 	tn.Span = root
 	tn.Metrics = run.Metrics
-	if tn.Metrics == nil {
-		tn.Metrics = run.Tracer.Metrics()
-	}
 	if cb := run.Progress; cb != nil {
 		explored := 0
 		tn.Progress = func(_ tuner.Candidate, best tuner.Candidate) {
@@ -271,15 +269,8 @@ func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 		recipe: planRecipe(best, w.Space.TP, w.Space.DeviceMem, w.SplitBackward)}, nil
 }
 
-// Sink receives one Event per executed instruction of a measured run; see
-// the obs package for the delivery contract and ready-made sinks.
-type Sink = obs.Sink
-
 // Event is one measured instruction execution.
 type Event = obs.Event
-
-// Recorder is a Sink that retains every event in memory.
-type Recorder = obs.Recorder
 
 // MeasuredStats is the per-device metrics digest derived from a measured
 // run's event stream.
@@ -327,8 +318,8 @@ type RunReport struct {
 	// FaultPlan is the name of the fault plan the run executed under
 	// (empty for a healthy run); Drift uses it to label faulted reports.
 	FaultPlan string
-	// Events is the measured per-instruction event stream (nil unless
-	// RunOptions.CollectEvents was set or a Recorder sink was attached).
+	// Events is the measured per-instruction event stream, device-major in
+	// execution order (nil unless RunOptions.CollectEvents was set).
 	Events []Event
 	// Stats is the per-device metrics digest derived from Events (nil when
 	// no events were collected).
@@ -338,11 +329,8 @@ type RunReport struct {
 // RunOptions configures observability for RunWithOptions. The zero value
 // records nothing and adds no overhead.
 type RunOptions struct {
-	// Sink, when non-nil, receives every measured instruction event after
-	// the run completes (deterministic device-major order).
-	Sink Sink
-	// CollectEvents additionally retains the event stream in
-	// RunReport.Events and derives RunReport.Stats from it.
+	// CollectEvents retains the measured event stream in RunReport.Events
+	// and derives RunReport.Stats from it.
 	CollectEvents bool
 	// Faults, when non-nil and non-empty, degrades the emulated hardware
 	// under the fault plan (see internal/fault): compute slowdowns, link
@@ -357,8 +345,8 @@ func Run(p *Plan, iters int) (*RunReport, error) {
 	return RunWithOptions(p, iters, RunOptions{})
 }
 
-// RunWithOptions is Run with observability attached: an optional event sink
-// and optional in-report event collection with derived per-device stats.
+// RunWithOptions is Run with options attached: optional in-report event
+// collection with derived per-device stats, and an optional fault plan.
 func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	if p == nil || p.Best.Schedule == nil {
 		return nil, fmt.Errorf("mario: plan has no schedule")
@@ -375,13 +363,7 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	}
 	mach.DP = p.Best.DP
 	mach.Faults = opts.Faults
-	var rec *Recorder
-	if opts.CollectEvents {
-		rec = &Recorder{}
-		mach.Sink = obs.Multi(rec, opts.Sink)
-	} else {
-		mach.Sink = opts.Sink
-	}
+	mach.CollectEvents = opts.CollectEvents
 	rep, err := mach.Run(p.Best.Schedule, iters)
 	if err != nil {
 		return nil, err
@@ -412,9 +394,9 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 			out.PeakMemMax = v
 		}
 	}
-	if rec != nil {
-		out.Events = rec.Events
-		out.Stats = obs.Compute(rec.Events, rep.Total)
+	if opts.CollectEvents {
+		out.Events = rep.Events
+		out.Stats = obs.Compute(rep.Events, rep.Total)
 		out.Stats.WatchdogResets = rep.WatchdogResets
 	}
 	return out, nil

@@ -152,7 +152,7 @@ func TestResimulateRefusesForeignCandidate(t *testing.T) {
 		{"micro-batch", func(c *tuner.Candidate) { c.MicroBatch *= 2 }},
 		// A real point of the same space, with another point's totals.
 		{"another point", func(c *tuner.Candidate) { c.PP, c.DP, c.Micros = c.PP/2, c.DP*2, c.Micros/2 }},
-		{"unregistered scheme", func(c *tuner.Candidate) { c.Scheme = "Hanayo" }},
+		{"unregistered scheme", func(c *tuner.Candidate) { c.Scheme = "Zigzag" }},
 		{"place of the wrong length", func(c *tuner.Candidate) {
 			c.Place = &place.Assignment{LayersPerStage: make([]int, c.PP), DeviceOf: make([]int, c.PP+1)}
 		}},

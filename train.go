@@ -34,24 +34,23 @@ type Trainer = train.Trainer
 // NewTrainer builds and partitions the miniature model.
 func NewTrainer(cfg TrainConfig) (*Trainer, error) { return train.New(cfg) }
 
-// TraceIteration runs one real-tensor training iteration with an event
-// recorder attached and returns the stats together with the measured
+// TraceIteration runs one real-tensor training iteration with event
+// collection on and returns the stats together with the measured
 // per-instruction event stream (wall-clock seconds since iteration start,
-// live activation bytes as memory). The trainer's own Sink, if any, is
-// restored afterwards.
+// live activation bytes as memory). The trainer's own CollectEvents setting
+// is restored afterwards.
 func TraceIteration(tr *Trainer, s *Schedule) (*TrainStats, []Event, error) {
 	if tr == nil {
 		return nil, nil, fmt.Errorf("mario: nil trainer")
 	}
-	rec := &Recorder{}
-	prev := tr.Sink
-	tr.Sink = rec
-	defer func() { tr.Sink = prev }()
+	prev := tr.CollectEvents
+	tr.CollectEvents = true
+	defer func() { tr.CollectEvents = prev }()
 	st, err := tr.RunIteration(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return st, rec.Events, nil
+	return st, st.Events, nil
 }
 
 // BuildSchedule expands a named pipeline scheme ("V"/"1F1B", "X"/"Chimera",
