@@ -146,14 +146,16 @@ fuzz:
 # Doc-comment lint for the packages whose contracts must live in the source:
 # internal/sim (what an engine reuses and what it re-derives), internal/graph
 # (the passes' options and the prepose scan), internal/cluster (the emulator's
-# machine and its link model), internal/pipeline (COW schedule rules),
-# internal/scheme (the generator registry contract), the planning service's
+# machine and the device runtime it shares with the trainer),
+# internal/pipeline (COW schedule rules), internal/scheme (the generator
+# registry contract), the planning service's
 # public surface (internal/serve and its client), the search and its telemetry
-# (internal/tuner, internal/telemetry, internal/place) and the measured-run
-# layers (internal/obs, internal/fault, internal/train).
+# (internal/tuner, internal/telemetry, internal/place), the measured-run
+# layers (internal/obs, internal/fault, internal/train) and internal/tensor,
+# which owns the program's one random generator.
 # Dependency-free (cmd/exportlint, go/ast).
 lint:
-	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/obs ./internal/tuner ./internal/fault ./internal/train
+	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/obs ./internal/tuner ./internal/fault ./internal/train ./internal/tensor
 
 # End-to-end smoke of the mariod planning service: boots the daemon on a
 # loopback port, plans a small workload through the Go client (fresh run,

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mario -model GPT3-13B -devices 32 -gbs 128 -mem 40G [-scheme Auto]
-//	      [-tp 1] [-workers 0] [-no-prune] [-no-bnb]
+//	      [-tp 1] [-workers 0] [-no-bnb]
 //	      [-run 3] [-viz] [-svg out.svg]
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
@@ -57,7 +57,6 @@ func main() {
 		schemeStr = flag.String("scheme", "Auto", "pipeline scheme: Auto, V/1F1B, X/Chimera, W/Interleave, GPipe, Z/ZB-H1, D/DualPipe-D")
 		tp        = flag.Int("tp", 1, "tensor-parallel degree (held constant)")
 		workers   = flag.Int("workers", 0, "concurrent tuner evaluations (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		noPrune   = flag.Bool("no-prune", false, "disable the tuner's upper-bound prune (simulate every feasible configuration)")
 		noBnB     = flag.Bool("no-bnb", false, "use the canonical-order grid walk instead of branch-and-bound search (same best plan, more points simulated)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
 		runIters  = flag.Int("run", 0, "execute the winning schedule for N iterations on the emulated cluster")
@@ -122,7 +121,6 @@ func main() {
 		Memory:        *mem,
 		TP:            *tp,
 		SplitBackward: *split,
-		NoPrune:       *noPrune,
 		NoBnB:         *noBnB,
 		Workers:       *workers,
 		DeviceSpeeds:  deviceSpeeds,
@@ -302,8 +300,8 @@ func main() {
 		fmt.Printf("  measured throughput:     %.2f samples/s\n", rep.SamplesPerSec)
 		fmt.Printf("  measured peak memory:    [%.2f, %.2f] GB\n", rep.PeakMemMin/(1<<30), rep.PeakMemMax/(1<<30))
 		if rep.FaultPlan != "" {
-			fmt.Printf("  injected faults (%s):    %d slowed instrs, %d dropped p2p attempts, %.4g s stalled, %d stall-absorbed watchdog firings\n",
-				rep.FaultPlan, rep.FaultSlowed, rep.FaultDrops, rep.FaultStall, rep.StallResets)
+			fmt.Printf("  injected faults (%s):    %d slowed instrs, %d dropped p2p attempts, %.4g s stalled\n",
+				rep.FaultPlan, rep.FaultSlowed, rep.FaultDrops, rep.FaultStall)
 		}
 
 		if *measuredPath != "" {

@@ -1,0 +1,297 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"mario/internal/pipeline"
+)
+
+// ErrDeadlock is returned when the run makes no progress within the
+// watchdog interval while every unfinished device waits: some device is
+// blocked forever on a link or on the all-reduce barrier. The error text
+// names, per blocked device, the pending instruction and what it waits on.
+var ErrDeadlock = errors.New("cluster: deadlock (every device blocked)")
+
+// ErrMismatch is returned when a receive pops a message destined for a
+// different instruction, i.e. send/recv orders diverge on a link.
+var ErrMismatch = errors.New("cluster: send/recv order mismatch")
+
+// errAborted marks secondary failures of devices torn down after another
+// device hit the primary error; Execute reports the primary error instead.
+var errAborted = errors.New("cluster: aborted")
+
+// defaultWatchdog is the no-progress limit when the executor sets none.
+const defaultWatchdog = 5 * time.Second
+
+// message is one transfer on a link: the key of the receive it is for, and
+// the payload (an arrival time on the emulator, a tensor on the trainer).
+type message[P any] struct {
+	key     pipeline.Key
+	payload P
+}
+
+// execution is the state the device goroutines of one Execute share.
+type execution[P any] struct {
+	s   *pipeline.Schedule
+	res *pipeline.Resolved
+	// links holds one eager FIFO per (sender, receiver, channel), indexed by
+	// pipeline.Resolved.Link.
+	links     []chan message[P]
+	devs      []Device[P]
+	abort     chan struct{}
+	abortOnce sync.Once
+	// progress counts executed instructions; the watchdog reads it.
+	progress atomic.Uint64
+
+	// The all-reduce barrier: arrivals of the current round, and the channel
+	// its last arrival closes.
+	mu      sync.Mutex
+	arrived int
+	release chan struct{}
+}
+
+// Device is one device goroutine's handle on the runtime: its links, the
+// barrier, and the status the watchdog reads. Only its own goroutine uses it.
+type Device[P any] struct {
+	// ID is the device index.
+	ID int
+	// Iter is the iteration the device is executing.
+	Iter int
+
+	rt     *execution[P]
+	status devStatus
+}
+
+// devStatus publishes whether a device is waiting, and on which instruction,
+// so the watchdog can tell a slow run from a stuck one and name the stuck
+// instruction. Devices write it only around potentially-blocking waits.
+type devStatus struct {
+	mu       sync.Mutex
+	blocked  bool
+	finished bool
+	in       pipeline.Instr
+	iter     int
+}
+
+func (st *devStatus) block(in pipeline.Instr, iter int) {
+	st.mu.Lock()
+	st.blocked, st.in, st.iter = true, in, iter
+	st.mu.Unlock()
+}
+
+func (st *devStatus) unblock() {
+	st.mu.Lock()
+	st.blocked = false
+	st.mu.Unlock()
+}
+
+func (st *devStatus) finish() {
+	st.mu.Lock()
+	st.blocked, st.finished = false, true
+	st.mu.Unlock()
+}
+
+// Execute runs iters passes of every device's instruction list, one goroutine
+// per device, calling exec for each instruction on the device's own
+// goroutine. The first device error tears the others down, and Execute
+// returns that error rather than a teardown's. A run in which, for a whole
+// watchdog interval (0 means 5 s), no instruction completes and every device
+// that has not finished waits on a link or the barrier is a deadlock:
+// Execute tears it down and returns ErrDeadlock naming each waiting device's
+// instruction and link. resets counts the watchdog intervals that ended
+// without a deadlock.
+func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
+	exec func(dv *Device[P], in pipeline.Instr) error) (resets int, err error) {
+	if watchdog <= 0 {
+		watchdog = defaultWatchdog
+	}
+	res := s.Resolved()
+	rt := &execution[P]{
+		s: s, res: res,
+		links:   make([]chan message[P], res.NumLinks()),
+		devs:    make([]Device[P], s.NumDevices()),
+		abort:   make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	// Links are eager, as the simulator's are: each holds four times the
+	// messages one iteration can put on it, so a send does not wait for its
+	// receive.
+	for l := range rt.links {
+		rt.links[l] = make(chan message[P], 4*s.Micros*s.NumStages())
+	}
+	errs := make([]error, len(rt.devs))
+	var wg sync.WaitGroup
+	for d := range rt.devs {
+		dv := &rt.devs[d]
+		dv.ID, dv.rt = d, rt
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer dv.status.finish()
+			for dv.Iter = 0; dv.Iter < iters; dv.Iter++ {
+				for _, in := range s.Lists[d] {
+					if err := exec(dv, in); err != nil {
+						errs[d] = err
+						rt.teardown()
+						return
+					}
+					rt.progress.Add(1)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	timer := time.NewTimer(watchdog)
+	defer timer.Stop()
+	last := uint64(0)
+	for {
+		select {
+		case <-done:
+			return resets, firstError(errs)
+		case <-timer.C:
+			// The scan comes before the count: a device that unblocks a
+			// scanned one completes an instruction before it can wait again.
+			stuck := rt.stuck()
+			if cur := rt.progress.Load(); cur != last || stuck == nil {
+				last = cur
+				resets++
+				timer.Reset(watchdog)
+				continue
+			}
+			rt.teardown()
+			<-done
+			return resets, fmt.Errorf("%w after %v of no progress: %s", ErrDeadlock, watchdog, strings.Join(stuck, "; "))
+		}
+	}
+}
+
+// firstError is the run's error: the first device error, in device order,
+// that is not a teardown; a teardown only when nothing else failed.
+func firstError(errs []error) error {
+	var first error
+	for _, err := range errs {
+		if err != nil && (first == nil || (errors.Is(first, errAborted) && !errors.Is(err, errAborted))) {
+			first = err
+		}
+	}
+	return first
+}
+
+// teardown unblocks every waiting device; each then returns errAborted.
+func (rt *execution[P]) teardown() { rt.abortOnce.Do(func() { close(rt.abort) }) }
+
+// stuck describes every waiting device, or returns nil when some device that
+// has not finished is not waiting.
+func (rt *execution[P]) stuck() []string {
+	var out []string
+	for d := range rt.devs {
+		st := &rt.devs[d].status
+		st.mu.Lock()
+		blocked, finished, in, iter := st.blocked, st.finished, st.in, st.iter
+		st.mu.Unlock()
+		switch {
+		case finished:
+		case !blocked:
+			return nil
+		case in.Kind.IsComm():
+			dir, from, to := "recv", rt.res.Peer(d, in), d
+			if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
+				dir, from, to = "send", d, rt.res.Peer(d, in)
+			}
+			out = append(out, fmt.Sprintf("dev%d blocked on %s %s (stage %d, micro %d, iter %d) link %d->%d[%s]",
+				d, dir, in, in.Stage, in.Micro, iter, from, to, channelName(in.Kind)))
+		default:
+			out = append(out, fmt.Sprintf("dev%d blocked on %s (iter %d) at the all-reduce barrier", d, in, iter))
+		}
+	}
+	return out
+}
+
+// link returns the channel a communication instruction travels on.
+func (dv *Device[P]) link(in pipeline.Instr) (chan message[P], error) {
+	if l := dv.rt.res.Link(in); l >= 0 {
+		return dv.rt.links[l], nil
+	}
+	return nil, fmt.Errorf("cluster: device %d has no link for %s", dv.ID, in)
+}
+
+// Send posts payload on the link of the send instruction in, addressed to
+// the receive it matches. It blocks only while the link is full.
+func (dv *Device[P]) Send(in pipeline.Instr, payload P) error {
+	ch, err := dv.link(in)
+	if err != nil {
+		return err
+	}
+	msg := message[P]{key: dv.rt.s.MatchKey(in), payload: payload}
+	dv.status.block(in, dv.Iter)
+	select {
+	case ch <- msg:
+		dv.status.unblock()
+		return nil
+	case <-dv.rt.abort:
+		return fmt.Errorf("%w while sending %s from device %d", errAborted, in, dv.ID)
+	}
+}
+
+// Recv takes the next message off the link of the receive instruction in
+// and returns its payload. A message meant for another instruction is
+// ErrMismatch.
+func (dv *Device[P]) Recv(in pipeline.Instr) (P, error) {
+	var zero P
+	ch, err := dv.link(in)
+	if err != nil {
+		return zero, err
+	}
+	dv.status.block(in, dv.Iter)
+	select {
+	case msg := <-ch:
+		dv.status.unblock()
+		if msg.key != in.Key() {
+			return zero, fmt.Errorf("%w: device %d expected %s, link delivered %v", ErrMismatch, dv.ID, in, msg.key)
+		}
+		return msg.payload, nil
+	case <-dv.rt.abort:
+		return zero, fmt.Errorf("%w while receiving %s on device %d", errAborted, in, dv.ID)
+	}
+}
+
+// Barrier blocks until every device has reached it. The last to arrive runs
+// merge before any device is released, so merge sees every device's work
+// before the barrier and every device sees merge's after it.
+func (dv *Device[P]) Barrier(in pipeline.Instr, merge func()) error {
+	rt := dv.rt
+	rt.mu.Lock()
+	rt.arrived++
+	release := rt.release
+	if rt.arrived == len(rt.devs) {
+		rt.arrived, rt.release = 0, make(chan struct{})
+		rt.mu.Unlock()
+		merge()
+		close(release)
+		return nil
+	}
+	rt.mu.Unlock()
+	dv.status.block(in, dv.Iter)
+	select {
+	case <-release:
+		dv.status.unblock()
+		return nil
+	case <-rt.abort:
+		return fmt.Errorf("%w at the all-reduce barrier (%s on device %d)", errAborted, in, dv.ID)
+	}
+}
+
+// channelName tags a comm kind's link for human-readable diagnostics.
+func channelName(k pipeline.Kind) string {
+	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
+		return "grad"
+	}
+	return "act"
+}

@@ -8,15 +8,9 @@
 // All perturbations are expressed in virtual time, so a faulted run is as
 // reproducible as a healthy one: the same seed and plan produce byte-identical
 // measured traces regardless of GOMAXPROCS or scheduler interleaving. Drop
-// decisions are drawn from per-link splitmix64 streams keyed on
+// decisions are drawn from per-link tensor.NewStream generators keyed on
 // (seed, from, to, channel) and consumed in the sender's program order, which
 // only the owning device goroutine ever advances.
-//
-// A stall window may additionally carry a wall-clock hold (Stall.Wall). The
-// hold never changes virtual time — it exists so the cluster watchdog's
-// stall-vs-deadlock classification can be exercised: a device inside an
-// injected stall advertises itself through the Injector's stall counter and
-// the watchdog re-arms instead of declaring a deadlock.
 package fault
 
 import (
@@ -24,8 +18,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
-	"time"
+
+	"mario/internal/tensor"
 )
 
 // ErrLinkFailure is returned when a message is dropped on every attempt of
@@ -112,11 +106,6 @@ type Stall struct {
 	At float64 `json:"at"`
 	// Duration is the stall length in virtual seconds.
 	Duration float64 `json:"duration"`
-	// Wall optionally holds the device goroutine for this wall-clock span
-	// while the stall is taken, without affecting virtual time. It exists to
-	// exercise the watchdog's stall-vs-deadlock classification; leave zero
-	// for pure virtual-time stalls.
-	Wall time.Duration `json:"wall,omitempty"`
 }
 
 // Plan is a complete, deterministic fault scenario for one emulated run.
@@ -176,7 +165,7 @@ func (p *Plan) Validate(devices int) error {
 		if st.Device < 0 || st.Device >= devices {
 			return fmt.Errorf("fault: stall %d: device %d out of range [0,%d)", i, st.Device, devices)
 		}
-		if st.Duration < 0 || st.At < 0 || st.Wall < 0 {
+		if st.Duration < 0 || st.At < 0 {
 			return fmt.Errorf("fault: stall %d: negative time", i)
 		}
 	}
@@ -216,25 +205,17 @@ func (p *Plan) Compile(devices int) (*Injector, error) {
 	return inj, nil
 }
 
-// Injector is a Plan compiled against a device count. The shared state is a
-// single atomic stall counter; everything else lives in per-device views that
-// only the owning device goroutine touches, so a faulted run stays race-clean.
+// Injector is a Plan compiled against a device count. It holds no shared
+// mutable state: everything lives in per-device views that only the owning
+// device goroutine touches, so a faulted run stays race-clean.
 type Injector struct {
 	plan *Plan
 	devs []DeviceInjector
-	// stalled counts devices currently holding a wall-clock stall; the
-	// watchdog consults it through Stalled.
-	stalled atomic.Int64
 }
 
 // Device returns device d's injector view. Each view must only be used from
 // the goroutine emulating that device.
 func (inj *Injector) Device(d int) *DeviceInjector { return &inj.devs[d] }
-
-// Stalled reports how many devices are currently inside an injected
-// wall-clock stall. The cluster watchdog re-arms instead of declaring a
-// deadlock while this is nonzero.
-func (inj *Injector) Stalled() int64 { return inj.stalled.Load() }
 
 // retries returns the plan's retransmission budget.
 func (inj *Injector) retries() int {
@@ -286,7 +267,7 @@ type linkID struct {
 // linkState is the per-outgoing-link retry RNG and the matching plan faults.
 type linkState struct {
 	faults []*LinkFault
-	rng    rng
+	rng    tensor.RNG
 }
 
 // ComputeFactor returns the combined slowdown factor for a compute
@@ -306,28 +287,16 @@ func (d *DeviceInjector) ComputeFactor(t float64) float64 {
 }
 
 // TakeStall consumes every pending stall whose onset is at or before virtual
-// time t and returns the summed virtual delay plus the longest wall-clock
-// hold among them. Callers advance their clock by the delay, and — if wall is
-// nonzero — bracket the hold with EnterStall/ExitStall so the watchdog can
-// tell the pause from a deadlock.
-func (d *DeviceInjector) TakeStall(t float64) (delay float64, wall time.Duration) {
+// time t and returns their summed duration, by which the caller advances its
+// clock.
+func (d *DeviceInjector) TakeStall(t float64) (delay float64) {
 	for d.next < len(d.stalls) && d.stalls[d.next].At <= t {
-		st := &d.stalls[d.next]
-		delay += st.Duration
-		if st.Wall > wall {
-			wall = st.Wall
-		}
+		delay += d.stalls[d.next].Duration
 		d.next++
 	}
 	d.StallVirtual += delay
-	return delay, wall
+	return delay
 }
-
-// EnterStall marks the device as inside an injected wall-clock stall.
-func (d *DeviceInjector) EnterStall() { d.inj.stalled.Add(1) }
-
-// ExitStall clears the EnterStall mark.
-func (d *DeviceInjector) ExitStall() { d.inj.stalled.Add(-1) }
 
 // Transfer applies the plan's link faults to one message sent at virtual time
 // t on the (d.dev → to, channel) link with healthy wire time base. It returns
@@ -361,7 +330,7 @@ func (d *DeviceInjector) Transfer(to int, channel string, base, t float64) (Tran
 	budget := d.inj.retries()
 	backoff := d.inj.backoff()
 	for attempt := 0; ; attempt++ {
-		if ls.rng.float64() >= drop {
+		if ls.rng.Float64() >= drop {
 			return tr, nil
 		}
 		tr.Drops++
@@ -401,7 +370,7 @@ func (d *DeviceInjector) link(to int, channel string) *linkState {
 		}
 		ls = &linkState{
 			faults: faults,
-			rng:    newRNG(seed, uint64(d.dev)<<20|uint64(to)<<2|ch),
+			rng:    *tensor.NewStream(seed, uint64(d.dev)<<20|uint64(to)<<2|ch),
 		}
 	}
 	if d.links == nil {
@@ -409,22 +378,4 @@ func (d *DeviceInjector) link(to int, channel string) *linkState {
 	}
 	d.links[id] = ls
 	return ls
-}
-
-// rng is the same splitmix64 generator the cluster's jitter uses, on streams
-// keyed by (seed, link) so drop decisions are independent of jitter and of
-// each other.
-type rng struct{ state uint64 }
-
-func newRNG(seed, stream uint64) rng {
-	return rng{state: seed*0x9E3779B97F4A7C15 ^ (stream+1)*0xBF58476D1CE4E5B9}
-}
-
-func (r *rng) float64() float64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"testing"
-	"time"
 )
 
 func TestPlanEmpty(t *testing.T) {
@@ -82,48 +81,28 @@ func TestComputeFactorWindows(t *testing.T) {
 func TestTakeStallConsumesInOrder(t *testing.T) {
 	p := &Plan{Stalls: []Stall{
 		{Device: 0, At: 2, Duration: 0.5},
-		{Device: 0, At: 1, Duration: 0.25, Wall: 10 * time.Millisecond},
+		{Device: 0, At: 1, Duration: 0.25},
 	}}
 	inj, err := p.Compile(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := inj.Device(0)
-	if delay, _ := d.TakeStall(0.5); delay != 0 {
+	if delay := d.TakeStall(0.5); delay != 0 {
 		t.Errorf("no stall due at t=0.5, got delay %g", delay)
 	}
-	delay, wall := d.TakeStall(1.0)
-	if delay != 0.25 || wall != 10*time.Millisecond {
-		t.Errorf("stall at t=1: delay %g wall %v, want 0.25 / 10ms", delay, wall)
+	if delay := d.TakeStall(1.0); delay != 0.25 {
+		t.Errorf("stall at t=1: delay %g, want 0.25", delay)
 	}
 	// Both stalls due: the later one alone remains.
-	if delay, _ := d.TakeStall(5); delay != 0.5 {
+	if delay := d.TakeStall(5); delay != 0.5 {
 		t.Errorf("stall at t=5: delay %g, want 0.5", delay)
 	}
-	if delay, _ := d.TakeStall(100); delay != 0 {
+	if delay := d.TakeStall(100); delay != 0 {
 		t.Errorf("stalls already consumed, got delay %g", delay)
 	}
 	if d.StallVirtual != 0.75 {
 		t.Errorf("StallVirtual %g, want 0.75", d.StallVirtual)
-	}
-}
-
-func TestStalledCounter(t *testing.T) {
-	inj, err := (&Plan{Stalls: []Stall{{Device: 0, At: 0, Duration: 1}}}).Compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := inj.Device(0)
-	if inj.Stalled() != 0 {
-		t.Fatal("fresh injector should report 0 stalled")
-	}
-	d.EnterStall()
-	if inj.Stalled() != 1 {
-		t.Error("EnterStall should raise the counter")
-	}
-	d.ExitStall()
-	if inj.Stalled() != 0 {
-		t.Error("ExitStall should clear the counter")
 	}
 }
 
@@ -232,7 +211,7 @@ func TestParseSpec(t *testing.T) {
 	p, err := Parse("seed=9; name=demo; retries=5; backoff=1ms; " +
 		"slow:dev=1,factor=1.5,from=0.1,to=2; " +
 		"link:from=0,to=1,ch=act,latency=250us,bw=0.5,drop=0.05; " +
-		"stall:dev=2,at=0.5,dur=0.2,wall=100ms")
+		"stall:dev=2,at=0.5,dur=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +229,7 @@ func TestParseSpec(t *testing.T) {
 		lf.BandwidthFactor != 0.5 || lf.DropProb != 0.05 {
 		t.Errorf("link fault wrong: %+v", lf)
 	}
-	if len(p.Stalls) != 1 || p.Stalls[0] != (Stall{Device: 2, At: 0.5, Duration: 0.2, Wall: 100 * time.Millisecond}) {
+	if len(p.Stalls) != 1 || p.Stalls[0] != (Stall{Device: 2, At: 0.5, Duration: 0.2}) {
 		t.Errorf("stall wrong: %+v", p.Stalls)
 	}
 }
@@ -268,6 +247,7 @@ func TestParseWildcardAndErrors(t *testing.T) {
 		"slow:dev=1,bogus=2",
 		"slow",
 		"seed=notanumber",
+		"stall:dev=1,at=0.5,dur=0.1,wall=100ms", // the retired wall-clock hold
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -302,6 +282,27 @@ func TestJSONRoundTripAndLoad(t *testing.T) {
 	inline, err := ParseOrLoad("slow:dev=0,factor=3")
 	if err != nil || inline.Slowdowns[0].Factor != 3 {
 		t.Errorf("inline fallback failed: %+v, %v", inline, err)
+	}
+}
+
+// TestLoadIsStrict: a plan file with a key Plan does not have — a misspelling,
+// or the retired stall "wall" — or with anything after the plan is refused,
+// not loaded as a plan that injects nothing.
+func TestLoadIsStrict(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"misspelt key":  `{"slowdown":[{"device":1,"factor":2}]}`,
+		"stall wall":    `{"stalls":[{"device":0,"at":0,"duration":0.1,"wall":100000000}]}`,
+		"second value":  `{"slowdowns":[{"device":1,"factor":2}]} {}`,
+		"trailing junk": `{"slowdowns":[{"device":1,"factor":2}]} junk`,
+	} {
+		path := dir + "/plan.json"
+		if err := writeFile(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := Load(path); err == nil {
+			t.Errorf("%s: loaded %+v, want an error", name, p)
+		}
 	}
 }
 

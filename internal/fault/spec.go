@@ -2,7 +2,9 @@ package fault
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -15,7 +17,7 @@ import (
 //
 //	slow:dev=1,factor=1.5[,from=0][,to=2]
 //	link:from=0,to=1[,ch=act|grad][,latency=1ms][,bw=0.5][,drop=0.05][,from-t=0][,to-t=1]
-//	stall:dev=2,at=0.5,dur=0.2[,wall=100ms]
+//	stall:dev=2,at=0.5,dur=0.2
 //	seed=42    retries=5    backoff=1ms    name=my-scenario
 //
 // `dev=*` (or `from=*`/`to=*` on links) is the wildcard. Time values accept a
@@ -64,14 +66,25 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
-// Load reads a Plan from a JSON file (the json.Marshal form of Plan).
+// Load reads a Plan from a JSON file (the json.Marshal form of Plan). The file
+// holds one JSON value and nothing after it, and an unknown key is an error: a
+// misspelt key would otherwise load as a plan that injects nothing.
 func Load(path string) (*Plan, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fault: %w", err)
 	}
+	defer f.Close()
 	p := &Plan{}
-	if err := json.Unmarshal(data, p); err != nil {
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(p); err != nil {
+		return nil, fmt.Errorf("fault: parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value after the plan")
+		}
 		return nil, fmt.Errorf("fault: parsing %s: %w", path, err)
 	}
 	return p, nil
@@ -181,10 +194,6 @@ func (p *Plan) addStall(kv map[string]string) error {
 			st.At, err = parseSeconds(v)
 		case "dur":
 			st.Duration, err = parseSeconds(v)
-		case "wall":
-			var d time.Duration
-			d, err = time.ParseDuration(v)
-			st.Wall = d
 		default:
 			err = fmt.Errorf("unknown stall key %q", k)
 		}

@@ -56,9 +56,6 @@ type PlanRequest struct {
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
 	MaxPP int `json:"max_pp,omitempty"`
-	// NoPrune disables the bound and memory prunes so the trace holds the
-	// full Fig. 11 curve. It changes the trace, so it is part of the workload.
-	NoPrune bool `json:"no_prune,omitempty"`
 	// NoBnB expands the grid in canonical order instead of best-first by
 	// bound. The best plan is identical, but the trace and search stats
 	// differ, so it is part of the workload.
@@ -147,7 +144,6 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 		MicroBatchSizes: r.MicroBatches,
 		MinPP:           r.MinPP,
 		MaxPP:           r.MaxPP,
-		NoPrune:         r.NoPrune,
 		NoBnB:           r.NoBnB,
 		Workers:         workers,
 		DeviceSpeeds:    r.DeviceSpeeds,

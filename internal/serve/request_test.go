@@ -239,7 +239,7 @@ func TestEquivalentSpellingsOneWorkload(t *testing.T) {
 	// And the converse, for one field of each kind: what changes the search
 	// changes the fingerprint.
 	for _, field := range []string{`"tp":2`, `"micro_batches":[1,2]`, `"min_pp":2`, `"memory":"80G"`, `"scheme":"V"`,
-		`"placement":"coopt"`, `"device_speeds":[1,1,0.8,1]`, `"no_prune":true`, `"no_bnb":true`, `"split_backward":true`,
+		`"placement":"coopt"`, `"device_speeds":[1,1,0.8,1]`, `"no_bnb":true`, `"split_backward":true`,
 		`"checkpoint":true`, `"machine":{"Noise":0.1}`} {
 		if _, wl := resolveBody(t, respelled(field)); wl.Fingerprint() == bare.Fingerprint() {
 			t.Errorf("%s shares the bare request's fingerprint", field)
@@ -255,14 +255,14 @@ const pinnedBareFingerprint = "294d162734b3"
 func TestRequestConfigPlumbing(t *testing.T) {
 	r := PlanRequest{
 		Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64,
-		NoPrune: true, NoBnB: true,
+		NoBnB: true,
 	}
 	if _, err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	conf := r.Config(3)
-	if !conf.NoPrune || !conf.NoBnB {
-		t.Errorf("config dropped a strategy knob: NoPrune=%v NoBnB=%v", conf.NoPrune, conf.NoBnB)
+	if !conf.NoBnB {
+		t.Error("config dropped the NoBnB strategy knob")
 	}
 	if conf.Workers != 3 {
 		t.Errorf("config.Workers = %d, want the resolved value 3", conf.Workers)
@@ -377,7 +377,6 @@ func respell(w *mario.Workload) mario.Config {
 		DeviceSpeeds:    w.Space.DeviceSpeeds,
 		Placement:       string(w.Space.Placement),
 		Hardware:        &w.Hardware,
-		NoPrune:         w.Space.NoPrune,
 		NoBnB:           w.Space.NoBnB,
 	}
 	if len(w.Space.Schemes) == 1 {
@@ -421,12 +420,13 @@ func FuzzPlanRequestCanonical(f *testing.F) {
 		respelled(`"machine":{"Noise":1}`),
 		respelled(`"memory":"inf"`),
 		`{"model":"GPT3-1.6B","scheme":"v","global_batch":64,"devices":8,"memory":"40G","tp":2,"checkpoint":false,"split_backward":true,` +
-			`"micro_batches":[2,1],"min_pp":2,"max_pp":8,"no_prune":true,"no_bnb":true,"device_speeds":[1,1,1,0.8,1,1,1,1],"placement":"CoOpt","workers":3,"timeout_sec":1.5}`,
+			`"micro_batches":[2,1],"min_pp":2,"max_pp":8,"no_bnb":true,"device_speeds":[1,1,1,0.8,1,1,1,1],"placement":"CoOpt","workers":3,"timeout_sec":1.5}`,
 		`{"model_config":{"Name":"tiny","Hidden":64,"Layers":4,"Heads":4,"SeqLen":128,"Vocab":1000},"devices":2,"global_batch":8,` +
 			`"machine":{"Noise":0.04,"ExtraOverhead":0.00018,"MemSlack":1.06,"Hetero":0.05,"Seed":7},"device_speeds":[1,1]}`,
 		bareBody + `{"no_delta":true}`,
 		bareBody + ` this is not json`,
 		respelled(`"no_delta":true`),
+		respelled(`"no_prune":true`),
 		`null`, `[]`, ``,
 	} {
 		f.Add([]byte(seed))

@@ -1,6 +1,7 @@
 // Package train executes Mario instruction lists on a real (miniature)
-// transformer with real tensors: one goroutine per device, activations and
-// gradients travelling over Go channels, and activation checkpointing that
+// transformer with real tensors: one goroutine per device on the cluster
+// emulator's device runtime (cluster.Execute), activations and gradients
+// travelling over its links, and activation checkpointing that
 // genuinely drops and recomputes tensors. It is the semantic ground truth of
 // this reproduction — where the paper deploys its schedules in
 // Megatron-DeepSpeed and trains GPT3/LLaMA2, we train a small causal
@@ -22,20 +23,15 @@
 package train
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"mario/internal/cluster"
 	"mario/internal/nn"
 	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/tensor"
 )
-
-// ErrStalled is returned when devices stop making progress (a real deadlock
-// in the schedule).
-var ErrStalled = errors.New("train: pipeline stalled")
 
 // Config sizes the model and the training job.
 type Config struct {
@@ -55,7 +51,10 @@ type Config struct {
 	// gradient synchronisation of a shared table, which Megatron does with
 	// an extra all-reduce).
 	Vocab int
-	// Watchdog bounds wall-clock per iteration; 0 means 30s.
+	// Watchdog is the no-progress limit of the device runtime the trainer
+	// shares with the cluster emulator (cluster.Execute); 0 means 5s. An
+	// iteration may run longer as long as it keeps making progress; a
+	// schedule that deadlocks fails with cluster.ErrDeadlock.
 	Watchdog time.Duration
 }
 
@@ -220,22 +219,6 @@ func (t *Trainer) Params() [][]*nn.Param {
 	return out
 }
 
-type msg struct {
-	key  pipeline.Key
-	data *tensor.Tensor
-}
-
-type linkKey struct {
-	from, to, channel int
-}
-
-func channelOf(k pipeline.Kind) int {
-	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
-		return 1
-	}
-	return 0
-}
-
 // cellKey identifies per-(micro, stage) execution state on a device.
 type cellKey struct{ micro, stage int }
 
@@ -290,8 +273,6 @@ func (ds *devState) track(delta int64) {
 	}
 }
 
-var errTornDown = errors.New("train: torn down")
-
 // RunIteration executes one training iteration under the given schedule and
 // applies the optimizer step.
 func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
@@ -303,78 +284,20 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 	}
 	t.materialize(s)
 
-	watchdog := t.cfg.Watchdog
-	if watchdog <= 0 {
-		watchdog = 30 * time.Second
-	}
 	D := t.cfg.Devices
-
-	links := make(map[linkKey]chan msg)
-	for d, list := range s.Lists {
-		for _, in := range list {
-			if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
-				lk := linkKey{d, s.PeerDevice(d, in), channelOf(in.Kind)}
-				if links[lk] == nil {
-					links[lk] = make(chan msg, t.cfg.Micros*s.NumStages()+1)
-				}
-			}
-		}
-	}
-
 	states := make([]*devState, D)
-	errs := make([]error, D)
-	var wg sync.WaitGroup
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(d int, err error) {
-		errs[d] = err
-		abortOnce.Do(func() { close(abort) })
-	}
-
-	// The AllReduce barrier: every device arrives once per iteration; the
-	// coordinator merges weight-replica gradients (Chimera) and releases.
-	arrive := make(chan int, D)
-	release := make(chan struct{})
-	go t.allReduceCoordinator(arrive, release, abort, D)
-
 	epoch := time.Now()
-	for d := 0; d < D; d++ {
+	for d := range states {
 		states[d] = newDevState()
 		if t.CollectEvents {
 			states[d].events = make([]obs.Event, 0, len(s.Lists[d]))
 			states[d].epoch = epoch
 		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			if err := t.runDevice(d, s, states[d], links, arrive, release, abort); err != nil {
-				fail(d, err)
-			}
-		}(d)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(watchdog):
-		abortOnce.Do(func() { close(abort) })
-		<-done
-		return nil, fmt.Errorf("%w after %v", ErrStalled, watchdog)
-	}
-	// Report the primary failure; errTornDown entries are secondary
-	// teardown noise from devices unblocked by the abort.
-	var tornDown error
-	for d := 0; d < D; d++ {
-		if errs[d] == nil {
-			continue
-		}
-		if !errors.Is(errs[d], errTornDown) {
-			return nil, errs[d]
-		}
-		tornDown = errs[d]
-	}
-	if tornDown != nil {
-		return nil, tornDown
+	if _, err := cluster.Execute(s, 1, t.cfg.Watchdog, func(dv *cluster.Device[*tensor.Tensor], in pipeline.Instr) error {
+		return t.exec(dv, s, states[dv.ID], in)
+	}); err != nil {
+		return nil, err
 	}
 
 	stats := &Stats{
@@ -394,19 +317,11 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 	return stats, nil
 }
 
-// allReduceCoordinator waits for all devices to reach their AllReduce, then
-// merges the gradient accumulators of weight replicas (Chimera's two
-// pipelines train the same model; their gradients sum before the optimizer
-// step, keeping the replicas in lockstep) and releases the devices.
-func (t *Trainer) allReduceCoordinator(arrive <-chan int, release chan<- struct{}, abort <-chan struct{}, d int) {
-	for i := 0; i < d; i++ {
-		select {
-		case <-arrive:
-		case <-abort:
-			close(release)
-			return
-		}
-	}
+// mergeReplicas merges the gradient accumulators of weight replicas
+// (Chimera's two pipelines train the same model; their gradients sum before
+// the optimizer step, keeping the replicas in lockstep). It runs at the
+// AllReduce barrier, once every device has arrived and before any leaves.
+func (t *Trainer) mergeReplicas() {
 	if t.replicas > 1 {
 		for key, primary := range t.stages {
 			if key[0] != 0 {
@@ -433,7 +348,6 @@ func (t *Trainer) allReduceCoordinator(arrive <-chan int, release chan<- struct{
 			}
 		}
 	}
-	close(release)
 }
 
 // mergeGrads sums the gradient accumulators of two parameter sets and
@@ -448,255 +362,228 @@ func mergeGrads(a, b []*nn.Param) {
 	}
 }
 
-// runDevice interprets one device's instruction list.
-func (t *Trainer) runDevice(
-	d int, s *pipeline.Schedule, ds *devState,
-	links map[linkKey]chan msg,
-	arrive chan<- int, release <-chan struct{}, abort chan struct{},
-) error {
+// exec interprets one instruction of device dv's list.
+func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule, ds *devState, in pipeline.Instr) error {
+	d := dv.ID
 	lastStage := s.NumStages() - 1
 	record := ds.events != nil
-	for _, in := range s.Lists[d] {
-		var start float64
-		if record {
-			start = time.Since(ds.epoch).Seconds()
+	var start float64
+	if record {
+		start = time.Since(ds.epoch).Seconds()
+	}
+	ck := cellKey{micro: in.Micro, stage: in.Stage}
+	switch in.Kind {
+	case pipeline.RecvAct, pipeline.RecvGrad:
+		data, err := dv.Recv(in)
+		if err != nil {
+			return err
 		}
-		ck := cellKey{micro: in.Micro, stage: in.Stage}
-		switch in.Kind {
-		case pipeline.RecvAct, pipeline.RecvGrad:
-			lk := linkKey{s.PeerDevice(d, in), d, channelOf(in.Kind)}
-			ch := links[lk]
-			if ch == nil {
-				return fmt.Errorf("train: dev%d has no link for %s", d, in)
-			}
-			select {
-			case got := <-ch:
-				if got.key != in.Key() {
-					return fmt.Errorf("train: dev%d expected %s, link delivered %v", d, in, got.key)
-				}
-				if in.Kind == pipeline.RecvAct {
-					ds.inputs[ck] = got.data
-				} else {
-					ds.grads[ck] = got.data
-				}
-				ds.track(int64(got.data.Bytes()))
-			case <-abort:
-				return errTornDown
-			}
+		if in.Kind == pipeline.RecvAct {
+			ds.inputs[ck] = data
+		} else {
+			ds.grads[ck] = data
+		}
+		ds.track(int64(data.Bytes()))
 
-		case pipeline.Forward, pipeline.CkptForward:
-			stage := t.stageFor(in.Part, in.Stage)
-			x := ds.inputs[ck]
-			if x == nil {
-				if in.Stage != 0 {
-					return fmt.Errorf("train: dev%d forward %s has no input", d, in)
-				}
-				if t.lm() {
-					ids, _ := t.tokenStream(in.Micro)
-					x = t.embedFor(in.Part).Forward(ids)
-				} else {
-					x = t.input(in.Micro)
-				}
-				ds.track(int64(x.Bytes()))
-				ds.inputs[ck] = x
-			}
-			var y *tensor.Tensor
-			if in.Kind == pipeline.CkptForward {
-				y = stage.ForwardDropped(x)
-				ds.stashes[ck] = x // the stash keeps the input bytes alive
-			} else {
-				var c *nn.StageCache
-				y, c = stage.Forward(x)
-				ds.caches[ck] = c
-				ds.track(int64(c.Bytes()))
-				ds.track(-int64(x.Bytes())) // cache owns the input now
-			}
-			delete(ds.inputs, ck)
-			if in.Stage == lastStage {
-				var loss float64
-				var dy *tensor.Tensor
-				if t.lm() {
-					_, targets := t.tokenStream(in.Micro)
-					head := t.headFor(in.Part)
-					logits, hc := head.Forward(y)
-					loss, dy = nn.CrossEntropy(logits, targets)
-					if in.Kind == pipeline.Forward {
-						// The head cache (which references y) is needed by
-						// the backward; checkpointed forwards rebuild it in
-						// the recompute instead.
-						ds.heads[ck] = hc
-						ds.track(int64(hc.Bytes()))
-					}
-				} else {
-					loss, dy = tensor.MSE(y, t.target(in.Micro))
-				}
-				ds.losses[in.Micro] = loss
-				ds.grads[ck] = dy
-				ds.track(int64(dy.Bytes()))
-			} else {
-				ds.outputs[ck] = y
-				ds.track(int64(y.Bytes()))
-			}
-
-		case pipeline.SendAct:
-			y := ds.outputs[ck]
-			if y == nil {
-				return fmt.Errorf("train: dev%d send %s has no output", d, in)
-			}
-			lk := linkKey{d, s.PeerDevice(d, in), 0}
-			select {
-			case links[lk] <- msg{key: s.MatchKey(in), data: y}:
-			case <-abort:
-				return errTornDown
-			}
-			delete(ds.outputs, ck)
-			ds.track(-int64(y.Bytes()))
-
-		case pipeline.Recompute:
-			x := ds.stashes[ck]
-			if x == nil {
-				return fmt.Errorf("train: dev%d recompute %s has no stash", d, in)
-			}
-			y, c := t.stageFor(in.Part, in.Stage).Forward(x)
-			ds.caches[ck] = c
-			ds.track(int64(c.Bytes()))
-			if t.lm() && in.Stage == lastStage {
-				// Restore the LM-head cache dropped by the checkpointed
-				// forward (the loss gradient itself was kept).
-				_, hc := t.headFor(in.Part).Forward(y)
-				ds.heads[ck] = hc
-				ds.track(int64(hc.Bytes()))
-			}
-
-		case pipeline.Backward, pipeline.BackwardInput:
-			// One code path for fused and split backwards: the input-gradient
-			// chain runs now; the weight-gradient work either runs immediately
-			// (Backward) or is parked for the matching BackwardWeight
-			// (BackwardInput), pinning the bytes it closes over.
-			c := ds.caches[ck]
-			dy := ds.grads[ck]
-			if c == nil || dy == nil {
-				return fmt.Errorf("train: dev%d backward %s missing cache or gradient", d, in)
-			}
-			pinned := int64(c.Bytes()) + int64(dy.Bytes())
-			var headWork nn.WeightWork
-			if t.lm() && in.Stage == lastStage {
-				hc := ds.heads[ck]
-				if hc == nil {
-					return fmt.Errorf("train: dev%d backward %s missing LM-head cache", d, in)
-				}
-				pinned += int64(hc.Bytes())
-				dy, headWork = t.headFor(in.Part).BackwardInput(hc, dy)
-				delete(ds.heads, ck)
-			}
-			dx, stageWork := t.stageFor(in.Part, in.Stage).BackwardInput(c, dy)
-			part, micro := in.Part, in.Micro
-			embeds := t.lm() && in.Stage == 0
-			work := func() {
-				if headWork != nil {
-					headWork()
-				}
-				stageWork()
-				if embeds {
-					ids, _ := t.tokenStream(micro)
-					t.embedFor(part).Backward(ids, dx)
-				}
-			}
-			delete(ds.caches, ck)
-			delete(ds.grads, ck)
-			if x := ds.stashes[ck]; x != nil {
-				delete(ds.stashes, ck)
-				ds.track(-int64(x.Bytes()))
-			}
-			if in.Kind == pipeline.Backward {
-				work()
-				ds.track(-pinned)
-			} else {
-				ds.wgrads[ck] = work
-				ds.wgradBytes[ck] = pinned
-			}
-			if in.Stage > 0 {
-				ds.dxs[ck] = dx
-				ds.track(int64(dx.Bytes()))
-			}
-
-		case pipeline.BackwardWeight:
-			w := ds.wgrads[ck]
-			if w == nil {
-				return fmt.Errorf("train: dev%d weight-grad %s has no deferred work", d, in)
-			}
-			w()
-			delete(ds.wgrads, ck)
-			ds.track(-ds.wgradBytes[ck])
-			delete(ds.wgradBytes, ck)
-
-		case pipeline.SendGrad:
-			dx := ds.dxs[ck]
-			if dx == nil {
-				return fmt.Errorf("train: dev%d send-grad %s has no gradient", d, in)
-			}
-			lk := linkKey{d, s.PeerDevice(d, in), 1}
-			select {
-			case links[lk] <- msg{key: s.MatchKey(in), data: dx}:
-			case <-abort:
-				return errTornDown
-			}
-			delete(ds.dxs, ck)
-			ds.track(-int64(dx.Bytes()))
-
-		case pipeline.AllReduce:
-			select {
-			case arrive <- d:
-			case <-abort:
-				return errTornDown
-			}
-			select {
-			case <-release:
-			case <-abort:
-				return errTornDown
-			}
-
-		case pipeline.OptimizerStep:
-			// Each device steps the stage modules it owns, once each.
-			pl := s.Placement
-			for key, stage := range t.stages {
-				if pl.Device(key[0], key[1]) != d {
-					continue
-				}
-				for _, p := range stage.Params() {
-					p.Step(t.cfg.LR, float64(t.cfg.Micros))
-				}
+	case pipeline.Forward, pipeline.CkptForward:
+		stage := t.stageFor(in.Part, in.Stage)
+		x := ds.inputs[ck]
+		if x == nil {
+			if in.Stage != 0 {
+				return fmt.Errorf("train: dev%d forward %s has no input", d, in)
 			}
 			if t.lm() {
-				for part, e := range t.embeds {
-					if pl.Device(part, 0) == d {
-						e.W.Step(t.cfg.LR, float64(t.cfg.Micros))
-					}
+				ids, _ := t.tokenStream(in.Micro)
+				x = t.embedFor(in.Part).Forward(ids)
+			} else {
+				x = t.input(in.Micro)
+			}
+			ds.track(int64(x.Bytes()))
+			ds.inputs[ck] = x
+		}
+		var y *tensor.Tensor
+		if in.Kind == pipeline.CkptForward {
+			y = stage.ForwardDropped(x)
+			ds.stashes[ck] = x // the stash keeps the input bytes alive
+		} else {
+			var c *nn.StageCache
+			y, c = stage.Forward(x)
+			ds.caches[ck] = c
+			ds.track(int64(c.Bytes()))
+			ds.track(-int64(x.Bytes())) // cache owns the input now
+		}
+		delete(ds.inputs, ck)
+		if in.Stage == lastStage {
+			var loss float64
+			var dy *tensor.Tensor
+			if t.lm() {
+				_, targets := t.tokenStream(in.Micro)
+				head := t.headFor(in.Part)
+				logits, hc := head.Forward(y)
+				loss, dy = nn.CrossEntropy(logits, targets)
+				if in.Kind == pipeline.Forward {
+					// The head cache (which references y) is needed by
+					// the backward; checkpointed forwards rebuild it in
+					// the recompute instead.
+					ds.heads[ck] = hc
+					ds.track(int64(hc.Bytes()))
 				}
-				for part, h := range t.heads {
-					if pl.Device(part, lastStage) == d {
-						h.W.Step(t.cfg.LR, float64(t.cfg.Micros))
-					}
+			} else {
+				loss, dy = tensor.MSE(y, t.target(in.Micro))
+			}
+			ds.losses[in.Micro] = loss
+			ds.grads[ck] = dy
+			ds.track(int64(dy.Bytes()))
+		} else {
+			ds.outputs[ck] = y
+			ds.track(int64(y.Bytes()))
+		}
+
+	case pipeline.SendAct:
+		y := ds.outputs[ck]
+		if y == nil {
+			return fmt.Errorf("train: dev%d send %s has no output", d, in)
+		}
+		if err := dv.Send(in, y); err != nil {
+			return err
+		}
+		delete(ds.outputs, ck)
+		ds.track(-int64(y.Bytes()))
+
+	case pipeline.Recompute:
+		x := ds.stashes[ck]
+		if x == nil {
+			return fmt.Errorf("train: dev%d recompute %s has no stash", d, in)
+		}
+		y, c := t.stageFor(in.Part, in.Stage).Forward(x)
+		ds.caches[ck] = c
+		ds.track(int64(c.Bytes()))
+		if t.lm() && in.Stage == lastStage {
+			// Restore the LM-head cache dropped by the checkpointed
+			// forward (the loss gradient itself was kept).
+			_, hc := t.headFor(in.Part).Forward(y)
+			ds.heads[ck] = hc
+			ds.track(int64(hc.Bytes()))
+		}
+
+	case pipeline.Backward, pipeline.BackwardInput:
+		// One code path for fused and split backwards: the input-gradient
+		// chain runs now; the weight-gradient work either runs immediately
+		// (Backward) or is parked for the matching BackwardWeight
+		// (BackwardInput), pinning the bytes it closes over.
+		c := ds.caches[ck]
+		dy := ds.grads[ck]
+		if c == nil || dy == nil {
+			return fmt.Errorf("train: dev%d backward %s missing cache or gradient", d, in)
+		}
+		pinned := int64(c.Bytes()) + int64(dy.Bytes())
+		var headWork nn.WeightWork
+		if t.lm() && in.Stage == lastStage {
+			hc := ds.heads[ck]
+			if hc == nil {
+				return fmt.Errorf("train: dev%d backward %s missing LM-head cache", d, in)
+			}
+			pinned += int64(hc.Bytes())
+			dy, headWork = t.headFor(in.Part).BackwardInput(hc, dy)
+			delete(ds.heads, ck)
+		}
+		dx, stageWork := t.stageFor(in.Part, in.Stage).BackwardInput(c, dy)
+		part, micro := in.Part, in.Micro
+		embeds := t.lm() && in.Stage == 0
+		work := func() {
+			if headWork != nil {
+				headWork()
+			}
+			stageWork()
+			if embeds {
+				ids, _ := t.tokenStream(micro)
+				t.embedFor(part).Backward(ids, dx)
+			}
+		}
+		delete(ds.caches, ck)
+		delete(ds.grads, ck)
+		if x := ds.stashes[ck]; x != nil {
+			delete(ds.stashes, ck)
+			ds.track(-int64(x.Bytes()))
+		}
+		if in.Kind == pipeline.Backward {
+			work()
+			ds.track(-pinned)
+		} else {
+			ds.wgrads[ck] = work
+			ds.wgradBytes[ck] = pinned
+		}
+		if in.Stage > 0 {
+			ds.dxs[ck] = dx
+			ds.track(int64(dx.Bytes()))
+		}
+
+	case pipeline.BackwardWeight:
+		w := ds.wgrads[ck]
+		if w == nil {
+			return fmt.Errorf("train: dev%d weight-grad %s has no deferred work", d, in)
+		}
+		w()
+		delete(ds.wgrads, ck)
+		ds.track(-ds.wgradBytes[ck])
+		delete(ds.wgradBytes, ck)
+
+	case pipeline.SendGrad:
+		dx := ds.dxs[ck]
+		if dx == nil {
+			return fmt.Errorf("train: dev%d send-grad %s has no gradient", d, in)
+		}
+		if err := dv.Send(in, dx); err != nil {
+			return err
+		}
+		delete(ds.dxs, ck)
+		ds.track(-int64(dx.Bytes()))
+
+	case pipeline.AllReduce:
+		if err := dv.Barrier(in, t.mergeReplicas); err != nil {
+			return err
+		}
+
+	case pipeline.OptimizerStep:
+		// Each device steps the stage modules it owns, once each.
+		pl := s.Placement
+		for key, stage := range t.stages {
+			if pl.Device(key[0], key[1]) != d {
+				continue
+			}
+			for _, p := range stage.Params() {
+				p.Step(t.cfg.LR, float64(t.cfg.Micros))
+			}
+		}
+		if t.lm() {
+			for part, e := range t.embeds {
+				if pl.Device(part, 0) == d {
+					e.W.Step(t.cfg.LR, float64(t.cfg.Micros))
+				}
+			}
+			for part, h := range t.heads {
+				if pl.Device(part, lastStage) == d {
+					h.W.Step(t.cfg.LR, float64(t.cfg.Micros))
 				}
 			}
 		}
-		if record {
-			end := time.Since(ds.epoch).Seconds()
-			ev := obs.Event{
-				Device: d, Kind: in.Kind, Micro: in.Micro, Part: in.Part,
-				Stage: in.Stage, Peer: -1, Start: start, End: end,
-				Mem: float64(ds.live), Buffered: in.Buffered,
-			}
-			if in.Kind.IsComm() {
-				ev.Peer = s.PeerDevice(d, in)
-				// Wall-clock receives are essentially all queue wait; the
-				// copy itself is a pointer handoff.
-				if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
-					ev.Wait = end - start
-				}
-			}
-			ds.events = append(ds.events, ev)
+	}
+	if record {
+		end := time.Since(ds.epoch).Seconds()
+		ev := obs.Event{
+			Device: d, Kind: in.Kind, Micro: in.Micro, Part: in.Part,
+			Stage: in.Stage, Peer: -1, Start: start, End: end,
+			Mem: float64(ds.live), Buffered: in.Buffered,
 		}
+		if in.Kind.IsComm() {
+			ev.Peer = s.PeerDevice(d, in)
+			// Wall-clock receives are essentially all queue wait; the
+			// copy itself is a pointer handoff.
+			if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
+				ev.Wait = end - start
+			}
+		}
+		ds.events = append(ds.events, ev)
 	}
 	return nil
 }

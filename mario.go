@@ -96,10 +96,6 @@ type Config struct {
 	// GOMAXPROCS, 1 searches sequentially. The chosen plan, trace and
 	// search stats are identical for every value.
 	Workers int
-	// NoPrune disables the tuner's bound and memory prunes so every feasible
-	// configuration is simulated, in canonical grid order, and appears in
-	// the trace.
-	NoPrune bool
 	// NoBnB expands the grid in canonical order instead of best-first by
 	// bound. The prunes and the best plan are the same either way; best-first
 	// typically simulates far fewer grid points, so the trace and the search
@@ -305,9 +301,6 @@ type RunReport struct {
 	// WatchdogResets counts how often the deadlock watchdog re-armed
 	// because the cluster was slow but still making progress.
 	WatchdogResets int
-	// StallResets counts watchdog firings absorbed by an injected
-	// wall-clock stall instead of being declared deadlocks.
-	StallResets int
 	// FaultDrops, FaultStall and FaultSlowed summarise the injected faults
 	// of a run made with RunOptions.Faults: dropped-and-retried p2p
 	// attempts, total injected stall time in virtual seconds, and slowed
@@ -374,7 +367,6 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 		SamplesPerSec:  rep.SamplesPerSec,
 		PeakMem:        rep.PeakMem,
 		WatchdogResets: rep.WatchdogResets,
-		StallResets:    rep.StallResets,
 		FaultDrops:     rep.FaultDrops,
 		FaultStall:     rep.FaultStall,
 		FaultSlowed:    rep.FaultSlowed,

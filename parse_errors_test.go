@@ -83,7 +83,7 @@ func TestParseFaultsErrors(t *testing.T) {
 		{"link bad latency", "link:from=0,to=1,latency=big", "neither seconds nor a duration"},
 		{"stall unknown key", "stall:dev=1,until=5", "unknown stall key"},
 		{"stall bad at", "stall:dev=1,at=noon", "neither seconds nor a duration"},
-		{"stall bad wall", "stall:dev=1,at=0.5,dur=0.1,wall=ages", "time: invalid duration"},
+		{"stall wall key", "stall:dev=1,at=0.5,dur=0.1,wall=100ms", "unknown stall key"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

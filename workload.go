@@ -107,7 +107,6 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 		MaxPP:        conf.MaxPP,
 		TP:           conf.TP,
 		DeviceMem:    w.Hardware.MemBytes,
-		NoPrune:      conf.NoPrune,
 		NoBnB:        conf.NoBnB,
 		DeviceSpeeds: conf.DeviceSpeeds,
 		Placement:    pmode,

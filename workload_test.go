@@ -17,8 +17,8 @@ import (
 // worker count and tracer: a fingerprint that moved would split the
 // cache). A field added to Config without a line in one of the two tables
 // fails: whether it is part of a workload's identity is decided, not
-// inherited. NoPrune and NoBnB are the workload's — they change the trace and
-// the search stats — which TestFingerprintStrategyFields used to pin by name.
+// inherited. NoBnB is the workload's — it changes the trace and the search
+// stats — which TestFingerprintStrategyFields used to pin by name.
 func TestFingerprintCoversConfig(t *testing.T) {
 	base := func() mario.Config { return mario.Config{NumDevices: 8, GlobalBatchSize: 64} }
 	model := mario.Model("LLaMA2-3B")
@@ -39,7 +39,6 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		"DeviceSpeeds":    func(c *mario.Config) { c.DeviceSpeeds = []float64{1, 1, 1, 0.8, 1, 1, 1, 1} },
 		"Placement":       func(c *mario.Config) { c.Placement = "coopt" },
 		"Hardware":        func(c *mario.Config) { c.Hardware = &h100 },
-		"NoPrune":         func(c *mario.Config) { c.NoPrune = true },
 		"NoBnB":           func(c *mario.Config) { c.NoBnB = true },
 	}
 	runOnly := map[string]func(*mario.Config){
