@@ -73,10 +73,11 @@ bench-json:
 # The gating half of the ledger: B/op and allocs/op of the deterministic rows
 # may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent, and
 # the counts those rows report — sims/op (BenchmarkGraphOptimize,
-# BenchmarkTunerSearchBnB: simulations) and units/op (BenchmarkScheduleBuild:
-# compute units list-scheduled) — may not exceed it at all. Unlike ns/op none of
-# this depends on the runner, so CI enforces it; after a deliberate change
-# regenerate the baseline with `make bench-json`.
+# BenchmarkTunerSearchBnB: simulations), units/op (BenchmarkScheduleBuild:
+# compute units list-scheduled), explored (BenchmarkTunerSearchBnB: grid points
+# simulated) and bytes (BenchmarkPlanCodec: plan bytes) — may not exceed it at
+# all. Unlike ns/op none of this depends on the runner, so CI enforces it;
+# after a deliberate change regenerate the baseline with `make bench-json`.
 ALLOCPCT ?= 5
 bench-gate-allocs:
 	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
@@ -222,12 +223,14 @@ docs-check:
 	[ $$fail = 0 ] && echo "docs-check: docs/TUNING.md and the cmd/ flag sets agree"
 
 # Scheme-family smoke: every registered generator (incl. the split-backward
-# ZB-H1 and DualPipe-D) builds and validates on the demo grid, the list
+# ZB-H1 and DualPipe-D) builds and validates on the demo grid and, with every
+# graph pass on top, over all small shapes (Build does not validate), the list
 # scheduler is deterministic under the race detector, the zero-bubble
 # comparison runs end to end, and the docs/SCHEMES.md diagrams match the
 # renderer byte-for-byte.
 schemes-smoke:
 	$(call go-test-named,-race,TestAllSchemesValidate|TestSplitSchemesValidate|TestSchemeBuildDeterministic,./internal/scheme)
+	$(call go-test-named,-race,TestRegistryValidates,./internal/graph)
 	$(GO) run ./cmd/experiments -fast -run zerobubble >/dev/null
 	$(call go-test-named,,TestGoldenDocs|TestZeroBubbleFast,./internal/experiments)
 

@@ -29,9 +29,10 @@
 // run on any machine, so — unlike ns/op, which CI runner noise keeps
 // non-gating — a small threshold on these columns is a gate CI can enforce.
 // It also gates the count extras of the rows that report one — sims/op, the
-// simulations a search ran, and units/op, the compute units a schedule build
-// list-scheduled: exact on any machine, they are held to the baseline with no
-// threshold — one more simulation or unit fails.
+// simulations a search ran, units/op, the compute units a schedule build
+// list-scheduled, explored, the grid points a search simulated, and bytes, the
+// size of an encoded plan: exact on any machine, they are held to the baseline
+// with no threshold — one more simulation, unit, point or byte fails.
 package main
 
 import (
@@ -145,6 +146,8 @@ var (
 		{unit: "allocs/op", get: func(r result) *float64 { return r.AllocsPerOp }},
 		{unit: "sims/op", get: extraMetric("sims/op"), exact: true},
 		{unit: "units/op", get: extraMetric("units/op"), exact: true},
+		{unit: "explored", get: extraMetric("explored"), exact: true},
+		{unit: "bytes", get: extraMetric("bytes"), exact: true},
 	}
 )
 

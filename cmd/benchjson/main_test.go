@@ -153,16 +153,19 @@ func TestGateAgainst(t *testing.T) {
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
 // (ns/op is not), either column failing fails the gate, a zero baseline
-// regresses by becoming non-zero, and sims/op and units/op — exact counts —
-// fail on one more simulation or unit however small a share of the baseline
-// that is.
+// regresses by becoming non-zero, and sims/op, units/op, explored and bytes —
+// exact counts — fail on one more simulation, unit, point or byte however
+// small a share of the baseline that is; other extras (bound-pruned) are not
+// gated.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
   {"name": "BenchmarkZero", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0},
   {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10},
   {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}},
-  {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}}
+  {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}},
+  {"name": "BenchmarkSearch", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"explored": 38, "bound-pruned": 120}},
+  {"name": "BenchmarkCodec", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"bytes": 43172}}
 ]`)
 	for _, tc := range []struct {
 		name, bench string
@@ -180,6 +183,10 @@ func TestGateMem(t *testing.T) {
 		{"one more sim fails", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 62 sims/op\n", true, "WORSE  BenchmarkSims"},
 		{"units stay", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24576 units/op\n", false, "24576 units/op"},
 		{"one more unit fails", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24577 units/op\n", true, "WORSE  BenchmarkUnits"},
+		{"explored stays", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 38 explored 121 bound-pruned\n", false, "38 explored"},
+		{"one more explored point fails", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 39 explored\n", true, "WORSE  BenchmarkSearch"},
+		{"plan bytes stay", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43172 bytes\n", false, "43172 bytes"},
+		{"one more plan byte fails", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43173 bytes\n", true, "WORSE  BenchmarkCodec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

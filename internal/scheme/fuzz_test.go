@@ -45,8 +45,7 @@ func fuzzConfig(devices, micros, chunks uint8) Config {
 // chunks) input space. Constraint rejections are fine; any successfully
 // built schedule must uphold the generator's invariants:
 //
-//   - it passes pipeline.Validate (Build checks this itself; re-checked so
-//     the fuzz target stays meaningful if Build ever skips it),
+//   - it passes pipeline.Validate, which Build does not run itself,
 //   - instruction identities are unique — no duplicate (kind, micro, part,
 //     stage) on any device,
 //   - compute work is conserved: exactly Micros forwards per global stage,

@@ -7,26 +7,32 @@ import (
 	"mario/internal/pipeline"
 )
 
+// mustBuild builds and validates: Build does not validate its own output,
+// so every test that builds through here checks the generator it exercises.
 func mustBuild(t *testing.T, s pipeline.Scheme, cfg Config) *pipeline.Schedule {
 	t.Helper()
 	sched, err := Build(s, cfg)
 	if err != nil {
 		t.Fatalf("Build(%s, %+v): %v", s, cfg, err)
 	}
+	if err := pipeline.Validate(sched); err != nil {
+		t.Fatalf("Build(%s, %+v) is invalid: %v", s, cfg, err)
+	}
 	return sched
 }
 
-// TestAllSchemesValidate builds every scheme over a grid of sizes; Build
-// already runs pipeline.Validate, so success means all structural invariants
-// hold.
+// TestAllSchemesValidate builds and validates every registered scheme over a
+// grid of sizes (Interleave at two chunk counts). The exhaustive sweep over
+// small shapes, with the graph passes on top, is TestRegistryValidates in
+// internal/graph.
 func TestAllSchemesValidate(t *testing.T) {
-	for _, d := range []int{2, 4, 8} {
-		for _, n := range []int{8, 16} {
-			mustBuild(t, pipeline.SchemeGPipe, Config{Devices: d, Micros: n})
-			mustBuild(t, pipeline.Scheme1F1B, Config{Devices: d, Micros: n})
-			mustBuild(t, pipeline.SchemeChimera, Config{Devices: d, Micros: n})
-			for _, v := range []int{2, 4} {
-				mustBuild(t, pipeline.SchemeInterleave, Config{Devices: d, Micros: n, Chunks: v})
+	for _, s := range Schemes() {
+		for _, d := range []int{2, 4, 8} {
+			for _, n := range []int{8, 16} {
+				mustBuild(t, s, Config{Devices: d, Micros: n})
+				if s == pipeline.SchemeInterleave {
+					mustBuild(t, s, Config{Devices: d, Micros: n, Chunks: 4})
+				}
 			}
 		}
 	}

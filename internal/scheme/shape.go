@@ -10,7 +10,7 @@ import (
 // how many of each, communication included — but say nothing about the order
 // the list scheduler puts them in. Consumers that only need the multiset and
 // the placement (the tuner's admissible bounds) take a Shape and skip the
-// list scheduler, InsertComm and Validate that Build pays for.
+// list scheduler and InsertComm that Build pays for.
 type Shape struct {
 	Scheme    pipeline.Scheme
 	Placement pipeline.Placement

@@ -72,6 +72,8 @@ func TestRequestValidateErrors(t *testing.T) {
 		{name: "negative speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
 		{name: "NaN speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, math.NaN(), 1, 1, 1, 1, 1} }, wantErr: "device 2 speed NaN must be positive", libraryOnly: true},
 		{name: "bad placement", mut: func(r *PlanRequest) { r.Placement = "sideways" }, wantErr: "unknown placement mode"},
+		{name: "min_pp above the cluster", mut: func(r *PlanRequest) { r.MinPP = 16 }, wantErr: "no pipeline depth in min_pp..max_pp [16, 8] divides 8 devices"},
+		{name: "no pp range divisor", mut: func(r *PlanRequest) { r.MinPP, r.MaxPP = 5, 7 }, wantErr: "no pipeline depth in min_pp..max_pp [5, 7] divides 8 devices"},
 		{name: "empty hardware", mut: func(r *PlanRequest) { r.Hardware = &cost.Hardware{} }, wantErr: "hardware FLOPS must be positive"},
 		{name: "negative FLOPS", mut: hardware(func(h *cost.Hardware) { h.FLOPS = -140e12 }), wantErr: "hardware FLOPS must be positive"},
 		{name: "zero link bandwidth", mut: hardware(func(h *cost.Hardware) { h.LinkBandwidth = 0 }), wantErr: "hardware LinkBandwidth must be positive"},

@@ -54,13 +54,14 @@ func TraceIteration(tr *Trainer, s *Schedule) (*TrainStats, []Event, error) {
 }
 
 // BuildSchedule expands a named pipeline scheme ("V"/"1F1B", "X"/"Chimera",
-// "W"/"Interleave", "GPipe") into a validated instruction-list schedule.
+// "W"/"Interleave", "GPipe", "Z"/"ZB-H1", "D"/"DualPipe-D") into a validated
+// instruction-list schedule.
 func BuildSchedule(schemeName string, devices, micros int) (*Schedule, error) {
 	s, err := pipeline.ParseScheme(schemeName)
 	if err != nil {
 		return nil, err
 	}
-	return scheme.Build(s, scheme.Config{Devices: devices, Micros: micros})
+	return validated(scheme.Build(s, scheme.Config{Devices: devices, Micros: micros}))
 }
 
 // Checkpoint applies Mario's four graph-tuner passes (apply-checkpoint,
@@ -82,7 +83,8 @@ func Checkpoint(s *Schedule) (*Schedule, error) {
 // unblocks the upstream stage early, and its weight-gradient half, which is
 // sunk into later bubbles when that improves the simulated makespan. It
 // composes with Checkpoint. Schedules containing split backwards run on the
-// simulator and the cluster emulator but not on the miniature trainer.
+// simulator, the cluster emulator and the miniature trainer, which produces
+// the same losses and weights as for the fused schedule.
 func SplitBackward(s *Schedule) (*Schedule, error) {
 	if s == nil {
 		return nil, fmt.Errorf("mario: nil schedule")

@@ -125,6 +125,13 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 		space.MicroBatches = nil // an empty list restricts nothing: the default sizes
 	}
 	w.Space = space.WithDefaults()
+	divides := false
+	for pp := w.Space.MinPP; pp <= w.Space.MaxPP && !divides; pp++ {
+		divides = w.Space.Devices%pp == 0
+	}
+	if !divides {
+		return nil, fmt.Errorf("mario: no pipeline depth in min_pp..max_pp [%d, %d] divides %d devices", w.Space.MinPP, w.Space.MaxPP, w.Space.Devices)
+	}
 
 	data, err := json.Marshal(w)
 	if err != nil {
