@@ -303,6 +303,9 @@ func main() {
 			fmt.Printf("  injected faults (%s):    %d slowed instrs, %d dropped p2p attempts, %.4g s stalled\n",
 				rep.FaultPlan, rep.FaultSlowed, rep.FaultDrops, rep.FaultStall)
 		}
+		if *showStats {
+			fmt.Printf("  watchdog re-arms:        %d\n", rep.WatchdogResets)
+		}
 
 		if *measuredPath != "" {
 			f, err := os.Create(*measuredPath)

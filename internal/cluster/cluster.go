@@ -18,11 +18,11 @@
 // conservative parallel discrete-event simulation in which the channel
 // blocking itself enforces causality.
 //
-// A Machine can collect events: each device then records one obs.Event per
-// executed instruction (virtual start/end, p2p queue wait, modeled memory) in
-// a device-local slice, and the report returns the stream in deterministic
-// order. A machine that does not collect allocates no events, and collecting
-// perturbs neither virtual time nor the jitter streams.
+// A Machine can collect events: Execute then records one obs.Event per
+// executed instruction, the emulator fills in what it measures (virtual
+// start/end, p2p queue wait, modeled memory), and the report returns the
+// stream in deterministic order. A machine that does not collect allocates no
+// events, and collecting perturbs neither virtual time nor the jitter streams.
 package cluster
 
 import (
@@ -105,12 +105,9 @@ type Report struct {
 	PeakMem []float64
 	// SamplesPerSec is the measured training throughput.
 	SamplesPerSec float64
-	// Durations holds the measured per-instruction durations, keyed by
-	// (kind, stage), across all iterations — the raw material of
-	// lightweight profiling.
-	Durations map[SampleKey][]float64
-	// DeviceDurations[d] holds the same samples restricted to device d (the
-	// paper profiles the (D-1)-th device).
+	// DeviceDurations[d] holds device d's measured per-instruction durations,
+	// keyed by (kind, stage), across all iterations — the raw material of
+	// lightweight profiling (the paper profiles the (D-1)-th device).
 	DeviceDurations []map[SampleKey][]float64
 	// WatchdogResets counts how many times the no-progress watchdog
 	// re-armed during the run (0 for runs shorter than one watchdog
@@ -170,12 +167,11 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 			r.fj = inj.Device(d)
 		}
 		if m.CollectEvents {
-			r.events = make([]obs.Event, 0, len(s.Lists[d])*iters)
 			r.mem = sim.NewMemSim(s, m.Truth, d)
 		}
 	}
-	resets, err := Execute(s, iters, m.Watchdog, func(dv *Device[float64], in pipeline.Instr) error {
-		return runners[dv.ID].exec(dv, in)
+	events, resets, err := Execute(s, iters, m.Watchdog, m.CollectEvents, func(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
+		return runners[dv.ID].exec(dv, in, ev)
 	})
 	if err != nil {
 		return nil, err
@@ -183,9 +179,9 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 
 	rep := &Report{
 		PeakMem:         make([]float64, D),
-		Durations:       make(map[SampleKey][]float64),
 		DeviceDurations: make([]map[SampleKey][]float64, D),
 		WatchdogResets:  resets,
+		Events:          events,
 	}
 	if inj != nil {
 		for d := 0; d < D; d++ {
@@ -201,9 +197,6 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 			rep.Total = r.clock
 		}
 		rep.DeviceDurations[d] = r.samples
-		for k, v := range r.samples {
-			rep.Durations[k] = append(rep.Durations[k], v...)
-		}
 	}
 	rep.IterTime = rep.Total / float64(iters)
 
@@ -220,9 +213,6 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 	}
 	if rep.IterTime > 0 {
 		rep.SamplesPerSec = float64(s.Micros*m.Truth.MicroBatch*dp) / rep.IterTime
-	}
-	for d := range runners {
-		rep.Events = append(rep.Events, runners[d].events...)
 	}
 	return rep, nil
 }
@@ -246,15 +236,15 @@ type devRunner struct {
 	clock   float64
 	// fj is the device's fault-injector view; nil on a healthy run.
 	fj *fault.DeviceInjector
-	// events and mem are nil when the machine does not collect events; the
-	// recording path then allocates nothing.
-	events []obs.Event
-	mem    *sim.MemSim
+	// mem models the device's memory for its events; nil when the machine
+	// does not collect events.
+	mem *sim.MemSim
 }
 
 // exec runs one instruction, advancing the device's virtual clock and, when
-// the machine collects events, recording the instruction's event.
-func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr) error {
+// the machine collects events, filling the instruction's event: its virtual
+// interval, modeled memory and fault annotations.
+func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
 	var stall float64
 	if r.fj != nil {
 		// Injected whole-device stalls take effect at instruction
@@ -262,15 +252,8 @@ func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr) error {
 		stall = r.fj.TakeStall(r.clock)
 		r.clock += stall
 	}
-	var ev *obs.Event
-	if r.events != nil {
-		r.events = append(r.events, obs.Event{
-			Device: r.d, Iter: dv.Iter, Kind: in.Kind,
-			Micro: in.Micro, Part: in.Part, Stage: in.Stage,
-			Peer: -1, Start: r.clock, Buffered: in.Buffered,
-			FaultStall: stall,
-		})
-		ev = &r.events[len(r.events)-1]
+	if ev != nil {
+		ev.Start, ev.FaultStall = r.clock, stall
 	}
 	if err := r.execClock(dv, in, ev); err != nil {
 		return err
@@ -294,22 +277,11 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 	case pipeline.Forward, pipeline.CkptForward, pipeline.Backward, pipeline.Recompute,
 		pipeline.AllReduce, pipeline.OptimizerStep,
 		pipeline.BackwardInput, pipeline.BackwardWeight:
-		var base float64
-		switch in.Kind {
-		case pipeline.Forward, pipeline.CkptForward:
-			base = e.FwTime[in.Stage]
-		case pipeline.Backward:
-			base = e.BwTime[in.Stage]
-		case pipeline.BackwardInput:
-			base = e.BwTime[in.Stage] * e.BwSplitRatio
-		case pipeline.BackwardWeight:
-			base = e.BwTime[in.Stage] * (1 - e.BwSplitRatio)
-		case pipeline.Recompute:
-			base = e.RcTime[in.Stage]
-		case pipeline.AllReduce:
+		// The simulator's price list; only the all-reduce depends on the
+		// data-parallel degree and the stages the device owns.
+		base := sim.ComputeBase(e, in.Kind, in.Stage)
+		if in.Kind == pipeline.AllReduce {
 			base = e.AllReduceTime(r.dp, r.owned)
-		case pipeline.OptimizerStep:
-			base = e.OptTime
 		}
 		dur := overhead + base*jitter()*r.speedSlow
 		if r.fj != nil {
@@ -349,7 +321,7 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 			}
 		}
 		if ev != nil {
-			ev.Peer, ev.Bytes = peer, bytes
+			ev.Bytes = bytes
 		}
 		if err := dv.Send(in, r.clock+overhead+transfer); err != nil {
 			return err
@@ -363,7 +335,6 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 
 	case pipeline.RecvAct, pipeline.RecvGrad:
 		if ev != nil {
-			ev.Peer = s.PeerDevice(d, in)
 			if in.Kind == pipeline.RecvGrad {
 				ev.Bytes = e.GradP2PBytes
 			} else {

@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 )
 
@@ -105,8 +107,15 @@ func (st *devStatus) finish() {
 // Execute tears it down and returns ErrDeadlock naming each waiting device's
 // instruction and link. resets counts the watchdog intervals that ended
 // without a deadlock.
-func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
-	exec func(dv *Device[P], in pipeline.Instr) error) (resets int, err error) {
+//
+// Execute is where both executors' events are recorded. With collect set,
+// each instruction gets one obs.Event whose identity (device, iteration,
+// kind, micro, part, stage, buffered, and peer: -1 for non-comm kinds) is
+// filled before exec runs; exec receives it to fill in what it measures, and
+// Execute returns the stream device-major in execution order. Without
+// collect exec receives nil and no event is allocated.
+func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration, collect bool,
+	exec func(dv *Device[P], in pipeline.Instr, ev *obs.Event) error) (events []obs.Event, resets int, err error) {
 	if watchdog <= 0 {
 		watchdog = defaultWatchdog
 	}
@@ -124,6 +133,10 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
 	for l := range rt.links {
 		rt.links[l] = make(chan message[P], 4*s.Micros*s.NumStages())
 	}
+	var devEvents [][]obs.Event
+	if collect {
+		devEvents = make([][]obs.Event, len(rt.devs))
+	}
 	errs := make([]error, len(rt.devs))
 	var wg sync.WaitGroup
 	for d := range rt.devs {
@@ -133,9 +146,25 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
 		go func() {
 			defer wg.Done()
 			defer dv.status.finish()
+			if collect {
+				devEvents[d] = make([]obs.Event, 0, len(s.Lists[d])*iters)
+			}
 			for dv.Iter = 0; dv.Iter < iters; dv.Iter++ {
 				for _, in := range s.Lists[d] {
-					if err := exec(dv, in); err != nil {
+					var ev *obs.Event
+					if collect {
+						peer := -1
+						if in.Kind.IsComm() {
+							peer = s.PeerDevice(d, in)
+						}
+						devEvents[d] = append(devEvents[d], obs.Event{
+							Device: d, Iter: dv.Iter, Kind: in.Kind,
+							Micro: in.Micro, Part: in.Part, Stage: in.Stage,
+							Peer: peer, Buffered: in.Buffered,
+						})
+						ev = &devEvents[d][len(devEvents[d])-1]
+					}
+					if err := exec(dv, in, ev); err != nil {
 						errs[d] = err
 						rt.teardown()
 						return
@@ -154,7 +183,10 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
 	for {
 		select {
 		case <-done:
-			return resets, firstError(errs)
+			if err := firstError(errs); err != nil {
+				return nil, resets, err
+			}
+			return slices.Concat(devEvents...), resets, nil
 		case <-timer.C:
 			// The scan comes before the count: a device that unblocks a
 			// scanned one completes an instruction before it can wait again.
@@ -167,7 +199,7 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration,
 			}
 			rt.teardown()
 			<-done
-			return resets, fmt.Errorf("%w after %v of no progress: %s", ErrDeadlock, watchdog, strings.Join(stuck, "; "))
+			return nil, resets, fmt.Errorf("%w after %v of no progress: %s", ErrDeadlock, watchdog, strings.Join(stuck, "; "))
 		}
 	}
 }

@@ -50,11 +50,9 @@ func Drift(opt Opts) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := obs.Compute(meas.Events, meas.Total)
-	stats.WatchdogResets = meas.WatchdogResets
 	return &DriftResult{
 		Config: fmt.Sprintf("%s-mbs%d", shapeOf(pipeline.Scheme1F1B, vOvlp), mbs),
-		Stats:  stats,
+		Stats:  obs.Compute(meas.Events, meas.Total),
 		Drift:  obs.ComputeDrift(meas.Events, pred, meas.PeakMem),
 	}, nil
 }

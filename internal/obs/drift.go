@@ -60,10 +60,6 @@ type DriftReport struct {
 	// into "faulted drift" mode: the drift then reads as the gap between the
 	// healthy prediction and the degraded measurement, not as simulator error.
 	FaultPlan string
-	// FaultSlowed, FaultDrops and FaultStall summarise the injected faults
-	// observed in the measured events (see Stats for the same counters).
-	FaultSlowed, FaultDrops int
-	FaultStall              float64
 }
 
 // siteKey identifies an instruction site across the predicted timeline and
@@ -110,11 +106,6 @@ func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *Drif
 		if e.End > measEnd {
 			measEnd = e.End
 		}
-		if e.FaultSlow != 0 && e.FaultSlow != 1 {
-			r.FaultSlowed++
-		}
-		r.FaultDrops += e.FaultDrops
-		r.FaultStall += e.FaultStall
 	}
 
 	type kindAcc struct {
@@ -206,11 +197,9 @@ func relErr(pred, meas float64) float64 {
 	return math.Abs(pred-meas) / math.Abs(meas)
 }
 
-// Faulted reports whether the measured run carried injected faults (either a
-// labelled plan or nonzero fault counters in the events).
-func (r *DriftReport) Faulted() bool {
-	return r.FaultPlan != "" || r.FaultSlowed > 0 || r.FaultDrops > 0 || r.FaultStall > 0
-}
+// Faulted reports whether the measured run executed under a fault plan. The
+// run's fault totals live in its cluster.Report.
+func (r *DriftReport) Faulted() bool { return r.FaultPlan != "" }
 
 // Format renders the drift report as an ASCII table. When the measured run
 // was faulted, the header switches to "faulted drift": the gap quantifies how
@@ -218,14 +207,8 @@ func (r *DriftReport) Faulted() bool {
 func (r *DriftReport) Format() string {
 	var b strings.Builder
 	if r.Faulted() {
-		plan := r.FaultPlan
-		if plan == "" {
-			plan = "unnamed plan"
-		}
 		fmt.Fprintf(&b, "faulted drift (%s): predicted healthy iter %.4g s vs measured faulted %.4g s (%.1f%% gap)\n",
-			plan, r.TotalPred, r.TotalMeas, 100*r.TotalErr)
-		fmt.Fprintf(&b, "injected: %d slowed instrs, %d dropped p2p attempts, %.4g s stalled\n",
-			r.FaultSlowed, r.FaultDrops, r.FaultStall)
+			r.FaultPlan, r.TotalPred, r.TotalMeas, 100*r.TotalErr)
 	} else {
 		fmt.Fprintf(&b, "drift report: predicted iter %.4g s vs measured %.4g s (%.1f%% error)\n",
 			r.TotalPred, r.TotalMeas, 100*r.TotalErr)

@@ -6,10 +6,12 @@
 // predicted-vs-measured drift report that extends the Fig. 10
 // simulator-accuracy machinery down to instruction granularity.
 //
-// Producers (internal/cluster, internal/train) collect events in per-device
-// slices on the hot path — no locks, no clock perturbation — and return them
-// with the run's report, in deterministic order (device-major, execution
-// order). A run that does not ask for events allocates none.
+// The device runtime both producers (internal/cluster, internal/train) run
+// on, cluster.Execute, collects events in per-device slices on the hot path —
+// no locks, no clock perturbation — and the run returns them with its report,
+// in deterministic order (device-major, execution order). A run that does not
+// ask for events allocates none. Run-level counts (watchdog re-arms, fault
+// totals) are the run report's, not derived here.
 package obs
 
 import (

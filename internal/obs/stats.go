@@ -48,16 +48,6 @@ type Stats struct {
 	Links []LinkStats
 	// Instrs and Msgs are the run-wide counters.
 	Instrs, Msgs int
-	// WatchdogResets counts how many times the producer's no-progress
-	// watchdog observed progress and re-armed (filled in by the caller
-	// from the run report; it is not derivable from the events).
-	WatchdogResets int
-	// FaultSlowed, FaultDrops and FaultStall summarise injected faults seen
-	// in the event stream: slowed compute instructions, dropped-and-retried
-	// p2p attempts, and total injected stall time in virtual seconds. All
-	// zero for a healthy run.
-	FaultSlowed, FaultDrops int
-	FaultStall              float64
 }
 
 // Utilization returns the fraction of the makespan the device spent busy.
@@ -115,11 +105,6 @@ func Compute(events []Event, total float64) *Stats {
 			ds.PeakMem = e.Mem
 			ds.PeakKind = e.Kind
 		}
-		if e.FaultSlow != 0 && e.FaultSlow != 1 {
-			st.FaultSlowed++
-		}
-		st.FaultDrops += e.FaultDrops
-		st.FaultStall += e.FaultStall
 		switch e.Kind {
 		case pipeline.SendAct, pipeline.SendGrad:
 			ds.Sends++
@@ -175,11 +160,6 @@ func (s *Stats) Table() string {
 		for _, l := range s.Links {
 			fmt.Fprintf(&b, "  %d->%d[%s] %10s in %d msgs\n", l.From, l.To, l.Channel, humanBytes(l.Bytes), l.Msgs)
 		}
-	}
-	fmt.Fprintf(&b, "watchdog resets: %d\n", s.WatchdogResets)
-	if s.FaultSlowed > 0 || s.FaultDrops > 0 || s.FaultStall > 0 {
-		fmt.Fprintf(&b, "injected faults: %d slowed instrs, %d dropped p2p attempts, %.4g s stalled\n",
-			s.FaultSlowed, s.FaultDrops, s.FaultStall)
 	}
 	return b.String()
 }

@@ -127,18 +127,6 @@ func TestPlacementAccessors(t *testing.T) {
 	}
 }
 
-// TestIsBackwardLike covers the split-backward classifier.
-func TestIsBackwardLike(t *testing.T) {
-	for _, k := range []Kind{Backward, BackwardInput, BackwardWeight} {
-		if !k.IsBackwardLike() {
-			t.Errorf("%s should be backward-like", k)
-		}
-	}
-	if Forward.IsBackwardLike() || Recompute.IsBackwardLike() {
-		t.Error("forward kinds misclassified")
-	}
-}
-
 // TestSplitKindNames: the new kinds have stable mnemonics.
 func TestSplitKindNames(t *testing.T) {
 	if BackwardInput.String() != "BI" || BackwardWeight.String() != "WG" {

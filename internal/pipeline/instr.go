@@ -88,12 +88,6 @@ func (k Kind) IsCompute() bool {
 	return false
 }
 
-// IsBackwardLike reports whether the kind performs (part of) a backward
-// computation.
-func (k Kind) IsBackwardLike() bool {
-	return k == Backward || k == BackwardInput || k == BackwardWeight
-}
-
 // IsComm reports whether the kind is a point-to-point communication.
 func (k Kind) IsComm() bool {
 	switch k {
@@ -101,12 +95,6 @@ func (k Kind) IsComm() bool {
 		return true
 	}
 	return false
-}
-
-// IsForwardLike reports whether the kind performs forward computation
-// (Forward, CkptForward or Recompute).
-func (k Kind) IsForwardLike() bool {
-	return k == Forward || k == CkptForward || k == Recompute
 }
 
 // NoMicro is the Micro value used by instructions that are not associated

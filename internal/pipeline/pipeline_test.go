@@ -39,12 +39,6 @@ func TestKindClassifiers(t *testing.T) {
 			t.Errorf("%s should not be compute", k)
 		}
 	}
-	if !Forward.IsForwardLike() || !CkptForward.IsForwardLike() || !Recompute.IsForwardLike() {
-		t.Error("forward-like classification broken")
-	}
-	if Backward.IsForwardLike() {
-		t.Error("Backward misclassified as forward-like")
-	}
 }
 
 func TestInstrString(t *testing.T) {
@@ -187,13 +181,6 @@ func TestFindAndIndex(t *testing.T) {
 			{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
 		},
 	}
-	d, i := s.Find(Key{Kind: Backward, Micro: 0, Stage: 1})
-	if d != 1 || i != 1 {
-		t.Errorf("Find = (%d,%d), want (1,1)", d, i)
-	}
-	if d, i := s.Find(Key{Kind: Recompute}); d != -1 || i != -1 {
-		t.Errorf("Find(absent) = (%d,%d), want (-1,-1)", d, i)
-	}
 	idx := s.Index()
 	if loc := idx[Key{Kind: Forward, Micro: 0, Stage: 1}]; loc != [2]int{1, 0} {
 		t.Errorf("Index lookup = %v", loc)
@@ -252,18 +239,6 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 	}
 	if err := Validate(wrongDevice); err == nil {
 		t.Error("misplaced instructions not caught")
-	}
-}
-
-func TestComputeOnly(t *testing.T) {
-	list := []Instr{
-		{Kind: RecvAct}, {Kind: Forward}, {Kind: SendAct},
-		{Kind: RecvGrad}, {Kind: Backward}, {Kind: SendGrad},
-		{Kind: AllReduce}, {Kind: OptimizerStep},
-	}
-	got := ComputeOnly(list)
-	if len(got) != 3 {
-		t.Fatalf("ComputeOnly kept %d instrs, want 3 (FW, BW, OS)", len(got))
 	}
 }
 

@@ -213,19 +213,6 @@ func (s *Schedule) CountKind(d int, k Kind) int {
 	return n
 }
 
-// Find returns the device and list index of the instruction with the given
-// key, or (-1, -1) if absent.
-func (s *Schedule) Find(key Key) (dev, idx int) {
-	for d, l := range s.Lists {
-		for i, in := range l {
-			if in.Key() == key {
-				return d, i
-			}
-		}
-	}
-	return -1, -1
-}
-
 // Index builds a lookup table from instruction key to (device, index).
 // The table is invalidated by any mutation of the schedule.
 func (s *Schedule) Index() map[Key][2]int {
@@ -252,16 +239,4 @@ func (s *Schedule) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// ComputeOnly returns a copy of the device list with communication and
-// collective instructions removed; useful for tests and visualisation.
-func ComputeOnly(list []Instr) []Instr {
-	var out []Instr
-	for _, in := range list {
-		if in.Kind.IsCompute() {
-			out = append(out, in)
-		}
-	}
-	return out
 }

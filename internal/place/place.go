@@ -183,32 +183,6 @@ func (a *Assignment) Key() string {
 	return b.String()
 }
 
-// IsIdentity reports whether the assignment is the legacy uniform split with
-// identity placement for the given layer count: the estimator it steers is
-// then bit-identical to one built without any assignment.
-func (a *Assignment) IsIdentity(layers int) bool {
-	if a == nil {
-		return true
-	}
-	even := cost.Partition(layers, len(a.LayersPerStage))
-	for s, n := range a.LayersPerStage {
-		if n != even[s] {
-			return false
-		}
-	}
-	for r, d := range a.DeviceOf {
-		if d != r {
-			return false
-		}
-	}
-	for _, s := range a.RankSpeed {
-		if s != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // LayerModel is the per-layer cost model of an uneven transformer stack: the
 // compute time and training-state bytes of each individual layer, with the
 // embedding cost folded into the first layer and the LM-head cost into the

@@ -122,9 +122,6 @@ func TestAssignmentKeyAndIdentity(t *testing.T) {
 	if nilA.Key() != "" {
 		t.Errorf("nil Key = %q, want empty", nilA.Key())
 	}
-	if !nilA.IsIdentity(16) {
-		t.Error("nil assignment must be identity")
-	}
 	a := &Assignment{
 		LayersPerStage: []int{4, 4, 4, 4},
 		DeviceOf:       []int{0, 1, 2, 3},
@@ -132,24 +129,10 @@ func TestAssignmentKeyAndIdentity(t *testing.T) {
 	if got, want := a.Key(), "L4,4,4,4|D0,1,2,3|S"; got != want {
 		t.Errorf("Key = %q, want %q", got, want)
 	}
-	if !a.IsIdentity(16) {
-		t.Error("even split + identity permutation must be identity")
-	}
-	b := &Assignment{LayersPerStage: []int{5, 4, 4, 3}, DeviceOf: []int{0, 1, 2, 3}}
-	if b.IsIdentity(16) {
-		t.Error("uneven split reported identity")
-	}
-	c := &Assignment{LayersPerStage: []int{4, 4, 4, 4}, DeviceOf: []int{1, 0, 2, 3}}
-	if c.IsIdentity(16) {
-		t.Error("permuted placement reported identity")
-	}
 	d := &Assignment{
 		LayersPerStage: []int{4, 4, 4, 4},
 		DeviceOf:       []int{0, 1, 2, 3},
 		RankSpeed:      []float64{1, 1, 0.8, 1},
-	}
-	if d.IsIdentity(16) {
-		t.Error("non-nominal speeds reported identity")
 	}
 	if d.Key() == a.Key() {
 		t.Error("speeds must change the key")
@@ -200,8 +183,8 @@ func skewedModel() *LayerModel {
 		lm.Work[l] = 1
 		lm.WeightBytes[l] = 1e9
 	}
-	lm.Work[0] += 2   // embedding
-	lm.Work[11] += 3  // LM head
+	lm.Work[0] += 2  // embedding
+	lm.Work[11] += 3 // LM head
 	lm.WeightBytes[0] += 2e9
 	lm.WeightBytes[11] += 2e9
 	return lm

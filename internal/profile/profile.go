@@ -18,7 +18,6 @@ package profile
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"mario/internal/cluster"
@@ -249,9 +248,9 @@ func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 		weights := model.ParamsPerLayer() * float64(k) / float64(tp) * cost.BytesPerParamTraining
 		memYs = append(memYs, rep.PeakMem[probeDev]-weights)
 
-		commActs = append(commActs, regress.Mean(rep.Durations[cluster.SampleKey{Kind: pipeline.SendAct, Stage: probeDev}]))
-		commGrads = append(commGrads, regress.Mean(rep.Durations[cluster.SampleKey{Kind: pipeline.SendGrad, Stage: probeDev}]))
-		optTimes = append(optTimes, regress.Mean(rep.Durations[cluster.SampleKey{Kind: pipeline.OptimizerStep, Stage: -1}]))
+		commActs = append(commActs, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.SendAct, Stage: probeDev})))
+		commGrads = append(commGrads, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.SendGrad, Stage: probeDev})))
+		optTimes = append(optTimes, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.OptimizerStep, Stage: -1})))
 
 		// First/last stage extras (embedding, LM head) relative to a plain
 		// block stage, measured at the largest sweep point.
@@ -367,18 +366,11 @@ func max64(a, b float64) float64 {
 	return b
 }
 
-// SortedKeys returns the sample keys of a report in deterministic order;
-// used by tooling that prints profiling tables.
-func SortedKeys(m map[cluster.SampleKey][]float64) []cluster.SampleKey {
-	keys := make([]cluster.SampleKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// allDevices gathers a key's samples from every device, in device order.
+func allDevices(rep *cluster.Report, k cluster.SampleKey) []float64 {
+	var v []float64
+	for _, dev := range rep.DeviceDurations {
+		v = append(v, dev[k]...)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Kind != keys[j].Kind {
-			return keys[i].Kind < keys[j].Kind
-		}
-		return keys[i].Stage < keys[j].Stage
-	})
-	return keys
+	return v
 }

@@ -146,31 +146,3 @@ func TestFrameworkMemRecovered(t *testing.T) {
 		t.Errorf("recovered framework memory %v not within 2x of %v", e.FrameworkMem, truthFw)
 	}
 }
-
-// TestSortedKeysDeterministic: the profiling-table helper orders keys by
-// kind then stage.
-func TestSortedKeysDeterministic(t *testing.T) {
-	p := newProfiler()
-	mach, err := p.NewMachine(p.Model, 4, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mach.Run(sched, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := SortedKeys(rep.Durations)
-	if len(keys) == 0 {
-		t.Fatal("no sample keys")
-	}
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		if a.Kind > b.Kind || (a.Kind == b.Kind && a.Stage > b.Stage) {
-			t.Fatalf("keys out of order: %v before %v", a, b)
-		}
-	}
-}

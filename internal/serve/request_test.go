@@ -456,3 +456,34 @@ func FuzzPlanRequestCanonical(f *testing.F) {
 		}
 	})
 }
+
+// TestHugeMicroBatchAnswersPlan: a micro-batch size whose product with the DP
+// degree wraps int (2^62 × dp 4 is 2^64, which wraps to 0) is an indivisible
+// grid point, not a division by zero on a worker goroutine that takes the
+// daemon down. The request is answered with the plan of the size that divides
+// the batch.
+func TestHugeMicroBatchAnswersPlan(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"model":"GPT3-1.6B","devices":8,"global_batch":64,"min_pp":2,"micro_batches":[1,4611686018427387904]}`
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr PlanResponse
+	err = json.NewDecoder(resp.Body).Decode(&pr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("answered %d (%v), want 200", resp.StatusCode, err)
+	}
+	plan, err := mario.LoadPlan(pr.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Best.MicroBatch != 1 {
+		t.Errorf("best plan has micro-batch %d, want 1", plan.Best.MicroBatch)
+	}
+}

@@ -234,7 +234,7 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 		pipeline.Recompute, pipeline.OptimizerStep:
 		if ds.slow != 1 {
 			// Heterogeneous rank: re-derive the base from the estimator with
-			// the same expression ComputeBase exposes to the tuner bounds, so
+			// ComputeBase, the price list the tuner bounds also use, so
 			// a bound's lo + base·slow term and the simulated duration are the
 			// same float value — admissibility holds at the bit level.
 			mt.dur = e.LaunchOverhead + ComputeBase(e, in.Kind, in.Stage)*ds.slow
@@ -274,9 +274,11 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 
 // ComputeBase returns the unscaled estimator latency of a compute kind on the
 // given stage — the value the engine's duration table stores before launch
-// overhead and per-device slowdown are applied. The tuner's admissible bounds
-// call it so their per-device lo + base·slow terms are bit-identical to the
-// simulated durations. Non-compute kinds return 0.
+// overhead and per-device slowdown are applied. It is the one price list: the
+// tuner's admissible bounds price whole instructions with it, so their
+// per-device lo + base·slow terms are bit-identical to the simulated
+// durations, and the cluster emulator takes its compute base latencies from
+// it. Non-compute kinds, the all-reduce included, return 0.
 func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 	switch k {
 	case pipeline.Forward, pipeline.CkptForward:

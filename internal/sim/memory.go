@@ -167,9 +167,6 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 	return m.cur
 }
 
-// Cur returns the resident bytes after the last Step.
-func (m *MemSim) Cur() float64 { return m.cur }
-
 // Peak returns the high-water mark, transients included.
 func (m *MemSim) Peak() float64 { return m.peak }
 

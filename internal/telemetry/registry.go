@@ -208,15 +208,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.get("", func() any { return &Gauge{} }).(*Gauge)
 }
 
-// LabeledGauge returns the gauge series for one label value. Safe on nil.
-func (r *Registry) LabeledGauge(name, help, label, value string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.family(name, help, kindGauge, label, nil)
-	return f.get(value, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // Histogram returns the registered histogram with the given name and upper
 // bucket bounds (the final +Inf bucket is implicit). Bounds must match any
 // prior registration of the same name. Safe on nil.

@@ -243,11 +243,6 @@ type devState struct {
 	peak int64
 
 	losses map[int]float64
-
-	// events collects the device's wall-clock trace when the trainer
-	// collects events (nil otherwise); epoch anchors the timestamps.
-	events []obs.Event
-	epoch  time.Time
 }
 
 func newDevState() *devState {
@@ -286,30 +281,42 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 
 	D := t.cfg.Devices
 	states := make([]*devState, D)
-	epoch := time.Now()
 	for d := range states {
 		states[d] = newDevState()
-		if t.CollectEvents {
-			states[d].events = make([]obs.Event, 0, len(s.Lists[d]))
-			states[d].epoch = epoch
-		}
 	}
-	if _, err := cluster.Execute(s, 1, t.cfg.Watchdog, func(dv *cluster.Device[*tensor.Tensor], in pipeline.Instr) error {
-		return t.exec(dv, s, states[dv.ID], in)
-	}); err != nil {
+	epoch := time.Now()
+	events, _, err := cluster.Execute(s, 1, t.cfg.Watchdog, t.CollectEvents, func(dv *cluster.Device[*tensor.Tensor], in pipeline.Instr, ev *obs.Event) error {
+		ds := states[dv.ID]
+		if ev == nil {
+			return t.exec(dv, s, ds, in)
+		}
+		ev.Start = time.Since(epoch).Seconds()
+		if err := t.exec(dv, s, ds, in); err != nil {
+			return err
+		}
+		ev.End = time.Since(epoch).Seconds()
+		ev.Mem = float64(ds.live)
+		// Wall-clock receives are essentially all queue wait; the copy
+		// itself is a pointer handoff.
+		if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
+			ev.Wait = ev.End - ev.Start
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	stats := &Stats{
 		PeakActBytes: make([]int64, D),
 		MicroLosses:  make([]float64, t.cfg.Micros),
+		Events:       events,
 	}
 	for d := 0; d < D; d++ {
 		stats.PeakActBytes[d] = states[d].peak
 		for m, l := range states[d].losses {
 			stats.MicroLosses[m] = l
 		}
-		stats.Events = append(stats.Events, states[d].events...)
 	}
 	for _, l := range stats.MicroLosses {
 		stats.Loss += l
@@ -366,11 +373,6 @@ func mergeGrads(a, b []*nn.Param) {
 func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule, ds *devState, in pipeline.Instr) error {
 	d := dv.ID
 	lastStage := s.NumStages() - 1
-	record := ds.events != nil
-	var start float64
-	if record {
-		start = time.Since(ds.epoch).Seconds()
-	}
 	ck := cellKey{micro: in.Micro, stage: in.Stage}
 	switch in.Kind {
 	case pipeline.RecvAct, pipeline.RecvGrad:
@@ -567,23 +569,6 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 				}
 			}
 		}
-	}
-	if record {
-		end := time.Since(ds.epoch).Seconds()
-		ev := obs.Event{
-			Device: d, Kind: in.Kind, Micro: in.Micro, Part: in.Part,
-			Stage: in.Stage, Peer: -1, Start: start, End: end,
-			Mem: float64(ds.live), Buffered: in.Buffered,
-		}
-		if in.Kind.IsComm() {
-			ev.Peer = s.PeerDevice(d, in)
-			// Wall-clock receives are essentially all queue wait; the
-			// copy itself is a pointer handoff.
-			if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
-				ev.Wait = end - start
-			}
-		}
-		ds.events = append(ds.events, ev)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
+	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
 
@@ -167,7 +168,7 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 	cool := make([]float64, D)
 	for d := range cool {
 		slow := est.SlowOf(d)
-		cool[d] = (lo + est.AllReduceTime(p.dp, res.Stages(d))*slow) + (lo + est.OptTime*slow)
+		cool[d] = (lo + est.AllReduceTime(p.dp, res.Stages(d))*slow) + (lo + sim.ComputeBase(est, pipeline.OptimizerStep, 0)*slow)
 	}
 	// fill[part*S+st] is the earliest start of a forward at (part, st);
 	// drain[part*S+st] the least time from a backward's completion there to
@@ -183,7 +184,7 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 		dr[0] = cool[dev]
 		for st := 1; st < S; st++ {
 			slow := est.SlowOf(dev)
-			f[st] = f[st-1] + (lo + est.FwTime[st-1]*slow)
+			f[st] = f[st-1] + (lo + sim.ComputeBase(est, pipeline.Forward, st-1)*slow)
 			dr[st] = dr[st-1] + (lo + est.BwTime[st-1]*r*slow)
 			if next := res.Device(part, st); next != dev {
 				f[st] += actHop
@@ -204,10 +205,11 @@ func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoin
 		sendsGrad := false
 		for _, g := range groups {
 			n := float64(g.Micros)
-			fw := lo + est.FwTime[g.Stage]*slow
-			bw := lo + est.BwTime[g.Stage]*slow
+			fw := lo + sim.ComputeBase(est, pipeline.Forward, g.Stage)*slow
+			bw := lo + sim.ComputeBase(est, pipeline.Backward, g.Stage)*slow
 			if split {
-				bw = (lo + est.BwTime[g.Stage]*est.BwSplitRatio*slow) + (lo + est.BwTime[g.Stage]*(1-est.BwSplitRatio)*slow)
+				bw = (lo + sim.ComputeBase(est, pipeline.BackwardInput, g.Stage)*slow) +
+					(lo + sim.ComputeBase(est, pipeline.BackwardWeight, g.Stage)*slow)
 			}
 			anchor := lo + est.BwTime[g.Stage]*r*slow
 			var comm float64

@@ -997,10 +997,13 @@ func assignedEstimator(prof *profile.Profiler, asg *place.Assignment, stages, mb
 // (odd Chimera, indivisible Interleave, …), too few layers, estimator limits.
 // No schedule is built unless the placement mode needs one (assignmentFor).
 func (t *Tuner) pointShape(space Space, p gridPoint) (micros int, sh scheme.Shape, est *cost.Estimator, asg *place.Assignment, ok bool) {
-	if space.GlobalBatch%(p.mbs*p.dp) != 0 {
+	// By division, as Recipe.admits does: a huge micro-batch size would wrap
+	// the product mbs·dp, even to zero.
+	perReplica := space.GlobalBatch / p.dp
+	if space.GlobalBatch%p.dp != 0 || perReplica%p.mbs != 0 {
 		return 0, sh, nil, nil, false
 	}
-	micros = space.GlobalBatch / (p.mbs * p.dp)
+	micros = perReplica / p.mbs
 	if micros < 1 {
 		return 0, sh, nil, nil, false
 	}

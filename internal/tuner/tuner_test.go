@@ -372,3 +372,24 @@ func TestZeroBubbleSchemeAxis(t *testing.T) {
 	t.Logf("best per scheme: 1F1B=%v ZB-H1=%v DualPipe-D=%v",
 		byScheme[pipeline.Scheme1F1B], byScheme[pipeline.SchemeZBH1], byScheme[pipeline.SchemeDualPipeD])
 }
+
+// TestHugeMicroBatchIsIndivisible: a micro-batch size whose product with the
+// DP degree wraps int (2^62 × dp 4 wraps to 0) is an indivisible point, not a
+// division by zero; the search keeps the sizes that divide the batch.
+func TestHugeMicroBatchIsIndivisible(t *testing.T) {
+	best, trace, err := newTuner().Search(Space{
+		Devices:      8,
+		GlobalBatch:  64,
+		MinPP:        2,
+		MicroBatches: []int{1, 1 << 62},
+		DeviceMem:    cost.A100_40G.MemBytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range append(trace, *best) {
+		if c.MicroBatch != 1 {
+			t.Errorf("%s: micro-batch %d explored, want only 1", c.Label(), c.MicroBatch)
+		}
+	}
+}

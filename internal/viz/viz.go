@@ -79,24 +79,6 @@ func ASCII(res *sim.Result, quantum float64) string {
 	return b.String()
 }
 
-// ScheduleASCII renders an unsimulated schedule grid: one column per list
-// position, useful for eyeballing instruction order before timing exists.
-func ScheduleASCII(s *pipeline.Schedule) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s D=%d N=%d\n", s.Scheme, s.NumDevices(), s.Micros)
-	for d, list := range s.Lists {
-		fmt.Fprintf(&b, "dev%-2d |", d)
-		for _, in := range list {
-			if !in.Kind.IsCompute() {
-				continue
-			}
-			fmt.Fprintf(&b, "%c%-2d", cell(in.Kind), in.Micro)
-		}
-		b.WriteString("|\n")
-	}
-	return b.String()
-}
-
 // svgColor maps kinds to fill colours.
 func svgColor(k pipeline.Kind) string {
 	switch k {
@@ -224,32 +206,4 @@ func ChromeTraceMeasured(w io.Writer, events []obs.Event) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": out})
-}
-
-// MemoryBars renders per-device peak memory as a horizontal ASCII bar chart
-// in GB (used by the Figure 7 experiment output).
-func MemoryBars(peaks []float64, limit float64) string {
-	var b strings.Builder
-	maxV := limit
-	for _, p := range peaks {
-		if p > maxV {
-			maxV = p
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	const width = 60
-	for d, p := range peaks {
-		n := int(p / maxV * width)
-		marker := ""
-		if limit > 0 && p > limit {
-			marker = "  << OOM"
-		}
-		fmt.Fprintf(&b, "dev%-2d %7.2f GB |%s%s\n", d, p/(1<<30), strings.Repeat("#", n), marker)
-	}
-	if limit > 0 {
-		fmt.Fprintf(&b, "limit %6.2f GB\n", limit/(1<<30))
-	}
-	return b.String()
 }

@@ -74,12 +74,3 @@ func TestSVGChartForCheckpointed(t *testing.T) {
 		t.Error("unbalanced rects")
 	}
 }
-
-// TestMemoryBarsNoLimit: without a limit no OOM markers or limit line
-// appear.
-func TestMemoryBarsNoLimit(t *testing.T) {
-	out := MemoryBars([]float64{1 << 30, 2 << 30}, 0)
-	if strings.Contains(out, "OOM") || strings.Contains(out, "limit") {
-		t.Errorf("unexpected limit annotations:\n%s", out)
-	}
-}

@@ -55,14 +55,6 @@ func TestASCIIShowsRecompute(t *testing.T) {
 	}
 }
 
-func TestScheduleASCII(t *testing.T) {
-	s, _ := sample(t)
-	out := ScheduleASCII(s)
-	if !strings.Contains(out, "1F1B") || !strings.Contains(out, "dev0") {
-		t.Errorf("ScheduleASCII missing headers:\n%s", out)
-	}
-}
-
 func TestSVGWellFormed(t *testing.T) {
 	_, r := sample(t)
 	var buf bytes.Buffer
@@ -112,19 +104,5 @@ func TestChromeTraceParses(t *testing.T) {
 	}
 	if !seenPID3 {
 		t.Error("device 3 missing from trace")
-	}
-}
-
-func TestMemoryBars(t *testing.T) {
-	out := MemoryBars([]float64{4 << 30, 2 << 30}, 3<<30)
-	if !strings.Contains(out, "OOM") {
-		t.Errorf("over-limit device not marked:\n%s", out)
-	}
-	if !strings.Contains(out, "limit") {
-		t.Errorf("limit line missing:\n%s", out)
-	}
-	if MemoryBars(nil, 0) == "" {
-		// Degenerate input should not panic and may be empty.
-		t.Log("empty bars ok")
 	}
 }

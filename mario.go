@@ -22,9 +22,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
+	"mario/internal/cluster"
 	"mario/internal/cost"
 	"mario/internal/fault"
 	"mario/internal/obs"
@@ -285,35 +287,18 @@ func ParseFaults(arg string) (*FaultPlan, error) {
 	return fault.ParseOrLoad(arg)
 }
 
-// RunReport summarises an execution of the plan on the emulated cluster.
+// RunReport summarises an execution of the plan on the emulated cluster: the
+// emulator's report (measured iteration time, throughput, per-device peak
+// memory and samples, watchdog re-arms, the injected-fault totals and, with
+// RunOptions.CollectEvents, the event stream), plus what is derived from it.
 type RunReport struct {
-	// IterTime is the measured time per training iteration in seconds.
-	IterTime float64
-	// Total is the measured virtual time for all iterations in seconds.
-	Total float64
-	// SamplesPerSec is the measured training throughput.
-	SamplesPerSec float64
+	cluster.Report
 	// PeakMemMin and PeakMemMax are the per-device peak-memory extremes in
 	// bytes (the (Min,Max GB) columns of Table 5).
 	PeakMemMin, PeakMemMax float64
-	// PeakMem is the full per-device peak memory in bytes.
-	PeakMem []float64
-	// WatchdogResets counts how often the deadlock watchdog re-armed
-	// because the cluster was slow but still making progress.
-	WatchdogResets int
-	// FaultDrops, FaultStall and FaultSlowed summarise the injected faults
-	// of a run made with RunOptions.Faults: dropped-and-retried p2p
-	// attempts, total injected stall time in virtual seconds, and slowed
-	// compute instructions. All zero on a healthy run.
-	FaultDrops  int
-	FaultStall  float64
-	FaultSlowed int
 	// FaultPlan is the name of the fault plan the run executed under
 	// (empty for a healthy run); Drift uses it to label faulted reports.
 	FaultPlan string
-	// Events is the measured per-instruction event stream, device-major in
-	// execution order (nil unless RunOptions.CollectEvents was set).
-	Events []Event
 	// Stats is the per-device metrics digest derived from Events (nil when
 	// no events were collected).
 	Stats *MeasuredStats
@@ -361,35 +346,16 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &RunReport{
-		IterTime:       rep.IterTime,
-		Total:          rep.Total,
-		SamplesPerSec:  rep.SamplesPerSec,
-		PeakMem:        rep.PeakMem,
-		WatchdogResets: rep.WatchdogResets,
-		FaultDrops:     rep.FaultDrops,
-		FaultStall:     rep.FaultStall,
-		FaultSlowed:    rep.FaultSlowed,
-	}
+	out := &RunReport{Report: *rep}
 	if !opts.Faults.Empty() {
 		out.FaultPlan = opts.Faults.Name
 		if out.FaultPlan == "" {
 			out.FaultPlan = "unnamed plan"
 		}
 	}
-	out.PeakMemMin, out.PeakMemMax = rep.PeakMem[0], rep.PeakMem[0]
-	for _, v := range rep.PeakMem[1:] {
-		if v < out.PeakMemMin {
-			out.PeakMemMin = v
-		}
-		if v > out.PeakMemMax {
-			out.PeakMemMax = v
-		}
-	}
+	out.PeakMemMin, out.PeakMemMax = slices.Min(rep.PeakMem), slices.Max(rep.PeakMem)
 	if opts.CollectEvents {
-		out.Events = rep.Events
 		out.Stats = obs.Compute(rep.Events, rep.Total)
-		out.Stats.WatchdogResets = rep.WatchdogResets
 	}
 	return out, nil
 }

@@ -34,25 +34,6 @@ type Trainer = train.Trainer
 // NewTrainer builds and partitions the miniature model.
 func NewTrainer(cfg TrainConfig) (*Trainer, error) { return train.New(cfg) }
 
-// TraceIteration runs one real-tensor training iteration with event
-// collection on and returns the stats together with the measured
-// per-instruction event stream (wall-clock seconds since iteration start,
-// live activation bytes as memory). The trainer's own CollectEvents setting
-// is restored afterwards.
-func TraceIteration(tr *Trainer, s *Schedule) (*TrainStats, []Event, error) {
-	if tr == nil {
-		return nil, nil, fmt.Errorf("mario: nil trainer")
-	}
-	prev := tr.CollectEvents
-	tr.CollectEvents = true
-	defer func() { tr.CollectEvents = prev }()
-	st, err := tr.RunIteration(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, st.Events, nil
-}
-
 // BuildSchedule expands a named pipeline scheme ("V"/"1F1B", "X"/"Chimera",
 // "W"/"Interleave", "GPipe", "Z"/"ZB-H1", "D"/"DualPipe-D") into a validated
 // instruction-list schedule.
