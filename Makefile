@@ -48,16 +48,16 @@ BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChim
 # searches' Workers = GOMAXPROCS default to the sequential walk), run with the
 # collector on like everything else. Their B/op and allocs/op repeat from run
 # to run because nothing under a search is pooled any more: the simulator
-# engines are owned by the search that uses them and pipeline.Validate
-# allocates its one index per call (BenchmarkTunerSearchBnB/bnb repeats to
-# five digits; encoding/json's encoder pool accounts for 4 allocs of
-# BenchmarkPlanCodec). bench-json records these rows and bench-gate-allocs
+# engines are owned by the search that uses them, pipeline.Validate allocates
+# its one index per call and profiling samples on one goroutine
+# (BenchmarkTunerSearchBnB/bnb repeats to five digits; encoding/json's encoder
+# pool accounts for 4 allocs of BenchmarkPlanCodec). bench-json records these rows and bench-gate-allocs
 # gates them with the same invocations — iteration counts included, since
 # the first iteration's one-time allocations are part of the average. The
 # list-scheduled builds at 64 × 128 (BENCH_DET_BUILD) get an invocation of
 # their own: a sub-benchmark level in BENCH_DET would filter BenchmarkPlanCodec's
 # rows too.
-BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec
+BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec|BenchmarkProfile$$
 BENCH_DET_BUILD = BenchmarkScheduleBuild/64x128
 BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
 bench-det = { $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
@@ -81,7 +81,7 @@ bench-json:
 ALLOCPCT ?= 5
 bench-gate-allocs:
 	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
-		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkScheduleBuild,BenchmarkTunerSearchBnB
+		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkProfile,BenchmarkScheduleBuild,BenchmarkTunerSearchBnB
 
 # Regression gate over the committed artifacts: re-runs the hot-path
 # microbenchmarks and the service's cache hit (as the server pays for it, and
@@ -151,12 +151,13 @@ fuzz:
 # internal/pipeline (COW schedule rules), internal/scheme (the generator
 # registry contract), the planning service's
 # public surface (internal/serve and its client), the search and its telemetry
-# (internal/tuner, internal/telemetry, internal/place), the measured-run
+# (internal/tuner, internal/telemetry, internal/place), the profiler that
+# feeds the search its estimators (internal/profile), the measured-run
 # layers (internal/obs, internal/fault, internal/train) and internal/tensor,
 # which owns the program's one random generator.
 # Dependency-free (cmd/exportlint, go/ast).
 lint:
-	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/obs ./internal/tuner ./internal/fault ./internal/train ./internal/tensor
+	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/profile ./internal/obs ./internal/tuner ./internal/fault ./internal/train ./internal/tensor
 
 # End-to-end smoke of the mariod planning service: boots the daemon on a
 # loopback port, plans a small workload through the Go client (fresh run,

@@ -23,10 +23,16 @@
 // start/end, p2p queue wait, modeled memory), and the report returns the
 // stream in deterministic order. A machine that does not collect allocates no
 // events, and collecting perturbs neither virtual time nor the jitter streams.
+//
+// Every instruction's price — a compute duration, a send's wire time — is one
+// draw from its device's jitter stream in list order, independent of virtual
+// time on a fault-free machine. Machine.Sample walks that draw without running
+// anything; it is what profiling reads.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mario/internal/cost"
@@ -41,7 +47,7 @@ import (
 type Machine struct {
 	// Truth is the ground-truth per-instruction cost model (what the
 	// hardware "really" does; the profiler only ever observes it through
-	// noisy runs).
+	// noisy samples).
 	Truth *cost.Estimator
 	// Noise is the relative amplitude of deterministic per-instruction
 	// jitter (e.g. 0.05 for ±5%).
@@ -89,7 +95,9 @@ type Machine struct {
 	Faults *fault.Plan
 }
 
-// SampleKey identifies a class of measured instruction durations.
+// SampleKey identifies a class of measured instruction durations: the kind
+// and the stage, with stage −1 for an instruction of no micro-batch (the
+// all-reduce and the optimizer step).
 type SampleKey struct {
 	Kind  pipeline.Kind
 	Stage int
@@ -105,10 +113,6 @@ type Report struct {
 	PeakMem []float64
 	// SamplesPerSec is the measured training throughput.
 	SamplesPerSec float64
-	// DeviceDurations[d] holds device d's measured per-instruction durations,
-	// keyed by (kind, stage), across all iterations — the raw material of
-	// lightweight profiling (the paper profiles the (D-1)-th device).
-	DeviceDurations []map[SampleKey][]float64
 	// WatchdogResets counts how many times the no-progress watchdog
 	// re-armed during the run (0 for runs shorter than one watchdog
 	// interval).
@@ -125,21 +129,63 @@ type Report struct {
 	Events []obs.Event
 }
 
-// Run executes iters training iterations of the schedule on the emulated
-// cluster and reports measured time, memory and per-instruction samples.
-func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
+// check performs the argument checks Run and Sample share.
+func (m *Machine) check(s *pipeline.Schedule, iters int) error {
 	if iters <= 0 {
-		return nil, fmt.Errorf("cluster: iteration count %d must be positive", iters)
+		return fmt.Errorf("cluster: iteration count %d must be positive", iters)
 	}
 	if m.Truth == nil {
-		return nil, fmt.Errorf("cluster: machine has no ground-truth cost model")
+		return fmt.Errorf("cluster: machine has no ground-truth cost model")
 	}
 	if m.Truth.Stages != s.NumStages() {
-		return nil, fmt.Errorf("cluster: cost model built for %d stages, schedule has %d", m.Truth.Stages, s.NumStages())
+		return fmt.Errorf("cluster: cost model built for %d stages, schedule has %d", m.Truth.Stages, s.NumStages())
 	}
-	dp := m.DP
-	if dp <= 0 {
-		dp = 1
+	return nil
+}
+
+// runners builds every device's execution state, with the two random streams
+// per device that Run and Sample both draw from.
+func (m *Machine) runners(s *pipeline.Schedule) []devRunner {
+	dp := max(m.DP, 1)
+	res := s.Resolved()
+	runners := make([]devRunner, s.NumDevices())
+	for d := range runners {
+		runners[d] = devRunner{
+			m: m, s: s, d: d, dp: dp,
+			owned:    res.Stages(d),
+			rng:      tensor.NewStream(m.Seed, uint64(d)),
+			overhead: m.Truth.LaunchOverhead + m.ExtraOverhead,
+			// Static per-device speed factor, fixed for the machine's
+			// lifetime (drawn from a stream independent of the jitter).
+			devFactor: 1 + m.Hetero*symmetric(tensor.NewStream(m.Seed^0xDEC0DE, uint64(d))),
+			speedSlow: slowFactor(m.SpeedFactors, d),
+		}
+	}
+	return runners
+}
+
+// peakMem is the measured per-device peak memory: the modeled peak with its
+// dynamic part stretched by the allocator slack and a fixed ±1 % draw.
+func (m *Machine) peakMem(s *pipeline.Schedule) []float64 {
+	slack := m.MemSlack
+	if slack <= 0 {
+		slack = 1
+	}
+	peak := sim.PeakMemory(s, m.Truth)
+	rng := tensor.NewStream(m.Seed, 0xA110C)
+	for d, p := range peak {
+		static := m.Truth.FrameworkMem
+		dyn := p - static
+		peak[d] = static + dyn*slack*(1+0.01*symmetric(rng))
+	}
+	return peak
+}
+
+// Run executes iters training iterations of the schedule on the emulated
+// cluster and reports measured time and memory.
+func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
+	if err := m.check(s, iters); err != nil {
+		return nil, err
 	}
 	D := s.NumDevices()
 	var inj *fault.Injector
@@ -149,20 +195,9 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 			return nil, err
 		}
 	}
-	res := s.Resolved()
-	runners := make([]devRunner, D)
+	runners := m.runners(s)
 	for d := range runners {
 		r := &runners[d]
-		*r = devRunner{
-			m: m, s: s, d: d, dp: dp,
-			owned:   res.Stages(d),
-			rng:     tensor.NewStream(m.Seed, uint64(d)),
-			samples: make(map[SampleKey][]float64),
-			// Static per-device speed factor, fixed for the machine's
-			// lifetime (drawn from a stream independent of the jitter).
-			devFactor: 1 + m.Hetero*symmetric(tensor.NewStream(m.Seed^0xDEC0DE, uint64(d))),
-			speedSlow: slowFactor(m.SpeedFactors, d),
-		}
 		if inj != nil {
 			r.fj = inj.Device(d)
 		}
@@ -178,10 +213,9 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 	}
 
 	rep := &Report{
-		PeakMem:         make([]float64, D),
-		DeviceDurations: make([]map[SampleKey][]float64, D),
-		WatchdogResets:  resets,
-		Events:          events,
+		PeakMem:        m.peakMem(s),
+		WatchdogResets: resets,
+		Events:         events,
 	}
 	if inj != nil {
 		for d := 0; d < D; d++ {
@@ -192,29 +226,78 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 		}
 	}
 	for d := range runners {
-		r := &runners[d]
-		if r.clock > rep.Total {
-			rep.Total = r.clock
-		}
-		rep.DeviceDurations[d] = r.samples
+		rep.Total = max(rep.Total, runners[d].clock)
 	}
 	rep.IterTime = rep.Total / float64(iters)
-
-	slack := m.MemSlack
-	if slack <= 0 {
-		slack = 1
-	}
-	base := sim.PeakMemory(s, m.Truth)
-	rng := tensor.NewStream(m.Seed, 0xA110C)
-	for d, p := range base {
-		static := m.Truth.FrameworkMem
-		dyn := p - static
-		rep.PeakMem[d] = static + dyn*slack*(1+0.01*symmetric(rng))
-	}
 	if rep.IterTime > 0 {
-		rep.SamplesPerSec = float64(s.Micros*m.Truth.MicroBatch*dp) / rep.IterTime
+		rep.SamplesPerSec = float64(s.Micros*m.Truth.MicroBatch*max(m.DP, 1)) / rep.IterTime
 	}
 	return rep, nil
+}
+
+// Sample draws what a run of iters iterations would measure without running
+// it: durations[d] holds device d's compute durations and send wire times,
+// keyed by SampleKey, in the order device d's list would execute them, and
+// peakMem is Run's measured peak memory. It walks each device's list iters
+// times through the price draw Run uses, on the same two random streams per
+// device, so every sample is bit-identical to the duration the same
+// instruction takes in Run. That holds because on a fault-free machine no
+// draw depends on virtual time; Sample refuses a machine with a fault plan.
+//
+// Sample executes nothing: it starts no goroutine, opens no link and arms no
+// watchdog, so it proves neither that the schedule is live nor that its sends
+// and receives match. Run does both.
+func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[SampleKey][]float64, peakMem []float64, err error) {
+	if err := m.check(s, iters); err != nil {
+		return nil, nil, err
+	}
+	if !m.Faults.Empty() {
+		return nil, nil, fmt.Errorf("cluster: cannot sample under a fault plan: faults read the virtual clock")
+	}
+	runners := m.runners(s)
+	durations = make([]map[SampleKey][]float64, len(runners))
+	for d := range runners {
+		r, list := &runners[d], s.Lists[d]
+		// Key each list position once, not once per iteration: class[i] is
+		// the index in keys of list[i]'s sample class.
+		var keys []SampleKey
+		index := make(map[SampleKey]int)
+		class := make([]int, len(list))
+		for i, in := range list {
+			k := SampleKey{Kind: in.Kind, Stage: in.Stage}
+			if in.Micro == pipeline.NoMicro {
+				k.Stage = -1
+			}
+			c, ok := index[k]
+			if !ok {
+				c = len(keys)
+				index[k] = c
+				keys = append(keys, k)
+			}
+			class[i] = c
+		}
+		drawn := make([][]float64, len(keys))
+		for it := 0; it < iters; it++ {
+			if it == 1 {
+				// Every iteration draws what the first drew.
+				for c := range drawn {
+					drawn[c] = slices.Grow(drawn[c], len(drawn[c])*(iters-1))
+				}
+			}
+			for i, in := range list {
+				if dur, ok := r.draw(in); ok {
+					drawn[class[i]] = append(drawn[class[i]], dur)
+				}
+			}
+		}
+		durations[d] = make(map[SampleKey][]float64, len(keys))
+		for c, k := range keys {
+			if drawn[c] != nil {
+				durations[d][k] = drawn[c]
+			}
+		}
+	}
+	return durations, m.peakMem(s), nil
 }
 
 // devRunner is the execution state of one emulated device; only the device's
@@ -228,12 +311,13 @@ type devRunner struct {
 	// speedSlow is the declared compute slowdown 1/SpeedFactors[d]
 	// (exactly 1 on a homogeneous machine).
 	speedSlow float64
+	// overhead is the per-instruction launch plus framework overhead.
+	overhead float64
 	// owned lists the stages whose weights the device holds (the all-reduce
 	// volume).
-	owned   []int
-	rng     *tensor.RNG
-	samples map[SampleKey][]float64
-	clock   float64
+	owned []int
+	rng   *tensor.RNG
+	clock float64
 	// fj is the device's fault-injector view; nil on a healthy run.
 	fj *fault.DeviceInjector
 	// mem models the device's memory for its events; nil when the machine
@@ -265,14 +349,14 @@ func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) 
 	return nil
 }
 
-// execClock advances the virtual clock across one instruction. A message
-// carries its arrival time: a receive advances the clock to it.
-func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
-	m, s, d := r.m, r.s, r.d
-	e := m.Truth
+// draw prices one instruction from the device's jitter stream: the part of
+// executing it that does not read the virtual clock. A compute kind (the
+// all-reduce and the optimizer step included) costs overhead +
+// base·jitter·speedSlow; a send's price is its wire time, CommTime(bytes)·
+// jitter. Receives and every other kind draw nothing and report false.
+func (r *devRunner) draw(in pipeline.Instr) (float64, bool) {
+	m, e := r.m, r.m.Truth
 	jitter := func() float64 { return r.devFactor * (1 + m.Noise*symmetric(r.rng)) }
-	overhead := e.LaunchOverhead + m.ExtraOverhead
-
 	switch in.Kind {
 	case pipeline.Forward, pipeline.CkptForward, pipeline.Backward, pipeline.Recompute,
 		pipeline.AllReduce, pipeline.OptimizerStep,
@@ -283,63 +367,44 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 		if in.Kind == pipeline.AllReduce {
 			base = e.AllReduceTime(r.dp, r.owned)
 		}
-		dur := overhead + base*jitter()*r.speedSlow
-		if r.fj != nil {
-			// A slowdown degrades the hardware itself: the slowed duration is
-			// what profiling observes, exactly as a thermally-throttled chip
-			// would be measured.
-			if f := r.fj.ComputeFactor(r.clock); f != 1 {
-				dur *= f
-				if ev != nil {
-					ev.FaultSlow = f
-				}
-			}
-		}
-		key := SampleKey{Kind: in.Kind, Stage: in.Stage}
-		if in.Micro == pipeline.NoMicro {
-			key.Stage = -1
-		}
-		r.samples[key] = append(r.samples[key], dur)
-		r.clock += dur
-		return nil
-
+		return r.overhead + base*jitter()*r.speedSlow, true
 	case pipeline.SendAct, pipeline.SendGrad:
-		bytes := e.ActP2PBytes
-		if in.Kind == pipeline.SendGrad {
-			bytes = e.GradP2PBytes
-		}
-		peer := s.PeerDevice(d, in)
-		transfer := e.CommTime(bytes) * jitter()
+		return e.CommTime(p2pBytes(e, in.Kind)) * jitter(), true
+	}
+	return 0, false
+}
+
+// execClock advances the virtual clock across one instruction: the price
+// draw, then what depends on virtual time — fault slowdowns and link faults,
+// the links themselves. A message carries its arrival time: a receive
+// advances the clock to it.
+func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
+	dur, drawn := r.draw(in)
+	switch in.Kind {
+	case pipeline.SendAct, pipeline.SendGrad:
+		peer := r.s.PeerDevice(r.d, in)
 		if r.fj != nil {
-			tr, err := r.fj.Transfer(peer, channelName(in.Kind), transfer, r.clock)
+			tr, err := r.fj.Transfer(peer, channelName(in.Kind), dur, r.clock)
 			if err != nil {
-				return fmt.Errorf("%w (link %d->%d[%s], %s)", err, d, peer, channelName(in.Kind), in)
+				return fmt.Errorf("%w (link %d->%d[%s], %s)", err, r.d, peer, channelName(in.Kind), in)
 			}
-			transfer = tr.Delay
+			dur = tr.Delay
 			if ev != nil {
 				ev.FaultDrops = tr.Drops
 			}
 		}
 		if ev != nil {
-			ev.Bytes = bytes
+			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
 		}
-		if err := dv.Send(in, r.clock+overhead+transfer); err != nil {
+		if err := dv.Send(in, r.clock+r.overhead+dur); err != nil {
 			return err
 		}
-		// The measured wire time is visible to profiling (NCCL-style
-		// transfer timing).
-		key := SampleKey{Kind: in.Kind, Stage: in.Stage}
-		r.samples[key] = append(r.samples[key], transfer)
-		r.clock += overhead
+		r.clock += r.overhead
 		return nil
 
 	case pipeline.RecvAct, pipeline.RecvGrad:
 		if ev != nil {
-			if in.Kind == pipeline.RecvGrad {
-				ev.Bytes = e.GradP2PBytes
-			} else {
-				ev.Bytes = e.ActP2PBytes
-			}
+			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
 		}
 		arrive, err := dv.Recv(in)
 		if err != nil {
@@ -351,11 +416,34 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 			}
 			r.clock = arrive
 		}
-		r.clock += overhead
+		r.clock += r.overhead
 		return nil
 	}
-	r.clock += overhead
+	if !drawn {
+		r.clock += r.overhead
+		return nil
+	}
+	if r.fj != nil {
+		// A slowdown degrades the hardware itself: the measured duration
+		// stretches, exactly as a thermally-throttled chip's would.
+		if f := r.fj.ComputeFactor(r.clock); f != 1 {
+			dur *= f
+			if ev != nil {
+				ev.FaultSlow = f
+			}
+		}
+	}
+	r.clock += dur
 	return nil
+}
+
+// p2pBytes is the payload of a point-to-point kind: a gradient on the grad
+// channel, an activation on the act channel.
+func p2pBytes(e *cost.Estimator, k pipeline.Kind) float64 {
+	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
+		return e.GradP2PBytes
+	}
+	return e.ActP2PBytes
 }
 
 // slowFactor converts a declared per-device speed into the compute slowdown

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mario/internal/cost"
+	"mario/internal/fault"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
@@ -167,15 +168,92 @@ func TestSamplesCollected(t *testing.T) {
 	const iters = 3
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 4})
 	e := cost.Uniform(4, 1, 2, 0.25)
-	r := mustRun(t, machine(e), s, iters)
-	if len(r.DeviceDurations) != 4 {
-		t.Fatalf("per-device samples missing")
+	durs, peak, err := machine(e).Sample(s, iters)
+	if err != nil {
+		t.Fatalf("Sample: %v", err)
+	}
+	if len(durs) != 4 || len(peak) != 4 {
+		t.Fatalf("per-device samples missing: %d devices of durations, %d of memory", len(durs), len(peak))
 	}
 	// 1F1B places stage st on device st.
 	for st := 0; st < 4; st++ {
-		fw := r.DeviceDurations[st][SampleKey{Kind: pipeline.Forward, Stage: st}]
-		if len(fw) != 4*iters {
-			t.Errorf("stage %d: %d forward samples, want %d", st, len(fw), 4*iters)
+		for _, k := range []pipeline.Kind{pipeline.Forward, pipeline.Backward} {
+			if n := len(durs[st][SampleKey{Kind: k, Stage: st}]); n != 4*iters {
+				t.Errorf("stage %d: %d %s samples, want %d", st, n, k, 4*iters)
+			}
+		}
+	}
+}
+
+// TestSampleMatchesRun: Sample draws exactly what Run measures. On every
+// device of four schemes, with every source of jitter and speed variation
+// on, the sequence of compute durations Sample draws is the sequence by which
+// a Run advanced the device's clock, in order, and the peak memory is Run's.
+// Under a fault plan the durations would read the clock: Sample refuses it.
+func TestSampleMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		sch pipeline.Scheme
+		cfg scheme.Config
+	}{
+		{pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8}},
+		{pipeline.SchemeChimera, scheme.Config{Devices: 4, Micros: 8}},
+		{pipeline.SchemeInterleave, scheme.Config{Devices: 4, Micros: 8, Chunks: 2}},
+		{pipeline.SchemeZBH1, scheme.Config{Devices: 4, Micros: 8}},
+	} {
+		const iters = 3
+		s := buildSched(t, tc.sch, tc.cfg)
+		m := &Machine{Truth: cost.Uniform(s.NumStages(), 1, 2, 0.25), Noise: 0.05, Hetero: 0.05,
+			ExtraOverhead: 0.01, MemSlack: 1.1, SpeedFactors: []float64{1, 0.8, 1.25, 0.9}, Seed: 17, DP: 2}
+		durs, peak, err := m.Sample(s, iters)
+		if err != nil {
+			t.Fatalf("%s: Sample: %v", tc.sch, err)
+		}
+		m.CollectEvents = true
+		rep := mustRun(t, m, s, iters)
+		for d := range peak {
+			if peak[d] != rep.PeakMem[d] {
+				t.Errorf("%s dev%d: sampled peak memory %v, run measured %v", tc.sch, d, peak[d], rep.PeakMem[d])
+			}
+		}
+		ran := make([]map[SampleKey][]float64, len(durs))
+		for d := range ran {
+			ran[d] = make(map[SampleKey][]float64)
+		}
+		for _, ev := range rep.Events {
+			if !isCompute(ev.Kind) {
+				continue
+			}
+			k := SampleKey{Kind: ev.Kind, Stage: ev.Stage}
+			if ev.Micro == pipeline.NoMicro {
+				k.Stage = -1
+			}
+			ran[ev.Device][k] = append(ran[ev.Device][k], ev.End-ev.Start)
+		}
+		for d := range durs {
+			n := 0
+			for k, got := range durs[d] {
+				if !isCompute(k.Kind) {
+					continue
+				}
+				n++
+				want := ran[d][k]
+				if len(got) != len(want) {
+					t.Fatalf("%s dev%d %v: %d samples, run executed %d", tc.sch, d, k, len(got), len(want))
+				}
+				for i := range got {
+					if math.Abs(got[i]-want[i]) > 1e-12*want[i] {
+						t.Fatalf("%s dev%d %v #%d: sampled %v, run advanced the clock by %v", tc.sch, d, k, i, got[i], want[i])
+					}
+				}
+			}
+			if n != len(ran[d]) {
+				t.Errorf("%s dev%d: %d compute classes sampled, run executed %d", tc.sch, d, n, len(ran[d]))
+			}
+		}
+
+		m.Faults = &fault.Plan{Slowdowns: []fault.Slowdown{{Device: 1, Factor: 2}}}
+		if _, _, err := m.Sample(s, iters); err == nil {
+			t.Errorf("%s: Sample accepted a machine with a fault plan", tc.sch)
 		}
 	}
 }
@@ -208,5 +286,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 	wrong := cost.Uniform(3, 1, 2, 0.25)
 	if _, err := (&Machine{Truth: wrong}).Run(s, 1); err == nil {
 		t.Error("stage mismatch accepted")
+	}
+	for _, m := range []*Machine{{}, {Truth: wrong}} {
+		if _, _, err := m.Sample(s, 1); err == nil {
+			t.Errorf("Sample accepted a machine Run refuses: %+v", m)
+		}
+	}
+	if _, _, err := (&Machine{Truth: e}).Sample(s, 0); err == nil {
+		t.Error("Sample accepted iters=0")
 	}
 }

@@ -1,6 +1,7 @@
 // Package profile implements Mario's lightweight profiling (§5.2): short
-// probe runs on the (emulated) cluster collect per-instruction timings and
-// peak memory, and linear regressions y = a·n + b over the number of
+// probes on the emulated cluster sample per-instruction timings and peak
+// memory (cluster.Machine.Sample draws what a run would measure, without
+// running the devices), and linear regressions y = a·n + b over the number of
 // transformer blocks n turn them into the per-stage estimators the simulator
 // consumes. The bias b captures the framework overhead.
 //
@@ -188,8 +189,11 @@ func (p *Profiler) fitFor(mbs, tp int) (*fit, error) {
 	return f, nil
 }
 
-// probe runs 1F1B probe jobs with 1..4 transformer blocks per stage and fits
-// the regressions.
+// probe samples 1F1B probe jobs with 1..4 transformer blocks per stage on the
+// emulated cluster and fits the regressions. Each probe draws every device's
+// measured durations in list order (cluster.Machine.Sample) instead of
+// running the devices: the fit reads only the samples and the peak memory,
+// and neither depends on how the devices interleave.
 func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 	d := p.Devices
 	if d <= 0 {
@@ -219,6 +223,10 @@ func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 	}
 	onFly := float64(d - probeDev) // on-the-fly micros at peak on that device
 
+	sched, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: d, Micros: 2 * d})
+	if err != nil {
+		return nil, err
+	}
 	var xs, fwYs, bwYs, memYs []float64
 	var commActs, commGrads, optTimes []float64
 	var lastFirstExtra, lastLastExtra float64
@@ -228,15 +236,11 @@ func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: d, Micros: 2 * d})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := mach.Run(sched, iters)
+		durs, peakMem, err := mach.Sample(sched, iters)
 		if err != nil {
 			return nil, fmt.Errorf("profile: probe k=%d: %w", k, err)
 		}
-		devSamples := rep.DeviceDurations[probeDev]
+		devSamples := durs[probeDev]
 		fw := regress.Mean(devSamples[cluster.SampleKey{Kind: pipeline.Forward, Stage: probeDev}])
 		bw := regress.Mean(devSamples[cluster.SampleKey{Kind: pipeline.Backward, Stage: probeDev}])
 		xs = append(xs, float64(k))
@@ -246,16 +250,16 @@ func (p *Profiler) probe(mbs, tp int) (*fit, error) {
 		// Dynamic memory: subtract the analytically known weight bytes of
 		// the probe device (middle stage: blocks only, no embedding).
 		weights := model.ParamsPerLayer() * float64(k) / float64(tp) * cost.BytesPerParamTraining
-		memYs = append(memYs, rep.PeakMem[probeDev]-weights)
+		memYs = append(memYs, peakMem[probeDev]-weights)
 
-		commActs = append(commActs, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.SendAct, Stage: probeDev})))
-		commGrads = append(commGrads, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.SendGrad, Stage: probeDev})))
-		optTimes = append(optTimes, regress.Mean(allDevices(rep, cluster.SampleKey{Kind: pipeline.OptimizerStep, Stage: -1})))
+		commActs = append(commActs, regress.Mean(allDevices(durs, cluster.SampleKey{Kind: pipeline.SendAct, Stage: probeDev})))
+		commGrads = append(commGrads, regress.Mean(allDevices(durs, cluster.SampleKey{Kind: pipeline.SendGrad, Stage: probeDev})))
+		optTimes = append(optTimes, regress.Mean(allDevices(durs, cluster.SampleKey{Kind: pipeline.OptimizerStep, Stage: -1})))
 
 		// First/last stage extras (embedding, LM head) relative to a plain
 		// block stage, measured at the largest sweep point.
-		fw0 := regress.Mean(rep.DeviceDurations[0][cluster.SampleKey{Kind: pipeline.Forward, Stage: 0}])
-		fwL := regress.Mean(rep.DeviceDurations[d-1][cluster.SampleKey{Kind: pipeline.Forward, Stage: d - 1}])
+		fw0 := regress.Mean(durs[0][cluster.SampleKey{Kind: pipeline.Forward, Stage: 0}])
+		fwL := regress.Mean(durs[d-1][cluster.SampleKey{Kind: pipeline.Forward, Stage: d - 1}])
 		lastFirstExtra = fw0 - fw
 		lastLastExtra = fwL - fw
 	}
@@ -367,9 +371,9 @@ func max64(a, b float64) float64 {
 }
 
 // allDevices gathers a key's samples from every device, in device order.
-func allDevices(rep *cluster.Report, k cluster.SampleKey) []float64 {
+func allDevices(durs []map[cluster.SampleKey][]float64, k cluster.SampleKey) []float64 {
 	var v []float64
-	for _, dev := range rep.DeviceDurations {
+	for _, dev := range durs {
 		v = append(v, dev[k]...)
 	}
 	return v

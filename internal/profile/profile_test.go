@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -144,5 +147,54 @@ func TestFrameworkMemRecovered(t *testing.T) {
 	truthFw := cost.A100_40G.FrameworkMem
 	if e.FrameworkMem < truthFw/2 || e.FrameworkMem > truthFw*2 {
 		t.Errorf("recovered framework memory %v not within 2x of %v", e.FrameworkMem, truthFw)
+	}
+}
+
+// TestFitGolden pins the fit's bits: the SHA-256 of the JSON of an even-split
+// estimator and of a partitioned one on LLaMA2-3B and DefaultMachine. Any
+// change to the probe's draws, their order or the regressions moves them.
+func TestFitGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		est  func(p *Profiler) (*cost.Estimator, error)
+		want string
+	}{
+		{"EstimatorFor(8,2,1)", func(p *Profiler) (*cost.Estimator, error) { return p.EstimatorFor(8, 2, 1) },
+			"dba9f4ca91a12b5429cc734b4031f230436b3b922b66897aa93bf1304d2140be"},
+		{"EstimatorForPartition([12 20 20 12],1,2)", func(p *Profiler) (*cost.Estimator, error) {
+			return p.EstimatorForPartition([]int{12, 20, 20, 12}, 1, 2)
+		}, "0b9561630e85147653e07c518083a8fa15556b0d685f5e4200ba288f8b630da9"},
+	} {
+		e, err := tc.est(newProfiler())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+			t.Errorf("%s: SHA-256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestProbeSchedulesRun runs the probe's 1F1B schedules on the emulated
+// cluster once. The probe itself only samples each device's list, which
+// proves no liveness; this run does.
+func TestProbeSchedulesRun(t *testing.T) {
+	p := newProfiler()
+	for _, d := range []int{2, 4} {
+		sched, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: d, Micros: 2 * d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mach, err := p.NewMachine(p.Model.WithLayers(d), d, 2, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mach.Run(sched, 1); err != nil {
+			t.Errorf("probe schedule on %d devices: %v", d, err)
+		}
 	}
 }

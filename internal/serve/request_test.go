@@ -62,6 +62,10 @@ func TestRequestValidateErrors(t *testing.T) {
 		}, wantErr: "layer count must be positive"},
 		{name: "zero devices", mut: func(r *PlanRequest) { r.Devices = 0 }, wantErr: "must be positive"},
 		{name: "negative global batch", mut: func(r *PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
+		// Both used to resolve: the first kept the pipeline-depth divisor scan
+		// running for more than 20 s, the second panicked sizing the schedule.
+		{name: "devices above the bound", mut: func(r *PlanRequest) { r.Devices = 1099511627791 }, wantErr: "devices (1099511627791) must be at most 16384"},
+		{name: "global batch above the bound", mut: func(r *PlanRequest) { r.GlobalBatch = 4611686018427387904 }, wantErr: "global batch (4611686018427387904) must be at most 65536"},
 		{name: "bad scheme", mut: func(r *PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
 		{name: "scheme without a generator", mut: func(r *PlanRequest) { r.Scheme = "hanayo" }, wantErr: "unknown scheme"},
 		{name: "bad memory", mut: func(r *PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},

@@ -289,7 +289,7 @@ func ParseFaults(arg string) (*FaultPlan, error) {
 
 // RunReport summarises an execution of the plan on the emulated cluster: the
 // emulator's report (measured iteration time, throughput, per-device peak
-// memory and samples, watchdog re-arms, the injected-fault totals and, with
+// memory, watchdog re-arms, the injected-fault totals and, with
 // RunOptions.CollectEvents, the event stream), plus what is derived from it.
 type RunReport struct {
 	cluster.Report

@@ -47,6 +47,16 @@ type Workload struct {
 // because the value holds the resolution, not the spelling.
 func (w *Workload) Fingerprint() string { return w.fingerprint }
 
+// The largest cluster and the largest global batch Resolve accepts. Both are
+// far above any workload the planner is meant for (the largest in the
+// repository is 1,024 devices with a global batch of 2,048), and low enough
+// that what the search sizes from them — the pipeline-depth divisor scan, a
+// schedule's micro-batch slices — stays small.
+const (
+	maxDevices     = 1 << 14
+	maxGlobalBatch = 1 << 16
+)
+
 // Resolve validates a Config and a model and applies every default, once: it
 // is the one check in front of the search, for the library (Optimize)
 // and for the planning service alike. An error names the field
@@ -58,6 +68,12 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 	}
 	if conf.NumDevices <= 0 || conf.GlobalBatchSize <= 0 {
 		return nil, fmt.Errorf("mario: devices (%d) and global batch (%d) must be positive", conf.NumDevices, conf.GlobalBatchSize)
+	}
+	if conf.NumDevices > maxDevices {
+		return nil, fmt.Errorf("mario: devices (%d) must be at most %d", conf.NumDevices, maxDevices)
+	}
+	if conf.GlobalBatchSize > maxGlobalBatch {
+		return nil, fmt.Errorf("mario: global batch (%d) must be at most %d", conf.GlobalBatchSize, maxGlobalBatch)
 	}
 	if conf.TP < 0 {
 		return nil, fmt.Errorf("mario: tp must not be negative (got %d)", conf.TP)

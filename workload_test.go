@@ -2,6 +2,7 @@ package mario_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mario"
@@ -76,5 +77,33 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	}
 	if n := len(workload) + len(runOnly); n != typ.NumField() {
 		t.Errorf("the tables name %d fields, Config has %d: a table line names a field that is gone", n, typ.NumField())
+	}
+}
+
+// TestResolveBounds: the cluster and the global batch are bounded, and the
+// bounds are inclusive. The largest in-repo workload (BenchmarkTuning1024GPU)
+// and a workload at both bounds resolve; one device or one sample more is
+// refused, by Resolve and so by Optimize.
+func TestResolveBounds(t *testing.T) {
+	model := mario.Model("GPT3-13B")
+	for _, conf := range []mario.Config{
+		{NumDevices: 1024, GlobalBatchSize: 2048},
+		{NumDevices: 1 << 14, GlobalBatchSize: 1 << 16},
+	} {
+		if _, err := mario.Resolve(conf, model); err != nil {
+			t.Errorf("%d devices, global batch %d: %v", conf.NumDevices, conf.GlobalBatchSize, err)
+		}
+	}
+	for _, tc := range []struct {
+		conf    mario.Config
+		wantErr string
+	}{
+		{mario.Config{NumDevices: 1<<14 + 1, GlobalBatchSize: 64}, "devices (16385) must be at most 16384"},
+		{mario.Config{NumDevices: 8, GlobalBatchSize: 1<<16 + 1}, "global batch (65537) must be at most 65536"},
+	} {
+		if _, err := mario.Optimize(tc.conf, model); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Optimize(%d devices, global batch %d) = %v, want an error containing %q",
+				tc.conf.NumDevices, tc.conf.GlobalBatchSize, err, tc.wantErr)
+		}
 	}
 }
