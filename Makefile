@@ -57,7 +57,7 @@ BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChim
 # list-scheduled builds at 64 × 128 (BENCH_DET_BUILD) get an invocation of
 # their own: a sub-benchmark level in BENCH_DET would filter BenchmarkPlanCodec's
 # rows too.
-BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkPlanCodec|BenchmarkProfile$$
+BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkOptimizeHetero|BenchmarkPlanCodec|BenchmarkProfile$$
 BENCH_DET_BUILD = BenchmarkScheduleBuild/64x128
 BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
 bench-det = { $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
@@ -73,15 +73,15 @@ bench-json:
 # The gating half of the ledger: B/op and allocs/op of the deterministic rows
 # may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent, and
 # the counts those rows report — sims/op (BenchmarkGraphOptimize,
-# BenchmarkTunerSearchBnB: simulations), units/op (BenchmarkScheduleBuild:
-# compute units list-scheduled), explored (BenchmarkTunerSearchBnB: grid points
-# simulated) and bytes (BenchmarkPlanCodec: plan bytes) — may not exceed it at
-# all. Unlike ns/op none of this depends on the runner, so CI enforces it;
+# BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: simulations), units/op
+# (BenchmarkScheduleBuild: compute units list-scheduled), explored
+# (BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: grid points simulated) and
+# bytes (BenchmarkPlanCodec: plan bytes) — may not exceed it at all. Unlike ns/op none of this depends on the runner, so CI enforces it;
 # after a deliberate change regenerate the baseline with `make bench-json`.
 ALLOCPCT ?= 5
 bench-gate-allocs:
 	$(bench-det) | $(GO) run ./cmd/benchjson -gate-mem $(ALLOCPCT) -baseline BENCH_sim.json \
-		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkPlanCodec,BenchmarkProfile,BenchmarkScheduleBuild,BenchmarkTunerSearchBnB
+		-only BenchmarkGraphOptimize,BenchmarkOptimizeAPI,BenchmarkOptimizeHetero,BenchmarkPlanCodec,BenchmarkProfile,BenchmarkScheduleBuild,BenchmarkTunerSearchBnB
 
 # Regression gate over the committed artifacts: re-runs the hot-path
 # microbenchmarks and the service's cache hit (as the server pays for it, and

@@ -592,6 +592,35 @@ func BenchmarkOptimizeAPI(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeHetero measures one co-optimizing search end to end: the
+// planner benchmark's hetero-8 spec (GPT3-13B, 1F1B, 8 devices with one at
+// 0.8 speed, auto placement) on the default machine, sequentially. It is the
+// one deterministic row that reaches the partitioning/placement subsystem;
+// sims/op and explored pin what the search simulates.
+func BenchmarkOptimizeHetero(b *testing.B) {
+	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
+	var explored int
+	for i := 0; i < b.N; i++ {
+		plan, err := mario.Optimize(mario.Config{
+			PipelineScheme:  "V",
+			GlobalBatchSize: 32,
+			NumDevices:      8,
+			MemoryPerDevice: "72G",
+			DeviceSpeeds:    []float64{1, 1, 1, 0.8, 1, 1, 1, 1},
+			Placement:       "auto",
+			Machine:         profile.DefaultMachine,
+			Workers:         1,
+			Metrics:         m,
+		}, mario.Model("GPT3-13B"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		explored = plan.SearchStats.Explored
+	}
+	b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+	b.ReportMetric(float64(explored), "explored")
+}
+
 // BenchmarkPlanCodec prices the plan JSON codec on the GPT3-1.6B, 8-device,
 // Auto plan (the planner benchmark's serve-cold request): what the planning
 // service pays once per fresh plan to encode it and every client pays to

@@ -63,8 +63,8 @@ func ParseMode(s string) (Mode, error) {
 // ParseSpeeds parses a per-device speed specification against a known device
 // count. Two forms are accepted: a full comma-separated list with one entry
 // per device ("1,0.8,1,1"), or a sparse list of dev=speed overrides on a
-// nominal-1 baseline ("2=0.8" or "1=0.9,3=0.75"). Speeds must be finite and
-// positive; sparse indices must be in range. An empty spec, or one whose every
+// nominal-1 baseline ("2=0.8" or "1=0.9,3=0.75"). Speeds must pass
+// CheckSpeed; sparse indices must be in range. An empty spec, or one whose every
 // speed is nominal, returns nil (homogeneous); any other accepted spec returns
 // exactly devices entries.
 func ParseSpeeds(spec string, devices int) ([]float64, error) {
@@ -99,8 +99,8 @@ func ParseSpeeds(spec string, devices int) ([]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("place: speed entry %q: bad speed: %v", f, err)
 			}
-			if !(s > 0) || math.IsInf(s, 1) {
-				return nil, fmt.Errorf("place: speed entry %q: speed must be positive and finite", f)
+			if err := CheckSpeed(s); err != nil {
+				return nil, fmt.Errorf("place: speed entry %q: %w", f, err)
 			}
 			out[d] = s
 		}
@@ -113,8 +113,8 @@ func ParseSpeeds(spec string, devices int) ([]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("place: speed entry %q: %v", f, err)
 			}
-			if !(s > 0) || math.IsInf(s, 1) {
-				return nil, fmt.Errorf("place: speed entry %q: speed must be positive and finite", f)
+			if err := CheckSpeed(s); err != nil {
+				return nil, fmt.Errorf("place: speed entry %q: %w", f, err)
 			}
 			out[i] = s
 		}
@@ -123,6 +123,19 @@ func ParseSpeeds(spec string, devices int) ([]float64, error) {
 		return nil, nil
 	}
 	return out, nil
+}
+
+// CheckSpeed refuses a device speed the subsystem cannot price: one that is
+// not positive and finite, or one so small that its slowdown 1/speed — the
+// multiplier every compute duration of the device is scaled by — overflows.
+func CheckSpeed(s float64) error {
+	if !(s > 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("speed %g must be positive and finite", s)
+	}
+	if math.IsInf(1/s, 1) {
+		return fmt.Errorf("speed %g is too small: its slowdown 1/speed is not finite", s)
+	}
+	return nil
 }
 
 // Homogeneous reports whether every declared speed is the nominal 1 (or the
@@ -291,28 +304,27 @@ type Options struct {
 	// BufBytes is a per-stage byte reserve for transfer staging buffers
 	// (activation and gradient p2p), added on top of each stage's floor.
 	BufBytes float64
-	// MaxIters bounds the partition⇄placement fixpoint iterations; 0 means
-	// 4 (the loop converges in 2-3 iterations in practice).
-	MaxIters int
 }
+
+// maxIters bounds the partition⇄placement fixpoint: CoOptimize runs at most
+// this many partition DPs (the loop converges in 1-3 in practice).
+const maxIters = 4
 
 // CoOptimize runs the deterministic partition⇄placement fixpoint: starting
 // from the identity placement, it alternates (a) the bottleneck-minimizing
 // layer→stage DP under the current per-rank slowdowns and the memory cap
 // with (b) the sorted matching of stage loads onto speed slots, until the
-// assignment stops changing. rankSpeed lists the speed slots of one pipeline
-// replica (see RankSpeeds); nil means homogeneous, in which case the result
-// is the partition-only optimum with identity placement.
+// matching returns the placement the DP was run under — the next DP would see
+// the same slowdowns and return the same partition — or maxIters DPs have
+// run. rankSpeed lists the speed slots of one pipeline replica (see
+// RankSpeeds); nil means homogeneous, in which case the result is the
+// partition-only optimum with identity placement.
 func CoOptimize(lm *LayerModel, pl pipeline.Placement, rankSpeed []float64, opts Options) (*Assignment, error) {
 	D := pl.NumDevices()
 	S := pl.NumStages()
 	L := lm.Layers()
 	if L < S {
 		return nil, fmt.Errorf("place: %d layers cannot fill %d stages", L, S)
-	}
-	maxIters := opts.MaxIters
-	if maxIters <= 0 {
-		maxIters = 4
 	}
 	slots := rankSpeed
 	if slots == nil {
@@ -324,12 +336,12 @@ func CoOptimize(lm *LayerModel, pl pipeline.Placement, rankSpeed []float64, opts
 	deviceOf := identity(D)
 	var part []int
 	for iter := 0; iter < maxIters; iter++ {
-		next := partitionDP(lm, pl, slowOfRanks(slots, deviceOf), opts)
-		perm := matchDevices(lm, pl, next, slots)
-		if part != nil && equalInts(next, part) && equalInts(perm, deviceOf) {
+		part = partitionDP(lm, pl, slowOfRanks(slots, deviceOf), opts)
+		perm := matchDevices(lm, pl, part, slots)
+		if equalInts(perm, deviceOf) {
 			break
 		}
-		part, deviceOf = next, perm
+		deviceOf = perm
 	}
 	a := &Assignment{LayersPerStage: part, DeviceOf: deviceOf}
 	if rankSpeed != nil {
@@ -409,6 +421,14 @@ func stageSlow(pl pipeline.Placement, rankSlow []float64, st int) float64 {
 // the answer is deterministic. If the cap is infeasible the even split is
 // returned unchanged (the tuner's memory checks reject the point downstream
 // exactly as they do today).
+//
+// The inner scan walks the last cut k downwards and stops at the first k that
+// cannot win: the stage's duration (workPfx[l]-workPfx[k])·slow and its
+// stash-free memory floor only grow as k falls (Work and the byte arrays are
+// non-negative, and IEEE subtraction, addition and multiplication are
+// monotone), so once the duration exceeds the best bottleneck found for l, or
+// the floor exceeds the cap, no smaller k is accepted either. Both exits are
+// strict: a tie must still be visited, because ties keep the earliest split.
 func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts Options) []int {
 	L := lm.Layers()
 	S := pl.NumStages()
@@ -454,7 +474,7 @@ func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts
 		}
 	}
 
-	const inf = 1e300
+	inf := math.Inf(1)
 	// f[s][l]: minimal bottleneck placing the first l layers on the first s
 	// stages; choice[s][l]: the l' the optimum cut at.
 	f := make([][]float64, S+1)
@@ -484,11 +504,17 @@ func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts
 				if k < len(lm.ActBytes) && lm.ActBytes[k] > maxAct {
 					maxAct = lm.ActBytes[k]
 				}
-				if f[s-1][k] >= inf {
-					continue
+				dur := (workPfx[l] - workPfx[k]) * slow
+				if dur > f[s][l] {
+					break // no smaller k is shorter
 				}
 				if c := caps[s-1]; c >= 0 {
 					need := bytePfx[l] - bytePfx[k] + maxAct + opts.BufBytes
+					if need > c {
+						break // no smaller k has a lower stash-free floor
+					}
+					// The stash depends on k's own layer, not monotonically:
+					// it rules out this k alone.
 					if k < len(lm.StashBytes) {
 						need += inFlight * lm.StashBytes[k]
 					}
@@ -496,7 +522,9 @@ func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts
 						continue
 					}
 				}
-				dur := (workPfx[l] - workPfx[k]) * slow
+				if f[s-1][k] == inf {
+					continue
+				}
 				if dur < f[s-1][k] {
 					dur = f[s-1][k]
 				}
@@ -507,7 +535,7 @@ func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts
 			}
 		}
 	}
-	if f[S][L] >= inf {
+	if f[S][L] == inf {
 		return cost.Partition(L, S)
 	}
 	part := make([]int, S)

@@ -55,6 +55,9 @@ func TestParseSpeeds(t *testing.T) {
 		{"sparse negative index", "-1=0.8", 4, nil, "out of range"},
 		{"sparse bad speed", "2=fast", 4, nil, "bad speed"},
 		{"sparse nonpositive", "2=-0.5", 4, nil, "must be positive"},
+		{"infinite slowdown", "1,1e-310,1,1", 4, nil, "slowdown 1/speed is not finite"},
+		{"sparse infinite slowdown", "3=1e-310", 4, nil, "slowdown 1/speed is not finite"},
+		{"smallest finite slowdown", "1,1e-308,1,1", 4, []float64{1, 1e-308, 1, 1}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,8 +79,8 @@ func TestParseSpeeds(t *testing.T) {
 }
 
 // FuzzParseSpeeds: ParseSpeeds never panics, and a spec it accepts is either
-// homogeneous (nil) or exactly devices finite, positive speeds, not all of
-// them nominal.
+// homogeneous (nil) or exactly devices finite, positive speeds with finite
+// slowdowns, not all of them nominal.
 func FuzzParseSpeeds(f *testing.F) {
 	for _, c := range []struct {
 		spec    string
@@ -85,7 +88,7 @@ func FuzzParseSpeeds(f *testing.F) {
 	}{
 		{"", 4}, {"1,0.8,1,1", 4}, {" 1 , 0.8 , 1 , 1 ", 4}, {"1,1,1,1", 4}, {"1,0.8", 4}, {"1,x,1,1", 4},
 		{"1,0,1,1", 4}, {"2=0.8", 4}, {"1=0.9, 3=0.75", 4}, {"2=1", 4}, {"4=0.8", 4}, {"-1=0.8", 4},
-		{"2=fast", 4}, {"2=-0.5", 4}, {"1,NaN", 2}, {"0=inf", 1}, {"0.5", 0}, {"0=0.5", -3},
+		{"2=fast", 4}, {"2=-0.5", 4}, {"1,NaN", 2}, {"0=inf", 1}, {"0=1e-310", 1}, {"0.5", 0}, {"0=0.5", -3},
 	} {
 		f.Add(c.spec, c.devices)
 	}
@@ -98,7 +101,7 @@ func FuzzParseSpeeds(f *testing.F) {
 			t.Fatalf("ParseSpeeds(%q, %d) returned %d entries", spec, devices, len(got))
 		}
 		for _, v := range got {
-			if !(v > 0) || math.IsInf(v, 0) {
+			if !(v > 0) || math.IsInf(v, 0) || math.IsInf(1/v, 0) {
 				t.Fatalf("ParseSpeeds(%q, %d) accepted speed %v", spec, devices, v)
 			}
 		}

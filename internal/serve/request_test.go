@@ -74,6 +74,7 @@ func TestRequestValidateErrors(t *testing.T) {
 		{name: "zero micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
 		{name: "speeds of another cluster", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
 		{name: "negative speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
+		{name: "speed with an infinite slowdown", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, 1, 1, 1e-310, 1, 1} }, wantErr: "device 5 speed 1e-310 is too small"},
 		{name: "NaN speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, math.NaN(), 1, 1, 1, 1, 1} }, wantErr: "device 2 speed NaN must be positive", libraryOnly: true},
 		{name: "bad placement", mut: func(r *PlanRequest) { r.Placement = "sideways" }, wantErr: "unknown placement mode"},
 		{name: "min_pp above the cluster", mut: func(r *PlanRequest) { r.MinPP = 16 }, wantErr: "no pipeline depth in min_pp..max_pp [16, 8] divides 8 devices"},

@@ -7,6 +7,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
+	"mario/internal/place"
 	"mario/internal/scheme"
 	"mario/internal/sim"
 	"mario/internal/telemetry"
@@ -41,6 +42,13 @@ type bnbNode struct {
 	// idx is the point's canonical grid index (its enumerate position).
 	idx int
 	p   gridPoint
+	// micros, est and asg are the point's resolution (pointShape), which
+	// evalPoint scores it with. The estimator and the assignment are read-only
+	// from here on, so the point's checkpoint sibling and any pool worker may
+	// share them.
+	micros int
+	est    *cost.Estimator
+	asg    *place.Assignment
 	// ub is the admissible throughput upper bound from throughputBound; the
 	// true simulated throughput of the point can never exceed it.
 	ub float64
@@ -72,23 +80,22 @@ func (n bnbNode) dominatedBy(incumbent float64) bool {
 	return n.ub < incumbent || (n.doomed && incumbent > 0)
 }
 
-// probePoint runs the cheap prefix of evalPoint — the structural feasibility
-// checks, the scheme's order-free shape and the estimator fit — and computes
-// the bounds from them. No schedule is built: both bounds need only the
-// per-device instruction multiset and the placement. Under Space.NoPrune the
-// node keeps the vacuous bounds (ub = +Inf, not doomed), which no incumbent
-// prunes. It reports ok=false for structurally infeasible points (the same
-// set evalPoint rejects). It records no telemetry; the caller synthesizes the
-// canonical spans.
-func (t *Tuner) probePoint(space Space, p gridPoint) (nd bnbNode, ok bool) {
-	nd = bnbNode{p: p, ub: math.Inf(1)}
-	_, sh, est, _, ok := t.pointShape(space, p)
-	if !ok {
-		return nd, false
+// probePoint turns a grid point and its resolution r (pointShape: the
+// structural feasibility checks, the scheme's order-free shape, the estimator
+// fit and the assignment) into a node carrying r and the bounds computed from
+// it. No schedule is built: both bounds need only the per-device instruction
+// multiset and the placement. Under Space.NoPrune the node keeps the vacuous
+// bounds (ub = +Inf, not doomed), which no incumbent prunes. It reports
+// ok=false for structurally infeasible points. It records no telemetry; the
+// caller synthesizes the canonical spans.
+func (t *Tuner) probePoint(space Space, p gridPoint, r resolution) (nd bnbNode, ok bool) {
+	if !r.ok {
+		return bnbNode{}, false
 	}
+	nd = bnbNode{p: p, micros: r.micros, est: r.est, asg: r.asg, ub: math.Inf(1)}
 	if !space.NoPrune {
-		nd.ub = t.throughputBound(sh, est, p)
-		nd.memLB = memLowerBound(sh.Resolved, est)
+		nd.ub = t.throughputBound(r.sh, r.est, p)
+		nd.memLB = memLowerBound(r.sh.Resolved, r.est)
 		nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
 	}
 	return nd, true
@@ -305,15 +312,27 @@ func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, 
 // telemetry and the expansion order identical across sources. The whole pass
 // is one PhaseBound span under the search — what bounding and ordering the
 // grid cost, as opposed to evaluating it.
+//
+// A point's resolution does not depend on its checkpoint flag, so the pass
+// resolves each checkpoint-free coordinate once and hands the result to both
+// of its nodes.
 func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
 	bound := search.Child(telemetry.PhaseBound, "")
 	defer bound.End()
 	nodes := make([]bnbNode, 0, len(points))
+	resolved := make(map[gridPoint]resolution, len(points))
 	for i, p := range points {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		nd, ok := t.probePoint(space, p)
+		key := p
+		key.ckpt = false
+		r, seen := resolved[key]
+		if !seen {
+			r = t.pointShape(space, p)
+			resolved[key] = r
+		}
+		nd, ok := t.probePoint(space, p, r)
 		if !ok {
 			t.pruneInfeasible(i, p, tracer, search, stats)
 			continue

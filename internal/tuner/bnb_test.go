@@ -63,8 +63,8 @@ func runStrategy(tn *Tuner, sp Space) stratOut {
 
 // exhaustiveArgmax is the dumb oracle every expansion order is checked
 // against: evaluate every grid point and keep the highest throughput, the
-// lowest canonical index among ties. No probe, no bound, no incumbent
-// decision, no driver — it shares only the point evaluation with the search.
+// lowest canonical index among ties. No bound, no incumbent decision, no
+// driver — it shares only the point resolution and evaluation with the search.
 func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	t.Helper()
 	sp = sp.WithDefaults()
@@ -72,7 +72,13 @@ func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	var best *Candidate
 	var out stratOut
 	for _, p := range enumerate(sp) {
-		pr := tn.evalPoint(context.Background(), sp, p, eng, telemetry.Span{})
+		r := tn.pointShape(sp, p)
+		if !r.ok {
+			out.pruned++
+			continue
+		}
+		nd := bnbNode{p: p, micros: r.micros, est: r.est, asg: r.asg}
+		pr := tn.evalPoint(context.Background(), sp, nd, eng, telemetry.Span{})
 		if pr.err != nil {
 			t.Fatalf("oracle evaluation of %s: %v", pointKey(0, p), pr.err)
 		}
@@ -182,7 +188,8 @@ func memPressureSpace(t *testing.T) Space {
 	}
 	spd := sp.WithDefaults()
 	probe := newTuner()
-	nd4, ok := probe.probePoint(spd, gridPoint{scheme: pipeline.Scheme1F1B, pp: 4, dp: 2, mbs: 1})
+	p4 := gridPoint{scheme: pipeline.Scheme1F1B, pp: 4, dp: 2, mbs: 1}
+	nd4, ok := probe.probePoint(spd, p4, probe.pointShape(spd, p4))
 	if !ok {
 		t.Fatal("pp=4 probe point is structurally infeasible")
 	}
@@ -316,7 +323,8 @@ func TestBnBBoundAdmissible(t *testing.T) {
 			}
 			spd := tc.sp.WithDefaults() // the bounds a pruning search computes
 			for _, c := range trace {
-				nd, ok := tn.probePoint(spd, pointOf(c))
+				p := pointOf(c)
+				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p))
 				if !ok {
 					t.Errorf("simulated point %s probes as structurally infeasible", c.Label())
 					continue

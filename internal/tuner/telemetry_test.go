@@ -199,7 +199,9 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 	eng := graph.NewEngines()
 	ref, full := mk(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
-		ref.evalPoint(context.Background(), full, p, eng, telemetry.Span{})
+		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p)); ok {
+			ref.evalPoint(context.Background(), full, nd, eng, telemetry.Span{})
+		}
 	}
 	for _, w := range []int{1, 4} {
 		m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
@@ -224,7 +226,7 @@ func TestTracedOffPruneAllocatesNothing(t *testing.T) {
 	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
 	var stats SearchStats
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := tn.probePoint(sp, p); ok {
+		if _, ok := tn.probePoint(sp, p, tn.pointShape(sp, p)); ok {
 			t.Fatal("fixture point is feasible")
 		}
 		tn.pruneInfeasible(7, p, nil, telemetry.Span{}, &stats)

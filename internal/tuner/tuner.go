@@ -889,8 +889,8 @@ func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros, chunks int) (*pipeline
 // the one mode that needs the built schedule — its memory cap reads the
 // warm-up depth off the list scheduler's order — so it alone goes through the
 // build memo here; every other mode is a function of the placement. The
-// result is a pure function of the point and the space, so probe and
-// evaluation agree and re-computation is race-free.
+// result is a pure function of the point's checkpoint-free coordinate and the
+// space.
 func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, micros int) (*place.Assignment, error) {
 	if p.pmode == "" {
 		return nil, nil
@@ -990,66 +990,74 @@ func assignedEstimator(prof *profile.Profiler, asg *place.Assignment, stages, mb
 	return est, nil
 }
 
-// pointShape is the structural prefix every consumer of a grid point starts
+// resolution is the structural prefix every consumer of a grid point starts
 // with: the micro-batch count, the scheme's order-free shape and the
 // estimator (plus assignment) the point is scored with. ok is false for
 // structurally impossible points — indivisible batch, scheme constraints
 // (odd Chimera, indivisible Interleave, …), too few layers, estimator limits.
-// No schedule is built unless the placement mode needs one (assignmentFor).
-func (t *Tuner) pointShape(space Space, p gridPoint) (micros int, sh scheme.Shape, est *cost.Estimator, asg *place.Assignment, ok bool) {
+type resolution struct {
+	micros int
+	sh     scheme.Shape
+	est    *cost.Estimator
+	asg    *place.Assignment
+	ok     bool
+}
+
+// pointShape resolves a grid point. No schedule is built unless the placement
+// mode needs one (assignmentFor). Nothing it reads depends on p.ckpt, so both
+// checkpoint values of a coordinate resolve alike.
+func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	// By division, as Recipe.admits does: a huge micro-batch size would wrap
 	// the product mbs·dp, even to zero.
 	perReplica := space.GlobalBatch / p.dp
 	if space.GlobalBatch%p.dp != 0 || perReplica%p.mbs != 0 {
-		return 0, sh, nil, nil, false
+		return resolution{}
 	}
-	micros = perReplica / p.mbs
+	micros := perReplica / p.mbs
 	if micros < 1 {
-		return 0, sh, nil, nil, false
+		return resolution{}
 	}
 	sh, err := scheme.ShapeOf(p.scheme, scheme.Config{Devices: p.pp, Micros: micros, Chunks: space.Chunks})
 	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
-		return 0, sh, nil, nil, false
+		return resolution{}
 	}
-	est, asg, err = t.estimatorFor(space, p, sh.Placement, micros)
+	est, asg, err := t.estimatorFor(space, p, sh.Placement, micros)
 	if err != nil {
-		return 0, sh, nil, nil, false
+		return resolution{}
 	}
-	return micros, sh, est, asg, true
+	return resolution{micros: micros, sh: sh, est: est, asg: asg, ok: true}
 }
 
 // evalTraced wraps evalPoint with a detached point span that the merge loop
 // later attaches or discards.
 func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *graph.Engines, tracer *telemetry.Tracer) pointResult {
 	sp := pointSpan(tracer, nd.idx, nd.p)
-	pr := t.evalPoint(ctx, space, nd.p, eng, sp)
+	pr := t.evalPoint(ctx, space, nd, eng, sp)
 	sp.End()
 	pr.span = sp
 	return pr
 }
 
-// evalPoint scores a single grid point the probe pass found structurally
-// feasible: it resolves the point's shape, estimator and assignment and hands
-// the coordinates to materialize, returning the candidate — zero-throughput
-// for OOM points. It takes no bound and makes no prune decision; whoever calls
-// it has decided to evaluate the point. A point whose evaluation still fails
-// (a build, graph-pass or simulator error) comes back infeasible.
+// evalPoint scores a single node of the probe pass: it hands the node's
+// coordinates and resolution — micro-batch count, estimator and assignment,
+// resolved once by the probe — to materialize, returning the candidate —
+// zero-throughput for OOM points. It takes no bound and makes no prune
+// decision; whoever calls it has decided to evaluate the point. A point whose
+// evaluation still fails (a build, graph-pass or simulator error) comes back
+// infeasible.
 //
 // eng is the caller's reusable engine bundle (one per goroutine). ctx bounds
 // the slow part of the evaluation (the graph-tuner run); a cancelled context
 // comes back as pointResult.err, never as a fake infeasibility. sp is the
 // point's telemetry span (the zero Span when tracing is off).
-func (t *Tuner) evalPoint(ctx context.Context, space Space, p gridPoint, eng *graph.Engines, sp telemetry.Span) pointResult {
+func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *graph.Engines, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
-	micros, _, est, asg, ok := t.pointShape(space, p)
-	if !ok {
-		return pointResult{failed: true}
-	}
-	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: micros,
-		PlaceMode: p.pmode, Place: asg}
-	if err := t.materialize(ctx, t.recipe(space), cand, est, eng, sp); err != nil {
+	p := nd.p
+	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: nd.micros,
+		PlaceMode: p.pmode, Place: nd.asg}
+	if err := t.materialize(ctx, t.recipe(space), cand, nd.est, eng, sp); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return pointResult{err: err}
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"mario/internal/cost"
@@ -87,8 +86,8 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 		return nil, fmt.Errorf("mario: %d device speeds for %d devices", len(conf.DeviceSpeeds), conf.NumDevices)
 	}
 	for d, v := range conf.DeviceSpeeds {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("mario: device %d speed %g must be positive and finite", d, v)
+		if err := place.CheckSpeed(v); err != nil {
+			return nil, fmt.Errorf("mario: device %d %w", d, err)
 		}
 	}
 	w := &Workload{Model: model, Hardware: cost.A100_40G, Machine: conf.Machine, SplitBackward: conf.SplitBackward}

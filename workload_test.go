@@ -100,6 +100,10 @@ func TestResolveBounds(t *testing.T) {
 	}{
 		{mario.Config{NumDevices: 1<<14 + 1, GlobalBatchSize: 64}, "devices (16385) must be at most 16384"},
 		{mario.Config{NumDevices: 8, GlobalBatchSize: 1<<16 + 1}, "global batch (65537) must be at most 65536"},
+		// Positive and finite, but its slowdown 1/speed is +Inf: the search
+		// used to return a plan with throughput 0.
+		{mario.Config{NumDevices: 8, GlobalBatchSize: 32, PipelineScheme: "1F1B", MemoryPerDevice: "72G",
+			DeviceSpeeds: []float64{1, 1, 1, 1e-310, 1, 1, 1, 1}}, "device 3 speed 1e-310 is too small"},
 	} {
 		if _, err := mario.Optimize(tc.conf, model); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("Optimize(%d devices, global batch %d) = %v, want an error containing %q",
