@@ -452,7 +452,6 @@ func BenchmarkTuning1024GPU(b *testing.B) {
 			Model: cost.GPT3_13B, HW: cost.H100_80G,
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4,
 		},
-		MaxRounds: 1,
 	}
 	space := tuner.Space{
 		Devices:      1024,
@@ -460,6 +459,7 @@ func BenchmarkTuning1024GPU(b *testing.B) {
 		MicroBatches: []int{1, 2, 4},
 		MaxPP:        64,
 		DeviceMem:    cost.H100_80G.MemBytes,
+		MaxRounds:    1,
 	}
 	var candidates int
 	b.ResetTimer()
@@ -494,13 +494,14 @@ func BenchmarkTunerSearch(b *testing.B) {
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave, pipeline.SchemeGPipe},
 		MicroBatches: []int{1, 2, 4, 8, 16, 32},
 		DeviceMem:    cost.A100_40G.MemBytes,
+		MaxRounds:    1,
 		NoPrune:      true,
 	}
-	run := func(b *testing.B, space tuner.Space) {
+	run := func(b *testing.B, space tuner.Space, workers int) {
 		var explored, pruned int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tn := &tuner.Tuner{Prof: prof, MaxRounds: 1}
+			tn := &tuner.Tuner{Prof: prof, Workers: workers}
 			if _, _, err := tn.Search(space); err != nil {
 				b.Fatal(err)
 			}
@@ -510,25 +511,16 @@ func BenchmarkTunerSearch(b *testing.B) {
 		b.ReportMetric(float64(pruned), "bound-pruned")
 	}
 	par := runtime.GOMAXPROCS(0)
-	b.Run("workers=1", func(b *testing.B) {
-		s := space
-		s.Workers = 1
-		run(b, s)
-	})
+	b.Run("workers=1", func(b *testing.B) { run(b, space, 1) })
 	// On one processor the parallel run is the sequential one again (and the
 	// testing package would rename it "workers=1#01"); skip the duplicate.
 	if par > 1 {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			s := space
-			s.Workers = par
-			run(b, s)
-		})
+		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) { run(b, space, par) })
 	}
 	b.Run(fmt.Sprintf("workers=%d/pruned", par), func(b *testing.B) {
 		s := space
-		s.Workers = par
 		s.NoPrune = false
-		run(b, s)
+		run(b, s, par)
 	})
 }
 
@@ -548,14 +540,14 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave, pipeline.SchemeGPipe},
 		MicroBatches: []int{1, 2, 4, 8, 16, 32},
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      runtime.GOMAXPROCS(0),
+		MaxRounds:    1,
 	}
 	run := func(b *testing.B, space tuner.Space) {
 		var st tuner.SearchStats
 		m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tn := &tuner.Tuner{Prof: prof, MaxRounds: 1, Metrics: m}
+			tn := &tuner.Tuner{Prof: prof, Workers: runtime.GOMAXPROCS(0), Metrics: m}
 			if _, _, err := tn.Search(space); err != nil {
 				b.Fatal(err)
 			}

@@ -22,16 +22,15 @@ func ScoredSchedules(conf Config, model ModelConfig) (map[string]string, error) 
 	tn := w.tuner()
 	scored := map[string]string{}
 	tn.Progress = func(c, _ tuner.Candidate) { scored[c.Label()] = c.Schedule.String() }
-	space := w.Space
-	space.Workers = conf.Workers
-	_, _, err = tn.SearchContext(context.Background(), space)
+	tn.Workers = conf.Workers
+	_, _, err = tn.SearchContext(context.Background(), w.Space)
 	return scored, err
 }
 
 // RebuiltSchedule returns the text of the schedule Resimulate runs for c: the
-// one c carries, or the one rebuilt from its coordinates and the plan's recipe.
+// one c carries, or the one rebuilt from its coordinates and the plan's space.
 func RebuiltSchedule(p *Plan, c *tuner.Candidate) (string, error) {
-	sched, _, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.recipe)
+	sched, _, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.space)
 	if err != nil {
 		return "", err
 	}

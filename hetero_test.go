@@ -1,6 +1,7 @@
 package mario_test
 
 import (
+	"reflect"
 	"testing"
 
 	"mario"
@@ -58,7 +59,7 @@ func TestHeteroCoOptBeatsUniform(t *testing.T) {
 	if mx-mn > 1 || total != model.Layers {
 		t.Fatalf("uniform baseline split unevenly: %v", uniform.Best.Place.LayersPerStage)
 	}
-	if coopt.Best.Place == nil || coopt.Best.Place.Key() == uniform.Best.Place.Key() {
+	if coopt.Best.Place == nil || reflect.DeepEqual(coopt.Best.Place, uniform.Best.Place) {
 		t.Fatalf("co-opt did not move anything: %v", coopt.Best.Place)
 	}
 

@@ -39,7 +39,7 @@ func Figure11(opt Opts) (*Fig11Result, error) {
 		devices, gbs = 8, 64
 		mbs = []int{1, 2}
 	}
-	tn := &tuner.Tuner{Prof: newProfiler(cost.GPT3_13B), MaxRounds: 2}
+	tn := &tuner.Tuner{Prof: newProfiler(cost.GPT3_13B), Workers: opt.Workers}
 	start := time.Now()
 	// NoPrune keeps every feasible point in the trace: the figure plots the
 	// whole tuning curve, not just the points that could still win.
@@ -49,7 +49,7 @@ func Figure11(opt Opts) (*Fig11Result, error) {
 		MicroBatches: mbs,
 		TP:           1,
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      opt.Workers,
+		MaxRounds:    2,
 		NoPrune:      true,
 	})
 	if err != nil {

@@ -56,14 +56,14 @@ func Hetero(opt Opts) (*HeteroResult, error) {
 
 	res := &HeteroResult{}
 	for _, mode := range []place.Mode{place.ModeUniform, place.ModeCoOpt} {
-		tn := &tuner.Tuner{Prof: prof, MaxRounds: 8}
+		tn := &tuner.Tuner{Prof: prof, Workers: 1}
 		best, _, err := tn.Search(tuner.Space{
 			Devices:      8,
 			GlobalBatch:  gbs,
 			Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 			MicroBatches: []int{2},
 			DeviceMem:    float64(hw.MemBytes),
-			Workers:      1,
+			MaxRounds:    8,
 			DeviceSpeeds: speeds,
 			Placement:    mode,
 		})

@@ -40,10 +40,10 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 	tracer := telemetry.New("experiments/searchtrace")
 	root := tracer.Root(telemetry.PhaseOptimize, "")
 	tn := &tuner.Tuner{
-		Prof:      newProfiler(cost.GPT3_1_6B),
-		MaxRounds: 1,
-		Span:      root,
-		Metrics:   telemetry.NewSearchMetrics(telemetry.NewRegistry()),
+		Prof:    newProfiler(cost.GPT3_1_6B),
+		Workers: 1,
+		Span:    root,
+		Metrics: telemetry.NewSearchMetrics(telemetry.NewRegistry()),
 	}
 	space := tuner.Space{
 		Devices:      devices,
@@ -51,7 +51,7 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 		MicroBatches: mbs,
 		TP:           1,
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      1,
+		MaxRounds:    1,
 	}
 	best, _, err := tn.Search(space)
 	if err != nil {
@@ -64,7 +64,7 @@ func SearchTrace(opt Opts) (*SearchTraceResult, error) {
 	// no admissible memory floor) and check it lands on the same argmax.
 	gridSpace := space
 	gridSpace.NoBnB = true
-	gridTn := &tuner.Tuner{Prof: tn.Prof, MaxRounds: 1}
+	gridTn := &tuner.Tuner{Prof: tn.Prof, Workers: 1}
 	gridBest, _, err := gridTn.Search(gridSpace)
 	if err != nil {
 		return nil, err

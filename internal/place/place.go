@@ -164,38 +164,6 @@ type Assignment struct {
 	RankSpeed []float64 `json:"rank_speed,omitempty"`
 }
 
-// Key renders the assignment as a canonical string for memo keys, telemetry
-// and fingerprints. Equal assignments produce equal keys; a nil assignment
-// yields the empty string.
-func (a *Assignment) Key() string {
-	if a == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('L')
-	for i, n := range a.LayersPerStage {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(n))
-	}
-	b.WriteString("|D")
-	for i, d := range a.DeviceOf {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(d))
-	}
-	b.WriteString("|S")
-	for i, s := range a.RankSpeed {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatFloat(s, 'g', -1, 64))
-	}
-	return b.String()
-}
-
 // LayerModel is the per-layer cost model of an uneven transformer stack: the
 // compute time and training-state bytes of each individual layer, with the
 // embedding cost folded into the first layer and the LM-head cost into the

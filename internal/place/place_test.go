@@ -120,28 +120,6 @@ func TestHomogeneous(t *testing.T) {
 	}
 }
 
-func TestAssignmentKeyAndIdentity(t *testing.T) {
-	var nilA *Assignment
-	if nilA.Key() != "" {
-		t.Errorf("nil Key = %q, want empty", nilA.Key())
-	}
-	a := &Assignment{
-		LayersPerStage: []int{4, 4, 4, 4},
-		DeviceOf:       []int{0, 1, 2, 3},
-	}
-	if got, want := a.Key(), "L4,4,4,4|D0,1,2,3|S"; got != want {
-		t.Errorf("Key = %q, want %q", got, want)
-	}
-	d := &Assignment{
-		LayersPerStage: []int{4, 4, 4, 4},
-		DeviceOf:       []int{0, 1, 2, 3},
-		RankSpeed:      []float64{1, 1, 0.8, 1},
-	}
-	if d.Key() == a.Key() {
-		t.Error("speeds must change the key")
-	}
-}
-
 func TestRankSpeeds(t *testing.T) {
 	if RankSpeeds(nil, 4, 2) != nil {
 		t.Error("nil speeds must collapse to nil")
@@ -262,8 +240,8 @@ func TestCoOptimizeHetero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("co-optimize not deterministic: %q vs %q", a.Key(), b.Key())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("co-optimize not deterministic: %+v vs %+v", a, b)
 	}
 	// The slow slot (device 2) must play the rank with the smallest load.
 	slowRank := -1

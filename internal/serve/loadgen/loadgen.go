@@ -232,7 +232,8 @@ func MixedWorkloads(base api.PlanRequest, n int) []api.PlanRequest {
 }
 
 // Member is one member of a loopback fleet BootLoopback started: a full
-// server (coordinator + shard worker + router) behind its own HTTP listener.
+// server (plan cache, tuner workers and owner router) behind its own HTTP
+// listener.
 type Member struct {
 	URL    string
 	Server *serve.Server
@@ -241,7 +242,8 @@ type Member struct {
 
 // BootLoopback starts n full-mesh fleet members on ephemeral loopback ports:
 // each gets base with its own URL as Self and the others as Fleet, so
-// consistent-hash routing and shard dispatch are live between all of them.
+// consistent-hash routing to each workload's owner is live between all of
+// them.
 // Stopping them is the caller's: Server.Drain or Close, and HTTP.Shutdown.
 func BootLoopback(n int, base serve.Options) ([]*Member, error) {
 	listeners := make([]net.Listener, n)

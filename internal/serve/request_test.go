@@ -72,6 +72,10 @@ func TestRequestValidateErrors(t *testing.T) {
 		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "not a finite byte count"},
 		{name: "negative tp", mut: func(r *PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},
 		{name: "zero micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
+		// Both used to resolve, and the search enumerated and probed every
+		// listed size: a full body of copies outlasted the default deadline.
+		{name: "repeated micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{2, 4, 2} }, wantErr: "micro-batch sizes must be distinct (2 is listed twice)"},
+		{name: "too many micro batches", mut: func(r *PlanRequest) { r.MicroBatches = microBatchRange(121) }, wantErr: "micro-batch sizes (121 listed) must be at most 120"},
 		{name: "speeds of another cluster", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
 		{name: "negative speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
 		{name: "speed with an infinite slowdown", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, 1, 1, 1e-310, 1, 1} }, wantErr: "device 5 speed 1e-310 is too small"},
@@ -145,6 +149,15 @@ func TestRequestValidateErrors(t *testing.T) {
 	}
 }
 
+// microBatchRange returns the micro-batch sizes 1..n.
+func microBatchRange(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
 // bareBody is the workload the spelling tests respell: nothing but what is
 // required.
 const bareBody = `{"model":"LLaMA2-3B","devices":4,"global_batch":16}`
@@ -208,12 +221,13 @@ func TestEquivalentSpellingsOneWorkload(t *testing.T) {
 		`"timeout_sec":3`,
 	}
 	bareReq, bare := resolveBody(t, bareBody)
-	// The one pinned fingerprint value. PR 21 pinned 4dda982b5617 here, the
-	// hash of the request's canonical spelling; it was re-taken once, when the
-	// fingerprint became the hash of the resolved workload. It moves when the
-	// resolution of this request moves — a new default, a new field the
-	// search reads — and then every cached plan and every ring owner moves
-	// with it.
+	// The one pinned fingerprint value. It was first the hash of the
+	// request's canonical spelling (4dda982b5617); it was re-taken when the
+	// fingerprint became the hash of the resolved workload, and again when
+	// tuner.Space took SplitBackward and MaxRounds and gave up Workers and
+	// Chunks. It moves when the resolution of this request moves — a new
+	// default, a new field the search reads — and then every cached plan and
+	// every ring owner moves with it.
 	if fp := bare.Fingerprint(); !strings.HasPrefix(fp, pinnedBareFingerprint) {
 		t.Errorf("the bare request's fingerprint moved: %.12s, pinned %s", fp, pinnedBareFingerprint)
 	}
@@ -254,7 +268,7 @@ func TestEquivalentSpellingsOneWorkload(t *testing.T) {
 	}
 }
 
-const pinnedBareFingerprint = "294d162734b3"
+const pinnedBareFingerprint = "fe11a3a0613a"
 
 // TestRequestConfigPlumbing: every strategy knob on the wire reaches the
 // optimizer config — a silently dropped field would make the daemon ignore
@@ -376,7 +390,7 @@ func respell(w *mario.Workload) mario.Config {
 		GlobalBatchSize: w.Space.GlobalBatch,
 		NumDevices:      w.Space.Devices,
 		TP:              w.Space.TP,
-		SplitBackward:   w.SplitBackward,
+		SplitBackward:   w.Space.SplitBackward,
 		MicroBatchSizes: w.Space.MicroBatches,
 		MinPP:           w.Space.MinPP,
 		MaxPP:           w.Space.MaxPP,
@@ -406,6 +420,7 @@ func respell(w *mario.Workload) mario.Config {
 func FuzzPlanRequestCanonical(f *testing.F) {
 	a100, _ := json.Marshal(cost.A100_40G)
 	defaultMachine, _ := json.Marshal(profile.DefaultMachine)
+	tooMany, _ := json.Marshal(microBatchRange(121))
 	for _, seed := range []string{
 		bareBody,
 		respelled(`"micro_batches":[]`), // used to fingerprint apart from the line above
@@ -426,6 +441,8 @@ func FuzzPlanRequestCanonical(f *testing.F) {
 		respelled(`"hardware":{"FLOPS":-1}`),
 		respelled(`"machine":{"Noise":1}`),
 		respelled(`"memory":"inf"`),
+		respelled(`"micro_batches":[1,2,1]`),
+		respelled(`"micro_batches":` + string(tooMany)),
 		`{"model":"GPT3-1.6B","scheme":"v","global_batch":64,"devices":8,"memory":"40G","tp":2,"checkpoint":false,"split_backward":true,` +
 			`"micro_batches":[2,1],"min_pp":2,"max_pp":8,"no_bnb":true,"device_speeds":[1,1,1,0.8,1,1,1,1],"placement":"CoOpt","workers":3,"timeout_sec":1.5}`,
 		`{"model_config":{"Name":"tiny","Hidden":64,"Layers":4,"Heads":4,"SeqLen":128,"Vocab":1000},"devices":2,"global_batch":8,` +

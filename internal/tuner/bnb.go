@@ -94,7 +94,7 @@ func (t *Tuner) probePoint(space Space, p gridPoint, r resolution) (nd bnbNode, 
 	}
 	nd = bnbNode{p: p, micros: r.micros, est: r.est, asg: r.asg, ub: math.Inf(1)}
 	if !space.NoPrune {
-		nd.ub = t.throughputBound(r.sh, r.est, p)
+		nd.ub = throughputBound(r.sh, r.est, p, space.SplitBackward)
 		nd.memLB = memLowerBound(r.sh.Resolved, r.est)
 		nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
 	}
@@ -148,24 +148,25 @@ const boundSlack = 1e-9
 // head and tail dropped the device term is the busiest device's occupancy.
 //
 // When the backward's weight-gradient half can leave the critical path —
-// split-base schemes always, otherwise when the split-backward pass may
-// rewrite the checkpointed candidate — only the input-gradient half is
-// charged on the descent and before Y; the weight halves then count in the
-// variant of the device term that ends with d's own cool-down.
+// split-base schemes always, otherwise when splitBackward lets the
+// split-backward pass rewrite the checkpointed candidate — only the
+// input-gradient half is charged on the descent and before Y; the weight
+// halves then count in the variant of the device term that ends with d's own
+// cool-down.
 //
 // The bound is admissible under every pass the tuner applies afterwards:
 // checkpointing adds work (recomputes; a reverted pair costs what the plain
 // pair did), prepose only reorders a device's list, split backward turns one
 // backward into two halves whose durations sum to at least the original, and
 // no pass deletes a communication, all-reduce or optimizer instruction.
-func (t *Tuner) throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint) float64 {
+func throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint, splitBackward bool) float64 {
 	res := sh.Resolved
 	S, D := sh.Placement.NumStages(), sh.Placement.NumDevices()
 	lo := est.LaunchOverhead
 	split := sh.Scheme.SplitsBackward()
 	// r is the fraction of a backward that must precede the gradient send.
 	r := 1.0
-	if split || (t.SplitBackward && p.ckpt) {
+	if split || (splitBackward && p.ckpt) {
 		r = math.Min(math.Max(est.BwSplitRatio, 0), 1)
 	}
 	actHop := lo + est.CommTime(est.ActP2PBytes)

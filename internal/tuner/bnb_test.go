@@ -27,14 +27,12 @@ func maxPeak(c Candidate) float64 {
 	return peak
 }
 
-// runSpace runs one Search on a fresh tuner (optionally mutated) and captures
-// the comparable outputs, like runSearch but for an arbitrary space.
-func runSpace(t *testing.T, sp Space, mut func(*Tuner)) searchRun {
+// runSpace runs one Search with the given worker count on a fresh tuner and
+// captures the comparable outputs, like runSearch but for an arbitrary space.
+func runSpace(t *testing.T, sp Space, workers int) searchRun {
 	t.Helper()
 	tn := newTuner()
-	if mut != nil {
-		mut(tn)
-	}
+	tn.Workers = workers
 	return capture(t, tn, sp)
 }
 
@@ -136,21 +134,21 @@ func TestBnBMatchesGridArgmax(t *testing.T) {
 		sp    Space
 		split bool
 	}{
-		{"detSpace", detSpace(1), false},
-		{"split-backward", detSpace(1), true},
+		{"detSpace", detSpace(), false},
+		{"split-backward", detSpace(), true},
 		{"gpipe-chimera", Space{
 			Devices:      8,
 			GlobalBatch:  32,
 			Schemes:      []pipeline.Scheme{pipeline.SchemeGPipe, pipeline.SchemeChimera},
 			MicroBatches: []int{1, 2},
 			DeviceMem:    cost.A100_40G.MemBytes,
-			Workers:      1,
+			MaxRounds:    3,
 		}, false},
 		{"no-mem-limit", Space{
 			Devices:      8,
 			GlobalBatch:  64,
 			MicroBatches: []int{2, 4},
-			Workers:      1,
+			MaxRounds:    3,
 		}, false},
 		{"zero-bubble", Space{
 			Devices:      8,
@@ -158,16 +156,14 @@ func TestBnBMatchesGridArgmax(t *testing.T) {
 			Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeZBH1, pipeline.SchemeDualPipeD},
 			MicroBatches: []int{1, 2},
 			DeviceMem:    cost.A100_40G.MemBytes,
-			Workers:      1,
+			MaxRounds:    3,
 		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkOrdersAgainstOracle(t, tc.sp, func() *Tuner {
-				tn := newTuner()
-				tn.SplitBackward = tc.split
-				return tn
-			})
+			sp := tc.sp
+			sp.SplitBackward = tc.split
+			checkOrdersAgainstOracle(t, sp, seqTuner)
 		})
 	}
 }
@@ -184,7 +180,7 @@ func memPressureSpace(t *testing.T) Space {
 		GlobalBatch:  32,
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 		MicroBatches: []int{1, 2},
-		Workers:      1,
+		MaxRounds:    3,
 	}
 	spd := sp.WithDefaults()
 	probe := newTuner()
@@ -193,7 +189,7 @@ func memPressureSpace(t *testing.T) Space {
 	if !ok {
 		t.Fatal("pp=4 probe point is structurally infeasible")
 	}
-	ref := newTuner()
+	ref := seqTuner()
 	full := sp
 	full.NoPrune = true // no DeviceMem: unconstrained reference peaks
 	_, trace, err := ref.Search(full)
@@ -223,7 +219,7 @@ func memPressureSpace(t *testing.T) Space {
 func TestBnBMemoryPruneDeterministic(t *testing.T) {
 	sp := memPressureSpace(t)
 
-	base := runSpace(t, sp, nil)
+	base := runSpace(t, sp, 1)
 	if base.stats.MemPruned == 0 {
 		t.Fatalf("engineered memory pressure pruned nothing: stats %+v", base.stats)
 	}
@@ -231,9 +227,7 @@ func TestBnBMemoryPruneDeterministic(t *testing.T) {
 		t.Fatalf("memory pressure left nothing explored: stats %+v", base.stats)
 	}
 	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-		spw := sp
-		spw.Workers = w
-		got := runSpace(t, spw, nil)
+		got := runSpace(t, sp, w)
 		if got.stats != base.stats {
 			t.Errorf("workers=%d: stats %+v, want %+v", w, got.stats, base.stats)
 		}
@@ -256,7 +250,7 @@ func TestBnBMemoryPruneDeterministic(t *testing.T) {
 
 	gridSp := sp
 	gridSp.NoBnB = true
-	grid := runStrategy(newTuner(), gridSp)
+	grid := runStrategy(seqTuner(), gridSp)
 	if grid.err != "" {
 		t.Fatal(grid.err)
 	}
@@ -282,10 +276,9 @@ func TestBnBMemoryPruneDeterministic(t *testing.T) {
 // bound is exact and only its float slack keeps it admissible.
 func TestBnBBoundAdmissible(t *testing.T) {
 	gpt13b := func() *Tuner {
-		tn := newTuner()
+		tn := seqTuner()
 		tn.Prof = &profile.Profiler{Model: cost.GPT3_13B, HW: cost.A100_40G,
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4}
-		tn.MaxRounds = 2
 		return tn
 	}
 	cases := []struct {
@@ -294,34 +287,35 @@ func TestBnBBoundAdmissible(t *testing.T) {
 		sp    Space
 		split bool
 	}{
-		{name: "detSpace", mk: newTuner, sp: detSpace(1)},
-		{name: "detSpace/split-backward", mk: newTuner, sp: detSpace(1), split: true},
+		{name: "detSpace", mk: seqTuner, sp: detSpace()},
+		{name: "detSpace/split-backward", mk: seqTuner, sp: detSpace(), split: true},
 		{name: "Z-16", mk: gpt13b, sp: Space{Devices: 16, GlobalBatch: 64,
-			Schemes: []pipeline.Scheme{pipeline.SchemeZBH1}, DeviceMem: cost.A100_40G.MemBytes, Workers: 1}},
-		{name: "D-8", mk: newTuner, sp: Space{Devices: 8, GlobalBatch: 32,
-			Schemes: []pipeline.Scheme{pipeline.SchemeDualPipeD}, DeviceMem: cost.H100_80G.MemBytes, Workers: 1}, split: true},
+			Schemes: []pipeline.Scheme{pipeline.SchemeZBH1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}},
+		{name: "D-8", mk: seqTuner, sp: Space{Devices: 8, GlobalBatch: 32,
+			Schemes: []pipeline.Scheme{pipeline.SchemeDualPipeD}, DeviceMem: cost.H100_80G.MemBytes, MaxRounds: 3}, split: true},
 		{name: "hetero-8/coopt", mk: gpt13b, sp: Space{Devices: 8, GlobalBatch: 32,
-			Schemes: []pipeline.Scheme{pipeline.Scheme1F1B}, DeviceMem: 72 * (1 << 30), Workers: 1,
+			Schemes: []pipeline.Scheme{pipeline.Scheme1F1B}, DeviceMem: 72 * (1 << 30), MaxRounds: 2,
 			DeviceSpeeds: []float64{1, 1, 1, 0.8, 1, 1, 1, 1}, Placement: place.ModeCoOpt}, split: true},
 		{name: "VXW-16", mk: gpt13b, sp: Space{Devices: 16, GlobalBatch: 64,
-			MicroBatches: []int{1, 4}, DeviceMem: cost.A100_40G.MemBytes, Workers: 1}, split: true},
-		{name: "one-sample-batch", mk: newTuner, sp: Space{Devices: 8, GlobalBatch: 1,
-			MicroBatches: []int{1}, DeviceMem: cost.A100_40G.MemBytes, Workers: 1}},
+			MicroBatches: []int{1, 4}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}, split: true},
+		{name: "one-sample-batch", mk: seqTuner, sp: Space{Devices: 8, GlobalBatch: 1,
+			MicroBatches: []int{1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tn := tc.mk()
-			tn.SplitBackward = tc.split
 			sp := tc.sp
-			sp.NoPrune = true
-			_, trace, err := tn.Search(sp)
+			sp.SplitBackward = tc.split
+			full := sp
+			full.NoPrune = true
+			_, trace, err := tn.Search(full)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(trace) == 0 {
 				t.Fatal("exhaustive search produced an empty trace")
 			}
-			spd := tc.sp.WithDefaults() // the bounds a pruning search computes
+			spd := sp.WithDefaults() // the bounds a pruning search computes
 			for _, c := range trace {
 				p := pointOf(c)
 				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p))
@@ -356,15 +350,15 @@ func TestBnBBoundAdmissible(t *testing.T) {
 // smaller grid index) against the returned best — i.e. no pruned node could
 // have changed the argmax.
 func TestBnBPrunedNodesCannotWin(t *testing.T) {
-	sp := detSpace(1)
-	bnbTn := newTuner()
+	sp := detSpace()
+	bnbTn := seqTuner()
 	bnbBest, bnbTrace, err := bnbTn.Search(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullSp := sp
 	fullSp.NoPrune = true
-	fullTn := newTuner()
+	fullTn := seqTuner()
 	fullBest, fullTrace, err := fullTn.Search(fullSp)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +417,7 @@ func TestBnBEdgeCases(t *testing.T) {
 				Devices: 8, GlobalBatch: 7,
 				MicroBatches: []int{2},
 				DeviceMem:    cost.A100_40G.MemBytes,
-				Workers:      1,
+				MaxRounds:    3,
 			},
 			wantErr: "tuner: no feasible configuration in the search space",
 		},
@@ -434,7 +428,7 @@ func TestBnBEdgeCases(t *testing.T) {
 				MinPP:        8,
 				MicroBatches: []int{1, 2},
 				DeviceMem:    cost.A100_40G.MemBytes,
-				Workers:      1,
+				MaxRounds:    3,
 			},
 		},
 		{
@@ -444,7 +438,7 @@ func TestBnBEdgeCases(t *testing.T) {
 				Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 				MicroBatches: []int{1, 2},
 				DeviceMem:    cost.A100_40G.MemBytes,
-				Workers:      1,
+				MaxRounds:    3,
 			},
 		},
 		{
@@ -455,7 +449,7 @@ func TestBnBEdgeCases(t *testing.T) {
 				Devices: 8, GlobalBatch: 64,
 				MicroBatches: []int{1, 2, 4},
 				DeviceMem:    1,
-				Workers:      1,
+				MaxRounds:    3,
 			},
 		},
 		{
@@ -464,16 +458,16 @@ func TestBnBEdgeCases(t *testing.T) {
 				Devices: 8, GlobalBatch: 1,
 				MicroBatches: []int{1},
 				DeviceMem:    cost.A100_40G.MemBytes,
-				Workers:      1,
+				MaxRounds:    3,
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bnb := runStrategy(newTuner(), tc.sp)
+			bnb := runStrategy(seqTuner(), tc.sp)
 			gridSp := tc.sp
 			gridSp.NoBnB = true
-			grid := runStrategy(newTuner(), gridSp)
+			grid := runStrategy(seqTuner(), gridSp)
 			if bnb.err != grid.err {
 				t.Fatalf("error parity broken: bnb=%q grid=%q", bnb.err, grid.err)
 			}
@@ -509,16 +503,16 @@ func TestBnBExplorationEfficiency(t *testing.T) {
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave, pipeline.SchemeGPipe},
 		MicroBatches: []int{1, 2, 4, 8, 16, 32},
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      runtime.GOMAXPROCS(0),
+		MaxRounds:    1,
 	}
-	fullTn := &Tuner{Prof: prof, MaxRounds: 1}
+	fullTn := &Tuner{Prof: prof, Workers: runtime.GOMAXPROCS(0)}
 	fullSp := space
 	fullSp.NoPrune = true
 	fullBest, _, err := fullTn.Search(fullSp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bnbTn := &Tuner{Prof: prof, MaxRounds: 1}
+	bnbTn := &Tuner{Prof: prof, Workers: runtime.GOMAXPROCS(0)}
 	bnbBest, _, err := bnbTn.Search(space)
 	if err != nil {
 		t.Fatal(err)
@@ -576,19 +570,20 @@ func FuzzBnBArgmaxEquivalence(f *testing.F) {
 			mem = cost.A100_40G.MemBytes / float64(1+int(memSel)%8)
 		}
 		sp := Space{
-			Devices:      devices,
-			GlobalBatch:  batch,
-			Schemes:      schemes, // nil selects the default set
-			MicroBatches: mbs,
-			DeviceMem:    mem,
-			Workers:      1,
+			Devices:       devices,
+			GlobalBatch:   batch,
+			Schemes:       schemes, // nil selects the default set
+			MicroBatches:  mbs,
+			DeviceMem:     mem,
+			SplitBackward: split,
+			MaxRounds:     2,
 		}
 		prof := &profile.Profiler{
 			Model: cost.LLaMA2_3B, HW: cost.A100_40G,
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4,
 		}
 		checkOrdersAgainstOracle(t, sp, func() *Tuner {
-			return &Tuner{Prof: prof, MaxRounds: 2, SplitBackward: split}
+			return &Tuner{Prof: prof, Workers: 1}
 		})
 	})
 }

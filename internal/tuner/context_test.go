@@ -10,27 +10,28 @@ import (
 	"mario/internal/telemetry"
 )
 
-func testSpace(workers int) Space {
+func testSpace() Space {
 	return Space{
 		Devices:      8,
 		GlobalBatch:  32,
 		MicroBatches: []int{1, 2},
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      workers,
+		MaxRounds:    3,
 	}
 }
 
 // A completed SearchContext must be byte-identical to Search, for every
 // worker count (the planning service's cache depends on it).
 func TestSearchContextMatchesSearch(t *testing.T) {
-	ref := newTuner()
-	best, trace, err := ref.Search(testSpace(1))
+	ref := seqTuner()
+	best, trace, err := ref.Search(testSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		tn := newTuner()
-		b, tr, err := tn.SearchContext(context.Background(), testSpace(workers))
+		tn.Workers = workers
+		b, tr, err := tn.SearchContext(context.Background(), testSpace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,8 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		tn := newTuner()
-		best, trace, err := tn.SearchContext(ctx, testSpace(workers))
+		tn.Workers = workers
+		best, trace, err := tn.SearchContext(ctx, testSpace())
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -73,14 +75,15 @@ func TestSearchContextPreCancelled(t *testing.T) {
 // published: what a search merged before it stopped is accounted for once, in
 // both places.
 func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
-	ref := newTuner()
-	refBest, refTrace, err := ref.Search(testSpace(1))
+	ref := seqTuner()
+	refBest, refTrace, err := ref.Search(testSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 4} {
 		tn := newTuner()
+		tn.Workers = workers
 		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -91,7 +94,7 @@ func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, err = tn.SearchContext(ctx, testSpace(workers))
+		_, _, err = tn.SearchContext(ctx, testSpace())
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: mid-flight cancel: err = %v, want context.Canceled", workers, err)
 		}
@@ -99,7 +102,7 @@ func TestSearchContextMidFlightCancelAndRetry(t *testing.T) {
 
 		tn.Progress = nil
 		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
-		best, trace, err := tn.SearchContext(context.Background(), testSpace(workers))
+		best, trace, err := tn.SearchContext(context.Background(), testSpace())
 		if err != nil {
 			t.Fatalf("workers=%d: retry after cancel: %v", workers, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,13 +18,13 @@ import (
 // detSpace is a grid large enough to exercise every scheme, both checkpoint
 // settings, several PP/mbs combinations, OOM penalties and the upper-bound
 // prune.
-func detSpace(workers int) Space {
+func detSpace() Space {
 	return Space{
 		Devices:      8,
 		GlobalBatch:  64,
 		MicroBatches: []int{1, 2, 4},
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      workers,
+		MaxRounds:    3,
 	}
 }
 
@@ -80,12 +81,12 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 		t.Fatalf("best %s carries no schedule or no timeline", best.Label())
 	}
 	run.best = candString(*best)
-	rebuilder, rc := &Tuner{Prof: tn.Prof}, tn.recipe(sp.WithDefaults())
+	rebuilder := &Tuner{Prof: tn.Prof}
 	for _, c := range trace {
 		if c.Schedule != nil || c.Result.Timeline != nil {
 			t.Errorf("trace entry %s carries a schedule or a timeline", c.Label())
 		}
-		sched, res, err := rebuilder.Resimulate(context.Background(), nil, &c, rc)
+		sched, res, err := rebuilder.Resimulate(context.Background(), nil, &c, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,6 +105,8 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 
 func runSearch(t *testing.T, workers int) searchRun {
 	t.Helper()
+	sp := detSpace()
+	sp.MaxRounds = 2
 	return capture(t, &Tuner{
 		Prof: &profile.Profiler{
 			Model:   cost.LLaMA2_3B,
@@ -112,8 +115,8 @@ func runSearch(t *testing.T, workers int) searchRun {
 			Devices: 4,
 			Iters:   4,
 		},
-		MaxRounds: 2,
-	}, detSpace(workers))
+		Workers: workers,
+	}, sp)
 }
 
 // TestSearchDeterministicAcrossWorkers is the PR's core guarantee: the best
@@ -157,12 +160,71 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTunerFieldsKeepTheSearch walks Tuner's exported fields by reflection,
+// as TestFingerprintCoversConfig walks mario.Config: a field is either named
+// in searchIO — the cost model the search scores with, or what it reports —
+// or it only says how a search runs, and then, set to a value that is not its
+// default, it must leave the best candidate, the trace and Stats equal to the
+// bare search's. A field in neither table fails: an input that shapes the plan
+// belongs on Space, which the workload fingerprint hashes, not on Tuner.
+func TestTunerFieldsKeepTheSearch(t *testing.T) {
+	searchIO := map[string]string{
+		"Prof":  "the cost model",
+		"Stats": "the search's output",
+	}
+	runOnly := map[string]func(*Tuner){
+		"Workers":  func(tn *Tuner) { tn.Workers = 3 },
+		"Progress": func(tn *Tuner) { tn.Progress = func(Candidate, Candidate) {} },
+		"Span":     func(tn *Tuner) { tn.Span = telemetry.New("another-fingerprint").Root(telemetry.PhaseOptimize, "") },
+		"Metrics":  func(tn *Tuner) { tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry()) },
+	}
+	search := func(set func(*Tuner)) string {
+		t.Helper()
+		tn := newTuner()
+		if set != nil {
+			set(tn)
+		}
+		best, trace, err := tn.Search(detSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		b.WriteString(candString(*best))
+		for _, c := range trace {
+			b.WriteString("\n" + candString(c))
+		}
+		fmt.Fprintf(&b, "\n%+v", tn.Stats)
+		return b.String()
+	}
+	bare := search(nil)
+	typ := reflect.TypeOf(Tuner{})
+	exported := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		exported++
+		_, isIO := searchIO[f.Name]
+		set, isRun := runOnly[f.Name]
+		switch {
+		case isIO == isRun:
+			t.Errorf("Tuner.%s: in both tables or in neither — an input that shapes the plan belongs on Space", f.Name)
+		case isRun && search(set) != bare:
+			t.Errorf("Tuner.%s changes the search's best, trace or Stats: it belongs on Space", f.Name)
+		}
+	}
+	if n := len(searchIO) + len(runOnly); n != exported {
+		t.Errorf("the tables name %d fields, Tuner exports %d: a table line names a field that is gone", n, exported)
+	}
+}
+
 // TestSearchPruneEquivalence: pruning must never change the winner, only the
 // amount of work — the bound is admissible, so the best candidate and the
 // improvement path are those of the exhaustive search.
 func TestSearchPruneEquivalence(t *testing.T) {
-	mk := func() *Tuner { return newTuner() }
-	sp := detSpace(1)
+	mk := seqTuner
+	sp := detSpace()
 	pruned := mk()
 	bestP, traceP, err := pruned.Search(sp)
 	if err != nil {
@@ -206,7 +268,7 @@ func TestSearchPruneEquivalence(t *testing.T) {
 // Graph-pass output is not cached — within a search no two points share its
 // inputs — so a repeat search on the same Tuner runs its prepose rounds again.
 func TestCacheSharing(t *testing.T) {
-	tn := newTuner()
+	tn := seqTuner()
 	tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	sp := Space{
 		Devices:      8,
@@ -215,7 +277,7 @@ func TestCacheSharing(t *testing.T) {
 		MinPP:        8,
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 		DeviceMem:    cost.A100_40G.MemBytes,
-		Workers:      1,
+		MaxRounds:    3,
 		NoPrune:      true,
 	}
 	if _, _, err := tn.Search(sp); err != nil {
@@ -286,13 +348,13 @@ func TestSearchOrderSourceMatrix(t *testing.T) {
 	for _, space := range []struct {
 		name string
 		sp   Space
-	}{{"detSpace", detSpace(1)}, {"memPressure", memPressureSpace(t)}} {
+	}{{"detSpace", detSpace()}, {"memPressure", memPressureSpace(t)}} {
 		t.Run(space.name, func(t *testing.T) {
 			var first searchRun
 			for i, o := range searchOrders {
 				sp := space.sp
 				o.set(&sp)
-				base := runSpace(t, sp, nil) // Workers 1: inline
+				base := runSpace(t, sp, 1) // inline
 				if i == 0 {
 					first = base
 				}
@@ -304,9 +366,7 @@ func TestSearchOrderSourceMatrix(t *testing.T) {
 					t.Errorf("%s: invariant digest (%d,%d), want (%d,%d)", o.name, gp, gf, wp, wf)
 				}
 				for _, w := range []int{2, 4} {
-					spw := sp
-					spw.Workers = w
-					compareRuns(t, fmt.Sprintf("%s/workers=%d", o.name, w), runSpace(t, spw, nil), base)
+					compareRuns(t, fmt.Sprintf("%s/workers=%d", o.name, w), runSpace(t, sp, w), base)
 				}
 			}
 		})
@@ -321,9 +381,10 @@ func TestFleetSpanTreeShapeIndependent(t *testing.T) {
 	trace := func(workers int) (string, string, string) {
 		t.Helper()
 		tn := newTuner()
+		tn.Workers = workers
 		tracer := telemetry.New("source-fingerprint")
 		tn.Span = tracer.Root(telemetry.PhaseOptimize, "")
-		if _, _, err := tn.Search(detSpace(workers)); err != nil {
+		if _, _, err := tn.Search(detSpace()); err != nil {
 			t.Fatalf("Search(workers=%d): %v", workers, err)
 		}
 		tn.Span.End()

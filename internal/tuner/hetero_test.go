@@ -13,8 +13,8 @@ import (
 
 // heteroSpace is detSpace with one slow device and the auto placement axis:
 // every heterogeneous grid point carries a partitioning/placement assignment.
-func heteroSpace(workers int) Space {
-	sp := detSpace(workers)
+func heteroSpace() Space {
+	sp := detSpace()
 	sp.DeviceSpeeds = []float64{1, 1, 0.8, 1, 1, 1, 1, 1}
 	return sp
 }
@@ -23,20 +23,20 @@ func heteroSpace(workers int) Space {
 // keep the legacy empty mode (byte-identical searches), heterogeneous auto
 // explores uniform and co-opt, and forced modes collapse to one point each.
 func TestPlacementModes(t *testing.T) {
-	homog := detSpace(1).WithDefaults()
+	homog := detSpace().WithDefaults()
 	if got := placementModes(homog); !reflect.DeepEqual(got, []place.Mode{""}) {
 		t.Errorf("homogeneous auto modes = %v, want [\"\"]", got)
 	}
-	homogCo := detSpace(1)
+	homogCo := detSpace()
 	homogCo.Placement = place.ModeCoOpt
 	if got := placementModes(homogCo.WithDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeCoOpt}) {
 		t.Errorf("homogeneous coopt modes = %v", got)
 	}
-	het := heteroSpace(1).WithDefaults()
+	het := heteroSpace().WithDefaults()
 	if got := placementModes(het); !reflect.DeepEqual(got, []place.Mode{place.ModeUniform, place.ModeCoOpt}) {
 		t.Errorf("heterogeneous auto modes = %v", got)
 	}
-	hetUni := heteroSpace(1)
+	hetUni := heteroSpace()
 	hetUni.Placement = place.ModeUniform
 	if got := placementModes(hetUni.WithDefaults()); !reflect.DeepEqual(got, []place.Mode{place.ModeUniform}) {
 		t.Errorf("heterogeneous uniform modes = %v", got)
@@ -47,10 +47,10 @@ func TestPlacementModes(t *testing.T) {
 // normalize to the speed-free space and emit byte-identical output — the
 // placement axis never perturbs a homogeneous search.
 func TestAllOnesSpeedsAreLegacy(t *testing.T) {
-	base := runSpace(t, detSpace(1), nil)
-	ones := detSpace(1)
+	base := runSpace(t, detSpace(), 1)
+	ones := detSpace()
 	ones.DeviceSpeeds = []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	got := runSpace(t, ones, nil)
+	got := runSpace(t, ones, 1)
 	if got.best != base.best {
 		t.Errorf("all-ones speeds changed the best:\n got: %s\nwant: %s", got.best, base.best)
 	}
@@ -72,7 +72,7 @@ func TestAllOnesSpeedsAreLegacy(t *testing.T) {
 // guarantee over the placement axis: the best candidate, trace, progress
 // sequence and stats are byte-identical for Workers ∈ {1, 4}.
 func TestHeteroDeterministicAcrossWorkers(t *testing.T) {
-	base := runSpace(t, heteroSpace(1), nil)
+	base := runSpace(t, heteroSpace(), 1)
 	if base.stats.Explored == 0 {
 		t.Fatal("sequential hetero baseline explored nothing")
 	}
@@ -86,7 +86,7 @@ func TestHeteroDeterministicAcrossWorkers(t *testing.T) {
 	if !foundPlaced {
 		t.Fatal("hetero trace carries no placement-labelled candidates")
 	}
-	got := runSpace(t, heteroSpace(4), nil)
+	got := runSpace(t, heteroSpace(), 4)
 	if got.stats != base.stats {
 		t.Errorf("workers=4: stats %+v, want %+v", got.stats, base.stats)
 	}
@@ -122,14 +122,14 @@ func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 		name string
 		sp   Space
 	}{
-		{"hetero-auto", heteroSpace(1)},
+		{"hetero-auto", heteroSpace()},
 		{"hetero-coopt", func() Space {
-			sp := heteroSpace(1)
+			sp := heteroSpace()
 			sp.Placement = place.ModeCoOpt
 			return sp
 		}()},
 		{"homog-coopt", func() Space {
-			sp := detSpace(1)
+			sp := detSpace()
 			sp.Placement = place.ModeCoOpt
 			return sp
 		}()},
@@ -139,13 +139,13 @@ func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 			Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeGPipe},
 			MicroBatches: []int{1, 2},
 			DeviceMem:    cost.A100_40G.MemBytes,
-			Workers:      1,
+			MaxRounds:    3,
 			DeviceSpeeds: []float64{1, 0.7, 1, 1, 1, 1, 1, 1},
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkOrdersAgainstOracle(t, tc.sp, newTuner)
+			checkOrdersAgainstOracle(t, tc.sp, seqTuner)
 		})
 	}
 }
@@ -154,8 +154,8 @@ func TestHeteroBnBMatchesGridArgmax(t *testing.T) {
 // well-formed assignment — the partition covers the model's layers, the
 // placement is a permutation, and the label advertises the mode.
 func TestHeteroCandidateAssignment(t *testing.T) {
-	tn := newTuner()
-	sp := heteroSpace(1)
+	tn := seqTuner()
+	sp := heteroSpace()
 	best, trace, err := tn.Search(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 			t.Errorf("candidate %s has mode but no assignment", c.Label())
 			continue
 		}
-		sched, _, err := tn.Resimulate(context.Background(), nil, &c, tn.recipe(sp.WithDefaults()))
+		sched, _, err := tn.Resimulate(context.Background(), nil, &c, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

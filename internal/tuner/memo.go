@@ -53,13 +53,12 @@ func (c *memo[K, V]) do(k K, f func() (V, error)) (V, error) {
 }
 
 // buildKey identifies one scheme.Build output. mbs is deliberately absent:
-// schedule expansion depends only on the scheme, the pipeline depth, the
-// micro-batch count and the Interleave chunk count, so checkpointed and
-// non-checkpointed grid points (and repeated Search calls on the same tuner)
-// share one build.
+// schedule expansion depends only on the scheme, the pipeline depth and the
+// micro-batch count (Interleave always builds scheme.Config's default two
+// chunks), so checkpointed and non-checkpointed grid points (and repeated
+// Search calls on the same tuner) share one build.
 type buildKey struct {
 	scheme  pipeline.Scheme
 	devices int
 	micros  int
-	chunks  int
 }

@@ -17,9 +17,10 @@ import (
 func searchTrace(t *testing.T, workers int) (jsonl, chrome string, tr *telemetry.Trace) {
 	t.Helper()
 	tn := newTuner()
+	tn.Workers = workers
 	tracer := telemetry.New("test-fingerprint")
 	tn.Span = tracer.Root(telemetry.PhaseOptimize, "")
-	if _, _, err := tn.Search(detSpace(workers)); err != nil {
+	if _, _, err := tn.Search(detSpace()); err != nil {
 		t.Fatalf("Search(workers=%d): %v", workers, err)
 	}
 	tn.Span.End()
@@ -71,7 +72,7 @@ func TestTraceShape(t *testing.T) {
 		t.Fatalf("optimize root should have exactly one search child, got %+v", root.Children)
 	}
 	search := root.Children[0]
-	space := detSpace(1).WithDefaults()
+	space := detSpace().WithDefaults()
 	points := enumerate(space)
 	if len(search.Children) != len(points)+2 {
 		t.Fatalf("search has %d children, want %d (one per grid point + the probe pass + the closing sim)", len(search.Children), len(points)+2)
@@ -114,11 +115,11 @@ func TestTraceShape(t *testing.T) {
 // sum exactly to the root span's duration, and the root span's duration is
 // within 5% of the externally measured wall-clock of the search.
 func TestSelfTimeTelescopes(t *testing.T) {
-	tn := newTuner()
+	tn := seqTuner()
 	tracer := telemetry.New("fp")
 	tn.Span = tracer.Root(telemetry.PhaseOptimize, "")
 	start := time.Now()
-	if _, _, err := tn.Search(detSpace(1)); err != nil {
+	if _, _, err := tn.Search(detSpace()); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)
@@ -146,8 +147,9 @@ func TestSearchMetrics(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		m := telemetry.NewSearchMetrics(reg)
 		tn := newTuner()
+		tn.Workers = w
 		tn.Metrics = m
-		if _, _, err := tn.Search(detSpace(w)); err != nil {
+		if _, _, err := tn.Search(detSpace()); err != nil {
 			t.Fatal(err)
 		}
 		st := tn.Stats
@@ -190,14 +192,9 @@ func TestSearchMetrics(t *testing.T) {
 // winner's closing re-simulation — counts on a bundle the test owns.
 func TestSplitBackwardSimsCounted(t *testing.T) {
 	sp := Space{Devices: 4, GlobalBatch: 16, MicroBatches: []int{1, 2},
-		DeviceMem: cost.A100_40G.MemBytes, NoPrune: true}
-	mk := func() *Tuner {
-		tn := newTuner()
-		tn.SplitBackward = true
-		return tn
-	}
+		DeviceMem: cost.A100_40G.MemBytes, SplitBackward: true, MaxRounds: 3, NoPrune: true}
 	eng := graph.NewEngines()
-	ref, full := mk(), sp.WithDefaults()
+	ref, full := newTuner(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
 		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p)); ok {
 			ref.evalPoint(context.Background(), full, nd, eng, telemetry.Span{})
@@ -205,9 +202,9 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
-		tn := mk()
+		tn := newTuner()
+		tn.Workers = w
 		tn.Metrics = m
-		sp.Workers = w
 		if _, _, err := tn.Search(sp); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +219,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 // key is formatted for the span that is never made.
 func TestTracedOffPruneAllocatesNothing(t *testing.T) {
 	tn := newTuner()
-	sp := detSpace(1).WithDefaults()
+	sp := detSpace().WithDefaults()
 	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
 	var stats SearchStats
 	allocs := testing.AllocsPerRun(100, func() {

@@ -11,7 +11,7 @@
 // canonical grid order), and merges their outcomes in that order — pruning
 // against the incumbent, keeping the stats, the spans and the trace. Where an
 // outcome comes from is an orthogonal choice: an inline evaluation or a
-// bounded pool of speculative workers (Space.Workers). Every decision is taken
+// bounded pool of speculative workers (Tuner.Workers). Every decision is taken
 // by the merge against its own incumbent, never by a source, so the best
 // candidate, the trace and the SearchStats are identical for every worker
 // count. A memoization layer shares built schedules across grid points (and
@@ -62,12 +62,12 @@ type Space struct {
 	// DeviceMem is the per-device memory budget dmem in bytes; zero
 	// disables the OOM penalty.
 	DeviceMem float64
-	// Chunks is the Interleave model-chunk count; 0 means 2.
-	Chunks int
-	// Workers bounds the number of concurrent grid-point evaluations;
-	// 0 means GOMAXPROCS, 1 evaluates inline with no goroutines. Results
-	// are identical for every worker count.
-	Workers int
+	// SplitBackward additionally tries the ZB-H1-style split-backward
+	// transformation on each checkpointed candidate, keeping it when the
+	// simulator confirms an improvement within the memory budget.
+	SplitBackward bool
+	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
+	MaxRounds int
 	// NoPrune gives every point an infinite throughput bound and no memory
 	// verdict, so nothing is pruned: every structurally feasible point is
 	// simulated, in canonical grid order, and the trace contains the full
@@ -109,9 +109,9 @@ var (
 // WithDefaults resolves every spelling of a default to the default: the space
 // it returns is the one the search walks, and two spaces that enumerate the
 // same grid under the same budget come back equal — which is what lets
-// mario.Resolve hash the result as a workload's identity. It is idempotent,
-// and it leaves Workers alone: how many goroutines evaluate the grid is the
-// running search's business (SearchContext), not the space's.
+// mario.Resolve hash the result as a workload's identity. It is idempotent.
+// How many goroutines evaluate the grid is the running search's business
+// (Tuner.Workers), not the space's.
 func (s Space) WithDefaults() Space {
 	if s.Schemes == nil {
 		s.Schemes = defaultSchemes
@@ -134,8 +134,8 @@ func (s Space) WithDefaults() Space {
 	if s.TP <= 0 {
 		s.TP = 1
 	}
-	if s.Chunks <= 0 {
-		s.Chunks = 2
+	if s.MaxRounds <= 0 {
+		s.MaxRounds = 8
 	}
 	if place.Homogeneous(s.DeviceSpeeds) {
 		// All-nominal speed lists normalize to nil so a "1,1,…,1" spec is
@@ -194,10 +194,10 @@ type Candidate struct {
 	// Schedule is the schedule the candidate ran. A search's winner carries it
 	// and nothing else does — not a trace entry, in a fresh plan exactly as in
 	// a decoded one (version-1 and -2 plan bodies keep the trace schedules
-	// they decoded): a candidate's schedule is
-	// a pure function of its coordinates and the search's Recipe, and
-	// Resimulate rebuilds it on demand. Progress sees the schedule of every
-	// candidate this process evaluated.
+	// they decoded): a candidate's schedule is a pure function of its
+	// coordinates and the searched Space, and Resimulate rebuilds it on
+	// demand. Progress sees the schedule of every candidate this process
+	// evaluated.
 	Schedule *pipeline.Schedule `json:",omitempty"`
 	// PlaceMode records which placement-axis value produced the candidate;
 	// empty for legacy axis-free points. The omitempty tags keep the plan
@@ -227,7 +227,7 @@ func (c Candidate) Label() string {
 // observability: how much of the grid was simulated, how much the memory
 // penalty rejected, and how much was skipped before simulation. All counters
 // are accumulated in canonical grid order, so they are identical for every
-// Space.Workers value.
+// Tuner.Workers value.
 type SearchStats struct {
 	// Explored counts candidates that reached the simulator (they appear
 	// in the trace).
@@ -263,19 +263,19 @@ func (s SearchStats) invariant() (pruned, feasible int) {
 }
 
 // Tuner runs the grid search using a profiler as the estimator source E and
-// the simulator as the performance model F.
+// the simulator as the performance model F. Everything that shapes the plan is
+// in the Space it searches; the other fields only say how a search runs and
+// what it reports.
 type Tuner struct {
 	Prof *profile.Profiler
-	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
-	MaxRounds int
-	// SplitBackward additionally tries the ZB-H1-style split-backward
-	// transformation on each checkpointed candidate, keeping it when the
-	// simulator confirms an improvement within the memory budget.
-	SplitBackward bool
+	// Workers bounds the number of concurrent grid-point evaluations;
+	// 0 means GOMAXPROCS, 1 evaluates inline with no goroutines. Results
+	// are identical for every worker count.
+	Workers int
 	// Progress, when non-nil, is invoked after every explored candidate
 	// with that candidate and the best found so far (Fig. 11's curve,
 	// streamed). It runs on the merging goroutine in expansion order,
-	// regardless of Space.Workers.
+	// regardless of Workers.
 	Progress func(c Candidate, best Candidate)
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
@@ -285,7 +285,7 @@ type Tuner struct {
 	// re-simulation. Workers record spans speculatively, but only the merge
 	// loop attaches them — a speculative evaluation the merge prunes is
 	// dropped whole — so the canonical trace exports are byte-identical for
-	// every Space.Workers value. The zero Span disables tracing at zero cost.
+	// every Workers value. The zero Span disables tracing at zero cost.
 	Span telemetry.Span
 	// Metrics, when non-nil, receives the search counters as registry
 	// series when a search ends, completed or not: the grid-outcome counters
@@ -405,7 +405,7 @@ func gridOf(space Space) (Space, []gridPoint, error) {
 
 // Search enumerates the space and returns the best candidate plus the
 // evaluation trace in canonical grid order (the throughput curve of Fig. 11).
-// Whatever evaluates the points — this goroutine or Space.Workers goroutines —
+// Whatever evaluates the points — this goroutine or Tuner.Workers goroutines —
 // the merge (best tracking, stats, Progress callbacks) is the one loop of
 // Tuner.search, so the output is identical for every worker count.
 //
@@ -425,8 +425,9 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if err != nil {
 		return nil, nil, err
 	}
-	if space.Workers <= 0 {
-		space.Workers = runtime.GOMAXPROCS(0)
+	workers := t.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	var stats SearchStats
 
@@ -470,7 +471,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
 	}()
 
-	best, trace, err := t.search(ctx, space, points, eng, tracer, search, &stats)
+	best, trace, err := t.search(ctx, space, workers, points, eng, tracer, search, &stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -482,7 +483,7 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	// on this engine bundle, under this span and nothing below it, so the span
 	// exports do not depend on who evaluated the winner.
 	ss := search.Child(telemetry.PhaseSim, "")
-	sched, res, err := t.Resimulate(ctx, eng, best, t.recipe(space))
+	sched, res, err := t.Resimulate(ctx, eng, best, space)
 	ss.End()
 	if err != nil {
 		return nil, nil, err
@@ -496,96 +497,55 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	return best, trace, nil
 }
 
-// Recipe is what a search knows and a candidate does not record: together
-// with the candidate's own coordinates (Scheme, Ckpt, PP, DP, MicroBatch,
-// Micros, Place) and the profiler it determines the candidate's schedule and
-// its score, so a plan carries the recipe once and the schedule of its winner
-// only, and Resimulate rebuilds any other.
-type Recipe struct {
-	// Devices and GlobalBatch are the device count and the global batch size
-	// the search divided: a candidate's PP·DP and MicroBatch·Micros·DP must
-	// reproduce them, or it is not a candidate of this search.
-	Devices, GlobalBatch int
-	// TP is the tensor-parallel degree (0 means 1) and MemLimit the per-device
-	// memory budget in bytes (0 disables the OOM verdict).
-	TP       int
-	MemLimit float64
-	// SplitBackward says the search tried the split-backward transformation on
-	// every checkpointed candidate (Tuner.SplitBackward).
-	SplitBackward bool
-	// MaxRounds bounds the prepose rounds (Tuner.MaxRounds; 0 means 8) and
-	// Chunks is the Interleave chunk count (Space.Chunks; 0 means 2).
-	MaxRounds, Chunks int
-}
-
-func (rc Recipe) withDefaults() Recipe {
-	if rc.TP <= 0 {
-		rc.TP = 1
-	}
-	if rc.MaxRounds <= 0 {
-		rc.MaxRounds = 8
-	}
-	if rc.Chunks <= 0 {
-		rc.Chunks = 2
-	}
-	return rc
-}
-
-// recipe is the Recipe of a search of space (defaults applied) on this Tuner.
-func (t *Tuner) recipe(space Space) Recipe {
-	return Recipe{Devices: space.Devices, GlobalBatch: space.GlobalBatch, TP: space.TP, MemLimit: space.DeviceMem,
-		SplitBackward: t.SplitBackward, MaxRounds: t.MaxRounds, Chunks: space.Chunks}.withDefaults()
-}
-
-// admits checks that c's coordinates are ones a search with this recipe
-// enumerates: PP·DP is its device count and MicroBatch·Micros·DP its global
-// batch (by division, so huge coordinates cannot overflow into agreement).
-// Resimulate runs it before anything is sized from the coordinates — they may
-// come from untrusted bytes.
-func (rc Recipe) admits(c *Candidate) error {
+// admits checks that c's coordinates are ones a search of s enumerates: PP·DP
+// is its device count and MicroBatch·Micros·DP its global batch (by division,
+// so huge coordinates cannot overflow into agreement). Resimulate runs it
+// before anything is sized from the coordinates — they may come from untrusted
+// bytes.
+func (s Space) admits(c *Candidate) error {
 	if c.PP < 1 || c.DP < 1 || c.MicroBatch < 1 || c.Micros < 1 {
 		return fmt.Errorf("pp %d, dp %d, micro-batch %d and micro-batch count %d must be positive", c.PP, c.DP, c.MicroBatch, c.Micros)
 	}
-	if rc.Devices%c.PP != 0 || rc.Devices/c.PP != c.DP {
-		return fmt.Errorf("pp %d × dp %d is not the plan's %d devices", c.PP, c.DP, rc.Devices)
+	if s.Devices%c.PP != 0 || s.Devices/c.PP != c.DP {
+		return fmt.Errorf("pp %d × dp %d is not the plan's %d devices", c.PP, c.DP, s.Devices)
 	}
-	if perReplica := rc.GlobalBatch / c.DP; rc.GlobalBatch%c.DP != 0 || perReplica%c.MicroBatch != 0 || perReplica/c.MicroBatch != c.Micros {
-		return fmt.Errorf("micro-batch %d × %d micro-batches × dp %d is not the plan's global batch %d", c.MicroBatch, c.Micros, c.DP, rc.GlobalBatch)
+	if perReplica := s.GlobalBatch / c.DP; s.GlobalBatch%c.DP != 0 || perReplica%c.MicroBatch != 0 || perReplica/c.MicroBatch != c.Micros {
+		return fmt.Errorf("micro-batch %d × %d micro-batches × dp %d is not the plan's global batch %d", c.MicroBatch, c.Micros, c.DP, s.GlobalBatch)
 	}
 	return nil
 }
 
 // Resimulate re-derives a candidate's schedule and its full simulation result,
 // per-instruction timeline included, from what the candidate records and the
-// search's recipe. The schedule is the one the candidate carries, or — for
-// every candidate but a search's winner — the one materialize rebuilds from
-// its coordinates, exactly as the search built it. The estimator is resolved
-// from the stage count, the micro-batch size and the placement assignment, and
-// the schedule is simulated once under the candidate's DP degree and the
-// recipe's memory limit. The search scores every grid point without a timeline
-// and calls this once for the winner, which carries its schedule; a plan's
-// trace candidates, fresh or decoded, carry none and are rebuilt here, on
-// demand.
+// space the search walked. The schedule is the one the candidate carries, or —
+// for every candidate but a search's winner — the one materialize rebuilds
+// from its coordinates, exactly as the search built it. The estimator is
+// resolved from the stage count, the micro-batch size and the placement
+// assignment, and the schedule is simulated once under the candidate's DP
+// degree and the space's memory budget. The search scores every grid point
+// without a timeline and calls this once for the winner, which carries its
+// schedule; a plan's trace candidates, fresh or decoded, carry none and are
+// rebuilt here, on demand.
 //
 // Everything involved is deterministic, so the result must reproduce the
-// stored one bit for bit: a candidate whose coordinates are not the recipe's
-// (Recipe.admits), whose scheme is not registered, whose placement assignment
+// stored one bit for bit: a candidate whose coordinates are not the space's
+// (Space.admits), whose scheme is not registered, whose placement assignment
 // is not sized for its shape, or whose stored Total, PeakMem, ComputeBusy,
 // SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
 // the one the plan was tuned with — is refused. c is not modified.
 //
 // eng is the engine bundle to run on (the search passes its warm one); nil
 // uses a fresh one. t contributes its profiler, build memo and metrics; the
-// knobs come from rc.
-func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate, rc Recipe) (*pipeline.Schedule, *sim.Result, error) {
+// knobs come from space, with its defaults applied.
+func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate, space Space) (*pipeline.Schedule, *sim.Result, error) {
 	if t.Prof == nil || c == nil || c.Result == nil {
 		return nil, nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
 	}
 	fail := func(err error) (*pipeline.Schedule, *sim.Result, error) {
 		return nil, nil, fmt.Errorf("tuner: re-simulating %s: %w", c.Label(), err)
 	}
-	rc = rc.withDefaults()
-	if err := rc.admits(c); err != nil {
+	space = space.WithDefaults()
+	if err := space.admits(c); err != nil {
 		return fail(err)
 	}
 	sched := c.Schedule
@@ -593,7 +553,7 @@ func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate
 	if sched != nil {
 		stages = sched.NumStages()
 	} else {
-		sh, err := scheme.ShapeOf(c.Scheme, scheme.Config{Devices: c.PP, Micros: c.Micros, Chunks: rc.Chunks})
+		sh, err := scheme.ShapeOf(c.Scheme, scheme.Config{Devices: c.PP, Micros: c.Micros})
 		if err != nil {
 			return fail(err)
 		}
@@ -604,7 +564,7 @@ func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate
 		return fail(fmt.Errorf("placement assignment (%d stages, %d ranks, %d speeds) is not sized for %d stages on %d ranks",
 			len(a.LayersPerStage), len(a.DeviceOf), len(a.RankSpeed), stages, c.PP))
 	}
-	est, err := assignedEstimator(t.Prof, c.Place, stages, c.MicroBatch, rc.TP)
+	est, err := assignedEstimator(t.Prof, c.Place, stages, c.MicroBatch, space.TP)
 	if err != nil {
 		return fail(err)
 	}
@@ -613,12 +573,12 @@ func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate
 	}
 	if sched == nil {
 		rebuilt := *c
-		if err := t.materialize(ctx, rc, &rebuilt, est, eng, telemetry.Span{}); err != nil {
+		if err := t.materialize(ctx, space, &rebuilt, est, eng, telemetry.Span{}); err != nil {
 			return fail(err)
 		}
 		sched = rebuilt.Schedule
 	}
-	res, err := eng.Main.Simulate(sched, est, sim.Options{DP: c.DP, MemLimit: rc.MemLimit})
+	res, err := eng.Main.Simulate(sched, est, sim.Options{DP: c.DP, MemLimit: space.DeviceMem})
 	if err != nil {
 		return fail(err)
 	}
@@ -638,9 +598,9 @@ const (
 )
 
 // search is the one search driver. The probe pass (probeAll) bounds every
-// grid point and orders the feasible nodes; an outcome source, chosen from
-// what the Tuner and the Space already say, evaluates them; and the loop below
-// merges the outcomes in node order. The merge owns every decision: a node is
+// grid point and orders the feasible nodes; an outcome source, chosen by the
+// resolved worker count, evaluates them; and the loop below merges the
+// outcomes in node order. The merge owns every decision: a node is
 // explored or pruned by decide against the merge's own incumbent, never
 // because of what a source did or when it did it — a source may only save
 // work by not evaluating a node the incumbent provably dooms — so the best
@@ -650,7 +610,7 @@ const (
 // The sources: an inline evaluation of exactly the nodes decide explores
 // (Workers ≤ 1: never speculates) and the speculative worker pool (poolSource,
 // Workers > 1).
-func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+func (t *Tuner) search(ctx context.Context, space Space, workers int, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
 	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
 	if err != nil {
 		return nil, nil, err
@@ -683,9 +643,9 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 	}
 
 	var next func(j int) pointResult
-	if space.Workers > 1 && len(nodes) > 1 {
+	if workers > 1 && len(nodes) > 1 {
 		var wait func()
-		next, wait = t.poolSource(ctx, space, nodes, mb, tracer)
+		next, wait = t.poolSource(ctx, space, workers, nodes, mb, tracer)
 		defer wait()
 	} else {
 		next = func(j int) pointResult {
@@ -792,13 +752,13 @@ func (t *Tuner) search(ctx context.Context, space Space, points []gridPoint, eng
 	return best, trace, nil
 }
 
-// poolSource is the speculative outcome source: min(Space.Workers, nodes)
+// poolSource is the speculative outcome source: min(workers, nodes)
 // goroutines evaluate the nodes in order, each skipping a node the merged
 // best already dominates, and next(j) blocks until node j's result is in.
 // The merge loop discards whatever speculation its own decision does not
 // confirm. wait returns once every worker has exited; they stop evaluating
 // when ctx is cancelled.
-func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
+func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes []bnbNode, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
 	results := make([]pointResult, len(nodes))
 	ready := make([]chan struct{}, len(nodes))
 	for i := range ready {
@@ -810,7 +770,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, nodes []bnbNode, mb
 	}
 	close(jobs)
 	var wg sync.WaitGroup
-	for w := min(space.Workers, len(nodes)); w > 0; w-- {
+	for w := min(workers, len(nodes)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -863,12 +823,12 @@ func pointSpan(tracer *telemetry.Tracer, i int, p gridPoint) telemetry.Span {
 }
 
 // buildFor memoizes (and freezes) the base schedule of a (scheme, depth,
-// micro-batch count, chunk count) shape; materialize and the co-opt assignment
-// both go through it, so a shape is built at most once per Tuner.
-func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros, chunks int) (*pipeline.Schedule, error) {
-	bk := buildKey{scheme: sch, devices: pp, micros: micros, chunks: chunks}
+// micro-batch count) shape; materialize and the co-opt assignment both go
+// through it, so a shape is built at most once per Tuner.
+func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule, error) {
+	bk := buildKey{scheme: sch, devices: pp, micros: micros}
 	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
-		s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros, Chunks: chunks})
+		s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros})
 		if err != nil {
 			return nil, err
 		}
@@ -899,7 +859,7 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, m
 	if p.pmode == place.ModeUniform {
 		return place.Uniform(t.Prof.Model.Layers, pl, rankSpeed), nil
 	}
-	sched, err := t.buildFor(p.scheme, p.pp, micros, space.Chunks)
+	sched, err := t.buildFor(p.scheme, p.pp, micros)
 	if err != nil {
 		return nil, err
 	}
@@ -1007,7 +967,7 @@ type resolution struct {
 // mode needs one (assignmentFor). Nothing it reads depends on p.ckpt, so both
 // checkpoint values of a coordinate resolve alike.
 func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
-	// By division, as Recipe.admits does: a huge micro-batch size would wrap
+	// By division, as Space.admits does: a huge micro-batch size would wrap
 	// the product mbs·dp, even to zero.
 	perReplica := space.GlobalBatch / p.dp
 	if space.GlobalBatch%p.dp != 0 || perReplica%p.mbs != 0 {
@@ -1017,7 +977,7 @@ func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	if micros < 1 {
 		return resolution{}
 	}
-	sh, err := scheme.ShapeOf(p.scheme, scheme.Config{Devices: p.pp, Micros: micros, Chunks: space.Chunks})
+	sh, err := scheme.ShapeOf(p.scheme, scheme.Config{Devices: p.pp, Micros: micros})
 	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
 		return resolution{}
 	}
@@ -1057,7 +1017,7 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *gra
 	p := nd.p
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: nd.micros,
 		PlaceMode: p.pmode, Place: nd.asg}
-	if err := t.materialize(ctx, t.recipe(space), cand, nd.est, eng, sp); err != nil {
+	if err := t.materialize(ctx, space, cand, nd.est, eng, sp); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return pointResult{err: err}
 		}
@@ -1072,14 +1032,14 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *gra
 	return pointResult{cand: cand}
 }
 
-// materialize is the one path from a candidate's coordinates and a recipe to
+// materialize is the one path from a candidate's coordinates and a space to
 // its scored schedule: the memoized scheme build, then either the checkpoint
-// passes and prepose rounds — plus the split-backward attempt when the recipe
-// says the search made it — or the plain schedule, scored on eng. It fills
-// c.Schedule and c.Result. evalPoint calls it for every grid point a search
-// explores and Resimulate for every candidate that does not carry its
-// schedule, so a rebuilt schedule is the scored one by construction. rc has
-// its defaults applied; est is the estimator of c's shape and assignment.
+// passes and prepose rounds — plus the split-backward attempt when the space
+// asks for it — or the plain schedule, scored on eng. It fills c.Schedule and
+// c.Result. evalPoint calls it for every grid point a search explores and
+// Resimulate for every candidate that does not carry its schedule, so a
+// rebuilt schedule is the scored one by construction. space has its defaults
+// applied; est is the estimator of c's shape and assignment.
 //
 // The score carries no timeline — the merge reads totals, peaks and the
 // schedule only, and graph.OptimizeContext/SplitBackward skip their closing
@@ -1089,17 +1049,17 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *gra
 // Under a live sp it records build/graph/sim child spans, tagging the memoized
 // build with its memo key — formatted only when the span is live — so Snapshot
 // can normalize hit/miss attribution into canonical order.
-func (t *Tuner) materialize(ctx context.Context, rc Recipe, c *Candidate, est *cost.Estimator, eng *graph.Engines, sp telemetry.Span) error {
+func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est *cost.Estimator, eng *graph.Engines, sp telemetry.Span) error {
 	bs := sp.Child(telemetry.PhaseBuild, "")
 	if bs.Live() {
-		bs.Memo(fmt.Sprintf("%s|pp%d|u%d|c%d", c.Scheme.Shape(), c.PP, c.Micros, rc.Chunks))
+		bs.Memo(fmt.Sprintf("%s|pp%d|u%d", c.Scheme.Shape(), c.PP, c.Micros))
 	}
-	sched, err := t.buildFor(c.Scheme, c.PP, c.Micros, rc.Chunks)
+	sched, err := t.buildFor(c.Scheme, c.PP, c.Micros)
 	bs.End()
 	if err != nil {
 		return err
 	}
-	simOpts := sim.Options{DP: c.DP, MemLimit: rc.MemLimit, NoTimeline: true}
+	simOpts := sim.Options{DP: c.DP, MemLimit: space.DeviceMem, NoTimeline: true}
 	if !c.Ckpt {
 		ss := sp.Child(telemetry.PhaseSim, "")
 		res, err := eng.Main.Simulate(sched, est, simOpts)
@@ -1112,15 +1072,15 @@ func (t *Tuner) materialize(ctx context.Context, rc Recipe, c *Candidate, est *c
 	}
 	gs := sp.Child(telemetry.PhaseGraph, "")
 	defer gs.End()
-	gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: rc.MaxRounds,
+	gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: space.MaxRounds,
 		Engines: eng, Span: gs, Metrics: t.Metrics}
 	opt, res, err := graph.OptimizeContext(ctx, sched, gopts)
 	if err != nil {
 		return err
 	}
-	if rc.SplitBackward {
+	if space.SplitBackward {
 		if split, sr, err := graph.SplitBackward(opt, gopts); err == nil &&
-			sr.Total < res.Total && !(rc.MemLimit > 0 && sr.OOM) {
+			sr.Total < res.Total && !(space.DeviceMem > 0 && sr.OOM) {
 			opt, res = split, sr
 		}
 	}

@@ -18,8 +18,14 @@ func newTuner() *Tuner {
 			Devices: 4,
 			Iters:   4,
 		},
-		MaxRounds: 3,
 	}
+}
+
+// seqTuner is newTuner searching inline, with no worker goroutines.
+func seqTuner() *Tuner {
+	tn := newTuner()
+	tn.Workers = 1
+	return tn
 }
 
 func TestSearchFindsFeasibleBest(t *testing.T) {
@@ -29,6 +35,7 @@ func TestSearchFindsFeasibleBest(t *testing.T) {
 		GlobalBatch:  32,
 		MicroBatches: []int{1, 2},
 		DeviceMem:    cost.A100_40G.MemBytes,
+		MaxRounds:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +78,7 @@ func TestCheckpointExtendsFeasibility(t *testing.T) {
 		MinPP:        8,
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 		DeviceMem:    budget,
+		MaxRounds:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +116,7 @@ func TestDPEfficiency(t *testing.T) {
 }
 
 // TestSpaceWithDefaults pins the defaulting rules of the search space,
-// including the clamps around small clusters and the Workers fallback.
+// including the clamps around small clusters.
 func TestSpaceWithDefaults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -131,11 +139,8 @@ func TestSpaceWithDefaults(t *testing.T) {
 				if len(s.MicroBatches) != 6 || s.MicroBatches[5] != 32 {
 					t.Errorf("MicroBatches = %v", s.MicroBatches)
 				}
-				if s.TP != 1 || s.Chunks != 2 {
-					t.Errorf("TP = %d, Chunks = %d", s.TP, s.Chunks)
-				}
-				if s.Workers != 0 {
-					t.Errorf("Workers = %d: the pool size is the running search's default, not the space's", s.Workers)
+				if s.TP != 1 || s.MaxRounds != 8 || s.SplitBackward {
+					t.Errorf("TP = %d, MaxRounds = %d, SplitBackward = %v", s.TP, s.MaxRounds, s.SplitBackward)
 				}
 			},
 		},
@@ -161,13 +166,13 @@ func TestSpaceWithDefaults(t *testing.T) {
 			name: "explicit values survive",
 			in: Space{Devices: 16, Schemes: []pipeline.Scheme{pipeline.SchemeGPipe},
 				Checkpoint: []bool{true}, MinPP: 2, MaxPP: 4,
-				MicroBatches: []int{3}, TP: 2, Chunks: 4, Workers: 7},
+				MicroBatches: []int{3}, TP: 2, SplitBackward: true, MaxRounds: 5},
 			want: func(t *testing.T, s Space) {
 				if len(s.Schemes) != 1 || s.Schemes[0] != pipeline.SchemeGPipe ||
 					len(s.Checkpoint) != 1 || !s.Checkpoint[0] ||
 					s.MinPP != 2 || s.MaxPP != 4 ||
 					len(s.MicroBatches) != 1 || s.MicroBatches[0] != 3 ||
-					s.TP != 2 || s.Chunks != 4 || s.Workers != 7 {
+					s.TP != 2 || !s.SplitBackward || s.MaxRounds != 5 {
 					t.Errorf("explicit fields rewritten: %+v", s)
 				}
 			},
@@ -286,6 +291,7 @@ func TestSplitBackwardMode(t *testing.T) {
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B},
 		Checkpoint:   []bool{true},
 		DeviceMem:    cost.A100_40G.MemBytes,
+		MaxRounds:    3,
 	}
 	plain := newTuner()
 	bestPlain, _, err := plain.Search(space)
@@ -293,7 +299,7 @@ func TestSplitBackwardMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	zb := newTuner()
-	zb.SplitBackward = true
+	space.SplitBackward = true
 	bestZB, _, err := zb.Search(space)
 	if err != nil {
 		t.Fatal(err)
@@ -307,13 +313,13 @@ func TestSplitBackwardMode(t *testing.T) {
 	// default {V, X, W} axis with the retrofit beats the native split axis
 	// {V, X, W, Z, D} without it. Its winner is a checkpointed X, and no native
 	// scheme splits Chimera's backward.
-	llama := Space{Devices: 4, GlobalBatch: 16, DeviceMem: cost.A100_40G.MemBytes}
+	llama := Space{Devices: 4, GlobalBatch: 16, DeviceMem: cost.A100_40G.MemBytes, SplitBackward: true, MaxRounds: 3}
 	retro := newTuner()
-	retro.SplitBackward = true
 	bestRetro, _, err := retro.Search(llama)
 	if err != nil {
 		t.Fatal(err)
 	}
+	llama.SplitBackward = false
 	llama.Schemes = []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeChimera, pipeline.SchemeInterleave,
 		pipeline.SchemeZBH1, pipeline.SchemeDualPipeD}
 	bestNative, _, err := newTuner().Search(llama)
@@ -344,6 +350,7 @@ func TestZeroBubbleSchemeAxis(t *testing.T) {
 		Schemes:      []pipeline.Scheme{pipeline.Scheme1F1B, pipeline.SchemeZBH1, pipeline.SchemeDualPipeD},
 		MicroBatches: []int{1, 2},
 		MinPP:        8,
+		MaxRounds:    3,
 		// No memory cap: DualPipe-D's two weight replicas genuinely exceed
 		// 40G at this size, and the point here is schedule quality, not the
 		// OOM penalty (other tests pin that).
@@ -383,6 +390,7 @@ func TestHugeMicroBatchIsIndivisible(t *testing.T) {
 		MinPP:        2,
 		MicroBatches: []int{1, 1 << 62},
 		DeviceMem:    cost.A100_40G.MemBytes,
+		MaxRounds:    3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -155,7 +155,7 @@ type Plan struct {
 	// Trace is the full tuning trace in canonical grid order (Fig. 11's
 	// curve): every explored candidate's coordinates, placement assignment and
 	// result totals. Trace entries carry no Schedule and no Timeline — both
-	// are pure functions of the entry's coordinates and the plan's recipe, and
+	// are pure functions of the entry's coordinates and the plan's space, and
 	// Resimulate rebuilds them. (A plan decoded from a version-1 or -2 body
 	// keeps the trace schedules and timelines that body carried.)
 	Trace []tuner.Candidate
@@ -165,20 +165,22 @@ type Plan struct {
 	// pruned while producing the plan.
 	SearchStats tuner.SearchStats
 
-	// recipe is what, with a candidate's coordinates and the profiler,
-	// determines the candidate's schedule (see tuner.Recipe).
-	recipe tuner.Recipe
+	// space is what, with a candidate's coordinates and the profiler,
+	// determines the candidate's schedule: the searched space's fields that
+	// tuner.Tuner.Resimulate reads.
+	space tuner.Space
 }
 
-// planRecipe is the recipe of the search that chose best. The device count and
-// the global batch are read off best's own coordinates, so a fresh plan and a
-// decoded one hold trace candidates to the same identities.
-func planRecipe(best *tuner.Candidate, tp int, memLimit float64, splitBackward bool) tuner.Recipe {
-	return tuner.Recipe{
+// planSpace is the part of the space the search that chose best walked that a
+// candidate's schedule depends on. The device count and the global batch are
+// read off best's own coordinates, so a fresh plan and a decoded one hold
+// trace candidates to the same identities.
+func planSpace(best *tuner.Candidate, tp int, memLimit float64, splitBackward bool) tuner.Space {
+	return tuner.Space{
 		Devices:       best.PP * best.DP,
 		GlobalBatch:   best.MicroBatch * best.Micros * best.DP,
 		TP:            tp,
-		MemLimit:      memLimit,
+		DeviceMem:     memLimit,
 		SplitBackward: splitBackward,
 	}
 }
@@ -257,14 +259,13 @@ func (w *Workload) Optimize(ctx context.Context, run Config) (*Plan, error) {
 			cb(explored, best.Label(), best.Throughput)
 		}
 	}
-	space := w.Space
-	space.Workers = run.Workers
-	best, trace, err := tn.SearchContext(ctx, space)
+	tn.Workers = run.Workers
+	best, trace, err := tn.SearchContext(ctx, w.Space)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{Best: *best, Trace: trace, Profiler: tn.Prof, SearchStats: tn.Stats,
-		recipe: planRecipe(best, w.Space.TP, w.Space.DeviceMem, w.SplitBackward)}, nil
+		space: planSpace(best, w.Space.TP, w.Space.DeviceMem, w.Space.SplitBackward)}, nil
 }
 
 // Event is one measured instruction execution.
@@ -330,7 +331,7 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 		return nil, fmt.Errorf("mario: plan has no schedule")
 	}
 	stages := p.Best.Schedule.NumStages()
-	tp := max(p.recipe.TP, 1)
+	tp := max(p.space.TP, 1)
 	// Plans tuned with a partitioning/placement assignment run on a machine
 	// that mirrors it: the truth estimator carries the same layer split and
 	// the emulator applies the same per-rank speed factors the simulator
@@ -390,7 +391,7 @@ func Resimulate(p *Plan, c *tuner.Candidate) (*sim.Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("mario: no plan")
 	}
-	_, res, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.recipe)
+	_, res, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.space)
 	return res, err
 }
 

@@ -27,10 +27,10 @@ import (
 // Candidate.Place); their omitempty encoding keeps an axis-free version-2
 // body identical to a version-1 body, so version-1 plans decode unchanged.
 // Version 3 writes trace candidates without their schedules — Best is byte for
-// byte what version 2 wrote — and records split_backward, the one input of
-// the schedule recipe (tuner.Recipe) the body did not already carry. Version-1
-// and -2 bodies still load and keep the trace schedules they carry; every save
-// writes version 3.
+// byte what version 2 wrote — and records split_backward, the one input of a
+// trace candidate's schedule (tuner.Space.SplitBackward) the body did not
+// already carry. Version-1 and -2 bodies still load and keep the trace
+// schedules they carry; every save writes version 3.
 const planVersion = 3
 
 // minPlanVersion is the oldest wire format UnmarshalJSON still accepts.
@@ -69,7 +69,7 @@ type planJSON struct {
 // throughput, OOM verdict) — and never with a schedule: a fresh search's trace
 // holds none, and the ones a version-1 or -2 body brought along are dropped on
 // save. Resimulate rebuilds any trace candidate's schedule and timeline from
-// its coordinates and the recipe fields (tp, mem_limit, split_backward), so a
+// its coordinates and the space fields (tp, mem_limit, split_backward), so a
 // decoded plan supports the same post-hoc analysis as the original.
 func (p *Plan) MarshalJSON() ([]byte, error) {
 	if p.Profiler == nil {
@@ -91,9 +91,9 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 			Devices: p.Profiler.Devices,
 			Iters:   p.Profiler.Iters,
 		},
-		MemLimit:      p.recipe.MemLimit,
-		TP:            p.recipe.TP,
-		SplitBackward: p.recipe.SplitBackward,
+		MemLimit:      p.space.DeviceMem,
+		TP:            p.space.TP,
+		SplitBackward: p.space.SplitBackward,
 	})
 }
 
@@ -121,7 +121,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		Devices: in.Profiler.Devices,
 		Iters:   in.Profiler.Iters,
 	}
-	p.recipe = planRecipe(&p.Best, in.TP, in.MemLimit, in.SplitBackward)
+	p.space = planSpace(&p.Best, in.TP, in.MemLimit, in.SplitBackward)
 	return nil
 }
 

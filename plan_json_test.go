@@ -190,9 +190,9 @@ func TestPlanJSONHeteroRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("re-marshal differs: %d vs %d bytes", len(first), len(second))
 	}
-	if decoded.Best.Place == nil || decoded.Best.Place.Key() != plan.Best.Place.Key() {
-		t.Errorf("assignment changed across round trip: %q vs %q",
-			decoded.Best.Place.Key(), plan.Best.Place.Key())
+	if decoded.Best.Place == nil || !reflect.DeepEqual(decoded.Best.Place, plan.Best.Place) {
+		t.Errorf("assignment changed across round trip: %+v vs %+v",
+			decoded.Best.Place, plan.Best.Place)
 	}
 	want, err := mario.Run(plan, 2)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mario/internal/cost"
@@ -32,10 +33,9 @@ type Workload struct {
 	// value, which Resolve reads as profile.DefaultMachine.
 	Machine profile.MachineSpec
 	// Space is the search space as the tuner walks it (tuner.Space.WithDefaults
-	// applied). Workers is zero: the pool size comes with the run.
+	// applied): every input that shapes the plan, Config.SplitBackward
+	// included. The pool size is not in it; it comes with the run.
 	Space tuner.Space
-	// SplitBackward is Config.SplitBackward.
-	SplitBackward bool
 
 	fingerprint string
 }
@@ -55,6 +55,12 @@ const (
 	maxDevices     = 1 << 14
 	maxGlobalBatch = 1 << 16
 )
+
+// maxMicroBatches bounds the micro-batch size list. No global batch up to
+// maxGlobalBatch has more divisors (55,440 has 120), so a longer list names
+// sizes no grid point can use, and the search would still enumerate and probe
+// every one of them.
+const maxMicroBatches = 120
 
 // Resolve validates a Config and a model and applies every default, once: it
 // is the one check in front of the search, for the library (Optimize)
@@ -77,9 +83,15 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 	if conf.TP < 0 {
 		return nil, fmt.Errorf("mario: tp must not be negative (got %d)", conf.TP)
 	}
-	for _, m := range conf.MicroBatchSizes {
+	if n := len(conf.MicroBatchSizes); n > maxMicroBatches {
+		return nil, fmt.Errorf("mario: micro-batch sizes (%d listed) must be at most %d", n, maxMicroBatches)
+	}
+	for i, m := range conf.MicroBatchSizes {
 		if m <= 0 {
 			return nil, fmt.Errorf("mario: micro-batch sizes must be positive (got %d)", m)
+		}
+		if slices.Contains(conf.MicroBatchSizes[:i], m) {
+			return nil, fmt.Errorf("mario: micro-batch sizes must be distinct (%d is listed twice)", m)
 		}
 	}
 	if len(conf.DeviceSpeeds) != 0 && len(conf.DeviceSpeeds) != conf.NumDevices {
@@ -90,7 +102,7 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 			return nil, fmt.Errorf("mario: device %d %w", d, err)
 		}
 	}
-	w := &Workload{Model: model, Hardware: cost.A100_40G, Machine: conf.Machine, SplitBackward: conf.SplitBackward}
+	w := &Workload{Model: model, Hardware: cost.A100_40G, Machine: conf.Machine}
 	if conf.Hardware != nil {
 		w.Hardware = *conf.Hardware
 	}
@@ -115,16 +127,17 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 		return nil, err
 	}
 	space := tuner.Space{
-		Devices:      conf.NumDevices,
-		GlobalBatch:  conf.GlobalBatchSize,
-		MicroBatches: conf.MicroBatchSizes,
-		MinPP:        conf.MinPP,
-		MaxPP:        conf.MaxPP,
-		TP:           conf.TP,
-		DeviceMem:    w.Hardware.MemBytes,
-		NoBnB:        conf.NoBnB,
-		DeviceSpeeds: conf.DeviceSpeeds,
-		Placement:    pmode,
+		Devices:       conf.NumDevices,
+		GlobalBatch:   conf.GlobalBatchSize,
+		MicroBatches:  conf.MicroBatchSizes,
+		MinPP:         conf.MinPP,
+		MaxPP:         conf.MaxPP,
+		TP:            conf.TP,
+		DeviceMem:     w.Hardware.MemBytes,
+		SplitBackward: conf.SplitBackward,
+		NoBnB:         conf.NoBnB,
+		DeviceSpeeds:  conf.DeviceSpeeds,
+		Placement:     pmode,
 	}
 	if name := strings.TrimSpace(conf.PipelineScheme); name != "" && !strings.EqualFold(name, "auto") {
 		s, err := pipeline.ParseScheme(name)
@@ -161,5 +174,5 @@ func Resolve(conf Config, model ModelConfig) (*Workload, error) {
 // tuner is the profiler-backed tuner that searches w.
 func (w *Workload) tuner() *tuner.Tuner {
 	prof := &profile.Profiler{Model: w.Model, HW: w.Hardware, Spec: w.Machine, Devices: 4, Iters: 10}
-	return &tuner.Tuner{Prof: prof, SplitBackward: w.SplitBackward}
+	return &tuner.Tuner{Prof: prof}
 }

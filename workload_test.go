@@ -80,18 +80,21 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	}
 }
 
-// TestResolveBounds: the cluster and the global batch are bounded, and the
-// bounds are inclusive. The largest in-repo workload (BenchmarkTuning1024GPU)
-// and a workload at both bounds resolve; one device or one sample more is
-// refused, by Resolve and so by Optimize.
+// TestResolveBounds: the cluster, the global batch and the micro-batch size
+// list are bounded, and the bounds are inclusive. The largest in-repo workload
+// (BenchmarkTuning1024GPU), a workload at both size bounds and a list of 120
+// distinct sizes resolve; one device, one sample or one size more is refused,
+// and so is a size listed twice, by Resolve and so by Optimize.
 func TestResolveBounds(t *testing.T) {
 	model := mario.Model("GPT3-13B")
 	for _, conf := range []mario.Config{
 		{NumDevices: 1024, GlobalBatchSize: 2048},
 		{NumDevices: 1 << 14, GlobalBatchSize: 1 << 16},
+		{NumDevices: 8, GlobalBatchSize: 64, MicroBatchSizes: sizes(120)},
 	} {
 		if _, err := mario.Resolve(conf, model); err != nil {
-			t.Errorf("%d devices, global batch %d: %v", conf.NumDevices, conf.GlobalBatchSize, err)
+			t.Errorf("%d devices, global batch %d, %d micro-batch sizes: %v",
+				conf.NumDevices, conf.GlobalBatchSize, len(conf.MicroBatchSizes), err)
 		}
 	}
 	for _, tc := range []struct {
@@ -100,6 +103,10 @@ func TestResolveBounds(t *testing.T) {
 	}{
 		{mario.Config{NumDevices: 1<<14 + 1, GlobalBatchSize: 64}, "devices (16385) must be at most 16384"},
 		{mario.Config{NumDevices: 8, GlobalBatchSize: 1<<16 + 1}, "global batch (65537) must be at most 65536"},
+		// Every copy of a size, and every size past the most divisors a global
+		// batch can have, used to be enumerated and probed again.
+		{mario.Config{NumDevices: 8, GlobalBatchSize: 64, MicroBatchSizes: []int{1, 2, 1}}, "micro-batch sizes must be distinct (1 is listed twice)"},
+		{mario.Config{NumDevices: 8, GlobalBatchSize: 64, MicroBatchSizes: sizes(121)}, "micro-batch sizes (121 listed) must be at most 120"},
 		// Positive and finite, but its slowdown 1/speed is +Inf: the search
 		// used to return a plan with throughput 0.
 		{mario.Config{NumDevices: 8, GlobalBatchSize: 32, PipelineScheme: "1F1B", MemoryPerDevice: "72G",
@@ -110,4 +117,13 @@ func TestResolveBounds(t *testing.T) {
 				tc.conf.NumDevices, tc.conf.GlobalBatchSize, err, tc.wantErr)
 		}
 	}
+}
+
+// sizes returns the micro-batch sizes 1..n.
+func sizes(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
 }
