@@ -141,7 +141,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlanResponseRead -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve/api
 	$(GO) test -run '^$$' -fuzz FuzzPlanRequestCanonical -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseMemory -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
-	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzParseSpeeds -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/place
 
 # Doc-comment lint for the packages whose contracts must live in the source:
@@ -153,11 +152,11 @@ fuzz:
 # public surface (internal/serve and its client), the search and its telemetry
 # (internal/tuner, internal/telemetry, internal/place), the profiler that
 # feeds the search its estimators (internal/profile), the measured-run
-# layers (internal/obs, internal/fault, internal/train) and internal/tensor,
+# layers (internal/obs, internal/train) and internal/tensor,
 # which owns the program's one random generator.
 # Dependency-free (cmd/exportlint, go/ast).
 lint:
-	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/profile ./internal/obs ./internal/tuner ./internal/fault ./internal/train ./internal/tensor
+	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/profile ./internal/obs ./internal/tuner ./internal/train ./internal/tensor
 
 # End-to-end smoke of the mariod planning service: boots the daemon on a
 # loopback port, plans a small workload through the Go client (fresh run,

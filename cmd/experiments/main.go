@@ -6,7 +6,7 @@
 //	experiments [-fast] [-run name] [-workers n]
 //
 // where name is one of: table1, figure2, figure5, figure6, table5, figure7,
-// figure8, figure9, figure10, figure11, drift, faults, searchtrace, hetero,
+// figure8, figure9, figure10, figure11, drift, searchtrace, hetero, straggler,
 // extension, zerobubble, summary, all (default).
 package main
 
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	fast := flag.Bool("fast", false, "run reduced-size experiments")
-	run := flag.String("run", "all", "experiment to run (table1, figure2, figure5, figure6, table5, figure7, figure8, figure9, figure10, figure11, drift, faults, searchtrace, hetero, extension, zerobubble, summary, all)")
+	run := flag.String("run", "all", "experiment to run (table1, figure2, figure5, figure6, table5, figure7, figure8, figure9, figure10, figure11, drift, searchtrace, hetero, straggler, extension, zerobubble, summary, all)")
 	workers := flag.Int("workers", 0, "concurrent tuner evaluations in figure11 (0 = GOMAXPROCS; output is identical)")
 	flag.Parse()
 
@@ -129,14 +129,6 @@ func main() {
 		}
 		experiments.PrintDrift(w, r)
 	}
-	if want("faults") {
-		header("Faults", "schedule robustness under the fault ensemble (straggler, flaky links, stall)")
-		r, err := experiments.Faults(opt)
-		if err != nil {
-			fail("faults", err)
-		}
-		experiments.PrintFaults(w, r)
-	}
 	if want("searchtrace") {
 		header("Search trace", "telemetry walkthrough: canonical span tree + counters of one traced search")
 		r, err := experiments.SearchTrace(opt)
@@ -152,6 +144,14 @@ func main() {
 			fail("hetero", err)
 		}
 		experiments.PrintHetero(w, r)
+	}
+	if want("straggler") {
+		header("Straggler", "a slow device eats the bubbles recompute hides in (base vs mario, speed factor)")
+		r, err := experiments.Straggler(opt)
+		if err != nil {
+			fail("straggler", err)
+		}
+		experiments.PrintStraggler(w, r)
 	}
 	if want("extension") {
 		header("Extension", "ZB-H1 split-backward study (the paper's §8 future work)")

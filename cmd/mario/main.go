@@ -12,7 +12,7 @@
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
 //	      [-search-trace-measured out.json] [-search-summary]
-//	      [-stats] [-drift] [-faults <spec|file>] [-pprof cpu.out]
+//	      [-stats] [-drift] [-pprof cpu.out]
 //	      [-remote http://host:8347]
 //
 // The -search-* flags trace the tuner search itself (as opposed to -trace,
@@ -70,7 +70,6 @@ func main() {
 		eventsPath   = flag.String("events", "", "write the measured run's event stream as JSONL to this path")
 		showStats    = flag.Bool("stats", false, "print per-device measured stats and tuner search counters")
 		showDrift    = flag.Bool("drift", false, "print the predicted-vs-measured drift report")
-		faultsArg    = flag.String("faults", "", "degrade the measured run under a fault plan: inline spec (\"slow:dev=1,factor=1.5; link:from=0,to=1,drop=0.05\") or JSON file path")
 		speedsArg    = flag.String("device-speeds", "", "per-device relative compute speeds: full list (\"1,0.8,1,1\") or sparse dev=speed overrides (\"2=0.8\"); heterogeneous speeds open the partitioning/placement search")
 		placementArg = flag.String("placement", "", "partitioning/placement search mode: auto (default), uniform, coopt")
 		pprofPath    = flag.String("pprof", "", "write a CPU profile of the tuner search to this path")
@@ -132,29 +131,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var faults *mario.FaultPlan
-	if *faultsArg != "" {
-		var err error
-		if faults, err = mario.ParseFaults(*faultsArg); err != nil {
-			fmt.Fprintf(os.Stderr, "mario: %v\n", err)
-			os.Exit(2)
-		}
-		// Validate device indices at parse time rather than letting the spec
-		// fail deep inside the measured run: the cluster can never have more
-		// devices than -devices declares.
-		if err := faults.Validate(*devices); err != nil {
-			fmt.Fprintf(os.Stderr, "mario: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	wantObs := *measuredPath != "" || *eventsPath != "" || *showStats || *showDrift
 	if wantObs && *runIters <= 0 {
 		fmt.Fprintln(os.Stderr, "mario: -trace-measured/-events/-stats/-drift need a measured run; assuming -run 1")
-		*runIters = 1
-	}
-	if faults != nil && *runIters <= 0 {
-		fmt.Fprintln(os.Stderr, "mario: -faults needs a measured run; assuming -run 1")
 		*runIters = 1
 	}
 
@@ -290,7 +269,7 @@ func main() {
 	}
 
 	if *runIters > 0 {
-		rep, err := mario.RunWithOptions(plan, *runIters, mario.RunOptions{CollectEvents: wantObs, Faults: faults})
+		rep, err := mario.RunWithOptions(plan, *runIters, mario.RunOptions{CollectEvents: wantObs})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mario: run: %v\n", err)
 			os.Exit(1)
@@ -299,10 +278,6 @@ func main() {
 		fmt.Printf("  measured iteration time: %.4f s\n", rep.IterTime)
 		fmt.Printf("  measured throughput:     %.2f samples/s\n", rep.SamplesPerSec)
 		fmt.Printf("  measured peak memory:    [%.2f, %.2f] GB\n", rep.PeakMemMin/(1<<30), rep.PeakMemMax/(1<<30))
-		if rep.FaultPlan != "" {
-			fmt.Printf("  injected faults (%s):    %d slowed instrs, %d dropped p2p attempts, %.4g s stalled\n",
-				rep.FaultPlan, rep.FaultSlowed, rep.FaultDrops, rep.FaultStall)
-		}
 		if *showStats {
 			fmt.Printf("  watchdog re-arms:        %d\n", rep.WatchdogResets)
 		}

@@ -25,9 +25,9 @@
 // events, and collecting perturbs neither virtual time nor the jitter streams.
 //
 // Every instruction's price — a compute duration, a send's wire time — is one
-// draw from its device's jitter stream in list order, independent of virtual
-// time on a fault-free machine. Machine.Sample walks that draw without running
-// anything; it is what profiling reads.
+// draw from its device's jitter stream in list order; no draw reads the
+// virtual clock. Machine.Sample walks that draw without running anything; it
+// is what profiling reads.
 package cluster
 
 import (
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"mario/internal/cost"
-	"mario/internal/fault"
 	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/sim"
@@ -72,8 +71,7 @@ type Machine struct {
 	// Compute instructions on device d are scaled by 1/SpeedFactors[d]; p2p
 	// transfers are link-bound and stay unscaled. Entries beyond the device
 	// count are ignored; missing, zero or negative entries mean nominal
-	// speed. Composes multiplicatively (and deterministically) with injected
-	// fault slowdowns on the same device.
+	// speed.
 	SpeedFactors []float64
 	// Seed makes all jitter reproducible.
 	Seed uint64
@@ -87,12 +85,6 @@ type Machine struct {
 	// stream is deterministic for a fixed seed and does not perturb the run;
 	// without it no events are allocated.
 	CollectEvents bool
-	// Faults, when non-nil, degrades the run under the fault plan: compute
-	// slowdowns, link latency/bandwidth/drop faults with bounded retry, and
-	// whole-device stall windows — all in virtual time, so a faulted run is
-	// exactly as reproducible as a healthy one. A nil (or empty) plan costs
-	// nothing.
-	Faults *fault.Plan
 }
 
 // SampleKey identifies a class of measured instruction durations: the kind
@@ -117,13 +109,6 @@ type Report struct {
 	// re-armed during the run (0 for runs shorter than one watchdog
 	// interval).
 	WatchdogResets int
-	// FaultDrops, FaultStall and FaultSlowed summarise the injected faults:
-	// total dropped p2p attempts, total injected stall time in virtual
-	// seconds, and the count of compute instructions that ran slowed. All
-	// zero on a healthy run.
-	FaultDrops  int
-	FaultStall  float64
-	FaultSlowed int
 	// Events is the measured event stream, device-major in execution order;
 	// nil unless Machine.CollectEvents was set.
 	Events []obs.Event
@@ -151,7 +136,7 @@ func (m *Machine) runners(s *pipeline.Schedule) []devRunner {
 	runners := make([]devRunner, s.NumDevices())
 	for d := range runners {
 		runners[d] = devRunner{
-			m: m, s: s, d: d, dp: dp,
+			m: m, dp: dp,
 			owned:    res.Stages(d),
 			rng:      tensor.NewStream(m.Seed, uint64(d)),
 			overhead: m.Truth.LaunchOverhead + m.ExtraOverhead,
@@ -187,22 +172,10 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 	if err := m.check(s, iters); err != nil {
 		return nil, err
 	}
-	D := s.NumDevices()
-	var inj *fault.Injector
-	if !m.Faults.Empty() {
-		var err error
-		if inj, err = m.Faults.Compile(D); err != nil {
-			return nil, err
-		}
-	}
 	runners := m.runners(s)
-	for d := range runners {
-		r := &runners[d]
-		if inj != nil {
-			r.fj = inj.Device(d)
-		}
-		if m.CollectEvents {
-			r.mem = sim.NewMemSim(s, m.Truth, d)
+	if m.CollectEvents {
+		for d := range runners {
+			runners[d].mem = sim.NewMemSim(s, m.Truth, d)
 		}
 	}
 	events, resets, err := Execute(s, iters, m.Watchdog, m.CollectEvents, func(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
@@ -216,14 +189,6 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 		PeakMem:        m.peakMem(s),
 		WatchdogResets: resets,
 		Events:         events,
-	}
-	if inj != nil {
-		for d := 0; d < D; d++ {
-			fj := inj.Device(d)
-			rep.FaultDrops += fj.Drops
-			rep.FaultStall += fj.StallVirtual
-			rep.FaultSlowed += fj.Slowed
-		}
 	}
 	for d := range runners {
 		rep.Total = max(rep.Total, runners[d].clock)
@@ -241,8 +206,8 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 // peakMem is Run's measured peak memory. It walks each device's list iters
 // times through the price draw Run uses, on the same two random streams per
 // device, so every sample is bit-identical to the duration the same
-// instruction takes in Run. That holds because on a fault-free machine no
-// draw depends on virtual time; Sample refuses a machine with a fault plan.
+// instruction takes in Run. That holds because no draw reads the virtual
+// clock.
 //
 // Sample executes nothing: it starts no goroutine, opens no link and arms no
 // watchdog, so it proves neither that the schedule is live nor that its sends
@@ -250,9 +215,6 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[SampleKey][]float64, peakMem []float64, err error) {
 	if err := m.check(s, iters); err != nil {
 		return nil, nil, err
-	}
-	if !m.Faults.Empty() {
-		return nil, nil, fmt.Errorf("cluster: cannot sample under a fault plan: faults read the virtual clock")
 	}
 	runners := m.runners(s)
 	durations = make([]map[SampleKey][]float64, len(runners))
@@ -304,8 +266,6 @@ func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[Sampl
 // goroutine touches it during the run.
 type devRunner struct {
 	m         *Machine
-	s         *pipeline.Schedule
-	d         int
 	dp        int
 	devFactor float64
 	// speedSlow is the declared compute slowdown 1/SpeedFactors[d]
@@ -318,35 +278,9 @@ type devRunner struct {
 	owned []int
 	rng   *tensor.RNG
 	clock float64
-	// fj is the device's fault-injector view; nil on a healthy run.
-	fj *fault.DeviceInjector
 	// mem models the device's memory for its events; nil when the machine
 	// does not collect events.
 	mem *sim.MemSim
-}
-
-// exec runs one instruction, advancing the device's virtual clock and, when
-// the machine collects events, filling the instruction's event: its virtual
-// interval, modeled memory and fault annotations.
-func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
-	var stall float64
-	if r.fj != nil {
-		// Injected whole-device stalls take effect at instruction
-		// boundaries: the virtual clock jumps.
-		stall = r.fj.TakeStall(r.clock)
-		r.clock += stall
-	}
-	if ev != nil {
-		ev.Start, ev.FaultStall = r.clock, stall
-	}
-	if err := r.execClock(dv, in, ev); err != nil {
-		return err
-	}
-	if ev != nil {
-		ev.End = r.clock
-		ev.Mem = r.mem.Step(in)
-	}
-	return nil
 }
 
 // draw prices one instruction from the device's jitter stream: the part of
@@ -374,38 +308,26 @@ func (r *devRunner) draw(in pipeline.Instr) (float64, bool) {
 	return 0, false
 }
 
-// execClock advances the virtual clock across one instruction: the price
-// draw, then what depends on virtual time — fault slowdowns and link faults,
-// the links themselves. A message carries its arrival time: a receive
-// advances the clock to it.
-func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
+// exec runs one instruction: the price draw, then the links. It advances the
+// device's virtual clock and, when the machine collects events, fills the
+// instruction's event: its virtual interval, queue wait, payload and modeled
+// memory. A message carries its arrival time: a receive advances the clock
+// to it.
+func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
+	if ev != nil {
+		ev.Start = r.clock
+		if in.Kind.IsComm() {
+			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
+		}
+	}
 	dur, drawn := r.draw(in)
 	switch in.Kind {
 	case pipeline.SendAct, pipeline.SendGrad:
-		peer := r.s.PeerDevice(r.d, in)
-		if r.fj != nil {
-			tr, err := r.fj.Transfer(peer, channelName(in.Kind), dur, r.clock)
-			if err != nil {
-				return fmt.Errorf("%w (link %d->%d[%s], %s)", err, r.d, peer, channelName(in.Kind), in)
-			}
-			dur = tr.Delay
-			if ev != nil {
-				ev.FaultDrops = tr.Drops
-			}
-		}
-		if ev != nil {
-			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
-		}
 		if err := dv.Send(in, r.clock+r.overhead+dur); err != nil {
 			return err
 		}
 		r.clock += r.overhead
-		return nil
-
 	case pipeline.RecvAct, pipeline.RecvGrad:
-		if ev != nil {
-			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
-		}
 		arrive, err := dv.Recv(in)
 		if err != nil {
 			return err
@@ -417,23 +339,16 @@ func (r *devRunner) execClock(dv *Device[float64], in pipeline.Instr, ev *obs.Ev
 			r.clock = arrive
 		}
 		r.clock += r.overhead
-		return nil
-	}
-	if !drawn {
-		r.clock += r.overhead
-		return nil
-	}
-	if r.fj != nil {
-		// A slowdown degrades the hardware itself: the measured duration
-		// stretches, exactly as a thermally-throttled chip's would.
-		if f := r.fj.ComputeFactor(r.clock); f != 1 {
-			dur *= f
-			if ev != nil {
-				ev.FaultSlow = f
-			}
+	default:
+		if !drawn {
+			dur = r.overhead
 		}
+		r.clock += dur
 	}
-	r.clock += dur
+	if ev != nil {
+		ev.End = r.clock
+		ev.Mem = r.mem.Step(in)
+	}
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mario/internal/cost"
-	"mario/internal/fault"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
@@ -38,8 +37,11 @@ func buildSched(t *testing.T, sch pipeline.Scheme, cfg scheme.Config) *pipeline.
 // TestClusterMatchesSimulatorNoiseless: with zero noise and zero extra
 // overhead, the concurrent execution and the DP simulator agree on the
 // makespan for every scheme — two independent implementations of the same
-// semantics.
+// semantics. Each scheme also runs with a declared straggler, the estimator's
+// DeviceSpeed and the machine's SpeedFactors both slowing device 2 to 1/1.35:
+// the model prices a straggler exactly, with no second mechanism.
 func TestClusterMatchesSimulatorNoiseless(t *testing.T) {
+	straggler := []float64{1, 1, 1 / 1.35, 1}
 	for _, tc := range []struct {
 		sch pipeline.Scheme
 		cfg scheme.Config
@@ -48,16 +50,22 @@ func TestClusterMatchesSimulatorNoiseless(t *testing.T) {
 		{pipeline.SchemeGPipe, scheme.Config{Devices: 4, Micros: 8}},
 		{pipeline.SchemeChimera, scheme.Config{Devices: 4, Micros: 8}},
 		{pipeline.SchemeInterleave, scheme.Config{Devices: 4, Micros: 8, Chunks: 2}},
+		{pipeline.SchemeZBH1, scheme.Config{Devices: 4, Micros: 8}},
 	} {
 		s := buildSched(t, tc.sch, tc.cfg)
-		e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
-		want, err := sim.Simulate(s, e, sim.Options{})
-		if err != nil {
-			t.Fatalf("%s: sim: %v", tc.sch, err)
-		}
-		got := mustRun(t, machine(e), s, 1)
-		if math.Abs(got.Total-want.Total) > 1e-9 {
-			t.Errorf("%s: cluster makespan %v != simulator %v", tc.sch, got.Total, want.Total)
+		for _, speeds := range [][]float64{nil, straggler} {
+			e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
+			e.DeviceSpeed = speeds
+			want, err := sim.Simulate(s, e, sim.Options{})
+			if err != nil {
+				t.Fatalf("%s speeds %v: sim: %v", tc.sch, speeds, err)
+			}
+			m := machine(e)
+			m.SpeedFactors = speeds
+			got := mustRun(t, m, s, 1)
+			if math.Abs(got.Total-want.Total) > 1e-9 {
+				t.Errorf("%s speeds %v: cluster makespan %v != simulator %v", tc.sch, speeds, got.Total, want.Total)
+			}
 		}
 	}
 }
@@ -189,7 +197,6 @@ func TestSamplesCollected(t *testing.T) {
 // device of four schemes, with every source of jitter and speed variation
 // on, the sequence of compute durations Sample draws is the sequence by which
 // a Run advanced the device's clock, in order, and the peak memory is Run's.
-// Under a fault plan the durations would read the clock: Sample refuses it.
 func TestSampleMatchesRun(t *testing.T) {
 	for _, tc := range []struct {
 		sch pipeline.Scheme
@@ -249,11 +256,6 @@ func TestSampleMatchesRun(t *testing.T) {
 			if n != len(ran[d]) {
 				t.Errorf("%s dev%d: %d compute classes sampled, run executed %d", tc.sch, d, n, len(ran[d]))
 			}
-		}
-
-		m.Faults = &fault.Plan{Slowdowns: []fault.Slowdown{{Device: 1, Factor: 2}}}
-		if _, _, err := m.Sample(s, iters); err == nil {
-			t.Errorf("%s: Sample accepted a machine with a fault plan", tc.sch)
 		}
 	}
 }

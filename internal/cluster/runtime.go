@@ -238,7 +238,7 @@ func (rt *execution[P]) stuck() []string {
 				dir, from, to = "send", d, rt.res.Peer(d, in)
 			}
 			out = append(out, fmt.Sprintf("dev%d blocked on %s %s (stage %d, micro %d, iter %d) link %d->%d[%s]",
-				d, dir, in, in.Stage, in.Micro, iter, from, to, channelName(in.Kind)))
+				d, dir, in, in.Stage, in.Micro, iter, from, to, in.Kind.Channel()))
 		default:
 			out = append(out, fmt.Sprintf("dev%d blocked on %s (iter %d) at the all-reduce barrier", d, in, iter))
 		}
@@ -318,12 +318,4 @@ func (dv *Device[P]) Barrier(in pipeline.Instr, merge func()) error {
 	case <-rt.abort:
 		return fmt.Errorf("%w at the all-reduce barrier (%s on device %d)", errAborted, in, dv.ID)
 	}
-}
-
-// channelName tags a comm kind's link for human-readable diagnostics.
-func channelName(k pipeline.Kind) string {
-	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
-		return "grad"
-	}
-	return "act"
 }

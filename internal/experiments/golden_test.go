@@ -29,14 +29,6 @@ func goldenOutputs(t *testing.T) map[string]string {
 	PrintDrift(&b, dr)
 	out["drift-fast"] = b.String()
 
-	fr, err := Faults(Opts{Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	PrintFaults(&b, fr)
-	out["faults-fast"] = b.String()
-
 	st, err := SearchTrace(Opts{Fast: true})
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +44,14 @@ func goldenOutputs(t *testing.T) map[string]string {
 	b.Reset()
 	PrintHetero(&b, hr)
 	out["hetero-fast"] = b.String()
+
+	sr, err := Straggler(Opts{Fast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	PrintStraggler(&b, sr)
+	out["straggler-fast"] = b.String()
 
 	zb, err := ZeroBubble(Opts{Fast: true})
 	if err != nil {

@@ -55,11 +55,6 @@ type DriftReport struct {
 	MemMAPE float64
 	// MemPred and MemMeas are the per-device peak-memory vectors compared.
 	MemPred, MemMeas []float64
-	// FaultPlan labels the fault plan the measured run executed under; empty
-	// for a healthy run. Set by the caller before Format to switch the report
-	// into "faulted drift" mode: the drift then reads as the gap between the
-	// healthy prediction and the degraded measurement, not as simulator error.
-	FaultPlan string
 }
 
 // siteKey identifies an instruction site across the predicted timeline and
@@ -197,22 +192,11 @@ func relErr(pred, meas float64) float64 {
 	return math.Abs(pred-meas) / math.Abs(meas)
 }
 
-// Faulted reports whether the measured run executed under a fault plan. The
-// run's fault totals live in its cluster.Report.
-func (r *DriftReport) Faulted() bool { return r.FaultPlan != "" }
-
-// Format renders the drift report as an ASCII table. When the measured run
-// was faulted, the header switches to "faulted drift": the gap quantifies how
-// far the degraded hardware fell from the healthy prediction.
+// Format renders the drift report as an ASCII table.
 func (r *DriftReport) Format() string {
 	var b strings.Builder
-	if r.Faulted() {
-		fmt.Fprintf(&b, "faulted drift (%s): predicted healthy iter %.4g s vs measured faulted %.4g s (%.1f%% gap)\n",
-			r.FaultPlan, r.TotalPred, r.TotalMeas, 100*r.TotalErr)
-	} else {
-		fmt.Fprintf(&b, "drift report: predicted iter %.4g s vs measured %.4g s (%.1f%% error)\n",
-			r.TotalPred, r.TotalMeas, 100*r.TotalErr)
-	}
+	fmt.Fprintf(&b, "drift report: predicted iter %.4g s vs measured %.4g s (%.1f%% error)\n",
+		r.TotalPred, r.TotalMeas, 100*r.TotalErr)
 	fmt.Fprintf(&b, "%-5s %6s %12s %12s %7s\n", "kind", "pairs", "pred-mean(s)", "meas-mean(s)", "MAPE%")
 	for _, k := range r.Kinds {
 		fmt.Fprintf(&b, "%-5s %6d %12.4g %12.4g %7.1f\n", k.Kind, k.Pairs, k.PredMean, k.MeasMean, 100*k.MAPE)

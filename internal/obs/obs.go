@@ -10,8 +10,8 @@
 // on, cluster.Execute, collects events in per-device slices on the hot path —
 // no locks, no clock perturbation — and the run returns them with its report,
 // in deterministic order (device-major, execution order). A run that does not
-// ask for events allocates none. Run-level counts (watchdog re-arms, fault
-// totals) are the run report's, not derived here.
+// ask for events allocates none. Run-level counts (watchdog re-arms) are the
+// run report's, not derived here.
 package obs
 
 import (
@@ -52,14 +52,6 @@ type Event struct {
 	Mem float64
 	// Buffered marks a SendAct draining a §5.1-pass-4 staging buffer.
 	Buffered bool
-	// FaultSlow is the injected compute-slowdown factor applied to this
-	// instruction (0 or 1 when the device ran at full speed).
-	FaultSlow float64
-	// FaultDrops counts injected p2p drops retried before this send landed.
-	FaultDrops int
-	// FaultStall is injected whole-device stall time consumed at this
-	// instruction's boundary, in virtual seconds (folded into Start).
-	FaultStall float64
 }
 
 // Dur returns the event's duration in seconds.
@@ -84,30 +76,22 @@ type jsonEvent struct {
 	Micro  int     `json:"micro"`
 	Part   int     `json:"part"`
 	Stage  int     `json:"stage"`
-	Peer   int     `json:"peer,omitempty"`
+	Peer   int     `json:"peer"`
 	Start  float64 `json:"start"`
 	End    float64 `json:"end"`
 	Wait   float64 `json:"wait,omitempty"`
 	Bytes  float64 `json:"bytes,omitempty"`
 	Mem    float64 `json:"mem,omitempty"`
 	Buf    bool    `json:"buffered,omitempty"`
-	Slow   float64 `json:"fault_slow,omitempty"`
-	Drops  int     `json:"fault_drops,omitempty"`
-	Stall  float64 `json:"fault_stall,omitempty"`
 }
 
 // MarshalJSON renders the event with the kind as its paper mnemonic.
 func (e Event) MarshalJSON() ([]byte, error) {
-	slow := e.FaultSlow
-	if slow == 1 {
-		slow = 0 // healthy; keep the key out of the line
-	}
 	return json.Marshal(jsonEvent{
 		Device: e.Device, Iter: e.Iter, Kind: e.Kind.String(),
 		Micro: e.Micro, Part: e.Part, Stage: e.Stage, Peer: e.Peer,
 		Start: e.Start, End: e.End, Wait: e.Wait, Bytes: e.Bytes,
 		Mem: e.Mem, Buf: e.Buffered,
-		Slow: slow, Drops: e.FaultDrops, Stall: e.FaultStall,
 	})
 }
 

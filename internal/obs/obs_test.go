@@ -43,6 +43,31 @@ func TestJSONLRoundtrip(t *testing.T) {
 	}
 }
 
+// TestJSONLCommEventsCarryPeer: every comm event's line names its peer, so a
+// message from or to device 0 reads differently from an event with no peer.
+func TestJSONLCommEventsCarryPeer(t *testing.T) {
+	var events []Event
+	for _, k := range []pipeline.Kind{pipeline.SendAct, pipeline.RecvAct, pipeline.SendGrad, pipeline.RecvGrad} {
+		for _, peer := range []int{0, 1} {
+			events = append(events, Event{Device: 1 - peer, Kind: k, Peer: peer, Start: 0, End: 1, Bytes: 64})
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(&buf)
+	for i := 0; sc.Scan(); i++ {
+		var line map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("invalid JSONL line: %v", err)
+		}
+		if peer, ok := line["peer"]; !ok || peer != float64(events[i].Peer) {
+			t.Errorf("%s line %s: peer %v, want %d", events[i].Kind, sc.Bytes(), peer, events[i].Peer)
+		}
+	}
+}
+
 func TestJSONLStickyError(t *testing.T) {
 	events := make([]Event, 10000) // enough to overflow the bufio buffer
 	for i := range events {

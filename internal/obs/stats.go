@@ -31,7 +31,7 @@ type DeviceStats struct {
 // LinkStats aggregates the traffic of one directed p2p link.
 type LinkStats struct {
 	From, To int
-	// Channel is "act" or "grad" (the emulator's tagged channels).
+	// Channel is "act" or "grad" (pipeline.Kind.Channel).
 	Channel string
 	Bytes   float64
 	Msgs    int
@@ -62,14 +62,6 @@ func (s *Stats) Utilization(dev int) float64 {
 // fraction of the makespan the device spent outside compute.
 func (s *Stats) BubbleRatio(dev int) float64 {
 	return 1 - s.Utilization(dev)
-}
-
-// channelName maps a comm kind to its link channel tag.
-func channelName(k pipeline.Kind) string {
-	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
-		return "grad"
-	}
-	return "act"
 }
 
 // Compute derives per-device and per-link statistics from an event stream.
@@ -110,7 +102,7 @@ func Compute(events []Event, total float64) *Stats {
 			ds.Sends++
 			st.Msgs++
 			ds.SendStall += e.Wait
-			lk := linkKey{e.Device, e.Peer, channelName(e.Kind)}
+			lk := linkKey{e.Device, e.Peer, e.Kind.Channel()}
 			l := links[lk]
 			if l == nil {
 				l = &LinkStats{From: e.Device, To: e.Peer, Channel: lk.ch}

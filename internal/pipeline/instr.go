@@ -97,6 +97,15 @@ func (k Kind) IsComm() bool {
 	return false
 }
 
+// Channel names the link channel a communication kind travels on: "grad"
+// for gradients, "act" for activations.
+func (k Kind) Channel() string {
+	if k == SendGrad || k == RecvGrad {
+		return "grad"
+	}
+	return "act"
+}
+
 // NoMicro is the Micro value used by instructions that are not associated
 // with a particular micro-batch (AllReduce, OptimizerStep).
 const NoMicro = -1

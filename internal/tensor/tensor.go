@@ -77,15 +77,14 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // RNG is the program's one deterministic generator, splitmix64: reproducible
-// weights and data here, the emulator's jitter and the fault layer's drop
-// decisions through NewStream.
+// weights and data here, the emulator's jitter through NewStream.
 type RNG struct{ state uint64 }
 
 // NewRNG seeds a generator.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // NewStream seeds the stream-th generator of seed. Streams of one seed (one per
-// device, one per link) are independent of each other and of NewRNG(seed).
+// device, say) are independent of each other and of NewRNG(seed).
 func NewStream(seed, stream uint64) *RNG {
 	return &RNG{state: seed*0x9E3779B97F4A7C15 ^ (stream+1)*0xBF58476D1CE4E5B9}
 }

@@ -28,7 +28,6 @@ import (
 
 	"mario/internal/cluster"
 	"mario/internal/cost"
-	"mario/internal/fault"
 	"mario/internal/obs"
 	"mario/internal/profile"
 	"mario/internal/sim"
@@ -278,28 +277,15 @@ type MeasuredStats = obs.Stats
 // DriftReport quantifies predicted-vs-measured disagreement; see Drift.
 type DriftReport = obs.DriftReport
 
-// FaultPlan is a deterministic fault scenario for RunOptions.Faults; see the
-// fault package for the plan vocabulary (slowdowns, link faults, stalls).
-type FaultPlan = fault.Plan
-
-// ParseFaults resolves a fault-plan argument: a path to a JSON plan file, or
-// an inline spec like "slow:dev=1,factor=1.5; link:from=0,to=1,drop=0.05".
-func ParseFaults(arg string) (*FaultPlan, error) {
-	return fault.ParseOrLoad(arg)
-}
-
 // RunReport summarises an execution of the plan on the emulated cluster: the
 // emulator's report (measured iteration time, throughput, per-device peak
-// memory, watchdog re-arms, the injected-fault totals and, with
-// RunOptions.CollectEvents, the event stream), plus what is derived from it.
+// memory, watchdog re-arms and, with RunOptions.CollectEvents, the event
+// stream), plus what is derived from it.
 type RunReport struct {
 	cluster.Report
 	// PeakMemMin and PeakMemMax are the per-device peak-memory extremes in
 	// bytes (the (Min,Max GB) columns of Table 5).
 	PeakMemMin, PeakMemMax float64
-	// FaultPlan is the name of the fault plan the run executed under
-	// (empty for a healthy run); Drift uses it to label faulted reports.
-	FaultPlan string
 	// Stats is the per-device metrics digest derived from Events (nil when
 	// no events were collected).
 	Stats *MeasuredStats
@@ -311,11 +297,6 @@ type RunOptions struct {
 	// CollectEvents retains the measured event stream in RunReport.Events
 	// and derives RunReport.Stats from it.
 	CollectEvents bool
-	// Faults, when non-nil and non-empty, degrades the emulated hardware
-	// under the fault plan (see internal/fault): compute slowdowns, link
-	// degradation with bounded retry, and whole-device stalls — all in
-	// virtual time, so faulted runs stay deterministic.
-	Faults *fault.Plan
 }
 
 // Run executes the plan's schedule for iters training iterations on the
@@ -325,7 +306,7 @@ func Run(p *Plan, iters int) (*RunReport, error) {
 }
 
 // RunWithOptions is Run with options attached: optional in-report event
-// collection with derived per-device stats, and an optional fault plan.
+// collection with derived per-device stats.
 func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	if p == nil || p.Best.Schedule == nil {
 		return nil, fmt.Errorf("mario: plan has no schedule")
@@ -341,19 +322,12 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 		return nil, err
 	}
 	mach.DP = p.Best.DP
-	mach.Faults = opts.Faults
 	mach.CollectEvents = opts.CollectEvents
 	rep, err := mach.Run(p.Best.Schedule, iters)
 	if err != nil {
 		return nil, err
 	}
 	out := &RunReport{Report: *rep}
-	if !opts.Faults.Empty() {
-		out.FaultPlan = opts.Faults.Name
-		if out.FaultPlan == "" {
-			out.FaultPlan = "unnamed plan"
-		}
-	}
 	out.PeakMemMin, out.PeakMemMax = slices.Min(rep.PeakMem), slices.Max(rep.PeakMem)
 	if opts.CollectEvents {
 		out.Stats = obs.Compute(rep.Events, rep.Total)
@@ -372,9 +346,7 @@ func Drift(p *Plan, rep *RunReport) (*DriftReport, error) {
 	if rep == nil || len(rep.Events) == 0 {
 		return nil, fmt.Errorf("mario: run report has no events (use RunOptions.CollectEvents)")
 	}
-	dr := obs.ComputeDrift(rep.Events, p.Best.Result, rep.PeakMem)
-	dr.FaultPlan = rep.FaultPlan
-	return dr, nil
+	return obs.ComputeDrift(rep.Events, p.Best.Result, rep.PeakMem), nil
 }
 
 // Resimulate rebuilds the full simulation result — per-instruction timeline

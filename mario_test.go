@@ -105,48 +105,6 @@ func TestOptimizeForcedScheme(t *testing.T) {
 	}
 }
 
-// TestDriftLabelsFaultedRuns: the drift report of a run under a fault plan
-// reads as a faulted drift under the plan's label (unnamed by default); a
-// healthy run's is a plain drift report.
-func TestDriftLabelsFaultedRuns(t *testing.T) {
-	plan, err := mario.Optimize(mario.Config{
-		PipelineScheme:  "V",
-		GlobalBatchSize: 16,
-		NumDevices:      4,
-		MemoryPerDevice: "40G",
-		MicroBatchSizes: []int{2},
-	}, mario.Model("LLaMA2-3B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := mario.ParseFaults("slow:dev=1,factor=1.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		faults *mario.FaultPlan
-		want   string
-	}{
-		{nil, "drift report:"},
-		{slow, "faulted drift (unnamed plan)"},
-	} {
-		rep, err := mario.RunWithOptions(plan, 1, mario.RunOptions{CollectEvents: true, Faults: tc.faults})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slowed := rep.FaultSlowed > 0; slowed != (tc.faults != nil) {
-			t.Errorf("%q run: %d slowed instructions", tc.want, rep.FaultSlowed)
-		}
-		dr, err := mario.Drift(plan, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := dr.Format(); !strings.HasPrefix(got, tc.want) {
-			t.Errorf("drift report starts %q, want %q", strings.SplitN(got, "\n", 2)[0], tc.want)
-		}
-	}
-}
-
 func TestOptimizeValidation(t *testing.T) {
 	model := mario.Model("GPT3-1.6B")
 	if _, err := mario.Optimize(mario.Config{GlobalBatchSize: 8}, model); err == nil {
