@@ -554,6 +554,7 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 			st = tn.Stats
 		}
 		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+		reportScanVerdicts(b, m)
 		b.ReportMetric(float64(st.Explored), "explored")
 		b.ReportMetric(float64(st.BoundPruned), "bound-pruned")
 		b.ReportMetric(float64(st.MemPruned), "mem-pruned")
@@ -588,7 +589,7 @@ func BenchmarkOptimizeAPI(b *testing.B) {
 // planner benchmark's hetero-8 spec (GPT3-13B, 1F1B, 8 devices with one at
 // 0.8 speed, auto placement) on the default machine, sequentially. It is the
 // one deterministic row that reaches the partitioning/placement subsystem;
-// sims/op and explored pin what the search simulates.
+// sims/op, the scan verdicts and explored pin what the search simulates.
 func BenchmarkOptimizeHetero(b *testing.B) {
 	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	var explored int
@@ -610,7 +611,17 @@ func BenchmarkOptimizeHetero(b *testing.B) {
 		explored = plan.SearchStats.Explored
 	}
 	b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+	reportScanVerdicts(b, m)
 	b.ReportMetric(float64(explored), "explored")
+}
+
+// reportScanVerdicts reports, per op, how many of the prepose scan's
+// single-device candidates were simulated and found illegal and how many were
+// simulated and were not. Each costs a simulation, so a candidate generator
+// that proposes more of them moves these counts.
+func reportScanVerdicts(b *testing.B, m *telemetry.SearchMetrics) {
+	b.ReportMetric(float64(m.ScanIllegal.Value())/float64(b.N), "scan-illegal")
+	b.ReportMetric(float64(m.ScanSimulated.Value())/float64(b.N), "scan-simulated")
 }
 
 // BenchmarkPlanCodec prices the plan JSON codec on the GPT3-1.6B, 8-device,

@@ -30,9 +30,11 @@
 // non-gating — a small threshold on these columns is a gate CI can enforce.
 // It also gates the count extras of the rows that report one — sims/op, the
 // simulations a search ran, units/op, the compute units a schedule build
-// list-scheduled, explored, the grid points a search simulated, and bytes, the
-// size of an encoded plan: exact on any machine, they are held to the baseline
-// with no threshold — one more simulation, unit, point or byte fails.
+// list-scheduled, explored, the grid points a search simulated, bytes, the
+// size of an encoded plan, and the prepose scan's scan-illegal and
+// scan-simulated candidates: exact on any machine, they are held to the
+// baseline with no threshold — one more simulation, unit, point, byte or
+// candidate fails.
 package main
 
 import (
@@ -148,6 +150,8 @@ var (
 		{unit: "units/op", get: extraMetric("units/op"), exact: true},
 		{unit: "explored", get: extraMetric("explored"), exact: true},
 		{unit: "bytes", get: extraMetric("bytes"), exact: true},
+		{unit: "scan-illegal", get: extraMetric("scan-illegal"), exact: true},
+		{unit: "scan-simulated", get: extraMetric("scan-simulated"), exact: true},
 	}
 )
 

@@ -153,10 +153,10 @@ func TestGateAgainst(t *testing.T) {
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
 // (ns/op is not), either column failing fails the gate, a zero baseline
-// regresses by becoming non-zero, and sims/op, units/op, explored and bytes —
-// exact counts — fail on one more simulation, unit, point or byte however
-// small a share of the baseline that is; other extras (bound-pruned) are not
-// gated.
+// regresses by becoming non-zero, and sims/op, units/op, explored, bytes,
+// scan-illegal and scan-simulated — exact counts — fail on one more
+// simulation, unit, point, byte or scanned candidate however small a share of
+// the baseline that is; other extras (bound-pruned) are not gated.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
@@ -165,7 +165,8 @@ func TestGateMem(t *testing.T) {
   {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}},
   {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}},
   {"name": "BenchmarkSearch", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"explored": 38, "bound-pruned": 120}},
-  {"name": "BenchmarkCodec", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"bytes": 43172}}
+  {"name": "BenchmarkCodec", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"bytes": 43172}},
+  {"name": "BenchmarkScan", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"scan-illegal": 2, "scan-simulated": 10}}
 ]`)
 	for _, tc := range []struct {
 		name, bench string
@@ -187,6 +188,9 @@ func TestGateMem(t *testing.T) {
 		{"one more explored point fails", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 39 explored\n", true, "WORSE  BenchmarkSearch"},
 		{"plan bytes stay", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43172 bytes\n", false, "43172 bytes"},
 		{"one more plan byte fails", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43173 bytes\n", true, "WORSE  BenchmarkCodec"},
+		{"scan verdicts stay", "BenchmarkScan 1 10 ns/op 1000 B/op 100 allocs/op 2 scan-illegal 10 scan-simulated\n", false, "10 scan-simulated"},
+		{"one more illegal candidate fails", "BenchmarkScan 1 10 ns/op 1000 B/op 100 allocs/op 3 scan-illegal 10 scan-simulated\n", true, "WORSE  BenchmarkScan"},
+		{"one more simulated candidate fails", "BenchmarkScan 1 10 ns/op 1000 B/op 100 allocs/op 2 scan-illegal 11 scan-simulated\n", true, "11 scan-simulated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

@@ -42,8 +42,12 @@ type execution[P any] struct {
 	s   *pipeline.Schedule
 	res *pipeline.Resolved
 	// links holds one eager FIFO per (sender, receiver, channel), indexed by
-	// pipeline.Resolved.Link.
+	// pipeline.Resolved.Link. pending counts each link's messages sent and
+	// not yet received — a send counts before it pushes, a receive after it
+	// pops — so the watchdog also sees a message handed straight to a parked
+	// receiver, which never enters the buffer.
 	links     []chan message[P]
+	pending   []atomic.Int64
 	devs      []Device[P]
 	abort     chan struct{}
 	abortOnce sync.Once
@@ -78,11 +82,12 @@ type devStatus struct {
 	finished bool
 	in       pipeline.Instr
 	iter     int
+	release  chan struct{} // the barrier round waited on; nil on a link
 }
 
-func (st *devStatus) block(in pipeline.Instr, iter int) {
+func (st *devStatus) block(in pipeline.Instr, iter int, release chan struct{}) {
 	st.mu.Lock()
-	st.blocked, st.in, st.iter = true, in, iter
+	st.blocked, st.in, st.iter, st.release = true, in, iter, release
 	st.mu.Unlock()
 }
 
@@ -123,6 +128,7 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration, col
 	rt := &execution[P]{
 		s: s, res: res,
 		links:   make([]chan message[P], res.NumLinks()),
+		pending: make([]atomic.Int64, res.NumLinks()),
 		devs:    make([]Device[P], s.NumDevices()),
 		abort:   make(chan struct{}),
 		release: make(chan struct{}),
@@ -220,51 +226,65 @@ func firstError(errs []error) error {
 func (rt *execution[P]) teardown() { rt.abortOnce.Do(func() { close(rt.abort) }) }
 
 // stuck describes every waiting device, or returns nil when some device that
-// has not finished is not waiting.
+// has not finished is not waiting. A device whose wait is already satisfied —
+// a receive with a message pending on its link, a send whose link has room, a
+// barrier whose round was released — is not waiting: its goroutine just has
+// not run since.
 func (rt *execution[P]) stuck() []string {
 	var out []string
 	for d := range rt.devs {
 		st := &rt.devs[d].status
 		st.mu.Lock()
-		blocked, finished, in, iter := st.blocked, st.finished, st.in, st.iter
+		blocked, finished, in, iter, release := st.blocked, st.finished, st.in, st.iter, st.release
 		st.mu.Unlock()
 		switch {
 		case finished:
 		case !blocked:
 			return nil
 		case in.Kind.IsComm():
-			dir, from, to := "recv", rt.res.Peer(d, in), d
+			l := rt.res.Link(in)
+			n := rt.pending[l].Load() // a blocked send counts its own message
+			dir, from, to, ready := "recv", rt.res.Peer(d, in), d, n > 0
 			if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
-				dir, from, to = "send", d, rt.res.Peer(d, in)
+				dir, from, to, ready = "send", d, rt.res.Peer(d, in), n <= int64(cap(rt.links[l]))
+			}
+			if ready {
+				return nil
 			}
 			out = append(out, fmt.Sprintf("dev%d blocked on %s %s (stage %d, micro %d, iter %d) link %d->%d[%s]",
 				d, dir, in, in.Stage, in.Micro, iter, from, to, in.Kind.Channel()))
 		default:
+			select {
+			case <-release:
+				return nil
+			default:
+			}
 			out = append(out, fmt.Sprintf("dev%d blocked on %s (iter %d) at the all-reduce barrier", d, in, iter))
 		}
 	}
 	return out
 }
 
-// link returns the channel a communication instruction travels on.
-func (dv *Device[P]) link(in pipeline.Instr) (chan message[P], error) {
+// link returns the index of the link a communication instruction travels on.
+func (dv *Device[P]) link(in pipeline.Instr) (int, error) {
 	if l := dv.rt.res.Link(in); l >= 0 {
-		return dv.rt.links[l], nil
+		return l, nil
 	}
-	return nil, fmt.Errorf("cluster: device %d has no link for %s", dv.ID, in)
+	return -1, fmt.Errorf("cluster: device %d has no link for %s", dv.ID, in)
 }
 
 // Send posts payload on the link of the send instruction in, addressed to
 // the receive it matches. It blocks only while the link is full.
 func (dv *Device[P]) Send(in pipeline.Instr, payload P) error {
-	ch, err := dv.link(in)
+	l, err := dv.link(in)
 	if err != nil {
 		return err
 	}
 	msg := message[P]{key: dv.rt.s.MatchKey(in), payload: payload}
-	dv.status.block(in, dv.Iter)
+	dv.rt.pending[l].Add(1)
+	dv.status.block(in, dv.Iter, nil)
 	select {
-	case ch <- msg:
+	case dv.rt.links[l] <- msg:
 		dv.status.unblock()
 		return nil
 	case <-dv.rt.abort:
@@ -277,14 +297,15 @@ func (dv *Device[P]) Send(in pipeline.Instr, payload P) error {
 // ErrMismatch.
 func (dv *Device[P]) Recv(in pipeline.Instr) (P, error) {
 	var zero P
-	ch, err := dv.link(in)
+	l, err := dv.link(in)
 	if err != nil {
 		return zero, err
 	}
-	dv.status.block(in, dv.Iter)
+	dv.status.block(in, dv.Iter, nil)
 	select {
-	case msg := <-ch:
+	case msg := <-dv.rt.links[l]:
 		dv.status.unblock()
+		dv.rt.pending[l].Add(-1)
 		if msg.key != in.Key() {
 			return zero, fmt.Errorf("%w: device %d expected %s, link delivered %v", ErrMismatch, dv.ID, in, msg.key)
 		}
@@ -310,7 +331,7 @@ func (dv *Device[P]) Barrier(in pipeline.Instr, merge func()) error {
 		return nil
 	}
 	rt.mu.Unlock()
-	dv.status.block(in, dv.Iter)
+	dv.status.block(in, dv.Iter, release)
 	select {
 	case <-release:
 		dv.status.unblock()

@@ -34,7 +34,7 @@ func ScanOracle(cur *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, e
 			}
 			c := cur.Clone()
 			p.apply(c, d)
-			r, err := simCandidate(&side, c, opt)
+			r, _, err := simCandidate(&side, c, opt)
 			if err != nil {
 				return nil, checked, err
 			}

@@ -10,10 +10,12 @@ import (
 )
 
 // Engines bundles the reusable state an Optimize or SplitBackward run
-// evaluates its candidates on: Main is the simulator, feas the feasibility
-// pre-screen's scratch. Both are buffers, not caches — every simulation
-// derives its metadata from the candidate it is given — so reusing them
-// across rounds and runs saves allocations and nothing else.
+// evaluates its candidates on: Main is the simulator, whose deadlock and
+// mismatch errors are the one legality verdict (simCandidate), and the
+// incumbent's critical chain the prepose scan filters against. The simulator
+// is a buffer, not a cache — every simulation derives its metadata from the
+// candidate it is given — so reusing a bundle across rounds and runs saves
+// allocations and nothing else.
 //
 // A bundle belongs to whoever created it, for as long as they like: a search
 // makes one per goroutine and passes it to every run through Options.Engines,
@@ -22,7 +24,6 @@ import (
 // it, a bundle serves one run at a time.
 type Engines struct {
 	Main *sim.Simulator
-	feas feasScratch
 	// chain is the critical chain of the run's incumbent, walked off Main
 	// right after the simulation that produced it — the engine holds one run
 	// at a time, and a result's encoded form has no room for it. next is the
@@ -30,7 +31,7 @@ type Engines struct {
 	chain, next []sim.Segment
 	// scan counts the per-device scan's single-device candidates by verdict:
 	// filtered left the incumbent's critical chain whole (offChain), illegal
-	// failed the untimed feasibility check, simulated paid for a propagation.
+	// deadlocked or mispaired a pop in its simulation, simulated is the rest.
 	scan struct{ filtered, illegal, simulated int64 }
 }
 
@@ -44,129 +45,6 @@ func NewEngines() *Engines {
 func (e *Engines) Report(m *telemetry.SearchMetrics) {
 	m.AddSims(e.Main.Sims)
 	m.AddScanCandidates(e.scan.filtered, e.scan.illegal, e.scan.simulated)
-}
-
-// feasScratch is the reusable state of Engines.feasible, per FIFO link of the
-// placement's resolved view and per device.
-type feasScratch struct {
-	sendKeys [][]pipeline.Key // per link: keys of its sends, in push order
-	recvOrd  []int32          // per link: receives popped so far
-	sentByPC []int32          // per link: sends executed so far
-	recvWait []int32          // per link: device blocked on it, -1 none
-	pc       []int32          // per device: next instruction index
-	queue    []int32
-	inQueue  []bool
-}
-
-// feasible reports whether every instruction of the schedule can execute
-// under the eager FIFO link semantics the simulator implements: per link
-// (sender, receiver, channel) messages are delivered in the sender's list
-// order and popped in the receiver's list order, with each pop requiring the
-// matching key. Sends never block, so executability — including the
-// deadlock/mismatch verdict — is independent of timing, and this untimed
-// check is exactly "Simulate would not return ErrDeadlock/ErrCommMismatch".
-// The prepose driver screens candidates with it before paying for a
-// simulation: illegal candidates are skipped either way, so the optimization
-// result is unchanged.
-func (e *Engines) feasible(s *pipeline.Schedule) bool {
-	D := s.NumDevices()
-	// The links are the resolved view's — the ones the simulator's FIFOs run
-	// on — so the two cannot disagree about which messages share a queue.
-	res := s.Resolved()
-	nl := res.NumLinks()
-	f := &e.feas
-	f.sendKeys = grow(f.sendKeys, nl)
-	f.recvOrd = grow(f.recvOrd, nl)
-	f.sentByPC = grow(f.sentByPC, nl)
-	f.recvWait = grow(f.recvWait, nl)
-	f.pc = grow(f.pc, D)
-	f.inQueue = grow(f.inQueue, D)
-	for l := 0; l < nl; l++ {
-		f.sendKeys[l] = f.sendKeys[l][:0]
-		f.recvOrd[l] = 0
-		f.sentByPC[l] = 0
-		f.recvWait[l] = -1
-	}
-	// Gather each link's send-key sequence (the order messages arrive in).
-	for d := 0; d < D; d++ {
-		for _, in := range s.Lists[d] {
-			if in.Kind != pipeline.SendAct && in.Kind != pipeline.SendGrad {
-				continue
-			}
-			l := res.Link(in)
-			if l < 0 {
-				return false // dangling peer; Simulate would reject it too
-			}
-			f.sendKeys[l] = append(f.sendKeys[l], in.Key())
-		}
-	}
-	// Untimed execution: run every device until it blocks on an undelivered
-	// message; a send wakes the link's waiting receiver. All-executed means
-	// feasible; a blocked or mispaired pop means Simulate errors.
-	f.queue = f.queue[:0]
-	for d := 0; d < D; d++ {
-		f.pc[d] = 0
-		f.inQueue[d] = true
-		f.queue = append(f.queue, int32(d))
-	}
-	done := 0
-	for head := 0; head < len(f.queue); head++ {
-		d := int(f.queue[head])
-		f.inQueue[d] = false
-		list := s.Lists[d]
-		i := int(f.pc[d])
-		blocked := false
-		for i < len(list) && !blocked {
-			in := list[i]
-			switch in.Kind {
-			case pipeline.SendAct, pipeline.SendGrad:
-				l := res.Link(in)
-				f.sentByPC[l]++
-				if w := f.recvWait[l]; w >= 0 {
-					f.recvWait[l] = -1
-					if !f.inQueue[w] {
-						f.inQueue[w] = true
-						f.queue = append(f.queue, w)
-					}
-				}
-			case pipeline.RecvAct, pipeline.RecvGrad:
-				l := res.Link(in)
-				if l < 0 {
-					return false
-				}
-				k := f.recvOrd[l]
-				if k >= f.sentByPC[l] {
-					// Not delivered yet; block here until the sender pushes.
-					f.recvWait[l] = int32(d)
-					blocked = true
-					continue
-				}
-				sk := f.sendKeys[l][k]
-				send := pipeline.Instr{Kind: sk.Kind, Micro: sk.Micro, Part: sk.Part, Stage: sk.Stage}
-				if s.MatchKey(send) != in.Key() {
-					return false // mispaired pop: ErrCommMismatch
-				}
-				f.recvOrd[l] = k + 1
-			}
-			i++
-		}
-		f.pc[d] = int32(i)
-		if !blocked {
-			done++
-		}
-	}
-	return done == D
-}
-
-// grow returns s resized to n, reallocating only when its capacity is short;
-// a reallocation keeps the old elements, so nested buffers survive it.
-func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	grown := make([]T, n)
-	copy(grown, s[:cap(s)])
-	return grown
 }
 
 // A forward group is the contiguous [RecvAct?, CkptForward, SendAct?] run of
@@ -190,27 +68,6 @@ func findBoundary(list []pipeline.Instr) int {
 		}
 	}
 	return -1
-}
-
-// nextGroupAfter locates the first forward group starting at or after idx.
-func nextGroupAfter(list []pipeline.Instr, idx int) (fwGroup, bool) {
-	for i := idx; i < len(list); i++ {
-		if list[i].Kind != pipeline.CkptForward {
-			continue
-		}
-		g := fwGroup{start: i, end: i + 1, cfwIdx: i, saIdx: -1}
-		if i > 0 && list[i-1].Kind == pipeline.RecvAct &&
-			list[i-1].Micro == list[i].Micro && list[i-1].Stage == list[i].Stage {
-			g.start = i - 1
-		}
-		if i+1 < len(list) && list[i+1].Kind == pipeline.SendAct &&
-			list[i+1].Micro == list[i].Micro && list[i+1].Stage == list[i].Stage {
-			g.end = i + 2
-			g.saIdx = i + 1
-		}
-		return g, true
-	}
-	return fwGroup{}, false
 }
 
 // consumerPreposed reports whether the consumer of the (micro, stage)
@@ -239,18 +96,6 @@ func consumerPreposed(s *pipeline.Schedule, micro, part, stage int) bool {
 	return false
 }
 
-// canPrepose reports whether a device list has a steady-phase forward group
-// left to move — the cheap pre-check that avoids cloning a schedule for a
-// device that cannot produce a candidate.
-func canPrepose(list []pipeline.Instr) bool {
-	b := findBoundary(list)
-	if b < 0 {
-		return false
-	}
-	_, ok := nextGroupAfter(list, b)
-	return ok
-}
-
 // A prepose is pass 4's move on one device list: the forward group g leaves
 // the steady phase and lands immediately before list[b], the first
 // backward-like instruction. Its SendAct travels along when moveSA is set and
@@ -261,21 +106,32 @@ type prepose struct {
 	moveSA bool
 }
 
-// nextPrepose returns the move for device d's next steady-phase forward
-// group, false when the device has none.
+// nextPrepose returns the move for device d's first forward group at or after
+// the boundary, false when the device has none.
 func nextPrepose(s *pipeline.Schedule, d int) (prepose, bool) {
 	list := s.Lists[d]
 	b := findBoundary(list)
 	if b < 0 {
 		return prepose{}, false
 	}
-	g, ok := nextGroupAfter(list, b)
-	if !ok {
-		return prepose{}, false
+	for i := b; i < len(list); i++ {
+		if list[i].Kind != pipeline.CkptForward {
+			continue
+		}
+		g := fwGroup{start: i, end: i + 1, cfwIdx: i, saIdx: -1}
+		if i > 0 && list[i-1].Kind == pipeline.RecvAct &&
+			list[i-1].Micro == list[i].Micro && list[i-1].Stage == list[i].Stage {
+			g.start = i - 1
+		}
+		if i+1 < len(list) && list[i+1].Kind == pipeline.SendAct &&
+			list[i+1].Micro == list[i].Micro && list[i+1].Stage == list[i].Stage {
+			g.end = i + 2
+			g.saIdx = i + 1
+		}
+		moveSA := g.saIdx >= 0 && consumerPreposed(s, list[i].Micro, list[i].Part, list[i].Stage)
+		return prepose{b: b, g: g, moveSA: moveSA}, true
 	}
-	cfw := list[g.cfwIdx]
-	moveSA := g.saIdx >= 0 && consumerPreposed(s, cfw.Micro, cfw.Part, cfw.Stage)
-	return prepose{b: b, g: g, moveSA: moveSA}, true
+	return prepose{}, false
 }
 
 // movedEnd is the end of the instructions that travel: [g.start, movedEnd).
@@ -367,21 +223,23 @@ func promoteBufferedSends(s *pipeline.Schedule) (*pipeline.Schedule, bool) {
 	return c, changed
 }
 
-// simCandidate evaluates one candidate on the given engine. It returns a nil
-// result (and nil error) when the candidate is illegal — deadlocked,
-// comm-mismatched, or over the memory limit — and must simply be skipped.
-func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (*sim.Result, error) {
-	r, err := eng.Simulate(c, opt.Estimator, opt.Sim)
+// simCandidate evaluates one candidate on the given engine and is the one
+// definition of an unusable candidate: a deadlock or a mismatched pop makes it
+// illegal, a peak over opt.Sim.MemLimit makes it OOM, and either way the
+// result is nil and the caller skips it. illegal tells the two apart; any
+// other simulation error passes through.
+func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (r *sim.Result, illegal bool, err error) {
+	r, err = eng.Simulate(c, opt.Estimator, opt.Sim)
 	if err != nil {
 		if errors.Is(err, sim.ErrCommMismatch) || errors.Is(err, sim.ErrDeadlock) {
-			return nil, nil
+			return nil, true, nil
 		}
-		return nil, err
+		return nil, false, err
 	}
 	if opt.Sim.MemLimit > 0 && r.OOM {
-		return nil, nil
+		return nil, false, nil
 	}
-	return r, nil
+	return r, false, nil
 }
 
 // improveEps is how much smaller a candidate's makespan must be to count as
@@ -421,7 +279,7 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		r, err := simCandidate(eng.Main, c, opt)
+		r, _, err := simCandidate(eng.Main, c, opt)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -430,13 +288,14 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 	// Composite candidate — one prepose on every device — because the
 	// cascaded move is both the usual winner and a single simulation. Only
 	// when it fails to improve do we pay for the per-device scan. One clone
-	// serves all the device rewrites; it is created lazily so a round with no
-	// movable groups allocates nothing.
+	// serves all the device rewrites; it is created lazily, at the first
+	// device cur has a move for (the clone, untouched until then, has the
+	// same one), so a round with no movable groups allocates nothing.
 	var comp *pipeline.Schedule
 	moves := 0
 	for d := 0; d < cur.NumDevices(); d++ {
 		if comp == nil {
-			if !canPrepose(cur.Lists[d]) {
+			if _, ok := nextPrepose(cur, d); !ok {
 				continue
 			}
 			comp = cur.Clone()
@@ -446,21 +305,20 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 			moves++
 		}
 	}
-	if moves > 0 && eng.feasible(comp) {
+	if moves > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		r, err := simCandidate(eng.Main, comp, opt)
+		r, _, err := simCandidate(eng.Main, comp, opt)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		consider(comp, r, moves)
 	}
 	if winner == nil {
-		// The per-device scan pays for a candidate in stages: nothing for one
-		// that leaves the incumbent's critical chain whole, a clone and the
-		// untimed feasibility pass for one that deadlocks or mispairs a pop,
-		// a simulation for the rest.
+		// The per-device scan refuses a candidate that leaves the incumbent's
+		// critical chain whole before cloning it, and clones and simulates
+		// the rest.
 		for d := 0; d < cur.NumDevices(); d++ {
 			p, ok := nextPrepose(cur, d)
 			if !ok {
@@ -475,15 +333,15 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 			}
 			c := cur.Clone()
 			p.apply(c, d)
-			if !eng.feasible(c) {
+			r, illegal, err := simCandidate(eng.Main, c, opt)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			if illegal {
 				eng.scan.illegal++
 				continue
 			}
 			eng.scan.simulated++
-			r, err := simCandidate(eng.Main, c, opt)
-			if err != nil {
-				return nil, nil, 0, err
-			}
 			consider(c, r, 1)
 		}
 	}

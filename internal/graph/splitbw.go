@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 
 	"mario/internal/pipeline"
@@ -29,16 +28,16 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 	eng := bundle.Main
 	// As in Optimize, candidate acceptance needs no timeline; the returned
 	// result is re-derived with the caller's options at the end.
-	innerSim := opt.Sim
-	innerSim.NoTimeline = true
+	inner := opt
+	inner.Sim.NoTimeline = true
 	cur := splitAll(s)
-	best, err := eng.Simulate(cur, opt.Estimator, innerSim)
+	best, err := eng.Simulate(cur, opt.Estimator, inner.Sim)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: simulating split schedule: %w", err)
 	}
 	// Reject the plain split if it regressed (possible when extra launch
 	// overheads outweigh the unblocking benefit).
-	if base, err := eng.Simulate(s, opt.Estimator, innerSim); err == nil && base.Total < best.Total {
+	if base, err := eng.Simulate(s, opt.Estimator, inner.Sim); err == nil && base.Total < best.Total {
 		if !opt.Sim.NoTimeline {
 			if base, err = eng.Simulate(s, opt.Estimator, opt.Sim); err != nil {
 				return nil, nil, fmt.Errorf("graph: simulating unsplit schedule: %w", err)
@@ -55,17 +54,11 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 		if !ok {
 			continue
 		}
-		r, err := eng.Simulate(cand, opt.Estimator, innerSim)
+		r, _, err := simCandidate(eng, cand, inner)
 		if err != nil {
-			if errors.Is(err, sim.ErrCommMismatch) || errors.Is(err, sim.ErrDeadlock) {
-				continue
-			}
 			return nil, nil, err
 		}
-		if opt.Sim.MemLimit > 0 && r.OOM {
-			continue
-		}
-		if r.Total < best.Total-improveEps {
+		if r != nil && r.Total < best.Total-improveEps {
 			cur, best = cand, r
 		}
 	}

@@ -27,8 +27,8 @@ type SearchMetrics struct {
 	GraphRounds *Counter
 	// ScanFiltered, ScanIllegal and ScanSimulated count the single-device
 	// candidates of those rounds' per-device scans by verdict: refused by
-	// the critical-chain filter, refused by the untimed feasibility check,
-	// simulated.
+	// the critical-chain filter, simulated into a deadlock or a mismatched
+	// pop, simulated otherwise.
 	ScanFiltered, ScanIllegal, ScanSimulated *Counter
 	// Searches counts tuner grid searches started.
 	Searches *Counter
