@@ -32,7 +32,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mario/internal/cost"
@@ -221,8 +220,10 @@ func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[Sampl
 	for d := range runners {
 		r, list := &runners[d], s.Lists[d]
 		// Key each list position once, not once per iteration: class[i] is
-		// the index in keys of list[i]'s sample class.
-		var keys []SampleKey
+		// the index in classes of list[i]'s sample class, which counts the
+		// positions that draw so that one backing holds every class's
+		// samples.
+		var classes []sampleClass
 		index := make(map[SampleKey]int)
 		class := make([]int, len(list))
 		for i, in := range list {
@@ -232,34 +233,47 @@ func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[Sampl
 			}
 			c, ok := index[k]
 			if !ok {
-				c = len(keys)
+				c = len(classes)
 				index[k] = c
-				keys = append(keys, k)
+				classes = append(classes, sampleClass{key: k})
 			}
 			class[i] = c
-		}
-		drawn := make([][]float64, len(keys))
-		for it := 0; it < iters; it++ {
-			if it == 1 {
-				// Every iteration draws what the first drew.
-				for c := range drawn {
-					drawn[c] = slices.Grow(drawn[c], len(drawn[c])*(iters-1))
-				}
+			if draws(in.Kind) {
+				classes[c].draws++
 			}
+		}
+		total := 0
+		for _, c := range classes {
+			total += c.draws * iters
+		}
+		backing := make([]float64, total)
+		drawn := make([][]float64, len(classes))
+		for c, cl := range classes {
+			n := cl.draws * iters
+			drawn[c], backing = backing[:0:n], backing[n:]
+		}
+		for it := 0; it < iters; it++ {
 			for i, in := range list {
 				if dur, ok := r.draw(in); ok {
 					drawn[class[i]] = append(drawn[class[i]], dur)
 				}
 			}
 		}
-		durations[d] = make(map[SampleKey][]float64, len(keys))
-		for c, k := range keys {
-			if drawn[c] != nil {
-				durations[d][k] = drawn[c]
+		durations[d] = make(map[SampleKey][]float64, len(classes))
+		for c, cl := range classes {
+			if cl.draws > 0 {
+				durations[d][cl.key] = drawn[c]
 			}
 		}
 	}
 	return durations, m.peakMem(s), nil
+}
+
+// sampleClass is one class of a device's samples and the number of its list
+// positions that draw.
+type sampleClass struct {
+	key   SampleKey
+	draws int
 }
 
 // devRunner is the execution state of one emulated device; only the device's
@@ -287,25 +301,31 @@ type devRunner struct {
 // executing it that does not read the virtual clock. A compute kind (the
 // all-reduce and the optimizer step included) costs overhead +
 // base·jitter·speedSlow; a send's price is its wire time, CommTime(bytes)·
-// jitter. Receives and every other kind draw nothing and report false.
+// jitter. Receives draw nothing and report false.
 func (r *devRunner) draw(in pipeline.Instr) (float64, bool) {
-	m, e := r.m, r.m.Truth
-	jitter := func() float64 { return r.devFactor * (1 + m.Noise*symmetric(r.rng)) }
-	switch in.Kind {
-	case pipeline.Forward, pipeline.CkptForward, pipeline.Backward, pipeline.Recompute,
-		pipeline.AllReduce, pipeline.OptimizerStep,
-		pipeline.BackwardInput, pipeline.BackwardWeight:
-		// The simulator's price list; only the all-reduce depends on the
-		// data-parallel degree and the stages the device owns.
-		base := sim.ComputeBase(e, in.Kind, in.Stage)
-		if in.Kind == pipeline.AllReduce {
-			base = e.AllReduceTime(r.dp, r.owned)
-		}
-		return r.overhead + base*jitter()*r.speedSlow, true
-	case pipeline.SendAct, pipeline.SendGrad:
-		return e.CommTime(p2pBytes(e, in.Kind)) * jitter(), true
+	if !draws(in.Kind) {
+		return 0, false
 	}
-	return 0, false
+	m, e := r.m, r.m.Truth
+	jitter := r.devFactor * (1 + m.Noise*symmetric(r.rng))
+	if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
+		return e.CommTime(p2pBytes(e, in.Kind)) * jitter, true
+	}
+	// The simulator's price list; only the all-reduce depends on the
+	// data-parallel degree and the stages the device owns.
+	base := sim.ComputeBase(e, in.Kind, in.Stage)
+	if in.Kind == pipeline.AllReduce {
+		base = e.AllReduceTime(r.dp, r.owned)
+	}
+	return r.overhead + base*jitter*r.speedSlow, true
+}
+
+// draws reports whether an instruction of kind k is priced by a draw from its
+// device's jitter stream: a compute kind (the all-reduce and the optimizer
+// step included) or a send. A receive draws nothing; its time is its
+// message's arrival.
+func draws(k pipeline.Kind) bool {
+	return k.IsCompute() || k == pipeline.AllReduce || k == pipeline.SendAct || k == pipeline.SendGrad
 }
 
 // exec runs one instruction: the price draw, then the links. It advances the

@@ -2,11 +2,11 @@ package pipeline
 
 // Resolved is everything a placement alone determines, resolved once into flat
 // tables: the device owning a (part, stage) cell, the partition a micro-batch
-// rides at a stage, the peer device and FIFO link of a communication
+// rides at a stage, the peer device, FIFO link and transfer of a communication
 // instruction, the stages resident on a device, and the dense slot of a Key in
-// the schedule's (kind, part, micro, stage) box. The simulator, the graph
-// tuner's feasibility screen, Validate, the list scheduler and the tuner's
-// bounds all read this one view; none keeps a copy of its own.
+// the schedule's (kind, part, micro, stage) box. The simulator, the device
+// runtime's links, Validate, the list scheduler and the tuner's bounds all
+// read this one view; none keeps a copy of its own.
 //
 // Placement.Device, Schedule.PeerDevice and Schedule.MatchKey remain the
 // definition: Device, PartAt and Peer answer exactly what that arithmetic
@@ -27,6 +27,11 @@ type Resolved struct {
 	// link is [(kind-SendAct)*rows*stages + row*stages+stage] → link id, -1 for
 	// a transfer with no other end (no such stage, or no such device).
 	link []int32
+	// pair, laid out as link, names the transfer a communication cell takes
+	// part in by its send-side cell: row*stages+stage of the SendAct or, offset
+	// by rows*stages, of the SendGrad. Both ends of a transfer hold the same
+	// value; -1 where link is.
+	pair []int32
 	ends []linkEnds // link id → its two devices and channel
 	// resident[d] lists the distinct stages device d holds, ascending.
 	resident [][]int
@@ -40,8 +45,7 @@ type linkEnds struct {
 }
 
 // numCommKinds counts the point-to-point kinds, which are contiguous from
-// SendAct: the link table and the communication slots are laid out by
-// kind-SendAct.
+// SendAct: the link and pair tables are laid out by kind-SendAct.
 const numCommKinds = int(RecvGrad-SendAct) + 1
 
 // Resolve fills the resolved view of pl for schedules of micros micro-batches.
@@ -55,12 +59,12 @@ func Resolve(pl Placement, micros int) *Resolved {
 	if follows {
 		r.rows = 1
 	}
-	// One int32 array holds both tables, one int array the resident lists and
-	// the counts they are carved by: a search resolves a placement per probed
-	// grid point, so the allocations are counted.
+	// One int32 array holds the three tables, one int array the resident
+	// lists and the counts they are carved by: a search resolves a placement
+	// per probed grid point, so the allocations are counted.
 	cells := r.rows * S
-	tab := make([]int32, (1+numCommKinds)*cells)
-	r.dev, r.link = tab[:cells], tab[cells:]
+	tab := make([]int32, (1+2*numCommKinds)*cells)
+	r.dev, r.link, r.pair = tab[:cells], tab[cells:(1+numCommKinds)*cells], tab[(1+numCommKinds)*cells:]
 	if follows {
 		r.partOf = make([]int32, S)
 		for st := range r.partOf {
@@ -115,15 +119,15 @@ func (r *Resolved) eachResident(f func(d, st int)) {
 }
 
 // resolveLinks numbers the FIFO links — one per (sender, receiver, channel) —
-// and files both ends of every transfer under its link. Transfers are walked
-// from the sending side, device by device over the resident cells, so the
-// links out of one device are numbered consecutively and a repeated (receiver,
-// channel) — an interleaved device sends two chunks' activations to the same
-// neighbour — is found by scanning that short run.
+// and files both ends of every transfer under its link and its send-side cell.
+// Transfers are walked from the sending side, device by device over the
+// resident cells, so the links out of one device are numbered consecutively
+// and a repeated (receiver, channel) — an interleaved device sends two chunks'
+// activations to the same neighbour — is found by scanning that short run.
 func (r *Resolved) resolveLinks() {
 	S, cells := r.stages, r.rows*r.stages
 	for i := range r.link {
-		r.link[i] = -1
+		r.link[i], r.pair[i] = -1, -1
 	}
 	r.ends = make([]linkEnds, 0, 2*cells)
 	for d, stages := range r.resident {
@@ -147,8 +151,15 @@ func (r *Resolved) resolveLinks() {
 					if id == len(r.ends) {
 						r.ends = append(r.ends, e)
 					}
-					r.link[int(k-SendAct)*cells+row*S+st] = int32(id)
-					r.link[int(recv.Kind-SendAct)*cells+rc] = int32(id)
+					// The gradient channel's send cells follow the
+					// activation channel's in the pair numbering.
+					p := row*S + st
+					if k == SendGrad {
+						p += cells
+					}
+					send, peer := int(k-SendAct)*cells+row*S+st, int(recv.Kind-SendAct)*cells+rc
+					r.link[send], r.link[peer] = int32(id), int32(id)
+					r.pair[send], r.pair[peer] = int32(p), int32(p)
 				}
 			}
 		}
@@ -265,18 +276,28 @@ func (r *Resolved) Slot(k Key) int {
 	return ((int(k.Kind)*r.rows+row)*(r.micros+1)+m)*r.stages + k.Stage
 }
 
-// CommSlots returns the size of the key space CommSlot indexes: the
-// communication kinds' share of Slots.
-func (r *Resolved) CommSlots() int { return numCommKinds * r.box() }
+// Transfers returns the number of transfer slots CommPair hands out: one per
+// send-side cell of either channel and micro-batch coordinate.
+func (r *Resolved) Transfers() int { return 2 * r.box() }
 
-// CommSlot is Slot restricted to communication keys and rebased to start at
-// zero, for indexes that hold nothing else; -1 for any other key.
-func (r *Resolved) CommSlot(k Key) int {
-	if !k.Kind.IsComm() {
-		return -1
+// CommPair returns, from one cell lookup, the link a communication instruction
+// travels on (as Link) and its transfer slot in [0, Transfers): the send-side
+// cell's pair·(micros+1) + micro+1, the same at both ends of a transfer and
+// distinct across transfers. The slot is -1 when the instruction is no
+// communication, lies outside the box, or its transfer has no other end.
+// Where the partition follows the stage the part is ignored, as MatchKey
+// ignores it: an instruction whose part is not its stage's chunk gets the
+// chunk's transfer, though Slot places its own key outside the box.
+func (r *Resolved) CommPair(in Instr) (link, slot int) {
+	m := in.Micro + 1
+	c := r.cell(in.Part, in.Stage)
+	if !in.Kind.IsComm() || c < 0 {
+		return -1, -1
 	}
-	if s := r.Slot(k); s >= 0 {
-		return s - int(SendAct)*r.box()
+	i := int(in.Kind-SendAct)*r.rows*r.stages + c
+	link, slot = int(r.link[i]), -1
+	if p := int(r.pair[i]); p >= 0 && m >= 0 && m <= r.micros {
+		slot = p*(r.micros+1) + m
 	}
-	return -1
+	return link, slot
 }

@@ -98,6 +98,8 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 			links := map[[3]int]int{} // oracle link → resolved id
 			ids := map[int][3]int{}   // and back
 			slots := map[int]Key{}
+			transfers := map[int]Key{} // transfer slot → its send's key
+			transferSlots := map[Key]int{}
 			for part := -2; part < P+2; part++ {
 				for stage := -2; stage < S+2; stage++ {
 					if got, want := r.Device(part, stage), pl.Device(part, stage); got != want {
@@ -132,12 +134,14 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 						}
 						for micro := -3; micro < micros+2; micro++ {
 							key := Key{Kind: k, Micro: micro, Part: part, Stage: stage}
+							checkCommPair(t, r, Instr{Kind: k, Micro: micro, Part: part, Stage: stage},
+								inBox(part, stage) && micro >= NoMicro && micro < micros, transfers, transferSlots)
 							inside := k < numKinds && micro >= NoMicro && micro < micros && stage >= 0 && stage < S &&
 								part >= 0 && part < P && (!follows || part == oraclePart(pl, part, stage))
 							slot := r.Slot(key)
 							if !inside {
-								if slot != -1 || r.CommSlot(key) != -1 {
-									t.Fatalf("Slot(%+v) = %d, CommSlot %d, want -1 outside the box", key, slot, r.CommSlot(key))
+								if slot != -1 {
+									t.Fatalf("Slot(%+v) = %d, want -1 outside the box", key, slot)
 								}
 								continue
 							}
@@ -155,13 +159,6 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 									t.Fatalf("Slot(%+v) = %d, want %d", key, slot, old)
 								}
 							}
-							cs := r.CommSlot(key)
-							if !k.IsComm() && cs != -1 {
-								t.Fatalf("CommSlot(%+v) = %d for a non-communication key", key, cs)
-							}
-							if k.IsComm() && (cs < 0 || cs >= r.CommSlots() || cs != slot-r.Slot(Key{Kind: SendAct, Micro: NoMicro, Part: oraclePart(pl, 0, 0)})) {
-								t.Fatalf("CommSlot(%+v) = %d of %d, Slot %d", key, cs, r.CommSlots(), slot)
-							}
 						}
 					}
 				}
@@ -171,6 +168,51 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkCommPair holds CommPair(in) to the definition. Its link is Link's. Its
+// slot is -1 off a communication, outside the box (inBox: the instruction's
+// cell and micro-batch), and where the slot of the partner's key — MatchKey,
+// then Slot — is -1, as matches were once resolved; otherwise it lies in
+// [0, Transfers), equals the partner's, and names one transfer, the one whose
+// send transfers records.
+func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers map[int]Key, transferSlots map[Key]int) {
+	t.Helper()
+	link, slot := r.CommPair(in)
+	if want := r.Link(in); link != want {
+		t.Fatalf("CommPair(%+v) link %d, Link %d", in, link, want)
+	}
+	if !in.Kind.IsComm() || !inBox {
+		if slot != -1 {
+			t.Fatalf("CommPair(%+v) slot %d, want -1 off a communication or outside the box", in, slot)
+		}
+		return
+	}
+	partner := matchKey(r.pl, in)
+	if r.Slot(partner) < 0 {
+		if slot != -1 {
+			t.Fatalf("CommPair(%+v) slot %d, want -1: its partner %+v lies outside the box", in, slot, partner)
+		}
+		return
+	}
+	if slot < 0 || slot >= r.Transfers() {
+		t.Fatalf("CommPair(%+v) slot %d, want within %d", in, slot, r.Transfers())
+	}
+	pin := Instr{Kind: partner.Kind, Micro: partner.Micro, Part: partner.Part, Stage: partner.Stage}
+	if _, other := r.CommPair(pin); other != slot {
+		t.Fatalf("CommPair(%+v) slot %d, its partner %+v's %d", in, slot, partner, other)
+	}
+	send := partner
+	if in.Kind == SendAct || in.Kind == SendGrad {
+		send = Key{Kind: in.Kind, Micro: in.Micro, Part: r.PartAt(in.Part, in.Stage), Stage: in.Stage}
+	}
+	if prev, seen := transfers[slot]; seen && prev != send {
+		t.Fatalf("transfers of %+v and %+v share slot %d", prev, send, slot)
+	}
+	if prev, seen := transferSlots[send]; seen && prev != slot {
+		t.Fatalf("transfer of %+v has slots %d and %d", send, prev, slot)
+	}
+	transfers[slot], transferSlots[send] = send, slot
 }
 
 // TestScheduleResolvedIsSharedNotStale: a constructed schedule and its clones

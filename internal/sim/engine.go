@@ -14,8 +14,8 @@ type fifoMsg struct {
 	arrive   float64
 }
 
-// commLoc is one slot of the flat communication index: the registered
-// instruction's device + 1 (zero = no instruction at this coordinate) and its
+// commLoc is one entry of the flat communication index: the registered
+// instruction's device + 1 (zero = no instruction registered here) and its
 // list index.
 type commLoc struct {
 	dev1, idx int32
@@ -25,15 +25,30 @@ type commLoc struct {
 // simulated, rebuilt by every call into buffers kept for the next.
 type devState struct {
 	list  []pipeline.Instr
-	metas []meta
-	// comm indexes the communication instructions of list, in list order.
-	comm []int32
+	metas []meta // this device's run of Simulator.metaBuf
 
 	arDur  float64 // AllReduce duration for this device's stage set
 	slow   float64 // compute slowdown multiplier (1 = nominal speed)
 	static float64 // framework + owned-weight bytes
 	peak   float64 // peak memory of list
 	busy   float64 // compute-busy total of list
+
+	// propagation state, reset every run: the device's clock, the index of
+	// its next instruction, and whether it sits in the ready queue.
+	clock  float64
+	pc     int
+	queued bool
+}
+
+// linkState is one FIFO link's propagation state.
+type linkState struct {
+	// head and tail bound the link's in-flight messages, fifo[head:tail].
+	// The setup walk counts the link's sends into tail; propagate turns the
+	// counts into each link's run of fifo, which its sends then fill.
+	head, tail int32
+	// wait is the device blocked on the link's empty FIFO (-1 none); each
+	// link has exactly one receiver, so one slot suffices.
+	wait int32
 }
 
 // Simulator is a reusable simulation engine: scratch, not a cache. Every
@@ -42,10 +57,11 @@ type devState struct {
 // one full event-driven propagation, so its results are bit-identical to the
 // package-level Simulate whatever it simulated before, and a caller may edit a
 // list or an estimator in place between calls. What carries over is capacity:
-// the per-device metadata, the memory walk and the propagation buffers (ready
-// queue, FIFO links) are reused when they are big enough, so steady-state
-// re-simulation performs O(1) heap allocations per call regardless of schedule
-// size.
+// the metadata, the communication index, the memory walk and the propagation
+// buffers (ready queue, FIFO links) are reused when they are big enough, and
+// each is one backing carved per call, so steady-state re-simulation performs
+// O(1) heap allocations per call and growing to a bigger schedule O(1) more,
+// regardless of schedule size.
 //
 // The zero value is ready to use. A Simulator is not safe for concurrent use;
 // give each worker goroutine its own.
@@ -56,12 +72,14 @@ type Simulator struct {
 	Sims int64
 
 	// res is the simulated schedule's resolved placement: the resident
-	// stages, the link ids and the communication slots idx is laid out by.
+	// stages, the links and the transfer slots idx is laid out by.
 	res     *pipeline.Resolved
 	nStages int
 
-	devs []devState
-	// idx locates communication instructions by Resolved.CommSlot. Entries
+	devs    []devState
+	metaBuf []meta // every device's metas, device-major
+	// idx locates communication instructions by transfer: entry 2·slot is
+	// the send of Resolved.CommPair's slot, 2·slot+1 its receive. Entries
 	// store device+1 so the zero value means "absent" and reset is a memclr.
 	idx []commLoc
 
@@ -69,21 +87,17 @@ type Simulator struct {
 
 	// durTab holds per-(kind, stage) compute durations and actComm/gradComm
 	// the two p2p transfer latencies, all derived from the call's estimator;
-	// rebuildDevice fills metas from these instead of re-deriving per
-	// instruction.
+	// fillMeta fills metas from these instead of re-deriving per instruction.
 	durTab            []float64
 	actComm, gradComm float64
 
 	// propagation scratch, reset (not reallocated) every run.
-	clock    []float64
-	pc       []int
-	fifos    [][]fifoMsg
-	fifoHead []int
-	queue    []int32
-	inQueue  []bool
-	// linkWait[l] is the device blocked on link l's empty FIFO (-1 none);
-	// each link has exactly one receiver, so one slot suffices.
-	linkWait []int32
+	links []linkState
+	fifo  []fifoMsg
+	// queue is a ring of one slot per device — a device is queued at most
+	// once — holding qLen devices from qHead.
+	queue       []int32
+	qHead, qLen int
 }
 
 // Simulate runs the dynamic-programming timeline and memory simulation,
@@ -99,9 +113,9 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 	}
 	m.bind(s, e, dp)
 	for d := range m.devs {
-		m.rebuildDevice(s, e, d)
+		m.rebuildDevice(e, s.Micros, d)
 	}
-	if err := m.resolveMatches(s); err != nil {
+	if err := m.resolveMatches(); err != nil {
 		return nil, err
 	}
 
@@ -140,22 +154,29 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 }
 
 // bind derives everything the call's arguments fix above the instruction
-// level: the placement view, the duration table, each device's slowdown,
-// all-reduce time and static memory, and an empty communication index.
+// level: the placement view, the duration table, each device's list, metadata
+// run, slowdown, all-reduce time and static memory, an empty communication
+// index and zeroed per-link send counts.
 func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
 	m.res, m.nStages = s.Resolved(), s.NumStages()
 	m.devs = grow(m.devs, s.NumDevices())
+	total := 0
+	for d := range m.devs {
+		total += len(s.Lists[d])
+	}
+	m.metaBuf = grow(m.metaBuf, total)
+	off := 0
 	for d := range m.devs {
 		ds := &m.devs[d]
+		list := s.Lists[d]
+		ds.list, ds.metas = list, m.metaBuf[off:off+len(list):off+len(list)]
+		off += len(list)
 		stages := m.res.Stages(d)
 		// Multiplying by the homogeneous slowdown 1 is bit-exact, so the
 		// scale is applied unconditionally.
 		ds.slow = e.SlowOf(d)
 		ds.arDur = e.LaunchOverhead + e.AllReduceTime(dp, stages)*ds.slow
-		ds.static = e.FrameworkMem
-		for _, st := range stages {
-			ds.static += e.WeightBytes[st]
-		}
+		ds.static = staticMem(e, stages)
 	}
 	m.durTab = grow(m.durTab, int(pipeline.BackwardWeight+1)*m.nStages)
 	for st := 0; st < m.nStages; st++ {
@@ -168,64 +189,61 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
 		m.durTab[int(pipeline.OptimizerStep)*m.nStages+st] = e.LaunchOverhead + e.OptTime
 	}
 	m.actComm, m.gradComm = e.CommTime(e.ActP2PBytes), e.CommTime(e.GradP2PBytes)
-	m.idx = grow(m.idx, m.res.CommSlots())
+	m.idx = grow(m.idx, 2*m.res.Transfers())
 	clear(m.idx)
+	m.links = grow(m.links, m.res.NumLinks())
+	clear(m.links)
 }
 
-// rebuildDevice derives device d's metadata, memory peak and busy total from
-// its list and registers its communication keys. Matches are left unresolved:
-// resolveMatches runs once every device has registered.
-func (m *Simulator) rebuildDevice(s *pipeline.Schedule, e *cost.Estimator, d int) {
-	list := s.Lists[d]
+// rebuildDevice walks device d's list once: it derives each instruction's
+// metadata, registers the communication instructions, counts each link's
+// sends, and steps the memory simulation, leaving the device's peak and busy
+// total. Matches are left unresolved: resolveMatches runs once every device
+// has registered.
+func (m *Simulator) rebuildDevice(e *cost.Estimator, micros, d int) {
 	ds := &m.devs[d]
-	ds.list = list
-	ds.metas = grow(ds.metas, len(list))
-	ds.comm = ds.comm[:0]
+	m.mem.rebind(e, micros, m.nStages, ds.static, ds.list)
 	busy := 0.0
-	for i, in := range list {
-		if m.fillMeta(e, ds, d, i, in) {
-			ds.comm = append(ds.comm, int32(i))
-		}
+	for i, in := range ds.list {
+		m.fillMeta(e, ds, d, i, in)
 		if mt := &ds.metas[i]; mt.compute {
 			busy += mt.dur
 		}
-	}
-	ds.busy = busy
-
-	m.mem.rebind(e, s.Micros, m.nStages, ds.static, list)
-	for _, in := range list {
 		m.mem.Step(in)
 	}
-	ds.peak = m.mem.Peak()
+	ds.busy, ds.peak = busy, m.mem.Peak()
 }
 
-// resolveMatches points every communication instruction at its matched peer.
-// The scan runs device-major in list order, so the first unmatched
-// instruction it reports is the same on every call.
-func (m *Simulator) resolveMatches(s *pipeline.Schedule) error {
+// resolveMatches points every communication instruction at its matched peer,
+// reading the index entry fillMeta left in its metadata. The scan runs
+// device-major in list order, so the first unmatched instruction it reports
+// is the same on every call.
+func (m *Simulator) resolveMatches() error {
 	for d := range m.devs {
 		ds := &m.devs[d]
-		for _, ci := range ds.comm {
-			in := ds.list[ci]
+		for i := range ds.metas {
+			mt := &ds.metas[i]
+			if mt.class == classCompute {
+				continue
+			}
 			var loc commLoc
-			if slot := m.res.CommSlot(s.MatchKey(in)); slot >= 0 {
-				loc = m.idx[slot]
+			if mt.matchIdx >= 0 {
+				loc = m.idx[mt.matchIdx]
 			}
 			if loc.dev1 == 0 {
-				return fmt.Errorf("sim: %s on device %d has no matching instruction", in, d)
+				return fmt.Errorf("sim: %s on device %d has no matching instruction", ds.list[i], d)
 			}
-			mt := &ds.metas[ci]
 			mt.matchDev, mt.matchIdx = loc.dev1-1, loc.idx
 		}
 	}
 	return nil
 }
 
-// fillMeta derives device d's metadata for instruction i — duration or comm
-// latency, class, link id — registers communication keys in the comm index,
-// and reports whether the instruction is a communication (the caller indexes
-// it in ds.comm).
-func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipeline.Instr) bool {
+// fillMeta derives device d's metadata for instruction i: duration or comm
+// latency, class, and for a communication its link, its registration in the
+// comm index and its partner's index entry, which it parks in matchIdx for
+// resolveMatches. A send also counts toward its link's FIFO capacity.
+func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipeline.Instr) {
 	mt := &ds.metas[i]
 	*mt = meta{matchDev: -1, matchIdx: -1}
 	switch in.Kind {
@@ -252,24 +270,34 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 		if in.Kind == pipeline.SendGrad || in.Kind == pipeline.RecvGrad {
 			mt.comm = m.gradComm
 		}
+		side := 1
 		mt.class = classRecv
 		if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
+			side = 0
 			mt.class = classSend
 		}
-		// A transfer with no other end has no link and no match either;
-		// resolveMatches reports that before propagation can touch the dummy
-		// link.
-		if l := m.res.Link(in); l >= 0 {
-			mt.link = int32(l)
+		// A transfer with no other end has no link and no slot either;
+		// resolveMatches reports that before propagation can touch the
+		// dummy link.
+		link, slot := m.res.CommPair(in)
+		if link >= 0 {
+			mt.link = int32(link)
+			if side == 0 {
+				m.links[link].tail++
+			}
 		}
-		if slot := m.res.CommSlot(in.Key()); slot >= 0 {
-			m.idx[slot] = commLoc{dev1: int32(d) + 1, idx: int32(i)}
+		if slot >= 0 {
+			mt.matchIdx = int32(2*slot + 1 - side)
+			// Slot's box holds only a stage's own chunk where the partition
+			// follows the stage: an instruction of another part finds its
+			// partner but is not found.
+			if m.res.PartAt(in.Part, in.Stage) == in.Part {
+				m.idx[2*slot+side] = commLoc{dev1: int32(d) + 1, idx: int32(i)}
+			}
 		}
-		return true
 	default:
 		mt.dur = e.LaunchOverhead
 	}
-	return false
 }
 
 // ComputeBase returns the unscaled estimator latency of a compute kind on the
@@ -305,40 +333,39 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 // bit-identical to the round-robin result.
 func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error {
 	D := len(m.devs)
-	m.clock = grow(m.clock, D)
-	m.pc = grow(m.pc, D)
-	clear(m.clock)
-	clear(m.pc)
-	nLinks := m.res.NumLinks()
-	m.fifos = grow(m.fifos, nLinks)
-	m.fifoHead = grow(m.fifoHead, nLinks)
-	m.linkWait = grow(m.linkWait, nLinks)
-	for l := 0; l < nLinks; l++ {
-		m.fifos[l] = m.fifos[l][:0]
-		m.fifoHead[l] = 0
-		m.linkWait[l] = -1
+	m.queue = grow(m.queue, D)
+	for d := range m.devs {
+		ds := &m.devs[d]
+		ds.clock, ds.pc, ds.queued = 0, 0, true
+		m.queue[d] = int32(d)
 	}
-	m.inQueue = grow(m.inQueue, D)
-	m.queue = m.queue[:0]
-	for d := 0; d < D; d++ {
-		m.inQueue[d] = true
-		m.queue = append(m.queue, int32(d))
+	m.qHead, m.qLen = 0, D
+	// Each link's run of fifo holds exactly the sends the walk counted.
+	off := int32(0)
+	for l := range m.links {
+		ls := &m.links[l]
+		n := ls.tail
+		ls.head, ls.tail, ls.wait = off, off, -1
+		off += n
 	}
+	m.fifo = grow(m.fifo, int(off))
 
-	for head := 0; head < len(m.queue); head++ {
-		d := int(m.queue[head])
-		m.inQueue[d] = false
+	for m.qLen > 0 {
+		d := int(m.queue[m.qHead])
+		m.qHead, m.qLen = (m.qHead+1)%D, m.qLen-1
+		m.devs[d].queued = false
 		if err := m.runDevice(d, e, opt, res); err != nil {
 			return err
 		}
 	}
 
-	for d := 0; d < D; d++ {
-		if m.pc[d] < len(m.devs[d].list) {
-			return fmt.Errorf("%w: device %d blocked at %s", ErrDeadlock, d, m.devs[d].list[m.pc[d]])
+	for d := range m.devs {
+		ds := &m.devs[d]
+		if ds.pc < len(ds.list) {
+			return fmt.Errorf("%w: device %d blocked at %s", ErrDeadlock, d, ds.list[ds.pc])
 		}
-		if m.clock[d] > res.Total {
-			res.Total = m.clock[d]
+		if ds.clock > res.Total {
+			res.Total = ds.clock
 		}
 	}
 	return nil
@@ -349,8 +376,8 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 	ds := &m.devs[d]
 	list := ds.list
 	metas := ds.metas
-	i := m.pc[d]
-	clock := m.clock[d]
+	i := ds.pc
+	clock := ds.clock
 	for i < len(list) {
 		mt := &metas[i]
 		start := clock
@@ -359,27 +386,26 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 			clock = start + mt.dur
 		case classSend:
 			clock = start + e.LaunchOverhead
-			m.fifos[mt.link] = append(m.fifos[mt.link], fifoMsg{
-				dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm,
-			})
-			if w := m.linkWait[mt.link]; w >= 0 {
-				m.linkWait[mt.link] = -1
+			ls := &m.links[mt.link]
+			m.fifo[ls.tail] = fifoMsg{dev: mt.matchDev, idx: mt.matchIdx, arrive: clock + mt.comm}
+			ls.tail++
+			if w := ls.wait; w >= 0 {
+				ls.wait = -1
 				m.enqueue(w)
 			}
 		case classRecv:
-			q := m.fifos[mt.link]
-			h := m.fifoHead[mt.link]
-			if h >= len(q) {
-				m.linkWait[mt.link] = int32(d)
+			ls := &m.links[mt.link]
+			if ls.head >= ls.tail {
+				ls.wait = int32(d)
 				goto blocked
 			}
-			msg := q[h]
+			msg := m.fifo[ls.head]
 			if int(msg.dev) != d || int(msg.idx) != i {
-				m.pc[d], m.clock[d] = i, clock
+				ds.pc, ds.clock = i, clock
 				return fmt.Errorf("%w: device %d expects %s but link head is for dev%d[%d]",
 					ErrCommMismatch, d, list[i], msg.dev, msg.idx)
 			}
-			m.fifoHead[mt.link] = h + 1
+			ls.head++
 			clock = start + e.LaunchOverhead
 			mt.late = msg.arrive > clock
 			if mt.late {
@@ -392,7 +418,7 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 		i++
 	}
 blocked:
-	m.pc[d], m.clock[d] = i, clock
+	ds.pc, ds.clock = i, clock
 	return nil
 }
 
@@ -415,7 +441,7 @@ func (m *Simulator) CriticalChain(dst []Segment) []Segment {
 	}
 	d := 0
 	for o := range m.devs {
-		if m.clock[o] > m.clock[d] {
+		if m.devs[o].clock > m.devs[d].clock {
 			d = o
 		}
 	}
@@ -435,19 +461,19 @@ func (m *Simulator) CriticalChain(dst []Segment) []Segment {
 }
 
 func (m *Simulator) enqueue(d int32) {
-	if !m.inQueue[d] {
-		m.inQueue[d] = true
-		m.queue = append(m.queue, d)
+	if ds := &m.devs[d]; !ds.queued {
+		ds.queued = true
+		m.queue[(m.qHead+m.qLen)%len(m.queue)] = d
+		m.qLen++
 	}
 }
 
-// grow returns s resized to n, reallocating only when its capacity is short;
-// a reallocation keeps the old elements, so nested buffers survive it.
+// grow returns s resized to n, reallocating only when its capacity is short.
+// Nothing in a buffer outlives the call that fills it, so a reallocation
+// copies nothing.
 func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	grown := make([]T, n)
-	copy(grown, s[:cap(s)])
-	return grown
+	return make([]T, n)
 }

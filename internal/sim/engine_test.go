@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mario/internal/cost"
@@ -159,6 +160,49 @@ func TestSimulatorErrorPathsMatch(t *testing.T) {
 	}
 	assertSameOutcome(t, "mismatch", eng, mism, e, Options{})
 
+	// Transfers with no partner. Each row's error text is pinned as it was
+	// when matches were resolved by hashing every MatchKey: the culprit is
+	// the first unmatched instruction, device-major in list order.
+	type I = pipeline.Instr
+	const (
+		fw = pipeline.Forward
+		sa = pipeline.SendAct
+		ra = pipeline.RecvAct
+	)
+	for _, tc := range []struct {
+		name   string
+		pl     pipeline.Placement
+		micros int
+		lists  [][]I
+		want   string
+	}{
+		{"send whose receive is missing", pipeline.NewLinearPlacement(2), 1, [][]I{
+			{{Kind: fw, Stage: 0}, {Kind: sa, Stage: 0}},
+			{{Kind: fw, Stage: 1}},
+		}, "sim: SA0^0 on device 0 has no matching instruction"},
+		{"last-stage send", pipeline.NewLinearPlacement(2), 1, [][]I{
+			{{Kind: fw, Stage: 0}, {Kind: sa, Stage: 0}},
+			{{Kind: ra, Stage: 1}, {Kind: fw, Stage: 1}, {Kind: sa, Stage: 1}},
+		}, "sim: SA0^0 on device 1 has no matching instruction"},
+		{"micro out of range", pipeline.NewLinearPlacement(2), 1, [][]I{
+			{{Kind: fw, Micro: 1, Stage: 0}, {Kind: sa, Micro: 1, Stage: 0}},
+			{{Kind: ra, Micro: 1, Stage: 1}, {Kind: fw, Micro: 1, Stage: 1}},
+		}, "sim: SA1^0 on device 0 has no matching instruction"},
+		// Stage 0's chunk is part 0. The send of part 1 still finds the
+		// receive, but the receive does not find it.
+		{"interleaved send of the wrong part", pipeline.NewInterleavedPlacement(2, 2), 1, [][]I{
+			{{Kind: fw, Stage: 0}, {Kind: sa, Part: 1, Stage: 0}},
+			{{Kind: ra, Stage: 1}, {Kind: fw, Stage: 1}},
+		}, "sim: RA0^0 on device 1 has no matching instruction"},
+	} {
+		s := &pipeline.Schedule{Scheme: pipeline.Scheme1F1B, Placement: tc.pl, Micros: tc.micros, Lists: tc.lists}
+		e := cost.Uniform(tc.pl.NumStages(), 1, 2, 0.25)
+		assertSameOutcome(t, tc.name, eng, s, e, Options{})
+		if _, err := eng.Simulate(s, e, Options{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
 	// After an error the engine must rebuild cleanly.
 	good := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 2, Micros: 4})
 	assertSameOutcome(t, "recovery", eng, good, e, Options{})
@@ -192,6 +236,67 @@ func TestSimulatorSteadyStateAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%s: steady-state Simulate allocates %.0f objects/run, want ≤ 6", tc.name, allocs)
 		}
+	}
+}
+
+// TestSimulatorGrowthAllocs: every buffer an engine keeps is one backing,
+// carved per call, so the call that grows a warm engine to a bigger schedule
+// allocates the same number of objects whatever the number of devices and
+// links, and the next call is back at the steady state.
+func TestSimulatorGrowthAllocs(t *testing.T) {
+	opt := Options{NoTimeline: true}
+	simulate := func(eng *Simulator, devices int) {
+		t.Helper()
+		s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: devices, Micros: 2 * devices})
+		if _, err := eng.Simulate(s, cost.Uniform(devices, 1, 2, 0.25), opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// growth returns the objects the 2 → devices growth call allocates, the
+	// fewest of three tries so a stray runtime allocation cannot count.
+	growth := func(devices int) uint64 {
+		s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: devices, Micros: 2 * devices})
+		e := cost.Uniform(devices, 1, 2, 0.25)
+		fewest := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			eng := &Simulator{}
+			simulate(eng, 2)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := eng.Simulate(s, e, opt)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	// The Result (three objects), the engine's seven buffers (devices,
+	// metadata, duration table, communication index, links, FIFO backing,
+	// ready ring) and the memory walk's three cell maps.
+	want := growth(32)
+	if want > 13 {
+		t.Errorf("growing 2 → 32 devices allocates %d objects, want ≤ 13", want)
+	}
+	for _, devices := range []int{4, 8, 16} {
+		if got := growth(devices); got != want {
+			t.Errorf("growing 2 → %d devices allocates %d objects, 2 → 32 allocates %d: growth depends on size", devices, got, want)
+		}
+	}
+
+	eng := &Simulator{}
+	simulate(eng, 2)
+	simulate(eng, 32)
+	s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 32, Micros: 64})
+	e := cost.Uniform(32, 1, 2, 0.25)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := eng.Simulate(s, e, opt); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 6 {
+		t.Errorf("warm Simulate after growth allocates %.0f objects/run, want ≤ 6", allocs)
 	}
 }
 

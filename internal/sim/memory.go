@@ -52,12 +52,18 @@ type MemSim struct {
 // device's static memory (framework + owned weights).
 func NewMemSim(s *pipeline.Schedule, e *cost.Estimator, d int) *MemSim {
 	m := &MemSim{}
+	m.rebind(e, s.Micros, s.NumStages(), staticMem(e, s.Resolved().Stages(d)), s.Lists[d])
+	return m
+}
+
+// staticMem is a device's static memory: the framework's plus the weights of
+// the stages it holds.
+func staticMem(e *cost.Estimator, stages []int) float64 {
 	static := e.FrameworkMem
-	for _, st := range s.Resolved().Stages(d) {
+	for _, st := range stages {
 		static += e.WeightBytes[st]
 	}
-	m.rebind(e, s.Micros, s.NumStages(), static, s.Lists[d])
-	return m
+	return static
 }
 
 // rebind reinitialises the tracker in place for another device list, reusing
@@ -175,8 +181,9 @@ func (m *MemSim) Peak() float64 { return m.peak }
 // cluster emulator reuses it as the allocator ground truth.
 func PeakMemory(s *pipeline.Schedule, e *cost.Estimator) []float64 {
 	peaks := make([]float64, s.NumDevices())
+	var ms MemSim
 	for d, list := range s.Lists {
-		ms := NewMemSim(s, e, d)
+		ms.rebind(e, s.Micros, s.NumStages(), staticMem(e, s.Resolved().Stages(d)), list)
 		for _, in := range list {
 			ms.Step(in)
 		}

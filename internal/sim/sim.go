@@ -109,18 +109,21 @@ const (
 	classRecv
 )
 
-// meta is the precomputed per-instruction simulation metadata.
+// meta is the precomputed per-instruction simulation metadata. The fields are
+// ordered so that one takes 32 bytes.
 type meta struct {
-	class instClass
 	// dur is the compute duration (overhead included) for classCompute.
 	dur float64
 	// comm is the transfer latency for sends/receives.
 	comm float64
 	// matchDev/matchIdx locate the paired instruction for comm classes
-	// (-1 when unmatched, which Validate would reject).
+	// (-1 when unmatched, which Validate would reject). Until the engine
+	// resolves the matches, matchIdx holds the partner's entry in the
+	// communication index instead.
 	matchDev, matchIdx int32
 	// link indexes the FIFO this comm instruction uses.
-	link int32
+	link  int32
+	class instClass
 	// compute marks kinds counted into ComputeBusy.
 	compute bool
 	// late is run state, not metadata: the last run found this
