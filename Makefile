@@ -174,17 +174,28 @@ fleet-smoke:
 	$(GO) run ./cmd/mariod -fleet-selfcheck
 
 # Telemetry smoke: the span-tree determinism tests under the race detector
-# (canonical exports byte-identical for Workers ∈ {1,4,GOMAXPROCS}), the
-# export golden files, and a traced cmd/mario search writing all three trace
-# artifacts to a scratch dir.
+# (canonical exports byte-identical for Workers ∈ {1,4,GOMAXPROCS}), the one
+# record stream under it too (a noiseless measured run is the simulator's
+# records; drift is deterministic; a decoded plan renders and drifts like a
+# fresh one), the export golden files, a traced cmd/mario search writing all
+# three trace artifacts to a scratch dir, and a measured cmd/mario run writing
+# every timeline artifact — chart, SVG, predicted and measured Chrome traces,
+# event JSONL — and its drift report.
 telemetry-smoke:
 	$(call go-test-named,-race,TestTraceWorkerIndependence|TestSelfTimeTelescopes,./internal/tuner)
+	$(call go-test-named,-race,TestClusterMatchesSimulatorNoiseless,./internal/cluster)
+	$(call go-test-named,-race,TestComputeDriftDeterministic|TestPlanJSONDecodedPlanRuns,.)
 	$(call go-test-named,,TestGoldenExports,./internal/telemetry)
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 \
 		-search-trace "$$tmp/trace.json" -search-spans "$$tmp/spans.jsonl" \
 		-search-trace-measured "$$tmp/measured.json" -search-summary >/dev/null && \
-	test -s "$$tmp/trace.json" && test -s "$$tmp/spans.jsonl" && test -s "$$tmp/measured.json"
+	test -s "$$tmp/trace.json" && test -s "$$tmp/spans.jsonl" && test -s "$$tmp/measured.json" && \
+	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 -run 1 -viz -svg "$$tmp/best.svg" \
+		-trace "$$tmp/pred.json" -trace-measured "$$tmp/run.json" -events "$$tmp/events.jsonl" \
+		-drift >"$$tmp/out.txt" && \
+	test -s "$$tmp/out.txt" && test -s "$$tmp/best.svg" && test -s "$$tmp/pred.json" && \
+	test -s "$$tmp/run.json" && test -s "$$tmp/events.jsonl"
 
 # Heterogeneity smoke: the placement subsystem's acceptance contract (co-opt
 # strictly beats the uniform baseline in predicted AND measured throughput on

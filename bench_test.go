@@ -350,7 +350,7 @@ func BenchmarkDriftReport(b *testing.B) {
 		if st.Instrs == 0 {
 			b.Fatal("no instructions")
 		}
-		if r := obs.ComputeDrift(rep.Events, pred, rep.PeakMem); len(r.Kinds) == 0 {
+		if r := obs.ComputeDrift(rep.Events, pred.Timeline, pred.PeakMem, rep.PeakMem); len(r.Kinds) == 0 {
 			b.Fatal("empty drift report")
 		}
 	}

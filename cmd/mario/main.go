@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"time"
@@ -217,55 +218,27 @@ func main() {
 		}
 	}
 
-	if *showViz {
-		fmt.Println()
-		if err := mario.Visualize(os.Stdout, plan); err != nil {
+	if *showViz || *svgPath != "" || *tracePath != "" {
+		// Plans store no timeline: Best is re-simulated for its records, on a
+		// fresh plan exactly as on one a server sent.
+		res, err := mario.Resimulate(plan, &plan.Best)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "mario: %v\n", err)
 			os.Exit(1)
 		}
+		if *showViz {
+			fmt.Println()
+			fmt.Print(viz.ASCII(res.Timeline, 0))
+		}
+		if *svgPath != "" {
+			export(*svgPath, "SVG", func(w io.Writer) error { return viz.SVG(w, res.Timeline) })
+		}
+		if *tracePath != "" {
+			export(*tracePath, "trace", func(w io.Writer) error { return viz.ChromeTrace(w, res.Timeline) })
+		}
 	}
-	if *svgPath != "" && best.Result != nil {
-		f, err := os.Create(*svgPath)
-		if err == nil {
-			err = viz.SVG(f, best.Result)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mario: writing SVG: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *svgPath)
-	}
-	if *tracePath != "" && best.Result != nil {
-		f, err := os.Create(*tracePath)
-		if err == nil {
-			err = viz.ChromeTrace(f, best.Result)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mario: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *tracePath)
-	}
-
 	if *emitPath != "" {
-		f, err := os.Create(*emitPath)
-		if err == nil {
-			err = mario.SaveSchedule(f, best.Schedule)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mario: writing schedule: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *emitPath)
+		export(*emitPath, "schedule", func(w io.Writer) error { return mario.SaveSchedule(w, best.Schedule) })
 	}
 
 	if *runIters > 0 {
@@ -283,32 +256,10 @@ func main() {
 		}
 
 		if *measuredPath != "" {
-			f, err := os.Create(*measuredPath)
-			if err == nil {
-				err = viz.ChromeTraceMeasured(f, rep.Events)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mario: writing measured trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *measuredPath)
+			export(*measuredPath, "measured trace", func(w io.Writer) error { return viz.ChromeTrace(w, rep.Events) })
 		}
 		if *eventsPath != "" {
-			f, err := os.Create(*eventsPath)
-			if err == nil {
-				err = obs.WriteJSONL(f, rep.Events)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mario: writing events: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *eventsPath)
+			export(*eventsPath, "events", func(w io.Writer) error { return obs.WriteJSONL(w, rep.Events) })
 		}
 		if *showStats && rep.Stats != nil {
 			fmt.Println("\nmeasured per-device stats:")
@@ -324,6 +275,22 @@ func main() {
 			fmt.Print(dr.Format())
 		}
 	}
+}
+
+// export writes one artifact to path with write, exiting on failure.
+func export(path, what string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mario: writing %s: %v\n", what, err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", path)
 }
 
 // writeSearchTraces exports the search trace in the requested forms and

@@ -30,7 +30,7 @@ func ScoredSchedules(conf Config, model ModelConfig) (map[string]string, error) 
 // RebuiltSchedule returns the text of the schedule Resimulate runs for c: the
 // one c carries, or the one rebuilt from its coordinates and the plan's space.
 func RebuiltSchedule(p *Plan, c *tuner.Candidate) (string, error) {
-	sched, _, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.space)
+	sched, _, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), c, p.space)
 	if err != nil {
 		return "", err
 	}

@@ -309,7 +309,7 @@ func (r *devRunner) draw(in pipeline.Instr) (float64, bool) {
 	m, e := r.m, r.m.Truth
 	jitter := r.devFactor * (1 + m.Noise*symmetric(r.rng))
 	if in.Kind == pipeline.SendAct || in.Kind == pipeline.SendGrad {
-		return e.CommTime(p2pBytes(e, in.Kind)) * jitter, true
+		return e.CommTime(sim.P2PBytes(e, in.Kind)) * jitter, true
 	}
 	// The simulator's price list; only the all-reduce depends on the
 	// data-parallel degree and the stages the device owns.
@@ -336,9 +336,7 @@ func draws(k pipeline.Kind) bool {
 func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
 	if ev != nil {
 		ev.Start = r.clock
-		if in.Kind.IsComm() {
-			ev.Bytes = p2pBytes(r.m.Truth, in.Kind)
-		}
+		ev.Bytes = sim.P2PBytes(r.m.Truth, in.Kind)
 	}
 	dur, drawn := r.draw(in)
 	switch in.Kind {
@@ -370,15 +368,6 @@ func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) 
 		ev.Mem = r.mem.Step(in)
 	}
 	return nil
-}
-
-// p2pBytes is the payload of a point-to-point kind: a gradient on the grad
-// channel, an activation on the act channel.
-func p2pBytes(e *cost.Estimator, k pipeline.Kind) float64 {
-	if k == pipeline.SendGrad || k == pipeline.RecvGrad {
-		return e.GradP2PBytes
-	}
-	return e.ActP2PBytes
 }
 
 // slowFactor converts a declared per-device speed into the compute slowdown

@@ -10,6 +10,7 @@ import (
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
+	"mario/internal/viz"
 )
 
 func machine(e *cost.Estimator) *Machine {
@@ -35,11 +36,19 @@ func buildSched(t *testing.T, sch pipeline.Scheme, cfg scheme.Config) *pipeline.
 }
 
 // TestClusterMatchesSimulatorNoiseless: with zero noise and zero extra
-// overhead, the concurrent execution and the DP simulator agree on the
-// makespan for every scheme — two independent implementations of the same
-// semantics. Each scheme also runs with a declared straggler, the estimator's
-// DeviceSpeed and the machine's SpeedFactors both slowing device 2 to 1/1.35:
-// the model prices a straggler exactly, with no second mechanism.
+// overhead, the concurrent execution and the DP simulator agree for every
+// scheme, record by record: the simulator's timeline and the emulator's
+// iteration-0 events are one record stream — identity, peer, payload, start,
+// end, receive wait and memory bit-equal at every position — and render to
+// the same chart. Each scheme also runs with a declared straggler, the
+// estimator's DeviceSpeed and the machine's SpeedFactors both slowing device
+// 2 to 1/1.35: the model prices a straggler exactly, with no second mechanism.
+//
+// The agreement depends on cost.Uniform's zero launch overhead. The two
+// executors end a receive whose message is late differently: the emulator at
+// max(start, arrive) + overhead, the simulator (and difftest.Reference) at
+// max(start + overhead, arrive). With a non-zero overhead the streams part
+// (ROADMAP item 14a).
 func TestClusterMatchesSimulatorNoiseless(t *testing.T) {
 	straggler := []float64{1, 1, 1 / 1.35, 1}
 	for _, tc := range []struct {
@@ -62,9 +71,22 @@ func TestClusterMatchesSimulatorNoiseless(t *testing.T) {
 			}
 			m := machine(e)
 			m.SpeedFactors = speeds
+			m.CollectEvents = true
 			got := mustRun(t, m, s, 1)
 			if math.Abs(got.Total-want.Total) > 1e-9 {
 				t.Errorf("%s speeds %v: cluster makespan %v != simulator %v", tc.sch, speeds, got.Total, want.Total)
+			}
+			if len(got.Events) != len(want.Timeline) {
+				t.Fatalf("%s speeds %v: %d events, %d simulated records", tc.sch, speeds, len(got.Events), len(want.Timeline))
+			}
+			for k, rec := range want.Timeline {
+				if ev := got.Events[k]; ev != rec {
+					t.Errorf("%s speeds %v: position %d: measured %+v, simulated %+v", tc.sch, speeds, k, ev, rec)
+					break
+				}
+			}
+			if a, b := viz.ASCII(got.Events, 0), viz.ASCII(want.Timeline, 0); a != b {
+				t.Errorf("%s speeds %v: the measured chart differs from the simulated one:\n%s\nvs\n%s", tc.sch, speeds, a, b)
 			}
 		}
 	}

@@ -114,11 +114,11 @@ func (st *devStatus) finish() {
 // without a deadlock.
 //
 // Execute is where both executors' events are recorded. With collect set,
-// each instruction gets one obs.Event whose identity (device, iteration,
-// kind, micro, part, stage, buffered, and peer: -1 for non-comm kinds) is
-// filled before exec runs; exec receives it to fill in what it measures, and
-// Execute returns the stream device-major in execution order. Without
-// collect exec receives nil and no event is allocated.
+// each instruction gets one obs.Event whose identity (the instruction,
+// device, iteration, and peer: -1 for non-comm kinds) is filled before exec
+// runs; exec receives it to fill in what it measures, and Execute returns the
+// stream device-major in execution order. Without collect exec receives nil
+// and no event is allocated.
 func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration, collect bool,
 	exec func(dv *Device[P], in pipeline.Instr, ev *obs.Event) error) (events []obs.Event, resets int, err error) {
 	if watchdog <= 0 {
@@ -163,11 +163,7 @@ func Execute[P any](s *pipeline.Schedule, iters int, watchdog time.Duration, col
 						if in.Kind.IsComm() {
 							peer = s.PeerDevice(d, in)
 						}
-						devEvents[d] = append(devEvents[d], obs.Event{
-							Device: d, Iter: dv.Iter, Kind: in.Kind,
-							Micro: in.Micro, Part: in.Part, Stage: in.Stage,
-							Peer: peer, Buffered: in.Buffered,
-						})
+						devEvents[d] = append(devEvents[d], obs.Event{Instr: in, Device: d, Iter: dv.Iter, Peer: peer})
 						ev = &devEvents[d][len(devEvents[d])-1]
 					}
 					if err := exec(dv, in, ev); err != nil {

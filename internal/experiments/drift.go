@@ -53,7 +53,7 @@ func Drift(opt Opts) (*DriftResult, error) {
 	return &DriftResult{
 		Config: fmt.Sprintf("%s-mbs%d", shapeOf(pipeline.Scheme1F1B, vOvlp), mbs),
 		Stats:  obs.Compute(meas.Events, meas.Total),
-		Drift:  obs.ComputeDrift(meas.Events, pred, meas.PeakMem),
+		Drift:  obs.ComputeDrift(meas.Events, pred.Timeline, pred.PeakMem, meas.PeakMem),
 	}, nil
 }
 

@@ -30,7 +30,7 @@ func Figure5(w io.Writer, opt Opts) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "--- %s (%s shape), no checkpointing ---\n%s\n", sch, sch.Shape(), viz.ASCII(r, 1))
+		fmt.Fprintf(w, "--- %s (%s shape), no checkpointing ---\n%s\n", sch, sch.Shape(), viz.ASCII(r.Timeline, 1))
 	}
 	// The same 1F1B pipeline after Mario's four passes.
 	s, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: d, Micros: n})
@@ -42,6 +42,6 @@ func Figure5(w io.Writer, opt Opts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "--- 1F1B with Mario checkpointing tessellated ---\n%s\n", viz.ASCII(r, 1))
+	fmt.Fprintf(w, "--- 1F1B with Mario checkpointing tessellated ---\n%s\n", viz.ASCII(r.Timeline, 1))
 	return nil
 }

@@ -44,7 +44,7 @@ func SchemeCatalogue() ([]SchemeCatalogueEntry, error) {
 		}
 		lo, hi := r.MinMaxPeak()
 		var b strings.Builder
-		b.WriteString(viz.ASCII(r, 1))
+		b.WriteString(viz.ASCII(r.Timeline, 1))
 		fmt.Fprintf(&b, "worst bubble %.4f, peak mem [%.3g, %.3g]\n", worst, lo, hi)
 		entries = append(entries, SchemeCatalogueEntry{Scheme: sch, Diagram: b.String()})
 	}

@@ -8,16 +8,15 @@ import (
 
 	"mario/internal/pipeline"
 	"mario/internal/regress"
-	"mario/internal/sim"
 )
 
 // KindDrift is the per-kind latency drift between the simulator's predicted
-// spans and the measured events.
+// records and the measured ones.
 type KindDrift struct {
 	Kind pipeline.Kind
 	// Pairs counts the aligned (device, instruction) sites.
 	Pairs int
-	// PredMean and MeasMean are the mean span durations in seconds.
+	// PredMean and MeasMean are the mean record durations in seconds.
 	PredMean, MeasMean float64
 	// MAPE is the mean absolute percentage error of the predicted durations
 	// against the measured ones (relative to measured, like §6.6).
@@ -28,7 +27,7 @@ type KindDrift struct {
 type DriftItem struct {
 	Device int
 	Instr  pipeline.Instr
-	// Pred and Meas are span durations in seconds (measured averaged over
+	// Pred and Meas are record durations in seconds (measured averaged over
 	// iterations).
 	Pred, Meas float64
 	// AbsErr is |Meas − Pred| in seconds; RelErr is AbsErr / Meas.
@@ -43,9 +42,10 @@ type DriftReport struct {
 	Kinds []KindDrift
 	// Worst lists the aligned sites with the largest absolute error.
 	Worst []DriftItem
-	// Unmatched counts measured sites with no predicted span (and vice
-	// versa); nonzero values mean the schedules diverged, not just the
-	// timings.
+	// Unmatched counts measured sites (counted on iteration 0) with no
+	// predicted record of the same instruction at their position, and
+	// predicted records no measured one joined; nonzero values mean the
+	// schedules diverged, not just the timings.
 	UnmatchedMeasured, UnmatchedPredicted int
 	// TotalPred and TotalMeas are the per-iteration makespans, and TotalErr
 	// their relative error against the measured value.
@@ -57,50 +57,49 @@ type DriftReport struct {
 	MemPred, MemMeas []float64
 }
 
-// siteKey identifies an instruction site across the predicted timeline and
-// the measured event stream.
-type siteKey struct {
-	dev int
-	key pipeline.Key
-}
-
-// ComputeDrift aligns measured events with the predicted timeline by
-// (device, kind, micro, part, stage) and reports per-kind latency MAPE, the
-// worst-offending sites, makespan drift and (when measPeakMem is non-nil)
-// peak-memory MAPE against pred.PeakMem. Measured durations are averaged
-// over iterations before alignment.
-func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *DriftReport {
+// ComputeDrift joins a measured event stream with a predicted one by
+// (device, list position) and reports per-kind latency MAPE, the
+// worst-offending sites, makespan drift and (when measPeak is non-nil)
+// peak-memory MAPE against predPeak. Both streams are device-major in
+// execution order, as sim.Result.Timeline and cluster.Execute return them:
+// the prediction is one pass of every device's list, the measurement any
+// number of iterations of the same lists. A measured record joins the
+// predicted record at its position in its device's iteration when the two
+// are the same instruction; measured durations are averaged over iterations.
+// Sums run in list order, so the report is the same bits on every call.
+func ComputeDrift(meas, pred []Event, predPeak, measPeak []float64) *DriftReport {
 	r := &DriftReport{}
 
-	predDur := make(map[siteKey]float64)
-	for d, spans := range pred.Timeline {
-		for _, sp := range spans {
-			predDur[siteKey{d, sp.Instr.Key()}] = sp.End - sp.Start
+	// lo[d]:hi[d] is device d's run of pred.
+	var lo, hi []int
+	for i, e := range pred {
+		for len(lo) <= e.Device {
+			lo, hi = append(lo, i), append(hi, i)
 		}
+		hi[e.Device] = i + 1
 	}
 
-	type acc struct {
-		sum float64
-		n   int
-	}
-	meas := make(map[siteKey]*acc)
-	iters := 0
-	measEnd := 0.0
-	for _, e := range events {
-		k := siteKey{e.Device, e.Key()}
-		a := meas[k]
-		if a == nil {
-			a = &acc{}
-			meas[k] = a
+	// sum[i] and n[i] accumulate the measured durations joined to pred[i].
+	sum := make([]float64, len(pred))
+	n := make([]int, len(pred))
+	iters, measEnd, pos := 0, 0.0, 0
+	for j, e := range meas {
+		if j == 0 || e.Device != meas[j-1].Device || e.Iter != meas[j-1].Iter {
+			pos = 0
 		}
-		a.sum += e.Dur()
-		a.n++
-		if e.Iter+1 > iters {
-			iters = e.Iter + 1
+		i := -1
+		if e.Device < len(lo) && lo[e.Device]+pos < hi[e.Device] {
+			i = lo[e.Device] + pos
 		}
-		if e.End > measEnd {
-			measEnd = e.End
+		if i >= 0 && pred[i].Instr == e.Instr {
+			sum[i] += e.Dur()
+			n[i]++
+		} else if e.Iter == 0 {
+			r.UnmatchedMeasured++
 		}
+		pos++
+		iters = max(iters, e.Iter+1)
+		measEnd = max(measEnd, e.End)
 	}
 
 	type kindAcc struct {
@@ -110,17 +109,17 @@ func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *Drif
 	}
 	kinds := make(map[pipeline.Kind]*kindAcc)
 	var items []DriftItem
-	for k, a := range meas {
-		p, ok := predDur[k]
-		if !ok {
-			r.UnmatchedMeasured++
+	for i, e := range pred {
+		r.TotalPred = max(r.TotalPred, e.End)
+		if n[i] == 0 {
+			r.UnmatchedPredicted++
 			continue
 		}
-		m := a.sum / float64(a.n)
-		ka := kinds[k.key.Kind]
+		p, m := e.Dur(), sum[i]/float64(n[i])
+		ka := kinds[e.Kind]
 		if ka == nil {
 			ka = &kindAcc{}
-			kinds[k.key.Kind] = ka
+			kinds[e.Kind] = ka
 		}
 		ka.pairs++
 		ka.predSum += p
@@ -129,17 +128,12 @@ func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *Drif
 			ka.apeSum += math.Abs(p-m) / math.Abs(m)
 		}
 		items = append(items, DriftItem{
-			Device: k.dev,
-			Instr:  pipeline.Instr{Kind: k.key.Kind, Micro: k.key.Micro, Part: k.key.Part, Stage: k.key.Stage},
+			Device: e.Device,
+			Instr:  e.Instr,
 			Pred:   p, Meas: m,
 			AbsErr: math.Abs(m - p),
 			RelErr: relErr(p, m),
 		})
-	}
-	for k := range predDur {
-		if meas[k] == nil {
-			r.UnmatchedPredicted++
-		}
 	}
 
 	for kind, ka := range kinds {
@@ -153,7 +147,7 @@ func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *Drif
 	}
 	sort.Slice(r.Kinds, func(i, j int) bool { return r.Kinds[i].Kind < r.Kinds[j].Kind })
 
-	sort.Slice(items, func(i, j int) bool {
+	sort.SliceStable(items, func(i, j int) bool {
 		if items[i].AbsErr != items[j].AbsErr {
 			return items[i].AbsErr > items[j].AbsErr
 		}
@@ -168,15 +162,14 @@ func ComputeDrift(events []Event, pred *sim.Result, measPeakMem []float64) *Drif
 	}
 	r.Worst = items
 
-	r.TotalPred = pred.Total
 	if iters > 0 {
 		r.TotalMeas = measEnd / float64(iters)
 	}
 	r.TotalErr = relErr(r.TotalPred, r.TotalMeas)
 
-	if measPeakMem != nil {
-		r.MemPred = append([]float64(nil), pred.PeakMem...)
-		r.MemMeas = append([]float64(nil), measPeakMem...)
+	if measPeak != nil {
+		r.MemPred = append([]float64(nil), predPeak...)
+		r.MemMeas = append([]float64(nil), measPeak...)
 		if len(r.MemPred) == len(r.MemMeas) {
 			r.MemMAPE = regress.MAPE(r.MemMeas, r.MemPred)
 		}

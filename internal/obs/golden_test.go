@@ -17,12 +17,12 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // behaviour and number formatting may only change deliberately.
 func TestJSONLGolden(t *testing.T) {
 	events := []Event{
-		{Device: 0, Iter: 0, Kind: pipeline.Forward, Micro: 0, Stage: 0, Peer: -1, Start: 0, End: 1.25, Mem: 2048},
-		{Device: 0, Iter: 0, Kind: pipeline.CkptForward, Micro: 1, Stage: 0, Peer: -1, Start: 1.25, End: 2.5, Mem: 2304},
-		{Device: 0, Iter: 0, Kind: pipeline.SendAct, Micro: 0, Stage: 0, Peer: 1, Start: 2.5, End: 2.75, Bytes: 512, Buffered: true},
-		{Device: 1, Iter: 0, Kind: pipeline.RecvAct, Micro: 0, Part: 1, Stage: 1, Peer: 0, Start: 0, End: 2.75, Wait: 2.5, Bytes: 512},
-		{Device: 1, Iter: 0, Kind: pipeline.Recompute, Micro: 0, Stage: 1, Peer: -1, Start: 2.75, End: 3.75},
-		{Device: 1, Iter: 1, Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro, Stage: -1, Peer: -1, Start: 4, End: 4.5},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Micro: 0, Stage: 0}, Device: 0, Iter: 0, Peer: -1, Start: 0, End: 1.25, Mem: 2048},
+		{Instr: pipeline.Instr{Kind: pipeline.CkptForward, Micro: 1, Stage: 0}, Device: 0, Iter: 0, Peer: -1, Start: 1.25, End: 2.5, Mem: 2304},
+		{Instr: pipeline.Instr{Kind: pipeline.SendAct, Micro: 0, Stage: 0, Buffered: true}, Device: 0, Iter: 0, Peer: 1, Start: 2.5, End: 2.75, Bytes: 512},
+		{Instr: pipeline.Instr{Kind: pipeline.RecvAct, Micro: 0, Part: 1, Stage: 1}, Device: 1, Iter: 0, Peer: 0, Start: 0, End: 2.75, Wait: 2.5, Bytes: 512},
+		{Instr: pipeline.Instr{Kind: pipeline.Recompute, Micro: 0, Stage: 1}, Device: 1, Iter: 0, Peer: -1, Start: 2.75, End: 3.75},
+		{Instr: pipeline.Instr{Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro, Stage: -1}, Device: 1, Iter: 1, Peer: -1, Start: 4, End: 4.5},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, events); err != nil {

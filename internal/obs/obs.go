@@ -1,17 +1,18 @@
-// Package obs is the observability layer of the emulated cluster and the
-// miniature trainer: a zero-cost-when-disabled event stream of
-// per-instruction execution records, plus the derived artifacts the paper
-// motivates with its timeline figures — per-device utilization/bubble/stall
-// metrics (Fig. 5's measured counterpart), the JSONL export, and a
-// predicted-vs-measured drift report that extends the Fig. 10
+// Package obs is the one record type of a pipeline run and what is derived
+// from it. An Event is one instruction's execution: the simulator fills one
+// per instruction when a result asks for its timeline (sim.Result.Timeline),
+// and the device runtime both measured producers (internal/cluster,
+// internal/train) run on, cluster.Execute, fills one per executed instruction
+// when a run collects events. Both streams are ordered device-major, in
+// execution order, so a predicted and a measured run of the same lists line
+// up position by position. Derived from a stream: per-device
+// utilization/bubble/stall metrics (Fig. 5's measured counterpart), the JSONL
+// export, and a predicted-vs-measured drift report that extends the Fig. 10
 // simulator-accuracy machinery down to instruction granularity.
 //
-// The device runtime both producers (internal/cluster, internal/train) run
-// on, cluster.Execute, collects events in per-device slices on the hot path —
-// no locks, no clock perturbation — and the run returns them with its report,
-// in deterministic order (device-major, execution order). A run that does not
-// ask for events allocates none. Run-level counts (watchdog re-arms) are the
-// run report's, not derived here.
+// A simulation or a run that does not ask for records allocates none.
+// Run-level counts (watchdog re-arms) are the run report's, not derived here.
+// The simulator imports this package, never the other way round.
 package obs
 
 import (
@@ -22,19 +23,19 @@ import (
 	"mario/internal/pipeline"
 )
 
-// Event is one measured instruction execution. Times are in seconds on the
-// producer's clock: virtual time for the cluster emulator, wall-clock time
-// since iteration start for the real-tensor trainer.
+// Event is one instruction execution, predicted or measured. Times are in
+// seconds on the producer's clock: simulated time for the simulator, virtual
+// time for the cluster emulator, wall-clock time since iteration start for
+// the real-tensor trainer.
 type Event struct {
+	// Instr is the executed instruction; its Buffered flag marks a SendAct
+	// draining a §5.1-pass-4 staging buffer.
+	pipeline.Instr
 	// Device is the executing device id.
 	Device int
-	// Iter is the training-iteration index within the run.
+	// Iter is the training-iteration index within the run (0 for a
+	// simulation).
 	Iter int
-	// Kind, Micro, Part and Stage identify the instruction (pipeline.Key).
-	Kind  pipeline.Kind
-	Micro int
-	Part  int
-	Stage int
 	// Peer is the other endpoint for p2p kinds, -1 otherwise.
 	Peer int
 	// Start and End bound the instruction's execution interval, including
@@ -50,23 +51,10 @@ type Event struct {
 	// (allocator slack excluded); zero when the producer has no memory
 	// model attached.
 	Mem float64
-	// Buffered marks a SendAct draining a §5.1-pass-4 staging buffer.
-	Buffered bool
 }
 
 // Dur returns the event's duration in seconds.
 func (e Event) Dur() float64 { return e.End - e.Start }
-
-// Instr reconstructs the pipeline instruction the event describes.
-func (e Event) Instr() pipeline.Instr {
-	return pipeline.Instr{Kind: e.Kind, Micro: e.Micro, Part: e.Part, Stage: e.Stage, Buffered: e.Buffered}
-}
-
-// Key returns the instruction identity used to align measured events with
-// predicted spans.
-func (e Event) Key() pipeline.Key {
-	return pipeline.Key{Kind: e.Kind, Micro: e.Micro, Part: e.Part, Stage: e.Stage}
-}
 
 // jsonEvent is the JSONL wire form; the kind travels as its mnemonic.
 type jsonEvent struct {

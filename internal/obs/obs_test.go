@@ -9,17 +9,15 @@ import (
 	"testing"
 
 	"mario/internal/pipeline"
-	"mario/internal/sim"
 )
 
 func ev(dev, iter int, k pipeline.Kind, micro int, start, end float64) Event {
-	return Event{Device: dev, Iter: iter, Kind: k, Micro: micro, Peer: -1, Start: start, End: end}
+	return Event{Instr: pipeline.Instr{Kind: k, Micro: micro}, Device: dev, Iter: iter, Peer: -1, Start: start, End: end}
 }
 
 func TestJSONLRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Event{Device: 2, Iter: 1, Kind: pipeline.RecvAct, Micro: 3, Stage: 2,
-		Peer: 1, Start: 0.5, End: 0.75, Wait: 0.1, Bytes: 1024}
+	in := Event{Instr: pipeline.Instr{Kind: pipeline.RecvAct, Micro: 3, Stage: 2}, Device: 2, Iter: 1, Peer: 1, Start: 0.5, End: 0.75, Wait: 0.1, Bytes: 1024}
 	if err := WriteJSONL(&buf, []Event{in, ev(0, 0, pipeline.Forward, 0, 1, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestJSONLCommEventsCarryPeer(t *testing.T) {
 	var events []Event
 	for _, k := range []pipeline.Kind{pipeline.SendAct, pipeline.RecvAct, pipeline.SendGrad, pipeline.RecvGrad} {
 		for _, peer := range []int{0, 1} {
-			events = append(events, Event{Device: 1 - peer, Kind: k, Peer: peer, Start: 0, End: 1, Bytes: 64})
+			events = append(events, Event{Instr: pipeline.Instr{Kind: k}, Device: 1 - peer, Peer: peer, Start: 0, End: 1, Bytes: 64})
 		}
 	}
 	var buf bytes.Buffer
@@ -95,11 +93,11 @@ func TestComputeStats(t *testing.T) {
 	events := []Event{
 		ev(0, 0, pipeline.Forward, 0, 0, 1),
 		ev(0, 0, pipeline.OptimizerStep, 0, 1, 1.5), // non-p2p counts as busy
-		{Device: 0, Kind: pipeline.SendAct, Micro: 0, Peer: 1, Start: 1.5, End: 1.5, Bytes: 100},
-		{Device: 1, Kind: pipeline.RecvAct, Micro: 0, Peer: 0, Start: 0, End: 2, Wait: 2},
+		{Instr: pipeline.Instr{Kind: pipeline.SendAct, Micro: 0}, Device: 0, Peer: 1, Start: 1.5, End: 1.5, Bytes: 100},
+		{Instr: pipeline.Instr{Kind: pipeline.RecvAct, Micro: 0}, Device: 1, Peer: 0, Start: 0, End: 2, Wait: 2},
 		ev(1, 1, pipeline.Backward, 0, 2, 4),
-		{Device: 0, Kind: pipeline.SendAct, Micro: 1, Peer: 1, Start: 2, End: 2, Bytes: 50},
-		{Device: 0, Kind: pipeline.SendGrad, Micro: 0, Peer: 1, Start: 2, End: 2, Bytes: 7},
+		{Instr: pipeline.Instr{Kind: pipeline.SendAct, Micro: 1}, Device: 0, Peer: 1, Start: 2, End: 2, Bytes: 50},
+		{Instr: pipeline.Instr{Kind: pipeline.SendGrad, Micro: 0}, Device: 0, Peer: 1, Start: 2, End: 2, Bytes: 7},
 	}
 	st := Compute(events, 4)
 
@@ -143,9 +141,9 @@ func TestComputeStats(t *testing.T) {
 
 func TestComputeStatsPeakMem(t *testing.T) {
 	events := []Event{
-		{Device: 0, Kind: pipeline.Forward, Start: 0, End: 1, Mem: 100},
-		{Device: 0, Kind: pipeline.CkptForward, Micro: 1, Start: 1, End: 2, Mem: 300},
-		{Device: 0, Kind: pipeline.Backward, Start: 2, End: 3, Mem: 200},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward}, Device: 0, Start: 0, End: 1, Mem: 100},
+		{Instr: pipeline.Instr{Kind: pipeline.CkptForward, Micro: 1}, Device: 0, Start: 1, End: 2, Mem: 300},
+		{Instr: pipeline.Instr{Kind: pipeline.Backward}, Device: 0, Start: 2, End: 3, Mem: 200},
 	}
 	st := Compute(events, 3)
 	d := st.Devices[0]
@@ -158,28 +156,20 @@ func TestComputeDrift(t *testing.T) {
 	// Predicted timeline: dev0 runs FW0 for 1s, BW0 for 2s; dev1 runs FW0
 	// for 1s. Measured: FW0 on dev0 takes 1.1s and 0.9s over two iterations
 	// (mean 1.0 → zero error), BW0 takes 2.5s (25% error vs measured... pred
-	// 2, meas 2.5 → |2-2.5|/2.5 = 20%), and dev1 executes an RC the
-	// prediction lacks.
-	pred := &sim.Result{
-		Total: 3,
-		Timeline: [][]sim.Span{
-			{
-				{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 0}, Start: 0, End: 1},
-				{Instr: pipeline.Instr{Kind: pipeline.Backward, Stage: 0}, Start: 1, End: 3},
-			},
-			{
-				{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 1}, Start: 0, End: 1},
-			},
-		},
-		PeakMem: []float64{100, 100},
+	// 2, meas 2.5 → |2-2.5|/2.5 = 20%), and dev1 executes an RC where the
+	// prediction has its FW.
+	pred := []Event{
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 0}, Device: 0, Start: 0, End: 1},
+		{Instr: pipeline.Instr{Kind: pipeline.Backward, Stage: 0}, Device: 0, Start: 1, End: 3},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 1}, Device: 1, Start: 0, End: 1},
 	}
 	events := []Event{
-		{Device: 0, Iter: 0, Kind: pipeline.Forward, Stage: 0, Start: 0, End: 1.1},
-		{Device: 0, Iter: 1, Kind: pipeline.Forward, Stage: 0, Start: 3, End: 3.9},
-		{Device: 0, Iter: 0, Kind: pipeline.Backward, Stage: 0, Start: 1.1, End: 3.6},
-		{Device: 1, Iter: 0, Kind: pipeline.Recompute, Stage: 1, Start: 0, End: 1},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 0}, Device: 0, Iter: 0, Start: 0, End: 1.1},
+		{Instr: pipeline.Instr{Kind: pipeline.Backward, Stage: 0}, Device: 0, Iter: 0, Start: 1.1, End: 3.6},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Stage: 0}, Device: 0, Iter: 1, Start: 3, End: 3.9},
+		{Instr: pipeline.Instr{Kind: pipeline.Recompute, Stage: 1}, Device: 1, Iter: 0, Start: 0, End: 1},
 	}
-	r := ComputeDrift(events, pred, []float64{110, 90})
+	r := ComputeDrift(events, pred, []float64{100, 100}, []float64{110, 90})
 
 	if r.UnmatchedMeasured != 1 {
 		t.Errorf("UnmatchedMeasured=%d, want 1 (the RC)", r.UnmatchedMeasured)
@@ -228,7 +218,7 @@ func TestComputeDrift(t *testing.T) {
 }
 
 func TestEventMarshalJSON(t *testing.T) {
-	e := Event{Device: 1, Kind: pipeline.CkptForward, Micro: 2, Stage: 1, Peer: -1, Start: 1, End: 2}
+	e := Event{Instr: pipeline.Instr{Kind: pipeline.CkptForward, Micro: 2, Stage: 1}, Device: 1, Peer: -1, Start: 1, End: 2}
 	b, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/graph"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
@@ -61,11 +62,20 @@ func TestCriticalChainTight(t *testing.T) {
 				if len(chain) == 0 {
 					t.Fatalf("%s/%s: no chain", sch, name)
 				}
+				// rec is instruction i of device d's record in the
+				// device-major timeline.
+				rec := func(d, i int32) obs.Event {
+					k := int(i)
+					for _, l := range s.Lists[:d] {
+						k += len(l)
+					}
+					return res.Timeline[k]
+				}
 				first, last := chain[len(chain)-1], chain[0]
-				if first.Lo != 0 || res.Timeline[first.Dev][0].Start != 0 {
+				if first.Lo != 0 || rec(first.Dev, 0).Start != 0 {
 					t.Errorf("%s/%s: chain starts at dev%d[%d], not at t = 0", sch, name, first.Dev, first.Lo)
 				}
-				if int(last.Hi) != len(s.Lists[last.Dev])-1 || res.Timeline[last.Dev][last.Hi].End != res.Total {
+				if int(last.Hi) != len(s.Lists[last.Dev])-1 || rec(last.Dev, last.Hi).End != res.Total {
 					t.Errorf("%s/%s: chain ends at dev%d[%d], not on the makespan", sch, name, last.Dev, last.Hi)
 				}
 				// Forward from t = 0, in the propagation's own order of additions.

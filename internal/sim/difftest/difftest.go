@@ -2,7 +2,7 @@
 // equivalence guarantee: every result is a pure function of (schedule,
 // estimator, options), so a reused engine — whatever its retained buffers
 // hold — must be byte-identical to a fresh one: same makespan bits, same
-// peaks, same timeline spans, same error. The harness generates seeded random
+// peaks, same timeline records, same error. The harness generates seeded random
 // workloads (schedule, estimator, options), drives a long-lived engine through
 // randomized single-device mutations (fresh lists, in-place edits, reverts)
 // and estimator changes (a copy under a new pointer, an edit in place), and
@@ -307,8 +307,9 @@ func (h *Harness) Run(n int) error {
 }
 
 // compareTiming checks an engine outcome against the reference simulator's:
-// the same error class, and bit-equal Total and spans (the engine's timeline
-// is absent under NoTimeline; the makespan is compared either way).
+// the same error class, and equal Total and records, memory aside (the
+// engine's timeline is absent under NoTimeline; the makespan is compared
+// either way).
 func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) error {
 	if aErr != nil || refErr != nil {
 		return Compare(a, aErr, ref, refErr)
@@ -319,16 +320,14 @@ func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) err
 	if a.Timeline == nil {
 		return nil
 	}
-	for d := range ref.Timeline {
-		if len(a.Timeline[d]) != len(ref.Timeline[d]) {
-			return fmt.Errorf("device %d: %d spans, reference %d", d, len(a.Timeline[d]), len(ref.Timeline[d]))
-		}
-		for i, want := range ref.Timeline[d] {
-			if got := a.Timeline[d][i]; got.Instr != want.Instr ||
-				math.Float64bits(got.Start) != math.Float64bits(want.Start) ||
-				math.Float64bits(got.End) != math.Float64bits(want.End) {
-				return fmt.Errorf("device %d span %d: %+v, reference %+v", d, i, got, want)
-			}
+	if len(a.Timeline) != len(ref.Timeline) {
+		return fmt.Errorf("%d records, reference %d", len(a.Timeline), len(ref.Timeline))
+	}
+	for k, want := range ref.Timeline {
+		got := a.Timeline[k]
+		got.Mem = 0 // the reference models time only
+		if got != want {
+			return fmt.Errorf("record %d: %+v, reference %+v", k, got, want)
 		}
 	}
 	return nil
@@ -405,7 +404,7 @@ func (c *canonBuf) instr(in pipeline.Instr) {
 }
 
 // Canon serializes a Result canonically: float bits big-endian, slices
-// length-prefixed, timeline spans in device-then-list order. Two Results are
+// length-prefixed, timeline records in device-then-list order. Two Results are
 // equal as values iff their canonical encodings are equal as bytes.
 func Canon(r *sim.Result) []byte {
 	c := &canonBuf{}
@@ -439,12 +438,13 @@ func Canon(r *sim.Result) []byte {
 	c.section("Timeline")
 	c.bool(r.Timeline != nil)
 	c.i64(int64(len(r.Timeline)))
-	for _, spans := range r.Timeline {
-		c.i64(int64(len(spans)))
-		for _, sp := range spans {
-			c.instr(sp.Instr)
-			c.f64(sp.Start)
-			c.f64(sp.End)
+	for _, rec := range r.Timeline {
+		c.instr(rec.Instr)
+		for _, v := range []int{rec.Device, rec.Iter, rec.Peer} {
+			c.i64(int64(v))
+		}
+		for _, v := range []float64{rec.Start, rec.End, rec.Wait, rec.Bytes, rec.Mem} {
+			c.f64(v)
 		}
 	}
 	c.close()

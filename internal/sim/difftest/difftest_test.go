@@ -5,6 +5,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/graph"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
@@ -117,9 +118,9 @@ func TestCanonDetectsDivergence(t *testing.T) {
 			PeakMem:       []float64{1, 2},
 			ComputeBusy:   []float64{4, 5},
 			OOMDevices:    []int{},
-			Timeline: [][]sim.Span{{
-				{Instr: pipeline.Instr{Kind: pipeline.Forward}, Start: 0, End: 1},
-			}},
+			Timeline: []obs.Event{
+				{Instr: pipeline.Instr{Kind: pipeline.Forward}, Peer: -1, Start: 0, End: 1},
+			},
 		}
 	}
 	mutations := []struct {
@@ -133,8 +134,11 @@ func TestCanonDetectsDivergence(t *testing.T) {
 		{"oomdevs", func(r *sim.Result) { r.OOMDevices = append(r.OOMDevices, 1) }, "OOMDevices"},
 		{"peak", func(r *sim.Result) { r.PeakMem[1]++ }, "PeakMem"},
 		{"busy", func(r *sim.Result) { r.ComputeBusy[0]++ }, "ComputeBusy"},
-		{"span-end", func(r *sim.Result) { r.Timeline[0][0].End++ }, "Timeline"},
-		{"span-kind", func(r *sim.Result) { r.Timeline[0][0].Instr.Kind = pipeline.Backward }, "Timeline"},
+		{"span-end", func(r *sim.Result) { r.Timeline[0].End++ }, "Timeline"},
+		{"span-kind", func(r *sim.Result) { r.Timeline[0].Kind = pipeline.Backward }, "Timeline"},
+		{"record-peer", func(r *sim.Result) { r.Timeline[0].Peer = 1 }, "Timeline"},
+		{"record-wait", func(r *sim.Result) { r.Timeline[0].Wait = 0.5 }, "Timeline"},
+		{"record-mem", func(r *sim.Result) { r.Timeline[0].Mem = 1 }, "Timeline"},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mario/internal/cost"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/sim"
 )
@@ -21,7 +22,9 @@ type link struct{ from, to, ch int }
 // Kahn pass, with the arithmetic the paper's model states (compute ends at
 // start + dur, a send at start + overhead, a receive at max(start + overhead,
 // arrive)). It keeps no caches and reuses nothing, and fills Total and
-// Timeline only. The schedule's communication instructions
+// Timeline only: the engine's records — identity, peer, payload, start, end
+// and receive wait — save the memory after each instruction, which the
+// reference does not model. The schedule's communication instructions
 // must all have a partner, which Validate guarantees and the harness's
 // mutations preserve.
 func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.Result, error) {
@@ -67,9 +70,10 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 
 	end := make([][]float64, len(s.Lists))
 	arrive := make([][]float64, len(s.Lists))
+	wait := make([][]float64, len(s.Lists))
 	var ready []node
 	for d, list := range s.Lists {
-		end[d], arrive[d] = make([]float64, len(list)), make([]float64, len(list))
+		end[d], arrive[d], wait[d] = make([]float64, len(list)), make([]float64, len(list)), make([]float64, len(list))
 		if len(list) > 0 && indeg[d][0] == 0 {
 			ready = append(ready, node{d, 0})
 		}
@@ -106,6 +110,7 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 					return nil, fmt.Errorf("%w: device %d pops %s out of order", sim.ErrCommMismatch, n.d, in)
 				}
 				if a := arrive[n.d][n.i]; a > t {
+					wait[n.d][n.i] = a - t
 					t = a
 				}
 			}
@@ -118,11 +123,18 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 	if done != total {
 		return nil, fmt.Errorf("%w: the dependency graph has a cycle or a starved receive", sim.ErrDeadlock)
 	}
-	res := &sim.Result{Timeline: make([][]sim.Span, len(s.Lists))}
+	res := &sim.Result{Timeline: make([]obs.Event, 0, total)}
 	for d, list := range s.Lists {
 		start := 0.0
 		for i, in := range list {
-			res.Timeline[d] = append(res.Timeline[d], sim.Span{Instr: in, Start: start, End: end[d][i]})
+			rec := obs.Event{Instr: in, Device: d, Peer: -1, Start: start, End: end[d][i], Wait: wait[d][i]}
+			if in.Kind.IsComm() {
+				rec.Peer, rec.Bytes = s.PeerDevice(d, in), e.ActP2PBytes
+				if linkAt(d, in).ch == 1 {
+					rec.Bytes = e.GradP2PBytes
+				}
+			}
+			res.Timeline = append(res.Timeline, rec)
 			start = end[d][i]
 		}
 		if start > res.Total {

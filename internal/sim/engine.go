@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mario/internal/cost"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 )
 
@@ -26,6 +27,9 @@ type commLoc struct {
 type devState struct {
 	list  []pipeline.Instr
 	metas []meta // this device's run of Simulator.metaBuf
+	// first is the index of the device's first entry in metaBuf, and of its
+	// first record in a timeline: both are device-major.
+	first int
 
 	arDur  float64 // AllReduce duration for this device's stage set
 	slow   float64 // compute slowdown multiplier (1 = nominal speed)
@@ -112,27 +116,22 @@ func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Option
 		dp = 1
 	}
 	m.bind(s, e, dp)
-	for d := range m.devs {
-		m.rebuildDevice(e, s.Micros, d)
-	}
-	if err := m.resolveMatches(); err != nil {
-		return nil, err
-	}
-
 	D := len(m.devs)
 	res := &Result{
 		PeakMem:     make([]float64, D),
 		ComputeBusy: make([]float64, D),
 	}
 	if !opt.NoTimeline {
-		// Each instruction records at most one span; exact-capacity slices
-		// avoid append's growth-doubling garbage on the timeline path.
-		res.Timeline = make([][]Span, D)
-		for d := range res.Timeline {
-			res.Timeline[d] = make([]Span, 0, len(m.devs[d].list))
-		}
+		// One record per instruction, laid out like metaBuf.
+		res.Timeline = make([]obs.Event, len(m.metaBuf))
 	}
-	if err := m.propagate(e, opt, res); err != nil {
+	for d := range m.devs {
+		m.rebuildDevice(e, s.Micros, d, res.Timeline)
+	}
+	if err := m.resolveMatches(res.Timeline); err != nil {
+		return nil, err
+	}
+	if err := m.propagate(e, res); err != nil {
 		return nil, err
 	}
 	for d := range m.devs {
@@ -169,7 +168,7 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
 	for d := range m.devs {
 		ds := &m.devs[d]
 		list := s.Lists[d]
-		ds.list, ds.metas = list, m.metaBuf[off:off+len(list):off+len(list)]
+		ds.list, ds.metas, ds.first = list, m.metaBuf[off:off+len(list):off+len(list)], off
 		off += len(list)
 		stages := m.res.Stages(d)
 		// Multiplying by the homogeneous slowdown 1 is bit-exact, so the
@@ -198,9 +197,10 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
 // rebuildDevice walks device d's list once: it derives each instruction's
 // metadata, registers the communication instructions, counts each link's
 // sends, and steps the memory simulation, leaving the device's peak and busy
-// total. Matches are left unresolved: resolveMatches runs once every device
-// has registered.
-func (m *Simulator) rebuildDevice(e *cost.Estimator, micros, d int) {
+// total. With a timeline tl it also fills each instruction's record with what
+// the walk knows: identity, payload and the memory after it. Matches are left
+// unresolved: resolveMatches runs once every device has registered.
+func (m *Simulator) rebuildDevice(e *cost.Estimator, micros, d int, tl []obs.Event) {
 	ds := &m.devs[d]
 	m.mem.rebind(e, micros, m.nStages, ds.static, ds.list)
 	busy := 0.0
@@ -209,16 +209,20 @@ func (m *Simulator) rebuildDevice(e *cost.Estimator, micros, d int) {
 		if mt := &ds.metas[i]; mt.compute {
 			busy += mt.dur
 		}
-		m.mem.Step(in)
+		mem := m.mem.Step(in)
+		if tl != nil {
+			tl[ds.first+i] = obs.Event{Instr: in, Device: d, Peer: -1, Bytes: P2PBytes(e, in.Kind), Mem: mem}
+		}
 	}
 	ds.busy, ds.peak = busy, m.mem.Peak()
 }
 
 // resolveMatches points every communication instruction at its matched peer,
-// reading the index entry fillMeta left in its metadata. The scan runs
+// reading the index entry fillMeta left in its metadata, and names the peer in
+// the instruction's record when there is a timeline tl. The scan runs
 // device-major in list order, so the first unmatched instruction it reports
 // is the same on every call.
-func (m *Simulator) resolveMatches() error {
+func (m *Simulator) resolveMatches(tl []obs.Event) error {
 	for d := range m.devs {
 		ds := &m.devs[d]
 		for i := range ds.metas {
@@ -234,6 +238,9 @@ func (m *Simulator) resolveMatches() error {
 				return fmt.Errorf("sim: %s on device %d has no matching instruction", ds.list[i], d)
 			}
 			mt.matchDev, mt.matchIdx = loc.dev1-1, loc.idx
+			if tl != nil {
+				tl[ds.first+i].Peer = int(mt.matchDev)
+			}
 		}
 	}
 	return nil
@@ -325,13 +332,25 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 	return 0
 }
 
+// P2PBytes returns the payload of a point-to-point kind: a gradient on the
+// grad channel, an activation on the act channel. Other kinds return 0.
+func P2PBytes(e *cost.Estimator, k pipeline.Kind) float64 {
+	switch k {
+	case pipeline.SendGrad, pipeline.RecvGrad:
+		return e.GradP2PBytes
+	case pipeline.SendAct, pipeline.RecvAct:
+		return e.ActP2PBytes
+	}
+	return 0
+}
+
 // propagate runs the event-driven earliest-start-time propagation: each
 // device advances until it blocks on a dependency, registers itself as a
 // waiter, and is re-enqueued exactly when the dependency is satisfied —
 // replacing the O(D × passes) round-robin retry sweep. The computed times are
 // a pure dataflow fixpoint, so they are independent of wake order and
 // bit-identical to the round-robin result.
-func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error {
+func (m *Simulator) propagate(e *cost.Estimator, res *Result) error {
 	D := len(m.devs)
 	m.queue = grow(m.queue, D)
 	for d := range m.devs {
@@ -354,7 +373,7 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 		d := int(m.queue[m.qHead])
 		m.qHead, m.qLen = (m.qHead+1)%D, m.qLen-1
 		m.devs[d].queued = false
-		if err := m.runDevice(d, e, opt, res); err != nil {
+		if err := m.runDevice(d, e, res); err != nil {
 			return err
 		}
 	}
@@ -371,8 +390,9 @@ func (m *Simulator) propagate(e *cost.Estimator, opt Options, res *Result) error
 	return nil
 }
 
-// runDevice advances device d until it finishes or blocks.
-func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result) error {
+// runDevice advances device d until it finishes or blocks, timing each
+// instruction's record when the result has a timeline.
+func (m *Simulator) runDevice(d int, e *cost.Estimator, res *Result) error {
 	ds := &m.devs[d]
 	list := ds.list
 	metas := ds.metas
@@ -412,8 +432,14 @@ func (m *Simulator) runDevice(d int, e *cost.Estimator, opt Options, res *Result
 				clock = msg.arrive
 			}
 		}
-		if !opt.NoTimeline {
-			res.Timeline[d] = append(res.Timeline[d], Span{Instr: list[i], Start: start, End: clock})
+		if res.Timeline != nil {
+			r := &res.Timeline[ds.first+i]
+			r.Start, r.End = start, clock
+			if mt.late {
+				// A late receive idles from the end of its launch overhead
+				// until its message lands.
+				r.Wait = clock - (start + e.LaunchOverhead)
+			}
 		}
 		i++
 	}

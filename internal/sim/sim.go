@@ -23,6 +23,7 @@ import (
 	"errors"
 
 	"mario/internal/cost"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 )
 
@@ -45,24 +46,22 @@ type Options struct {
 	// MemLimit is the per-device memory capacity in bytes; peaks above it
 	// mark the result OOM. Zero disables the check.
 	MemLimit float64
-	// NoTimeline skips recording per-instruction spans (saves allocation
+	// NoTimeline skips recording per-instruction records (saves allocation
 	// in search loops that only need totals).
 	NoTimeline bool
-}
-
-// Span records the simulated execution interval of one instruction.
-type Span struct {
-	Instr      pipeline.Instr
-	Start, End float64
 }
 
 // Result is the simulator output.
 type Result struct {
 	// Total is the iteration makespan in seconds.
 	Total float64
-	// Timeline holds per-device instruction spans in execution order
-	// (nil when Options.NoTimeline is set).
-	Timeline [][]Span
+	// Timeline holds one record per instruction, device-major in list
+	// order like the stream cluster.Execute returns for one iteration: its
+	// identity, peer, payload, simulated start and end, receive wait and the
+	// modeled memory after it (nil when Options.NoTimeline is set). It is
+	// derived, never stored: plans omit it, and a plan's reader re-simulates
+	// a candidate to get it.
+	Timeline []obs.Event `json:"-"`
 	// PeakMem is the per-device peak memory in bytes.
 	PeakMem []float64
 	// OOM reports whether any device exceeded Options.MemLimit.

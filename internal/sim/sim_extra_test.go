@@ -76,7 +76,7 @@ func TestNoTimelineMatchesTimeline(t *testing.T) {
 		}
 	}
 	if b.Timeline != nil {
-		t.Error("NoTimeline recorded spans")
+		t.Error("NoTimeline recorded records")
 	}
 }
 
@@ -154,14 +154,12 @@ func TestSplitBackwardSimDurations(t *testing.T) {
 	}
 	r := simulate(t, split, e, sim.Options{})
 	var bi, wg float64
-	for _, spans := range r.Timeline {
-		for _, sp := range spans {
-			switch sp.Instr.Kind {
-			case pipeline.BackwardInput:
-				bi += sp.End - sp.Start
-			case pipeline.BackwardWeight:
-				wg += sp.End - sp.Start
-			}
+	for _, rec := range r.Timeline {
+		switch rec.Kind {
+		case pipeline.BackwardInput:
+			bi += rec.Dur()
+		case pipeline.BackwardWeight:
+			wg += rec.Dur()
 		}
 	}
 	want := float64(d*n) * 2 / 2 // half of each 2-unit backward per half

@@ -53,8 +53,9 @@ func TestGPipeIdealMakespan(t *testing.T) {
 	}
 }
 
-// TestTimelineMonotonic checks that per-device spans are non-overlapping and
-// ordered on every scheme.
+// TestTimelineMonotonic checks that each device's records are
+// non-overlapping and ordered on every scheme, and that the timeline is
+// device-major with one record per instruction.
 func TestTimelineMonotonic(t *testing.T) {
 	for _, tc := range []struct {
 		s   pipeline.Scheme
@@ -68,17 +69,26 @@ func TestTimelineMonotonic(t *testing.T) {
 		sch := build(t, tc.s, tc.cfg)
 		e := cost.Uniform(sch.NumStages(), 1, 2, 0.25)
 		r := simulate(t, sch, e, Options{})
-		for d, spans := range r.Timeline {
+		k := 0
+		for d, list := range sch.Lists {
 			last := 0.0
-			for _, sp := range spans {
-				if sp.Start < last-1e-9 {
-					t.Errorf("%s dev%d: span %v starts at %v before previous end %v", tc.s, d, sp.Instr, sp.Start, last)
+			for i, in := range list {
+				rec := r.Timeline[k]
+				k++
+				if rec.Device != d || rec.Instr != in {
+					t.Fatalf("%s: record %d is dev%d %v, want dev%d[%d] %v", tc.s, k-1, rec.Device, rec.Instr, d, i, in)
 				}
-				if sp.End < sp.Start {
-					t.Errorf("%s dev%d: span %v ends before it starts", tc.s, d, sp.Instr)
+				if rec.Start < last-1e-9 {
+					t.Errorf("%s dev%d: record %v starts at %v before previous end %v", tc.s, d, rec.Instr, rec.Start, last)
 				}
-				last = sp.End
+				if rec.End < rec.Start {
+					t.Errorf("%s dev%d: record %v ends before it starts", tc.s, d, rec.Instr)
+				}
+				last = rec.End
 			}
+		}
+		if k != len(r.Timeline) {
+			t.Errorf("%s: %d records for %d instructions", tc.s, len(r.Timeline), k)
 		}
 	}
 }

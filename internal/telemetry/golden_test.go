@@ -15,8 +15,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // goldenTrace builds one representative search trace on a fake clock: a
 // root optimize span, a search with its probe pass, three points (explored
 // with a memoized build, graph rounds + sim; a build-memo hit; bound-pruned
-// after a speculative evaluation) and the winner's closing sim. Every export
-// format renders from this one tree so the goldens stay mutually consistent.
+// after a speculative evaluation) and a sim directly under the search, which
+// sorts after the points and the probe pass. Every export format renders from
+// this one tree so the goldens stay mutually consistent.
 func goldenTrace() *Trace {
 	tr := New("deadbeefdeadbeefdeadbeefdeadbeef")
 	tr.Clock = fakeClock(time.Millisecond)
@@ -76,7 +77,7 @@ func goldenTrace() *Trace {
 	s2.End()
 	s2.AttachTo(search)
 
-	// The winner's closing re-simulation, directly under the search.
+	// A simulation directly under the search.
 	search.Child(PhaseSim, "").End()
 	search.End()
 	root.End()

@@ -44,9 +44,9 @@ type Phase string
 // tuner grid search; PhaseBound its probe pass (every grid point checked,
 // bounded and ordered before any is evaluated); PhasePoint one grid point;
 // PhaseBuild / PhaseGraph / PhaseSim its sub-steps (schedule build,
-// graph-tuner run, direct simulation) — PhaseSim directly under the search is
-// the winner's closing re-simulation; PhaseRound one simulator-guided prepose
-// round inside a graph run.
+// graph-tuner run, direct simulation) — a search has no PhaseSim child of its
+// own, since its winner is not simulated again; PhaseRound one
+// simulator-guided prepose round inside a graph run.
 const (
 	PhaseOptimize Phase = "optimize"
 	PhaseSearch   Phase = "search"
@@ -61,7 +61,7 @@ const (
 // phaseRank fixes the canonical sibling order: spans under one parent sort
 // by (rank, key). Under a point the rank follows the evaluation's program
 // order — build, then graph or direct simulation; under a search the point
-// spans come first, then the probe pass, then the closing simulation.
+// spans come first, then the probe pass.
 func phaseRank(p Phase) int {
 	switch p {
 	case PhaseOptimize:

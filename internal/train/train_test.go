@@ -161,8 +161,8 @@ func TestIterationEvents(t *testing.T) {
 				t.Fatalf("%d events, want %d", len(st.Events), i+1)
 			}
 			ev := st.Events[i]
-			if ev.Device != d || ev.Instr() != in {
-				t.Fatalf("event %d is %s on dev%d, want %s on dev%d", i, ev.Instr(), ev.Device, in, d)
+			if ev.Device != d || ev.Instr != in {
+				t.Fatalf("event %d is %s on dev%d, want %s on dev%d", i, ev.Instr, ev.Device, in, d)
 			}
 			if ev.End < ev.Start || ev.Kind.IsComm() != (ev.Peer >= 0) {
 				t.Fatalf("event %d: interval [%v, %v], peer %d", i, ev.Start, ev.End, ev.Peer)

@@ -77,8 +77,8 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 	if err != nil {
 		t.Fatalf("Search(%+v): %v", sp, err)
 	}
-	if best.Schedule == nil || best.Result.Timeline == nil {
-		t.Fatalf("best %s carries no schedule or no timeline", best.Label())
+	if best.Schedule == nil || best.Result.Timeline != nil {
+		t.Fatalf("best %s carries no schedule, or a timeline", best.Label())
 	}
 	run.best = candString(*best)
 	rebuilder := &Tuner{Prof: tn.Prof}
@@ -86,12 +86,12 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 		if c.Schedule != nil || c.Result.Timeline != nil {
 			t.Errorf("trace entry %s carries a schedule or a timeline", c.Label())
 		}
-		sched, res, err := rebuilder.Resimulate(context.Background(), nil, &c, sp)
+		sched, res, err := rebuilder.Resimulate(context.Background(), &c, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Timeline) != sched.NumDevices() {
-			t.Errorf("%s: rebuilt timeline covers %d of %d devices", c.Label(), len(res.Timeline), sched.NumDevices())
+		if len(res.Timeline) != sched.TotalInstrs() {
+			t.Errorf("%s: rebuilt timeline holds %d records for %d instructions", c.Label(), len(res.Timeline), sched.TotalInstrs())
 		}
 		if was, ok := scored[pointOf(c)]; ok && was != sched.String() {
 			t.Errorf("%s: rebuilt schedule differs from the one the search scored", c.Label())

@@ -176,7 +176,7 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 			t.Errorf("candidate %s has mode but no assignment", c.Label())
 			continue
 		}
-		sched, _, err := tn.Resimulate(context.Background(), nil, &c, sp)
+		sched, _, err := tn.Resimulate(context.Background(), &c, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

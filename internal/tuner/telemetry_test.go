@@ -57,8 +57,8 @@ func TestTraceWorkerIndependence(t *testing.T) {
 
 // TestTraceShape spot-checks the canonical structure: one optimize root,
 // one search child, one point span per grid point with result attributes
-// followed by the probe pass's one bound span and the winner's one closing
-// sim span, and memo tags on the build spans.
+// followed by the probe pass's one bound span — the winner is not simulated
+// again — and memo tags on the build spans.
 func TestTraceShape(t *testing.T) {
 	_, _, tr := searchTrace(t, 1)
 	if len(tr.Roots) != 1 {
@@ -74,14 +74,11 @@ func TestTraceShape(t *testing.T) {
 	search := root.Children[0]
 	space := detSpace().WithDefaults()
 	points := enumerate(space)
-	if len(search.Children) != len(points)+2 {
-		t.Fatalf("search has %d children, want %d (one per grid point + the probe pass + the closing sim)", len(search.Children), len(points)+2)
+	if len(search.Children) != len(points)+1 {
+		t.Fatalf("search has %d children, want %d (one per grid point + the probe pass)", len(search.Children), len(points)+1)
 	}
 	if probe := search.Children[len(points)]; probe.Phase != telemetry.PhaseBound || len(probe.Children) != 0 {
-		t.Fatalf("search child after the points is %q with %d children, want a leaf bound span", probe.Phase, len(probe.Children))
-	}
-	if last := search.Children[len(points)+1]; last.Phase != telemetry.PhaseSim || len(last.Children) != 0 {
-		t.Fatalf("last search child is %q with %d children, want a leaf sim span", last.Phase, len(last.Children))
+		t.Fatalf("last search child is %q with %d children, want a leaf bound span", probe.Phase, len(probe.Children))
 	}
 	memoFirst := 0
 	for _, pt := range search.Children[:len(points)] {
@@ -188,8 +185,8 @@ func TestSearchMetrics(t *testing.T) {
 // TestSplitBackwardSimsCounted: every simulation of a search runs on an engine
 // bundle whose creator reports it, the split-backward pass's base comparison
 // included. An unpruned search evaluates every feasible point exactly once,
-// so the registry must read what a replay of the same evaluations — plus the
-// winner's closing re-simulation — counts on a bundle the test owns.
+// so the registry must read what a replay of the same evaluations counts on a
+// bundle the test owns.
 func TestSplitBackwardSimsCounted(t *testing.T) {
 	sp := Space{Devices: 4, GlobalBatch: 16, MicroBatches: []int{1, 2},
 		DeviceMem: cost.A100_40G.MemBytes, SplitBackward: true, MaxRounds: 3, NoPrune: true}
@@ -208,7 +205,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 		if _, _, err := tn.Search(sp); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.Sims.Value(), eng.Main.Sims+1; got != want {
+		if got, want := m.Sims.Value(), eng.Main.Sims; got != want {
 			t.Errorf("workers=%d: mario_search_sims_total = %d, the evaluations ran %d", w, got, want)
 		}
 	}

@@ -188,8 +188,8 @@ type Candidate struct {
 	OOM bool
 	// Result is the simulation result the candidate was scored with: its
 	// totals — makespan, per-device peak memory and compute-busy time,
-	// throughput, OOM verdict — and, for a search's winner only, the
-	// per-instruction Timeline.
+	// throughput, OOM verdict — and never a per-instruction Timeline, which
+	// Resimulate derives on demand.
 	Result *sim.Result
 	// Schedule is the schedule the candidate ran. A search's winner carries it
 	// and nothing else does — not a trace entry, in a fresh plan exactly as in
@@ -280,9 +280,8 @@ type Tuner struct {
 	// Span, when live, parents the telemetry of every Search call: each
 	// SearchContext records a PhaseSearch subtree under it — one PhasePoint
 	// child per grid point (build and graph or sim children when the point
-	// was evaluated, none when it was pruned), one PhaseBound child for the
-	// probe pass, then one PhaseSim child for the winner's closing
-	// re-simulation. Workers record spans speculatively, but only the merge
+	// was evaluated, none when it was pruned) and one PhaseBound child for
+	// the probe pass. Workers record spans speculatively, but only the merge
 	// loop attaches them — a speculative evaluation the merge prunes is
 	// dropped whole — so the canonical trace exports are byte-identical for
 	// every Workers value. The zero Span disables tracing at zero cost.
@@ -444,10 +443,9 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		m.Searches.Inc()
 	}
 	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
-	// eng is the search goroutine's engine bundle: the inline evaluations, the
-	// merge loop's forced re-evaluations and the winner's closing
-	// re-simulation all run on it, so the last of these finds it warm (pool
-	// workers hold one bundle each; a bundle is not goroutine-safe).
+	// eng is the search goroutine's engine bundle: the inline evaluations and
+	// the merge loop's forced re-evaluations run on it (pool workers hold one
+	// bundle each; a bundle is not goroutine-safe).
 	eng := graph.NewEngines()
 	// The one exit: whatever the search merged before it completed, failed or
 	// was cancelled is published here, to Stats and to the registry alike, so
@@ -479,21 +477,12 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 		return nil, nil, fmt.Errorf("tuner: no feasible configuration in the search space")
 	}
 	// Every point was scored without a timeline and only the incumbent kept its
-	// schedule; the winner gets its timeline from the one closing Resimulate —
-	// on this engine bundle, under this span and nothing below it, so the span
-	// exports do not depend on who evaluated the winner.
-	ss := search.Child(telemetry.PhaseSim, "")
-	sched, res, err := t.Resimulate(ctx, eng, best, space)
-	ss.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	// The graph passes do not re-validate the points they explore; the one
-	// schedule the search hands out is validated here.
-	if err := pipeline.Validate(sched); err != nil {
+	// schedule, which the winner keeps with its scoring result. The graph
+	// passes do not re-validate the points they explore; the one schedule the
+	// search hands out is validated here.
+	if err := pipeline.Validate(best.Schedule); err != nil {
 		return nil, nil, fmt.Errorf("tuner: winner %s: %w", best.Label(), err)
 	}
-	best.Schedule, best.Result = sched, res
 	return best, trace, nil
 }
 
@@ -523,9 +512,10 @@ func (s Space) admits(c *Candidate) error {
 // resolved from the stage count, the micro-batch size and the placement
 // assignment, and the schedule is simulated once under the candidate's DP
 // degree and the space's memory budget. The search scores every grid point
-// without a timeline and calls this once for the winner, which carries its
-// schedule; a plan's trace candidates, fresh or decoded, carry none and are
-// rebuilt here, on demand.
+// without a timeline and stores none; a plan's reader calls this for the
+// timeline of any candidate — the winner, which carries its schedule, or a
+// trace candidate, fresh or decoded, which carries none and is rebuilt here,
+// on demand.
 //
 // Everything involved is deterministic, so the result must reproduce the
 // stored one bit for bit: a candidate whose coordinates are not the space's
@@ -534,10 +524,9 @@ func (s Space) admits(c *Candidate) error {
 // SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
 // the one the plan was tuned with — is refused. c is not modified.
 //
-// eng is the engine bundle to run on (the search passes its warm one); nil
-// uses a fresh one. t contributes its profiler, build memo and metrics; the
-// knobs come from space, with its defaults applied.
-func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate, space Space) (*pipeline.Schedule, *sim.Result, error) {
+// It runs on an engine bundle of its own. t contributes its profiler, build
+// memo and metrics; the knobs come from space, with its defaults applied.
+func (t *Tuner) Resimulate(ctx context.Context, c *Candidate, space Space) (*pipeline.Schedule, *sim.Result, error) {
 	if t.Prof == nil || c == nil || c.Result == nil {
 		return nil, nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
 	}
@@ -568,9 +557,7 @@ func (t *Tuner) Resimulate(ctx context.Context, eng *graph.Engines, c *Candidate
 	if err != nil {
 		return fail(err)
 	}
-	if eng == nil {
-		eng = graph.NewEngines()
-	}
+	eng := graph.NewEngines()
 	if sched == nil {
 		rebuilt := *c
 		if err := t.materialize(ctx, space, &rebuilt, est, eng, telemetry.Span{}); err != nil {

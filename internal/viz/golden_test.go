@@ -42,9 +42,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// goldenResult simulates a tiny deterministic pipeline for the predicted
-// exports: 2-device 1F1B, 2 micro-batches, Fig. 2's F=1,B=2 grid world.
-func goldenResult(t *testing.T) *sim.Result {
+// goldenTimeline simulates a tiny deterministic pipeline for the predicted
+// export: 2-device 1F1B, 2 micro-batches, Fig. 2's F=1,B=2 grid world.
+func goldenTimeline(t *testing.T) []obs.Event {
 	t.Helper()
 	s, err := scheme.Build(pipeline.Scheme1F1B, scheme.Config{Devices: 2, Micros: 2})
 	if err != nil {
@@ -54,24 +54,24 @@ func goldenResult(t *testing.T) *sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res.Timeline
 }
 
 // goldenEvents is a hand-written measured event stream covering the optional
-// fields (wait, memory, buffered sends) of the measured exports.
+// fields (wait, memory, buffered sends) of the export.
 func goldenEvents() []obs.Event {
 	return []obs.Event{
-		{Device: 0, Iter: 0, Kind: pipeline.Forward, Micro: 0, Stage: 0, Peer: -1, Start: 0, End: 1.25, Mem: 2048},
-		{Device: 0, Iter: 0, Kind: pipeline.SendAct, Micro: 0, Stage: 0, Peer: 1, Start: 1.25, End: 1.5, Bytes: 512, Buffered: true},
-		{Device: 1, Iter: 0, Kind: pipeline.RecvAct, Micro: 0, Stage: 1, Peer: 0, Start: 0, End: 1.5, Wait: 1.25, Bytes: 512},
-		{Device: 1, Iter: 0, Kind: pipeline.Backward, Micro: 0, Stage: 1, Peer: -1, Start: 1.5, End: 4, Mem: 1024},
-		{Device: 1, Iter: 1, Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro, Stage: -1, Peer: -1, Start: 4, End: 4.5},
+		{Instr: pipeline.Instr{Kind: pipeline.Forward, Micro: 0, Stage: 0}, Device: 0, Iter: 0, Peer: -1, Start: 0, End: 1.25, Mem: 2048},
+		{Instr: pipeline.Instr{Kind: pipeline.SendAct, Micro: 0, Stage: 0, Buffered: true}, Device: 0, Iter: 0, Peer: 1, Start: 1.25, End: 1.5, Bytes: 512},
+		{Instr: pipeline.Instr{Kind: pipeline.RecvAct, Micro: 0, Stage: 1}, Device: 1, Iter: 0, Peer: 0, Start: 0, End: 1.5, Wait: 1.25, Bytes: 512},
+		{Instr: pipeline.Instr{Kind: pipeline.Backward, Micro: 0, Stage: 1}, Device: 1, Iter: 0, Peer: -1, Start: 1.5, End: 4, Mem: 1024},
+		{Instr: pipeline.Instr{Kind: pipeline.OptimizerStep, Micro: pipeline.NoMicro, Stage: -1}, Device: 1, Iter: 1, Peer: -1, Start: 4, End: 4.5},
 	}
 }
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ChromeTrace(&buf, goldenResult(t)); err != nil {
+	if err := ChromeTrace(&buf, goldenTimeline(t)); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "chrome_trace.golden.json", buf.Bytes())
@@ -79,7 +79,7 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceMeasuredGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ChromeTraceMeasured(&buf, goldenEvents()); err != nil {
+	if err := ChromeTrace(&buf, goldenEvents()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "chrome_trace_measured.golden.json", buf.Bytes())

@@ -1,7 +1,9 @@
-// Package viz renders pipeline schedules and simulated timelines (§5.2
+// Package viz renders the record stream of a pipeline run (§5.2
 // "Visualization", Fig. 5): an ASCII Gantt chart for terminals, an SVG
 // export, and a Chrome-trace JSON export loadable in chrome://tracing or
-// Perfetto. Visualisation lets users observe pipeline execution states and
+// Perfetto. A stream is a simulated timeline (sim.Result.Timeline) or a
+// measured run's events (cluster.Report.Events), and each renderer draws
+// either. Visualisation lets users observe pipeline execution states and
 // bubble distribution instead of relying solely on throughput numbers.
 package viz
 
@@ -14,7 +16,6 @@ import (
 
 	"mario/internal/obs"
 	"mario/internal/pipeline"
-	"mario/internal/sim"
 )
 
 // cell is the glyph per instruction kind in the ASCII chart.
@@ -40,42 +41,50 @@ func cell(k pipeline.Kind) byte {
 	return '.'
 }
 
-// ASCII renders the simulated timeline as a Gantt chart with one row per
-// device and one column per time quantum; bubbles appear as spaces.
-// Communication instructions are omitted (they overlap compute in the
-// charts of the paper). quantum ≤ 0 picks one that fits the chart into
-// width ~160 columns.
-func ASCII(res *sim.Result, quantum float64) string {
+// span returns the stream's device count and its makespan, the latest end.
+func span(events []obs.Event) (devices int, total float64) {
+	for _, e := range events {
+		devices, total = max(devices, e.Device+1), max(total, e.End)
+	}
+	return devices, total
+}
+
+// ASCII renders the record stream as a Gantt chart with one row per device
+// and one column per time quantum; bubbles appear as spaces. Communication
+// instructions are omitted (they overlap compute in the charts of the
+// paper). quantum ≤ 0 picks one that fits the chart into width ~160 columns.
+func ASCII(events []obs.Event, quantum float64) string {
+	devices, total := span(events)
 	if quantum <= 0 {
-		quantum = res.Total / 160
+		quantum = total / 160
 		if quantum <= 0 {
 			quantum = 1
 		}
 	}
+	cols := int(math.Ceil(total/quantum)) + 1
+	rows := make([][]byte, devices)
+	for d := range rows {
+		rows[d] = []byte(strings.Repeat(" ", cols))
+	}
+	for _, e := range events {
+		if !e.Kind.IsCompute() {
+			continue
+		}
+		lo := int(e.Start / quantum)
+		hi := int(math.Ceil(e.End / quantum))
+		if hi <= lo {
+			hi = lo + 1
+		}
+		g := cell(e.Kind)
+		for i := lo; i < hi && i < cols; i++ {
+			rows[e.Device][i] = g
+		}
+	}
 	var b strings.Builder
-	cols := int(math.Ceil(res.Total/quantum)) + 1
-	for d, spans := range res.Timeline {
-		row := make([]byte, cols)
-		for i := range row {
-			row[i] = ' '
-		}
-		for _, sp := range spans {
-			if !sp.Instr.Kind.IsCompute() {
-				continue
-			}
-			lo := int(sp.Start / quantum)
-			hi := int(math.Ceil(sp.End / quantum))
-			if hi <= lo {
-				hi = lo + 1
-			}
-			g := cell(sp.Instr.Kind)
-			for i := lo; i < hi && i < cols; i++ {
-				row[i] = g
-			}
-		}
+	for d, row := range rows {
 		fmt.Fprintf(&b, "dev%-2d |%s|\n", d, strings.TrimRight(string(row), " "))
 	}
-	fmt.Fprintf(&b, "total %.4g (F=forward C=ckpt-forward B=backward b=bwd-input w=bwd-weight R=recompute A=allreduce O=optstep)\n", res.Total)
+	fmt.Fprintf(&b, "total %.4g (F=forward C=ckpt-forward B=backward b=bwd-input w=bwd-weight R=recompute A=allreduce O=optstep)\n", total)
 	return b.String()
 }
 
@@ -98,33 +107,37 @@ func svgColor(k pipeline.Kind) string {
 	return "#BAB0AC"
 }
 
-// SVG writes the timeline as a standalone SVG document.
-func SVG(w io.Writer, res *sim.Result) error {
+// SVG writes the record stream as a standalone SVG document. Each device's
+// records are drawn, then its label: the stream is device-major, as both
+// producers order it.
+func SVG(w io.Writer, events []obs.Event) error {
 	const rowH, pad, width = 28, 4, 1200
-	if res.Total <= 0 {
+	devices, total := span(events)
+	if total <= 0 {
 		return fmt.Errorf("viz: empty timeline")
 	}
-	scale := float64(width-2*pad) / res.Total
-	height := len(res.Timeline)*rowH + 2*pad
+	scale := float64(width-2*pad) / total
 	if _, err := fmt.Fprintf(w,
 		`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="10">`+"\n",
-		width, height); err != nil {
+		width, devices*rowH+2*pad); err != nil {
 		return err
 	}
-	for d, spans := range res.Timeline {
+	next := 0
+	for d := 0; d < devices; d++ {
 		y := pad + d*rowH
-		for _, sp := range spans {
-			if !sp.Instr.Kind.IsCompute() {
+		for ; next < len(events) && events[next].Device == d; next++ {
+			e := events[next]
+			if !e.Kind.IsCompute() {
 				continue
 			}
-			x := pad + int(sp.Start*scale)
-			wd := int((sp.End - sp.Start) * scale)
+			x := pad + int(e.Start*scale)
+			wd := int(e.Dur() * scale)
 			if wd < 1 {
 				wd = 1
 			}
 			if _, err := fmt.Fprintf(w,
 				`<rect x="%d" y="%d" width="%d" height="%d" fill="%s"><title>dev%d %s [%.4g,%.4g]</title></rect>`+"\n",
-				x, y, wd, rowH-6, svgColor(sp.Instr.Kind), d, sp.Instr, sp.Start, sp.End); err != nil {
+				x, y, wd, rowH-6, svgColor(e.Kind), d, e.Instr, e.Start, e.End); err != nil {
 				return err
 			}
 		}
@@ -148,38 +161,12 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace writes the simulator's predicted timeline in the Chrome
-// trace-event JSON format (open with chrome://tracing or Perfetto). Compute
+// ChromeTrace writes the record stream in the Chrome trace-event JSON format
+// (open with chrome://tracing or Perfetto), so a predicted and a measured
+// trace of the same schedule can be opened side by side. Compute
 // instructions land on tid 0, communication on tid 1, of the device's pid.
-func ChromeTrace(w io.Writer, res *sim.Result) error {
-	var events []traceEvent
-	for d, spans := range res.Timeline {
-		for _, sp := range spans {
-			tid, cat := 0, "compute"
-			if sp.Instr.Kind.IsComm() {
-				tid, cat = 1, "comm"
-			}
-			events = append(events, traceEvent{
-				Name: sp.Instr.String(),
-				Cat:  cat,
-				Ph:   "X",
-				Ts:   sp.Start * 1e6,
-				Dur:  (sp.End - sp.Start) * 1e6,
-				PID:  d,
-				TID:  tid,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
-}
-
-// ChromeTraceMeasured writes a measured run's obs event stream in the Chrome
-// trace-event JSON format — the measured counterpart of ChromeTrace, so a
-// predicted and a measured trace of the same schedule can be opened side by
-// side in Perfetto. Each event carries its iteration, queue wait and modeled
-// memory as args.
-func ChromeTraceMeasured(w io.Writer, events []obs.Event) error {
+// Each event carries its iteration, queue wait and modeled memory as args.
+func ChromeTrace(w io.Writer, events []obs.Event) error {
 	out := make([]traceEvent, 0, len(events))
 	for _, e := range events {
 		tid, cat := 0, "compute"
@@ -194,7 +181,7 @@ func ChromeTraceMeasured(w io.Writer, events []obs.Event) error {
 			args["mem_bytes"] = e.Mem
 		}
 		out = append(out, traceEvent{
-			Name: e.Instr().String(),
+			Name: e.Instr.String(),
 			Cat:  cat,
 			Ph:   "X",
 			Ts:   e.Start * 1e6,

@@ -24,7 +24,7 @@ func TestASCIIShowsSplitBackwardGlyphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = split
-	out := ASCII(r, 0.5)
+	out := ASCII(r.Timeline, 0.5)
 	if !strings.Contains(out, "b") || !strings.Contains(out, "w") {
 		t.Errorf("split glyphs missing:\n%s", out)
 	}
@@ -45,7 +45,7 @@ func TestASCIIDefaultQuantum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := ASCII(r, 0); !strings.Contains(out, "total") {
+	if out := ASCII(r.Timeline, 0); !strings.Contains(out, "total") {
 		t.Errorf("auto-quantum chart broken:\n%s", out)
 	}
 }
@@ -63,7 +63,7 @@ func TestSVGChartForCheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := SVG(&sb, r); err != nil {
+	if err := SVG(&sb, r.Timeline); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -28,7 +28,7 @@ func sample(t *testing.T) (*pipeline.Schedule, *sim.Result) {
 
 func TestASCIIContainsAllDevices(t *testing.T) {
 	_, r := sample(t)
-	out := ASCII(r, 1)
+	out := ASCII(r.Timeline, 1)
 	for _, want := range []string{"dev0", "dev3", "F", "B", "total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ASCII output missing %q:\n%s", want, out)
@@ -49,7 +49,7 @@ func TestASCIIShowsRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = opt
-	out := ASCII(r, 1)
+	out := ASCII(r.Timeline, 1)
 	if !strings.Contains(out, "R") || !strings.Contains(out, "C") {
 		t.Errorf("checkpointed timeline missing R/C glyphs:\n%s", out)
 	}
@@ -58,7 +58,7 @@ func TestASCIIShowsRecompute(t *testing.T) {
 func TestSVGWellFormed(t *testing.T) {
 	_, r := sample(t)
 	var buf bytes.Buffer
-	if err := SVG(&buf, r); err != nil {
+	if err := SVG(&buf, r.Timeline); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -68,7 +68,7 @@ func TestSVGWellFormed(t *testing.T) {
 	if strings.Count(out, "<rect") < 8 {
 		t.Errorf("SVG has too few rects:\n%s", out[:200])
 	}
-	if err := SVG(&buf, &sim.Result{}); err == nil {
+	if err := SVG(&buf, nil); err == nil {
 		t.Error("empty timeline accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestSVGWellFormed(t *testing.T) {
 func TestChromeTraceParses(t *testing.T) {
 	_, r := sample(t)
 	var buf bytes.Buffer
-	if err := ChromeTrace(&buf, r); err != nil {
+	if err := ChromeTrace(&buf, r.Timeline); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -148,15 +148,16 @@ func Models() map[string]ModelConfig {
 // "schedule" object, ready for Run.
 type Plan struct {
 	// Best is the winning configuration: the one candidate that carries its
-	// Schedule (what Run executes) and, in its Result, the simulated
-	// per-instruction Timeline that Drift and Visualize read.
+	// Schedule (what Run executes). Its Result holds the totals it was scored
+	// with and no Timeline: Drift and Visualize re-simulate Best for the
+	// per-instruction records.
 	Best tuner.Candidate
 	// Trace is the full tuning trace in canonical grid order (Fig. 11's
 	// curve): every explored candidate's coordinates, placement assignment and
 	// result totals. Trace entries carry no Schedule and no Timeline — both
 	// are pure functions of the entry's coordinates and the plan's space, and
 	// Resimulate rebuilds them. (A plan decoded from a version-1 or -2 body
-	// keeps the trace schedules and timelines that body carried.)
+	// keeps the trace schedules that body carried.)
 	Trace []tuner.Candidate
 	// Profiler retains the fitted estimators for re-simulation.
 	Profiler *profile.Profiler
@@ -335,44 +336,56 @@ func RunWithOptions(p *Plan, iters int, opts RunOptions) (*RunReport, error) {
 	return out, nil
 }
 
-// Drift aligns a measured run's event stream with the plan's predicted
-// timeline and quantifies the disagreement (per-kind latency MAPE, memory
-// MAPE, worst-offending instructions). The report requires rep.Events, i.e.
-// a run made with RunOptions.CollectEvents.
+// Drift joins a measured run's event stream with the plan's predicted
+// timeline, which it re-simulates (Resimulate of Best), and quantifies the
+// disagreement (per-kind latency MAPE, memory MAPE, worst-offending
+// instructions). The report requires rep.Events, i.e. a run made with
+// RunOptions.CollectEvents.
 func Drift(p *Plan, rep *RunReport) (*DriftReport, error) {
-	if p == nil || p.Best.Result == nil {
-		return nil, fmt.Errorf("mario: plan has no simulation result")
-	}
 	if rep == nil || len(rep.Events) == 0 {
 		return nil, fmt.Errorf("mario: run report has no events (use RunOptions.CollectEvents)")
 	}
-	return obs.ComputeDrift(rep.Events, p.Best.Result, rep.PeakMem), nil
+	res, err := bestResult(p)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ComputeDrift(rep.Events, res.Timeline, res.PeakMem, rep.PeakMem), nil
 }
 
 // Resimulate rebuilds the full simulation result — per-instruction timeline
 // included — of one of the plan's candidates (a Trace entry, or Best). Plans
-// carry a schedule and a timeline for Best only; a trace entry's schedule is
-// first rebuilt from its coordinates by the code path the search scored it
-// with, then simulated once with the timeline on — alike on fresh and decoded
-// plans. The candidate's stored totals must be reproduced bit for bit: a
-// candidate that is not one of this plan's search (edited coordinates, a
-// placement assignment of the wrong size) is refused before anything is built
-// from it, and one whose totals do not come back is refused after. c is left
+// carry a schedule for Best only and a timeline for none: Best is simulated
+// once more from its schedule, and a trace entry's schedule is first rebuilt
+// from its coordinates by the code path the search scored it with, then
+// simulated once with the timeline on — alike on fresh and decoded plans.
+// The candidate's stored totals must be reproduced bit for bit: a candidate
+// that is not one of this plan's search (edited coordinates, a placement
+// assignment of the wrong size) is refused before anything is built from it,
+// and one whose totals do not come back is refused after. c is left
 // untouched.
 func Resimulate(p *Plan, c *tuner.Candidate) (*sim.Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("mario: no plan")
 	}
-	_, res, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), nil, c, p.space)
+	_, res, err := (&tuner.Tuner{Prof: p.Profiler}).Resimulate(context.Background(), c, p.space)
 	return res, err
 }
 
-// Visualize writes the plan's simulated timeline as an ASCII Gantt chart —
-// the paper's Fig. 5 visualisation.
-func Visualize(w io.Writer, p *Plan) error {
-	if p == nil || p.Best.Result == nil {
-		return fmt.Errorf("mario: plan has no simulation result")
+// bestResult re-simulates the plan's winner with its timeline on.
+func bestResult(p *Plan) (*sim.Result, error) {
+	if p == nil {
+		return nil, fmt.Errorf("mario: no plan")
 	}
-	_, err := io.WriteString(w, viz.ASCII(p.Best.Result, 0))
+	return Resimulate(p, &p.Best)
+}
+
+// Visualize writes the plan's simulated timeline, re-simulated from Best, as
+// an ASCII Gantt chart — the paper's Fig. 5 visualisation.
+func Visualize(w io.Writer, p *Plan) error {
+	res, err := bestResult(p)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, viz.ASCII(res.Timeline, 0))
 	return err
 }

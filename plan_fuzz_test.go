@@ -11,9 +11,9 @@ import (
 )
 
 // FuzzPlanDecode feeds LoadPlan the bytes a client, a cache or a peer might
-// hand it — mutations of a version-1, two pinned version-2 and a version-3
+// hand it — mutations of a version-1, two pinned version-2 and a version-4
 // body. Whatever arrives, LoadPlan must not panic; a body that loads must
-// save, and its saved form must be a version-3 fixed point; and Resimulate of
+// save, and its saved form must be a version-4 fixed point; and Resimulate of
 // Best and of every trace entry must either reproduce the candidate's stored
 // totals bit for bit or refuse — since version 3 a trace entry's decoded
 // coordinates drive a schedule build, so an edited candidate has to be caught
@@ -30,11 +30,11 @@ func FuzzPlanDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		v3, err := json.Marshal(plan)
+		v4, err := json.Marshal(plan)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v3)
+		f.Add(v4)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		plan, err := mario.LoadPlan(body)
@@ -45,8 +45,8 @@ func FuzzPlanDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a plan that loaded does not save: %v", err)
 		}
-		if !bytes.HasPrefix(saved, []byte(`{"version":3,`)) {
-			t.Fatalf("saved as %.16s…, want version 3", saved)
+		if !bytes.HasPrefix(saved, []byte(`{"version":4,`)) {
+			t.Fatalf("saved as %.16s…, want version 4", saved)
 		}
 		reloaded, err := mario.LoadPlan(saved)
 		if err != nil {

@@ -15,7 +15,8 @@ import (
 // the planning service (internal/serve) stores and serves them, and the
 // remote client reconstructs a fully functional *Plan — Run, Drift and
 // Visualize all work on a decoded plan, because the profiler is rebuilt from
-// its deterministic inputs (model, hardware, machine spec, probe shape).
+// its deterministic inputs (model, hardware, machine spec, probe shape) and
+// Best is re-simulated from its schedule.
 //
 // The encoding is deterministic: the same plan always marshals to the same
 // bytes (struct-field order is fixed and encoding/json's float formatting is
@@ -29,9 +30,13 @@ import (
 // Version 3 writes trace candidates without their schedules — Best is byte for
 // byte what version 2 wrote — and records split_backward, the one input of a
 // trace candidate's schedule (tuner.Space.SplitBackward) the body did not
-// already carry. Version-1 and -2 bodies still load and keep the trace
-// schedules they carry; every save writes version 3.
-const planVersion = 3
+// already carry. Version 4 writes no per-instruction timeline, Best's
+// included (sim.Result.Timeline is never encoded): a reader re-simulates Best
+// for it, and a version-3 reader, which would draw an empty chart from a body
+// with none, refuses the version instead. Version-1 to -3 bodies still load —
+// their timelines are ignored — and keep the trace schedules they carry;
+// every save writes version 4.
+const planVersion = 4
 
 // minPlanVersion is the oldest wire format UnmarshalJSON still accepts.
 const minPlanVersion = 1
@@ -61,16 +66,18 @@ type planJSON struct {
 	SplitBackward bool `json:"split_backward,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler. Best is written whole: schedule,
-// result totals and per-instruction timeline, so Run, Drift and Visualize of a
-// decoded plan need no extra work. The tuning trace is written as what Rank
-// and Fig. 11 read — every candidate's coordinates, placement assignment and
-// result totals (makespan, per-device peak memory and compute-busy time,
-// throughput, OOM verdict) — and never with a schedule: a fresh search's trace
-// holds none, and the ones a version-1 or -2 body brought along are dropped on
-// save. Resimulate rebuilds any trace candidate's schedule and timeline from
-// its coordinates and the space fields (tp, mem_limit, split_backward), so a
-// decoded plan supports the same post-hoc analysis as the original.
+// MarshalJSON implements json.Marshaler. Best is written with its schedule,
+// so Run of a decoded plan needs no extra work, and its result totals; no
+// candidate is written with a per-instruction timeline, which Drift and
+// Visualize re-simulate from Best's schedule. The tuning trace is written as
+// what Rank and Fig. 11 read — every candidate's coordinates, placement
+// assignment and result totals (makespan, per-device peak memory and
+// compute-busy time, throughput, OOM verdict) — and never with a schedule: a
+// fresh search's trace holds none, and the ones a version-1 or -2 body brought
+// along are dropped on save. Resimulate rebuilds any candidate's schedule and
+// timeline from its coordinates and the space fields (tp, mem_limit,
+// split_backward), so a decoded plan supports the same post-hoc analysis as
+// the original.
 func (p *Plan) MarshalJSON() ([]byte, error) {
 	if p.Profiler == nil {
 		return nil, fmt.Errorf("mario: plan has no profiler; only plans built by Optimize are serialisable")

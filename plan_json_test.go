@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mario"
+	"mario/internal/viz"
 )
 
 func smallPlan(t *testing.T) *mario.Plan {
@@ -93,12 +94,77 @@ func TestPlanJSONDecodedPlanRuns(t *testing.T) {
 		t.Errorf("decoded plan peak memory %v != original %v", got.PeakMem, want.PeakMem)
 	}
 
-	if _, err := mario.Drift(decoded, got); err != nil {
-		t.Errorf("drift on decoded plan: %v", err)
+	if bytes.Contains(data, []byte(`"Timeline"`)) {
+		t.Error("the encoded plan stores a timeline")
 	}
-	var buf bytes.Buffer
-	if err := mario.Visualize(&buf, decoded); err != nil {
-		t.Errorf("visualize on decoded plan: %v", err)
+	// A decoded plan answers its readers as the fresh one does: each
+	// re-simulates Best for its records.
+	wantDrift, err := mario.Drift(plan, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotDrift, err := mario.Drift(decoded, got)
+	if err != nil {
+		t.Fatalf("drift on decoded plan: %v", err)
+	}
+	if !reflect.DeepEqual(gotDrift, wantDrift) {
+		t.Error("the decoded plan's drift report differs from the fresh plan's")
+	}
+	render := func(p *mario.Plan) (chart, trace []byte) {
+		var a, b bytes.Buffer
+		if err := mario.Visualize(&a, p); err != nil {
+			t.Fatalf("visualize: %v", err)
+		}
+		res, err := mario.Resimulate(p, &p.Best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := viz.ChromeTrace(&b, res.Timeline); err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes(), b.Bytes()
+	}
+	wantChart, wantTrace := render(plan)
+	gotChart, gotTrace := render(decoded)
+	if !bytes.Equal(gotChart, wantChart) || !bytes.Equal(gotTrace, wantTrace) {
+		t.Error("the decoded plan's chart or predicted trace differs from the fresh plan's")
+	}
+
+	// A body from before version 4 still decodes; the timelines it carries
+	// are ignored, and its readers re-simulate too.
+	old, err := os.ReadFile("testdata/plan_6bfc195.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := mario.LoadPlan(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Best.Result.Timeline != nil {
+		t.Error("a decoded version-2 body kept Best's stored timeline")
+	}
+	if err := mario.Visualize(new(bytes.Buffer), legacy); err != nil {
+		t.Errorf("visualize on a version-2 body: %v", err)
+	}
+
+	// Drift trusts no stored number: a body whose Best makespan was edited by
+	// hand does not re-simulate, so its drift is refused.
+	var body map[string]any
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatal(err)
+	}
+	result := body["best"].(map[string]any)["Result"].(map[string]any)
+	result["Total"] = result["Total"].(float64) * 1.5
+	edited, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := mario.LoadPlan(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mario.Drift(forged, got); err == nil {
+		t.Error("drift accepted a plan whose Best makespan was edited")
 	}
 }
 
@@ -152,7 +218,7 @@ func TestPlanJSONLegacyV1Decode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved, want) || !bytes.HasPrefix(resaved, []byte(`{"version":3,`)) {
+	if !bytes.Equal(resaved, want) || !bytes.HasPrefix(resaved, []byte(`{"version":4,`)) {
 		t.Error("re-saved legacy plan differs from the current-version encoding")
 	}
 }
@@ -217,7 +283,7 @@ func TestPlanJSONRejectsBadInput(t *testing.T) {
 	cases := map[string][]byte{
 		"not json":      []byte("{nope"),
 		"empty object":  []byte("{}"),
-		"wrong version": bytes.Replace(good, []byte(`"version":3`), []byte(`"version":99`), 1),
+		"wrong version": bytes.Replace(good, []byte(`"version":4`), []byte(`"version":99`), 1),
 		"bad schedule":  bytes.Replace(good, []byte(`"k":"BW"`), []byte(`"k":"??"`), 1),
 	}
 	for name, data := range cases {

@@ -23,12 +23,12 @@ func sameTotals(a, b *sim.Result) bool {
 }
 
 // TestTraceTimelinesRecomputable pins what a plan keeps and what it can
-// rebuild: only Best carries a schedule and a simulated timeline — in a fresh
-// plan exactly as in a decoded one, whoever evaluated the candidates — and
-// Resimulate rebuilds every trace candidate's schedule as the search scored
-// it, reproduces its stored totals bit for bit with a timeline for every
-// device, and reproduces Best's stored timeline exactly, so nothing that was
-// dropped is lost.
+// rebuild: only Best carries a schedule and no candidate a simulated timeline
+// — in a fresh plan exactly as in a decoded one, whoever evaluated the
+// candidates — and Resimulate rebuilds every trace candidate's schedule as
+// the search scored it, reproduces its stored totals bit for bit with a
+// timeline for every device, and gives Best the same timeline on the fresh
+// and the decoded plan, so nothing that was dropped is lost.
 func TestTraceTimelinesRecomputable(t *testing.T) {
 	ckpt := true
 	auto8 := mario.Config{PipelineScheme: "Auto", NumDevices: 8, GlobalBatchSize: 64, MemoryPerDevice: "40G"}
@@ -76,12 +76,13 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 			if again, err := json.Marshal(decoded); err != nil || !bytes.Equal(again, data) {
 				t.Errorf("decoded plan re-encodes differently (err %v)", err)
 			}
+			bestTimeline := map[string][]mario.Event{}
 			for kind, plan := range map[string]*mario.Plan{"fresh": fresh, "decoded": decoded} {
 				if len(plan.Trace) == 0 {
 					t.Fatalf("%s: empty trace", kind)
 				}
-				if plan.Best.Schedule == nil || plan.Best.Result.Timeline == nil {
-					t.Fatalf("%s: Best carries no schedule or no timeline", kind)
+				if plan.Best.Schedule == nil || plan.Best.Result.Timeline != nil {
+					t.Fatalf("%s: Best carries no schedule, or a timeline", kind)
 				}
 				for i := range plan.Trace {
 					c := &plan.Trace[i]
@@ -97,9 +98,9 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 					if !sameTotals(res, was) {
 						t.Errorf("%s: Trace[%d] %s: re-simulated totals differ from the stored ones", kind, i, c.Label())
 					}
-					if len(res.Timeline) != c.PP {
+					if devs := devicesOf(res.Timeline); devs != c.PP {
 						t.Errorf("%s: Trace[%d] %s: re-simulated timeline covers %d of %d devices",
-							kind, i, c.Label(), len(res.Timeline), c.PP)
+							kind, i, c.Label(), devs, c.PP)
 					}
 					if c.Schedule != nil || c.Result != was {
 						t.Errorf("%s: Trace[%d] %s: Resimulate modified the candidate", kind, i, c.Label())
@@ -115,15 +116,28 @@ func TestTraceTimelinesRecomputable(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Best: %v", kind, err)
 				}
-				if !reflect.DeepEqual(res.Timeline, plan.Best.Result.Timeline) {
-					t.Errorf("%s: re-simulating Best does not reproduce its stored timeline", kind)
+				if devs := devicesOf(res.Timeline); devs != plan.Best.PP {
+					t.Errorf("%s: Best's timeline covers %d of %d devices", kind, devs, plan.Best.PP)
 				}
+				bestTimeline[kind] = res.Timeline
 				if plan.Best.Schedule.String() != scored[plan.Best.Label()] {
 					t.Errorf("%s: Best's schedule is not the one the search scored", kind)
 				}
 			}
+			if !reflect.DeepEqual(bestTimeline["fresh"], bestTimeline["decoded"]) {
+				t.Error("re-simulating Best gives the decoded plan another timeline than the fresh one")
+			}
 		})
 	}
+}
+
+// devicesOf counts the devices a record stream covers.
+func devicesOf(events []mario.Event) int {
+	n := 0
+	for _, e := range events {
+		n = max(n, e.Device+1)
+	}
+	return n
 }
 
 // TestResimulateRefusesForeignCandidate: a candidate the plan's own inputs do
@@ -184,8 +198,8 @@ func TestResimulateRefusesForeignCandidate(t *testing.T) {
 	}
 }
 
-// Plan bodies written by earlier commits must keep loading, and every save
-// must write the current format. testdata/plan_6bfc195.json (version 2:
+// Plan bodies written by earlier commits must keep loading, with the
+// timelines they carry ignored, and every save must write the current format. testdata/plan_6bfc195.json (version 2:
 // schedules and per-instruction timelines on every trace candidate) and
 // testdata/plan_30dd99b.json (version 2: trace schedules, no trace timelines)
 // are json.Marshal(mario.Optimize(V, 4 devices, gbs 8, mbs 2, LLaMA2-3B)) at
@@ -220,17 +234,22 @@ func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := bytes.Count(body, []byte(`"Timeline":[`)); (n > 1) != tc.traceTimelines {
+				t.Fatalf("the body holds %d timelines: it does not exercise its format", n)
+			}
 			plan, err := mario.LoadPlan(body)
 			if err != nil {
 				t.Fatalf("plan rejected: %v", err)
+			}
+			if plan.Best.Result.Timeline != nil {
+				t.Error("Best kept the timeline the body carries")
 			}
 			for i, c := range plan.Trace {
 				if c.Schedule == nil {
 					t.Fatalf("Trace[%d] lost the schedule the body carries", i)
 				}
-				if (c.Result.Timeline != nil) != tc.traceTimelines {
-					t.Fatalf("Trace[%d]: timeline present = %v, want %v: the body does not exercise its format",
-						i, c.Result.Timeline != nil, tc.traceTimelines)
+				if c.Result.Timeline != nil {
+					t.Fatalf("Trace[%d] kept the timeline the body carries", i)
 				}
 			}
 			rep, err := mario.RunWithOptions(plan, 2, mario.RunOptions{CollectEvents: true})
@@ -249,8 +268,8 @@ func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(saved, []byte(`{"version":3,`)) {
-				t.Errorf("re-saving wrote %.16s…, want version 3", saved)
+			if !bytes.HasPrefix(saved, []byte(`{"version":4,`)) {
+				t.Errorf("re-saving wrote %.16s…, want version 4", saved)
 			}
 			if len(saved) >= len(body) {
 				t.Errorf("re-saved plan is %d bytes, the body was %d", len(saved), len(body))
@@ -260,7 +279,7 @@ func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
 				t.Fatalf("re-saved plan rejected: %v", err)
 			}
 			if again, err := json.Marshal(reloaded); err != nil || !bytes.Equal(again, saved) {
-				t.Errorf("version 3 → load → save is not a fixed point (err %v)", err)
+				t.Errorf("version 4 → load → save is not a fixed point (err %v)", err)
 			}
 			for i := range reloaded.Trace {
 				if reloaded.Trace[i].Schedule != nil {
@@ -281,7 +300,7 @@ func TestPlanJSONParentCommitBodyLoads(t *testing.T) {
 			if len(now) >= len(body) {
 				t.Errorf("fresh plan is %d bytes, the body was %d", len(now), len(body))
 			}
-			if !tc.traceTimelines && !bytes.Equal(now, saved) {
+			if !bytes.Equal(now, saved) {
 				t.Error("re-saving the parent commit's body does not give today's plan bytes")
 			}
 		})

@@ -95,7 +95,7 @@ func Render(s *Schedule) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return viz.ASCII(r, 1), nil
+	return viz.ASCII(r.Timeline, 1), nil
 }
 
 // RenderSVG writes the schedule's idealised timeline as an SVG document.
@@ -104,7 +104,7 @@ func RenderSVG(w io.Writer, s *Schedule) error {
 	if err != nil {
 		return err
 	}
-	return viz.SVG(w, r)
+	return viz.SVG(w, r.Timeline)
 }
 
 // RenderChromeTrace writes the schedule's idealised timeline in the Chrome
@@ -114,7 +114,7 @@ func RenderChromeTrace(w io.Writer, s *Schedule) error {
 	if err != nil {
 		return err
 	}
-	return viz.ChromeTrace(w, r)
+	return viz.ChromeTrace(w, r.Timeline)
 }
 
 func simulateUniform(s *Schedule) (*sim.Result, error) {
