@@ -143,20 +143,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseMemory -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzParseSpeeds -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/place
 
-# Doc-comment lint for the packages whose contracts must live in the source:
-# internal/sim (what an engine reuses and what it re-derives), internal/graph
-# (the passes' options and the prepose scan), internal/cluster (the emulator's
-# machine and the device runtime it shares with the trainer),
-# internal/pipeline (COW schedule rules), internal/scheme (the generator
-# registry contract), the planning service's
-# public surface (internal/serve and its client), the search and its telemetry
-# (internal/tuner, internal/telemetry, internal/place), the profiler that
-# feeds the search its estimators (internal/profile), the measured-run
-# layers (internal/obs, internal/train) and internal/tensor,
-# which owns the program's one random generator.
+# Doc-comment lint for every package under internal/ (go list names them,
+# so a new package is linted from its first commit): the contracts — what a
+# simulator reuses and what it re-derives, the passes' options, the
+# copy-on-write schedule rules, the generator registry, the planning service's
+# surface, the nn layer interface — must live in the source.
 # Dependency-free (cmd/exportlint, go/ast).
 lint:
-	$(GO) run ./cmd/exportlint ./internal/sim ./internal/graph ./internal/cluster ./internal/pipeline ./internal/scheme ./internal/serve ./internal/serve/api ./internal/serve/client ./internal/serve/loadgen ./internal/telemetry ./internal/place ./internal/profile ./internal/obs ./internal/tuner ./internal/train ./internal/tensor
+	$(GO) run ./cmd/exportlint $$($(GO) list ./internal/... | sed 's|^mario/|./|')
 
 # End-to-end smoke of the mariod planning service: boots the daemon on a
 # loopback port, plans a small workload through the Go client (fresh run,

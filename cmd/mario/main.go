@@ -42,7 +42,7 @@ import (
 	"mario"
 	"mario/internal/obs"
 	"mario/internal/place"
-	"mario/internal/serve"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 	"mario/internal/telemetry"
 	"mario/internal/tuner"
@@ -113,7 +113,7 @@ func main() {
 	// request goes out as it is with -remote, its resolution is searched in
 	// process without, and the tracer is keyed by the resolution's fingerprint
 	// — so span IDs agree between local traces and the planning service.
-	req := serve.PlanRequest{
+	req := api.PlanRequest{
 		Model:         *modelName,
 		Scheme:        *schemeStr,
 		GlobalBatch:   *gbs,
@@ -333,13 +333,13 @@ func writeSearchTraces(tr *telemetry.Trace, tracePath, spansPath, measuredPath s
 // remotePlan fetches the plan from a mariod server, streaming progress to
 // stderr when showStats is set, and reports whether the server answered
 // from its cache.
-func remotePlan(addr string, req serve.PlanRequest, showStats bool) (*mario.Plan, error) {
+func remotePlan(addr string, req api.PlanRequest, showStats bool) (*mario.Plan, error) {
 	c := client.New(addr)
 	ctx := context.Background()
-	var resp *serve.PlanResponse
+	var resp *api.PlanResponse
 	var err error
 	if showStats {
-		resp, err = c.PlanStream(ctx, req, func(ev serve.ProgressEvent) {
+		resp, err = c.PlanStream(ctx, req, func(ev api.ProgressEvent) {
 			fmt.Fprintf(os.Stderr, "\rtuner: explored %4d  best %-18s %10.2f samples/s", ev.Explored, ev.Best, ev.BestThroughput)
 		})
 		fmt.Fprintln(os.Stderr)

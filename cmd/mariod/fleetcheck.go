@@ -12,6 +12,7 @@ import (
 
 	"mario"
 	"mario/internal/serve"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 	"mario/internal/serve/loadgen"
 )
@@ -72,7 +73,7 @@ func runFleetSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	}
 	fmt.Fprintf(os.Stderr, "mariod fleet-selfcheck: %d members up: %s\n", members, strings.Join(urls, " "))
 
-	req := serve.PlanRequest{
+	req := api.PlanRequest{
 		Model:        "LLaMA2-3B",
 		Devices:      4,
 		GlobalBatch:  16,

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"mario/internal/serve"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 )
 
@@ -230,7 +231,7 @@ func runSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		return fail("%v", err)
 	}
 
-	req := serve.PlanRequest{
+	req := api.PlanRequest{
 		Model:        "LLaMA2-3B",
 		Devices:      4,
 		GlobalBatch:  16,
@@ -243,7 +244,7 @@ func runSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 	// the NDJSON fan-out must deliver both subscribers a coherent story —
 	// progress records then byte-identical terminal plans.
 	type streamOut struct {
-		resp   *serve.PlanResponse
+		resp   *api.PlanResponse
 		events int
 		err    error
 	}
@@ -253,7 +254,7 @@ func runSelfcheck(opts serve.Options, drainTimeout time.Duration) int {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i].resp, outs[i].err = c.PlanStream(ctx, req, func(serve.ProgressEvent) { outs[i].events++ })
+			outs[i].resp, outs[i].err = c.PlanStream(ctx, req, func(api.ProgressEvent) { outs[i].events++ })
 		}(i)
 	}
 	wg.Wait()

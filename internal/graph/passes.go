@@ -185,29 +185,25 @@ type Options struct {
 	MaxRounds int
 	// Engines is the simulator bundle the run evaluates on. The caller that
 	// passes one owns it — a search reuses one bundle per goroutine across
-	// all its runs and reports its counts itself; nil makes the run create
-	// (and report to Metrics) a bundle of its own. Results are identical
-	// either way.
+	// all its runs and reports its counts itself; nil makes the run use a
+	// fresh bundle whose counts nobody reads. Results are identical either
+	// way.
 	Engines *Engines
 	// Span, when live, parents the run's telemetry: OptimizeContext records
 	// one PhaseRound child per simulator-guided prepose round, with
 	// deterministic attributes (moves, improvement, makespan). The zero
 	// Span disables tracing at zero cost.
 	Span telemetry.Span
-	// Metrics, when non-nil, receives the round count — and the simulation
-	// counts of a bundle the run created itself.
+	// Metrics, when non-nil, receives the round count.
 	Metrics *telemetry.SearchMetrics
 }
 
-// engines returns the bundle a run evaluates on and the function the run
-// defers: it reports a bundle made for this call and does nothing for one the
-// caller owns.
-func (o Options) engines() (*Engines, func()) {
+// engines returns the bundle a run evaluates on: the caller's, or a fresh one.
+func (o Options) engines() *Engines {
 	if o.Engines != nil {
-		return o.Engines, func() {}
+		return o.Engines
 	}
-	eng := NewEngines()
-	return eng, func() { eng.Report(o.Metrics) }
+	return NewEngines()
 }
 
 // Optimize applies the full pass pipeline — apply-checkpoint once, then
@@ -240,8 +236,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	// versa; they are cheap, so run them to a (two-round) fixpoint before
 	// the guided pass.
 	OverlapRecompute(cur)
-	eng, done := opt.engines()
-	defer done()
+	eng := opt.engines()
 	// Candidate acceptance only compares makespans and peaks, so the inner
 	// loop always runs without timeline recording; the caller-visible result
 	// is re-derived with the requested options at the end.

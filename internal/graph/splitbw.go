@@ -23,9 +23,7 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: SplitBackward requires an estimator")
 	}
-	bundle, done := opt.engines()
-	defer done()
-	eng := bundle.Main
+	eng := opt.engines().Main
 	// As in Optimize, candidate acceptance needs no timeline; the returned
 	// result is re-derived with the caller's options at the end.
 	inner := opt

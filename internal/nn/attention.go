@@ -89,13 +89,6 @@ func (a *Attention) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &attnCache{x: x, q: q, k: k, v: v, o: o, attn: attns}
 }
 
-// Backward implements Layer.
-func (a *Attention) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	dx, w := a.BackwardInput(c, dy)
-	w()
-	return dx
-}
-
 // BackwardInput implements Layer. The projection gradients dWo = oᵀ·dy and
 // dW{q,k,v} = xᵀ·d{q,k,v} are deferred; the work closes over the cache, the
 // output gradient and the intermediate d{q,k,v} tensors.
@@ -204,16 +197,9 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &blockCache{c1: c1, ca: ca, c2: c2, cf1: cf1, cg: cg, cf2: cf2}
 }
 
-// Backward implements Layer.
-func (b *Block) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	dx, w := b.BackwardInput(c, dy)
-	w()
-	return dx
-}
-
 // BackwardInput implements Layer: the input-gradient chain runs through all
-// sub-layers immediately; their weight halves are composed in the same order
-// the fused backward accumulates them.
+// sub-layers immediately; their weight halves are composed last layer first,
+// the order the input gradient reached them.
 func (b *Block) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
 	bc := c.(*blockCache)
 	df2, w2 := b.FC2.BackwardInput(bc.cf2, dy)

@@ -74,13 +74,6 @@ func (h *LMHead) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return tensor.MatMulT2(x, h.W.W), &lmHeadCache{x: x}
 }
 
-// Backward consumes dlogits, accumulating dW and returning dx.
-func (h *LMHead) Backward(c Cache, dlogits *tensor.Tensor) *tensor.Tensor {
-	dx, w := h.BackwardInput(c, dlogits)
-	w()
-	return dx
-}
-
 // BackwardInput computes dx = dlogits·W immediately and defers the
 // projection gradient dW = dlogitsᵀ·x into the returned weight work.
 func (h *LMHead) BackwardInput(c Cache, dlogits *tensor.Tensor) (*tensor.Tensor, WeightWork) {
@@ -162,8 +155,10 @@ func (m *LanguageModel) Step(tokens, targets []int, lr float64) float64 {
 	h, cache := m.Blocks.Forward(x)
 	logits, hc := m.Head.Forward(h)
 	loss, dlogits := CrossEntropy(logits, targets)
-	dh := m.Head.Backward(hc, dlogits)
-	dx := m.Blocks.Backward(cache, dh)
+	dh, hw := m.Head.BackwardInput(hc, dlogits)
+	hw()
+	dx, bw := m.Blocks.BackwardInput(cache, dh)
+	bw()
 	m.Embed.Backward(tokens, dx)
 	for _, p := range m.Params() {
 		p.Step(lr, 1)

@@ -88,7 +88,8 @@ func TestLMHeadGradCheck(t *testing.T) {
 	x := tensor.Randn(r, 1, 3, 4)
 	logits, c := h.Forward(x)
 	g := tensor.Randn(r, 1, logits.Shape...)
-	dx := h.Backward(c, g)
+	dx, w := h.BackwardInput(c, g)
+	w()
 	const eps = 1e-3
 	i := 5
 	orig := x.Data[i]
@@ -116,7 +117,8 @@ func TestTiedHeadSharesGradient(t *testing.T) {
 	x := e.Forward(ids)
 	logits, c := h.Forward(x)
 	_, dlogits := CrossEntropy(logits, []int{2, 3})
-	dx := h.Backward(c, dlogits)
+	dx, w := h.BackwardInput(c, dlogits)
+	w()
 	e.Backward(ids, dx)
 	var nz int
 	for _, g := range e.W.Grad {

@@ -59,16 +59,13 @@ var noWeight WeightWork = func() {}
 
 // Layer is a differentiable module.
 type Layer interface {
-	// Forward computes y and the cache needed by Backward.
+	// Forward computes y and the cache needed by BackwardInput.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, Cache)
-	// Backward consumes the cache and the output gradient, accumulates
-	// parameter gradients, and returns the input gradient. It is exactly
-	// BackwardInput followed by the returned WeightWork, so fused and
-	// split executions of the same schedule are bit-identical.
-	Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor
 	// BackwardInput computes only the input gradient (the critical-path B
 	// half of a split backward) and returns the weight-gradient work as a
-	// deferred closure (the W half, free to run in a pipeline bubble).
+	// deferred closure (the W half, free to run in a pipeline bubble). A
+	// fused backward is this followed at once by the work, so fused and
+	// split executions of the same schedule are bit-identical.
 	BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork)
 	// Params returns the trainable parameters.
 	Params() []*Param
@@ -98,13 +95,6 @@ func (c *linearCache) Bytes() int { return c.x.Bytes() }
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := tensor.AddRowVec(tensor.MatMul(x, l.W.W), l.B.W)
 	return y, &linearCache{x: x}
-}
-
-// Backward implements Layer.
-func (l *Linear) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	dx, w := l.BackwardInput(c, dy)
-	w()
-	return dx
 }
 
 // BackwardInput implements Layer. dx needs only the weight; dW = xᵀ·dy and
@@ -143,8 +133,9 @@ func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &geluCache{x: x}
 }
 
-// Backward implements Layer.
-func (GELU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
+// BackwardInput implements Layer; GELU has no parameters, so the weight half
+// is empty.
+func (GELU) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
 	x := c.(*geluCache).x
 	dx := tensor.New(x.Shape...)
 	for i, v := range x.Data {
@@ -155,13 +146,7 @@ func (GELU) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
 		g := 0.5*(1+t) + 0.5*xf*(1-t*t)*du
 		dx.Data[i] = dy.Data[i] * float32(g)
 	}
-	return dx
-}
-
-// BackwardInput implements Layer; GELU has no parameters, so the weight half
-// is empty.
-func (g GELU) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
-	return g.Backward(c, dy), noWeight
+	return dx, noWeight
 }
 
 // Params implements Layer.
@@ -219,13 +204,6 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 		}
 	}
 	return y, &lnCache{xhat: xhat, inv: inv}
-}
-
-// Backward implements Layer.
-func (l *LayerNorm) Backward(c Cache, dy *tensor.Tensor) *tensor.Tensor {
-	dx, w := l.BackwardInput(c, dy)
-	w()
-	return dx
 }
 
 // BackwardInput implements Layer. dx depends only on the gain, x̂ and the

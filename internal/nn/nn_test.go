@@ -14,7 +14,8 @@ func gradCheck(t *testing.T, name string, layer Layer, x *tensor.Tensor, tol flo
 	r := tensor.NewRNG(99)
 	y, c := layer.Forward(x)
 	g := tensor.Randn(r, 1, y.Shape...)
-	dx := layer.Backward(c, g)
+	dx, w := layer.BackwardInput(c, g)
+	w()
 
 	const eps = 1e-3
 	for _, i := range []int{0, x.Len() / 2, x.Len() - 1} {
@@ -67,7 +68,8 @@ func TestLinearWeightGradient(t *testing.T) {
 	x := tensor.Randn(r, 1, 2, 4)
 	y, c := l.Forward(x)
 	g := tensor.Randn(r, 1, y.Shape...)
-	l.Backward(c, g)
+	_, w := l.BackwardInput(c, g)
+	w()
 
 	const eps = 1e-3
 	i := 5 // some weight index
@@ -145,12 +147,14 @@ func TestStageBackwardAfterRecompute(t *testing.T) {
 
 	s1 := mk()
 	_, c1 := s1.Forward(x)
-	dx1 := s1.Backward(c1, dy)
+	dx1, w1 := s1.BackwardInput(c1, dy)
+	w1()
 
 	s2 := mk()
 	_ = s2.ForwardDropped(x) // CFW drops everything
 	_, c2 := s2.Forward(x)   // RC restores the cache
-	dx2 := s2.Backward(c2, dy)
+	dx2, w2 := s2.BackwardInput(c2, dy)
+	w2()
 
 	for i := range dx1.Data {
 		if dx1.Data[i] != dx2.Data[i] {

@@ -53,19 +53,10 @@ func (s *Stage) ForwardDropped(x *tensor.Tensor) *tensor.Tensor {
 	return x
 }
 
-// Backward runs the stage backward through the retained cache. It is
-// BackwardInput followed immediately by the weight work, so fused and split
-// executions of a schedule accumulate bit-identical gradients.
-func (s *Stage) Backward(c *StageCache, dy *tensor.Tensor) *tensor.Tensor {
-	dx, w := s.BackwardInput(c, dy)
-	w()
-	return dx
-}
-
 // BackwardInput runs only the input-gradient (B) half over the whole stage
 // and returns the deferred weight-gradient (W) half. The work replays the
-// per-block weight halves in the same last-to-first order the fused backward
-// accumulates them.
+// per-block weight halves last block first, the order the input gradient
+// reached them. A fused backward (BW) runs the work at once.
 func (s *Stage) BackwardInput(c *StageCache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
 	ws := make([]WeightWork, len(s.Blocks))
 	for i := len(s.Blocks) - 1; i >= 0; i-- {

@@ -49,8 +49,8 @@ type linkEnds struct {
 const numCommKinds = int(RecvGrad-SendAct) + 1
 
 // Resolve fills the resolved view of pl for schedules of micros micro-batches.
-// Whoever constructs a schedule or a shape calls it once (scheme.Build and
-// BuildCustom through NewSchedule, the JSON decoder, scheme.ShapeOf);
+// Whoever constructs a schedule or a shape calls it once (scheme.Build
+// through NewSchedule, the JSON decoder, scheme.ShapeOf);
 // everything downstream shares the result.
 func Resolve(pl Placement, micros int) *Resolved {
 	D, S := pl.NumDevices(), pl.NumStages()

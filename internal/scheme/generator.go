@@ -12,8 +12,8 @@ import (
 // the per-device compute lists. Orders either run a closed-form emitter whose
 // exact shape is pinned by tests (GPipe, 1F1B, Interleave) or compose a
 // depGraph — unit families + dependency rules over the layout — and hand it
-// to the greedy list scheduler (Chimera, ZB-H1, DualPipe-D; BuildCustom
-// follows the same path outside the registry). Build runs all three; ShapeOf
+// to the greedy list scheduler (Chimera, ZB-H1, DualPipe-D). Build runs all
+// three; ShapeOf
 // stops after the layout, which already fixes every device's instruction
 // multiset. Adding a scheme is one registry entry plus its ingredients.
 type generator struct {
@@ -76,7 +76,7 @@ func orderGreedy(split bool) func(Config, *pipeline.Resolved, []int) [][]pipelin
 		for m, p := range parts {
 			micros[m] = microAssign{micro: m, part: p}
 		}
-		return greedyGraph(r, micros, unitTimes{}, split).schedule()
+		return greedyGraph(r, micros, split).schedule()
 	}
 }
 

@@ -22,41 +22,14 @@ type unit struct {
 // before from has finished.
 type dep struct{ from, to int32 }
 
-// unitTimes weights the greedy scheduler's ordering decisions. Zero fields
-// default to the canonical unit times (forward 1, backward 2) with the
-// backward split evenly between its input-gradient and weight-gradient
-// halves.
-type unitTimes struct {
-	fw, bw, bi, wg float64
-}
-
-func (t unitTimes) withDefaults() unitTimes {
-	if t.fw <= 0 {
-		t.fw = 1
+// unitTime is the greedy scheduler's ordering weight of a unit kind: the
+// canonical unit times, forward 1 and backward 2, with a split backward
+// halved evenly between its input-gradient and weight-gradient units.
+func unitTime(k pipeline.Kind) float64 {
+	if k == pipeline.Backward {
+		return 2
 	}
-	if t.bw <= 0 {
-		t.bw = 2
-	}
-	if t.bi <= 0 {
-		t.bi = t.bw / 2
-	}
-	if t.wg <= 0 {
-		t.wg = t.bw - t.bw/2
-	}
-	return t
-}
-
-// dur returns the scheduling weight of a unit kind.
-func (t unitTimes) dur(k pipeline.Kind) float64 {
-	switch k {
-	case pipeline.Backward:
-		return t.bw
-	case pipeline.BackwardInput:
-		return t.bi
-	case pipeline.BackwardWeight:
-		return t.wg
-	}
-	return t.fw
+	return 1
 }
 
 // depGraph is the composable dependency-graph program behind schedule
@@ -64,12 +37,11 @@ func (t unitTimes) dur(k pipeline.Kind) float64 {
 // each micro-batch (fused or split backward), layers dependency rules on top
 // (vertical chains, 1F1B injection windows, arbitrary extra edges via
 // addDep), and finally runs the deterministic earliest-start greedy list
-// scheduler over the whole graph. Chimera, ZB-H1, DualPipe-D and BuildCustom
-// all compose their schedules this way; the closed-form emitters (GPipe,
-// 1F1B, Interleave) bypass it because their exact shapes are pinned by tests.
+// scheduler over the whole graph. Chimera, ZB-H1 and DualPipe-D all compose
+// their schedules this way; the closed-form emitters (GPipe, 1F1B,
+// Interleave) bypass it because their exact shapes are pinned by tests.
 type depGraph struct {
 	r     *pipeline.Resolved
-	times unitTimes
 	units []unit
 	// index maps a unit's key, by its slot in the placement's key box, to its
 	// position in units.
@@ -82,14 +54,13 @@ type depGraph struct {
 // per stage, a forward and a backward unit (three units when the backward is
 // split) and at most four edges (five when split) — forward→backward, the
 // two cross-stage chains, one injection window, and BI→W.
-func newDepGraph(r *pipeline.Resolved, times unitTimes, micros int, split bool) *depGraph {
+func newDepGraph(r *pipeline.Resolved, micros int, split bool) *depGraph {
 	perStage := micros * r.Placement().NumStages()
 	units, deps := 2*perStage, 4*perStage
 	if split {
 		units, deps = 3*perStage, 5*perStage
 	}
-	return &depGraph{r: r, times: times.withDefaults(),
-		units: make([]unit, 0, units), index: make([]int32, r.Slots()), deps: make([]dep, 0, deps)}
+	return &depGraph{r: r, units: make([]unit, 0, units), index: make([]int32, r.Slots()), deps: make([]dep, 0, deps)}
 }
 
 // addUnit registers one compute unit at its placement-assigned device.
@@ -186,10 +157,10 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
 	S, P := g.r.Placement().NumStages(), g.r.Placement().NumParts()
 	anchor := bwAnchor(split)
-	// A stable counting sort by partition (every part lies in [0, P):
-	// BuildCustom checks it, the registry layouts emit nothing else):
-	// partition p's micro-batches, in injection order, are
-	// byPart[at[p]:at[p+1]]. Counted two slots up, as in successors.
+	// A stable counting sort by partition (every part lies in [0, P): the
+	// registry layouts emit nothing else): partition p's micro-batches, in
+	// injection order, are byPart[at[p]:at[p+1]]. Counted two slots up, as
+	// in successors.
 	at := make([]int, P+2)
 	for _, ma := range micros {
 		at[ma.part+2]++
@@ -225,12 +196,11 @@ func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
 // units onto devices and returns the per-device instruction lists: each step
 // places the ready unit with the least effective start max(ready, the time its
 // device falls free), earlier tail first among equals. Ordering decisions use
-// the graph's unit times plus a small communication epsilon so that
-// cross-device transfers break ties deterministically. The result depends only
-// on the units, the dependency set and the unit times — never on registration,
-// edge or map iteration order: ready times are maxima, and the ready queue's
-// order is a strict total order because no two units of a graph share a tail
-// (DESIGN §12).
+// the unit times plus a small communication epsilon so that cross-device
+// transfers break ties deterministically. The result depends only on the
+// units and the dependency set — never on registration, edge or map iteration
+// order: ready times are maxima, and the ready queue's order is a strict total
+// order because no two units of a graph share a tail (DESIGN §12).
 func (g *depGraph) schedule() [][]pipeline.Instr {
 	const commEps = 1e-3
 	units := g.units
@@ -254,7 +224,7 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 	}
 	for i := q.pop(); i >= 0; i = q.pop() {
 		u := &units[i]
-		finish := max(u.ready, q.devs[u.dev].free) + g.times.dur(u.kind)
+		finish := max(u.ready, q.devs[u.dev].free) + unitTime(u.kind)
 		q.occupy(u.dev, finish)
 		lists[u.dev] = append(lists[u.dev], pipeline.Instr{Kind: u.kind, Micro: u.micro, Part: u.part, Stage: u.stage})
 		for _, si := range succ[off[i]:off[i+1]] {
@@ -280,13 +250,12 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 // windows — for the scheduler to run over. Fused (split=false) it is
 // Chimera's two mirrored 1F1B pipelines (the paper picks its Chimera schedule
 // from the released chimera_pipeline_rank.py; the greedy merge reproduces its
-// bidirectional bubble-overlap structure) and BuildCustom's user-defined
-// pipelines (§5.2, "Visualization"). Split, every backward is emitted as a
-// BackwardInput/BackwardWeight pair, the injection windows anchor on the
+// bidirectional bubble-overlap structure). Split, every backward is emitted as
+// a BackwardInput/BackwardWeight pair, the injection windows anchor on the
 // input-gradient half, and the scheduler fills device idle gaps with deferred
 // weight-gradient units (Zero Bubble's central scheduling move).
-func greedyGraph(r *pipeline.Resolved, micros []microAssign, times unitTimes, split bool) *depGraph {
-	g := newDepGraph(r, times, len(micros), split)
+func greedyGraph(r *pipeline.Resolved, micros []microAssign, split bool) *depGraph {
+	g := newDepGraph(r, len(micros), split)
 	for _, ma := range micros {
 		g.addMicroUnits(ma, split)
 	}

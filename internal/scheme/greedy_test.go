@@ -79,7 +79,7 @@ func scanSchedule(g *depGraph) [][]pipeline.Instr {
 		if devFree[u.dev] > start {
 			start = devFree[u.dev]
 		}
-		finish := start + g.times.dur(u.kind)
+		finish := start + unitTime(u.kind)
 		devFree[u.dev] = finish
 		lists[u.dev] = append(lists[u.dev], pipeline.Instr{Kind: u.kind, Micro: u.micro, Part: u.part, Stage: u.stage})
 		for _, si := range succ[off[i]:off[i+1]] {
@@ -120,16 +120,18 @@ func schemeGraph(t *testing.T, s pipeline.Scheme, cfg Config) (*pipeline.Resolve
 	for m, p := range parts {
 		micros[m] = microAssign{micro: m, part: p}
 	}
-	return r, greedyGraph(r, micros, unitTimes{}, s.SplitsBackward())
+	return r, greedyGraph(r, micros, s.SplitsBackward())
 }
 
-// checkMatchesScan requires got — the schedule Build or BuildCustom returned
-// for graph g — to equal, instruction for instruction, g scheduled by the scan
-// oracle and completed the way Build completes it. It also checks that no two
-// units of g share a tail: the fact that makes the queue's order a strict
-// total order with no device tie-break.
-func checkMatchesScan(t *testing.T, what string, r *pipeline.Resolved, g *depGraph, got *pipeline.Schedule) {
+// checkBuildMatchesScan requires got — the schedule Build returned for s and
+// cfg — to equal, instruction for instruction, the scheme's graph scheduled by
+// the scan oracle and completed the way Build completes it. It also checks
+// that no two units of the graph share a tail: the fact that makes the queue's
+// order a strict total order with no device tie-break.
+func checkBuildMatchesScan(t *testing.T, s pipeline.Scheme, cfg Config, got *pipeline.Schedule) {
 	t.Helper()
+	what := fmt.Sprintf("%s d=%d n=%d", s, cfg.Devices, cfg.Micros)
+	r, g := schemeGraph(t, s, cfg)
 	type tail struct {
 		rank               uint8
 		micro, part, stage int
@@ -149,18 +151,10 @@ func checkMatchesScan(t *testing.T, what string, r *pipeline.Resolved, g *depGra
 	}
 }
 
-// checkBuildMatchesScan is checkMatchesScan for a schedule Build returned.
-func checkBuildMatchesScan(t *testing.T, s pipeline.Scheme, cfg Config, got *pipeline.Schedule) {
-	t.Helper()
-	r, g := schemeGraph(t, s, cfg)
-	checkMatchesScan(t, fmt.Sprintf("%s d=%d n=%d", s, cfg.Devices, cfg.Micros), r, g, got)
-}
-
 // TestReadyQueueMatchesScan: every caller of the list scheduler — Chimera,
-// ZB-H1 and DualPipe-D through Build, BuildCustom with non-default unit times
-// on a bidirectional and an interleaved placement — emits byte-identical
-// schedules under the heap queue and the scan oracle, over FuzzSchemeBuild's
-// domain and search-sized shapes, and no graph has two units with one tail.
+// ZB-H1 and DualPipe-D through Build — emits byte-identical schedules under
+// the heap queue and the scan oracle, over FuzzSchemeBuild's domain and
+// search-sized shapes, and no graph has two units with one tail.
 func TestReadyQueueMatchesScan(t *testing.T) {
 	for _, s := range Schemes() {
 		if !listScheduled(s) {
@@ -177,33 +171,6 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		for _, n := range []int{16, 64, 128} {
 			cfg := Config{Devices: 64, Micros: n}
 			checkBuildMatchesScan(t, s, cfg, mustBuild(t, s, cfg))
-		}
-	}
-	for _, pl := range []pipeline.Placement{
-		pipeline.NewBidirPlacement(2),
-		pipeline.NewBidirPlacement(6),
-		pipeline.NewBidirPlacement(16),
-		pipeline.NewInterleavedPlacement(3, 2),
-		pipeline.NewInterleavedPlacement(4, 3),
-		pipeline.NewInterleavedPlacement(8, 2),
-	} {
-		for n := 1; n <= 24; n++ {
-			parts := make([]int, n)
-			for m := range parts {
-				parts[m] = m % 3 % pl.NumParts() // uneven directions on the bidirectional placements
-			}
-			cfg := CustomConfig{Placement: pl, Parts: parts, FwTime: 0.7, BwTime: 1.9}
-			got, err := BuildCustom(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			micros := make([]microAssign, n)
-			for m, p := range parts {
-				micros[m] = microAssign{micro: m, part: p}
-			}
-			r := pipeline.Resolve(pl, n)
-			g := greedyGraph(r, micros, unitTimes{fw: cfg.FwTime, bw: cfg.BwTime}, false)
-			checkMatchesScan(t, fmt.Sprintf("custom %T d=%d n=%d", pl, pl.NumDevices(), n), r, g, got)
 		}
 	}
 }

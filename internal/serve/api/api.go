@@ -5,9 +5,10 @@
 // other — a fleet member forwards plan requests to their owner through the
 // client.
 //
-// Compatibility note: internal/serve re-exports these types under their
-// historical names (serve.PlanRequest = api.PlanRequest, …), so existing
-// callers see no change.
+// These are the wire types' only names: the server, the client and the
+// commands all import them from here. The streaming endpoint's terminal line
+// carries the PlanResponse members behind a "type" member, so
+// ParsePlanResponse reads it too.
 package api
 
 import (
@@ -176,7 +177,7 @@ func (r *PlanRequest) Timeout(def, max time.Duration) time.Duration {
 }
 
 // PlanResponse is the body of a successful POST /v1/plan (and the terminal
-// record of the streaming endpoint carries the same fields).
+// record of the streaming endpoint carries the same members, byte for byte).
 type PlanResponse struct {
 	// Fingerprint is the canonical workload identity the plan is cached
 	// under.

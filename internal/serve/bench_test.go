@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mario"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 	"mario/internal/telemetry"
 )
@@ -47,7 +48,7 @@ func benchServer() (*Server, *httptest.Server) {
 }
 
 // benchRun is the bench servers' run stub.
-func benchRun(ctx context.Context, req PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+func benchRun(ctx context.Context, req api.PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 	root := tracer.Root(telemetry.PhaseOptimize, "")
 	search := root.Child(telemetry.PhaseSearch, "")
 	p := search.Child(telemetry.PhasePoint, "0000")
@@ -125,7 +126,7 @@ func BenchmarkServePlanPeerHit(b *testing.B) {
 
 // benchClientPlan is one client.Plan that must come back from peer ("" for the
 // member asked) with the bench plan.
-func benchClientPlan(b *testing.B, cl *client.Client, req PlanRequest, peer string) {
+func benchClientPlan(b *testing.B, cl *client.Client, req api.PlanRequest, peer string) {
 	b.Helper()
 	resp, err := cl.Plan(context.Background(), req)
 	if err != nil {

@@ -186,7 +186,8 @@ func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanRespon
 
 // PlanStream submits a streaming plan request, invoking onProgress (when
 // non-nil) for every progress record, and returns the terminal plan
-// response.
+// response, read from its line by the envelope reader
+// (api.ParsePlanResponse).
 func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress func(api.ProgressEvent)) (*api.PlanResponse, error) {
 	resp, err := c.post(ctx, "/v1/plan/stream", req, c.Trace)
 	if err != nil {
@@ -194,23 +195,18 @@ func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // a plan record is one line: the winner's schedule and timeline plus the trace totals
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // a plan record is one line: the envelope, its plan and any trace
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var rec struct {
-			Type           string          `json:"type"`
-			Explored       int             `json:"explored"`
-			Best           string          `json:"best"`
-			BestThroughput float64         `json:"throughput"`
-			Fingerprint    string          `json:"fingerprint"`
-			Cached         bool            `json:"cached"`
-			Shared         bool            `json:"shared"`
-			Plan           json.RawMessage `json:"plan"`
-			Trace          json.RawMessage `json:"trace"`
-			Error          string          `json:"error"`
+			Type           string  `json:"type"`
+			Explored       int     `json:"explored"`
+			Best           string  `json:"best"`
+			BestThroughput float64 `json:"throughput"`
+			Error          string  `json:"error"`
 		}
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, fmt.Errorf("client: decoding stream record: %w", err)
@@ -221,7 +217,12 @@ func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress
 				onProgress(api.ProgressEvent{Explored: rec.Explored, Best: rec.Best, BestThroughput: rec.BestThroughput})
 			}
 		case "plan":
-			return &api.PlanResponse{Fingerprint: rec.Fingerprint, Cached: rec.Cached, Shared: rec.Shared, Plan: rec.Plan, Trace: rec.Trace}, nil
+			// The last line read: the scanner's buffer is the response's now.
+			pr, err := api.ParsePlanResponse(line)
+			if err != nil {
+				return nil, fmt.Errorf("client: decoding stream record: %w", err)
+			}
+			return pr, nil
 		case "error":
 			return nil, fmt.Errorf("client: server error: %s", rec.Error)
 		default:
@@ -239,14 +240,19 @@ func Decode(pr *api.PlanResponse) (*mario.Plan, error) {
 	return mario.LoadPlan(pr.Plan)
 }
 
-// Health fetches /healthz. The returned Health is valid even when the
-// server reports 503 (draining); other statuses are errors.
-func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
+// get sends a GET for path; the caller closes the response body.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
+	return c.http().Do(req)
+}
+
+// Health fetches /healthz. The returned Health is valid even when the
+// server reports 503 (draining); other statuses are errors.
+func (c *Client) Health(ctx context.Context) (*api.Health, error) {
+	resp, err := c.get(ctx, "/healthz")
 	if err != nil {
 		return nil, err
 	}
@@ -263,33 +269,18 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 
 // Metrics fetches the raw Prometheus text exposition from /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiError(resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(body), nil
+	return c.getText(ctx, "/metrics")
 }
 
 // Flight fetches the flight-recorder dump (recent request traces + slow
 // log) from /debug/flight as plain text.
 func (c *Client) Flight(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/debug/flight", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
+	return c.getText(ctx, "/debug/flight")
+}
+
+// getText fetches path and returns its 200 body as text.
+func (c *Client) getText(ctx context.Context, path string) (string, error) {
+	resp, err := c.get(ctx, path)
 	if err != nil {
 		return "", err
 	}

@@ -17,6 +17,7 @@ import (
 
 	"mario"
 	"mario/internal/serve"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 )
 
@@ -33,7 +34,7 @@ func TestEndToEndByteIdentity(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := serve.PlanRequest{
+	req := api.PlanRequest{
 		Model:        "LLaMA2-3B",
 		Devices:      4,
 		GlobalBatch:  16,
@@ -70,7 +71,7 @@ func TestEndToEndByteIdentity(t *testing.T) {
 	}
 
 	events := 0
-	hit, err := c.PlanStream(ctx, req, func(serve.ProgressEvent) { events++ })
+	hit, err := c.PlanStream(ctx, req, func(api.ProgressEvent) { events++ })
 	if err != nil {
 		t.Fatalf("cached plan: %v", err)
 	}
@@ -140,13 +141,13 @@ func TestStreamProgressOnFreshRun(t *testing.T) {
 
 	c := client.New(ts.URL)
 	events := 0
-	resp, err := c.PlanStream(context.Background(), serve.PlanRequest{
+	resp, err := c.PlanStream(context.Background(), api.PlanRequest{
 		Model:        "LLaMA2-3B",
 		Devices:      4,
 		GlobalBatch:  16,
 		Memory:       "40G",
 		MicroBatches: []int{1, 2},
-	}, func(serve.ProgressEvent) { events++ })
+	}, func(api.ProgressEvent) { events++ })
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
@@ -185,11 +186,11 @@ func TestPlanReadTrustsBytesNotContentLength(t *testing.T) {
 	header := func(length int) string {
 		return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", length)
 	}
-	plan := func(t *testing.T, h http.HandlerFunc) (*serve.PlanResponse, error) {
+	plan := func(t *testing.T, h http.HandlerFunc) (*api.PlanResponse, error) {
 		t.Helper()
 		ts := httptest.NewServer(h)
 		defer ts.Close()
-		return client.New(ts.URL).Plan(context.Background(), serve.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16})
+		return client.New(ts.URL).Plan(context.Background(), api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16})
 	}
 
 	sized, err := plan(t, raw(header(len(envelope))+envelope))

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"mario/internal/serve"
+	"mario/internal/serve/api"
 	"mario/internal/serve/client"
 )
 
@@ -33,7 +33,7 @@ func flakyServer(fail int, status int) (*httptest.Server, *atomic.Int64) {
 			fmt.Fprintf(w, `{"error":"flaky %d"}`, status)
 			return
 		}
-		json.NewEncoder(w).Encode(serve.PlanResponse{Fingerprint: "fp", Plan: json.RawMessage(`{"v":1}`)})
+		json.NewEncoder(w).Encode(api.PlanResponse{Fingerprint: "fp", Plan: json.RawMessage(`{"v":1}`)})
 	}))
 	return ts, &hits
 }
@@ -58,7 +58,7 @@ func TestRetryFlakyServer(t *testing.T) {
 		{name: "budget exhausted", fail: 5, status: http.StatusServiceUnavailable, retries: 2, wantOK: false, wantHits: 3},
 		{name: "400 never retried", fail: 3, status: http.StatusBadRequest, retries: 3, wantOK: false, wantHits: 1},
 	}
-	req := serve.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16}
+	req := api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, hits := flakyServer(tc.fail, tc.status)
@@ -94,7 +94,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := cl.Plan(ctx, serve.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16})
+	_, err := cl.Plan(ctx, api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16})
 	if err == nil {
 		t.Fatal("expected error")
 	}

@@ -20,7 +20,7 @@ import (
 
 // encoded is what the /v1/plan endpoint wrote before writePlanResponse
 // existed, and what every client was built against.
-func encoded(t *testing.T, resp PlanResponse) []byte {
+func encoded(t *testing.T, resp api.PlanResponse) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -32,7 +32,7 @@ func encoded(t *testing.T, resp PlanResponse) []byte {
 // envelopeShape is one shape of /v1/plan answer.
 type envelopeShape struct {
 	name string
-	resp PlanResponse
+	resp api.PlanResponse
 }
 
 // envelopeShapes are the answers the service writes, and one it never should
@@ -48,16 +48,16 @@ func envelopeShapes(t *testing.T) []envelopeShape {
 	}
 	trace := json.RawMessage(`{"fingerprint":"f00d","spans":[]}`)
 	return []envelopeShape{
-		{"fresh", PlanResponse{Fingerprint: "f00d", Plan: plan}},
-		{"cached", PlanResponse{Fingerprint: "f00d", Cached: true, Plan: plan}},
-		{"shared", PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan}},
-		{"fresh traced", PlanResponse{Fingerprint: "f00d", Plan: plan, Trace: trace}},
-		{"shared traced", PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan, Trace: trace}},
-		{"peer hit", PlanResponse{Fingerprint: "f00d", Cached: true, Peer: "http://10.0.0.2:8437", Plan: plan}},
-		{"peer fresh traced", PlanResponse{Fingerprint: "f00d", Peer: "http://10.0.0.2:8437", Plan: plan, Trace: trace}},
-		{"nil plan", PlanResponse{Fingerprint: "f00d"}},
-		{"nil plan traced", PlanResponse{Fingerprint: "f00d", Trace: trace}},
-		{"strings the encoder escapes", PlanResponse{
+		{"fresh", api.PlanResponse{Fingerprint: "f00d", Plan: plan}},
+		{"cached", api.PlanResponse{Fingerprint: "f00d", Cached: true, Plan: plan}},
+		{"shared", api.PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan}},
+		{"fresh traced", api.PlanResponse{Fingerprint: "f00d", Plan: plan, Trace: trace}},
+		{"shared traced", api.PlanResponse{Fingerprint: "f00d", Shared: true, Plan: plan, Trace: trace}},
+		{"peer hit", api.PlanResponse{Fingerprint: "f00d", Cached: true, Peer: "http://10.0.0.2:8437", Plan: plan}},
+		{"peer fresh traced", api.PlanResponse{Fingerprint: "f00d", Peer: "http://10.0.0.2:8437", Plan: plan, Trace: trace}},
+		{"nil plan", api.PlanResponse{Fingerprint: "f00d"}},
+		{"nil plan traced", api.PlanResponse{Fingerprint: "f00d", Trace: trace}},
+		{"strings the encoder escapes", api.PlanResponse{
 			Fingerprint: "</script>&\u2028\u2029\x00\b\f\n\r\t\x7f\\",
 			Cached:      true,
 			Peer:        "http://h/?a=<&>\" \xff\xc0end",
@@ -74,7 +74,7 @@ func TestWritePlanResponseMatchesEncoder(t *testing.T) {
 	for _, tc := range envelopeShapes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			writePlanResponse(rec, tc.resp)
+			writePlanResponse(rec, tc.resp, false)
 			want := encoded(t, tc.resp)
 			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 				t.Fatalf("writer and encoder disagree:\n got %s\nwant %s", got, want)
@@ -99,7 +99,7 @@ func TestReadPlanResponseRoundTrip(t *testing.T) {
 	for _, tc := range envelopeShapes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			writePlanResponse(rec, tc.resp)
+			writePlanResponse(rec, tc.resp, false)
 			body := rec.Body.Bytes()
 			pr, err := api.ParsePlanResponse(body)
 			if err != nil {
@@ -137,10 +137,10 @@ func TestPlanReadCostIndependentOfPlanSize(t *testing.T) {
 	}
 	reads := func(size int) float64 {
 		rec := httptest.NewRecorder()
-		writePlanResponse(rec, PlanResponse{
+		writePlanResponse(rec, api.PlanResponse{
 			Fingerprint: strings.Repeat("f00d", 16), Cached: true, Peer: "http://10.0.0.2:8437",
 			Plan: []byte(`{"pad":"` + strings.Repeat("x", size) + `"}`),
-		})
+		}, false)
 		body := rec.Body.Bytes()
 		return testing.AllocsPerRun(100, func() {
 			if _, err := api.ParsePlanResponse(body); err != nil {
@@ -169,7 +169,7 @@ func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real tuner searches over loopback HTTP")
 	}
-	post := func(url string, req PlanRequest) []byte {
+	post := func(url string, req api.PlanRequest) []byte {
 		t.Helper()
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -193,7 +193,7 @@ func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
 	// case is about, and compares it with the encoder's bytes.
 	check := func(name string, raw []byte, cached, shared bool, peer string, traced bool) {
 		t.Helper()
-		var pr PlanResponse
+		var pr api.PlanResponse
 		if err := json.Unmarshal(raw, &pr); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -219,7 +219,7 @@ func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	run, gate := s.run, make(chan struct{})
-	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req api.PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 		<-gate
 		return run(ctx, req, wl, tracer, progress)
 	}
@@ -241,6 +241,63 @@ func TestPlanAnswersMatchEncoderEndToEnd(t *testing.T) {
 	}
 	check("fresh", first, false, false, "", false)
 	check("shared", second, false, true, "", false)
+}
+
+// TestStreamTerminalIsPlanAnswer: the stream's terminal line is the /v1/plan
+// answer for the same fingerprint with "type":"plan" in front of its members,
+// for a fresh request with ?trace=1 and for a cache hit. Each endpoint is
+// served by a server of its own, so both compute the first answer with the
+// real optimize.
+func TestStreamTerminalIsPlanAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real tuner searches over loopback HTTP")
+	}
+	body, err := json.Marshal(testRequest(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("post %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %s: status %d, read error %v: %s", url, resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	var urls [2]string
+	for i := range urls {
+		s := New(Options{})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	for _, tc := range []struct {
+		name, query    string
+		cached, traced bool
+	}{
+		{"fresh traced", "?trace=1", false, true},
+		{"hit", "", true, false},
+	} {
+		answer := post(urls[0] + "/v1/plan" + tc.query)
+		pr, err := api.ParsePlanResponse(answer)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if pr.Cached != tc.cached || (len(pr.Trace) > 0) != tc.traced {
+			t.Fatalf("%s: cached=%v trace=%d bytes — not the answer this case is about", tc.name, pr.Cached, len(pr.Trace))
+		}
+		stream := post(urls[1] + "/v1/plan/stream" + tc.query)
+		term := stream[bytes.LastIndexByte(stream[:len(stream)-1], '\n')+1:]
+		if want := append([]byte(`{"type":"plan",`), answer[1:]...); !bytes.Equal(term, want) {
+			t.Errorf("%s: terminal line differs from the /v1/plan answer\nstream: %.200s\nwant:   %.200s", tc.name, term, want)
+		}
+	}
 }
 
 // discard is a ResponseWriter that keeps nothing, so a measurement over it
@@ -265,7 +322,7 @@ func planHitCost(t *testing.T, size int) (allocs float64, fastest time.Duration)
 	plan := []byte(`{"pad":"` + strings.Repeat("x", size-len(`{"pad":""}`)) + `"}`)
 	s := New(Options{})
 	defer s.Close()
-	s.run = func(context.Context, PlanRequest, *mario.Workload, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
+	s.run = func(context.Context, api.PlanRequest, *mario.Workload, *telemetry.Tracer, func(api.ProgressEvent)) ([]byte, error) {
 		return plan, nil
 	}
 	h := s.Handler()

@@ -122,7 +122,7 @@ func newFleetState(opts Options) *fleetState {
 // without a plan, or one that is not exactly one JSON value (truncated, or with
 // anything but white space behind it). req goes out as it came in: the owner
 // resolves whatever spelling arrives to the workload fp names.
-func (s *Server) routeToPeer(r *http.Request, req PlanRequest, fp string) (*PlanResponse, bool) {
+func (s *Server) routeToPeer(r *http.Request, req api.PlanRequest, fp string) (*api.PlanResponse, bool) {
 	fs := s.fleet
 	if fs == nil || fs.ring == nil || r.Header.Get(api.RoutedHeader) != "" {
 		return nil, false

@@ -93,7 +93,7 @@ func TestBodyLimit413(t *testing.T) {
 	for i := range big {
 		big[i] = 1
 	}
-	body, _ := json.Marshal(PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: big})
+	body, _ := json.Marshal(api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: big})
 	for _, path := range []string{"/v1/plan", "/v1/plan/stream"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -181,8 +181,8 @@ func fleetPair(t testing.TB) (aURL, bURL string, a, b *Server, cleanup func()) {
 // stubRun is a run function that answers at once with bytes naming the
 // member, under a one-span trace, so tests observe which member computed a
 // plan without running the tuner.
-func stubRun(name string) func(context.Context, PlanRequest, *mario.Workload, *telemetry.Tracer, func(ProgressEvent)) ([]byte, error) {
-	return func(_ context.Context, _ PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
+func stubRun(name string) func(context.Context, api.PlanRequest, *mario.Workload, *telemetry.Tracer, func(api.ProgressEvent)) ([]byte, error) {
+	return func(_ context.Context, _ api.PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, _ func(api.ProgressEvent)) ([]byte, error) {
 		tracer.Root(telemetry.PhaseOptimize, name).End()
 		return []byte(`{"from":"` + name + `"}`), nil
 	}
@@ -200,7 +200,7 @@ func stubFleetPair(t *testing.T) (aURL, bURL string, a, b *Server, cleanup func(
 // workloadsOwnedBy searches batch sizes for n workloads whose fingerprints
 // land on the wanted ring member. They are small enough for the tests that run
 // the real tuner on them.
-func workloadsOwnedBy(t testing.TB, ring *hashRing, owner string, n int) (reqs []PlanRequest, fps []string) {
+func workloadsOwnedBy(t testing.TB, ring *hashRing, owner string, n int) (reqs []api.PlanRequest, fps []string) {
 	t.Helper()
 	for gbs := 8; gbs <= 1024 && len(reqs) < n; gbs += 8 {
 		req := testRequest(gbs)
@@ -220,7 +220,7 @@ func workloadsOwnedBy(t testing.TB, ring *hashRing, owner string, n int) (reqs [
 
 // workloadOwnedBy is one workload, and its fingerprint, owned by the wanted
 // ring member.
-func workloadOwnedBy(t testing.TB, ring *hashRing, owner string) (PlanRequest, string) {
+func workloadOwnedBy(t testing.TB, ring *hashRing, owner string) (api.PlanRequest, string) {
 	t.Helper()
 	reqs, fps := workloadsOwnedBy(t, ring, owner, 1)
 	return reqs[0], fps[0]
@@ -326,7 +326,7 @@ func TestFleetPeerRoutingFallback(t *testing.T) {
 	// for the workload fingerprinted fp.
 	answers := func(body func(fp string) string) string {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var req PlanRequest
+			var req api.PlanRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				t.Errorf("forwarded request: %v", err)
 			}

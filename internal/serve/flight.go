@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"mario"
+	"mario/internal/serve/api"
 )
 
 // flight is one in-progress tuner run that any number of identical requests
@@ -13,7 +14,7 @@ import (
 // waiter abandons (deadline, disconnect), the flight's context is cancelled
 // so the tuner stops burning a worker on a result nobody wants.
 type flight struct {
-	req PlanRequest     // as it was sent: its workers hint
+	req api.PlanRequest // as it was sent: its workers hint
 	wl  *mario.Workload // what req resolved to: what is searched, and under whose fingerprint the plan is kept
 
 	// ctx governs the tuner run; cancel is called when the last waiter
@@ -26,7 +27,7 @@ type flight struct {
 	waiters int
 
 	mu   sync.Mutex
-	subs []chan ProgressEvent
+	subs []chan api.ProgressEvent
 
 	// done is closed exactly once, after data/err/trace are set.
 	done chan struct{}
@@ -38,7 +39,7 @@ type flight struct {
 	trace []byte
 }
 
-func newFlight(req PlanRequest, wl *mario.Workload) *flight {
+func newFlight(req api.PlanRequest, wl *mario.Workload) *flight {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &flight{req: req, wl: wl, ctx: ctx, cancel: cancel, waiters: 1, done: make(chan struct{})}
 }
@@ -46,8 +47,8 @@ func newFlight(req PlanRequest, wl *mario.Workload) *flight {
 // subscribe registers a progress channel. The channel is buffered; broadcast
 // drops events for subscribers that fall behind rather than stalling the
 // tuner's merge loop.
-func (f *flight) subscribe() chan ProgressEvent {
-	ch := make(chan ProgressEvent, 64)
+func (f *flight) subscribe() chan api.ProgressEvent {
+	ch := make(chan api.ProgressEvent, 64)
 	f.mu.Lock()
 	f.subs = append(f.subs, ch)
 	f.mu.Unlock()
@@ -55,7 +56,7 @@ func (f *flight) subscribe() chan ProgressEvent {
 }
 
 // broadcast fans one progress event out to every subscriber, never blocking.
-func (f *flight) broadcast(ev ProgressEvent) {
+func (f *flight) broadcast(ev api.ProgressEvent) {
 	f.mu.Lock()
 	for _, ch := range f.subs {
 		select {

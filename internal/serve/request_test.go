@@ -15,6 +15,7 @@ import (
 	"mario"
 	"mario/internal/cost"
 	"mario/internal/profile"
+	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -25,18 +26,18 @@ import (
 // mario.Optimize of the same Config returns the same error, where it used to
 // search, or panic — and to the service's: a 400, and nothing searched.
 func TestRequestValidateErrors(t *testing.T) {
-	valid := func() PlanRequest {
-		return PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
+	valid := func() api.PlanRequest {
+		return api.PlanRequest{Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64}
 	}
-	hardware := func(mut func(*cost.Hardware)) func(*PlanRequest) {
-		return func(r *PlanRequest) {
+	hardware := func(mut func(*cost.Hardware)) func(*api.PlanRequest) {
+		return func(r *api.PlanRequest) {
 			hw := cost.A100_40G
 			mut(&hw)
 			r.Hardware = &hw
 		}
 	}
-	machine := func(mut func(*profile.MachineSpec)) func(*PlanRequest) {
-		return func(r *PlanRequest) {
+	machine := func(mut func(*profile.MachineSpec)) func(*api.PlanRequest) {
+		return func(r *api.PlanRequest) {
 			m := profile.DefaultMachine
 			mut(&m)
 			r.Machine = &m
@@ -44,46 +45,46 @@ func TestRequestValidateErrors(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		mut     func(*PlanRequest)
+		mut     func(*api.PlanRequest)
 		wantErr string
 		// serviceOnly: the check is the request's own, not the resolver's.
 		// libraryOnly: the value has no JSON spelling (a non-finite number).
 		serviceOnly, libraryOnly bool
 	}{
-		{name: "model and model_config", mut: func(r *PlanRequest) {
+		{name: "model and model_config", mut: func(r *api.PlanRequest) {
 			m := mario.Model("LLaMA2-3B")
 			r.ModelConfig = &m
 		}, wantErr: "model or model_config, not both", serviceOnly: true},
-		{name: "unknown model", mut: func(r *PlanRequest) { r.Model = "GPT9-999T" }, wantErr: `unknown model "GPT9-999T"`, serviceOnly: true},
-		{name: "missing model", mut: func(r *PlanRequest) { r.Model = "" }, wantErr: "model or model_config is required", serviceOnly: true},
-		{name: "negative timeout", mut: func(r *PlanRequest) { r.TimeoutSec = -1 }, wantErr: "timeout_sec must not be negative", serviceOnly: true},
-		{name: "bad model_config", mut: func(r *PlanRequest) {
+		{name: "unknown model", mut: func(r *api.PlanRequest) { r.Model = "GPT9-999T" }, wantErr: `unknown model "GPT9-999T"`, serviceOnly: true},
+		{name: "missing model", mut: func(r *api.PlanRequest) { r.Model = "" }, wantErr: "model or model_config is required", serviceOnly: true},
+		{name: "negative timeout", mut: func(r *api.PlanRequest) { r.TimeoutSec = -1 }, wantErr: "timeout_sec must not be negative", serviceOnly: true},
+		{name: "bad model_config", mut: func(r *api.PlanRequest) {
 			r.Model, r.ModelConfig = "", &cost.ModelConfig{Name: "tiny", Hidden: 64, Layers: 0, Heads: 4, SeqLen: 128, Vocab: 1000}
 		}, wantErr: "layer count must be positive"},
-		{name: "zero devices", mut: func(r *PlanRequest) { r.Devices = 0 }, wantErr: "must be positive"},
-		{name: "negative global batch", mut: func(r *PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
+		{name: "zero devices", mut: func(r *api.PlanRequest) { r.Devices = 0 }, wantErr: "must be positive"},
+		{name: "negative global batch", mut: func(r *api.PlanRequest) { r.GlobalBatch = -1 }, wantErr: "must be positive"},
 		// Both used to resolve: the first kept the pipeline-depth divisor scan
 		// running for more than 20 s, the second panicked sizing the schedule.
-		{name: "devices above the bound", mut: func(r *PlanRequest) { r.Devices = 1099511627791 }, wantErr: "devices (1099511627791) must be at most 16384"},
-		{name: "global batch above the bound", mut: func(r *PlanRequest) { r.GlobalBatch = 4611686018427387904 }, wantErr: "global batch (4611686018427387904) must be at most 65536"},
-		{name: "bad scheme", mut: func(r *PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
-		{name: "scheme without a generator", mut: func(r *PlanRequest) { r.Scheme = "hanayo" }, wantErr: "unknown scheme"},
-		{name: "bad memory", mut: func(r *PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},
-		{name: "infinite memory", mut: func(r *PlanRequest) { r.Memory = "inf" }, wantErr: "not a finite byte count"},
-		{name: "negative tp", mut: func(r *PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},
-		{name: "zero micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
+		{name: "devices above the bound", mut: func(r *api.PlanRequest) { r.Devices = 1099511627791 }, wantErr: "devices (1099511627791) must be at most 16384"},
+		{name: "global batch above the bound", mut: func(r *api.PlanRequest) { r.GlobalBatch = 4611686018427387904 }, wantErr: "global batch (4611686018427387904) must be at most 65536"},
+		{name: "bad scheme", mut: func(r *api.PlanRequest) { r.Scheme = "zigzag" }, wantErr: "unknown scheme"},
+		{name: "scheme without a generator", mut: func(r *api.PlanRequest) { r.Scheme = "hanayo" }, wantErr: "unknown scheme"},
+		{name: "bad memory", mut: func(r *api.PlanRequest) { r.Memory = "lots" }, wantErr: "invalid memory spec"},
+		{name: "infinite memory", mut: func(r *api.PlanRequest) { r.Memory = "inf" }, wantErr: "not a finite byte count"},
+		{name: "negative tp", mut: func(r *api.PlanRequest) { r.TP = -1 }, wantErr: "tp must not be negative"},
+		{name: "zero micro batch", mut: func(r *api.PlanRequest) { r.MicroBatches = []int{4, 0} }, wantErr: "micro-batch sizes must be positive"},
 		// Both used to resolve, and the search enumerated and probed every
 		// listed size: a full body of copies outlasted the default deadline.
-		{name: "repeated micro batch", mut: func(r *PlanRequest) { r.MicroBatches = []int{2, 4, 2} }, wantErr: "micro-batch sizes must be distinct (2 is listed twice)"},
-		{name: "too many micro batches", mut: func(r *PlanRequest) { r.MicroBatches = microBatchRange(121) }, wantErr: "micro-batch sizes (121 listed) must be at most 120"},
-		{name: "speeds of another cluster", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
-		{name: "negative speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
-		{name: "speed with an infinite slowdown", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, 1, 1, 1e-310, 1, 1} }, wantErr: "device 5 speed 1e-310 is too small"},
-		{name: "NaN speed", mut: func(r *PlanRequest) { r.DeviceSpeeds = []float64{1, 1, math.NaN(), 1, 1, 1, 1, 1} }, wantErr: "device 2 speed NaN must be positive", libraryOnly: true},
-		{name: "bad placement", mut: func(r *PlanRequest) { r.Placement = "sideways" }, wantErr: "unknown placement mode"},
-		{name: "min_pp above the cluster", mut: func(r *PlanRequest) { r.MinPP = 16 }, wantErr: "no pipeline depth in min_pp..max_pp [16, 8] divides 8 devices"},
-		{name: "no pp range divisor", mut: func(r *PlanRequest) { r.MinPP, r.MaxPP = 5, 7 }, wantErr: "no pipeline depth in min_pp..max_pp [5, 7] divides 8 devices"},
-		{name: "empty hardware", mut: func(r *PlanRequest) { r.Hardware = &cost.Hardware{} }, wantErr: "hardware FLOPS must be positive"},
+		{name: "repeated micro batch", mut: func(r *api.PlanRequest) { r.MicroBatches = []int{2, 4, 2} }, wantErr: "micro-batch sizes must be distinct (2 is listed twice)"},
+		{name: "too many micro batches", mut: func(r *api.PlanRequest) { r.MicroBatches = microBatchRange(121) }, wantErr: "micro-batch sizes (121 listed) must be at most 120"},
+		{name: "speeds of another cluster", mut: func(r *api.PlanRequest) { r.DeviceSpeeds = []float64{1, 0.8} }, wantErr: "2 device speeds for 8 devices"},
+		{name: "negative speed", mut: func(r *api.PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, -0.5, 1, 1, 1, 1} }, wantErr: "device 3 speed -0.5 must be positive"},
+		{name: "speed with an infinite slowdown", mut: func(r *api.PlanRequest) { r.DeviceSpeeds = []float64{1, 1, 1, 1, 1, 1e-310, 1, 1} }, wantErr: "device 5 speed 1e-310 is too small"},
+		{name: "NaN speed", mut: func(r *api.PlanRequest) { r.DeviceSpeeds = []float64{1, 1, math.NaN(), 1, 1, 1, 1, 1} }, wantErr: "device 2 speed NaN must be positive", libraryOnly: true},
+		{name: "bad placement", mut: func(r *api.PlanRequest) { r.Placement = "sideways" }, wantErr: "unknown placement mode"},
+		{name: "min_pp above the cluster", mut: func(r *api.PlanRequest) { r.MinPP = 16 }, wantErr: "no pipeline depth in min_pp..max_pp [16, 8] divides 8 devices"},
+		{name: "no pp range divisor", mut: func(r *api.PlanRequest) { r.MinPP, r.MaxPP = 5, 7 }, wantErr: "no pipeline depth in min_pp..max_pp [5, 7] divides 8 devices"},
+		{name: "empty hardware", mut: func(r *api.PlanRequest) { r.Hardware = &cost.Hardware{} }, wantErr: "hardware FLOPS must be positive"},
 		{name: "negative FLOPS", mut: hardware(func(h *cost.Hardware) { h.FLOPS = -140e12 }), wantErr: "hardware FLOPS must be positive"},
 		{name: "zero link bandwidth", mut: hardware(func(h *cost.Hardware) { h.LinkBandwidth = 0 }), wantErr: "hardware LinkBandwidth must be positive"},
 		{name: "zero backward ratio", mut: hardware(func(h *cost.Hardware) { h.BackwardRatio = 0 }), wantErr: "hardware BackwardRatio must be positive"},
@@ -102,7 +103,7 @@ func TestRequestValidateErrors(t *testing.T) {
 
 	s := New(Options{})
 	defer s.Close()
-	s.run = func(_ context.Context, req PlanRequest, _ *mario.Workload, _ *telemetry.Tracer, _ func(ProgressEvent)) ([]byte, error) {
+	s.run = func(_ context.Context, req api.PlanRequest, _ *mario.Workload, _ *telemetry.Tracer, _ func(api.ProgressEvent)) ([]byte, error) {
 		t.Errorf("a search ran for %+v", req)
 		return nil, errors.New("unreachable")
 	}
@@ -168,9 +169,9 @@ func respelled(field string) string {
 }
 
 // resolveBody decodes a request body the way the server does and resolves it.
-func resolveBody(t *testing.T, body string) (PlanRequest, *mario.Workload) {
+func resolveBody(t *testing.T, body string) (api.PlanRequest, *mario.Workload) {
 	t.Helper()
-	var r PlanRequest
+	var r api.PlanRequest
 	dec := json.NewDecoder(strings.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
@@ -274,7 +275,7 @@ const pinnedBareFingerprint = "fe11a3a0613a"
 // optimizer config — a silently dropped field would make the daemon ignore
 // what the client asked for.
 func TestRequestConfigPlumbing(t *testing.T) {
-	r := PlanRequest{
+	r := api.PlanRequest{
 		Model: "LLaMA2-3B", Devices: 8, GlobalBatch: 64,
 		NoBnB: true,
 	}
@@ -310,7 +311,7 @@ func TestRequestTimeout(t *testing.T) {
 		{sec: 3600, max: 0, want: time.Hour},
 		{sec: 1e300, max: 0, want: math.MaxInt64},
 	} {
-		r := PlanRequest{TimeoutSec: tc.sec}
+		r := api.PlanRequest{TimeoutSec: tc.sec}
 		if got := r.Timeout(def, tc.max); got != tc.want {
 			t.Errorf("timeout_sec %g, ceiling %v: deadline %v, want %v", tc.sec, tc.max, got, tc.want)
 		}
@@ -330,14 +331,14 @@ func TestEmptyMicroBatchesIsAbsent(t *testing.T) {
 	emptyBody := respelled(`"micro_batches":[]`)
 	_, wl := resolveBody(t, absentBody)
 	fp := wl.Fingerprint() // the empty list's too: TestEquivalentSpellingsOneWorkload
-	post := func(url, body string) (int, PlanResponse) {
+	post := func(url, body string) (int, api.PlanResponse) {
 		t.Helper()
 		resp, err := http.Post(url+"/v1/plan", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var pr PlanResponse
+		var pr api.PlanResponse
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +458,7 @@ func FuzzPlanRequestCanonical(f *testing.F) {
 	}
 	s := New(Options{})
 	f.Cleanup(s.Close)
-	decode := func(body []byte) (PlanRequest, *mario.Workload, error) {
+	decode := func(body []byte) (api.PlanRequest, *mario.Workload, error) {
 		return s.decodeRequest(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -495,7 +496,7 @@ func TestHugeMicroBatchAnswersPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pr PlanResponse
+	var pr api.PlanResponse
 	err = json.NewDecoder(resp.Body).Decode(&pr)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {

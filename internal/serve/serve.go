@@ -1,3 +1,17 @@
+// Package serve turns the mario optimizer into a resident planning service:
+// an HTTP/JSON daemon that resolves Optimize requests into workloads (a
+// workload's hash is its fingerprint), answers repeats from an LRU plan
+// cache, collapses concurrent identical requests onto one tuner run
+// (singleflight), bounds concurrent tuner work with a worker pool plus
+// admission control, streams tuner progress as newline-delimited JSON, and
+// drains gracefully on shutdown.
+// Configured with fleet peers and its own URL, a server also routes blocking
+// plan requests to each workload's consistent-hash owner (see fleet.go).
+//
+// The cache contract leans on the determinism the tuner already guarantees:
+// the same fingerprint always produces byte-identical plan JSON, so a cache
+// hit is indistinguishable from a fresh Optimize — the paper's "near
+// zero-cost" move applied to planning itself.
 package serve
 
 import (
@@ -13,6 +27,7 @@ import (
 	"time"
 
 	"mario"
+	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
@@ -120,7 +135,7 @@ type Server struct {
 	// json.Marshal(plan), compact and HTML-escaped, which is also what keeps
 	// the response byte-equal to the encoder's. (The other source of served
 	// bytes, a peer's answer, is checked by the read: api.ParsePlanResponse.)
-	run func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error)
+	run func(ctx context.Context, req api.PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error)
 }
 
 // New builds a Server and starts its worker pool.
@@ -168,8 +183,8 @@ func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.flightRec
 // trace in the response.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", s.handlePlan)
-	mux.HandleFunc("POST /v1/plan/stream", s.handleStream)
+	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) { s.handlePlan(w, r, false) })
+	mux.HandleFunc("POST /v1/plan/stream", func(w http.ResponseWriter, r *http.Request) { s.handlePlan(w, r, true) })
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -226,7 +241,7 @@ var (
 // returns the stored bytes; an identical in-progress flight is joined; and
 // otherwise a new flight is created and enqueued — unless the queue is full
 // or the server is draining.
-func (s *Server) admit(req PlanRequest, wl *mario.Workload) (data []byte, f *flight, created bool, err error) {
+func (s *Server) admit(req api.PlanRequest, wl *mario.Workload) (data []byte, f *flight, created bool, err error) {
 	fp := wl.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -330,7 +345,7 @@ func (s *Server) removeFlight(f *flight) {
 // optimize is the production run function: it searches the flight's resolved
 // workload with the flight's tracer and progress forwarding, and marshals the
 // plan with the deterministic Plan codec.
-func (s *Server) optimize(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+func (s *Server) optimize(ctx context.Context, req api.PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 	workers := req.Workers
 	if s.opts.TunerWorkers > 0 && (workers <= 0 || workers > s.opts.TunerWorkers) {
 		workers = s.opts.TunerWorkers
@@ -340,7 +355,7 @@ func (s *Server) optimize(ctx context.Context, req PlanRequest, wl *mario.Worklo
 		Tracer:  tracer,
 		Metrics: s.search,
 		Progress: func(n int, best string, throughput float64) {
-			progress(ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
+			progress(api.ProgressEvent{Explored: n, Best: best, BestThroughput: throughput})
 		},
 	})
 	if err != nil {
@@ -365,8 +380,8 @@ func errorJSON(w http.ResponseWriter, status int, err error) {
 // valid request would be answered as if it were not there. The body is bounded
 // by Options.MaxBodyBytes: an oversized request surfaces as
 // *http.MaxBytesError, which the handlers map to 413.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (PlanRequest, *mario.Workload, error) {
-	var req PlanRequest
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (api.PlanRequest, *mario.Workload, error) {
+	var req api.PlanRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -413,7 +428,13 @@ func admissionStatus(err error) int {
 	}
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// handlePlan answers one plan request, blocking (/v1/plan: the envelope) or
+// streaming (/v1/plan/stream: NDJSON progress lines, then a terminal line).
+// Both go through the same decode, admission, cache, flight and outcome and
+// differ only in how they write; the terminal line is the envelope with a
+// type in front (writePlanResponse). Streams stay local: only blocking
+// requests are routed to a fleet peer.
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, stream bool) {
 	start := time.Now()
 	req, wl, err := s.decodeRequest(w, r)
 	if err != nil {
@@ -421,113 +442,34 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := wl.Fingerprint()
-	if resp, ok := s.routeToPeer(r, req, fp); ok {
-		s.sm.requests.Inc()
-		s.sm.latency.ObserveDuration(time.Since(start))
-		writePlanResponse(w, *resp)
-		return
-	}
-	s.sm.requests.Inc()
-	s.sm.inFlight.Add(1)
-	defer func() {
-		s.sm.inFlight.Add(-1)
-		s.sm.latency.ObserveDuration(time.Since(start))
-	}()
-
-	data, f, created, err := s.admit(req, wl)
-	if err != nil {
-		s.sm.rejected.Inc()
-		errorJSON(w, admissionStatus(err), err)
-		return
-	}
-	if data != nil {
-		s.sm.cacheHits.Inc()
-		s.sm.completed.Inc()
-		writePlanResponse(w, PlanResponse{Fingerprint: fp, Cached: true, Plan: data})
-		return
-	}
-	s.sm.cacheMisses.Inc()
-	if !created {
-		s.sm.flightsShared.Inc()
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), req.Timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout))
-	defer cancel()
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.leave(f)
-		s.sm.timeouts.Inc()
-		errorJSON(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request abandoned: %w", ctx.Err()))
-		return
-	}
-	if f.err != nil {
-		s.sm.errors.Inc()
-		errorJSON(w, http.StatusInternalServerError, f.err)
-		return
-	}
-	s.sm.completed.Inc()
-	resp := PlanResponse{Fingerprint: fp, Shared: !created, Plan: f.data}
-	if wantTrace(r) {
-		resp.Trace = f.trace
-	}
-	writePlanResponse(w, resp)
-}
-
-// streamRecord is one NDJSON line of the streaming endpoint. Type is
-// "progress" (Explored/Best/BestThroughput set), "plan" (the terminal
-// PlanResponse fields set) or "error".
-type streamRecord struct {
-	Type string `json:"type"`
-	// Progress fields.
-	Explored       int     `json:"explored,omitempty"`
-	Best           string  `json:"best,omitempty"`
-	BestThroughput float64 `json:"throughput,omitempty"`
-	// Terminal fields.
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Cached      bool            `json:"cached,omitempty"`
-	Shared      bool            `json:"shared,omitempty"`
-	Plan        json.RawMessage `json:"plan,omitempty"`
-	Trace       json.RawMessage `json:"trace,omitempty"`
-	Error       string          `json:"error,omitempty"`
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, wl, err := s.decodeRequest(w, r)
-	if err != nil {
-		errorJSON(w, decodeStatus(err), err)
-		return
-	}
-	fp := wl.Fingerprint()
-	s.sm.requests.Inc()
-	s.sm.inFlight.Add(1)
-	defer func() {
-		s.sm.inFlight.Add(-1)
-		s.sm.latency.ObserveDuration(time.Since(start))
-	}()
-
-	data, f, created, err := s.admit(req, wl)
-	if err != nil {
-		s.sm.rejected.Inc()
-		errorJSON(w, admissionStatus(err), err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(rec streamRecord) {
-		enc.Encode(rec)
-		if flusher != nil {
-			flusher.Flush()
+	if !stream {
+		if resp, ok := s.routeToPeer(r, req, fp); ok {
+			s.sm.requests.Inc()
+			s.sm.latency.ObserveDuration(time.Since(start))
+			writePlanResponse(w, *resp, false)
+			return
 		}
 	}
+	s.sm.requests.Inc()
+	s.sm.inFlight.Add(1)
+	defer func() {
+		s.sm.inFlight.Add(-1)
+		s.sm.latency.ObserveDuration(time.Since(start))
+	}()
 
+	data, f, created, err := s.admit(req, wl)
+	if err != nil {
+		s.sm.rejected.Inc()
+		errorJSON(w, admissionStatus(err), err)
+		return
+	}
+	if stream {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	if data != nil {
 		s.sm.cacheHits.Inc()
 		s.sm.completed.Inc()
-		emit(streamRecord{Type: "plan", Fingerprint: fp, Cached: true, Plan: data})
+		writePlanResponse(w, api.PlanResponse{Fingerprint: fp, Cached: true, Plan: data}, stream)
 		return
 	}
 	s.sm.cacheMisses.Inc()
@@ -535,42 +477,71 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.sm.flightsShared.Inc()
 	}
 
-	sub := f.subscribe()
+	var progress chan api.ProgressEvent // nil, never ready, unless streaming
+	if stream {
+		progress = f.subscribe()
+	}
+	fail := func(status int, err error) {
+		if stream {
+			writeRecord(w, streamRecord{Type: "error", Error: err.Error()})
+		} else {
+			errorJSON(w, status, err)
+		}
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), req.Timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout))
 	defer cancel()
-	for {
+	for waiting := true; waiting; {
 		select {
-		case ev := <-sub:
-			emit(streamRecord{Type: "progress", Explored: ev.Explored, Best: ev.Best, BestThroughput: ev.BestThroughput})
+		case ev := <-progress:
+			writeRecord(w, progressRecord(ev))
 		case <-f.done:
-			// Deliver progress still sitting in the buffer (broadcast
-			// happens-before finish) so fast runs stream a coherent story.
-			for drained := false; !drained; {
-				select {
-				case ev := <-sub:
-					emit(streamRecord{Type: "progress", Explored: ev.Explored, Best: ev.Best, BestThroughput: ev.BestThroughput})
-				default:
-					drained = true
-				}
-			}
-			if f.err != nil {
-				s.sm.errors.Inc()
-				emit(streamRecord{Type: "error", Error: f.err.Error()})
-				return
-			}
-			s.sm.completed.Inc()
-			term := streamRecord{Type: "plan", Fingerprint: fp, Shared: !created, Plan: f.data}
-			if wantTrace(r) {
-				term.Trace = f.trace
-			}
-			emit(term)
-			return
+			waiting = false
 		case <-ctx.Done():
 			s.leave(f)
 			s.sm.timeouts.Inc()
-			emit(streamRecord{Type: "error", Error: fmt.Sprintf("serve: request abandoned: %v", ctx.Err())})
+			fail(http.StatusGatewayTimeout, fmt.Errorf("serve: request abandoned: %w", ctx.Err()))
 			return
 		}
+	}
+	// Deliver progress still sitting in the buffer (broadcast happens-before
+	// finish) so fast runs stream a coherent story.
+	for len(progress) > 0 {
+		writeRecord(w, progressRecord(<-progress))
+	}
+	if f.err != nil {
+		s.sm.errors.Inc()
+		fail(http.StatusInternalServerError, f.err)
+		return
+	}
+	s.sm.completed.Inc()
+	resp := api.PlanResponse{Fingerprint: fp, Shared: !created, Plan: f.data}
+	if wantTrace(r) {
+		resp.Trace = f.trace
+	}
+	writePlanResponse(w, resp, stream)
+}
+
+// streamRecord is an NDJSON line of the streaming endpoint other than the
+// terminal plan: Type is "progress" (Explored/Best/BestThroughput set) or
+// "error".
+type streamRecord struct {
+	Type           string  `json:"type"`
+	Explored       int     `json:"explored,omitempty"`
+	Best           string  `json:"best,omitempty"`
+	BestThroughput float64 `json:"throughput,omitempty"`
+	Error          string  `json:"error,omitempty"`
+}
+
+// progressRecord is the stream line of one progress event.
+func progressRecord(ev api.ProgressEvent) streamRecord {
+	return streamRecord{Type: "progress", Explored: ev.Explored, Best: ev.Best, BestThroughput: ev.BestThroughput}
+}
+
+// writeRecord writes one NDJSON line and flushes it to the client.
+func writeRecord(w http.ResponseWriter, rec streamRecord) {
+	json.NewEncoder(w).Encode(rec)
+	if fl, ok := w.(http.Flusher); ok {
+		fl.Flush()
 	}
 }
 
@@ -579,7 +550,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	plans, _ := s.cache.size()
-	h := Health{
+	h := api.Health{
 		OK:          !draining,
 		Draining:    draining,
 		InFlight:    s.sm.inFlight.Value(),
@@ -628,17 +599,23 @@ func writeJSON(w http.ResponseWriter, v any) {
 // writePlanResponse writes a /v1/plan answer — cache hit, fresh or shared
 // flight, or an owner's answer being relayed — byte for byte as
 // json.NewEncoder(w).Encode(resp) would, at a cost that does not depend on
-// what the plan weighs. The encoder treats a RawMessage as untrusted: it
-// re-validates and re-compacts every byte of the plan on every response.
-// Here the envelope fields are written around resp.Plan and resp.Trace, which
-// go out as they are stored. That is sound because of where they come from,
-// not because they are checked again: Server.run and runFlight produce them
-// with json.Marshal, and client.PlanRouted takes them out of a body whose
-// whole grammar api.ParsePlanResponse has checked.
-func writePlanResponse(w http.ResponseWriter, resp PlanResponse) {
+// what the plan weighs. As a stream's terminal line (stream set) it writes
+// the same bytes with {"type":"plan", in place of the opening brace, and no
+// header. The encoder treats a RawMessage as untrusted: it re-validates and
+// re-compacts every byte of the plan on every response. Here the envelope
+// fields are written around resp.Plan and resp.Trace, which go out as they
+// are stored. That is sound because of where they come from, not because
+// they are checked again: Server.run and runFlight produce them with
+// json.Marshal, and client.PlanRouted takes them out of a body whose whole
+// grammar api.ParsePlanResponse has checked.
+func writePlanResponse(w http.ResponseWriter, resp api.PlanResponse, stream bool) {
 	buf := headPool.Get().(*[256]byte)
 	defer headPool.Put(buf)
-	head := appendJSONString(append(buf[:0], `{"fingerprint":`...), resp.Fingerprint)
+	head := append(buf[:0], '{')
+	if stream {
+		head = append(head, `"type":"plan",`...)
+	}
+	head = appendJSONString(append(head, `"fingerprint":`...), resp.Fingerprint)
 	head = strconv.AppendBool(append(head, `,"cached":`...), resp.Cached)
 	if resp.Shared {
 		head = append(head, `,"shared":true`...)
@@ -655,8 +632,10 @@ func writePlanResponse(w http.ResponseWriter, resp PlanResponse) {
 	if len(resp.Trace) > 0 {
 		size += len(traceKey) + len(resp.Trace)
 	}
-	w.Header()["Content-Type"] = jsonContentType
-	w.Header().Set("Content-Length", strconv.Itoa(size))
+	if !stream {
+		w.Header()["Content-Type"] = jsonContentType
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+	}
 	w.Write(head)
 	w.Write(plan)
 	if len(resp.Trace) > 0 {

@@ -14,12 +14,13 @@ import (
 	"time"
 
 	"mario"
+	"mario/internal/serve/api"
 	"mario/internal/telemetry"
 )
 
 // testRequest returns a valid request; gbs varies the fingerprint.
-func testRequest(gbs int) PlanRequest {
-	return PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: gbs, Memory: "40G", MicroBatches: []int{1, 2}}
+func testRequest(gbs int) api.PlanRequest {
+	return api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: gbs, Memory: "40G", MicroBatches: []int{1, 2}}
 }
 
 // blockingRun is a run stub whose executions park until released. It lets
@@ -27,20 +28,20 @@ func testRequest(gbs int) PlanRequest {
 type blockingRun struct {
 	started chan string   // receives the request fingerprint-ish label when a run starts
 	release chan struct{} // closed (or sent to) to let runs finish
-	result  func(req PlanRequest) ([]byte, error)
+	result  func(req api.PlanRequest) ([]byte, error)
 }
 
 func newBlockingRun() *blockingRun {
 	return &blockingRun{
 		started: make(chan string, 32),
 		release: make(chan struct{}),
-		result: func(req PlanRequest) ([]byte, error) {
+		result: func(req api.PlanRequest) ([]byte, error) {
 			return []byte(fmt.Sprintf(`{"gbs":%d}`, req.GlobalBatch)), nil
 		},
 	}
 }
 
-func (b *blockingRun) run(ctx context.Context, req PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+func (b *blockingRun) run(ctx context.Context, req api.PlanRequest, _ *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 	b.started <- fmt.Sprintf("gbs=%d", req.GlobalBatch)
 	select {
 	case <-b.release:
@@ -83,7 +84,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	var wg sync.WaitGroup
 	type outcome struct {
 		status int
-		resp   PlanResponse
+		resp   api.PlanResponse
 	}
 	results := make([]outcome, n)
 	for i := 0; i < n; i++ {
@@ -136,7 +137,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status %d", resp.StatusCode)
 	}
-	var pr PlanResponse
+	var pr api.PlanResponse
 	json.Unmarshal(data, &pr)
 	if !pr.Cached || !bytes.Equal(pr.Plan, want) {
 		t.Fatalf("repeat not served verbatim from cache: cached=%v plan=%s", pr.Cached, pr.Plan)
@@ -204,12 +205,12 @@ func TestGracefulDrain(t *testing.T) {
 
 	type result struct {
 		status int
-		resp   PlanResponse
+		resp   api.PlanResponse
 	}
 	inFlight := make(chan result, 1)
 	go func() {
 		resp, data := postPlan(t, ts.URL, testRequest(16))
-		var pr PlanResponse
+		var pr api.PlanResponse
 		json.Unmarshal(data, &pr)
 		inFlight <- result{resp.StatusCode, pr}
 	}()
@@ -279,7 +280,7 @@ func TestAbandonCancelsFlight(t *testing.T) {
 	// The abandoned flight must not have cached anything: retrying the
 	// abandoned workload is a miss, not a hit.
 	resp, data = postPlan(t, ts.URL, testRequest(16))
-	var pr PlanResponse
+	var pr api.PlanResponse
 	json.Unmarshal(data, &pr)
 	if resp.StatusCode != http.StatusOK || pr.Cached {
 		t.Fatalf("retry after abandon: status %d cached=%v (abandoned run must not populate the cache)", resp.StatusCode, pr.Cached)
@@ -290,9 +291,9 @@ func TestAbandonCancelsFlight(t *testing.T) {
 // terminal plan record.
 func TestStreamEndpoint(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
-	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req api.PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 		for i := 1; i <= 3; i++ {
-			progress(ProgressEvent{Explored: i, Best: "1F1B", BestThroughput: float64(i)})
+			progress(api.ProgressEvent{Explored: i, Best: "1F1B", BestThroughput: float64(i)})
 		}
 		return []byte(`{"ok":true}`), nil
 	}
@@ -319,7 +320,11 @@ func TestStreamEndpoint(t *testing.T) {
 	if err := json.Unmarshal(last, &term); err != nil {
 		t.Fatalf("terminal record: %v", err)
 	}
-	if term.Type != "plan" || !bytes.Equal(term.Plan, []byte(`{"ok":true}`)) {
+	pr, err := api.ParsePlanResponse(last)
+	if err != nil {
+		t.Fatalf("terminal record: %v", err)
+	}
+	if term.Type != "plan" || !bytes.Equal(pr.Plan, []byte(`{"ok":true}`)) {
 		t.Fatalf("terminal record = %s", last)
 	}
 	for _, line := range lines[:len(lines)-1] {
@@ -338,13 +343,13 @@ func TestValidationErrors(t *testing.T) {
 	defer ts.Close()
 
 	cases := []any{
-		PlanRequest{}, // no model
-		PlanRequest{Model: "NoSuchModel", Devices: 4, GlobalBatch: 16},
-		PlanRequest{Model: "LLaMA2-3B", Devices: 0, GlobalBatch: 16}, // devices
-		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Scheme: "bogus"},
-		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "12X"},
-		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: []int{0}},
-		PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, TimeoutSec: -1},
+		api.PlanRequest{}, // no model
+		api.PlanRequest{Model: "NoSuchModel", Devices: 4, GlobalBatch: 16},
+		api.PlanRequest{Model: "LLaMA2-3B", Devices: 0, GlobalBatch: 16}, // devices
+		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Scheme: "bogus"},
+		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "12X"},
+		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: []int{0}},
+		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, TimeoutSec: -1},
 		// A field the schema no longer has (the retired delta and prune
 		// switches) is an unknown field like any other.
 		json.RawMessage(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_delta":true}`),
@@ -393,7 +398,7 @@ func TestValidationErrors(t *testing.T) {
 // search series together).
 func TestTraceAndFlightRecorder(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
-	s.run = func(ctx context.Context, req PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(ProgressEvent)) ([]byte, error) {
+	s.run = func(ctx context.Context, req api.PlanRequest, wl *mario.Workload, tracer *telemetry.Tracer, progress func(api.ProgressEvent)) ([]byte, error) {
 		root := tracer.Root(telemetry.PhaseOptimize, "")
 		search := root.Child(telemetry.PhaseSearch, "")
 		search.End()
@@ -411,7 +416,7 @@ func TestTraceAndFlightRecorder(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var pr PlanResponse
+	var pr api.PlanResponse
 	if err := json.Unmarshal(raw, &pr); err != nil {
 		t.Fatalf("decode: %v (%s)", err, raw)
 	}
@@ -441,7 +446,7 @@ func TestTraceAndFlightRecorder(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
-	var hit PlanResponse
+	var hit api.PlanResponse
 	json.Unmarshal(data, &hit)
 	if !hit.Cached || len(hit.Trace) != 0 {
 		t.Errorf("cache hit: cached=%v trace=%d bytes, want cached with no trace", hit.Cached, len(hit.Trace))

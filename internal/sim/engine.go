@@ -89,7 +89,7 @@ type Simulator struct {
 
 	mem MemSim // reusable memory-walk scratch
 
-	// durTab holds per-(kind, stage) compute durations and actComm/gradComm
+	// durTab holds per-(kind, stage) ComputeBase prices and actComm/gradComm
 	// the two p2p transfer latencies, all derived from the call's estimator;
 	// fillMeta fills metas from these instead of re-deriving per instruction.
 	durTab            []float64
@@ -178,14 +178,10 @@ func (m *Simulator) bind(s *pipeline.Schedule, e *cost.Estimator, dp int) {
 		ds.static = staticMem(e, stages)
 	}
 	m.durTab = grow(m.durTab, int(pipeline.BackwardWeight+1)*m.nStages)
-	for st := 0; st < m.nStages; st++ {
-		m.durTab[int(pipeline.Forward)*m.nStages+st] = e.LaunchOverhead + e.FwTime[st]
-		m.durTab[int(pipeline.CkptForward)*m.nStages+st] = e.LaunchOverhead + e.FwTime[st]
-		m.durTab[int(pipeline.Backward)*m.nStages+st] = e.LaunchOverhead + e.BwTime[st]
-		m.durTab[int(pipeline.BackwardInput)*m.nStages+st] = e.LaunchOverhead + e.BwTime[st]*e.BwSplitRatio
-		m.durTab[int(pipeline.BackwardWeight)*m.nStages+st] = e.LaunchOverhead + e.BwTime[st]*(1-e.BwSplitRatio)
-		m.durTab[int(pipeline.Recompute)*m.nStages+st] = e.LaunchOverhead + e.RcTime[st]
-		m.durTab[int(pipeline.OptimizerStep)*m.nStages+st] = e.LaunchOverhead + e.OptTime
+	for k := range pipeline.BackwardWeight + 1 {
+		for st := 0; st < m.nStages; st++ {
+			m.durTab[int(k)*m.nStages+st] = ComputeBase(e, k, st)
+		}
 	}
 	m.actComm, m.gradComm = e.CommTime(e.ActP2PBytes), e.CommTime(e.GradP2PBytes)
 	m.idx = grow(m.idx, 2*m.res.Transfers())
@@ -257,17 +253,11 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 	case pipeline.Forward, pipeline.CkptForward, pipeline.Backward,
 		pipeline.BackwardInput, pipeline.BackwardWeight,
 		pipeline.Recompute, pipeline.OptimizerStep:
-		if ds.slow != 1 {
-			// Heterogeneous rank: re-derive the base from the estimator with
-			// ComputeBase, the price list the tuner bounds also use, so
-			// a bound's lo + base·slow term and the simulated duration are the
-			// same float value — admissibility holds at the bit level.
-			mt.dur = e.LaunchOverhead + ComputeBase(e, in.Kind, in.Stage)*ds.slow
-		} else {
-			// Same arithmetic as the estimator calls, hoisted into the
-			// bind-time duration table.
-			mt.dur = m.durTab[int(in.Kind)*m.nStages+in.Stage]
-		}
+		// lo + base·slow, the term the tuner's bounds price a compute with,
+		// so a bound and the simulated duration are the same float value —
+		// admissibility holds at the bit level. x·1 == x: a nominal-speed
+		// rank pays lo + base.
+		mt.dur = e.LaunchOverhead + m.durTab[int(in.Kind)*m.nStages+in.Stage]*ds.slow
 		mt.compute = true
 	case pipeline.AllReduce:
 		mt.dur = ds.arDur
@@ -308,8 +298,8 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 }
 
 // ComputeBase returns the unscaled estimator latency of a compute kind on the
-// given stage — the value the engine's duration table stores before launch
-// overhead and per-device slowdown are applied. It is the one price list: the
+// given stage — the value the engine's duration table stores; launch
+// overhead and per-device slowdown are applied on top. It is the one price list: the
 // tuner's admissible bounds price whole instructions with it, so their
 // per-device lo + base·slow terms are bit-identical to the simulated
 // durations, and the cluster emulator takes its compute base latencies from

@@ -16,10 +16,10 @@
 // Split-backward schedules (ZB-H1, DualPipe-D, or any schedule rewritten by
 // graph.SplitBackward) execute for real too: BackwardInput runs the
 // input-gradient chain and defers the weight-gradient work, which the
-// matching BackwardWeight instruction later applies. Because the fused
-// Backward of every nn layer is defined as exactly that composition, split
-// and fused executions of the same workload produce bit-identical losses and
-// weights.
+// matching BackwardWeight instruction later applies. A fused Backward
+// instruction is that same composition with the work run at once (nn layers
+// have no other backward), so split and fused executions of the same
+// workload produce bit-identical losses and weights.
 package train
 
 import (

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,15 +213,20 @@ type Candidate struct {
 // Label renders the paper's x-y-z naming plus the Mario flag, suffixed with
 // the placement mode when the candidate carries one.
 func (c Candidate) Label() string {
-	tag := "base"
-	if c.Ckpt {
-		tag = "mario"
+	return label(c.Scheme, c.PP, c.MicroBatch, c.Ckpt, c.PlaceMode)
+}
+
+// label is the one spelling of a candidate's coordinates, shared by
+// Candidate.Label and the span key of its grid point.
+func label(sch pipeline.Scheme, pp, mbs int, ckpt bool, pmode place.Mode) string {
+	tag := "(base)"
+	if ckpt {
+		tag = "(mario)"
 	}
-	s := fmt.Sprintf("%s-%d-%d(%s)", c.Scheme.Shape(), c.PP, c.MicroBatch, tag)
-	if c.PlaceMode != "" {
-		s += "+" + string(c.PlaceMode)
+	if pmode != "" {
+		tag += "+" + string(pmode)
 	}
-	return s
+	return sch.Shape() + "-" + strconv.Itoa(pp) + "-" + strconv.Itoa(mbs) + tag
 }
 
 // SearchStats counts what one Search call explored — the tuner's own
@@ -788,15 +794,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 // pure function of the enumeration, so span identities never depend on
 // which worker evaluated the point.
 func pointKey(i int, p gridPoint) string {
-	tag := "base"
-	if p.ckpt {
-		tag = "mario"
-	}
-	s := fmt.Sprintf("%04d %s-%d-%d(%s)", i, p.scheme.Shape(), p.pp, p.mbs, tag)
-	if p.pmode != "" {
-		s += "+" + string(p.pmode)
-	}
-	return s
+	return fmt.Sprintf("%04d %s", i, label(p.scheme, p.pp, p.mbs, p.ckpt, p.pmode))
 }
 
 // pointSpan starts the detached span of grid point i — the one place point
