@@ -214,7 +214,7 @@ hetero-smoke:
 flags-of = $(GO) run ./cmd/$(1) -h 2>&1 | sed -n 's/^  -\([a-z][a-z0-9-]*\).*/\1/p'
 docs-check:
 	$(GO) run ./cmd/docscheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs
-	$(call go-test-named,,TestGoldenDocs,./internal/experiments)
+	$(call go-test-named,,TestGoldenDocs|TestDocsCiteRealTests,./internal/experiments)
 	@fail=0; known=" race cpu short bench benchtime benchmem count fuzz fuzztime "; \
 	for c in $$(ls cmd); do \
 		flags=$$($(call flags-of,$$c)); known="$$known$$(echo $$flags) "; \

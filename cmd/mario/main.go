@@ -251,9 +251,6 @@ func main() {
 		fmt.Printf("  measured iteration time: %.4f s\n", rep.IterTime)
 		fmt.Printf("  measured throughput:     %.2f samples/s\n", rep.SamplesPerSec)
 		fmt.Printf("  measured peak memory:    [%.2f, %.2f] GB\n", rep.PeakMemMin/(1<<30), rep.PeakMemMax/(1<<30))
-		if *showStats {
-			fmt.Printf("  watchdog re-arms:        %d\n", rep.WatchdogResets)
-		}
 
 		if *measuredPath != "" {
 			export(*measuredPath, "measured trace", func(w io.Writer) error { return viz.ChromeTrace(w, rep.Events) })

@@ -1,22 +1,23 @@
-// Package cluster is the concurrent "hardware" this reproduction substitutes
-// for the paper's A100 cluster: every device is a goroutine executing its
-// instruction list, and point-to-point transfers are real Go channels, so
-// the blocking semantics of the pipeline (including the deadlocks that §5.1
-// pass 4's send buffering exists to avoid) are exercised by the scheduler of
-// a real concurrent runtime rather than by a model.
+// Package cluster is the "hardware" this reproduction substitutes for the
+// paper's A100 cluster: every device executes its instruction list, and
+// point-to-point transfers travel over FIFO links, so the blocking semantics
+// of the pipeline (including the deadlocks that §5.1 pass 4's send buffering
+// exists to avoid) are exercised by executing the lists rather than by a
+// model.
 //
-// The goroutines, the links, the all-reduce barrier, teardown after the first
-// error and the no-progress watchdog are the device runtime, Execute. The
-// miniature trainer (internal/train) runs on it too, with tensors where the
-// emulator sends arrival times, so both executors of an instruction list meet
-// the same links and the same deadlock diagnosis.
+// The links, the all-reduce barrier and the deadlock diagnosis are the device
+// runtime, Execute: one loop that steps any device whose next instruction is
+// ready. The miniature trainer (internal/train) runs on it too, with tensors
+// where the emulator sends arrival times, so both executors of an instruction
+// list meet the same links and the same deadlock diagnosis.
 //
 // Time is virtual: each device advances a local clock by the ground-truth
 // duration of each instruction (plus deterministic jitter and unmodeled
 // framework overhead), and messages carry their arrival timestamps, so a
 // receive advances the consumer's clock to max(local, arrival) — a
-// conservative parallel discrete-event simulation in which the channel
-// blocking itself enforces causality.
+// conservative discrete-event simulation in which a receive runs only once
+// its message is queued, and the order the loop steps devices in changes no
+// result.
 //
 // A Machine can collect events: Execute then records one obs.Event per
 // executed instruction, the emulator fills in what it measures (virtual
@@ -32,7 +33,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"mario/internal/cost"
 	"mario/internal/obs"
@@ -76,9 +76,6 @@ type Machine struct {
 	Seed uint64
 	// DP is the data-parallel degree for the cool-down all-reduce.
 	DP int
-	// Watchdog is the wall-clock no-progress limit of Execute; 0 means 5s.
-	// Long runs do not trip it as long as they keep making progress.
-	Watchdog time.Duration
 	// CollectEvents makes the run fill Report.Events with one obs.Event per
 	// executed instruction, device-major in execution order. The event
 	// stream is deterministic for a fixed seed and does not perturb the run;
@@ -104,10 +101,6 @@ type Report struct {
 	PeakMem []float64
 	// SamplesPerSec is the measured training throughput.
 	SamplesPerSec float64
-	// WatchdogResets counts how many times the no-progress watchdog
-	// re-armed during the run (0 for runs shorter than one watchdog
-	// interval).
-	WatchdogResets int
 	// Events is the measured event stream, device-major in execution order;
 	// nil unless Machine.CollectEvents was set.
 	Events []obs.Event
@@ -177,18 +170,14 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 			runners[d].mem = sim.NewMemSim(s, m.Truth, d)
 		}
 	}
-	events, resets, err := Execute(s, iters, m.Watchdog, m.CollectEvents, func(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
+	events, err := Execute(s, iters, nil, m.CollectEvents, func(dv *Device[float64], in pipeline.Instr, ev *obs.Event) error {
 		return runners[dv.ID].exec(dv, in, ev)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &Report{
-		PeakMem:        m.peakMem(s),
-		WatchdogResets: resets,
-		Events:         events,
-	}
+	rep := &Report{PeakMem: m.peakMem(s), Events: events}
 	for d := range runners {
 		rep.Total = max(rep.Total, runners[d].clock)
 	}
@@ -208,9 +197,8 @@ func (m *Machine) Run(s *pipeline.Schedule, iters int) (*Report, error) {
 // instruction takes in Run. That holds because no draw reads the virtual
 // clock.
 //
-// Sample executes nothing: it starts no goroutine, opens no link and arms no
-// watchdog, so it proves neither that the schedule is live nor that its sends
-// and receives match. Run does both.
+// Sample executes nothing: it opens no link, so it proves neither that the
+// schedule is live nor that its sends and receives match. Run does both.
 func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[SampleKey][]float64, peakMem []float64, err error) {
 	if err := m.check(s, iters); err != nil {
 		return nil, nil, err
@@ -276,8 +264,7 @@ type sampleClass struct {
 	draws int
 }
 
-// devRunner is the execution state of one emulated device; only the device's
-// goroutine touches it during the run.
+// devRunner is the execution state of one emulated device.
 type devRunner struct {
 	m         *Machine
 	dp        int

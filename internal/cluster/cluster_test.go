@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
@@ -36,7 +35,7 @@ func buildSched(t *testing.T, sch pipeline.Scheme, cfg scheme.Config) *pipeline.
 }
 
 // TestClusterMatchesSimulatorNoiseless: with zero noise and zero extra
-// overhead, the concurrent execution and the DP simulator agree for every
+// overhead, the emulated execution and the DP simulator agree for every
 // scheme, record by record: the simulator's timeline and the emulator's
 // iteration-0 events are one record stream — identity, peer, payload, start,
 // end, receive wait and memory bit-equal at every position — and render to
@@ -137,7 +136,7 @@ func TestExtraOverheadSlowsRuns(t *testing.T) {
 }
 
 // TestDeadlockDetection: an intentionally crossed schedule (two devices that
-// both receive before sending) trips the watchdog instead of hanging.
+// both receive before sending) is ErrDeadlock instead of a hang.
 func TestDeadlockDetection(t *testing.T) {
 	pl := pipeline.NewLinearPlacement(2)
 	s := &pipeline.Schedule{
@@ -162,7 +161,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// Device 0 receives the gradient before sending the activation device 1
 	// needs to produce it: a true cyclic wait.
 	e := cost.Uniform(2, 1, 2, 0.25)
-	m := &Machine{Truth: e, Seed: 1, Watchdog: 200 * time.Millisecond}
+	m := &Machine{Truth: e, Seed: 1}
 	_, err := m.Run(s, 1)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -186,7 +185,7 @@ func TestMismatchDetection(t *testing.T) {
 	}
 	list[saIdx[0]].Micro, list[saIdx[1]].Micro = list[saIdx[1]].Micro, list[saIdx[0]].Micro
 	e := cost.Uniform(2, 1, 2, 0.25)
-	m := &Machine{Truth: e, Seed: 1, Watchdog: 200 * time.Millisecond}
+	m := &Machine{Truth: e, Seed: 1}
 	if _, err := m.Run(s, 1); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("err = %v, want ErrMismatch", err)
 	}

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
 	"mario/internal/cost"
 	"mario/internal/obs"
@@ -31,9 +28,6 @@ func TestSinkDoesNotPerturbRun(t *testing.T) {
 		t.Fatal("collecting run returned no events")
 	}
 
-	// WatchdogResets depends on wall-clock scheduling, not the virtual run;
-	// mask it (and the collected events) before the exact comparison.
-	plain.WatchdogResets, observed.WatchdogResets = 0, 0
 	observed.Events = nil
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("collecting events changed the report:\nplain:    %+v\nobserved: %+v", plain, observed)
@@ -127,61 +121,5 @@ func TestEventMemoryMatchesSim(t *testing.T) {
 		if got := st.Devices[d].PeakMem; got > want[d]+1e-9 {
 			t.Errorf("dev%d: event memory peak %v exceeds predicted %v", d, got, want[d])
 		}
-	}
-}
-
-// TestDeadlockErrorNamesCulprit: the enriched deadlock error identifies the
-// stuck devices, their pending instructions and the blocked links.
-func TestDeadlockErrorNamesCulprit(t *testing.T) {
-	pl := pipeline.NewLinearPlacement(2)
-	s := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pl,
-		Micros:    1,
-		Lists: [][]pipeline.Instr{
-			{
-				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 0},
-			},
-			{
-				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 1},
-				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
-			},
-		},
-	}
-	e := cost.Uniform(2, 1, 2, 0.25)
-	m := &Machine{Truth: e, Seed: 1, Watchdog: 200 * time.Millisecond}
-	_, err := m.Run(s, 1)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	msg := err.Error()
-	for _, want := range []string{
-		"dev0 blocked on recv RG0^0",
-		"link 1->0[grad]",
-		"dev1 blocked on recv RA0^0",
-		"link 0->1[act]",
-	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("deadlock error missing %q:\n%s", want, msg)
-		}
-	}
-}
-
-// TestWatchdogResetsCounted: a watchdog much shorter than the run re-arms at
-// least once on progress instead of tripping.
-func TestWatchdogResetsCounted(t *testing.T) {
-	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
-	e := cost.Uniform(4, 1, 2, 0.25)
-	// Slow the wall clock down with many iterations and a 1ms watchdog: the
-	// devices keep making progress, so the run must complete.
-	m := &Machine{Truth: e, Seed: 2, Watchdog: time.Millisecond}
-	rep := mustRun(t, m, s, 50)
-	if rep.WatchdogResets < 1 {
-		t.Skip("run finished inside one watchdog interval (machine too fast)")
 	}
 }

@@ -1,97 +1,109 @@
 package cluster
 
 import (
-	"sync/atomic"
+	"errors"
+	"strings"
 	"testing"
 
+	"mario/internal/obs"
 	"mario/internal/pipeline"
-	"mario/internal/scheme"
 )
 
-// TestStuckSkipsSatisfiedWaits: the watchdog's scan counts a device as stuck
-// only while its wait cannot be met. A device still marked blocked on a
-// receive whose message has arrived, a send whose link has room, or a barrier
-// whose round was released has merely not been scheduled since; a run where
-// the other devices wait on it is slow, not deadlocked. The states are set by
-// hand on a 2-device 1F1B schedule, without device goroutines.
-func TestStuckSkipsSatisfiedWaits(t *testing.T) {
-	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 2, Micros: 4})
-	var ra, sa pipeline.Instr // RA0^0 on device 1, SA0^0 on device 0
-	for _, in := range s.Lists[1] {
-		if in.Kind == pipeline.RecvAct {
-			ra = in
-			break
-		}
+// transfer is an executor that only moves messages: each send posts a zero,
+// each receive takes one.
+func transfer(dv *Device[float64], in pipeline.Instr, _ *obs.Event) error {
+	switch in.Kind {
+	case pipeline.SendAct, pipeline.SendGrad:
+		return dv.Send(in, 0)
+	case pipeline.RecvAct, pipeline.RecvGrad:
+		_, err := dv.Recv(in)
+		return err
 	}
-	for _, in := range s.Lists[0] {
-		if in.Kind == pipeline.SendAct {
-			sa = in
-			break
-		}
-	}
-	capacity := 4 * s.Micros * s.NumStages() // as Execute makes the links
-	barrier := pipeline.Instr{Kind: pipeline.AllReduce}
-	closed := make(chan struct{})
-	close(closed)
+	return nil
+}
 
-	// setup is one row's state: the execution with empty links, and the
-	// device statuses and link traffic to set on it.
-	type setup func(rt *execution[float64])
-	waitOn := func(d int, in pipeline.Instr) setup {
-		return func(rt *execution[float64]) { rt.devs[d].status.block(in, 0, nil) }
-	}
-	// send runs n sends of SA0^0 on device 0; each lands in the link's buffer.
-	send := func(n int) setup {
-		return func(rt *execution[float64]) {
-			for i := 0; i < n; i++ {
-				if err := rt.devs[0].Send(sa, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	// pend counts one message on in's link that is in no buffer: a send that
-	// has counted its message and not pushed it yet, or a message the runtime
-	// handed straight to a receiver parked on the link.
-	pend := func(in pipeline.Instr) setup {
-		return func(rt *execution[float64]) { rt.pending[rt.res.Link(in)].Add(1) }
-	}
-	finished := func(d int) setup {
-		return func(rt *execution[float64]) { rt.devs[d].status.finish() }
-	}
-	atBarrier := func(d int, release chan struct{}) setup {
-		return func(rt *execution[float64]) { rt.devs[d].status.block(barrier, 0, release) }
-	}
+// TestDeadlockErrorNamesCulprit: each of the three waits — a receive on an
+// empty link, a send on a full one, the all-reduce barrier — ends a run that
+// cannot finish with ErrDeadlock, and the error names every unfinished
+// device's pending instruction and what it waits on. Devices run on a linear
+// placement; the lists are laid out by hand.
+func TestDeadlockErrorNamesCulprit(t *testing.T) {
+	fw := func(stage int) pipeline.Instr { return pipeline.Instr{Kind: pipeline.Forward, Stage: stage} }
+	comm := func(k pipeline.Kind, stage int) pipeline.Instr { return pipeline.Instr{Kind: k, Stage: stage} }
+	allReduce := pipeline.Instr{Kind: pipeline.AllReduce, Micro: pipeline.NoMicro}
 	for _, tc := range []struct {
 		name  string
-		state []setup
-		stuck bool
+		lists [][]pipeline.Instr
+		iters int
+		// merge runs the lists with a barrier; without one they complete.
+		merge bool
+		// blocked is the number of unfinished devices the error names.
+		blocked int
+		want    []string
 	}{
-		{name: "recv delivered", state: []setup{send(1), finished(0), waitOn(1, ra)}},
-		{name: "recv handed off", state: []setup{finished(0), waitOn(1, ra), pend(ra)}},
-		{name: "recv empty", state: []setup{finished(0), waitOn(1, ra)}, stuck: true},
-		{name: "send with room", state: []setup{waitOn(0, sa), pend(sa), finished(1)}},
-		{name: "send on a full link", state: []setup{send(capacity), waitOn(0, sa), pend(sa), finished(1)}, stuck: true},
-		{name: "barrier released", state: []setup{atBarrier(0, closed), waitOn(1, ra)}},
-		{name: "barrier open", state: []setup{atBarrier(0, make(chan struct{})), waitOn(1, ra)}, stuck: true},
+		{
+			// Device 0 receives the gradient before sending the activation
+			// device 1 needs to produce it: a cyclic wait.
+			name: "crossed receives",
+			lists: [][]pipeline.Instr{
+				{comm(pipeline.RecvGrad, 0), fw(0), comm(pipeline.SendAct, 0), {Kind: pipeline.Backward}},
+				{comm(pipeline.RecvAct, 1), fw(1), {Kind: pipeline.Backward, Stage: 1}, comm(pipeline.SendGrad, 1)},
+			},
+			iters:   1,
+			blocked: 2,
+			want:    []string{"dev0 blocked on recv RG0^0", "link 1->0[grad]", "dev1 blocked on recv RA0^0", "link 0->1[act]"},
+		},
+		{
+			name:    "barrier",
+			lists:   [][]pipeline.Instr{{fw(0), allReduce}, {fw(1)}},
+			iters:   1,
+			merge:   true,
+			blocked: 1,
+			want:    []string{"dev0 blocked on AR (iter 0) at the all-reduce barrier"},
+		},
+		{
+			// Device 0 forwards and sends into a link nobody drains, so it
+			// fills after 4·Micros·NumStages = 12 iterations.
+			name: "full link",
+			lists: [][]pipeline.Instr{
+				{fw(0), comm(pipeline.SendAct, 0)},
+				{comm(pipeline.RecvGrad, 1)},
+				{},
+			},
+			iters:   13,
+			blocked: 2,
+			want: []string{"dev0 blocked on send SA0^0 (stage 0, micro 0, iter 12) link 0->1[act]",
+				"dev1 blocked on recv RG0^0 (stage 1, micro 0, iter 0) link 2->1[grad]"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := s.Resolved()
-			rt := &execution[float64]{s: s, res: res,
-				links:   make([]chan message[float64], res.NumLinks()),
-				pending: make([]atomic.Int64, res.NumLinks()),
-				devs:    make([]Device[float64], s.NumDevices())}
-			for l := range rt.links {
-				rt.links[l] = make(chan message[float64], capacity)
+			s := &pipeline.Schedule{Scheme: pipeline.Scheme1F1B, Placement: pipeline.NewLinearPlacement(len(tc.lists)),
+				Micros: 1, Lists: tc.lists}
+			var merge func()
+			merges := 0
+			if tc.merge {
+				merge = func() { merges++ }
 			}
-			for d := range rt.devs {
-				rt.devs[d].ID, rt.devs[d].rt = d, rt
+			_, err := Execute[float64](s, tc.iters, merge, false, transfer)
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("err = %v, want ErrDeadlock", err)
 			}
-			for _, set := range tc.state {
-				set(rt)
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("deadlock error missing %q:\n%s", want, err)
+				}
 			}
-			if got := rt.stuck(); (got != nil) != tc.stuck {
-				t.Fatalf("stuck() = %q, want stuck %v", got, tc.stuck)
+			if got := strings.Count(err.Error(), "blocked on"); got != tc.blocked {
+				t.Errorf("deadlock error names %d devices:\n%s", got, err)
+			}
+			if merges != 0 {
+				t.Errorf("merge ran %d times with a device missing from the barrier", merges)
+			}
+			if tc.merge {
+				// The emulator passes no merge: its all-reduce never waits.
+				if _, err := Execute[float64](s, tc.iters, nil, false, transfer); err != nil {
+					t.Errorf("without a barrier: %v", err)
+				}
 			}
 		})
 	}

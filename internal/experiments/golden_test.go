@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -173,6 +175,57 @@ func TestGoldenDocs(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s golden snippet %q is stale.\n--- documented ---\n%s\n--- actual ---\n%s\nRegenerate with: go test ./internal/experiments -run Golden -update-golden", d.path, name, got, want)
+			}
+		}
+	}
+}
+
+// TestDocsCiteRealTests: every test, fuzz target or benchmark the prose docs
+// name — README.md, DESIGN.md, docs/ and the verify skill — is a function some
+// _test.go in the checkout defines, bench/ included, so a doc cannot send a
+// reader to a test that was renamed or deleted.
+func TestDocsCiteRealTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	defined := map[string]bool{}
+	def := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	docs := []string{
+		filepath.Join(root, "README.md"),
+		filepath.Join(root, "DESIGN.md"),
+		filepath.Join(root, ".claude", "skills", "verify", "SKILL.md"),
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root:
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range def.FindAllSubmatch(src, -1) {
+				defined[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mds, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	for _, doc := range append(docs, mds...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cite.FindAll(text, -1) {
+			if !defined[string(name)] {
+				t.Errorf("%s cites %s, which no _test.go defines", doc, name)
 			}
 		}
 	}

@@ -11,7 +11,8 @@
 // simulator-accuracy machinery down to instruction granularity.
 //
 // A simulation or a run that does not ask for records allocates none.
-// Run-level counts (watchdog re-arms) are the run report's, not derived here.
+// Run-level measurements (makespan, throughput, peak memory) are the run
+// report's, not derived here.
 // The simulator imports this package, never the other way round.
 package obs
 

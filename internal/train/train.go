@@ -1,8 +1,8 @@
 // Package train executes Mario instruction lists on a real (miniature)
-// transformer with real tensors: one goroutine per device on the cluster
-// emulator's device runtime (cluster.Execute), activations and gradients
-// travelling over its links, and activation checkpointing that
-// genuinely drops and recomputes tensors. It is the semantic ground truth of
+// transformer with real tensors: every device's list runs on the cluster
+// emulator's device runtime (cluster.Execute, one loop over the devices),
+// activations and gradients travel over its links, and activation
+// checkpointing genuinely drops and recomputes tensors. It is the semantic ground truth of
 // this reproduction — where the paper deploys its schedules in
 // Megatron-DeepSpeed and trains GPT3/LLaMA2, we train a small causal
 // transformer on synthetic data and verify that Mario-optimized schedules
@@ -20,6 +20,11 @@
 // instruction is that same composition with the work run at once (nn layers
 // have no other backward), so split and fused executions of the same
 // workload produce bit-identical losses and weights.
+//
+// A tensor a device sends is its receiver's: the sender drops it and never
+// touches its data again. Devices share no other mutable state outside the
+// all-reduce barrier, where the replica gradient merge runs while every
+// device waits.
 package train
 
 import (
@@ -51,11 +56,6 @@ type Config struct {
 	// gradient synchronisation of a shared table, which Megatron does with
 	// an extra all-reduce).
 	Vocab int
-	// Watchdog is the no-progress limit of the device runtime the trainer
-	// shares with the cluster emulator (cluster.Execute); 0 means 5s. An
-	// iteration may run longer as long as it keeps making progress; a
-	// schedule that deadlocks fails with cluster.ErrDeadlock.
-	Watchdog time.Duration
 }
 
 // Trainer holds the partitioned model. Stage modules are created lazily per
@@ -75,9 +75,10 @@ type Trainer struct {
 
 	// CollectEvents makes each RunIteration fill Stats.Events with one
 	// obs.Event per executed instruction, device-major in execution order.
-	// Unlike the cluster emulator's virtual timestamps these are wall-clock
-	// seconds since iteration start, with live activation bytes as the memory
-	// figure — a trace of a real (miniature) training run.
+	// Unlike the cluster emulator's virtual timestamps these are host-clock
+	// seconds since iteration start of a serial run — the runtime executes
+	// one instruction at a time, so a receive never waits and its Wait is 0 —
+	// with live activation bytes as the memory figure.
 	CollectEvents bool
 }
 
@@ -137,7 +138,7 @@ func (t *Trainer) stageFor(part, stage int) *nn.Stage {
 }
 
 // materialize creates every stage module the schedule references, so the
-// concurrent phase only reads the map.
+// run only reads the map.
 func (t *Trainer) materialize(s *pipeline.Schedule) {
 	pl := s.Placement
 	t.replicas = pl.WeightReplicas()
@@ -285,7 +286,7 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 		states[d] = newDevState()
 	}
 	epoch := time.Now()
-	events, _, err := cluster.Execute(s, 1, t.cfg.Watchdog, t.CollectEvents, func(dv *cluster.Device[*tensor.Tensor], in pipeline.Instr, ev *obs.Event) error {
+	events, err := cluster.Execute(s, 1, t.mergeReplicas, t.CollectEvents, func(dv *cluster.Device[*tensor.Tensor], in pipeline.Instr, ev *obs.Event) error {
 		ds := states[dv.ID]
 		if ev == nil {
 			return t.exec(dv, s, ds, in)
@@ -296,11 +297,6 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 		}
 		ev.End = time.Since(epoch).Seconds()
 		ev.Mem = float64(ds.live)
-		// Wall-clock receives are essentially all queue wait; the copy
-		// itself is a pointer handoff.
-		if in.Kind == pipeline.RecvAct || in.Kind == pipeline.RecvGrad {
-			ev.Wait = ev.End - ev.Start
-		}
 		return nil
 	})
 	if err != nil {
@@ -326,8 +322,9 @@ func (t *Trainer) RunIteration(s *pipeline.Schedule) (*Stats, error) {
 
 // mergeReplicas merges the gradient accumulators of weight replicas
 // (Chimera's two pipelines train the same model; their gradients sum before
-// the optimizer step, keeping the replicas in lockstep). It runs at the
-// AllReduce barrier, once every device has arrived and before any leaves.
+// the optimizer step, keeping the replicas in lockstep). cluster.Execute runs
+// it at the AllReduce barrier, once every device has arrived and before any
+// steps past.
 func (t *Trainer) mergeReplicas() {
 	if t.replicas > 1 {
 		for key, primary := range t.stages {
@@ -540,11 +537,6 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 		}
 		delete(ds.dxs, ck)
 		ds.track(-int64(dx.Bytes()))
-
-	case pipeline.AllReduce:
-		if err := dv.Barrier(in, t.mergeReplicas); err != nil {
-			return err
-		}
 
 	case pipeline.OptimizerStep:
 		// Each device steps the stage modules it owns, once each.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"mario/internal/cluster"
 	"mario/internal/cost"
@@ -588,9 +587,8 @@ func TestLanguageModelTrains(t *testing.T) {
 }
 
 // TestStallDetection: a corrupted schedule whose receive can never be
-// satisfied trips the shared device runtime's watchdog with
-// cluster.ErrDeadlock, naming the stuck receive and its link, instead of
-// hanging the iteration forever.
+// satisfied fails the shared device runtime with cluster.ErrDeadlock, naming
+// the stuck receive and its link, instead of hanging the iteration forever.
 func TestStallDetection(t *testing.T) {
 	s := baseSchedule(t, pipeline.Scheme1F1B)
 	// Move device 0's first RecvGrad to the very front: device 0 blocks on a
@@ -605,54 +603,13 @@ func TestStallDetection(t *testing.T) {
 			break
 		}
 	}
-	cfg := config()
-	cfg.Watchdog = 300 * time.Millisecond
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tr.RunIteration(s)
+	_, err := newTrainer(t).RunIteration(s)
 	if !errors.Is(err, cluster.ErrDeadlock) {
 		t.Fatalf("err = %v, want cluster.ErrDeadlock", err)
 	}
 	for _, want := range []string{"dev0 blocked on recv RG0^0", "link 1->0[grad]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock error missing %q:\n%v", want, err)
-		}
-	}
-}
-
-// TestProgressingIterationCompletes: the watchdog bounds a stretch without
-// progress, not an iteration. An iteration many watchdog intervals long
-// completes, with the losses of a run under the default watchdog, because its
-// devices keep executing instructions.
-func TestProgressingIterationCompletes(t *testing.T) {
-	cfg := config()
-	cfg.Dim, cfg.SeqLen, cfg.BlocksPerStage = 64, 32, 2
-	s := marioSchedule(t)
-	run := func(watchdog time.Duration) (*Stats, time.Duration) {
-		t.Helper()
-		cfg.Watchdog = watchdog
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		st, err := tr.RunIteration(s)
-		if err != nil {
-			t.Fatalf("watchdog %v: %v", watchdog, err)
-		}
-		return st, time.Since(start)
-	}
-	ref, _ := run(0)
-	const watchdog = time.Millisecond
-	st, took := run(watchdog)
-	if took < 5*watchdog {
-		t.Fatalf("the iteration took %v, not several %v watchdog intervals: the test needs a bigger model", took, watchdog)
-	}
-	for m := range ref.MicroLosses {
-		if st.MicroLosses[m] != ref.MicroLosses[m] {
-			t.Errorf("micro %d: loss %v, default-watchdog run %v", m, st.MicroLosses[m], ref.MicroLosses[m])
 		}
 	}
 }
@@ -672,13 +629,7 @@ func TestMismatchedDeliveryDetected(t *testing.T) {
 	}
 	l := s.Lists[0]
 	l[saIdx[0]].Micro, l[saIdx[1]].Micro = l[saIdx[1]].Micro, l[saIdx[0]].Micro
-	cfg := config()
-	cfg.Watchdog = 2 * time.Second
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.RunIteration(s); err == nil {
+	if _, err := newTrainer(t).RunIteration(s); err == nil {
 		t.Fatal("mismatched delivery accepted")
 	}
 }

@@ -280,8 +280,8 @@ type DriftReport = obs.DriftReport
 
 // RunReport summarises an execution of the plan on the emulated cluster: the
 // emulator's report (measured iteration time, throughput, per-device peak
-// memory, watchdog re-arms and, with RunOptions.CollectEvents, the event
-// stream), plus what is derived from it.
+// memory and, with RunOptions.CollectEvents, the event stream), plus what is
+// derived from it.
 type RunReport struct {
 	cluster.Report
 	// PeakMemMin and PeakMemMax are the per-device peak-memory extremes in
