@@ -2,9 +2,9 @@
 // transformer with real tensors: every device's list runs on the cluster
 // emulator's device runtime (cluster.Execute, one loop over the devices),
 // activations and gradients travel over its links, and activation
-// checkpointing genuinely drops and recomputes tensors. It is the semantic ground truth of
-// this reproduction — where the paper deploys its schedules in
-// Megatron-DeepSpeed and trains GPT3/LLaMA2, we train a small causal
+// checkpointing genuinely drops and recomputes tensors. It is the semantic
+// ground truth of this reproduction — where the paper deploys its schedules
+// in Megatron-DeepSpeed and trains GPT3/LLaMA2, we train a small causal
 // transformer on synthetic data and verify that Mario-optimized schedules
 // produce identical losses and gradients to the baseline while holding far
 // fewer live activation bytes.
