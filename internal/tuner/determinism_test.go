@@ -242,9 +242,13 @@ func TestSearchPruneEquivalence(t *testing.T) {
 	if full.Stats.BoundPruned != 0 {
 		t.Errorf("NoPrune search still bound-pruned %d points", full.Stats.BoundPruned)
 	}
-	if pruned.Stats.Explored+pruned.Stats.BoundPruned != full.Stats.Explored {
-		t.Errorf("explored(%d)+boundPruned(%d) != exhaustive explored(%d)",
-			pruned.Stats.Explored, pruned.Stats.BoundPruned, full.Stats.Explored)
+	// Every feasible point is explored, bound-pruned or memory-pruned, and
+	// the exhaustive walk explores them all.
+	pi, pf := pruned.Stats.invariant()
+	fi, ff := full.Stats.invariant()
+	if pi != fi || pf != ff || ff != full.Stats.Explored {
+		t.Errorf("pruned search partitions (%d infeasible, %d feasible) points, exhaustive (%d, %d) with %d explored",
+			pi, pf, fi, ff, full.Stats.Explored)
 	}
 	if len(traceP) > len(traceF) {
 		t.Errorf("pruned trace (%d) longer than exhaustive trace (%d)", len(traceP), len(traceF))
