@@ -53,7 +53,8 @@ func fuzzConfig(devices, micros, chunks uint8) Config {
 //     BackwardInput/BackwardWeight pairs (split-backward schemes), and zero
 //     checkpoint kinds,
 //   - ShapeOf agrees with Build: it rejects exactly the configurations Build
-//     rejects and predicts every device's instruction multiset,
+//     rejects and predicts every device's instruction multiset and every
+//     cell's in-flight depth,
 //   - a list-scheduled scheme's schedule is the scan oracle's, byte for byte
 //     (checkBuildMatchesScan).
 func FuzzSchemeBuild(f *testing.F) {

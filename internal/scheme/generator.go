@@ -12,10 +12,11 @@ import (
 // the per-device compute lists. Orders either run a closed-form emitter whose
 // exact shape is pinned by tests (GPipe, 1F1B, Interleave) or compose a
 // depGraph — unit families + dependency rules over the layout — and hand it
-// to the greedy list scheduler (Chimera, ZB-H1, DualPipe-D). Build runs all
-// three; ShapeOf
-// stops after the layout, which already fixes every device's instruction
-// multiset. Adding a scheme is one registry entry plus its ingredients.
+// to the greedy list scheduler (Chimera, ZB-H1, DualPipe-D). A depth states
+// the order's in-flight depth per cell in closed form, so that ShapeOf, which
+// stops after the layout, can report it without ordering anything; the layout
+// already fixes every device's instruction multiset. Build runs check, layout
+// and order. Adding a scheme is one registry entry plus its ingredients.
 type generator struct {
 	check func(Config) error // scheme-specific structural constraints (nil: none)
 	// layout returns the placement and parts[m], the partition micro-batch m
@@ -23,14 +24,18 @@ type generator struct {
 	// the stage).
 	layout func(Config) (pipeline.Placement, []int)
 	order  func(cfg Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr
+	// depth is Group.InFlight of the (part, stage) cell on device dev, as the
+	// order leaves it (nil: the greedy merge decides it, not the layout).
+	// shape_test.go holds it to the built lists' walk.
+	depth func(sh Shape, part, stage, dev int) int
 }
 
 var generators = map[pipeline.Scheme]generator{
-	pipeline.SchemeGPipe:      {layout: layoutLinear, order: orderGPipe},
-	pipeline.Scheme1F1B:       {layout: layoutLinear, order: order1F1B},
-	pipeline.SchemeChimera:    {check: checkChimera, layout: layoutChimera, order: orderGreedy(false)},
-	pipeline.SchemeInterleave: {check: checkInterleave, layout: layoutInterleave, order: orderInterleave},
-	pipeline.SchemeZBH1:       {layout: layoutLinear, order: orderGreedy(true)},
+	pipeline.SchemeGPipe:      {layout: layoutLinear, order: orderGPipe, depth: depthGPipe},
+	pipeline.Scheme1F1B:       {layout: layoutLinear, order: order1F1B, depth: depthWindow},
+	pipeline.SchemeChimera:    {check: checkChimera, layout: layoutChimera, order: orderGreedy(false), depth: depthWindow},
+	pipeline.SchemeInterleave: {check: checkInterleave, layout: layoutInterleave, order: orderInterleave, depth: depthInterleave},
+	pipeline.SchemeZBH1:       {layout: layoutLinear, order: orderGreedy(true), depth: depthWindow},
 	pipeline.SchemeDualPipeD:  {check: checkDualPipeD, layout: layoutDualPipeD, order: orderGreedy(true)},
 }
 

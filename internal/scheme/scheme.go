@@ -77,6 +77,19 @@ func orderGPipe(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	return lists
 }
 
+// depthGPipe is GPipe's in-flight depth: every forward precedes the first
+// backward.
+func depthGPipe(sh Shape, part, _, _ int) int { return sh.PartMicros[part] }
+
+// depthWindow is the in-flight depth of the 1F1B discipline: stage s admits
+// S-s forwards of a partition before the first backward anchor there — 1F1B's
+// warm-up plus its first steady forward, or the list scheduler's injection
+// window (addInjectionWindows), which Chimera's and ZB-H1's merges fill — or
+// all of the partition's micro-batches when there are fewer.
+func depthWindow(sh Shape, part, stage, _ int) int {
+	return min(sh.PartMicros[part], sh.Placement.NumStages()-stage)
+}
+
 // order1F1B emits the one-forward-one-backward schedule of DAPPLE /
 // PipeDream-Flush: device d runs D-1-d warm-up forwards, then alternates
 // forward and backward in the steady phase, then drains the remaining
@@ -113,6 +126,18 @@ func order1F1B(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 // partition is unused.
 func layoutInterleave(cfg Config) (pipeline.Placement, []int) {
 	return pipeline.NewInterleavedPlacement(cfg.Devices, cfg.Chunks), make([]int, cfg.Micros)
+}
+
+// depthInterleave is the in-flight depth of orderInterleave's chunk c on
+// device dev. Chunk c's first backward is the device's backward unit
+// j = (V-1-c)·D, which follows its first K = min(w+j+1, N·V) forward units
+// (w is the warm-up); every full round of D·V units holds D of chunk c, and
+// the last, partial round holds those of its units past c·D, at most D.
+func depthInterleave(sh Shape, c, _, dev int) int {
+	d, v := sh.Placement.NumDevices(), sh.Placement.NumParts()
+	w := (d-1-dev)*2 + (v-1)*d
+	k := min(w+(v-1-c)*d+1, sh.Micros*v)
+	return k/(d*v)*d + min(max(k%(d*v)-c*d, 0), d)
 }
 
 // orderInterleave emits Megatron-LM's interleaved 1F1B schedule. A device

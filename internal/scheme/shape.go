@@ -23,6 +23,9 @@ type Shape struct {
 	// interleaved placements a micro-batch visits every chunk, so every entry
 	// equals Micros.
 	PartMicros []int
+
+	// depth is the generator's closed-form in-flight depth (nil: none).
+	depth func(sh Shape, part, stage, dev int) int
 }
 
 // Group is one (part, stage) cell resident on a device, with the work the
@@ -39,6 +42,13 @@ type Group struct {
 	// SendGrad over a crossing previous boundary, and a SendAct and a
 	// RecvGrad over a crossing next boundary (InsertComm's rules).
 	PrevCross, NextCross bool
+	// InFlight is the cell's in-flight depth: the forwards of the cell the
+	// built schedule issues on the device before the cell's first backward
+	// anchor (Backward, or BackwardInput when the backward is split). Those
+	// micro-batches' activations are all live when the anchor starts. It
+	// comes from the layout alone, in closed form, and is 0 on DualPipe-D,
+	// whose depth the list scheduler's merge decides.
+	InFlight int
 }
 
 // ShapeOf resolves the scheme through the generator registry, runs the same
@@ -51,7 +61,7 @@ func ShapeOf(s pipeline.Scheme, cfg Config) (Shape, error) {
 	}
 	pl, parts := g.layout(cfg)
 	sh := Shape{Scheme: s, Placement: pl, Resolved: pipeline.Resolve(pl, cfg.Micros), Micros: cfg.Micros,
-		PartMicros: make([]int, pl.NumParts())}
+		PartMicros: make([]int, pl.NumParts()), depth: g.depth}
 	if sh.Resolved.PartFollowsStage() {
 		for p := range sh.PartMicros {
 			sh.PartMicros[p] = cfg.Micros
@@ -74,11 +84,15 @@ func (sh Shape) AppendGroups(out []Group, dev int) []Group {
 			if n == 0 || r.Device(p, st) != dev || r.PartAt(p, st) != p {
 				continue
 			}
-			out = append(out, Group{
+			g := Group{
 				Part: p, Stage: st, Micros: n,
 				PrevCross: st > 0 && r.Device(p, st-1) != dev,
 				NextCross: st < S-1 && r.Device(p, st+1) != dev,
-			})
+			}
+			if sh.depth != nil {
+				g.InFlight = sh.depth(sh, p, st, dev)
+			}
+			out = append(out, g)
 		}
 	}
 	return out

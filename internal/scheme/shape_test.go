@@ -15,7 +15,8 @@ type kindStage struct {
 // checkShapeMatchesBuild holds ShapeOf against Build, the reference: both must
 // accept or both reject the configuration, and on success the per-device
 // kind×stage multiset derived from the shape's groups must equal the one
-// counted from the built lists.
+// counted from the built lists, and each group's in-flight depth the walk of
+// its device's list (checkDepth).
 func checkShapeMatchesBuild(t *testing.T, s pipeline.Scheme, cfg Config, sched *pipeline.Schedule, buildErr error) {
 	t.Helper()
 	sh, err := ShapeOf(s, cfg)
@@ -59,6 +60,7 @@ func checkShapeMatchesBuild(t *testing.T, s pipeline.Scheme, cfg Config, sched *
 				want[kindStage{pipeline.RecvGrad, g.Stage}] += g.Micros
 			}
 		}
+		checkDepth(t, s, cfg, dev, list, sh.AppendGroups(nil, dev))
 		if len(built) != len(want) {
 			t.Fatalf("%s %+v dev %d: built multiset %v, shape predicts %v", s, cfg, dev, built, want)
 		}
@@ -82,5 +84,72 @@ func TestShapeMatchesBuild(t *testing.T) {
 	}
 	if _, err := ShapeOf("no-such-scheme", Config{Devices: 2, Micros: 2}); err == nil {
 		t.Fatal("ShapeOf accepted an unregistered scheme")
+	}
+}
+
+// walkDepths is the oracle of Group.InFlight: on one device's built list, the
+// forwards of each (part, stage) cell issued before the cell's first backward
+// anchor.
+func walkDepths(list []pipeline.Instr) map[[2]int]int {
+	depth := map[[2]int]int{}
+	anchored := map[[2]int]bool{}
+	for _, in := range list {
+		c := [2]int{in.Part, in.Stage}
+		switch in.Kind {
+		case pipeline.Forward:
+			if !anchored[c] {
+				depth[c]++
+			}
+		case pipeline.Backward, pipeline.BackwardInput:
+			anchored[c] = true
+		}
+	}
+	return depth
+}
+
+// checkDepth holds every group's closed-form in-flight depth to the walk of
+// the device's built list; DualPipe-D, which has none, must report 0.
+func checkDepth(t *testing.T, s pipeline.Scheme, cfg Config, dev int, list []pipeline.Instr, groups []Group) {
+	t.Helper()
+	walked := walkDepths(list)
+	for _, g := range groups {
+		want := walked[[2]int{g.Part, g.Stage}]
+		if s == pipeline.SchemeDualPipeD {
+			want = 0
+		}
+		if g.InFlight != want {
+			t.Fatalf("%s %+v dev %d cell (%d, %d): depth %d, the built walk reads %d",
+				s, cfg, dev, g.Part, g.Stage, g.InFlight, want)
+		}
+	}
+}
+
+// TestShapeDepthMatchesBuild holds the closed-form in-flight depth of every
+// registry shape with D ≤ 16 and N ≤ 4D — Interleave at 1 to 4 chunks — to
+// the walk of its built schedule.
+func TestShapeDepthMatchesBuild(t *testing.T) {
+	for _, s := range Schemes() {
+		chunks := []int{0}
+		if s == pipeline.SchemeInterleave {
+			chunks = []int{1, 2, 3, 4}
+		}
+		for d := 1; d <= 16; d++ {
+			for n := 1; n <= 4*d; n++ {
+				for _, v := range chunks {
+					cfg := Config{Devices: d, Micros: n, Chunks: v}
+					sched, err := Build(s, cfg)
+					if err != nil {
+						continue
+					}
+					sh, err := ShapeOf(s, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for dev, list := range sched.Lists {
+						checkDepth(t, s, cfg, dev, list, sh.AppendGroups(nil, dev))
+					}
+				}
+			}
+		}
 	}
 }

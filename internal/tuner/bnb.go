@@ -95,7 +95,7 @@ func (t *Tuner) probePoint(space Space, p gridPoint, r resolution) (nd bnbNode, 
 	nd = bnbNode{p: p, micros: r.micros, est: r.est, asg: r.asg, ub: math.Inf(1)}
 	if !space.NoPrune {
 		nd.ub = throughputBound(r.sh, r.est, p, space.SplitBackward)
-		nd.memLB = memLowerBound(r.sh.Resolved, r.est)
+		nd.memLB = memLowerBound(r.sh, r.est, p.ckpt)
 		nd.doomed = space.DeviceMem > 0 && nd.memLB > space.DeviceMem
 	}
 	return nd, true
@@ -261,35 +261,47 @@ func throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint, splitBac
 }
 
 // memLowerBound returns an admissible lower bound on the worst device's peak
-// memory: static memory (framework + owned training state) plus the
-// smallest allocation the device's first forward-like instruction can make
-// (the smaller of the full and stashed footprint over its stages). Memory
-// simulation starts at the static level, nothing releases below it before
-// the first forward, and no graph pass removes every forward from a device,
-// so the true simulated peak can never be below the bound.
-func memLowerBound(res *pipeline.Resolved, est *cost.Estimator) float64 {
+// memory, from the point's shape alone: the device's static memory
+// (framework + the weights of its stages) plus, over its resident cells, the
+// largest activation footprint live when a cell's first backward anchor
+// starts. The cell's in-flight depth k (scheme.Group.InFlight; 1 where the
+// layout has no closed form) counts its forwards before that anchor, and
+// none of their activations has been released yet:
+//
+//   - on a base point each holds ActFull[s], so k·ActFull[s];
+//   - on a checkpointed point the anchor's own micro-batch holds at least
+//     ActFull[s] (a recomputed or reverted forward) and each of the other k-1
+//     at least min(ActStash[s], ActFull[s]).
+//
+// Everything else live on the device is a non-negative sum (every release
+// follows its allocation in list order), and no pass lowers the live bytes
+// at a first anchor (DESIGN §5), so the simulated peak is never below the
+// bound. It takes the maximum over a device's cells, not their sum: the
+// cells' first anchors are distinct instants, and what one cell holds at its
+// anchor may be gone by another's. The bound is shaded by boundSlack, since
+// the memory simulation sums the same terms in list order.
+func memLowerBound(sh scheme.Shape, est *cost.Estimator, ckpt bool) float64 {
+	res := sh.Resolved
 	var worst float64
-	for d := 0; d < res.Placement().NumDevices(); d++ {
+	var groups []scheme.Group
+	for d := 0; d < sh.Placement.NumDevices(); d++ {
 		static := est.FrameworkMem
-		first := math.Inf(1)
 		for _, st := range res.Stages(d) {
 			static += est.WeightBytes[st]
-			a := est.ActFull[st]
-			if est.ActStash[st] < a {
-				a = est.ActStash[st]
+		}
+		var act float64
+		groups = sh.AppendGroups(groups[:0], d)
+		for _, g := range groups {
+			full := est.ActFull[g.Stage]
+			held := full
+			if ckpt {
+				held = min(est.ActStash[g.Stage], full)
 			}
-			if a < first {
-				first = a
-			}
+			act = max(act, full+float64(max(g.InFlight, 1)-1)*held)
 		}
-		if math.IsInf(first, 1) {
-			first = 0
-		}
-		if v := static + first; v > worst {
-			worst = v
-		}
+		worst = max(worst, static+act)
 	}
-	return worst
+	return worst - worst*boundSlack
 }
 
 // pruneInfeasible records one structurally infeasible grid point: the stats

@@ -281,25 +281,29 @@ func TestBnBBoundAdmissible(t *testing.T) {
 			Spec: profile.DefaultMachine, Devices: 4, Iters: 4}
 		return tn
 	}
+	// doomed is the memory column: how many of the exhaustive trace's points
+	// the probe's memory bound rules out unbuilt. Each of them must simulate
+	// OOM, and every simulated peak must be at least its point's bound.
 	cases := []struct {
-		name  string
-		mk    func() *Tuner
-		sp    Space
-		split bool
+		name   string
+		mk     func() *Tuner
+		sp     Space
+		split  bool
+		doomed int
 	}{
-		{name: "detSpace", mk: seqTuner, sp: detSpace()},
-		{name: "detSpace/split-backward", mk: seqTuner, sp: detSpace(), split: true},
+		{name: "detSpace", mk: seqTuner, sp: detSpace(), doomed: 7},
+		{name: "detSpace/split-backward", mk: seqTuner, sp: detSpace(), split: true, doomed: 7},
 		{name: "Z-16", mk: gpt13b, sp: Space{Devices: 16, GlobalBatch: 64,
-			Schemes: []pipeline.Scheme{pipeline.SchemeZBH1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}},
+			Schemes: []pipeline.Scheme{pipeline.SchemeZBH1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}, doomed: 29},
 		{name: "D-8", mk: seqTuner, sp: Space{Devices: 8, GlobalBatch: 32,
-			Schemes: []pipeline.Scheme{pipeline.SchemeDualPipeD}, DeviceMem: cost.H100_80G.MemBytes, MaxRounds: 3}, split: true},
+			Schemes: []pipeline.Scheme{pipeline.SchemeDualPipeD}, DeviceMem: cost.H100_80G.MemBytes, MaxRounds: 3}, split: true, doomed: 0},
 		{name: "hetero-8/coopt", mk: gpt13b, sp: Space{Devices: 8, GlobalBatch: 32,
 			Schemes: []pipeline.Scheme{pipeline.Scheme1F1B}, DeviceMem: 72 * (1 << 30), MaxRounds: 2,
-			DeviceSpeeds: []float64{1, 1, 1, 0.8, 1, 1, 1, 1}, Placement: place.ModeCoOpt}, split: true},
+			DeviceSpeeds: []float64{1, 1, 1, 0.8, 1, 1, 1, 1}, Placement: place.ModeCoOpt}, split: true, doomed: 18},
 		{name: "VXW-16", mk: gpt13b, sp: Space{Devices: 16, GlobalBatch: 64,
-			MicroBatches: []int{1, 4}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}, split: true},
+			MicroBatches: []int{1, 4}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 2}, split: true, doomed: 29},
 		{name: "one-sample-batch", mk: seqTuner, sp: Space{Devices: 8, GlobalBatch: 1,
-			MicroBatches: []int{1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 3}},
+			MicroBatches: []int{1}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 3}, doomed: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,7 +320,11 @@ func TestBnBBoundAdmissible(t *testing.T) {
 				t.Fatal("exhaustive search produced an empty trace")
 			}
 			spd := sp.WithDefaults() // the bounds a pruning search computes
+			doomed, oom := 0, 0
 			for _, c := range trace {
+				if c.OOM {
+					oom++
+				}
 				p := pointOf(c)
 				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p))
 				if !ok {
@@ -336,9 +344,16 @@ func TestBnBBoundAdmissible(t *testing.T) {
 							c.Label(), nd.memLB, pk)
 					}
 				}
-				if nd.doomed && !c.OOM {
-					t.Errorf("%s: probe declared the point doomed but the simulation did not OOM", c.Label())
+				if nd.doomed {
+					doomed++
+					if !c.OOM {
+						t.Errorf("%s: probe declared the point doomed but the simulation did not OOM", c.Label())
+					}
 				}
+			}
+			t.Logf("%d points, %d OOM, %d doomed", len(trace), oom, doomed)
+			if doomed != tc.doomed {
+				t.Errorf("the memory bound dooms %d of %d points, want %d", doomed, len(trace), tc.doomed)
 			}
 		})
 	}

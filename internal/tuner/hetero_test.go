@@ -3,12 +3,14 @@ package tuner
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
 	"mario/internal/place"
+	"mario/internal/scheme"
 )
 
 // heteroSpace is detSpace with one slow device and the auto placement axis:
@@ -199,6 +201,38 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 				break
 			}
 			seen[d] = true
+		}
+	}
+}
+
+// TestStageDepthsMatchBuild holds co-opt's per-stage in-flight vector, read
+// off the shape, to inFlightPerStage's walk of the built schedule over every
+// registry shape with D ≤ 16 and N ≤ 4D. DualPipe-D has no closed form: its
+// shape reports none, and co-opt walks its build instead.
+func TestStageDepthsMatchBuild(t *testing.T) {
+	for _, s := range scheme.Schemes() {
+		for d := 1; d <= 16; d++ {
+			for n := 1; n <= 4*d; n++ {
+				cfg := scheme.Config{Devices: d, Micros: n}
+				sh, err := scheme.ShapeOf(s, cfg)
+				if err != nil {
+					continue
+				}
+				got, ok := stageDepths(sh)
+				if s == pipeline.SchemeDualPipeD {
+					if ok {
+						t.Fatalf("%s D=%d N=%d: the shape reports a closed-form depth", s, d, n)
+					}
+					continue
+				}
+				sched, err := scheme.Build(s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := inFlightPerStage(sched); !ok || !slices.Equal(got, want) {
+					t.Fatalf("%s D=%d N=%d: shape depths %v (ok %v), the built walk reads %v", s, d, n, got, ok, want)
+				}
+			}
 		}
 	}
 }

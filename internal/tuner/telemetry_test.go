@@ -92,7 +92,7 @@ func TestTraceShape(t *testing.T) {
 			}
 		}
 		switch result {
-		case "explored", "oom", "infeasible", "bound_pruned":
+		case "explored", "oom", "infeasible", "bound_pruned", "memory_pruned":
 		default:
 			t.Fatalf("point %q has result %q", pt.Key, result)
 		}

@@ -826,27 +826,32 @@ func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedul
 }
 
 // assignmentFor computes a grid point's partitioning/placement assignment
-// over the scheme's placement pl. Legacy axis-free points (pmode "") get nil;
+// over the scheme's shape. Legacy axis-free points (pmode "") get nil;
 // ModeUniform gets the even split with identity placement carrying the
 // per-rank speeds; ModeCoOpt runs the place.CoOptimize fixpoint over the
 // per-layer cost model (an estimator fit with one stage per layer, so the
-// embedding and LM-head extras land on the first and last layer). Co-opt is
-// the one mode that needs the built schedule — its memory cap reads the
-// warm-up depth off the list scheduler's order — so it alone goes through the
-// build memo here; every other mode is a function of the placement. The
-// result is a pure function of the point's checkpoint-free coordinate and the
-// space.
-func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, micros int) (*place.Assignment, error) {
+// embedding and LM-head extras land on the first and last layer), with a
+// memory cap that multiplies each stage's stash by its in-flight depth. The
+// depth comes off the shape (stageDepths), except on DualPipe-D, whose depth
+// the list scheduler's merge decides: there co-opt alone goes through the
+// build memo and walks the built schedule. The result is a pure function of
+// the point's checkpoint-free coordinate and the space.
+func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape) (*place.Assignment, error) {
 	if p.pmode == "" {
 		return nil, nil
 	}
+	pl := sh.Placement
 	rankSpeed := place.RankSpeeds(space.DeviceSpeeds, pl.NumDevices(), p.dp)
 	if p.pmode == place.ModeUniform {
 		return place.Uniform(t.Prof.Model.Layers, pl, rankSpeed), nil
 	}
-	sched, err := t.buildFor(p.scheme, p.pp, micros)
-	if err != nil {
-		return nil, err
+	inFlight, ok := stageDepths(sh)
+	if !ok {
+		sched, err := t.buildFor(p.scheme, p.pp, sh.Micros)
+		if err != nil {
+			return nil, err
+		}
+		inFlight = inFlightPerStage(sched)
 	}
 	layers := t.Prof.Model.Layers
 	perLayer := make([]int, layers)
@@ -860,15 +865,36 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, pl pipeline.Placement, m
 	return place.CoOptimize(place.NewLayerModel(layerEst), pl, rankSpeed, place.Options{
 		MemCap:       space.DeviceMem,
 		FrameworkMem: layerEst.FrameworkMem,
-		InFlight:     inFlightPerStage(sched),
+		InFlight:     inFlight,
 		BufBytes:     layerEst.ActP2PBytes + layerEst.GradP2PBytes,
 	})
 }
 
-// inFlightPerStage counts, per stage, the forwards a device issues before the
-// stage's first backward in the freshly built schedule — the retained
-// micro-batch high water the checkpoint pass turns into stashes. The
-// partitioner's memory cap multiplies the per-micro stash by this depth.
+// stageDepths reads co-opt's per-stage in-flight vector off the shape: per
+// stage, the deepest of its resident cells (scheme.Group.InFlight), and at
+// least 1. ok is false when the layout has no closed-form depth.
+func stageDepths(sh scheme.Shape) (depths []int, ok bool) {
+	depths = make([]int, sh.Placement.NumStages())
+	var groups []scheme.Group
+	for d := 0; d < sh.Placement.NumDevices(); d++ {
+		groups = sh.AppendGroups(groups[:0], d)
+		for _, g := range groups {
+			if g.InFlight == 0 {
+				return nil, false
+			}
+			depths[g.Stage] = max(depths[g.Stage], g.InFlight)
+		}
+	}
+	for st, n := range depths {
+		depths[st] = max(n, 1)
+	}
+	return depths, true
+}
+
+// inFlightPerStage is stageDepths walked off a built schedule: per stage, the
+// forwards a device issues before the stage's first backward anchor, at
+// least 1. Co-opt reads it on DualPipe-D, whose shape has no closed-form
+// depth; the tests hold stageDepths to it on every other layout.
 func inFlightPerStage(sched *pipeline.Schedule) []int {
 	S := sched.NumStages()
 	out := make([]int, S)
@@ -907,12 +933,12 @@ func inFlightPerStage(sched *pipeline.Schedule) []int {
 // points get the partitioned estimator steered by the assignment's layer
 // split, with the per-rank speeds attached so the simulator (and the bounds)
 // scale compute on slow ranks.
-func (t *Tuner) estimatorFor(space Space, p gridPoint, pl pipeline.Placement, micros int) (*cost.Estimator, *place.Assignment, error) {
-	asg, err := t.assignmentFor(space, p, pl, micros)
+func (t *Tuner) estimatorFor(space Space, p gridPoint, sh scheme.Shape) (*cost.Estimator, *place.Assignment, error) {
+	asg, err := t.assignmentFor(space, p, sh)
 	if err != nil {
 		return nil, nil, err
 	}
-	est, err := assignedEstimator(t.Prof, asg, pl.NumStages(), p.mbs, space.TP)
+	est, err := assignedEstimator(t.Prof, asg, sh.Placement.NumStages(), p.mbs, space.TP)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -948,8 +974,8 @@ type resolution struct {
 	ok     bool
 }
 
-// pointShape resolves a grid point. No schedule is built unless the placement
-// mode needs one (assignmentFor). Nothing it reads depends on p.ckpt, so both
+// pointShape resolves a grid point. No schedule is built, except by co-opt on
+// DualPipe-D (assignmentFor). Nothing it reads depends on p.ckpt, so both
 // checkpoint values of a coordinate resolve alike.
 func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	// By division, as Space.admits does: a huge micro-batch size would wrap
@@ -966,7 +992,7 @@ func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
 		return resolution{}
 	}
-	est, asg, err := t.estimatorFor(space, p, sh.Placement, micros)
+	est, asg, err := t.estimatorFor(space, p, sh)
 	if err != nil {
 		return resolution{}
 	}
