@@ -90,16 +90,17 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 	// Flat position indices per (micro, stage) cell, shared across devices,
 	// replace the old per-device key→index maps. Parts are verified on use;
 	// no supported placement puts two parts of the same (micro, stage) on one
-	// device, and a part mismatch only skips the (inapplicable) rewrite.
-	bwPos := make([]int32, cells)
-	rcPos := make([]int32, cells)
-	saPos := make([]int32, cells)
+	// device, and a part mismatch only skips the (inapplicable) rewrite. Every
+	// cell starts absent (-1), and each device resets the cells its own list
+	// wrote before the next one reads the tables.
+	bwPos := make([]int32, 3*cells)
+	for c := range bwPos {
+		bwPos[c] = -1
+	}
+	bwPos, rcPos, saPos := bwPos[:cells], bwPos[cells:2*cells], bwPos[2*cells:]
 	var dropped []bool
 	for d := range s.Lists {
 		list := s.Lists[d]
-		for c := 0; c < cells; c++ {
-			bwPos[c], rcPos[c], saPos[c] = -1, -1, -1
-		}
 		for i, in := range list {
 			if in.Micro < 0 {
 				continue
@@ -159,6 +160,12 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 			// The send no longer reads a checkpoint staging buffer.
 			if saIdx := int(saPos[c]); saIdx >= 0 && list[saIdx].Part == in.Part {
 				list[saIdx].Buffered = false
+			}
+		}
+		for _, in := range list {
+			if in.Micro >= 0 {
+				c := in.Micro*S + in.Stage
+				bwPos[c], rcPos[c], saPos[c] = -1, -1, -1
 			}
 		}
 		if nDropped > 0 {

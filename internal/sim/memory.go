@@ -83,13 +83,20 @@ func (m *MemSim) rebind(e *cost.Estimator, micros, stages int, static float64, l
 		m.bufferedSA = m.bufferedSA[:cells]
 		m.ckpted = m.ckpted[:cells]
 		m.wgrad = m.wgrad[:cells]
-		clear(m.bufferedSA)
-		clear(m.ckpted)
-		clear(m.wgrad)
 	} else {
 		m.bufferedSA = make([]bool, cells)
 		m.ckpted = make([]bool, cells)
 		m.wgrad = make([]float64, cells)
+	}
+	// Step reads the tables only at the cells of the list's own
+	// instructions, so only those are cleared. An instruction outside the
+	// micros × stages box has no cell; the simulator reports such a list's
+	// error itself.
+	for _, in := range list {
+		if in.Micro >= 0 && in.Micro < micros && in.Stage >= 0 && in.Stage < stages {
+			c := m.cell(in)
+			m.bufferedSA[c], m.ckpted[c], m.wgrad[c] = false, false, 0
+		}
 	}
 	for _, in := range list {
 		if in.Kind == pipeline.SendAct && in.Buffered {
