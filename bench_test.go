@@ -556,6 +556,7 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
 		reportScanVerdicts(b, m)
 		b.ReportMetric(float64(st.Explored), "explored")
+		b.ReportMetric(float64(st.OOMRejected), "oom")
 		b.ReportMetric(float64(st.BoundPruned), "bound-pruned")
 		b.ReportMetric(float64(st.MemPruned), "mem-pruned")
 	}
@@ -589,10 +590,11 @@ func BenchmarkOptimizeAPI(b *testing.B) {
 // planner benchmark's hetero-8 spec (GPT3-13B, 1F1B, 8 devices with one at
 // 0.8 speed, auto placement) on the default machine, sequentially. It is the
 // one deterministic row that reaches the partitioning/placement subsystem;
-// sims/op, the scan verdicts and explored pin what the search simulates.
+// sims/op, the scan verdicts, explored and oom (the explored points the memory
+// penalty zeroed) pin what the search simulates.
 func BenchmarkOptimizeHetero(b *testing.B) {
 	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
-	var explored int
+	var explored, oom int
 	for i := 0; i < b.N; i++ {
 		plan, err := mario.Optimize(mario.Config{
 			PipelineScheme:  "V",
@@ -608,11 +610,12 @@ func BenchmarkOptimizeHetero(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		explored = plan.SearchStats.Explored
+		explored, oom = plan.SearchStats.Explored, plan.SearchStats.OOMRejected
 	}
 	b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
 	reportScanVerdicts(b, m)
 	b.ReportMetric(float64(explored), "explored")
+	b.ReportMetric(float64(oom), "oom")
 }
 
 // reportScanVerdicts reports, per op, how many of the prepose scan's

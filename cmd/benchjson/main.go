@@ -30,11 +30,11 @@
 // non-gating — a small threshold on these columns is a gate CI can enforce.
 // It also gates the count extras of the rows that report one — sims/op, the
 // simulations a search ran, units/op, the compute units a schedule build
-// list-scheduled, explored, the grid points a search simulated, bytes, the
-// size of an encoded plan, and the prepose scan's scan-illegal and
-// scan-simulated candidates: exact on any machine, they are held to the
-// baseline with no threshold — one more simulation, unit, point, byte or
-// candidate fails.
+// list-scheduled, explored, the grid points a search simulated, oom, those of
+// them the memory penalty zeroed, bytes, the size of an encoded plan, and the
+// prepose scan's scan-illegal and scan-simulated candidates: exact on any
+// machine, they are held to the baseline with no threshold — one more
+// simulation, unit, point, byte or candidate fails.
 package main
 
 import (
@@ -149,6 +149,7 @@ var (
 		{unit: "sims/op", get: extraMetric("sims/op"), exact: true},
 		{unit: "units/op", get: extraMetric("units/op"), exact: true},
 		{unit: "explored", get: extraMetric("explored"), exact: true},
+		{unit: "oom", get: extraMetric("oom"), exact: true},
 		{unit: "bytes", get: extraMetric("bytes"), exact: true},
 		{unit: "scan-illegal", get: extraMetric("scan-illegal"), exact: true},
 		{unit: "scan-simulated", get: extraMetric("scan-simulated"), exact: true},

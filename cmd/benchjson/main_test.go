@@ -153,10 +153,10 @@ func TestGateAgainst(t *testing.T) {
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
 // (ns/op is not), either column failing fails the gate, a zero baseline
-// regresses by becoming non-zero, and sims/op, units/op, explored, bytes,
+// regresses by becoming non-zero, and sims/op, units/op, explored, oom, bytes,
 // scan-illegal and scan-simulated — exact counts — fail on one more
-// simulation, unit, point, byte or scanned candidate however small a share of
-// the baseline that is; other extras (bound-pruned) are not gated.
+// simulation, unit, point, OOM point, byte or scanned candidate however small
+// a share of the baseline that is; other extras (bound-pruned) are not gated.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
@@ -164,7 +164,7 @@ func TestGateMem(t *testing.T) {
   {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10},
   {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}},
   {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}},
-  {"name": "BenchmarkSearch", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"explored": 38, "bound-pruned": 120}},
+  {"name": "BenchmarkSearch", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"explored": 38, "oom": 2, "bound-pruned": 120}},
   {"name": "BenchmarkCodec", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"bytes": 43172}},
   {"name": "BenchmarkScan", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"scan-illegal": 2, "scan-simulated": 10}}
 ]`)
@@ -186,6 +186,8 @@ func TestGateMem(t *testing.T) {
 		{"one more unit fails", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24577 units/op\n", true, "WORSE  BenchmarkUnits"},
 		{"explored stays", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 38 explored 121 bound-pruned\n", false, "38 explored"},
 		{"one more explored point fails", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 39 explored\n", true, "WORSE  BenchmarkSearch"},
+		{"fewer OOM points pass", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 38 explored 0 oom\n", false, "0 oom (-100.0%)"},
+		{"one more OOM point fails", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 38 explored 3 oom\n", true, "3 oom (+50.0%)"},
 		{"plan bytes stay", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43172 bytes\n", false, "43172 bytes"},
 		{"one more plan byte fails", "BenchmarkCodec 100 10 ns/op 1000 B/op 100 allocs/op 43173 bytes\n", true, "WORSE  BenchmarkCodec"},
 		{"scan verdicts stay", "BenchmarkScan 1 10 ns/op 1000 B/op 100 allocs/op 2 scan-illegal 10 scan-simulated\n", false, "10 scan-simulated"},
