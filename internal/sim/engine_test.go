@@ -374,3 +374,20 @@ func TestSimulatorSeesInPlaceEdits(t *testing.T) {
 	e.FwTime[1] *= 3
 	changed("estimator edited in place")
 }
+
+// TestMemSimGenerationWrap: rebind clears no cell, it starts a generation. When
+// the generation counter wraps around, a cell stamped long ago would read as
+// the new list's, so the tracker clears every cell then: a checkpoint mark left
+// behind by an earlier list must not make a plain Backward release a stash.
+func TestMemSimGenerationWrap(t *testing.T) {
+	e := cost.Uniform(1, 1, 2, 0.25)
+	var m MemSim
+	m.rebind(e, 1, 1, 0, nil)
+	m.Step(pipeline.Instr{Kind: pipeline.CkptForward}) // marks cell (0, 0) checkpointed
+	m.gen = math.MaxUint32
+	m.rebind(e, 1, 1, 0, nil)
+	m.Step(pipeline.Instr{Kind: pipeline.Forward})
+	if got := m.Step(pipeline.Instr{Kind: pipeline.Backward}); got != 0 {
+		t.Fatalf("after a Forward and its Backward %g bytes are live, want 0", got)
+	}
+}

@@ -37,15 +37,27 @@ import (
 // allocations release by iteration end, so stepping the same list repeatedly
 // is valid.
 type MemSim struct {
-	e          *cost.Estimator
-	stages     int
-	cur, peak  float64
-	inst       float64 // instantaneous high-water of the last Step
-	bufferedSA []bool
-	ckpted     []bool
-	// wgrad holds, per (micro, stage) cell, the weight-gradient stash a
-	// BackwardInput acquired and its BackwardWeight will release.
-	wgrad []float64
+	e         *cost.Estimator
+	stages    int
+	cur, peak float64
+	inst      float64 // instantaneous high-water of the last Step
+	// cells holds the per-(micro, stage) accounting, indexed micro*S+stage.
+	// Only the cells stamped with the current generation belong to the bound
+	// list; any other reads as zero, so rebind clears none of them.
+	cells []memCell
+	gen   uint32
+}
+
+// memCell is one (micro, stage) cell's accounting state.
+type memCell struct {
+	gen uint32 // the rebind generation the cell was last written in
+	// buffered marks a cell whose SendAct is buffered, so the CkptForward
+	// must allocate the staging buffer; ckpted one whose forward ran
+	// checkpointed, so the Backward also releases the stash.
+	buffered, ckpted bool
+	// wgrad is the weight-gradient stash a BackwardInput acquired and its
+	// BackwardWeight will release.
+	wgrad float64
 }
 
 // NewMemSim builds the tracker for device d of the schedule, starting at the
@@ -67,45 +79,40 @@ func staticMem(e *cost.Estimator, stages []int) float64 {
 }
 
 // rebind reinitialises the tracker in place for another device list, reusing
-// the bitmap storage; the Simulator's per-device memory walks go through it
-// so the peak every call re-derives allocates nothing.
+// the cell storage; the Simulator's per-device memory walks go through it
+// so the peak every call re-derives allocates nothing. It starts a new
+// generation instead of clearing the micros × stages cells: each cell the
+// list reads is zeroed when it is first touched (at).
 func (m *MemSim) rebind(e *cost.Estimator, micros, stages int, static float64, list []pipeline.Instr) {
 	m.e = e
 	m.stages = stages
 	m.cur, m.peak = static, static
-
-	// bufferedSA marks (micro, stage) pairs whose SendAct is buffered, so
-	// the CkptForward must allocate the staging buffer; ckpted marks pairs
-	// whose forward ran checkpointed, so the Backward also releases the
-	// stash. Both are flat bitmaps indexed micro*S+stage.
-	cells := micros * stages
-	if cap(m.bufferedSA) >= cells {
-		m.bufferedSA = m.bufferedSA[:cells]
-		m.ckpted = m.ckpted[:cells]
-		m.wgrad = m.wgrad[:cells]
+	if cells := micros * stages; cap(m.cells) >= cells {
+		m.cells = m.cells[:cells]
 	} else {
-		m.bufferedSA = make([]bool, cells)
-		m.ckpted = make([]bool, cells)
-		m.wgrad = make([]float64, cells)
+		m.cells = make([]memCell, cells)
 	}
-	// Step reads the tables only at the cells of the list's own
-	// instructions, so only those are cleared. An instruction outside the
-	// micros × stages box has no cell; the simulator reports such a list's
-	// error itself.
-	for _, in := range list {
-		if in.Micro >= 0 && in.Micro < micros && in.Stage >= 0 && in.Stage < stages {
-			c := m.cell(in)
-			m.bufferedSA[c], m.ckpted[c], m.wgrad[c] = false, false, 0
-		}
+	if m.gen++; m.gen == 0 {
+		// The stamps wrapped around: a stale one could read as current.
+		clear(m.cells[:cap(m.cells)])
+		m.gen = 1
 	}
 	for _, in := range list {
 		if in.Kind == pipeline.SendAct && in.Buffered {
-			m.bufferedSA[m.cell(in)] = true
+			m.at(in).buffered = true
 		}
 	}
 }
 
-func (m *MemSim) cell(in pipeline.Instr) int { return in.Micro*m.stages + in.Stage }
+// at returns the instruction's cell, zeroed if the bound list has not
+// touched it yet.
+func (m *MemSim) at(in pipeline.Instr) *memCell {
+	c := &m.cells[in.Micro*m.stages+in.Stage]
+	if c.gen != m.gen {
+		*c = memCell{gen: m.gen}
+	}
+	return c
+}
 
 func (m *MemSim) bump(v float64) {
 	m.cur += v
@@ -139,8 +146,9 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 	case pipeline.CkptForward:
 		m.transient(e.ActWork[in.Stage])
 		m.bump(e.ActStash[in.Stage])
-		m.ckpted[m.cell(in)] = true
-		if m.bufferedSA[m.cell(in)] {
+		c := m.at(in)
+		c.ckpted = true
+		if c.buffered {
 			m.bump(e.ActP2PBytes)
 		}
 	case pipeline.Recompute:
@@ -148,7 +156,7 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 	case pipeline.Backward:
 		m.transient(e.ActWork[in.Stage])
 		m.cur -= e.ActFull[in.Stage]
-		if m.ckpted[m.cell(in)] {
+		if m.at(in).ckpted {
 			m.cur -= e.ActStash[in.Stage]
 		}
 	case pipeline.BackwardInput:
@@ -157,8 +165,9 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 		// everything the activations held, making the BI+WG pair's
 		// accounting step-for-step identical to the fused Backward's.
 		m.transient(e.ActWork[in.Stage])
+		c := m.at(in)
 		released := e.ActFull[in.Stage]
-		if m.ckpted[m.cell(in)] {
+		if c.ckpted {
 			released += e.ActStash[in.Stage]
 		}
 		m.cur -= released
@@ -166,12 +175,13 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 		if e.WGradBytes != nil {
 			g = e.WGradBytes[in.Stage]
 		}
-		m.wgrad[m.cell(in)] = g
+		c.wgrad = g
 		m.bump(g)
 	case pipeline.BackwardWeight:
 		m.transient(e.ActWork[in.Stage])
-		m.cur -= m.wgrad[m.cell(in)]
-		m.wgrad[m.cell(in)] = 0
+		c := m.at(in)
+		m.cur -= c.wgrad
+		c.wgrad = 0
 	case pipeline.SendAct:
 		if in.Buffered {
 			m.cur -= e.ActP2PBytes
