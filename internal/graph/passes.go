@@ -93,11 +93,11 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 	// device, and a part mismatch only skips the (inapplicable) rewrite. Every
 	// cell starts absent (-1), and each device resets the cells its own list
 	// wrote before the next one reads the tables.
-	bwPos := make([]int32, 3*cells)
-	for c := range bwPos {
-		bwPos[c] = -1
+	pos := make([]int32, 3*cells)
+	for i := range pos {
+		pos[i] = -1
 	}
-	bwPos, rcPos, saPos := bwPos[:cells], bwPos[cells:2*cells], bwPos[2*cells:]
+	bwPos, rcPos, saPos := pos[:cells], pos[cells:2*cells], pos[2*cells:]
 	var dropped []bool
 	for d := range s.Lists {
 		list := s.Lists[d]

@@ -16,8 +16,9 @@ import (
 // This file is the probe pass of the search driver (Tuner.search): every
 // grid point is checked structurally and bounded cheaply — the scheme's
 // order-free shape, an admissible throughput upper bound and an admissible
-// memory lower bound, no schedule built — and the feasible points are handed
-// to the merge loop as nodes, in the order they are to be expanded.
+// memory lower bound that counts each cell's in-flight micro-batches, no
+// schedule built — and the feasible points are handed to the merge loop as
+// nodes, in the order they are to be expanded.
 //
 // Best-first (the default) expands the highest bound first and provably-OOM
 // points last: the best candidates surface early, so the bound prune fires on
@@ -83,11 +84,11 @@ func (n bnbNode) dominatedBy(incumbent float64) bool {
 // probePoint turns a grid point and its resolution r (pointShape: the
 // structural feasibility checks, the scheme's order-free shape, the estimator
 // fit and the assignment) into a node carrying r and the bounds computed from
-// it. No schedule is built: both bounds need only the per-device instruction
-// multiset and the placement. Under Space.NoPrune the node keeps the vacuous
-// bounds (ub = +Inf, not doomed), which no incumbent prunes. It reports
-// ok=false for structurally infeasible points. It records no telemetry; the
-// caller synthesizes the canonical spans.
+// it. No schedule is built: both bounds need only the shape — the per-device
+// instruction multiset, the placement and the cells' in-flight depths. Under
+// Space.NoPrune the node keeps the vacuous bounds (ub = +Inf, not doomed),
+// which no incumbent prunes. It reports ok=false for structurally infeasible
+// points. It records no telemetry; the caller synthesizes the canonical spans.
 func (t *Tuner) probePoint(space Space, p gridPoint, r resolution) (nd bnbNode, ok bool) {
 	if !r.ok {
 		return bnbNode{}, false
@@ -109,6 +110,8 @@ func (t *Tuner) probePoint(space Space, p gridPoint, r resolution) (nd bnbNode, 
 // relative per operation; a device list of a million instructions accumulates
 // less than 1.2e-10, so 1e-9 keeps the bound admissible at the float level —
 // which the canonical tie-break needs — at no measurable loss of pruning.
+// memLowerBound is shaded by the same margin: it adds up a device's memory in
+// another order than the memory simulation's list walk.
 const boundSlack = 1e-9
 
 // throughputBound is the one admissible throughput upper bound the search
