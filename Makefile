@@ -73,7 +73,8 @@ bench-json:
 # The gating half of the ledger: B/op and allocs/op of the deterministic rows
 # may not exceed the committed BENCH_sim.json by more than ALLOCPCT percent, and
 # the counts those rows report — sims/op (BenchmarkGraphOptimize,
-# BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: simulations), units/op
+# BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: simulations), builds
+# (BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: schedules built), units/op
 # (BenchmarkScheduleBuild: compute units list-scheduled), explored and oom
 # (BenchmarkOptimizeHetero, BenchmarkTunerSearchBnB: grid points simulated, and
 # those of them the memory penalty zeroed) and bytes (BenchmarkPlanCodec: plan

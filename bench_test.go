@@ -476,9 +476,9 @@ func BenchmarkTuning1024GPU(b *testing.B) {
 // BenchmarkTunerSearch compares sequential and parallel grid search on a
 // large space (a 64-device GPT3-13B grid with four schemes and six
 // micro-batch sizes, well over 200 evaluated configurations). NoPrune keeps
-// the amount of simulation work identical across worker counts, and each
-// iteration uses a fresh Tuner so the memoization cache cannot carry results
-// between iterations; the profiler is shared since its output is immutable.
+// the amount of simulation work identical across worker counts (a pool builds
+// a shape once per worker that evaluates it, since each keeps its own
+// builds); the profiler is shared since its output is immutable.
 // The results are byte-identical across sub-benchmarks — only the wall time
 // differs. The pruned variant runs the same grid with the default
 // branch-and-bound search, showing how many simulations the throughput bound
@@ -528,7 +528,7 @@ func BenchmarkTunerSearch(b *testing.B) {
 // canonical pruned grid walk on the same 220-configuration GPT3-13B space as
 // BenchmarkTunerSearch. Both return the identical argmax (pinned by
 // TestBnBExplorationEfficiency); the reported metrics show how much of the
-// grid each strategy actually simulates.
+// grid each strategy actually simulates, and builds the schedules it built.
 func BenchmarkTunerSearchBnB(b *testing.B) {
 	prof := &profile.Profiler{
 		Model: cost.GPT3_13B, HW: cost.A100_40G,
@@ -554,6 +554,7 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 			st = tn.Stats
 		}
 		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+		b.ReportMetric(float64(m.BuildMisses.Value())/float64(b.N), "builds")
 		reportScanVerdicts(b, m)
 		b.ReportMetric(float64(st.Explored), "explored")
 		b.ReportMetric(float64(st.OOMRejected), "oom")
@@ -591,7 +592,9 @@ func BenchmarkOptimizeAPI(b *testing.B) {
 // 0.8 speed, auto placement) on the default machine, sequentially. It is the
 // one deterministic row that reaches the partitioning/placement subsystem;
 // sims/op, the scan verdicts, explored and oom (the explored points the memory
-// penalty zeroed) pin what the search simulates.
+// penalty zeroed) pin what the search simulates, and builds (the schedules it
+// built, fewer than the points explored: a point's checkpoint and placement
+// siblings share one) what it built.
 func BenchmarkOptimizeHetero(b *testing.B) {
 	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	var explored, oom int
@@ -613,6 +616,7 @@ func BenchmarkOptimizeHetero(b *testing.B) {
 		explored, oom = plan.SearchStats.Explored, plan.SearchStats.OOMRejected
 	}
 	b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+	b.ReportMetric(float64(m.BuildMisses.Value())/float64(b.N), "builds")
 	reportScanVerdicts(b, m)
 	b.ReportMetric(float64(explored), "explored")
 	b.ReportMetric(float64(oom), "oom")
@@ -681,7 +685,6 @@ func BenchmarkTelemetryOff(b *testing.B) {
 		bd.SetInt("stages", 4)
 		bd.End()
 		g := p.Child(telemetry.PhaseGraph, "")
-		g.Memo("key")
 		g.End()
 		s := p.Child(telemetry.PhaseSim, "")
 		s.SetFloat("throughput", 12.5)
@@ -709,7 +712,6 @@ func BenchmarkTelemetryOn(b *testing.B) {
 		bd.SetInt("stages", 4)
 		bd.End()
 		g := p.Child(telemetry.PhaseGraph, "")
-		g.Memo("key")
 		g.End()
 		s := p.Child(telemetry.PhaseSim, "")
 		s.SetFloat("throughput", 12.5)

@@ -29,12 +29,12 @@
 // run on any machine, so — unlike ns/op, which CI runner noise keeps
 // non-gating — a small threshold on these columns is a gate CI can enforce.
 // It also gates the count extras of the rows that report one — sims/op, the
-// simulations a search ran, units/op, the compute units a schedule build
-// list-scheduled, explored, the grid points a search simulated, oom, those of
+// simulations a search ran, builds, the schedules it built, units/op, the
+// compute units a schedule build list-scheduled, explored, the grid points a search simulated, oom, those of
 // them the memory penalty zeroed, bytes, the size of an encoded plan, and the
 // prepose scan's scan-illegal and scan-simulated candidates: exact on any
 // machine, they are held to the baseline with no threshold — one more
-// simulation, unit, point, byte or candidate fails.
+// simulation, build, unit, point, byte or candidate fails.
 package main
 
 import (
@@ -147,6 +147,7 @@ var (
 		{unit: "B/op", get: func(r result) *float64 { return r.BytesPerOp }},
 		{unit: "allocs/op", get: func(r result) *float64 { return r.AllocsPerOp }},
 		{unit: "sims/op", get: extraMetric("sims/op"), exact: true},
+		{unit: "builds", get: extraMetric("builds"), exact: true},
 		{unit: "units/op", get: extraMetric("units/op"), exact: true},
 		{unit: "explored", get: extraMetric("explored"), exact: true},
 		{unit: "oom", get: extraMetric("oom"), exact: true},

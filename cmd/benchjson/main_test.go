@@ -153,16 +153,17 @@ func TestGateAgainst(t *testing.T) {
 
 // TestGateMem covers the deterministic gate: B/op and allocs/op are compared
 // (ns/op is not), either column failing fails the gate, a zero baseline
-// regresses by becoming non-zero, and sims/op, units/op, explored, oom, bytes,
-// scan-illegal and scan-simulated — exact counts — fail on one more
-// simulation, unit, point, OOM point, byte or scanned candidate however small
-// a share of the baseline that is; other extras (bound-pruned) are not gated.
+// regresses by becoming non-zero, and sims/op, builds, units/op, explored, oom,
+// bytes, scan-illegal and scan-simulated — exact counts — fail on one more
+// simulation, schedule build, unit, point, OOM point, byte or scanned candidate
+// however small a share of the baseline that is; other extras (bound-pruned) are not gated.
 func TestGateMem(t *testing.T) {
 	base := writeBaseline(t, `[
   {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000, "bytes_per_op": 1000, "allocs_per_op": 100},
   {"name": "BenchmarkZero", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0},
   {"name": "BenchmarkNoMem", "iterations": 1, "ns_per_op": 10},
   {"name": "BenchmarkSims", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"sims/op": 61}},
+  {"name": "BenchmarkBuilds", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"builds": 4, "explored": 7}},
   {"name": "BenchmarkUnits", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"units/op": 24576}},
   {"name": "BenchmarkSearch", "iterations": 1, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"explored": 38, "oom": 2, "bound-pruned": 120}},
   {"name": "BenchmarkCodec", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 1000, "allocs_per_op": 100, "extra": {"bytes": 43172}},
@@ -182,6 +183,8 @@ func TestGateMem(t *testing.T) {
 		{"sims stay", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 61 sims/op\n", false, "61 sims/op"},
 		{"fewer sims pass", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 43 sims/op\n", false, "43 sims/op (-29.5%)"},
 		{"one more sim fails", "BenchmarkSims 1 10 ns/op 1000 B/op 100 allocs/op 62 sims/op\n", true, "WORSE  BenchmarkSims"},
+		{"builds stay", "BenchmarkBuilds 1 10 ns/op 1000 B/op 100 allocs/op 4 builds 7 explored\n", false, "4 builds"},
+		{"one more build fails", "BenchmarkBuilds 1 10 ns/op 1000 B/op 100 allocs/op 5 builds 7 explored\n", true, "5 builds (+25.0%)"},
 		{"units stay", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24576 units/op\n", false, "24576 units/op"},
 		{"one more unit fails", "BenchmarkUnits 100 10 ns/op 1000 B/op 100 allocs/op 24577 units/op\n", true, "WORSE  BenchmarkUnits"},
 		{"explored stays", "BenchmarkSearch 1 10 ns/op 1000 B/op 100 allocs/op 38 explored 121 bound-pruned\n", false, "38 explored"},

@@ -26,7 +26,7 @@ type SearchTraceResult struct {
 }
 
 // SearchTrace runs a grid search with a live Tracer and registry attached
-// and snapshots the canonical trace. Workers is pinned to 1 so the memo
+// and snapshots the canonical trace. Workers is pinned to 1 so the build
 // and simulation counters are deterministic too (the canonical trace
 // itself is byte-identical for every worker count; the fold-in counters
 // are not, which is why this demo holds them still for the golden check).

@@ -1,13 +1,10 @@
 package graph
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
-	"mario/internal/scheme"
 	"mario/internal/sim"
 	"mario/internal/telemetry"
 )
@@ -113,64 +110,5 @@ func TestEnginesOwnedByCaller(t *testing.T) {
 	}
 	if n := opts.Metrics.Sims.Value(); n != 0 {
 		t.Errorf("run reported %d sims of a bundle it does not own", n)
-	}
-}
-
-// TestOptimizeWorkerDeterminism: goroutines that optimize one frozen base
-// schedule at once — what a search's pool workers do with a memoized build —
-// each return the schedule and the bit-identical result the sequential run
-// returns. Run under -race this also proves that the base's resolved placement
-// view (filled when it was built, never on first use) and its copy-on-write
-// share marks are read-only once it is shared.
-func TestOptimizeWorkerDeterminism(t *testing.T) {
-	cases := []struct {
-		name   string
-		scheme pipeline.Scheme
-		cfg    scheme.Config
-		stages int
-	}{
-		{"1f1b-8x16", pipeline.Scheme1F1B, scheme.Config{Devices: 8, Micros: 16}, 8},
-		{"chimera-8x8", pipeline.SchemeChimera, scheme.Config{Devices: 8, Micros: 8}, 8},
-		{"interleave-4x8", pipeline.SchemeInterleave, scheme.Config{Devices: 4, Micros: 8, Chunks: 2}, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := scheme.Build(tc.scheme, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Freeze()
-			e := cost.Uniform(tc.stages, 1, 2, 0.25)
-			opts := Options{Estimator: e, Sim: sim.Options{NoTimeline: true}}
-			base, baseRes, err := Optimize(s, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const workers = 4
-			scheds := make([]*pipeline.Schedule, workers)
-			results := make([]*sim.Result, workers)
-			errs := make([]error, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					scheds[w], results[w], errs[w] = Optimize(s, opts)
-				}(w)
-			}
-			wg.Wait()
-			for w := 0; w < workers; w++ {
-				if errs[w] != nil {
-					t.Fatalf("worker %d: %v", w, errs[w])
-				}
-				if scheds[w].String() != base.String() {
-					t.Errorf("worker %d: schedule differs from the sequential run", w)
-				}
-				if !reflect.DeepEqual(results[w], baseRes) {
-					t.Errorf("worker %d: result differs from the sequential run (%.17g vs %.17g)", w, results[w].Total, baseRes.Total)
-				}
-			}
-		})
 	}
 }

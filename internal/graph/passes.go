@@ -188,7 +188,8 @@ type Options struct {
 	Estimator *cost.Estimator
 	// Sim configures the acceptance simulations (memory limit, DP).
 	Sim sim.Options
-	// MaxRounds bounds the iterative pass applications; zero means 16.
+	// MaxRounds bounds the iterative pass applications; zero means
+	// DefaultMaxRounds.
 	MaxRounds int
 	// Engines is the simulator bundle the run evaluates on. The caller that
 	// passes one owns it — a search reuses one bundle per goroutine across
@@ -204,6 +205,10 @@ type Options struct {
 	// Metrics, when non-nil, receives the round count.
 	Metrics *telemetry.SearchMetrics
 }
+
+// DefaultMaxRounds is the prepose round budget of a run that names none:
+// graph.Options and tuner.Space resolve a zero MaxRounds to it alike.
+const DefaultMaxRounds = 8
 
 // engines returns the bundle a run evaluates on: the caller's, or a fresh one.
 func (o Options) engines() *Engines {
@@ -256,7 +261,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	eng.chain = eng.Main.CriticalChain(eng.chain[:0])
 	rounds := opt.MaxRounds
 	if rounds <= 0 {
-		rounds = 16
+		rounds = DefaultMaxRounds
 	}
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {

@@ -18,10 +18,9 @@ type DeviceStats struct {
 	// classification as sim.Result.ComputeBusy, so measured and predicted
 	// bubble ratios are directly comparable.
 	Busy float64
-	// SendStall and RecvStall sum the p2p queue waits by direction. Under
-	// the emulator's eager links sends never stall in virtual time, so
-	// SendStall is nonzero only for producers that model blocking sends.
-	SendStall, RecvStall float64
+	// RecvStall sums the device's p2p queue waits: how long its receives sat
+	// idle before their messages landed. Sends are eager and never wait.
+	RecvStall float64
 	// PeakMem is the high-water mark of the events' modeled memory, and
 	// PeakKind the kind of the instruction executing when it was reached.
 	PeakMem  float64
@@ -101,7 +100,6 @@ func Compute(events []Event, total float64) *Stats {
 		case pipeline.SendAct, pipeline.SendGrad:
 			ds.Sends++
 			st.Msgs++
-			ds.SendStall += e.Wait
 			lk := linkKey{e.Device, e.Peer, e.Kind.Channel()}
 			l := links[lk]
 			if l == nil {
@@ -139,12 +137,12 @@ func (s *Stats) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "measured run: %d iterations, makespan %.4g s, %d instructions, %d messages\n",
 		s.Iters, s.Total, s.Instrs, s.Msgs)
-	fmt.Fprintf(&b, "%-6s %7s %6s %10s %11s %11s %6s %8s %10s %s\n",
-		"device", "instrs", "msgs", "busy(s)", "sendstall(s)", "recvstall(s)", "util%", "bubble%", "peak-mem", "peak-at")
+	fmt.Fprintf(&b, "%-6s %7s %6s %10s %11s %6s %8s %10s %s\n",
+		"device", "instrs", "msgs", "busy(s)", "recvstall(s)", "util%", "bubble%", "peak-mem", "peak-at")
 	for d := range s.Devices {
 		ds := &s.Devices[d]
-		fmt.Fprintf(&b, "dev%-3d %7d %6d %10.4g %11.4g %11.4g %6.1f %8.1f %10s %s\n",
-			d, ds.Instrs, ds.Sends+ds.Recvs, ds.Busy, ds.SendStall, ds.RecvStall,
+		fmt.Fprintf(&b, "dev%-3d %7d %6d %10.4g %11.4g %6.1f %8.1f %10s %s\n",
+			d, ds.Instrs, ds.Sends+ds.Recvs, ds.Busy, ds.RecvStall,
 			100*s.Utilization(d), 100*s.BubbleRatio(d), humanBytes(ds.PeakMem), ds.PeakKind)
 	}
 	if len(s.Links) > 0 {

@@ -92,8 +92,7 @@ type Schedule struct {
 
 // NewSchedule returns a schedule over r's placement and micro-batch count that
 // carries r as its resolved view. Every schedule the program builds or decodes
-// is made here, so the view exists before the schedule can be frozen and shared
-// between goroutines.
+// is made here, so the view exists before the schedule is cloned or shared.
 func NewSchedule(scheme Scheme, r *Resolved, lists [][]Instr) *Schedule {
 	return &Schedule{Scheme: scheme, Placement: r.pl, Micros: r.micros, Lists: lists, res: r}
 }
@@ -121,12 +120,8 @@ func (s *Schedule) NumStages() int { return s.Placement.NumStages() }
 // when one side first mutates it through MutableList or replaces it through
 // SetList. Direct in-place writes to Lists[d] elements after Clone are
 // therefore visible in both schedules — all mutation must go through
-// MutableList/SetList, which every pass in this repository does.
-//
-// Cloning marks the receiver's lists shared as well. That write makes a
-// first Clone racy when the same schedule is cloned from several goroutines
-// at once; call Freeze once before sharing a schedule across goroutines and
-// the concurrent Clones become read-only on the receiver.
+// MutableList/SetList, which every pass in this repository does. Cloning
+// marks the receiver's lists shared as well.
 func (s *Schedule) Clone() *Schedule {
 	c := *s
 	c.Lists = append(make([][]Instr, 0, len(s.Lists)), s.Lists...)
@@ -141,21 +136,6 @@ func (s *Schedule) Clone() *Schedule {
 		}
 	}
 	return &c
-}
-
-// Freeze marks every list of s as shared, so any later mutation — by s or by
-// one of its clones — goes through a copy. It makes subsequent concurrent
-// Clone calls safe: they no longer need to write the receiver's share marks.
-func (s *Schedule) Freeze() {
-	if s.shared == nil {
-		s.shared = sharedAll(len(s.Lists))
-		return
-	}
-	for d, sh := range s.shared {
-		if !sh {
-			s.shared[d] = true
-		}
-	}
 }
 
 // MutableList returns device d's instruction list, first copying it if it is

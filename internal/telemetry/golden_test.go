@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // goldenTrace builds one representative search trace on a fake clock: a
 // root optimize span, a search with its probe pass, three points (explored
-// with a memoized build, graph rounds + sim; a build-memo hit; bound-pruned
+// with a build, graph rounds + sim; a reused build and a sim; bound-pruned
 // after a speculative evaluation) and a sim directly under the search, which
 // sorts after the points and the probe pass. Every export format renders from
 // this one tree so the goldens stay mutually consistent.
@@ -32,11 +32,10 @@ func goldenTrace() *Trace {
 	probe.SetInt("nodes", 3)
 	probe.End()
 
-	// Point 0: fully evaluated — the build that computes the memoized
-	// schedule, graph rounds and a simulation.
+	// Point 0: fully evaluated — the schedule build, graph rounds and a
+	// simulation.
 	p0 := tr.Detached(PhasePoint, "0000 X-4-2(mario)")
 	b0 := p0.Child(PhaseBuild, "")
-	b0.Memo("X|pp4|u8|c2")
 	b0.SetInt("stages", 4)
 	b0.End()
 	g0 := p0.Child(PhaseGraph, "")
@@ -54,10 +53,9 @@ func goldenTrace() *Trace {
 	p0.End()
 	p0.AttachTo(search)
 
-	// Point 1: the same build resolved from the memo, then a simulation.
+	// Point 1: the same build, reused, then a simulation.
 	p1 := tr.Detached(PhasePoint, "0001 X-4-2(base)")
 	b1 := p1.Child(PhaseBuild, "")
-	b1.Memo("X|pp4|u8|c2")
 	b1.End()
 	p1.Child(PhaseSim, "").End()
 	p1.End()

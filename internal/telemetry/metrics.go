@@ -4,8 +4,8 @@ package telemetry
 // tuner grid search, the graph tuner and the simulator engines did,
 // exposed as first-class Prometheus series. The tuner adds the deterministic
 // counters of its canonical merge loop (so the totals match the sequential
-// search bit for bit) and folds memo and simulation counts in as post-search
-// deltas.
+// search bit for bit), and each evaluating goroutine adds its build reuse and
+// simulation counts when it is done.
 //
 // A nil *SearchMetrics — or one built from a nil Registry — no-ops on
 // every field, so instrumented code updates unconditionally.
@@ -17,7 +17,9 @@ type SearchMetrics struct {
 	// branch-and-bound memory lower bound respectively; PointsImproved
 	// counts evaluations that improved the incumbent.
 	PointsExplored, PointsOOM, PointsPruned, PointsBoundPruned, PointsMemPruned, PointsImproved *Counter
-	// BuildHits/BuildMisses count the schedule-build memo cache.
+	// BuildHits/BuildMisses count schedule-build lookups on the evaluating
+	// goroutines' own builds: a hit reuses a schedule the goroutine built
+	// before, a miss builds one.
 	BuildHits, BuildMisses *Counter
 	// Sims counts simulator executions across every engine (direct
 	// evaluations and graph inner loops).
@@ -40,6 +42,14 @@ type SearchMetrics struct {
 func (m *SearchMetrics) AddSims(n int64) {
 	if m != nil {
 		m.Sims.Add(n)
+	}
+}
+
+// AddBuilds records schedule-build lookups by result. Safe on nil.
+func (m *SearchMetrics) AddBuilds(hits, misses int64) {
+	if m != nil {
+		m.BuildHits.Add(hits)
+		m.BuildMisses.Add(misses)
 	}
 }
 

@@ -101,7 +101,6 @@ type spanRec struct {
 	parent   int32
 	phase    Phase
 	key      string
-	memoKey  string
 	start    time.Time
 	end      time.Time
 	attrs    []Attr
@@ -254,23 +253,6 @@ func (s Span) Discard() {
 	t := s.t
 	t.mu.Lock()
 	t.spans[s.idx-1].discard = true
-	t.mu.Unlock()
-}
-
-// Memo tags the span with a memoization key. Spans sharing a (phase, memo
-// key) describe the same memoized computation; canonical exports tag the
-// first of them in canonical order memo "first" and the rest "shared",
-// regardless of which worker actually ran the compute — the
-// sequential-search semantics. A memo span has no children: the tags are
-// all Snapshot normalizes, so a subtree under one would depend on which
-// worker computed. Safe on the zero Span.
-func (s Span) Memo(key string) {
-	if !s.Live() {
-		return
-	}
-	t := s.t
-	t.mu.Lock()
-	t.spans[s.idx-1].memoKey = key
 	t.mu.Unlock()
 }
 

@@ -27,7 +27,6 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	child.SetInt("n", 1)
 	child.SetFloat("x", 1.5)
 	child.SetBool("ok", true)
-	child.Memo("m")
 	child.End()
 	child.AttachTo(sp)
 	child.Discard()
@@ -50,6 +49,7 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	var m *SearchMetrics
 	m.AddSims(1)
 	m.AddGraphRounds(1)
+	m.AddBuilds(1, 1)
 }
 
 // TestSnapshotDiscard checks the pruning semantics Snapshot applies:

@@ -26,9 +26,6 @@ type Node struct {
 	// Path is the canonical slash-joined location, e.g.
 	// "optimize/search/point[0007 X-8-4(mario)]/graph/round[02]".
 	Path string
-	// Memo is "" for non-memoized spans, "first" for the canonical first
-	// occurrence of a memoized computation, "shared" for later reuses.
-	Memo string
 	// Attrs are the recorded attributes, in recording order.
 	Attrs []Attr
 	// Start and End are the recorded span interval.
@@ -76,19 +73,10 @@ type Trace struct {
 
 // Snapshot freezes the tracer's current spans into a canonical Trace:
 // discarded subtrees and still-detached spans are dropped, children are
-// sorted into canonical order, memoized spans are tagged (see below), child
-// intervals are clamped inside their parents so self times telescope, and
-// span IDs/paths are derived. Safe on nil (returns an empty Trace). The
-// tracer remains usable afterwards; Snapshot reads a consistent view.
-//
-// The memo tags keep parallel traces byte-identical to the sequential one:
-// spans sharing a (phase, memo key) describe one memoized computation, and
-// which of them actually ran the compute is a scheduling accident under
-// Workers > 1. Snapshot tags the canonically-first surviving member "first"
-// and every later one "shared" — the tags the sequential search records,
-// since its canonical evaluation order makes the canonically-first
-// non-pruned span the computing one. Memo spans have no children
-// (Span.Memo), so the tags are the whole normalization.
+// sorted into canonical order, child intervals are clamped inside their
+// parents so self times telescope, and span IDs/paths are derived. Safe on
+// nil (returns an empty Trace). The tracer remains usable afterwards;
+// Snapshot reads a consistent view.
 func (t *Tracer) Snapshot() *Trace {
 	tr := &Trace{}
 	if t == nil {
@@ -151,8 +139,7 @@ func (t *Tracer) Snapshot() *Trace {
 
 	// Walk in canonical preorder: fix up end times (un-ended spans inherit
 	// the max end of their subtree), clamp children into parents, assign
-	// paths/IDs, tag memo groups, and link children.
-	memoSeen := map[string]bool{}
+	// paths/IDs, and link children.
 	var walk func(i int32, parentPath string, lo, hi time.Time) *Node
 	walk = func(i int32, parentPath string, lo, hi time.Time) *Node {
 		r := &recs[i]
@@ -191,15 +178,6 @@ func (t *Tracer) Snapshot() *Trace {
 			}
 		}
 
-		if mk := r.memoKey; mk != "" {
-			gk := string(n.Phase) + "\x00" + mk
-			if memoSeen[gk] {
-				n.Memo = "shared"
-			} else {
-				memoSeen[gk] = true
-				n.Memo = "first"
-			}
-		}
 		for _, c := range children[i] {
 			n.Children = append(n.Children, walk(c, n.Path, n.Start, n.End))
 		}
@@ -242,7 +220,6 @@ type jsonlSpan struct {
 	Phase  Phase  `json:"phase"`
 	Key    string `json:"key,omitempty"`
 	Path   string `json:"path"`
-	Memo   string `json:"memo,omitempty"`
 	Attrs  []Attr `json:"attrs,omitempty"`
 }
 
@@ -254,7 +231,7 @@ func (tr *Trace) records() []jsonlSpan {
 	rec = func(n *Node, parent string) {
 		spans = append(spans, jsonlSpan{
 			ID: n.ID, Parent: parent, Phase: n.Phase, Key: n.Key,
-			Path: n.Path, Memo: n.Memo, Attrs: n.Attrs,
+			Path: n.Path, Attrs: n.Attrs,
 		})
 		for _, c := range n.Children {
 			rec(c, n.ID)
@@ -310,9 +287,6 @@ type chromeEvent struct {
 // chromeArgs renders a node's exported args map.
 func chromeArgs(n *Node) map[string]string {
 	args := map[string]string{"id": n.ID, "path": n.Path}
-	if n.Memo != "" {
-		args["memo"] = n.Memo
-	}
 	for _, a := range n.Attrs {
 		args[a.K] = a.V
 	}
@@ -433,8 +407,6 @@ type PhaseSelf struct {
 func (tr *Trace) PhaseSummary() []PhaseSelf {
 	agg := map[Phase]*PhaseSelf{}
 	tr.visit(func(n *Node, _ int) {
-		// Shared memo spans keep their (reuse) self time; it is part of
-		// the telescoped total like any other span.
 		row := agg[n.Phase]
 		if row == nil {
 			row = &PhaseSelf{Phase: n.Phase}
@@ -458,7 +430,7 @@ func (tr *Trace) PhaseSummary() []PhaseSelf {
 }
 
 // WriteTree renders a human-readable canonical tree: one span per line,
-// indented by depth, with memo tags and result attrs but no timings —
+// indented by depth, with result attrs but no timings —
 // byte-identical across worker counts.
 func (tr *Trace) WriteTree(w *bytes.Buffer) {
 	tr.visit(func(n *Node, depth int) {
@@ -466,9 +438,6 @@ func (tr *Trace) WriteTree(w *bytes.Buffer) {
 		w.WriteString(string(n.Phase))
 		if n.Key != "" {
 			fmt.Fprintf(w, "[%s]", n.Key)
-		}
-		if n.Memo != "" {
-			fmt.Fprintf(w, " memo=%s", n.Memo)
 		}
 		for _, a := range n.Attrs {
 			fmt.Fprintf(w, " %s=%s", a.K, a.V)

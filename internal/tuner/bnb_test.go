@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mario/internal/cost"
-	"mario/internal/graph"
 	"mario/internal/pipeline"
 	"mario/internal/place"
 	"mario/internal/profile"
@@ -66,17 +65,17 @@ func runStrategy(tn *Tuner, sp Space) stratOut {
 func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	t.Helper()
 	sp = sp.WithDefaults()
-	eng := graph.NewEngines()
+	w := newWorker()
 	var best *Candidate
 	var out stratOut
 	for _, p := range enumerate(sp) {
-		r := tn.pointShape(sp, p)
+		r := tn.pointShape(sp, p, w)
 		if !r.ok {
 			out.pruned++
 			continue
 		}
 		nd := bnbNode{p: p, micros: r.micros, est: r.est, asg: r.asg}
-		pr := tn.evalPoint(context.Background(), sp, nd, eng, telemetry.Span{})
+		pr := tn.evalPoint(context.Background(), sp, nd, w, telemetry.Span{})
 		if pr.err != nil {
 			t.Fatalf("oracle evaluation of %s: %v", pointKey(0, p), pr.err)
 		}
@@ -185,7 +184,7 @@ func memPressureSpace(t *testing.T) Space {
 	spd := sp.WithDefaults()
 	probe := newTuner()
 	p4 := gridPoint{scheme: pipeline.Scheme1F1B, pp: 4, dp: 2, mbs: 1}
-	nd4, ok := probe.probePoint(spd, p4, probe.pointShape(spd, p4))
+	nd4, ok := probe.probePoint(spd, p4, probe.pointShape(spd, p4, newWorker()))
 	if !ok {
 		t.Fatal("pp=4 probe point is structurally infeasible")
 	}
@@ -326,7 +325,7 @@ func TestBnBBoundAdmissible(t *testing.T) {
 					oom++
 				}
 				p := pointOf(c)
-				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p))
+				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p, newWorker()))
 				if !ok {
 					t.Errorf("simulated point %s probes as structurally infeasible", c.Label())
 					continue

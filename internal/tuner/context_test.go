@@ -69,8 +69,8 @@ func TestSearchContextPreCancelled(t *testing.T) {
 }
 
 // Cancelling mid-search from a Progress callback aborts promptly and a
-// subsequent SearchContext on the same Tuner (shared memo caches) still
-// completes correctly — a cancelled compute must not poison the memo. Inline
+// subsequent SearchContext on the same Tuner still completes correctly —
+// nothing a cancelled search computed carries over into the next. Inline
 // or pooled, the registry series of the cancelled search equal the Stats it
 // published: what a search merged before it stopped is accounted for once, in
 // both places.

@@ -58,7 +58,7 @@ func candString(c Candidate) string {
 // capture runs sp on tn and renders everything the search emits. Best carries
 // its schedule; a trace entry carries none, so its schedule text is the one
 // Resimulate rebuilds from the entry's coordinates (on a fresh Tuner, which
-// leaves tn's memo and metrics alone) — and that must be the text of the
+// leaves tn's metrics alone) — and that must be the text of the
 // schedule the search scored, which Progress saw for every candidate this
 // process evaluated. The runs a determinism test compares therefore still
 // cover every explored schedule, whoever evaluated it.
@@ -267,13 +267,13 @@ func TestSearchPruneEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheSharing: the schedule-build cache is shared between the
-// checkpointed and plain variants of a grid point and across Search calls.
-// Graph-pass output is not cached — within a search no two points share its
-// inputs — so a repeat search on the same Tuner runs its prepose rounds again.
+// TestCacheSharing: the checkpointed and plain variants of a grid point share
+// one schedule build, and a search's builds are its own: a second identical
+// search on the same Tuner builds again and counts exactly what the first
+// counted. Graph-pass output is not cached either — within a search no two
+// points share its inputs — so the repeat runs its prepose rounds again.
 func TestCacheSharing(t *testing.T) {
 	tn := seqTuner()
-	tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
 	sp := Space{
 		Devices:      8,
 		GlobalBatch:  32,
@@ -284,27 +284,24 @@ func TestCacheSharing(t *testing.T) {
 		MaxRounds:    3,
 		NoPrune:      true,
 	}
-	if _, _, err := tn.Search(sp); err != nil {
-		t.Fatal(err)
-	}
-	// ckpt ∈ {false, true} share one build: 1 miss + 1 hit.
-	if hits, misses := tn.Metrics.BuildHits.Value(), tn.Metrics.BuildMisses.Value(); hits != 1 || misses != 1 {
-		t.Errorf("expected build-cache sharing, got hits=%d misses=%d", hits, misses)
-	}
-	rounds := tn.Metrics.GraphRounds.Value()
-	if rounds == 0 {
-		t.Fatal("the checkpointed point ran no prepose round")
-	}
-	// A second identical search is served from the build cache and re-runs
-	// the graph passes.
-	if _, _, err := tn.Search(sp); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := tn.Metrics.BuildHits.Value(), tn.Metrics.BuildMisses.Value(); hits != 3 || misses != 1 {
-		t.Errorf("repeat search: build cache hits=%d misses=%d, want 3 and 1", hits, misses)
-	}
-	if got := tn.Metrics.GraphRounds.Value(); got != 2*rounds {
-		t.Errorf("repeat search ran %d prepose rounds, want the first search's %d again", got-rounds, rounds)
+	var rounds int64
+	for run := 1; run <= 2; run++ {
+		tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+		if _, _, err := tn.Search(sp); err != nil {
+			t.Fatal(err)
+		}
+		// ckpt ∈ {false, true} share one build: 1 miss + 1 hit.
+		if hits, misses := tn.Metrics.BuildHits.Value(), tn.Metrics.BuildMisses.Value(); hits != 1 || misses != 1 {
+			t.Errorf("search %d: build hits=%d misses=%d, want 1 and 1", run, hits, misses)
+		}
+		got := tn.Metrics.GraphRounds.Value()
+		if got == 0 {
+			t.Fatalf("search %d: the checkpointed point ran no prepose round", run)
+		}
+		if run == 2 && got != rounds {
+			t.Errorf("repeat search ran %d prepose rounds, want the first search's %d again", got, rounds)
+		}
+		rounds = got
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mario/internal/cost"
-	"mario/internal/graph"
 	"mario/internal/telemetry"
 )
 
@@ -31,8 +30,7 @@ func searchTrace(t *testing.T, workers int) (jsonl, chrome string, tr *telemetry
 // TestTraceWorkerIndependence is the tentpole determinism contract: the
 // canonical trace exports (JSONL, canonical Chrome trace, tree rendering)
 // are byte-identical for every worker count, even though workers record
-// spans speculatively and memo hit/miss attribution is a scheduling
-// accident.
+// spans speculatively and each builds its own schedules.
 func TestTraceWorkerIndependence(t *testing.T) {
 	baseJSONL, baseChrome, baseTr := searchTrace(t, 1)
 	if baseJSONL == "" {
@@ -58,7 +56,7 @@ func TestTraceWorkerIndependence(t *testing.T) {
 // TestTraceShape spot-checks the canonical structure: one optimize root,
 // one search child, one point span per grid point with result attributes
 // followed by the probe pass's one bound span — the winner is not simulated
-// again — and memo tags on the build spans.
+// again — and a build span under every evaluated point.
 func TestTraceShape(t *testing.T) {
 	_, _, tr := searchTrace(t, 1)
 	if len(tr.Roots) != 1 {
@@ -80,7 +78,6 @@ func TestTraceShape(t *testing.T) {
 	if probe := search.Children[len(points)]; probe.Phase != telemetry.PhaseBound || len(probe.Children) != 0 {
 		t.Fatalf("last search child is %q with %d children, want a leaf bound span", probe.Phase, len(probe.Children))
 	}
-	memoFirst := 0
 	for _, pt := range search.Children[:len(points)] {
 		if pt.Phase != telemetry.PhasePoint {
 			t.Fatalf("search child phase = %q, want point", pt.Phase)
@@ -96,14 +93,10 @@ func TestTraceShape(t *testing.T) {
 		default:
 			t.Fatalf("point %q has result %q", pt.Key, result)
 		}
-		for _, c := range pt.Children {
-			if c.Phase == telemetry.PhaseBuild && c.Memo == "first" {
-				memoFirst++
-			}
+		evaluated := result == "explored" || result == "oom"
+		if built := len(pt.Children) > 0 && pt.Children[0].Phase == telemetry.PhaseBuild; built != evaluated {
+			t.Errorf("point %q (%s): first child is a build span = %v", pt.Key, result, built)
 		}
-	}
-	if memoFirst == 0 {
-		t.Error("no build span is tagged memo=first; memo normalization is not running")
 	}
 }
 
@@ -146,7 +139,8 @@ func TestSearchMetrics(t *testing.T) {
 		tn := newTuner()
 		tn.Workers = w
 		tn.Metrics = m
-		if _, _, err := tn.Search(detSpace()); err != nil {
+		_, trace, err := tn.Search(detSpace())
+		if err != nil {
 			t.Fatal(err)
 		}
 		st := tn.Stats
@@ -172,12 +166,20 @@ func TestSearchMetrics(t *testing.T) {
 		if m.Sims.Value() == 0 {
 			t.Errorf("workers=%d: sims counter stayed zero", w)
 		}
-		hits, misses := tn.builds.hits.Load(), tn.builds.misses.Load()
-		if got := m.BuildHits.Value(); got != hits {
-			t.Errorf("workers=%d: memo hit metrics = %d, build memo hits = %d", w, got, hits)
+		// Every explored point looks its build up once on the goroutine that
+		// evaluated it, and each goroutine builds a shape once. Inline, that
+		// is exactly one miss per distinct shape explored; a pool may also
+		// evaluate speculatively and build a shape once per worker.
+		shapes := map[buildKey]bool{}
+		for _, c := range trace {
+			shapes[buildKey{scheme: c.Scheme, devices: c.PP, micros: c.Micros}] = true
 		}
-		if got := m.BuildMisses.Value(); got != misses {
-			t.Errorf("workers=%d: memo miss metrics = %d, build memo misses = %d", w, got, misses)
+		hits, misses := m.BuildHits.Value(), m.BuildMisses.Value()
+		if w == 1 && (misses != int64(len(shapes)) || hits+misses != int64(len(trace))) {
+			t.Errorf("workers=1: build hits=%d misses=%d, want %d misses over %d explored points", hits, misses, len(shapes), len(trace))
+		}
+		if misses < int64(len(shapes)) || hits+misses < int64(len(trace)) {
+			t.Errorf("workers=%d: build hits=%d misses=%d, below %d shapes over %d explored points", w, hits, misses, len(shapes), len(trace))
 		}
 	}
 }
@@ -190,11 +192,11 @@ func TestSearchMetrics(t *testing.T) {
 func TestSplitBackwardSimsCounted(t *testing.T) {
 	sp := Space{Devices: 4, GlobalBatch: 16, MicroBatches: []int{1, 2},
 		DeviceMem: cost.A100_40G.MemBytes, SplitBackward: true, MaxRounds: 3, NoPrune: true}
-	eng := graph.NewEngines()
+	ev := newWorker()
 	ref, full := newTuner(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
-		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p)); ok {
-			ref.evalPoint(context.Background(), full, nd, eng, telemetry.Span{})
+		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p, ev)); ok {
+			ref.evalPoint(context.Background(), full, nd, ev, telemetry.Span{})
 		}
 	}
 	for _, w := range []int{1, 4} {
@@ -205,7 +207,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 		if _, _, err := tn.Search(sp); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.Sims.Value(), eng.Main.Sims; got != want {
+		if got, want := m.Sims.Value(), ev.eng.Main.Sims; got != want {
 			t.Errorf("workers=%d: mario_search_sims_total = %d, the evaluations ran %d", w, got, want)
 		}
 	}
@@ -219,8 +221,9 @@ func TestTracedOffPruneAllocatesNothing(t *testing.T) {
 	sp := detSpace().WithDefaults()
 	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
 	var stats SearchStats
+	w := newWorker()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := tn.probePoint(sp, p, tn.pointShape(sp, p)); ok {
+		if _, ok := tn.probePoint(sp, p, tn.pointShape(sp, p, w)); ok {
 			t.Fatal("fixture point is feasible")
 		}
 		tn.pruneInfeasible(7, p, nil, telemetry.Span{}, &stats)

@@ -14,8 +14,8 @@
 // bounded pool of speculative workers (Tuner.Workers). Every decision is taken
 // by the merge against its own incumbent, never by a source, so the best
 // candidate, the trace and the SearchStats are identical for every worker
-// count. A memoization layer shares built schedules across grid points (and
-// across Search calls on the same Tuner).
+// count. Each evaluating goroutine keeps the schedules it built (worker), so
+// a grid point's checkpoint and placement siblings share one build.
 package tuner
 
 import (
@@ -67,7 +67,8 @@ type Space struct {
 	// transformation on each checkpointed candidate, keeping it when the
 	// simulator confirms an improvement within the memory budget.
 	SplitBackward bool
-	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means 8.
+	// MaxRounds bounds the prepose search inside graph.Optimize; 0 means
+	// graph.DefaultMaxRounds.
 	MaxRounds int
 	// NoPrune gives every point an infinite throughput bound and no memory
 	// verdict, so nothing is pruned: every structurally feasible point is
@@ -136,7 +137,7 @@ func (s Space) WithDefaults() Space {
 		s.TP = 1
 	}
 	if s.MaxRounds <= 0 {
-		s.MaxRounds = 8
+		s.MaxRounds = graph.DefaultMaxRounds
 	}
 	if place.Homogeneous(s.DeviceSpeeds) {
 		// All-nominal speed lists normalize to nil so a "1,1,…,1" spec is
@@ -295,18 +296,68 @@ type Tuner struct {
 	// Metrics, when non-nil, receives the search counters as registry
 	// series when a search ends, completed or not: the grid-outcome counters
 	// are the deltas of SearchStats (so the registry and Stats always agree);
-	// memoization and simulation counts are folded in as deltas too and are
-	// not deterministic under Workers > 1: which of two concurrent grid
-	// points computes a shared build and which one hits is a scheduling
-	// accident.
+	// each evaluating goroutine adds its build reuse and simulation counts
+	// when it is done (worker.report). Those are deterministic at Workers 1;
+	// under a pool they depend on which worker evaluated which point, since
+	// every worker builds its own schedules.
 	Metrics *telemetry.SearchMetrics
 
 	// Stats describes the most recent Search call. It is written once, when
 	// the search returns — completed, failed or cancelled — and is not read
 	// or written while a search runs.
 	Stats SearchStats
+}
 
-	builds memo[buildKey, *pipeline.Schedule]
+// worker is what one evaluating goroutine owns: its simulator engine bundle
+// and the base schedules it built, by shape. The search goroutine (probe pass,
+// inline evaluation, the merge loop's re-evaluation) holds one and every pool
+// worker its own, so nothing in it is shared and nothing is locked. A build
+// serves the goroutine's later points of the same shape — a grid point's
+// checkpoint and placement siblings — which clone it before any edit.
+type worker struct {
+	eng          *graph.Engines
+	builds       map[buildKey]*pipeline.Schedule
+	hits, misses int64
+}
+
+// buildKey identifies one scheme.Build output. mbs is deliberately absent:
+// schedule expansion depends only on the scheme, the pipeline depth and the
+// micro-batch count (Interleave always builds scheme.Config's default two
+// chunks), so a point's checkpoint and placement siblings share one build.
+type buildKey struct {
+	scheme  pipeline.Scheme
+	devices int
+	micros  int
+}
+
+func newWorker() *worker {
+	return &worker{eng: graph.NewEngines(), builds: make(map[buildKey]*pipeline.Schedule)}
+}
+
+// build returns the base schedule of a (scheme, depth, micro-batch count)
+// shape, building it the first time the goroutine asks. materialize and the
+// co-opt assignment both go through it. The schedule is read-only: whoever
+// edits it clones it first.
+func (w *worker) build(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule, error) {
+	bk := buildKey{scheme: sch, devices: pp, micros: micros}
+	if s, ok := w.builds[bk]; ok {
+		w.hits++
+		return s, nil
+	}
+	w.misses++
+	s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros})
+	if err != nil {
+		return nil, err
+	}
+	w.builds[bk] = s
+	return s, nil
+}
+
+// report adds the goroutine's build reuse and simulation counts to the
+// registry; the goroutine that owns w calls it once, when done with it.
+func (w *worker) report(m *telemetry.SearchMetrics) {
+	w.eng.Report(m)
+	m.AddBuilds(w.hits, w.misses)
 }
 
 // dpEfficiency is the per-doubling data-parallel scaling coefficient.
@@ -448,11 +499,10 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if m := t.Metrics; m != nil {
 		m.Searches.Inc()
 	}
-	buildH0, buildM0 := t.builds.hits.Load(), t.builds.misses.Load()
-	// eng is the search goroutine's engine bundle: the inline evaluations and
-	// the merge loop's forced re-evaluations run on it (pool workers hold one
-	// bundle each; a bundle is not goroutine-safe).
-	eng := graph.NewEngines()
+	// w is the search goroutine's own: the probe pass, the inline evaluations
+	// and the merge loop's forced re-evaluations run on it (pool workers hold
+	// one each; a worker is not goroutine-safe).
+	w := newWorker()
 	// The one exit: whatever the search merged before it completed, failed or
 	// was cancelled is published here, to Stats and to the registry alike, so
 	// the two can never disagree.
@@ -464,18 +514,16 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 			return
 		}
 		m.SearchSeconds.ObserveDuration(time.Since(searchStart))
-		eng.Report(m)
+		w.report(m)
 		m.PointsExplored.Add(int64(stats.Explored))
 		m.PointsOOM.Add(int64(stats.OOMRejected))
 		m.PointsPruned.Add(int64(stats.Pruned))
 		m.PointsBoundPruned.Add(int64(stats.BoundPruned))
 		m.PointsMemPruned.Add(int64(stats.MemPruned))
 		m.PointsImproved.Add(int64(stats.Improved))
-		m.BuildHits.Add(t.builds.hits.Load() - buildH0)
-		m.BuildMisses.Add(t.builds.misses.Load() - buildM0)
 	}()
 
-	best, trace, err := t.search(ctx, space, workers, points, eng, tracer, search, &stats)
+	best, trace, err := t.search(ctx, space, workers, points, w, tracer, search, &stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -530,8 +578,8 @@ func (s Space) admits(c *Candidate) error {
 // SamplesPerSec or OOM disagree — a hand-edited plan, a profiler that is not
 // the one the plan was tuned with — is refused. c is not modified.
 //
-// It runs on an engine bundle of its own. t contributes its profiler, build
-// memo and metrics; the knobs come from space, with its defaults applied.
+// It builds and simulates on a worker of its own. t contributes its profiler
+// and metrics; the knobs come from space, with its defaults applied.
 func (t *Tuner) Resimulate(ctx context.Context, c *Candidate, space Space) (*pipeline.Schedule, *sim.Result, error) {
 	if t.Prof == nil || c == nil || c.Result == nil {
 		return nil, nil, fmt.Errorf("tuner: re-simulation needs a profiler and a simulated candidate")
@@ -563,15 +611,15 @@ func (t *Tuner) Resimulate(ctx context.Context, c *Candidate, space Space) (*pip
 	if err != nil {
 		return fail(err)
 	}
-	eng := graph.NewEngines()
+	w := newWorker()
 	if sched == nil {
 		rebuilt := *c
-		if err := t.materialize(ctx, space, &rebuilt, est, eng, telemetry.Span{}); err != nil {
+		if err := t.materialize(ctx, space, &rebuilt, est, w, telemetry.Span{}); err != nil {
 			return fail(err)
 		}
 		sched = rebuilt.Schedule
 	}
-	res, err := eng.Main.Simulate(sched, est, sim.Options{DP: c.DP, MemLimit: space.DeviceMem})
+	res, err := w.eng.Main.Simulate(sched, est, sim.Options{DP: c.DP, MemLimit: space.DeviceMem})
 	if err != nil {
 		return fail(err)
 	}
@@ -603,8 +651,8 @@ const (
 // The sources: an inline evaluation of exactly the nodes decide explores
 // (Workers ≤ 1: never speculates) and the speculative worker pool (poolSource,
 // Workers > 1).
-func (t *Tuner) search(ctx context.Context, space Space, workers int, points []gridPoint, eng *graph.Engines, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
+func (t *Tuner) search(ctx context.Context, space Space, workers int, points []gridPoint, w *worker, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
+	nodes, err := t.probeAll(ctx, space, points, w, tracer, search, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -645,7 +693,7 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 			if decide(nodes[j]) != exploreNode {
 				return pointResult{}
 			}
-			return t.evalTraced(ctx, space, nodes[j], eng, tracer)
+			return t.evalTraced(ctx, space, nodes[j], w, tracer)
 		}
 	}
 
@@ -684,7 +732,7 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 			// dominates, so this is insurance). Evaluate it here so the
 			// result stays exact.
 			sp.Discard()
-			pr = t.evalTraced(ctx, space, nd, eng, tracer)
+			pr = t.evalTraced(ctx, space, nd, w, tracer)
 			sp = pr.span
 			if pr.err != nil {
 				sp.Discard()
@@ -763,11 +811,11 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 	}
 	close(jobs)
 	var wg sync.WaitGroup
-	for w := min(workers, len(nodes)); w > 0; w-- {
+	for n := min(workers, len(nodes)); n > 0; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := graph.NewEngines() // per-worker bundle
+			w := newWorker()
 			for j := range jobs {
 				nd := nodes[j]
 				// A cancelled worker skips too: the merge loop checks ctx
@@ -776,11 +824,11 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 				if v, ok := mb.load(); ctx.Err() != nil || (ok && nd.dominatedBy(v)) {
 					results[j] = pointResult{}
 				} else {
-					results[j] = t.evalTraced(ctx, space, nd, eng, tracer)
+					results[j] = t.evalTraced(ctx, space, nd, w, tracer)
 				}
 				close(ready[j])
 			}
-			eng.Report(t.Metrics)
+			w.report(t.Metrics)
 		}()
 	}
 	return func(j int) pointResult {
@@ -807,24 +855,6 @@ func pointSpan(tracer *telemetry.Tracer, i int, p gridPoint) telemetry.Span {
 	return tracer.Detached(telemetry.PhasePoint, pointKey(i, p))
 }
 
-// buildFor memoizes (and freezes) the base schedule of a (scheme, depth,
-// micro-batch count) shape; materialize and the co-opt assignment both go
-// through it, so a shape is built at most once per Tuner.
-func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule, error) {
-	bk := buildKey{scheme: sch, devices: pp, micros: micros}
-	return t.builds.do(bk, func() (*pipeline.Schedule, error) {
-		s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros})
-		if err != nil {
-			return nil, err
-		}
-		// The memoized schedule is cloned by many grid points, possibly
-		// concurrently; freezing it makes those first Clones read-only on
-		// the shared copy-on-write marks.
-		s.Freeze()
-		return s, nil
-	})
-}
-
 // assignmentFor computes a grid point's partitioning/placement assignment
 // over the scheme's shape. Legacy axis-free points (pmode "") get nil;
 // ModeUniform gets the even split with identity placement carrying the
@@ -833,10 +863,10 @@ func (t *Tuner) buildFor(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedul
 // embedding and LM-head extras land on the first and last layer), with a
 // memory cap that multiplies each stage's stash by its in-flight depth. The
 // depth comes off the shape (stageDepths), except on DualPipe-D, whose depth
-// the list scheduler's merge decides: there co-opt alone goes through the
-// build memo and walks the built schedule. The result is a pure function of
-// the point's checkpoint-free coordinate and the space.
-func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape) (*place.Assignment, error) {
+// the list scheduler's merge decides: there co-opt alone builds the schedule
+// (on w) and walks it. The result is a pure function of the point's
+// checkpoint-free coordinate and the space.
+func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape, w *worker) (*place.Assignment, error) {
 	if p.pmode == "" {
 		return nil, nil
 	}
@@ -847,7 +877,7 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape) (*place
 	}
 	inFlight, ok := stageDepths(sh)
 	if !ok {
-		sched, err := t.buildFor(p.scheme, p.pp, sh.Micros)
+		sched, err := w.build(p.scheme, p.pp, sh.Micros)
 		if err != nil {
 			return nil, err
 		}
@@ -933,8 +963,8 @@ func inFlightPerStage(sched *pipeline.Schedule) []int {
 // points get the partitioned estimator steered by the assignment's layer
 // split, with the per-rank speeds attached so the simulator (and the bounds)
 // scale compute on slow ranks.
-func (t *Tuner) estimatorFor(space Space, p gridPoint, sh scheme.Shape) (*cost.Estimator, *place.Assignment, error) {
-	asg, err := t.assignmentFor(space, p, sh)
+func (t *Tuner) estimatorFor(space Space, p gridPoint, sh scheme.Shape, w *worker) (*cost.Estimator, *place.Assignment, error) {
+	asg, err := t.assignmentFor(space, p, sh, w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -977,7 +1007,7 @@ type resolution struct {
 // pointShape resolves a grid point. No schedule is built, except by co-opt on
 // DualPipe-D (assignmentFor). Nothing it reads depends on p.ckpt, so both
 // checkpoint values of a coordinate resolve alike.
-func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
+func (t *Tuner) pointShape(space Space, p gridPoint, w *worker) resolution {
 	// By division, as Space.admits does: a huge micro-batch size would wrap
 	// the product mbs·dp, even to zero.
 	perReplica := space.GlobalBatch / p.dp
@@ -992,7 +1022,7 @@ func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
 		return resolution{}
 	}
-	est, asg, err := t.estimatorFor(space, p, sh)
+	est, asg, err := t.estimatorFor(space, p, sh, w)
 	if err != nil {
 		return resolution{}
 	}
@@ -1001,9 +1031,9 @@ func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 
 // evalTraced wraps evalPoint with a detached point span that the merge loop
 // later attaches or discards.
-func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *graph.Engines, tracer *telemetry.Tracer) pointResult {
+func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, w *worker, tracer *telemetry.Tracer) pointResult {
 	sp := pointSpan(tracer, nd.idx, nd.p)
-	pr := t.evalPoint(ctx, space, nd, eng, sp)
+	pr := t.evalPoint(ctx, space, nd, w, sp)
 	sp.End()
 	pr.span = sp
 	return pr
@@ -1017,18 +1047,18 @@ func (t *Tuner) evalTraced(ctx context.Context, space Space, nd bnbNode, eng *gr
 // evaluation still fails (a build, graph-pass or simulator error) comes back
 // infeasible.
 //
-// eng is the caller's reusable engine bundle (one per goroutine). ctx bounds
+// w is the calling goroutine's worker (engines and builds). ctx bounds
 // the slow part of the evaluation (the graph-tuner run); a cancelled context
 // comes back as pointResult.err, never as a fake infeasibility. sp is the
 // point's telemetry span (the zero Span when tracing is off).
-func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *graph.Engines, sp telemetry.Span) pointResult {
+func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, w *worker, sp telemetry.Span) pointResult {
 	if err := ctx.Err(); err != nil {
 		return pointResult{err: err}
 	}
 	p := nd.p
 	cand := &Candidate{Scheme: p.scheme, Ckpt: p.ckpt, PP: p.pp, DP: p.dp, MicroBatch: p.mbs, Micros: nd.micros,
 		PlaceMode: p.pmode, Place: nd.asg}
-	if err := t.materialize(ctx, space, cand, nd.est, eng, sp); err != nil {
+	if err := t.materialize(ctx, space, cand, nd.est, w, sp); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return pointResult{err: err}
 		}
@@ -1044,9 +1074,10 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *gra
 }
 
 // materialize is the one path from a candidate's coordinates and a space to
-// its scored schedule: the memoized scheme build, then either the checkpoint
-// passes and prepose rounds — plus the split-backward attempt when the space
-// asks for it — or the plain schedule, scored on eng. It fills c.Schedule and
+// its scored schedule: the scheme build (w's, when w built the shape before),
+// then either the checkpoint passes and prepose rounds — plus the
+// split-backward attempt when the space asks for it — or the plain schedule,
+// scored on w's engines. It fills c.Schedule and
 // c.Result. evalPoint calls it for every grid point a search explores and
 // Resimulate for every candidate that does not carry its schedule, so a
 // rebuilt schedule is the scored one by construction. space has its defaults
@@ -1057,15 +1088,10 @@ func (t *Tuner) evalPoint(ctx context.Context, space Space, nd bnbNode, eng *gra
 // re-simulation under the same option; Resimulate simulates once more with
 // the timeline on.
 //
-// Under a live sp it records build/graph/sim child spans, tagging the memoized
-// build with its memo key — formatted only when the span is live — so Snapshot
-// can normalize hit/miss attribution into canonical order.
-func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est *cost.Estimator, eng *graph.Engines, sp telemetry.Span) error {
+// Under a live sp it records build/graph/sim child spans.
+func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est *cost.Estimator, w *worker, sp telemetry.Span) error {
 	bs := sp.Child(telemetry.PhaseBuild, "")
-	if bs.Live() {
-		bs.Memo(fmt.Sprintf("%s|pp%d|u%d", c.Scheme.Shape(), c.PP, c.Micros))
-	}
-	sched, err := t.buildFor(c.Scheme, c.PP, c.Micros)
+	sched, err := w.build(c.Scheme, c.PP, c.Micros)
 	bs.End()
 	if err != nil {
 		return err
@@ -1073,7 +1099,7 @@ func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est 
 	simOpts := sim.Options{DP: c.DP, MemLimit: space.DeviceMem, NoTimeline: true}
 	if !c.Ckpt {
 		ss := sp.Child(telemetry.PhaseSim, "")
-		res, err := eng.Main.Simulate(sched, est, simOpts)
+		res, err := w.eng.Main.Simulate(sched, est, simOpts)
 		ss.End()
 		if err != nil {
 			return err
@@ -1084,7 +1110,7 @@ func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est 
 	gs := sp.Child(telemetry.PhaseGraph, "")
 	defer gs.End()
 	gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: space.MaxRounds,
-		Engines: eng, Span: gs, Metrics: t.Metrics}
+		Engines: w.eng, Span: gs, Metrics: t.Metrics}
 	opt, res, err := graph.OptimizeContext(ctx, sched, gopts)
 	if err != nil {
 		return err

@@ -109,7 +109,7 @@ type Config struct {
 	// nil Tracer costs nothing.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the search counters (grid outcomes,
-	// memoization, simulator executions) as registry series. It is the one
+	// schedule builds, simulator executions) as registry series. It is the one
 	// way a search reaches a registry; a Tracer carries no metrics.
 	Metrics *telemetry.SearchMetrics
 }
