@@ -476,9 +476,8 @@ func BenchmarkTuning1024GPU(b *testing.B) {
 // BenchmarkTunerSearch compares sequential and parallel grid search on a
 // large space (a 64-device GPT3-13B grid with four schemes and six
 // micro-batch sizes, well over 200 evaluated configurations). NoPrune keeps
-// the amount of simulation work identical across worker counts (a pool builds
-// a shape once per worker that evaluates it, since each keeps its own
-// builds); the profiler is shared since its output is immutable.
+// the amount of simulation and build work identical across worker counts; the
+// profiler is shared since its output is immutable.
 // The results are byte-identical across sub-benchmarks — only the wall time
 // differs. The pruned variant runs the same grid with the default
 // branch-and-bound search, showing how many simulations the throughput bound

@@ -18,8 +18,8 @@ type SearchMetrics struct {
 	// counts evaluations that improved the incumbent.
 	PointsExplored, PointsOOM, PointsPruned, PointsBoundPruned, PointsMemPruned, PointsImproved *Counter
 	// BuildHits/BuildMisses count schedule-build lookups on the evaluating
-	// goroutines' own builds: a hit reuses a schedule the goroutine built
-	// before, a miss builds one.
+	// goroutines' own builds: a hit reuses a schedule the goroutine built or
+	// was handed before, a miss builds one.
 	BuildHits, BuildMisses *Counter
 	// Sims counts simulator executions across every engine (direct
 	// evaluations and graph inner loops).

@@ -11,6 +11,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/pipeline"
+	"mario/internal/place"
 	"mario/internal/profile"
 	"mario/internal/telemetry"
 )
@@ -302,6 +303,49 @@ func TestCacheSharing(t *testing.T) {
 			t.Errorf("repeat search ran %d prepose rounds, want the first search's %d again", got, rounds)
 		}
 		rounds = got
+	}
+}
+
+// TestPoolBuildsEachShapeOnce: a pool shares a shape's build among its points
+// as the inline search does. Under NoPrune every feasible point is evaluated
+// exactly once and nothing is skipped, so at every worker count a search
+// builds exactly the distinct (scheme, depth, micro-batch count) shapes of its
+// trace. The co-opt space also holds the pool to the DualPipe-D builds the
+// probe pass made: they move to the worker that evaluates the shape.
+func TestPoolBuildsEachShapeOnce(t *testing.T) {
+	hetero := heteroSpace()
+	hetero.NoPrune = true
+	dualpipe := detSpace()
+	dualpipe.Schemes = []pipeline.Scheme{pipeline.SchemeDualPipeD, pipeline.Scheme1F1B}
+	dualpipe.Placement = place.ModeCoOpt
+	dualpipe.NoPrune = true
+	for _, tc := range []struct {
+		name  string
+		sp    Space
+		needs pipeline.Scheme // a scheme the trace must explore
+	}{{"hetero-auto", hetero, pipeline.Scheme1F1B}, {"dualpipe-coopt", dualpipe, pipeline.SchemeDualPipeD}} {
+		for _, w := range []int{1, 3} {
+			tn := newTuner()
+			tn.Workers = w
+			tn.Metrics = telemetry.NewSearchMetrics(telemetry.NewRegistry())
+			_, trace, err := tn.Search(tc.sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes := map[buildKey]bool{}
+			needed := false
+			for _, c := range trace {
+				shapes[buildKey{scheme: c.Scheme, devices: c.PP, micros: c.Micros}] = true
+				needed = needed || c.Scheme == tc.needs
+			}
+			if !needed || len(shapes) == len(trace) {
+				t.Fatalf("%s: %d explored points over %d shapes, %s explored: %v", tc.name, len(trace), len(shapes), tc.needs, needed)
+			}
+			if misses := tn.Metrics.BuildMisses.Value(); misses != int64(len(shapes)) {
+				t.Errorf("%s workers=%d: %d builds, want one per shape (%d shapes over %d points)",
+					tc.name, w, misses, len(shapes), len(trace))
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func searchTrace(t *testing.T, workers int) (jsonl, chrome string, tr *telemetry
 // TestTraceWorkerIndependence is the tentpole determinism contract: the
 // canonical trace exports (JSONL, canonical Chrome trace, tree rendering)
 // are byte-identical for every worker count, even though workers record
-// spans speculatively and each builds its own schedules.
+// spans speculatively and each builds the shapes it claimed.
 func TestTraceWorkerIndependence(t *testing.T) {
 	baseJSONL, baseChrome, baseTr := searchTrace(t, 1)
 	if baseJSONL == "" {
@@ -167,9 +167,9 @@ func TestSearchMetrics(t *testing.T) {
 			t.Errorf("workers=%d: sims counter stayed zero", w)
 		}
 		// Every explored point looks its build up once on the goroutine that
-		// evaluated it, and each goroutine builds a shape once. Inline, that
-		// is exactly one miss per distinct shape explored; a pool may also
-		// evaluate speculatively and build a shape once per worker.
+		// evaluated it, and a shape is built once per search. Inline, that is
+		// exactly one miss per distinct shape explored; a pool may also build
+		// for points it evaluated speculatively.
 		shapes := map[buildKey]bool{}
 		for _, c := range trace {
 			shapes[buildKey{scheme: c.Scheme, devices: c.PP, micros: c.Micros}] = true

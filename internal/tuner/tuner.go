@@ -14,8 +14,9 @@
 // bounded pool of speculative workers (Tuner.Workers). Every decision is taken
 // by the merge against its own incumbent, never by a source, so the best
 // candidate, the trace and the SearchStats are identical for every worker
-// count. Each evaluating goroutine keeps the schedules it built (worker), so
-// a grid point's checkpoint and placement siblings share one build.
+// count. Each evaluating goroutine keeps the schedules it built (worker), and
+// the pool hands all points of one shape to one goroutine, so a grid point's
+// checkpoint and placement siblings share one build at any worker count.
 package tuner
 
 import (
@@ -297,9 +298,10 @@ type Tuner struct {
 	// series when a search ends, completed or not: the grid-outcome counters
 	// are the deltas of SearchStats (so the registry and Stats always agree);
 	// each evaluating goroutine adds its build reuse and simulation counts
-	// when it is done (worker.report). Those are deterministic at Workers 1;
-	// under a pool they depend on which worker evaluated which point, since
-	// every worker builds its own schedules.
+	// when it is done (worker.report). Those are deterministic at Workers 1.
+	// A pool builds each shape at most once as well (poolSource hands all
+	// of a shape's points to one worker), but it also evaluates points
+	// speculatively, so how many shapes it builds depends on scheduling.
 	Metrics *telemetry.SearchMetrics
 
 	// Stats describes the most recent Search call. It is written once, when
@@ -328,6 +330,11 @@ type buildKey struct {
 	scheme  pipeline.Scheme
 	devices int
 	micros  int
+}
+
+// shape is the build a node's evaluation asks its worker for.
+func (n bnbNode) shape() buildKey {
+	return buildKey{scheme: n.p.scheme, devices: n.p.pp, micros: n.micros}
 }
 
 func newWorker() *worker {
@@ -686,7 +693,7 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 	var next func(j int) pointResult
 	if workers > 1 && len(nodes) > 1 {
 		var wait func()
-		next, wait = t.poolSource(ctx, space, workers, nodes, mb, tracer)
+		next, wait = t.poolSource(ctx, space, workers, nodes, w, mb, tracer)
 		defer wait()
 	} else {
 		next = func(j int) pointResult {
@@ -793,48 +800,103 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 	return best, trace, nil
 }
 
-// poolSource is the speculative outcome source: min(workers, nodes)
-// goroutines evaluate the nodes in order, each skipping a node the merged
-// best already dominates, and next(j) blocks until node j's result is in.
-// The merge loop discards whatever speculation its own decision does not
-// confirm. wait returns once every worker has exited; they stop evaluating
-// when ctx is cancelled.
-func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes []bnbNode, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
+// poolSource is the speculative outcome source: up to workers goroutines
+// evaluate the nodes, each skipping a node the merged best already dominates,
+// and next(j) blocks until node j's result is in. The merge loop discards
+// whatever speculation its own decision does not confirm. wait returns once
+// every worker has exited; they stop evaluating when ctx is cancelled.
+//
+// The goroutines claim shapes, not nodes: a claim is every node of one
+// buildKey, handed out in the order of the shape's first node. A goroutine
+// evaluates its claimed nodes in node order, each before the first node of
+// any later claim it takes, so a point's siblings share one build under a
+// pool as they do inline. A build the probe pass made on the search goroutine
+// (w) travels with its shape's claim; no schedule is shared afterwards.
+func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes []bnbNode, w *worker, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
 	results := make([]pointResult, len(nodes))
 	ready := make([]chan struct{}, len(nodes))
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	jobs := make(chan int, len(nodes))
-	for i := range nodes {
-		jobs <- i
+	type claim struct {
+		first int                // the shape's first node
+		build *pipeline.Schedule // the probe pass's build of the shape, or nil
+	}
+	sib, firsts := shapeChains(nodes)
+	jobs := make(chan claim, len(firsts))
+	for _, f := range firsts {
+		bk := nodes[f].shape()
+		jobs <- claim{first: f, build: w.builds[bk]}
+		delete(w.builds, bk)
 	}
 	close(jobs)
 	var wg sync.WaitGroup
-	for n := min(workers, len(nodes)); n > 0; n-- {
+	for n := min(workers, len(firsts)); n > 0; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newWorker()
-			for j := range jobs {
+			pw := newWorker()
+			run := func(j int) {
 				nd := nodes[j]
 				// A cancelled worker skips too: the merge loop checks ctx
-				// itself, and it must never block on a node — every dequeued
-				// job closes its ready channel.
+				// itself, and it must never block on a node — every claimed
+				// node closes its ready channel.
 				if v, ok := mb.load(); ctx.Err() != nil || (ok && nd.dominatedBy(v)) {
 					results[j] = pointResult{}
 				} else {
-					results[j] = t.evalTraced(ctx, space, nd, w, tracer)
+					results[j] = t.evalTraced(ctx, space, nd, pw, tracer)
 				}
 				close(ready[j])
+				// Yield, so that the merge loop the close may have woken runs
+				// now and publishes its incumbent before this worker picks
+				// its next node. A worker that keeps the processor starves
+				// the merge, and every node the stale incumbent fails to
+				// skip is evaluated for nothing.
+				runtime.Gosched()
 			}
-			w.report(t.Metrics)
+			var own []int // claimed nodes not yet evaluated, ascending
+			for c := range jobs {
+				for len(own) > 0 && own[0] < c.first {
+					run(own[0])
+					own = own[1:]
+				}
+				if c.build != nil {
+					pw.builds[nodes[c.first].shape()] = c.build
+				}
+				run(c.first)
+				for j := sib[c.first]; j > 0; j = sib[j] {
+					own = append(own, j)
+				}
+				slices.Sort(own)
+			}
+			for _, j := range own {
+				run(j)
+			}
+			pw.report(t.Metrics)
 		}()
 	}
 	return func(j int) pointResult {
 		<-ready[j]
 		return results[j]
 	}, wg.Wait
+}
+
+// shapeChains links the nodes of each shape in node order: sib[j] is the
+// next node of node j's shape (0 after its last), and firsts lists each
+// shape's first node, ascending.
+func shapeChains(nodes []bnbNode) (sib, firsts []int) {
+	sib = make([]int, len(nodes))
+	last := make(map[buildKey]int, len(nodes))
+	for j, nd := range nodes {
+		bk := nd.shape()
+		if i, ok := last[bk]; ok {
+			sib[i] = j
+		} else {
+			firsts = append(firsts, j)
+		}
+		last[bk] = j
+	}
+	return sib, firsts
 }
 
 // pointKey renders a grid point's canonical span key: the zero-padded
