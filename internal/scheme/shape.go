@@ -47,7 +47,10 @@ type Group struct {
 	// anchor (Backward, or BackwardInput when the backward is split). Those
 	// micro-batches' activations are all live when the anchor starts. It
 	// comes from the layout alone, in closed form, and is 0 on DualPipe-D,
-	// whose depth the list scheduler's merge decides.
+	// whose depth the list scheduler's merge decides. There the injection
+	// window min(N_p, S−s) bounds every cell from above, and each stage's
+	// deepest cell reaches it (checkDepth), which is all the tuner's
+	// per-stage co-opt depth needs.
 	InFlight int
 }
 

@@ -60,7 +60,6 @@ func checkShapeMatchesBuild(t *testing.T, s pipeline.Scheme, cfg Config, sched *
 				want[kindStage{pipeline.RecvGrad, g.Stage}] += g.Micros
 			}
 		}
-		checkDepth(t, s, cfg, dev, list, sh.AppendGroups(nil, dev))
 		if len(built) != len(want) {
 			t.Fatalf("%s %+v dev %d: built multiset %v, shape predicts %v", s, cfg, dev, built, want)
 		}
@@ -70,6 +69,7 @@ func checkShapeMatchesBuild(t *testing.T, s pipeline.Scheme, cfg Config, sched *
 			}
 		}
 	}
+	checkDepth(t, s, cfg, sh, sched)
 }
 
 // TestShapeMatchesBuild replays the FuzzSchemeBuild corpus against every
@@ -108,18 +108,39 @@ func walkDepths(list []pipeline.Instr) map[[2]int]int {
 }
 
 // checkDepth holds every group's closed-form in-flight depth to the walk of
-// the device's built list; DualPipe-D, which has none, must report 0.
-func checkDepth(t *testing.T, s pipeline.Scheme, cfg Config, dev int, list []pipeline.Instr, groups []Group) {
+// its device's built list. DualPipe-D, which has none, must report 0; there
+// no cell may walk deeper than its injection window min(N_p, S−s), and per
+// stage the deepest window must equal the deepest walk — the depth the
+// tuner's co-opt memory cap reads off the shape.
+func checkDepth(t *testing.T, s pipeline.Scheme, cfg Config, sh Shape, sched *pipeline.Schedule) {
 	t.Helper()
-	walked := walkDepths(list)
-	for _, g := range groups {
-		want := walked[[2]int{g.Part, g.Stage}]
-		if s == pipeline.SchemeDualPipeD {
-			want = 0
+	S := sh.Placement.NumStages()
+	window := make([]int, S)
+	walk := make([]int, S)
+	for dev, list := range sched.Lists {
+		walked := walkDepths(list)
+		for _, g := range sh.AppendGroups(nil, dev) {
+			got := walked[[2]int{g.Part, g.Stage}]
+			want := got
+			if s == pipeline.SchemeDualPipeD {
+				want = 0
+				w := min(g.Micros, S-g.Stage)
+				if got > w {
+					t.Fatalf("%s %+v dev %d cell (%d, %d): the built walk reads %d, above the window %d",
+						s, cfg, dev, g.Part, g.Stage, got, w)
+				}
+				window[g.Stage] = max(window[g.Stage], w)
+				walk[g.Stage] = max(walk[g.Stage], got)
+			}
+			if g.InFlight != want {
+				t.Fatalf("%s %+v dev %d cell (%d, %d): depth %d, the built walk reads %d",
+					s, cfg, dev, g.Part, g.Stage, g.InFlight, want)
+			}
 		}
-		if g.InFlight != want {
-			t.Fatalf("%s %+v dev %d cell (%d, %d): depth %d, the built walk reads %d",
-				s, cfg, dev, g.Part, g.Stage, g.InFlight, want)
+	}
+	for st := range window {
+		if window[st] != walk[st] {
+			t.Fatalf("%s %+v stage %d: deepest window %d, deepest walk %d", s, cfg, st, window[st], walk[st])
 		}
 	}
 }
@@ -145,9 +166,7 @@ func TestShapeDepthMatchesBuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for dev, list := range sched.Lists {
-						checkDepth(t, s, cfg, dev, list, sh.AppendGroups(nil, dev))
-					}
+					checkDepth(t, s, cfg, sh, sched)
 				}
 			}
 		}

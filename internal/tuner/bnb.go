@@ -332,7 +332,7 @@ func (t *Tuner) pruneInfeasible(idx int, p gridPoint, tracer *telemetry.Tracer, 
 // A point's resolution does not depend on its checkpoint flag, so the pass
 // resolves each checkpoint-free coordinate once and hands the result to both
 // of its nodes.
-func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, w *worker, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
+func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) ([]bnbNode, error) {
 	bound := search.Child(telemetry.PhaseBound, "")
 	defer bound.End()
 	nodes := make([]bnbNode, 0, len(points))
@@ -345,7 +345,7 @@ func (t *Tuner) probeAll(ctx context.Context, space Space, points []gridPoint, w
 		key.ckpt = false
 		r, seen := resolved[key]
 		if !seen {
-			r = t.pointShape(space, p, w)
+			r = t.pointShape(space, p)
 			resolved[key] = r
 		}
 		nd, ok := t.probePoint(space, p, r)

@@ -69,7 +69,7 @@ func exhaustiveArgmax(t *testing.T, tn *Tuner, sp Space) stratOut {
 	var best *Candidate
 	var out stratOut
 	for _, p := range enumerate(sp) {
-		r := tn.pointShape(sp, p, w)
+		r := tn.pointShape(sp, p)
 		if !r.ok {
 			out.pruned++
 			continue
@@ -184,7 +184,7 @@ func memPressureSpace(t *testing.T) Space {
 	spd := sp.WithDefaults()
 	probe := newTuner()
 	p4 := gridPoint{scheme: pipeline.Scheme1F1B, pp: 4, dp: 2, mbs: 1}
-	nd4, ok := probe.probePoint(spd, p4, probe.pointShape(spd, p4, newWorker()))
+	nd4, ok := probe.probePoint(spd, p4, probe.pointShape(spd, p4))
 	if !ok {
 		t.Fatal("pp=4 probe point is structurally infeasible")
 	}
@@ -325,7 +325,7 @@ func TestBnBBoundAdmissible(t *testing.T) {
 					oom++
 				}
 				p := pointOf(c)
-				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p, newWorker()))
+				nd, ok := tn.probePoint(spd, p, tn.pointShape(spd, p))
 				if !ok {
 					t.Errorf("simulated point %s probes as structurally infeasible", c.Label())
 					continue

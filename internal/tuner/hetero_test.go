@@ -207,8 +207,9 @@ func TestHeteroCandidateAssignment(t *testing.T) {
 
 // TestStageDepthsMatchBuild holds co-opt's per-stage in-flight vector, read
 // off the shape, to inFlightPerStage's walk of the built schedule over every
-// registry shape with D ≤ 16 and N ≤ 4D. DualPipe-D has no closed form: its
-// shape reports none, and co-opt walks its build instead.
+// registry shape with D ≤ 16 and N ≤ 4D. On DualPipe-D, whose cells have no
+// closed-form depth, the vector is the injection window per stage, and the
+// walk reaches it.
 func TestStageDepthsMatchBuild(t *testing.T) {
 	for _, s := range scheme.Schemes() {
 		for d := 1; d <= 16; d++ {
@@ -218,21 +219,50 @@ func TestStageDepthsMatchBuild(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				got, ok := stageDepths(sh)
-				if s == pipeline.SchemeDualPipeD {
-					if ok {
-						t.Fatalf("%s D=%d N=%d: the shape reports a closed-form depth", s, d, n)
-					}
-					continue
-				}
 				sched, err := scheme.Build(s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := inFlightPerStage(sched); !ok || !slices.Equal(got, want) {
-					t.Fatalf("%s D=%d N=%d: shape depths %v (ok %v), the built walk reads %v", s, d, n, got, ok, want)
+				if got, want := stageDepths(sh), inFlightPerStage(sched); !slices.Equal(got, want) {
+					t.Fatalf("%s D=%d N=%d: shape depths %v, the built walk reads %v", s, d, n, got, want)
 				}
 			}
 		}
 	}
+}
+
+// inFlightPerStage is the oracle of stageDepths, walked off a built schedule:
+// per stage, the forwards a device issues before the stage's first backward
+// anchor, at least 1.
+func inFlightPerStage(sched *pipeline.Schedule) []int {
+	S := sched.NumStages()
+	out := make([]int, S)
+	fw := make([]int, S)
+	done := make([]bool, S)
+	for _, list := range sched.Lists {
+		for i := range fw {
+			fw[i], done[i] = 0, false
+		}
+		for _, in := range list {
+			switch in.Kind {
+			case pipeline.Forward, pipeline.CkptForward:
+				if !done[in.Stage] {
+					fw[in.Stage]++
+				}
+			case pipeline.Backward, pipeline.BackwardInput:
+				done[in.Stage] = true
+			}
+		}
+		for st, n := range fw {
+			if n > out[st] {
+				out[st] = n
+			}
+		}
+	}
+	for st, n := range out {
+		if n < 1 {
+			out[st] = 1
+		}
+	}
+	return out
 }

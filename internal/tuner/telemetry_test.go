@@ -195,7 +195,7 @@ func TestSplitBackwardSimsCounted(t *testing.T) {
 	ev := newWorker()
 	ref, full := newTuner(), sp.WithDefaults()
 	for _, p := range enumerate(full) {
-		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p, ev)); ok {
+		if nd, ok := ref.probePoint(full, p, ref.pointShape(full, p)); ok {
 			ref.evalPoint(context.Background(), full, nd, ev, telemetry.Span{})
 		}
 	}
@@ -221,9 +221,8 @@ func TestTracedOffPruneAllocatesNothing(t *testing.T) {
 	sp := detSpace().WithDefaults()
 	p := gridPoint{scheme: sp.Schemes[0], pp: 8, dp: 1, mbs: 3} // 3 does not divide the batch
 	var stats SearchStats
-	w := newWorker()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := tn.probePoint(sp, p, tn.pointShape(sp, p, w)); ok {
+		if _, ok := tn.probePoint(sp, p, tn.pointShape(sp, p)); ok {
 			t.Fatal("fixture point is feasible")
 		}
 		tn.pruneInfeasible(7, p, nil, telemetry.Span{}, &stats)

@@ -14,7 +14,8 @@
 // bounded pool of speculative workers (Tuner.Workers). Every decision is taken
 // by the merge against its own incumbent, never by a source, so the best
 // candidate, the trace and the SearchStats are identical for every worker
-// count. Each evaluating goroutine keeps the schedules it built (worker), and
+// count. The probe pass builds no schedule: schedules are built on expansion
+// only. Each evaluating goroutine keeps the schedules it built (worker), and
 // the pool hands all points of one shape to one goroutine, so a grid point's
 // checkpoint and placement siblings share one build at any worker count.
 package tuner
@@ -298,10 +299,12 @@ type Tuner struct {
 	// series when a search ends, completed or not: the grid-outcome counters
 	// are the deltas of SearchStats (so the registry and Stats always agree);
 	// each evaluating goroutine adds its build reuse and simulation counts
-	// when it is done (worker.report). Those are deterministic at Workers 1.
-	// A pool builds each shape at most once as well (poolSource hands all
-	// of a shape's points to one worker), but it also evaluates points
-	// speculatively, so how many shapes it builds depends on scheduling.
+	// when it is done (worker.report). Those are deterministic at Workers 1,
+	// where schedules are built on expansion only, so the build misses are
+	// the distinct shapes the search explored. A pool builds each shape at
+	// most once as well (poolSource hands all of a shape's points to one
+	// worker), but it also evaluates points speculatively, so how many
+	// shapes it builds depends on scheduling.
 	Metrics *telemetry.SearchMetrics
 
 	// Stats describes the most recent Search call. It is written once, when
@@ -311,11 +314,12 @@ type Tuner struct {
 }
 
 // worker is what one evaluating goroutine owns: its simulator engine bundle
-// and the base schedules it built, by shape. The search goroutine (probe pass,
-// inline evaluation, the merge loop's re-evaluation) holds one and every pool
-// worker its own, so nothing in it is shared and nothing is locked. A build
-// serves the goroutine's later points of the same shape — a grid point's
-// checkpoint and placement siblings — which clone it before any edit.
+// and the base schedules it built, by shape. The search goroutine (inline
+// evaluation, the merge loop's re-evaluation) holds one and every pool worker
+// its own, so nothing in it is shared and nothing is locked; the probe pass
+// needs none. A build serves the goroutine's later points of the same shape —
+// a grid point's checkpoint and placement siblings — which clone it before
+// any edit.
 type worker struct {
 	eng          *graph.Engines
 	builds       map[buildKey]*pipeline.Schedule
@@ -342,9 +346,8 @@ func newWorker() *worker {
 }
 
 // build returns the base schedule of a (scheme, depth, micro-batch count)
-// shape, building it the first time the goroutine asks. materialize and the
-// co-opt assignment both go through it. The schedule is read-only: whoever
-// edits it clones it first.
+// shape, building it the first time the goroutine asks; materialize is its
+// one caller. The schedule is read-only: whoever edits it clones it first.
 func (w *worker) build(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule, error) {
 	bk := buildKey{scheme: sch, devices: pp, micros: micros}
 	if s, ok := w.builds[bk]; ok {
@@ -410,26 +413,16 @@ type pointResult struct {
 }
 
 // mergedBest publishes the throughput of the best candidate merged so far to
-// the pool workers (poolSource). It only ever grows and never exceeds the
-// merge loop's incumbent, so a node it dominates (bnbNode.dominatedBy) is one
-// the merge loop's own decision is guaranteed to prune — which is what makes
-// a worker's skip exact.
-type mergedBest struct {
-	bits atomic.Uint64
-	set  atomic.Bool
-}
+// the pool workers (poolSource), as float64 bits. It starts at -Inf, which
+// dominates nothing, only ever grows and never exceeds the merge loop's
+// incumbent, so a node it dominates (bnbNode.dominatedBy) is one the merge
+// loop's own decision is guaranteed to prune — which is what makes a worker's
+// skip exact.
+type mergedBest struct{ bits atomic.Uint64 }
 
-func (m *mergedBest) store(v float64) {
-	m.bits.Store(math.Float64bits(v))
-	m.set.Store(true)
-}
+func (m *mergedBest) store(v float64) { m.bits.Store(math.Float64bits(v)) }
 
-func (m *mergedBest) load() (float64, bool) {
-	if !m.set.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(m.bits.Load()), true
-}
+func (m *mergedBest) load() float64 { return math.Float64frombits(m.bits.Load()) }
 
 // enumerate lists the grid in canonical iteration order: scheme-major, then
 // checkpointing, then PP (ascending, divisors of D only), then micro-batch
@@ -506,8 +499,8 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	if m := t.Metrics; m != nil {
 		m.Searches.Inc()
 	}
-	// w is the search goroutine's own: the probe pass, the inline evaluations
-	// and the merge loop's forced re-evaluations run on it (pool workers hold
+	// w is the search goroutine's own: the inline evaluations and the merge
+	// loop's forced re-evaluations run on it (pool workers hold
 	// one each; a worker is not goroutine-safe).
 	w := newWorker()
 	// The one exit: whatever the search merged before it completed, failed or
@@ -659,7 +652,7 @@ const (
 // (Workers ≤ 1: never speculates) and the speculative worker pool (poolSource,
 // Workers > 1).
 func (t *Tuner) search(ctx context.Context, space Space, workers int, points []gridPoint, w *worker, tracer *telemetry.Tracer, search telemetry.Span, stats *SearchStats) (*Candidate, []Candidate, error) {
-	nodes, err := t.probeAll(ctx, space, points, w, tracer, search, stats)
+	nodes, err := t.probeAll(ctx, space, points, tracer, search, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -667,6 +660,7 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 	var best *Candidate
 	bestIdx := -1
 	mb := &mergedBest{}
+	mb.store(math.Inf(-1))
 	type traceEnt struct {
 		idx int
 		c   Candidate
@@ -693,7 +687,7 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 	var next func(j int) pointResult
 	if workers > 1 && len(nodes) > 1 {
 		var wait func()
-		next, wait = t.poolSource(ctx, space, workers, nodes, w, mb, tracer)
+		next, wait = t.poolSource(ctx, space, workers, nodes, mb, tracer)
 		defer wait()
 	} else {
 		next = func(j int) pointResult {
@@ -810,24 +804,19 @@ func (t *Tuner) search(ctx context.Context, space Space, workers int, points []g
 // buildKey, handed out in the order of the shape's first node. A goroutine
 // evaluates its claimed nodes in node order, each before the first node of
 // any later claim it takes, so a point's siblings share one build under a
-// pool as they do inline. A build the probe pass made on the search goroutine
-// (w) travels with its shape's claim; no schedule is shared afterwards.
-func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes []bnbNode, w *worker, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
+// pool as they do inline. A claim is its shape's first node index and carries
+// no schedule: the goroutine builds the shape itself, and no schedule is
+// shared between goroutines.
+func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes []bnbNode, mb *mergedBest, tracer *telemetry.Tracer) (next func(j int) pointResult, wait func()) {
 	results := make([]pointResult, len(nodes))
 	ready := make([]chan struct{}, len(nodes))
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	type claim struct {
-		first int                // the shape's first node
-		build *pipeline.Schedule // the probe pass's build of the shape, or nil
-	}
 	sib, firsts := shapeChains(nodes)
-	jobs := make(chan claim, len(firsts))
+	jobs := make(chan int, len(firsts))
 	for _, f := range firsts {
-		bk := nodes[f].shape()
-		jobs <- claim{first: f, build: w.builds[bk]}
-		delete(w.builds, bk)
+		jobs <- f
 	}
 	close(jobs)
 	var wg sync.WaitGroup
@@ -841,7 +830,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 				// A cancelled worker skips too: the merge loop checks ctx
 				// itself, and it must never block on a node — every claimed
 				// node closes its ready channel.
-				if v, ok := mb.load(); ctx.Err() != nil || (ok && nd.dominatedBy(v)) {
+				if ctx.Err() != nil || nd.dominatedBy(mb.load()) {
 					results[j] = pointResult{}
 				} else {
 					results[j] = t.evalTraced(ctx, space, nd, pw, tracer)
@@ -855,16 +844,13 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 				runtime.Gosched()
 			}
 			var own []int // claimed nodes not yet evaluated, ascending
-			for c := range jobs {
-				for len(own) > 0 && own[0] < c.first {
+			for first := range jobs {
+				for len(own) > 0 && own[0] < first {
 					run(own[0])
 					own = own[1:]
 				}
-				if c.build != nil {
-					pw.builds[nodes[c.first].shape()] = c.build
-				}
-				run(c.first)
-				for j := sib[c.first]; j > 0; j = sib[j] {
+				run(first)
+				for j := sib[first]; j > 0; j = sib[j] {
 					own = append(own, j)
 				}
 				slices.Sort(own)
@@ -923,12 +909,10 @@ func pointSpan(tracer *telemetry.Tracer, i int, p gridPoint) telemetry.Span {
 // per-rank speeds; ModeCoOpt runs the place.CoOptimize fixpoint over the
 // per-layer cost model (an estimator fit with one stage per layer, so the
 // embedding and LM-head extras land on the first and last layer), with a
-// memory cap that multiplies each stage's stash by its in-flight depth. The
-// depth comes off the shape (stageDepths), except on DualPipe-D, whose depth
-// the list scheduler's merge decides: there co-opt alone builds the schedule
-// (on w) and walks it. The result is a pure function of the point's
-// checkpoint-free coordinate and the space.
-func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape, w *worker) (*place.Assignment, error) {
+// memory cap that multiplies each stage's stash by its in-flight depth, read
+// off the shape (stageDepths). It builds no schedule. The result is a pure
+// function of the point's checkpoint-free coordinate and the space.
+func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape) (*place.Assignment, error) {
 	if p.pmode == "" {
 		return nil, nil
 	}
@@ -936,14 +920,6 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape, w *work
 	rankSpeed := place.RankSpeeds(space.DeviceSpeeds, pl.NumDevices(), p.dp)
 	if p.pmode == place.ModeUniform {
 		return place.Uniform(t.Prof.Model.Layers, pl, rankSpeed), nil
-	}
-	inFlight, ok := stageDepths(sh)
-	if !ok {
-		sched, err := w.build(p.scheme, p.pp, sh.Micros)
-		if err != nil {
-			return nil, err
-		}
-		inFlight = inFlightPerStage(sched)
 	}
 	layers := t.Prof.Model.Layers
 	perLayer := make([]int, layers)
@@ -957,84 +933,36 @@ func (t *Tuner) assignmentFor(space Space, p gridPoint, sh scheme.Shape, w *work
 	return place.CoOptimize(place.NewLayerModel(layerEst), pl, rankSpeed, place.Options{
 		MemCap:       space.DeviceMem,
 		FrameworkMem: layerEst.FrameworkMem,
-		InFlight:     inFlight,
+		InFlight:     stageDepths(sh),
 		BufBytes:     layerEst.ActP2PBytes + layerEst.GradP2PBytes,
 	})
 }
 
 // stageDepths reads co-opt's per-stage in-flight vector off the shape: per
 // stage, the deepest of its resident cells (scheme.Group.InFlight), and at
-// least 1. ok is false when the layout has no closed-form depth.
-func stageDepths(sh scheme.Shape) (depths []int, ok bool) {
-	depths = make([]int, sh.Placement.NumStages())
+// least 1. A cell with no closed-form depth (DualPipe-D's, whose depth the
+// list scheduler's merge decides) counts its injection window
+// min(N_p, S−s): addInjectionWindows starts no forward of a partition's
+// (k+S−s)-th micro-batch at stage s before the k-th one's anchor, so no cell
+// runs deeper, and per stage the deepest cell reaches it (DESIGN §5).
+func stageDepths(sh scheme.Shape) []int {
+	S := sh.Placement.NumStages()
+	depths := make([]int, S)
 	var groups []scheme.Group
 	for d := 0; d < sh.Placement.NumDevices(); d++ {
 		groups = sh.AppendGroups(groups[:0], d)
 		for _, g := range groups {
-			if g.InFlight == 0 {
-				return nil, false
+			k := g.InFlight
+			if k == 0 {
+				k = min(g.Micros, S-g.Stage)
 			}
-			depths[g.Stage] = max(depths[g.Stage], g.InFlight)
+			depths[g.Stage] = max(depths[g.Stage], k)
 		}
 	}
 	for st, n := range depths {
 		depths[st] = max(n, 1)
 	}
-	return depths, true
-}
-
-// inFlightPerStage is stageDepths walked off a built schedule: per stage, the
-// forwards a device issues before the stage's first backward anchor, at
-// least 1. Co-opt reads it on DualPipe-D, whose shape has no closed-form
-// depth; the tests hold stageDepths to it on every other layout.
-func inFlightPerStage(sched *pipeline.Schedule) []int {
-	S := sched.NumStages()
-	out := make([]int, S)
-	fw := make([]int, S)
-	done := make([]bool, S)
-	for _, list := range sched.Lists {
-		for i := range fw {
-			fw[i], done[i] = 0, false
-		}
-		for _, in := range list {
-			switch in.Kind {
-			case pipeline.Forward, pipeline.CkptForward:
-				if !done[in.Stage] {
-					fw[in.Stage]++
-				}
-			case pipeline.Backward, pipeline.BackwardInput:
-				done[in.Stage] = true
-			}
-		}
-		for st, n := range fw {
-			if n > out[st] {
-				out[st] = n
-			}
-		}
-	}
-	for st, n := range out {
-		if n < 1 {
-			out[st] = 1
-		}
-	}
-	return out
-}
-
-// estimatorFor builds the estimator a grid point is scored with. Legacy
-// axis-free points keep the uniform-split estimator untouched; placement-axis
-// points get the partitioned estimator steered by the assignment's layer
-// split, with the per-rank speeds attached so the simulator (and the bounds)
-// scale compute on slow ranks.
-func (t *Tuner) estimatorFor(space Space, p gridPoint, sh scheme.Shape, w *worker) (*cost.Estimator, *place.Assignment, error) {
-	asg, err := t.assignmentFor(space, p, sh, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	est, err := assignedEstimator(t.Prof, asg, sh.Placement.NumStages(), p.mbs, space.TP)
-	if err != nil {
-		return nil, nil, err
-	}
-	return est, asg, nil
+	return depths
 }
 
 // assignedEstimator is the estimator a (stage count, micro-batch size, TP)
@@ -1066,10 +994,11 @@ type resolution struct {
 	ok     bool
 }
 
-// pointShape resolves a grid point. No schedule is built, except by co-opt on
-// DualPipe-D (assignmentFor). Nothing it reads depends on p.ckpt, so both
-// checkpoint values of a coordinate resolve alike.
-func (t *Tuner) pointShape(space Space, p gridPoint, w *worker) resolution {
+// pointShape resolves a grid point: the micro-batch count, the shape, the
+// assignment (assignmentFor) and the estimator scored under it
+// (assignedEstimator). It builds no schedule. Nothing it reads depends on
+// p.ckpt, so both checkpoint values of a coordinate resolve alike.
+func (t *Tuner) pointShape(space Space, p gridPoint) resolution {
 	// By division, as Space.admits does: a huge micro-batch size would wrap
 	// the product mbs·dp, even to zero.
 	perReplica := space.GlobalBatch / p.dp
@@ -1084,7 +1013,11 @@ func (t *Tuner) pointShape(space Space, p gridPoint, w *worker) resolution {
 	if err != nil || t.Prof.Model.Layers < sh.Placement.NumStages() {
 		return resolution{}
 	}
-	est, asg, err := t.estimatorFor(space, p, sh, w)
+	asg, err := t.assignmentFor(space, p, sh)
+	if err != nil {
+		return resolution{}
+	}
+	est, err := assignedEstimator(t.Prof, asg, sh.Placement.NumStages(), p.mbs, space.TP)
 	if err != nil {
 		return resolution{}
 	}
