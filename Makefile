@@ -159,20 +159,22 @@ fuzz:
 lint:
 	$(GO) run ./cmd/exportlint $$($(GO) list ./internal/... | sed 's|^mario/|./|')
 
-# End-to-end smoke of the mariod planning service: boots the daemon on a
-# loopback port, plans a small workload through the Go client (fresh run,
-# then a byte-identical cache hit), checks /healthz and /metrics, and walks
-# the SIGTERM drain path. Exits non-zero on any failure.
+# End-to-end smoke of the mariod planning service, under the race detector:
+# re-runs the test binary as mariod with a main and a debug listener, plans a
+# small workload through the Go client (traced fresh run, then a byte-identical
+# cache hit), reads pprof, the flight dump and fresh gauges off the debug port,
+# dumps the flight recorder on SIGQUIT and walks the SIGTERM drain to exit 0.
 serve-smoke:
-	$(GO) run ./cmd/mariod -selfcheck
+	$(call go-test-named,-race,TestDaemonLifeCycle,./cmd/mariod)
 
-# Fleet smoke: boots a loopback three-member routing mesh, proves the routed
-# plan byte-identical to an in-process Optimize, proves peer-routed cache hits
-# from every member (and a routed-ok count on every non-owner), pushes a
-# loadgen burst through (no errors, no 429/503), and drains. Exits non-zero on
-# any failure.
+# Fleet smoke, under the race detector: a routed plan byte-identical to an
+# in-process Optimize and answered from the owner's cache on repeat, then a
+# three-member loopback fleet that routes the base workload from every
+# non-owner (a routed-ok count on each) and takes a loadgen burst (no errors,
+# no 429/503, cache and peer hits) before it drains.
 fleet-smoke:
-	$(GO) run ./cmd/mariod -fleet-selfcheck
+	$(call go-test-named,-race,TestFleetEndToEndByteIdentity,./internal/serve)
+	$(call go-test-named,-race,TestLoopbackFleetBurst,./internal/serve/loadgen)
 
 # Telemetry smoke: the span-tree determinism tests under the race detector
 # (canonical exports byte-identical for Workers ∈ {1,4,GOMAXPROCS}), the one

@@ -45,7 +45,10 @@ import (
 type Machine struct {
 	// Truth is the ground-truth per-instruction cost model (what the
 	// hardware "really" does; the profiler only ever observes it through
-	// noisy samples).
+	// noisy samples). Its DeviceSpeed is the cluster's declared
+	// heterogeneity: compute instructions on device d are scaled by
+	// Truth.SlowOf(d), as the simulator scales them; p2p transfers are
+	// link-bound and stay unscaled.
 	Truth *cost.Estimator
 	// Noise is the relative amplitude of deterministic per-instruction
 	// jitter (e.g. 0.05 for ±5%).
@@ -63,15 +66,6 @@ type Machine struct {
 	// one device, so this is a systematic error source for the simulator —
 	// the "un-modeled behaviors" of §6.6.
 	Hetero float64
-	// SpeedFactors, when non-nil, gives each device a known static relative
-	// compute speed (1 = nominal, 0.8 = compute runs 25% slower). Unlike the
-	// unmodeled Hetero jitter this is declared cluster heterogeneity — the
-	// planner sees the same numbers through cost.Estimator.DeviceSpeed.
-	// Compute instructions on device d are scaled by 1/SpeedFactors[d]; p2p
-	// transfers are link-bound and stay unscaled. Entries beyond the device
-	// count are ignored; missing, zero or negative entries mean nominal
-	// speed.
-	SpeedFactors []float64
 	// Seed makes all jitter reproducible.
 	Seed uint64
 	// DP is the data-parallel degree for the cool-down all-reduce.
@@ -135,7 +129,7 @@ func (m *Machine) runners(s *pipeline.Schedule) []devRunner {
 			// Static per-device speed factor, fixed for the machine's
 			// lifetime (drawn from a stream independent of the jitter).
 			devFactor: 1 + m.Hetero*symmetric(tensor.NewStream(m.Seed^0xDEC0DE, uint64(d))),
-			speedSlow: slowFactor(m.SpeedFactors, d),
+			speedSlow: m.Truth.SlowOf(d),
 		}
 	}
 	return runners
@@ -269,7 +263,7 @@ type devRunner struct {
 	m         *Machine
 	dp        int
 	devFactor float64
-	// speedSlow is the declared compute slowdown 1/SpeedFactors[d]
+	// speedSlow is the declared compute slowdown Truth.SlowOf(d)
 	// (exactly 1 on a homogeneous machine).
 	speedSlow float64
 	// overhead is the per-instruction launch plus framework overhead.
@@ -355,19 +349,6 @@ func (r *devRunner) exec(dv *Device[float64], in pipeline.Instr, ev *obs.Event) 
 		ev.Mem = r.mem.Step(in)
 	}
 	return nil
-}
-
-// slowFactor converts a declared per-device speed into the compute slowdown
-// multiplier: 1/speeds[d], or exactly 1 when the slice is short, missing, or
-// the entry is non-positive.
-func slowFactor(speeds []float64, d int) float64 {
-	if d < 0 || d >= len(speeds) {
-		return 1
-	}
-	if s := speeds[d]; s > 0 {
-		return 1 / s
-	}
-	return 1
 }
 
 // symmetric draws a uniform value in [-1, 1).

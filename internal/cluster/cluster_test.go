@@ -40,8 +40,8 @@ func buildSched(t *testing.T, sch pipeline.Scheme, cfg scheme.Config) *pipeline.
 // iteration-0 events are one record stream — identity, peer, payload, start,
 // end, receive wait and memory bit-equal at every position — and render to
 // the same chart. Each scheme also runs with a declared straggler, the
-// estimator's DeviceSpeed and the machine's SpeedFactors both slowing device
-// 2 to 1/1.35: the model prices a straggler exactly, with no second mechanism.
+// estimator's DeviceSpeed slowing device 2 to 1/1.35 in both executors: the
+// model prices a straggler exactly, with no second mechanism.
 //
 // The agreement depends on cost.Uniform's zero launch overhead. The two
 // executors end a receive whose message is late differently: the emulator at
@@ -69,7 +69,6 @@ func TestClusterMatchesSimulatorNoiseless(t *testing.T) {
 				t.Fatalf("%s speeds %v: sim: %v", tc.sch, speeds, err)
 			}
 			m := machine(e)
-			m.SpeedFactors = speeds
 			m.CollectEvents = true
 			got := mustRun(t, m, s, 1)
 			if math.Abs(got.Total-want.Total) > 1e-9 {
@@ -230,8 +229,9 @@ func TestSampleMatchesRun(t *testing.T) {
 	} {
 		const iters = 3
 		s := buildSched(t, tc.sch, tc.cfg)
-		m := &Machine{Truth: cost.Uniform(s.NumStages(), 1, 2, 0.25), Noise: 0.05, Hetero: 0.05,
-			ExtraOverhead: 0.01, MemSlack: 1.1, SpeedFactors: []float64{1, 0.8, 1.25, 0.9}, Seed: 17, DP: 2}
+		truth := cost.Uniform(s.NumStages(), 1, 2, 0.25)
+		truth.DeviceSpeed = []float64{1, 0.8, 1.25, 0.9}
+		m := &Machine{Truth: truth, Noise: 0.05, Hetero: 0.05, ExtraOverhead: 0.01, MemSlack: 1.1, Seed: 17, DP: 2}
 		durs, peak, err := m.Sample(s, iters)
 		if err != nil {
 			t.Fatalf("%s: Sample: %v", tc.sch, err)

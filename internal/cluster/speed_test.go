@@ -9,13 +9,16 @@ import (
 	"mario/internal/scheme"
 )
 
-// TestSpeedFactorsSlowCompute: a declared 0.8× device stretches its own
-// compute samples by exactly 1/0.8 and leaves the other devices untouched.
+// TestSpeedFactorsSlowCompute: a device the truth estimator declares 0.8×
+// (DeviceSpeed) stretches its own compute samples by exactly 1/0.8 and leaves
+// the other devices untouched.
 func TestSpeedFactorsSlowCompute(t *testing.T) {
 	s := buildSched(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
+	slowed := *e
+	slowed.DeviceSpeed = []float64{1, 1, 0.8, 1}
 	nominal := &Machine{Truth: e, Seed: 11}
-	declared := &Machine{Truth: e, Seed: 11, SpeedFactors: []float64{1, 1, 0.8, 1}}
+	declared := &Machine{Truth: &slowed, Seed: 11}
 	if slow, base := mustRun(t, declared, s, 1), mustRun(t, nominal, s, 1); slow.Total <= base.Total {
 		t.Errorf("0.8x device did not stretch the run: %v vs %v", slow.Total, base.Total)
 	}

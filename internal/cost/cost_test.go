@@ -109,9 +109,6 @@ func TestAnalyticBasics(t *testing.T) {
 		if e.FwTime[st] <= 0 || e.BwTime[st] <= e.FwTime[st] {
 			t.Errorf("stage %d: fw=%v bw=%v; want 0 < fw < bw", st, e.FwTime[st], e.BwTime[st])
 		}
-		if math.Abs(e.RcTime[st]-e.FwTime[st]) > 1e-12 {
-			t.Errorf("stage %d: recompute %v != forward %v", st, e.RcTime[st], e.FwTime[st])
-		}
 		if e.ActStash[st] >= e.ActFull[st] {
 			t.Errorf("stage %d: stash %v not below full activation %v", st, e.ActStash[st], e.ActFull[st])
 		}
@@ -217,8 +214,8 @@ func TestUniform(t *testing.T) {
 		t.Errorf("uniform comm should be free, got %v", e.CommTime(0))
 	}
 	for i := 0; i < 4; i++ {
-		if e.FwTime[i] != 1 || e.BwTime[i] != 2 || e.RcTime[i] != 1 {
-			t.Errorf("stage %d times wrong: %v %v %v", i, e.FwTime[i], e.BwTime[i], e.RcTime[i])
+		if e.FwTime[i] != 1 || e.BwTime[i] != 2 {
+			t.Errorf("stage %d times wrong: %v %v", i, e.FwTime[i], e.BwTime[i])
 		}
 	}
 }

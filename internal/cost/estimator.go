@@ -55,9 +55,9 @@ type Estimator struct {
 	// TP is the tensor-parallel degree folded into the per-stage costs.
 	TP int
 
-	// FwTime, BwTime and RcTime are per-stage compute latencies in seconds.
-	// Recompute replays the forward, so RcTime ≈ FwTime.
-	FwTime, BwTime, RcTime []float64
+	// FwTime and BwTime are per-stage compute latencies in seconds. A
+	// recompute replays the forward, so it is priced at FwTime.
+	FwTime, BwTime []float64
 	// ActFull is the full activation footprint of one micro-batch per stage
 	// in bytes (retained by Forward until Backward).
 	ActFull []float64
@@ -232,7 +232,6 @@ func Analytic(cfg AnalyticConfig) (*Estimator, error) {
 		TP:             tp,
 		FwTime:         make([]float64, cfg.Stages),
 		BwTime:         make([]float64, cfg.Stages),
-		RcTime:         make([]float64, cfg.Stages),
 		ActFull:        make([]float64, cfg.Stages),
 		ActStash:       make([]float64, cfg.Stages),
 		ActWork:        make([]float64, cfg.Stages),
@@ -259,7 +258,6 @@ func Analytic(cfg AnalyticConfig) (*Estimator, error) {
 		}
 		e.FwTime[st] = fw
 		e.BwTime[st] = fw * hw.BackwardRatio
-		e.RcTime[st] = fw
 		e.ActFull[st] = layerActBytes * fl
 		e.ActStash[st] = stashBytes
 		e.ActWork[st] = layerActBytes

@@ -1,7 +1,7 @@
 package cost
 
 // Uniform returns an idealised estimator with identical per-stage costs and
-// free communication: forward time fw, backward time bw, recompute time fw,
+// free communication: forward (and recompute) time fw, backward time bw,
 // zero launch overhead and zero p2p latency. It reproduces the grid-world
 // setting of the paper's illustrations (Fig. 2: F = t, B = 2t) and is used
 // by tests and the Figure 2 experiment.
@@ -16,7 +16,6 @@ func Uniform(stages int, fw, bw, stash float64) *Estimator {
 		TP:            1,
 		FwTime:        make([]float64, stages),
 		BwTime:        make([]float64, stages),
-		RcTime:        make([]float64, stages),
 		ActFull:       make([]float64, stages),
 		ActStash:      make([]float64, stages),
 		ActWork:       make([]float64, stages),
@@ -27,7 +26,6 @@ func Uniform(stages int, fw, bw, stash float64) *Estimator {
 	for i := 0; i < stages; i++ {
 		e.FwTime[i] = fw
 		e.BwTime[i] = bw
-		e.RcTime[i] = fw
 		e.ActFull[i] = 1
 		e.ActStash[i] = stash
 	}

@@ -15,9 +15,10 @@ const stragglerSpeed = 1 / 1.35
 
 // StragglerResult is the straggler finding: a base and a Mario-optimized
 // (ovlp) variant of the same 1F1B configuration, each executed on the
-// emulated cluster healthy and with the middle device slowed through
-// Machine.SpeedFactors. Mario fills bubbles with recompute, so its schedule
-// has less slack to absorb a straggler and keeps less of its throughput.
+// emulated cluster healthy and with the middle device slowed through the
+// machine's truth estimator (its DeviceSpeed). Mario fills bubbles with
+// recompute, so its schedule has less slack to absorb a straggler and keeps
+// less of its throughput.
 type StragglerResult struct {
 	// Config labels the pair (scheme-pp-mbs).
 	Config string
@@ -69,12 +70,14 @@ func Straggler(opt Opts) (*StragglerResult, error) {
 		Device: devices / 2,
 		Speed:  stragglerSpeed,
 	}
-	straggled := *healthy
-	straggled.SpeedFactors = make([]float64, devices)
-	for d := range straggled.SpeedFactors {
-		straggled.SpeedFactors[d] = 1
+	truth := *healthy.Truth
+	truth.DeviceSpeed = make([]float64, devices)
+	for d := range truth.DeviceSpeed {
+		truth.DeviceSpeed[d] = 1
 	}
-	straggled.SpeedFactors[r.Device] = r.Speed
+	truth.DeviceSpeed[r.Device] = r.Speed
+	straggled := *healthy
+	straggled.Truth = &truth
 	for _, row := range []struct {
 		v   variant
 		tag string

@@ -11,8 +11,8 @@
 // deterministic permutation in Assignment.DeviceOf — and how many layers each
 // stage carries — Assignment.LayersPerStage, fed to the estimator as a
 // cost.AnalyticConfig.Partition override. The per-rank speeds that result
-// thread through cost.Estimator.DeviceSpeed (simulator) and
-// cluster.Machine.SpeedFactors (emulator).
+// thread through cost.Estimator.DeviceSpeed, in the estimator the simulator
+// prices with and in the truth estimator the emulator runs on.
 //
 // Both decisions are co-optimized by a deterministic fixpoint iteration
 // (CoOptimize): a dynamic program over layer prefix sums partitions layers

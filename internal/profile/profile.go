@@ -106,11 +106,8 @@ type fit struct {
 // NewMachine builds the emulated hardware for a concrete training job: the
 // analytic cost model is the physical truth, and the spec's imperfections
 // are layered on top. A non-nil assignment makes the machine mirror it: the
-// truth follows its layer→stage partition, and the machine applies its
-// per-rank speed factors to compute durations itself (the truth estimator
-// carries no DeviceSpeed — declared heterogeneity is a property of the
-// hardware, not of the cost model the planner feeds the simulator). A nil
-// assignment is the even split on a homogeneous cluster.
+// truth follows its layer→stage partition and carries its per-rank speeds as
+// DeviceSpeed. A nil assignment is the even split on a homogeneous cluster.
 func (p *Profiler) NewMachine(model cost.ModelConfig, stages, mbs, tp int, pa *place.Assignment) (*cluster.Machine, error) {
 	var part []int
 	var speeds []float64
@@ -121,6 +118,7 @@ func (p *Profiler) NewMachine(model cost.ModelConfig, stages, mbs, tp int, pa *p
 	if err != nil {
 		return nil, err
 	}
+	truth.DeviceSpeed = append([]float64(nil), speeds...)
 	return &cluster.Machine{
 		Truth:         truth,
 		Noise:         p.Spec.Noise,
@@ -128,7 +126,6 @@ func (p *Profiler) NewMachine(model cost.ModelConfig, stages, mbs, tp int, pa *p
 		MemSlack:      p.Spec.MemSlack,
 		Hetero:        p.Spec.Hetero,
 		Seed:          p.Spec.Seed,
-		SpeedFactors:  append([]float64(nil), speeds...),
 	}, nil
 }
 
@@ -307,7 +304,6 @@ func (p *Profiler) assemble(f *fit, blocks []int, mbs, tp int) (*cost.Estimator,
 		TP:             tp,
 		FwTime:         make([]float64, stages),
 		BwTime:         make([]float64, stages),
-		RcTime:         make([]float64, stages),
 		ActFull:        make([]float64, stages),
 		ActStash:       make([]float64, stages),
 		ActWork:        make([]float64, stages),
@@ -336,7 +332,6 @@ func (p *Profiler) assemble(f *fit, blocks []int, mbs, tp int) (*cost.Estimator,
 		}
 		e.FwTime[st] = fw
 		e.BwTime[st] = bwT
-		e.RcTime[st] = fw
 		e.ActFull[st] = f.actPerBlock * fl
 		e.ActWork[st] = f.actPerBlock
 		e.ActStash[st] = p2pBytes

@@ -160,10 +160,10 @@ func TestFitGolden(t *testing.T) {
 		want string
 	}{
 		{"EstimatorFor(8,2,1)", func(p *Profiler) (*cost.Estimator, error) { return p.EstimatorFor(8, 2, 1) },
-			"dba9f4ca91a12b5429cc734b4031f230436b3b922b66897aa93bf1304d2140be"},
+			"30e9140bb9b8abe01ba61762c102a44c8988d3f4fd10ff858fb12d0c65317912"},
 		{"EstimatorForPartition([12 20 20 12],1,2)", func(p *Profiler) (*cost.Estimator, error) {
 			return p.EstimatorForPartition([]int{12, 20, 20, 12}, 1, 2)
-		}, "0b9561630e85147653e07c518083a8fa15556b0d685f5e4200ba288f8b630da9"},
+		}, "30e1a007ba4a2d914946dc5ca16e2e483c24b80bb7dd99bf2fc165876eb2c604"},
 	} {
 		e, err := tc.est(newProfiler())
 		if err != nil {

@@ -174,3 +174,22 @@ func TestReadyQueueMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestListSchedulerReproduces1F1B: the list scheduler with fused backwards
+// over the linear layout — the injection windows alone, with nothing to merge
+// — orders every device's list exactly as the closed-form 1F1B emitter does,
+// for every D ≤ 16 and N ≤ 4D. order1F1B stays the generator: it orders a
+// 64 × 128 shape an order of magnitude faster.
+func TestListSchedulerReproduces1F1B(t *testing.T) {
+	for d := 1; d <= 16; d++ {
+		for n := 1; n <= 4*d; n++ {
+			cfg := Config{Devices: d, Micros: n}.withDefaults()
+			pl, parts := layoutLinear(cfg)
+			r := pipeline.Resolve(pl, n)
+			got := orderGreedy(false)(cfg, r, parts)
+			if want := order1F1B(cfg, r, parts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d n=%d: the list scheduler's order differs from 1F1B's\ngreedy: %v\n1F1B:   %v", d, n, got, want)
+			}
+		}
+	}
+}

@@ -160,7 +160,7 @@ func TestFleetEndToEndByteIdentity(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	b.Registry().WriteProm(&buf)
+	b.reg.WriteProm(&buf)
 	if got := promValue(t, buf.String(), "mario_serve_tuner_runs_total"); got != 1 {
 		t.Errorf("the owner ran the tuner %v times, want 1", got)
 	}
@@ -269,7 +269,7 @@ func TestFleetPeerRouting(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	a.Registry().WriteProm(&buf)
+	a.reg.WriteProm(&buf)
 	if !strings.Contains(buf.String(), `mario_serve_peer_routed_total{result="ok"} 1`) {
 		t.Error("routing success not counted")
 	}
@@ -376,7 +376,7 @@ func TestFleetPeerRoutingFallback(t *testing.T) {
 				t.Fatalf("peer=%q fingerprint=%.12s plan=%s, want a's own plan for %.12s", resp.Peer, resp.Fingerprint, resp.Plan, fp)
 			}
 			var buf bytes.Buffer
-			a.Registry().WriteProm(&buf)
+			a.reg.WriteProm(&buf)
 			if got := promValue(t, buf.String(), `mario_serve_peer_routed_total{result="error"}`); got != 1 {
 				t.Errorf("%v routing errors counted, want 1", got)
 			}

@@ -1,7 +1,7 @@
 // Package loadgen drives synthetic request load against a mariod planning
 // fleet and reports latency quantiles and outcome rates. It is the engine
-// behind cmd/loadgen and the fleet selfcheck's burst phase, and boots the
-// loopback fleet both of them run against (BootLoopback).
+// behind cmd/loadgen and the fleet burst test (TestLoopbackFleetBurst), and
+// boots the loopback fleet both of them run against (BootLoopback).
 //
 // The generator speaks raw HTTP rather than the service client so that
 // admission pushback (429 from a full queue, 503 from a draining member)

@@ -1,15 +1,22 @@
 package loadgen_test
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"mario/internal/serve"
 	"mario/internal/serve/api"
+	"mario/internal/serve/client"
 	"mario/internal/serve/loadgen"
 )
 
@@ -101,4 +108,115 @@ func TestMixedWorkloads(t *testing.T) {
 		}
 		seen[fp] = true
 	}
+}
+
+// TestLoopbackFleetBurst pushes a mixed-fingerprint burst through a
+// three-member loopback fleet of real servers: 240 requests over three
+// workloads at concurrency 24 come back with no error and no 429 or 503,
+// answered from caches and over the peer hop. Before the burst the base
+// workload is planned through every member: every repeat is a byte-identical
+// cache hit, and each member that does not own it has routed it to its owner
+// and counts that on its own /metrics. The burst's targets start at such a
+// member, which sends it every request of the base workload. make fleet-smoke runs this under the race detector.
+func TestLoopbackFleetBurst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real tuner searches over loopback HTTP")
+	}
+	const members = 3
+	fleet, err := loadgen.BootLoopback(members, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := false
+	defer func() {
+		if !drained {
+			for _, m := range fleet {
+				m.HTTP.Close()
+				m.Server.Close()
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+
+	req := api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "40G", MicroBatches: []int{1, 2}}
+	var first *api.PlanResponse
+	owner := ""
+	var nonOwners []int
+	for i, m := range fleet {
+		resp, err := client.New(m.URL).Plan(ctx, req)
+		if err != nil {
+			t.Fatalf("plan via member %d: %v", i, err)
+		}
+		if i == 0 {
+			first, owner = resp, cmp.Or(resp.Peer, m.URL)
+		} else if !resp.Cached || !bytes.Equal(resp.Plan, first.Plan) {
+			t.Fatalf("member %d: cached=%v, want a cache hit byte-identical to the first answer", i, resp.Cached)
+		}
+		if m.URL != owner {
+			if resp.Peer != owner {
+				t.Fatalf("member %d answered the base workload with peer %q, want its owner %s", i, resp.Peer, owner)
+			}
+			nonOwners = append(nonOwners, i)
+		}
+	}
+	if len(nonOwners) != members-1 {
+		t.Fatalf("%d members routed the base workload, want %d", len(nonOwners), members-1)
+	}
+	for _, i := range nonOwners {
+		metrics, err := client.New(fleet[i].URL).Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := promValue(metrics, `mario_serve_peer_routed_total{result="ok"}`); v <= 0 {
+			t.Errorf("member %d routed nothing to the owner: %v", i, v)
+		}
+	}
+
+	// Request i goes to target i mod 3 with workload i mod 3, so the base
+	// workload always goes to the first target.
+	var targets []string
+	for k := range fleet {
+		targets = append(targets, fleet[(nonOwners[0]+k)%members].URL)
+	}
+	burst, err := loadgen.Run(ctx, loadgen.Options{
+		Targets:     targets,
+		Workloads:   loadgen.MixedWorkloads(req, 3),
+		Requests:    240,
+		Concurrency: 24,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if burst.Errors > 0 || burst.Rej429 > 0 || burst.Rej503 > 0 {
+		t.Errorf("burst degraded:\n%s", burst.Summary())
+	}
+	if burst.Cached == 0 || burst.Peer == 0 {
+		t.Errorf("burst saw no cache or no peer hits:\n%s", burst.Summary())
+	}
+
+	dctx, dcancel := context.WithTimeout(ctx, 30*time.Second)
+	defer dcancel()
+	for i, m := range fleet {
+		if err := m.Server.Drain(dctx); err != nil {
+			t.Fatalf("draining member %d: %v", i, err)
+		}
+		if err := m.HTTP.Shutdown(dctx); err != nil {
+			t.Fatalf("stopping member %d: %v", i, err)
+		}
+	}
+	drained = true
+}
+
+// promValue is the value of one series in a Prometheus text exposition, or
+// −1 when the series is missing or unparseable.
+func promValue(metrics, series string) float64 {
+	for _, line := range strings.Split(metrics, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			if v, err := strconv.ParseFloat(rest, 64); err == nil {
+				return v
+			}
+		}
+	}
+	return -1
 }

@@ -4,8 +4,8 @@ import "mario/internal/telemetry"
 
 // serverMetrics are the planning service's registry-backed instruments.
 // The series names are the service's stable monitoring interface (the
-// mariod selfcheck and the ops docs grep for them), unchanged from the
-// hand-rolled obs.ServerStats counters they replaced.
+// service and daemon tests and the ops docs grep for them), unchanged from
+// the hand-rolled obs.ServerStats counters they replaced.
 type serverMetrics struct {
 	// requests counts plan requests that passed validation (both the
 	// blocking and the streaming endpoint).

@@ -374,7 +374,7 @@ func TestEmptyMicroBatchesIsAbsent(t *testing.T) {
 			t.Errorf("status %d, peer %q, fingerprint %.12s: want the owner's answer for %.12s", status, pr.Peer, pr.Fingerprint, fp)
 		}
 		var buf bytes.Buffer
-		asked.Registry().WriteProm(&buf)
+		asked.reg.WriteProm(&buf)
 		if ok, bad := promValue(t, buf.String(), `mario_serve_peer_routed_total{result="ok"}`),
 			promValue(t, buf.String(), `mario_serve_peer_routed_total{result="error"}`); ok != 1 || bad != 0 {
 			t.Errorf("routed ok %v / error %v, want 1 / 0", ok, bad)

@@ -163,9 +163,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Registry returns the metrics registry /metrics renders.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // FlightRecorder returns the server's black box — the ring of recent
 // request traces /debug/flight dumps.
 func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.flightRec }

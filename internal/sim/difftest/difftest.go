@@ -100,9 +100,7 @@ func newWorkload(rng *rand.Rand, devs, micros int) (*Workload, error) {
 	stages := s.NumStages()
 	est := cost.Uniform(stages, 4+rng.Float64()*4, 6+rng.Float64()*6, 1+rng.Float64())
 	for st := 0; st < stages; st++ {
-		f := 0.5 + rng.Float64()
-		est.FwTime[st] *= f
-		est.RcTime[st] *= f
+		est.FwTime[st] *= 0.5 + rng.Float64()
 		est.BwTime[st] *= 0.5 + rng.Float64()
 		est.ActFull[st] *= 0.5 + rng.Float64()
 		est.ActStash[st] *= 0.5 + rng.Float64()

@@ -151,7 +151,7 @@ func Reference(s *pipeline.Schedule, e *cost.Estimator, opt sim.Options) (*sim.R
 func refDur(s *pipeline.Schedule, e *cost.Estimator, d, dp int, in pipeline.Instr) float64 {
 	var base float64
 	switch in.Kind {
-	case pipeline.Forward, pipeline.CkptForward:
+	case pipeline.Forward, pipeline.CkptForward, pipeline.Recompute:
 		base = e.FwTime[in.Stage]
 	case pipeline.Backward:
 		base = e.BwTime[in.Stage]
@@ -159,8 +159,6 @@ func refDur(s *pipeline.Schedule, e *cost.Estimator, d, dp int, in pipeline.Inst
 		base = e.BwTime[in.Stage] * e.BwSplitRatio
 	case pipeline.BackwardWeight:
 		base = e.BwTime[in.Stage] * (1 - e.BwSplitRatio)
-	case pipeline.Recompute:
-		base = e.RcTime[in.Stage]
 	case pipeline.OptimizerStep:
 		base = e.OptTime
 	case pipeline.AllReduce:

@@ -306,7 +306,7 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 // it. Non-compute kinds, the all-reduce included, return 0.
 func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 	switch k {
-	case pipeline.Forward, pipeline.CkptForward:
+	case pipeline.Forward, pipeline.CkptForward, pipeline.Recompute:
 		return e.FwTime[stage]
 	case pipeline.Backward:
 		return e.BwTime[stage]
@@ -314,8 +314,6 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 		return e.BwTime[stage] * e.BwSplitRatio
 	case pipeline.BackwardWeight:
 		return e.BwTime[stage] * (1 - e.BwSplitRatio)
-	case pipeline.Recompute:
-		return e.RcTime[stage]
 	case pipeline.OptimizerStep:
 		return e.OptTime
 	}
