@@ -188,7 +188,7 @@ telemetry-smoke:
 	$(call go-test-named,-race,TestTraceWorkerIndependence|TestSelfTimeTelescopes,./internal/tuner)
 	$(call go-test-named,-race,TestClusterMatchesSimulatorNoiseless,./internal/cluster)
 	$(call go-test-named,-race,TestComputeDriftDeterministic|TestPlanJSONDecodedPlanRuns,.)
-	$(call go-test-named,,TestGoldenExports,./internal/telemetry)
+	$(call go-test-named,,TestGoldenExports|TestGoldenSpanChrome,./internal/telemetry)
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 \
 		-search-trace "$$tmp/trace.json" -search-spans "$$tmp/spans.jsonl" \

@@ -13,169 +13,96 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"mario/internal/experiments"
 )
 
+// experiment is one -run name: its header and what it computes and prints.
+type experiment struct {
+	name, title, caption string
+	run                  func(io.Writer, experiments.Opts) error
+}
+
+// show runs compute and prints its result with print.
+func show[T any](compute func(experiments.Opts) (T, error), print func(io.Writer, T)) func(io.Writer, experiments.Opts) error {
+	return func(w io.Writer, opt experiments.Opts) error {
+		r, err := compute(opt)
+		if err == nil {
+			print(w, r)
+		}
+		return err
+	}
+}
+
 func main() {
+	// Figure 6 and Table 5 keep their rows for the speedup summary, which
+	// runs them too.
+	var fig6Rows, table5Rows []experiments.ThroughputRow
+	keep := func(rows *[]experiments.ThroughputRow, compute func(experiments.Opts) ([]experiments.ThroughputRow, error)) func(io.Writer, experiments.Opts) error {
+		return show(compute, func(w io.Writer, r []experiments.ThroughputRow) {
+			*rows = r
+			experiments.PrintThroughput(w, r)
+		})
+	}
+	list := []experiment{
+		{"table1", "Table 1", "peak memory footprint across pipeline schemes", show(experiments.Table1, experiments.PrintTable1)},
+		{"figure2", "Figure 2", "near zero-cost checkpointing on a 4-stage 1F1B pipeline", show(experiments.Figure2, experiments.PrintFigure2)},
+		{"figure5", "Figure 5", "pipeline visualisation through the Mario simulator", experiments.Figure5},
+		{"figure6", "Figure 6", "throughput on GPT3-1.6B and LLaMA2-3B with 8 GPUs", keep(&fig6Rows, experiments.Figure6)},
+		{"table5", "Table 5", "performance on GPT3-13B and LLaMA2-13B with 32 GPUs", keep(&table5Rows, experiments.Table5)},
+		{"figure7", "Figure 7", "peak memory footprint across devices", show(experiments.Figure7, experiments.PrintFigure7)},
+		{"figure8", "Figure 8", "model parameter scaling on GPT3 with 16 GPUs", show(experiments.Figure8, experiments.PrintFigure8)},
+		{"figure9", "Figure 9", "sequence length scaling on GPT3-1.6B with 16 GPUs", show(experiments.Figure9, experiments.PrintFigure9)},
+		{"figure10", "Figure 10", "accuracy of the Mario simulator", show(experiments.Figure10, experiments.PrintFigure10)},
+		{"figure11", "Figure 11", "throughput curve along tuning iterations (64-GPU cluster)", show(experiments.Figure11, experiments.PrintFigure11)},
+		{"drift", "Drift", "per-instruction predicted-vs-measured alignment (observability demo)", show(experiments.Drift, experiments.PrintDrift)},
+		{"searchtrace", "Search trace", "telemetry walkthrough: canonical span tree + counters of one traced search", show(experiments.SearchTrace, experiments.PrintSearchTrace)},
+		{"hetero", "Hetero", "heterogeneity-aware partitioning & placement vs the uniform baseline", show(experiments.Hetero, experiments.PrintHetero)},
+		{"straggler", "Straggler", "a slow device eats the bubbles recompute hides in (base vs mario, speed factor)", show(experiments.Straggler, experiments.PrintStraggler)},
+		{"extension", "Extension", "ZB-H1 split-backward study (the paper's §8 future work)", show(experiments.ExtensionZB, experiments.PrintExtensionZB)},
+		{"zerobubble", "Zero bubble", "native split-backward schemes vs 1F1B (bubble ratio and peak memory)", show(experiments.ZeroBubble, experiments.PrintZeroBubble)},
+		{"summary", "Speedup summary", "aggregate claims of §6.1/§6.2", func(w io.Writer, _ experiments.Opts) error {
+			if fig6Rows != nil {
+				experiments.PrintSpeedups(w, "8-GPU grid (Fig. 6)", experiments.Summarise(fig6Rows))
+			}
+			if table5Rows != nil {
+				experiments.PrintSpeedups(w, "32-GPU grid (Table 5)", experiments.Summarise(table5Rows))
+			}
+			return nil
+		}},
+	}
+	var names []string
+	for _, e := range list {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+
 	fast := flag.Bool("fast", false, "run reduced-size experiments")
-	run := flag.String("run", "all", "experiment to run (table1, figure2, figure5, figure6, table5, figure7, figure8, figure9, figure10, figure11, drift, searchtrace, hetero, straggler, extension, zerobubble, summary, all)")
+	run := flag.String("run", "all", "experiment to run ("+strings.Join(names, ", ")+")")
 	workers := flag.Int("workers", 0, "concurrent tuner evaluations in figure11 (0 = GOMAXPROCS; output is identical)")
 	flag.Parse()
+	name := strings.ToLower(*run)
+	if !slices.Contains(names, name) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q; valid: %s\n", *run, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	opt := experiments.Opts{Fast: *fast, Workers: *workers}
 	w := os.Stdout
-	want := func(name string) bool {
-		return *run == "all" || strings.EqualFold(*run, name)
-	}
-	header := func(name, caption string) {
-		fmt.Fprintf(w, "\n=== %s — %s ===\n", name, caption)
-	}
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-
 	start := time.Now()
-	if want("table1") {
-		header("Table 1", "peak memory footprint across pipeline schemes")
-		rows, err := experiments.Table1(opt)
-		if err != nil {
-			fail("table1", err)
+	for _, e := range list {
+		if name != "all" && name != e.name && !(name == "summary" && (e.name == "figure6" || e.name == "table5")) {
+			continue
 		}
-		experiments.PrintTable1(w, rows)
-	}
-	if want("figure2") {
-		header("Figure 2", "near zero-cost checkpointing on a 4-stage 1F1B pipeline")
-		steps, err := experiments.Figure2(opt)
-		if err != nil {
-			fail("figure2", err)
-		}
-		experiments.PrintFigure2(w, steps)
-	}
-	if want("figure5") {
-		header("Figure 5", "pipeline visualisation through the Mario simulator")
-		if err := experiments.Figure5(w, opt); err != nil {
-			fail("figure5", err)
-		}
-	}
-	var fig6Rows, table5Rows []experiments.ThroughputRow
-	if want("figure6") || want("summary") {
-		header("Figure 6", "throughput on GPT3-1.6B and LLaMA2-3B with 8 GPUs")
-		rows, err := experiments.Figure6(opt)
-		if err != nil {
-			fail("figure6", err)
-		}
-		fig6Rows = rows
-		experiments.PrintThroughput(w, rows)
-	}
-	if want("table5") || want("summary") {
-		header("Table 5", "performance on GPT3-13B and LLaMA2-13B with 32 GPUs")
-		rows, err := experiments.Table5(opt)
-		if err != nil {
-			fail("table5", err)
-		}
-		table5Rows = rows
-		experiments.PrintThroughput(w, rows)
-	}
-	if want("figure7") {
-		header("Figure 7", "peak memory footprint across devices")
-		rows, err := experiments.Figure7(opt)
-		if err != nil {
-			fail("figure7", err)
-		}
-		experiments.PrintFigure7(w, rows)
-	}
-	if want("figure8") {
-		header("Figure 8", "model parameter scaling on GPT3 with 16 GPUs")
-		rows, err := experiments.Figure8(opt)
-		if err != nil {
-			fail("figure8", err)
-		}
-		experiments.PrintFigure8(w, rows)
-	}
-	if want("figure9") {
-		header("Figure 9", "sequence length scaling on GPT3-1.6B with 16 GPUs")
-		rows, err := experiments.Figure9(opt)
-		if err != nil {
-			fail("figure9", err)
-		}
-		experiments.PrintFigure9(w, rows)
-	}
-	if want("figure10") {
-		header("Figure 10", "accuracy of the Mario simulator")
-		r, err := experiments.Figure10(opt)
-		if err != nil {
-			fail("figure10", err)
-		}
-		experiments.PrintFigure10(w, r)
-	}
-	if want("figure11") {
-		header("Figure 11", "throughput curve along tuning iterations (64-GPU cluster)")
-		r, err := experiments.Figure11(opt)
-		if err != nil {
-			fail("figure11", err)
-		}
-		experiments.PrintFigure11(w, r)
-	}
-	if want("drift") {
-		header("Drift", "per-instruction predicted-vs-measured alignment (observability demo)")
-		r, err := experiments.Drift(opt)
-		if err != nil {
-			fail("drift", err)
-		}
-		experiments.PrintDrift(w, r)
-	}
-	if want("searchtrace") {
-		header("Search trace", "telemetry walkthrough: canonical span tree + counters of one traced search")
-		r, err := experiments.SearchTrace(opt)
-		if err != nil {
-			fail("searchtrace", err)
-		}
-		experiments.PrintSearchTrace(w, r)
-	}
-	if want("hetero") {
-		header("Hetero", "heterogeneity-aware partitioning & placement vs the uniform baseline")
-		r, err := experiments.Hetero(opt)
-		if err != nil {
-			fail("hetero", err)
-		}
-		experiments.PrintHetero(w, r)
-	}
-	if want("straggler") {
-		header("Straggler", "a slow device eats the bubbles recompute hides in (base vs mario, speed factor)")
-		r, err := experiments.Straggler(opt)
-		if err != nil {
-			fail("straggler", err)
-		}
-		experiments.PrintStraggler(w, r)
-	}
-	if want("extension") {
-		header("Extension", "ZB-H1 split-backward study (the paper's §8 future work)")
-		rows, err := experiments.ExtensionZB(opt)
-		if err != nil {
-			fail("extension", err)
-		}
-		experiments.PrintExtensionZB(w, rows)
-	}
-	if want("zerobubble") {
-		header("Zero bubble", "native split-backward schemes vs 1F1B (bubble ratio and peak memory)")
-		rows, err := experiments.ZeroBubble(opt)
-		if err != nil {
-			fail("zerobubble", err)
-		}
-		experiments.PrintZeroBubble(w, rows)
-	}
-	if want("summary") {
-		header("Speedup summary", "aggregate claims of §6.1/§6.2")
-		if fig6Rows != nil {
-			experiments.PrintSpeedups(w, "8-GPU grid (Fig. 6)", experiments.Summarise(fig6Rows))
-		}
-		if table5Rows != nil {
-			experiments.PrintSpeedups(w, "32-GPU grid (Table 5)", experiments.Summarise(table5Rows))
+		fmt.Fprintf(w, "\n=== %s — %s ===\n", e.title, e.caption)
+		if err := e.run(w, opt); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
+			os.Exit(1)
 		}
 	}
 	fmt.Fprintf(w, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))

@@ -174,10 +174,7 @@ func main() {
 			fmt.Fprintln(os.Stderr)
 		}
 		if err == nil && tracer != nil {
-			if terr := writeSearchTraces(tracer.Snapshot(), *searchTracePath, *searchSpansPath, *searchMeasuredPath, *searchSummary); terr != nil {
-				fmt.Fprintf(os.Stderr, "mario: %v\n", terr)
-				os.Exit(1)
-			}
+			writeSearchTraces(tracer.Snapshot(), *searchTracePath, *searchSpansPath, *searchMeasuredPath, *searchSummary)
 		}
 	}
 	if err != nil {
@@ -292,28 +289,15 @@ func export(path, what string, write func(io.Writer) error) {
 
 // writeSearchTraces exports the search trace in the requested forms and
 // prints the per-phase summary when asked.
-func writeSearchTraces(tr *telemetry.Trace, tracePath, spansPath, measuredPath string, summary bool) error {
-	writeFile := func(path string, data []byte) error {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return fmt.Errorf("writing search trace: %w", err)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
-	}
+func writeSearchTraces(tr *telemetry.Trace, tracePath, spansPath, measuredPath string, summary bool) {
 	if tracePath != "" {
-		if err := writeFile(tracePath, tr.ChromeTrace()); err != nil {
-			return err
-		}
+		export(tracePath, "search trace", func(w io.Writer) error { return viz.SearchChromeTrace(w, tr) })
 	}
 	if spansPath != "" {
-		if err := writeFile(spansPath, tr.JSONL()); err != nil {
-			return err
-		}
+		export(spansPath, "search spans", func(w io.Writer) error { _, err := w.Write(tr.JSONL()); return err })
 	}
 	if measuredPath != "" {
-		if err := writeFile(measuredPath, tr.ChromeTraceMeasured()); err != nil {
-			return err
-		}
+		export(measuredPath, "measured search trace", func(w io.Writer) error { return viz.SearchChromeTraceMeasured(w, tr) })
 	}
 	if summary {
 		fmt.Println("\nsearch phase summary (self time):")
@@ -324,7 +308,6 @@ func writeSearchTraces(tr *telemetry.Trace, tracePath, spansPath, measuredPath s
 		}
 		fmt.Printf("  %-12s %8s total=%v\n", "", "", total.Round(time.Microsecond))
 	}
-	return nil
 }
 
 // remotePlan fetches the plan from a mariod server, streaming progress to

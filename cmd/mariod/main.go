@@ -135,7 +135,7 @@ func startDebugServer(s *serve.Server, debugAddr string) error {
 // server down. SIGQUIT dumps the flight recorder to stderr without
 // stopping the daemon. Returns nil on a clean drain.
 func serveUntilSignal(ln net.Listener, s *serve.Server, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -83,8 +83,8 @@ func TestOptimizeInputUnmodified(t *testing.T) {
 }
 
 // TestEnginesOwnedByCaller: a bundle the caller passes gives the same schedule
-// as one the run makes for itself, and is left for its owner to report — the
-// run adds none of its simulations to the registry.
+// as one the run makes for itself, and keeps the run's counts for its owner:
+// Report publishes the bundle's simulations and prepose rounds.
 func TestEnginesOwnedByCaller(t *testing.T) {
 	s := build1f1b(t, 4, 8)
 	e := cost.Uniform(4, 1, 2, 0.25)
@@ -94,8 +94,6 @@ func TestEnginesOwnedByCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
-	opts.Metrics = telemetry.NewSearchMetrics(reg)
 	opts.Engines = NewEngines()
 	got, _, err := Optimize(s, opts)
 	if err != nil {
@@ -104,11 +102,13 @@ func TestEnginesOwnedByCaller(t *testing.T) {
 	if got.String() != want.String() {
 		t.Error("caller-owned bundle changed the optimized schedule")
 	}
-	eng := opts.Engines.Main
-	if eng.Sims == 0 {
+	eng := opts.Engines
+	if eng.Main.Sims == 0 {
 		t.Error("the run simulated nothing on the bundle it was given")
 	}
-	if n := opts.Metrics.Sims.Value(); n != 0 {
-		t.Errorf("run reported %d sims of a bundle it does not own", n)
+	m := telemetry.NewSearchMetrics(telemetry.NewRegistry())
+	eng.Report(m)
+	if sims, rounds := m.Sims.Value(), m.GraphRounds.Value(); sims != eng.Main.Sims || rounds != eng.rounds || rounds == 0 {
+		t.Errorf("Report published sims=%d rounds=%d, want the bundle's %d sims and %d (> 0) rounds", sims, rounds, eng.Main.Sims, eng.rounds)
 	}
 }

@@ -184,7 +184,7 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 // Optimize driver.
 type Options struct {
 	// Estimator supplies per-instruction latencies and memory for the
-	// simulator; required by PreposeForward and Optimize.
+	// simulator; required by Optimize and SplitBackward.
 	Estimator *cost.Estimator
 	// Sim configures the acceptance simulations (memory limit, DP).
 	Sim sim.Options
@@ -202,8 +202,6 @@ type Options struct {
 	// deterministic attributes (moves, improvement, makespan). The zero
 	// Span disables tracing at zero cost.
 	Span telemetry.Span
-	// Metrics, when non-nil, receives the round count.
-	Metrics *telemetry.SearchMetrics
 }
 
 // DefaultMaxRounds is the prepose round budget of a run that names none:
@@ -273,7 +271,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			rs.Discard()
 			return nil, nil, err
 		}
-		opt.Metrics.AddGraphRounds(1)
+		eng.rounds++
 		rs.SetBool("improved", nextRes != best)
 		rs.SetInt("moves", int64(moves))
 		rs.SetFloat("makespan", nextRes.Total)

@@ -33,6 +33,8 @@ type Engines struct {
 	// filtered left the incumbent's critical chain whole (offChain), illegal
 	// deadlocked or mispaired a pop in its simulation, simulated is the rest.
 	scan struct{ filtered, illegal, simulated int64 }
+	// rounds counts the prepose rounds the bundle's runs completed.
+	rounds int64
 }
 
 // NewEngines returns an empty bundle.
@@ -40,10 +42,11 @@ func NewEngines() *Engines {
 	return &Engines{Main: &sim.Simulator{}}
 }
 
-// Report adds the bundle's simulation and scan counts to the registry;
-// whoever created the bundle calls it once, when done with it.
+// Report adds the bundle's simulation, prepose-round and scan counts to the
+// registry; whoever created the bundle calls it once, when done with it.
 func (e *Engines) Report(m *telemetry.SearchMetrics) {
 	m.AddSims(e.Main.Sims)
+	m.AddGraphRounds(e.rounds)
 	m.AddScanCandidates(e.scan.filtered, e.scan.illegal, e.scan.simulated)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mario"
 	"mario/internal/serve/api"
+	"mario/internal/telemetry"
 )
 
 // flight is one in-progress tuner run that any number of identical requests
@@ -33,10 +34,10 @@ type flight struct {
 	done chan struct{}
 	data []byte
 	err  error
-	// trace is the run's canonical search trace JSON, set by runFlight
-	// before finish; waiters that asked for ?trace=1 embed it in their
-	// response.
-	trace []byte
+	// trace is the run's search trace, set by runFlight before finish and
+	// filed with the flight recorder; a waiter that asked for ?trace=1
+	// embeds its canonical JSON in the response.
+	trace *telemetry.Trace
 }
 
 func newFlight(req api.PlanRequest, wl *mario.Workload) *flight {

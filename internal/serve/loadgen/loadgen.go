@@ -270,7 +270,7 @@ func BootLoopback(n int, base serve.Options) ([]*Member, error) {
 			}
 		}
 		s := serve.New(opts)
-		m := &Member{URL: urls[i], Server: s, HTTP: &http.Server{Handler: s.Handler()}}
+		m := &Member{URL: urls[i], Server: s, HTTP: &http.Server{Handler: s.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}}
 		go m.HTTP.Serve(l) // returns when the caller shuts m.HTTP down
 		members[i] = m
 	}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -206,6 +207,42 @@ func TestLoopbackFleetBurst(t *testing.T) {
 		}
 	}
 	drained = true
+}
+
+// TestSilentConnectionDoesNotStallDrain: a connection that a member accepted
+// but that never sent a request does not hold up the member's drain.
+// net/http's Shutdown counts such a connection as active for its first 5 s;
+// the member's header timeout closes it well before that.
+func TestSilentConnectionDoesNotStallDrain(t *testing.T) {
+	fleet, err := loadgen.BootLoopback(1, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fleet[0]
+	defer m.HTTP.Close()
+	defer m.Server.Close()
+	silent, err := net.Dial("tcp", strings.TrimPrefix(m.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The member accepts in order: once a later connection is answered, the
+	// silent one is accepted and tracked.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := client.New(m.URL).Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Server.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := m.HTTP.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Shutdown took %v with a silent connection open, want under 2 s", d)
+	}
 }
 
 // promValue is the value of one series in a Prometheus text exposition, or

@@ -78,6 +78,13 @@ const (
 	flightSlow = 8
 )
 
+// ReadHeaderTimeout bounds how long the HTTP server in front of a Server waits
+// for a request's headers. A connection that sends none is closed after it,
+// so a drain's http.Server.Shutdown does not wait out net/http's 5 s grace
+// for an accepted, silent connection, and a client that stalls its headers
+// cannot hold a connection open.
+const ReadHeaderTimeout = time.Second
+
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 64
@@ -313,16 +320,13 @@ func (s *Server) runFlight(f *flight) {
 	start := time.Now()
 	data, err := s.run(f.ctx, f.req, f.wl, tracer, f.broadcast)
 	elapsed := time.Since(start)
-	tr := tracer.Snapshot()
-	if raw, merr := json.Marshal(tr); merr == nil {
-		f.trace = raw
-	}
+	f.trace = tracer.Snapshot()
 	s.flightRec.Record(telemetry.FlightRecord{
 		Fingerprint: fp,
 		Outcome:     flightOutcome(err),
 		Start:       start,
 		Elapsed:     elapsed,
-		Trace:       tr,
+		Trace:       f.trace,
 	})
 	if err == nil {
 		s.cache.add(fp, data)
@@ -513,7 +517,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, stream bool)
 	s.sm.completed.Inc()
 	resp := api.PlanResponse{Fingerprint: fp, Shared: !created, Plan: f.data}
 	if wantTrace(r) {
-		resp.Trace = f.trace
+		if raw, err := json.Marshal(f.trace); err == nil {
+			resp.Trace = raw
+		}
 	}
 	writePlanResponse(w, resp, stream)
 }

@@ -102,26 +102,26 @@ func (f *FlightRecorder) Slowest() []FlightRecord {
 	return out
 }
 
-// WriteText renders a human-readable dump: the recent ring (newest first)
-// with per-request phase summaries, then the slow log. This is what
-// /debug/flight and the SIGQUIT handler print. Safe on nil (prints a
-// disabled notice).
-func (f *FlightRecorder) WriteText(w *bytes.Buffer) {
+// Dump renders a human-readable dump: the recent ring (newest first) with
+// per-request phase summaries, then the slow log. This is the /debug/flight
+// body and the SIGQUIT dump. Safe on nil (a disabled notice).
+func (f *FlightRecorder) Dump() []byte {
 	if f == nil {
-		w.WriteString("flight recorder disabled\n")
-		return
+		return []byte("flight recorder disabled\n")
 	}
+	var w bytes.Buffer
 	recent := f.Recent()
-	fmt.Fprintf(w, "== flight recorder: %d recent request(s) ==\n", len(recent))
+	fmt.Fprintf(&w, "== flight recorder: %d recent request(s) ==\n", len(recent))
 	for _, rec := range recent {
-		writeFlightRecord(w, rec)
+		writeFlightRecord(&w, rec)
 	}
 	slow := f.Slowest()
-	fmt.Fprintf(w, "== slow log: %d request(s) ==\n", len(slow))
+	fmt.Fprintf(&w, "== slow log: %d request(s) ==\n", len(slow))
 	for _, rec := range slow {
-		fmt.Fprintf(w, "#%d %s outcome=%s elapsed=%s\n",
+		fmt.Fprintf(&w, "#%d %s outcome=%s elapsed=%s\n",
 			rec.Seq, shortFP(rec.Fingerprint), rec.Outcome, rec.Elapsed.Round(time.Microsecond))
 	}
+	return w.Bytes()
 }
 
 // writeFlightRecord renders one ring entry with its phase summary.
@@ -135,14 +135,6 @@ func writeFlightRecord(w *bytes.Buffer, rec FlightRecord) {
 	for _, row := range rec.Trace.PhaseSummary() {
 		fmt.Fprintf(w, "  %-12s n=%-5d self=%s\n", row.Phase, row.Count, row.Self.Round(time.Microsecond))
 	}
-}
-
-// Dump returns WriteText's output as bytes — the /debug/flight body and
-// the SIGQUIT dump. Safe on nil.
-func (f *FlightRecorder) Dump() []byte {
-	var b bytes.Buffer
-	f.WriteText(&b)
-	return b.Bytes()
 }
 
 // shortFP abbreviates a fingerprint for dump lines.

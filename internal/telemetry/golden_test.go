@@ -122,14 +122,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenExports pins every render of the canonical trace — JSONL,
-// Chrome trace (canonical and measured), tree, phase summary — and the
-// Prometheus exposition of a populated registry, byte for byte.
+// TestGoldenExports pins every render of the canonical trace this package
+// owns — JSONL, tree, phase summary — and the Prometheus exposition of a
+// populated registry, byte for byte. Its Chrome traces are internal/viz's;
+// TestGoldenSpanChrome pins them.
 func TestGoldenExports(t *testing.T) {
 	snap := goldenTrace()
 	checkGolden(t, "trace_jsonl", snap.JSONL())
-	checkGolden(t, "trace_chrome", snap.ChromeTrace())
-	checkGolden(t, "trace_chrome_measured", snap.ChromeTraceMeasured())
 	checkGolden(t, "trace_tree", []byte(snap.Tree()))
 
 	var sum bytes.Buffer

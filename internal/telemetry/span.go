@@ -16,11 +16,12 @@
 //
 //   - Deterministic canonical traces. Span identities derive from
 //     (fingerprint, canonical path, phase), never from wall-clock or
-//     goroutine scheduling, and the canonical exports (JSONL, canonical
-//     Chrome trace, tree rendering) are byte-identical for every worker
-//     count, GOMAXPROCS and -race — the same contract the tuner's
-//     canonical-order merge gives its results. Wall-clock timings are
-//     recorded alongside but only surface in the measured Chrome trace.
+//     goroutine scheduling, and the canonical exports (JSONL, tree
+//     rendering, and internal/viz's canonical Chrome trace) are
+//     byte-identical for every worker count, GOMAXPROCS and -race — the
+//     same contract the tuner's canonical-order merge gives its results.
+//     Wall-clock timings are recorded alongside but only surface in the
+//     measured exports (PhaseSummary, viz's measured Chrome trace).
 //
 //   - One request, one Tracer. A Tracer accumulates the spans of a single
 //     plan request (one Optimize call, one daemon flight); Snapshot freezes

@@ -52,16 +52,6 @@ func (n *Node) SelfDur() time.Duration {
 	return d
 }
 
-// attr returns the value of the named attribute, or "".
-func (n *Node) attr(k string) string {
-	for _, a := range n.Attrs {
-		if a.K == k {
-			return a.V
-		}
-	}
-	return ""
-}
-
 // Trace is a frozen, export-ready span tree for one plan request.
 type Trace struct {
 	// Fingerprint identifies the request; span IDs are derived from it.
@@ -243,19 +233,14 @@ func (tr *Trace) records() []jsonlSpan {
 	return spans
 }
 
-// WriteJSONL renders the canonical JSONL export: one span per line in
-// canonical preorder, no timings, byte-identical across worker counts.
-func (tr *Trace) WriteJSONL(w *bytes.Buffer) {
-	enc := json.NewEncoder(w)
+// JSONL renders the canonical JSONL export: one span per line in canonical
+// preorder, no timings, byte-identical across worker counts.
+func (tr *Trace) JSONL() []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	for _, s := range tr.records() {
 		enc.Encode(s)
 	}
-}
-
-// JSONL returns WriteJSONL's output as bytes.
-func (tr *Trace) JSONL() []byte {
-	var b bytes.Buffer
-	tr.WriteJSONL(&b)
 	return b.Bytes()
 }
 
@@ -269,125 +254,6 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 		Fingerprint string      `json:"fingerprint"`
 		Spans       []jsonlSpan `json:"spans"`
 	}{tr.Fingerprint, tr.records()})
-}
-
-// chromeEvent is one Chrome trace-event (same shape internal/viz emits for
-// schedule timelines, kept local so telemetry stays dependency-free).
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Dur  float64           `json:"dur"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// chromeArgs renders a node's exported args map.
-func chromeArgs(n *Node) map[string]string {
-	args := map[string]string{"id": n.ID, "path": n.Path}
-	for _, a := range n.Attrs {
-		args[a.K] = a.V
-	}
-	return args
-}
-
-// chromeName renders a node's display name.
-func chromeName(n *Node) string {
-	if n.Key != "" {
-		return string(n.Phase) + " " + n.Key
-	}
-	return string(n.Phase)
-}
-
-// ChromeTrace renders the canonical Chrome trace of the search: spans
-// become complete ("X") events whose ts is the span's canonical preorder
-// index and whose dur is its subtree size, with depth as the tid — a
-// structural flame graph with no wall-clock in it, byte-identical across
-// worker counts. Load in chrome://tracing or Perfetto.
-func (tr *Trace) ChromeTrace() []byte {
-	var events []chromeEvent
-	idx := 0
-	var rec func(n *Node, depth int) int
-	rec = func(n *Node, depth int) int {
-		my := idx
-		idx++
-		size := 1
-		for _, c := range n.Children {
-			size += rec(c, depth+1)
-		}
-		events = append(events, chromeEvent{
-			Name: chromeName(n), Cat: string(n.Phase), Ph: "X",
-			Ts: float64(my), Dur: float64(size),
-			PID: 1, TID: depth, Args: chromeArgs(n),
-		})
-		return size
-	}
-	for _, r := range tr.Roots {
-		rec(r, 0)
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-	return marshalChrome(events)
-}
-
-// ChromeTraceMeasured renders the measured Chrome trace: real recorded
-// times in microseconds relative to the earliest span, greedily packed
-// into lanes (tid) so overlapping worker activity stays readable. This is
-// the wall-clock view — NOT byte-identical across runs.
-func (tr *Trace) ChromeTraceMeasured() []byte {
-	spans := tr.Spans()
-	if len(spans) == 0 {
-		return marshalChrome(nil)
-	}
-	epoch := spans[0].Start
-	for _, n := range spans {
-		if n.Start.Before(epoch) {
-			epoch = n.Start
-		}
-	}
-	// Sort by start for lane packing; keep canonical order on ties.
-	order := make([]*Node, len(spans))
-	copy(order, spans)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Start.Before(order[j].Start) })
-	var laneEnd []time.Time
-	events := make([]chromeEvent, 0, len(order))
-	for _, n := range order {
-		lane := -1
-		for l, e := range laneEnd {
-			if !n.Start.Before(e) {
-				lane = l
-				break
-			}
-		}
-		if lane < 0 {
-			lane = len(laneEnd)
-			laneEnd = append(laneEnd, time.Time{})
-		}
-		laneEnd[lane] = n.End
-		events = append(events, chromeEvent{
-			Name: chromeName(n), Cat: string(n.Phase), Ph: "X",
-			Ts:  float64(n.Start.Sub(epoch)) / float64(time.Microsecond),
-			Dur: float64(n.Dur()) / float64(time.Microsecond),
-			PID: 1, TID: lane, Args: chromeArgs(n),
-		})
-	}
-	return marshalChrome(events)
-}
-
-// marshalChrome renders the trace-event JSON envelope.
-func marshalChrome(events []chromeEvent) []byte {
-	var b bytes.Buffer
-	b.WriteString("{\"traceEvents\":[")
-	for i, ev := range events {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		raw, _ := json.Marshal(ev)
-		b.Write(raw)
-	}
-	b.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
-	return b.Bytes()
 }
 
 // PhaseSelf is one row of a per-phase self-time summary.
@@ -429,26 +295,21 @@ func (tr *Trace) PhaseSummary() []PhaseSelf {
 	return out
 }
 
-// WriteTree renders a human-readable canonical tree: one span per line,
-// indented by depth, with result attrs but no timings —
-// byte-identical across worker counts.
-func (tr *Trace) WriteTree(w *bytes.Buffer) {
+// Tree renders a human-readable canonical tree: one span per line, indented
+// by depth, with result attrs but no timings — byte-identical across worker
+// counts.
+func (tr *Trace) Tree() string {
+	var b strings.Builder
 	tr.visit(func(n *Node, depth int) {
-		w.WriteString(strings.Repeat("  ", depth))
-		w.WriteString(string(n.Phase))
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(string(n.Phase))
 		if n.Key != "" {
-			fmt.Fprintf(w, "[%s]", n.Key)
+			fmt.Fprintf(&b, "[%s]", n.Key)
 		}
 		for _, a := range n.Attrs {
-			fmt.Fprintf(w, " %s=%s", a.K, a.V)
+			fmt.Fprintf(&b, " %s=%s", a.K, a.V)
 		}
-		w.WriteByte('\n')
+		b.WriteByte('\n')
 	})
-}
-
-// Tree returns WriteTree's output as a string.
-func (tr *Trace) Tree() string {
-	var b bytes.Buffer
-	tr.WriteTree(&b)
 	return b.String()
 }

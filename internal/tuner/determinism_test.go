@@ -437,17 +437,8 @@ func TestSearchOrderSourceMatrix(t *testing.T) {
 // the pruned ones.
 func TestFleetSpanTreeShapeIndependent(t *testing.T) {
 	trace := func(workers int) (string, string, string) {
-		t.Helper()
-		tn := newTuner()
-		tn.Workers = workers
-		tracer := telemetry.New("source-fingerprint")
-		tn.Span = tracer.Root(telemetry.PhaseOptimize, "")
-		if _, _, err := tn.Search(detSpace()); err != nil {
-			t.Fatalf("Search(workers=%d): %v", workers, err)
-		}
-		tn.Span.End()
-		tr := tracer.Snapshot()
-		return string(tr.JSONL()), string(tr.ChromeTrace()), tr.Tree()
+		jsonl, chrome, tr := searchTrace(t, workers)
+		return jsonl, chrome, tr.Tree()
 	}
 	baseJSONL, baseChrome, baseTree := trace(1)
 	if baseJSONL == "" {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"mario/internal/cost"
 	"mario/internal/telemetry"
+	"mario/internal/viz"
 )
 
 // searchTrace runs one detSpace search on a fresh Tuner with the given
@@ -24,7 +26,11 @@ func searchTrace(t *testing.T, workers int) (jsonl, chrome string, tr *telemetry
 	}
 	tn.Span.End()
 	tr = tracer.Snapshot()
-	return string(tr.JSONL()), string(tr.ChromeTrace()), tr
+	var b strings.Builder
+	if err := viz.SearchChromeTrace(&b, tr); err != nil {
+		t.Fatal(err)
+	}
+	return string(tr.JSONL()), b.String(), tr
 }
 
 // TestTraceWorkerIndependence is the tentpole determinism contract: the

@@ -1105,7 +1105,7 @@ func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est 
 	gs := sp.Child(telemetry.PhaseGraph, "")
 	defer gs.End()
 	gopts := graph.Options{Estimator: est, Sim: simOpts, MaxRounds: space.MaxRounds,
-		Engines: w.eng, Span: gs, Metrics: t.Metrics}
+		Engines: w.eng, Span: gs}
 	opt, res, err := graph.OptimizeContext(ctx, sched, gopts)
 	if err != nil {
 		return err

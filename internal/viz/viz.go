@@ -5,6 +5,11 @@
 // measured run's events (cluster.Report.Events), and each renderer draws
 // either. Visualisation lets users observe pipeline execution states and
 // bubble distribution instead of relying solely on throughput numbers.
+//
+// The span tree of a search (telemetry.Trace) renders as a Chrome trace too,
+// canonical (SearchChromeTrace) or wall-clock (SearchChromeTraceMeasured).
+// Every Chrome trace goes through one event type and one writer, so the
+// program has one trace-event encoder.
 package viz
 
 import (
@@ -12,10 +17,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
+	"time"
 
 	"mario/internal/obs"
 	"mario/internal/pipeline"
+	"mario/internal/telemetry"
 )
 
 // cell is the glyph per instruction kind in the ASCII chart.
@@ -161,6 +169,18 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// writeChrome writes events as one Chrome trace-event JSON document, the
+// writer every Chrome trace of the program goes through. No events is an
+// empty list, not null.
+func writeChrome(w io.Writer, events []traceEvent) error {
+	if events == nil {
+		events = []traceEvent{}
+	}
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}{events})
+}
+
 // ChromeTrace writes the record stream in the Chrome trace-event JSON format
 // (open with chrome://tracing or Perfetto), so a predicted and a measured
 // trace of the same schedule can be opened side by side. Compute
@@ -191,6 +211,69 @@ func ChromeTrace(w io.Writer, events []obs.Event) error {
 			Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": out})
+	return writeChrome(w, out)
+}
+
+// spanEvent renders one span of a search trace as a complete event on pid 1,
+// its id, path and attributes as args.
+func spanEvent(n *telemetry.Node, ts, dur float64, tid int) traceEvent {
+	name := string(n.Phase)
+	if n.Key != "" {
+		name += " " + n.Key
+	}
+	args := map[string]any{"id": n.ID, "path": n.Path}
+	for _, a := range n.Attrs {
+		args[a.K] = a.V
+	}
+	return traceEvent{Name: name, Cat: string(n.Phase), Ph: "X", Ts: ts, Dur: dur, PID: 1, TID: tid, Args: args}
+}
+
+// SearchChromeTrace writes the canonical Chrome trace of a search's span
+// tree: each span's ts is its canonical preorder index, its dur its subtree
+// size and its tid its depth — a structural flame graph with no wall-clock
+// in it, byte-identical across worker counts.
+func SearchChromeTrace(w io.Writer, tr *telemetry.Trace) error {
+	var events []traceEvent
+	var rec func(n *telemetry.Node, depth int)
+	rec = func(n *telemetry.Node, depth int) {
+		i := len(events)
+		events = append(events, spanEvent(n, float64(i), 0, depth))
+		for _, c := range n.Children {
+			rec(c, depth+1)
+		}
+		events[i].Dur = float64(len(events) - i)
+	}
+	for _, r := range tr.Roots {
+		rec(r, 0)
+	}
+	return writeChrome(w, events)
+}
+
+// SearchChromeTraceMeasured writes the wall-clock Chrome trace of a search's
+// span tree: recorded times in microseconds from the earliest span, greedily
+// packed into lanes (tid) so overlapping worker activity stays readable. It
+// is not byte-identical across runs.
+func SearchChromeTraceMeasured(w io.Writer, tr *telemetry.Trace) error {
+	spans := tr.Spans()
+	// Lanes are packed in start order; ties keep canonical order.
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	var epoch time.Time
+	if len(spans) > 0 {
+		epoch = spans[0].Start
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	var laneEnd []time.Time
+	events := make([]traceEvent, 0, len(spans))
+	for _, n := range spans {
+		lane := 0
+		for lane < len(laneEnd) && n.Start.Before(laneEnd[lane]) {
+			lane++
+		}
+		if lane == len(laneEnd) {
+			laneEnd = append(laneEnd, time.Time{})
+		}
+		laneEnd[lane] = n.End
+		events = append(events, spanEvent(n, us(n.Start.Sub(epoch)), us(n.Dur()), lane))
+	}
+	return writeChrome(w, events)
 }

@@ -11,6 +11,7 @@ import (
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
+	"mario/internal/telemetry"
 )
 
 func sample(t *testing.T) (*pipeline.Schedule, *sim.Result) {
@@ -104,5 +105,23 @@ func TestChromeTraceParses(t *testing.T) {
 	}
 	if !seenPID3 {
 		t.Error("device 3 missing from trace")
+	}
+}
+
+// TestEmptyTracesListNoEvents: a trace with nothing in it, a record stream
+// or a search's span tree, is an empty event list, not null.
+func TestEmptyTracesListNoEvents(t *testing.T) {
+	for name, write := range map[string]func(w *bytes.Buffer) error{
+		"ChromeTrace":               func(w *bytes.Buffer) error { return ChromeTrace(w, nil) },
+		"SearchChromeTrace":         func(w *bytes.Buffer) error { return SearchChromeTrace(w, &telemetry.Trace{}) },
+		"SearchChromeTraceMeasured": func(w *bytes.Buffer) error { return SearchChromeTraceMeasured(w, &telemetry.Trace{}) },
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != "{\"traceEvents\":[]}\n" {
+			t.Errorf("%s of nothing wrote %q", name, got)
+		}
 	}
 }

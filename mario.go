@@ -7,8 +7,8 @@
 // The public interface mirrors the paper's Listing 1: describe the cluster
 // and the model, call Optimize to search for the best (scheme, pp, dp,
 // micro-batch, checkpointing) configuration, and Run to execute the chosen
-// schedule — here on an emulated cluster with one goroutine per device,
-// since no GPUs are attached.
+// schedule — here on an emulated cluster whose devices one loop steps in
+// virtual time (cluster.Execute), since no GPUs are attached.
 //
 //	conf := mario.Config{PipelineScheme: "Auto", GlobalBatchSize: 128,
 //	    NumDevices: 32, MemoryPerDevice: "40G"}

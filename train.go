@@ -26,9 +26,9 @@ type TrainConfig = train.Config
 // one real-tensor training iteration.
 type TrainStats = train.Stats
 
-// Trainer executes Mario schedules on a real (miniature) transformer with
-// one goroutine per device and channels for p2p tensors; activation
-// checkpointing genuinely drops and recomputes tensors.
+// Trainer executes Mario schedules on a real (miniature) transformer on the
+// emulator's device runtime (cluster.Execute), its p2p links carrying
+// tensors; activation checkpointing genuinely drops and recomputes tensors.
 type Trainer = train.Trainer
 
 // NewTrainer builds and partitions the miniature model.
