@@ -209,7 +209,7 @@ func (m *Machine) Sample(s *pipeline.Schedule, iters int) (durations []map[Sampl
 		index := make(map[SampleKey]int)
 		class := make([]int, len(list))
 		for i, in := range list {
-			k := SampleKey{Kind: in.Kind, Stage: in.Stage}
+			k := SampleKey{Kind: in.Kind, Stage: int(in.Stage)}
 			if in.Micro == pipeline.NoMicro {
 				k.Stage = -1
 			}
@@ -294,7 +294,7 @@ func (r *devRunner) draw(in pipeline.Instr) (float64, bool) {
 	}
 	// The simulator's price list; only the all-reduce depends on the
 	// data-parallel degree and the stages the device owns.
-	base := sim.ComputeBase(e, in.Kind, in.Stage)
+	base := sim.ComputeBase(e, in.Kind, int(in.Stage))
 	if in.Kind == pipeline.AllReduce {
 		base = e.AllReduceTime(r.dp, r.owned)
 	}

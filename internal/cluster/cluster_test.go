@@ -251,7 +251,7 @@ func TestSampleMatchesRun(t *testing.T) {
 			if !isCompute(ev.Kind) {
 				continue
 			}
-			k := SampleKey{Kind: ev.Kind, Stage: ev.Stage}
+			k := SampleKey{Kind: ev.Kind, Stage: int(ev.Stage)}
 			if ev.Micro == pipeline.NoMicro {
 				k.Stage = -1
 			}

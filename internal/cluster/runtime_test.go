@@ -28,8 +28,8 @@ func transfer(dv *Device[float64], in pipeline.Instr, _ *obs.Event) error {
 // device's pending instruction and what it waits on. Devices run on a linear
 // placement; the lists are laid out by hand.
 func TestDeadlockErrorNamesCulprit(t *testing.T) {
-	fw := func(stage int) pipeline.Instr { return pipeline.Instr{Kind: pipeline.Forward, Stage: stage} }
-	comm := func(k pipeline.Kind, stage int) pipeline.Instr { return pipeline.Instr{Kind: k, Stage: stage} }
+	fw := func(stage int) pipeline.Instr { return pipeline.Instr{Kind: pipeline.Forward, Stage: int32(stage)} }
+	comm := func(k pipeline.Kind, stage int) pipeline.Instr { return pipeline.Instr{Kind: k, Stage: int32(stage)} }
 	allReduce := pipeline.Instr{Kind: pipeline.AllReduce, Micro: pipeline.NoMicro}
 	for _, tc := range []struct {
 		name  string

@@ -14,27 +14,47 @@ import (
 // each call site must route its edits through MutableList/SetList.
 func TestPassesDoNotLeakIntoParent(t *testing.T) {
 	e := cost.Uniform(4, 1, 2, 0.25)
+	// onClone edits a clone of s, which must leave s as it was. The in-place
+	// moves of pass 4 need a checkpointed incumbent, which the shared parent
+	// is not, so their cases check their own.
+	onClone := func(s *pipeline.Schedule, edit func(c *pipeline.Schedule)) {
+		want := s.String()
+		edit(s.Clone())
+		if got := s.String(); got != want {
+			t.Errorf("an in-place move on a clone reached its parent\nbefore:\n%s\nafter:\n%s", want, got)
+		}
+	}
 	passes := map[string]func(*pipeline.Schedule){
 		"ApplyCheckpoint":  ApplyCheckpoint,
 		"OverlapRecompute": func(s *pipeline.Schedule) { ApplyCheckpoint(s); OverlapRecompute(s) },
 		"RemoveRedundancy": func(s *pipeline.Schedule) { ApplyCheckpoint(s); RemoveRedundancy(s) },
 		"preposeDevice": func(s *pipeline.Schedule) {
 			ApplyCheckpoint(s)
-			for d := 0; d < s.NumDevices(); d++ {
-				if p, ok := nextPrepose(s, d); ok {
-					c := s.Clone()
-					p.apply(c, d)
-					// The candidate's own edits must not reach s either.
-					cl := c.MutableList(d)
-					if len(cl) > 0 {
-						cl[0].Kind = pipeline.OptimizerStep
+			onClone(s, func(c *pipeline.Schedule) {
+				for d := 0; d < c.NumDevices(); d++ {
+					if p, ok := nextPrepose(c, d); ok {
+						p.apply(c, d)
+					}
+				}
+			})
+		},
+		"promoteBufferedSends": func(s *pipeline.Schedule) {
+			// The first of two composite moves buffers device 0's send; the
+			// second preposes its consumer on device 1, so the send is
+			// promotable.
+			ApplyCheckpoint(s)
+			for range 2 {
+				for d := 0; d < s.NumDevices(); d++ {
+					if p, ok := nextPrepose(s, d); ok {
+						p.apply(s, d)
 					}
 				}
 			}
-		},
-		"promoteBufferedSends": func(s *pipeline.Schedule) {
-			ApplyCheckpoint(s)
-			promoteBufferedSends(s)
+			onClone(s, func(c *pipeline.Schedule) {
+				if len(promoteBufferedSends(c, nil)) == 0 {
+					t.Error("no buffered send to promote")
+				}
+			})
 		},
 		"splitAll": func(s *pipeline.Schedule) { splitAll(s) },
 		"sinkWeightGrads": func(s *pipeline.Schedule) {

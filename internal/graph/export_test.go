@@ -9,14 +9,15 @@ import (
 )
 
 // ScanOracle is the filter-off run of the prepose scan. It drives
-// OptimizeContext's rounds from cur — a schedule the structural passes have
-// already run on — with the production preposeRound, and before each round
-// simulates, on an engine of its own, every single-device candidate offChain
-// refuses against the round's incumbent: a candidate that passes the
+// OptimizeContext's rounds on a clone of s — a schedule the structural passes
+// have already run on — with the production preposeRound, and before each
+// round simulates, on an engine of its own, every single-device candidate
+// offChain refuses against the round's incumbent: a candidate that passes the
 // strict-improvement test after all is the error. It returns the schedule the
 // rounds end on (what Optimize returns for the same input) and how many
-// filtered candidates it simulated.
-func ScanOracle(cur *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, error) {
+// filtered candidates it simulated; s is left as it was.
+func ScanOracle(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, error) {
+	cur := s.Clone()
 	opt.Sim.NoTimeline = true
 	eng := NewEngines()
 	best, err := eng.Main.Simulate(cur, opt.Estimator, opt.Sim)
@@ -32,26 +33,26 @@ func ScanOracle(cur *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, e
 			if !ok || !eng.offChain(d, p) {
 				continue
 			}
-			c := cur.Clone()
-			p.apply(c, d)
-			r, _, err := simCandidate(&side, c, opt)
+			buffered := p.apply(cur, d)
+			r, _, err := simCandidate(&side, cur, opt)
 			if err != nil {
 				return nil, checked, err
 			}
+			p.undo(cur, d, buffered)
 			checked++
 			if r != nil && r.Total < best.Total-improveEps {
 				return nil, checked, fmt.Errorf("round %d: filtered prepose on device %d finishes at %v, incumbent at %v\n%s",
 					round, d, r.Total, best.Total, cur)
 			}
 		}
-		next, nextRes, _, err := preposeRound(context.Background(), cur, best, opt, eng)
+		next, _, err := preposeRound(context.Background(), cur, best, opt, eng)
 		if err != nil {
 			return nil, checked, err
 		}
-		if nextRes == best {
+		if next == best {
 			break
 		}
-		cur, best = next, nextRes
+		best = next
 	}
 	return cur, checked, nil
 }

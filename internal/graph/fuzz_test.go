@@ -10,6 +10,32 @@ import (
 	"mario/internal/sim"
 )
 
+// passSeeds are FuzzGraphPassInvariants' seed inputs: scheme selector,
+// devices, micro-batches and chunks, as passSchedule reads them.
+var passSeeds = [][4]uint8{
+	{0, 4, 8, 2}, {1, 4, 6, 2}, {2, 6, 12, 2}, {3, 4, 8, 2},
+	{1, 8, 3, 1}, {4, 4, 8, 2}, {5, 4, 8, 2},
+}
+
+// passSchedule builds the schedule a FuzzGraphPassInvariants input names,
+// false when its scheme refuses the shape.
+func passSchedule(sel, devices, micros, chunks uint8) (*pipeline.Schedule, bool) {
+	schemes := []pipeline.Scheme{
+		pipeline.SchemeGPipe,
+		pipeline.Scheme1F1B,
+		pipeline.SchemeChimera,
+		pipeline.SchemeInterleave,
+		pipeline.SchemeZBH1,
+		pipeline.SchemeDualPipeD,
+	}
+	s, err := scheme.Build(schemes[int(sel)%len(schemes)], scheme.Config{
+		Devices: int(devices)%10 + 1,
+		Micros:  int(micros)%16 + 1,
+		Chunks:  int(chunks)%3 + 1,
+	})
+	return s, err == nil
+}
+
 // countKinds tallies the per-kind instruction counts of a schedule.
 func countKinds(s *pipeline.Schedule) map[pipeline.Kind]int {
 	out := make(map[pipeline.Kind]int)
@@ -41,30 +67,15 @@ func countKinds(s *pipeline.Schedule) map[pipeline.Kind]int {
 // candidate the critical-chain filter refuses simulated anyway: none may
 // improve, and the replay must end on the schedule Optimize returned.
 func FuzzGraphPassInvariants(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(8), uint8(2))
-	f.Add(uint8(1), uint8(4), uint8(6), uint8(2))
-	f.Add(uint8(2), uint8(6), uint8(12), uint8(2))
-	f.Add(uint8(3), uint8(4), uint8(8), uint8(2))
-	f.Add(uint8(1), uint8(8), uint8(3), uint8(1))
-	f.Add(uint8(4), uint8(4), uint8(8), uint8(2))
-	f.Add(uint8(5), uint8(4), uint8(8), uint8(2))
+	for _, seed := range passSeeds {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
 	f.Fuzz(func(t *testing.T, sel, devices, micros, chunks uint8) {
-		schemes := []pipeline.Scheme{
-			pipeline.SchemeGPipe,
-			pipeline.Scheme1F1B,
-			pipeline.SchemeChimera,
-			pipeline.SchemeInterleave,
-			pipeline.SchemeZBH1,
-			pipeline.SchemeDualPipeD,
-		}
-		s := schemes[int(sel)%len(schemes)]
-		d := int(devices)%10 + 1
-		n := int(micros)%16 + 1
-		v := int(chunks)%3 + 1
-		sched, err := scheme.Build(s, scheme.Config{Devices: d, Micros: n, Chunks: v})
-		if err != nil {
+		sched, ok := passSchedule(sel, devices, micros, chunks)
+		if !ok {
 			return
 		}
+		s, d, n, v := sched.Scheme, sched.NumDevices(), sched.Micros, int(chunks)%3+1
 		before := countKinds(sched)
 
 		c := sched.Clone()
@@ -144,6 +155,9 @@ func FuzzGraphPassInvariants(f *testing.F) {
 		}
 		if err != nil {
 			t.Fatalf("%s d=%d n=%d v=%d: scan filter oracle: %v", s, d, n, v, err)
+		}
+		if _, err := checkUndo(c, opts); err != nil {
+			t.Fatalf("%s d=%d n=%d v=%d: in-place moves: %v", s, d, n, v, err)
 		}
 		split, _, err := SplitBackward(opt, opts)
 		if err != nil {

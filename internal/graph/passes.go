@@ -98,6 +98,7 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 		pos[i] = -1
 	}
 	bwPos, rcPos, saPos := pos[:cells], pos[cells:2*cells], pos[2*cells:]
+	cell := func(in pipeline.Instr) int { return int(in.Micro)*S + int(in.Stage) }
 	var dropped []bool
 	for d := range s.Lists {
 		list := s.Lists[d]
@@ -109,11 +110,11 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 			case pipeline.Backward, pipeline.BackwardInput:
 				// The input-gradient half is the backward anchor on split
 				// schedules: it is what consumes the (re)computed activations.
-				bwPos[in.Micro*S+in.Stage] = int32(i)
+				bwPos[cell(in)] = int32(i)
 			case pipeline.Recompute:
-				rcPos[in.Micro*S+in.Stage] = int32(i)
+				rcPos[cell(in)] = int32(i)
 			case pipeline.SendAct:
-				saPos[in.Micro*S+in.Stage] = int32(i)
+				saPos[cell(in)] = int32(i)
 			}
 		}
 		if cap(dropped) >= len(list) {
@@ -131,7 +132,7 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 			if in.Kind != pipeline.CkptForward {
 				continue
 			}
-			c := in.Micro*S + in.Stage
+			c := cell(in)
 			bwIdx := int(bwPos[c])
 			if bwIdx < i || list[bwIdx].Part != in.Part { // bwIdx < i covers the -1 "absent" case
 				continue
@@ -164,7 +165,7 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 		}
 		for _, in := range list {
 			if in.Micro >= 0 {
-				c := in.Micro*S + in.Stage
+				c := cell(in)
 				bwPos[c], rcPos[c], saPos[c] = -1, -1, -1
 			}
 		}
@@ -266,7 +267,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 			return nil, nil, err
 		}
 		rs := opt.Span.Child(telemetry.PhaseRound, fmt.Sprintf("%02d", r+1))
-		next, nextRes, moves, err := preposeRound(ctx, cur, best, inner, eng)
+		nextRes, moves, err := preposeRound(ctx, cur, best, inner, eng)
 		if err != nil {
 			rs.Discard()
 			return nil, nil, err
@@ -279,7 +280,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 		if nextRes == best {
 			break
 		}
-		cur, best = next, nextRes
+		best = nextRes
 	}
 	if !opt.Sim.NoTimeline {
 		best, err = eng.Main.Simulate(cur, opt.Estimator, opt.Sim)

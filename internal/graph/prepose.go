@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"mario/internal/pipeline"
 	"mario/internal/sim"
@@ -29,6 +30,11 @@ type Engines struct {
 	// at a time, and a result's encoded form has no room for it. next is the
 	// chain of a round's winner so far; the round's end swaps it in.
 	chain, next []sim.Segment
+	// promoted and composite log the in-place moves of a round's
+	// buffered-send promotion and composite candidate, so the round can take
+	// them back.
+	promoted  []promotion
+	composite []placed
 	// scan counts the per-device scan's single-device candidates by verdict:
 	// filtered left the incumbent's critical chain whole (offChain), illegal
 	// deadlocked or mispaired a pop in its simulation, simulated is the rest.
@@ -73,17 +79,17 @@ func findBoundary(list []pipeline.Instr) int {
 	return -1
 }
 
-// consumerPreposed reports whether the consumer of the (micro, stage)
-// activation executes its forward inside its own leading forward region —
-// §5.1 pass 4's "CFW in the next device is also preposed" test, which
-// decides whether the SendAct may travel with the CkptForward or must stay
-// buffered in place.
-func consumerPreposed(s *pipeline.Schedule, micro, part, stage int) bool {
-	if stage+1 >= s.NumStages() {
+// consumerPreposed reports whether the consumer of the activation that in
+// (a CkptForward or its SendAct) produces executes its forward inside its own
+// leading forward region — §5.1 pass 4's "CFW in the next device is also
+// preposed" test, which decides whether the SendAct may travel with the
+// CkptForward or must stay buffered in place.
+func consumerPreposed(s *pipeline.Schedule, in pipeline.Instr) bool {
+	if int(in.Stage)+1 >= s.NumStages() {
 		return true // no consumer; nothing constrains the send
 	}
-	sa := pipeline.Instr{Kind: pipeline.SendAct, Micro: micro, Part: part, Stage: stage}
-	dev := s.PeerDevice(s.Placement.Device(part, stage), sa)
+	sa := pipeline.Instr{Kind: pipeline.SendAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
+	dev := s.PeerDevice(s.Placement.Device(int(in.Part), int(in.Stage)), sa)
 	list := s.Lists[dev]
 	b := findBoundary(list)
 	if b < 0 {
@@ -97,6 +103,14 @@ func consumerPreposed(s *pipeline.Schedule, micro, part, stage int) bool {
 		}
 	}
 	return false
+}
+
+// rotate turns w into w[k:] followed by w[:k], in place. Every move of pass 4
+// is such a rotation of one window of one list.
+func rotate(w []pipeline.Instr, k int) {
+	slices.Reverse(w[:k])
+	slices.Reverse(w[k:])
+	slices.Reverse(w)
 }
 
 // A prepose is pass 4's move on one device list: the forward group g leaves
@@ -131,7 +145,7 @@ func nextPrepose(s *pipeline.Schedule, d int) (prepose, bool) {
 			g.end = i + 2
 			g.saIdx = i + 1
 		}
-		moveSA := g.saIdx >= 0 && consumerPreposed(s, list[i].Micro, list[i].Part, list[i].Stage)
+		moveSA := g.saIdx >= 0 && consumerPreposed(s, list[i])
 		return prepose{b: b, g: g, moveSA: moveSA}, true
 	}
 	return prepose{}, false
@@ -145,23 +159,31 @@ func (p prepose) movedEnd() int {
 	return p.g.end
 }
 
-// apply rewrites device d of c; p is nextPrepose(c, d). The caller owns c (a
-// private clone of the candidate base), whose old list for d is still the
-// base's, so the rewritten list is a fresh allocation.
-func (p prepose) apply(c *pipeline.Schedule, d int) {
-	list := c.Lists[d]
+// apply makes the move on device d of s, in place: list[b:movedEnd) is
+// rotated so the travelling instructions come first, and a SendAct left
+// behind is marked Buffered (§5.1 pass 4 scenario 2); every index from
+// movedEnd on keeps its instruction. p is nextPrepose(s, d). apply returns the
+// Buffered flag it overwrote, which undo takes back.
+func (p prepose) apply(s *pipeline.Schedule, d int) (buffered bool) {
+	list := s.MutableList(d)
 	mEnd := p.movedEnd()
-	nl := make([]pipeline.Instr, 0, len(list))
-	nl = append(nl, list[:p.b]...)
-	nl = append(nl, list[p.g.start:mEnd]...)
-	nl = append(nl, list[p.b:p.g.start]...)
-	nl = append(nl, list[mEnd:]...)
+	rotate(list[p.b:mEnd], p.g.start-p.b)
 	if mEnd < p.g.end {
-		// The SendAct stays put, reading from the staging buffer (§5.1 pass 4
-		// scenario 2); every index from mEnd on is unchanged.
-		nl[mEnd].Buffered = true
+		buffered = list[mEnd].Buffered
+		list[mEnd].Buffered = true
 	}
-	c.SetList(d, nl)
+	return buffered
+}
+
+// undo takes back apply(s, d), which returned buffered, restoring device d's
+// list instruction for instruction.
+func (p prepose) undo(s *pipeline.Schedule, d int, buffered bool) {
+	list := s.MutableList(d)
+	mEnd := p.movedEnd()
+	if mEnd < p.g.end {
+		list[mEnd].Buffered = buffered
+	}
+	rotate(list[p.b:mEnd], mEnd-p.g.start)
 }
 
 // offChain reports whether the single-device candidate that applies p to
@@ -189,41 +211,45 @@ func (e *Engines) offChain(d int, p prepose) bool {
 	return true
 }
 
-// promoteBufferedSends builds a candidate where every Buffered SendAct whose
-// consumer has since been preposed is moved back next to its CkptForward.
-// Returns false when nothing was promotable.
-func promoteBufferedSends(s *pipeline.Schedule) (*pipeline.Schedule, bool) {
-	c := s.Clone()
-	changed := false
-	for d := range c.Lists {
-		list := c.Lists[d]
-		mutable := false
+// A promotion moved the Buffered SendAct at list[i] of device d back to
+// list[j+1], right behind its CkptForward at list[j], and cleared its flag.
+type promotion struct{ d, j, i int }
+
+// promoteBufferedSends moves, in place, every Buffered SendAct of s whose
+// consumer has since been preposed back next to its CkptForward, appending
+// each move to log in the order made, and returns the extended log.
+func promoteBufferedSends(s *pipeline.Schedule, log []promotion) []promotion {
+	for d := range s.Lists {
+		list := s.Lists[d]
 		for i := 0; i < len(list); i++ {
 			in := list[i]
-			if in.Kind != pipeline.SendAct || !in.Buffered {
-				continue
-			}
-			if !consumerPreposed(c, in.Micro, in.Part, in.Stage) {
+			if in.Kind != pipeline.SendAct || !in.Buffered || !consumerPreposed(s, in) {
 				continue
 			}
 			// Find the producing CkptForward and move the send right after it.
 			for j := 0; j < i; j++ {
 				p := list[j]
 				if p.Kind == pipeline.CkptForward && p.Micro == in.Micro && p.Stage == in.Stage {
-					if !mutable {
-						list = c.MutableList(d)
-						mutable = true
-					}
-					in.Buffered = false
-					copy(list[j+2:i+1], list[j+1:i])
-					list[j+1] = in
-					changed = true
+					list = s.MutableList(d)
+					rotate(list[j+1:i+1], i-j-1)
+					list[j+1].Buffered = false
+					log = append(log, promotion{d: d, j: j, i: i})
 					break
 				}
 			}
 		}
 	}
-	return c, changed
+	return log
+}
+
+// undoPromotions takes back the moves of log, latest first.
+func undoPromotions(s *pipeline.Schedule, log []promotion) {
+	for k := len(log) - 1; k >= 0; k-- {
+		m := log[k]
+		list := s.MutableList(m.d)
+		list[m.j+1].Buffered = true
+		rotate(list[m.j+1:m.i+1], 1)
+	}
 }
 
 // simCandidate evaluates one candidate on the given engine and is the one
@@ -251,77 +277,95 @@ func simCandidate(eng *sim.Simulator, c *pipeline.Schedule, opt Options) (r *sim
 // additions, orders of magnitude below this.
 const improveEps = 1e-12
 
-// preposeRound evaluates one greedy round of pass 4: preposing one group on
-// each single device, preposing one group on all devices at once (to enable
-// cascaded moves none of which helps alone), and promoting buffered sends.
-// The best strictly-improving, non-OOM candidate wins, and its critical chain
-// becomes eng's. The round reports how many group moves its winner made.
+// A placed prepose is one move of the composite candidate, with the flag its
+// apply overwrote.
+type placed struct {
+	d        int
+	p        prepose
+	buffered bool
+}
+
+// The candidates of a round, in the order it simulates them.
+const (
+	candPromote = iota
+	candComposite
+	candScan
+)
+
+// preposeRound evaluates one greedy round of pass 4 on cur: promoting buffered
+// sends, preposing one group on all devices at once (to enable cascaded moves
+// none of which helps alone), and preposing one group on each single device.
+// Each candidate is made by editing cur in place, simulated, and undone; the
+// best strictly-improving, non-OOM candidate wins, is made again, and its
+// critical chain becomes eng's. The round returns the winner's result and how
+// many group moves it made — best and 0, with cur as it was, when nothing
+// improves.
 //
 // ctx is checked before each candidate simulation; a cancelled round returns
-// ctx's error.
-func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, eng *Engines) (*pipeline.Schedule, *sim.Result, int, error) {
-	type cand struct {
-		s     *pipeline.Schedule
+// ctx's error, and so does any simulation error, with cur part-way through an
+// edit: the caller discards it.
+func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result, opt Options, eng *Engines) (*sim.Result, int, error) {
+	var winner struct {
 		r     *sim.Result
+		cand  int
 		moves int
+		d     int
+		p     prepose
 	}
-	var winner *cand
 
-	// consider runs right after c's simulation, while the engine still holds
-	// that run.
-	consider := func(c *pipeline.Schedule, r *sim.Result, moves int) {
-		if r != nil && r.Total < best.Total-improveEps && (winner == nil || r.Total < winner.r.Total) {
-			winner = &cand{s: c, r: r, moves: moves}
+	// consider runs right after a candidate's simulation, while the engine
+	// still holds that run.
+	consider := func(r *sim.Result, cand, moves int) bool {
+		if r != nil && r.Total < best.Total-improveEps && (winner.r == nil || r.Total < winner.r.Total) {
+			winner.r, winner.cand, winner.moves = r, cand, moves
 			eng.next = eng.Main.CriticalChain(eng.next[:0])
+			return true
 		}
+		return false
 	}
 
 	// Candidate order matters on exact makespan ties only: the earlier
 	// candidate wins them. The buffered-send promotion goes first.
-	if c, ok := promoteBufferedSends(cur); ok {
+	eng.promoted = promoteBufferedSends(cur, eng.promoted[:0])
+	if len(eng.promoted) > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		r, _, err := simCandidate(eng.Main, c, opt)
+		r, _, err := simCandidate(eng.Main, cur, opt)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		consider(c, r, 0)
+		consider(r, candPromote, 0)
+		undoPromotions(cur, eng.promoted)
 	}
 	// Composite candidate — one prepose on every device — because the
-	// cascaded move is both the usual winner and a single simulation. Only
-	// when it fails to improve do we pay for the per-device scan. One clone
-	// serves all the device rewrites; it is created lazily, at the first
-	// device cur has a move for (the clone, untouched until then, has the
-	// same one), so a round with no movable groups allocates nothing.
-	var comp *pipeline.Schedule
-	moves := 0
+	// cascaded move is both the usual winner and a single simulation. Each
+	// device's move is found on cur as the earlier devices' moves left it.
+	// Only when it fails to improve do we pay for the per-device scan.
+	comp := eng.composite[:0]
 	for d := 0; d < cur.NumDevices(); d++ {
-		if comp == nil {
-			if _, ok := nextPrepose(cur, d); !ok {
-				continue
-			}
-			comp = cur.Clone()
-		}
-		if p, ok := nextPrepose(comp, d); ok {
-			p.apply(comp, d)
-			moves++
+		if p, ok := nextPrepose(cur, d); ok {
+			comp = append(comp, placed{d: d, p: p, buffered: p.apply(cur, d)})
 		}
 	}
-	if moves > 0 {
+	eng.composite = comp
+	if len(comp) > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		r, _, err := simCandidate(eng.Main, comp, opt)
+		r, _, err := simCandidate(eng.Main, cur, opt)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		consider(comp, r, moves)
+		if !consider(r, candComposite, len(comp)) {
+			for k := len(comp) - 1; k >= 0; k-- {
+				comp[k].p.undo(cur, comp[k].d, comp[k].buffered)
+			}
+		}
 	}
-	if winner == nil {
+	if winner.r == nil {
 		// The per-device scan refuses a candidate that leaves the incumbent's
-		// critical chain whole before cloning it, and clones and simulates
-		// the rest.
+		// critical chain whole before making it, and simulates the rest.
 		for d := 0; d < cur.NumDevices(); d++ {
 			p, ok := nextPrepose(cur, d)
 			if !ok {
@@ -332,25 +376,34 @@ func preposeRound(ctx context.Context, cur *pipeline.Schedule, best *sim.Result,
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
-			c := cur.Clone()
-			p.apply(c, d)
-			r, illegal, err := simCandidate(eng.Main, c, opt)
+			buffered := p.apply(cur, d)
+			r, illegal, err := simCandidate(eng.Main, cur, opt)
 			if err != nil {
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
 			if illegal {
 				eng.scan.illegal++
-				continue
+			} else {
+				eng.scan.simulated++
+				if consider(r, candScan, 1) {
+					winner.d, winner.p = d, p
+				}
 			}
-			eng.scan.simulated++
-			consider(c, r, 1)
+			p.undo(cur, d, buffered)
 		}
 	}
-	if winner == nil {
-		return cur, best, 0, nil
+	if winner.r == nil {
+		return best, 0, nil
+	}
+	// The composite winner is still in place; the others are made again.
+	switch winner.cand {
+	case candPromote:
+		eng.promoted = promoteBufferedSends(cur, eng.promoted[:0])
+	case candScan:
+		winner.p.apply(cur, winner.d)
 	}
 	eng.chain, eng.next = eng.next, eng.chain
-	return winner.s, winner.r, winner.moves, nil
+	return winner.r, winner.moves, nil
 }

@@ -37,6 +37,10 @@ func TestOptimizeValidityProperty(t *testing.T) {
 			t.Logf("%s d=%d n=%d: %v", sch, d, n, err)
 			return false
 		}
+		if _, err := checkUndo(structural(s), Options{Estimator: e}); err != nil {
+			t.Logf("%s d=%d n=%d: in-place moves: %v", sch, d, n, err)
+			return false
+		}
 		return res.Total > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

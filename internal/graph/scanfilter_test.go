@@ -15,10 +15,6 @@ import (
 func TestOffChainIsTheSubsetTest(t *testing.T) {
 	eng := NewEngines()
 	for n := 3; n <= 9; n++ {
-		list := make([]pipeline.Instr, n)
-		for i := range list {
-			list[i] = pipeline.Instr{Kind: pipeline.Forward, Micro: i}
-		}
 		for b := 0; b < n; b++ {
 			for gs := b + 1; gs < n; gs++ {
 				for end := gs + 1; end <= n; end++ {
@@ -29,6 +25,12 @@ func TestOffChainIsTheSubsetTest(t *testing.T) {
 					} {
 						if p.movedEnd() == gs {
 							continue // a group that is only its send moves nothing
+						}
+						// apply edits in place: every case starts from a
+						// fresh list, instruction i being micro i.
+						list := make([]pipeline.Instr, n)
+						for i := range list {
+							list[i] = pipeline.Instr{Kind: pipeline.Forward, Micro: int32(i)}
 						}
 						c := &pipeline.Schedule{Lists: [][]pipeline.Instr{nil, list}}
 						p.apply(c, 1)

@@ -41,7 +41,7 @@ func TestSplitBackwardStructure(t *testing.T) {
 			if in.Kind != pipeline.SendGrad {
 				continue
 			}
-			wg := pipeline.Key{Kind: pipeline.BackwardWeight, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
+			wg := pipeline.Key{Kind: pipeline.BackwardWeight, Micro: int(in.Micro), Part: int(in.Part), Stage: int(in.Stage)}
 			if j, ok := pos[wg]; ok && j < pos[in.Key()] {
 				t.Errorf("dev%d: %s after its weight half", dev, in)
 			}

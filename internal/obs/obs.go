@@ -78,7 +78,7 @@ type jsonEvent struct {
 func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonEvent{
 		Device: e.Device, Iter: e.Iter, Kind: e.Kind.String(),
-		Micro: e.Micro, Part: e.Part, Stage: e.Stage, Peer: e.Peer,
+		Micro: int(e.Micro), Part: int(e.Part), Stage: int(e.Stage), Peer: e.Peer,
 		Start: e.Start, End: e.End, Wait: e.Wait, Bytes: e.Bytes,
 		Mem: e.Mem, Buf: e.Buffered,
 	})

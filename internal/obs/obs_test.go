@@ -12,7 +12,7 @@ import (
 )
 
 func ev(dev, iter int, k pipeline.Kind, micro int, start, end float64) Event {
-	return Event{Instr: pipeline.Instr{Kind: k, Micro: micro}, Device: dev, Iter: iter, Peer: -1, Start: start, End: end}
+	return Event{Instr: pipeline.Instr{Kind: k, Micro: int32(micro)}, Device: dev, Iter: iter, Peer: -1, Start: start, End: end}
 }
 
 func TestJSONLRoundtrip(t *testing.T) {

@@ -33,22 +33,24 @@ func InsertComm(s *Schedule) {
 		for _, in := range list {
 			switch in.Kind {
 			case Forward, CkptForward:
-				if in.Stage > 0 && crossesDevice(r, in.Part, in.Stage-1, in.Stage) {
+				part, st := int(in.Part), int(in.Stage)
+				if st > 0 && crossesDevice(r, part, st-1, st) {
 					out = append(out, Instr{Kind: RecvAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 				out = append(out, in)
-				if in.Stage < S-1 && crossesDevice(r, in.Part, in.Stage, in.Stage+1) {
+				if st < S-1 && crossesDevice(r, part, st, st+1) {
 					out = append(out, Instr{Kind: SendAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 			case Backward, BackwardInput:
 				// The input-gradient half anchors the gradient transfers when
 				// the backward is split; the weight-gradient half has no
 				// cross-device dependents and passes through unchanged.
-				if in.Stage < S-1 && crossesDevice(r, in.Part, in.Stage, in.Stage+1) {
+				part, st := int(in.Part), int(in.Stage)
+				if st < S-1 && crossesDevice(r, part, st, st+1) {
 					out = append(out, Instr{Kind: RecvGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 				out = append(out, in)
-				if in.Stage > 0 && crossesDevice(r, in.Part, in.Stage-1, in.Stage) {
+				if st > 0 && crossesDevice(r, part, st-1, st) {
 					out = append(out, Instr{Kind: SendGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
 				}
 			default:
@@ -87,15 +89,16 @@ func partOfStage(pl Placement, part, stage int) int {
 func (s *Schedule) PeerDevice(d int, in Instr) int { return peerDevice(s.Placement, d, in) }
 
 func peerDevice(pl Placement, d int, in Instr) int {
-	switch in.Kind {
-	case SendAct: // producer at in.Stage, consumer at in.Stage+1
-		return pl.Device(partOfStage(pl, in.Part, in.Stage+1), in.Stage+1)
-	case RecvAct: // consumer at in.Stage, producer at in.Stage-1
-		return pl.Device(partOfStage(pl, in.Part, in.Stage-1), in.Stage-1)
-	case SendGrad: // producer at in.Stage, consumer at in.Stage-1
-		return pl.Device(partOfStage(pl, in.Part, in.Stage-1), in.Stage-1)
-	case RecvGrad: // consumer at in.Stage, producer at in.Stage+1
-		return pl.Device(partOfStage(pl, in.Part, in.Stage+1), in.Stage+1)
+	k := in.Key()
+	switch k.Kind {
+	case SendAct: // producer at k.Stage, consumer at k.Stage+1
+		return pl.Device(partOfStage(pl, k.Part, k.Stage+1), k.Stage+1)
+	case RecvAct: // consumer at k.Stage, producer at k.Stage-1
+		return pl.Device(partOfStage(pl, k.Part, k.Stage-1), k.Stage-1)
+	case SendGrad: // producer at k.Stage, consumer at k.Stage-1
+		return pl.Device(partOfStage(pl, k.Part, k.Stage-1), k.Stage-1)
+	case RecvGrad: // consumer at k.Stage, producer at k.Stage+1
+		return pl.Device(partOfStage(pl, k.Part, k.Stage+1), k.Stage+1)
 	}
 	return d
 }
@@ -106,15 +109,16 @@ func peerDevice(pl Placement, d int, in Instr) int {
 func (s *Schedule) MatchKey(in Instr) Key { return matchKey(s.Placement, in) }
 
 func matchKey(pl Placement, in Instr) Key {
-	switch in.Kind {
+	k := in.Key()
+	switch k.Kind {
 	case SendAct:
-		return Key{Kind: RecvAct, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage+1), Stage: in.Stage + 1}
+		return Key{Kind: RecvAct, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage+1), Stage: k.Stage + 1}
 	case RecvAct:
-		return Key{Kind: SendAct, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage-1), Stage: in.Stage - 1}
+		return Key{Kind: SendAct, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage-1), Stage: k.Stage - 1}
 	case SendGrad:
-		return Key{Kind: RecvGrad, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage-1), Stage: in.Stage - 1}
+		return Key{Kind: RecvGrad, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage-1), Stage: k.Stage - 1}
 	case RecvGrad:
-		return Key{Kind: SendGrad, Micro: in.Micro, Part: partOfStage(pl, in.Part, in.Stage+1), Stage: in.Stage + 1}
+		return Key{Kind: SendGrad, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage+1), Stage: k.Stage + 1}
 	}
 	panic("pipeline: MatchKey on non-communication instruction " + in.String())
 }

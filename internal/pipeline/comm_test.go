@@ -15,10 +15,10 @@ func buildSkeleton1F1B(d, n int) *Schedule {
 	}
 	for dev := 0; dev < d; dev++ {
 		for m := 0; m < n; m++ {
-			s.Lists[dev] = append(s.Lists[dev], Instr{Kind: Forward, Micro: m, Stage: dev})
+			s.Lists[dev] = append(s.Lists[dev], Instr{Kind: Forward, Micro: int32(m), Stage: int32(dev)})
 		}
 		for m := n - 1; m >= 0; m-- {
-			s.Lists[dev] = append(s.Lists[dev], Instr{Kind: Backward, Micro: m, Stage: dev})
+			s.Lists[dev] = append(s.Lists[dev], Instr{Kind: Backward, Micro: int32(m), Stage: int32(dev)})
 		}
 	}
 	return s

@@ -115,19 +115,19 @@ const NoMicro = -1
 // (superscript).
 type Instr struct {
 	Kind Kind
-	// Micro is the micro-batch id, or NoMicro for AR/OS.
-	Micro int
-	// Part is the partition id: 0 for single-partition schemes (GPipe,
-	// 1F1B), the pipeline direction (0=up, 1=down) for Chimera, and the
-	// model-chunk id for Interleave.
-	Part int
-	// Stage is the global pipeline stage the instruction belongs to,
-	// in [0, Stages).
-	Stage int
 	// Buffered marks a SendAct whose producer CkptForward was preposed while
 	// the consumer on the next device was not (§5.1 pass 4 scenario 2): the
 	// output sits in a staging buffer until the original SA slot sends it.
 	Buffered bool
+	// Micro is the micro-batch id, or NoMicro for AR/OS.
+	Micro int32
+	// Part is the partition id: 0 for single-partition schemes (GPipe,
+	// 1F1B), the pipeline direction (0=up, 1=down) for Chimera, and the
+	// model-chunk id for Interleave.
+	Part int32
+	// Stage is the global pipeline stage the instruction belongs to,
+	// in [0, Stages).
+	Stage int32
 }
 
 // String renders the instruction in the paper's notation, e.g. "FW3^0".
@@ -150,5 +150,5 @@ type Key struct {
 
 // Key returns the identifying key of the instruction.
 func (in Instr) Key() Key {
-	return Key{Kind: in.Kind, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
+	return Key{Kind: in.Kind, Micro: int(in.Micro), Part: int(in.Part), Stage: int(in.Stage)}
 }

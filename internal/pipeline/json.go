@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // The JSON encoding makes schedules durable artifacts: Mario optimizes ahead
@@ -63,7 +64,7 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 		out.Lists[d] = make([]instrJSON, len(list))
 		for i, in := range list {
 			out.Lists[d][i] = instrJSON{
-				Kind: in.Kind.String(), Micro: in.Micro, Part: in.Part, Stage: in.Stage, Buf: in.Buffered,
+				Kind: in.Kind.String(), Micro: int(in.Micro), Part: int(in.Part), Stage: int(in.Stage), Buf: in.Buffered,
 			}
 		}
 	}
@@ -121,7 +122,13 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 			if !ok {
 				return fmt.Errorf("pipeline: unknown instruction kind %q", ij.Kind)
 			}
-			lists[d][i] = Instr{Kind: k, Micro: ij.Micro, Part: ij.Part, Stage: ij.Stage, Buffered: ij.Buf}
+			// Instructions hold their coordinates in 32 bits; a wider one
+			// would wrap into another instruction that validates and
+			// re-encodes to different bytes.
+			if !fitsInt32(ij.Micro) || !fitsInt32(ij.Part) || !fitsInt32(ij.Stage) {
+				return fmt.Errorf("pipeline: dev%d instruction %d (m=%d p=%d s=%d) has a coordinate outside int32", d, i, ij.Micro, ij.Part, ij.Stage)
+			}
+			lists[d][i] = Instr{Kind: k, Micro: int32(ij.Micro), Part: int32(ij.Part), Stage: int32(ij.Stage), Buffered: ij.Buf}
 		}
 	}
 	*s = *NewSchedule(Scheme(in.Scheme), Resolve(pl, in.Micros), lists)
@@ -131,3 +138,5 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
+
+func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }

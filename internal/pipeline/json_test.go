@@ -94,6 +94,34 @@ func TestJSONPreservesBufferedFlag(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsWideCoordinates: a coordinate outside int32 is refused, not
+// wrapped — 2³² plus a valid coordinate would otherwise decode to that
+// coordinate, validate, and re-encode to other bytes.
+func TestJSONRejectsWideCoordinates(t *testing.T) {
+	data, err := json.Marshal(sampleSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Schedule
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("the unedited body does not decode: %v", err)
+	}
+	for name, edit := range map[string][2]string{
+		"micro":    {`{"k":"FW","m":0,"s":0}`, `{"k":"FW","m":4294967296,"s":0}`},
+		"no micro": {`{"k":"AR","m":-1,"s":0}`, `{"k":"AR","m":-4294967297,"s":0}`},
+		"part":     {`{"k":"FW","m":0,"s":0}`, `{"k":"FW","m":0,"p":4294967296,"s":0}`},
+		"stage":    {`{"k":"FW","m":0,"s":0}`, `{"k":"FW","m":0,"s":4294967296}`},
+	} {
+		bad := strings.Replace(string(data), edit[0], edit[1], 1)
+		if bad == string(data) {
+			t.Fatalf("%s: %q not found in %s", name, edit[0], data)
+		}
+		if err := json.Unmarshal([]byte(bad), &got); err == nil {
+			t.Errorf("a %s coordinate past int32 was accepted", name)
+		}
+	}
+}
+
 // TestJSONRejectsCorrupted: decoding enforces validation and kind names.
 func TestJSONRejectsCorrupted(t *testing.T) {
 	s := sampleSchedule()

@@ -4,7 +4,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstrSize pins the packed instruction: every list, candidate and plan
+// the program holds is an array of these, so a new field must not widen it
+// silently.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Errorf("pipeline.Instr is %d bytes, want 16", got)
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{

@@ -138,7 +138,7 @@ func (r *Resolved) resolveLinks() {
 					continue
 				}
 				for _, k := range [...]Kind{SendAct, SendGrad} {
-					recv := matchKey(r.pl, Instr{Kind: k, Part: r.partOfRow(row, st), Stage: st})
+					recv := matchKey(r.pl, Instr{Kind: k, Part: int32(r.partOfRow(row, st)), Stage: int32(st)})
 					rc := r.cell(recv.Part, recv.Stage)
 					if rc < 0 || r.dev[rc] < 0 || int(r.dev[rc]) >= r.devices {
 						continue
@@ -227,7 +227,7 @@ func (r *Resolved) Link(in Instr) int {
 	if !in.Kind.IsComm() {
 		return -1
 	}
-	c := r.cell(in.Part, in.Stage)
+	c := r.cell(int(in.Part), int(in.Stage))
 	if c < 0 {
 		return -1
 	}
@@ -289,8 +289,8 @@ func (r *Resolved) Transfers() int { return 2 * r.box() }
 // ignores it: an instruction whose part is not its stage's chunk gets the
 // chunk's transfer, though Slot places its own key outside the box.
 func (r *Resolved) CommPair(in Instr) (link, slot int) {
-	m := in.Micro + 1
-	c := r.cell(in.Part, in.Stage)
+	m := int(in.Micro) + 1
+	c := r.cell(int(in.Part), int(in.Stage))
 	if !in.Kind.IsComm() || c < 0 {
 		return -1, -1
 	}

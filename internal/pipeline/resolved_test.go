@@ -21,9 +21,9 @@ func oraclePart(pl Placement, part, stage int) int {
 func oraclePeer(pl Placement, d int, in Instr) int {
 	switch in.Kind {
 	case SendAct, RecvGrad:
-		return pl.Device(oraclePart(pl, in.Part, in.Stage+1), in.Stage+1)
+		return pl.Device(oraclePart(pl, int(in.Part), int(in.Stage+1)), int(in.Stage+1))
 	case RecvAct, SendGrad:
-		return pl.Device(oraclePart(pl, in.Part, in.Stage-1), in.Stage-1)
+		return pl.Device(oraclePart(pl, int(in.Part), int(in.Stage-1)), int(in.Stage-1))
 	}
 	return d
 }
@@ -33,11 +33,11 @@ func oraclePeer(pl Placement, d int, in Instr) int {
 // the instruction on. ok is false where the resolved view promises no link:
 // no device, or no stage, at the other end.
 func oracleLink(pl Placement, in Instr) (link [3]int, ok bool) {
-	other := in.Stage + 1
+	other := int(in.Stage) + 1
 	if in.Kind == RecvAct || in.Kind == SendGrad {
-		other = in.Stage - 1
+		other = int(in.Stage) - 1
 	}
-	d, peer := pl.Device(in.Part, in.Stage), oraclePeer(pl, 0, in)
+	d, peer := pl.Device(int(in.Part), int(in.Stage)), oraclePeer(pl, 0, in)
 	if other < 0 || other >= pl.NumStages() || peer < 0 || peer >= pl.NumDevices() {
 		return link, false
 	}
@@ -109,7 +109,7 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 						t.Fatalf("PartAt(%d,%d) = %d, want %d", part, stage, got, want)
 					}
 					for k := Kind(0); k < numKinds+1; k++ {
-						in := Instr{Kind: k, Part: part, Stage: stage}
+						in := Instr{Kind: k, Part: int32(part), Stage: int32(stage)}
 						if got, want := r.Peer(7, in), oraclePeer(pl, 7, in); got != want {
 							t.Fatalf("Peer(%s part %d stage %d) = %d, want %d", k, part, stage, got, want)
 						}
@@ -134,7 +134,7 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 						}
 						for micro := -3; micro < micros+2; micro++ {
 							key := Key{Kind: k, Micro: micro, Part: part, Stage: stage}
-							checkCommPair(t, r, Instr{Kind: k, Micro: micro, Part: part, Stage: stage},
+							checkCommPair(t, r, Instr{Kind: k, Micro: int32(micro), Part: int32(part), Stage: int32(stage)},
 								inBox(part, stage) && micro >= NoMicro && micro < micros, transfers, transferSlots)
 							inside := k < numKinds && micro >= NoMicro && micro < micros && stage >= 0 && stage < S &&
 								part >= 0 && part < P && (!follows || part == oraclePart(pl, part, stage))
@@ -198,13 +198,13 @@ func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers ma
 	if slot < 0 || slot >= r.Transfers() {
 		t.Fatalf("CommPair(%+v) slot %d, want within %d", in, slot, r.Transfers())
 	}
-	pin := Instr{Kind: partner.Kind, Micro: partner.Micro, Part: partner.Part, Stage: partner.Stage}
+	pin := Instr{Kind: partner.Kind, Micro: int32(partner.Micro), Part: int32(partner.Part), Stage: int32(partner.Stage)}
 	if _, other := r.CommPair(pin); other != slot {
 		t.Fatalf("CommPair(%+v) slot %d, its partner %+v's %d", in, slot, partner, other)
 	}
 	send := partner
 	if in.Kind == SendAct || in.Kind == SendGrad {
-		send = Key{Kind: in.Kind, Micro: in.Micro, Part: r.PartAt(in.Part, in.Stage), Stage: in.Stage}
+		send = Key{Kind: in.Kind, Micro: int(in.Micro), Part: r.PartAt(int(in.Part), int(in.Stage)), Stage: int(in.Stage)}
 	}
 	if prev, seen := transfers[slot]; seen && prev != send {
 		t.Fatalf("transfers of %+v and %+v share slot %d", prev, send, slot)

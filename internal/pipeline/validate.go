@@ -33,7 +33,9 @@ type validator struct {
 // at global position base, the one of kind k at in's (micro, part, stage),
 // returning its list index.
 func (v *validator) at(base int32, k Kind, in Instr) (int32, bool) {
-	if slot := v.r.Slot(Key{Kind: k, Micro: in.Micro, Part: in.Part, Stage: in.Stage}); slot >= 0 && v.pos[slot] > base {
+	key := in.Key()
+	key.Kind = k
+	if slot := v.r.Slot(key); slot >= 0 && v.pos[slot] > base {
 		return v.pos[slot] - base - 1, true
 	}
 	return 0, false
@@ -80,10 +82,10 @@ func (v *validator) devices() error {
 		v.starts[d+1] = base + int32(len(list))
 		for i, in := range list {
 			if in.Micro != NoMicro {
-				if in.Micro < 0 || in.Micro >= s.Micros {
+				if in.Micro < 0 || int(in.Micro) >= s.Micros {
 					return invalidf("dev%d: %s has micro out of range [0,%d)", d, in, s.Micros)
 				}
-				if in.Stage < 0 || in.Stage >= S {
+				if in.Stage < 0 || int(in.Stage) >= S {
 					return invalidf("dev%d: %s has stage out of range [0,%d)", d, in, S)
 				}
 			}
@@ -92,7 +94,7 @@ func (v *validator) devices() error {
 				return invalidf("dev%d: %s names a partition or stage the placement does not have", d, in)
 			}
 			if in.Micro != NoMicro {
-				if got := v.r.Device(in.Part, in.Stage); got != d {
+				if got := v.r.Device(int(in.Part), int(in.Stage)); got != d {
 					return invalidf("dev%d: %s belongs on dev%d per placement", d, in, got)
 				}
 			}

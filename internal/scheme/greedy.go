@@ -8,13 +8,13 @@ import (
 type unit struct {
 	kind  pipeline.Kind // Forward, Backward, BackwardInput or BackwardWeight
 	rank  uint8         // kindRank(kind), the first key of the tail order
-	micro int
-	part  int
-	stage int
-	dev   int
+	micro int32
+	part  int32
+	stage int32
+	dev   int32
 
 	// dependency bookkeeping
-	waiting int     // unresolved predecessors
+	waiting int32   // unresolved predecessors
 	ready   float64 // max finish time of resolved predecessors
 }
 
@@ -65,7 +65,7 @@ func newDepGraph(r *pipeline.Resolved, micros int, split bool) *depGraph {
 
 // addUnit registers one compute unit at its placement-assigned device.
 func (g *depGraph) addUnit(k pipeline.Kind, micro, part, stage int) {
-	u := unit{kind: k, rank: kindRank(k), micro: micro, part: part, stage: stage, dev: g.r.Device(part, stage)}
+	u := unit{kind: k, rank: kindRank(k), micro: int32(micro), part: int32(part), stage: int32(stage), dev: int32(g.r.Device(part, stage))}
 	g.index[g.r.Slot(pipeline.Key{Kind: k, Micro: micro, Part: part, Stage: stage})] = int32(len(g.units))
 	g.units = append(g.units, u)
 }
@@ -225,7 +225,7 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 	for i := q.pop(); i >= 0; i = q.pop() {
 		u := &units[i]
 		finish := max(u.ready, q.devs[u.dev].free) + unitTime(u.kind)
-		q.occupy(u.dev, finish)
+		q.occupy(int(u.dev), finish)
 		lists[u.dev] = append(lists[u.dev], pipeline.Instr{Kind: u.kind, Micro: u.micro, Part: u.part, Stage: u.stage})
 		for _, si := range succ[off[i]:off[i+1]] {
 			s := &units[si]
@@ -363,7 +363,7 @@ func newReadyQueue(units []unit, perDev []int) *readyQueue {
 // push adds a unit whose predecessors have all finished: its ready time is
 // final.
 func (q *readyQueue) push(i int32) {
-	d := q.units[i].dev
+	d := int(q.units[i].dev)
 	dq := &q.devs[d]
 	if q.units[i].ready <= dq.free {
 		dq.now = q.heapPush(dq.now, i, false)

@@ -4,9 +4,18 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mario/internal/pipeline"
 )
+
+// TestUnitSize pins the list scheduler's packed unit, of which a 64 × 128
+// build holds over ten thousand: a new field must not widen it silently.
+func TestUnitSize(t *testing.T) {
+	if got := unsafe.Sizeof(unit{}); got > 32 {
+		t.Errorf("scheme.unit is %d bytes, want at most 32", got)
+	}
+}
 
 // scanQueue is the list scheduler's reference ready queue: every pop scans
 // all schedulable units for the best under better. The heap queue
@@ -134,7 +143,7 @@ func checkBuildMatchesScan(t *testing.T, s pipeline.Scheme, cfg Config, got *pip
 	r, g := schemeGraph(t, s, cfg)
 	type tail struct {
 		rank               uint8
-		micro, part, stage int
+		micro, part, stage int32
 	}
 	seen := make(map[tail]pipeline.Kind, len(g.units))
 	for _, u := range g.units {

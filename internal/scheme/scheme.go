@@ -67,10 +67,10 @@ func orderGPipe(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	for dev := range lists {
 		list := make([]pipeline.Instr, 0, 2*cfg.Micros)
 		for m := 0; m < cfg.Micros; m++ {
-			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: m, Stage: dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Stage: int32(dev)})
 		}
 		for m := cfg.Micros - 1; m >= 0; m-- {
-			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: m, Stage: dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: int32(m), Stage: int32(dev)})
 		}
 		lists[dev] = list
 	}
@@ -105,16 +105,16 @@ func order1F1B(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 		}
 		list := make([]pipeline.Instr, 0, 2*n)
 		for m := 0; m < warmup; m++ {
-			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: m, Stage: dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Stage: int32(dev)})
 		}
 		for j := 0; j < n-warmup; j++ {
 			list = append(list,
-				pipeline.Instr{Kind: pipeline.Forward, Micro: warmup + j, Stage: dev},
-				pipeline.Instr{Kind: pipeline.Backward, Micro: j, Stage: dev},
+				pipeline.Instr{Kind: pipeline.Forward, Micro: int32(warmup + j), Stage: int32(dev)},
+				pipeline.Instr{Kind: pipeline.Backward, Micro: int32(j), Stage: int32(dev)},
 			)
 		}
 		for m := n - warmup; m < n; m++ {
-			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: m, Stage: dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: int32(m), Stage: int32(dev)})
 		}
 		lists[dev] = list
 	}
@@ -167,11 +167,11 @@ func orderInterleave(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Ins
 		list := make([]pipeline.Instr, 0, 2*total)
 		emitF := func(k int) {
 			m, c := fwUnit(k)
-			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: m, Part: c, Stage: c*d + dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Part: int32(c), Stage: int32(c*d + dev)})
 		}
 		emitB := func(k int) {
 			m, c := bwUnit(k)
-			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: m, Part: c, Stage: c*d + dev})
+			list = append(list, pipeline.Instr{Kind: pipeline.Backward, Micro: int32(m), Part: int32(c), Stage: int32(c*d + dev)})
 		}
 		for k := 0; k < warmup; k++ {
 			emitF(k)

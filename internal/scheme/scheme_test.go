@@ -140,13 +140,13 @@ func TestChimeraBidirectional(t *testing.T) {
 	for _, list := range s.Lists {
 		for _, in := range list {
 			if in.Kind == pipeline.Forward {
-				parts[in.Part] = true
+				parts[int(in.Part)] = true
 				if in.Stage == 0 {
 					wantDev := 0
 					if in.Part == 1 {
 						wantDev = d - 1
 					}
-					if got := s.Placement.Device(in.Part, 0); got != wantDev {
+					if got := s.Placement.Device(int(in.Part), 0); got != wantDev {
 						t.Errorf("part %d stage 0 on device %d, want %d", in.Part, got, wantDev)
 					}
 				}
@@ -167,7 +167,7 @@ func TestChimeraMicroSplit(t *testing.T) {
 	for _, list := range s.Lists {
 		for _, in := range list {
 			if in.Kind == pipeline.Forward {
-				partOf[in.Micro] = in.Part
+				partOf[int(in.Micro)] = int(in.Part)
 			}
 		}
 	}
@@ -188,7 +188,7 @@ func TestInterleaveChunkWalk(t *testing.T) {
 	var fwChunks []int
 	for _, in := range list {
 		if in.Kind == pipeline.Forward {
-			fwChunks = append(fwChunks, in.Part)
+			fwChunks = append(fwChunks, int(in.Part))
 		}
 	}
 	// First D forwards are chunk 0, next D chunk 1 (group structure).

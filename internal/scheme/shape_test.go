@@ -37,7 +37,7 @@ func checkShapeMatchesBuild(t *testing.T, s pipeline.Scheme, cfg Config, sched *
 			if in.Micro == pipeline.NoMicro {
 				st = 0 // the cool-down collectives carry no stage
 			}
-			built[kindStage{in.Kind, st}]++
+			built[kindStage{in.Kind, int(st)}]++
 		}
 		want := map[kindStage]int{
 			{pipeline.AllReduce, 0}:     1,
@@ -94,7 +94,7 @@ func walkDepths(list []pipeline.Instr) map[[2]int]int {
 	depth := map[[2]int]int{}
 	anchored := map[[2]int]bool{}
 	for _, in := range list {
-		c := [2]int{in.Part, in.Stage}
+		c := [2]int{int(in.Part), int(in.Stage)}
 		switch in.Kind {
 		case pipeline.Forward:
 			if !anchored[c] {

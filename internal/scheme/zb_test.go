@@ -108,7 +108,7 @@ func TestDualPipeDBidirectional(t *testing.T) {
 	for _, list := range s.Lists {
 		for _, in := range list {
 			if in.Kind == pipeline.Forward {
-				partOf[in.Micro] = in.Part
+				partOf[int(in.Micro)] = int(in.Part)
 			}
 		}
 	}
@@ -146,7 +146,7 @@ func TestWeightGradAfterInputGrad(t *testing.T) {
 				if in.Kind != pipeline.BackwardWeight {
 					continue
 				}
-				bi := pipeline.Key{Kind: pipeline.BackwardInput, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
+				bi := pipeline.Key{Kind: pipeline.BackwardInput, Micro: int(in.Micro), Part: int(in.Part), Stage: int(in.Stage)}
 				j, ok := pos[bi]
 				if !ok || j > pos[in.Key()] {
 					t.Errorf("%s dev%d: %v not preceded by its BI", sch, dev, in)

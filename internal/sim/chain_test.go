@@ -23,7 +23,7 @@ func chainWeight(s *pipeline.Schedule, e *cost.Estimator, d, dp int, in pipeline
 	case in.Kind.IsComm():
 		return e.LaunchOverhead
 	}
-	return e.LaunchOverhead + sim.ComputeBase(e, in.Kind, in.Stage)*e.SlowOf(d)
+	return e.LaunchOverhead + sim.ComputeBase(e, in.Kind, int(in.Stage))*e.SlowOf(d)
 }
 
 // TestCriticalChainTight holds CriticalChain to what the prepose filter's

@@ -257,7 +257,7 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 		// so a bound and the simulated duration are the same float value —
 		// admissibility holds at the bit level. x·1 == x: a nominal-speed
 		// rank pays lo + base.
-		mt.dur = e.LaunchOverhead + m.durTab[int(in.Kind)*m.nStages+in.Stage]*ds.slow
+		mt.dur = e.LaunchOverhead + m.durTab[int(in.Kind)*m.nStages+int(in.Stage)]*ds.slow
 		mt.compute = true
 	case pipeline.AllReduce:
 		mt.dur = ds.arDur
@@ -288,7 +288,7 @@ func (m *Simulator) fillMeta(e *cost.Estimator, ds *devState, d, i int, in pipel
 			// Slot's box holds only a stage's own chunk where the partition
 			// follows the stage: an instruction of another part finds its
 			// partner but is not found.
-			if m.res.PartAt(in.Part, in.Stage) == in.Part {
+			if m.res.PartAt(int(in.Part), int(in.Stage)) == int(in.Part) {
 				m.idx[2*slot+side] = commLoc{dev1: int32(d) + 1, idx: int32(i)}
 			}
 		}

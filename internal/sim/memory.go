@@ -107,7 +107,7 @@ func (m *MemSim) rebind(e *cost.Estimator, micros, stages int, static float64, l
 // at returns the instruction's cell, zeroed if the bound list has not
 // touched it yet.
 func (m *MemSim) at(in pipeline.Instr) *memCell {
-	c := &m.cells[in.Micro*m.stages+in.Stage]
+	c := &m.cells[int(in.Micro)*m.stages+int(in.Stage)]
 	if c.gen != m.gen {
 		*c = memCell{gen: m.gen}
 	}

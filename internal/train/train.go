@@ -148,13 +148,14 @@ func (t *Trainer) materialize(s *pipeline.Schedule) {
 			if in.Micro == pipeline.NoMicro {
 				continue
 			}
-			t.stageFor(in.Part, in.Stage)
+			k := in.Key()
+			t.stageFor(k.Part, k.Stage)
 			if t.lm() {
-				if in.Stage == 0 {
-					t.embedFor(in.Part)
+				if k.Stage == 0 {
+					t.embedFor(k.Part)
 				}
-				if in.Stage == lastStage {
-					t.headFor(in.Part)
+				if k.Stage == lastStage {
+					t.headFor(k.Part)
 				}
 			}
 		}
@@ -370,7 +371,8 @@ func mergeGrads(a, b []*nn.Param) {
 func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule, ds *devState, in pipeline.Instr) error {
 	d := dv.ID
 	lastStage := s.NumStages() - 1
-	ck := cellKey{micro: in.Micro, stage: in.Stage}
+	k := in.Key()
+	ck := cellKey{micro: k.Micro, stage: k.Stage}
 	switch in.Kind {
 	case pipeline.RecvAct, pipeline.RecvGrad:
 		data, err := dv.Recv(in)
@@ -385,17 +387,17 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 		ds.track(int64(data.Bytes()))
 
 	case pipeline.Forward, pipeline.CkptForward:
-		stage := t.stageFor(in.Part, in.Stage)
+		stage := t.stageFor(k.Part, k.Stage)
 		x := ds.inputs[ck]
 		if x == nil {
-			if in.Stage != 0 {
+			if k.Stage != 0 {
 				return fmt.Errorf("train: dev%d forward %s has no input", d, in)
 			}
 			if t.lm() {
-				ids, _ := t.tokenStream(in.Micro)
-				x = t.embedFor(in.Part).Forward(ids)
+				ids, _ := t.tokenStream(k.Micro)
+				x = t.embedFor(k.Part).Forward(ids)
 			} else {
-				x = t.input(in.Micro)
+				x = t.input(k.Micro)
 			}
 			ds.track(int64(x.Bytes()))
 			ds.inputs[ck] = x
@@ -412,12 +414,12 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 			ds.track(-int64(x.Bytes())) // cache owns the input now
 		}
 		delete(ds.inputs, ck)
-		if in.Stage == lastStage {
+		if k.Stage == lastStage {
 			var loss float64
 			var dy *tensor.Tensor
 			if t.lm() {
-				_, targets := t.tokenStream(in.Micro)
-				head := t.headFor(in.Part)
+				_, targets := t.tokenStream(k.Micro)
+				head := t.headFor(k.Part)
 				logits, hc := head.Forward(y)
 				loss, dy = nn.CrossEntropy(logits, targets)
 				if in.Kind == pipeline.Forward {
@@ -428,9 +430,9 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 					ds.track(int64(hc.Bytes()))
 				}
 			} else {
-				loss, dy = tensor.MSE(y, t.target(in.Micro))
+				loss, dy = tensor.MSE(y, t.target(k.Micro))
 			}
-			ds.losses[in.Micro] = loss
+			ds.losses[k.Micro] = loss
 			ds.grads[ck] = dy
 			ds.track(int64(dy.Bytes()))
 		} else {
@@ -454,13 +456,13 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 		if x == nil {
 			return fmt.Errorf("train: dev%d recompute %s has no stash", d, in)
 		}
-		y, c := t.stageFor(in.Part, in.Stage).Forward(x)
+		y, c := t.stageFor(k.Part, k.Stage).Forward(x)
 		ds.caches[ck] = c
 		ds.track(int64(c.Bytes()))
-		if t.lm() && in.Stage == lastStage {
+		if t.lm() && k.Stage == lastStage {
 			// Restore the LM-head cache dropped by the checkpointed
 			// forward (the loss gradient itself was kept).
-			_, hc := t.headFor(in.Part).Forward(y)
+			_, hc := t.headFor(k.Part).Forward(y)
 			ds.heads[ck] = hc
 			ds.track(int64(hc.Bytes()))
 		}
@@ -477,18 +479,18 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 		}
 		pinned := int64(c.Bytes()) + int64(dy.Bytes())
 		var headWork nn.WeightWork
-		if t.lm() && in.Stage == lastStage {
+		if t.lm() && k.Stage == lastStage {
 			hc := ds.heads[ck]
 			if hc == nil {
 				return fmt.Errorf("train: dev%d backward %s missing LM-head cache", d, in)
 			}
 			pinned += int64(hc.Bytes())
-			dy, headWork = t.headFor(in.Part).BackwardInput(hc, dy)
+			dy, headWork = t.headFor(k.Part).BackwardInput(hc, dy)
 			delete(ds.heads, ck)
 		}
-		dx, stageWork := t.stageFor(in.Part, in.Stage).BackwardInput(c, dy)
-		part, micro := in.Part, in.Micro
-		embeds := t.lm() && in.Stage == 0
+		dx, stageWork := t.stageFor(k.Part, k.Stage).BackwardInput(c, dy)
+		part, micro := k.Part, k.Micro
+		embeds := t.lm() && k.Stage == 0
 		work := func() {
 			if headWork != nil {
 				headWork()
@@ -512,7 +514,7 @@ func (t *Trainer) exec(dv *cluster.Device[*tensor.Tensor], s *pipeline.Schedule,
 			ds.wgrads[ck] = work
 			ds.wgradBytes[ck] = pinned
 		}
-		if in.Stage > 0 {
+		if k.Stage > 0 {
 			ds.dxs[ck] = dx
 			ds.track(int64(dx.Bytes()))
 		}

@@ -12,7 +12,7 @@ import (
 
 // FuzzPlanDecode feeds LoadPlan the bytes a client, a cache or a peer might
 // hand it — mutations of a version-1, two pinned version-2 and a version-4
-// body. Whatever arrives, LoadPlan must not panic; a body that loads must
+// body, and of a version-2 body with a coordinate past int32. Whatever arrives, LoadPlan must not panic; a body that loads must
 // save, and its saved form must be a version-4 fixed point; and Resimulate of
 // Best and of every trace entry must either reproduce the candidate's stored
 // totals bit for bit or refuse — since version 3 a trace entry's decoded
@@ -20,6 +20,7 @@ import (
 // before or after that build, never mis-simulated.
 func FuzzPlanDecode(f *testing.F) {
 	f.Add(legacyV1Body(f))
+	f.Add(wideMicroBody(f))
 	for _, file := range []string{"testdata/plan_6bfc195.json", "testdata/plan_30dd99b.json"} {
 		body, err := os.ReadFile(file)
 		if err != nil {

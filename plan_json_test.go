@@ -190,6 +190,29 @@ func legacyV1Body(t testing.TB) []byte {
 	return v1
 }
 
+// wideMicroBody is the version-2 plan body with one instruction's micro-batch
+// raised by 2³², which a 32-bit coordinate would wrap back to the original.
+func wideMicroBody(t testing.TB) []byte {
+	t.Helper()
+	v2, err := os.ReadFile("testdata/plan_6bfc195.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := bytes.Replace(v2, []byte(`"m":1,"s":0`), []byte(`"m":4294967297,"s":0`), 1)
+	if bytes.Equal(wide, v2) {
+		t.Fatal("no micro-batch 1 instruction found in plan JSON")
+	}
+	return wide
+}
+
+// A plan whose schedule names a coordinate outside int32 is refused, not
+// wrapped into a plan that loads and saves to other bytes.
+func TestPlanJSONRejectsWideCoordinate(t *testing.T) {
+	if _, err := mario.LoadPlan(wideMicroBody(t)); err == nil {
+		t.Error("a micro-batch of 2³²+1 loaded")
+	}
+}
+
 // A version-1 plan must still decode, to the plan the version-2 body it
 // differs from by one byte decodes to.
 func TestPlanJSONLegacyV1Decode(t *testing.T) {
