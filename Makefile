@@ -47,9 +47,12 @@ BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChim
 # The deterministic rows: single-threaded benchmarks (-cpu 1 also pins the
 # searches' Workers = GOMAXPROCS default to the sequential walk), run with the
 # collector on like everything else. Their B/op and allocs/op repeat from run
-# to run because nothing under a search is pooled any more: the simulator
-# engines are owned by the search that uses them, pipeline.Validate allocates
-# its one index per call and profiling samples on one goroutine
+# to run because nothing under a search is held in a sync.Pool, which the
+# collector empties when it likes: a search's worker (its simulator engines
+# and schedule Builder) comes from the tuner's free list, a mutex and a slice
+# the collector never touches, so in one process the same rows in the same
+# order start warm or cold the same way every run; pipeline.Validate
+# allocates its one index per call and profiling samples on one goroutine
 # (BenchmarkTunerSearchBnB/bnb repeats to five digits; encoding/json's encoder
 # pool accounts for 4 allocs of BenchmarkPlanCodec). bench-json records these rows and bench-gate-allocs
 # gates them with the same invocations — iteration counts included, since

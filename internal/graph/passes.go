@@ -20,36 +20,42 @@ import (
 // a Recompute is inserted immediately before the corresponding Backward, so
 // only one activation replica per stage is live at a time.
 func ApplyCheckpoint(s *pipeline.Schedule) {
-	for d, list := range s.Lists {
-		// Count the Recompute insertions first so the rewritten list is
-		// allocated exactly once at its final size; this runs on Optimize's
-		// per-call path, where append regrowth is measurable GC pressure.
-		extra := 0
+	// Count the Recompute insertions first so every rewritten list is carved,
+	// as b[lo:hi:hi], from one backing allocated once at its final size; this
+	// runs on Optimize's per-call path, where allocations are measurable GC
+	// pressure.
+	n := 0
+	for _, list := range s.Lists {
+		n += len(list)
 		for _, in := range list {
 			if in.Kind == pipeline.Backward || in.Kind == pipeline.BackwardInput {
-				extra++
+				n++
 			}
 		}
-		out := make([]pipeline.Instr, 0, len(list)+extra)
+	}
+	backing := make([]pipeline.Instr, 0, n)
+	for d, list := range s.Lists {
+		lo := len(backing)
 		for _, in := range list {
 			switch in.Kind {
 			case pipeline.Forward:
 				in.Kind = pipeline.CkptForward
-				out = append(out, in)
+				backing = append(backing, in)
 			case pipeline.Backward, pipeline.BackwardInput:
 				// On split-backward schedules the recompute precedes the
 				// input-gradient half — the B/W boundary is a legal split
 				// point, and the deferred weight-gradient half reads only the
 				// stash its BI left, never the recomputed activations.
-				out = append(out,
+				backing = append(backing,
 					pipeline.Instr{Kind: pipeline.Recompute, Micro: in.Micro, Part: in.Part, Stage: in.Stage},
 					in,
 				)
 			default:
-				out = append(out, in)
+				backing = append(backing, in)
 			}
 		}
-		s.SetList(d, out)
+		hi := len(backing)
+		s.SetList(d, backing[lo:hi:hi])
 	}
 	s.Checkpointed = true
 }

@@ -56,6 +56,18 @@ func (e *Engines) Report(m *telemetry.SearchMetrics) {
 	m.AddScanCandidates(e.scan.filtered, e.scan.illegal, e.scan.simulated)
 }
 
+// Reset zeroes the bundle's counts — Main.Sims, the prepose rounds and the
+// scan verdicts — and drops its hold on the last schedule it simulated,
+// keeping every buffer's capacity: a reset bundle is a fresh one that
+// allocates less. An owner that recycles a bundle reports it first.
+func (e *Engines) Reset() {
+	e.Main.Reset()
+	e.chain, e.next = e.chain[:0], e.next[:0]
+	e.promoted, e.composite = e.promoted[:0], e.composite[:0]
+	e.scan.filtered, e.scan.illegal, e.scan.simulated = 0, 0, 0
+	e.rounds = 0
+}
+
 // A forward group is the contiguous [RecvAct?, CkptForward, SendAct?] run of
 // one micro-batch on one device. Pass 4 moves such groups from the steady
 // phase into the leading bubble region ("prepose the checkpointed forward

@@ -22,14 +22,35 @@ package pipeline
 // RecvGrad{Stage: s}. Matching is therefore by (Micro, Stage) alone and is
 // independent of partition ids, which may change across chunk boundaries in
 // interleaved schedules.
+//
+// Every device's new list is carved from one backing, as b[lo:hi:hi]: an
+// append to one list reallocates it rather than run into its neighbour.
 func InsertComm(s *Schedule) {
 	S := s.NumStages()
 	r := s.Resolved()
+	// A transfer can only cross a stage boundary a compute instruction
+	// touches, and on a registry placement over more than one device every
+	// such boundary does: counted first, the boundaries size the backing —
+	// exactly, there — so it is allocated once, at its final size.
+	n := 0
+	for _, list := range s.Lists {
+		n += len(list) + 2
+		for _, in := range list {
+			switch in.Kind {
+			case Forward, CkptForward, Backward, BackwardInput:
+				if in.Stage > 0 {
+					n++
+				}
+				if int(in.Stage) < S-1 {
+					n++
+				}
+			}
+		}
+	}
+	backing := make([]Instr, 0, n)
 	for d, list := range s.Lists {
-		// An interior device gains a receive and a send around every compute
-		// instruction, plus the two cool-down collectives: sized for that, the
-		// list is allocated once instead of regrowing on every such device.
-		out := make([]Instr, 0, len(list)*3+2)
+		lo := len(backing)
+		out := backing
 		for _, in := range list {
 			switch in.Kind {
 			case Forward, CkptForward:
@@ -57,11 +78,12 @@ func InsertComm(s *Schedule) {
 				out = append(out, in)
 			}
 		}
-		out = append(out,
+		backing = append(out,
 			Instr{Kind: AllReduce, Micro: NoMicro},
 			Instr{Kind: OptimizerStep, Micro: NoMicro},
 		)
-		s.SetList(d, out)
+		hi := len(backing)
+		s.SetList(d, backing[lo:hi:hi])
 	}
 }
 

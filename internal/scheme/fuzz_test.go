@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"reflect"
 	"testing"
 
 	"mario/internal/pipeline"
@@ -56,8 +57,15 @@ func fuzzConfig(devices, micros, chunks uint8) Config {
 //     rejects and predicts every device's instruction multiset and every
 //     cell's in-flight depth,
 //   - a list-scheduled scheme's schedule is the scan oracle's, byte for byte
-//     (checkBuildMatchesScan).
+//     (checkBuildMatchesScan),
+//   - a Builder shared by every input the fuzzer feeds this process builds
+//     what the fresh Build does, and the schedule it built for the previous
+//     input still equals that input's fresh build (TestBuilderReuseMatchesFresh).
 func FuzzSchemeBuild(f *testing.F) {
+	var (
+		shared     Builder
+		prev, want *pipeline.Schedule
+	)
 	for _, c := range fuzzSeeds {
 		f.Add(c.sel, c.devices, c.micros, c.chunks)
 	}
@@ -67,9 +75,20 @@ func FuzzSchemeBuild(f *testing.F) {
 		d, n, v := cfg.Devices, cfg.Micros, cfg.Chunks
 		sched, err := Build(s, cfg)
 		checkShapeMatchesBuild(t, s, cfg, sched, err)
+		warm, werr := shared.Build(s, cfg)
+		if (werr == nil) != (err == nil) {
+			t.Fatalf("%s d=%d n=%d v=%d: the shared Builder says %v, a fresh Build %v", s, d, n, v, werr, err)
+		}
+		if prev != nil && !reflect.DeepEqual(prev, want) {
+			t.Fatalf("%s d=%d n=%d v=%d: the shared Builder's previous schedule changed under this build", s, d, n, v)
+		}
 		if err != nil {
 			return // constraint rejection is a valid outcome
 		}
+		if !reflect.DeepEqual(warm, sched) {
+			t.Fatalf("%s d=%d n=%d v=%d: the shared Builder's schedule differs from a fresh Build's\nshared:\n%s\nfresh:\n%s", s, d, n, v, warm, sched)
+		}
+		prev, want = warm, sched
 		if err := pipeline.Validate(sched); err != nil {
 			t.Fatalf("%s d=%d n=%d v=%d: built schedule invalid: %v", s, d, n, v, err)
 		}

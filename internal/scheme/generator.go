@@ -23,7 +23,9 @@ type generator struct {
 	// rides (ignored on interleaved placements, where the partition follows
 	// the stage).
 	layout func(Config) (pipeline.Placement, []int)
-	order  func(cfg Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr
+	// order emits the per-device compute lists into a fresh header, each
+	// list carved from b's compute backing (Builder.lists).
+	order func(b *Builder, cfg Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr
 	// depth is Group.InFlight of the (part, stage) cell on device dev, as the
 	// order leaves it (nil: the greedy merge decides it, not the layout).
 	// shape_test.go holds it to the built lists' walk.
@@ -75,13 +77,9 @@ func layoutLinear(cfg Config) (pipeline.Placement, []int) {
 // drain bubbles, while the injection window keeps stage s's in-flight
 // micro-batches at S-s — activation memory stays at 1F1B's level and only the
 // weight-gradient stashes are held longer.
-func orderGreedy(split bool) func(Config, *pipeline.Resolved, []int) [][]pipeline.Instr {
-	return func(_ Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr {
-		micros := make([]microAssign, len(parts))
-		for m, p := range parts {
-			micros[m] = microAssign{micro: m, part: p}
-		}
-		return greedyGraph(r, micros, split).schedule()
+func orderGreedy(split bool) func(*Builder, Config, *pipeline.Resolved, []int) [][]pipeline.Instr {
+	return func(b *Builder, _ Config, r *pipeline.Resolved, parts []int) [][]pipeline.Instr {
+		return b.schedule(b.graph(r, parts, split))
 	}
 }
 

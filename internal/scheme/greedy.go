@@ -40,42 +40,58 @@ func unitTime(k pipeline.Kind) float64 {
 // scheduler over the whole graph. Chimera, ZB-H1 and DualPipe-D all compose
 // their schedules this way; the closed-form emitters (GPipe, 1F1B,
 // Interleave) bypass it because their exact shapes are pinned by tests.
+//
+// Units are laid out by arithmetic, not looked up: micro-batch m's units at
+// stage s are a run of per units starting at (m·S + s)·per — the forward, the
+// backward anchor and, when the backward is split, the weight-gradient half
+// (unitAt) — so an edge names its two ends by index. The graph's buffers are
+// a Builder's scratch.
 type depGraph struct {
-	r     *pipeline.Resolved
-	units []unit
-	// index maps a unit's key, by its slot in the placement's key box, to its
-	// position in units.
-	index []int32
-	deps  []dep // in addDep order, which schedule() keeps per predecessor
+	r      *pipeline.Resolved
+	stages int
+	per    int // units per (micro, stage): 2, or 3 when the backward is split
+	units  []unit
+	deps   []dep // in addDep order, which schedule() keeps per predecessor
+	// off and succ are the successors' compressed-sparse-row layout.
+	off, succ []int32
+	// at and byPart are the injection windows' counting sort by partition.
+	at     []int
+	byPart []int32
 }
 
-// newDepGraph starts an empty dependency graph over the given placement,
-// sized for what its caller is about to add: every micro-batch contributes,
-// per stage, a forward and a backward unit (three units when the backward is
-// split) and at most four edges (five when split) — forward→backward, the
-// two cross-stage chains, one injection window, and BI→W.
-func newDepGraph(r *pipeline.Resolved, micros int, split bool) *depGraph {
-	perStage := micros * r.Placement().NumStages()
-	units, deps := 2*perStage, 4*perStage
+// The position of a unit among its (micro, stage) run of per units.
+const (
+	fwUnit = iota // the forward
+	bwUnit        // the backward anchor (bwAnchor)
+	wUnit         // the weight-gradient half, when the backward is split
+)
+
+// unitAt returns the index of micro-batch m's unit at stage s and position k.
+func (g *depGraph) unitAt(m, s, k int) int32 {
+	return int32((m*g.stages+s)*g.per + k)
+}
+
+// reset empties the graph for a build over the given placement of micros
+// micro-batches, sized for what its caller is about to add: every micro-batch
+// contributes, per stage, a forward and a backward unit (three units when
+// the backward is split) and at most four edges (five when split) —
+// forward→backward, the two cross-stage chains, one injection window, and
+// BI→W.
+func (g *depGraph) reset(r *pipeline.Resolved, micros int, split bool) {
+	g.r, g.stages, g.per = r, r.Placement().NumStages(), 2
+	edges := 4
 	if split {
-		units, deps = 3*perStage, 5*perStage
+		g.per, edges = 3, 5
 	}
-	return &depGraph{r: r, units: make([]unit, 0, units), index: make([]int32, r.Slots()), deps: make([]dep, 0, deps)}
+	perStage := micros * g.stages
+	g.units = grow(g.units, g.per*perStage)
+	g.deps = grow(g.deps, edges*perStage)[:0]
 }
 
-// addUnit registers one compute unit at its placement-assigned device.
-func (g *depGraph) addUnit(k pipeline.Kind, micro, part, stage int) {
-	u := unit{kind: k, rank: kindRank(k), micro: int32(micro), part: int32(part), stage: int32(stage), dev: int32(g.r.Device(part, stage))}
-	g.index[g.r.Slot(pipeline.Key{Kind: k, Micro: micro, Part: part, Stage: stage})] = int32(len(g.units))
-	g.units = append(g.units, u)
-}
-
-// addDep records that the unit keyed by `to` may not start before the unit
-// keyed by `from` has finished. Both units must already be registered.
-func (g *depGraph) addDep(from, to pipeline.Key) {
-	f, t := g.index[g.r.Slot(from)], g.index[g.r.Slot(to)]
-	g.deps = append(g.deps, dep{f, t})
-	g.units[t].waiting++
+// addDep records that unit to may not start before unit from has finished.
+func (g *depGraph) addDep(from, to int32) {
+	g.deps = append(g.deps, dep{from, to})
+	g.units[to].waiting++
 }
 
 // successors lays the recorded edges out as one compressed-sparse-row array:
@@ -84,18 +100,20 @@ func (g *depGraph) addDep(from, to pipeline.Key) {
 func (g *depGraph) successors() (off, succ []int32) {
 	// Counted two slots up, the prefix sums leave unit i's start in off[i+1];
 	// filling advances it to unit i's end, which is unit i+1's start.
-	off = make([]int32, len(g.units)+2)
+	off = grow(g.off, len(g.units)+2)
+	clear(off)
 	for _, d := range g.deps {
 		off[d.from+2]++
 	}
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	succ = make([]int32, len(g.deps))
+	succ = grow(g.succ, len(g.deps))
 	for _, d := range g.deps {
 		succ[off[d.from+1]] = d.to
 		off[d.from+1]++
 	}
+	g.off, g.succ = off, succ
 	return off[:len(g.units)+1], succ
 }
 
@@ -108,38 +126,34 @@ func bwAnchor(split bool) pipeline.Kind {
 	return pipeline.Backward
 }
 
-// addMicroUnits adds one micro-batch's per-stage compute units together with
-// the virtual-pipeline dependencies that tie them together: the forward chain
-// down the stages (FW(m,s) after FW(m,s-1)), the backward chain up the stages
-// (BW(m,s) after BW(m,s+1)), and FW(m,s) before BW(m,s). With split=true the
-// fused BW is replaced by the BackwardInput/BackwardWeight pair: the
-// input-gradient half inherits all of BW's edges (it alone sits on the
-// cross-stage critical path), and the weight-gradient half depends only on
-// its BI, which frees the scheduler to sink it into pipeline bubbles.
-func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
-	S := g.r.Placement().NumStages()
-	anchor := bwAnchor(split)
-	for s := 0; s < S; s++ {
-		part := g.r.PartAt(ma.part, s)
-		g.addUnit(pipeline.Forward, ma.micro, part, s)
-		g.addUnit(anchor, ma.micro, part, s)
-		if split {
-			g.addUnit(pipeline.BackwardWeight, ma.micro, part, s)
+// addMicroUnits places micro-batch m's per-stage compute units, riding
+// partition part, together with the virtual-pipeline dependencies that tie
+// them together: the forward chain down the stages (FW(m,s) after
+// FW(m,s-1)), the backward chain up the stages (BW(m,s) after BW(m,s+1)),
+// and FW(m,s) before BW(m,s). With split=true the fused BW is replaced by the
+// BackwardInput/BackwardWeight pair: the input-gradient half inherits all of
+// BW's edges (it alone sits on the cross-stage critical path), and the
+// weight-gradient half depends only on its BI, which frees the scheduler to
+// sink it into pipeline bubbles.
+func (g *depGraph) addMicroUnits(m, part int, split bool) {
+	kinds := [...]pipeline.Kind{fwUnit: pipeline.Forward, bwUnit: bwAnchor(split), wUnit: pipeline.BackwardWeight}
+	for s := 0; s < g.stages; s++ {
+		u := unit{micro: int32(m), part: int32(g.r.PartAt(part, s)), stage: int32(s)}
+		u.dev = int32(g.r.Device(int(u.part), s))
+		for k, kind := range kinds[:g.per] {
+			u.kind, u.rank = kind, kindRank(kind)
+			g.units[g.unitAt(m, s, k)] = u
 		}
 	}
-	for s := 0; s < S; s++ {
-		part := g.r.PartAt(ma.part, s)
-		fw := pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: part, Stage: s}
-		bw := pipeline.Key{Kind: anchor, Micro: ma.micro, Part: part, Stage: s}
+	for s := 0; s < g.stages; s++ {
+		fw, bw := g.unitAt(m, s, fwUnit), g.unitAt(m, s, bwUnit)
 		g.addDep(fw, bw)
 		if split {
-			g.addDep(bw, pipeline.Key{Kind: pipeline.BackwardWeight, Micro: ma.micro, Part: part, Stage: s})
+			g.addDep(bw, g.unitAt(m, s, wUnit))
 		}
 		if s > 0 {
-			prev := pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: g.r.PartAt(ma.part, s-1), Stage: s - 1}
-			g.addDep(prev, fw)
-			prevBW := pipeline.Key{Kind: anchor, Micro: ma.micro, Part: g.r.PartAt(ma.part, s-1), Stage: s - 1}
-			g.addDep(bw, prevBW)
+			g.addDep(g.unitAt(m, s-1, fwUnit), fw)
+			g.addDep(bw, g.unitAt(m, s-1, bwUnit))
 		}
 	}
 }
@@ -153,69 +167,63 @@ func (g *depGraph) addMicroUnits(ma microAssign, split bool) {
 // schedules stay within Table 1's ≈D·Mθ peak instead of flooding early
 // bubbles with forwards, and split-backward schedules hold no more live
 // activations than 1F1B (the deferred W units retain only weight-gradient
-// stashes).
-func (g *depGraph) addInjectionWindows(micros []microAssign, split bool) {
-	S, P := g.r.Placement().NumStages(), g.r.Placement().NumParts()
-	anchor := bwAnchor(split)
+// stashes). parts[m] is the partition micro-batch m rides.
+func (g *depGraph) addInjectionWindows(parts []int) {
+	P := g.r.Placement().NumParts()
 	// A stable counting sort by partition (every part lies in [0, P): the
 	// registry layouts emit nothing else): partition p's micro-batches, in
 	// injection order, are byPart[at[p]:at[p+1]]. Counted two slots up, as
 	// in successors.
-	at := make([]int, P+2)
-	for _, ma := range micros {
-		at[ma.part+2]++
+	at := grow(g.at, P+2)
+	clear(at)
+	for _, p := range parts {
+		at[p+2]++
 	}
 	for p := 2; p < len(at); p++ {
 		at[p] += at[p-1]
 	}
-	byPart := make([]microAssign, len(micros))
-	for _, ma := range micros {
-		byPart[at[ma.part+1]] = ma
-		at[ma.part+1]++
+	byPart := grow(g.byPart, len(parts))
+	g.at, g.byPart = at, byPart
+	for m, p := range parts {
+		byPart[at[p+1]] = int32(m)
+		at[p+1]++
 	}
 	for p := 0; p < P; p++ {
 		seq := byPart[at[p]:at[p+1]]
-		for k, ma := range seq {
-			for s := 0; s < S; s++ {
-				part := g.r.PartAt(ma.part, s)
-				w := S - s
-				if k-w < 0 {
-					continue
+		for k, m := range seq {
+			for s := 0; s < g.stages; s++ {
+				if w := g.stages - s; k >= w {
+					g.addDep(g.unitAt(int(seq[k-w]), s, bwUnit), g.unitAt(int(m), s, fwUnit))
 				}
-				prev := seq[k-w]
-				g.addDep(
-					pipeline.Key{Kind: anchor, Micro: prev.micro, Part: g.r.PartAt(prev.part, s), Stage: s},
-					pipeline.Key{Kind: pipeline.Forward, Micro: ma.micro, Part: part, Stage: s},
-				)
 			}
 		}
 	}
 }
 
 // schedule runs deterministic earliest-start list scheduling of the graph's
-// units onto devices and returns the per-device instruction lists: each step
-// places the ready unit with the least effective start max(ready, the time its
-// device falls free), earlier tail first among equals. Ordering decisions use
-// the unit times plus a small communication epsilon so that cross-device
-// transfers break ties deterministically. The result depends only on the
-// units and the dependency set — never on registration, edge or map iteration
-// order: ready times are maxima, and the ready queue's order is a strict total
-// order because no two units of a graph share a tail (DESIGN §12).
-func (g *depGraph) schedule() [][]pipeline.Instr {
+// units onto devices and returns the per-device instruction lists, carved
+// from b's compute backing: each step places the ready unit with the least
+// effective start max(ready, the time its device falls free), earlier tail
+// first among equals. Ordering decisions use the unit times plus a small
+// communication epsilon so that cross-device transfers break ties
+// deterministically. The result depends only on the units and the dependency
+// set — never on registration, edge or map iteration order: ready times are
+// maxima, and the ready queue's order is a strict total order because no two
+// units of a graph share a tail (DESIGN §12).
+func (b *Builder) schedule(g *depGraph) [][]pipeline.Instr {
 	const commEps = 1e-3
 	units := g.units
 	// Every unit passes through its device's heaps and lands in its device's
 	// list, so the per-device unit counts size both.
-	perDev := make([]int, g.r.Placement().NumDevices())
+	perDev := grow(b.perDev, g.r.Placement().NumDevices())
+	clear(perDev)
 	for i := range units {
 		perDev[units[i].dev]++
 	}
-	q := newReadyQueue(units, perDev)
-	lists := make([][]pipeline.Instr, len(perDev))
-	backing := make([]pipeline.Instr, len(units))
-	for d, n := range perDev {
-		lists[d], backing = backing[:0:n], backing[n:]
-	}
+	b.perDev = perDev
+	q := &b.q
+	q.reset(units, perDev)
+	lists := b.lists(len(perDev), func(d int) int { return perDev[d] })
 	off, succ := g.successors()
 	for i := range units {
 		if units[i].waiting == 0 {
@@ -245,29 +253,24 @@ func (g *depGraph) schedule() [][]pipeline.Instr {
 	return lists
 }
 
-// greedyGraph composes the dependency graph every list-scheduled shape
-// shares — per-micro-batch units, virtual-pipeline chains, 1F1B injection
-// windows — for the scheduler to run over. Fused (split=false) it is
-// Chimera's two mirrored 1F1B pipelines (the paper picks its Chimera schedule
-// from the released chimera_pipeline_rank.py; the greedy merge reproduces its
-// bidirectional bubble-overlap structure). Split, every backward is emitted as
-// a BackwardInput/BackwardWeight pair, the injection windows anchor on the
+// graph composes, in b's scratch, the dependency graph every list-scheduled
+// shape shares — per-micro-batch units, virtual-pipeline chains, 1F1B
+// injection windows — for the scheduler to run over; parts[m] is the
+// partition micro-batch m rides. Fused (split=false) it is Chimera's two
+// mirrored 1F1B pipelines (the paper picks its Chimera schedule from the
+// released chimera_pipeline_rank.py; the greedy merge reproduces its
+// bidirectional bubble-overlap structure). Split, every backward is emitted
+// as a BackwardInput/BackwardWeight pair, the injection windows anchor on the
 // input-gradient half, and the scheduler fills device idle gaps with deferred
 // weight-gradient units (Zero Bubble's central scheduling move).
-func greedyGraph(r *pipeline.Resolved, micros []microAssign, split bool) *depGraph {
-	g := newDepGraph(r, len(micros), split)
-	for _, ma := range micros {
-		g.addMicroUnits(ma, split)
+func (b *Builder) graph(r *pipeline.Resolved, parts []int, split bool) *depGraph {
+	g := &b.g
+	g.reset(r, len(parts), split)
+	for m, p := range parts {
+		g.addMicroUnits(m, p, split)
 	}
-	g.addInjectionWindows(micros, split)
+	g.addInjectionWindows(parts)
 	return g
-}
-
-// microAssign assigns a micro-batch to a partition (pipeline direction or
-// chunk sequence); Resolved.PartAt says which partition it rides at a stage.
-type microAssign struct {
-	micro int
-	part  int // fixed partition for bidirectional schemes
 }
 
 // kindRank orders unit kinds at equal effective start: backward anchors
@@ -325,6 +328,8 @@ type readyQueue struct {
 	// queue's next unit.
 	tree   []entry
 	leaves int
+	// arena backs every device's two heaps.
+	arena []int32
 }
 
 // devQueue is one device's share of the ready queue.
@@ -340,24 +345,25 @@ type entry struct {
 	unit  int32
 }
 
-// newReadyQueue returns an empty queue over the units, with perDev[d] of them
-// on device d. A device's two heaps never hold more than its units between
-// them, so both are carved, at that capacity, from one allocation.
-func newReadyQueue(units []unit, perDev []int) *readyQueue {
-	leaves := 1
-	for leaves < len(perDev) {
-		leaves *= 2
+// reset empties the queue over the units, with perDev[d] of them on device
+// d. A device's two heaps never hold more than its units between them, so
+// both are carved, at that capacity, from one arena.
+func (q *readyQueue) reset(units []unit, perDev []int) {
+	q.units, q.leaves = units, 1
+	for q.leaves < len(perDev) {
+		q.leaves *= 2
 	}
-	q := &readyQueue{units: units, devs: make([]devQueue, len(perDev)), tree: make([]entry, 2*leaves), leaves: leaves}
+	q.tree = grow(q.tree, 2*q.leaves)
 	for i := range q.tree {
-		q.tree[i].unit = -1
+		q.tree[i] = entry{unit: -1}
 	}
-	arena := make([]int32, 2*len(units))
+	q.devs = grow(q.devs, len(perDev))
+	q.arena = grow(q.arena, 2*len(units))
+	arena := q.arena
 	for d, n := range perDev {
 		q.devs[d] = devQueue{now: arena[:0:n], later: arena[n : n : 2*n]}
 		arena = arena[2*n:]
 	}
-	return q
 }
 
 // push adds a unit whose predecessors have all finished: its ready time is

@@ -125,11 +125,7 @@ func schemeGraph(t *testing.T, s pipeline.Scheme, cfg Config) (*pipeline.Resolve
 	}
 	pl, parts := gen.layout(cfg)
 	r := pipeline.Resolve(pl, cfg.Micros)
-	micros := make([]microAssign, len(parts))
-	for m, p := range parts {
-		micros[m] = microAssign{micro: m, part: p}
-	}
-	return r, greedyGraph(r, micros, s.SplitsBackward())
+	return r, new(Builder).graph(r, parts, s.SplitsBackward())
 }
 
 // checkBuildMatchesScan requires got — the schedule Build returned for s and
@@ -195,8 +191,8 @@ func TestListSchedulerReproduces1F1B(t *testing.T) {
 			cfg := Config{Devices: d, Micros: n}.withDefaults()
 			pl, parts := layoutLinear(cfg)
 			r := pipeline.Resolve(pl, n)
-			got := orderGreedy(false)(cfg, r, parts)
-			if want := order1F1B(cfg, r, parts); !reflect.DeepEqual(got, want) {
+			got := orderGreedy(false)(new(Builder), cfg, r, parts)
+			if want := order1F1B(new(Builder), cfg, r, parts); !reflect.DeepEqual(got, want) {
 				t.Fatalf("d=%d n=%d: the list scheduler's order differs from 1F1B's\ngreedy: %v\n1F1B:   %v", d, n, got, want)
 			}
 		}

@@ -44,28 +44,84 @@ func (c Config) check(s pipeline.Scheme) error {
 }
 
 // Build expands the named scheme into a schedule with explicit communication
+// instructions, on a fresh Builder.
+func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
+	return new(Builder).Build(s, cfg)
+}
+
+// Builder expands schemes into schedules and keeps the scratch of one build
+// for the next: the list scheduler's units, edges and ready queue, the
+// injection-window sort, and the compute-list backing every order emits into
+// (closed forms included). A fresh Builder sizes each buffer exactly; a warm
+// one allocates only what a bigger shape outgrows. Its zero value is ready to
+// use. A Builder serves one build at a time and is not safe for concurrent
+// use.
+//
+// Nothing a build returns aliases the scratch: the compute lists are
+// scratch, but InsertComm rewrites every device's list into the schedule's
+// own backing, and the per-device header is allocated per build because the
+// schedule keeps it as Lists. A schedule built earlier therefore stays as it
+// was, whatever the Builder builds next.
+type Builder struct {
+	g       depGraph
+	q       readyQueue
+	perDev  []int
+	compute []pipeline.Instr
+}
+
+// Build expands the named scheme into a schedule with explicit communication
 // instructions. The scheme is resolved through the generator registry; its
 // generic and scheme-specific structural checks run first, the registered
-// layout and order emit the compute skeleton, and InsertComm completes it.
-// Build does not validate its output: the tests prove every generator valid.
-func Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
+// layout and order emit the compute skeleton into b's scratch, and
+// InsertComm completes it into the schedule's own lists. Build does not
+// validate its output: the tests prove every generator valid.
+func (b *Builder) Build(s pipeline.Scheme, cfg Config) (*pipeline.Schedule, error) {
 	g, cfg, err := lookup(s, cfg)
 	if err != nil {
 		return nil, err
 	}
 	pl, parts := g.layout(cfg)
 	r := pipeline.Resolve(pl, cfg.Micros)
-	sched := pipeline.NewSchedule(s, r, g.order(cfg, r, parts))
+	sched := pipeline.NewSchedule(s, r, g.order(b, cfg, r, parts))
 	pipeline.InsertComm(sched)
 	return sched, nil
 }
 
+// lists returns a fresh header of devices empty compute lists, list d carved
+// from b's compute backing with room for exactly size(d) instructions, so an
+// append never runs into a neighbour.
+func (b *Builder) lists(devices int, size func(d int) int) [][]pipeline.Instr {
+	total := 0
+	for d := range devices {
+		total += size(d)
+	}
+	b.compute = grow(b.compute, total)
+	lists := make([][]pipeline.Instr, devices)
+	lo := 0
+	for d := range lists {
+		hi := lo + size(d)
+		lists[d] = b.compute[lo:lo:hi]
+		lo = hi
+	}
+	return lists
+}
+
+// grow returns s resliced to length n, reallocated (to exactly n) only when
+// its capacity falls short. The contents are whatever s held: callers
+// overwrite or clear what they read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // orderGPipe emits all forwards followed by all backwards in reverse
 // micro-batch order (GPipe's fill-drain schedule).
-func orderGPipe(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
-	lists := make([][]pipeline.Instr, cfg.Devices)
+func orderGPipe(b *Builder, cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
+	lists := b.lists(cfg.Devices, func(int) int { return 2 * cfg.Micros })
 	for dev := range lists {
-		list := make([]pipeline.Instr, 0, 2*cfg.Micros)
+		list := lists[dev]
 		for m := 0; m < cfg.Micros; m++ {
 			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Stage: int32(dev)})
 		}
@@ -94,16 +150,16 @@ func depthWindow(sh Shape, part, stage, _ int) int {
 // PipeDream-Flush: device d runs D-1-d warm-up forwards, then alternates
 // forward and backward in the steady phase, then drains the remaining
 // backwards.
-func order1F1B(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
+func order1F1B(b *Builder, cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	d := cfg.Devices
 	n := cfg.Micros
-	lists := make([][]pipeline.Instr, d)
+	lists := b.lists(d, func(int) int { return 2 * n })
 	for dev := 0; dev < d; dev++ {
 		warmup := d - 1 - dev
 		if warmup > n {
 			warmup = n
 		}
-		list := make([]pipeline.Instr, 0, 2*n)
+		list := lists[dev]
 		for m := 0; m < warmup; m++ {
 			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Stage: int32(dev)})
 		}
@@ -144,10 +200,10 @@ func depthInterleave(sh Shape, c, _, dev int) int {
 // processes micro-batches in groups of D per chunk; forwards walk the chunks
 // in ascending order and backwards in descending order, interleaved 1F1B-style
 // after a warm-up of (D-1-d)*2 + (V-1)*D forward units.
-func orderInterleave(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
+func orderInterleave(b *Builder, cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Instr {
 	d, v, n := cfg.Devices, cfg.Chunks, cfg.Micros
-	lists := make([][]pipeline.Instr, d)
 	total := n * v
+	lists := b.lists(d, func(int) int { return 2 * total })
 	group := d * v
 	// fwUnit maps the k-th forward unit executed by a device to its
 	// (micro, chunk) coordinates, per Megatron's get_model_chunk_id.
@@ -164,7 +220,7 @@ func orderInterleave(cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeline.Ins
 		if warmup > total {
 			warmup = total
 		}
-		list := make([]pipeline.Instr, 0, 2*total)
+		list := lists[dev]
 		emitF := func(k int) {
 			m, c := fwUnit(k)
 			list = append(list, pipeline.Instr{Kind: pipeline.Forward, Micro: int32(m), Part: int32(c), Stage: int32(c*d + dev)})

@@ -104,6 +104,15 @@ type Simulator struct {
 	qHead, qLen int
 }
 
+// Reset zeroes Sims and drops the engine's references to the schedule and
+// estimator it last simulated, keeping every buffer's capacity: a reset
+// engine holds nothing of its past runs but room for the next.
+func (m *Simulator) Reset() {
+	m.Sims = 0
+	m.res, m.mem.e = nil, nil
+	clear(m.devs[:cap(m.devs)])
+}
+
 // Simulate runs the dynamic-programming timeline and memory simulation,
 // reusing the engine's buffers.
 func (m *Simulator) Simulate(s *pipeline.Schedule, e *cost.Estimator, opt Options) (*Result, error) {

@@ -313,17 +313,33 @@ type Tuner struct {
 	Stats SearchStats
 }
 
-// worker is what one evaluating goroutine owns: its simulator engine bundle
-// and the base schedules it built, by shape. The search goroutine (inline
-// evaluation, the merge loop's re-evaluation) holds one and every pool worker
-// its own, so nothing in it is shared and nothing is locked; the probe pass
-// needs none. A build serves the goroutine's later points of the same shape —
-// a grid point's checkpoint and placement siblings — which clone it before
-// any edit.
+// worker is what one evaluating goroutine owns: its simulator engine bundle,
+// its schedule Builder and the base schedules it built, by shape. The search
+// goroutine (inline evaluation, the merge loop's re-evaluation) holds one and
+// every pool worker its own, so nothing in it is shared and nothing is
+// locked; the probe pass needs none. A build serves the goroutine's later
+// points of the same shape — a grid point's checkpoint and placement siblings
+// — which clone it before any edit.
+//
+// A goroutine done with its worker releases it to the free list (idle), and
+// a later search's newWorker takes it from there: what carries over is the
+// engines' and the Builder's capacity, never a schedule, a count or a
+// simulation (release), so a recycled worker searches exactly like a fresh
+// one.
 type worker struct {
 	eng          *graph.Engines
+	b            scheme.Builder
 	builds       map[buildKey]*pipeline.Schedule
 	hits, misses int64
+}
+
+// idle is the free list of released workers, at most GOMAXPROCS of them. It
+// is a list, not a sync.Pool: a pool drops its contents on garbage
+// collection, so whether a search started warm, and what it allocated, would
+// depend on when the collector last ran.
+var idle struct {
+	sync.Mutex
+	workers []*worker
 }
 
 // buildKey identifies one scheme.Build output. mbs is deliberately absent:
@@ -341,8 +357,32 @@ func (n bnbNode) shape() buildKey {
 	return buildKey{scheme: n.p.scheme, devices: n.p.pp, micros: n.micros}
 }
 
+// newWorker takes a released worker off the free list, or makes one.
 func newWorker() *worker {
+	idle.Lock()
+	defer idle.Unlock()
+	if n := len(idle.workers); n > 0 {
+		w := idle.workers[n-1]
+		idle.workers[n-1] = nil
+		idle.workers = idle.workers[:n-1]
+		return w
+	}
 	return &worker{eng: graph.NewEngines(), builds: make(map[buildKey]*pipeline.Schedule)}
+}
+
+// release empties w — its builds, its build counts, its engines' counts and
+// their hold on the last schedule simulated — and puts it on the free list
+// unless the list is full. It is the owner's last use of w; an owner that
+// reports w does so first.
+func (w *worker) release() {
+	clear(w.builds)
+	w.hits, w.misses = 0, 0
+	w.eng.Reset()
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.workers) < runtime.GOMAXPROCS(0) {
+		idle.workers = append(idle.workers, w)
+	}
 }
 
 // build returns the base schedule of a (scheme, depth, micro-batch count)
@@ -355,7 +395,7 @@ func (w *worker) build(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule,
 		return s, nil
 	}
 	w.misses++
-	s, err := scheme.Build(sch, scheme.Config{Devices: pp, Micros: micros})
+	s, err := w.b.Build(sch, scheme.Config{Devices: pp, Micros: micros})
 	if err != nil {
 		return nil, err
 	}
@@ -505,8 +545,9 @@ func (t *Tuner) SearchContext(ctx context.Context, space Space) (*Candidate, []C
 	w := newWorker()
 	// The one exit: whatever the search merged before it completed, failed or
 	// was cancelled is published here, to Stats and to the registry alike, so
-	// the two can never disagree.
+	// the two can never disagree; then w is released.
 	defer func() {
+		defer w.release()
 		search.End()
 		t.Stats = stats
 		m := t.Metrics
@@ -612,6 +653,7 @@ func (t *Tuner) Resimulate(ctx context.Context, c *Candidate, space Space) (*pip
 		return fail(err)
 	}
 	w := newWorker()
+	defer w.release()
 	if sched == nil {
 		rebuilt := *c
 		if err := t.materialize(ctx, space, &rebuilt, est, w, telemetry.Span{}); err != nil {
@@ -859,6 +901,7 @@ func (t *Tuner) poolSource(ctx context.Context, space Space, workers int, nodes 
 				run(j)
 			}
 			pw.report(t.Metrics)
+			pw.release()
 		}()
 	}
 	return func(j int) pointResult {
