@@ -155,8 +155,8 @@ fuzz:
 
 # Doc-comment lint for every package under internal/ (go list names them,
 # so a new package is linted from its first commit): the contracts — what a
-# simulator reuses and what it re-derives, the passes' options, the
-# copy-on-write schedule rules, the generator registry, the planning service's
+# simulator reuses and what it re-derives, the passes' options, who owns a
+# schedule's lists, the generator registry, the planning service's
 # surface, the nn layer interface — must live in the source.
 # Dependency-free (cmd/exportlint, go/ast).
 lint:

@@ -414,21 +414,18 @@ func BenchmarkAblationPasses(b *testing.B) {
 	est := cost.Uniform(4, 1, 2, 0.25)
 	var tCkpt, tOvlp, tDedup, tFull, tSplit float64
 	for i := 0; i < b.N; i++ {
-		s1 := s.Clone()
-		graph.ApplyCheckpoint(s1)
-		r1, err := sim.Simulate(s1, est, sim.Options{NoTimeline: true})
+		c := graph.ApplyCheckpoint(s)
+		r1, err := sim.Simulate(c, est, sim.Options{NoTimeline: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s2 := s1.Clone()
-		graph.OverlapRecompute(s2)
-		r2, err := sim.Simulate(s2, est, sim.Options{NoTimeline: true})
+		graph.OverlapRecompute(c)
+		r2, err := sim.Simulate(c, est, sim.Options{NoTimeline: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s3 := s2.Clone()
-		graph.RemoveRedundancy(s3)
-		r3, err := sim.Simulate(s3, est, sim.Options{NoTimeline: true})
+		graph.RemoveRedundancy(c)
+		r3, err := sim.Simulate(c, est, sim.Options{NoTimeline: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Command exportlint enforces doc comments on exported identifiers — a
 // dependency-free stand-in for `revive`'s exported rule, scoped to the
 // packages whose invariants must live in the source rather than in commit
-// messages (internal/sim's engine contract, internal/pipeline's copy-on-write
+// messages (internal/sim's engine contract, internal/pipeline's ownership
 // rules).
 //
 // Usage:

@@ -58,7 +58,7 @@ func evalConfig(sch pipeline.Scheme, devices, micros int, est *cost.Estimator, v
 		r, err := sim.Simulate(s, est, opts)
 		return r, s, err
 	case vCkpt:
-		graph.ApplyCheckpoint(s)
+		s = graph.ApplyCheckpoint(s)
 		r, err := sim.Simulate(s, est, opts)
 		return r, s, err
 	case vOvlp, vLmbs:

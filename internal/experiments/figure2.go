@@ -48,25 +48,23 @@ func Figure2(Opts) ([]Fig2Step, error) {
 	}
 	add("baseline (no ckpt)", t0, 21)
 
-	s1 := base.Clone()
-	graph.ApplyCheckpoint(s1)
-	t1, err := simT(s1)
+	// Each step edits the previous step's schedule, which is not read again.
+	s := graph.ApplyCheckpoint(base)
+	t1, err := simT(s)
 	if err != nil {
 		return nil, err
 	}
 	add("step 1: apply-checkpoint", t1, 28)
 
-	s2 := s1.Clone()
-	graph.OverlapRecompute(s2)
-	t2, err := simT(s2)
+	graph.OverlapRecompute(s)
+	t2, err := simT(s)
 	if err != nil {
 		return nil, err
 	}
 	add("step 2: overlap-recompute", t2, 25)
 
-	s3 := s2.Clone()
-	graph.RemoveRedundancy(s3)
-	t3, err := simT(s3)
+	graph.RemoveRedundancy(s)
+	t3, err := simT(s)
 	if err != nil {
 		return nil, err
 	}

@@ -78,8 +78,7 @@ func FuzzGraphPassInvariants(f *testing.F) {
 		s, d, n, v := sched.Scheme, sched.NumDevices(), sched.Micros, int(chunks)%3+1
 		before := countKinds(sched)
 
-		c := sched.Clone()
-		ApplyCheckpoint(c)
+		c := ApplyCheckpoint(sched)
 		OverlapRecompute(c)
 		RemoveRedundancy(c)
 		OverlapRecompute(c)

@@ -97,11 +97,10 @@ func checkUndo(s *pipeline.Schedule, opt Options) (undoCounts, error) {
 	return n, nil
 }
 
-// structural runs the structural passes on a clone of s, as OptimizeContext
+// structural runs the structural passes on a copy of s, as OptimizeContext
 // does before its rounds.
 func structural(s *pipeline.Schedule) *pipeline.Schedule {
-	c := s.Clone()
-	ApplyCheckpoint(c)
+	c := ApplyCheckpoint(s)
 	OverlapRecompute(c)
 	RemoveRedundancy(c)
 	OverlapRecompute(c)

@@ -40,13 +40,13 @@ func TestScanFilterOracle(t *testing.T) {
 			}
 		}
 		if !w.S.Checkpointed {
-			graph.ApplyCheckpoint(w.S)
+			w.S = graph.ApplyCheckpoint(w.S)
 			graph.OverlapRecompute(w.S)
 			graph.RemoveRedundancy(w.S)
 			graph.OverlapRecompute(w.S)
 		}
 		for step := 0; step < 4; step++ {
-			_, n, err := graph.ScanOracle(w.S.Clone(), graph.Options{Estimator: w.Est, Sim: w.Opt})
+			_, n, err := graph.ScanOracle(w.S, graph.Options{Estimator: w.Est, Sim: w.Opt})
 			if errors.Is(err, sim.ErrDeadlock) || errors.Is(err, sim.ErrCommMismatch) {
 				break // a mutation broke the schedule; later ones will not mend it
 			}

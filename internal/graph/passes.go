@@ -3,6 +3,10 @@
 // identifying and substituting instruction patterns. Passes 1–3 are local
 // list rewrites; pass 4 (prepose-forward) is guided by the lightweight
 // simulator, accepting only moves that reduce the simulated makespan.
+//
+// Every schedule has one owner. Pass 1 and SplitBackward's split rewrite every
+// list into a new schedule and leave their input as it was; passes 2–4 edit,
+// in place, the lists of a schedule their caller owns.
 package graph
 
 import (
@@ -18,8 +22,9 @@ import (
 // ApplyCheckpoint is pass 1: apply activation checkpointing to all paired
 // forward and backward instructions. Every Forward becomes a CkptForward and
 // a Recompute is inserted immediately before the corresponding Backward, so
-// only one activation replica per stage is live at a time.
-func ApplyCheckpoint(s *pipeline.Schedule) {
+// only one activation replica per stage is live at a time. ApplyCheckpoint
+// returns a new schedule over fresh lists and leaves s as it was.
+func ApplyCheckpoint(s *pipeline.Schedule) *pipeline.Schedule {
 	// Count the Recompute insertions first so every rewritten list is carved,
 	// as b[lo:hi:hi], from one backing allocated once at its final size; this
 	// runs on Optimize's per-call path, where allocations are measurable GC
@@ -34,6 +39,7 @@ func ApplyCheckpoint(s *pipeline.Schedule) {
 		}
 	}
 	backing := make([]pipeline.Instr, 0, n)
+	lists := make([][]pipeline.Instr, len(s.Lists))
 	for d, list := range s.Lists {
 		lo := len(backing)
 		for _, in := range list {
@@ -55,30 +61,26 @@ func ApplyCheckpoint(s *pipeline.Schedule) {
 			}
 		}
 		hi := len(backing)
-		s.SetList(d, backing[lo:hi:hi])
+		lists[d] = backing[lo:hi:hi]
 	}
-	s.Checkpointed = true
+	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
+	c.Checkpointed = true
+	return c
 }
 
 // OverlapRecompute is pass 2: prepose each Recompute past the RecvGrad
 // instructions that precede it, so the recomputation runs concurrently with
 // the next device's backward instead of serialising behind the gradient
 // receive. (If RC_i were left after RG_i it would transitively wait for
-// BW_i on the next device, losing the overlap — §5.1.)
+// BW_i on the next device, losing the overlap — §5.1.) It edits s in place.
 func OverlapRecompute(s *pipeline.Schedule) {
-	for d := range s.Lists {
-		list := s.Lists[d]
-		mutable := false
+	for _, list := range s.Lists {
 		for i := 0; i < len(list); i++ {
 			if list[i].Kind != pipeline.Recompute {
 				continue
 			}
 			j := i
 			for j > 0 && list[j-1].Kind == pipeline.RecvGrad {
-				if !mutable {
-					list = s.MutableList(d)
-					mutable = true
-				}
 				list[j-1], list[j] = list[j], list[j-1]
 				j--
 			}
@@ -89,7 +91,7 @@ func OverlapRecompute(s *pipeline.Schedule) {
 // RemoveRedundancy is pass 3: when a CkptForward and its Backward are
 // adjacent (no other compute instruction between them on the device), the
 // activation would be dropped and instantly restored; revert the pair to a
-// plain Forward and delete the Recompute.
+// plain Forward and delete the Recompute. It edits s in place.
 func RemoveRedundancy(s *pipeline.Schedule) {
 	S := s.NumStages()
 	cells := s.Micros * S
@@ -132,7 +134,6 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 			dropped = make([]bool, len(list))
 		}
 		nDropped := 0
-		mutable := false
 		for i := 0; i < len(list); i++ {
 			in := list[i]
 			if in.Kind != pipeline.CkptForward {
@@ -154,10 +155,6 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 			}
 			if !redundant {
 				continue
-			}
-			if !mutable {
-				list = s.MutableList(d)
-				mutable = true
 			}
 			list[i].Kind = pipeline.Forward
 			if hasRC {
@@ -182,7 +179,7 @@ func RemoveRedundancy(s *pipeline.Schedule) {
 					out = append(out, in)
 				}
 			}
-			s.SetList(d, out)
+			s.Lists[d] = out
 		}
 	}
 }
@@ -245,8 +242,7 @@ func OptimizeContext(ctx context.Context, s *pipeline.Schedule, opt Options) (*p
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: Optimize requires an estimator")
 	}
-	cur := s.Clone()
-	ApplyCheckpoint(cur)
+	cur := ApplyCheckpoint(s)
 	OverlapRecompute(cur)
 	RemoveRedundancy(cur)
 	// remove-redundancy may expose new overlap opportunities and vice

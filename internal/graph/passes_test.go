@@ -44,8 +44,7 @@ func TestFigure2Steps(t *testing.T) {
 		t.Fatalf("baseline = %vt, want 21t", r.Total)
 	}
 
-	step1 := base.Clone()
-	ApplyCheckpoint(step1)
+	step1 := ApplyCheckpoint(base)
 	if err := pipeline.Validate(step1); err != nil {
 		t.Fatalf("step1 invalid: %v", err)
 	}
@@ -120,7 +119,7 @@ func TestCheckpointBalancesMemory(t *testing.T) {
 // RC before its BW.
 func TestApplyCheckpointStructure(t *testing.T) {
 	s := build1f1b(t, 4, 8)
-	ApplyCheckpoint(s)
+	s = ApplyCheckpoint(s)
 	if got := s.CountKind(-1, pipeline.Forward); got != 0 {
 		t.Errorf("plain forwards remain: %d", got)
 	}
@@ -140,7 +139,7 @@ func TestApplyCheckpointStructure(t *testing.T) {
 func TestRemoveRedundancyLastStage(t *testing.T) {
 	const d, n = 4, 8
 	s := build1f1b(t, d, n)
-	ApplyCheckpoint(s)
+	s = ApplyCheckpoint(s)
 	OverlapRecompute(s)
 	RemoveRedundancy(s)
 	if err := pipeline.Validate(s); err != nil {
@@ -158,7 +157,7 @@ func TestRemoveRedundancyLastStage(t *testing.T) {
 // RecvGrad on any device.
 func TestOverlapRecomputeOrder(t *testing.T) {
 	s := build1f1b(t, 4, 8)
-	ApplyCheckpoint(s)
+	s = ApplyCheckpoint(s)
 	OverlapRecompute(s)
 	for dev, list := range s.Lists {
 		for i := 1; i < len(list); i++ {
@@ -190,8 +189,7 @@ func TestOptimizeAllSchemes(t *testing.T) {
 			t.Fatalf("Build(%s): %v", tc.sch, err)
 		}
 		e := cost.Uniform(s.NumStages(), 1, 2, 0.25)
-		naive := s.Clone()
-		ApplyCheckpoint(naive)
+		naive := ApplyCheckpoint(s)
 		rn := mustSim(t, naive, e)
 		opt, ro, err := Optimize(s, Options{Estimator: e})
 		if err != nil {

@@ -177,7 +177,7 @@ func (p prepose) movedEnd() int {
 // movedEnd on keeps its instruction. p is nextPrepose(s, d). apply returns the
 // Buffered flag it overwrote, which undo takes back.
 func (p prepose) apply(s *pipeline.Schedule, d int) (buffered bool) {
-	list := s.MutableList(d)
+	list := s.Lists[d]
 	mEnd := p.movedEnd()
 	rotate(list[p.b:mEnd], p.g.start-p.b)
 	if mEnd < p.g.end {
@@ -190,7 +190,7 @@ func (p prepose) apply(s *pipeline.Schedule, d int) (buffered bool) {
 // undo takes back apply(s, d), which returned buffered, restoring device d's
 // list instruction for instruction.
 func (p prepose) undo(s *pipeline.Schedule, d int, buffered bool) {
-	list := s.MutableList(d)
+	list := s.Lists[d]
 	mEnd := p.movedEnd()
 	if mEnd < p.g.end {
 		list[mEnd].Buffered = buffered
@@ -242,7 +242,6 @@ func promoteBufferedSends(s *pipeline.Schedule, log []promotion) []promotion {
 			for j := 0; j < i; j++ {
 				p := list[j]
 				if p.Kind == pipeline.CkptForward && p.Micro == in.Micro && p.Stage == in.Stage {
-					list = s.MutableList(d)
 					rotate(list[j+1:i+1], i-j-1)
 					list[j+1].Buffered = false
 					log = append(log, promotion{d: d, j: j, i: i})
@@ -258,7 +257,7 @@ func promoteBufferedSends(s *pipeline.Schedule, log []promotion) []promotion {
 func undoPromotions(s *pipeline.Schedule, log []promotion) {
 	for k := len(log) - 1; k >= 0; k-- {
 		m := log[k]
-		list := s.MutableList(m.d)
+		list := s.Lists[m.d]
 		list[m.j+1].Buffered = true
 		rotate(list[m.j+1:m.i+1], 1)
 	}

@@ -72,7 +72,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 // fixpoints after one application each (on 1F1B).
 func TestPassesIdempotent(t *testing.T) {
 	s := build1f1b(t, 4, 8)
-	ApplyCheckpoint(s)
+	s = ApplyCheckpoint(s)
 	OverlapRecompute(s)
 	once := s.Clone()
 	OverlapRecompute(s)
@@ -128,7 +128,7 @@ func TestNaivelyMovedSendBreaksFIFO(t *testing.T) {
 	broken := opt.Clone()
 	moved := false
 	for d := range broken.Lists {
-		list := broken.MutableList(d)
+		list := broken.Lists[d]
 		for i := 0; i < len(list); i++ {
 			in := list[i]
 			if in.Kind != pipeline.SendAct || !in.Buffered {

@@ -53,8 +53,7 @@ func registryPassesValidate(sched *pipeline.Schedule) error {
 	if err := pipeline.Validate(sched); err != nil {
 		return fmt.Errorf("build: %w", err)
 	}
-	ckpt := sched.Clone()
-	ApplyCheckpoint(ckpt)
+	ckpt := ApplyCheckpoint(sched)
 	if err := pipeline.Validate(ckpt); err != nil {
 		return fmt.Errorf("ApplyCheckpoint: %w", err)
 	}

@@ -17,8 +17,9 @@ import (
 // weight-gradient halves are then sunk into later bubbles when the simulator
 // confirms an improvement within the memory budget.
 //
-// The input schedule is not modified. Estimator.BwSplitRatio controls the
-// B/W split of the backward latency.
+// The input schedule is not modified; when the split does not pay,
+// SplitBackward returns it itself. Estimator.BwSplitRatio controls the B/W
+// split of the backward latency.
 func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Result, error) {
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: SplitBackward requires an estimator")
@@ -41,7 +42,7 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 				return nil, nil, fmt.Errorf("graph: simulating unsplit schedule: %w", err)
 			}
 		}
-		return s.Clone(), base, nil
+		return s, base, nil
 	}
 
 	// Sink candidates: all weight-gradient halves per device to the end of
@@ -71,10 +72,11 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 
 // splitAll rewrites every Backward into [BackwardInput, (SendGrad),
 // BackwardWeight], keeping the gradient send immediately after the
-// input-gradient half.
+// input-gradient half. It returns a new schedule over fresh lists and leaves
+// s as it was.
 func splitAll(s *pipeline.Schedule) *pipeline.Schedule {
-	c := s.Clone()
-	for d, list := range c.Lists {
+	lists := make([][]pipeline.Instr, len(s.Lists))
+	for d, list := range s.Lists {
 		out := make([]pipeline.Instr, 0, len(list)+len(list)/3)
 		for i := 0; i < len(list); i++ {
 			in := list[i]
@@ -96,14 +98,17 @@ func splitAll(s *pipeline.Schedule) *pipeline.Schedule {
 			}
 			out = append(out, wg)
 		}
-		c.SetList(d, out)
+		lists[d] = out
 	}
+	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
+	c.Checkpointed = s.Checkpointed
 	return c
 }
 
-// sinkWeightGrads returns a clone of s with all BackwardWeight instructions of
+// sinkWeightGrads returns a copy of s with all BackwardWeight instructions of
 // device d moved to just before its AllReduce (or the end of the list),
-// preserving their relative order. Returns false, and clones nothing, when the
+// preserving their relative order. Device d's list is new; every other list is
+// s's own, shared read-only. Returns false, and builds nothing, when the
 // device has none to move.
 func sinkWeightGrads(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
 	list := s.Lists[d]
@@ -129,7 +134,9 @@ func sinkWeightGrads(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
 	out = append(out, kept[:insertAt]...)
 	out = append(out, sunk...)
 	out = append(out, kept[insertAt:]...)
-	c := s.Clone()
-	c.SetList(d, out)
+	lists := append([][]pipeline.Instr(nil), s.Lists...)
+	lists[d] = out
+	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
+	c.Checkpointed = s.Checkpointed
 	return c, true
 }

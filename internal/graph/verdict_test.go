@@ -21,7 +21,7 @@ func TestSimCandidateVerdicts(t *testing.T) {
 	// edit returns a clone of base with device d's list rewritten by f.
 	edit := func(d int, f func([]pipeline.Instr)) *pipeline.Schedule {
 		c := base.Clone()
-		f(c.MutableList(d))
+		f(c.Lists[d])
 		return c
 	}
 	// nth returns the index of the n-th instruction of kind k on list.

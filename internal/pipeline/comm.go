@@ -54,25 +54,23 @@ func InsertComm(s *Schedule) {
 		for _, in := range list {
 			switch in.Kind {
 			case Forward, CkptForward:
-				part, st := int(in.Part), int(in.Stage)
-				if st > 0 && crossesDevice(r, part, st-1, st) {
-					out = append(out, Instr{Kind: RecvAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
+				if in.Stage > 0 {
+					out = appendCrossing(out, r, d, RecvAct, in)
 				}
 				out = append(out, in)
-				if st < S-1 && crossesDevice(r, part, st, st+1) {
-					out = append(out, Instr{Kind: SendAct, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
+				if int(in.Stage) < S-1 {
+					out = appendCrossing(out, r, d, SendAct, in)
 				}
 			case Backward, BackwardInput:
 				// The input-gradient half anchors the gradient transfers when
 				// the backward is split; the weight-gradient half has no
 				// cross-device dependents and passes through unchanged.
-				part, st := int(in.Part), int(in.Stage)
-				if st < S-1 && crossesDevice(r, part, st, st+1) {
-					out = append(out, Instr{Kind: RecvGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
+				if int(in.Stage) < S-1 {
+					out = appendCrossing(out, r, d, RecvGrad, in)
 				}
 				out = append(out, in)
-				if st > 0 && crossesDevice(r, part, st-1, st) {
-					out = append(out, Instr{Kind: SendGrad, Micro: in.Micro, Part: in.Part, Stage: in.Stage})
+				if in.Stage > 0 {
+					out = appendCrossing(out, r, d, SendGrad, in)
 				}
 			default:
 				out = append(out, in)
@@ -83,15 +81,18 @@ func InsertComm(s *Schedule) {
 			Instr{Kind: OptimizerStep, Micro: NoMicro},
 		)
 		hi := len(backing)
-		s.SetList(d, backing[lo:hi:hi])
+		s.Lists[d] = backing[lo:hi:hi]
 	}
 }
 
-// crossesDevice reports whether the boundary between loStage and hiStage
-// (hiStage = loStage+1) is a cross-device edge for a micro-batch whose
-// instruction at either end carries partition id part.
-func crossesDevice(r *Resolved, part, loStage, hiStage int) bool {
-	return r.Device(r.PartAt(part, loStage), loStage) != r.Device(r.PartAt(part, hiStage), hiStage)
+// appendCrossing appends to out the transfer of kind k that the compute
+// instruction in on device d anchors, when its other end is another device.
+func appendCrossing(out []Instr, r *Resolved, d int, k Kind, in Instr) []Instr {
+	c := Instr{Kind: k, Micro: in.Micro, Part: in.Part, Stage: in.Stage}
+	if r.Peer(d, c) != d {
+		out = append(out, c)
+	}
+	return out
 }
 
 // partOfStage returns the partition id the scheme assigns to the given

@@ -71,7 +71,7 @@ func TestInsertCommSingleDevice(t *testing.T) {
 func TestMatchKeyInverse(t *testing.T) {
 	s := buildSkeleton1F1B(4, 2)
 	InsertComm(s)
-	idx := s.Index()
+	idx := index(s)
 	for d, list := range s.Lists {
 		for _, in := range list {
 			if !in.Kind.IsComm() {

@@ -138,7 +138,10 @@ func TestPlacementPanics(t *testing.T) {
 	}
 }
 
-func TestCloneIsCopyOnWrite(t *testing.T) {
+// TestCloneIsDeep: a clone owns its lists. Writing an element of either
+// side's list in place never reaches the other, and appending to one of the
+// clone's lists never runs into its neighbour.
+func TestCloneIsDeep(t *testing.T) {
 	s := &Schedule{
 		Scheme:    Scheme1F1B,
 		Placement: NewLinearPlacement(2),
@@ -148,37 +151,35 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 			{{Kind: Forward, Stage: 1}, {Kind: Backward, Stage: 1}},
 		},
 	}
+	want := s.String()
 	c := s.Clone()
-	// Unmutated lists are shared storage.
-	if &c.Lists[0][0] != &s.Lists[0][0] {
-		t.Error("Clone copied a list eagerly; want shared storage until mutation")
+	if c.String() != want {
+		t.Fatalf("clone differs from its original:\n%s\nwant:\n%s", c, want)
 	}
-	// A mutation through MutableList copies first and never leaks back.
-	l := c.MutableList(0)
-	l[0].Kind = CkptForward
-	if s.Lists[0][0].Kind != Forward {
-		t.Error("MutableList mutation leaked into the parent schedule")
+	c.Lists[0][0].Kind = CkptForward
+	c.Lists[1][1].Micro = 7
+	if got := s.String(); got != want {
+		t.Errorf("an in-place write to the clone reached the original:\n%s\nwant:\n%s", got, want)
 	}
-	if c.Lists[0][0].Kind != CkptForward {
-		t.Error("MutableList mutation not visible through the clone")
-	}
-	// The other device's list is still shared (copy was per-list).
-	if &c.Lists[1][0] != &s.Lists[1][0] {
-		t.Error("mutating one device's list copied another device's list")
-	}
-	// The parent, too, must copy before writing: it no longer owns its lists.
-	pl := s.MutableList(1)
-	pl[0].Kind = CkptForward
+	c.Lists[0] = append(c.Lists[0], Instr{Kind: AllReduce, Micro: NoMicro})
 	if c.Lists[1][0].Kind != Forward {
-		t.Error("parent mutation after Clone leaked into the clone")
+		t.Error("appending to one of the clone's lists overwrote the next one")
 	}
-	// SetList hands ownership to the schedule; a later MutableList call must
-	// not copy again.
-	owned := []Instr{{Kind: Forward, Stage: 1}}
-	c.SetList(1, owned)
-	if got := c.MutableList(1); &got[0] != &owned[0] {
-		t.Error("MutableList copied a list the schedule already owns")
+	s.Lists[1][0].Kind = CkptForward
+	if c.Lists[1][0].Kind != Forward {
+		t.Error("an in-place write to the original reached the clone")
 	}
+}
+
+// index maps each instruction's key to its (device, position).
+func index(s *Schedule) map[Key][2]int {
+	m := make(map[Key][2]int, s.TotalInstrs())
+	for d, l := range s.Lists {
+		for i, in := range l {
+			m[in.Key()] = [2]int{d, i}
+		}
+	}
+	return m
 }
 
 func TestFindAndIndex(t *testing.T) {
@@ -191,7 +192,7 @@ func TestFindAndIndex(t *testing.T) {
 			{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
 		},
 	}
-	idx := s.Index()
+	idx := index(s)
 	if loc := idx[Key{Kind: Forward, Micro: 0, Stage: 1}]; loc != [2]int{1, 0} {
 		t.Errorf("Index lookup = %v", loc)
 	}

@@ -82,12 +82,6 @@ type Schedule struct {
 	// res is the resolved view of Placement and Micros, filled where the
 	// schedule is constructed and shared by its clones; see Resolved.
 	res *Resolved
-
-	// shared, when non-nil, marks Lists[d] as aliased with at least one
-	// other schedule (set by Clone on both the child and the receiver).
-	// MutableList copies such a list before returning it; nil means this
-	// schedule solely owns every list and may edit them in place.
-	shared []bool
 }
 
 // NewSchedule returns a schedule over r's placement and micro-batch count that
@@ -114,57 +108,20 @@ func (s *Schedule) NumDevices() int { return s.Placement.NumDevices() }
 // NumStages returns the global stage count.
 func (s *Schedule) NumStages() int { return s.Placement.NumStages() }
 
-// Clone returns a copy-on-write copy of the schedule: the per-device
-// instruction lists are shared between the receiver and the copy (the
-// placement, which is immutable, is shared too), and a list is only copied
-// when one side first mutates it through MutableList or replaces it through
-// SetList. Direct in-place writes to Lists[d] elements after Clone are
-// therefore visible in both schedules — all mutation must go through
-// MutableList/SetList, which every pass in this repository does. Cloning
-// marks the receiver's lists shared as well.
+// Clone returns a deep copy of the schedule: every device's list is copied
+// into one backing, carved as b[lo:hi:hi], so an edit of either schedule's
+// lists never reaches the other. The placement and its resolved view, which
+// nothing edits, are shared.
 func (s *Schedule) Clone() *Schedule {
 	c := *s
-	c.Lists = append(make([][]Instr, 0, len(s.Lists)), s.Lists...)
-	c.shared = sharedAll(len(s.Lists))
-	if s.shared == nil {
-		s.shared = sharedAll(len(s.Lists))
-	} else {
-		for d, sh := range s.shared {
-			if !sh {
-				s.shared[d] = true
-			}
-		}
+	c.Lists = make([][]Instr, len(s.Lists))
+	backing := make([]Instr, 0, s.TotalInstrs())
+	for d, l := range s.Lists {
+		lo := len(backing)
+		backing = append(backing, l...)
+		c.Lists[d] = backing[lo:len(backing):len(backing)]
 	}
 	return &c
-}
-
-// MutableList returns device d's instruction list, first copying it if it is
-// shared with another schedule. Callers that edit list elements in place
-// must obtain the list through here; the returned list stays owned by s
-// until the next Clone.
-func (s *Schedule) MutableList(d int) []Instr {
-	if s.shared != nil && s.shared[d] {
-		s.Lists[d] = append([]Instr(nil), s.Lists[d]...)
-		s.shared[d] = false
-	}
-	return s.Lists[d]
-}
-
-// SetList replaces device d's instruction list with one the caller built,
-// which s then owns exclusively.
-func (s *Schedule) SetList(d int, list []Instr) {
-	s.Lists[d] = list
-	if s.shared != nil {
-		s.shared[d] = false
-	}
-}
-
-func sharedAll(n int) []bool {
-	sh := make([]bool, n)
-	for i := range sh {
-		sh[i] = true
-	}
-	return sh
 }
 
 // TotalInstrs returns the total number of instructions across all devices.
@@ -191,18 +148,6 @@ func (s *Schedule) CountKind(d int, k Kind) int {
 		}
 	}
 	return n
-}
-
-// Index builds a lookup table from instruction key to (device, index).
-// The table is invalidated by any mutation of the schedule.
-func (s *Schedule) Index() map[Key][2]int {
-	m := make(map[Key][2]int, s.TotalInstrs())
-	for d, l := range s.Lists {
-		for i, in := range l {
-			m[in.Key()] = [2]int{d, i}
-		}
-	}
-	return m
 }
 
 // String renders a compact textual form of the schedule, one device per line.

@@ -44,8 +44,7 @@ func TestCriticalChainTight(t *testing.T) {
 		}
 		slow := *est
 		slow.DeviceSpeed = []float64{1, 0.8, 1, 1.25}
-		ckpt := base.Clone()
-		graph.ApplyCheckpoint(ckpt)
+		ckpt := graph.ApplyCheckpoint(base)
 		tuned, _, err := graph.Optimize(base, graph.Options{Estimator: est})
 		if err != nil {
 			t.Fatalf("%s: %v", sch, err)

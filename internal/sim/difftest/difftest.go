@@ -121,7 +121,7 @@ func newWorkload(rng *rand.Rand, devs, micros int) (*Workload, error) {
 	}
 
 	if rng.Intn(2) == 0 {
-		graph.ApplyCheckpoint(s)
+		s = graph.ApplyCheckpoint(s)
 		graph.OverlapRecompute(s)
 		if rng.Intn(2) == 0 {
 			graph.RemoveRedundancy(s)
@@ -163,8 +163,10 @@ func (w *Workload) seed(s int64) {
 // Mutate applies one random single-device mutation and reports a
 // description of it. Mutations may produce schedules that deadlock or
 // mismatch — the differential property covers error results too — and always
-// change exactly one device: the copy-on-write candidate shape a search sends,
-// plus an in-place edit of the list an engine saw last.
+// change exactly one device's list, which the workload owns: most put an
+// edited copy in its place and keep the old list to revert to, as a candidate
+// is built beside its incumbent; one edits the list the engine saw last in
+// place, as a prepose round edits its incumbent.
 func (w *Workload) Mutate() string {
 	rng := w.rng
 	d := rng.Intn(w.S.NumDevices())
@@ -185,7 +187,7 @@ func (w *Workload) Mutate() string {
 		nl := append([]pipeline.Instr(nil), old...)
 		nl[i], nl[j] = nl[j], nl[i]
 		w.prev[d] = old
-		w.S.SetList(d, nl)
+		w.S.Lists[d] = nl
 		w.desc = fmt.Sprintf("dev%d: swap %d<->%d", d, i, j)
 	case 1: // rotate an instruction to an earlier slot (prepose-like)
 		j := 1 + rng.Intn(n-1)
@@ -195,7 +197,7 @@ func (w *Workload) Mutate() string {
 		copy(nl[i+1:j+1], nl[i:j])
 		nl[i] = moved
 		w.prev[d] = old
-		w.S.SetList(d, nl)
+		w.S.Lists[d] = nl
 		w.desc = fmt.Sprintf("dev%d: rotate %d->%d", d, j, i)
 	case 2: // toggle a SendAct's Buffered flag
 		var sends []int
@@ -212,15 +214,14 @@ func (w *Workload) Mutate() string {
 		nl := append([]pipeline.Instr(nil), old...)
 		nl[i].Buffered = !nl[i].Buffered
 		w.prev[d] = old
-		w.S.SetList(d, nl)
+		w.S.Lists[d] = nl
 		w.desc = fmt.Sprintf("dev%d: flip Buffered at %d", d, i)
-	case 3: // swap two nearby instructions in the list itself, no SetList
+	case 3: // swap two nearby instructions in the list itself
 		i, j := nearPair(rng, n)
-		list := w.S.MutableList(d)
-		list[i], list[j] = list[j], list[i]
+		old[i], old[j] = old[j], old[i]
 		w.desc = fmt.Sprintf("dev%d: swap %d<->%d in place", d, i, j)
 	default: // restore the list the last mutation replaced
-		w.S.SetList(d, w.prev[d])
+		w.S.Lists[d] = w.prev[d]
 		w.prev[d] = nil
 		w.desc = fmt.Sprintf("dev%d: revert", d)
 	}

@@ -86,8 +86,7 @@ func TestReferenceMatchesEngine(t *testing.T) {
 		est.LaunchOverhead, est.LinkLatency = 0.07, 0.3
 		slow := *est
 		slow.DeviceSpeed = []float64{1, 0.8, 1, 1.25}
-		ckpt := base.Clone()
-		graph.ApplyCheckpoint(ckpt)
+		ckpt := graph.ApplyCheckpoint(base)
 		tuned, _, err := graph.Optimize(base, graph.Options{Estimator: est})
 		if err != nil {
 			t.Fatalf("%s: %v", sch, err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mario/internal/cost"
@@ -71,35 +72,44 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestSimulatorIncrementalEdits drives one engine over a chain of
-// copy-on-write candidates — each sharing all but one list with its parent —
-// alternating parent and child, and requires every outcome (including the
-// error outcomes that in-list reorderings can produce) to match a fresh
-// Simulate. This is the graph tuner's exact access pattern.
+// TestSimulatorIncrementalEdits drives one engine over the graph tuner's two
+// access patterns, alternating with the parent, and requires every outcome
+// (including the error outcomes that in-list reorderings can produce) to
+// match a fresh Simulate: a candidate that shares all but one list with its
+// parent, as SplitBackward builds them, and a move made in place on the
+// parent's own list and taken back, as a prepose round makes them.
 func TestSimulatorIncrementalEdits(t *testing.T) {
 	parent := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: 4, Micros: 8})
 	e := cost.Uniform(4, 1, 2, 0.25)
 	eng := &Simulator{}
 	opt := Options{NoTimeline: true}
 
-	assertSameOutcome(t, "parent", eng, parent, e, opt)
-	for d := 0; d < parent.NumDevices(); d++ {
-		c := parent.Clone()
-		list := c.MutableList(d)
-		// Swap the first two compute instructions of the device; depending
-		// on the device this yields a different-but-legal schedule or a
-		// comm-order error — both must match the fresh simulator.
-		swapped := false
-		for i := 0; i+1 < len(list) && !swapped; i++ {
+	// swap swaps the first two adjacent compute instructions of list;
+	// depending on the device this yields a different-but-legal schedule or
+	// a comm-order error — both must match the fresh simulator.
+	swap := func(list []pipeline.Instr) {
+		for i := 0; i+1 < len(list); i++ {
 			if list[i].Kind.IsCompute() && list[i+1].Kind.IsCompute() {
 				list[i], list[i+1] = list[i+1], list[i]
-				swapped = true
+				return
 			}
 		}
+	}
+	assertSameOutcome(t, "parent", eng, parent, e, opt)
+	for d := 0; d < parent.NumDevices(); d++ {
+		lists := slices.Clone(parent.Lists)
+		lists[d] = slices.Clone(lists[d])
+		swap(lists[d])
+		c := pipeline.NewSchedule(parent.Scheme, parent.Resolved(), lists)
 		assertSameOutcome(t, fmt.Sprintf("child-%d", d), eng, c, e, opt)
 		// Re-simulating the parent right after puts the edited device's
 		// list back.
 		assertSameOutcome(t, fmt.Sprintf("parent-after-%d", d), eng, parent, e, opt)
+
+		swap(parent.Lists[d])
+		assertSameOutcome(t, fmt.Sprintf("in-place-%d", d), eng, parent, e, opt)
+		swap(parent.Lists[d])
+		assertSameOutcome(t, fmt.Sprintf("undone-%d", d), eng, parent, e, opt)
 	}
 }
 
@@ -328,7 +338,7 @@ func TestSimulatorRebindsAcrossEstimators(t *testing.T) {
 }
 
 // TestSimulatorSeesInPlaceEdits: nothing an engine keeps is compared against
-// an earlier call's arguments, so a list edited in place — no SetList, the same
+// an earlier call's arguments, so a list edited in place — the same
 // backing array and length — and an estimator edited in place under the same
 // pointer are both simulated as what they now are.
 func TestSimulatorSeesInPlaceEdits(t *testing.T) {

@@ -319,7 +319,7 @@ type Tuner struct {
 // every pool worker its own, so nothing in it is shared and nothing is
 // locked; the probe pass needs none. A build serves the goroutine's later
 // points of the same shape — a grid point's checkpoint and placement siblings
-// — which clone it before any edit.
+// — which read it and never edit it.
 //
 // A goroutine done with its worker releases it to the free list (idle), and
 // a later search's newWorker takes it from there: what carries over is the
@@ -387,7 +387,8 @@ func (w *worker) release() {
 
 // build returns the base schedule of a (scheme, depth, micro-batch count)
 // shape, building it the first time the goroutine asks; materialize is its
-// one caller. The schedule is read-only: whoever edits it clones it first.
+// one caller. The schedule is read-only: the graph passes leave their input as
+// it was, and an unchecked candidate keeps the build itself.
 func (w *worker) build(sch pipeline.Scheme, pp, micros int) (*pipeline.Schedule, error) {
 	bk := buildKey{scheme: sch, devices: pp, micros: micros}
 	if s, ok := w.builds[bk]; ok {
@@ -1142,7 +1143,7 @@ func (t *Tuner) materialize(ctx context.Context, space Space, c *Candidate, est 
 		if err != nil {
 			return err
 		}
-		c.Schedule, c.Result = sched.Clone(), res
+		c.Schedule, c.Result = sched, res
 		return nil
 	}
 	gs := sp.Child(telemetry.PhaseGraph, "")

@@ -65,7 +65,8 @@ func Checkpoint(s *Schedule) (*Schedule, error) {
 // sunk into later bubbles when that improves the simulated makespan. It
 // composes with Checkpoint. Schedules containing split backwards run on the
 // simulator, the cluster emulator and the miniature trainer, which produces
-// the same losses and weights as for the fused schedule.
+// the same losses and weights as for the fused schedule. The input is not
+// modified; when splitting does not pay, it is what SplitBackward returns.
 func SplitBackward(s *Schedule) (*Schedule, error) {
 	if s == nil {
 		return nil, fmt.Errorf("mario: nil schedule")
