@@ -62,7 +62,7 @@ func main() {
 		Memory:       *memory,
 		MicroBatches: mbs,
 	}
-	if _, err := base.Validate(); err != nil {
+	if _, err := base.Resolve(); err != nil {
 		fatal("workload invalid: %v", err)
 	}
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mario -model GPT3-13B -devices 32 -gbs 128 -mem 40G [-scheme Auto]
-//	      [-tp 1] [-workers 0] [-no-bnb]
+//	      [-tp 1] [-workers 0]
 //	      [-run 3] [-viz] [-svg out.svg]
 //	      [-trace out.json] [-trace-measured out.json] [-events out.jsonl]
 //	      [-search-trace out.json] [-search-spans out.jsonl]
@@ -58,7 +58,6 @@ func main() {
 		schemeStr = flag.String("scheme", "Auto", "pipeline scheme: Auto, V/1F1B, X/Chimera, W/Interleave, GPipe, Z/ZB-H1, D/DualPipe-D")
 		tp        = flag.Int("tp", 1, "tensor-parallel degree (held constant)")
 		workers   = flag.Int("workers", 0, "concurrent tuner evaluations (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-		noBnB     = flag.Bool("no-bnb", false, "use the canonical-order grid walk instead of branch-and-bound search (same best plan, more points simulated)")
 		split     = flag.Bool("split", false, "also try ZB-H1 split-backward on checkpointed candidates")
 		runIters  = flag.Int("run", 0, "execute the winning schedule for N iterations on the emulated cluster")
 		showViz   = flag.Bool("viz", false, "print the winning schedule's timeline as ASCII")
@@ -121,7 +120,6 @@ func main() {
 		Memory:        *mem,
 		TP:            *tp,
 		SplitBackward: *split,
-		NoBnB:         *noBnB,
 		Workers:       *workers,
 		DeviceSpeeds:  deviceSpeeds,
 		Placement:     *placementArg,

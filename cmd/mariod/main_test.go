@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -77,6 +78,19 @@ func (l *childLog) waitFor(t *testing.T, re *regexp.Regexp) string {
 	return ""
 }
 
+// health reads the daemon's /healthz body (a draining daemon answers 503
+// with the same body).
+func health(base string) (api.Health, error) {
+	var h api.Health
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		return h, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	return h, err
+}
+
 // TestDaemonLifeCycle runs the real binary — the test binary re-run as
 // mariod with a main and a debug listener on loopback ports — through its
 // whole life: a traced plan through the client and its cache hit, the debug
@@ -117,8 +131,14 @@ func TestDaemonLifeCycle(t *testing.T) {
 	addr := stderr.waitFor(t, regexp.MustCompile(`mariod: listening on (\S+)`))
 	c := client.New("http://" + addr)
 	dbg := client.New("http://" + debugAddr)
-	if err := c.WaitReady(ctx, 30*time.Second); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+		h, err := health(c.BaseURL)
+		if err == nil && h.OK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mariod not ready after 30 s: %+v, %v", h, err)
+		}
 	}
 
 	req := api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "40G", MicroBatches: []int{1, 2}}
@@ -150,9 +170,15 @@ func TestDaemonLifeCycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(cmdline) == 0 {
 		t.Errorf("debug /debug/pprof/cmdline: status %d, %d bytes", resp.StatusCode, len(cmdline))
 	}
-	flight, err := dbg.Flight(ctx)
+	resp, err = http.Get(dbg.BaseURL + "/debug/flight")
 	if err != nil {
 		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	flight := string(body)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("debug /debug/flight: status %d", resp.StatusCode)
 	}
 	for _, want := range []string{"1 recent request(s)", "outcome=completed", "optimize", "point", "sim", fresh.Fingerprint[:12]} {
 		if !strings.Contains(flight, want) {
@@ -189,7 +215,7 @@ func TestDaemonLifeCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stderr.waitFor(t, regexp.MustCompile(`(?s)flight recorder dump:.*recent request\(s\)`))
-	if h, err := c.Health(ctx); err != nil || !h.OK || h.CachedPlans != 1 {
+	if h, err := health(c.BaseURL); err != nil || !h.OK || h.CachedPlans != 1 {
 		t.Fatalf("health after SIGQUIT: %+v, %v", h, err)
 	}
 

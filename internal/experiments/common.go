@@ -28,8 +28,8 @@ type Opts struct {
 	Workers int
 }
 
-// GB converts bytes to binary gigabytes.
-func GB(v float64) float64 { return v / (1 << 30) }
+// gb converts bytes to binary gigabytes.
+func gb(v float64) float64 { return v / (1 << 30) }
 
 // variant names the four evaluated configurations of §6.
 type variant string

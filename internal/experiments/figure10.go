@@ -79,7 +79,7 @@ func Figure10(opt Opts) (*Fig10Result, error) {
 		_, measHi := minMax(meas.PeakMem)
 		p := Fig10Point{
 			Config:    fmt.Sprintf("%s-mbs%d", shapeOf(c.sch, c.v), c.mbs),
-			MemPredGB: GB(predHi), MemMeasGB: GB(measHi),
+			MemPredGB: gb(predHi), MemMeasGB: gb(measHi),
 			ThptPred: pred.SamplesPerSec, ThptMeas: meas.SamplesPerSec,
 		}
 		res.Points = append(res.Points, p)

@@ -69,7 +69,7 @@ func goldenOutputs(t *testing.T) map[string]string {
 // docs/SCHEMES.md, keyed by their <!-- golden:scheme-NAME --> marker.
 func schemeGoldenOutputs(t *testing.T) map[string]string {
 	t.Helper()
-	entries, err := SchemeCatalogue()
+	entries, err := schemeCatalogue()
 	if err != nil {
 		t.Fatal(err)
 	}

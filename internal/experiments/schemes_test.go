@@ -11,21 +11,21 @@ import (
 	"mario/internal/viz"
 )
 
-// SchemeCatalogueEntry is one scheme of the registry rendered on the demo
+// schemeCatalogueEntry is one scheme of the registry rendered on the demo
 // grid: an ASCII Gantt chart plus a one-line stats summary, used to pin the
 // diagrams in docs/SCHEMES.md.
-type SchemeCatalogueEntry struct {
+type schemeCatalogueEntry struct {
 	Scheme  pipeline.Scheme
 	Diagram string
 }
 
-// SchemeCatalogue renders every registered scheme on the shared demo grid
+// schemeCatalogue renders every registered scheme on the shared demo grid
 // (4 devices, 8 micro-batches, uniform F=t, B=2t costs) through the
 // simulator. The output is deterministic and golden-pinned in
 // docs/SCHEMES.md, keyed by <!-- golden:scheme-NAME --> markers.
-func SchemeCatalogue() ([]SchemeCatalogueEntry, error) {
+func schemeCatalogue() ([]schemeCatalogueEntry, error) {
 	const d, n = 4, 8
-	var entries []SchemeCatalogueEntry
+	var entries []schemeCatalogueEntry
 	for _, sch := range scheme.Schemes() {
 		s, err := scheme.Build(sch, scheme.Config{Devices: d, Micros: n})
 		if err != nil {
@@ -46,7 +46,7 @@ func SchemeCatalogue() ([]SchemeCatalogueEntry, error) {
 		var b strings.Builder
 		b.WriteString(viz.ASCII(r.Timeline, 1))
 		fmt.Fprintf(&b, "worst bubble %.4f, peak mem [%.3g, %.3g]\n", worst, lo, hi)
-		entries = append(entries, SchemeCatalogueEntry{Scheme: sch, Diagram: b.String()})
+		entries = append(entries, schemeCatalogueEntry{Scheme: sch, Diagram: b.String()})
 	}
 	return entries, nil
 }

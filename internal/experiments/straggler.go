@@ -41,9 +41,9 @@ type StragglerRow struct {
 	Slack float64
 }
 
-// Retention is the fraction of the healthy throughput kept under the
+// retention is the fraction of the healthy throughput kept under the
 // straggler.
-func (r StragglerRow) Retention() float64 { return r.Straggled / r.Healthy }
+func (r StragglerRow) retention() float64 { return r.Straggled / r.Healthy }
 
 // Straggler measures the (base, mario) pair of a 1F1B configuration healthy
 // and with device D/2 at stragglerSpeed. Fully deterministic for a given
@@ -120,6 +120,6 @@ func PrintStraggler(w io.Writer, r *StragglerResult) {
 	fmt.Fprintf(w, "%-18s %10s %7s %12s %10s\n", "schedule", "healthy/s", "slack%", "straggler/s", "retained%")
 	for _, row := range []StragglerRow{r.Base, r.Mario} {
 		fmt.Fprintf(w, "%-18s %10.2f %7.1f %12.2f %10.2f\n",
-			row.Label, row.Healthy, 100*row.Slack, row.Straggled, 100*row.Retention())
+			row.Label, row.Healthy, 100*row.Slack, row.Straggled, 100*row.retention())
 	}
 }

@@ -14,14 +14,14 @@ func TestStragglerCostsMarioMore(t *testing.T) {
 		if !(row.Slack > 0 && row.Slack < 1) {
 			t.Errorf("%s: slack %v outside (0, 1)", row.Label, row.Slack)
 		}
-		if ret := row.Retention(); !(ret > 0 && ret < 1) {
+		if ret := row.retention(); !(ret > 0 && ret < 1) {
 			t.Errorf("%s: retention %v outside (0, 1)", row.Label, ret)
 		}
 	}
 	if r.Mario.Slack >= r.Base.Slack {
 		t.Errorf("mario slack %v not below base slack %v", r.Mario.Slack, r.Base.Slack)
 	}
-	if r.Mario.Retention() >= r.Base.Retention() {
-		t.Errorf("mario retention %v not below base retention %v", r.Mario.Retention(), r.Base.Retention())
+	if r.Mario.retention() >= r.Base.retention() {
+		t.Errorf("mario retention %v not below base retention %v", r.Mario.retention(), r.Base.retention())
 	}
 }

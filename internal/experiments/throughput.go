@@ -72,8 +72,8 @@ func throughputGrid(model cost.ModelConfig, devices, globalBS int) ([]Throughput
 				Config:        shapeOf(sch, v),
 				GlobalBS:      globalBS,
 				MicroBS:       mbs,
-				MemMinGB:      GB(lo),
-				MemMaxGB:      GB(hi),
+				MemMinGB:      gb(lo),
+				MemMaxGB:      gb(hi),
 				Throughput:    res.SamplesPerSec,
 				OOM:           hi > memLimit,
 				PeakPerDevice: res.PeakMem,
@@ -148,7 +148,7 @@ func PrintFigure7(w io.Writer, rows []ThroughputRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s %s:", r.Model, r.Config)
 		for _, p := range r.PeakPerDevice {
-			fmt.Fprintf(w, " %6.2f", GB(p))
+			fmt.Fprintf(w, " %6.2f", gb(p))
 		}
 		fmt.Fprintln(w, " GB")
 	}

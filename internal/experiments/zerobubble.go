@@ -71,7 +71,7 @@ func ZeroBubble(opt Opts) ([]ZeroBubbleRow, error) {
 			Scheme:  string(sch),
 			Time:    r.Total,
 			Bubble:  worst,
-			PeakMem: GB(hi),
+			PeakMem: gb(hi),
 		})
 	}
 	return rows, nil

@@ -3,10 +3,22 @@ package graph
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mario/internal/pipeline"
 	"mario/internal/sim"
 )
+
+// cloneSchedule returns a deep copy of s: its lists share no element with
+// s's, so an in-place pass run on either leaves the other as it was.
+func cloneSchedule(s *pipeline.Schedule) *pipeline.Schedule {
+	c := *s
+	c.Lists = make([][]pipeline.Instr, len(s.Lists))
+	for d, l := range s.Lists {
+		c.Lists[d] = slices.Clone(l)
+	}
+	return &c
+}
 
 // ScanOracle is the filter-off run of the prepose scan. It drives
 // OptimizeContext's rounds on a clone of s — a schedule the structural passes
@@ -17,7 +29,7 @@ import (
 // rounds end on (what Optimize returns for the same input) and how many
 // filtered candidates it simulated; s is left as it was.
 func ScanOracle(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, int, error) {
-	cur := s.Clone()
+	cur := cloneSchedule(s)
 	opt.Sim.NoTimeline = true
 	eng := NewEngines()
 	best, err := eng.Main.Simulate(cur, opt.Estimator, opt.Sim)

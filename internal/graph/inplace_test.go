@@ -23,7 +23,7 @@ type undoCounts struct{ moves, promotions int }
 // s is left as it was.
 func checkUndo(s *pipeline.Schedule, opt Options) (undoCounts, error) {
 	var n undoCounts
-	cur := s.Clone()
+	cur := cloneSchedule(s)
 	opt.Sim.NoTimeline = true
 	eng := NewEngines()
 	best, err := eng.Main.Simulate(cur, opt.Estimator, opt.Sim)

@@ -45,17 +45,18 @@ func TestScanFilterOracle(t *testing.T) {
 			graph.RemoveRedundancy(w.S)
 			graph.OverlapRecompute(w.S)
 		}
+		desc := "unmutated"
 		for step := 0; step < 4; step++ {
 			_, n, err := graph.ScanOracle(w.S, graph.Options{Estimator: w.Est, Sim: w.Opt})
 			if errors.Is(err, sim.ErrDeadlock) || errors.Is(err, sim.ErrCommMismatch) {
 				break // a mutation broke the schedule; later ones will not mend it
 			}
 			if err != nil {
-				t.Fatalf("seed %d step %d (%s): %v", seed, step, w.Desc(), err)
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, desc, err)
 			}
 			checked += n
 			searches++
-			w.Mutate()
+			desc = w.Mutate()
 		}
 	}
 	if checked == 0 {

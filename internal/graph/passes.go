@@ -63,8 +63,14 @@ func ApplyCheckpoint(s *pipeline.Schedule) *pipeline.Schedule {
 		hi := len(backing)
 		lists[d] = backing[lo:hi:hi]
 	}
+	return rewritten(s, lists, true)
+}
+
+// rewritten is the schedule a pass builds from s: s's scheme and resolved
+// view over the given lists, checkpointed as given.
+func rewritten(s *pipeline.Schedule, lists [][]pipeline.Instr, checkpointed bool) *pipeline.Schedule {
 	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
-	c.Checkpointed = true
+	c.Checkpointed = checkpointed
 	return c
 }
 

@@ -50,14 +50,14 @@ func TestFigure2Steps(t *testing.T) {
 	}
 	r1 := mustSim(t, step1, e)
 
-	step2 := step1.Clone()
+	step2 := cloneSchedule(step1)
 	OverlapRecompute(step2)
 	if err := pipeline.Validate(step2); err != nil {
 		t.Fatalf("step2 invalid: %v", err)
 	}
 	r2 := mustSim(t, step2, e)
 
-	step3 := step2.Clone()
+	step3 := cloneSchedule(step2)
 	RemoveRedundancy(step3)
 	if err := pipeline.Validate(step3); err != nil {
 		t.Fatalf("step3 invalid: %v", err)

@@ -74,13 +74,13 @@ func TestPassesIdempotent(t *testing.T) {
 	s := build1f1b(t, 4, 8)
 	s = ApplyCheckpoint(s)
 	OverlapRecompute(s)
-	once := s.Clone()
+	once := cloneSchedule(s)
 	OverlapRecompute(s)
 	if !reflect.DeepEqual(once.Lists, s.Lists) {
 		t.Error("OverlapRecompute not idempotent")
 	}
 	RemoveRedundancy(s)
-	once = s.Clone()
+	once = cloneSchedule(s)
 	RemoveRedundancy(s)
 	if !reflect.DeepEqual(once.Lists, s.Lists) {
 		t.Error("RemoveRedundancy not idempotent")
@@ -125,7 +125,7 @@ func TestNaivelyMovedSendBreaksFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Move every buffered SendAct directly after its CkptForward.
-	broken := opt.Clone()
+	broken := cloneSchedule(opt)
 	moved := false
 	for d := range broken.Lists {
 		list := broken.Lists[d]

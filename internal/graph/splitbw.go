@@ -72,37 +72,46 @@ func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.
 
 // splitAll rewrites every Backward into [BackwardInput, (SendGrad),
 // BackwardWeight], keeping the gradient send immediately after the
-// input-gradient half. It returns a new schedule over fresh lists and leaves
-// s as it was.
+// input-gradient half. It returns a new schedule over fresh lists, carved
+// from one backing as ApplyCheckpoint carves its, and leaves s as it was.
 func splitAll(s *pipeline.Schedule) *pipeline.Schedule {
+	n := 0
+	for _, list := range s.Lists {
+		n += len(list)
+		for _, in := range list {
+			if in.Kind == pipeline.Backward {
+				n++
+			}
+		}
+	}
+	backing := make([]pipeline.Instr, 0, n)
 	lists := make([][]pipeline.Instr, len(s.Lists))
 	for d, list := range s.Lists {
-		out := make([]pipeline.Instr, 0, len(list)+len(list)/3)
+		lo := len(backing)
 		for i := 0; i < len(list); i++ {
 			in := list[i]
 			if in.Kind != pipeline.Backward {
-				out = append(out, in)
+				backing = append(backing, in)
 				continue
 			}
 			bi := in
 			bi.Kind = pipeline.BackwardInput
 			wg := in
 			wg.Kind = pipeline.BackwardWeight
-			out = append(out, bi)
+			backing = append(backing, bi)
 			if i+1 < len(list) {
 				next := list[i+1]
 				if next.Kind == pipeline.SendGrad && next.Micro == in.Micro && next.Stage == in.Stage {
-					out = append(out, next)
+					backing = append(backing, next)
 					i++
 				}
 			}
-			out = append(out, wg)
+			backing = append(backing, wg)
 		}
-		lists[d] = out
+		hi := len(backing)
+		lists[d] = backing[lo:hi:hi]
 	}
-	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
-	c.Checkpointed = s.Checkpointed
-	return c
+	return rewritten(s, lists, s.Checkpointed)
 }
 
 // sinkWeightGrads returns a copy of s with all BackwardWeight instructions of
@@ -136,7 +145,5 @@ func sinkWeightGrads(s *pipeline.Schedule, d int) (*pipeline.Schedule, bool) {
 	out = append(out, kept[insertAt:]...)
 	lists := append([][]pipeline.Instr(nil), s.Lists...)
 	lists[d] = out
-	c := pipeline.NewSchedule(s.Scheme, s.Resolved(), lists)
-	c.Checkpointed = s.Checkpointed
-	return c, true
+	return rewritten(s, lists, s.Checkpointed), true
 }

@@ -20,7 +20,7 @@ func TestSimCandidateVerdicts(t *testing.T) {
 	e := cost.Uniform(2, 1, 2, 0.25)
 	// edit returns a clone of base with device d's list rewritten by f.
 	edit := func(d int, f func([]pipeline.Instr)) *pipeline.Schedule {
-		c := base.Clone()
+		c := cloneSchedule(base)
 		f(c.Lists[d])
 		return c
 	}

@@ -15,9 +15,9 @@ type Attention struct {
 	dim            int
 }
 
-// NewAttention creates a causal attention layer of width d over sequences of
+// newAttention creates a causal attention layer of width d over sequences of
 // length seqLen.
-func NewAttention(r *tensor.RNG, d, seqLen int) *Attention {
+func newAttention(r *tensor.RNG, d, seqLen int) *Attention {
 	scale := 1 / math.Sqrt(float64(d))
 	return &Attention{
 		Wq:     newParam(tensor.Randn(r, scale, d, d)),
@@ -42,7 +42,7 @@ func (c *attnCache) Bytes() int {
 	return n
 }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (a *Attention) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	bt := x.Shape[0]
 	T := a.SeqLen
@@ -89,7 +89,7 @@ func (a *Attention) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &attnCache{x: x, q: q, k: k, v: v, o: o, attn: attns}
 }
 
-// BackwardInput implements Layer. The projection gradients dWo = oᵀ·dy and
+// BackwardInput implements layer. The projection gradients dWo = oᵀ·dy and
 // dW{q,k,v} = xᵀ·d{q,k,v} are deferred; the work closes over the cache, the
 // output gradient and the intermediate d{q,k,v} tensors.
 func (a *Attention) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
@@ -144,7 +144,7 @@ func (a *Attention) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, W
 	return dx, w
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (a *Attention) Params() []*Param { return []*Param{a.Wq, a.Wk, a.Wv, a.Wo} }
 
 // slice2D views rows [start, start+rows) of a 2-D tensor without copying.
@@ -164,15 +164,15 @@ type Block struct {
 	FC2  *Linear
 }
 
-// NewBlock builds a block of width d with a 4d MLP over sequences of length
+// newBlock builds a block of width d with a 4d MLP over sequences of length
 // seqLen.
-func NewBlock(r *tensor.RNG, d, seqLen int) *Block {
+func newBlock(r *tensor.RNG, d, seqLen int) *Block {
 	return &Block{
-		LN1:  NewLayerNorm(d),
-		Attn: NewAttention(r, d, seqLen),
-		LN2:  NewLayerNorm(d),
-		FC1:  NewLinear(r, d, 4*d),
-		FC2:  NewLinear(r, 4*d, d),
+		LN1:  newLayerNorm(d),
+		Attn: newAttention(r, d, seqLen),
+		LN2:  newLayerNorm(d),
+		FC1:  newLinear(r, d, 4*d),
+		FC2:  newLinear(r, 4*d, d),
 	}
 }
 
@@ -184,7 +184,7 @@ func (c *blockCache) Bytes() int {
 	return c.c1.Bytes() + c.ca.Bytes() + c.c2.Bytes() + c.cf1.Bytes() + c.cg.Bytes() + c.cf2.Bytes()
 }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	h1, c1 := b.LN1.Forward(x)
 	at, ca := b.Attn.Forward(h1)
@@ -197,7 +197,7 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &blockCache{c1: c1, ca: ca, c2: c2, cf1: cf1, cg: cg, cf2: cf2}
 }
 
-// BackwardInput implements Layer: the input-gradient chain runs through all
+// BackwardInput implements layer: the input-gradient chain runs through all
 // sub-layers immediately; their weight halves are composed last layer first,
 // the order the input gradient reached them.
 func (b *Block) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
@@ -214,10 +214,10 @@ func (b *Block) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, Weigh
 	return dx, w
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (b *Block) Params() []*Param {
 	var ps []*Param
-	for _, l := range []Layer{b.LN1, b.Attn, b.LN2, b.FC1, b.Act, b.FC2} {
+	for _, l := range []layer{b.LN1, b.Attn, b.LN2, b.FC1, b.Act, b.FC2} {
 		ps = append(ps, l.Params()...)
 	}
 	return ps

@@ -62,9 +62,6 @@ func NewLMHead(r *tensor.RNG, vocab, dim int) *LMHead {
 	return &LMHead{W: newParam(tensor.Randn(r, 0.02, vocab, dim))}
 }
 
-// NewTiedLMHead shares the embedding's table.
-func NewTiedLMHead(e *Embedding) *LMHead { return &LMHead{W: e.W} }
-
 type lmHeadCache struct{ x *tensor.Tensor }
 
 func (c *lmHeadCache) Bytes() int { return c.x.Bytes() }
@@ -123,52 +120,4 @@ func CrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor
 		}
 	}
 	return loss / float64(rows), grad
-}
-
-// LanguageModel is a complete single-device GPT-style model: embedding,
-// transformer blocks, tied LM head. It demonstrates that the nn substrate
-// expresses the paper's full model family; the pipeline runtime
-// (internal/train) partitions the block stack the same way the paper
-// partitions transformer layers.
-type LanguageModel struct {
-	Embed  *Embedding
-	Blocks *Stage
-	Head   *LMHead
-	SeqLen int
-}
-
-// NewLanguageModel builds a tied-weight toy GPT.
-func NewLanguageModel(r *tensor.RNG, vocab, dim, layers, seqLen int) *LanguageModel {
-	e := NewEmbedding(r, vocab, dim)
-	return &LanguageModel{
-		Embed:  e,
-		Blocks: NewStage(r, layers, dim, seqLen),
-		Head:   NewTiedLMHead(e),
-		SeqLen: seqLen,
-	}
-}
-
-// Step runs one training step on a token window predicting the next token at
-// every position, returning the loss before the update.
-func (m *LanguageModel) Step(tokens, targets []int, lr float64) float64 {
-	x := m.Embed.Forward(tokens)
-	h, cache := m.Blocks.Forward(x)
-	logits, hc := m.Head.Forward(h)
-	loss, dlogits := CrossEntropy(logits, targets)
-	dh, hw := m.Head.BackwardInput(hc, dlogits)
-	hw()
-	dx, bw := m.Blocks.BackwardInput(cache, dh)
-	bw()
-	m.Embed.Backward(tokens, dx)
-	for _, p := range m.Params() {
-		p.Step(lr, 1)
-	}
-	return loss
-}
-
-// Params returns all parameters once (the tied table appears once).
-func (m *LanguageModel) Params() []*Param {
-	ps := []*Param{m.Embed.W}
-	ps = append(ps, m.Blocks.Params()...)
-	return ps
 }

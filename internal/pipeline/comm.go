@@ -101,7 +101,7 @@ func appendCrossing(out []Instr, r *Resolved, d int, k Kind, in Instr) []Instr {
 // other placements a micro-batch keeps its partition across stages.
 func partOfStage(pl Placement, part, stage int) int {
 	if ip, ok := pl.(InterleavedPlacement); ok {
-		return ip.PartOfStage(stage)
+		return ip.chunkOf(stage)
 	}
 	return part
 }

@@ -124,5 +124,5 @@ func (p InterleavedPlacement) NumParts() int { return p.V }
 // WeightReplicas implements Placement.
 func (p InterleavedPlacement) WeightReplicas() int { return 1 }
 
-// PartOfStage returns the chunk id owning the given global stage.
-func (p InterleavedPlacement) PartOfStage(stage int) int { return stage / p.D }
+// chunkOf returns the chunk id owning the given global stage.
+func (p InterleavedPlacement) chunkOf(stage int) int { return stage / p.D }

@@ -68,7 +68,7 @@ func Resolve(pl Placement, micros int) *Resolved {
 	if follows {
 		r.partOf = make([]int32, S)
 		for st := range r.partOf {
-			r.partOf[st] = int32(ip.PartOfStage(st))
+			r.partOf[st] = int32(ip.chunkOf(st))
 		}
 	}
 	for row := 0; row < r.rows; row++ {
@@ -185,10 +185,10 @@ func (r *Resolved) cell(part, stage int) int {
 // Placement returns the placement the view was resolved from.
 func (r *Resolved) Placement() Placement { return r.pl }
 
-// Resolves reports whether r is the view of this placement and micro-batch
+// resolves reports whether r is the view of this placement and micro-batch
 // count — what a holder of a cached view asks before reusing it. A nil view
 // resolves nothing.
-func (r *Resolved) Resolves(pl Placement, micros int) bool {
+func (r *Resolved) resolves(pl Placement, micros int) bool {
 	return r != nil && r.pl == pl && r.micros == micros
 }
 
@@ -252,14 +252,14 @@ func (r *Resolved) Peer(d int, in Instr) int {
 // box is the number of slots one kind occupies: rows × (micros + 1) × stages.
 func (r *Resolved) box() int { return r.rows * (r.micros + 1) * r.stages }
 
-// Slots returns the size of the dense key space Slot indexes.
-func (r *Resolved) Slots() int { return int(numKinds) * r.box() }
+// numSlots returns the size of the dense key space slotOf indexes.
+func (r *Resolved) numSlots() int { return int(numKinds) * r.box() }
 
-// Slot returns the dense index of a key in the (kind, part, micro, stage) box
+// slotOf returns the dense index of a key in the (kind, part, micro, stage) box
 // — micro is offset by one so NoMicro packs at zero — or -1 when a coordinate
 // lies outside it. Distinct keys inside the box have distinct slots. Where the
 // partition follows the stage, only the stage's own partition is inside.
-func (r *Resolved) Slot(k Key) int {
+func (r *Resolved) slotOf(k Key) int {
 	m := k.Micro + 1
 	if k.Kind >= numKinds || m < 0 || m > r.micros || k.Stage < 0 || k.Stage >= r.stages {
 		return -1
@@ -287,7 +287,7 @@ func (r *Resolved) Transfers() int { return 2 * r.box() }
 // communication, lies outside the box, or its transfer has no other end.
 // Where the partition follows the stage the part is ignored, as MatchKey
 // ignores it: an instruction whose part is not its stage's chunk gets the
-// chunk's transfer, though Slot places its own key outside the box.
+// chunk's transfer, though slotOf places its own key outside the box.
 func (r *Resolved) CommPair(in Instr) (link, slot int) {
 	m := int(in.Micro) + 1
 	c := r.cell(int(in.Part), int(in.Stage))

@@ -13,7 +13,7 @@ import (
 
 func oraclePart(pl Placement, part, stage int) int {
 	if ip, ok := pl.(InterleavedPlacement); ok {
-		return ip.PartOfStage(stage)
+		return ip.chunkOf(stage)
 	}
 	return part
 }
@@ -138,15 +138,15 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 								inBox(part, stage) && micro >= NoMicro && micro < micros, transfers, transferSlots)
 							inside := k < numKinds && micro >= NoMicro && micro < micros && stage >= 0 && stage < S &&
 								part >= 0 && part < P && (!follows || part == oraclePart(pl, part, stage))
-							slot := r.Slot(key)
+							slot := r.slotOf(key)
 							if !inside {
 								if slot != -1 {
-									t.Fatalf("Slot(%+v) = %d, want -1 outside the box", key, slot)
+									t.Fatalf("slotOf(%+v) = %d, want -1 outside the box", key, slot)
 								}
 								continue
 							}
-							if slot < 0 || slot >= r.Slots() {
-								t.Fatalf("Slot(%+v) = %d, want within %d", key, slot, r.Slots())
+							if slot < 0 || slot >= r.numSlots() {
+								t.Fatalf("slotOf(%+v) = %d, want within %d", key, slot, r.numSlots())
 							}
 							if other, dup := slots[slot]; dup {
 								t.Fatalf("keys %+v and %+v share slot %d", other, key, slot)
@@ -156,7 +156,7 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 								// Where every partition has a row the layout is the
 								// one Validate's index always had.
 								if old := ((int(k)*P+part)*(micros+1)+micro+1)*S + stage; slot != old {
-									t.Fatalf("Slot(%+v) = %d, want %d", key, slot, old)
+									t.Fatalf("slotOf(%+v) = %d, want %d", key, slot, old)
 								}
 							}
 						}
@@ -173,7 +173,7 @@ func TestResolvedMatchesDefinition(t *testing.T) {
 // checkCommPair holds CommPair(in) to the definition. Its link is Link's. Its
 // slot is -1 off a communication, outside the box (inBox: the instruction's
 // cell and micro-batch), and where the slot of the partner's key — MatchKey,
-// then Slot — is -1, as matches were once resolved; otherwise it lies in
+// then slotOf — is -1, as matches were once resolved; otherwise it lies in
 // [0, Transfers), equals the partner's, and names one transfer, the one whose
 // send transfers records.
 func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers map[int]Key, transferSlots map[Key]int) {
@@ -189,7 +189,7 @@ func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers ma
 		return
 	}
 	partner := matchKey(r.pl, in)
-	if r.Slot(partner) < 0 {
+	if r.slotOf(partner) < 0 {
 		if slot != -1 {
 			t.Fatalf("CommPair(%+v) slot %d, want -1: its partner %+v lies outside the box", in, slot, partner)
 		}
@@ -221,7 +221,7 @@ func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers ma
 func TestScheduleResolvedIsSharedNotStale(t *testing.T) {
 	r := Resolve(NewLinearPlacement(2), 1)
 	s := NewSchedule(Scheme1F1B, r, make([][]Instr, 2))
-	if s.Resolved() != r || s.Clone().Resolved() != r {
+	if s.Resolved() != r || clone(s).Resolved() != r {
 		t.Error("a constructed schedule or its clone does not share the view it was built with")
 	}
 	s.Placement = NewBidirPlacement(2)

@@ -96,7 +96,7 @@ func NewSchedule(scheme Scheme, r *Resolved, lists [][]Instr) *Schedule {
 // Micros was reassigned has a stale one: both get a fresh resolution, which is
 // not stored — Resolved never writes to the schedule.
 func (s *Schedule) Resolved() *Resolved {
-	if s.res.Resolves(s.Placement, s.Micros) {
+	if s.res.resolves(s.Placement, s.Micros) {
 		return s.res
 	}
 	return Resolve(s.Placement, s.Micros)
@@ -107,31 +107,6 @@ func (s *Schedule) NumDevices() int { return s.Placement.NumDevices() }
 
 // NumStages returns the global stage count.
 func (s *Schedule) NumStages() int { return s.Placement.NumStages() }
-
-// Clone returns a deep copy of the schedule: every device's list is copied
-// into one backing, carved as b[lo:hi:hi], so an edit of either schedule's
-// lists never reaches the other. The placement and its resolved view, which
-// nothing edits, are shared.
-func (s *Schedule) Clone() *Schedule {
-	c := *s
-	c.Lists = make([][]Instr, len(s.Lists))
-	backing := make([]Instr, 0, s.TotalInstrs())
-	for d, l := range s.Lists {
-		lo := len(backing)
-		backing = append(backing, l...)
-		c.Lists[d] = backing[lo:len(backing):len(backing)]
-	}
-	return &c
-}
-
-// TotalInstrs returns the total number of instructions across all devices.
-func (s *Schedule) TotalInstrs() int {
-	n := 0
-	for _, l := range s.Lists {
-		n += len(l)
-	}
-	return n
-}
 
 // CountKind returns the number of instructions of the given kind on device
 // d, or across all devices when d is negative.

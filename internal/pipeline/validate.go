@@ -14,7 +14,7 @@ func invalidf(format string, args ...any) error {
 }
 
 // validator is the lookup state of one Validate call: one dense index over
-// the schedule's key box (Resolved.Slot), holding for every key 1 + the global
+// the schedule's key box (Resolved.slotOf), holding for every key 1 + the global
 // position of the instruction registered under it — the instructions of
 // earlier devices counted first — and zero for none. Positions only grow from
 // device to device, so while device d is walked an entry at or below starts[d]
@@ -35,7 +35,7 @@ type validator struct {
 func (v *validator) at(base int32, k Kind, in Instr) (int32, bool) {
 	key := in.Key()
 	key.Kind = k
-	if slot := v.r.Slot(key); slot >= 0 && v.pos[slot] > base {
+	if slot := v.r.slotOf(key); slot >= 0 && v.pos[slot] > base {
 		return v.pos[slot] - base - 1, true
 	}
 	return 0, false
@@ -62,7 +62,7 @@ func Validate(s *Schedule) error {
 		return invalidf("have %d lists for %d devices", len(s.Lists), s.NumDevices())
 	}
 	r := s.Resolved()
-	v := validator{s: s, r: r, pos: make([]int32, r.Slots()), starts: make([]int32, len(s.Lists)+1)}
+	v := validator{s: s, r: r, pos: make([]int32, r.numSlots()), starts: make([]int32, len(s.Lists)+1)}
 	if err := v.devices(); err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func (v *validator) devices() error {
 					return invalidf("dev%d: %s has stage out of range [0,%d)", d, in, S)
 				}
 			}
-			slot := v.r.Slot(in.Key())
+			slot := v.r.slotOf(in.Key())
 			if slot < 0 {
 				return invalidf("dev%d: %s names a partition or stage the placement does not have", d, in)
 			}
@@ -181,7 +181,7 @@ func (v *validator) backwardAnchor(base int32, in Instr) (int32, bool) {
 // exactly one instruction.
 func (v *validator) count(k Kind, m, st int) (n int) {
 	for row := 0; row < v.r.rows; row++ {
-		if v.pos[v.r.Slot(Key{Kind: k, Micro: m, Part: v.r.partOfRow(row, st), Stage: st})] != 0 {
+		if v.pos[v.r.slotOf(Key{Kind: k, Micro: m, Part: v.r.partOfRow(row, st), Stage: st})] != 0 {
 			n++
 		}
 	}
@@ -220,7 +220,7 @@ func (v *validator) commMatching() error {
 				continue
 			}
 			mk := matchKey(v.s.Placement, in)
-			slot := v.r.Slot(mk)
+			slot := v.r.slotOf(mk)
 			if slot < 0 || v.pos[slot] == 0 {
 				return invalidf("dev%d: %s has no matching %s", d, in, mk.Kind)
 			}

@@ -95,7 +95,7 @@ func FuzzSchemeBuild(f *testing.F) {
 		if listScheduled(s) {
 			checkBuildMatchesScan(t, s, cfg, sched)
 		}
-		seen := make(map[pipeline.Key]bool, sched.TotalInstrs())
+		seen := map[pipeline.Key]bool{}
 		for dev, list := range sched.Lists {
 			for _, in := range list {
 				k := in.Key()

@@ -57,10 +57,6 @@ type PlanRequest struct {
 	// MinPP and MaxPP bound the pipeline dimension.
 	MinPP int `json:"min_pp,omitempty"`
 	MaxPP int `json:"max_pp,omitempty"`
-	// NoBnB expands the grid in canonical order instead of best-first by
-	// bound. The best plan is identical, but the trace and search stats
-	// differ, so it is part of the workload.
-	NoBnB bool `json:"no_bnb,omitempty"`
 	// Machine overrides the emulated hardware imperfections; nil or {} uses
 	// profile.DefaultMachine.
 	Machine *profile.MachineSpec `json:"machine,omitempty"`
@@ -145,7 +141,6 @@ func (r *PlanRequest) Config(workers int) mario.Config {
 		MicroBatchSizes: r.MicroBatches,
 		MinPP:           r.MinPP,
 		MaxPP:           r.MaxPP,
-		NoBnB:           r.NoBnB,
 		Workers:         workers,
 		DeviceSpeeds:    r.DeviceSpeeds,
 		Placement:       r.Placement,

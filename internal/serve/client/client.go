@@ -249,38 +249,9 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	return c.http().Do(req)
 }
 
-// Health fetches /healthz. The returned Health is valid even when the
-// server reports 503 (draining); other statuses are errors.
-func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	resp, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return nil, apiError(resp)
-	}
-	var h api.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("client: decoding health: %w", err)
-	}
-	return &h, nil
-}
-
 // Metrics fetches the raw Prometheus text exposition from /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	return c.getText(ctx, "/metrics")
-}
-
-// Flight fetches the flight-recorder dump (recent request traces + slow
-// log) from /debug/flight as plain text.
-func (c *Client) Flight(ctx context.Context) (string, error) {
-	return c.getText(ctx, "/debug/flight")
-}
-
-// getText fetches path and returns its 200 body as text.
-func (c *Client) getText(ctx context.Context, path string) (string, error) {
-	resp, err := c.get(ctx, path)
+	resp, err := c.get(ctx, "/metrics")
 	if err != nil {
 		return "", err
 	}
@@ -293,31 +264,4 @@ func (c *Client) getText(ctx context.Context, path string) (string, error) {
 		return "", err
 	}
 	return string(body), nil
-}
-
-// WaitReady polls /healthz until the server answers OK, ctx expires, or the
-// given budget elapses. Useful right after spawning a mariod process.
-func (c *Client) WaitReady(ctx context.Context, budget time.Duration) error {
-	deadline := time.NewTimer(budget)
-	defer deadline.Stop()
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
-	var last error
-	for {
-		h, err := c.Health(ctx)
-		if err == nil && h.OK {
-			return nil
-		}
-		if err == nil {
-			err = fmt.Errorf("client: server draining")
-		}
-		last = err
-		select {
-		case <-tick.C:
-		case <-deadline.C:
-			return fmt.Errorf("client: server not ready after %v: %w", budget, last)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }

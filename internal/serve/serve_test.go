@@ -350,10 +350,11 @@ func TestValidationErrors(t *testing.T) {
 		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, Memory: "12X"},
 		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, MicroBatches: []int{0}},
 		api.PlanRequest{Model: "LLaMA2-3B", Devices: 4, GlobalBatch: 16, TimeoutSec: -1},
-		// A field the schema no longer has (the retired delta and prune
-		// switches) is an unknown field like any other.
+		// A field the schema no longer has (the retired delta, prune and
+		// branch-and-bound switches) is an unknown field like any other.
 		json.RawMessage(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_delta":true}`),
 		json.RawMessage(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_prune":true}`),
+		json.RawMessage(`{"model":"LLaMA2-3B","devices":4,"global_batch":16,"no_bnb":true}`),
 	}
 	for i, req := range cases {
 		resp, body := postPlan(t, ts.URL, req)

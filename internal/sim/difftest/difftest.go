@@ -150,9 +150,6 @@ func newWorkload(rng *rand.Rand, devs, micros int) (*Workload, error) {
 	return w, nil
 }
 
-// Desc returns a description of the last mutation (for failure messages).
-func (w *Workload) Desc() string { return w.desc }
-
 // seed initializes the mutation source and revert history of a hand-built
 // workload; NewWorkload does this itself.
 func (w *Workload) seed(s int64) {
@@ -241,8 +238,8 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Harness drives a long-lived engine against fresh-engine and naive references.
-type Harness struct {
+// harness drives a long-lived engine against fresh-engine and naive references.
+type harness struct {
 	W *Workload
 	// Reused is the engine under test: it lives across steps, so every call
 	// meets whatever the previous ones left in its buffers.
@@ -250,13 +247,13 @@ type Harness struct {
 	steps  int
 }
 
-// NewHarness builds a harness over a fresh workload for the seed.
-func NewHarness(seed int64) (*Harness, error) {
+// newHarness builds a harness over a fresh workload for the seed.
+func newHarness(seed int64) (*harness, error) {
 	w, err := NewWorkload(seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Harness{W: w}, nil
+	return &harness{W: w}, nil
 }
 
 // Step advances the harness once: maybe mutate or revert a device, maybe
@@ -264,7 +261,7 @@ func NewHarness(seed int64) (*Harness, error) {
 // forward time scaled in place under the same one), then check reused engine ≡
 // fresh engine ≡ reference, byte for byte. A non-nil error is a disproof of
 // the equivalence.
-func (h *Harness) Step() error {
+func (h *harness) Step() error {
 	w := h.W
 	rng := w.rng
 	h.steps++
@@ -285,7 +282,7 @@ func (h *Harness) Step() error {
 	opt.NoTimeline = rng.Intn(3) == 0
 	got, gotErr := h.Reused.Simulate(w.S, w.Est, opt)
 	fresh, freshErr := sim.Simulate(w.S, w.Est, opt)
-	if err := Compare(got, gotErr, fresh, freshErr); err != nil {
+	if err := compare(got, gotErr, fresh, freshErr); err != nil {
 		return fmt.Errorf("step %d (%s): reused vs fresh engine: %w", h.steps, w.desc, err)
 	}
 	ref, refErr := Reference(w.S, w.Est, opt)
@@ -296,7 +293,7 @@ func (h *Harness) Step() error {
 }
 
 // Run executes n steps and returns the first divergence, if any.
-func (h *Harness) Run(n int) error {
+func (h *harness) Run(n int) error {
 	for i := 0; i < n; i++ {
 		if err := h.Step(); err != nil {
 			return err
@@ -311,7 +308,7 @@ func (h *Harness) Run(n int) error {
 // either way).
 func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) error {
 	if aErr != nil || refErr != nil {
-		return Compare(a, aErr, ref, refErr)
+		return compare(a, aErr, ref, refErr)
 	}
 	if math.Float64bits(a.Total) != math.Float64bits(ref.Total) {
 		return fmt.Errorf("makespan %v, reference %v", a.Total, ref.Total)
@@ -332,11 +329,11 @@ func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) err
 	return nil
 }
 
-// Compare checks two (result, error) pairs for byte-identical agreement:
+// compare checks two (result, error) pairs for byte-identical agreement:
 // the errors must match sentinel-for-sentinel, and the results must encode
 // to identical bytes. The returned error names the first diverging byte and
 // the canonical section it falls in.
-func Compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
+func compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 	if (aErr == nil) != (bErr == nil) {
 		return fmt.Errorf("error mismatch: %v vs %v", aErr, bErr)
 	}
@@ -348,8 +345,8 @@ func Compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 		}
 		return nil
 	}
-	ca, cb := Canon(a), Canon(b)
-	if off, section := Diff(ca, cb); off >= 0 {
+	ca, cb := canon(a), canon(b)
+	if off, section := diff(ca, cb); off >= 0 {
 		return fmt.Errorf("results diverge at byte %d (%s): %s vs %s",
 			off, section, hexAround(ca, off), hexAround(cb, off))
 	}
@@ -402,10 +399,10 @@ func (c *canonBuf) instr(in pipeline.Instr) {
 	c.bool(in.Buffered)
 }
 
-// Canon serializes a Result canonically: float bits big-endian, slices
+// canon serializes a Result canonically: float bits big-endian, slices
 // length-prefixed, timeline records in device-then-list order. Two Results are
 // equal as values iff their canonical encodings are equal as bytes.
-func Canon(r *sim.Result) []byte {
+func canon(r *sim.Result) []byte {
 	c := &canonBuf{}
 	c.section("Total")
 	c.f64(r.Total)
@@ -451,10 +448,10 @@ func Canon(r *sim.Result) []byte {
 }
 
 // markers flattens the tagged buffer: the section table rides in front so
-// Diff can name the section of an offset without re-deriving the layout.
+// diff can name the section of an offset without re-deriving the layout.
 func (c *canonBuf) markers() []byte {
 	// Header: count, then (name length, name bytes, end offset) per section;
-	// payload follows. Offsets in Diff are payload-relative.
+	// payload follows. Offsets in diff are payload-relative.
 	hdr := binary.BigEndian.AppendUint64(nil, uint64(len(c.sections)))
 	for _, s := range c.sections {
 		hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(s.name)))
@@ -464,9 +461,9 @@ func (c *canonBuf) markers() []byte {
 	return append(hdr, c.b...)
 }
 
-// Diff returns the first payload byte where the two canonical encodings
+// diff returns the first payload byte where the two canonical encodings
 // diverge and the section it falls in, or (-1, "") when identical.
-func Diff(a, b []byte) (int, string) {
+func diff(a, b []byte) (int, string) {
 	sa, pa := splitCanon(a)
 	sb, pb := splitCanon(b)
 	n := minInt(len(pa), len(pb))

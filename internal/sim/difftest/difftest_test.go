@@ -21,7 +21,7 @@ func TestEngineReuseVsFreshRandomized(t *testing.T) {
 		seeds = 6
 	}
 	for seed := 0; seed < seeds; seed++ {
-		h, err := NewHarness(int64(seed))
+		h, err := newHarness(int64(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -61,7 +61,7 @@ func TestEngineReuseVsFreshEdgeSchedules(t *testing.T) {
 				Opt: sim.Options{MemLimit: tc.memLim},
 			}
 			w.seed(7)
-			h := &Harness{W: w}
+			h := &harness{W: w}
 			for i := 0; i < tc.mutates; i++ {
 				if err := h.Step(); err != nil {
 					t.Fatal(err)
@@ -143,17 +143,17 @@ func TestCanonDetectsDivergence(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			a, b := base(), base()
 			m.mutate(b)
-			off, section := Diff(Canon(a), Canon(b))
+			off, section := diff(canon(a), canon(b))
 			if off < 0 {
 				t.Fatalf("mutation %s not detected", m.name)
 			}
 			if section != m.section {
 				t.Fatalf("mutation %s attributed to section %q, want %q", m.name, section, m.section)
 			}
-			if err := Compare(a, nil, b, nil); err == nil {
-				t.Fatalf("Compare missed the %s divergence", m.name)
+			if err := compare(a, nil, b, nil); err == nil {
+				t.Fatalf("compare missed the %s divergence", m.name)
 			}
-			if err := Compare(a, nil, base(), nil); err != nil {
+			if err := compare(a, nil, base(), nil); err != nil {
 				t.Fatalf("Compare flagged identical results: %v", err)
 			}
 		})
@@ -168,7 +168,7 @@ func FuzzEngineReuseEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(30))
 	f.Add(int64(-7), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
-		h, err := NewHarness(seed)
+		h, err := newHarness(seed)
 		if err != nil {
 			t.Skip()
 		}

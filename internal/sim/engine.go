@@ -219,7 +219,7 @@ func (m *Simulator) rebuildDevice(e *cost.Estimator, micros, d int, tl []obs.Eve
 			tl[ds.first+i] = obs.Event{Instr: in, Device: d, Peer: -1, Bytes: P2PBytes(e, in.Kind), Mem: mem}
 		}
 	}
-	ds.busy, ds.peak = busy, m.mem.Peak()
+	ds.busy, ds.peak = busy, m.mem.peak
 }
 
 // resolveMatches points every communication instruction at its matched peer,

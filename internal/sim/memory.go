@@ -190,9 +190,6 @@ func (m *MemSim) Step(in pipeline.Instr) float64 {
 	return m.cur
 }
 
-// Peak returns the high-water mark, transients included.
-func (m *MemSim) Peak() float64 { return m.peak }
-
 // PeakMemory returns the per-device peak memory of the schedule under the
 // estimator's memory model, without running the timing simulation. The
 // cluster emulator reuses it as the allocator ground truth.
@@ -204,7 +201,7 @@ func PeakMemory(s *pipeline.Schedule, e *cost.Estimator) []float64 {
 		for _, in := range list {
 			ms.Step(in)
 		}
-		peaks[d] = ms.Peak()
+		peaks[d] = ms.peak
 	}
 	return peaks
 }

@@ -90,8 +90,8 @@ func (f *FlightRecorder) Recent() []FlightRecord {
 	return out
 }
 
-// Slowest returns the slow log, slowest first. Safe on nil.
-func (f *FlightRecorder) Slowest() []FlightRecord {
+// slowest returns the slow log, slowest first. Safe on nil.
+func (f *FlightRecorder) slowest() []FlightRecord {
 	if f == nil {
 		return nil
 	}
@@ -115,7 +115,7 @@ func (f *FlightRecorder) Dump() []byte {
 	for _, rec := range recent {
 		writeFlightRecord(&w, rec)
 	}
-	slow := f.Slowest()
+	slow := f.slowest()
 	fmt.Fprintf(&w, "== slow log: %d request(s) ==\n", len(slow))
 	for _, rec := range slow {
 		fmt.Fprintf(&w, "#%d %s outcome=%s elapsed=%s\n",

@@ -97,7 +97,7 @@ func goldenRegistry() *Registry {
 	m.AddSims(7)
 	m.AddGraphRounds(2)
 	m.AddScanCandidates(5, 1, 2)
-	m.SearchSeconds.Observe(0.042)
+	m.SearchSeconds.observe(0.042)
 	return r
 }
 

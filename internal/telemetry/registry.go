@@ -146,8 +146,8 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Observe records one sample (in the bounds' unit). Safe on nil.
-func (h *Histogram) Observe(v float64) {
+// observe records one sample (in the bounds' unit). Safe on nil.
+func (h *Histogram) observe(v float64) {
 	if h == nil {
 		return
 	}
@@ -161,7 +161,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveDuration records a duration in seconds. Safe on nil.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
 // Count returns the number of observations. Safe on nil.
 func (h *Histogram) Count() int64 {
@@ -171,8 +171,8 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the summed observations. Safe on nil.
-func (h *Histogram) Sum() float64 {
+// sum returns the summed observations. Safe on nil.
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}
@@ -291,7 +291,7 @@ func (f *metricFamily) writeProm(w io.Writer) {
 			}
 			cum += s.buckets[len(s.bounds)].Load()
 			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", id, cum)
-			fmt.Fprintf(w, "%s_sum %s\n", id, promFloat(s.Sum()))
+			fmt.Fprintf(w, "%s_sum %s\n", id, promFloat(s.sum()))
 			fmt.Fprintf(w, "%s_count %d\n", id, s.Count())
 		}
 	}

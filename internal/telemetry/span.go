@@ -189,12 +189,12 @@ type Span struct {
 	idx int32 // 1-based arena index; 0 = disabled
 }
 
-// Live reports whether the span actually records (false for the zero Span).
-func (s Span) Live() bool { return s.t != nil && s.idx > 0 }
+// live reports whether the span actually records (false for the zero Span).
+func (s Span) live() bool { return s.t != nil && s.idx > 0 }
 
 // Tracer returns the owning tracer, or nil for the disabled span.
 func (s Span) Tracer() *Tracer {
-	if !s.Live() {
+	if !s.live() {
 		return nil
 	}
 	return s.t
@@ -204,7 +204,7 @@ func (s Span) Tracer() *Tracer {
 // same phase (canonical ordering and span IDs depend on it); repeated
 // phases embed a sequence number, e.g. "07". Safe on the zero Span.
 func (s Span) Child(phase Phase, key string) Span {
-	if !s.Live() {
+	if !s.live() {
 		return Span{}
 	}
 	return s.t.alloc(s.idx-1, phase, key, false)
@@ -213,7 +213,7 @@ func (s Span) Child(phase Phase, key string) Span {
 // End stamps the span's end time. Spans left un-ended inherit the latest
 // end of their subtree at Snapshot. Safe on the zero Span.
 func (s Span) End() {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	t := s.t
@@ -229,10 +229,10 @@ func (s Span) End() {
 // happen in practice, but the zero-value contract must hold). Safe on the
 // zero Span.
 func (s Span) AttachTo(parent Span) {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
-	if !parent.Live() || parent.t != s.t {
+	if !parent.live() || parent.t != s.t {
 		s.Discard()
 		return
 	}
@@ -248,7 +248,7 @@ func (s Span) AttachTo(parent Span) {
 // speculative worker evaluations that the canonical merge replaced. Safe on
 // the zero Span.
 func (s Span) Discard() {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	t := s.t
@@ -268,7 +268,7 @@ func (s Span) setAttr(k, v string) {
 
 // SetStr records a string attribute. Safe on the zero Span.
 func (s Span) SetStr(k, v string) {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	s.setAttr(k, v)
@@ -276,7 +276,7 @@ func (s Span) SetStr(k, v string) {
 
 // SetInt records an integer attribute. Safe on the zero Span.
 func (s Span) SetInt(k string, v int64) {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	s.setAttr(k, strconv.FormatInt(v, 10))
@@ -285,7 +285,7 @@ func (s Span) SetInt(k string, v int64) {
 // SetFloat records a float attribute in shortest round-trip form, so
 // bit-identical floats always render identically. Safe on the zero Span.
 func (s Span) SetFloat(k string, v float64) {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	s.setAttr(k, strconv.FormatFloat(v, 'g', -1, 64))
@@ -293,7 +293,7 @@ func (s Span) SetFloat(k string, v float64) {
 
 // SetBool records a boolean attribute. Safe on the zero Span.
 func (s Span) SetBool(k string, v bool) {
-	if !s.Live() {
+	if !s.live() {
 		return
 	}
 	s.setAttr(k, strconv.FormatBool(v))

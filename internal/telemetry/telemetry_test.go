@@ -30,7 +30,7 @@ func TestDisabledSpansNoOp(t *testing.T) {
 	child.End()
 	child.AttachTo(sp)
 	child.Discard()
-	if sp.Live() || child.Live() {
+	if sp.live() || child.live() {
 		t.Error("zero spans report Live")
 	}
 	if sp.Tracer() != nil {
@@ -39,7 +39,7 @@ func TestDisabledSpansNoOp(t *testing.T) {
 
 	var tr *Tracer
 	root := tr.Root(PhaseOptimize, "")
-	if root.Live() {
+	if root.live() {
 		t.Error("nil tracer produced a live span")
 	}
 	if snap := tr.Snapshot(); len(snap.Roots) != 0 {
@@ -167,14 +167,14 @@ func TestRegistry(t *testing.T) {
 	lc.Inc()
 	r.LabeledCounter("t_labeled_total", "Split things.", "kind", "b").Add(4)
 	h := r.Histogram("t_seconds", "Latency.", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(100)
+	h.observe(0.5)
+	h.observe(5)
+	h.observe(100)
 	if h.Count() != 3 {
 		t.Errorf("histogram count = %d, want 3", h.Count())
 	}
-	if h.Sum() != 105.5 {
-		t.Errorf("histogram sum = %g, want 105.5", h.Sum())
+	if h.sum() != 105.5 {
+		t.Errorf("histogram sum = %g, want 105.5", h.sum())
 	}
 
 	var buf bytes.Buffer
@@ -204,7 +204,7 @@ func TestRegistry(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Counter("x", "").Inc()
 	nilReg.Gauge("x", "").Set(1)
-	nilReg.Histogram("x", "", LatencyBounds).Observe(1)
+	nilReg.Histogram("x", "", LatencyBounds).observe(1)
 	var nilBuf bytes.Buffer
 	nilReg.WriteProm(&nilBuf)
 	if nilBuf.Len() != 0 {
@@ -243,7 +243,7 @@ func TestFlightRecorder(t *testing.T) {
 	if recent[0].Seq != 3 {
 		t.Errorf("newest seq = %d, want 3", recent[0].Seq)
 	}
-	slow := fr.Slowest()
+	slow := fr.slowest()
 	if len(slow) != 2 || slow[0].Elapsed != 3*time.Second || slow[1].Elapsed != 2*time.Second {
 		t.Errorf("slow log wrong: %+v", slow)
 	}
@@ -257,7 +257,7 @@ func TestFlightRecorder(t *testing.T) {
 
 	var nilRec *FlightRecorder
 	nilRec.Record(mk("x", time.Second))
-	if nilRec.Recent() != nil || nilRec.Slowest() != nil {
+	if nilRec.Recent() != nil || nilRec.slowest() != nil {
 		t.Error("nil recorder returned records")
 	}
 	if !strings.Contains(string(nilRec.Dump()), "disabled") {

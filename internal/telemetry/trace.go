@@ -37,11 +37,11 @@ type Node struct {
 // Dur returns the span's recorded duration.
 func (n *Node) Dur() time.Duration { return n.End.Sub(n.Start) }
 
-// SelfDur returns the span's self time: its duration minus the sum of its
+// selfDur returns the span's self time: its duration minus the sum of its
 // children's durations, floored at zero. Because every child interval is
 // clamped inside its parent at Snapshot, self times telescope exactly —
-// the sum of SelfDur over a tree equals the root's Dur.
-func (n *Node) SelfDur() time.Duration {
+// the sum of selfDur over a tree equals the root's Dur.
+func (n *Node) selfDur() time.Duration {
 	d := n.Dur()
 	for _, c := range n.Children {
 		d -= c.Dur()
@@ -279,7 +279,7 @@ func (tr *Trace) PhaseSummary() []PhaseSelf {
 			agg[n.Phase] = row
 		}
 		row.Count++
-		row.Self += n.SelfDur()
+		row.Self += n.selfDur()
 	})
 	var out []PhaseSelf
 	for _, row := range agg {

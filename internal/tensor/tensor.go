@@ -51,11 +51,8 @@ func (t *Tensor) Len() int {
 // Bytes returns the storage footprint in bytes.
 func (t *Tensor) Bytes() int { return 4 * t.Len() }
 
-// Rows and Cols interpret a 2-D tensor.
+// Rows returns the first dimension of a 2-D tensor.
 func (t *Tensor) Rows() int { t.check2D(); return t.Shape[0] }
-
-// Cols returns the second dimension of a 2-D tensor.
-func (t *Tensor) Cols() int { t.check2D(); return t.Shape[1] }
 
 func (t *Tensor) check2D() {
 	if len(t.Shape) != 2 {
@@ -68,13 +65,6 @@ func (t *Tensor) At(i, j int) float32 { return t.Data[i*t.Shape[1]+j] }
 
 // Set stores v at (i, j) of a 2-D tensor.
 func (t *Tensor) Set(i, j int, v float32) { t.Data[i*t.Shape[1]+j] = v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
 
 // RNG is the program's one deterministic generator, splitmix64: reproducible
 // weights and data here, the emulator's jitter through NewStream.
@@ -100,8 +90,8 @@ func (r *RNG) next() uint64 {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
-// Normal returns a standard normal value (Box–Muller).
-func (r *RNG) Normal() float64 {
+// normal returns a standard normal value (Box–Muller).
+func (r *RNG) normal() float64 {
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
@@ -114,7 +104,7 @@ func (r *RNG) Normal() float64 {
 func Randn(r *RNG, scale float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = float32(r.Normal() * scale)
+		t.Data[i] = float32(r.normal() * scale)
 	}
 	return t
 }
@@ -239,35 +229,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	sameShape(a, b)
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns a ⊙ b elementwise.
-func Mul(a, b *Tensor) *Tensor {
-	sameShape(a, b)
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·a.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	sameShape(a, b)
@@ -315,17 +276,6 @@ func sameShape(a, b *Tensor) {
 			panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.Shape, b.Shape))
 		}
 	}
-}
-
-// Dot returns the flat inner product of equally-shaped tensors in float64
-// (order-stable accumulation for tests).
-func Dot(a, b *Tensor) float64 {
-	sameShape(a, b)
-	var s float64
-	for i := range a.Data {
-		s += float64(a.Data[i]) * float64(b.Data[i])
-	}
-	return s
 }
 
 // MSE returns mean((a-b)²) in float64 and the gradient d/da.

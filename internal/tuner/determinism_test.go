@@ -91,8 +91,12 @@ func capture(t *testing.T, tn *Tuner, sp Space) searchRun {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Timeline) != sched.TotalInstrs() {
-			t.Errorf("%s: rebuilt timeline holds %d records for %d instructions", c.Label(), len(res.Timeline), sched.TotalInstrs())
+		instrs := 0
+		for _, l := range sched.Lists {
+			instrs += len(l)
+		}
+		if len(res.Timeline) != instrs {
+			t.Errorf("%s: rebuilt timeline holds %d records for %d instructions", c.Label(), len(res.Timeline), instrs)
 		}
 		if was, ok := scored[pointOf(c)]; ok && was != sched.String() {
 			t.Errorf("%s: rebuilt schedule differs from the one the search scored", c.Label())

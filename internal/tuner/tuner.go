@@ -333,8 +333,10 @@ type worker struct {
 	hits, misses int64
 }
 
-// idle is the free list of released workers, at most GOMAXPROCS of them. It
-// is a list, not a sync.Pool: a pool drops its contents on garbage
+// idle is the free list of released workers, at most GOMAXPROCS + 1 of them:
+// a pooled search at the default Workers = GOMAXPROCS holds one per pool
+// goroutine and the search goroutine's own, and the next search finds them
+// all here. It is a list, not a sync.Pool: a pool drops its contents on garbage
 // collection, so whether a search started warm, and what it allocated, would
 // depend on when the collector last ran.
 var idle struct {
@@ -380,7 +382,7 @@ func (w *worker) release() {
 	w.eng.Reset()
 	idle.Lock()
 	defer idle.Unlock()
-	if len(idle.workers) < runtime.GOMAXPROCS(0) {
+	if len(idle.workers) < runtime.GOMAXPROCS(0)+1 {
 		idle.workers = append(idle.workers, w)
 	}
 }

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mario/internal/cost"
@@ -395,6 +396,47 @@ func TestHugeMicroBatchIsIndivisible(t *testing.T) {
 	for _, c := range append(trace, *best) {
 		if c.MicroBatch != 1 {
 			t.Errorf("%s: micro-batch %d explored, want only 1", c.Label(), c.MicroBatch)
+		}
+	}
+}
+
+// TestPooledSearchKeepsItsWorkers: a pooled search at Workers = GOMAXPROCS
+// holds one worker per pool goroutine plus the search goroutine's own, and
+// the free list keeps every one of them, so an identical second search takes
+// all it holds from the list and constructs none.
+func TestPooledSearchKeepsItsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	idle.Lock()
+	idle.workers = nil
+	idle.Unlock()
+	freeList := func() map[*worker]bool {
+		idle.Lock()
+		defer idle.Unlock()
+		set := map[*worker]bool{}
+		for _, w := range idle.workers {
+			set[w] = true
+		}
+		return set
+	}
+	sp := Space{Devices: 8, GlobalBatch: 32, MicroBatches: []int{1, 2}, DeviceMem: cost.A100_40G.MemBytes, MaxRounds: 3}
+	var after [2]map[*worker]bool
+	for i := range after {
+		tn := newTuner()
+		tn.Workers = runtime.GOMAXPROCS(0)
+		if _, _, err := tn.Search(sp); err != nil {
+			t.Fatal(err)
+		}
+		after[i] = freeList()
+	}
+	if want := runtime.GOMAXPROCS(0) + 1; len(after[0]) != want {
+		t.Fatalf("a search at Workers = %d left %d workers on the free list, want %d", runtime.GOMAXPROCS(0), len(after[0]), want)
+	}
+	if len(after[1]) != len(after[0]) {
+		t.Errorf("the free list holds %d workers after the second search, %d after the first", len(after[1]), len(after[0]))
+	}
+	for w := range after[1] {
+		if !after[0][w] {
+			t.Fatal("the second search constructed a worker")
 		}
 	}
 }
