@@ -59,13 +59,17 @@ BENCH_MICRO = BenchmarkSimulateReuse|BenchmarkSimulate1F1B|BenchmarkSimulateChim
 # the first iteration's one-time allocations are part of the average. The
 # list-scheduled builds at 64 × 128 (BENCH_DET_BUILD) get an invocation of
 # their own: a sub-benchmark level in BENCH_DET would filter BenchmarkPlanCodec's
-# rows too.
+# rows too. The pooled search, BenchmarkTunerSearchBnB/bnb at -cpu 2, is a row
+# of its own (cmd/benchjson keys rows by name and procs); it reports only the
+# SearchStats counts, since the pool's speculative evaluations make its
+# simulation and build counts depend on timing, and it averages 40 searches.
 BENCH_DET = BenchmarkGraphOptimize$$|BenchmarkOptimizeAPI|BenchmarkOptimizeHetero|BenchmarkPlanCodec|BenchmarkProfile$$
 BENCH_DET_BUILD = BenchmarkScheduleBuild/64x128
 BENCH_DET_SEARCH = BenchmarkTunerSearchBnB
 bench-det = { $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET)' -benchtime $(BENCHTIME) -benchmem . ; \
 	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_BUILD)' -benchtime $(BENCHTIME) -benchmem . ; \
-	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; }
+	      $(GO) test -run '^$$' -cpu 1 -bench '$(BENCH_DET_SEARCH)' -benchtime 1x -benchmem . ; \
+	      $(GO) test -run '^$$' -cpu 2 -bench '$(BENCH_DET_SEARCH)/bnb' -benchtime 40x -benchmem . ; }
 bench-json:
 	{ $(GO) test -run '^$$' -bench '$(BENCH_MICRO)' \
 		-benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) . ; \
@@ -183,36 +187,26 @@ fleet-smoke:
 # (canonical exports byte-identical for Workers ∈ {1,4,GOMAXPROCS}), the one
 # record stream under it too (a noiseless measured run is the simulator's
 # records; drift is deterministic; a decoded plan renders and drifts like a
-# fresh one), the export golden files, a traced cmd/mario search writing all
-# three trace artifacts to a scratch dir, and a measured cmd/mario run writing
-# every timeline artifact — chart, SVG, predicted and measured Chrome traces,
-# event JSONL — and its drift report.
+# fresh one), the export golden files, and TestCLI: a traced cmd/mario search
+# writing all three trace artifacts, and a measured cmd/mario run writing every
+# timeline artifact — chart, SVG, predicted and measured Chrome traces, event
+# JSONL — and its drift report.
 telemetry-smoke:
 	$(call go-test-named,-race,TestTraceWorkerIndependence|TestSelfTimeTelescopes,./internal/tuner)
 	$(call go-test-named,-race,TestClusterMatchesSimulatorNoiseless,./internal/cluster)
 	$(call go-test-named,-race,TestComputeDriftDeterministic|TestPlanJSONDecodedPlanRuns,.)
 	$(call go-test-named,,TestGoldenExports|TestGoldenSpanChrome,./internal/telemetry)
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 \
-		-search-trace "$$tmp/trace.json" -search-spans "$$tmp/spans.jsonl" \
-		-search-trace-measured "$$tmp/measured.json" -search-summary >/dev/null && \
-	test -s "$$tmp/trace.json" && test -s "$$tmp/spans.jsonl" && test -s "$$tmp/measured.json" && \
-	$(GO) run ./cmd/mario -model LLaMA2-3B -devices 4 -gbs 16 -run 1 -viz -svg "$$tmp/best.svg" \
-		-trace "$$tmp/pred.json" -trace-measured "$$tmp/run.json" -events "$$tmp/events.jsonl" \
-		-drift >"$$tmp/out.txt" && \
-	test -s "$$tmp/out.txt" && test -s "$$tmp/best.svg" && test -s "$$tmp/pred.json" && \
-	test -s "$$tmp/run.json" && test -s "$$tmp/events.jsonl"
+	$(call go-test-named,,TestCLI,./cmd/mario)
 
 # Heterogeneity smoke: the placement subsystem's acceptance contract (co-opt
 # strictly beats the uniform baseline in predicted AND measured throughput on
 # the pinned scenario), worker-count independence and bnb-vs-grid equivalence
 # over the placement axis under the race detector, and one CLI run through
-# -device-speeds/-placement.
+# -device-speeds/-placement (TestCLI/hetero).
 hetero-smoke:
 	$(call go-test-named,-race,TestHeteroCoOptBeatsUniform|TestHeteroAutoExploresBothModes,.)
 	$(call go-test-named,-race,TestHeteroDeterministicAcrossWorkers|TestHeteroBnBMatchesGridArgmax|TestAllOnesSpeedsAreLegacy,./internal/tuner)
-	$(GO) run ./cmd/mario -model GPT3-13B -devices 8 -gbs 32 -mem 72G -scheme V \
-		-device-speeds 3=0.8 -placement coopt -run 1 >/dev/null
+	$(call go-test-named,,TestCLI/hetero,./cmd/mario)
 
 # Markdown link + heading-anchor check over the repo docs plus the golden
 # snippets in EXPERIMENTS.md and docs/SCHEMES.md (TestGoldenDocs re-runs the

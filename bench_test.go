@@ -532,6 +532,8 @@ func BenchmarkTunerSearch(b *testing.B) {
 // BenchmarkTunerSearch. Both return the identical argmax (pinned by
 // TestBnBExplorationEfficiency); the reported metrics show how much of the
 // grid each strategy actually simulates, and builds the schedules it built.
+// At GOMAXPROCS > 1 the search is pooled and only the SearchStats columns
+// (explored, oom, bound-pruned, mem-pruned) are reported.
 func BenchmarkTunerSearchBnB(b *testing.B) {
 	prof := &profile.Profiler{
 		Model: cost.GPT3_13B, HW: cost.A100_40G,
@@ -556,9 +558,13 @@ func BenchmarkTunerSearchBnB(b *testing.B) {
 			}
 			st = tn.Stats
 		}
-		b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
-		b.ReportMetric(float64(m.BuildMisses.Value())/float64(b.N), "builds")
-		reportScanVerdicts(b, m)
+		// The registry's counts include a pool's speculative evaluations,
+		// which depend on timing: they are exact only on the sequential walk.
+		if runtime.GOMAXPROCS(0) == 1 {
+			b.ReportMetric(float64(m.Sims.Value())/float64(b.N), "sims/op")
+			b.ReportMetric(float64(m.BuildMisses.Value())/float64(b.N), "builds")
+			reportScanVerdicts(b, m)
+		}
 		b.ReportMetric(float64(st.Explored), "explored")
 		b.ReportMetric(float64(st.OOMRejected), "oom")
 		b.ReportMetric(float64(st.BoundPruned), "bound-pruned")

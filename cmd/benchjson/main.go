@@ -181,9 +181,18 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return false, fmt.Errorf("parsing %s: %w", baselinePath, err)
 	}
-	baseBy := make(map[string]result, len(base))
-	for _, b := range base {
-		baseBy[b.Name] = b
+	// A run row is gated against the baseline row of its name and procs or,
+	// when there is none, against the baseline's only row of that name: a row
+	// at the default GOMAXPROCS still gates when the baseline was recorded on
+	// another core count.
+	type key struct {
+		name  string
+		procs int
+	}
+	baseAt, byName, used := make(map[key]int, len(base)), make(map[string][]int, len(base)), make([]bool, len(base))
+	for i, b := range base {
+		baseAt[key{b.Name, b.Procs}] = i
+		byName[b.Name] = append(byName[b.Name], i)
 	}
 
 	regressed := false
@@ -192,8 +201,14 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 		if !matchesPrefix(c.Name, prefixes) {
 			continue
 		}
-		b, inBase := baseBy[c.Name]
-		delete(baseBy, c.Name)
+		i, inBase := baseAt[key{c.Name, c.Procs}]
+		if !inBase && len(byName[c.Name]) == 1 {
+			i, inBase = byName[c.Name][0], true
+		}
+		var b result
+		if inBase {
+			b, used[i] = base[i], true
+		}
 		for _, m := range metrics {
 			now := m.get(c)
 			if now == nil {
@@ -221,9 +236,9 @@ func gateAgainst(w io.Writer, cur []result, baselinePath string, pct float64, pr
 			fmt.Fprintf(w, "%s %-55s %12.0f -> %12.0f %s (%+.1f%%)\n", verdict, c.Name, *old, *now, m.unit, delta)
 		}
 	}
-	for name := range baseBy {
-		if matchesPrefix(name, prefixes) {
-			fmt.Fprintf(w, "GONE   %-55s (in baseline, not in this run)\n", name)
+	for i, b := range base {
+		if !used[i] && matchesPrefix(b.Name, prefixes) {
+			fmt.Fprintf(w, "GONE   %-55s (in baseline, not in this run)\n", b.Name)
 		}
 	}
 	if compared == 0 {

@@ -130,6 +130,27 @@ func TestGateAgainst(t *testing.T) {
 		}
 	})
 
+	// A benchmark run at two -cpu values has a baseline row for each: every
+	// run row is gated against the row of its own procs, and a row at a procs
+	// the baseline lacks falls back to the baseline's only row of that name.
+	t.Run("rows gate against the baseline row of their procs", func(t *testing.T) {
+		var out strings.Builder
+		base := writeBaseline(t, `[
+  {"name": "BenchmarkP", "iterations": 100, "ns_per_op": 1000},
+  {"name": "BenchmarkP", "procs": 2, "iterations": 100, "ns_per_op": 5000},
+  {"name": "BenchmarkA", "iterations": 100, "ns_per_op": 1000}
+]`)
+		cur := curResults(t, "BenchmarkP 100 2000 ns/op\nBenchmarkP-2 100 5100 ns/op\nBenchmarkA-4 100 1100 ns/op\n")
+		regressed, err := gateAgainst(&out, cur, base, 15, nil, timeMetrics)
+		if err != nil || !regressed {
+			t.Fatalf("regressed=%v err=%v, want the -cpu 1 row (2000 against 1000) to fail\n%s", regressed, err, out.String())
+		}
+		if got := out.String(); !strings.Contains(got, "WORSE  BenchmarkP ") || !strings.Contains(got, "5000 ->         5100") ||
+			!strings.Contains(got, "ok     BenchmarkA ") || strings.Contains(got, "NEW") || strings.Contains(got, "GONE") {
+			t.Errorf("want P's -cpu 1 row WORSE, its -cpu 2 row ok against 5000, A-4 ok against A, no NEW or GONE:\n%s", got)
+		}
+	})
+
 	t.Run("empty selection is an error", func(t *testing.T) {
 		var out strings.Builder
 		cur := curResults(t, "BenchmarkA 100 1000 ns/op\n")

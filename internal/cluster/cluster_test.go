@@ -137,26 +137,21 @@ func TestExtraOverheadSlowsRuns(t *testing.T) {
 // TestDeadlockDetection: an intentionally crossed schedule (two devices that
 // both receive before sending) is ErrDeadlock instead of a hang.
 func TestDeadlockDetection(t *testing.T) {
-	pl := pipeline.NewLinearPlacement(2)
-	s := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pl,
-		Micros:    1,
-		Lists: [][]pipeline.Instr{
-			{
-				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 0},
-			},
-			{
-				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 1},
-				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
-			},
+	pl := pipeline.Linear(2)
+	s := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(pl, 1), [][]pipeline.Instr{
+		{
+			{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 0},
+			{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 0},
 		},
-	}
+		{
+			{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 1},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 1},
+			{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
+		},
+	})
 	// Device 0 receives the gradient before sending the activation device 1
 	// needs to produce it: a true cyclic wait.
 	e := cost.Uniform(2, 1, 2, 0.25)

@@ -77,8 +77,7 @@ func TestDeadlockErrorNamesCulprit(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &pipeline.Schedule{Scheme: pipeline.Scheme1F1B, Placement: pipeline.NewLinearPlacement(len(tc.lists)),
-				Micros: 1, Lists: tc.lists}
+			s := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(pipeline.Linear(len(tc.lists)), 1), tc.lists)
 			var merge func()
 			merges := 0
 			if tc.merge {

@@ -140,6 +140,10 @@ func (e *Estimator) AllReduceTime(dp int, stages []int) float64 {
 	return 2 * float64(dp-1) / float64(dp) * bytes / e.LinkBandwidth
 }
 
+// nvlinkBandwidth is the intra-node bandwidth, in bytes/s, that tensor-parallel
+// collectives run at.
+const nvlinkBandwidth = 150e9
+
 // AnalyticConfig bundles the inputs of the analytic estimator.
 type AnalyticConfig struct {
 	Model      ModelConfig
@@ -148,9 +152,6 @@ type AnalyticConfig struct {
 	MicroBatch int
 	// TP is the tensor (and sequence) parallel degree; 0 or 1 disables TP.
 	TP int
-	// NVLinkBandwidth is the intra-node bandwidth used by TP collectives;
-	// defaults to 150 GB/s when zero.
-	NVLinkBandwidth float64
 	// Partition overrides the uniform layer→stage split: Partition[s] is the
 	// number of transformer layers on stage s. nil keeps the even
 	// Partition(Layers, Stages) split. When set it must have exactly Stages
@@ -180,10 +181,6 @@ func Analytic(cfg AnalyticConfig) (*Estimator, error) {
 	if tp <= 0 {
 		tp = 1
 	}
-	nvlink := cfg.NVLinkBandwidth
-	if nvlink == 0 {
-		nvlink = 150e9
-	}
 	if cfg.Model.Layers < cfg.Stages {
 		return nil, fmt.Errorf("cost: %d layers cannot fill %d stages", cfg.Model.Layers, cfg.Stages)
 	}
@@ -208,7 +205,7 @@ func Analytic(cfg AnalyticConfig) (*Estimator, error) {
 	// outputs), two in backward; each moves s·b·h fp16 elements.
 	tpCommFw := 0.0
 	if tp > 1 {
-		tpCommFw = 2 * 2 * float64(tp-1) / ftp * s * b * h * BytesPerActElem / nvlink
+		tpCommFw = 2 * 2 * float64(tp-1) / ftp * s * b * h * BytesPerActElem / nvlinkBandwidth
 	}
 	// Embedding lookup is memory-bound and cheap; the LM-head projection is
 	// a real matmul on the last stage.

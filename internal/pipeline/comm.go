@@ -95,17 +95,6 @@ func appendCrossing(out []Instr, r *Resolved, d int, k Kind, in Instr) []Instr {
 	return out
 }
 
-// partOfStage returns the partition id the scheme assigns to the given
-// stage, given that a neighbouring instruction carries partition id part.
-// For interleaved placements the part is a function of the stage; for all
-// other placements a micro-batch keeps its partition across stages.
-func partOfStage(pl Placement, part, stage int) int {
-	if ip, ok := pl.(InterleavedPlacement); ok {
-		return ip.chunkOf(stage)
-	}
-	return part
-}
-
 // PeerDevice returns, for a communication instruction on device d, the
 // device on the other end of the transfer. Together with MatchKey it is the
 // definition the resolved view (Resolved.Peer, Resolved.Link) is filled from.
@@ -115,13 +104,13 @@ func peerDevice(pl Placement, d int, in Instr) int {
 	k := in.Key()
 	switch k.Kind {
 	case SendAct: // producer at k.Stage, consumer at k.Stage+1
-		return pl.Device(partOfStage(pl, k.Part, k.Stage+1), k.Stage+1)
+		return pl.Device(pl.partAt(k.Part, k.Stage+1), k.Stage+1)
 	case RecvAct: // consumer at k.Stage, producer at k.Stage-1
-		return pl.Device(partOfStage(pl, k.Part, k.Stage-1), k.Stage-1)
+		return pl.Device(pl.partAt(k.Part, k.Stage-1), k.Stage-1)
 	case SendGrad: // producer at k.Stage, consumer at k.Stage-1
-		return pl.Device(partOfStage(pl, k.Part, k.Stage-1), k.Stage-1)
+		return pl.Device(pl.partAt(k.Part, k.Stage-1), k.Stage-1)
 	case RecvGrad: // consumer at k.Stage, producer at k.Stage+1
-		return pl.Device(partOfStage(pl, k.Part, k.Stage+1), k.Stage+1)
+		return pl.Device(pl.partAt(k.Part, k.Stage+1), k.Stage+1)
 	}
 	return d
 }
@@ -135,13 +124,13 @@ func matchKey(pl Placement, in Instr) Key {
 	k := in.Key()
 	switch k.Kind {
 	case SendAct:
-		return Key{Kind: RecvAct, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage+1), Stage: k.Stage + 1}
+		return Key{Kind: RecvAct, Micro: k.Micro, Part: pl.partAt(k.Part, k.Stage+1), Stage: k.Stage + 1}
 	case RecvAct:
-		return Key{Kind: SendAct, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage-1), Stage: k.Stage - 1}
+		return Key{Kind: SendAct, Micro: k.Micro, Part: pl.partAt(k.Part, k.Stage-1), Stage: k.Stage - 1}
 	case SendGrad:
-		return Key{Kind: RecvGrad, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage-1), Stage: k.Stage - 1}
+		return Key{Kind: RecvGrad, Micro: k.Micro, Part: pl.partAt(k.Part, k.Stage-1), Stage: k.Stage - 1}
 	case RecvGrad:
-		return Key{Kind: SendGrad, Micro: k.Micro, Part: partOfStage(pl, k.Part, k.Stage+1), Stage: k.Stage + 1}
+		return Key{Kind: SendGrad, Micro: k.Micro, Part: pl.partAt(k.Part, k.Stage+1), Stage: k.Stage + 1}
 	}
 	panic("pipeline: MatchKey on non-communication instruction " + in.String())
 }

@@ -7,12 +7,7 @@ import (
 
 // buildSkeleton1F1B makes a tiny compute-only schedule for InsertComm tests.
 func buildSkeleton1F1B(d, n int) *Schedule {
-	s := &Schedule{
-		Scheme:    Scheme1F1B,
-		Placement: NewLinearPlacement(d),
-		Micros:    n,
-		Lists:     make([][]Instr, d),
-	}
+	s := NewSchedule(Scheme1F1B, Resolve(Linear(d), n), make([][]Instr, d))
 	for dev := 0; dev < d; dev++ {
 		for m := 0; m < n; m++ {
 			s.Lists[dev] = append(s.Lists[dev], Instr{Kind: Forward, Micro: int32(m), Stage: int32(dev)})
@@ -113,15 +108,15 @@ func TestScheduleString(t *testing.T) {
 
 // TestPlacementAccessors exercises the trivial interface methods directly.
 func TestPlacementAccessors(t *testing.T) {
-	lin := NewLinearPlacement(4)
+	lin := Linear(4)
 	if lin.NumParts() != 1 || lin.WeightReplicas() != 1 || lin.NumStages() != 4 {
 		t.Error("linear accessors wrong")
 	}
-	bid := NewBidirPlacement(4)
+	bid := Bidir(4)
 	if bid.NumParts() != 2 || bid.WeightReplicas() != 2 || bid.NumDevices() != 4 {
 		t.Error("bidir accessors wrong")
 	}
-	il := NewInterleavedPlacement(4, 3)
+	il := Interleaved(4, 3)
 	if il.NumParts() != 3 || il.WeightReplicas() != 1 || il.NumStages() != 12 || il.NumDevices() != 4 {
 		t.Error("interleaved accessors wrong")
 	}

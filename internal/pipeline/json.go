@@ -19,17 +19,11 @@ type instrJSON struct {
 	Buf   bool   `json:"buf,omitempty"`
 }
 
-type placementJSON struct {
-	Type    string `json:"type"` // "linear", "bidir", "interleaved"
-	Devices int    `json:"devices"`
-	Chunks  int    `json:"chunks,omitempty"`
-}
-
 type scheduleJSON struct {
 	Scheme       string        `json:"scheme"`
 	Micros       int           `json:"micros"`
 	Checkpointed bool          `json:"checkpointed,omitempty"`
-	Placement    placementJSON `json:"placement"`
+	Placement    Placement     `json:"placement"`
 	Lists        [][]instrJSON `json:"lists"`
 }
 
@@ -48,17 +42,8 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 		Scheme:       string(s.Scheme),
 		Micros:       s.Micros,
 		Checkpointed: s.Checkpointed,
+		Placement:    s.Placement,
 		Lists:        make([][]instrJSON, len(s.Lists)),
-	}
-	switch p := s.Placement.(type) {
-	case LinearPlacement:
-		out.Placement = placementJSON{Type: "linear", Devices: p.D}
-	case BidirPlacement:
-		out.Placement = placementJSON{Type: "bidir", Devices: p.D}
-	case InterleavedPlacement:
-		out.Placement = placementJSON{Type: "interleaved", Devices: p.D, Chunks: p.V}
-	default:
-		return nil, fmt.Errorf("pipeline: placement %T is not serialisable", s.Placement)
 	}
 	for d, list := range s.Lists {
 		out.Lists[d] = make([]instrJSON, len(list))
@@ -78,41 +63,8 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("pipeline: decoding schedule: %w", err)
 	}
-	// The bytes may be anyone's: the declared shape is checked against what
-	// the body actually holds before anything is sized from it. The placement
-	// constructors panic on shapes no generator produces, and the resolved view
-	// and Validate's index are sized by stages and by micros × stages — of which
-	// a valid schedule has at least one forward each, so a body declaring more
-	// stages or more cells than it has instructions is refused here, not
-	// allocated for.
-	devices, chunks, instrs := in.Placement.Devices, 1, 0
-	for _, list := range in.Lists {
-		instrs += len(list)
-	}
-	if devices <= 0 || devices != len(in.Lists) {
-		return fmt.Errorf("pipeline: placement declares %d devices, schedule has %d lists", devices, len(in.Lists))
-	}
-	var pl Placement
-	switch in.Placement.Type {
-	case "linear":
-		pl = NewLinearPlacement(devices)
-	case "bidir":
-		if devices%2 != 0 {
-			return fmt.Errorf("pipeline: bidirectional placement needs an even device count, got %d", devices)
-		}
-		pl = NewBidirPlacement(devices)
-	case "interleaved":
-		chunks = in.Placement.Chunks
-		if chunks <= 0 || chunks > instrs/devices {
-			return fmt.Errorf("pipeline: interleaved placement declares %d chunks × %d devices for %d instructions", chunks, devices, instrs)
-		}
-		pl = NewInterleavedPlacement(devices, chunks)
-	default:
-		return fmt.Errorf("pipeline: unknown placement type %q", in.Placement.Type)
-	}
-	if in.Micros < 0 || in.Micros > instrs/(devices*chunks) {
-		return fmt.Errorf("pipeline: schedule declares %d micro-batches × %d stages, more cells than its %d instructions",
-			in.Micros, devices*chunks, instrs)
+	if err := checkShape(&in); err != nil {
+		return err
 	}
 	lists := make([][]Instr, len(in.Lists))
 	for d, list := range in.Lists {
@@ -131,10 +83,38 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 			lists[d][i] = Instr{Kind: k, Micro: int32(ij.Micro), Part: int32(ij.Part), Stage: int32(ij.Stage), Buffered: ij.Buf}
 		}
 	}
-	*s = *NewSchedule(Scheme(in.Scheme), Resolve(pl, in.Micros), lists)
+	*s = *NewSchedule(Scheme(in.Scheme), Resolve(in.Placement, in.Micros), lists)
 	s.Checkpointed = in.Checkpointed
 	if err := Validate(s); err != nil {
 		return fmt.Errorf("pipeline: decoded schedule invalid: %w", err)
+	}
+	return nil
+}
+
+// checkShape checks the declared shape of a decoded body against what it
+// actually holds, before anything is sized from it. The bytes may be anyone's:
+// the placement must be one of the three layouts in its one spelling, over one
+// list per device, and the resolved view and Validate's index are sized by
+// stages and by micros × stages — of which a valid schedule has at least one
+// forward each — so a body declaring more stages or more cells than it has
+// instructions is refused here, not allocated for.
+func checkShape(in *scheduleJSON) error {
+	pl, instrs := in.Placement, 0
+	for _, list := range in.Lists {
+		instrs += len(list)
+	}
+	if err := pl.check(); err != nil {
+		return err
+	}
+	if pl.Devices != len(in.Lists) {
+		return fmt.Errorf("pipeline: placement declares %d devices, schedule has %d lists", pl.Devices, len(in.Lists))
+	}
+	if pl.Chunks > instrs/pl.Devices {
+		return fmt.Errorf("pipeline: interleaved placement declares %d chunks × %d devices for %d instructions", pl.Chunks, pl.Devices, instrs)
+	}
+	if stages := pl.NumStages(); in.Micros < 0 || in.Micros > instrs/stages {
+		return fmt.Errorf("pipeline: schedule declares %d micro-batches × %d stages, more cells than its %d instructions",
+			in.Micros, stages, instrs)
 	}
 	return nil
 }

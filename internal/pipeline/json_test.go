@@ -8,39 +8,31 @@ import (
 )
 
 func sampleSchedule() *Schedule {
-	return &Schedule{
-		Scheme:    Scheme1F1B,
-		Placement: NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]Instr{
-			{
-				{Kind: Forward, Micro: 0, Stage: 0},
-				{Kind: SendAct, Micro: 0, Stage: 0},
-				{Kind: RecvGrad, Micro: 0, Stage: 0},
-				{Kind: Backward, Micro: 0, Stage: 0},
-				{Kind: AllReduce, Micro: NoMicro},
-				{Kind: OptimizerStep, Micro: NoMicro},
-			},
-			{
-				{Kind: RecvAct, Micro: 0, Stage: 1},
-				{Kind: Forward, Micro: 0, Stage: 1},
-				{Kind: Backward, Micro: 0, Stage: 1},
-				{Kind: SendGrad, Micro: 0, Stage: 1},
-				{Kind: AllReduce, Micro: NoMicro},
-				{Kind: OptimizerStep, Micro: NoMicro},
-			},
+	return NewSchedule(Scheme1F1B, Resolve(Linear(2), 1), [][]Instr{
+		{
+			{Kind: Forward, Micro: 0, Stage: 0},
+			{Kind: SendAct, Micro: 0, Stage: 0},
+			{Kind: RecvGrad, Micro: 0, Stage: 0},
+			{Kind: Backward, Micro: 0, Stage: 0},
+			{Kind: AllReduce, Micro: NoMicro},
+			{Kind: OptimizerStep, Micro: NoMicro},
 		},
-	}
+		{
+			{Kind: RecvAct, Micro: 0, Stage: 1},
+			{Kind: Forward, Micro: 0, Stage: 1},
+			{Kind: Backward, Micro: 0, Stage: 1},
+			{Kind: SendGrad, Micro: 0, Stage: 1},
+			{Kind: AllReduce, Micro: NoMicro},
+			{Kind: OptimizerStep, Micro: NoMicro},
+		},
+	})
 }
 
 // TestJSONRoundTrip: marshal → unmarshal reproduces the schedule exactly
 // for every placement family.
 func TestJSONRoundTrip(t *testing.T) {
 	cases := []*Schedule{sampleSchedule()}
-	bidir := sampleSchedule()
-	bidir.Scheme = SchemeChimera
-	bidir.Placement = NewBidirPlacement(2)
-	bidir.Lists[0][0].Part = 0
+	bidir := NewSchedule(SchemeChimera, Resolve(Bidir(2), 1), sampleSchedule().Lists)
 	cases = append(cases, bidir)
 
 	for _, s := range cases {
@@ -156,6 +148,7 @@ func TestJSONRejectsCorrupted(t *testing.T) {
 		"odd bidirectional":    {`"type":"linear","devices":2`, `"type":"bidir","devices":3`},
 		"chunkless interleave": {`"type":"linear"`, `"type":"interleaved"`},
 		"a billion chunks":     {`"type":"linear"`, `"type":"interleaved","chunks":1073741824`},
+		"chunks on linear":     {`"type":"linear"`, `"type":"linear","chunks":1`},
 		"a billion micros":     {`"micros":1`, `"micros":1073741824`},
 		"negative micros":      {`"micros":1`, `"micros":-1`},
 	} {

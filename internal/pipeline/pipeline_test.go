@@ -97,7 +97,7 @@ func TestShapes(t *testing.T) {
 func TestBidirPlacementProperty(t *testing.T) {
 	f := func(dRaw uint8, sRaw uint8) bool {
 		d := 2 * (int(dRaw)%16 + 1) // even, 2..32
-		p := NewBidirPlacement(d)
+		p := Bidir(d)
 		s := int(sRaw) % d
 		return p.Device(0, s)+p.Device(1, s) == d-1
 	}
@@ -112,9 +112,9 @@ func TestInterleavedPlacementProperty(t *testing.T) {
 	f := func(dRaw, vRaw, sRaw uint8) bool {
 		d := int(dRaw)%16 + 1
 		v := int(vRaw)%4 + 1
-		p := NewInterleavedPlacement(d, v)
+		p := Interleaved(d, v)
 		s := int(sRaw) % p.NumStages()
-		return p.Device(0, s) == s%d && p.chunkOf(s) == s/d
+		return p.Device(0, s) == s%d && p.partAt(0, s) == s/d
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,9 +123,9 @@ func TestInterleavedPlacementProperty(t *testing.T) {
 
 func TestPlacementPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"linear zero":   func() { NewLinearPlacement(0) },
-		"bidir odd":     func() { NewBidirPlacement(3) },
-		"interleave -1": func() { NewInterleavedPlacement(-1, 2) },
+		"linear zero":   func() { Linear(0) },
+		"bidir odd":     func() { Bidir(3) },
+		"interleave -1": func() { Interleaved(-1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -161,15 +161,10 @@ func clone(s *Schedule) *Schedule {
 // side's list in place never reaches the other, and appending to one of the
 // clone's lists never runs into its neighbour.
 func TestCloneIsDeep(t *testing.T) {
-	s := &Schedule{
-		Scheme:    Scheme1F1B,
-		Placement: NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]Instr{
-			{{Kind: Forward}, {Kind: Backward}},
-			{{Kind: Forward, Stage: 1}, {Kind: Backward, Stage: 1}},
-		},
-	}
+	s := NewSchedule(Scheme1F1B, Resolve(Linear(2), 1), [][]Instr{
+		{{Kind: Forward}, {Kind: Backward}},
+		{{Kind: Forward, Stage: 1}, {Kind: Backward, Stage: 1}},
+	})
 	want := s.String()
 	c := clone(s)
 	if c.String() != want {
@@ -202,15 +197,10 @@ func index(s *Schedule) map[Key][2]int {
 }
 
 func TestFindAndIndex(t *testing.T) {
-	s := &Schedule{
-		Scheme:    Scheme1F1B,
-		Placement: NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]Instr{
-			{{Kind: Forward, Micro: 0, Stage: 0}},
-			{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
-		},
-	}
+	s := NewSchedule(Scheme1F1B, Resolve(Linear(2), 1), [][]Instr{
+		{{Kind: Forward, Micro: 0, Stage: 0}},
+		{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
+	})
 	idx := index(s)
 	if loc := idx[Key{Kind: Forward, Micro: 0, Stage: 1}]; loc != [2]int{1, 0} {
 		t.Errorf("Index lookup = %v", loc)
@@ -219,12 +209,7 @@ func TestFindAndIndex(t *testing.T) {
 
 func TestValidateRejectsBadSchedules(t *testing.T) {
 	mk := func() *Schedule {
-		return &Schedule{
-			Scheme:    Scheme1F1B,
-			Placement: NewLinearPlacement(1),
-			Micros:    1,
-			Lists:     [][]Instr{{{Kind: Forward, Micro: 0, Stage: 0}, {Kind: Backward, Micro: 0, Stage: 0}}},
-		}
+		return NewSchedule(Scheme1F1B, Resolve(Linear(1), 1), [][]Instr{{{Kind: Forward, Micro: 0, Stage: 0}, {Kind: Backward, Micro: 0, Stage: 0}}})
 	}
 	if err := Validate(mk()); err != nil {
 		t.Fatalf("minimal schedule should validate: %v", err)
@@ -258,30 +243,20 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		t.Error("checkpointed forward without recompute not caught")
 	}
 
-	wrongDevice := &Schedule{
-		Scheme:    Scheme1F1B,
-		Placement: NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]Instr{
-			{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
-			{{Kind: Forward, Micro: 0, Stage: 0}, {Kind: Backward, Micro: 0, Stage: 0}},
-		},
-	}
+	wrongDevice := NewSchedule(Scheme1F1B, Resolve(Linear(2), 1), [][]Instr{
+		{{Kind: Forward, Micro: 0, Stage: 1}, {Kind: Backward, Micro: 0, Stage: 1}},
+		{{Kind: Forward, Micro: 0, Stage: 0}, {Kind: Backward, Micro: 0, Stage: 0}},
+	})
 	if err := Validate(wrongDevice); err == nil {
 		t.Error("misplaced instructions not caught")
 	}
 }
 
 func TestCountKindScopes(t *testing.T) {
-	s := &Schedule{
-		Scheme:    SchemeGPipe,
-		Placement: NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]Instr{
-			{{Kind: Forward, Stage: 0}, {Kind: Backward, Stage: 0}},
-			{{Kind: Forward, Stage: 1}, {Kind: Backward, Stage: 1}},
-		},
-	}
+	s := NewSchedule(SchemeGPipe, Resolve(Linear(2), 1), [][]Instr{
+		{{Kind: Forward, Stage: 0}, {Kind: Backward, Stage: 0}},
+		{{Kind: Forward, Stage: 1}, {Kind: Backward, Stage: 1}},
+	})
 	if got := s.CountKind(-1, Forward); got != 2 {
 		t.Errorf("global FW count = %d", got)
 	}

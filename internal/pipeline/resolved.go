@@ -55,7 +55,7 @@ const numCommKinds = int(RecvGrad-SendAct) + 1
 func Resolve(pl Placement, micros int) *Resolved {
 	D, S := pl.NumDevices(), pl.NumStages()
 	r := &Resolved{pl: pl, micros: micros, devices: D, stages: S, rows: pl.NumParts()}
-	ip, follows := pl.(InterleavedPlacement)
+	follows := pl.Type == typeInterleaved
 	if follows {
 		r.rows = 1
 	}
@@ -68,7 +68,7 @@ func Resolve(pl Placement, micros int) *Resolved {
 	if follows {
 		r.partOf = make([]int32, S)
 		for st := range r.partOf {
-			r.partOf[st] = int32(ip.chunkOf(st))
+			r.partOf[st] = int32(pl.partAt(0, st))
 		}
 	}
 	for row := 0; row < r.rows; row++ {
@@ -185,13 +185,6 @@ func (r *Resolved) cell(part, stage int) int {
 // Placement returns the placement the view was resolved from.
 func (r *Resolved) Placement() Placement { return r.pl }
 
-// resolves reports whether r is the view of this placement and micro-batch
-// count — what a holder of a cached view asks before reusing it. A nil view
-// resolves nothing.
-func (r *Resolved) resolves(pl Placement, micros int) bool {
-	return r != nil && r.pl == pl && r.micros == micros
-}
-
 // Device is Placement.Device: the device owning the stage for the partition.
 func (r *Resolved) Device(part, stage int) int {
 	if c := r.cell(part, stage); c >= 0 {
@@ -207,7 +200,7 @@ func (r *Resolved) PartAt(part, stage int) int {
 	if r.partOf != nil && stage >= 0 && stage < r.stages {
 		return int(r.partOf[stage])
 	}
-	return partOfStage(r.pl, part, stage)
+	return r.pl.partAt(part, stage)
 }
 
 // PartFollowsStage reports whether a micro-batch changes partition along its

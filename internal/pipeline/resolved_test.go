@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -12,8 +13,8 @@ import (
 // placement's box and outside it.
 
 func oraclePart(pl Placement, part, stage int) int {
-	if ip, ok := pl.(InterleavedPlacement); ok {
-		return ip.chunkOf(stage)
+	if pl.Type == typeInterleaved {
+		return stage / pl.Devices
 	}
 	return part
 }
@@ -67,23 +68,33 @@ func oracleStages(pl Placement, dev int) []int {
 // TestResolvedMatchesDefinition is the exhaustive table ≡ definition check:
 // every placement up to 10 devices and 3 chunks, every kind, every (part,
 // stage) from two below the box to two above it.
+// layoutName names a placement's subtest by its layout and shape, as
+// "pipeline.InterleavedPlacement{D:2 V:3}".
+func layoutName(pl Placement) string {
+	name := fmt.Sprintf("pipeline.%s%sPlacement{D:%d", strings.ToUpper(pl.Type[:1]), pl.Type[1:], pl.Devices)
+	if pl.Chunks > 0 {
+		name += fmt.Sprintf(" V:%d", pl.Chunks)
+	}
+	return name + "}"
+}
+
 func TestResolvedMatchesDefinition(t *testing.T) {
 	const micros = 3
 	var placements []Placement
 	for d := 1; d <= 10; d++ {
-		placements = append(placements, NewLinearPlacement(d))
+		placements = append(placements, Linear(d))
 		if d%2 == 0 {
-			placements = append(placements, NewBidirPlacement(d))
+			placements = append(placements, Bidir(d))
 		}
 		for v := 1; v <= 3; v++ {
-			placements = append(placements, NewInterleavedPlacement(d, v))
+			placements = append(placements, Interleaved(d, v))
 		}
 	}
 	for _, pl := range placements {
-		t.Run(fmt.Sprintf("%T%+v", pl, pl), func(t *testing.T) {
+		t.Run(layoutName(pl), func(t *testing.T) {
 			r := Resolve(pl, micros)
 			D, S, P := pl.NumDevices(), pl.NumStages(), pl.NumParts()
-			_, follows := pl.(InterleavedPlacement)
+			follows := pl.Type == typeInterleaved
 			if r.PartFollowsStage() != follows {
 				t.Errorf("PartFollowsStage = %v", r.PartFollowsStage())
 			}
@@ -216,23 +227,22 @@ func checkCommPair(t *testing.T, r *Resolved, in Instr, inBox bool, transfers ma
 }
 
 // TestScheduleResolvedIsSharedNotStale: a constructed schedule and its clones
-// share the view they were built with; a schedule assembled by hand, or one
-// whose placement was reassigned, gets one that fits — and is never written to.
+// share the view they were built with; a schedule whose placement or
+// micro-batch count was reassigned, or one assembled by hand with no view, is
+// refused by Validate rather than read through a view that does not fit.
 func TestScheduleResolvedIsSharedNotStale(t *testing.T) {
-	r := Resolve(NewLinearPlacement(2), 1)
+	r := Resolve(Linear(2), 1)
 	s := NewSchedule(Scheme1F1B, r, make([][]Instr, 2))
 	if s.Resolved() != r || clone(s).Resolved() != r {
 		t.Error("a constructed schedule or its clone does not share the view it was built with")
 	}
-	s.Placement = NewBidirPlacement(2)
-	if got := s.Resolved(); got == r || got.Placement() != s.Placement {
-		t.Error("a reassigned placement still reads the old view")
-	}
-	if s.res != r {
-		t.Error("Resolved wrote to the schedule")
-	}
-	byHand := &Schedule{Placement: NewLinearPlacement(2), Micros: 1, Lists: make([][]Instr, 2)}
-	if got := byHand.Resolved(); got == nil || got.micros != 1 || byHand.res != nil {
-		t.Error("a schedule assembled by hand is resolved on demand and left as it was")
+	for name, stale := range map[string]*Schedule{
+		"placement": {Placement: Bidir(2), Micros: 1, Lists: s.Lists, res: r},
+		"micros":    {Placement: Linear(2), Micros: 2, Lists: s.Lists, res: r},
+		"by hand":   {Placement: Linear(2), Micros: 1, Lists: s.Lists},
+	} {
+		if err := Validate(stale); err == nil || !strings.Contains(err.Error(), "NewSchedule") {
+			t.Errorf("%s: Validate = %v, want a refusal naming NewSchedule", name, err)
+		}
 	}
 }

@@ -79,28 +79,23 @@ type Schedule struct {
 	// Checkpointed records whether the apply-checkpoint pass has run.
 	Checkpointed bool
 
-	// res is the resolved view of Placement and Micros, filled where the
-	// schedule is constructed and shared by its clones; see Resolved.
+	// res is the resolved view of Placement and Micros, filled by NewSchedule
+	// and shared by the schedule's clones; see Resolved.
 	res *Resolved
 }
 
 // NewSchedule returns a schedule over r's placement and micro-batch count that
-// carries r as its resolved view. Every schedule the program builds or decodes
-// is made here, so the view exists before the schedule is cloned or shared.
+// carries r as its resolved view. It is the one way a schedule gets that view:
+// every schedule the program builds or decodes, and every one a test
+// assembles, is made here, so the view exists before the schedule is cloned
+// or shared. Placement and Micros are read-only afterwards; Validate refuses a
+// schedule whose fields no longer match its view.
 func NewSchedule(scheme Scheme, r *Resolved, lists [][]Instr) *Schedule {
 	return &Schedule{Scheme: scheme, Placement: r.pl, Micros: r.micros, Lists: lists, res: r}
 }
 
-// Resolved returns the resolved view of the schedule's placement. A schedule
-// assembled field by field (tests do) has none, and one whose Placement or
-// Micros was reassigned has a stale one: both get a fresh resolution, which is
-// not stored — Resolved never writes to the schedule.
-func (s *Schedule) Resolved() *Resolved {
-	if s.res.resolves(s.Placement, s.Micros) {
-		return s.res
-	}
-	return Resolve(s.Placement, s.Micros)
-}
+// Resolved returns the resolved view NewSchedule gave the schedule.
+func (s *Schedule) Resolved() *Resolved { return s.res }
 
 // NumDevices returns the device count.
 func (s *Schedule) NumDevices() int { return s.Placement.NumDevices() }

@@ -55,13 +55,13 @@ func (v *validator) at(base int32, k Kind, in Instr) (int32, bool) {
 //  5. a Recompute exists for a (m,s) iff its forward is checkpointed and the
 //     pair was not reverted by remove-redundancy.
 func Validate(s *Schedule) error {
-	if s.Placement == nil {
-		return invalidf("nil placement")
+	r := s.Resolved()
+	if r == nil || r.pl != s.Placement || r.micros != s.Micros {
+		return invalidf("placement or micro-batch count differs from the view NewSchedule resolved")
 	}
 	if len(s.Lists) != s.NumDevices() {
 		return invalidf("have %d lists for %d devices", len(s.Lists), s.NumDevices())
 	}
-	r := s.Resolved()
 	v := validator{s: s, r: r, pos: make([]int32, r.numSlots()), starts: make([]int32, len(s.Lists)+1)}
 	if err := v.devices(); err != nil {
 		return err

@@ -147,11 +147,11 @@ func (c dpCase) spec(s, l int, budgets []float64) (part []int, ok bool) {
 // dpPlacements are the placements the oracle covers: every linear pipeline
 // of up to five stages, Chimera's bidirectional pair, and interleaved chunks.
 var dpPlacements = []pipeline.Placement{
-	pipeline.LinearPlacement{D: 1}, pipeline.LinearPlacement{D: 2}, pipeline.LinearPlacement{D: 3},
-	pipeline.LinearPlacement{D: 4}, pipeline.LinearPlacement{D: 5},
-	pipeline.BidirPlacement{D: 2}, pipeline.BidirPlacement{D: 4},
-	pipeline.InterleavedPlacement{D: 1, V: 3}, pipeline.InterleavedPlacement{D: 2, V: 2},
-	pipeline.InterleavedPlacement{D: 1, V: 5},
+	pipeline.Linear(1), pipeline.Linear(2), pipeline.Linear(3),
+	pipeline.Linear(4), pipeline.Linear(5),
+	pipeline.Bidir(2), pipeline.Bidir(4),
+	pipeline.Interleaved(1, 3), pipeline.Interleaved(2, 2),
+	pipeline.Interleaved(1, 5),
 }
 
 // randomCase draws a DP input over pl with L layers, in one of two kinds: on
@@ -327,7 +327,7 @@ func TestCoOptimizeMatchesTwoRoundFixpoint(t *testing.T) {
 // used to swallow the former and fall back to the even split.
 func TestCoOptimizeExtremeSlowdown(t *testing.T) {
 	lm := skewedModel()
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	for _, s := range []float64{1e-200, 1e-305} {
 		a, err := CoOptimize(lm, pl, []float64{1, 1, s, 1}, Options{})
 		if err != nil {

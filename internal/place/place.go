@@ -371,13 +371,24 @@ func slowOfRanks(slots []float64, deviceOf []int) []float64 {
 // slowest replica).
 func stageSlow(pl pipeline.Placement, rankSlow []float64, st int) float64 {
 	mx := 1.0
-	for p := 0; p < pl.NumParts(); p++ {
-		d := pl.Device(p, st)
+	eachOwner(pl, st, func(d int) {
 		if d >= 0 && d < len(rankSlow) && rankSlow[d] > mx {
 			mx = rankSlow[d]
 		}
-	}
+	})
 	return mx
+}
+
+// eachOwner calls f once for every device that owns stage st: two where a
+// bidirectional placement holds the stage on both pipelines, one otherwise.
+func eachOwner(pl pipeline.Placement, st int, f func(d int)) {
+	seen := -1
+	for p := 0; p < pl.NumParts(); p++ {
+		if d := pl.Device(p, st); d != seen {
+			f(d)
+			seen = d
+		}
+	}
 }
 
 // partitionDP is the layer→stage dynamic program: minimize over partitions
@@ -424,13 +435,7 @@ func partitionDP(lm *LayerModel, pl pipeline.Placement, rankSlow []float64, opts
 	if opts.MemCap > 0 {
 		owned := make([]int, pl.NumDevices())
 		for st := 0; st < S; st++ {
-			seenDev := -1
-			for p := 0; p < pl.NumParts(); p++ {
-				if d := pl.Device(p, st); d != seenDev {
-					owned[d]++
-					seenDev = d
-				}
-			}
+			eachOwner(pl, st, func(d int) { owned[d]++ })
 		}
 		for st := 0; st < S; st++ {
 			budget := opts.MemCap - opts.FrameworkMem
@@ -553,13 +558,7 @@ func matchDevices(lm *LayerModel, pl pipeline.Placement, part []int, slots []flo
 	load := make([]float64, D)
 	for st := 0; st < pl.NumStages(); st++ {
 		w := workPfx[stageLo[st]+part[st]] - workPfx[stageLo[st]]
-		seenDev := -1
-		for p := 0; p < pl.NumParts(); p++ {
-			if d := pl.Device(p, st); d != seenDev {
-				load[d] += w
-				seenDev = d
-			}
-		}
+		eachOwner(pl, st, func(d int) { load[d] += w })
 	}
 	ranks := identity(D)
 	sort.SliceStable(ranks, func(i, j int) bool { return load[ranks[i]] > load[ranks[j]] })

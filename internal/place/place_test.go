@@ -140,7 +140,7 @@ func TestRankSpeeds(t *testing.T) {
 }
 
 func TestUniform(t *testing.T) {
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	a := Uniform(14, pl, []float64{1, 1, 0.8, 1})
 	if !reflect.DeepEqual(a.LayersPerStage, cost.Partition(14, 4)) {
 		t.Errorf("uniform split = %v", a.LayersPerStage)
@@ -198,7 +198,7 @@ func bottleneck(lm *LayerModel, a *Assignment) float64 {
 // beating the uniform split's bottleneck, with identity placement.
 func TestCoOptimizeBalancesSkewedStack(t *testing.T) {
 	lm := skewedModel()
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	a, err := CoOptimize(lm, pl, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestCoOptimizeBalancesSkewedStack(t *testing.T) {
 // baseline's bottleneck. Two runs on the same inputs must agree exactly.
 func TestCoOptimizeHetero(t *testing.T) {
 	lm := skewedModel()
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	speeds := []float64{1, 1, 0.5, 1}
 	a, err := CoOptimize(lm, pl, speeds, Options{})
 	if err != nil {
@@ -286,7 +286,7 @@ func stageLoads(lm *LayerModel, part []int) []float64 {
 // even split so the tuner's own memory checks reject the point downstream.
 func TestCoOptimizeMemCap(t *testing.T) {
 	lm := skewedModel() // 1e9 bytes/layer + 2e9 extra on layers 0 and 11
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	// 4.5e9 budget per stage: at most 4 plain layers, at most 2 with a heavy
 	// boundary layer in the stage.
 	a, err := CoOptimize(lm, pl, nil, Options{MemCap: 5e9, FrameworkMem: 0.5e9})
@@ -316,7 +316,7 @@ func TestCoOptimizeMemCap(t *testing.T) {
 
 func TestCoOptimizeErrors(t *testing.T) {
 	lm := &LayerModel{Work: []float64{1, 1}, WeightBytes: []float64{1, 1}}
-	pl := pipeline.LinearPlacement{D: 4}
+	pl := pipeline.Linear(4)
 	if _, err := CoOptimize(lm, pl, nil, Options{}); err == nil {
 		t.Error("2 layers over 4 stages accepted")
 	}
@@ -331,7 +331,7 @@ func TestCoOptimizeErrors(t *testing.T) {
 // covers every layer exactly once.
 func TestCoOptimizeInterleaved(t *testing.T) {
 	lm := skewedModel()
-	pl := pipeline.InterleavedPlacement{D: 2, V: 2}
+	pl := pipeline.Interleaved(2, 2)
 	a, err := CoOptimize(lm, pl, []float64{1, 0.8}, Options{MemCap: 20e9})
 	if err != nil {
 		t.Fatal(err)

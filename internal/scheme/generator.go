@@ -64,7 +64,7 @@ func lookup(s pipeline.Scheme, cfg Config) (generator, Config, error) {
 // layoutLinear is the single-partition layout of GPipe, 1F1B and ZB-H1:
 // stage s on device s, every micro-batch on partition 0.
 func layoutLinear(cfg Config) (pipeline.Placement, []int) {
-	return pipeline.NewLinearPlacement(cfg.Devices), make([]int, cfg.Micros)
+	return pipeline.Linear(cfg.Devices), make([]int, cfg.Micros)
 }
 
 // orderGreedy returns the list-scheduler order shared by the depGraph

@@ -506,5 +506,5 @@ func layoutChimera(cfg Config) (pipeline.Placement, []int) {
 		// Waves of D micro-batches: the first D/2 flow up, the next D/2 down.
 		parts[m] = (m / half) % 2
 	}
-	return pipeline.NewBidirPlacement(cfg.Devices), parts
+	return pipeline.Bidir(cfg.Devices), parts
 }

@@ -181,7 +181,7 @@ func order1F1B(b *Builder, cfg Config, _ *pipeline.Resolved, _ []int) [][]pipeli
 // model chunks per device; a micro-batch visits every chunk, so the per-micro
 // partition is unused.
 func layoutInterleave(cfg Config) (pipeline.Placement, []int) {
-	return pipeline.NewInterleavedPlacement(cfg.Devices, cfg.Chunks), make([]int, cfg.Micros)
+	return pipeline.Interleaved(cfg.Devices, cfg.Chunks), make([]int, cfg.Micros)
 }
 
 // depthInterleave is the in-flight depth of orderInterleave's chunk c on

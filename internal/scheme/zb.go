@@ -19,7 +19,7 @@ func layoutDualPipeD(cfg Config) (pipeline.Placement, []int) {
 	for m := cfg.Micros / 2; m < cfg.Micros; m++ {
 		parts[m] = 1
 	}
-	return pipeline.NewBidirPlacement(cfg.Devices), parts
+	return pipeline.Bidir(cfg.Devices), parts
 }
 
 // checkDualPipeD rejects configurations the bidirectional placement cannot

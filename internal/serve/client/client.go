@@ -24,9 +24,6 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8347".
 	BaseURL string
-	// HTTPClient overrides the transport; nil uses a client with no overall
-	// timeout (plan requests are bounded server-side and by ctx).
-	HTTPClient *http.Client
 	// Trace asks the plan endpoints for the run's canonical search trace
 	// (?trace=1); when the request is answered by a tuner run, the
 	// response's Trace field carries it.
@@ -47,15 +44,9 @@ func New(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
 }
 
-// defaultHTTPClient serves every Client without an HTTPClient of its own.
-var defaultHTTPClient = &http.Client{}
-
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return defaultHTTPClient
-}
+// httpClient serves every Client. It has no overall timeout: plan requests
+// are bounded server-side and by ctx.
+var httpClient = &http.Client{}
 
 // apiError decodes the service's {"error": ...} body into a Go error.
 func apiError(resp *http.Response) error {
@@ -107,7 +98,7 @@ func (c *Client) postJSON(ctx context.Context, url string, body []byte, hdr ...s
 		for i := 0; i+1 < len(hdr); i += 2 {
 			hreq.Header.Set(hdr[i], hdr[i+1])
 		}
-		resp, err := c.http().Do(hreq)
+		resp, err := httpClient.Do(hreq)
 		switch {
 		case err != nil:
 			lastErr = err
@@ -246,7 +237,7 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.http().Do(req)
+	return httpClient.Do(req)
 }
 
 // Metrics fetches the raw Prometheus text exposition from /metrics.

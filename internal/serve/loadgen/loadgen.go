@@ -40,8 +40,6 @@ type Options struct {
 	Requests int
 	// Concurrency is how many requests are kept in flight; 0 means 32.
 	Concurrency int
-	// HTTPClient overrides the transport; nil uses http.DefaultClient.
-	HTTPClient *http.Client
 }
 
 // Result is the aggregate outcome of one load run.
@@ -104,10 +102,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if conc > opts.Requests {
 		conc = opts.Requests
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	bodies := make([][]byte, len(opts.Workloads))
 	for i, w := range opts.Workloads {
 		b, err := json.Marshal(w)
@@ -130,7 +124,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				if i >= opts.Requests || ctx.Err() != nil {
 					return
 				}
-				samples[i] = fire(ctx, hc,
+				samples[i] = fire(ctx,
 					opts.Targets[i%len(opts.Targets)],
 					bodies[i%len(bodies)])
 			}
@@ -144,14 +138,14 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 }
 
 // fire sends one plan request and classifies the outcome.
-func fire(ctx context.Context, hc *http.Client, target string, body []byte) sample {
+func fire(ctx context.Context, target string, body []byte) sample {
 	t0 := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/plan", bytes.NewReader(body))
 	if err != nil {
 		return sample{err: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return sample{latency: time.Since(t0), err: true}
 	}

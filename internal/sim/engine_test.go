@@ -123,25 +123,20 @@ func TestSimulatorErrorPathsMatch(t *testing.T) {
 
 	// Deadlock: each device receives before it sends what the other waits
 	// for — a circular wait no eager send can break.
-	dead := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pipeline.NewLinearPlacement(2),
-		Micros:    1,
-		Lists: [][]pipeline.Instr{
-			{
-				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 0},
-			},
-			{
-				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 1},
-				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
-			},
+	dead := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(pipeline.Linear(2), 1), [][]pipeline.Instr{
+		{
+			{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 0},
+			{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 0},
 		},
-	}
+		{
+			{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 1},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 1},
+			{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
+		},
+	})
 	assertSameOutcome(t, "deadlock", eng, dead, e, Options{})
 	if _, err := eng.Simulate(dead, e, Options{}); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("receive cycle: err = %v, want ErrDeadlock", err)
@@ -149,25 +144,20 @@ func TestSimulatorErrorPathsMatch(t *testing.T) {
 
 	// Comm mismatch: dev0 sends micro 0 then 1, dev1
 	// receives micro 1 then 0.
-	mism := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pipeline.NewLinearPlacement(2),
-		Micros:    2,
-		Lists: [][]pipeline.Instr{
-			{
-				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.Forward, Micro: 1, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 1, Stage: 0},
-			},
-			{
-				{Kind: pipeline.RecvAct, Micro: 1, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 1, Stage: 1},
-				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
-			},
+	mism := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(pipeline.Linear(2), 2), [][]pipeline.Instr{
+		{
+			{Kind: pipeline.Forward, Micro: 0, Stage: 0},
+			{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
+			{Kind: pipeline.Forward, Micro: 1, Stage: 0},
+			{Kind: pipeline.SendAct, Micro: 1, Stage: 0},
 		},
-	}
+		{
+			{Kind: pipeline.RecvAct, Micro: 1, Stage: 1},
+			{Kind: pipeline.Forward, Micro: 1, Stage: 1},
+			{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 1},
+		},
+	})
 	assertSameOutcome(t, "mismatch", eng, mism, e, Options{})
 
 	// Transfers with no partner. Each row's error text is pinned as it was
@@ -186,26 +176,26 @@ func TestSimulatorErrorPathsMatch(t *testing.T) {
 		lists  [][]I
 		want   string
 	}{
-		{"send whose receive is missing", pipeline.NewLinearPlacement(2), 1, [][]I{
+		{"send whose receive is missing", pipeline.Linear(2), 1, [][]I{
 			{{Kind: fw, Stage: 0}, {Kind: sa, Stage: 0}},
 			{{Kind: fw, Stage: 1}},
 		}, "sim: SA0^0 on device 0 has no matching instruction"},
-		{"last-stage send", pipeline.NewLinearPlacement(2), 1, [][]I{
+		{"last-stage send", pipeline.Linear(2), 1, [][]I{
 			{{Kind: fw, Stage: 0}, {Kind: sa, Stage: 0}},
 			{{Kind: ra, Stage: 1}, {Kind: fw, Stage: 1}, {Kind: sa, Stage: 1}},
 		}, "sim: SA0^0 on device 1 has no matching instruction"},
-		{"micro out of range", pipeline.NewLinearPlacement(2), 1, [][]I{
+		{"micro out of range", pipeline.Linear(2), 1, [][]I{
 			{{Kind: fw, Micro: 1, Stage: 0}, {Kind: sa, Micro: 1, Stage: 0}},
 			{{Kind: ra, Micro: 1, Stage: 1}, {Kind: fw, Micro: 1, Stage: 1}},
 		}, "sim: SA1^0 on device 0 has no matching instruction"},
 		// Stage 0's chunk is part 0. The send of part 1 still finds the
 		// receive, but the receive does not find it.
-		{"interleaved send of the wrong part", pipeline.NewInterleavedPlacement(2, 2), 1, [][]I{
+		{"interleaved send of the wrong part", pipeline.Interleaved(2, 2), 1, [][]I{
 			{{Kind: fw, Stage: 0}, {Kind: sa, Part: 1, Stage: 0}},
 			{{Kind: ra, Stage: 1}, {Kind: fw, Stage: 1}},
 		}, "sim: RA0^0 on device 1 has no matching instruction"},
 	} {
-		s := &pipeline.Schedule{Scheme: pipeline.Scheme1F1B, Placement: tc.pl, Micros: tc.micros, Lists: tc.lists}
+		s := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(tc.pl, tc.micros), tc.lists)
 		e := cost.Uniform(tc.pl.NumStages(), 1, 2, 0.25)
 		assertSameOutcome(t, tc.name, eng, s, e, Options{})
 		if _, err := eng.Simulate(s, e, Options{}); err == nil || err.Error() != tc.want {

@@ -34,26 +34,21 @@ func simulate(t *testing.T, s *pipeline.Schedule, e *cost.Estimator, opt sim.Opt
 // transitively depends on) is reported as sim.ErrDeadlock instead of looping
 // forever — the receive waits on a message whose producer is blocked behind it.
 func TestDeadlockDetected(t *testing.T) {
-	pl := pipeline.NewLinearPlacement(2)
-	s := &pipeline.Schedule{
-		Scheme:    pipeline.Scheme1F1B,
-		Placement: pl,
-		Micros:    1,
-		Lists: [][]pipeline.Instr{
-			{
-				{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 0},
-				{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 0},
-			},
-			{
-				{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
-				{Kind: pipeline.Forward, Micro: 0, Stage: 1},
-				{Kind: pipeline.Backward, Micro: 0, Stage: 1},
-				{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
-			},
+	pl := pipeline.Linear(2)
+	s := pipeline.NewSchedule(pipeline.Scheme1F1B, pipeline.Resolve(pl, 1), [][]pipeline.Instr{
+		{
+			{Kind: pipeline.RecvGrad, Micro: 0, Stage: 0},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 0},
+			{Kind: pipeline.SendAct, Micro: 0, Stage: 0},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 0},
 		},
-	}
+		{
+			{Kind: pipeline.RecvAct, Micro: 0, Stage: 1},
+			{Kind: pipeline.Forward, Micro: 0, Stage: 1},
+			{Kind: pipeline.Backward, Micro: 0, Stage: 1},
+			{Kind: pipeline.SendGrad, Micro: 0, Stage: 1},
+		},
+	})
 	e := cost.Uniform(2, 1, 2, 0.25)
 	if _, err := sim.Simulate(s, e, sim.Options{}); !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)

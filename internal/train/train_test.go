@@ -235,8 +235,8 @@ func TestRunIterationValidation(t *testing.T) {
 	if _, err := tr.RunIteration(wrongD); err == nil {
 		t.Error("device mismatch accepted")
 	}
-	wrongN := baseSchedule(t, pipeline.Scheme1F1B)
-	wrongN.Micros = 4
+	base := baseSchedule(t, pipeline.Scheme1F1B)
+	wrongN := pipeline.NewSchedule(base.Scheme, pipeline.Resolve(base.Placement, 4), base.Lists)
 	if _, err := tr.RunIteration(wrongN); err == nil {
 		t.Error("micro mismatch accepted")
 	}
