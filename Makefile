@@ -2,22 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-gate bench-gate-allocs bench-serve-json bench-selftest check fmt fuzz lint docs-check schemes-smoke serve-smoke fleet-smoke telemetry-smoke hetero-smoke
+.PHONY: all build vet test race bench bench-json bench-gate bench-gate-allocs bench-serve-json bench-selftest check fmt fuzz
 
 all: check
-
-# go-test-named runs the named tests — $(1) go test flags, $(2) the names
-# joined by |, $(3) the packages — and fails when any of the names ran no test:
-# `go test -run <no match>` exits 0, so a renamed test would silently turn the
-# gate that selects it into a no-op. Every target that selects tests by name
-# goes through it.
-define go-test-named
-out=$$($(GO) test $(1) -v -run '$(2)' $(3) 2>&1) || { echo "$$out"; exit 1; }; \
-for name in $$(echo '$(2)' | tr '|' ' '); do \
-	echo "$$out" | grep -q "^=== RUN   $$name" || { echo "FAIL: no test named $$name ran in $(3)"; exit 1; }; \
-done; \
-echo "$$out" | grep '^ok'
-endef
 
 build:
 	$(GO) build ./...
@@ -157,95 +144,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseMemory -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 	$(GO) test -run '^$$' -fuzz FuzzParseSpeeds -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/place
 
-# Doc-comment lint for every package under internal/ (go list names them,
-# so a new package is linted from its first commit): the contracts — what a
-# simulator reuses and what it re-derives, the passes' options, who owns a
-# schedule's lists, the generator registry, the planning service's
-# surface, the nn layer interface — must live in the source.
-# Dependency-free (cmd/exportlint, go/ast).
-lint:
-	$(GO) run ./cmd/exportlint $$($(GO) list ./internal/... | sed 's|^mario/|./|')
-
-# End-to-end smoke of the mariod planning service, under the race detector:
-# re-runs the test binary as mariod with a main and a debug listener, plans a
-# small workload through the Go client (traced fresh run, then a byte-identical
-# cache hit), reads pprof, the flight dump and fresh gauges off the debug port,
-# dumps the flight recorder on SIGQUIT and walks the SIGTERM drain to exit 0.
-serve-smoke:
-	$(call go-test-named,-race,TestDaemonLifeCycle,./cmd/mariod)
-
-# Fleet smoke, under the race detector: a routed plan byte-identical to an
-# in-process Optimize and answered from the owner's cache on repeat, then a
-# three-member loopback fleet that routes the base workload from every
-# non-owner (a routed-ok count on each) and takes a loadgen burst (no errors,
-# no 429/503, cache and peer hits) before it drains.
-fleet-smoke:
-	$(call go-test-named,-race,TestFleetEndToEndByteIdentity,./internal/serve)
-	$(call go-test-named,-race,TestLoopbackFleetBurst,./internal/serve/loadgen)
-
-# Telemetry smoke: the span-tree determinism tests under the race detector
-# (canonical exports byte-identical for Workers ∈ {1,4,GOMAXPROCS}), the one
-# record stream under it too (a noiseless measured run is the simulator's
-# records; drift is deterministic; a decoded plan renders and drifts like a
-# fresh one), the export golden files, and TestCLI: a traced cmd/mario search
-# writing all three trace artifacts, and a measured cmd/mario run writing every
-# timeline artifact — chart, SVG, predicted and measured Chrome traces, event
-# JSONL — and its drift report.
-telemetry-smoke:
-	$(call go-test-named,-race,TestTraceWorkerIndependence|TestSelfTimeTelescopes,./internal/tuner)
-	$(call go-test-named,-race,TestClusterMatchesSimulatorNoiseless,./internal/cluster)
-	$(call go-test-named,-race,TestComputeDriftDeterministic|TestPlanJSONDecodedPlanRuns,.)
-	$(call go-test-named,,TestGoldenExports|TestGoldenSpanChrome,./internal/telemetry)
-	$(call go-test-named,,TestCLI,./cmd/mario)
-
-# Heterogeneity smoke: the placement subsystem's acceptance contract (co-opt
-# strictly beats the uniform baseline in predicted AND measured throughput on
-# the pinned scenario), worker-count independence and bnb-vs-grid equivalence
-# over the placement axis under the race detector, and one CLI run through
-# -device-speeds/-placement (TestCLI/hetero).
-hetero-smoke:
-	$(call go-test-named,-race,TestHeteroCoOptBeatsUniform|TestHeteroAutoExploresBothModes,.)
-	$(call go-test-named,-race,TestHeteroDeterministicAcrossWorkers|TestHeteroBnBMatchesGridArgmax|TestAllOnesSpeedsAreLegacy,./internal/tuner)
-	$(call go-test-named,,TestCLI/hetero,./cmd/mario)
-
-# Markdown link + heading-anchor check over the repo docs plus the golden
-# snippets in EXPERIMENTS.md and docs/SCHEMES.md (TestGoldenDocs re-runs the
-# fast-mode experiments and the scheme-catalogue renderer and byte-compares
-# their output against the documented blocks).
-#
-# docs/TUNING.md is "every knob", checked both ways: a flag that `-h` of
-# cmd/mario, cmd/mariod or cmd/loadgen prints needs a `-name mention there, and
-# a `-name in a knob column (the first cell of a table row) has to be a flag of
-# some cmd/ binary or of `go test` — a row for a flag that is gone fails.
-flags-of = $(GO) run ./cmd/$(1) -h 2>&1 | sed -n 's/^  -\([a-z][a-z0-9-]*\).*/\1/p'
-docs-check:
-	$(GO) run ./cmd/docscheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs
-	$(call go-test-named,,TestGoldenDocs|TestDocsCiteRealTests,./internal/experiments)
-	@fail=0; known=" race cpu short bench benchtime benchmem count fuzz fuzztime "; \
-	for c in $$(ls cmd); do \
-		flags=$$($(call flags-of,$$c)); known="$$known$$(echo $$flags) "; \
-		case $$c in mario|mariod|loadgen) for f in $$flags; do \
-			grep -q -- "\`-$$f[^a-z0-9-]" docs/TUNING.md || { echo "docs/TUNING.md: no \`-$$f mention for the cmd/$$c flag"; fail=1; }; \
-		done;; esac; \
-	done; \
-	for f in $$(awk -F'|' '/^\|/ {print $$2}' docs/TUNING.md | grep -o '`-[a-z][a-z0-9-]*' | cut -c3- | sort -u); do \
-		case "$$known" in *" $$f "*) ;; *) echo "docs/TUNING.md: knob \`-$$f names no flag of a cmd/ binary or of go test"; fail=1;; esac; \
-	done; \
-	[ $$fail = 0 ] && echo "docs-check: docs/TUNING.md and the cmd/ flag sets agree"
-
-# Scheme-family smoke: every registered generator (incl. the split-backward
-# ZB-H1 and DualPipe-D) builds and validates on the demo grid and, with every
-# graph pass on top, over all small shapes (Build does not validate), the list
-# scheduler is deterministic under the race detector, the zero-bubble
-# comparison runs end to end, and the docs/SCHEMES.md diagrams match the
-# renderer byte-for-byte.
-schemes-smoke:
-	$(call go-test-named,-race,TestAllSchemesValidate|TestSplitSchemesValidate|TestSchemeBuildDeterministic,./internal/scheme)
-	$(call go-test-named,-race,TestRegistryValidates,./internal/graph)
-	$(GO) run ./cmd/experiments -fast -run zerobubble >/dev/null
-	$(call go-test-named,,TestGoldenDocs|TestZeroBubbleFast,./internal/experiments)
-
-check: vet build race bench-selftest bench-gate-allocs fuzz lint docs-check schemes-smoke hetero-smoke serve-smoke fleet-smoke telemetry-smoke
+# The correctness gate. `go test ./...` holds every check of the program and
+# its docs — the doc-comment lint, the surface ratchet, the markdown links,
+# docs/TUNING.md against the flags, the golden snippets and the end-to-end
+# runs of the commands and the daemon — so `test` and `race` run each of them
+# once, without and with the race detector (allocation counts are asserted
+# only without it). DESIGN.md §14 names the test that holds each contract.
+check: vet build test race bench-selftest bench-gate-allocs fuzz
 
 fmt:
 	gofmt -l -w .

@@ -41,6 +41,13 @@ func ValidatePartition(part []int, layers, stages int) error {
 	return nil
 }
 
+// BwSplitRatio is the fraction of Estimator.BwTime attributable to computing
+// the input gradient (the "B" part of ZB-H1's B/W split); the remaining
+// fraction computes weight gradients and can be deferred. The simulator, its
+// reference and the tuner's bounds price the split-backward schemes (ZB-H1,
+// DualPipe-D) and the split-backward graph pass with it.
+const BwSplitRatio = 0.5
+
 // Estimator provides per-instruction latency and memory estimates for a
 // concrete (model, hardware, pipeline, micro-batch size, TP) configuration.
 // It is the E of Equation 1. Estimators are produced either analytically
@@ -83,12 +90,6 @@ type Estimator struct {
 	FrameworkMem float64
 	// OptTime is the optimizer-step latency per device in seconds.
 	OptTime float64
-	// BwSplitRatio is the fraction of BwTime attributable to computing the
-	// input gradient (the "B" part of ZB-H1's B/W split); the remaining
-	// fraction computes weight gradients and can be deferred. Used by the
-	// split-backward schemes (ZB-H1, DualPipe-D) and the split-backward
-	// graph pass.
-	BwSplitRatio float64
 	// WGradBytes is the per-stage stash a BackwardInput leaves behind for its
 	// deferred BackwardWeight half: the linear-layer inputs and output
 	// gradients the weight-gradient matmuls still need after the input
@@ -240,7 +241,6 @@ func Analytic(cfg AnalyticConfig) (*Estimator, error) {
 		LinkLatency:    hw.LinkLatency,
 		LaunchOverhead: hw.LaunchOverhead,
 		FrameworkMem:   hw.FrameworkMem,
-		BwSplitRatio:   0.5,
 	}
 	for st, nl := range layersPerStage {
 		fl := float64(nl)

@@ -21,7 +21,6 @@ func Uniform(stages int, fw, bw, stash float64) *Estimator {
 		ActWork:       make([]float64, stages),
 		WeightBytes:   make([]float64, stages),
 		LinkBandwidth: 1,
-		BwSplitRatio:  0.5,
 	}
 	for i := 0; i < stages; i++ {
 		e.FwTime[i] = fw

@@ -18,8 +18,8 @@ import (
 // confirms an improvement within the memory budget.
 //
 // The input schedule is not modified; when the split does not pay,
-// SplitBackward returns it itself. Estimator.BwSplitRatio controls the B/W
-// split of the backward latency.
+// SplitBackward returns it itself. cost.BwSplitRatio is the B/W split of
+// the backward latency.
 func SplitBackward(s *pipeline.Schedule, opt Options) (*pipeline.Schedule, *sim.Result, error) {
 	if opt.Estimator == nil {
 		return nil, nil, fmt.Errorf("graph: SplitBackward requires an estimator")

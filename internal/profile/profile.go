@@ -315,7 +315,6 @@ func (p *Profiler) assemble(f *fit, blocks []int, mbs, tp int) (*cost.Estimator,
 		LaunchOverhead: ovh,
 		FrameworkMem:   f.frameworkMem,
 		OptTime:        f.optTime,
-		BwSplitRatio:   0.5,
 	}
 	for st, nl := range blocks {
 		fl := float64(nl)

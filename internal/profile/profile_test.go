@@ -160,10 +160,10 @@ func TestFitGolden(t *testing.T) {
 		want string
 	}{
 		{"EstimatorFor(8,2,1)", func(p *Profiler) (*cost.Estimator, error) { return p.EstimatorFor(8, 2, 1) },
-			"30e9140bb9b8abe01ba61762c102a44c8988d3f4fd10ff858fb12d0c65317912"},
+			"3f497061befca992df805311943190eae14d6bfcfb60ba49f98d64181e6d7787"},
 		{"EstimatorForPartition([12 20 20 12],1,2)", func(p *Profiler) (*cost.Estimator, error) {
 			return p.EstimatorForPartition([]int{12, 20, 20, 12}, 1, 2)
-		}, "30e1a007ba4a2d914946dc5ca16e2e483c24b80bb7dd99bf2fc165876eb2c604"},
+		}, "53ca257240a4b6f551e2984c22e10b11b1421035cdaf405017c1902714f0664a"},
 	} {
 		e, err := tc.est(newProfiler())
 		if err != nil {

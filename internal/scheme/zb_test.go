@@ -160,7 +160,7 @@ func TestWeightGradAfterInputGrad(t *testing.T) {
 // from worker pools of 1 and 4 goroutines and requires byte-identical
 // schedules across all workers and pool sizes — the generator path must be
 // free of map-iteration-order and data-race nondeterminism (run under -race
-// by `make schemes-smoke`).
+// by `make race`).
 func TestSchemeBuildDeterministic(t *testing.T) {
 	cfg := Config{Devices: 4, Micros: 8}
 	baseline := map[pipeline.Scheme]string{}

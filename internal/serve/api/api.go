@@ -215,6 +215,19 @@ type ProgressEvent struct {
 	BestThroughput float64 `json:"throughput"`
 }
 
+// StreamRecord is a line of the /v1/plan/stream NDJSON other than the
+// terminal plan, as the server writes it and the client reads it: Type is
+// "progress" (Explored, Best and BestThroughput set) or "error" (Error set).
+// The terminal line is the plan response behind {"type":"plan", and is read
+// by ParsePlanResponse.
+type StreamRecord struct {
+	Type           string  `json:"type"`
+	Explored       int     `json:"explored,omitempty"`
+	Best           string  `json:"best,omitempty"`
+	BestThroughput float64 `json:"throughput,omitempty"`
+	Error          string  `json:"error,omitempty"`
+}
+
 // Health is the /healthz body.
 type Health struct {
 	// OK is false while the server is draining.

@@ -34,8 +34,8 @@ type Client struct {
 	// idempotent, so retrying is always safe, just not always wanted.
 	Retries int
 	// Backoff is the base delay of the exponential backoff between
-	// retries (doubled per attempt, with ±50% jitter); 0 means 50ms when
-	// Retries is set.
+	// retries (doubled per attempt up to maxBackoff, with ±50% jitter); 0
+	// means 50ms when Retries is set.
 	Backoff time.Duration
 }
 
@@ -71,15 +71,24 @@ func retryableStatus(code int) bool {
 	return false
 }
 
+// maxBackoff is where the doubling of the backoff stops. The doubling
+// saturates rather than shifting the base by the attempt number: a shift
+// overflows int64 (at 50ms, past attempt 37) into a negative or zero delay,
+// and the retries behind it would not pause at all.
+const maxBackoff = time.Hour
+
 // backoffDelay is the sleep before retry attempt n (0-based): the base
-// doubled per attempt, with ±50% jitter so a fleet of clients does not
-// retry in lockstep.
+// doubled per attempt up to maxBackoff, with ±50% jitter so a fleet of
+// clients does not retry in lockstep.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	base := c.Backoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
+	d := c.Backoff
+	if d <= 0 {
+		d = 50 * time.Millisecond
 	}
-	d := base << uint(attempt)
+	d = min(d, maxBackoff)
+	for ; attempt > 0 && d < maxBackoff; attempt-- {
+		d = min(2*d, maxBackoff)
+	}
 	jitter := 0.5 + rand.Float64() // [0.5, 1.5)
 	return time.Duration(float64(d) * jitter)
 }
@@ -192,13 +201,7 @@ func (c *Client) PlanStream(ctx context.Context, req api.PlanRequest, onProgress
 		if len(line) == 0 {
 			continue
 		}
-		var rec struct {
-			Type           string  `json:"type"`
-			Explored       int     `json:"explored"`
-			Best           string  `json:"best"`
-			BestThroughput float64 `json:"throughput"`
-			Error          string  `json:"error"`
-		}
+		var rec api.StreamRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, fmt.Errorf("client: decoding stream record: %w", err)
 		}

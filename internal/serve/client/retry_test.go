@@ -105,3 +105,29 @@ func TestRetryHonorsContext(t *testing.T) {
 		t.Errorf("server saw %d attempts, want 1 before the cancelled backoff", hits.Load())
 	}
 }
+
+// TestBackoffSaturates: the backoff grows with the attempt number and stops
+// at its ceiling of an hour; it never wraps. Shifting the 50ms default by the
+// attempt number overflowed — 2.4 million hours at attempt 37, a negative
+// delay at 38, none at 63 — so a long retry budget retried with no pause.
+func TestBackoffSaturates(t *testing.T) {
+	cl := client.New("http://127.0.0.1:1")
+	delays := make([]time.Duration, 100)
+	for attempt := range delays {
+		delays[attempt] = cl.BackoffDelay(attempt)
+	}
+	for attempt, d := range delays {
+		lo := 25 * time.Millisecond // half the 50ms base: the least jitter
+		if attempt >= 20 {          // 50ms·2^20 is past the ceiling
+			lo = 30 * time.Minute
+		}
+		if d < lo {
+			t.Fatalf("attempt %d: delay %v, want at least %v", attempt, d, lo)
+		}
+	}
+	for attempt, d := range delays {
+		if d >= 90*time.Minute {
+			t.Fatalf("attempt %d: delay %v, want under 1h30m, the ceiling's most jitter", attempt, d)
+		}
+	}
+}

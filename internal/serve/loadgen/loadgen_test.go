@@ -118,7 +118,8 @@ func TestMixedWorkloads(t *testing.T) {
 // workload is planned through every member: every repeat is a byte-identical
 // cache hit, and each member that does not own it has routed it to its owner
 // and counts that on its own /metrics. The burst's targets start at such a
-// member, which sends it every request of the base workload. make fleet-smoke runs this under the race detector.
+// member, which sends it every request of the base workload. make race also
+// runs it under the race detector.
 func TestLoopbackFleetBurst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real tuner searches over loopback HTTP")

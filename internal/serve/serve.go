@@ -484,7 +484,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, stream bool)
 	}
 	fail := func(status int, err error) {
 		if stream {
-			writeRecord(w, streamRecord{Type: "error", Error: err.Error()})
+			writeRecord(w, api.StreamRecord{Type: "error", Error: err.Error()})
 		} else {
 			errorJSON(w, status, err)
 		}
@@ -524,24 +524,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, stream bool)
 	writePlanResponse(w, resp, stream)
 }
 
-// streamRecord is an NDJSON line of the streaming endpoint other than the
-// terminal plan: Type is "progress" (Explored/Best/BestThroughput set) or
-// "error".
-type streamRecord struct {
-	Type           string  `json:"type"`
-	Explored       int     `json:"explored,omitempty"`
-	Best           string  `json:"best,omitempty"`
-	BestThroughput float64 `json:"throughput,omitempty"`
-	Error          string  `json:"error,omitempty"`
-}
-
 // progressRecord is the stream line of one progress event.
-func progressRecord(ev api.ProgressEvent) streamRecord {
-	return streamRecord{Type: "progress", Explored: ev.Explored, Best: ev.Best, BestThroughput: ev.BestThroughput}
+func progressRecord(ev api.ProgressEvent) api.StreamRecord {
+	return api.StreamRecord{Type: "progress", Explored: ev.Explored, Best: ev.Best, BestThroughput: ev.BestThroughput}
 }
 
 // writeRecord writes one NDJSON line and flushes it to the client.
-func writeRecord(w http.ResponseWriter, rec streamRecord) {
+func writeRecord(w http.ResponseWriter, rec api.StreamRecord) {
 	json.NewEncoder(w).Encode(rec)
 	if fl, ok := w.(http.Flusher); ok {
 		fl.Flush()

@@ -316,7 +316,7 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
 	last := lines[len(lines)-1]
-	var term streamRecord
+	var term api.StreamRecord
 	if err := json.Unmarshal(last, &term); err != nil {
 		t.Fatalf("terminal record: %v", err)
 	}
@@ -328,7 +328,7 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Fatalf("terminal record = %s", last)
 	}
 	for _, line := range lines[:len(lines)-1] {
-		var rec streamRecord
+		var rec api.StreamRecord
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Type != "progress" {
 			t.Fatalf("non-progress record before terminal: %s", line)
 		}

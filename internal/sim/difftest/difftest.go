@@ -1,19 +1,19 @@
 // Package difftest is the differential harness behind the simulator's
 // equivalence guarantee: every result is a pure function of (schedule,
 // estimator, options), so a reused engine — whatever its retained buffers
-// hold — must be byte-identical to a fresh one: same makespan bits, same
+// hold — must be bit-identical to a fresh one: same makespan bits, same
 // peaks, same timeline records, same error. The harness generates seeded random
 // workloads (schedule, estimator, options), drives a long-lived engine through
 // randomized single-device mutations (fresh lists, in-place edits, reverts)
 // and estimator changes (a copy under a new pointer, an edit in place), and
 // after every step checks the reused engine's answer against a fresh engine's
-// on the same schedule, failing on the first diverging byte of a canonical
-// encoding — and checks both against Reference, a naive simulator that shares
-// no code with the engine. Only tests import this package.
+// on the same schedule, field by field and floats by their bits, failing on
+// the first diverging field — and checks both against Reference, a naive
+// simulator that shares no code with the engine. Only tests import this
+// package.
 package difftest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -21,6 +21,7 @@ import (
 
 	"mario/internal/cost"
 	"mario/internal/graph"
+	"mario/internal/obs"
 	"mario/internal/pipeline"
 	"mario/internal/scheme"
 	"mario/internal/sim"
@@ -188,7 +189,7 @@ func (w *Workload) Mutate() string {
 		w.desc = fmt.Sprintf("dev%d: swap %d<->%d", d, i, j)
 	case 1: // rotate an instruction to an earlier slot (prepose-like)
 		j := 1 + rng.Intn(n-1)
-		i := j - 1 - rng.Intn(minInt(16, j))
+		i := j - 1 - rng.Intn(min(16, j))
 		nl := append([]pipeline.Instr(nil), old...)
 		moved := nl[j]
 		copy(nl[i+1:j+1], nl[i:j])
@@ -228,14 +229,7 @@ func (w *Workload) Mutate() string {
 // nearPair picks list indexes i < j at most 16 apart in a list of n ≥ 2.
 func nearPair(rng *rand.Rand, n int) (int, int) {
 	i := rng.Intn(n - 1)
-	return i, i + 1 + rng.Intn(minInt(16, n-i-1))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return i, i + 1 + rng.Intn(min(16, n-i-1))
 }
 
 // harness drives a long-lived engine against fresh-engine and naive references.
@@ -259,7 +253,7 @@ func newHarness(seed int64) (*harness, error) {
 // Step advances the harness once: maybe mutate or revert a device, maybe
 // change the estimator (an equal copy under a new pointer, or one stage's
 // forward time scaled in place under the same one), then check reused engine ≡
-// fresh engine ≡ reference, byte for byte. A non-nil error is a disproof of
+// fresh engine ≡ reference, bit for bit. A non-nil error is a disproof of
 // the equivalence.
 func (h *harness) Step() error {
 	w := h.W
@@ -310,29 +304,29 @@ func compareTiming(a *sim.Result, aErr error, ref *sim.Result, refErr error) err
 	if aErr != nil || refErr != nil {
 		return compare(a, aErr, ref, refErr)
 	}
-	if math.Float64bits(a.Total) != math.Float64bits(ref.Total) {
-		return fmt.Errorf("makespan %v, reference %v", a.Total, ref.Total)
+	if !sameBits(a.Total, ref.Total) {
+		return fmt.Errorf("Total: %v, reference %v", a.Total, ref.Total)
 	}
 	if a.Timeline == nil {
 		return nil
 	}
 	if len(a.Timeline) != len(ref.Timeline) {
-		return fmt.Errorf("%d records, reference %d", len(a.Timeline), len(ref.Timeline))
+		return fmt.Errorf("Timeline: %d records, reference %d", len(a.Timeline), len(ref.Timeline))
 	}
 	for k, want := range ref.Timeline {
 		got := a.Timeline[k]
 		got.Mem = 0 // the reference models time only
-		if got != want {
-			return fmt.Errorf("record %d: %+v, reference %+v", k, got, want)
+		if field := eventDiff(got, want); field != "" {
+			return fmt.Errorf("Timeline[%d].%s: %+v, reference %+v", k, field, got, want)
 		}
 	}
 	return nil
 }
 
-// compare checks two (result, error) pairs for byte-identical agreement:
-// the errors must match sentinel-for-sentinel, and the results must encode
-// to identical bytes. The returned error names the first diverging byte and
-// the canonical section it falls in.
+// compare checks two (result, error) pairs for bit-identical agreement: the
+// errors must match sentinel-for-sentinel, and the results field by field,
+// floats by their bits. The returned error starts with the first diverging
+// field and its index, e.g. "PeakMem[1]:" or "Timeline[3].End:".
 func compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 	if (aErr == nil) != (bErr == nil) {
 		return fmt.Errorf("error mismatch: %v vs %v", aErr, bErr)
@@ -345,187 +339,80 @@ func compare(a *sim.Result, aErr error, b *sim.Result, bErr error) error {
 		}
 		return nil
 	}
-	ca, cb := canon(a), canon(b)
-	if off, section := diff(ca, cb); off >= 0 {
-		return fmt.Errorf("results diverge at byte %d (%s): %s vs %s",
-			off, section, hexAround(ca, off), hexAround(cb, off))
+	switch {
+	case !sameBits(a.Total, b.Total):
+		return fmt.Errorf("Total: %v vs %v", a.Total, b.Total)
+	case !sameBits(a.SamplesPerSec, b.SamplesPerSec):
+		return fmt.Errorf("SamplesPerSec: %v vs %v", a.SamplesPerSec, b.SamplesPerSec)
+	case a.OOM != b.OOM:
+		return fmt.Errorf("OOM: %v vs %v", a.OOM, b.OOM)
+	}
+	if len(a.OOMDevices) != len(b.OOMDevices) {
+		return fmt.Errorf("OOMDevices: %v vs %v", a.OOMDevices, b.OOMDevices)
+	}
+	for i := range a.OOMDevices {
+		if a.OOMDevices[i] != b.OOMDevices[i] {
+			return fmt.Errorf("OOMDevices[%d]: %d vs %d", i, a.OOMDevices[i], b.OOMDevices[i])
+		}
+	}
+	if err := floatsDiff("PeakMem", a.PeakMem, b.PeakMem); err != nil {
+		return err
+	}
+	if err := floatsDiff("ComputeBusy", a.ComputeBusy, b.ComputeBusy); err != nil {
+		return err
+	}
+	if (a.Timeline == nil) != (b.Timeline == nil) || len(a.Timeline) != len(b.Timeline) {
+		return fmt.Errorf("Timeline: %d records (nil %v) vs %d (nil %v)",
+			len(a.Timeline), a.Timeline == nil, len(b.Timeline), b.Timeline == nil)
+	}
+	for k := range a.Timeline {
+		if field := eventDiff(a.Timeline[k], b.Timeline[k]); field != "" {
+			return fmt.Errorf("Timeline[%d].%s: %+v vs %+v", k, field, a.Timeline[k], b.Timeline[k])
+		}
 	}
 	return nil
 }
 
-// canonSection tags each region of the canonical encoding so a diverging
-// byte offset maps back to a named field.
-type canonSection struct {
-	name string
-	end  int
-}
-
-type canonBuf struct {
-	b        []byte
-	sections []canonSection
-}
-
-func (c *canonBuf) section(name string) {
-	c.sections = append(c.sections, canonSection{name: name, end: -1})
-}
-
-func (c *canonBuf) close() {
-	if n := len(c.sections); n > 0 && c.sections[n-1].end < 0 {
-		c.sections[n-1].end = len(c.b)
+// floatsDiff names the first index at which two float slices differ in
+// length or bits.
+func floatsDiff(field string, a, b []float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%s: %d values vs %d", field, len(a), len(b))
 	}
-}
-
-func (c *canonBuf) f64(v float64) {
-	c.b = binary.BigEndian.AppendUint64(c.b, math.Float64bits(v))
-}
-
-func (c *canonBuf) i64(v int64) {
-	c.b = binary.BigEndian.AppendUint64(c.b, uint64(v))
-}
-
-func (c *canonBuf) bool(v bool) {
-	if v {
-		c.b = append(c.b, 1)
-	} else {
-		c.b = append(c.b, 0)
-	}
-}
-
-func (c *canonBuf) instr(in pipeline.Instr) {
-	c.b = append(c.b, byte(in.Kind))
-	c.i64(int64(in.Micro))
-	c.i64(int64(in.Part))
-	c.i64(int64(in.Stage))
-	c.bool(in.Buffered)
-}
-
-// canon serializes a Result canonically: float bits big-endian, slices
-// length-prefixed, timeline records in device-then-list order. Two Results are
-// equal as values iff their canonical encodings are equal as bytes.
-func canon(r *sim.Result) []byte {
-	c := &canonBuf{}
-	c.section("Total")
-	c.f64(r.Total)
-	c.close()
-	c.section("SamplesPerSec")
-	c.f64(r.SamplesPerSec)
-	c.close()
-	c.section("OOM")
-	c.bool(r.OOM)
-	c.close()
-	c.section("OOMDevices")
-	c.i64(int64(len(r.OOMDevices)))
-	for _, d := range r.OOMDevices {
-		c.i64(int64(d))
-	}
-	c.close()
-	c.section("PeakMem")
-	c.i64(int64(len(r.PeakMem)))
-	for _, p := range r.PeakMem {
-		c.f64(p)
-	}
-	c.close()
-	c.section("ComputeBusy")
-	c.i64(int64(len(r.ComputeBusy)))
-	for _, p := range r.ComputeBusy {
-		c.f64(p)
-	}
-	c.close()
-	c.section("Timeline")
-	c.bool(r.Timeline != nil)
-	c.i64(int64(len(r.Timeline)))
-	for _, rec := range r.Timeline {
-		c.instr(rec.Instr)
-		for _, v := range []int{rec.Device, rec.Iter, rec.Peer} {
-			c.i64(int64(v))
-		}
-		for _, v := range []float64{rec.Start, rec.End, rec.Wait, rec.Bytes, rec.Mem} {
-			c.f64(v)
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return fmt.Errorf("%s[%d]: %v vs %v", field, i, a[i], b[i])
 		}
 	}
-	c.close()
-	return c.markers()
+	return nil
 }
 
-// markers flattens the tagged buffer: the section table rides in front so
-// diff can name the section of an offset without re-deriving the layout.
-func (c *canonBuf) markers() []byte {
-	// Header: count, then (name length, name bytes, end offset) per section;
-	// payload follows. Offsets in diff are payload-relative.
-	hdr := binary.BigEndian.AppendUint64(nil, uint64(len(c.sections)))
-	for _, s := range c.sections {
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(s.name)))
-		hdr = append(hdr, s.name...)
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(s.end))
+// eventDiff returns the first field in which two timeline records differ,
+// floats by their bits, or "" when they are identical.
+func eventDiff(a, b obs.Event) string {
+	switch {
+	case a.Instr != b.Instr:
+		return "Instr"
+	case a.Device != b.Device:
+		return "Device"
+	case a.Iter != b.Iter:
+		return "Iter"
+	case a.Peer != b.Peer:
+		return "Peer"
+	case !sameBits(a.Start, b.Start):
+		return "Start"
+	case !sameBits(a.End, b.End):
+		return "End"
+	case !sameBits(a.Wait, b.Wait):
+		return "Wait"
+	case !sameBits(a.Bytes, b.Bytes):
+		return "Bytes"
+	case !sameBits(a.Mem, b.Mem):
+		return "Mem"
 	}
-	return append(hdr, c.b...)
+	return ""
 }
 
-// diff returns the first payload byte where the two canonical encodings
-// diverge and the section it falls in, or (-1, "") when identical.
-func diff(a, b []byte) (int, string) {
-	sa, pa := splitCanon(a)
-	sb, pb := splitCanon(b)
-	n := minInt(len(pa), len(pb))
-	for i := 0; i < n; i++ {
-		if pa[i] != pb[i] {
-			return i, sectionAt(sa, i)
-		}
-	}
-	if len(pa) != len(pb) {
-		longer := sa
-		if len(pb) > len(pa) {
-			longer = sb
-		}
-		return n, sectionAt(longer, n)
-	}
-	return -1, ""
-}
-
-func splitCanon(buf []byte) ([]canonSection, []byte) {
-	if len(buf) < 8 {
-		return nil, buf
-	}
-	n := binary.BigEndian.Uint64(buf)
-	off := 8
-	sections := make([]canonSection, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if off+8 > len(buf) {
-			return nil, buf
-		}
-		l := int(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-		if off+l+8 > len(buf) {
-			return nil, buf
-		}
-		name := string(buf[off : off+l])
-		off += l
-		end := int(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-		sections = append(sections, canonSection{name: name, end: end})
-	}
-	return sections, buf[off:]
-}
-
-func sectionAt(sections []canonSection, off int) string {
-	for _, s := range sections {
-		if off < s.end {
-			return s.name
-		}
-	}
-	return "trailing"
-}
-
-func hexAround(buf []byte, off int) string {
-	_, p := splitCanon(buf)
-	lo := maxInt(0, off-4)
-	hi := minInt(len(p), off+4)
-	return fmt.Sprintf("%x", p[lo:hi])
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// sameBits reports whether two floats are the same bits: -0 is not 0, and
+// a NaN equals itself.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"mario/internal/cost"
@@ -107,8 +108,8 @@ func TestReferenceMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestCanonDetectsDivergence makes sure the byte-compare machinery itself
-// can see a difference in every section it encodes.
+// TestCanonDetectsDivergence makes sure the field-wise comparison itself
+// sees a difference in every field of a result and names it.
 func TestCanonDetectsDivergence(t *testing.T) {
 	base := func() *sim.Result {
 		return &sim.Result{
@@ -123,38 +124,35 @@ func TestCanonDetectsDivergence(t *testing.T) {
 		}
 	}
 	mutations := []struct {
-		name    string
-		mutate  func(*sim.Result)
-		section string
+		name   string
+		mutate func(*sim.Result)
+		field  string
 	}{
 		{"total", func(r *sim.Result) { r.Total++ }, "Total"},
 		{"samples", func(r *sim.Result) { r.SamplesPerSec++ }, "SamplesPerSec"},
 		{"oom", func(r *sim.Result) { r.OOM = true }, "OOM"},
 		{"oomdevs", func(r *sim.Result) { r.OOMDevices = append(r.OOMDevices, 1) }, "OOMDevices"},
-		{"peak", func(r *sim.Result) { r.PeakMem[1]++ }, "PeakMem"},
-		{"busy", func(r *sim.Result) { r.ComputeBusy[0]++ }, "ComputeBusy"},
-		{"span-end", func(r *sim.Result) { r.Timeline[0].End++ }, "Timeline"},
-		{"span-kind", func(r *sim.Result) { r.Timeline[0].Kind = pipeline.Backward }, "Timeline"},
-		{"record-peer", func(r *sim.Result) { r.Timeline[0].Peer = 1 }, "Timeline"},
-		{"record-wait", func(r *sim.Result) { r.Timeline[0].Wait = 0.5 }, "Timeline"},
-		{"record-mem", func(r *sim.Result) { r.Timeline[0].Mem = 1 }, "Timeline"},
+		{"peak", func(r *sim.Result) { r.PeakMem[1]++ }, "PeakMem[1]"},
+		{"busy", func(r *sim.Result) { r.ComputeBusy[0]++ }, "ComputeBusy[0]"},
+		{"span-end", func(r *sim.Result) { r.Timeline[0].End++ }, "Timeline[0].End"},
+		{"span-kind", func(r *sim.Result) { r.Timeline[0].Kind = pipeline.Backward }, "Timeline[0].Instr"},
+		{"record-peer", func(r *sim.Result) { r.Timeline[0].Peer = 1 }, "Timeline[0].Peer"},
+		{"record-wait", func(r *sim.Result) { r.Timeline[0].Wait = 0.5 }, "Timeline[0].Wait"},
+		{"record-mem", func(r *sim.Result) { r.Timeline[0].Mem = 1 }, "Timeline[0].Mem"},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			a, b := base(), base()
 			m.mutate(b)
-			off, section := diff(canon(a), canon(b))
-			if off < 0 {
-				t.Fatalf("mutation %s not detected", m.name)
-			}
-			if section != m.section {
-				t.Fatalf("mutation %s attributed to section %q, want %q", m.name, section, m.section)
-			}
-			if err := compare(a, nil, b, nil); err == nil {
+			err := compare(a, nil, b, nil)
+			if err == nil {
 				t.Fatalf("compare missed the %s divergence", m.name)
 			}
+			if !strings.HasPrefix(err.Error(), m.field+":") {
+				t.Fatalf("mutation %s reported as %q, want field %s", m.name, err, m.field)
+			}
 			if err := compare(a, nil, base(), nil); err != nil {
-				t.Fatalf("Compare flagged identical results: %v", err)
+				t.Fatalf("compare flagged identical results: %v", err)
 			}
 		})
 	}

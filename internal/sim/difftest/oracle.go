@@ -156,9 +156,9 @@ func refDur(s *pipeline.Schedule, e *cost.Estimator, d, dp int, in pipeline.Inst
 	case pipeline.Backward:
 		base = e.BwTime[in.Stage]
 	case pipeline.BackwardInput:
-		base = e.BwTime[in.Stage] * e.BwSplitRatio
+		base = e.BwTime[in.Stage] * cost.BwSplitRatio
 	case pipeline.BackwardWeight:
-		base = e.BwTime[in.Stage] * (1 - e.BwSplitRatio)
+		base = e.BwTime[in.Stage] * (1 - cost.BwSplitRatio)
 	case pipeline.OptimizerStep:
 		base = e.OptTime
 	case pipeline.AllReduce:

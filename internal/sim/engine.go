@@ -320,9 +320,9 @@ func ComputeBase(e *cost.Estimator, k pipeline.Kind, stage int) float64 {
 	case pipeline.Backward:
 		return e.BwTime[stage]
 	case pipeline.BackwardInput:
-		return e.BwTime[stage] * e.BwSplitRatio
+		return e.BwTime[stage] * cost.BwSplitRatio
 	case pipeline.BackwardWeight:
-		return e.BwTime[stage] * (1 - e.BwSplitRatio)
+		return e.BwTime[stage] * (1 - cost.BwSplitRatio)
 	case pipeline.OptimizerStep:
 		return e.OptTime
 	}

@@ -142,7 +142,6 @@ func TestSplitBackwardSimDurations(t *testing.T) {
 	const d, n = 2, 2
 	s := build(t, pipeline.Scheme1F1B, scheme.Config{Devices: d, Micros: n})
 	e := cost.Uniform(d, 1, 2, 0.25)
-	e.BwSplitRatio = 0.5
 	split, _, err := graph.SplitBackward(s, graph.Options{Estimator: e})
 	if err != nil {
 		t.Fatal(err)

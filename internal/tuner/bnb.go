@@ -170,7 +170,7 @@ func throughputBound(sh scheme.Shape, est *cost.Estimator, p gridPoint, splitBac
 	// r is the fraction of a backward that must precede the gradient send.
 	r := 1.0
 	if split || (splitBackward && p.ckpt) {
-		r = math.Min(math.Max(est.BwSplitRatio, 0), 1)
+		r = cost.BwSplitRatio
 	}
 	actHop := lo + est.CommTime(est.ActP2PBytes)
 	gradHop := lo + est.CommTime(est.GradP2PBytes)
